@@ -5,15 +5,26 @@ analysis) instead of one per atomic datum "reduces marshaling times by up
 to 12% for large messages containing complex structures".
 
 Toggled flag: ``batch_buffer_checks``.  Workload: directory entries (the
-paper's complex-structure case).
+paper's complex-structure case), plus one rectangle-array row: with the
+flag on a fixed-layout array is a single message region (one reserve, one
+array-wide pack), with it off it is the per-element loop, so the row
+records the on/off ratio of the region form.
 """
 
 import pytest
 
 from repro import Flick, OptFlags
-from repro.workloads import BENCH_IDL_ONC, make_dir_entries
+from repro.workloads import (
+    BENCH_IDL_ONC,
+    make_dir_entries,
+    make_rect_array,
+)
 
 from benchmarks.harness import fmt, measure_marshal, print_table
+
+
+#: Payload of the rectangle-array row.
+RECTS_BYTES = 65536
 
 
 def run(budget=0.05):
@@ -32,9 +43,14 @@ def run(budget=0.05):
                 module, "dirents", args, budget=budget
             )
             data[(label, size)] = mbps
-    for size in (4096, 65536, 262144):
+        args = (make_rect_array(module, RECTS_BYTES, record_prefix=""),)
+        data[(label, "rects")], _message = measure_marshal(
+            module, "rects", args, budget=budget
+        )
+    for size in (4096, 65536, 262144, "rects"):
         on, off = data[("on", size)], data[("off", size)]
-        rows.append([str(size), fmt(on), fmt(off),
+        name = "rects %d" % RECTS_BYTES if size == "rects" else str(size)
+        rows.append([name, fmt(on), fmt(off),
                      "%.1f%%" % (100 * (on - off) / on)])
     return rows, data
 
@@ -50,5 +66,5 @@ class TestBufferManagementAblation:
         )
         # Paper: up to 12% marshal-time reduction.  Per-datum checks cost
         # relatively more in Python, so the effect is at least as large.
-        for size in (65536, 262144):
+        for size in (65536, 262144, "rects"):
             assert data[("on", size)] > data[("off", size)], size

@@ -15,9 +15,11 @@ install time.  This module records, per renderer:
   dynamic client pays;
 * **Fig. 3 marshal throughput** — the paper's workloads.  The headline
   point (64 KB and 1 MB integer arrays) must be no slower under
-  closures; structure arrays (rects) are *faster* because the constant
-  stride loop fuses into one compiled comprehension, while dirents
-  (per-element strings) stay on the interpreted step path and lag.
+  closures.  Structure arrays (rects) are at parity: a fixed-layout
+  array is one region op in the marshal IR (one reserve, one array-wide
+  pack), which both renderers execute the same way, so neither owns an
+  optimization the other lacks.  Dirents (per-element strings) stay on
+  the interpreted step path under closures and lag.
 
 Because no renderer wins everywhere, the second half of this module
 measures **tiered execution** (``repro.runtime.tiering``): the server
@@ -26,8 +28,9 @@ ops to whatever the cost model prefers.  The acceptance claim recorded
 in ``results/BENCH_tiering.json``: started on the *losing* renderer
 (closures) for the string-heavy ``dirents_65536`` workload, tiered mode
 converges to py and recovers >= 90% of the best static renderer's
-steady-state serve throughput, while staying at parity with
-closures-only on the struct-array workload it is already right for.
+steady-state serve throughput, while staying at parity with the static
+renderers on the struct-array workload, where the choice no longer
+matters.
 
 Results land in ``results/BENCH_renderer.json`` and
 ``results/BENCH_tiering.json`` (CI artifacts).
@@ -62,6 +65,12 @@ POINTS = (
 
 #: The paper's headline marshal point: integer arrays, large messages.
 HEADLINE = (("ints", 65536), ("ints", 1048576))
+
+#: Renderers run the same region op on struct arrays; their throughput
+#: may differ by this factor either way.  Pinned best-of-five runs
+#: measured closures/py at 0.96-1.01; the rest absorbs an unpinned CI
+#: host, where runs of one renderer differ by as much.
+PARITY = 1.25
 
 
 def _measure_compile(renderer, repeats=5):
@@ -155,20 +164,20 @@ class TestRendererCompile:
             key = "%s_%d" % (workload, size)
             ratio = clo["marshal_mbps"][key] / py["marshal_mbps"][key]
             assert ratio >= 0.93, (key, ratio)
-        # Structure arrays fuse into one compiled comprehension and
-        # must beat the rendered per-element loop outright.
-        assert (clo["marshal_mbps"]["rects_65536"]
-                > py["marshal_mbps"]["rects_65536"])
+        # Structure arrays are one region op under either renderer.
+        ratio = (clo["marshal_mbps"]["rects_65536"]
+                 / py["marshal_mbps"]["rects_65536"])
+        assert 1 / PARITY <= ratio <= PARITY, ratio
 
 
 # ----------------------------------------------------------------------
 # Tiered execution: start on the wrong renderer, let the engine fix it
 # ----------------------------------------------------------------------
 
-#: The tiering points: the workload where closures wins (rects) and the
-#: one where it loses badly (dirents) — both served starting from a
-#: closures tier-0, so the engine must leave one alone and recompile
-#: the other.
+#: The tiering points: the workload where the renderers are at parity
+#: (rects) and the one where closures loses badly (dirents) — both
+#: served starting from a closures tier-0, so the engine must cost the
+#: first nothing and recompile the second.
 TIER_POINTS = (("rects", 65536), ("dirents", 65536))
 
 
@@ -283,8 +292,7 @@ class TestTieredExecution:
         assert dirents["converged_renderer"] == "py", dirents
         assert dirents["tier"] == 1, dirents
         assert dirents["recovery"] >= 0.90, dirents
-        # And on struct arrays — where closures is already right — the
-        # engine must leave well enough alone and keep parity.
-        assert rects["converged_renderer"] == "closures", rects
-        assert (rects["tiered_serve_mbps"]
-                >= 0.93 * rects["static_serve_mbps"]["closures"]), rects
+        # On struct arrays the renderers are at parity, so whichever
+        # the engine settles on, serving under it must keep up with the
+        # better static renderer.
+        assert rects["recovery"] >= 1 / PARITY, rects

@@ -11,6 +11,9 @@ dynamically grown and intended to be reused across stub invocations (via
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 from repro.errors import UnmarshalError
 
 #: Default initial capacity; Flick stubs reuse buffers, so this is paid once.
@@ -92,6 +95,40 @@ class MarshalBuffer:
 
     def __len__(self):
         return self.length
+
+
+def _array_codes():
+    """struct format character -> the ``array`` type code holding the
+    same kind of item in the same number of bytes on this platform."""
+    sizes = {"b": 1, "h": 2, "i": 4, "q": 8}
+    codes = {"f": "f", "d": "d"}
+    for fmt, size in sizes.items():
+        for code in "bhilq":
+            if array(code).itemsize == size:
+                codes[fmt] = code
+                codes[fmt.upper()] = code.upper()
+                break
+    return codes
+
+
+_ARRAY_CODES = _array_codes()
+_HOST_ENDIAN = ">" if sys.byteorder == "big" else "<"
+
+
+def atom_list(endian, fmt, data, offset, count):
+    """Decode *count* wire atoms of struct format *fmt* at *offset* as a
+    list, through one typed array rather than a tuple of boxed values.
+
+    The caller has checked that the bytes are there (a short slice
+    would otherwise decode as a shorter list).
+    """
+    values = array(_ARRAY_CODES[fmt])
+    values.frombytes(
+        memoryview(data)[offset:offset + count * values.itemsize]
+    )
+    if endian != _HOST_ENDIAN:
+        values.byteswap()
+    return values.tolist()
 
 
 class ReadCursor:

@@ -209,7 +209,8 @@ def _analyze_array(array, layout, registry, walking):
             if element.storage_class is StorageClass.FIXED
             else element.storage_class
         )
-        if storage_class is StorageClass.FIXED and min_size != max_size:
+        if (storage_class is StorageClass.FIXED and packed is not None
+                and per_element_min != per_element_max):
             # The presentation-dependent char packing above: the size is
             # no longer a single static value.
             storage_class = StorageClass.BOUNDED

@@ -60,6 +60,15 @@ def _plan_text(plan):
             % (plan.var, plan.align, plan.pad_var, plan.size))
 
 
+def _dump_entries(add, op):
+    for entry, offset in zip(op.entries, op.offsets):
+        star = "*" if entry.star or entry.count > 1 else ""
+        add("  +%d %s%s%s <- %s"
+            % (offset, star,
+               entry.count if entry.count > 1 or entry.star else "",
+               entry.fmt, entry.expr))
+
+
 def _dump_op(lines, op, indent):
     add = lambda text: lines.append(indent + text)  # noqa: E731
     if isinstance(op, m.PutHeader):
@@ -77,12 +86,7 @@ def _dump_op(lines, op, indent):
             % (start, op.endian, op.fmt, op.total,
                "batched" if op.batched else "unbatched",
                _plan_text(op.reserve)))
-        for entry, offset in zip(op.entries, op.offsets):
-            star = "*" if entry.star or entry.count > 1 else ""
-            add("  +%d %s%s%s <- %s"
-                % (offset, star,
-                   entry.count if entry.count > 1 or entry.star else "",
-                   entry.fmt, entry.expr))
+        _dump_entries(add, op)
     elif isinstance(op, m.GetAtoms):
         add("GetAtoms %s = '%s%s' total=%d%s"
             % (op.var, op.endian, op.fmt, op.total,
@@ -111,6 +115,17 @@ def _dump_op(lines, op, indent):
     elif isinstance(op, m.GetAtomArray):
         add("GetAtomArray %s = '%s%s'*%s conv=%s"
             % (op.var, op.endian, op.fmt, op.count_expr, op.conversion))
+    elif isinstance(op, m.PutArrayRegion):
+        add("PutArrayRegion '%s%s' stride=%d n=%s %s: %s in %s"
+            % (op.endian, op.fmt, op.stride, op.n_expr,
+               _plan_text(op.reserve), op.var, op.iterable))
+        for bind in op.binds:
+            add("  Bind %s = %s" % (bind.var, bind.expr))
+        _dump_entries(add, op)
+    elif isinstance(op, m.GetArrayRegion):
+        add("GetArrayRegion %s = '%s%s' stride=%d n=%s: %s -> %s"
+            % (op.var, op.endian, op.fmt, op.stride, op.count_expr,
+               op.tuple_var, op.element_expr))
     elif isinstance(op, m.GetRun):
         add("GetRun %s = %s n=%s nul=%d mode=%s pad4=%s"
             % (op.var, op.kind, op.count_expr, op.nul, op.mode,

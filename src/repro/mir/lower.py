@@ -27,13 +27,16 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import BackEndError
-from repro.mint.analysis import is_recursive
+from repro.mint.analysis import StorageClass, analyze_storage, is_recursive
 from repro.mint.types import MintInteger
 
 from repro.mir import ops as m
 from repro.pres import nodes as p
 
 UNROLL_LIMIT = m.UNROLL_LIMIT
+
+#: No atom of any wire format aligns beyond this.
+MAX_ALIGNMENT = 8
 
 
 class NamePool:
@@ -47,9 +50,17 @@ class NamePool:
         self._counter += 1
         return "%s%d" % (prefix, self._counter)
 
+    def mark(self):
+        return self._counter
+
+    def rewind(self, mark):
+        """Give back every name handed out since :meth:`mark`."""
+        self._counter = mark
+
 
 class OutOfLineSet:
-    """Bookkeeping for out-of-line helper functions.
+    """Bookkeeping shared by every function lowered for one program:
+    the out-of-line helper functions, and element storage analyses.
 
     Helpers are queued when first referenced and lowered by the program
     builder after the main stubs; recursion terminates because the queue
@@ -60,6 +71,9 @@ class OutOfLineSet:
         self.marshal_done = set()
         self.unmarshal_done = set()
         self.pending = []  # (kind, name)
+        #: Element MINT -> StorageInfo: each array is lowered in up to
+        #: four functions of the program, its element analysed once.
+        self.element_storage = {}
 
     def request(self, kind, name):
         done = self.marshal_done if kind == "m" else self.unmarshal_done
@@ -157,6 +171,64 @@ class _LowerBase:
         if isinstance(pres, p.PresRef):
             return self.pres_registry[pres.name]
         return pres
+
+    # -- array regions (section 3.1) -------------------------------------
+
+    def element_storage(self, element_pres):
+        """The storage class and size bounds of one array element."""
+        memo = self.out_of_line.element_storage
+        mint = element_pres.mint
+        if mint not in memo:
+            memo[mint] = analyze_storage(mint, self.fmt, self.mint_registry)
+        return memo[mint]
+
+    def region_enabled(self):
+        """An array region is what the three chunking passes promise
+        together; with any of them off, element arrays stay loops."""
+        flags = self.flags
+        return (flags.chunk_atoms and flags.batch_buffer_checks
+                and flags.memcpy_arrays)
+
+    def region_element(self, emit_element, chunk_type, prefix=()):
+        """Lower one array element with its base assumed aligned for any
+        atom, to learn whether the whole array can be one region.
+
+        Returns ``(emit_element's result, body, base alignment)`` when
+        the element is a single *chunk_type* chunk (after *prefix* ops
+        only) that repeats at a padding-free stride from a base this
+        wire format would align the same way.  Otherwise returns None
+        with names and counters rewound, so the loop lowered instead is
+        exactly what it would have been.  Appends nothing either way.
+        """
+        self.flush()
+        rewind = (self.names.mark(), self.chunks_emitted,
+                  self.atoms_emitted)
+        layout = (self.static_offset, self.align_guarantee)
+        self.push_body()
+        self.static_offset, self.align_guarantee = None, MAX_ALIGNMENT
+        result = emit_element()
+        self.flush()
+        body = self.pop_body()
+        self.static_offset, self.align_guarantee = layout
+        chunk = body[-1] if body else None
+        if (isinstance(chunk, chunk_type)
+                and all(isinstance(op, prefix) for op in body[:-1])):
+            align = max(entry.align for entry in chunk.entries)
+            # Members are aligned one by one, never the element as a
+            # whole: padding the base to *align* is only what the wire
+            # format does itself when the first member needs it.
+            if chunk.total % align == 0 and (
+                    self._aligned_to(align)
+                    or chunk.entries[0].align == align):
+                return result, body, align
+        self.names.rewind(rewind[0])
+        self.chunks_emitted, self.atoms_emitted = rewind[1:]
+        return None
+
+    def _aligned_to(self, align):
+        if self.static_offset is not None:
+            return self.static_offset % align == 0
+        return self.align_guarantee >= align
 
     def should_outline(self, pres_ref):
         """Out-of-line marshaling for recursive types, or for every named
@@ -265,10 +337,10 @@ class MarshalLower(_LowerBase):
         self.align_guarantee = align
         return 0, plan
 
-    def reserve_dynamic(self, size_expr, align):
+    def reserve_dynamic(self, size_expr, align, var=None):
         """Plan a runtime-sized reservation; *size_expr* must evaluate to
         the exact byte count including any trailing padding."""
-        var = self.temp("_o")
+        var = var or self.temp("_o")
         if self.static_offset is not None:
             pad = -self.static_offset % align
             if pad:
@@ -440,7 +512,9 @@ class MarshalLower(_LowerBase):
             total = header + static_count
             trail = -static_count % 4 if pad_to4 else 0
             total += trail
-            pad0, plan = self._reserve(total, max(header_align, 1))
+            # A headerless run (a fixed opaque outside Mach) is bytes:
+            # nothing to align, and the decoder aligns nothing.
+            pad0, plan = self._reserve(total, header_align if header else 1)
             self.add(m.CopyRun(
                 variant="static", reserve=plan, data_expr=data_expr,
                 header=header_pack, position=header, lead_pad=pad0,
@@ -530,7 +604,7 @@ class MarshalLower(_LowerBase):
                 self.add_atom(codec, "%s[%d]" % (expr, index))
             return
         self._emit_array_header(pres.mint, str(pres.length))
-        self._emit_element_loop(pres.element, expr)
+        self._emit_elements(pres.element, expr, str(pres.length))
 
     def _emit_counted_array(self, pres, expr):
         self.flush()
@@ -546,7 +620,7 @@ class MarshalLower(_LowerBase):
             self._emit_batched_array(pres.mint, codec, expr, n)
             return
         self._emit_array_header(pres.mint, n)
-        self._emit_element_loop(pres.element, expr)
+        self._emit_elements(pres.element, expr, n)
 
     def _emit_batched_array(self, mint_array, codec, expr, n_expr):
         """Variable atomic array as one header + one array-wide pack."""
@@ -601,6 +675,46 @@ class MarshalLower(_LowerBase):
             m.largest_pow2_divisor(codec.size, 8),
             self.fmt.universal_alignment,
         )
+
+    def _emit_elements(self, element_pres, expr, n_expr):
+        """The elements of an array whose header is already queued: one
+        region when the analysis allows it, else a loop."""
+        fixed = (self.element_storage(element_pres).storage_class
+                 is StorageClass.FIXED)
+        if not (fixed and self.region_enabled()
+                and self._emit_element_region(element_pres, expr, n_expr)):
+            self._emit_element_loop(element_pres, expr)
+
+    def _emit_element_region(self, element_pres, expr, n_expr):
+        """Lower FIXED elements as one :class:`~repro.mir.ops.
+        PutArrayRegion`; False (nothing emitted) when an element is not
+        a single chunk or its stride carries padding."""
+        def emit_element():
+            element = self.temp("_e")
+            self.emit(element_pres, element)
+            return element
+
+        trial = self.region_element(emit_element, m.PutAtoms, m.Bind)
+        if trial is None:
+            return False
+        element, body, align = trial
+        chunk = body[-1]
+        region = m.PutArrayRegion(
+            endian=self.fmt.endian, fmt=chunk.fmt, stride=chunk.total,
+            n_expr=n_expr, var=element, iterable=expr, binds=tuple(body[:-1]),
+            entries=chunk.entries, offsets=chunk.offsets,
+            reserve=self.reserve_dynamic(
+                "%s * %d" % (n_expr, chunk.total), align, chunk.reserve.var
+            ),
+        )
+        if region.reserve.kind == "plain" or n_expr.isdigit():
+            self.add(region)
+        else:
+            # An empty array writes no alignment padding (its loop form
+            # never ran), so the aligned reserve is skipped with it.
+            self.add(m.Branch(arms=[m.BranchArm(n_expr, [region])]))
+        self.enter_unknown()
+        return True
 
     def _emit_element_loop(self, element_pres, expr):
         self.flush()
@@ -955,7 +1069,7 @@ class UnmarshalLower(_LowerBase):
                 for _ in range(pres.length)
             ]
             return "[%s]" % ", ".join(elements)
-        return self._emit_element_loop(pres.element, str(pres.length))
+        return self._emit_elements(pres.element, str(pres.length))
 
     def _convert_atom_slice(self, codec, slice_expr):
         if codec.conversion == "char":
@@ -989,12 +1103,61 @@ class UnmarshalLower(_LowerBase):
                 self.fmt.universal_alignment,
             )
             return var
-        # Every element consumes at least one byte, so a declared count
-        # beyond the remaining bytes can never decode: reject it before
-        # looping (a forged count would otherwise spin building millions
-        # of elements out of nothing before failing).
-        self._check_remaining(count)
-        return self._emit_element_loop(pres.element, count)
+        return self._emit_elements(pres.element, count, forgeable=True)
+
+    def _emit_elements(self, element_pres, count_expr, forgeable=False):
+        """Decode the elements of an array whose header has been read:
+        one region when the analysis allows it, else a loop.  A count
+        that came off the wire (*forgeable*) is checked before looping.
+        """
+        storage = self.element_storage(element_pres)
+        if (storage.storage_class is StorageClass.FIXED
+                and self.region_enabled()):
+            var = self._emit_element_region(element_pres, count_expr)
+            if var is not None:
+                return var
+        if forgeable:
+            # Every element consumes at least its minimum wire size, so
+            # a declared count the remaining bytes cannot hold can never
+            # decode: reject it before building a single element (a
+            # forged count would otherwise spin allocating first).
+            self._check_remaining(
+                "%s * %d" % (count_expr, max(storage.min_size, 1))
+            )
+        return self._emit_element_loop(element_pres, count_expr)
+
+    def _emit_element_region(self, element_pres, count_expr):
+        """Lower FIXED elements as one :class:`~repro.mir.ops.
+        GetArrayRegion`; None (nothing emitted) when an element is not
+        a single chunk or its stride carries padding."""
+        trial = self.region_element(
+            lambda: self.emit(element_pres), m.GetAtoms
+        )
+        if trial is None:
+            return None
+        element_expr, (chunk,), align = trial
+        var = self.temp("_v")
+        region = self.push_body()
+        self._align_for(align)
+        padded = bool(region)
+        self._check_remaining("%s * %d" % (count_expr, chunk.total))
+        self.add(m.GetArrayRegion(
+            var=var, endian=self.fmt.endian, fmt=chunk.fmt,
+            stride=chunk.total, count_expr=count_expr, tuple_var=chunk.var,
+            element_expr=element_expr,
+        ))
+        self.pop_body()
+        if padded and not count_expr.isdigit():
+            # An empty array carries no alignment padding.
+            self.add(m.Branch(arms=[
+                m.BranchArm(count_expr, region),
+                m.BranchArm(None, [m.Bind(var, "[]")]),
+            ]))
+        else:
+            for op in region:
+                self.add(op)
+        self.enter_unknown()
+        return var
 
     def _emit_element_loop(self, element_pres, count_expr):
         self.flush()

@@ -350,6 +350,71 @@ class GetAtomArray(Op):
 
 
 @dataclass
+class PutArrayRegion(Op):
+    """An array of fixed-layout elements as one message region
+    (section 3.1): one reserve of ``n * stride`` bytes with the base
+    aligned once, then the leaves of every element packed by one
+    array-wide ``pack_into``.  The length header is not part of the
+    region; it rides in the chunk before it.
+
+    Emitted only for elements the storage analysis classes FIXED whose
+    lowered body is a single chunk with a padding-free stride; anything
+    else stays a :class:`Loop`.
+    """
+
+    endian: str
+    fmt: str                      # one element's body (with x pads)
+    stride: int
+    n_expr: str
+    var: str                      # element variable
+    iterable: str
+    binds: Tuple["Bind", ...]     # per-element base-object hoists
+    entries: Tuple[AtomEntry, ...]
+    offsets: Tuple[int, ...]      # of the entries within one element
+    reserve: ReservePlan
+
+    def leaves_expr(self):
+        """One expression yielding every element's leaves in wire order
+        (both renderers evaluate this same text)."""
+        clauses = ["for %s in %s" % (self.var, self.iterable)]
+        clauses.extend(
+            "for %s in (%s,)" % (bind.var, bind.expr) for bind in self.binds
+        )
+        leaves = ", ".join(
+            ("*" if entry.star or entry.count > 1 else "") + entry.expr
+            for entry in self.entries
+        )
+        return "[_f %s for _f in (%s,)]" % (" ".join(clauses), leaves)
+
+    def format_expr(self):
+        """The expression for the array-wide struct format: a counted
+        format when every leaf shares one format character (its compile
+        cost does not grow with n), else the element format repeated."""
+        if len({entry.fmt for entry in self.entries}) == 1:
+            leaves = sum(entry.count for entry in self.entries)
+            return "'%s%%d%s' %% (%s * %d)" % (
+                self.endian, self.entries[0].fmt, self.n_expr, leaves
+            )
+        return "'%s' + '%s' * %s" % (self.endian, self.fmt, self.n_expr)
+
+
+@dataclass
+class GetArrayRegion(Op):
+    """Decode of an array region: one ``iter_unpack`` over exactly
+    ``count * stride`` bytes (the preceding :class:`CheckRemaining`
+    guards them), each element built by ``element_expr`` from its
+    unpacked tuple ``tuple_var``."""
+
+    var: str
+    endian: str
+    fmt: str
+    stride: int
+    count_expr: str
+    tuple_var: str
+    element_expr: str
+
+
+@dataclass
 class GetRun(Op):
     """String/opaque decode from the receive buffer."""
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 import struct
 
+from repro.encoding.buffer import atom_list
 from repro.errors import BackEndError, UnmarshalError
 from repro.mir import ops as m
 
@@ -449,18 +450,48 @@ def _c_get_atom_array(op, G):
     count_fn = _compile_expr(op.count_expr, G)
     endian, fmt, size = op.endian, op.fmt, op.size
     var, conversion = op.var, op.conversion
+    if conversion in ("int", "float"):
+        def array_step(b, d, o, env):
+            n = count_fn(b, d, o, env)
+            env[var] = atom_list(endian, fmt, d, o, n)
+            return o + n * size
+        return array_step
+    convert = chr if conversion == "char" else bool
     counted = _make_struct_cache(endian, fmt)
 
     def step(b, d, o, env):
         n = count_fn(b, d, o, env)
-        raw = counted(n).unpack_from(d, o)
-        if conversion == "char":
-            env[var] = [chr(c) for c in raw]
-        elif conversion == "bool":
-            env[var] = [bool(c) for c in raw]
-        else:
-            env[var] = list(raw)
+        env[var] = [convert(c) for c in counted(n).unpack_from(d, o)]
         return o + n * size
+    return step
+
+
+def _c_put_array_region(op, G):
+    reserve = _compile_reserve(op.reserve, G)
+    fmt_fn = _compile_expr(op.format_expr(), G)
+    leaves_fn = _compile_expr(op.leaves_expr(), G)
+
+    def step(b, d, o, env):
+        at = reserve(b, d, o, env)
+        struct.pack_into(fmt_fn(b, d, o, env), b.data, at,
+                         *leaves_fn(b, d, o, env))
+        return o
+    return step
+
+
+def _c_get_array_region(op, G):
+    count_fn = _compile_expr(op.count_expr, G)
+    iter_unpack = struct.Struct(op.endian + op.fmt).iter_unpack
+    build = eval(compile(
+        "lambda _it_: [%s for %s in _it_]" % (op.element_expr, op.tuple_var),
+        "<mir>", "eval",
+    ), G)
+    var, stride = op.var, op.stride
+
+    def step(b, d, o, env):
+        end = o + count_fn(b, d, o, env) * stride
+        env[var] = build(iter_unpack(memoryview(d)[o:end]))
+        return end
     return step
 
 
@@ -586,73 +617,6 @@ def _c_call_out_of_line(op, G):
     return u_step
 
 
-_STRIP_STRINGS = re.compile(r"'[^']*'|\"[^\"]*\"")
-
-_FREE_NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
-
-
-def _substitute(expr, binds):
-    """Inline *binds* (name -> expr) into *expr*, parenthesized."""
-    if not binds:
-        return expr
-    pattern = re.compile(
-        r"(?<![\w.])(%s)(?!\w)" % "|".join(map(re.escape, binds))
-    )
-    return pattern.sub(lambda match: "(%s)" % binds[match.group(1)], expr)
-
-
-def _fuse_elements_loop(op, G):
-    """Fuse a constant-stride marshal loop into one compiled closure.
-
-    A loop whose body is Binds feeding a single batched constant-size
-    chunk (structure arrays: the paper's Figure 3 ``rects`` case) packs
-    every element at ``base + i * stride`` inside one compiled
-    comprehension — one reservation and one code object for the whole
-    array instead of interpreted steps per element.  Byte output is
-    unchanged: the per-element reservations were contiguous and the
-    chunk covers its full stride.  Returns None when the body has any
-    other shape (the general step loop handles it).
-    """
-    body = list(op.body)
-    if not body or not isinstance(body[-1], m.PutAtoms):
-        return None
-    atoms = body[-1]
-    if (not atoms.batched or atoms.reserve.kind != "plain"
-            or not isinstance(atoms.reserve.size, int)
-            or atoms.reserve.size != atoms.total):
-        return None
-    binds = {}
-    for prior in body[:-1]:
-        if not isinstance(prior, m.Bind) or ", " in prior.var:
-            return None
-        binds[prior.var] = _substitute(prior.expr, binds)
-    parts = []
-    for entry in atoms.entries:
-        expr = _substitute(entry.expr, binds)
-        parts.append("*(%s)" % expr if entry.star or entry.count > 1
-                     else "(%s)" % expr)
-    # Every free name must resolve inside the compiled lambda, where
-    # only the loop variable and module globals are visible (the env
-    # dict is not); bail out to the step loop otherwise.
-    import builtins
-
-    for part in parts:
-        for name in _FREE_NAME.findall(_STRIP_STRINGS.sub("''", part)):
-            if (name != op.var and name not in G
-                    and not hasattr(builtins, name)):
-                return None
-    stride = atoms.total
-    source = (
-        "lambda _pk_, _bf_, _at_, _sq_: "
-        "[_pk_(_bf_, _at_ + _ix_ * %d, %s) "
-        "for _ix_, %s in enumerate(_sq_)]"
-        % (stride, ", ".join(parts), op.var)
-    )
-    fused = eval(compile(source, "<mir-loop>", "eval"), G)
-    pack = struct.Struct(atoms.endian + atoms.fmt).pack_into
-    return fused, pack, stride
-
-
 def _c_loop(op, G):
     body = _compile_ops(op.body, G)
     if op.kind == "range":
@@ -665,22 +629,6 @@ def _c_loop(op, G):
         return range_step
     iter_fn = _compile_expr(op.iterable, G)
     var = op.var
-    fusion = _fuse_elements_loop(op, G) if op.kind == "elements" else None
-    if fusion is not None:
-        fused, pack, stride = fusion
-
-        def fused_step(b, d, o, env):
-            seq = iter_fn(b, d, o, env)
-            try:
-                count = len(seq)
-            except TypeError:
-                for item in seq:
-                    env[var] = item
-                    o = _run(body, b, d, o, env)
-                return o
-            fused(pack, b.data, b.reserve(count * stride), seq)
-            return o
-        return fused_step
 
     def step(b, d, o, env):
         for item in iter_fn(b, d, o, env):
@@ -821,6 +769,8 @@ _COMPILERS = {
     m.CopyRun: _c_copy_run,
     m.PutAtomArray: _c_put_atom_array,
     m.GetAtomArray: _c_get_atom_array,
+    m.PutArrayRegion: _c_put_array_region,
+    m.GetArrayRegion: _c_get_array_region,
     m.GetRun: _c_get_run,
     m.CheckRemaining: _c_check_remaining,
     m.ReserveOne: _c_reserve_one,

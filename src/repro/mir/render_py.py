@@ -16,10 +16,23 @@ from repro.mir import ops as m
 
 def render_program(w, program):
     """Render every function (with its constants) of *program*."""
+    for line in _runtime_imports(program):
+        w.line(line)
     for fn in program.functions:
         for const_name, template in fn.consts.items():
             w.line("%s = %r" % (const_name, template))
         render_function(w, fn)
+
+
+def _runtime_imports(program):
+    """Imports for the names only the bulk-array line patterns use, so
+    a module without such arrays carries neither."""
+    ops = [op for fn in program.functions for op in m.walk_ops(fn.ops)]
+    if any(isinstance(op, m.GetArrayRegion) for op in ops):
+        yield "from struct import iter_unpack as _iter_unpack"
+    if any(isinstance(op, m.GetAtomArray)
+           and op.conversion in ("int", "float") for op in ops):
+        yield "from repro.encoding.buffer import atom_list as _atom_list"
 
 
 def render_function(w, fn):
@@ -225,9 +238,24 @@ def _render_get_atom_array(w, op):
     elif op.conversion == "bool":
         value = "[bool(_c) for _c in %s]" % raw
     else:
-        value = "list(%s)" % raw
+        value = ("_atom_list(%r, %r, d, o, %s)"
+                 % (op.endian, op.fmt, op.count_expr))
     w.line("%s = %s" % (op.var, value))
     w.line("o += %s * %d" % (op.count_expr, op.size))
+
+
+def _render_put_array_region(w, op):
+    _render_reserve(w, op.reserve)
+    w.line("_pack_into(%s, b.data, %s, *%s)"
+           % (op.format_expr(), op.reserve.var, op.leaves_expr()))
+
+
+def _render_get_array_region(w, op):
+    size = "%s * %d" % (op.count_expr, op.stride)
+    w.line("%s = [%s for %s in _iter_unpack(%r, memoryview(d)[o:o + %s])]"
+           % (op.var, op.element_expr, op.tuple_var, op.endian + op.fmt,
+              size))
+    w.line("o += %s" % size)
 
 
 def _render_get_run(w, op):
@@ -405,6 +433,8 @@ _RENDERERS = {
     m.CopyRun: _render_copy_run,
     m.PutAtomArray: _render_put_atom_array,
     m.GetAtomArray: _render_get_atom_array,
+    m.PutArrayRegion: _render_put_array_region,
+    m.GetArrayRegion: _render_get_array_region,
     m.GetRun: _render_get_run,
     m.CheckRemaining: _render_check_remaining,
     m.ReserveOne: _render_reserve_one,

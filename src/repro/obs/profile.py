@@ -1134,15 +1134,19 @@ class HotnessCounter:
 # ----------------------------------------------------------------------
 
 #: Relative cost coefficients, calibrated against BENCH_renderer.json.
-#: The closures renderer compiles fixed-layout runs straight to bulk
-#: ``struct`` packing — cheap per byte (it wins ~2.5x on large atom
-#: arrays) — but pays a Python-level closure dispatch for every
-#: variable-length field, where the py renderer's inlined source wins
-#: ~2.6x (dirents: 46 vs 120 MB/s).  Same structural facts the MIR
-#: chunk-coalescing pass exploits: fixed runs batch, variable fields
-#: break the run.
+#: Fixed-layout bytes cost the same under both renderers: atom arrays
+#: and array regions are one bulk ``struct`` call in the marshal IR, so
+#: neither renderer adds per-element work (closures/py marshal MB/s over
+#: three pinned runs: ints 64 KB 0.98-1.00, ints 1 MB 0.99-1.04, rects
+#: 64 KB 0.96-1.01).  A tie goes to closures (scores compare as
+#: ``(score, name)``), which keeps tier placement of all-fixed ops where
+#: it was.  Variable-length fields are where the renderers differ: each
+#: costs closures a Python-level step dispatch, and the py renderer's
+#: inlined source wins ~2.5x there (dirents: 43 vs 109 MB/s).  Same
+#: structural facts the MIR chunk-coalescing pass exploits: fixed runs
+#: batch, variable fields break the run.
 COST = {
-    "py": {"fixed_byte": 2.5, "var_field": 50.0, "var_byte": 1.0},
+    "py": {"fixed_byte": 1.0, "var_field": 50.0, "var_byte": 1.0},
     "closures": {"fixed_byte": 1.0, "var_field": 1000.0, "var_byte": 1.0},
 }
 

@@ -203,3 +203,102 @@ class TestThirdPartyRegistration:
         finally:
             del frontends._REGISTRY["toy"]
         assert "toy" not in api.langs()
+
+
+# ----------------------------------------------------------------------
+# One struct-array contract, three front ends, one array region
+# ----------------------------------------------------------------------
+
+GRID_CORBA = """
+struct Coord { long x, y; };
+struct Rect { Coord ul; Coord lr; };
+typedef sequence<Rect> RectSeq;
+interface Grid { RectSeq echo(in RectSeq a); };
+"""
+
+GRID_ONC = """
+struct Coord { int x; int y; };
+struct Rect { Coord ul; Coord lr; };
+typedef Rect RectSeq<>;
+program GRID { version GRIDV { RectSeq echo(RectSeq) = 1; } = 1; } = 0x20000061;
+"""
+
+GRID_PYSCHEMA = '''
+from dataclasses import dataclass
+
+from repro.pyschema import i32, interface
+
+
+@dataclass
+class Coord:
+    x: i32
+    y: i32
+
+
+@dataclass
+class Rect:
+    ul: Coord
+    lr: Coord
+
+
+@interface
+class Grid:
+    def echo(self, a: list[Rect]) -> list[Rect]: ...
+'''
+
+GRID_TWINS = (("corba", GRID_CORBA), ("oncrpc", GRID_ONC),
+              ("pyschema", GRID_PYSCHEMA))
+
+
+class TestStructArrayTwins:
+    """The ONC and dataclass twins of a struct-array contract lower to
+    the same array region as the CORBA original and put the same body
+    bytes on the wire, on every back end and through both renderers."""
+
+    @staticmethod
+    def _bodies(compiled, n):
+        from repro.encoding import MarshalBuffer
+
+        module = compiled.load_module()
+        rects = [module.Rect(module.Coord(i, -i), module.Coord(i + 1, 7))
+                 for i in range(n)]
+        bodies = []
+        for function, header in (("_m_req_echo", "_H_req_echo"),
+                                 ("_m_rep_ok_echo", "_H_rep_ok_echo")):
+            buffer = MarshalBuffer()
+            getattr(module, function)(buffer, 1, rects)
+            message = buffer.getvalue()
+            skip = len(getattr(module, header))
+            bodies.append(message[skip:])
+            if function == "_m_req_echo":
+                (decoded,), end = module._u_req_echo(message, skip)
+                assert end == len(message)
+                assert [(r.ul.x, r.ul.y, r.lr.x, r.lr.y)
+                        for r in decoded] == [
+                    (i, -i, i + 1, 7) for i in range(n)]
+        return bodies
+
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    @pytest.mark.parametrize("backend",
+                             ("iiop", "oncrpc-xdr", "mach3", "fluke"))
+    def test_twins_share_region_and_bytes(self, backend, renderer):
+        from repro.mir import ops as m
+
+        compiled = {
+            lang: api.compile(text, lang, backend=backend,
+                              renderer=renderer)
+            for lang, text in GRID_TWINS
+        }
+        for lang, result in compiled.items():
+            kinds = {
+                fn.name: {type(op) for op in m.walk_ops(fn.ops)}
+                for fn in result.stubs.mir.functions
+            }
+            assert m.PutArrayRegion in kinds["_m_req_echo"], lang
+            assert m.GetArrayRegion in kinds["_u_req_echo"], lang
+            assert m.PutArrayRegion in kinds["_m_rep_ok_echo"], lang
+            assert m.GetArrayRegion in kinds["_u_rep_echo"], lang
+        for n in (0, 1, 9):
+            want = self._bodies(compiled["corba"], n)
+            for lang in ("oncrpc", "pyschema"):
+                assert self._bodies(compiled[lang], n) == want, (lang, n)

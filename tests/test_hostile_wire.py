@@ -9,6 +9,7 @@ limits (forged counts, forged lengths, declared-size lies).
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 
@@ -23,6 +24,7 @@ from repro.errors import (
     UnmarshalError,
     WireFormatError,
 )
+from repro.encoding import MarshalBuffer
 from repro.runtime import StubServer
 from repro.runtime.framing import RecordDecoder, encode_record
 from repro.runtime.socket_transport import _recv_record
@@ -524,6 +526,73 @@ class TestPoolRetrySemantics:
         result, calls = self._run_pool([TransportError("connection lost")])
         assert result == b"reply"
         assert calls == 2
+
+
+# ---------------------------------------------------------------------------
+# Forged element counts on arrays of variable-size elements.
+# ---------------------------------------------------------------------------
+
+LEDGER_IDL = os.path.join(os.path.dirname(__file__), "..", "examples",
+                          "idl", "ledger.idl")
+
+
+class TestForgedAggregateCount:
+    """The pre-loop guard of a non-fixed element array is ``count *
+    minimum element size`` (140 bytes for a DirEnt on XDR), not one byte
+    per element: a forged count the old bound let through is refused
+    before a single element is built."""
+
+    @pytest.mark.parametrize("backend,validate", [
+        ("oncrpc-xdr", assert_valid_onc_reply),
+        ("iiop", assert_valid_giop_reply),
+    ])
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_forged_dirent_count_builds_nothing(self, backend, validate,
+                                                renderer):
+        from repro import api
+
+        with open(LEDGER_IDL) as handle:
+            module = api.compile(handle.read(), "corba", backend=backend,
+                                 renderer=renderer).load_module()
+        built = []
+        dirent = module.Ledger_DirEnt
+
+        class CountingDirEnt(dirent):
+            def __init__(self, *args):
+                built.append(1)
+                dirent.__init__(self, *args)
+
+        module.Ledger_DirEnt = CountingDirEnt
+        calls = []
+
+        class Impl:
+            def put_dirents(self, a):
+                calls.append(len(a))
+
+        stat = module.Ledger_Stat(*([7] * 30 + [b"t" * 16]))
+        entries = [module.Ledger_DirEnt("file%d" % i, stat)
+                   for i in range(3)]
+        del built[:]
+        good = _capture_requests(module, [("put_dirents", (entries,))])[0]
+        count_at = len(module._H_req_put_dirents)
+        assert good[count_at:count_at + 4] == struct.pack(">I", 3)
+        body = len(good) - count_at - 4
+        server = StubServer(module, Impl())
+        assert server.serve_bytes(good) is not None
+        assert calls == [3] and len(built) == 3
+        # One element per remaining byte fits the old bound; a tenth of
+        # that still claims more DirEnts than the bytes can hold.
+        for forged in (body, body // 10, 4):
+            assert forged * 140 > body >= forged
+            frame = bytearray(good)
+            frame[count_at:count_at + 4] = struct.pack(">I", forged)
+            del built[:]
+            with pytest.raises(UnmarshalError) as info:
+                module.dispatch(bytes(frame), Impl(), MarshalBuffer())
+            assert "truncated" in str(info.value)
+            assert built == []
+            validate(bytes(frame), server.serve_bytes(bytes(frame)))
+        assert calls == [3]
 
 
 # ---------------------------------------------------------------------------

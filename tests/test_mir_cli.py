@@ -1,10 +1,24 @@
 """The ``flick ir`` verb and pass toggles, pinned by golden dumps.
 
 The golden files under ``tests/golden/mir/`` hold the exact IR dump for
-representative operations of each front end.  Regenerate one with::
+representative operations of each front end.  Regenerate them with::
 
-    PYTHONPATH=src python -m repro.tools.cli ir examples/idl/mail.idl \
-        --op send > tests/golden/mir/mail_send_iiop.txt
+    flick="env PYTHONPATH=src python -m repro.tools.cli ir"
+    $flick examples/idl/mail.idl --op send \
+        > tests/golden/mir/mail_send_iiop.txt
+    $flick examples/idl/mail.idl --op send --no-opt \
+        > tests/golden/mir/mail_send_iiop_noopt.txt
+    $flick examples/idl/db.x --op get > tests/golden/mir/db_get_xdr.txt
+    $flick examples/idl/arith.defs --op sum \
+        > tests/golden/mir/arith_sum_mach3.txt
+    $flick examples/idl/ledger.idl --op put_rects \
+        > tests/golden/mir/ledger_put_rects_iiop.txt
+    $flick examples/idl/ledger.idl --op put_rects --backend oncrpc-xdr \
+        > tests/golden/mir/ledger_put_rects_xdr.txt
+
+The two ``ledger_put_rects`` dumps pin the array-region ops
+(``PutArrayRegion`` / ``GetArrayRegion``): the IR is the same whichever
+renderer later consumes it.
 """
 
 import os
@@ -36,6 +50,11 @@ class TestIrGolden:
          ["ir", _idl("db.x"), "--op", "get"]),
         ("arith_sum_mach3.txt",
          ["ir", _idl("arith.defs"), "--op", "sum"]),
+        ("ledger_put_rects_iiop.txt",
+         ["ir", _idl("ledger.idl"), "--op", "put_rects"]),
+        ("ledger_put_rects_xdr.txt",
+         ["ir", _idl("ledger.idl"), "--op", "put_rects",
+          "--backend", "oncrpc-xdr"]),
     ])
     def test_dump_matches_golden(self, golden, argv, capsys):
         assert main(argv) == 0
@@ -70,6 +89,15 @@ class TestIrVerb:
         err = capsys.readouterr().err
         assert "no operation 'nope'" in err
         assert "send" in err
+
+    def test_region_op_is_dropped_with_any_of_its_passes(self, capsys):
+        for name in ("chunk_atoms", "batch_buffer_checks",
+                     "memcpy_arrays"):
+            assert main(["ir", _idl("ledger.idl"), "--op", "put_rects",
+                         "--disable-pass", name]) == 0
+            out = capsys.readouterr().out
+            assert "ArrayRegion" not in out
+            assert "Loop elements" in out and "Loop range" in out
 
     def test_backend_override(self, capsys):
         assert main(["ir", _idl("mail.idl"), "--backend",

@@ -561,7 +561,9 @@ class TestRendererHint:
         prof = self._profile_with(4096, 0, 0)
         renderer, reason, scores = profile.renderer_hint([prof])
         assert renderer == "closures"
-        assert scores["closures"] < scores["py"]
+        # Fixed-layout bytes are at parity since array regions; the tie
+        # resolves to closures.
+        assert scores["closures"] <= scores["py"]
         assert "fixed" in reason
 
     def test_string_heavy_payloads_pick_py(self):
