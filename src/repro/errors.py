@@ -86,11 +86,11 @@ class TransportError(RuntimeFlickError):
 class StaleConnectionError(TransportError):
     """A pooled connection turned out to be dead at send time.
 
-    Raised by :class:`repro.runtime.aio.client.AioConnection` when the
-    write of a *new* request fails on a connection that had previously
+    Raised by :class:`repro.runtime.aio.client.AioConnection` when a
+    *new* request finds closed a connection that had previously
     completed calls — the classic pooled-connection hazard: the peer
-    closed (or was killed) while the connection sat idle, and the reset
-    only surfaces on the next send.  The request was not delivered, so
+    closed (or was killed) while the connection sat idle, and it only
+    surfaces on the next send.  The request was not delivered, so
     :class:`~repro.runtime.aio.client.ConnectionPool` discards the
     connection and retries idempotent calls immediately on a fresh one,
     without consuming a backoff slot or the caller's deadline budget.

@@ -22,7 +22,6 @@ import struct
 import time
 import warnings
 
-from repro.encoding.buffer import MarshalBuffer
 from repro.obs import profile as _profile
 from repro.errors import (
     CircuitOpenError,
@@ -36,7 +35,7 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.runtime.aio.client import ConnectionPool
-from repro.runtime.aio.server import AioTcpServer
+from repro.runtime.aio.server import AioTcpServer, BufferPool
 from repro.runtime.server import operation_names
 
 from repro.gateway import errmap
@@ -207,7 +206,7 @@ class AioGatewayServer(AioTcpServer):
 
             self._upstream = FaultyAioTransport(
                 self._pool, upstream_fault_plan)
-        self._egress_buffers = []
+        self._egress_buffers = BufferPool()
         registry = self.stats.registry if self.stats is not None else None
         self.bridge_label = "%s->%s" % (plan.ingress_protocol,
                                         plan.egress_protocol)
@@ -232,18 +231,6 @@ class AioGatewayServer(AioTcpServer):
                 "Upstream errors relayed or mapped onto the ingress leg",
                 ("bridge", "code"),
             )
-
-    # -- small egress-buffer pool (mirrors the per-connection pool) ----
-
-    def _take_egress_buffer(self):
-        if self._egress_buffers:
-            return self._egress_buffers.pop()
-        return MarshalBuffer()
-
-    def _give_egress_buffer(self, buffer):
-        if len(self._egress_buffers) < 32:
-            buffer.reset()
-            self._egress_buffers.append(buffer)
 
     def _count(self, op_name, direction, fused):
         path = "fused" if fused else "re-encode"
@@ -275,7 +262,7 @@ class AioGatewayServer(AioTcpServer):
                 "operation is not bridged",
                 code="bad_operation" if plan.ingress_protocol == "giop"
                 else "proc_unavail")
-        egress = self._take_egress_buffer()
+        egress = self._egress_buffers.take()
         try:
             start = time.perf_counter() if _profile.enabled() else None
             fused = transcode_request(op, record, envelope, egress)
@@ -286,7 +273,7 @@ class AioGatewayServer(AioTcpServer):
                     seconds=time.perf_counter() - start)
             payload = bytes(egress.view())
         finally:
-            self._give_egress_buffer(egress)
+            self._egress_buffers.give(egress)
         self._count(op.name, "request", fused)
         if span is not None:
             span.set(bridge="%s->%s" % (plan.ingress_protocol,

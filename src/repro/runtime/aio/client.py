@@ -38,41 +38,43 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.obs import propagation, trace
-from repro.runtime.framing import MAX_RECORD_SIZE, RecordDecoder, \
-    encode_record
+from repro.runtime.framing import MAX_RECORD_SIZE
 from repro.runtime.transport import Transport
 from repro.runtime.aio.correlation import probe, reply_error, rewrite_id
+from repro.runtime.aio.framed import FramedConnection
 from repro.runtime.aio.options import CallOptions
 
-READ_CHUNK = 65536
 
+class AioConnection(FramedConnection):
+    """One framed TCP connection multiplexing many in-flight calls.
 
-class AioConnection:
-    """One framed TCP connection multiplexing many in-flight calls."""
+    Requests issued during one event-loop iteration leave in one socket
+    write and every reply one socket read completes is routed in one
+    callback.  While the peer is not reading (the transport's write
+    buffer is over its high-water mark) new sends wait; replies are
+    still read, or a server waiting for us to read would never catch up
+    with our requests.
+    """
 
-    def __init__(self, reader, writer, max_record_size=MAX_RECORD_SIZE,
-                 stats=None):
-        self._reader = reader
-        self._writer = writer
-        self._decoder = RecordDecoder(max_record_size)
-        self._write_lock = asyncio.Lock()
+    def __init__(self, max_record_size=MAX_RECORD_SIZE, stats=None):
+        super().__init__(max_record_size, stats)
         self._pending = {}  # wire id -> (future, original id)
         self._next_id = 0
         self._closed = False
         self._close_reason = None
-        self._stats = stats
         self._completed = 0  # calls answered over this connection
+        self._writable = asyncio.Event()  # set on resume_writing
         self.orphan_replies = 0
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
 
     @classmethod
     async def open(cls, host, port, *, connect_timeout=10.0,
                    max_record_size=MAX_RECORD_SIZE, stats=None):
+        loop = asyncio.get_running_loop()
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), connect_timeout
+            _transport, connection = await asyncio.wait_for(
+                loop.create_connection(
+                    lambda: cls(max_record_size, stats), host, port),
+                connect_timeout,
             )
         except asyncio.TimeoutError:
             raise TransportError(
@@ -82,12 +84,7 @@ class AioConnection:
             raise TransportError(
                 "cannot connect to %s:%s: %s" % (host, port, error)
             ) from error
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            import socket as _socket
-
-            sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-        return cls(reader, writer, max_record_size, stats=stats)
+        return connection
 
     # ------------------------------------------------------------------
 
@@ -107,54 +104,58 @@ class AioConnection:
             if self._next_id not in self._pending:
                 return self._next_id
 
-    async def _read_loop(self):
-        reason = "connection closed by peer"
-        wire_error = None
-        try:
-            while True:
-                data = await self._reader.read(READ_CHUNK)
-                if not data:
-                    break
-                for record in self._decoder.feed(data):
-                    self._route_reply(record)
-        except (ConnectionError, OSError) as error:
-            reason = "connection lost: %s" % error
-        except WireFormatError as error:
-            # The reply stream itself is garbage; surface the structured
-            # error to pending callers (it is never retried).
-            reason = str(error)
-            wire_error = error
-        except TransportError as error:
-            reason = str(error)
-        except asyncio.CancelledError:
-            reason = "connection closed"
-        finally:
-            self._fail_pending(reason, wire_error)
+    # -- FramedConnection hooks ------------------------------------------
 
-    def _route_reply(self, record):
-        try:
-            info = probe(record)
-        except TransportError:
-            self._count_orphan()
-            return
-        entry = self._pending.pop(info.correlation_id, None)
-        if entry is None:
-            # Deadline expired or the call was cancelled; drop the late
-            # reply (counted so tests and diagnostics can see it).
-            self._count_orphan()
-            return
-        future, original_id = entry
-        if not future.done():
-            future.set_result(rewrite_id(record, info, original_id))
+    def records_received(self, records):
+        for record in records:
+            try:
+                info = probe(record)
+            except TransportError:
+                self._count_orphan()
+                continue
+            entry = self._pending.pop(info.correlation_id, None)
+            if entry is None:
+                # Deadline expired or the call was cancelled; drop the
+                # late reply (counted so tests and diagnostics can see
+                # it).
+                self._count_orphan()
+                continue
+            future, original_id = entry
+            if not future.done():
+                future.set_result(rewrite_id(record, info, original_id))
+
+    def framing_lost(self, error):
+        # The reply stream itself is garbage; surface the structured
+        # error to pending callers (it is never retried).
+        self._fail_pending(
+            str(error), error if isinstance(error, WireFormatError) else None
+        )
+
+    def eof_received(self):
+        self._fail_pending("connection closed by peer")
+
+    def connection_lost(self, exc):
+        super().connection_lost(exc)
+        self._fail_pending("connection lost: %s" % exc if exc is not None
+                           else "connection closed by peer")
+
+    def writable_changed(self):
+        if self.write_paused:
+            self._writable.clear()
+        else:
+            self._writable.set()  # wakes every sender in _hold_send
 
     def _count_orphan(self):
         self.orphan_replies += 1
-        if self._stats is not None:
-            self._stats.orphan_replies.inc()
+        if self.stats is not None:
+            self.stats.orphan_replies.inc()
 
     def _fail_pending(self, reason, wire_error=None):
+        if self._closed:
+            return
         self._closed = True
         self._close_reason = reason
+        self._writable.set()  # held senders wake up to the closed state
         pending, self._pending = self._pending, {}
         for future, _original in pending.values():
             if not future.done():
@@ -162,19 +163,29 @@ class AioConnection:
                     wire_error if wire_error is not None
                     else TransportError(reason)
                 )
-        try:
-            self._writer.close()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
+        self.close()
 
     # ------------------------------------------------------------------
 
+    async def _hold_send(self):
+        """Hold the caller while write-paused; raise once closed."""
+        while self.write_paused and not self._closed:
+            await self._writable.wait()
+        if not self._closed:
+            return
+        if self._completed:
+            # The peer went away while this connection sat pooled and
+            # nothing of this request was sent: the pool may redial.
+            raise StaleConnectionError(
+                "pooled connection to %s is dead: %s"
+                % (self._peer_name(), self._close_reason)
+            )
+        raise TransportError(self._close_reason or "connection is closed")
+
     async def acall(self, payload, deadline=None):
         """Send a two-way request; await and return its reply bytes."""
-        if self._closed:
-            raise TransportError(
-                self._close_reason or "connection is closed"
-            )
+        if self._closed or self.write_paused:
+            await self._hold_send()
         tracer = trace.active()
         if tracer is not None:
             parent = trace.current_span()
@@ -183,31 +194,11 @@ class AioConnection:
         info = probe(payload)
         wire_id = self._allocate_id()
         data = rewrite_id(payload, info, wire_id)
-        future = asyncio.get_running_loop().create_future()
+        future = self._loop.create_future()
         self._pending[wire_id] = (future, info.correlation_id)
         try:
-            try:
-                with trace.span("send", bytes=len(data)):
-                    async with self._write_lock:
-                        self._writer.write(encode_record(data))
-                        await self._writer.drain()
-            except (ConnectionError, OSError) as error:
-                # The connection died under the send.  Drop our own
-                # pending entry first (its future must not receive the
-                # blanket failure below — we raise right here), then
-                # fail whatever else was in flight and close.
-                self._pending.pop(wire_id, None)
-                reused = self._completed > 0
-                self._fail_pending("connection lost during send: %s"
-                                   % error)
-                if reused:
-                    raise StaleConnectionError(
-                        "pooled connection to %s was dead at send"
-                        " time: %s" % (self._peer_name(), error)
-                    ) from error
-                raise TransportError(
-                    "connection lost during send: %s" % error
-                ) from error
+            with trace.span("send", bytes=len(data)):
+                self.send_record(data)
             with trace.span("await.reply"):
                 if deadline is None:
                     result = await future
@@ -215,8 +206,8 @@ class AioConnection:
                     try:
                         result = await asyncio.wait_for(future, deadline)
                     except asyncio.TimeoutError:
-                        if self._stats is not None:
-                            self._stats.deadline_expiries.inc()
+                        if self.stats is not None:
+                            self.stats.deadline_expiries.inc()
                         raise DeadlineError(
                             "call exceeded its %.3fs deadline" % deadline
                         ) from None
@@ -226,46 +217,25 @@ class AioConnection:
             self._pending.pop(wire_id, None)
 
     def _peer_name(self):
-        try:
-            peer = self._writer.get_extra_info("peername")
-        except Exception:
-            peer = None
+        peer = self.transport.get_extra_info("peername")
         return "%s:%s" % peer[:2] if peer else "peer"
 
     async def asend(self, payload):
         """Send a oneway request (no reply expected)."""
-        if self._closed:
-            raise TransportError(
-                self._close_reason or "connection is closed"
-            )
+        if self._closed or self.write_paused:
+            await self._hold_send()
         if trace.active() is not None:
             parent = trace.current_span()
             if parent is not None:
                 payload = propagation.inject(payload, parent)
-        try:
-            with trace.span("send", bytes=len(payload)):
-                async with self._write_lock:
-                    self._writer.write(encode_record(bytes(payload)))
-                    await self._writer.drain()
-        except (ConnectionError, OSError) as error:
-            reused = self._completed > 0
-            self._fail_pending("connection lost during send: %s" % error)
-            if reused:
-                raise StaleConnectionError(
-                    "pooled connection to %s was dead at send time: %s"
-                    % (self._peer_name(), error)
-                ) from error
-            raise TransportError(
-                "connection lost during send: %s" % error
-            ) from error
+        with trace.span("send", bytes=len(payload)):
+            self.send_record(payload)
 
     async def aclose(self):
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
         self._fail_pending("connection closed")
+        # Let the transport run its close callback before a caller tears
+        # the loop down.
+        await asyncio.sleep(0)
 
 
 class ConnectionPool:

@@ -4,16 +4,22 @@
 and the *same* record-marked wire traffic as the blocking
 :class:`~repro.runtime.socket_transport.TcpServer`, but concurrently:
 
-* many connections multiplex onto one event loop;
+* many connections multiplex onto one event loop, each one a
+  :class:`~repro.runtime.aio.framed.FramedConnection`: one socket read
+  admits every record it completed, and the replies finished during one
+  loop iteration leave in one socket write;
 * many requests per connection run **in flight at once** (pipelining) —
   replies carry the protocol's own correlation id (ONC XID / GIOP
   request_id, echoed by the generated dispatch), so they may legally
   complete out of order and blocking clients still interoperate because a
   serial client only ever has one id outstanding;
 * each dispatch runs either on a worker thread pool (safe for blocking
-  servants) or inline on the loop (fastest for CPU-light servants);
-* a semaphore caps in-flight requests: when full, the server stops
-  *reading*, so TCP flow control pushes back on aggressive clients;
+  servants) or inline on the loop (fastest for CPU-light servants); an
+  admitted record costs no Task either way;
+* *max_concurrency* caps in-flight requests: records beyond it wait in
+  their connection's backlog and that connection is not read, so TCP
+  flow control pushes back on aggressive clients; a peer that does not
+  read its replies is likewise neither read nor served;
 * shutdown is graceful: stop accepting, drain in-flight requests with a
   timeout, then close connections.
 
@@ -29,45 +35,114 @@ import asyncio
 import contextvars
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.encoding.buffer import MarshalBuffer
 from repro.errors import OverloadError, RuntimeFlickError, TransportError
 from repro.obs import propagation, trace
-from repro.runtime.framing import MAX_RECORD_SIZE, RecordDecoder, \
-    encode_record
+from repro.runtime.framing import MAX_RECORD_SIZE
 from repro.runtime.aio.correlation import probe
+from repro.runtime.aio.framed import FramedConnection
 
-#: Marshal buffers retained per connection for reuse across requests.
+#: Marshal buffers retained per pool for reuse across requests.
 BUFFER_POOL_LIMIT = 32
 
-#: Socket read chunk size.
-READ_CHUNK = 65536
+#: A buffer that grew beyond this is dropped instead of pooled
+#: (``reset()`` keeps capacity, so one huge reply would otherwise stay
+#: pinned for the life of the pool).
+POOLED_BUFFER_MAX = 1 << 20
 
 
-class _Connection:
-    """Per-connection serving state."""
+class BufferPool:
+    """A small free list of :class:`MarshalBuffer` objects."""
 
-    __slots__ = ("reader", "writer", "decoder", "write_lock", "buffers",
-                 "tasks")
+    __slots__ = ("_free",)
 
-    def __init__(self, reader, writer, max_record_size):
-        self.reader = reader
-        self.writer = writer
-        self.decoder = RecordDecoder(max_record_size)
-        self.write_lock = asyncio.Lock()
-        self.buffers = []
-        self.tasks = set()
+    def __init__(self):
+        self._free = []
 
-    def take_buffer(self):
-        if self.buffers:
-            return self.buffers.pop()
-        return MarshalBuffer()
+    def take(self):
+        return self._free.pop() if self._free else MarshalBuffer()
 
-    def give_buffer(self, buffer):
-        if len(self.buffers) < BUFFER_POOL_LIMIT:
+    def give(self, buffer):
+        if (len(self._free) < BUFFER_POOL_LIMIT
+                and len(buffer.data) <= POOLED_BUFFER_MAX):
             buffer.reset()
-            self.buffers.append(buffer)
+            self._free.append(buffer)
+
+    @property
+    def retained_bytes(self):
+        return sum(len(buffer.data) for buffer in self._free)
+
+
+class _Connection(FramedConnection):
+    """Per-connection serving state.
+
+    A connection is **read** only while it is writable, has no backlog,
+    is not held by an injected delay and is not finishing; it is
+    **closed** once it is finishing and idle.  :meth:`sync` is the one
+    place that applies this rule.
+    """
+
+    __slots__ = ("server", "buffers", "backlog", "queued", "active",
+                 "finishing", "deliveries", "held")
+
+    def __init__(self, server):
+        super().__init__(server.max_record_size, server.stats)
+        self.server = server
+        self.buffers = BufferPool()
+        self.backlog = deque()     # admitted records waiting for a slot
+        self.queued = False        # listed in server._waiting
+        self.active = 0            # records started and not yet finished
+        self.finishing = False     # read no more; close when idle
+        self.deliveries = deque()  # chaos path: behind an injected delay
+        self.held = False          # ... which is running now
+
+    def connection_made(self, transport):
+        super().connection_made(transport)
+        self.server._connections.add(self)
+        if self.server._closing:
+            self.finish()
+
+    def records_received(self, records):
+        self.server._admit(self, records)
+        self.sync()
+
+    def framing_lost(self, error):
+        if self.stats is not None:
+            self.stats.malformed.inc()
+        self.finish()
+
+    def eof_received(self):
+        # Half-close: the peer may still be waiting on in-flight replies
+        # after shutting down its write side, so keep the transport open.
+        self.finish()
+        return True
+
+    def writable_changed(self):
+        self.sync()
+        if not self.write_paused:
+            self.server._resume(self)
+
+    def connection_lost(self, exc):
+        super().connection_lost(exc)
+        self.server._forget(self)
+
+    def finish(self):
+        """Read nothing more; close once the in-flight replies are out."""
+        self.finishing = True
+        self.sync()
+
+    def sync(self):
+        busy = self.active or self.backlog or self.held
+        if self.finishing and not busy:
+            self.close()
+        elif self.finishing or self.write_paused or self.backlog \
+                or self.held:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
 
 
 class AioTcpServer:
@@ -141,15 +216,23 @@ class AioTcpServer:
         else:
             self.tiering = tuple(tiering)
         self._injector = None
-        self._pending_waiters = 0
         self.address = None
+        # A record is served by plain callbacks unless a subclass
+        # answers it some other way (the gateway awaits its upstream).
+        self._callbacks = type(self)._invoke is AioTcpServer._invoke
         # Async state (valid between start_async and aclose).
         self._server = None
         self._loop = None
         self._executor = None
-        self._semaphore = None
         self._connections = set()
-        self._tasks = set()
+        self._active = 0           # records started and not yet finished
+        self._pending = 0          # records waiting in some backlog
+        self._waiting = deque()    # connections whose backlog may start
+        self._starting = False     # _start_backlog is on the stack
+        self._completions = deque()  # finished jobs, worker -> loop
+        self._wake_posted = False
+        self._tasks = set()        # coroutine-served records
+        self._idle = None          # aclose's drain waiter
         self._closing = False
         # Sync-facade state.
         self._thread = None
@@ -163,8 +246,6 @@ class AioTcpServer:
     async def start_async(self):
         """Bind and start accepting; returns self."""
         self._loop = asyncio.get_running_loop()
-        self._semaphore = asyncio.Semaphore(self.max_concurrency)
-        self._pending_waiters = 0
         if self.fault_plan is not None:
             self._injector = self.fault_plan.injector()
         if self.dispatch_mode == "thread":
@@ -174,13 +255,12 @@ class AioTcpServer:
             )
         self._closing = False
         if self.listen_sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=self.listen_sock
-            )
+            where = {"sock": self.listen_sock}
         else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self._host, self._port
-            )
+            where = {"host": self._host, "port": self._port}
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), **where
+        )
         self.address = self._server.sockets[0].getsockname()
         for engine in self.tiering:
             engine.start()
@@ -194,7 +274,7 @@ class AioTcpServer:
     @property
     def in_flight(self):
         """Requests currently being served (draining waits on these)."""
-        return len(self._tasks)
+        return self._active
 
     async def drain_async(self):
         """Stop accepting new connections; keep in-flight work running.
@@ -206,6 +286,10 @@ class AioTcpServer:
         """
         self._closing = True
         if self._server is not None:
+            # A socket accepted during this turn of the loop becomes a
+            # transport in the next; asyncio leaks it if the listener is
+            # closed in between.
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -213,23 +297,30 @@ class AioTcpServer:
     async def aclose(self, drain=True):
         """Graceful shutdown: refuse new work, drain in-flight, close."""
         await self.drain_async()
-        if drain and self._tasks:
-            done, pending = await asyncio.wait(
-                set(self._tasks), timeout=self.drain_timeout
-            )
-            for task in pending:
-                task.cancel()
-            del done
+        if drain:
+            # Connections read nothing more and close themselves once
+            # their replies are out; wait for the last record to finish.
+            for connection in list(self._connections):
+                connection.finish()
+            if self._active:
+                self._idle = self._loop.create_future()
+                await asyncio.wait([self._idle], timeout=self.drain_timeout)
+                self._idle = None
+        for task in list(self._tasks):
+            task.cancel()
         for connection in list(self._connections):
-            connection.writer.close()
-        # Give transports a tick to run their close callbacks.
+            connection.close()
+        # Closing takes a turn of the loop; a transport whose peer does
+        # not read would wait on its buffer forever, so what is still
+        # here after that turn is aborted.
         await asyncio.sleep(0)
+        for connection in list(self._connections):
+            connection.transport.abort()
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
         for engine in self.tiering:
             engine.stop()
-        self._server = None
 
     async def __aenter__(self):
         return await self.start_async()
@@ -239,129 +330,247 @@ class AioTcpServer:
         return False
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Admission: fault injection, overload shedding, the concurrency cap
     # ------------------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer):
-        connection = _Connection(reader, writer, self.max_record_size)
-        self._connections.add(connection)
-        try:
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                import socket as _socket
-
-                sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-            while not self._closing:
-                data = await reader.read(READ_CHUNK)
-                if not data:
-                    break
-                try:
-                    records = connection.decoder.feed(data)
-                except TransportError:
-                    if self.stats is not None:
-                        self.stats.malformed.inc()
-                    break  # framing lost sync; drop the connection
-                if not await self._admit_records(connection, records):
-                    break  # injected connection reset
-            # Half-close: the peer may still be waiting on in-flight
-            # replies after shutting down its write side.
-            if connection.tasks:
-                await asyncio.wait(set(connection.tasks))
-        except (ConnectionError, asyncio.CancelledError, OSError):
-            pass
-        finally:
-            self._connections.discard(connection)
-            writer.close()
-
-    async def _admit_records(self, connection, records):
-        """Run fault injection and overload shedding, then start tasks.
-
-        Returns False when an injected fault calls for a connection
-        reset (the caller drops the connection).
-        """
-        injector = self._injector
+    def _admit(self, connection, records):
+        """Admit every record one socket read completed, in wire order."""
+        if self._injector is None:
+            for record in records:
+                self._admit_one(connection, record)
+            return
         for record in records:
-            if injector is not None:
-                outcome = injector.on_message(record)
-                if outcome.reset:
-                    return False
-                deliveries = outcome.deliveries
-            else:
-                deliveries = ((record, 0.0),)
-            for delivery in deliveries:
-                if injector is not None:
-                    payload, delay_s = delivery.payload, delivery.delay_s
-                else:
-                    payload, delay_s = delivery
-                if delay_s:
-                    await asyncio.sleep(delay_s)
-                if not await self._admit_one(connection, payload):
-                    continue  # shed; answered with an overload reply
-        return True
+            outcome = self._injector.on_message(record)
+            if outcome.reset:
+                connection.deliveries.append(None)
+                break
+            connection.deliveries.extend(outcome.deliveries)
+        if not connection.held:
+            self._deliver(connection)
 
-    async def _admit_one(self, connection, record):
-        """Shed or admit one record; admitted records become tasks."""
-        if (self.max_pending is not None
-                and self._semaphore.locked()
-                and self._pending_waiters >= self.max_pending):
+    def _deliver(self, connection, delayed=None):
+        """Chaos path: admit queued deliveries up to the next delay.
+
+        A delayed delivery holds back everything behind it on its
+        connection (head-of-line, as on a slow wire): the connection is
+        not read and the queue resumes here when the timer fires.
+        """
+        if delayed is not None:
+            connection.held = False
+            self._admit_one(connection, delayed)
+        deliveries = connection.deliveries
+        while deliveries and not connection.transport.is_closing():
+            delivery = deliveries.popleft()
+            if delivery is None:  # injected connection reset
+                deliveries.clear()
+                connection.finish()
+                return
+            if delivery.delay_s:
+                connection.held = True
+                self._loop.call_later(delivery.delay_s, self._deliver,
+                                      connection, delivery.payload)
+                break
+            self._admit_one(connection, delivery.payload)
+        connection.sync()
+
+    def _admit_one(self, connection, record):
+        """Start, queue or shed one record."""
+        if (self._active < self.max_concurrency and not connection.backlog
+                and not connection.write_paused):
+            self._start(connection, record)
+        elif (self.max_pending is not None
+                and self._pending >= self.max_pending):
             if self.stats is not None:
                 self.stats.shed.inc()
-            buffer = connection.take_buffer()
-            try:
-                await self._send_error_reply(
-                    connection, record,
-                    OverloadError("server overloaded; try again"),
-                    buffer, close_on_failure=False,
-                )
-            finally:
-                connection.give_buffer(buffer)
-            return False
-        # Backpressure: block here (stopping further reads) until an
-        # in-flight slot frees up.
-        self._pending_waiters += 1
-        try:
-            await self._semaphore.acquire()
-        finally:
-            self._pending_waiters -= 1
-        task = self._loop.create_task(
-            self._serve_request(connection, record)
-        )
-        connection.tasks.add(task)
-        self._tasks.add(task)
-        task.add_done_callback(connection.tasks.discard)
-        task.add_done_callback(self._tasks.discard)
-        return True
+            buffer = connection.buffers.take()
+            self._send_error_reply(
+                connection, record,
+                OverloadError("server overloaded; try again"), buffer,
+            )
+            connection.buffers.give(buffer)
+        else:
+            # Backpressure: the record waits for a slot and, until its
+            # backlog is empty again, this connection is not read.
+            connection.backlog.append(record)
+            self._pending += 1
+            self._resume(connection)
 
-    async def _send_error_reply(self, connection, record, error, buffer,
-                                close_on_failure=True):
+    def _resume(self, connection):
+        """List *connection* for a slot if its backlog may start now."""
+        if (connection.backlog and not connection.queued
+                and not connection.write_paused):
+            connection.queued = True
+            self._waiting.append(connection)
+            self._start_backlog()
+
+    def _forget(self, connection):
+        self._connections.discard(connection)
+        self._pending -= len(connection.backlog)
+        connection.backlog.clear()
+        connection.deliveries.clear()
+
+    def _start_backlog(self):
+        """Give free slots to waiting connections, one record a turn."""
+        if self._starting:
+            return  # an inline _finish below re-entered; the loop goes on
+        self._starting = True
+        try:
+            waiting = self._waiting
+            while waiting and self._active < self.max_concurrency:
+                connection = waiting.popleft()
+                connection.queued = False
+                if connection.write_paused or not connection.backlog:
+                    continue  # relisted by _resume once writable again
+                self._pending -= 1
+                self._start(connection, connection.backlog.popleft())
+                if connection.backlog:
+                    connection.queued = True
+                    waiting.append(connection)
+                else:
+                    connection.sync()
+        finally:
+            self._starting = False
+
+    # ------------------------------------------------------------------
+    # Serving one admitted record
+    # ------------------------------------------------------------------
+
+    def _start(self, connection, record):
+        self._active += 1
+        connection.active += 1
+        if not self._callbacks or trace.active() is not None:
+            task = self._loop.create_task(self._serve(connection, record))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+            return
+        op_key = started = None
+        if self.stats is not None:
+            started = time.perf_counter()
+            op_key = self._op_key(record)
+        buffer = connection.buffers.take()
+        if self._executor is not None:
+            self._executor.submit(self._work, connection, record, buffer,
+                                  op_key, started)
+        else:
+            self._finish(connection, record, buffer,
+                         self._outcome(record, buffer), op_key, started)
+
+    def _outcome(self, record, buffer):
+        """dispatch's ``has_reply``, or the exception it raised (which
+        :meth:`_finish` classifies)."""
+        try:
+            return self._dispatch(record, self._impl, buffer)
+        except Exception as exc:
+            return exc
+
+    def _work(self, connection, record, buffer, op_key, started):
+        """One executor job: dispatch, then hand the outcome to the loop.
+
+        No lock: ``deque.append`` is atomic, and the flag is read *after*
+        the append while :meth:`_drain_completions` clears it *before*
+        counting what to pop — so a completion appended under a set flag
+        is counted by the drain that flag stands for, and a worker that
+        sees it clear posts a wake-up of its own (two workers may both
+        do so; a drain that finds nothing is harmless).
+        """
+        self._completions.append(
+            (connection, record, buffer, self._outcome(record, buffer),
+             op_key, started))
+        if not self._wake_posted:
+            self._wake_posted = True
+            try:
+                self._loop.call_soon_threadsafe(self._drain_completions)
+            except RuntimeError:
+                # The loop closed after aclose gave up on this job; a
+                # restarted server finishes it with its first drain.
+                self._wake_posted = False
+
+    def _drain_completions(self):
+        self._wake_posted = False
+        completions = self._completions
+        # Only what is here now: jobs these finishes start may complete
+        # while this runs, and their replies (and everyone else's reads
+        # and writes) are due a turn of the loop first.
+        for _ in range(len(completions)):
+            self._finish(*completions.popleft())
+
+    def _op_key(self, record):
+        try:
+            op_key = probe(record).op_key
+            return self._op_names.get(op_key, op_key)
+        except TransportError:
+            return "?"
+
+    def _send_error_reply(self, connection, record, error, buffer):
         """Answer *record* with a protocol error reply for *error*.
 
-        Falls back to closing the connection (the pre-hardening
-        behaviour) when no encoder is configured, the request is too
-        damaged to answer (the encoder returns False — e.g. a oneway or
-        an unparseable header), or encoding itself fails.
+        Returns False when there is nothing to send: no encoder is
+        configured, the request is too damaged to answer (the encoder
+        returns False — e.g. a oneway or an unparseable header), or
+        encoding itself fails.
         """
         buffer.reset()
-        encoded = False
-        if self.error_encoder is not None:
-            try:
-                encoded = self.error_encoder(record, error, buffer)
-            except Exception:  # a buggy encoder must not kill the loop
-                encoded = False
-        if not encoded:
-            if close_on_failure:
-                connection.writer.close()
+        if self.error_encoder is None:
             return False
         try:
-            payload = encode_record(buffer.view())
-            async with connection.write_lock:
-                connection.writer.write(payload)
-                await connection.writer.drain()
-            return True
-        except (ConnectionError, OSError):
+            encoded = self.error_encoder(record, error, buffer)
+        except Exception:  # a buggy encoder must not kill the loop
             return False
+        if encoded:
+            connection.send_record(buffer.view())
+        return bool(encoded)
 
-    async def _serve_request(self, connection, record):
+    def _finish(self, connection, record, buffer, outcome, op_key, started,
+                span=None):
+        """The one end of every admitted record, whatever served it.
+
+        *outcome* is dispatch's ``has_reply`` or the exception raised.
+        Sends the reply (or error reply), counts, returns the buffer,
+        frees the slot and lets the backlog use it.
+        """
+        stats = self.stats
+        failed = isinstance(outcome, Exception)
+        if failed:
+            # A RuntimeFlickError is a malformed or unsupported request:
+            # the wire stayed in sync (framing delivered a whole record),
+            # so answer in-protocol and keep serving the connection.
+            # Anything else is the servant itself crashing: report it as
+            # a system error and close — the connection's state is
+            # suspect.
+            crashed = not isinstance(outcome, RuntimeFlickError)
+            if stats is not None:
+                (stats.servant_errors if crashed else stats.malformed).inc()
+            if span is not None:
+                span.set(error=type(outcome).__name__)
+                if crashed:
+                    span.set(error_detail=str(outcome))
+            answered = self._send_error_reply(connection, record, outcome,
+                                              buffer)
+            if crashed or not answered:
+                connection.close()
+        elif outcome:
+            if span is None:
+                connection.send_record(buffer.view())
+            else:
+                with trace.span("write", bytes=buffer.length + 4):
+                    connection.send_record(buffer.view())
+        connection.buffers.give(buffer)
+        if stats is not None and op_key is not None:
+            stats.record(op_key, time.perf_counter() - started,
+                         error=failed)
+        self._active -= 1
+        connection.active -= 1
+        if self._waiting:
+            self._start_backlog()
+        if connection.finishing:
+            connection.sync()
+        if self._idle is not None and not self._active \
+                and not self._idle.done():
+            self._idle.set_result(None)
+
+    # -- the coroutine form: an active tracer, or an awaiting _invoke ----
+
+    async def _serve(self, connection, record):
         tracer = trace.active()
         if tracer is None:
             await self._serve_one(connection, record, None)
@@ -375,91 +584,42 @@ class AioTcpServer:
         """Produce the reply for one admitted record; returns has_reply.
 
         The default runs the generated ``dispatch`` on the executor (or
-        inline); subclasses that answer a record some other way — the
-        protocol gateway forwards it upstream — override this single
-        seam and inherit all of the connection, shedding, fault, error
-        reply, and tracing machinery.
+        inline) and is only awaited while a tracer is active — untraced
+        records take the callback path in :meth:`_start`.  Subclasses
+        that answer a record some other way — the protocol gateway
+        forwards it upstream — override this single seam and inherit all
+        of the connection, shedding, fault, error reply, and tracing
+        machinery.
         """
         if self._executor is not None:
-            if span is not None:
-                # Executor threads do not inherit this task's
-                # contextvars; carry them over so the stub's
-                # decode/encode spans nest here.
-                context = contextvars.copy_context()
-                return await self._loop.run_in_executor(
-                    self._executor, context.run,
-                    self._dispatch, record, self._impl, buffer,
-                )
+            # Executor threads do not inherit this task's contextvars;
+            # carry them over so the stub's decode/encode spans nest
+            # here.
+            context = contextvars.copy_context()
             return await self._loop.run_in_executor(
-                self._executor, self._dispatch, record, self._impl,
-                buffer,
+                self._executor, context.run,
+                self._dispatch, record, self._impl, buffer,
             )
         return self._dispatch(record, self._impl, buffer)
 
     async def _serve_one(self, connection, record, span):
         started = time.perf_counter()
         op_key = None
-        error = False
-        buffer = connection.take_buffer()
+        buffer = connection.buffers.take()
+        if self.stats is not None or span is not None:
+            with trace.span("demux"):
+                op_key = self._op_key(record)
+            if span is not None and op_key is not None:
+                span.set(op=str(op_key))
+        outcome = False  # what a cancelled record leaves behind
         try:
-            if self.stats is not None or span is not None:
-                with trace.span("demux"):
-                    try:
-                        info = probe(record)
-                        op_key = self._op_names.get(
-                            info.op_key, info.op_key
-                        )
-                    except TransportError:
-                        op_key = "?"
-                if span is not None and op_key is not None:
-                    span.set(op=str(op_key))
-            try:
-                with trace.span("dispatch"):
-                    has_reply = await self._invoke(record, buffer, span)
-            except RuntimeFlickError as exc:
-                # Malformed or unsupported request.  The wire stayed in
-                # sync (framing delivered a whole record), so answer
-                # with a protocol error reply and keep serving the
-                # connection; pipelined peers are unaffected.
-                error = True
-                if self.stats is not None:
-                    self.stats.malformed.inc()
-                if span is not None:
-                    span.set(error=type(exc).__name__)
-                await self._send_error_reply(connection, record, exc,
-                                             buffer)
-                return
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # The servant itself crashed: an implementation bug, not
-                # wire damage.  Report it as a system error and close
-                # the connection — its state is suspect.
-                error = True
-                if self.stats is not None:
-                    self.stats.servant_errors.inc()
-                if span is not None:
-                    span.set(error=type(exc).__name__,
-                             error_detail=str(exc))
-                await self._send_error_reply(connection, record, exc,
-                                             buffer)
-                connection.writer.close()
-                return
-            if has_reply:
-                payload = encode_record(buffer.view())
-                with trace.span("write", bytes=len(payload)):
-                    async with connection.write_lock:
-                        connection.writer.write(payload)
-                        await connection.writer.drain()
-        except (ConnectionError, asyncio.CancelledError, OSError):
-            error = True
+            with trace.span("dispatch"):
+                outcome = await self._invoke(record, buffer, span)
+        except Exception as exc:  # classified in _finish
+            outcome = exc
         finally:
-            connection.give_buffer(buffer)
-            self._semaphore.release()
-            if self.stats is not None and op_key is not None:
-                self.stats.record(
-                    op_key, time.perf_counter() - started, error=error
-                )
+            self._finish(connection, record, buffer, outcome, op_key,
+                         started, span)
 
     # ------------------------------------------------------------------
     # Sync facade (event loop on a daemon thread)
@@ -473,14 +633,13 @@ class AioTcpServer:
         self._start_error = None
 
         def run():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
+            # asyncio.run, not a bare loop: once serving ends it sees
+            # late accepts and closing transports through before the
+            # loop is closed under them.
             try:
-                loop.run_until_complete(self._run_on_thread(started))
+                asyncio.run(self._run_on_thread(started))
             finally:
                 started.set()  # in case startup itself failed
-                asyncio.set_event_loop(None)
-                loop.close()
 
         self._thread = threading.Thread(
             target=run, name="flick-aio-server", daemon=True

@@ -74,6 +74,18 @@ class ServerStats:
             "flick_server_servant_errors_total",
             "Dispatches that raised an unexpected implementation error",
         )
+        # Batching of the asyncio server's connection I/O: requests per
+        # read and replies per write follow from these and
+        # flick_server_requests_total.
+        self.socket_reads = self.registry.counter(
+            "flick_server_socket_reads_total",
+            "Socket reads that delivered bytes (asyncio server)",
+        )
+        self.socket_writes = self.registry.counter(
+            "flick_server_socket_writes_total",
+            "Socket writes issued, each carrying one or more replies"
+            " (asyncio server)",
+        )
 
     def record(self, op_key, seconds, error=False):
         op = _label(op_key)
@@ -197,6 +209,14 @@ class ClientStats:
         self.breaker_rejections = self.registry.counter(
             "flick_client_breaker_rejections_total",
             "Calls refused instantly by an open breaker",
+        )
+        self.socket_reads = self.registry.counter(
+            "flick_client_socket_reads_total",
+            "Socket reads that delivered bytes",
+        )
+        self.socket_writes = self.registry.counter(
+            "flick_client_socket_writes_total",
+            "Socket writes issued, each carrying one or more requests",
         )
 
 

@@ -7,8 +7,10 @@ deadlines, retry idempotent work, and shut down gracefully.
 """
 
 import asyncio
+import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -25,11 +27,14 @@ from repro.runtime.aio import (
     AioClientTransport,
     AioConnection,
     CallOptions,
+    ClientStats,
     ConnectionPool,
     RetryPolicy,
     ServeOptions,
     ServerStats,
+    probe,
 )
+from repro.runtime.aio.server import POOLED_BUFFER_MAX, BufferPool
 from repro.runtime.framing import RecordDecoder, encode_record
 from repro.runtime.socket_transport import _recv_record
 
@@ -494,6 +499,36 @@ class TestCrossCompat:
                 transport.close()
 
 
+    @pytest.mark.parametrize("backend", ["oncrpc-xdr", "iiop"])
+    def test_half_closed_peer_gets_all_replies(self, backend):
+        """A peer that shuts down its write side after its last request
+        still receives every in-flight reply before the server closes."""
+        module = compile_mail(backend).load_module()
+        server = StubServer(module, SlowImpl(module, delay=0.05)) \
+            .aio_server(dispatch_mode="thread")
+        with server:
+            sock = socket.create_connection(server.address, timeout=5)
+            try:
+                sock.sendall(b"".join(
+                    encode_record(_avg_request(module, xid, [xid, xid + 2]))
+                    for xid in range(1, 9)))
+                sock.shutdown(socket.SHUT_WR)
+                decoder, replies = RecordDecoder(), []
+                while True:
+                    data = sock.recv(65536)
+                    if not data:
+                        break  # the server closed once all were out
+                    replies.extend(decoder.feed(data))
+            finally:
+                sock.close()
+        answers = {}
+        for reply in replies:
+            xid = probe(reply).correlation_id
+            answers[xid] = module._u_rep_avg(
+                reply, module._check_reply(reply, xid))
+        assert answers == {xid: xid + 1.0 for xid in range(1, 9)}
+
+
 # ----------------------------------------------------------------------
 # Graceful shutdown, stats, plumbing
 # ----------------------------------------------------------------------
@@ -531,6 +566,150 @@ class TestGracefulShutdown:
                 _avg_request(onc_module, 1, [1])
             )
 
+
+    def test_worker_finishing_after_stop_is_harmless(self, onc_module):
+        """An executor job that outlives the drain timeout finds the
+        loop closed; handing over its completion must not raise."""
+        server = StubServer(onc_module, MailImpl(onc_module)).aio_server(
+            dispatch_mode="thread"
+        )
+        server.start()
+        server.stop()
+        assert server._loop.is_closed()
+        server._work(None, _avg_request(onc_module, 1, [1]),
+                     MarshalBuffer(), None, None)
+        assert len(server._completions) == 1
+        assert not server._wake_posted  # a restarted server still drains
+
+
+# ----------------------------------------------------------------------
+# Batched connection I/O: one read -> N records -> one write
+# ----------------------------------------------------------------------
+
+class TestBatchedIO:
+    def test_one_read_of_16_requests_is_answered_in_one_write(
+            self, onc_module):
+        stats = ServerStats()
+        server = StubServer(onc_module, MailImpl(onc_module)).aio_server(
+            dispatch_mode="inline", stats=stats
+        )
+        with server:
+            sock = socket.create_connection(server.address, timeout=5)
+            try:
+                sock.sendall(b"".join(
+                    encode_record(_avg_request(onc_module, xid, [xid]))
+                    for xid in range(1, 17)))
+                replies = [_recv_record(sock) for _ in range(16)]
+            finally:
+                sock.close()
+        assert [probe(reply).correlation_id for reply in replies] \
+            == list(range(1, 17))
+        assert [onc_module._u_rep_avg(reply, 24) for reply in replies] \
+            == [float(xid) for xid in range(1, 17)]
+        assert stats.socket_reads.value == 1
+        assert stats.socket_writes.value == 1
+
+    def test_16_concurrent_calls_leave_in_one_client_write(
+            self, onc_module):
+        stats = ClientStats()
+        server = StubServer(onc_module, MailImpl(onc_module)).aio_server(
+            dispatch_mode="inline"
+        )
+        with server:
+            async def main():
+                pool = ConnectionPool(*server.address, pool_size=1,
+                                      stats=stats)
+                try:
+                    await pool.acall(_avg_request(onc_module, 1, [0]))
+                    before = stats.socket_writes.value
+                    replies = await asyncio.gather(*[
+                        pool.acall(_avg_request(onc_module, 1, [n]))
+                        for n in range(16)
+                    ])
+                    return replies, stats.socket_writes.value - before
+                finally:
+                    await pool.aclose()
+
+            replies, writes = asyncio.run(main())
+        assert [onc_module._u_rep_avg(reply, 24) for reply in replies] \
+            == [float(n) for n in range(16)]
+        assert writes == 1
+
+    def test_thread_mode_loses_no_completion_under_preemption(
+            self, onc_module):
+        """Workers hand completions to the loop through a deque and one
+        pending wake-up, with no lock: 20k pipelined calls under a
+        0.01 ms switch interval (so threads are preempted between the
+        append, the flag test and the post) must all be answered."""
+        calls, callers = 20000, 64
+        rng = random.Random(13)
+        lengths = [rng.randrange(1, 32) for _ in range(calls)]
+        stats = ServerStats()
+        server = StubServer(onc_module, MailImpl(onc_module)).aio_server(
+            dispatch_mode="thread", max_concurrency=8, stats=stats
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                async def main():
+                    pool = ConnectionPool(*server.address, pool_size=4)
+                    positions = iter(range(calls))
+                    wrong = []
+
+                    async def caller():
+                        for position in positions:
+                            values = list(range(lengths[position]))
+                            reply = await pool.acall(
+                                _avg_request(onc_module, 1, values))
+                            if onc_module._u_rep_avg(reply, 24) \
+                                    != sum(values) / len(values):
+                                wrong.append(position)
+
+                    try:
+                        await asyncio.wait_for(
+                            asyncio.gather(
+                                *[caller() for _ in range(callers)]),
+                            timeout=120)
+                    finally:
+                        await pool.aclose()
+                    return wrong
+
+                assert asyncio.run(main()) == []
+                assert server.in_flight == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.total_calls == calls
+        assert stats.total_errors == 0
+
+
+class TestBufferPool:
+    def test_oversized_buffers_are_not_retained(self):
+        pool = BufferPool()
+        small, large = MarshalBuffer(), MarshalBuffer()
+        large.reserve(POOLED_BUFFER_MAX + 1)
+        pool.give(large)
+        assert pool.retained_bytes == 0
+        pool.give(small)
+        assert pool.take() is small
+
+    def test_large_reply_does_not_raise_retained_bytes(self, onc_module):
+        """One multi-megabyte reply must not pin its grown buffer in the
+        connection's pool for the rest of the connection's life."""
+        data = bytes(range(256)) * (8 * 1024)  # 2 MiB each way
+        server = StubServer(onc_module, MailImpl(onc_module)).aio_server()
+        with server:
+            transport = TcpClientTransport(*server.address)
+            try:
+                client = onc_module.Test_MailClient(transport)
+                assert client.avg([1, 3]) == 2.0
+                (connection,) = server._connections
+                before = connection.buffers.retained_bytes
+                assert client.reverse(data) == data[::-1]
+                assert client.avg([2, 4]) == 3.0
+                assert connection.buffers.retained_bytes <= before
+            finally:
+                transport.close()
 
 class TestStats:
     def test_per_operation_counters_and_latency(self, onc_module):

@@ -10,6 +10,8 @@ episode visible through one ``/metrics`` endpoint.
 
 import asyncio
 import json
+import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -38,10 +40,11 @@ from repro.runtime.aio import (
     RetryPolicy,
     ServerStats,
 )
+from repro.runtime.framing import RecordDecoder, encode_record
 from repro.runtime.server import StubServer
 
 from tests.conftest import compile_db
-from tests.test_fuzz_wire import DbImpl
+from tests.test_fuzz_wire import DbImpl, _capture_requests
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +460,70 @@ class TestOverloadShedding:
             if kind == "shed"
         )
         assert stats.servant_errors.value == 0
+
+
+# ----------------------------------------------------------------------
+# Server-side fault plans keep wire order on a connection
+# ----------------------------------------------------------------------
+
+class TestServerAdmissionFaults:
+    """The asyncio server admits a read's records as one batch; with a
+    fault plan each record still meets the injector in wire order and a
+    delayed one holds back its successors (head-of-line, like a slow
+    wire)."""
+
+    def _pipeline(self, plan, count):
+        """Send *count* echo requests in one write; return the xids of
+        the replies in arrival order (until the server closes or goes
+        quiet) and the seconds until the last one arrived."""
+        db_module = compile_db().load_module()
+        request = _capture_requests(db_module, [("echo", (b"x",))])[0]
+        server = StubServer(db_module, DbImpl()).aio_server(
+            dispatch_mode="inline", fault_plan=plan)
+        xids, decoder = [], RecordDecoder()
+        with server:
+            sock = socket.create_connection(server.address, timeout=5)
+            try:
+                started = last = time.perf_counter()
+                sock.sendall(b"".join(
+                    encode_record(struct.pack(">I", xid) + request[4:])
+                    for xid in range(1, count + 1)))
+                sock.settimeout(0.3)
+                while True:
+                    try:
+                        data = sock.recv(65536)
+                    except TimeoutError:
+                        break
+                    if not data:
+                        break
+                    for reply in decoder.feed(data):
+                        xids.append(struct.unpack_from(">I", reply)[0])
+                    last = time.perf_counter()
+            finally:
+                sock.close()
+        return xids, last - started
+
+    def test_delay_is_head_of_line(self):
+        xids, elapsed = self._pipeline(
+            FaultPlan(delay=1.0, delay_s=0.05), 4)
+        assert xids == [1, 2, 3, 4]
+        assert elapsed >= 4 * 0.05 * 0.9  # one after the other
+
+    def test_duplicate_and_reorder_keep_injector_order(self):
+        xids, _ = self._pipeline(FaultPlan(duplicate=1.0), 2)
+        assert xids == [1, 1, 2, 2]
+        xids, _ = self._pipeline(FaultPlan(reorder=1.0), 4)
+        assert xids == [2, 1, 4, 3]
+
+    def test_reset_closes_after_the_records_before_it(self):
+        # Seed 0 lets two records through and resets on the third.
+        plan = FaultPlan(seed=0, reset=0.5)
+        injector = plan.injector()
+        fates = [injector.on_message(b"x").reset for _ in "123"]
+        assert fates == [False, False, True]
+        xids, elapsed = self._pipeline(plan, 4)
+        assert xids == [1, 2]
+        assert elapsed < 0.3  # closed by the server, not timed out
 
 
 # ----------------------------------------------------------------------

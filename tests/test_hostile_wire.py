@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import socket
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -593,6 +594,83 @@ class TestForgedAggregateCount:
             assert built == []
             validate(bytes(frame), server.serve_bytes(bytes(frame)))
         assert calls == [3]
+
+
+# ---------------------------------------------------------------------------
+# A peer that pipelines requests and never reads its replies.
+# ---------------------------------------------------------------------------
+
+class TestNonReadingPeer:
+    """One deaf peer must not starve the asyncio server: a finished
+    request frees its slot whether or not the reply has left, and a
+    connection whose peer does not read is neither read nor served, so
+    what it can pin is bounded by the concurrency cap."""
+
+    REPLY_INTS = 16384  # a 64 KiB reply
+    REQUESTS = 400
+
+    def test_deaf_peer_cannot_starve_other_clients(self):
+        from repro import api
+
+        with open(LEDGER_IDL) as handle:
+            module = api.compile(handle.read(), "corba",
+                                 backend="oncrpc-xdr").load_module()
+        ints = list(range(self.REPLY_INTS))
+
+        class Impl:
+            def ping(self, x):
+                return x
+
+            def get_ints(self, n):
+                return ints[:n]
+
+        get_ints, ping = _capture_requests(
+            module, [("get_ints", (self.REPLY_INTS,)), ("ping", (7,))])
+        server = StubServer(module, Impl()).aio_server()
+        cap = server.max_concurrency
+        server.start()
+        try:
+            deaf = socket.socket()
+            deaf.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            deaf.connect(server.address)
+            deaf.sendall(b"".join(
+                encode_record(struct.pack(">I", xid) + get_ints[4:])
+                for xid in range(1, self.REQUESTS + 1)))
+            # Let the server run into the peer's closed window.
+            deadline = time.time() + 5
+            (connection,) = _wait_for_connections(server, 1, deadline)
+            while not connection.write_paused and time.time() < deadline:
+                time.sleep(0.01)
+            assert connection.write_paused
+            good = socket.create_connection(server.address, timeout=1.0)
+            try:
+                started = time.perf_counter()
+                good.sendall(encode_record(ping))
+                assert_valid_onc_reply(ping, _recv_record(good))
+                assert time.perf_counter() - started < 1.0
+            finally:
+                good.close()
+            # The deaf connection holds the replies of the requests in
+            # flight when its window closed (plus the write that closed
+            # it) — not of all 400; the rest are not even started.
+            reply_size = 4 * self.REPLY_INTS + 64
+            time.sleep(0.2)
+            assert connection.transport.get_write_buffer_size() \
+                <= (cap + 4) * reply_size
+            assert connection.backlog
+            assert server.in_flight == 0
+        finally:
+            started = time.perf_counter()
+            server.stop()
+            stopped_in = time.perf_counter() - started
+            deaf.close()
+        assert stopped_in < 2.0, stopped_in
+
+
+def _wait_for_connections(server, count, deadline):
+    while len(server._connections) < count and time.time() < deadline:
+        time.sleep(0.01)
+    return list(server._connections)
 
 
 # ---------------------------------------------------------------------------

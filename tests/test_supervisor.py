@@ -219,6 +219,11 @@ class TestFleet:
             merged = parse_prometheus(sup.metrics_text())
             assert merged["flick_server_requests_total"][
                 (("op", "avg"),)] == 6
+            # Six one-call connections, whichever workers took them:
+            # each reply is one socket write and each request at least
+            # one read (the peer's close is not a read).
+            assert merged["flick_server_socket_writes_total"][()] == 6
+            assert merged["flick_server_socket_reads_total"][()] >= 6
             assert merged["flick_supervisor_workers"][()] == 2
             rows = sup.status()
             assert [row["slot"] for row in rows] == [0, 1]
