@@ -35,7 +35,7 @@ LAYOUT = [
     ("Pres. Gen.", "Fluke Pres.", False, ["pgen/fluke.py"]),
     ("Pres. Gen.", "ONC RPC rpcgen Pres.", False, ["pgen/rpcgen.py"]),
     ("Back End", "Base Library", True,
-     ["backend/base.py", "backend/pyemit.py", "backend/pywriter.py",
+     ["backend/base.py", "backend/pywriter.py",
       "backend/cemit.py", "encoding/base.py", "encoding/buffer.py",
       "cast/nodes.py", "cast/emit.py"]),
     ("Back End", "CORBA IIOP", False,

@@ -15,9 +15,7 @@ answered by the self-registering front-end registry
 (:mod:`repro.frontends`), so the facade itself enumerates no languages.
 Non-text schema inputs — a dataclass, an ``@interface`` class, or a
 module object — route to whichever front end claims them (the pyschema
-front end, today).  The historical per-frontend entry points
-(``compile_corba_idl``, ``compile_oncrpc_idl``, ``compile_mig_idl``)
-remain as thin deprecated shims over this module.
+front end, today).
 
 MIG is the paper's conjoined front end: it produces PRES_C directly, so
 MIG results carry ``aoi=None`` — everything downstream of the

@@ -3,8 +3,8 @@
 A back end reads a PRES_C presentation and produces stub code for one
 message format and transport family.  The heavy lifting — chunk-based
 marshal code generation, buffer management, inlining, demux construction —
-lives in the shared optimizing library (:mod:`repro.backend.base` and
-:mod:`repro.backend.pyemit`), which every back end inherits; the concrete
+lives in the shared optimizing library (:mod:`repro.backend.base` over
+the marshal IR, :mod:`repro.mir`), which every back end inherits; the concrete
 back ends supply only the protocol headers and framing, mirroring the
 paper's Table 1 where each back end is a few hundred lines over an
 8000-line base.

@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from repro.mint.analysis import StorageClass, analyze_storage
 from repro.pres import nodes as p
-from repro.backend.pyemit import UNROLL_LIMIT
+from repro.mir.ops import UNROLL_LIMIT
 
 SEVERITIES = ("info", "warning", "error")
 

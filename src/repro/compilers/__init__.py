@@ -30,7 +30,7 @@ MIG         OSF/CMU         MIG        Mach 3     highly specialized and
 The baselines share Flick's front half (parsers, AOI, MINT, PRES) and the
 module scaffolding (client class shape, transports) so that measurements
 isolate marshal/unmarshal code quality; they do NOT use the optimizing
-back-end library (:mod:`repro.backend.pyemit`) — each brings its own
+back-end library (:mod:`repro.mir`) — each brings its own
 marshal code generator or interpreter, as the real compilers did.
 """
 

@@ -35,7 +35,4 @@ frontends.register(frontends.FrontEnd(
     sample="interface Probe { long poke(in long x); };\n",
 ))
 
-compile_corba_idl = frontends.make_deprecated_shim(
-    "corba", "compile_corba_idl")
-
-__all__ = ["parse_corba_idl", "corba_to_aoi", "compile_corba_idl"]
+__all__ = ["parse_corba_idl", "corba_to_aoi"]

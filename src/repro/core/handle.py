@@ -12,43 +12,21 @@ surface over the loaded module:
 * :attr:`module` — the loaded stub module (cached, same as
   ``load_module()``),
 * :attr:`codec_table` — live per-operation codec bindings,
+* :attr:`codecs` — the module's :class:`repro.core.codecs.CodecSlots`
+  (base codecs under the trace/profile/hotness/shadow layer stack),
 * :attr:`renderers` — the renderer registry,
 * :meth:`recompile` — rebuild one operation's (or the whole
   interface's) codecs under a different renderer or pass configuration
   and optionally install them atomically over the module.
-
-Old code that treated the result as the module itself keeps working
-through a deprecation shim: unknown attributes forward to the loaded
-stub module with a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import re
-import warnings
-
 from repro.errors import FlickError
+from repro.core import codecs
+from repro.core.codecs import codec_form
 from repro.core.compiler import CompileResult
 from repro.core.options import OptFlags, RendererPolicy
-
-#: Codec-entry naming convention shared with the profiler and runtime:
-#: form prefix -> regex capturing the operation name.
-_FORM_PATTERNS = (
-    ("m_req", re.compile(r"^_m_req_(.+)$")),
-    ("u_req", re.compile(r"^_u_req_(.+)$")),
-    ("m_rep_ok", re.compile(r"^_m_rep_ok_(.+)$")),
-    ("m_rep_exc", re.compile(r"^_m_rep_x\d+_(.+)$")),
-    ("u_rep", re.compile(r"^_u_rep_(.+)$")),
-)
-
-
-def codec_form(name):
-    """``(form, op)`` for a codec entry name, or ``(None, None)``."""
-    for form, pattern in _FORM_PATTERNS:
-        match = pattern.match(name)
-        if match is not None:
-            return form, match.group(1)
-    return None, None
 
 
 class CompiledInterface(CompileResult):
@@ -94,7 +72,7 @@ class CompiledInterface(CompileResult):
         """Live codec bindings: op -> {entry name: current function}.
 
         Read from the loaded module's dict on every access, so the table
-        reflects tier swaps and profiler wrappers the moment they land.
+        reflects base swaps and layer changes the moment they land.
         """
         table = {}
         for name, value in vars(self.module).items():
@@ -103,6 +81,11 @@ class CompiledInterface(CompileResult):
                 continue
             table.setdefault(op, {})[name] = value
         return table
+
+    @property
+    def codecs(self):
+        """The loaded module's :class:`~repro.core.codecs.CodecSlots`."""
+        return codecs.of(self.module)
 
     # -- recompilation --------------------------------------------------
 
@@ -119,13 +102,12 @@ class CompiledInterface(CompileResult):
             policy: a :class:`RendererPolicy` — its renderer is used
                 unless *renderer* overrides it, and its
                 ``disable_passes`` fold into *flags*.
-            install: when True (default) the new functions replace the
-                module's entries one ``dict`` store at a time — atomic
-                under the GIL, and safe mid-traffic because every
-                renderer produces byte-identical wire output from the
-                same IR.  When False the functions are only returned
-                (how the tiering engine shadow-verifies before
-                committing).
+            install: when True (default) the new functions become the
+                base codecs of the module's slots (live layers stay on
+                top) — safe mid-traffic because every renderer produces
+                byte-identical wire output from the same IR.  When
+                False the functions are only returned (how the tiering
+                engine shadow-verifies before committing).
 
         Returns ``{entry name: function}`` for the rebuilt codecs.
         Out-of-line helper functions the new codecs need are installed
@@ -161,8 +143,7 @@ class CompiledInterface(CompileResult):
         else:
             new = self._compile_py(program, functions, module)
         if install:
-            for name, function in new.items():
-                module.__dict__[name] = function
+            self.codecs.set_base(new)
         return new
 
     def _build_program(self, backend, flags):
@@ -224,28 +205,3 @@ class CompiledInterface(CompileResult):
                        "<recompile %s>" % module.__name__, "exec")
         exec(code, namespace)
         return {name: namespace[name] for name in functions}
-
-    # -- deprecation shim ----------------------------------------------
-
-    def __getattr__(self, name):
-        """Forward unknown attributes to the loaded stub module.
-
-        The pre-handle facade returned results whose callers sometimes
-        treated them as the module (client classes, ``dispatch``); that
-        keeps working for one deprecation cycle.
-        """
-        if name.startswith("_") or name in CompileResult.__dataclass_fields__:
-            # Field names must never forward: a half-built instance
-            # (unpickling, copy) asking for ``stubs`` would recurse.
-            raise AttributeError(name)
-        try:
-            value = getattr(self.stubs.load(), name)
-        except AttributeError:
-            raise AttributeError(
-                "%r object has no attribute %r"
-                % (type(self).__name__, name)) from None
-        warnings.warn(
-            "reaching through CompiledInterface for stub-module"
-            " attribute %r is deprecated; use .module.%s" % (name, name),
-            DeprecationWarning, stacklevel=2)
-        return value

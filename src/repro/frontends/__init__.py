@@ -215,51 +215,3 @@ def detect(text, name=None):
         % (where, tried, ", ".join(names()),
            ", ".join(sorted(suffix_map())))
     )
-
-
-# ----------------------------------------------------------------------
-# The one deprecated-shim helper (replaces three hand-rolled shims)
-# ----------------------------------------------------------------------
-
-
-def make_deprecated_shim(lang, shim_name):
-    """Build the legacy ``compile_<lang>_idl`` entry point for *lang*.
-
-    All three historical per-frontend entry points forward through the
-    unified :mod:`repro.api` facade with the same deprecation warning;
-    this helper keeps the warning text and the forwarding logic in one
-    place.  AOI front ends forward to ``api.parse`` (their historical
-    return value was the validated AoiRoot); conjoined front ends
-    forward to ``api.compile`` and return the PRES_C presentation.
-    """
-
-    def shim(text, name=None):
-        import warnings
-
-        from repro import api
-
-        fe = get(lang)
-        if fe.has_aoi:
-            replacement = (
-                "repro.api.parse(text, %r) or repro.api.compile(text, %r)"
-                % (lang, lang))
-        else:
-            replacement = (
-                "repro.api.compile(text, %r) and read .presc from the"
-                " result" % lang)
-        warnings.warn(
-            "%s is deprecated; use %s" % (shim_name, replacement),
-            DeprecationWarning, stacklevel=2,
-        )
-        if name is None:
-            name = "<%s-idl>" % lang
-        if fe.has_aoi:
-            return api.parse(text, lang, name=name)
-        return api.compile(text, lang, name=name).presc
-
-    shim.__name__ = shim_name
-    shim.__qualname__ = shim_name
-    shim.__doc__ = (
-        "Deprecated %s entry point; forwards through repro.api." % lang
-    )
-    return shim

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional
 
 from repro.backend import make_backend
 from repro.backend.oncxdr import interface_program
+from repro.core import codecs
 from repro.errors import WireFormatError
 from repro.mir import ops as m
 from repro.mir.build import build_naive
@@ -248,6 +249,13 @@ class OpPlan:
     m_rep_ok: object = None       # ingress success-reply encode
     #: egress exception class name -> ingress _m_rep_x encoder.
     exceptions: Dict[str, object] = field(default_factory=dict)
+    #: ingress reply arm (``x<n>``) -> egress exception class name.
+    exception_arms: Dict[str, str] = field(default_factory=dict)
+
+
+#: The OpPlan fields each side's codec entries bind, named by form.
+_INGRESS_FORMS = ("u_req", "m_rep_ok")
+_EGRESS_FORMS = ("m_req", "u_rep")
 
 
 @dataclass
@@ -276,33 +284,28 @@ class BridgePlan:
     def rebind(self, op=None):
         """Refresh early-bound codec references from the live modules.
 
-        The proxy binds each operation's codecs once at plan-build time
-        so serving never pays per-request attribute loads — which means
-        a runtime tier swap (the tiering engine replacing module
-        entries) would otherwise be invisible here.  Tiering engines
-        call this from their swap callback; *op* limits the refresh to
+        The proxy binds each operation's codecs once so serving never
+        pays per-request attribute loads — which means a change to the
+        module's entries (a tier swap, a layer going on or off) would
+        otherwise be invisible here.  :func:`build_plan` subscribes
+        this to both modules' codec slots; *op* limits the refresh to
         one operation (None refreshes every plan).
         """
-        for plan in self.ops.values():
-            if op is not None and plan.name != op:
-                continue
-            name = plan.name
-            plan.u_req = getattr(
-                self.ingress_module, "_u_req_%s" % name, plan.u_req)
-            plan.m_req = getattr(
-                self.egress_module, "_m_req_%s" % name, plan.m_req)
-            if plan.oneway:
-                continue
-            plan.u_rep = getattr(
-                self.egress_module, "_u_rep_%s" % name, plan.u_rep)
-            plan.m_rep_ok = getattr(
-                self.ingress_module, "_m_rep_ok_%s" % name,
-                plan.m_rep_ok)
-            plan.exceptions = {
-                key: getattr(self.ingress_module,
-                             getattr(encoder, "__name__", ""), encoder)
-                for key, encoder in plan.exceptions.items()
-            }
+        plans = {plan.name: plan for plan in self.ops.values()}
+        ingress = codecs.of(self.ingress_module)
+        egress = codecs.of(self.egress_module)
+        for slots, forms in ((ingress, _INGRESS_FORMS),
+                             (egress, _EGRESS_FORMS)):
+            live = vars(slots.module)
+            for slot in slots.entries(op):
+                plan = plans.get(slot.op)
+                if plan is None:
+                    continue
+                if slot.form in forms:
+                    setattr(plan, slot.form, live[slot.name])
+                elif slots is ingress and slot.arm in plan.exception_arms:
+                    plan.exceptions[plan.exception_arms[slot.arm]] = \
+                        live[slot.name]
 
     def summary(self):
         """One line per operation for logs and the CLI."""
@@ -389,7 +392,7 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
                         naive_eg.types, naive_in.types)
                     if segments is not None:
                         reply_segments[disc] = segments
-        exceptions = {}
+        exception_arms = {}
         if not stub.oneway:
             ingress_by_label = {
                 arm.labels[0]: arm
@@ -399,10 +402,8 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
                 match = ingress_by_label.get(arm.labels[0])
                 if match is None:
                     continue
-                encoder = getattr(
-                    ingress_module,
-                    "_m_rep_x%d_%s" % (match.labels[0], name))
-                exceptions[m.mangle(arm.pres.class_name)] = encoder
+                exception_arms["x%d" % match.labels[0]] = \
+                    m.mangle(arm.pres.class_name)
         ops[ingress_backend.demux_key(ingress_presc, stub)] = OpPlan(
             name=name,
             oneway=stub.oneway,
@@ -417,18 +418,12 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
             else len(stub.reply_pres.arms[0].pres.fields),
             request_segments=request_segments,
             reply_segments=reply_segments,
-            u_req=getattr(ingress_module, "_u_req_%s" % name, None),
-            m_req=getattr(egress_module, "_m_req_%s" % name),
             check_reply=None if stub.oneway
             else getattr(egress_module, "_check_reply"),
-            u_rep=None if stub.oneway
-            else getattr(egress_module, "_u_rep_%s" % name),
-            m_rep_ok=None if stub.oneway
-            else getattr(ingress_module, "_m_rep_ok_%s" % name),
-            exceptions=exceptions,
+            exception_arms=exception_arms,
         )
     _program, version = interface_program(ingress_presc)
-    return BridgePlan(
+    plan = BridgePlan(
         ingress_protocol=ingress_protocol,
         egress_protocol=egress_protocol,
         ingress_module=ingress_module,
@@ -438,3 +433,7 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
         ops=ops,
         interface_name=ingress_presc.interface_name,
     )
+    plan.rebind()
+    for module in (ingress_module, egress_module):
+        codecs.of(module).subscribe(lambda op, _names: plan.rebind(op))
+    return plan

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import struct
 import time
-import warnings
 
 from repro.obs import profile as _profile
 from repro.errors import (
@@ -49,21 +48,6 @@ _pack_into = struct.pack_into
 
 _DECODE_ERRORS = (struct.error, IndexError, ValueError, TypeError,
                   OverflowError, UnicodeError)
-
-_deprecated_counters_warned = [False]
-
-
-def _warn_deprecated_counters():
-    if _deprecated_counters_warned[0]:
-        return
-    _deprecated_counters_warned[0] = True
-    warnings.warn(
-        "the per-bridge flick_gateway_requests_total counter is"
-        " deprecated and will be removed next release; read"
-        " flick_profile_transcode_total{bridge,op,direction,path}"
-        " instead",
-        DeprecationWarning, stacklevel=3,
-    )
 
 
 def _write_header(buffer, header, ctx):
@@ -186,16 +170,6 @@ class AioGatewayServer(AioTcpServer):
                           operation_names(plan.ingress_module))
         super().__init__(None, None, **kwargs)
         self.plan = plan
-        for engine in self.tiering:
-            # OpPlan holds early-bound codec refs; a tier transition
-            # replaces the module entries underneath, so every shadow
-            # install, commit, and revert must refresh the plan's
-            # bindings.  Attach now (idempotent) so the rebind below
-            # also picks up the hotness-counting wrappers.
-            engine.attach()
-            engine.subscribe(lambda op, _names: plan.rebind(op))
-        if self.tiering:
-            plan.rebind()
         self._pool = ConnectionPool(
             upstream_host, upstream_port, pool_size=pool_size,
             options=options, breaker=breaker, stats=client_stats,
@@ -210,22 +184,13 @@ class AioGatewayServer(AioTcpServer):
         registry = self.stats.registry if self.stats is not None else None
         self.bridge_label = "%s->%s" % (plan.ingress_protocol,
                                         plan.egress_protocol)
-        self._metric_requests = self._metric_errors = None
-        self._metric_transcode = None
+        self._metric_transcode = self._metric_errors = None
         if registry is not None:
             self._metric_transcode = registry.counter(
                 "flick_profile_transcode_total",
                 "Gateway messages by transcode path",
                 ("bridge", "op", "direction", "path"),
             )
-            # Deprecated alias of flick_profile_transcode_total
-            # (requests only, no direction label); kept for one release.
-            self._metric_requests = registry.counter(
-                "flick_gateway_requests_total",
-                "Deprecated: use flick_profile_transcode_total",
-                ("bridge", "op", "path"),
-            )
-            _warn_deprecated_counters()
             self._metric_errors = registry.counter(
                 "flick_gateway_upstream_errors_total",
                 "Upstream errors relayed or mapped onto the ingress leg",
@@ -237,9 +202,6 @@ class AioGatewayServer(AioTcpServer):
         if self._metric_transcode is not None:
             self._metric_transcode.labels(
                 self.bridge_label, op_name, direction, path).inc()
-        if self._metric_requests is not None and direction == "request":
-            self._metric_requests.labels(
-                self.bridge_label, op_name, path).inc()
 
     def _count_error(self, code):
         if self._metric_errors is not None:

@@ -42,6 +42,4 @@ frontends.register(frontends.FrontEnd(
             "routine poke(server : mach_port_t; value : int);\n"),
 ))
 
-compile_mig_idl = frontends.make_deprecated_shim("mig", "compile_mig_idl")
-
-__all__ = ["compile_mig_idl", "parse_mig_idl", "mig_to_presc"]
+__all__ = ["parse_mig_idl", "mig_to_presc"]

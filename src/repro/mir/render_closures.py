@@ -13,9 +13,10 @@ entirely, which keeps the hot marshal path competitive with rendered
 source.
 
 The generated module still provides the scaffolding (record classes,
-client proxy, dispatch); :func:`install_closures` then replaces every
-codec entry (``_m_req_*``, ``_u_req_*``, ``_m_rep_*``, ``_u_rep_*`` and
-the out-of-line ``_m_<T>``/``_u_<T>`` helpers) in the module dict, so
+client proxy, dispatch); :func:`install_closures` then makes the
+closures the base of every codec slot (``_m_req_*``, ``_u_req_*``,
+``_m_rep_*``, ``_u_rep_*``) and rebinds the out-of-line
+``_m_<T>``/``_u_<T>`` helpers in the module dict, so
 byte output is identical by construction — both renderers consume the
 same optimized IR.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import re
 import struct
 
+from repro.core import codecs
 from repro.encoding.buffer import atom_list
 from repro.errors import BackEndError, UnmarshalError
 from repro.mir import ops as m
@@ -62,8 +64,14 @@ def install_closures(module, program):
             "requires the MIR pipeline)"
         )
     G = module.__dict__
+    entries = {}
     for fn in program.functions:
-        G[fn.name] = _compile_function(fn, G)
+        compiled = _compile_function(fn, G)
+        if fn.kind.endswith("_helper"):
+            G[fn.name] = compiled
+        else:
+            entries[fn.name] = compiled
+    codecs.of(module).set_base(entries)
     G["__renderer__"] = "closures"
     return module
 

@@ -18,11 +18,11 @@ operation and direction (``request``/``reply``):
 
 Design constraints mirror :mod:`repro.obs.trace`:
 
-* **zero cost when off** — instrumentation rides the same swap
-  mechanism: :func:`instrument_stub_module` registers a module,
-  :func:`configure` rebinds wrapped codec functions into its globals,
-  :func:`shutdown` restores the originals.  Disabled mode runs the
-  original generated functions, byte for byte.
+* **zero cost when off** — instrumentation is the ``profile`` layer of
+  the module's codec slots (:mod:`repro.core.codecs`):
+  :func:`instrument_stub_module` registers a module, :func:`configure`
+  turns the layer on, :func:`shutdown` turns it off.  Disabled mode
+  runs the base generated functions, byte for byte.
 * **bounded cost when on** — every wrapped call pays one integer
   increment and one modulo; only every *N*-th call (``sample=N``) is
   timed, sized, and shape-probed.  Probing itself samples at most three
@@ -33,19 +33,18 @@ Design constraints mirror :mod:`repro.obs.trace`:
   top-K-slowest under a total order), so any merge tree gives the same
   answer.
 
-Activation order with tracing: profile wrappers capture whatever is
-*currently* bound — configure tracing first and profiling second and
-the profile wrapper wraps the trace wrapper (sampled codec calls then
-carry span context for exemplars); shut down in reverse order.
+The slot places the profile layer outside the trace layer whatever
+order the two were configured in, so sampled codec calls carry span
+context for exemplars.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import threading
 import time
 
+from repro.core import codecs
 from repro.obs import trace as _trace
 from repro.obs.metrics import LatencyHistogram
 
@@ -74,8 +73,9 @@ BYTE_BOUNDS = tuple(
 
 _profiler = None
 
-#: Every module handed to :func:`instrument_stub_module`.
-_instrumented = []
+#: module -> :class:`_ProfiledModule` for every module handed to
+#: :func:`instrument_stub_module`.
+_instrumented = {}
 
 
 def active():
@@ -91,23 +91,21 @@ def configure(sample=DEFAULT_SAMPLE, registry=None,
               exemplars=DEFAULT_EXEMPLARS):
     """Install (and return) the process profiler; replaces any previous.
 
-    Swaps profile wrappers into every module registered with
+    Turns the profile layer on in every module registered with
     :func:`instrument_stub_module`.  *registry* is an optional
     :class:`~repro.obs.metrics.MetricsRegistry` that receives the
     ``flick_profile_*`` families; *sample* profiles every N-th call.
     """
     global _profiler
-    if _profiler is not None:
-        shutdown()
     _profiler = Profiler(sample=sample, registry=registry,
                          exemplars=exemplars)
-    for record in _instrumented:
+    for record in _instrumented.values():
         record.activate(_profiler)
     return _profiler
 
 
 def shutdown():
-    """Disable profiling; restore original codec functions everywhere.
+    """Disable profiling; remove the profile layer everywhere.
 
     Returns the final :class:`ProfileSnapshot` from the outgoing
     profiler (or None if profiling was already off) so callers can
@@ -115,7 +113,7 @@ def shutdown():
     """
     global _profiler
     previous, _profiler = _profiler, None
-    for record in _instrumented:
+    for record in _instrumented.values():
         record.deactivate()
     if previous is None:
         return None
@@ -719,7 +717,7 @@ class Profiler:
         owner = self
         perf_counter = time.perf_counter
 
-        if entry.form == "m_req" or entry.form == "m_rep":
+        if entry.form == "m_req" or entry.form == "m_rep_ok":
             reply_arm = entry.arm
 
             def wrapper(b, _ctx, *args):
@@ -834,92 +832,72 @@ class _MetricsSink:
 
 
 # ----------------------------------------------------------------------
-# Stub-module instrumentation (lazy-capture swap records)
+# Stub-module instrumentation (the codec slots' ``profile`` layer)
 # ----------------------------------------------------------------------
-
-_M_REP = re.compile(r"^_m_rep_(ok|x\d+)_(.+)$")
 
 
 class _Entry:
-    """One codec function to wrap, with its probing context."""
+    """One codec entry's probing context: its slot's parsed name plus
+    the naive channel its values are probed against."""
 
     __slots__ = ("name", "op", "direction", "kind", "form", "arm",
                  "channel", "types")
 
-    def __init__(self, name, op, direction, kind, form, arm=None):
-        self.name = name
-        self.op = op
-        self.direction = direction
-        self.kind = kind
-        self.form = form
-        self.arm = arm
+    def __init__(self, slot):
+        self.name = slot.name
+        self.op = slot.op
+        self.direction = slot.direction
+        self.kind = slot.kind
+        self.form = slot.form
+        self.arm = slot.arm
         self.channel = None
         self.types = {}
 
 
 class _ProfiledModule:
-    """The swap record for one stub module.
-
-    Unlike the tracer's record (which captures originals eagerly at
-    instrument time), this one captures whatever the module's globals
-    hold *at activate time* — so when tracing is configured first, the
-    profile wrapper wraps the trace wrapper and sampled codec calls see
-    span context for exemplars.  ``deactivate`` restores exactly what
-    ``activate`` saw.
-    """
+    """What profiling turns on and off over one stub module."""
 
     def __init__(self, module):
-        self.module = module
-        self.entries = []
-        self.active = False
-        self._saved = []
+        self.slots = codecs.of(module)
+        self.entries = None
 
     def activate(self, profiler):
-        if self.active:
-            return
-        self._resolve_shapes()
-        for entry in self.entries:
-            previous = getattr(self.module, entry.name, None)
-            if previous is None:
-                continue
-            wrapped = profiler._make_wrapper(entry, previous)
-            self._saved.append((entry.name, previous))
-            setattr(self.module, entry.name, wrapped)
-        self.active = True
+        if self.entries is None:
+            self.entries = {slot.name: _Entry(slot)
+                            for slot in self.slots.entries()}
+            self._resolve_shapes()
+        self.slots.set_layer(
+            "profile",
+            lambda slot, inner: profiler._make_wrapper(
+                self.entries[slot.name], inner),
+            self.entries)
 
     def deactivate(self):
-        if not self.active:
-            return
-        for name, previous in self._saved:
-            setattr(self.module, name, previous)
-        self._saved = []
-        self.active = False
+        self.slots.set_layer("profile", None)
 
     def _resolve_shapes(self):
-        """Attach naive channels to entries, once, from the module's
-        lazy ``_flick_shapes`` thunk (absent on hand-written modules —
+        """Attach naive channels to entries from the module's lazy
+        ``_flick_shapes`` thunk (absent on hand-written modules —
         size/latency still profile, shape probing is skipped)."""
-        if any(entry.channel is not None for entry in self.entries):
-            return
-        thunk = getattr(self.module, "_flick_shapes", None)
+        thunk = getattr(self.slots.module, "_flick_shapes", None)
         if thunk is None:
             return
         try:
             program = thunk()
         except Exception:
             return
-        for entry in self.entries:
+        for entry in self.entries.values():
             info = program.operations.get(entry.op)
             if info is None:
                 continue
             entry.types = program.types
             reply_arms = info.get("reply_arms") or []
-            if entry.form in ("m_req", "u_req"):
+            if entry.direction == "request":
                 entry.channel = info["request"]
-            elif entry.form in ("u_rep", "m_rep"):
+            elif entry.form != "m_rep_exc":
                 if reply_arms:
                     entry.channel = reply_arms[0][1]
-            else:  # m_rep_exc: the matching exception arm's channel
+            else:  # the matching exception arm's channel
                 for label, channel in reply_arms:
                     if label == entry.arm:
                         entry.channel = channel
@@ -929,44 +907,17 @@ class _ProfiledModule:
 def instrument_stub_module(module):
     """Arrange payload-shape wrappers for a generated stub module.
 
-    Covers the same naming convention the tracer instruments:
-    ``_m_req_<op>`` / ``_u_req_<op>`` (request encode/decode),
-    ``_m_rep_ok_<op>`` / ``_m_rep_x<n>_<op>`` / ``_u_rep_<op>`` (reply
-    encode/decode).  Wrappers are installed only while a profiler is
-    configured; disabled cost is exactly zero.  Idempotent.
+    Covers the module's codec entries, the same set the tracer
+    instruments: ``_m_req_<op>`` / ``_u_req_<op>`` (request
+    encode/decode), ``_m_rep_ok_<op>`` / ``_m_rep_x<n>_<op>`` /
+    ``_u_rep_<op>`` (reply encode/decode).  Wrappers are installed only
+    while a profiler is configured; disabled cost is exactly zero.
+    Idempotent.
     """
-    if getattr(module, "_flick_profile_instrumented", False):
-        return module
-    record = _ProfiledModule(module)
-    for name in list(vars(module)):
-        if name.startswith("_m_req_"):
-            record.entries.append(_Entry(
-                name, name[len("_m_req_"):], "request", "encode",
-                "m_req",
-            ))
-        elif name.startswith("_u_req_"):
-            record.entries.append(_Entry(
-                name, name[len("_u_req_"):], "request", "decode",
-                "u_req",
-            ))
-        elif name.startswith("_u_rep_"):
-            record.entries.append(_Entry(
-                name, name[len("_u_rep_"):], "reply", "decode",
-                "u_rep",
-            ))
-        elif name.startswith("_m_rep_"):
-            match = _M_REP.match(name)
-            if match is None:
-                continue
-            arm, op = match.groups()
-            form = "m_rep" if arm == "ok" else "m_rep_exc"
-            record.entries.append(_Entry(
-                name, op, "reply", "encode", form, arm=arm,
-            ))
-    _instrumented.append(record)
-    module._flick_profile_instrumented = True
-    if _profiler is not None:
-        record.activate(_profiler)
+    if module not in _instrumented:
+        record = _instrumented[module] = _ProfiledModule(module)
+        if _profiler is not None:
+            record.activate(_profiler)
     return module
 
 
@@ -978,10 +929,10 @@ def instrument_stub_module(module):
 #: throughput window the tiering engine's regression guard compares.
 TIER_TIMED_EVERY = 16
 
-#: The codec entries hotness wraps — the server-side hot path.  An op
+#: The codec forms hotness wraps — the server-side hot path.  An op
 #: whose module has neither (a no-argument oneway) never accrues
 #: hotness and therefore never tiers; there is nothing to win there.
-HOT_PREFIXES = (("_u_req_", "u_req"), ("_m_rep_ok_", "m_rep"))
+HOT_FORMS = ("u_req", "m_rep_ok")
 
 
 class TierWindow:
@@ -1031,17 +982,13 @@ class OpHotness:
 
 
 class HotnessCounter:
-    """Installs hotness wrappers over one stub module's hot codecs.
+    """Per-op hotness counters, and the ``hotness`` layer that feeds
+    them: wrappers over ``_u_req_<op>`` (request decode) and
+    ``_m_rep_ok_<op>`` (success-reply encode) — the two codecs every
+    served request runs.  The counters outlive the wrappers, so they
+    keep running across base swaps and layer changes."""
 
-    Wraps ``_u_req_<op>`` (request decode) and ``_m_rep_ok_<op>``
-    (success-reply encode) — the two codecs every served request runs.
-    :meth:`wrap` is idempotent and re-wraps whatever the module
-    currently binds, so the tiering engine calls it again after each
-    codec swap and the counters keep running on the new tier.
-    """
-
-    def __init__(self, module):
-        self.module = module
+    def __init__(self):
         self.ops = {}
 
     def hotness(self, op):
@@ -1050,44 +997,20 @@ class HotnessCounter:
             found = self.ops[op] = OpHotness(op)
         return found
 
-    def wrap(self, op):
-        """(Re-)wrap *op*'s current hot-path bindings; returns the
-        number of entries wrapped."""
-        wrapped = 0
-        G = self.module.__dict__
-        for prefix, form in HOT_PREFIXES:
-            name = prefix + op
-            inner = G.get(name)
-            if inner is None or getattr(inner, "__flick_hotness__",
-                                        False):
-                continue
-            wrapper = self._make_wrapper(self.hotness(op), form, inner)
-            wrapper.__flick_hotness__ = True
-            wrapper.__wrapped__ = inner
-            wrapper.__name__ = getattr(inner, "__name__", name)
-            G[name] = wrapper
-            wrapped += 1
-        return wrapped
-
-    def install(self, ops):
-        """Wrap every op in *ops*; returns the ops actually wrapped."""
-        return [op for op in ops if self.wrap(op)]
-
-    def unwrap(self, op):
-        """Restore *op*'s original bindings (testing/teardown)."""
-        G = self.module.__dict__
-        for prefix, _form in HOT_PREFIXES:
-            name = prefix + op
-            current = G.get(name)
-            if getattr(current, "__flick_hotness__", False):
-                G[name] = current.__wrapped__
+    def layer(self, slot, inner):
+        """The ``hotness`` layer factory for the codec slots."""
+        wrapper = self._make_wrapper(self.hotness(slot.op), slot.form,
+                                     inner)
+        wrapper.__wrapped__ = inner
+        wrapper.__name__ = getattr(inner, "__name__", slot.name)
+        return wrapper
 
     @staticmethod
     def _make_wrapper(hot, form, inner):
         perf_counter = time.perf_counter
         timed_every = TIER_TIMED_EVERY
 
-        if form == "m_rep":
+        if form == "m_rep_ok":
 
             def wrapper(b, _ctx, *args):
                 hot.calls += 1

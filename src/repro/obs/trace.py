@@ -32,6 +32,8 @@ import os
 import threading
 import time
 
+from repro.core import codecs
+
 _tracer = None
 
 _current = contextvars.ContextVar("flick_current_span", default=None)
@@ -81,7 +83,7 @@ def configure(exporter=None):
     previous, _tracer = _tracer, Tracer(exporter)
     if previous is not None:
         previous.close()
-    for record in _instrumented:
+    for record in _instrumented.values():
         record.activate()
     return _tracer
 
@@ -89,12 +91,12 @@ def configure(exporter=None):
 def shutdown():
     """Disable tracing and flush/close the exporter.
 
-    Restores the original, unwrapped functions in every instrumented
-    stub module, so a traced process returns to zero overhead.
+    Removes the span wrappers from every instrumented stub module, so a
+    traced process returns to zero overhead.
     """
     global _tracer
     previous, _tracer = _tracer, None
-    for record in _instrumented:
+    for record in _instrumented.values():
         record.deactivate()
     if previous is not None:
         previous.close()
@@ -268,35 +270,28 @@ def _jsonable(value):
 # Generated-stub instrumentation
 # ----------------------------------------------------------------------
 
-#: Every module handed to :func:`instrument_stub_module`; wrappers are
-#: swapped in by :func:`configure` and back out by :func:`shutdown`.
-_instrumented = []
+#: module -> :class:`_InstrumentedModule` for every module handed to
+#: :func:`instrument_stub_module`.
+_instrumented = {}
 
 
 class _InstrumentedModule:
-    """The swap record for one stub module: originals <-> wrappers.
+    """What tracing turns on and off over one stub module.
 
-    While tracing is disabled the module's globals hold the *original*
-    generated functions, so an instrumented module is byte-for-byte the
-    uninstrumented one on the hot path — zero cost, not merely low cost.
-    ``activate`` rebinds the wrapped versions; ``deactivate`` restores.
-    Dispatch handlers and proxies resolve these names through module (or
-    class) attributes at call time, which is what makes rebinding
-    sufficient; only references bound *before* activation (a captured
-    bound method, say) keep the original, untraced function.
+    Codec entries get the ``trace`` layer of the module's
+    :class:`repro.core.codecs.CodecSlots`; with tracing disabled that
+    layer is absent and the module binds its base codecs, so an
+    instrumented module is the uninstrumented one on the hot path —
+    zero cost, not merely low cost.  ``*Client`` proxy methods are class
+    attributes, not codec entries: their ``call`` wrappers are swapped
+    on the class here.  Only references bound *before* activation (a
+    captured bound method, say) keep the untraced function.
     """
 
     def __init__(self, module):
-        self.module = module
-        self.functions = []  # (name, original, wrapped)
+        self.slots = codecs.of(module)
         self.methods = []    # (cls, op, original, wrapped)
         self.active = False
-
-    def add_function(self, name, span_name):
-        original = getattr(self.module, name)
-        self.functions.append(
-            (name, original, _wrap_function(original, name, span_name))
-        )
 
     def add_method(self, cls, op):
         original = getattr(cls, op)
@@ -305,8 +300,7 @@ class _InstrumentedModule:
     def activate(self):
         if self.active:
             return
-        for name, _original, wrapped in self.functions:
-            setattr(self.module, name, wrapped)
+        self.slots.set_layer("trace", _trace_layer)
         for cls, op, _original, wrapped in self.methods:
             setattr(cls, op, wrapped)
         self.active = True
@@ -314,8 +308,7 @@ class _InstrumentedModule:
     def deactivate(self):
         if not self.active:
             return
-        for name, original, _wrapped in self.functions:
-            setattr(self.module, name, original)
+        self.slots.set_layer("trace", None)
         for cls, op, original, _wrapped in self.methods:
             setattr(cls, op, original)
         self.active = False
@@ -324,45 +317,35 @@ class _InstrumentedModule:
 def instrument_stub_module(module):
     """Arrange span wrappers for a generated stub module's hot functions.
 
-    Covers, by naming convention of the generated code:
-
-    * ``_m_req_<op>``  -> ``encode``  (client request marshal)
-    * ``_u_rep_<op>``  -> ``decode``  (client reply unmarshal)
-    * ``_u_req_<op>``  -> ``decode``  (server request unmarshal)
-    * ``_m_rep_*<op>`` -> ``encode``  (server reply marshal)
-    * ``<op>`` methods of ``*Client`` proxy classes -> ``call`` with an
-      ``op`` attribute — the client-side root span of each request.
+    Covers every codec entry of the module — marshal entries
+    (``_m_req_<op>``, ``_m_rep_*_<op>``) as ``encode`` spans, unmarshal
+    entries (``_u_req_<op>``, ``_u_rep_<op>``) as ``decode`` spans — and
+    the ``<op>`` methods of ``*Client`` proxy classes as ``call`` spans
+    with an ``op`` attribute, the client-side root span of each request.
 
     The wrappers are installed only while a tracer is configured:
-    :func:`configure` swaps them in, :func:`shutdown` swaps the original
-    functions back, so tracing-disabled cost is exactly zero.
-    Idempotent.
+    :func:`configure` turns them on, :func:`shutdown` off again, so
+    tracing-disabled cost is exactly zero.  Idempotent.
     """
-    if getattr(module, "_flick_obs_instrumented", False):
+    if module in _instrumented:
         return module
     record = _InstrumentedModule(module)
-    operations = set()
-    for name in list(vars(module)):
-        if name.startswith("_m_req_"):
-            operations.add(name[len("_m_req_"):])
-            record.add_function(name, "encode")
-        elif name.startswith(("_u_rep_", "_u_req_")):
-            record.add_function(name, "decode")
-        elif name.startswith("_m_rep_"):
-            record.add_function(name, "encode")
+    operations = {slot.op for slot in record.slots.entries()
+                  if slot.form == "m_req"}
     for name, value in list(vars(module).items()):
         if isinstance(value, type) and name.endswith("Client"):
             for op in operations:
                 if callable(getattr(value, op, None)):
                     record.add_method(value, op)
-    _instrumented.append(record)
-    module._flick_obs_instrumented = True
+    _instrumented[module] = record
     if _tracer is not None:
         record.activate()
     return module
 
 
-def _wrap_function(inner, name, span_name):
+def _trace_layer(slot, inner):
+    span_name = slot.kind
+
     def wrapper(*args):
         tracer = _tracer
         if tracer is None:  # captured wrapper outliving shutdown()
@@ -370,7 +353,7 @@ def _wrap_function(inner, name, span_name):
         with tracer.span(span_name):
             return inner(*args)
 
-    wrapper.__name__ = name
+    wrapper.__name__ = slot.name
     wrapper.__wrapped__ = inner
     return wrapper
 

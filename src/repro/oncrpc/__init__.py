@@ -42,7 +42,4 @@ frontends.register(frontends.FrontEnd(
             " = 1; } = 0x20009999;\n"),
 ))
 
-compile_oncrpc_idl = frontends.make_deprecated_shim(
-    "oncrpc", "compile_oncrpc_idl")
-
-__all__ = ["parse_oncrpc_idl", "oncrpc_to_aoi", "compile_oncrpc_idl"]
+__all__ = ["parse_oncrpc_idl", "oncrpc_to_aoi"]

@@ -244,19 +244,13 @@ class ConnectionPool:
     Connections are created lazily up to *pool_size*; each call goes to
     the least-loaded live connection.  Failed connections are discarded
     and re-established on demand.  ``connector`` is injectable for
-    tests.  The historical *size* keyword keeps working but warns.
+    tests.
     """
 
-    def __init__(self, host, port, *, pool_size=None, connect_timeout=10.0,
+    def __init__(self, host, port, *, pool_size=4, connect_timeout=10.0,
                  options=None, connector=None,
                  max_record_size=MAX_RECORD_SIZE, stats=None,
-                 breaker=None, size=None):
-        from repro.runtime.deprecation import renamed_kwarg
-
-        pool_size = renamed_kwarg(
-            "ConnectionPool", "size", size, "pool_size", pool_size,
-            default=4,
-        )
+                 breaker=None):
         self.host = host
         self.port = port
         self.size = max(1, pool_size)

@@ -32,7 +32,6 @@ from repro.runtime.framing import (
     MAX_RECORD_SIZE,
     encode_record,
 )
-from repro.runtime.deprecation import renamed_kwarg
 from repro.runtime.transport import Transport
 
 _LAST_FRAGMENT = LAST_FRAGMENT  # backward-compatible alias
@@ -135,15 +134,10 @@ class TcpClientTransport(Transport):
     *deadline* bounds each blocking receive (and, unless
     *connect_timeout* is given, the connect), in seconds — the same
     vocabulary as :class:`~repro.runtime.aio.client.AioClientTransport`.
-    The historical *timeout* keyword keeps working but warns.
     """
 
-    def __init__(self, host, port, timeout=None, *, deadline=None,
+    def __init__(self, host, port, *, deadline=10.0,
                  connect_timeout=None):
-        deadline = renamed_kwarg(
-            "TcpClientTransport", "timeout", timeout, "deadline", deadline,
-            default=10.0,
-        )
         if connect_timeout is None:
             connect_timeout = deadline
         self._sock = socket.create_connection(
@@ -450,15 +444,10 @@ class TcpServer:
 class UdpClientTransport(Transport):
     """Datagram transport; one message per datagram, like ONC over UDP.
 
-    *deadline* bounds each blocking receive, in seconds; the historical
-    *timeout* keyword keeps working but warns.
+    *deadline* bounds each blocking receive, in seconds.
     """
 
-    def __init__(self, host, port, timeout=None, *, deadline=None):
-        deadline = renamed_kwarg(
-            "UdpClientTransport", "timeout", timeout, "deadline", deadline,
-            default=10.0,
-        )
+    def __init__(self, host, port, *, deadline=10.0):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.settimeout(deadline)
         self._address = (host, port)

@@ -152,8 +152,6 @@ def build_server(config, listen_sock, stats):
         obs.profile.configure(
             sample=config.profile_sample, registry=stats.registry)
         obs.profile.instrument_stub_module(stub_module)
-    # After the profiler: the engine's hotness wrappers must sit
-    # outermost so every call is counted.
     engine = _make_tiering(config, result, stats)
     return StubServer(stub_module, impl).aio_server(
         config.host, config.port,

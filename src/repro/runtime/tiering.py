@@ -8,7 +8,8 @@ and the :class:`TieringEngine` closes the loop at runtime:
 
 * an always-on hotness counter (:class:`repro.obs.profile
   .HotnessCounter` — calls plus payload bytes, two integer adds per
-  call) trips the promotion threshold;
+  call, the ``hotness`` layer of the module's codec slots) trips the
+  promotion threshold;
 * the engine picks the renderer the ``flick profile`` cost model
   scores best for the op's *observed* payload shape (falling back to a
   structural hint from the naive type IR when the sampled profiler is
@@ -16,8 +17,9 @@ and the :class:`TieringEngine` closes the loop at runtime:
   :meth:`repro.core.handle.CompiledInterface.recompile`;
 * the new codecs are **shadow-verified byte-identical** on first use:
   the old codec keeps serving while the new one runs against the same
-  arguments into a scratch buffer; one mismatch reverts the op and
-  pins it (byte fidelity is never negotiable);
+  arguments into a scratch buffer (the slots' ``shadow`` layer); one
+  mismatch reverts the op and pins it (byte fidelity is never
+  negotiable); a verified codec becomes the slots' new base;
 * after the swap, the hotness timing window measures the new tier; if
   it is slower than the tier-0 baseline by ``revert_ratio`` the engine
   reverts ("recompile was slower") with hysteresis on retries.
@@ -47,6 +49,7 @@ import json
 import threading
 from dataclasses import asdict, dataclass, replace
 
+from repro.core import codecs
 from repro.encoding.buffer import MarshalBuffer
 from repro.errors import FlickError
 from repro.obs import profile as _profile
@@ -158,9 +161,10 @@ class TieringEngine:
 
     The engine is synchronous at heart: :meth:`poll_once` runs one
     decision round (deterministic for tests); :meth:`start` runs it on
-    a background daemon thread every ``policy.interval_s``.  Attach
-    tiering *after* tracing and profiling so its wrappers sit
-    outermost and survive profiler reconfiguration.
+    a background daemon thread every ``policy.interval_s``.  Every
+    codec change goes through the module's
+    :class:`~repro.core.codecs.CodecSlots`, which early-bound consumers
+    (the gateway's plans) subscribe to.
     """
 
     def __init__(self, handle, *, policy=None, registry=None, worker=""):
@@ -168,12 +172,12 @@ class TieringEngine:
         self.policy = policy or TierPolicy()
         self.module = handle.module
         self.worker = str(worker)
-        self.hotness = _profile.HotnessCounter(self.module)
+        self.slots = codecs.of(self.module)
+        self.hotness = _profile.HotnessCounter()
         self.ops = {}
         self._lock = threading.RLock()
         self._thread = None
         self._stop = threading.Event()
-        self._callbacks = []
         self._attached = False
         self._tier_gauge = None
         self._recompiles = None
@@ -195,22 +199,23 @@ class TieringEngine:
     # ------------------------------------------------------------------
 
     def attach(self):
-        """Install hotness wrappers; idempotent.  Returns self."""
+        """Turn the hotness layer on; idempotent.  Returns self."""
         with self._lock:
             if self._attached:
                 return self
             tier0 = self.handle.stubs.renderer
-            for op in self.handle.operations():
-                if self.hotness.wrap(op):
-                    self.ops[op] = _OpTier(op, tier0)
-                    self._set_gauge(op, 0)
+            operations = set(self.handle.operations())
+            hot = [slot for slot in self.slots.entries()
+                   if slot.form in _profile.HOT_FORMS
+                   and slot.op in operations]
+            for slot in hot:
+                if slot.op not in self.ops:
+                    self.ops[slot.op] = _OpTier(slot.op, tier0)
+                    self._set_gauge(slot.op, 0)
+            self.slots.set_layer("hotness", self.hotness.layer,
+                                 [slot.name for slot in hot])
             self._attached = True
         return self
-
-    def subscribe(self, callback):
-        """Call ``callback(op, names)`` after every commit/revert that
-        rebound module entries (the gateway rebinds its plan here)."""
-        self._callbacks.append(callback)
 
     def start(self):
         """Run :meth:`poll_once` on a background daemon thread."""
@@ -291,39 +296,39 @@ class TieringEngine:
             state.state = "pinned"
             self._count(op, "recompile_failed")
             return "recompile_failed"
-        G = self.module.__dict__
+        bound = {slot.name: slot for slot in self.slots.entries(op)}
         state.pending = new
-        state.old = {name: G[name] for name in new if name in G}
+        state.old = {name: bound[name].base for name in new
+                     if name in bound}
         state.target = target
         window = hot.window
         state.baseline = (
             window.seconds_per_byte()
             if window.samples >= self.policy.min_timed_samples
             else None)
-        required = [
-            prefix + op for prefix, _form in _profile.HOT_PREFIXES
-            if prefix + op in new and prefix + op in G
-        ]
-        state.required = set(required)
+        state.required = {
+            name for name in state.old
+            if bound[name].form in _profile.HOT_FORMS}
         state.verified = set()
         state.state = "shadow"
-        for name in required:
-            G[name] = self._make_shadow(
-                op, state, name, state.old[name], new[name])
-        # Early-bound consumers (the gateway's OpPlan) must pick the
-        # shadow wrappers up too, or verification never runs for them.
-        self._notify(op, tuple(required))
+        self.slots.set_layer(
+            "shadow",
+            lambda slot, inner: self._make_shadow(
+                op, state, slot, inner, new[slot.name]),
+            state.required)
         return "shadow:%s" % target
 
     # -- shadow verification -------------------------------------------
 
-    def _make_shadow(self, op, state, name, old, new):
-        """A one-shot verifying wrapper: OLD serves (its bytes go on
-        the wire), NEW runs against the same arguments on the side;
-        the eligible first call decides commit or revert."""
+    def _make_shadow(self, op, state, slot, old, new):
+        """A one-shot verifying wrapper: OLD (the serving stack) serves
+        and its bytes go on the wire, NEW (the candidate base) runs
+        against the same arguments on the side; the eligible first call
+        decides commit or revert."""
         engine = self
+        name = slot.name
 
-        if name.startswith("_m_rep_ok_"):
+        if slot.form == "m_rep_ok":
 
             def shadow(b, _ctx, *args):
                 start = b.length
@@ -372,26 +377,21 @@ class TieringEngine:
     # -- transitions ----------------------------------------------------
 
     def _commit(self, op, state):
-        G = self.module.__dict__
-        for name, function in state.pending.items():
-            G[name] = function
-        self.hotness.wrap(op)
+        self.slots.set_layer("shadow", None, state.required)
+        self.slots.set_base(state.pending)
         self.hotness.hotness(op).reset_window()
         state.renderer = state.target
         state.tier = 1
         state.state = "tier1"
         self._set_gauge(op, 1)
         self._count(op, "promoted")
-        self._notify(op, tuple(state.pending))
 
     def _revert(self, op, state, outcome, pin=False):
-        G = self.module.__dict__
-        for name, function in state.old.items():
-            G[name] = function
-        self.hotness.wrap(op)
+        self.slots.set_layer("shadow", None, state.required)
+        if state.tier:
+            self.slots.set_base(state.old)
         hot = self.hotness.hotness(op)
         hot.reset_window()
-        names = tuple(state.old)
         state.pending = {}
         state.old = {}
         state.tier = 0
@@ -404,7 +404,6 @@ class TieringEngine:
             state.retry_at_score = hot.score * self.policy.hysteresis
         self._set_gauge(op, 0)
         self._count(op, outcome)
-        self._notify(op, names)
         return outcome
 
     def _check_regression(self, op, state, hot):
@@ -470,12 +469,18 @@ class TieringEngine:
     # -- bookkeeping ----------------------------------------------------
 
     def tier_summary(self):
-        """Per-op state for ``status`` replies and ``flick top``."""
+        """Per-op state for ``status`` replies and ``flick top``.
+
+        ``renderer`` and ``layers`` are read off the codec slots — what
+        the module binds, not what the engine believes it installed.
+        """
         with self._lock:
+            stacks = self.slots.describe()
             return {
                 op: {
                     "tier": state.tier,
-                    "renderer": state.renderer,
+                    "renderer": stacks[op]["renderer"],
+                    "layers": stacks[op]["layers"],
                     "state": state.state,
                     "score": self.hotness.hotness(op).score,
                     "reason": state.reason,
@@ -490,13 +495,6 @@ class TieringEngine:
     def _count(self, op, outcome):
         if self._recompiles is not None:
             self._recompiles.labels(op, outcome, self.worker).inc()
-
-    def _notify(self, op, names):
-        for callback in self._callbacks:
-            try:
-                callback(op, names)
-            except Exception:
-                pass
 
 
 def _has_variable_text(node, types, seen):

@@ -923,8 +923,6 @@ def command_serve(args):
         obs.configure(obs.JsonlExporter(options.trace_path))
         obs.instrument_stub_module(stub_module)
     if args.profile:
-        # After tracing: profile wrappers then wrap trace wrappers, so
-        # sampled codec calls carry span context for exemplars.
         obs.profile.configure(
             sample=args.profile_sample,
             registry=stats.registry if stats is not None else None,
@@ -940,8 +938,6 @@ def command_serve(args):
     if tier_policy is not None:
         from repro.runtime.tiering import TieringEngine
 
-        # Created after the trace/profile wrappers above so the
-        # hotness wrappers sit outermost and count every call.
         tiering_engine = TieringEngine(
             result, policy=tier_policy,
             registry=stats.registry if stats is not None else None,

@@ -1,14 +1,12 @@
-"""Tests for the unified compile facade and its compatibility shims.
+"""Tests for the unified compile facade.
 
 Covers the API-redesign satellites: ``repro.api`` language
-auto-detection, the deprecated per-frontend entry points, the aligned
-runtime constructor keywords (old spellings warn but keep working), the
+auto-detection, the aligned runtime constructor keywords, the
 content-hashed stub module names that let two versions of one interface
 load side by side, and the ``flick diff`` / ``flick lint`` exit codes.
 """
 
 import json
-import socket
 
 import pytest
 
@@ -16,7 +14,6 @@ from repro import api
 from repro.faults import FaultPlan
 from repro.runtime.aio.client import ConnectionPool
 from repro.runtime.socket_transport import (
-    TcpClientTransport,
     TcpServer,
     UdpClientTransport,
     UdpServer,
@@ -52,53 +49,10 @@ class TestDetectLang:
         assert result.timings["total_s"] >= 0
 
 
-class TestDeprecatedShims:
-    def test_compile_corba_idl_warns_and_works(self):
-        from repro.corba import compile_corba_idl
-        with pytest.deprecated_call():
-            root = compile_corba_idl(CORBA)
-        assert root is not None
-
-    def test_compile_oncrpc_idl_warns_and_works(self):
-        from repro.oncrpc import compile_oncrpc_idl
-        with pytest.deprecated_call():
-            root = compile_oncrpc_idl(ONC)
-        assert root is not None
-
-    def test_compile_mig_idl_warns_and_works(self):
-        from repro.mig import compile_mig_idl
-        with pytest.deprecated_call():
-            presc = compile_mig_idl(MIG)
-        assert presc.stubs
-
-
 class TestRenamedConstructorKwargs:
-    def test_connection_pool_size_warns(self):
-        with pytest.deprecated_call():
-            pool = ConnectionPool("127.0.0.1", 1, size=3)
-        assert pool.pool_size == 3
-        assert pool.size == 3
-
     def test_connection_pool_both_spellings_conflict(self):
         with pytest.raises(TypeError):
             ConnectionPool("127.0.0.1", 1, size=3, pool_size=4)
-
-    def test_tcp_client_timeout_warns(self):
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        try:
-            with pytest.deprecated_call():
-                client = TcpClientTransport(
-                    "127.0.0.1", listener.getsockname()[1], timeout=5.0)
-            client.close()
-        finally:
-            listener.close()
-
-    def test_udp_client_timeout_warns(self):
-        with pytest.deprecated_call():
-            client = UdpClientTransport("127.0.0.1", 9, timeout=5.0)
-        client.close()
 
 
 def _noop_dispatch(request, impl, buffer):

@@ -150,9 +150,9 @@ class TestMigStyle:
             make_baseline("mig").generate(presc)
 
     def test_accepts_scalar_interface(self):
-        from repro.mig import compile_mig_idl
+        from repro import api
 
-        presc = compile_mig_idl(MIG_IDL)
+        presc = api.compile(MIG_IDL, "mig").presc
         module = make_baseline("mig").generate(presc).load()
 
         class Impl(module.arithServant):
@@ -176,9 +176,10 @@ class TestMigStyle:
         assert client.greet("mach") == "hi mach"
 
     def test_staging_copy_in_generated_code(self):
-        from repro.mig import compile_mig_idl
+        from repro import api
 
-        stubs = make_baseline("mig").generate(compile_mig_idl(MIG_IDL))
+        stubs = make_baseline("mig").generate(
+            api.compile(MIG_IDL, "mig").presc)
         assert "bytearray(" in stubs.py_source  # the typed-message staging
 
 

@@ -59,10 +59,10 @@ def test_rpcgen_presentation_compiles(tmp_path):
 
 
 def test_mig_subsystem_compiles(tmp_path):
-    from repro.mig import compile_mig_idl
+    from repro import api
     from repro.backend.base import GeneratedStubs
 
-    presc = compile_mig_idl(MIG_IDL)
+    presc = api.compile(MIG_IDL, "mig").presc
     backend = make_backend("mach3")
     stubs = backend.generate(presc)
 

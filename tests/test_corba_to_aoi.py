@@ -14,32 +14,36 @@ from repro.aoi import (
     AoiUnion,
     Direction,
 )
-from repro.corba import compile_corba_idl
+from repro import api
+
+
+def corba_aoi(text):
+    return api.parse(text, "corba")
 
 
 class TestScoping:
     def test_types_are_fully_qualified(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "module M { struct S { long v; }; };"
         )
         assert "M::S" in root.types
 
     def test_inner_scope_sees_outer(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "module M { struct S { long v; };"
             " module N { typedef S T; }; };"
         )
         assert root.types["M::N::T"] == AoiNamedRef("M::S")
 
     def test_inner_shadows_outer(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "struct S { long a; };"
             " module M { struct S { double b; }; typedef S T; };"
         )
         assert root.types["M::T"] == AoiNamedRef("M::S")
 
     def test_absolute_name_escapes_scope(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "struct S { long a; };"
             " module M { struct S { double b; }; typedef ::S T; };"
         )
@@ -47,14 +51,14 @@ class TestScoping:
 
     def test_undefined_name_raises(self):
         with pytest.raises(IdlSemanticError):
-            compile_corba_idl("typedef Nope T;")
+            corba_aoi("typedef Nope T;")
 
     def test_redefinition_raises(self):
         with pytest.raises(IdlSemanticError):
-            compile_corba_idl("struct S { long a; }; struct S { long b; };")
+            corba_aoi("struct S { long a; }; struct S { long b; };")
 
     def test_interface_scope_for_nested_types(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "interface I { struct S { long v; }; void f(in S s); };"
         )
         assert "I::S" in root.types
@@ -64,29 +68,29 @@ class TestScoping:
 
 class TestConstants:
     def test_arithmetic_folding(self):
-        root = compile_corba_idl("const long K = 2 + 3 * 4;")
+        root = corba_aoi("const long K = 2 + 3 * 4;")
         assert root.constants["K"].value == 14
 
     def test_shift_or(self):
-        root = compile_corba_idl("const long K = (1 << 8) | 0xF;")
+        root = corba_aoi("const long K = (1 << 8) | 0xF;")
         assert root.constants["K"].value == 271
 
     def test_integer_division(self):
-        root = compile_corba_idl("const long K = 7 / 2;")
+        root = corba_aoi("const long K = 7 / 2;")
         assert root.constants["K"].value == 3
 
     def test_reference_to_earlier_constant(self):
-        root = compile_corba_idl("const long A = 5; const long B = A * A;")
+        root = corba_aoi("const long A = 5; const long B = A * A;")
         assert root.constants["B"].value == 25
 
     def test_enum_member_usable_as_constant(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "enum E { X, Y, Z }; const long K = Z;"
         )
         assert root.constants["K"].value == 2
 
     def test_array_dimension_from_constant(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "const long N = 4; typedef long Arr[N * 2];"
         )
         assert root.types["Arr"] == AoiArray(AoiInteger(32, True), 8)
@@ -94,27 +98,27 @@ class TestConstants:
 
 class TestTypeLowering:
     def test_enum_values_are_ordinal(self):
-        root = compile_corba_idl("enum E { A, B, C };")
+        root = corba_aoi("enum E { A, B, C };")
         enum = root.types["E"]
         assert isinstance(enum, AoiEnum)
         assert enum.members == (("A", 0), ("B", 1), ("C", 2))
 
     def test_bounded_string(self):
-        root = compile_corba_idl("typedef string<16> Name;")
+        root = corba_aoi("typedef string<16> Name;")
         assert root.types["Name"] == AoiString(16)
 
     def test_sequence_bound(self):
-        root = compile_corba_idl("typedef sequence<long, 3> S;")
+        root = corba_aoi("typedef sequence<long, 3> S;")
         assert root.types["S"] == AoiSequence(AoiInteger(32, True), 3)
 
     def test_multi_dimensional_array(self):
-        root = compile_corba_idl("typedef long Grid[2][3];")
+        root = corba_aoi("typedef long Grid[2][3];")
         grid = root.types["Grid"]
         assert grid.length == 2
         assert grid.element.length == 3
 
     def test_union_enum_labels_become_values(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "enum E { A, B };"
             " union U switch (E) { case A: long x; case B: double y; };"
         )
@@ -124,23 +128,23 @@ class TestTypeLowering:
         assert union.cases[1].labels == (1,)
 
     def test_struct_multi_declarators_expand(self):
-        root = compile_corba_idl("struct P { long x, y; };")
+        root = corba_aoi("struct P { long x, y; };")
         struct = root.types["P"]
         assert [f.name for f in struct.fields] == ["x", "y"]
 
 
 class TestInterfaceLowering:
     def test_operation_request_code_is_name(self):
-        root = compile_corba_idl("interface I { void f(); };")
+        root = corba_aoi("interface I { void f(); };")
         operation = root.interface_named("I").operations[0]
         assert operation.request_code == "f"
 
     def test_repository_id(self):
-        root = compile_corba_idl("module M { interface I {}; };")
+        root = corba_aoi("module M { interface I {}; };")
         assert root.interface_named("M::I").code == "IDL:M/I:1.0"
 
     def test_parameter_directions(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "interface I { void f(in long a, out long b, inout long c); };"
         )
         operation = root.interface_named("I").operations[0]
@@ -149,7 +153,7 @@ class TestInterfaceLowering:
         ]
 
     def test_raises_resolved_to_qualified_names(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "module M { exception E { long code; };"
             " interface I { void f() raises (E); }; };"
         )
@@ -157,7 +161,7 @@ class TestInterfaceLowering:
         assert operation.raises == ("M::E",)
 
     def test_attributes_preserved(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "interface I { readonly attribute long size; };"
         )
         attribute = root.interface_named("I").attributes[0]
@@ -165,7 +169,7 @@ class TestInterfaceLowering:
         assert attribute.type == AoiInteger(32, True)
 
     def test_inheritance_names_resolved(self):
-        root = compile_corba_idl(
+        root = corba_aoi(
             "interface A {}; interface B : A {};"
         )
         assert root.interface_named("B").parents == ("A",)

@@ -8,7 +8,6 @@ this file, so a new front end that registers itself is conformance-
 tested without touching any dispatch site.
 """
 
-import warnings
 
 import pytest
 
@@ -126,38 +125,6 @@ class TestFrontEndConformance:
         description = fe.sniff(stripped)
         assert description is not None
         assert description in [d for d, _ in fe.patterns]
-
-
-class TestDeprecatedShims:
-    """The three historical entry points are one registry-backed shim."""
-
-    def test_aoi_shims_return_roots(self):
-        from repro.corba import compile_corba_idl
-        from repro.oncrpc import compile_oncrpc_idl
-
-        for shim, lang in ((compile_corba_idl, "corba"),
-                           (compile_oncrpc_idl, "oncrpc")):
-            fe = frontends.get(lang)
-            with pytest.deprecated_call():
-                root = shim(fe.sample)
-            assert root.interfaces
-
-    def test_conjoined_shim_returns_presc(self):
-        from repro.mig import compile_mig_idl
-
-        fe = frontends.get("mig")
-        with pytest.deprecated_call():
-            presc = compile_mig_idl(fe.sample)
-        assert presc.interface_name
-
-    def test_shim_warning_names_replacement(self):
-        from repro.corba import compile_corba_idl
-
-        fe = frontends.get("corba")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compile_corba_idl(fe.sample)
-        assert any("repro.api" in str(w.message) for w in caught)
 
 
 class TestThirdPartyRegistration:

@@ -410,7 +410,7 @@ class TestObservability:
                 url = "http://%s:%d/metrics" % endpoint.address[:2]
                 with urllib.request.urlopen(url) as response:
                     text = response.read().decode()
-        assert 'flick_gateway_requests_total' in text
+        assert 'flick_profile_transcode_total' in text
         assert 'bridge="giop->oncrpc"' in text
         assert 'path="fused"' in text
         assert 'path="re-encode"' in text

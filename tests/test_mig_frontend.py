@@ -3,12 +3,17 @@
 import pytest
 
 from repro.errors import IdlSyntaxError
-from repro.mig import compile_mig_idl, parse_mig_idl
+from repro import api
+from repro.mig import parse_mig_idl
 from repro.mig.parser import MigArray, MigCString, MigNamed
 from repro.backend import make_backend
 from repro.runtime import LoopbackTransport
 
 from tests.conftest import MIG_IDL
+
+
+def mig_presc(text):
+    return api.compile(text, "mig").presc
 
 
 class TestParser:
@@ -62,36 +67,36 @@ class TestParser:
 
 class TestPresentation:
     def test_produces_presc_directly(self):
-        presc = compile_mig_idl(MIG_IDL)
+        presc = mig_presc(MIG_IDL)
         assert presc.presentation_style == "mig"
         assert presc.interface_code == 4200
 
     def test_stub_names(self):
-        presc = compile_mig_idl(MIG_IDL)
+        presc = mig_presc(MIG_IDL)
         assert [s.stub_name for s in presc.stubs] == [
             "arith_add", "arith_total", "arith_poke", "arith_greet",
         ]
 
     def test_port_parameter_excluded_from_message(self):
-        presc = compile_mig_idl(MIG_IDL)
+        presc = mig_presc(MIG_IDL)
         add = presc.stub_named("add")
         assert [f.name for f in add.request_pres.fields] == ["a", "b"]
 
     def test_out_parameters_in_reply(self):
-        presc = compile_mig_idl(MIG_IDL)
+        presc = mig_presc(MIG_IDL)
         add = presc.stub_named("add")
         success = add.reply_pres.arms[0].pres
         assert [f.name for f in success.fields] == ["total"]
 
     def test_request_codes_are_ordinals(self):
-        presc = compile_mig_idl(MIG_IDL)
+        presc = mig_presc(MIG_IDL)
         assert presc.stub_named("add").request_code == 1
         assert presc.stub_named("greet").request_code == 4
 
 
 class TestEndToEnd:
     def make_client(self, backend_name="mach3"):
-        presc = compile_mig_idl(MIG_IDL)
+        presc = mig_presc(MIG_IDL)
         module = make_backend(backend_name).generate(presc).load()
 
         class Impl(module.arithServant):
@@ -122,7 +127,7 @@ class TestEndToEnd:
         assert client.greet("x") == "hi x"
 
     def test_msgh_ids_use_subsystem_base(self):
-        presc = compile_mig_idl(MIG_IDL)
+        presc = mig_presc(MIG_IDL)
         from repro.backend.mach3 import message_id
 
         assert message_id(presc, presc.stub_named("add")) == 4201

@@ -14,8 +14,13 @@ from repro.aoi import (
     AoiStruct,
     AoiUnion,
 )
-from repro.oncrpc import compile_oncrpc_idl, parse_oncrpc_idl
+from repro import api
+from repro.oncrpc import parse_oncrpc_idl
 from repro.oncrpc import ast
+
+
+def oncrpc_aoi(text):
+    return api.parse(text, "oncrpc")
 
 
 class TestParser:
@@ -119,7 +124,7 @@ class TestParser:
 
 class TestLowering:
     def test_primitive_map(self):
-        root = compile_oncrpc_idl(
+        root = oncrpc_aoi(
             "struct s { int a; unsigned int b; hyper c; bool d; };"
         )
         fields = root.types["s"].fields
@@ -128,32 +133,32 @@ class TestLowering:
         assert fields[2].type == AoiInteger(64, True)
 
     def test_opaque_var_is_octet_sequence(self):
-        root = compile_oncrpc_idl("typedef opaque data<100>;")
+        root = oncrpc_aoi("typedef opaque data<100>;")
         assert root.types["data"] == AoiSequence(AoiOctet(), 100)
 
     def test_string_bound_via_constant(self):
-        root = compile_oncrpc_idl(
+        root = oncrpc_aoi(
             "const MAX = 12; typedef string s<MAX>;"
         )
         assert root.types["s"] == AoiString(12)
 
     def test_optional_becomes_aoioptional(self):
-        root = compile_oncrpc_idl("struct n { int v; n *next; };")
+        root = oncrpc_aoi("struct n { int v; n *next; };")
         struct = root.types["n"]
         assert struct.fields[1].type == AoiOptional(AoiNamedRef("n"))
 
     def test_enum_explicit_and_implicit_values(self):
-        root = compile_oncrpc_idl("enum e { A = 5, B, C = 10 };")
+        root = oncrpc_aoi("enum e { A = 5, B, C = 10 };")
         assert root.types["e"].members == (("A", 5), ("B", 6), ("C", 10))
 
     def test_enum_members_are_constants(self):
-        root = compile_oncrpc_idl(
+        root = oncrpc_aoi(
             "enum e { A = 3 }; typedef int arr<A>;"
         )
         assert root.types["arr"].bound == 3
 
     def test_union_lowering(self):
-        root = compile_oncrpc_idl(
+        root = oncrpc_aoi(
             "union r switch (int s) { case 0: int ok; default: void; };"
         )
         union = root.types["r"]
@@ -162,7 +167,7 @@ class TestLowering:
         assert union.cases[1].is_default
 
     def test_program_becomes_interface(self):
-        root = compile_oncrpc_idl(
+        root = oncrpc_aoi(
             "program P { version V { int f(int) = 1; } = 2; } = 77;"
         )
         interface = root.interface_named("P::V")
@@ -170,7 +175,7 @@ class TestLowering:
         assert interface.operations[0].request_code == 1
 
     def test_two_versions_two_interfaces(self):
-        root = compile_oncrpc_idl(
+        root = oncrpc_aoi(
             "program P {"
             " version V1 { int f(int) = 1; } = 1;"
             " version V2 { int f(int) = 1; int g(int) = 2; } = 2;"
@@ -180,7 +185,7 @@ class TestLowering:
         assert len(root.interface_named("P::V2").operations) == 2
 
     def test_procedure_string_argument(self):
-        root = compile_oncrpc_idl(
+        root = oncrpc_aoi(
             "program P { version V { void f(string) = 1; } = 1; } = 9;"
         )
         parameter = root.interface_named("P::V").operations[0].parameters[0]
@@ -188,10 +193,10 @@ class TestLowering:
 
     def test_undefined_constant_reference_raises(self):
         with pytest.raises(IdlSemanticError):
-            compile_oncrpc_idl("typedef int arr<NOPE>;")
+            oncrpc_aoi("typedef int arr<NOPE>;")
 
     def test_inline_nested_struct_gets_registered(self):
-        root = compile_oncrpc_idl(
+        root = oncrpc_aoi(
             "struct outer { struct { int v; } inner_anon; int z; };"
         )
         outer = root.types["outer"]

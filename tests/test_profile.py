@@ -22,7 +22,6 @@ import contextlib
 import json
 import urllib.error
 import urllib.request
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -504,8 +503,7 @@ class TestGatewayProfile:
         assert prof.size.sum > 0
         assert prof.codec_hist("transcode").total == 1
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_unified_family_and_deprecated_alias_coexist(
+    def test_unified_family_replaces_gateway_alias(
             self, iiop_result, onc_result):
         stats = ServerStats()
         module = iiop_result.load_module()
@@ -519,28 +517,7 @@ class TestGatewayProfile:
         assert 'flick_profile_transcode_total{bridge="giop->oncrpc"' \
             in text
         assert 'direction="reply"' in text
-        # The old name still answers, flagged deprecated, requests only.
-        assert 'flick_gateway_requests_total' in text
-        assert 'Deprecated' in text
-
-    def test_deprecated_alias_warns_once(self, iiop_result, onc_result):
-        from repro.gateway import proxy
-
-        proxy._deprecated_counters_warned[0] = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with _bridge(iiop_result, onc_result, stats=ServerStats()):
-                    pass
-                with _bridge(iiop_result, onc_result, stats=ServerStats()):
-                    pass
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)
-                            and "flick_gateway_requests_total"
-                            in str(w.message)]
-            assert len(deprecations) == 1
-        finally:
-            proxy._deprecated_counters_warned[0] = True
+        assert 'flick_gateway_requests_total' not in text
 
 
 # ----------------------------------------------------------------------

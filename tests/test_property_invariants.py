@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.encoding import MarshalBuffer, XDR, CDR_BE, MACH, FLUKE
 from repro.mint.analysis import StorageClass, analyze_storage
 from repro.mint.builder import MintBuilder
-from repro.backend.pyemit import _largest_pow2_divisor
+from repro.mir.ops import largest_pow2_divisor
 from repro.aoi import (
     AoiArray,
     AoiBoolean,
@@ -61,7 +61,7 @@ class TestPow2Divisor:
     @given(value=st.integers(0, 10**6),
            limit=st.sampled_from([1, 2, 4, 8]))
     def test_result_divides_and_is_bounded(self, value, limit):
-        result = _largest_pow2_divisor(value, limit)
+        result = largest_pow2_divisor(value, limit)
         assert 1 <= result <= limit
         assert value % result == 0 or value == 0
         # Maximality: doubling (within limit) must not divide.

@@ -18,7 +18,8 @@ import warnings
 import pytest
 
 from repro import Flick
-from repro.core.handle import CompiledInterface, codec_form
+from repro.core.codecs import codec_form
+from repro.core.handle import CompiledInterface
 from repro.core.options import RendererPolicy
 from repro.encoding.buffer import MarshalBuffer
 from repro.errors import FlickError, TransportError
@@ -261,12 +262,6 @@ class TestCompiledInterface:
             "rev", policy=RendererPolicy(renderer="closures"),
             install=False)
         assert new  # a policy's renderer is honoured
-
-    def test_deprecation_shim_forwards_with_warning(self):
-        handle = fresh_db()
-        with pytest.warns(DeprecationWarning, match="dispatch"):
-            dispatch = handle.dispatch
-        assert dispatch is handle.module.dispatch
 
     def test_missing_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -599,8 +594,9 @@ class TestAioSwapUnderLoad:
 class TestGatewayRebind:
     def test_plan_rebinds_through_shadow_and_commit(self):
         """The gateway's OpPlan binds codecs once at build time; the
-        engine's notifications must walk it through hotness wrapper,
-        shadow wrapper, and committed tier-1 bindings."""
+        codec slots' notifications must walk it through hotness
+        wrapper, shadow wrapper, and committed tier-1 bindings with no
+        wiring beyond ``build_plan``."""
         from repro.gateway import build_plan
 
         ingress = Flick(frontend="corba", backend="iiop").compile(
@@ -612,11 +608,10 @@ class TestGatewayRebind:
         plan_op = next(p for p in plan.ops.values() if p.name == "avg")
         engine = TieringEngine(ingress,
                                policy=TierPolicy(threshold=10 ** 5))
-        # The proxy's constructor wiring, reproduced:
+        tier0 = plan_op.u_req
         engine.attach()
-        engine.subscribe(lambda op, _names: plan.rebind(op))
-        plan.rebind()
         assert plan_op.u_req is module._u_req_avg  # hotness wrapper
+        assert plan_op.u_req.__wrapped__ is tier0
 
         server = StubServer(module, MailImpl(module))
         frames = capture_requests(module, [("avg", ([1, 2, 3],))])
@@ -626,12 +621,15 @@ class TestGatewayRebind:
         # Without rebind the plan would still hold the old wrapper and
         # shadow verification would never run for gateway traffic.
         assert plan_op.u_req is module._u_req_avg
-        assert plan_op.u_req is not plan_op.u_req.__wrapped__
+        assert plan_op.u_req.__wrapped__.__wrapped__ is tier0
         for frame in frames:
             server.serve_bytes(frame)
         assert engine.ops["avg"].state == "tier1"
         assert plan_op.u_req is module._u_req_avg  # committed binding
         assert plan_op.m_rep_ok is module._m_rep_ok_avg
+        assert plan_op.u_req.__wrapped__ is \
+            ingress.codecs.base("_u_req_avg")
+        assert plan_op.u_req.__wrapped__ is not tier0
 
     def test_rebind_scopes_to_one_op(self):
         from repro.gateway import build_plan
@@ -645,9 +643,10 @@ class TestGatewayRebind:
         tri = next(p for p in plan.ops.values() if p.name == "tri")
         stale_tri = tri.u_req
         sentinel = lambda d, o: ((), o)  # noqa: E731
-        ingress.module.__dict__["_u_req_avg"] = sentinel
+        # A direct store is invisible to the plan until a slot
+        # notification for that op arrives.
         ingress.module.__dict__["_u_req_tri"] = sentinel
-        plan.rebind("avg")
+        ingress.codecs.set_base({"_u_req_avg": sentinel})
         assert avg.u_req is sentinel
         assert tri.u_req is stale_tri
         plan.rebind()
@@ -686,6 +685,8 @@ class TestTierMetrics:
         json.dumps(summary)
         assert summary["rev"]["state"] == "tier1"
         assert summary["rev"]["renderer"] == "closures"
+        assert summary["rev"]["layers"] == ["hotness"]
+        assert summary["lookup"]["renderer"] == "py"
         assert summary["rev"]["score"] > 0
         assert "structural" in summary["rev"]["reason"]
 

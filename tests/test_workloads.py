@@ -84,10 +84,10 @@ class TestGenerators:
         assert buffers[0] == buffers[1]
 
     def test_mig_workload_compiles(self):
-        from repro.mig import compile_mig_idl
+        from repro import api
         from repro.compilers import make_baseline
 
-        presc = compile_mig_idl(MIG_BENCH_IDL)
+        presc = api.compile(MIG_BENCH_IDL, "mig").presc
         stubs = make_baseline("mig").generate(presc)
         module = stubs.load()
         buffer = MarshalBuffer()
