@@ -1,11 +1,11 @@
 """The gateway runtime: an asyncio proxy serving a bridge plan.
 
 :class:`AioGatewayServer` subclasses the hardened asyncio server and
-overrides exactly one seam — :meth:`~repro.runtime.aio.server
+defines exactly one seam — :attr:`~repro.runtime.aio.server
 .AioTcpServer._invoke` — so the full ingress machinery (record framing,
-backpressure, overload shedding, fault injection, protocol-correct
-error replies via the ingress module's ``encode_error_reply``, tracing)
-is inherited unchanged.  Instead of dispatching to a servant, the
+backpressure, overload shedding, fault injection, and the request
+core's error replies via the ingress module's ``encode_error_reply``,
+counters and span tree) is inherited unchanged.  Instead of dispatching to a servant, the
 gateway transcodes each request onto the egress protocol, forwards it
 over a multiplexed :class:`~repro.runtime.aio.client.ConnectionPool`
 (circuit breaker, deadlines, optional upstream fault injection), and

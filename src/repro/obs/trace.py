@@ -161,6 +161,11 @@ class Span:
         self._token = _current.set(self)
         return self
 
+    def end(self):
+        """Finish a span that was never entered — one that only serves
+        as the explicit *parent* of others, possibly across threads."""
+        self.__exit__(None, None, None)
+
     def __exit__(self, exc_type, exc_value, traceback):
         self.duration_s = time.perf_counter() - self._start
         if exc_type is not None:

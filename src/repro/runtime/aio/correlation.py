@@ -80,10 +80,14 @@ def probe(payload):
     """
     data = bytes(payload) if not isinstance(payload, (bytes, bytearray)) \
         else payload
-    if len(data) >= 12 and bytes(data[0:4]) == b"GIOP":
-        return _probe_giop(data)
-    if len(data) >= 8:
-        return _probe_onc(data)
+    try:
+        if len(data) >= 12 and bytes(data[0:4]) == b"GIOP":
+            return _probe_giop(data)
+        if len(data) >= 8:
+            return _probe_onc(data)
+    except struct.error as error:
+        # A header cut short between two of the length checks below.
+        raise TransportError("truncated message header: %s" % error)
     raise TransportError(
         "message too short to correlate (%d bytes)" % len(data)
     )

@@ -32,17 +32,16 @@ mirroring the blocking servers' context-manager idiom.
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import threading
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.encoding.buffer import MarshalBuffer
-from repro.errors import OverloadError, RuntimeFlickError, TransportError
-from repro.obs import propagation, trace
+from repro.errors import OverloadError
+from repro.obs import trace
 from repro.runtime.framing import MAX_RECORD_SIZE
-from repro.runtime.aio.correlation import probe
+from repro.runtime.request import RequestCore
+from repro.runtime.tiering import engines
 from repro.runtime.aio.framed import FramedConnection
 
 #: Marshal buffers retained per pool for reuse across requests.
@@ -195,31 +194,22 @@ class AioTcpServer:
                 "dispatch_mode must be 'thread' or 'inline', not %r"
                 % (dispatch_mode,)
             )
-        self._dispatch = dispatch
-        self._impl = impl
+        self._core = RequestCore(dispatch, impl, stats=stats,
+                                 op_names=op_names,
+                                 error_encoder=error_encoder)
         self._host = host
         self._port = port
         self.max_concurrency = max_concurrency
         self.dispatch_mode = dispatch_mode
         self.stats = stats
-        self._op_names = op_names or {}
         self.drain_timeout = drain_timeout
         self.max_record_size = max_record_size
-        self.error_encoder = error_encoder
         self.max_pending = max_pending
         self.fault_plan = fault_plan
         self.listen_sock = listen_sock
-        if tiering is None:
-            self.tiering = ()
-        elif hasattr(tiering, "poll_once"):
-            self.tiering = (tiering,)
-        else:
-            self.tiering = tuple(tiering)
+        self.tiering = engines(tiering)
         self._injector = None
         self.address = None
-        # A record is served by plain callbacks unless a subclass
-        # answers it some other way (the gateway awaits its upstream).
-        self._callbacks = type(self)._invoke is AioTcpServer._invoke
         # Async state (valid between start_async and aclose).
         self._server = None
         self._loop = None
@@ -383,10 +373,10 @@ class AioTcpServer:
             if self.stats is not None:
                 self.stats.shed.inc()
             buffer = connection.buffers.take()
-            self._send_error_reply(
-                connection, record,
-                OverloadError("server overloaded; try again"), buffer,
-            )
+            if self._core.error_reply(
+                    record, OverloadError("server overloaded; try again"),
+                    buffer):
+                connection.send_record(buffer.view())
             connection.buffers.give(buffer)
         else:
             # Backpressure: the record waits for a slot and, until its
@@ -435,36 +425,34 @@ class AioTcpServer:
     # Serving one admitted record
     # ------------------------------------------------------------------
 
+    #: The one seam for subclasses that answer a record some other way
+    #: than dispatching it: ``async def _invoke(record, buffer, span)``
+    #: leaves the reply in *buffer* and returns has_reply (*span* is the
+    #: request's root span, None untraced).  The protocol gateway
+    #: forwards the record upstream there and inherits all of the
+    #: connection, shedding, fault, error reply and tracing machinery.
+    _invoke = None
+
     def _start(self, connection, record):
         self._active += 1
         connection.active += 1
-        if not self._callbacks or trace.active() is not None:
-            task = self._loop.create_task(self._serve(connection, record))
+        core = self._core
+        ticket = core.begin(record)
+        buffer = connection.buffers.take()
+        if self._invoke is not None:
+            task = self._loop.create_task(
+                self._await_invoke(connection, record, buffer, ticket))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
-            return
-        op_key = started = None
-        if self.stats is not None:
-            started = time.perf_counter()
-            op_key = self._op_key(record)
-        buffer = connection.buffers.take()
-        if self._executor is not None:
+        elif self._executor is not None:
             self._executor.submit(self._work, connection, record, buffer,
-                                  op_key, started)
+                                  ticket)
         else:
-            self._finish(connection, record, buffer,
-                         self._outcome(record, buffer), op_key, started)
+            self._finish(connection, buffer,
+                         core.serve(record, buffer, ticket), ticket)
 
-    def _outcome(self, record, buffer):
-        """dispatch's ``has_reply``, or the exception it raised (which
-        :meth:`_finish` classifies)."""
-        try:
-            return self._dispatch(record, self._impl, buffer)
-        except Exception as exc:
-            return exc
-
-    def _work(self, connection, record, buffer, op_key, started):
-        """One executor job: dispatch, then hand the outcome to the loop.
+    def _work(self, connection, record, buffer, ticket):
+        """One executor job: serve, then hand the result to the loop.
 
         No lock: ``deque.append`` is atomic, and the flag is read *after*
         the append while :meth:`_drain_completions` clears it *before*
@@ -474,8 +462,8 @@ class AioTcpServer:
         do so; a drain that finds nothing is harmless).
         """
         self._completions.append(
-            (connection, record, buffer, self._outcome(record, buffer),
-             op_key, started))
+            (connection, buffer, self._core.serve(record, buffer, ticket),
+             ticket))
         if not self._wake_posted:
             self._wake_posted = True
             try:
@@ -494,70 +482,34 @@ class AioTcpServer:
         for _ in range(len(completions)):
             self._finish(*completions.popleft())
 
-    def _op_key(self, record):
+    async def _await_invoke(self, connection, record, buffer, ticket):
+        served = False, True, None  # what a cancelled record leaves behind
         try:
-            op_key = probe(record).op_key
-            return self._op_names.get(op_key, op_key)
-        except TransportError:
-            return "?"
+            served = await self._core.aserve(
+                self._invoke(record, buffer, ticket and ticket.span),
+                record, buffer, ticket)
+        finally:
+            self._finish(connection, buffer, served, ticket)
 
-    def _send_error_reply(self, connection, record, error, buffer):
-        """Answer *record* with a protocol error reply for *error*.
-
-        Returns False when there is nothing to send: no encoder is
-        configured, the request is too damaged to answer (the encoder
-        returns False — e.g. a oneway or an unparseable header), or
-        encoding itself fails.
-        """
-        buffer.reset()
-        if self.error_encoder is None:
-            return False
-        try:
-            encoded = self.error_encoder(record, error, buffer)
-        except Exception:  # a buggy encoder must not kill the loop
-            return False
-        if encoded:
-            connection.send_record(buffer.view())
-        return bool(encoded)
-
-    def _finish(self, connection, record, buffer, outcome, op_key, started,
-                span=None):
+    def _finish(self, connection, buffer, served, ticket):
         """The one end of every admitted record, whatever served it.
 
-        *outcome* is dispatch's ``has_reply`` or the exception raised.
-        Sends the reply (or error reply), counts, returns the buffer,
-        frees the slot and lets the backlog use it.
+        *served* is what the request core's ``serve`` returned.  Sends
+        the reply if it says so, closes if it says so, returns the
+        buffer, frees the slot and lets the backlog use it.
         """
-        stats = self.stats
-        failed = isinstance(outcome, Exception)
-        if failed:
-            # A RuntimeFlickError is a malformed or unsupported request:
-            # the wire stayed in sync (framing delivered a whole record),
-            # so answer in-protocol and keep serving the connection.
-            # Anything else is the servant itself crashing: report it as
-            # a system error and close — the connection's state is
-            # suspect.
-            crashed = not isinstance(outcome, RuntimeFlickError)
-            if stats is not None:
-                (stats.servant_errors if crashed else stats.malformed).inc()
-            if span is not None:
-                span.set(error=type(outcome).__name__)
-                if crashed:
-                    span.set(error_detail=str(outcome))
-            answered = self._send_error_reply(connection, record, outcome,
-                                              buffer)
-            if crashed or not answered:
-                connection.close()
-        elif outcome:
-            if span is None:
+        has_reply, keep_open, _error = served
+        if has_reply:
+            if ticket is None:
                 connection.send_record(buffer.view())
             else:
-                with trace.span("write", bytes=buffer.length + 4):
+                with trace.span("write", parent=ticket.span,
+                                bytes=buffer.length + 4):
                     connection.send_record(buffer.view())
+        if not keep_open:
+            connection.close()
+        self._core.end(ticket)
         connection.buffers.give(buffer)
-        if stats is not None and op_key is not None:
-            stats.record(op_key, time.perf_counter() - started,
-                         error=failed)
         self._active -= 1
         connection.active -= 1
         if self._waiting:
@@ -567,59 +519,6 @@ class AioTcpServer:
         if self._idle is not None and not self._active \
                 and not self._idle.done():
             self._idle.set_result(None)
-
-    # -- the coroutine form: an active tracer, or an awaiting _invoke ----
-
-    async def _serve(self, connection, record):
-        tracer = trace.active()
-        if tracer is None:
-            await self._serve_one(connection, record, None)
-            return
-        # Join the client's trace if the request carries a context.
-        with tracer.span("server.request",
-                         parent=propagation.extract(record)) as span:
-            await self._serve_one(connection, record, span)
-
-    async def _invoke(self, record, buffer, span):
-        """Produce the reply for one admitted record; returns has_reply.
-
-        The default runs the generated ``dispatch`` on the executor (or
-        inline) and is only awaited while a tracer is active — untraced
-        records take the callback path in :meth:`_start`.  Subclasses
-        that answer a record some other way — the protocol gateway
-        forwards it upstream — override this single seam and inherit all
-        of the connection, shedding, fault, error reply, and tracing
-        machinery.
-        """
-        if self._executor is not None:
-            # Executor threads do not inherit this task's contextvars;
-            # carry them over so the stub's decode/encode spans nest
-            # here.
-            context = contextvars.copy_context()
-            return await self._loop.run_in_executor(
-                self._executor, context.run,
-                self._dispatch, record, self._impl, buffer,
-            )
-        return self._dispatch(record, self._impl, buffer)
-
-    async def _serve_one(self, connection, record, span):
-        started = time.perf_counter()
-        op_key = None
-        buffer = connection.buffers.take()
-        if self.stats is not None or span is not None:
-            with trace.span("demux"):
-                op_key = self._op_key(record)
-            if span is not None and op_key is not None:
-                span.set(op=str(op_key))
-        outcome = False  # what a cancelled record leaves behind
-        try:
-            with trace.span("dispatch"):
-                outcome = await self._invoke(record, buffer, span)
-        except Exception as exc:  # classified in _finish
-            outcome = exc
-        finally:
-            self._finish(connection, record, buffer, outcome, op_key,
-                         started, span)
 
     # ------------------------------------------------------------------
     # Sync facade (event loop on a daemon thread)

@@ -3,17 +3,22 @@
 ONC RPC's record marking (RFC 1831 section 10) frames each message as a
 sequence of fragments; each fragment is preceded by a 4-byte big-endian
 word whose top bit marks the final fragment and whose low 31 bits give the
-fragment length.  The blocking TCP transport, the asyncio runtime, and the
-tests all share this one implementation so that framing behavior — and its
-failure modes — are identical everywhere.
+fragment length.
 
-Two entry points:
+Three entry points:
 
 * :func:`encode_record` frames a payload (optionally splitting it into
-  several fragments, which peers must accept).
+  several fragments, which peers must accept); every stream transport
+  sends through it.
 * :class:`RecordDecoder` is an incremental push parser: ``feed()`` it byte
   chunks as they arrive and it yields complete records, independent of how
-  the payload was fragmented by the sender or the network.
+  the payload was fragmented by the sender or the network.  The asyncio
+  runtime reads through it.
+* :func:`limit_error` builds the error for a record that breaks one of the
+  two caps below.  The blocking TCP transport reads with its own pull loop
+  (``socket_transport._recv_record``: it can block for exactly the bytes
+  it needs, where the decoder must buffer whatever arrives), so the caps
+  and their failure mode are what the two readers share.
 """
 
 from __future__ import annotations
@@ -36,6 +41,21 @@ MAX_RECORD_SIZE = 64 * 1024 * 1024
 #: streaming zero-length non-final fragments would otherwise pin the
 #: connection forever without ever completing a record).
 MAX_FRAGMENTS_PER_RECORD = 4096
+
+
+def limit_error(field, actual, limit):
+    """The :class:`WireFormatError` for a record past a framing cap.
+
+    *field* is ``"record_size"`` (*actual* bytes announced so far against
+    the reader's record-size *limit*) or ``"fragment_count"``.  Framing
+    has lost sync once this is raised; the connection is unusable.
+    """
+    if field == "record_size":
+        message = "record of %d+ bytes exceeds the %d-byte limit" \
+            % (actual, limit)
+    else:
+        message = "record spread over more than %d fragments" % limit
+    return WireFormatError(message, field=field, limit=limit, actual=actual)
 
 
 def encode_record(payload, max_fragment=None):
@@ -91,13 +111,8 @@ class RecordDecoder:
             (word,) = struct.unpack_from(">I", self._buffer, 0)
             length = word & ~LAST_FRAGMENT
             if self._record_size + length > self.max_record_size:
-                raise WireFormatError(
-                    "record of %d+ bytes exceeds the %d-byte limit"
-                    % (self._record_size + length, self.max_record_size),
-                    field="record_size",
-                    limit=self.max_record_size,
-                    actual=self._record_size + length,
-                )
+                raise limit_error("record_size", self._record_size + length,
+                                  self.max_record_size)
             if len(self._buffer) < HEADER_SIZE + length:
                 return records
             fragment = bytes(self._buffer[HEADER_SIZE:HEADER_SIZE + length])
@@ -111,13 +126,8 @@ class RecordDecoder:
                 self._record_size = 0
                 self._fragment_count = 0
             elif self._fragment_count >= MAX_FRAGMENTS_PER_RECORD:
-                raise WireFormatError(
-                    "record spread over more than %d fragments"
-                    % MAX_FRAGMENTS_PER_RECORD,
-                    field="fragment_count",
-                    limit=MAX_FRAGMENTS_PER_RECORD,
-                    actual=self._fragment_count,
-                )
+                raise limit_error("fragment_count", self._fragment_count,
+                                  MAX_FRAGMENTS_PER_RECORD)
 
     @property
     def pending_bytes(self):

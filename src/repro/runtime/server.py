@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
+
 from repro.encoding.buffer import MarshalBuffer
+from repro.errors import FlickError
+from repro.runtime.request import RequestCore
 from repro.runtime.transport import LoopbackTransport
 from repro.runtime.socket_transport import TcpServer, UdpServer
 
@@ -24,6 +28,57 @@ def operation_names(module):
     return names
 
 
+def compile_interface(text, lang, *, name, interface=None,
+                      presentation=None, backend=None):
+    """Compile the one interface a server will serve from IDL *text*.
+
+    With *interface* None the input must define exactly one.  What
+    ``flick serve``, ``flick gateway`` workers and the supervisor's
+    fail-fast check all select with.
+    """
+    from repro import api
+
+    if interface:
+        return api.compile(
+            text, lang, interface=interface, name=name,
+            presentation=presentation, backend=backend)
+    by_name = api.compile_all(
+        text, lang, name=name, presentation=presentation, backend=backend)
+    if not by_name:
+        raise FlickError("%s defines no interfaces" % name)
+    if len(by_name) > 1:
+        raise FlickError(
+            "%s defines several interfaces (%s); pick one with --interface"
+            % (name, ", ".join(sorted(by_name))))
+    return next(iter(by_name.values()))
+
+
+def load_servant(spec, stub_module):
+    """Instantiate the servant named by a ``module:Class`` spec.
+
+    The class is called with the stub module when it takes an argument
+    (servants that build generated records need it), else with none.
+    """
+    module_name, separator, class_name = spec.partition(":")
+    if not separator or not module_name or not class_name:
+        raise FlickError(
+            "a servant is named module:Class, not %r" % spec)
+    try:
+        impl_module = importlib.import_module(module_name)
+    except ImportError as error:
+        raise FlickError(
+            "cannot import servant module %r: %s" % (module_name, error))
+    try:
+        impl_class = getattr(impl_module, class_name)
+    except AttributeError:
+        raise FlickError(
+            "module %r has no class %r" % (module_name, class_name))
+    try:
+        return impl_class(stub_module)
+    except TypeError:
+        return impl_class()
+
+
 class StubServer:
     """Binds a generated stub module's dispatch to an implementation.
 
@@ -35,6 +90,9 @@ class StubServer:
         self.module = module
         self.impl = impl
         self._buffer = MarshalBuffer()
+        self._core = RequestCore(
+            module.dispatch, impl, op_names=operation_names(module),
+            error_encoder=self.error_encoder)
 
     @property
     def error_encoder(self):
@@ -44,25 +102,22 @@ class StubServer:
     def serve_bytes(self, request):
         """Serve one raw request; returns reply bytes or None (oneway).
 
-        Mirrors what the socket servers do on failures: dispatch errors
-        are answered with a protocol-correct error reply when the stub
-        module provides ``encode_error_reply``.  The exception is
-        re-raised only when no reply can be built (no encoder, a oneway
-        request, or an unparseable header) — the in-process equivalent
-        of dropping the connection.
+        The in-process driver of the same :class:`~repro.runtime.request
+        .RequestCore` the socket servers drive, so dispatch errors are
+        answered exactly as they are on the wire.  Where a socket server
+        would close the connection without a reply (no encoder, a
+        oneway request, an unparseable header) the dispatch error is
+        re-raised instead.
         """
-        self._buffer.reset()
-        try:
-            if self.module.dispatch(request, self.impl, self._buffer):
-                return self._buffer.getvalue()
-            return None
-        except Exception as error:
-            encoder = self.error_encoder
-            if encoder is not None:
-                self._buffer.reset()
-                if encoder(request, error, self._buffer):
-                    return self._buffer.getvalue()
-            raise
+        core, buffer = self._core, self._buffer
+        ticket = core.begin(request)
+        has_reply, _keep_open, error = core.serve(request, buffer, ticket)
+        core.end(ticket)
+        if has_reply:
+            return buffer.getvalue()
+        if error is not None:
+            raise error
+        return None
 
     def loopback_transport(self):
         """An in-process transport bound to this servant."""

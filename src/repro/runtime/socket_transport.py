@@ -5,6 +5,11 @@ examples and integration tests.  TCP framing follows ONC RPC's record
 marking convention (RFC 1831 section 10) via the shared codec in
 :mod:`repro.runtime.framing`.  UDP sends each message as one datagram.
 
+The two servers are blocking I/O drivers of one
+:class:`~repro.runtime.request.RequestCore`: they read a record, apply
+the fault plan if there is one, and write or close as the core says —
+what a failed request means is not decided here.
+
 Both servers shut down gracefully: ``stop()`` closes the listening socket
 (refusing new work), unblocks every worker, and joins all threads with a
 timeout, so tests and examples do not leak threads.
@@ -12,17 +17,13 @@ timeout, so tests and examples do not leak threads.
 
 from __future__ import annotations
 
+import functools
 import socket
 import struct
 import threading
 import time
 
-from repro.errors import (
-    OverloadError,
-    RuntimeFlickError,
-    TransportError,
-    WireFormatError,
-)
+from repro.errors import TransportError, WireFormatError
 from repro.encoding.buffer import MarshalBuffer
 from repro.obs import propagation, trace
 from repro.runtime.framing import (
@@ -31,29 +32,13 @@ from repro.runtime.framing import (
     MAX_FRAGMENTS_PER_RECORD,
     MAX_RECORD_SIZE,
     encode_record,
+    limit_error,
 )
+from repro.runtime.request import RequestCore
+from repro.runtime.tiering import engines
 from repro.runtime.transport import Transport
 
-_LAST_FRAGMENT = LAST_FRAGMENT  # backward-compatible alias
 MAX_UDP_SIZE = 65000
-
-
-def _probe_op_key(op_names, request):
-    """The human-readable operation key for *request* ("?" if opaque)."""
-    from repro.runtime.aio.correlation import probe
-
-    try:
-        info = probe(request)
-    except TransportError:
-        return "?"
-    return op_names.get(info.op_key, info.op_key)
-
-
-def _request_op_key(stats, op_names, request):
-    """The stats key for *request*, or None when stats are off."""
-    if stats is None:
-        return None
-    return _probe_op_key(op_names, request)
 
 
 def _inject_current_trace(payload):
@@ -101,21 +86,13 @@ def _recv_record(sock, max_record_size=MAX_RECORD_SIZE):
         length = word & ~LAST_FRAGMENT
         total += length
         if total > max_record_size:
-            raise WireFormatError(
-                "record of %d+ bytes exceeds the %d-byte limit"
-                % (total, max_record_size),
-                field="record_size", limit=max_record_size, actual=total,
-            )
+            raise limit_error("record_size", total, max_record_size)
         fragments.append(_recv_exact(sock, length, "record body"))
         if word & LAST_FRAGMENT:
             return b"".join(fragments)
         if len(fragments) >= MAX_FRAGMENTS_PER_RECORD:
-            raise WireFormatError(
-                "record spread over more than %d fragments"
-                % MAX_FRAGMENTS_PER_RECORD,
-                field="fragment_count", limit=MAX_FRAGMENTS_PER_RECORD,
-                actual=len(fragments),
-            )
+            raise limit_error("fragment_count", len(fragments),
+                              MAX_FRAGMENTS_PER_RECORD)
 
 
 def _check_udp_size(payload):
@@ -126,6 +103,40 @@ def _check_udp_size(payload):
             % (len(payload), MAX_UDP_SIZE)
         )
     return payload
+
+
+def _faulted(injector, record):
+    """What *injector*'s fault plan delivers of one inbound *record*:
+    payloads in delivery order, each after its injected delay.  An
+    injected connection reset raises :class:`ConnectionResetError`."""
+    outcome = injector.on_message(record)
+    if outcome.reset:
+        raise ConnectionResetError("injected by the fault plan")
+    for delivery in outcome.deliveries:
+        if delivery.delay_s:
+            time.sleep(delivery.delay_s)
+        yield delivery.payload
+
+
+def _serve(core, record, buffer, write):
+    """Drive one *record* through *core* on the calling thread.
+
+    *write* puts ``buffer.view()`` on the wire.  Returns False when the
+    connection must close: the core said so, or the write failed.
+    """
+    ticket = core.begin(record)
+    has_reply, keep_open, _error = core.serve(record, buffer, ticket)
+    if has_reply:
+        try:
+            if ticket is None:
+                write(buffer.view())
+            else:
+                with trace.span("write", parent=ticket.span):
+                    write(buffer.view())
+        except OSError:
+            keep_open = False
+    core.end(ticket)
+    return keep_open
 
 
 class TcpClientTransport(Transport):
@@ -185,19 +196,13 @@ class TcpServer:
                  stats=None, op_names=None, error_encoder=None,
                  fault_plan=None, max_record_size=MAX_RECORD_SIZE,
                  tiering=None):
-        self._dispatch = dispatch
-        self._impl = impl
+        self._core = RequestCore(dispatch, impl, stats=stats,
+                                 op_names=op_names,
+                                 error_encoder=error_encoder)
         self.stats = stats
-        self._op_names = op_names or {}
-        self._error_encoder = error_encoder
         self._fault_plan = fault_plan
         self._max_record_size = max_record_size
-        if tiering is None:
-            self.tiering = ()
-        elif hasattr(tiering, "poll_once"):
-            self.tiering = (tiering,)
-        else:
-            self.tiering = tuple(tiering)
+        self.tiering = engines(tiering)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -241,11 +246,13 @@ class TcpServer:
             worker.start()
 
     def _serve_connection(self, connection):
+        core = self._core
         buffer = MarshalBuffer()
         injector = (
             self._fault_plan.injector() if self._fault_plan is not None
             else None
         )
+        write = functools.partial(_send_record, connection)
         try:
             connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
@@ -268,94 +275,23 @@ class TcpServer:
                     self._busy.add(connection)
                 try:
                     if injector is None:
-                        if not self._serve_request(
-                                connection, request, buffer):
-                            return
-                        continue
-                    outcome = injector.on_message(request)
-                    if outcome.reset:
+                        keep_open = _serve(core, request, buffer, write)
+                    else:
+                        keep_open = all(
+                            _serve(core, record, buffer, write)
+                            for record in _faulted(injector, request))
+                    if not keep_open:
                         return
-                    for delivery in outcome.deliveries:
-                        if delivery.delay_s:
-                            time.sleep(delivery.delay_s)
-                        if not self._serve_request(
-                                connection, delivery.payload, buffer):
-                            return
                 finally:
                     with self._lock:
                         self._busy.discard(connection)
-        except OSError:
+        except OSError:  # an injected connection reset included
             pass
         finally:
             with self._lock:
                 self._connections.discard(connection)
                 self._busy.discard(connection)
             connection.close()
-
-    def _serve_request(self, connection, request, buffer):
-        """Serve one framed request.
-
-        Returns True to keep serving the connection; False when it must
-        be dropped (write failure, servant crash, or wire damage that
-        could not be answered with a protocol error reply).
-        """
-        started = time.perf_counter()
-        tracer = trace.active()
-        op_key = None
-        if self.stats is not None or tracer is not None:
-            op_key = _probe_op_key(self._op_names, request)
-        error = False
-        try:
-            if tracer is None:
-                buffer.reset()
-                if self._dispatch(request, self._impl, buffer):
-                    _send_record(connection, buffer.view())
-                return True
-            with tracer.span("server.request", op=str(op_key),
-                             parent=propagation.extract(request)):
-                buffer.reset()
-                with tracer.span("dispatch"):
-                    has_reply = self._dispatch(request, self._impl, buffer)
-                if has_reply:
-                    with tracer.span("write"):
-                        _send_record(connection, buffer.view())
-            return True
-        except OSError:
-            error = True
-            return False
-        except RuntimeFlickError as exc:
-            # Malformed or unsupported request; the record framing is
-            # intact, so answer in-protocol and keep the connection.
-            error = True
-            if self.stats is not None:
-                self.stats.malformed.inc()
-            return self._reply_with_error(connection, request, exc, buffer)
-        except Exception as exc:
-            # The servant itself crashed: report a system error, then
-            # drop the connection — its state is suspect.
-            error = True
-            if self.stats is not None:
-                self.stats.servant_errors.inc()
-            self._reply_with_error(connection, request, exc, buffer)
-            return False
-        finally:
-            if self.stats is not None and op_key is not None:
-                self.stats.record(
-                    op_key, time.perf_counter() - started, error=error
-                )
-
-    def _reply_with_error(self, connection, request, error, buffer):
-        """Send a protocol error reply; False when none can be built."""
-        if self._error_encoder is None:
-            return False
-        buffer.reset()
-        try:
-            if not self._error_encoder(request, error, buffer):
-                return False
-            _send_record(connection, buffer.view())
-            return True
-        except Exception:  # a failing encoder must not kill the worker
-            return False
 
     def drain(self, timeout=5.0):
         """Graceful bounded drain: refuse new work, deliver in-flight
@@ -453,14 +389,15 @@ class UdpClientTransport(Transport):
         self._address = (host, port)
 
     def call(self, request):
-        payload = _check_udp_size(bytes(request))
-        self._sock.sendto(payload, self._address)
-        reply, _peer = self._sock.recvfrom(65536)
+        self.send(request)
+        with trace.span("await.reply"):
+            reply, _peer = self._sock.recvfrom(65536)
         return reply
 
     def send(self, request):
-        payload = _check_udp_size(bytes(request))
-        self._sock.sendto(payload, self._address)
+        payload = _check_udp_size(_inject_current_trace(bytes(request)))
+        with trace.span("send", bytes=len(payload)):
+            self._sock.sendto(payload, self._address)
 
     def close(self):
         self._sock.close()
@@ -481,11 +418,10 @@ class UdpServer:
     def __init__(self, dispatch, impl, host="127.0.0.1", port=0, *,
                  stats=None, op_names=None, error_encoder=None,
                  fault_plan=None):
-        self._dispatch = dispatch
-        self._impl = impl
+        self._core = RequestCore(dispatch, impl, stats=stats,
+                                 op_names=op_names,
+                                 error_encoder=error_encoder)
         self.stats = stats
-        self._op_names = op_names or {}
-        self._error_encoder = error_encoder
         self._fault_plan = fault_plan
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((host, port))
@@ -501,11 +437,20 @@ class UdpServer:
         return self
 
     def _serve_loop(self):
+        core = self._core
         buffer = MarshalBuffer()
         injector = (
             self._fault_plan.injector() if self._fault_plan is not None
             else None
         )
+        peer = None  # of the datagram being served; write() reads it
+
+        def write(view):
+            # A reply too large for one datagram is dropped rather than
+            # sent (the client's recv times out, mirroring UDP loss).
+            if len(view) <= MAX_UDP_SIZE:
+                self._sock.sendto(view, peer)
+
         while self._running:
             try:
                 request, peer = self._sock.recvfrom(65536)
@@ -513,68 +458,14 @@ class UdpServer:
                 continue
             except OSError:
                 return
-            if injector is None:
-                self._serve_datagram(request, peer, buffer)
-                continue
-            outcome = injector.on_message(request)
-            if outcome.reset:
-                continue  # no connection to reset; drop the datagram
-            for delivery in outcome.deliveries:
-                if delivery.delay_s:
-                    time.sleep(delivery.delay_s)
-                self._serve_datagram(delivery.payload, peer, buffer)
-
-    def _serve_datagram(self, request, peer, buffer):
-        started = time.perf_counter()
-        op_key = _request_op_key(self.stats, self._op_names, request)
-        error = False
-        try:
-            buffer.reset()
-            if self._dispatch(request, self._impl, buffer):
-                reply = buffer.getvalue()
-                if len(reply) > MAX_UDP_SIZE:
-                    # An oversized reply cannot be sent as one
-                    # datagram; drop it rather than crash the serve
-                    # loop (the client's recv will time out,
-                    # mirroring UDP loss).
-                    error = True
-                    return
-                self._sock.sendto(reply, peer)
-        except OSError:
-            error = True
-        except RuntimeFlickError as exc:
-            error = True
-            if self.stats is not None:
-                self.stats.malformed.inc()
-            self._reply_with_error(request, exc, buffer, peer)
-        except Exception as exc:
-            # A servant crash must not kill the single serve loop;
-            # answer with a system error (or drop, like UDP loss).
-            error = True
-            if self.stats is not None:
-                self.stats.servant_errors.inc()
-            self._reply_with_error(request, exc, buffer, peer)
-        finally:
-            if self.stats is not None and op_key is not None:
-                self.stats.record(
-                    op_key, time.perf_counter() - started, error=error
-                )
-
-    def _reply_with_error(self, request, error, buffer, peer):
-        """Answer *peer* with a protocol error datagram, if possible."""
-        if self._error_encoder is None:
-            return False
-        buffer.reset()
-        try:
-            if not self._error_encoder(request, error, buffer):
-                return False
-            reply = buffer.getvalue()
-            if len(reply) > MAX_UDP_SIZE:
-                return False
-            self._sock.sendto(reply, peer)
-            return True
-        except Exception:  # never let the encoder kill the loop
-            return False
+            # What the core says about the connection is moot: there is
+            # none to keep, close or (when the fault plan says) reset.
+            try:
+                for record in ((request,) if injector is None
+                               else _faulted(injector, request)):
+                    _serve(core, record, buffer, write)
+            except ConnectionResetError:
+                pass
 
     def drain(self, timeout=5.0):
         """Bounded graceful drain (the SIGTERM path).

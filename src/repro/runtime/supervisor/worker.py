@@ -15,7 +15,6 @@ a half-killed fleet never lingers.
 from __future__ import annotations
 
 import asyncio
-import importlib
 import json
 import os
 import signal
@@ -26,49 +25,18 @@ from repro.errors import FlickError
 from repro.runtime.supervisor.config import WorkerConfig
 
 
-def _load_servant(spec, stub_module):
-    """Instantiate a ``module:Class`` servant (as ``flick serve`` does)."""
-    module_name, separator, class_name = spec.partition(":")
-    if not separator or not module_name or not class_name:
-        raise FlickError(
-            "worker impl must look like module:Class, not %r" % spec)
-    try:
-        impl_module = importlib.import_module(module_name)
-    except ImportError as error:
-        raise FlickError(
-            "cannot import servant module %r: %s" % (module_name, error))
-    try:
-        impl_class = getattr(impl_module, class_name)
-    except AttributeError:
-        raise FlickError(
-            "module %r has no class %r" % (module_name, class_name))
-    try:
-        return impl_class(stub_module)
-    except TypeError:
-        return impl_class()
-
-
 def _compile_one(path, lang, *, interface, pgen, backend):
-    """Compile one interface from *path* (mirrors the serve verb)."""
+    """Compile the one interface a worker serves from the file *path*."""
     from repro import api
+    from repro.runtime.server import compile_interface
 
     with open(path) as handle:
         text = handle.read()
     if lang is None:
         lang = api.detect_lang(text, name=path)
-    if interface:
-        return api.compile(
-            text, lang, interface=interface, name=path,
-            presentation=pgen, backend=backend)
-    by_name = api.compile_all(
-        text, lang, name=path, presentation=pgen, backend=backend)
-    if not by_name:
-        raise FlickError("%s defines no interfaces" % path)
-    if len(by_name) > 1:
-        raise FlickError(
-            "%s defines several interfaces (%s); the supervisor must"
-            " pin one" % (path, ", ".join(sorted(by_name))))
-    return next(iter(by_name.values()))
+    return compile_interface(
+        text, lang, name=path, interface=interface, presentation=pgen,
+        backend=backend)
 
 
 def open_listen_socket(config):
@@ -142,12 +110,13 @@ def build_server(config, listen_sock, stats):
             tiering=engine,
         )
     from repro.runtime import StubServer
+    from repro.runtime.server import load_servant
 
     result = _compile_one(
         config.idl_path, config.lang, interface=config.interface,
         pgen=config.pgen, backend=config.backend)
     stub_module = result.module
-    impl = _load_servant(config.impl, stub_module)
+    impl = load_servant(config.impl, stub_module)
     if config.profile_dir:
         obs.profile.configure(
             sample=config.profile_sample, registry=stats.registry)

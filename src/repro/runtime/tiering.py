@@ -121,6 +121,20 @@ def resolve_policy(spec):
     return TierPolicy.load(spec)
 
 
+def engines(tiering):
+    """A server's *tiering* argument as a tuple of engines.
+
+    Servers take None, one :class:`TieringEngine`, or an iterable of
+    them (the gateway runs one per side) and start and stop whatever
+    this returns with their own lifecycle.
+    """
+    if tiering is None:
+        return ()
+    if hasattr(tiering, "poll_once"):
+        return (tiering,)
+    return tuple(tiering)
+
+
 class _OpTier:
     """Mutable tiering state for one operation."""
 

@@ -742,38 +742,9 @@ def command_inspect(args):
 _SERVABLE_BACKENDS = ("iiop", "oncrpc-xdr")
 
 
-def _load_servant(spec, stub_module):
-    """Instantiate the servant named by a ``module:Class`` spec."""
-    import importlib
-
-    module_name, separator, class_name = spec.partition(":")
-    if not separator or not module_name or not class_name:
-        raise FlickError(
-            "--impl must look like module:Class, not %r" % spec
-        )
-    cwd = os.getcwd()
-    if cwd not in sys.path:
-        sys.path.insert(0, cwd)
-    try:
-        impl_module = importlib.import_module(module_name)
-    except ImportError as error:
-        raise FlickError(
-            "cannot import servant module %r: %s" % (module_name, error)
-        )
-    try:
-        impl_class = getattr(impl_module, class_name)
-    except AttributeError:
-        raise FlickError(
-            "module %r has no class %r" % (module_name, class_name)
-        )
-    try:
-        return impl_class(stub_module)
-    except TypeError:
-        return impl_class()
-
-
 def _compile_for_serving(args, text):
-    from repro import api, frontends
+    from repro import frontends
+    from repro.runtime.server import compile_interface
 
     lang = _guess_frontend(args.input, text, args.frontend)
     if not frontends.get(lang).servable:
@@ -781,24 +752,10 @@ def _compile_for_serving(args, text):
             "serve carries TCP protocols only (iiop, oncrpc-xdr);"
             " %s interfaces target kernel IPC" % lang.upper()
         )
-    if args.interface:
-        result = api.compile(
-            text, lang, interface=args.interface, name=args.input,
-            presentation=args.pgen, backend=args.backend,
-        )
-    else:
-        by_name = api.compile_all(
-            text, lang, name=args.input, presentation=args.pgen,
-            backend=args.backend,
-        )
-        if not by_name:
-            raise FlickError("the input defines no interfaces")
-        if len(by_name) > 1:
-            raise FlickError(
-                "the input defines several interfaces (%s);"
-                " pick one with --interface" % ", ".join(sorted(by_name))
-            )
-        result = next(iter(by_name.values()))
+    result = compile_interface(
+        text, lang, name=args.input, interface=args.interface,
+        presentation=args.pgen, backend=args.backend,
+    )
     if result.stubs.backend_name not in _SERVABLE_BACKENDS:
         raise FlickError(
             "serve supports the %s back ends, not %r"
@@ -900,6 +857,7 @@ def command_serve(args):
     from repro import obs
     from repro.runtime import ServerStats, StubServer
     from repro.runtime.aio import ServeOptions
+    from repro.runtime.server import load_servant
     from repro.runtime.signals import SignalDriver
 
     if args.workers is not None:
@@ -915,7 +873,9 @@ def command_serve(args):
         text = handle.read()
     result = _compile_for_serving(args, text)
     stub_module = result.module
-    impl = _load_servant(args.impl, stub_module)
+    if os.getcwd() not in sys.path:  # --impl resolves from the cwd
+        sys.path.insert(0, os.getcwd())
+    impl = load_servant(args.impl, stub_module)
     stub_server = StubServer(stub_module, impl)
     want_stats = options.stats or options.metrics_port is not None
     stats = ServerStats() if want_stats else None

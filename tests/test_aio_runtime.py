@@ -577,7 +577,7 @@ class TestGracefulShutdown:
         server.stop()
         assert server._loop.is_closed()
         server._work(None, _avg_request(onc_module, 1, [1]),
-                     MarshalBuffer(), None, None)
+                     MarshalBuffer(), None)
         assert len(server._completions) == 1
         assert not server._wake_posted  # a restarted server still drains
 

@@ -26,11 +26,13 @@ import struct
 
 import pytest
 
+from repro.encoding import MarshalBuffer
 from repro.errors import RuntimeFlickError, TransportError
 from repro.gateway import AioGatewayServer, build_plan
 from repro.gateway.envelope import parse_request
-from repro.runtime import StubServer, operation_names
+from repro.runtime import ServerStats, StubServer, operation_names
 from repro.runtime.framing import encode_record
+from repro.runtime.request import RequestCore
 from repro.runtime.socket_transport import _recv_record
 
 from tests.conftest import MailImpl, compile_db, compile_mail
@@ -40,6 +42,11 @@ FUZZ_SEED = int(os.environ.get("FLICK_FUZZ_SEED", "20260806"))
 #: Frames per fuzzer run; 4 runs (random/mutation x onc/giop) meet the
 #: >= 50k acceptance floor at the default.
 FUZZ_FRAMES = int(os.environ.get("FLICK_FUZZ_FRAMES", "13000"))
+
+#: Random plus mutated frames per protocol that every live driver is
+#: compared against the request core on (each costs a socket round trip
+#: per driver, so this does not scale with FLICK_FUZZ_FRAMES).
+DIFF_FRAMES = int(os.environ.get("FLICK_DIFF_FRAMES", "2000"))
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -179,8 +186,19 @@ def drive(server, validator, frames):
     for frame in frames:
         try:
             reply = server.serve_bytes(frame)
-        except RuntimeFlickError:
-            refused += 1  # the clean-close path
+        except RuntimeFlickError as error:
+            # The clean-close path — taken because the frame cannot be
+            # answered, never because the error encoder itself broke
+            # (the request core contains that, so look here).
+            try:
+                assert not server.error_encoder(
+                    frame, error, MarshalBuffer())
+            except Exception as broken:
+                pytest.fail(
+                    "error encoder %s: %s on frame %s"
+                    % (type(broken).__name__, broken, bytes(frame).hex())
+                )
+            refused += 1
             continue
         except Exception as error:
             pytest.fail(
@@ -266,23 +284,24 @@ class TestFuzzInProcess:
         VALIDATORS[protocol](seeds[0], reply)
 
 
+def _load_corpus(prefix):
+    frames = []
+    for name in sorted(os.listdir(CORPUS_DIR)):
+        if name.startswith(prefix) and name.endswith(".hex"):
+            with open(os.path.join(CORPUS_DIR, name)) as handle:
+                frames.append((name, bytes.fromhex(handle.read().strip())))
+    assert frames, "corpus is missing for %r" % prefix
+    return frames
+
+
 class TestCorpusReplay:
     """Every committed hostile frame stays fixed (see corpus/README.md)."""
-
-    def _load(self, prefix):
-        frames = []
-        for name in sorted(os.listdir(CORPUS_DIR)):
-            if name.startswith(prefix) and name.endswith(".hex"):
-                with open(os.path.join(CORPUS_DIR, name)) as handle:
-                    frames.append((name, bytes.fromhex(handle.read().strip())))
-        assert frames, "corpus is missing for %r" % prefix
-        return frames
 
     @pytest.mark.parametrize("protocol", ["onc", "giop"])
     def test_replay(self, protocol, onc_module, iiop_module):
         server = _make_server(protocol, onc_module, iiop_module)
         seeds = _seed_requests(protocol, onc_module, iiop_module)
-        for name, frame in self._load(protocol + "_"):
+        for name, frame in _load_corpus(protocol + "_"):
             try:
                 reply = server.serve_bytes(frame)
             except RuntimeFlickError:
@@ -342,6 +361,152 @@ class TestFuzzLiveTcp:
             kind, reply = _exchange(server.address, seeds[0])
             assert kind == "reply", "server no longer answers valid requests"
             VALIDATORS[protocol](seeds[0], reply)
+
+
+# ---------------------------------------------------------------------------
+# Every live driver against the request core, frame by frame.
+# ---------------------------------------------------------------------------
+
+class _TcpProbe:
+    """One reused raw connection; redials after the server closes it."""
+
+    def __init__(self, address):
+        self._address = address[:2]
+        self._sock = None
+
+    def send(self, frame):
+        if self._sock is None:
+            self._sock = socket.create_connection(self._address, timeout=5.0)
+        self._sock.sendall(encode_record(frame))
+
+    def reply(self):
+        return _recv_record(self._sock)
+
+    def closed(self):
+        """True when the next thing on the wire is a clean EOF."""
+        try:
+            extra = _recv_record(self._sock)
+        except TransportError:
+            self.close()
+            return True
+        pytest.fail("expected a close, got a record: %s" % extra.hex())
+
+    def close(self):
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
+
+class _UdpProbe:
+    """Datagrams have no connection to close: never ``closed()``."""
+
+    def __init__(self, address):
+        self._address = address[:2]
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._sock.settimeout(5.0)
+
+    def send(self, frame):
+        self._sock.sendto(frame, self._address)
+
+    def reply(self):
+        return self._sock.recvfrom(65536)[0]
+
+    def close(self):
+        self._sock.close()
+
+
+_LIVE_DRIVERS = {
+    "tcp": lambda server, **kw: server.tcp_server(**kw),
+    "udp": lambda server, **kw: server.udp_server(**kw),
+    "aio-inline": lambda server, **kw: server.aio_server(
+        dispatch_mode="inline", **kw),
+    "aio-thread": lambda server, **kw: server.aio_server(
+        dispatch_mode="thread", **kw),
+}
+
+
+def _crash_on_zero(xs):
+    """A servant bug for the DB program: ``rev`` of a list holding 0."""
+    return [1 // x for x in xs]
+
+
+def _counts(stats):
+    """What the request core counts, minus latency: the two failure
+    classes, and the failed requests per operation."""
+    return (
+        stats.malformed.value, stats.servant_errors.value,
+        {op: row["errors"] for op, row in stats.snapshot().items()
+         if row["errors"]},
+    )
+
+
+@pytest.mark.parametrize("driver", sorted(_LIVE_DRIVERS))
+@pytest.mark.parametrize("protocol", ["onc", "giop"])
+class TestDriversMatchCore:
+    def test_live_driver_answers_what_the_core_answers(
+            self, protocol, driver, onc_module, iiop_module):
+        """Corpus, random and mutated frames: the bytes a live driver
+        sends back — or its close, or its silence — are what
+        :class:`RequestCore` settles on in-process for the same frame,
+        and both end at the same failure counts."""
+        import random
+
+        rng = random.Random(FUZZ_SEED + 5)
+        stub_server = _make_server(protocol, onc_module, iiop_module)
+        if protocol == "onc":  # MailImpl has a crash of its own: avg([])
+            stub_server.impl.rev = _crash_on_zero
+        seeds = _seed_requests(protocol, onc_module, iiop_module)
+        frames = [frame for _name, frame in _load_corpus(protocol + "_")]
+        frames += [rng.randbytes(rng.randrange(0, 160))
+                   for _ in range(DIFF_FRAMES // 2)]
+        frames += [mutate(rng, seeds) for _ in range(DIFF_FRAMES // 2)]
+
+        module = stub_server.module
+        core_stats = ServerStats()
+        core = RequestCore(
+            module.dispatch, stub_server.impl, stats=core_stats,
+            op_names=operation_names(module),
+            error_encoder=module.encode_error_reply)
+        buffer = MarshalBuffer()
+
+        def settle(frame):
+            ticket = core.begin(frame)
+            has_reply, keep_open, _error = core.serve(frame, buffer, ticket)
+            core.end(ticket)
+            return (buffer.getvalue() if has_reply else None), keep_open
+
+        # A well-formed two-way call: its reply arriving next proves the
+        # frame before it was met with silence on an open connection.
+        sentinel = seeds[0]
+        sentinel_reply, _ = settle(sentinel)
+        expected = [settle(frame) for frame in frames]
+        # The mix holds every class of outcome: answered (True, True),
+        # unanswerable (False, False), servant crash (True, False) and —
+        # GIOP only, the DB program has no oneway — silence (False, True).
+        classes = {(reply is not None, keep) for reply, keep in expected}
+        assert classes == {(True, True), (False, False), (True, False)} \
+            | ({(False, True)} if protocol == "giop" else set())
+
+        live_stats = ServerStats()
+        with _LIVE_DRIVERS[driver](stub_server, stats=live_stats) as server:
+            probe = (_UdpProbe if driver == "udp" else _TcpProbe)(
+                server.address)
+            try:
+                for frame, (reply, keep_open) in zip(frames, expected):
+                    where = "on frame %s" % frame.hex()
+                    probe.send(frame)
+                    if reply is not None:
+                        assert probe.reply() == reply, where
+                    if driver != "udp" and not keep_open:
+                        assert probe.closed(), where
+                    elif reply is None:
+                        probe.send(sentinel)
+                        assert probe.reply() == sentinel_reply, where
+                probe.send(sentinel)
+                assert probe.reply() == sentinel_reply
+            finally:
+                probe.close()
+        assert _counts(live_stats) == _counts(core_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +616,7 @@ class TestFuzzGateway:
 
     def test_gateway_corpus_replay(self, ingress):
         """Committed hostile gateway frames stay fixed (corpus/README)."""
-        frames = []
-        prefix = "gateway_%s_" % ingress
-        for name in sorted(os.listdir(CORPUS_DIR)):
-            if name.startswith(prefix) and name.endswith(".hex"):
-                with open(os.path.join(CORPUS_DIR, name)) as handle:
-                    frames.append(
-                        (name, bytes.fromhex(handle.read().strip())))
-        assert frames, "corpus is missing for %r" % prefix
+        frames = _load_corpus("gateway_%s_" % ingress)
         seeds = _gateway_seeds(ingress)
         with _gateway_pair(ingress) as (gateway, malformed):
             for name, frame in frames:

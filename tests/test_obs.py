@@ -10,7 +10,9 @@ IIOP round-trip through the asyncio server whose client and server spans
 share a single trace id in the exported JSONL.
 """
 
+import contextlib
 import json
+import struct
 import threading
 import urllib.request
 
@@ -26,6 +28,7 @@ from repro.runtime import (
     ServerStats,
     StubServer,
     TcpClientTransport,
+    UdpClientTransport,
 )
 from repro.runtime.aio import AioClientTransport, CallOptions, ClientStats
 from repro.runtime.socket_transport import _inject_current_trace
@@ -522,6 +525,96 @@ class TestEndToEndTrace:
                 assert client.add(20, 22) == 42
             finally:
                 transport.close()
+
+
+# ----------------------------------------------------------------------
+# The server span tree: one shape, whichever driver served the request
+# ----------------------------------------------------------------------
+
+class _InProcessTransport:
+    """``StubServer.serve_bytes`` as a client transport."""
+
+    def __init__(self, stub_server):
+        self._stub_server = stub_server
+
+    def call(self, request):
+        return self._stub_server.serve_bytes(
+            _inject_current_trace(bytes(request)))
+
+    def close(self):
+        pass
+
+
+@contextlib.contextmanager
+def _served(driver, module):
+    """A raw client transport onto *module* behind one server driver."""
+    stub_server = StubServer(module, CalcImpl())
+    if driver == "in-process":
+        yield _InProcessTransport(stub_server)
+        return
+    if driver == "tcp":
+        server = stub_server.tcp_server()
+    elif driver == "udp":
+        server = stub_server.udp_server()
+    else:
+        server = stub_server.aio_server(dispatch_mode=driver[4:])
+    with server:
+        transport = (UdpClientTransport if driver == "udp"
+                     else TcpClientTransport)(*server.address[:2])
+        try:
+            yield transport
+        finally:
+            transport.close()
+
+
+@pytest.mark.parametrize(
+    "driver", ["in-process", "tcp", "udp", "aio-inline", "aio-thread"])
+class TestServerSpanTree:
+    def test_every_driver_emits_the_same_tree(self, driver):
+        """``server.request`` (op; error = the exception class when
+        dispatch failed) -> ``demux``, ``dispatch`` and, where there is
+        a wire, ``write`` — joined to the caller's trace."""
+        module = _compile("oncrpc-xdr")
+        exporter = obs.CollectingExporter()
+        obs.configure(exporter)
+        sent = []
+
+        class Tap:
+            def call(self, request):
+                sent.append(bytes(request))
+                return transport.call(request)
+
+        with _served(driver, module) as transport:
+            with obs.span("call") as call:
+                assert module.CalcClient(Tap()).add(19, 23) == 42
+            unknown = bytearray(sent[0])
+            struct.pack_into(">I", unknown, 20, 99)  # no such procedure
+            with obs.span("call") as failed_call:
+                reply = transport.call(bytes(unknown))
+            # MSG_ACCEPTED, null verifier, PROC_UNAVAIL.
+            assert struct.unpack_from(">IIIIII", reply) == (
+                struct.unpack_from(">I", unknown)[0], 1, 0, 0, 0, 3)
+        obs.shutdown()
+
+        def children(parent):
+            return sorted(span.name for span in exporter.spans
+                          if span.parent_id == parent.span_id)
+
+        server_side = ["demux", "dispatch"]
+        if driver != "in-process":
+            server_side.append("write")
+            assert children(call) == \
+                ["await.reply", "send", "server.request"]
+        served, refused = sorted(exporter.by_name("server.request"),
+                                 key=lambda span: "error" in span.attrs)
+        assert served.attrs == {"op": "add"}
+        assert (served.trace_id, served.parent_id) == \
+            (call.trace_id, call.span_id)
+        assert children(served) == server_side
+        assert refused.attrs == {"op": "99", "error": "DispatchError"}
+        assert (refused.trace_id, refused.parent_id) == \
+            (failed_call.trace_id, failed_call.span_id)
+        assert children(refused) == server_side
 
 
 # ----------------------------------------------------------------------
