@@ -23,16 +23,17 @@ maximizes chunking.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.errors import BackEndError
 from repro.core.options import OptFlags
-from repro.mint.analysis import analyze_storage
 from repro.pres import nodes as p
 from repro.backend.pywriter import PyWriter
 from repro.mir import ops as mir_ops
 from repro.mir.lower import OutOfLineSet
+from repro.mir.render_c import render_c
 
 mangle = mir_ops.mangle
 
@@ -66,8 +67,14 @@ class GeneratedStubs:
     backend_name: str
     presentation_style: str
     py_source: str
-    c_source: str
-    c_header: str
+    #: The C fidelity artifact as literal text (baseline compilers), or
+    #: *c_artifact*: a zero-argument callable returning ``(c_source,
+    #: c_header)``.  Either way ``stubs.c_source``/``stubs.c_header``
+    #: are read-only and computed on first read, once — a compile
+    #: nobody asks C of never prints any.
+    c_source: InitVar[Optional[str]] = None
+    c_header: InitVar[Optional[str]] = None
+    c_artifact: object = field(default=None, repr=False)
     metadata: Dict[str, object] = field(default_factory=dict)
     module_name: str = ""
     renderer: str = "py"
@@ -84,23 +91,36 @@ class GeneratedStubs:
     #: renderer or pass configuration.
     backend_instance: object = field(default=None, repr=False)
     flags: object = field(default=None, repr=False)
+    #: ``(start, end)`` line indices of the rendered codec section
+    #: (runtime imports, header consts, ``_m_*``/``_u_*`` defs) within
+    #: *py_source*; everything outside it is the scaffold.
+    codec_span: Optional[Tuple[int, int]] = None
 
     _module = None
+
+    def __post_init__(self, c_source, c_header):
+        if c_source is not None:
+            self.c_artifact = lambda: (c_source, c_header or "")
+        self._c = _memoized(self.c_artifact)
 
     def load(self):
         """Exec the generated Python module (cached) and return it.
 
-        Under the ``closures`` renderer the module's codec functions are
-        then replaced in place by closure codecs compiled straight from
-        the optimized marshal IR (no source round-trip).
+        The ``py`` renderer's codecs are the module text itself.  Under
+        ``closures`` only the scaffold is compiled (the codec section is
+        blanked line for line, so line numbers still match
+        ``__source__``) and the codecs are closures built straight from
+        the optimized marshal IR — no source round-trip.
         """
         if self._module is None:
             from repro.core.loader import load_stub_module
 
+            closures = self.renderer == "closures"
             module = load_stub_module(
-                self.py_source, self.module_name or "flick_generated"
+                self.py_source, self.module_name or "flick_generated",
+                skip_lines=self.codec_span if closures else None,
             )
-            if self.renderer == "closures":
+            if closures:
                 from repro.mir.render_closures import install_closures
 
                 install_closures(module, self.mir)
@@ -108,6 +128,12 @@ class GeneratedStubs:
                 module._flick_shapes = _memoized(self.shapes_factory)
             self._module = module
         return self._module
+
+
+GeneratedStubs.c_source = property(
+    lambda self: self._c()[0], doc="C stub source, printed on first read.")
+GeneratedStubs.c_header = property(
+    lambda self: self._c()[1], doc="C header, printed on first read.")
 
 
 def _memoized(thunk):
@@ -206,9 +232,11 @@ class OptimizingBackEnd:
 
         *renderer* selects how the optimized marshal IR becomes
         executable codecs: ``"py"`` renders Python source (the default),
-        ``"closures"`` additionally compiles the IR straight to
-        closure-based codecs installed over the module at load time, and
-        ``"c"`` is implied — the C artifact is always produced.  A
+        ``"closures"`` compiles the IR straight to closure-based codecs
+        at load time (the rendered codec text is then never compiled),
+        and ``"c"`` is implied — ``stubs.c_source``/``c_header`` print
+        the C artifact when first read, and a presentation the C printer
+        cannot express raises :class:`BackEndError` there, not here.  A
         :class:`repro.core.options.RendererPolicy` is accepted in place
         of the name; its ``disable_passes`` fold into *flags*.
         """
@@ -227,7 +255,7 @@ class OptimizingBackEnd:
         self.supports(presc)
         w = PyWriter()
         metadata = {
-            "operations": {},
+            "operations": {stub.operation_name: {} for stub in presc.stubs},
             "records": [],
             "exceptions": [],
             "demux": "hash" if flags.hash_demux else "linear",
@@ -238,19 +266,9 @@ class OptimizingBackEnd:
         metadata["exceptions"] = sorted(exceptions)
         self._emit_records(w, records)
         self._emit_exceptions(w, exceptions)
-        for stub in presc.stubs:
-            op_meta = {}
-            metadata["operations"][stub.operation_name] = op_meta
-            op_meta["request_storage"] = analyze_storage(
-                stub.request_pres.mint, self.wire_format,
-                presc.mint_registry,
-            )
-            if stub.reply_pres is not None:
-                op_meta["reply_storage"] = analyze_storage(
-                    stub.reply_pres.mint, self.wire_format,
-                    presc.mint_registry,
-                )
+        codec_start = len(w.lines)
         program = self._emit_codec_functions(w, presc, flags, metadata)
+        codec_span = (codec_start, len(w.lines))
         if renderer == "closures" and program is None:
             raise BackEndError(
                 "renderer 'closures' needs the marshal-IR pipeline; "
@@ -263,10 +281,9 @@ class OptimizingBackEnd:
         self._emit_dispatch(w, presc, flags)
         self.emit_error_reply(w, presc)
         py_source = w.getvalue()
-        c_source, c_header = self._emit_c(presc, flags)
         # Key the module name on the generated source so two versions of
         # one interface (say, an old and a new schema under diff) load
-        # side by side without ever aliasing in sys.modules.  The
+        # side by side under distinguishable names.  The
         # closure renderer shares py_source with the source renderer but
         # installs different codec objects, so it gets its own suffix.
         module_name = "flick_%s_%s_%s" % (
@@ -281,8 +298,7 @@ class OptimizingBackEnd:
             backend_name=self.name,
             presentation_style=presc.presentation_style,
             py_source=py_source,
-            c_source=c_source,
-            c_header=c_header,
+            c_artifact=partial(render_c, self, presc, flags),
             metadata=metadata,
             module_name=module_name,
             renderer=renderer,
@@ -290,6 +306,7 @@ class OptimizingBackEnd:
             shapes_factory=self._shapes_factory(presc, flags),
             backend_instance=self,
             flags=flags,
+            codec_span=codec_span,
         )
 
     def _shapes_factory(self, presc, flags):
@@ -673,15 +690,6 @@ class OptimizingBackEnd:
         w.line("return _h(d, o, impl, b, _ctx)")
         w.dedent()
         w.blank()
-
-    # ------------------------------------------------------------------
-    # C fidelity artifact
-    # ------------------------------------------------------------------
-
-    def _emit_c(self, presc, flags):
-        from repro.backend.cemit import emit_c_stubs
-
-        return emit_c_stubs(self, presc, flags)
 
 
 def _tuple_literal(names):

@@ -16,6 +16,7 @@ Python target is where the ablation flags take effect.
 from __future__ import annotations
 
 from repro.cast import emit_c
+from repro.errors import BackEndError
 from repro.backend.pywriter import PyWriter
 from repro.mint.types import MintInteger
 from repro.pres import nodes as p
@@ -218,7 +219,9 @@ class CStubEmitter:
         if isinstance(pres, p.PresUnion):
             self._emit_union(pres, expr)
             return
-        raise TypeError("cannot emit C for %r" % type(pres).__name__)
+        raise BackEndError(
+            "the C printer cannot marshal presentation node %s (at %s)"
+            % (type(pres).__name__, expr))
 
     def _emit_array_loop(self, element_pres, base_expr, count_expr):
         self.flush()
@@ -589,7 +592,9 @@ class CStubEmitter:
                 w.dedent()
             w.line("}")
             return
-        raise TypeError("cannot decode %r in C" % type(pres).__name__)
+        raise BackEndError(
+            "the C printer cannot decode presentation node %s (into %s)"
+            % (type(pres).__name__, lvalue))
 
     def _element_c_text(self, element_pres):
         from repro.cast.emit import CEmitter
@@ -787,7 +792,8 @@ def _c_label(label):
     if isinstance(label, str) and len(label) == 1:
         return "'%s'" % (label if label.isprintable() and label not in
                          ("'", "\\") else "\\x%02x" % ord(label))
-    raise TypeError("cannot render C case label %r" % (label,))
+    raise BackEndError(
+        "the C printer cannot render PresUnion case label %r" % (label,))
 
 
 def interface_file_stem(presc, backend):

@@ -22,6 +22,8 @@ surface over the loaded module:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import FlickError
 from repro.core import codecs
 from repro.core.codecs import codec_form
@@ -190,16 +192,21 @@ class CompiledInterface(CompileResult):
         """IR -> rendered source, exec'd into a *copy* of the module
         globals.
 
-        The copy keeps the live module clean: the new functions carry
-        their own consts and helpers in their ``__globals__`` while
-        still seeing the module's record classes and imports, so a
-        per-op swap never perturbs sibling operations.
+        Only *functions* and the out-of-line helpers they may call are
+        rendered (with their consts and runtime imports), so promoting
+        one op compiles one op.  The copy keeps the live module clean:
+        the new functions carry their own consts and helpers in their
+        ``__globals__`` while still seeing the module's record classes
+        and imports, so a per-op swap never perturbs sibling operations.
         """
         from repro.backend.pywriter import PyWriter
         from repro.mir import render_py
 
+        helpers = [fn for fn in program.functions
+                   if fn.kind.endswith("_helper")]
         w = PyWriter()
-        render_py.render_program(w, program)
+        render_py.render_program(
+            w, replace(program, functions=helpers + list(functions.values())))
         namespace = dict(module.__dict__)
         code = compile(w.getvalue(),
                        "<recompile %s>" % module.__name__, "exec")

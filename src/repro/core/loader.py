@@ -2,31 +2,43 @@
 
 Generated stubs are plain Python source; this module compiles and executes
 them into real module objects so that clients, servants, and dispatch
-functions can be used directly.  Modules are registered in ``sys.modules``
-under unique names so tracebacks through generated code are readable.
+functions can be used directly.  Each module gets a unique ``__name__``
+and its source is registered with :mod:`linecache` under the module's
+``<name>`` filename, so tracebacks through generated code show the
+generated line.  Nothing is stored in ``sys.modules``: a stub module
+lives exactly as long as its users hold it, and its linecache entry goes
+with it.
 """
 
 from __future__ import annotations
 
-import sys
+import itertools
+import linecache
 import types
+import weakref
 
-_counter = 0
+_counter = itertools.count(1)
 
 
-def load_stub_module(source, name="flick_generated"):
-    """Compile and exec generated *source*; return the module object."""
-    global _counter
-    _counter += 1
-    unique = "%s_%d" % (name, _counter)
+def load_stub_module(source, name="flick_generated", skip_lines=None):
+    """Compile and exec generated *source*; return the module object.
+
+    *skip_lines* is a ``(start, end)`` range of line indices to leave
+    uncompiled: they are blanked, not cut, so line numbers — and what
+    ``__source__`` and tracebacks show — stay those of *source*.
+    """
+    unique = "%s_%d" % (name, next(_counter))
     module = types.ModuleType(unique)
     module.__file__ = "<%s>" % unique
-    code = compile(source, module.__file__, "exec")
-    sys.modules[unique] = module
-    try:
-        exec(code, module.__dict__)
-    except Exception:
-        sys.modules.pop(unique, None)
-        raise
     module.__source__ = source
+    linecache.cache[module.__file__] = (
+        len(source), None, source.splitlines(True), module.__file__)
+    weakref.finalize(module, linecache.cache.pop, module.__file__, None)
+    text = source
+    if skip_lines is not None:
+        start, end = skip_lines
+        lines = source.split("\n")
+        lines[start:end] = [""] * (end - start)
+        text = "\n".join(lines)
+    exec(compile(text, module.__file__, "exec"), module.__dict__)
     return module

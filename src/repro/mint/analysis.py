@@ -288,9 +288,18 @@ def array_count_length(array, for_length):
 
 
 def is_recursive(mint_type, registry=None):
-    """True if *mint_type* reaches a MintTypeRef cycle."""
-    registry = registry or MintRegistry()
-    return _recurses(mint_type, registry, walking=())
+    """True if *mint_type* reaches a MintTypeRef cycle.
+
+    Lowering asks this of the same few named types at every reference,
+    so the answer for a :class:`MintTypeRef` is remembered on its
+    registry until the next ``define``.
+    """
+    if registry is None or not isinstance(mint_type, MintTypeRef):
+        return _recurses(mint_type, registry or MintRegistry(), walking=())
+    memo = registry.recursive_memo
+    if mint_type.name not in memo:
+        memo[mint_type.name] = _recurses(mint_type, registry, walking=())
+    return memo[mint_type.name]
 
 
 def _recurses(mint_type, registry, walking):

@@ -167,11 +167,15 @@ class MintRegistry:
 
     def __init__(self):
         self._definitions: Dict[str, MintType] = {}
+        #: name -> :func:`repro.mint.analysis.is_recursive` answer; any
+        #: ``define`` can close a cycle, so it empties this.
+        self.recursive_memo: Dict[str, bool] = {}
 
     def define(self, name, mint_type):
         if name in self._definitions:
             raise FlickError("duplicate MINT definition %r" % name)
         self._definitions[name] = mint_type
+        self.recursive_memo.clear()
 
     def __contains__(self, name):
         return name in self._definitions

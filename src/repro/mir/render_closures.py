@@ -12,13 +12,14 @@ time; simple identifier and integer expressions bypass ``eval``
 entirely, which keeps the hot marshal path competitive with rendered
 source.
 
-The generated module still provides the scaffolding (record classes,
-client proxy, dispatch); :func:`install_closures` then makes the
-closures the base of every codec slot (``_m_req_*``, ``_u_req_*``,
-``_m_rep_*``, ``_u_rep_*``) and rebinds the out-of-line
-``_m_<T>``/``_u_<T>`` helpers in the module dict, so
-byte output is identical by construction — both renderers consume the
-same optimized IR.
+The generated module provides only the scaffolding (record classes,
+client proxy, dispatch): under this renderer the codec section of the
+module text is never compiled.  :func:`install_closures` binds what that
+section would have — header constants, the bulk-array runtime names,
+the out-of-line ``_m_<T>``/``_u_<T>`` helpers — and makes the closures
+the base of every codec slot (``_m_req_*``, ``_u_req_*``, ``_m_rep_*``,
+``_u_rep_*``), so byte output is identical by construction: both
+renderers consume the same optimized IR.
 """
 
 from __future__ import annotations
@@ -64,13 +65,19 @@ def install_closures(module, program):
             "requires the MIR pipeline)"
         )
     G = module.__dict__
+    G["_iter_unpack"] = struct.iter_unpack
+    G["_atom_list"] = atom_list
     entries = {}
     for fn in program.functions:
+        G.update(fn.consts)
         compiled = _compile_function(fn, G)
         if fn.kind.endswith("_helper"):
             G[fn.name] = compiled
         else:
             entries[fn.name] = compiled
+            # A scaffold-only module has no entry yet: bind it so the
+            # slots (built on first use, from the names bound) find it.
+            G.setdefault(fn.name, compiled)
     codecs.of(module).set_base(entries)
     G["__renderer__"] = "closures"
     return module

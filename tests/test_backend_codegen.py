@@ -10,7 +10,7 @@ import re
 import pytest
 
 from repro import Flick, OptFlags
-from repro.mint.analysis import StorageClass
+from repro.mint.analysis import StorageClass, analyze_storage
 
 from tests.conftest import MAIL_IDL, compile_mail
 
@@ -192,10 +192,22 @@ class TestHeaders:
 
 class TestStorageMetadata:
     def test_request_storage_classes(self):
-        operations = compile_mail("oncrpc-xdr").stubs.metadata["operations"]
-        send = operations["send"]["request_storage"]
+        # Derived on read from the result's own PRES_C and back end;
+        # generate() no longer walks storage for metadata nobody reads.
+        result = compile_mail("oncrpc-xdr")
+        presc = result.presc
+        assert "request_storage" not in \
+            result.stubs.metadata["operations"]["send"]
+        storage = {
+            stub.operation_name: analyze_storage(
+                stub.request_pres.mint,
+                result.stubs.backend_instance.wire_format,
+                presc.mint_registry)
+            for stub in presc.stubs
+        }
+        send = storage["send"]
         assert send.storage_class is StorageClass.UNBOUNDED
-        tri = operations["tri"]["request_storage"]
+        tri = storage["tri"]
         assert tri.storage_class is StorageClass.FIXED
         assert tri.max_size == 24  # 3 points * 8 bytes
 

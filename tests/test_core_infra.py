@@ -1,6 +1,9 @@
 """Unit tests for core infrastructure: loader, options, writer, server."""
 
+import gc
+import linecache
 import sys
+import traceback
 
 import pytest
 
@@ -17,12 +20,40 @@ class TestLoader:
         module = load_stub_module("VALUE = 41 + 1\n", "demo")
         assert module.VALUE == 42
 
-    def test_unique_names_in_sys_modules(self):
+    def test_unique_names_and_readable_tracebacks(self):
         first = load_stub_module("X = 1\n", "demo")
-        second = load_stub_module("X = 2\n", "demo")
+        second = load_stub_module(
+            "def boom():\n    raise KeyError('generated line')\n", "demo")
         assert first.__name__ != second.__name__
-        assert sys.modules[first.__name__] is first
-        assert sys.modules[second.__name__] is second
+        assert first.__file__ != second.__file__
+        # Stub modules are not immortal: nothing goes into sys.modules.
+        assert first.__name__ not in sys.modules
+        assert second.__name__ not in sys.modules
+        with pytest.raises(KeyError) as caught:
+            second.boom()
+        shown = "".join(traceback.format_exception(caught.value))
+        assert 'File "%s", line 2, in boom' % second.__file__ in shown
+        assert "raise KeyError('generated line')" in shown
+
+    def test_source_released_with_the_module(self):
+        module = load_stub_module("X = 1\n", "demo")
+        filename = module.__file__
+        assert linecache.getlines(filename) == ["X = 1\n"]
+        linecache.checkcache()  # must not evict a live module's source
+        assert filename in linecache.cache
+        del module
+        gc.collect()
+        assert filename not in linecache.cache
+
+    def test_skipped_lines_are_shown_but_not_compiled(self):
+        source = "A = 1\nB = 2\ndef boom():\n    raise KeyError(A)\n"
+        module = load_stub_module(source, "demo", skip_lines=(1, 2))
+        assert not hasattr(module, "B")
+        assert module.__source__ == source
+        with pytest.raises(KeyError) as caught:
+            module.boom()
+        shown = "".join(traceback.format_exception(caught.value))
+        assert "line 4, in boom" in shown and "raise KeyError(A)" in shown
 
     def test_source_preserved(self):
         module = load_stub_module("X = 1\n", "demo")
