@@ -5,20 +5,24 @@ sequence of fragments; each fragment is preceded by a 4-byte big-endian
 word whose top bit marks the final fragment and whose low 31 bits give the
 fragment length.
 
-Three entry points:
+This module is the only code that writes or parses that word.  Three
+entry points:
 
 * :func:`encode_record` frames a payload (optionally splitting it into
   several fragments, which peers must accept); every stream transport
   sends through it.
 * :class:`RecordDecoder` is an incremental push parser: ``feed()`` it byte
   chunks as they arrive and it yields complete records, independent of how
-  the payload was fragmented by the sender or the network.  The asyncio
-  runtime reads through it.
+  the payload was fragmented by the sender or the network.  Every stream
+  reader is a driver of it: the asyncio runtime pushes each
+  ``data_received`` chunk in, and the blocking TCP transport pulls — it
+  asks the socket for :attr:`RecordDecoder.read_hint` bytes at a time, so
+  a small record costs one ``recv`` and a large one is read to its exact
+  end (``socket_transport._RecordStream``).
 * :func:`limit_error` builds the error for a record that breaks one of the
-  two caps below.  The blocking TCP transport reads with its own pull loop
-  (``socket_transport._recv_record``: it can block for exactly the bytes
-  it needs, where the decoder must buffer whatever arrives), so the caps
-  and their failure mode are what the two readers share.
+  two caps below; :meth:`RecordDecoder.waiting_for` says where in a record
+  the stream stands, for the driver that has to report a connection cut
+  short there.
 """
 
 from __future__ import annotations
@@ -42,6 +46,17 @@ MAX_RECORD_SIZE = 64 * 1024 * 1024
 #: connection forever without ever completing a record).
 MAX_FRAGMENTS_PER_RECORD = 4096
 
+#: The most a pull driver asks its socket for in one ``recv``.  CPython
+#: allocates the size requested before a byte arrives, so asking for what
+#: a header merely *announces* would let a peer that trickles a 64 MiB
+#: record buy a 64 MiB allocation with every byte.
+MAX_RECV_SIZE = 64 * 1024
+
+_MARK = struct.Struct(">I")
+_pack_mark = _MARK.pack
+_unpack_mark = _MARK.unpack_from
+_LENGTH_MASK = LAST_FRAGMENT - 1
+
 
 def limit_error(field, actual, limit):
     """The :class:`WireFormatError` for a record past a framing cap.
@@ -61,22 +76,30 @@ def limit_error(field, actual, limit):
 def encode_record(payload, max_fragment=None):
     """Frame *payload* (bytes-like) as one record; returns ``bytes``.
 
-    ``max_fragment`` splits the payload into fragments of at most that
-    many bytes — wire-legal per RFC 1831 and used by the fragmentation
-    tests; receivers reassemble transparently.
+    The payload is copied once, into the record.  ``max_fragment`` splits
+    it into fragments of at most that many bytes — wire-legal per RFC 1831
+    and used by the fragmentation tests; receivers reassemble
+    transparently.
     """
-    data = bytes(payload)
-    if max_fragment is None or len(data) <= max_fragment:
-        return struct.pack(">I", LAST_FRAGMENT | len(data)) + data
+    size = len(payload)
+    if max_fragment is None or size <= max_fragment:
+        record = _pack_mark(LAST_FRAGMENT | size) + payload
+        if len(record) == HEADER_SIZE + size:
+            return record
+        # len() counted items wider than a byte (an ``array``, a typed
+        # view): frame the bytes underneath.
+        return encode_record(memoryview(payload).cast("B"), max_fragment)
     if max_fragment <= 0:
         raise ValueError("max_fragment must be positive")
+    data = memoryview(payload).cast("B")
+    size = len(data)
     parts = []
-    for start in range(0, len(data), max_fragment):
+    for start in range(0, size, max_fragment):
         piece = data[start:start + max_fragment]
         word = len(piece)
-        if start + max_fragment >= len(data):
+        if start + max_fragment >= size:
             word |= LAST_FRAGMENT
-        parts.append(struct.pack(">I", word))
+        parts.append(_pack_mark(word))
         parts.append(piece)
     return b"".join(parts)
 
@@ -89,45 +112,79 @@ class RecordDecoder:
     :data:`MAX_FRAGMENTS_PER_RECORD`, raising :class:`WireFormatError`
     (a :class:`~repro.errors.TransportError`) with the offending length on
     violation — the connection is then unusable, framing has lost sync.
+
+    :attr:`read_hint` is how many bytes a driver that pulls should ask its
+    socket for next: what the fragment in progress still lacks, or —
+    between fragments, when that is not known — a full read; never more
+    than :data:`MAX_RECV_SIZE`.
     """
 
-    __slots__ = ("_buffer", "_fragments", "_record_size", "_fragment_count",
-                 "max_record_size")
+    __slots__ = ("_buffer", "_missing", "_fragments", "_record_size",
+                 "max_record_size", "read_hint")
 
     def __init__(self, max_record_size=MAX_RECORD_SIZE):
-        self._buffer = bytearray()
-        self._fragments = []
-        self._record_size = 0
-        self._fragment_count = 0
+        self._buffer = bytearray()  # an incomplete mark, or mark + body
+        self._missing = 0  # body bytes the buffered fragment still lacks
+        self._fragments = []  # earlier fragments of the record in progress
+        self._record_size = 0  # their total length
         self.max_record_size = max_record_size
+        self.read_hint = MAX_RECV_SIZE
 
     def feed(self, data):
-        """Consume *data*; return the list of completed records."""
-        self._buffer.extend(data)
+        """Consume *data*; return the list of completed records.
+
+        With nothing buffered, records are sliced straight out of *data*
+        and only an incomplete tail is kept.
+        """
+        if type(data) is not bytes:
+            data = bytes(data)
+        buffer = self._buffer
+        if buffer:
+            missing = self._missing
+            if len(data) < missing:
+                # Still short of the fragment's end: one append per
+                # chunk, however slowly a large record trickles in.
+                buffer += data
+                self._missing = missing = missing - len(data)
+                self.read_hint = min(missing, MAX_RECV_SIZE)
+                return []
+            data = b"".join((buffer, data))
+            del buffer[:]
+            self._missing = 0
+            self.read_hint = MAX_RECV_SIZE
         records = []
-        while True:
-            if len(self._buffer) < HEADER_SIZE:
-                return records
-            (word,) = struct.unpack_from(">I", self._buffer, 0)
-            length = word & ~LAST_FRAGMENT
-            if self._record_size + length > self.max_record_size:
-                raise limit_error("record_size", self._record_size + length,
-                                  self.max_record_size)
-            if len(self._buffer) < HEADER_SIZE + length:
-                return records
-            fragment = bytes(self._buffer[HEADER_SIZE:HEADER_SIZE + length])
-            del self._buffer[:HEADER_SIZE + length]
-            self._fragments.append(fragment)
-            self._record_size += length
-            self._fragment_count += 1
-            if word & LAST_FRAGMENT:
-                records.append(b"".join(self._fragments))
-                self._fragments = []
+        fragments = self._fragments
+        position = 0
+        end = len(data)
+        while end - position >= HEADER_SIZE:
+            (word,) = _unpack_mark(data, position)
+            length = word & _LENGTH_MASK
+            size = self._record_size + length
+            if size > self.max_record_size:
+                raise limit_error("record_size", size, self.max_record_size)
+            start = position + HEADER_SIZE
+            stop = start + length
+            if stop > end:
+                self._missing = missing = stop - end
+                self.read_hint = min(missing, MAX_RECV_SIZE)
+                break
+            position = stop
+            if not word & LAST_FRAGMENT:
+                fragments.append(data[start:stop])
+                self._record_size = size
+                if len(fragments) >= MAX_FRAGMENTS_PER_RECORD:
+                    raise limit_error("fragment_count", len(fragments),
+                                      MAX_FRAGMENTS_PER_RECORD)
+            elif fragments:
+                fragments.append(data[start:stop])
+                records.append(b"".join(fragments))
+                del fragments[:]
                 self._record_size = 0
-                self._fragment_count = 0
-            elif self._fragment_count >= MAX_FRAGMENTS_PER_RECORD:
-                raise limit_error("fragment_count", self._fragment_count,
-                                  MAX_FRAGMENTS_PER_RECORD)
+            else:
+                records.append(data[start:stop])
+        if position < end:
+            buffer += data[position:]
+        return records
 
     @property
     def pending_bytes(self):
@@ -137,3 +194,14 @@ class RecordDecoder:
     def at_record_boundary(self):
         """True when no partial record is buffered (clean EOF check)."""
         return not self._buffer and not self._fragments
+
+    def waiting_for(self):
+        """``(what, received, wanted)``: the piece of a record the stream
+        stands in — ``"record header"`` or ``"record body"`` — and how
+        many of its bytes have arrived.  What a driver reports when the
+        connection ends or fails there."""
+        held = len(self._buffer)
+        if held < HEADER_SIZE:
+            return "record header", held, HEADER_SIZE
+        held -= HEADER_SIZE
+        return "record body", held, held + self._missing

@@ -17,9 +17,8 @@ timeout, so tests and examples do not leak threads.
 
 from __future__ import annotations
 
-import functools
+import collections
 import socket
-import struct
 import threading
 import time
 
@@ -27,12 +26,9 @@ from repro.errors import TransportError, WireFormatError
 from repro.encoding.buffer import MarshalBuffer
 from repro.obs import propagation, trace
 from repro.runtime.framing import (
-    HEADER_SIZE,
-    LAST_FRAGMENT,
-    MAX_FRAGMENTS_PER_RECORD,
     MAX_RECORD_SIZE,
+    RecordDecoder,
     encode_record,
-    limit_error,
 )
 from repro.runtime.request import RequestCore
 from repro.runtime.tiering import engines
@@ -50,49 +46,76 @@ def _inject_current_trace(payload):
     return payload
 
 
-def _send_record(sock, payload):
-    sock.sendall(encode_record(payload))
+class _RecordStream:
+    """One blocking connection's records: the pull driver of a
+    :class:`~repro.runtime.framing.RecordDecoder`.
 
+    :meth:`read` asks the socket for what the decoder says it wants next
+    (a full read between records, so a small record costs one ``recv``;
+    inside a large one exactly what it still lacks), and keeps the records
+    a read completed beyond the first for the calls that follow.
 
-def _recv_exact(sock, size, what="record"):
-    chunks = []
-    remaining = size
-    while remaining:
+    The first read that fails — an error, a deadline, a peer that hangs
+    up or breaks framing — closes the socket, and every later
+    :meth:`read` or :meth:`write` raises a :class:`TransportError` naming
+    that first cause: what arrives after it belongs to no call still
+    waiting.
+    """
+
+    __slots__ = ("_sock", "_decoder", "_ready", "error")
+
+    def __init__(self, sock, max_record_size=MAX_RECORD_SIZE):
+        self._sock = sock
+        self._decoder = RecordDecoder(max_record_size)
+        self._ready = collections.deque()
+        self.error = None
+
+    def write(self, payload):
+        """Send *payload* (bytes-like) as one record."""
         try:
-            chunk = sock.recv(remaining)
+            self._sock.sendall(encode_record(payload))
         except OSError as error:
-            raise TransportError(
-                "connection error while reading %s: %s" % (what, error)
-            ) from error
-        if not chunk:
-            received = size - remaining
-            if received:
-                raise TransportError(
+            if self.error is None:
+                raise
+            raise self._fail(error) from error
+
+    def read(self):
+        """The next record, blocking until it is complete."""
+        ready = self._ready
+        if ready:
+            return ready.popleft()
+        decoder = self._decoder
+        while True:
+            try:
+                chunk = self._sock.recv(decoder.read_hint)
+            except OSError as error:
+                raise self._fail(TransportError(
+                    "connection error while reading %s: %s"
+                    % (decoder.waiting_for()[0], error))) from error
+            if not chunk:
+                what, received, wanted = decoder.waiting_for()
+                raise self._fail(TransportError(
                     "connection closed mid-%s: got %d of %d bytes"
-                    % (what, received, size)
-                )
-            raise TransportError("connection closed mid-%s" % what)
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+                    % (what, received, wanted) if received
+                    else "connection closed mid-%s" % what))
+            try:
+                records = decoder.feed(chunk)
+            except WireFormatError as error:
+                raise self._fail(error)
+            if records:
+                if len(records) > 1:
+                    ready.extend(records[1:])
+                return records[0]
 
-
-def _recv_record(sock, max_record_size=MAX_RECORD_SIZE):
-    fragments = []
-    total = 0
-    while True:
-        header = _recv_exact(sock, HEADER_SIZE, "record header")
-        (word,) = struct.unpack(">I", header)
-        length = word & ~LAST_FRAGMENT
-        total += length
-        if total > max_record_size:
-            raise limit_error("record_size", total, max_record_size)
-        fragments.append(_recv_exact(sock, length, "record body"))
-        if word & LAST_FRAGMENT:
-            return b"".join(fragments)
-        if len(fragments) >= MAX_FRAGMENTS_PER_RECORD:
-            raise limit_error("fragment_count", len(fragments),
-                              MAX_FRAGMENTS_PER_RECORD)
+    def _fail(self, error):
+        """Close on the first failure and return *error*; afterwards
+        return the error that names that first one instead."""
+        if self.error is None:
+            self.error = error
+            self._sock.close()
+            return error
+        return TransportError(
+            "connection closed after an earlier failure: %s" % self.error)
 
 
 def _check_udp_size(payload):
@@ -156,18 +179,27 @@ class TcpClientTransport(Transport):
         )
         self._sock.settimeout(deadline)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._stream = _RecordStream(self._sock)
 
     def call(self, request):
-        payload = _inject_current_trace(bytes(request))
-        with trace.span("send", bytes=len(payload)):
-            _send_record(self._sock, payload)
+        stream = self._stream
+        if trace.active() is None:
+            stream.write(request)
+            return stream.read()
+        self._traced_send(request)
         with trace.span("await.reply"):
-            return _recv_record(self._sock)
+            return stream.read()
 
     def send(self, request):
+        if trace.active() is None:
+            self._stream.write(request)
+        else:
+            self._traced_send(request)
+
+    def _traced_send(self, request):
         payload = _inject_current_trace(bytes(request))
         with trace.span("send", bytes=len(payload)):
-            _send_record(self._sock, payload)
+            self._stream.write(payload)
 
     def close(self):
         self._sock.close()
@@ -252,14 +284,15 @@ class TcpServer:
             self._fault_plan.injector() if self._fault_plan is not None
             else None
         )
-        write = functools.partial(_send_record, connection)
+        stream = _RecordStream(connection, self._max_record_size)
+        write = stream.write
         try:
             connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
                 if self._draining:
                     return
                 try:
-                    request = _recv_record(connection, self._max_record_size)
+                    request = stream.read()
                 except WireFormatError:
                     # Framing lost sync: nothing downstream can be
                     # trusted, so the only safe answer is a close.
@@ -395,6 +428,9 @@ class UdpClientTransport(Transport):
         return reply
 
     def send(self, request):
+        if trace.active() is None:
+            self._sock.sendto(_check_udp_size(request), self._address)
+            return
         payload = _check_udp_size(_inject_current_trace(bytes(request)))
         with trace.span("send", bytes=len(payload)):
             self._sock.sendto(payload, self._address)

@@ -36,7 +36,7 @@ from repro.runtime.aio import (
 )
 from repro.runtime.aio.server import POOLED_BUFFER_MAX, BufferPool
 from repro.runtime.framing import RecordDecoder, encode_record
-from repro.runtime.socket_transport import _recv_record
+from tests.rawsock import recv_record
 
 from tests.conftest import MailImpl, compile_mail
 
@@ -420,7 +420,7 @@ class TestCrossCompat:
             sock = socket.create_connection(address, timeout=5)
             try:
                 sock.sendall(encode_record(request))
-                return _recv_record(sock)
+                return recv_record(sock)
             finally:
                 sock.close()
 
@@ -599,7 +599,7 @@ class TestBatchedIO:
                 sock.sendall(b"".join(
                     encode_record(_avg_request(onc_module, xid, [xid]))
                     for xid in range(1, 17)))
-                replies = [_recv_record(sock) for _ in range(16)]
+                replies = [recv_record(sock) for _ in range(16)]
             finally:
                 sock.close()
         assert [probe(reply).correlation_id for reply in replies] \

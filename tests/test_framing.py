@@ -7,20 +7,26 @@ and it must refuse malformed or abusive framing with a clear
 TransportError instead of hanging or buffering without bound.
 """
 
+import array
+import socket
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TransportError
+from repro.errors import TransportError, WireFormatError
 from repro.runtime.framing import (
     HEADER_SIZE,
     LAST_FRAGMENT,
     MAX_FRAGMENTS_PER_RECORD,
+    MAX_RECV_SIZE,
     RecordDecoder,
     encode_record,
 )
+from repro.runtime.socket_transport import _RecordStream
+
+from tests.rawsock import recv_record
 
 
 def chunked(data, cuts):
@@ -113,6 +119,29 @@ class TestRoundTrip:
     def test_empty_record(self):
         assert RecordDecoder().feed(encode_record(b"")) == [b""]
 
+    @pytest.mark.parametrize("max_fragment", [None, 3])
+    def test_encode_accepts_any_bytes_like(self, max_fragment):
+        """The payload is framed by its bytes, whatever object holds
+        them: a marshal buffer's view, a bytearray, items wider than a
+        byte."""
+        words = array.array("i", [1, 2, 3])
+        raw = words.tobytes()
+        expected = encode_record(raw, max_fragment=max_fragment)
+        for payload in (bytearray(raw), memoryview(raw),
+                        memoryview(bytearray(raw))[:len(raw)], words,
+                        memoryview(words)):
+            framed = encode_record(payload, max_fragment=max_fragment)
+            assert type(framed) is bytes
+            assert framed == expected
+        assert RecordDecoder().feed(expected) == [raw]
+
+    def test_decode_returns_bytes_whatever_it_was_fed(self):
+        wire = encode_record(b"abc") + encode_record(b"defg", max_fragment=2)
+        for chunk in (wire, bytearray(wire), memoryview(wire)):
+            records = RecordDecoder().feed(chunk)
+            assert records == [b"abc", b"defg"]
+            assert all(type(record) is bytes for record in records)
+
 
 class TestMalformedHeaders:
     def test_oversized_length_rejected(self):
@@ -156,3 +185,246 @@ class TestMalformedHeaders:
         decoder = RecordDecoder()
         with pytest.raises(TransportError):
             decoder.feed(b"\x7f\xff\xff\xff")
+
+
+# ----------------------------------------------------------------------
+# One parser, three ways to drive it, one independent reader
+# ----------------------------------------------------------------------
+
+class ScriptedSocket:
+    """A socket whose ``recv`` hands out *data* in pieces of the scripted
+    *steps* (never more than it was asked for, then whatever is left),
+    and records every size it was asked for."""
+
+    def __init__(self, data, steps=()):
+        self._data = data
+        self._steps = list(steps)
+        self._position = 0
+        self.asked = []
+        self.closed = False
+
+    def recv(self, size):
+        if self.closed:
+            raise OSError(9, "Bad file descriptor")
+        self.asked.append(size)
+        if self._steps:
+            size = min(size, self._steps.pop(0))
+        chunk = self._data[self._position:self._position + size]
+        self._position += len(chunk)
+        return chunk
+
+    def sendall(self, data):
+        if self.closed:
+            raise OSError(9, "Bad file descriptor")
+
+    def close(self):
+        self.closed = True
+
+
+def read_until_error(read):
+    """Every record *read* returns, and the error that ended them."""
+    records = []
+    while True:
+        try:
+            records.append(read())
+        except TransportError as error:
+            return records, error
+
+
+def through_helper(wire, limit):
+    """What the tests' own exact reader makes of *wire*: the reference."""
+    sock = ScriptedSocket(wire)
+    return read_until_error(lambda: recv_record(sock, limit))
+
+
+def through_stream(sock, limit):
+    stream = _RecordStream(sock, limit)
+    return read_until_error(stream.read)
+
+
+def through_feed(wire, steps, limit, prime=b""):
+    """Push *wire* through ``feed`` in *steps*-sized chunks.  A non-empty
+    *prime* is the start of the stream fed on its own first, so every
+    later chunk meets a decoder with bytes already buffered."""
+    decoder = RecordDecoder(limit)
+    records = []
+    position = 0
+    try:
+        for step in [len(prime)] * bool(prime) + list(steps) + [len(wire)]:
+            records.extend(decoder.feed(wire[position:position + step]))
+            position += step
+    except TransportError as error:
+        return records, error
+    return records, None
+
+
+def same_failure(error, reference):
+    assert type(error) is type(reference)
+    assert str(error) == str(reference)
+    if isinstance(reference, WireFormatError):
+        assert (error.field, error.actual, error.limit) \
+            == (reference.field, reference.actual, reference.limit)
+
+
+#: A stream: records, each with the sender's fragment size, then an
+#: optional tail that ends it badly (cut short, or past a cap).
+streams = st.tuples(
+    st.lists(st.tuples(st.binary(max_size=80),
+                       st.one_of(st.none(), st.integers(1, 24))),
+             max_size=6),
+    st.one_of(
+        st.just(b""),
+        st.binary(min_size=1, max_size=3),                     # cut mark
+        st.builds(lambda body: struct.pack(">I", LAST_FRAGMENT | 200)
+                  + body, st.binary(max_size=40)),             # cut body
+        st.just(struct.pack(">I", LAST_FRAGMENT | 4000)),      # too large
+        st.just(struct.pack(">I", 300) + b"x" * 300
+                + struct.pack(">I", LAST_FRAGMENT | 300)),     # summed
+    ),
+)
+chunkings = st.lists(st.integers(min_value=1, max_value=40), max_size=60)
+
+#: Record-size limit the property tests run under (the tails above are
+#: sized against it).
+LIMIT = 512
+
+
+class TestEveryReaderAgrees:
+    """``feed`` with nothing buffered, ``feed`` on top of buffered bytes,
+    and the blocking pull driver all parse with the one decoder; the
+    exact reader in ``tests/rawsock.py`` shares no code with it.  On any
+    stream all four must produce the same records and the same failure.
+
+    A decoder handed a whole chunk reports a violation anywhere in it
+    before handing out the records ahead of it, so there the records are
+    a prefix of the reference's.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(stream=streams, steps=chunkings)
+    def test_same_records_same_failure(self, stream, steps):
+        records, tail = stream
+        wire = b"".join(encode_record(payload, max_fragment=fragment)
+                        for payload, fragment in records) + tail
+        expected, reference = through_helper(wire, LIMIT)
+        assert expected == [payload for payload, _ in records]
+
+        # The blocking driver: scripted arrival, then a real socket pair.
+        got, error = through_stream(ScriptedSocket(wire, steps), LIMIT)
+        assert got == expected[:len(got)]
+        same_failure(error, reference)
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall(wire)
+            theirs.shutdown(socket.SHUT_WR)
+            got, error = through_stream(ours, LIMIT)
+        assert got == expected[:len(got)]
+        same_failure(error, reference)
+
+        # The push parser, fresh and on top of a buffered first byte.
+        for prime in (b"", wire[:1]):
+            got, error = through_feed(wire, steps, LIMIT, prime)
+            if isinstance(reference, WireFormatError):
+                assert got == expected[:len(got)]
+                same_failure(error, reference)
+            else:
+                assert got == expected and error is None
+
+    def test_cut_at_every_offset(self):
+        """A record split in two at any byte — inside the mark included —
+        reassembles, and a connection that ends there is reported with
+        the message the exact reader gives."""
+        payload = bytes(range(40))
+        wire = encode_record(b"first") + encode_record(payload, 16)
+        for cut in range(1, len(wire)):
+            assert through_feed(wire, [cut], LIMIT) \
+                == ([b"first", payload], None)
+            got, error = through_stream(
+                ScriptedSocket(wire, [cut]), LIMIT)
+            assert got == [b"first", payload]
+            expected, reference = through_helper(wire[:cut], LIMIT)
+            got, error = through_stream(
+                ScriptedSocket(wire[:cut], [1]), LIMIT)
+            assert got == expected
+            same_failure(error, reference)
+
+    def test_short_read_messages(self):
+        """The three messages ``TestShortReads`` pins on a live
+        transport, byte for byte."""
+        body = struct.pack(">I", LAST_FRAGMENT | 100) + b"x" * 7
+        for wire, message in (
+                (b"", "connection closed mid-record header"),
+                (b"\x80\x00", "connection closed mid-record header:"
+                              " got 2 of 4 bytes"),
+                (body, "connection closed mid-record body:"
+                       " got 7 of 100 bytes")):
+            _records, error = through_stream(ScriptedSocket(wire), LIMIT)
+            assert str(error) == message
+            same_failure(error, through_helper(wire, LIMIT)[1])
+
+    def test_empty_fragments_up_to_the_cap(self):
+        """Zero-length non-final fragments are legal; one short of
+        ``MAX_FRAGMENTS_PER_RECORD`` of them still complete a record,
+        the cap's worth does not."""
+        empty = struct.pack(">I", 0)
+        final = encode_record(b"payload")
+        legal = empty * (MAX_FRAGMENTS_PER_RECORD - 1) + final
+        flood = empty * MAX_FRAGMENTS_PER_RECORD + final
+        for wire in (legal, flood):
+            expected, reference = through_helper(wire, LIMIT)
+            for steps in ([], [5], [4] * 20):
+                got, error = through_stream(
+                    ScriptedSocket(wire, steps), LIMIT)
+                assert got == expected
+                same_failure(error, reference)
+        assert through_helper(legal, LIMIT)[0] == [b"payload"]
+        assert through_helper(flood, LIMIT)[1].field == "fragment_count"
+
+
+class TestPullDriver:
+    def test_one_recv_per_small_record_and_batches_are_kept(self):
+        wire = b"".join(encode_record(b"r%d" % n) for n in range(5))
+        sock = ScriptedSocket(wire)
+        stream = _RecordStream(sock)
+        assert [stream.read() for _ in range(5)] \
+            == [b"r%d" % n for n in range(5)]
+        assert sock.asked == [MAX_RECV_SIZE]
+
+    def test_large_record_is_read_to_its_exact_end(self):
+        """After the first read the driver asks for what the record
+        still lacks, so it never reads into the record behind it."""
+        big = bytes(200_000)
+        wire = encode_record(big) + encode_record(b"next")
+        sock = ScriptedSocket(wire, [1000])
+        stream = _RecordStream(sock)
+        assert stream.read() == big
+        lacking = len(big) + HEADER_SIZE - 1000
+        assert sock.asked == [
+            MAX_RECV_SIZE, MAX_RECV_SIZE, MAX_RECV_SIZE, MAX_RECV_SIZE,
+            lacking - 3 * MAX_RECV_SIZE]
+        assert stream.read() == b"next"
+
+    def test_receive_allocation_is_bounded(self):
+        """A mark announcing a record just under the 64 MiB cap, then a
+        trickle: no single ``recv`` asks for more than ``MAX_RECV_SIZE``
+        (CPython allocates the size asked for before a byte arrives)."""
+        announced = 64 * 1024 * 1024 - 1
+        wire = struct.pack(">I", LAST_FRAGMENT | announced) + b"x" * 50
+        sock = ScriptedSocket(wire, [4] + [1] * 50)
+        stream = _RecordStream(sock)
+        with pytest.raises(
+                TransportError, match="got 50 of %d bytes" % announced):
+            stream.read()
+        assert len(sock.asked) == 52
+        assert max(sock.asked) == MAX_RECV_SIZE
+
+    def test_first_failure_closes_and_is_named_afterwards(self):
+        sock = ScriptedSocket(b"\x80")
+        stream = _RecordStream(sock)
+        with pytest.raises(TransportError, match="got 1 of 4"):
+            stream.read()
+        assert sock.closed
+        for again in (stream.read, lambda: stream.write(b"late")):
+            with pytest.raises(TransportError, match="earlier failure"
+                               ".*mid-record header: got 1 of 4"):
+                again()

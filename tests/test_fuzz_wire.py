@@ -33,7 +33,7 @@ from repro.gateway.envelope import parse_request
 from repro.runtime import ServerStats, StubServer, operation_names
 from repro.runtime.framing import encode_record
 from repro.runtime.request import RequestCore
-from repro.runtime.socket_transport import _recv_record
+from tests.rawsock import recv_record
 
 from tests.conftest import MailImpl, compile_db, compile_mail
 
@@ -326,7 +326,7 @@ def _exchange(address, frame, timeout=5.0):
     try:
         sock.sendall(encode_record(frame))
         try:
-            return "reply", _recv_record(sock)
+            return "reply", recv_record(sock)
         except TransportError:
             return "close", None  # clean EOF — never a hang
     finally:
@@ -380,12 +380,12 @@ class _TcpProbe:
         self._sock.sendall(encode_record(frame))
 
     def reply(self):
-        return _recv_record(self._sock)
+        return recv_record(self._sock)
 
     def closed(self):
         """True when the next thing on the wire is a clean EOF."""
         try:
-            extra = _recv_record(self._sock)
+            extra = recv_record(self._sock)
         except TransportError:
             self.close()
             return True

@@ -28,7 +28,7 @@ from repro.errors import (
 from repro.encoding import MarshalBuffer
 from repro.runtime import StubServer
 from repro.runtime.framing import RecordDecoder, encode_record
-from repro.runtime.socket_transport import _recv_record
+from tests.rawsock import recv_record
 
 from tests.conftest import MailImpl, compile_db, compile_mail
 from tests.test_fuzz_wire import (
@@ -142,7 +142,7 @@ class TestCrossProtocol:
             try:
                 sock.sendall(encode_record(wrong))
                 try:
-                    reply = _recv_record(sock)
+                    reply = recv_record(sock)
                     assert_valid_giop_reply(wrong, reply)
                 except TransportError:
                     pass  # clean close is equally acceptable
@@ -151,7 +151,7 @@ class TestCrossProtocol:
             sock = socket.create_connection(server.address, timeout=5)
             try:
                 sock.sendall(encode_record(good))
-                assert_valid_giop_reply(good, _recv_record(sock))
+                assert_valid_giop_reply(good, recv_record(sock))
             finally:
                 sock.close()
 
@@ -179,11 +179,11 @@ class TestServerContainment:
             sock = socket.create_connection(server.address, timeout=5)
             try:
                 sock.sendall(encode_record(unknown_proc))
-                reply = _recv_record(sock)
+                reply = recv_record(sock)
                 assert_valid_onc_reply(unknown_proc, reply)
                 # Same socket, still alive:
                 sock.sendall(encode_record(good))
-                assert_valid_onc_reply(good, _recv_record(sock))
+                assert_valid_onc_reply(good, recv_record(sock))
             finally:
                 sock.close()
         assert stats.malformed.value >= 1
@@ -206,14 +206,14 @@ class TestServerContainment:
             sock = socket.create_connection(server.address, timeout=5)
             try:
                 sock.sendall(encode_record(crash))
-                reply = _recv_record(sock)
+                reply = recv_record(sock)
                 assert_valid_onc_reply(crash, reply)
                 # accept_stat must be SYSTEM_ERR (5).
                 assert struct.unpack_from(">I", reply, 20)[0] == 5
                 # The server then closes this connection.
                 sock.settimeout(5)
                 with pytest.raises(TransportError):
-                    _recv_record(sock)
+                    recv_record(sock)
             finally:
                 sock.close()
             # ...but keeps accepting new ones.
@@ -232,9 +232,9 @@ class TestServerContainment:
             sock = socket.create_connection(server.address, timeout=5)
             try:
                 sock.sendall(encode_record(unknown_proc))
-                assert_valid_onc_reply(unknown_proc, _recv_record(sock))
+                assert_valid_onc_reply(unknown_proc, recv_record(sock))
                 sock.sendall(encode_record(good))
-                assert_valid_onc_reply(good, _recv_record(sock))
+                assert_valid_onc_reply(good, recv_record(sock))
             finally:
                 sock.close()
         assert stats.malformed.value >= 1
@@ -646,7 +646,7 @@ class TestNonReadingPeer:
             try:
                 started = time.perf_counter()
                 good.sendall(encode_record(ping))
-                assert_valid_onc_reply(ping, _recv_record(good))
+                assert_valid_onc_reply(ping, recv_record(good))
                 assert time.perf_counter() - started < 1.0
             finally:
                 good.close()
