@@ -27,6 +27,7 @@ from dataclasses import InitVar, dataclass, field
 from functools import partial
 from typing import Dict, Optional, Tuple
 
+from repro import envelopes
 from repro.errors import BackEndError
 from repro.core.options import OptFlags
 from repro.pres import nodes as p
@@ -150,14 +151,17 @@ def _memoized(thunk):
 class OptimizingBackEnd:
     """Base class for all back ends; owns module assembly.
 
-    Subclasses set :attr:`name` and :attr:`wire_format` and implement the
-    protocol hooks: :meth:`request_header`, :meth:`reply_header`,
-    :meth:`demux_key`, :meth:`emit_dispatch_prelude`,
-    :meth:`emit_check_reply`, and :meth:`client_ctx_expr`.
+    Subclasses set :attr:`name`, :attr:`wire_format` and
+    :attr:`envelope` and implement the protocol hooks:
+    :meth:`request_header`, :meth:`reply_header`, :meth:`demux_key`,
+    :meth:`interface_identity`, and :meth:`client_ctx_expr`.
     """
 
     name = "abstract"
     wire_format = None
+    #: The protocol whose walks in :mod:`repro.envelopes` read what
+    #: :meth:`request_header` / :meth:`reply_header` write.
+    envelope = None
     #: Kernels that DMA from fixed staging areas (Mach-style) marshal
     #: byte runs through a staging variable; see MarshalLower.
     staged_copies = False
@@ -176,13 +180,27 @@ class OptimizingBackEnd:
         """The dispatch-table key literal (int or bytes) for *stub*."""
         raise NotImplementedError
 
+    def interface_identity(self, presc):
+        """What names *presc* in a request envelope, item by item as
+        the envelope's ``ident`` steps compare it (``()``: nothing)."""
+        return ()
+
     def emit_dispatch_prelude(self, w, presc):
-        """Emit code assigning ``_key``, ``o`` (body offset), ``_ctx``."""
-        raise NotImplementedError
+        """Emit code assigning ``_key``, ``o`` (body offset), ``_ctx``:
+        the request walk of :attr:`envelope`, as inlined statements."""
+        w.paste(envelopes.render(
+            self.envelope, "request", self.wire_format.endian,
+            ident=envelopes.literal(self.interface_identity(presc)),
+            wants=("strict",)))
 
     def emit_check_reply(self, w, presc):
-        """Emit ``def _check_reply(d, _ctx):`` returning the body offset."""
-        raise NotImplementedError
+        """Emit ``def _check_reply(d, _ctx):`` returning the body offset:
+        the reply walk of :attr:`envelope` up to the body."""
+        with w.block("def _check_reply(d, _ctx):"):
+            w.paste(envelopes.render(
+                self.envelope, "reply", self.wire_format.endian,
+                ident=("%s != _ctx",), upto="body"))
+            w.line("return o")
 
     def reply_error_tail_ops(self, presc):
         """IR ops for the ``_u_rep_*`` fallthrough on unknown statuses.
@@ -380,6 +398,8 @@ class OptimizingBackEnd:
         w.line("                          UnmarshalError, WireFormatError)")
         w.blank()
         w.line("_Z = b'\\x00' * 8")
+        w.line("_ENVELOPE = %r  # repro.envelopes walk, byte order"
+               % ((self.envelope, self.wire_format.endian),))
         w.blank()
         w.line("# Exceptions a hostile byte stream can force out of the")
         w.line("# decode helpers; the stubs convert them to WireFormatError")
@@ -390,6 +410,8 @@ class OptimizingBackEnd:
         w.line("# helpers (servant returned the wrong shape).")
         w.line("_ENC_ERRORS = (_struct_error, TypeError, AttributeError,")
         w.line("               ValueError, OverflowError, RecursionError)")
+        w.line("# What the header re-parse of encode_error_reply gives up on.")
+        w.line("_HDR_ERRORS = _DEC_ERRORS + (DispatchError, WireFormatError)")
         w.blank()
         w.line("def _chk_end(d, o):")
         w.indent()

@@ -31,6 +31,7 @@ class FlukeBackEnd(OptimizingBackEnd):
 
     name = "fluke"
     wire_format = FLUKE
+    envelope = "fluke"
 
     def request_header(self, presc, stub):
         template = struct.pack("<I", operation_code(presc, stub))
@@ -44,14 +45,3 @@ class FlukeBackEnd(OptimizingBackEnd):
 
     def client_ctx_expr(self, stub):
         return "None"
-
-    def emit_dispatch_prelude(self, w, presc):
-        w.line("_key = _unpack_from('<I', d, 0)[0]")
-        w.line("o = 4")
-        w.line("_ctx = None")
-
-    def emit_check_reply(self, w, presc):
-        w.line("def _check_reply(d, _ctx):")
-        w.indent()
-        w.line("return 0")
-        w.dedent()

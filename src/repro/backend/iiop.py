@@ -19,24 +19,13 @@ from __future__ import annotations
 
 import struct
 
+from repro import envelopes
 from repro.backend.base import HeaderSpec, OptimizingBackEnd
 from repro.encoding import CDR_BE, CDR_LE
 
 GIOP_REQUEST = 0
 GIOP_REPLY = 1
 GIOP_MESSAGE_ERROR = 6
-
-#: Reply-status sentinel for system-exception replies.  GIOP proper uses
-#: reply_status 2 (SYSTEM_EXCEPTION); this compiler's reply_status doubles
-#: as the reply-union discriminator where small integers label user
-#: exceptions (see the module docstring), so system exceptions take a
-#: value no exception arm can collide with.  Wire-compatible within this
-#: implementation only, like the discriminator scheme itself.
-SYSTEM_EXCEPTION_STATUS = 0x7FFFFFFF
-
-#: Refuse requests advertising absurdly many service contexts (each entry
-#: costs a bounds-checked skip; a forged count must not buy a long loop).
-MAX_SERVICE_CONTEXTS = 64
 
 
 def _pad4(length):
@@ -47,6 +36,7 @@ class IiopBackEnd(OptimizingBackEnd):
     """GIOP 1.0 / CDR stubs."""
 
     name = "iiop"
+    envelope = "giop"
 
     def __init__(self, little_endian=False):
         self.wire_format = CDR_LE if little_endian else CDR_BE
@@ -57,6 +47,9 @@ class IiopBackEnd(OptimizingBackEnd):
     def object_key(self, presc):
         """The object key our stubs place in every request."""
         return presc.interface_name.encode("latin-1")
+
+    def interface_identity(self, presc):
+        return (self.object_key(presc),)
 
     def _giop_header(self, message_type):
         return b"GIOP" + bytes(
@@ -113,143 +106,22 @@ class IiopBackEnd(OptimizingBackEnd):
 
     unknown_op_code = "bad_operation"
 
-    def emit_dispatch_prelude(self, w, presc):
-        endian = self.wire_format.endian
-        w.line("if bytes(d[0:4]) != b'GIOP':")
-        w.indent()
-        w.line("raise DispatchError('not a GIOP message',"
-               " code='bad_magic')")
-        w.dedent()
-        w.line("if len(d) < 12:")
-        w.indent()
-        w.line("raise WireFormatError('GIOP header truncated',"
-               " field='header', limit=12, actual=len(d))")
-        w.dedent()
-        w.line("if d[7] != %d:" % GIOP_REQUEST)
-        w.indent()
-        w.line("raise DispatchError('not a GIOP Request',"
-               " code='not_request')")
-        w.dedent()
-        w.line("if d[6] != %d:" % (1 if self.little_endian else 0))
-        w.indent()
-        w.line("raise DispatchError('GIOP byte-order mismatch: these"
-               " stubs were generated %s-endian', code='byte_order')"
-               % ("little" if self.little_endian else "big"))
-        w.dedent()
-        # Declared-vs-actual frame size: a lying message_size means the
-        # framing layer and the GIOP layer disagree about where this
-        # message ends — nothing after the header can be trusted.
-        w.line("_msz = _unpack_from('%sI', d, 8)[0]" % endian)
-        w.line("if _msz != len(d) - 12:")
-        w.indent()
-        w.line("raise WireFormatError('GIOP message size %d disagrees"
-               " with frame size %d' % (_msz, len(d) - 12), offset=8,"
-               " field='message_size', actual=_msz, limit=len(d) - 12)")
-        w.dedent()
-        w.line("_nsc = _unpack_from('%sI', d, 12)[0]" % endian)
-        w.line("if _nsc > %d:" % MAX_SERVICE_CONTEXTS)
-        w.indent()
-        w.line("raise WireFormatError('too many service contexts',"
-               " offset=12, field='service_contexts', limit=%d,"
-               " actual=_nsc)" % MAX_SERVICE_CONTEXTS)
-        w.dedent()
-        w.line("o = 16")
-        w.line("for _ in range(_nsc):")
-        w.indent()
-        w.line("_cl = _unpack_from('%sI', d, o + 4)[0]" % endian)
-        w.line("o += 8 + _cl")
-        w.line("o += -o % 4")
-        w.dedent()
-        w.line("_ctx = _unpack_from('%sI', d, o)[0]" % endian)
-        w.line("o += 5  # request id + response_expected octet")
-        w.line("o += -o % 4")
-        w.line("_kl = _unpack_from('%sI', d, o)[0]" % endian)
-        # The object key names the target interface.  ONC RPC servers
-        # reject a wrong program number with PROG_UNAVAIL; match that
-        # rigor (and give the cross-protocol error map a two-sided
-        # pairing) by rejecting a wrong object key with
-        # OBJECT_NOT_EXIST instead of dispatching it anyway.
-        w.line("if bytes(d[o + 4:o + 4 + _kl]) != %r:"
-               % self.object_key(presc))
-        w.indent()
-        w.line("raise DispatchError('unknown object key',"
-               " code='object_not_exist')")
-        w.dedent()
-        w.line("o += 4 + _kl")
-        w.line("o += -o % 4")
-        w.line("_ol = _unpack_from('%sI', d, o)[0]" % endian)
-        w.line("_key = bytes(d[o + 4:o + 3 + _ol])")
-        w.line("o += 4 + _ol")
-        w.line("o += -o % 4")
-        w.line("_pl = _unpack_from('%sI', d, o)[0]" % endian)
-        w.line("o += 4 + _pl")
-
     def emit_check_reply(self, w, presc):
-        endian = self.wire_format.endian
-        w.line("def _check_reply(d, _ctx):")
-        w.indent()
-        w.line("if bytes(d[0:4]) != b'GIOP' or len(d) < 12:")
-        w.indent()
-        w.line("raise TransportError('not a GIOP Reply')")
-        w.dedent()
-        w.line("if d[7] == %d:" % GIOP_MESSAGE_ERROR)
-        w.indent()
-        w.line("raise RemoteCallError('server answered with GIOP"
-               " MessageError', protocol='giop',"
-               " code='GIOP::MessageError')")
-        w.dedent()
-        w.line("if d[7] != %d:" % GIOP_REPLY)
-        w.indent()
-        w.line("raise TransportError('not a GIOP Reply')")
-        w.dedent()
-        w.line("_nsc = _unpack_from('%sI', d, 12)[0]" % endian)
-        w.line("if _nsc > %d:" % MAX_SERVICE_CONTEXTS)
-        w.indent()
-        w.line("raise WireFormatError('too many service contexts',"
-               " offset=12, field='service_contexts', limit=%d,"
-               " actual=_nsc)" % MAX_SERVICE_CONTEXTS)
-        w.dedent()
-        w.line("o = 16")
-        w.line("for _ in range(_nsc):")
-        w.indent()
-        w.line("_cl = _unpack_from('%sI', d, o + 4)[0]" % endian)
-        w.line("o += 8 + _cl")
-        w.line("o += -o % 4")
-        w.dedent()
-        w.line("_rid = _unpack_from('%sI', d, o)[0]" % endian)
-        w.line("if _rid != _ctx:")
-        w.indent()
-        w.line("raise TransportError('reply request id mismatch')")
-        w.dedent()
-        w.line("return o + 4")
-        w.dedent()
+        super().emit_check_reply(w, presc)
         w.blank()
-        w.line("def _u_system_exception(d, o):")
-        w.indent()
-        w.line('"""Decode a system-exception reply body; returns the')
-        w.line('RemoteCallError for the caller to raise."""')
-        w.line("_n = _unpack_from('%sI', d, o)[0]" % endian)
-        w.line("if _n > len(d) - o - 4:")
-        w.indent()
-        w.line("raise WireFormatError('system exception id truncated',"
-               " offset=o, field='exc_id_length', actual=_n)")
-        w.dedent()
-        w.line("_id = bytes(d[o + 4:o + 4 + _n])"
-               ".rstrip(b'\\x00').decode('latin-1')")
-        w.line("o += 4 + _n + (-_n % 4)")
-        w.line("(_minor, _cmp) = _unpack_from('%sII', d, o)" % endian)
-        w.line("return RemoteCallError('server raised %s"
-               " (minor %d, completed %d)' % (_id, _minor, _cmp),"
-               " protocol='giop', code=_id, minor=_minor,"
-               " completed=_cmp)")
-        w.dedent()
+        with w.block("def _u_system_exception(d, o):"):
+            w.line('"""Decode a system-exception reply body; returns the')
+            w.line('RemoteCallError for the caller to raise."""')
+            w.paste(envelopes.render(
+                "giop", "system_exception", self.wire_format.endian,
+                remote="return %s"))
 
     def reply_error_tail_ops(self, presc):
         from repro.mir import ops as m
 
         return [
             m.Branch(arms=[m.BranchArm(
-                cond="_d == %d" % SYSTEM_EXCEPTION_STATUS,
+                cond="_d == %d" % envelopes.SYSTEM_EXCEPTION_STATUS,
                 body=[m.Raise(value_expr="_u_system_exception(d, o)")],
             )]),
             m.Raise(
@@ -261,7 +133,6 @@ class IiopBackEnd(OptimizingBackEnd):
 
     def emit_error_reply(self, w, presc):
         endian = self.wire_format.endian
-        flag = 1 if self.little_endian else 0
         w.line("_H_MSGERR = %r" % self._giop_header(GIOP_MESSAGE_ERROR))
         w.line("_H_ERRREP = %r" % self._giop_header(GIOP_REPLY))
         w.blank()
@@ -275,32 +146,13 @@ class IiopBackEnd(OptimizingBackEnd):
         w.line('traffic gets a MessageError.  Returns False only for')
         w.line('oneway requests (no reply may be sent)."""')
         w.line("_rid = None")
-        w.line("_two_way = True")
-        w.line("try:")
-        w.indent()
-        w.line("if (len(d) >= 12 and bytes(d[0:4]) == b'GIOP'")
-        w.line("        and d[7] == %d and d[6] == %d):" % (
-            GIOP_REQUEST, flag))
-        w.indent()
-        w.line("_nsc = _unpack_from('%sI', d, 12)[0]" % endian)
-        w.line("if _nsc <= %d:" % MAX_SERVICE_CONTEXTS)
-        w.indent()
-        w.line("o = 16")
-        w.line("for _ in range(_nsc):")
-        w.indent()
-        w.line("_cl = _unpack_from('%sI', d, o + 4)[0]" % endian)
-        w.line("o += 8 + _cl")
-        w.line("o += -o % 4")
-        w.dedent()
-        w.line("_rid = _unpack_from('%sI', d, o)[0]" % endian)
-        w.line("_two_way = d[o + 4] != 0")
-        w.dedent()
-        w.dedent()
-        w.dedent()
-        w.line("except _DEC_ERRORS:")
-        w.indent()
-        w.line("_rid = None")
-        w.dedent()
+        w.line("_two = True")
+        with w.block("try:"):
+            w.paste(envelopes.render("giop", "request", endian,
+                                     wants=("two",), upto="id"))
+            w.line("_rid = _ctx")
+        with w.block("except _HDR_ERRORS:"):
+            w.line("pass")
         w.line("if _rid is None:")
         w.indent()
         w.line("# Header unusable: answer with GIOP MessageError.")
@@ -308,7 +160,7 @@ class IiopBackEnd(OptimizingBackEnd):
         w.line("b.data[_o0:_o0 + 12] = _H_MSGERR")
         w.line("return True")
         w.dedent()
-        w.line("if not _two_way:")
+        w.line("if not _two:")
         w.indent()
         w.line("return False")
         w.dedent()
@@ -346,7 +198,7 @@ class IiopBackEnd(OptimizingBackEnd):
         w.line("_o0 = b.reserve(24)")
         w.line("b.data[_o0:_o0 + 12] = _H_ERRREP")
         w.line("_pack_into('%sIII', b.data, _o0 + 12, 0, _rid, %d)"
-               % (endian, SYSTEM_EXCEPTION_STATUS))
+               % (endian, envelopes.SYSTEM_EXCEPTION_STATUS))
         w.line("_n = len(_id)")
         w.line("_p = -_n % 4")
         w.line("_o1 = b.reserve(4 + _n + _p + 8)")

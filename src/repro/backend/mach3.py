@@ -25,8 +25,6 @@ MSGH_BITS_REPLY = 0x00001200
 MSGH_ID_BASE = 400
 REPLY_ID_DELTA = 100
 
-HEADER_SIZE = 20
-
 
 def message_id(presc, stub):
     """The msgh_id identifying *stub*'s request messages.
@@ -52,6 +50,7 @@ class Mach3BackEnd(OptimizingBackEnd):
 
     name = "mach3"
     wire_format = MACH
+    envelope = "mach3"
 
     def request_header(self, presc, stub):
         template = struct.pack(
@@ -80,19 +79,3 @@ class Mach3BackEnd(OptimizingBackEnd):
         # Mach has no per-call id in our model; the msgh_id is static, so
         # the context carries it for the reply check.
         return "None"
-
-    def emit_dispatch_prelude(self, w, presc):
-        w.line("_key = _unpack_from('<I', d, 16)[0]")
-        w.line("o = %d" % HEADER_SIZE)
-        w.line("_ctx = _key")
-
-    def emit_check_reply(self, w, presc):
-        w.line("def _check_reply(d, _ctx):")
-        w.indent()
-        w.line("_size = _unpack_from('<I', d, 4)[0]")
-        w.line("if _size != len(d):")
-        w.indent()
-        w.line("raise TransportError('mach message size mismatch')")
-        w.dedent()
-        w.line("return %d" % HEADER_SIZE)
-        w.dedent()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 
+from repro import envelopes
 from repro.backend.base import HeaderSpec, OptimizingBackEnd
 from repro.encoding import XDR
 
@@ -24,20 +25,6 @@ DEFAULT_VERSION = 1
 CALL = 0
 REPLY = 1
 RPC_VERSION = 2
-
-#: RFC 1831: opaque_auth bodies are at most 400 bytes.
-MAX_AUTH_BYTES = 400
-
-#: accept_stat names (RFC 1831 section 8), for error replies and
-#: decoded RemoteCallError codes.
-ACCEPT_STAT_NAMES = {
-    0: "SUCCESS",
-    1: "PROG_UNAVAIL",
-    2: "PROG_MISMATCH",
-    3: "PROC_UNAVAIL",
-    4: "GARBAGE_ARGS",
-    5: "SYSTEM_ERR",
-}
 
 
 def interface_program(presc):
@@ -63,6 +50,10 @@ class OncXdrBackEnd(OptimizingBackEnd):
 
     name = "oncrpc-xdr"
     wire_format = XDR
+    envelope = "oncrpc"
+
+    def interface_identity(self, presc):
+        return interface_program(presc)
 
     def request_header(self, presc, stub):
         program, version = interface_program(presc)
@@ -95,117 +86,6 @@ class OncXdrBackEnd(OptimizingBackEnd):
 
     unknown_op_code = "proc_unavail"
 
-    def emit_dispatch_prelude(self, w, presc):
-        program, version = interface_program(presc)
-        w.line("(_xid, _mt, _rv, _prog, _vers, _key, _cf, _cl) = "
-               "_unpack_from('>IIIIIIII', d, 0)")
-        w.line("if _mt != %d:" % CALL)
-        w.indent()
-        w.line("raise DispatchError('not an ONC RPC call message',"
-               " code='not_call')")
-        w.dedent()
-        w.line("if _rv != %d:" % RPC_VERSION)
-        w.indent()
-        w.line("raise DispatchError('RPC version %d unsupported'"
-               " % _rv, code='rpc_mismatch')")
-        w.dedent()
-        w.line("if _prog != %d:" % program)
-        w.indent()
-        w.line("raise DispatchError('program %d unavailable'"
-               " % _prog, code='prog_unavail')")
-        w.dedent()
-        w.line("if _vers != %d:" % version)
-        w.indent()
-        w.line("raise DispatchError('program version %d unsupported'"
-               " % _vers, code='prog_mismatch')")
-        w.dedent()
-        # Skip credential and verifier by their length fields (RFC 1831
-        # opaque_auth).  A null credential leaves o = 40, the static
-        # offset of the original template; an auth-opaque credential
-        # (e.g. a propagated trace context) shifts the body by a
-        # multiple of 4, which XDR's own padding rules already require.
-        # Both bodies are capped at 400 bytes by the RFC, which also
-        # stops a forged length from pushing o past the frame.
-        w.line("if _cl > %d:" % MAX_AUTH_BYTES)
-        w.indent()
-        w.line("raise WireFormatError('credential too long',"
-               " offset=28, field='cred_length',"
-               " limit=%d, actual=_cl)" % MAX_AUTH_BYTES)
-        w.dedent()
-        w.line("o = 32 + _cl + (-_cl % 4)")
-        w.line("_vl = _unpack_from('>I', d, o + 4)[0]")
-        w.line("if _vl > %d:" % MAX_AUTH_BYTES)
-        w.indent()
-        w.line("raise WireFormatError('verifier too long',"
-               " offset=o + 4, field='verf_length',"
-               " limit=%d, actual=_vl)" % MAX_AUTH_BYTES)
-        w.dedent()
-        w.line("o += 8 + _vl + (-_vl % 4)")
-        w.line("_ctx = _xid")
-
-    def emit_check_reply(self, w, presc):
-        program, version = interface_program(presc)
-        w.line("def _check_reply(d, _ctx):")
-        w.indent()
-        w.line("(_xid, _mt, _rs) = _unpack_from('>III', d, 0)")
-        w.line("if _xid != _ctx:")
-        w.indent()
-        w.line("raise TransportError('reply xid mismatch')")
-        w.dedent()
-        w.line("if _mt != %d:" % REPLY)
-        w.indent()
-        w.line("raise TransportError('not an ONC RPC reply')")
-        w.dedent()
-        w.line("if _rs == 1:")
-        w.indent()
-        w.line("_rj = _unpack_from('>I', d, 12)[0]")
-        w.line("if _rj == 0:")
-        w.indent()
-        w.line("(_lo, _hi) = _unpack_from('>II', d, 16)")
-        w.line("raise RemoteCallError('server denied call:"
-               " RPC version mismatch (server speaks %d..%d)'"
-               " % (_lo, _hi), protocol='oncrpc', code='RPC_MISMATCH')")
-        w.dedent()
-        w.line("raise RemoteCallError('server denied call:"
-               " authentication error', protocol='oncrpc',"
-               " code='AUTH_ERROR')")
-        w.dedent()
-        w.line("if _rs != 0:")
-        w.indent()
-        w.line("raise WireFormatError('bad reply_stat %r' % (_rs,),"
-               " offset=8, field='reply_stat')")
-        w.dedent()
-        # MSG_ACCEPTED: skip the verifier by its length (foreign servers
-        # may attach one), then check accept_stat.
-        w.line("_vl = _unpack_from('>I', d, 16)[0]")
-        w.line("if _vl > %d:" % MAX_AUTH_BYTES)
-        w.indent()
-        w.line("raise WireFormatError('verifier too long', offset=16,"
-               " field='verf_length', limit=%d, actual=_vl)"
-               % MAX_AUTH_BYTES)
-        w.dedent()
-        w.line("o = 20 + _vl + (-_vl % 4)")
-        w.line("_ac = _unpack_from('>I', d, o)[0]")
-        w.line("if _ac == 0:")
-        w.indent()
-        w.line("return o + 4")
-        w.dedent()
-        w.line("if _ac == 2:")
-        w.indent()
-        w.line("(_lo, _hi) = _unpack_from('>II', d, o + 4)")
-        w.line("raise RemoteCallError('server accepted call but:"
-               " PROG_MISMATCH (server speaks %d..%d)' % (_lo, _hi),"
-               " protocol='oncrpc', code='PROG_MISMATCH')")
-        w.dedent()
-        w.line("_name = {1: 'PROG_UNAVAIL', 3: 'PROC_UNAVAIL',"
-               " 4: 'GARBAGE_ARGS', 5: 'SYSTEM_ERR'}.get(")
-        w.indent()
-        w.line("_ac, 'accept_stat %d' % _ac)")
-        w.dedent()
-        w.line("raise RemoteCallError('server accepted call but: '"
-               " + _name, protocol='oncrpc', code=_name)")
-        w.dedent()
-
     def emit_error_reply(self, w, presc):
         program, version = interface_program(presc)
         w.line("def encode_error_reply(d, error, b):")
@@ -216,28 +96,16 @@ class OncXdrBackEnd(OptimizingBackEnd):
         w.line('the request cannot be answered (not a call, or too')
         w.line('short to carry an xid)."""')
         w.line("_code = getattr(error, 'code', None)")
-        w.line("if _code == 'not_call':")
-        w.indent()
-        w.line("return False")
-        w.dedent()
-        w.line("try:")
-        w.indent()
-        w.line("(_xid, _mt) = _unpack_from('>II', d, 0)")
-        w.dedent()
-        w.line("except _struct_error:")
-        w.indent()
-        w.line("return False")
-        w.dedent()
-        w.line("if _mt != %d:" % CALL)
-        w.indent()
-        w.line("return False")
-        w.dedent()
+        with w.block("try:"):
+            w.paste(envelopes.render("oncrpc", "request", ">", upto="id"))
+        with w.block("except _HDR_ERRORS:"):
+            w.line("return False")
         w.line("if _code == 'rpc_mismatch':")
         w.indent()
         w.line("# MSG_DENIED / RPC_MISMATCH with supported versions.")
         w.line("_o0 = b.reserve(24)")
         w.line("_pack_into('>IIIIII', b.data, _o0,"
-               " _xid, 1, 1, 0, %d, %d)" % (RPC_VERSION, RPC_VERSION))
+               " _ctx, 1, 1, 0, %d, %d)" % (RPC_VERSION, RPC_VERSION))
         w.line("return True")
         w.dedent()
         w.line("if _code == 'prog_mismatch':")
@@ -245,7 +113,7 @@ class OncXdrBackEnd(OptimizingBackEnd):
         w.line("# MSG_ACCEPTED / PROG_MISMATCH with supported versions.")
         w.line("_o0 = b.reserve(32)")
         w.line("_pack_into('>IIIIIIII', b.data, _o0,"
-               " _xid, 1, 0, 0, 0, 2, %d, %d)" % (version, version))
+               " _ctx, 1, 0, 0, 0, 2, %d, %d)" % (version, version))
         w.line("return True")
         w.dedent()
         w.line("if _code == 'prog_unavail':")
@@ -267,7 +135,7 @@ class OncXdrBackEnd(OptimizingBackEnd):
         w.dedent()
         w.line("_o0 = b.reserve(24)")
         w.line("_pack_into('>IIIIII', b.data, _o0,"
-               " _xid, 1, 0, 0, 0, _stat)")
+               " _ctx, 1, 0, 0, 0, _stat)")
         w.line("return True")
         w.dedent()
         w.blank()

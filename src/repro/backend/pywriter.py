@@ -21,6 +21,11 @@ class PyWriter:
     def blank(self):
         self.line()
 
+    def paste(self, lines):
+        """Write already-printed *lines* at the current depth."""
+        for text in lines:
+            self.line(text)
+
     def indent(self):
         self.depth += 1
 

@@ -6,31 +6,24 @@ key selecting the operation plan, and the byte offset where the
 marshaled arguments begin (the fused copy plans splice bodies wire to
 wire, so the envelope is the only part the gateway interprets itself).
 
-Parsing replicates the generated dispatch preludes' hardening checks —
-bounded auth fields, bounded service-context counts, declared-size
-verification — and raises the same :class:`~repro.errors.DispatchError`
-/ :class:`~repro.errors.WireFormatError` codes, so the ingress stub
-module's ``encode_error_reply`` answers hostile frames exactly as a
+The parse is the ingress protocol's request walk from
+:mod:`repro.envelopes` — the text the generated ``dispatch`` prelude
+consists of, with the interface identity compared against the spec
+instead of a literal — so it raises the preludes' own
+:class:`~repro.errors.DispatchError` / :class:`~repro.errors
+.WireFormatError` codes, and the ingress stub module's
+``encode_error_reply`` answers hostile frames exactly as a
 same-protocol server would.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
-from repro.errors import DispatchError, WireFormatError
+from repro import envelopes
 
 __all__ = ["IngressSpec", "RequestEnvelope", "parse_request"]
-
-#: RFC 1831 bound on opaque_auth bodies.
-MAX_AUTH_BYTES = 400
-
-#: Same service-context bound as the generated GIOP dispatch prelude.
-MAX_SERVICE_CONTEXTS = 64
-
-_unpack_from = struct.unpack_from
 
 
 @dataclass(frozen=True)
@@ -62,107 +55,10 @@ def parse_request(data, spec):
     anything the ingress protocol's own server would refuse.
     """
     if spec.protocol == "oncrpc":
-        return _parse_onc(data, spec)
-    return _parse_giop(data, spec)
-
-
-def _parse_onc(data, spec):
-    if len(data) < 40:
-        raise WireFormatError("ONC RPC call header truncated",
-                              field="header", limit=40, actual=len(data))
-    (xid, message_type, rpc_version, program, version, procedure,
-     _cred_flavor, cred_length) = _unpack_from(">IIIIIIII", data, 0)
-    if message_type != 0:
-        raise DispatchError("not an ONC RPC call message",
-                            code="not_call")
-    if rpc_version != 2:
-        raise DispatchError("RPC version %d unsupported" % rpc_version,
-                            code="rpc_mismatch")
-    if program != spec.program:
-        raise DispatchError("program %d not served here" % program,
-                            code="prog_unavail")
-    if version != spec.version:
-        raise DispatchError("program version %d unsupported" % version,
-                            code="prog_mismatch")
-    if cred_length > MAX_AUTH_BYTES:
-        raise WireFormatError("credential too long", offset=28,
-                              field="cred_length", limit=MAX_AUTH_BYTES,
-                              actual=cred_length)
-    offset = 32 + cred_length + (-cred_length % 4)
-    if offset + 8 > len(data):
-        raise WireFormatError("verifier truncated", offset=offset,
-                              field="verf", limit=offset + 8,
-                              actual=len(data))
-    _verf_flavor, verf_length = _unpack_from(">II", data, offset)
-    if verf_length > MAX_AUTH_BYTES:
-        raise WireFormatError("verifier too long", offset=offset + 4,
-                              field="verf_length", limit=MAX_AUTH_BYTES,
-                              actual=verf_length)
-    offset += 8 + verf_length + (-verf_length % 4)
-    if offset > len(data):
-        raise WireFormatError("verifier truncated", offset=offset,
-                              field="verf", limit=offset,
-                              actual=len(data))
-    return RequestEnvelope(ctx=xid, op_key=procedure,
-                           body_offset=offset, expects_reply=True)
-
-
-def _parse_giop(data, spec):
-    endian = "<" if spec.little_endian else ">"
-    if bytes(data[0:4]) != b"GIOP":
-        raise DispatchError("not a GIOP message", code="bad_magic")
-    if len(data) < 12:
-        raise WireFormatError("GIOP header truncated", field="header",
-                              limit=12, actual=len(data))
-    if data[7] != 0:
-        raise DispatchError("not a GIOP Request", code="not_request")
-    if data[6] != (1 if spec.little_endian else 0):
-        raise DispatchError(
-            "GIOP byte-order mismatch: this gateway ingress is %s-endian"
-            % ("little" if spec.little_endian else "big"),
-            code="byte_order")
-    declared = _unpack_from(endian + "I", data, 8)[0]
-    if declared != len(data) - 12:
-        raise WireFormatError(
-            "GIOP message size %d disagrees with frame size %d"
-            % (declared, len(data) - 12), offset=8,
-            field="message_size", actual=declared, limit=len(data) - 12)
-    try:
-        contexts = _unpack_from(endian + "I", data, 12)[0]
-        if contexts > MAX_SERVICE_CONTEXTS:
-            raise WireFormatError("too many service contexts", offset=12,
-                                  field="service_contexts",
-                                  limit=MAX_SERVICE_CONTEXTS,
-                                  actual=contexts)
-        offset = 16
-        for _ in range(contexts):
-            length = _unpack_from(endian + "I", data, offset + 4)[0]
-            offset += 8 + length
-            offset += -offset % 4
-        ctx = _unpack_from(endian + "I", data, offset)[0]
-        expects_reply = data[offset + 4] != 0
-        offset += 5
-        offset += -offset % 4
-        key_length = _unpack_from(endian + "I", data, offset)[0]
-        if bytes(data[offset + 4:offset + 4 + key_length]) \
-                != spec.object_key:
-            raise DispatchError("unknown object key",
-                                code="object_not_exist")
-        offset += 4 + key_length
-        offset += -offset % 4
-        op_length = _unpack_from(endian + "I", data, offset)[0]
-        op_key = bytes(data[offset + 4:offset + 3 + op_length])
-        offset += 4 + op_length
-        offset += -offset % 4
-        principal_length = _unpack_from(endian + "I", data, offset)[0]
-        offset += 4 + principal_length
-    except (struct.error, IndexError):
-        raise WireFormatError("GIOP request header truncated",
-                              field="header", limit=len(data),
-                              actual=len(data)) from None
-    if offset > len(data):
-        raise WireFormatError("GIOP request header overruns the frame",
-                              field="header", limit=len(data),
-                              actual=offset)
-    return RequestEnvelope(ctx=ctx, op_key=op_key, body_offset=offset,
-                           expects_reply=expects_reply)
+        found = envelopes.reader("oncrpc", "request", ">")(
+            data, (spec.program, spec.version))
+    else:
+        found = envelopes.reader(
+            "giop", "request", "<" if spec.little_endian else ">")(
+            data, (spec.object_key,))
+    return RequestEnvelope(*found[:4])

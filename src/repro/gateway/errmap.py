@@ -40,6 +40,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.envelopes import ACCEPT_STAT_NAMES, SYSTEM_EXCEPTION_STATUS
 from repro.errors import (
     CircuitOpenError,
     DeadlineError,
@@ -57,16 +58,7 @@ __all__ = [
     "translate_remote",
 ]
 
-#: GIOP Reply status word for a system exception (matches the backend).
-SYSTEM_EXCEPTION_STATUS = 0x7FFFFFFF
-
-_ACCEPT_NUMBERS = {
-    "PROG_UNAVAIL": 1,
-    "PROG_MISMATCH": 2,
-    "PROC_UNAVAIL": 3,
-    "GARBAGE_ARGS": 4,
-    "SYSTEM_ERR": 5,
-}
+_ACCEPT_NUMBERS = {name: stat for stat, name in ACCEPT_STAT_NAMES.items()}
 
 #: reject_stat AUTH_ERROR carries an auth_stat; AUTH_FAILED is the
 #: catch-all RFC 1831 provides for "rejected for unspecified reasons".

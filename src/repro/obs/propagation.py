@@ -26,6 +26,11 @@ byte-identical to an uninstrumented build.  Injection is skipped for
 messages that are not GIOP Requests / ONC calls or that already carry a
 non-null credential; extraction returns ``None`` when no context is
 present.  Replies are never touched.
+
+Both directions find their way through the header with the request walk
+of :mod:`repro.envelopes` (which knows the marker and where a context
+sits): a context is read out of, and woven into, only an envelope the
+walk accepts, under the bounds every other reader enforces.
 """
 
 from __future__ import annotations
@@ -34,17 +39,9 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-#: Shared marker, "FLIC": the GIOP service-context id and the ONC RPC
-#: auth flavor carrying a trace context.
-TRACE_CONTEXT_ID = 0x464C4943
-TRACE_AUTH_FLAVOR = 0x464C4943
-
-#: 16-byte trace id + 8-byte span id.
-_BODY_SIZE = 24
-
-_GIOP_REQUEST = 0
-_ONC_CALL = 0
-_ONC_RPC_VERSION = 2
+from repro import envelopes
+from repro.envelopes import TRACE_BODY_SIZE as _BODY_SIZE, TRACE_CONTEXT_ID
+from repro.errors import RuntimeFlickError
 
 
 @dataclass(frozen=True)
@@ -68,8 +65,23 @@ def _pack_body(trace_id, span_id):
     return body
 
 
-def _unpack_body(body):
+def _context_in(body):
     return WireTraceContext(bytes(body[:16]).hex(), bytes(body[16:24]).hex())
+
+
+def _walk(data):
+    """``(protocol, byte order, offset of the context *data* carries or
+    -1, metadata entries it carries)`` for a request the walk accepts,
+    else None."""
+    try:
+        protocol, direction, endian = envelopes.sniff(data)
+        if direction == "request":
+            *_, trace_at, entries = envelopes.reader(
+                protocol, direction, endian)(data)
+            return protocol, endian, trace_at, entries
+    except RuntimeFlickError:
+        pass
+    return None
 
 
 def inject(payload, span_context):
@@ -81,60 +93,29 @@ def inject(payload, span_context):
     """
     data = bytes(payload)
     body = _pack_body(span_context.trace_id, span_context.span_id)
-    if len(data) >= 16 and data[:4] == b"GIOP":
-        if data[7] != _GIOP_REQUEST:
-            return data
-        endian = "<" if data[6] else ">"
-        count = struct.unpack_from(endian + "I", data, 12)[0]
-        entry = struct.pack(endian + "II", TRACE_CONTEXT_ID, _BODY_SIZE) \
-            + body
+    walked = _walk(data)
+    if walked is None:
+        return data
+    protocol, endian, _trace_at, entries = walked
+    entry = struct.pack(endian + "II", TRACE_CONTEXT_ID, _BODY_SIZE) + body
+    if protocol == "giop":
         out = bytearray(data)
-        out[12:16] = struct.pack(endian + "I", count + 1)
+        out[12:16] = struct.pack(endian + "I", entries + 1)
         out[16:16] = entry
         out[8:12] = struct.pack(endian + "I", len(out) - 12)
         return bytes(out)
-    if len(data) >= 40:
-        message_type, rpc_version = struct.unpack_from(">II", data, 4)
-        if message_type != _ONC_CALL or rpc_version != _ONC_RPC_VERSION:
-            return data
-        flavor, length = struct.unpack_from(">II", data, 24)
-        if flavor or length:
-            return data  # a real credential is already there; leave it
-        return b"".join((
-            data[:24],
-            struct.pack(">II", TRACE_AUTH_FLAVOR, _BODY_SIZE),
-            body,
-            data[32:],
-        ))
-    return data
+    if entries:
+        return data  # a real credential is already there; leave it
+    return data[:24] + entry + data[32:]
 
 
 def extract(payload) -> Optional[WireTraceContext]:
     """The trace context carried by *payload*, or None."""
     data = bytes(payload)
-    if len(data) >= 16 and data[:4] == b"GIOP":
-        if data[7] != _GIOP_REQUEST:
-            return None
-        endian = "<" if data[6] else ">"
-        count = struct.unpack_from(endian + "I", data, 12)[0]
-        offset = 16
-        for _ in range(count):
-            if offset + 8 > len(data):
-                return None
-            context_id, length = struct.unpack_from(
-                endian + "II", data, offset
-            )
-            if context_id == TRACE_CONTEXT_ID and length == _BODY_SIZE \
-                    and offset + 8 + _BODY_SIZE <= len(data):
-                return _unpack_body(data[offset + 8:offset + 8 + _BODY_SIZE])
-            offset += 8 + length
-            offset += -offset % 4
+    walked = _walk(data)
+    if walked is None:
         return None
-    if len(data) >= 32 + _BODY_SIZE:
-        message_type, rpc_version = struct.unpack_from(">II", data, 4)
-        if message_type != _ONC_CALL or rpc_version != _ONC_RPC_VERSION:
-            return None
-        flavor, length = struct.unpack_from(">II", data, 24)
-        if flavor == TRACE_AUTH_FLAVOR and length == _BODY_SIZE:
-            return _unpack_body(data[32:32 + _BODY_SIZE])
-    return None
+    _protocol, _endian, trace_at, _entries = walked
+    if trace_at < 0:
+        return None
+    return _context_in(data[trace_at:trace_at + _BODY_SIZE])

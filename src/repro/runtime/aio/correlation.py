@@ -14,39 +14,22 @@ Generated stubs patch their own ids and verify them on replies
 out and restores the original on the way back; stubs remain byte-level
 oblivious to multiplexing, and blocking peers interoperate unchanged.
 
-This module knows just enough of each protocol's header layout to find
-the id field and (for stats) the operation key; bodies are never touched.
+Where the id and (for stats) the operation key sit in a header is not
+known here: every read goes through the walks :mod:`repro.envelopes`
+derives from its one description of each protocol; bodies are never
+touched.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from repro.errors import RemoteCallError, TransportError
-
-ONC_CALL = 0
-ONC_REPLY = 1
-GIOP_REQUEST = 0
-GIOP_REPLY = 1
-GIOP_MESSAGE_ERROR = 6
-
-#: The reply-status sentinel generated GIOP stubs use for CORBA system
-#: exceptions (see repro.backend.iiop.SYSTEM_EXCEPTION_STATUS).
-_GIOP_SYSTEM_EXCEPTION = 0x7FFFFFFF
-
-_ONC_ACCEPT_ERRORS = {
-    1: "PROG_UNAVAIL",
-    2: "PROG_MISMATCH",
-    3: "PROC_UNAVAIL",
-    4: "GARBAGE_ARGS",
-    5: "SYSTEM_ERR",
-}
+from repro import envelopes
+from repro.errors import DispatchError, RemoteCallError, TransportError
 
 
-@dataclass(frozen=True)
-class MessageInfo:
+class MessageInfo(NamedTuple):
     """Where a message's correlation id lives, and what the message is.
 
     Attributes:
@@ -80,78 +63,16 @@ def probe(payload):
     """
     data = bytes(payload) if not isinstance(payload, (bytes, bytearray)) \
         else payload
+    protocol, direction, endian = envelopes.sniff(data)
     try:
-        if len(data) >= 12 and bytes(data[0:4]) == b"GIOP":
-            return _probe_giop(data)
-        if len(data) >= 8:
-            return _probe_onc(data)
-    except struct.error as error:
-        # A header cut short between two of the length checks below.
-        raise TransportError("truncated message header: %s" % error)
-    raise TransportError(
-        "message too short to correlate (%d bytes)" % len(data)
-    )
-
-
-def _probe_onc(data):
-    xid, message_type = struct.unpack_from(">II", data, 0)
-    if message_type == ONC_CALL:
-        if len(data) < 24:
-            raise TransportError("truncated ONC RPC call header")
-        procedure = struct.unpack_from(">I", data, 20)[0]
-        return MessageInfo("oncrpc", "call", xid, 0, ">I", procedure)
-    if message_type == ONC_REPLY:
-        return MessageInfo("oncrpc", "reply", xid, 0, ">I")
-    raise TransportError(
-        "not an ONC RPC message (type %d)" % message_type
-    )
-
-
-def _skip_giop_service_contexts(data, endian):
-    """Offset just past the service-context list starting at byte 12."""
-    count = struct.unpack_from(endian + "I", data, 12)[0]
-    offset = 16
-    for _ in range(count):
-        if offset + 8 > len(data):
-            raise TransportError("truncated GIOP service context")
-        length = struct.unpack_from(endian + "I", data, offset + 4)[0]
-        offset += 8 + length
-        offset += -offset % 4
-    return offset
-
-
-def _probe_giop(data):
-    endian = "<" if data[6] else ">"
-    message_type = data[7]
-    if message_type == GIOP_REQUEST:
-        offset = _skip_giop_service_contexts(data, endian)
-        if offset + 5 > len(data):
-            raise TransportError("truncated GIOP Request header")
-        request_id = struct.unpack_from(endian + "I", data, offset)[0]
-        expects_reply = bool(data[offset + 4])
-        # Skip the response_expected octet and the object key to reach
-        # the operation name (the stub modules' demux key, sans NUL).
-        position = offset + 5
-        position += -position % 4
-        key_length = struct.unpack_from(endian + "I", data, position)[0]
-        position += 4 + key_length
-        position += -position % 4
-        op_length = struct.unpack_from(endian + "I", data, position)[0]
-        op_key = bytes(data[position + 4:position + 3 + op_length])
-        return MessageInfo("giop", "call", request_id, offset, endian + "I",
-                           op_key, expects_reply)
-    if message_type == GIOP_REPLY:
-        offset = _skip_giop_service_contexts(data, endian)
-        if offset + 4 > len(data):
-            raise TransportError("truncated GIOP Reply header")
-        request_id = struct.unpack_from(endian + "I", data, offset)[0]
-        return MessageInfo("giop", "reply", request_id, offset, endian + "I")
-    raise TransportError("unsupported GIOP message type %d" % message_type)
-
-
-def reply_correlation_id(payload):
-    """The correlation id of a reply message (fast path for readers)."""
-    return probe(payload).correlation_id
+        found = envelopes.locator(protocol, direction, endian)(data)
+    except DispatchError as error:
+        raise TransportError(str(error))
+    if direction == "request":
+        correlation_id, offset, op_key, expects_reply = found
+        return MessageInfo(protocol, "call", correlation_id, offset,
+                           endian + "I", op_key, expects_reply)
+    return MessageInfo(protocol, "reply", found[0], found[1], endian + "I")
 
 
 def reply_error(payload):
@@ -170,82 +91,14 @@ def reply_error(payload):
     data = bytes(payload) if not isinstance(payload, (bytes, bytearray)) \
         else payload
     try:
-        if len(data) >= 12 and bytes(data[0:4]) == b"GIOP":
-            return _giop_reply_error(data)
-        if len(data) >= 12:
-            return _onc_reply_error(data)
-    except struct.error:
-        return None
-    return None
-
-
-def _onc_reply_error(data):
-    message_type, reply_stat = struct.unpack_from(">II", data, 4)
-    if message_type != ONC_REPLY:
-        return None
-    if reply_stat == 1:  # MSG_DENIED
-        (reject_stat,) = struct.unpack_from(">I", data, 12)
-        if reject_stat == 0 and len(data) >= 24:
-            low, high = struct.unpack_from(">II", data, 16)
-            return RemoteCallError(
-                "server denied the call: RPC version mismatch"
-                " (supports %d through %d)" % (low, high),
-                protocol="oncrpc", code="RPC_MISMATCH",
-            )
-        return RemoteCallError(
-            "server denied the call: authentication error",
-            protocol="oncrpc", code="AUTH_ERROR",
-        )
-    if reply_stat != 0:
-        return None  # not a well-formed reply; let the stub reject it
-    flavor, length = struct.unpack_from(">II", data, 12)
-    if length > 400:
-        return None
-    offset = 20 + length + (-length % 4)
-    (accept_stat,) = struct.unpack_from(">I", data, offset)
-    code = _ONC_ACCEPT_ERRORS.get(accept_stat)
-    if code is None:
-        return None
-    return RemoteCallError(
-        "server answered %s" % code, protocol="oncrpc", code=code,
-    )
-
-
-def _giop_reply_error(data):
-    if data[7] == GIOP_MESSAGE_ERROR:
-        return RemoteCallError(
-            "server answered with GIOP MessageError",
-            protocol="giop", code="GIOP::MessageError",
-        )
-    if data[7] != GIOP_REPLY:
-        return None
-    endian = "<" if data[6] else ">"
-    try:
-        offset = _skip_giop_service_contexts(data, endian)
+        protocol, direction, endian = envelopes.sniff(data)
+        if direction == "reply":
+            envelopes.reader(protocol, direction, endian)(data)
+    except RemoteCallError as error:
+        return error
     except TransportError:
-        return None
-    if offset + 8 > len(data):
-        return None
-    (status,) = struct.unpack_from(endian + "I", data, offset + 4)
-    if status != _GIOP_SYSTEM_EXCEPTION:
-        return None  # success or a user exception: the stub decodes it
-    body = offset + 8
-    try:
-        (id_length,) = struct.unpack_from(endian + "I", data, body)
-        if id_length > 256 or body + 4 + id_length > len(data):
-            raise struct.error("bad exception id")
-        repo_id = bytes(
-            data[body + 4:body + 4 + id_length]
-        ).rstrip(b"\x00").decode("latin-1")
-        tail = body + 4 + id_length + (-(body + 4 + id_length) % 4)
-        minor, completed = struct.unpack_from(endian + "II", data, tail)
-    except struct.error:
-        repo_id, minor, completed = "IDL:omg.org/CORBA/UNKNOWN:1.0", 0, 2
-    return RemoteCallError(
-        "server raised %s (minor %d, completed %d)"
-        % (repo_id, minor, completed),
-        protocol="giop", code=repo_id, minor=minor, completed=completed,
-    )
+        pass
+    return None
 
 
 def rewrite_id(payload, info, new_id):

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import time
 
-from repro.errors import RuntimeFlickError, TransportError
+from repro import envelopes
+from repro.errors import RuntimeFlickError
 from repro.obs import propagation, trace
 
 
@@ -68,17 +69,25 @@ class RequestCore:
         self.dispatch = dispatch
         self.impl = impl
         self.stats = stats
-        self.op_names = op_names or {}
+        self.op_names = {} if op_names is None else op_names
         self.error_encoder = error_encoder
 
     def op_key(self, record):
-        """The display name of *record*'s operation ("?" if opaque)."""
-        # Imported here: the aio package's server imports this module.
-        from repro.runtime.aio.correlation import probe
+        """The display name of *record*'s operation ("?" if opaque).
 
+        The demux key is found by the request walk of the envelope the
+        stub module speaks, which :func:`~repro.runtime.server
+        .operation_names` hands over with the names; a plain mapping
+        leaves the frame to say what it is (ONC RPC and GIOP can).
+        """
+        envelope = getattr(self.op_names, "envelope", None)
         try:
-            key = probe(record).op_key
-        except TransportError:
+            if envelope is None:
+                protocol, _direction, endian = envelopes.sniff(record)
+            else:
+                protocol, endian = envelope
+            key = envelopes.locator(protocol, "request", endian)(record)[2]
+        except RuntimeFlickError:
             return "?"
         return self.op_names.get(key, key)
 
@@ -95,8 +104,7 @@ class RequestCore:
                            parent=propagation.extract(record))
         with tracer.span("demux", parent=root):
             op_key = self.op_key(record)
-        if op_key is not None:
-            root.set(op=str(op_key))
+        root.set(op=str(op_key))
         return _Ticket(op_key, started, root)
 
     def serve(self, record, buffer, ticket=None):
@@ -148,7 +156,7 @@ class RequestCore:
         return has_reply, has_reply and not crashed, error
 
     def _observe(self, ticket, failed):
-        if self.stats is not None and ticket.op_key is not None:
+        if self.stats is not None:
             self.stats.record(
                 ticket.op_key, time.perf_counter() - ticket.started,
                 error=failed)

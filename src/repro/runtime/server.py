@@ -11,6 +11,14 @@ from repro.runtime.transport import LoopbackTransport
 from repro.runtime.socket_transport import TcpServer, UdpServer
 
 
+class OperationNames(dict):
+    """Demux key -> operation name, and in :attr:`envelope` whose
+    request walk (``(protocol, byte order)`` for :mod:`repro.envelopes`)
+    finds that key in a raw request — None on stubs that do not say."""
+
+    envelope = None
+
+
 def operation_names(module):
     """Map a stub module's demux keys to operation names (for stats).
 
@@ -18,10 +26,9 @@ def operation_names(module):
     whose values are the per-operation handlers ``_h_<operation>``;
     modules compiled with the if-chain demux simply get raw keys.
     """
-    handlers = getattr(module, "_HANDLERS", None)
-    if not handlers:
-        return {}
-    names = {}
+    names = OperationNames()
+    names.envelope = getattr(module, "_ENVELOPE", None)
+    handlers = getattr(module, "_HANDLERS", None) or {}
     for key, handler in handlers.items():
         name = getattr(handler, "__name__", "")
         names[key] = name[3:] if name.startswith("_h_") else str(key)

@@ -51,6 +51,7 @@ program DB {
     int store(entry) = 2;
     blob echo(blob) = 3;
     int_seq rev(int_seq) = 4;
+    int count(void) = 5;
   } = 2;
 } = 0x20000099;
 """

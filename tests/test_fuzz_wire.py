@@ -6,9 +6,11 @@ reply — ONC RPC MSG_ACCEPTED/MSG_DENIED, GIOP Reply/MessageError) or
 refuses the frame cleanly — ``RuntimeFlickError`` from the in-process
 server, a clean close from the socket servers.  No uncaught exceptions,
 no hangs, and the server keeps serving well-formed requests afterwards.
+Mach 3 and Fluke have no error reply on the wire, so there every
+hostile frame ends in the clean refusal or in a well-formed reply.
 
-Volume: by default the random and mutation fuzzers push >= 50k frames
-through the two protocol dispatches combined (fast: the whole module
+Volume: by default the random and mutation fuzzers push >= 100k frames
+through the four protocol dispatches combined (fast: the whole module
 runs in a few seconds).  Tune with::
 
     FLICK_FUZZ_FRAMES=2000 FLICK_FUZZ_SEED=7 pytest tests/test_fuzz_wire.py
@@ -39,8 +41,9 @@ from tests.conftest import MailImpl, compile_db, compile_mail
 
 FUZZ_SEED = int(os.environ.get("FLICK_FUZZ_SEED", "20260806"))
 
-#: Frames per fuzzer run; 4 runs (random/mutation x onc/giop) meet the
-#: >= 50k acceptance floor at the default.
+#: Frames per fuzzer run; 2 runs (random, mutation) per protocol meet
+#: the >= 50k acceptance floor for onc + giop and again for mach3 + fluke
+#: at the default.
 FUZZ_FRAMES = int(os.environ.get("FLICK_FUZZ_FRAMES", "13000"))
 
 #: Random plus mutated frames per protocol that every live driver is
@@ -66,6 +69,9 @@ class DbImpl:
     def rev(self, xs):
         return list(xs)[::-1]
 
+    def count(self):
+        return 7
+
 
 @pytest.fixture(scope="module")
 def onc_module():
@@ -80,7 +86,15 @@ def iiop_module():
 def _make_server(protocol, onc_module, iiop_module):
     if protocol == "onc":
         return StubServer(onc_module, DbImpl())
-    return StubServer(iiop_module, MailImpl(iiop_module))
+    if protocol == "giop":
+        return StubServer(iiop_module, MailImpl(iiop_module))
+    # mach3, fluke: the Mail interface again.  Neither can word a
+    # servant crash on the wire, so the exception itself would come out
+    # of serve_bytes: MailImpl's avg([]) must not crash here.
+    module = compile_mail(protocol).load_module()
+    impl = MailImpl(module)
+    impl.avg = len
+    return StubServer(module, impl)
 
 
 def _capture_requests(module, calls):
@@ -116,16 +130,23 @@ def _capture_requests(module, calls):
 
 
 def _seed_requests(protocol, onc_module, iiop_module):
+    """Well-formed requests; the last is a two-way call without
+    arguments, whose handler decodes nothing — only the header walk
+    stands between a lying length field and the servant."""
     if protocol == "onc":
         return _capture_requests(onc_module, [
             ("echo", (b"hello world",)),
             ("rev", ([1, 2, 3, 4, 5],)),
             ("lookup", ("a name",)),
+            ("count", ()),
         ])
+    if protocol != "giop":
+        iiop_module = compile_mail(protocol).load_module()
     return _capture_requests(iiop_module, [
         ("avg", ([1, 2, 3],)),
         ("reverse", (b"abcdef",)),
         ("ping", (7,)),
+        ("_get_counter", ()),
     ])
 
 
@@ -173,7 +194,22 @@ def assert_valid_giop_reply(frame, reply):
     assert size == len(reply) - 12, "declared size must match the body"
 
 
-VALIDATORS = {"onc": assert_valid_onc_reply, "giop": assert_valid_giop_reply}
+def assert_valid_mach3_reply(frame, reply):
+    """*reply* must be a well-formed Mach message answering *frame*."""
+    assert len(reply) >= 20, "reply shorter than a mach_msg_header_t"
+    size, reply_id = struct.unpack_from("<I8xI", reply, 4)
+    assert size == len(reply), "msgh_size must match the message"
+    assert reply_id == struct.unpack_from("<I", frame, 16)[0] + 100, \
+        "reply msgh_id must be the request's + 100"
+
+
+def assert_valid_fluke_reply(frame, reply):
+    """Fluke replies carry no header: the kernel pairs them."""
+
+
+VALIDATORS = {"onc": assert_valid_onc_reply, "giop": assert_valid_giop_reply,
+              "mach3": assert_valid_mach3_reply,
+              "fluke": assert_valid_fluke_reply}
 
 
 def drive(server, validator, frames):
@@ -240,7 +276,7 @@ def mutate(rng, seeds):
     return bytes(frame)
 
 
-@pytest.mark.parametrize("protocol", ["onc", "giop"])
+@pytest.mark.parametrize("protocol", ["onc", "giop", "mach3", "fluke"])
 class TestFuzzInProcess:
     def test_random_frames(self, protocol, onc_module, iiop_module):
         """Pure random bytes: reply-or-refuse, nothing else."""
@@ -267,7 +303,11 @@ class TestFuzzInProcess:
         assert replied + refused == FUZZ_FRAMES
         # Mutated well-formed requests must overwhelmingly be answered
         # in-protocol (a single flipped bit rarely breaks the header).
-        assert replied > FUZZ_FRAMES // 4
+        # Not so on Mach 3, whose header states the frame's length and
+        # which, like Fluke, has only the refusal for a bad frame.
+        if protocol in ("onc", "giop"):
+            assert replied > FUZZ_FRAMES // 4
+        assert replied > 0
 
     def test_server_survives_and_serves(self, protocol, onc_module,
                                         iiop_module):
@@ -297,7 +337,7 @@ def _load_corpus(prefix):
 class TestCorpusReplay:
     """Every committed hostile frame stays fixed (see corpus/README.md)."""
 
-    @pytest.mark.parametrize("protocol", ["onc", "giop"])
+    @pytest.mark.parametrize("protocol", ["onc", "giop", "mach3", "fluke"])
     def test_replay(self, protocol, onc_module, iiop_module):
         server = _make_server(protocol, onc_module, iiop_module)
         seeds = _seed_requests(protocol, onc_module, iiop_module)
@@ -457,6 +497,9 @@ class TestDriversMatchCore:
             stub_server.impl.rev = _crash_on_zero
         seeds = _seed_requests(protocol, onc_module, iiop_module)
         frames = [frame for _name, frame in _load_corpus(protocol + "_")]
+        # One certain servant crash; the mutations may or may not hit one.
+        frames += _capture_requests(stub_server.module, [
+            ("rev", ([0],)) if protocol == "onc" else ("avg", ([],))])
         frames += [rng.randbytes(rng.randrange(0, 160))
                    for _ in range(DIFF_FRAMES // 2)]
         frames += [mutate(rng, seeds) for _ in range(DIFF_FRAMES // 2)]

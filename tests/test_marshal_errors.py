@@ -159,9 +159,11 @@ class TestArrayRegionErrors:
         # The trailing char, then 5 bytes / one whole 16-byte element.
         for cut in (1 + 5, 1 + 16):
             frame = bytearray(request[:-cut])
+            # A hostile peer keeps the declared size consistent.
             if backend == "iiop":
-                # A hostile peer keeps the GIOP size consistent.
                 frame[8:12] = struct.pack(">I", len(frame) - 12)
+            elif backend == "mach3":
+                frame[4:8] = struct.pack("<I", len(frame))
             with pytest.raises(UnmarshalError) as info:
                 module.dispatch(bytes(frame), impl, MarshalBuffer())
             assert "truncated" in str(info.value)

@@ -197,8 +197,8 @@ class TestCompiledInterface:
         assert handle.renderer == handle.stubs.renderer
 
     def test_operations_sorted(self):
-        assert fresh_db().operations() == ["echo", "lookup", "rev",
-                                           "store"]
+        assert fresh_db().operations() == ["count", "echo", "lookup",
+                                           "rev", "store"]
 
     def test_codec_form(self):
         assert codec_form("_u_req_rev") == ("u_req", "rev")
