@@ -47,7 +47,8 @@ from repro import Flick
 from repro.encoding import MarshalBuffer
 from repro.runtime import StubServer
 from repro.runtime.aio import ConnectionPool
-from repro.runtime.supervisor import Supervisor, WorkerConfig
+from repro.runtime.service import ServiceConfig
+from repro.runtime.supervisor import Supervisor
 from repro.workloads import make_int_array
 
 CLIENT_COUNTS = (1, 8, 64)
@@ -277,15 +278,14 @@ def _measure_workers(tmp_dir):
     module = Flick(frontend="corba", backend="oncrpc-xdr") \
         .compile(MULTIPROC_IDL).load_module()
     request = _churn_request(module)
-    template = WorkerConfig(
-        kind="serve", lang="corba", backend="oncrpc-xdr",
-        impl="bench_servant:BenchServant", dispatch_mode="inline",
-        sys_paths=[tmp_dir])
+    template = ServiceConfig(
+        kind="serve", idl_path=idl_path, lang="corba",
+        backend="oncrpc-xdr", impl="bench_servant:BenchServant",
+        dispatch_mode="inline", sys_paths=[tmp_dir])
     rates = {}
     for workers in WORKER_COUNTS:
         supervisor = Supervisor(
-            template, workers, idl_path=idl_path,
-            report=lambda line: None)
+            template, workers, report=lambda line: None)
         with supervisor:
             rates[workers] = _drive_threaded(
                 (supervisor.host, supervisor.port), request,

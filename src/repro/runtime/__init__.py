@@ -31,7 +31,6 @@ from repro.runtime.aio import (
     CallOptions,
     ConnectionPool,
     RetryPolicy,
-    ServeOptions,
     ServerStats,
 )
 from repro.runtime.tiering import TieringEngine, TierPolicy, \
@@ -44,7 +43,6 @@ __all__ = [
     "ConnectionPool",
     "RecordDecoder",
     "RetryPolicy",
-    "ServeOptions",
     "ServerStats",
     "encode_record",
     "operation_names",

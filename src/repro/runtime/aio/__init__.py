@@ -32,7 +32,7 @@ from repro.runtime.aio.correlation import (
     reply_error,
     rewrite_id,
 )
-from repro.runtime.aio.options import CallOptions, RetryPolicy, ServeOptions
+from repro.runtime.aio.options import CallOptions, RetryPolicy
 from repro.runtime.aio.server import AioTcpServer
 from repro.runtime.aio.stats import ClientStats, LatencyHistogram, \
     ServerStats
@@ -48,7 +48,6 @@ __all__ = [
     "LatencyHistogram",
     "MessageInfo",
     "RetryPolicy",
-    "ServeOptions",
     "ServerStats",
     "probe",
     "reply_error",

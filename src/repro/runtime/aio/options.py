@@ -1,7 +1,7 @@
-"""Policy objects for the concurrent runtime: retries, deadlines, serving.
+"""Policy objects for the concurrent runtime: retries and deadlines.
 
-These are plain frozen dataclasses so they can be shared between threads,
-embedded in CLI plumbing (``flick serve``), and compared in tests.
+These are plain frozen dataclasses so they can be shared between threads
+and compared in tests.
 """
 
 from __future__ import annotations
@@ -56,44 +56,3 @@ class CallOptions:
     def but(self, **changes):
         """A copy with *changes* applied."""
         return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class ServeOptions:
-    """Configuration for the ``flick serve`` verb and server helpers.
-
-    Attributes:
-        host/port: bind address (port 0 picks a free port).
-        aio: serve with the asyncio runtime instead of the blocking
-            thread-per-connection server.
-        max_concurrency: in-flight request cap for the asyncio server
-            (backpressure: reading stops while the limit is reached).
-        dispatch_mode: ``"thread"`` runs each dispatch in a worker-thread
-            pool sized ``max_concurrency`` (safe for blocking servants);
-            ``"inline"`` runs dispatch on the event loop (fastest for
-            non-blocking, CPU-light servants).
-        stats: collect and report per-operation metrics.
-        drain_timeout: seconds granted to in-flight requests at shutdown.
-        trace_path: write finished spans to this JSONL file (enables
-            tracing for the process).
-        metrics_port: serve Prometheus metrics on this port (0 picks a
-            free port; None disables the endpoint).
-        max_pending: asyncio-server overload bound — when all
-            *max_concurrency* slots are busy, at most this many further
-            requests wait; beyond it requests are shed with a protocol
-            error reply (None queues unboundedly via backpressure).
-        fault_plan: path to a :class:`repro.faults.FaultPlan` JSON file
-            applied to inbound requests (chaos testing).
-    """
-
-    host: str = "127.0.0.1"
-    port: int = 0
-    aio: bool = False
-    max_concurrency: int = 64
-    dispatch_mode: str = "thread"
-    stats: bool = False
-    drain_timeout: float = 5.0
-    trace_path: Optional[str] = None
-    metrics_port: Optional[int] = None
-    max_pending: Optional[int] = None
-    fault_plan: Optional[str] = None

@@ -15,30 +15,31 @@ serving through crashes and schema changes:
   one at a time with a graceful drain, so some workers always accept;
   a ``BREAKING`` change is refused with the full compat report and the
   old generation keeps serving;
-* per-worker ``ServerStats`` and payload-shape profiles aggregate onto
-  one ``/metrics`` + ``/profile`` endpoint, next to ``/healthz``
-  (liveness) and ``/readyz`` (readiness: every worker accepting).
+* per-worker ``ServerStats`` and payload-shape profiles aggregate
+  into the supervisor's ``metrics_text()`` / ``profile_json()``, next
+  to ``healthy()`` (liveness) and ``ready()`` (readiness: every worker
+  accepting) — the four questions :func:`repro.obs.http.routes_of`
+  serves as ``/metrics /profile /healthz /readyz``, for a fleet as for
+  one process.
 
-The pieces: :mod:`~repro.runtime.supervisor.config` is the JSON contract
-between parent and worker; :mod:`~repro.runtime.supervisor.control` the
+The pieces: a :class:`repro.runtime.service.ServiceConfig` is the
+fleet's template and, saved as JSON per spawn, the contract between
+parent and worker; :mod:`~repro.runtime.supervisor.control` the
 per-worker control channel; :mod:`~repro.runtime.supervisor.worker` the
-worker entry point (``python -m repro.runtime.supervisor.worker``);
-:mod:`~repro.runtime.supervisor.supervisor` the parent;
-:mod:`~repro.runtime.supervisor.endpoint` the aggregated HTTP endpoint.
+worker entry point (``python -m repro.runtime.supervisor.worker``), a
+driver of the same :func:`repro.runtime.service.build` the
+single-process verbs use; :mod:`~repro.runtime.supervisor.supervisor`
+the parent.
 """
 
-from repro.runtime.supervisor.config import WorkerConfig
 from repro.runtime.supervisor.control import ControlClient
 from repro.runtime.supervisor.supervisor import (
     Supervisor,
     merge_prometheus,
 )
-from repro.runtime.supervisor.endpoint import SupervisorHttpServer
 
 __all__ = [
     "ControlClient",
     "merge_prometheus",
     "Supervisor",
-    "SupervisorHttpServer",
-    "WorkerConfig",
 ]

@@ -57,22 +57,23 @@ class ControlClient:
         self.closed = False
 
     def request(self, cmd, timeout=5.0, **fields):
-        """Send one command, return its decoded reply.
+        """Send one command, return its decoded reply (a dict).
 
         Raises :class:`TransportError` when the worker is unreachable.
-        Only EOF and torn-channel errors close the channel; a timed-out
-        reply leaves it open (the worker is busy, not dead — closing
-        would read as parent death and make it exit) and the late reply
-        is discarded by its ``seq`` on the next request.
+        Only EOF, torn-channel errors and a reply that is not a JSON
+        object close the channel; a timed-out reply leaves it open (the
+        worker is busy, not dead — closing would read as parent death
+        and make it exit) and the late reply is discarded by its
+        ``seq`` on the next request.
         """
-        self._seq += 1
-        seq = self._seq
-        message = dict(fields, cmd=cmd, seq=seq)
-        payload = json.dumps(message).encode("utf-8") + b"\n"
         deadline = time.monotonic() + timeout
         with self._lock:
             if self.closed:
                 raise TransportError("control channel is closed")
+            self._seq += 1
+            seq = self._seq
+            message = dict(fields, cmd=cmd, seq=seq)
+            payload = json.dumps(message).encode("utf-8") + b"\n"
             try:
                 self._sock.settimeout(timeout)
                 self._sock.sendall(payload)
@@ -93,6 +94,9 @@ class ControlClient:
                         "control channel failed: %s" % error) from error
                 try:
                     reply = json.loads(line)
+                    if not isinstance(reply, dict):
+                        raise ValueError(
+                            "not an object: %.40r" % (reply,))
                 except ValueError as error:
                     self.close()
                     raise TransportError(
@@ -100,6 +104,15 @@ class ControlClient:
                 if reply.get("seq") in (None, seq):
                     return reply
                 # A late reply to an earlier, timed-out request.
+
+    def _field(self, cmd, name, types, timeout):
+        """One reply field of *cmd*, refused unless it is a *types*."""
+        value = self.request(cmd, timeout=timeout).get(name)
+        if not isinstance(value, types):
+            raise TransportError(
+                "malformed control reply: %s %r is a %s"
+                % (cmd, name, type(value).__name__))
+        return value
 
     def _read_line(self, deadline):
         while b"\n" not in self._buffer:
@@ -123,10 +136,11 @@ class ControlClient:
         return self.request("status", timeout=timeout)
 
     def metrics_text(self, timeout=5.0):
-        return self.request("metrics", timeout=timeout).get("text", "")
+        return self._field("metrics", "text", str, timeout)
 
     def profile_json(self, timeout=5.0):
-        return self.request("profile", timeout=timeout).get("snapshot")
+        return self._field("profile", "snapshot", (dict, type(None)),
+                           timeout)
 
     def drain(self, timeout=5.0):
         return self.request("drain", timeout=timeout)

@@ -41,7 +41,8 @@ import time
 
 from repro.errors import FlickError, TransportError
 from repro.obs.metrics import MetricsRegistry, parse_prometheus
-from repro.runtime.supervisor.config import WorkerConfig
+from repro.runtime.service import compile_handles
+from repro.runtime.tiering import resolve_policy
 from repro.runtime.supervisor.control import ControlClient
 
 #: Map diff exit codes onto verdict names for rollout outcomes.
@@ -55,20 +56,26 @@ def merge_prometheus(texts):
     lines, which stay cumulative under addition) sum across workers;
     ``*_sample_rate`` gauges take the max (every worker reports its
     configured rate).  ``# HELP``/``# TYPE`` lines are preserved from
-    the first exposition that carries them.
+    the first exposition that carries them.  An exposition that does
+    not parse is left out whole: one misbehaving worker must not take
+    the fleet's ``/metrics`` down.
     """
     meta = {}
     emitted_meta = set()
     values = {}
     order = []
     for text in texts:
+        try:
+            parsed = parse_prometheus(text)
+        except ValueError:
+            continue
         for line in text.splitlines():
             if line.startswith("#"):
                 parts = line.split(None, 3)
                 if len(parts) >= 3 and parts[1] in ("HELP", "TYPE"):
                     meta.setdefault(parts[2], {}).setdefault(
                         parts[1], line)
-        for name, series in parse_prometheus(text).items():
+        for name, series in parsed.items():
             if name not in values:
                 values[name] = {}
                 order.append(name)
@@ -102,6 +109,11 @@ def merge_prometheus(texts):
             else:
                 label_text = ""
             lines.append("%s%s %s" % (name, label_text, text_value))
+    for family, kinds in meta.items():
+        if family not in emitted_meta:  # declared, no series yet: a
+            # fleet names the families one process names
+            lines.extend(kinds[kind] for kind in ("HELP", "TYPE")
+                         if kind in kinds)
     return "\n".join(lines) + "\n"
 
 
@@ -132,40 +144,43 @@ class Supervisor:
     """Run N workers over one listen address; restart and roll them.
 
     Args:
-        template: the :class:`WorkerConfig` shared by every slot (the
-            supervisor fills in slot, generation, fds, and the
-            resolved port).
+        template: the :class:`~repro.runtime.service.ServiceConfig`
+            shared by every slot (the supervisor fills in slot,
+            generation, fds, and the resolved port).  Its ``idl_path``
+            is the operator-visible IDL file: ``rollout()`` re-reads
+            it; the running generation is a content-hashed copy, so
+            editing the file never changes what live workers compiled.
+            With a ``profile_path``, workers profile payload shapes and
+            the merged snapshot lands there at :meth:`stop`.
         workers: fleet size.
-        idl_path: the operator-visible IDL file.  ``rollout()``
-            re-reads it; the running generation is a content-hashed
-            copy, so editing this file never changes what live workers
-            compiled.
+        handles: the template's :func:`~repro.runtime.service
+            .compile_handles`, when the caller already compiled them;
+            otherwise :meth:`start` does — the one parent-side compile
+            (fail fast, learn the protocol), so a fleet start is
+            N + 1 compiles.
         restart_backoff: base seconds before restarting a crashed
             worker; doubles per consecutive failure.
         backoff_cap: upper bound on the restart delay.
         stable_after: uptime after which a slot's failure count resets.
         ready_timeout: seconds to wait for a spawned worker to accept.
-        profile_path: when set, workers profile payload shapes and the
-            merged snapshot lands here at :meth:`stop`.
         report: callable for operator-facing lines (default: print).
         force_inherited_listener: use the inherited-fd fallback even
             where ``SO_REUSEPORT`` exists (exercised by tests).
     """
 
-    def __init__(self, template, workers, *, idl_path,
+    def __init__(self, template, workers, *, handles=None,
                  restart_backoff=0.5, backoff_cap=8.0, stable_after=5.0,
-                 ready_timeout=30.0, profile_path=None, report=None,
+                 ready_timeout=30.0, report=None,
                  force_inherited_listener=False):
-        if workers < 1:
-            raise FlickError("--workers must be at least 1")
+        template.validate(workers)
         self.template = template
         self.workers = workers
-        self.idl_path = idl_path
+        self.handles = handles
+        self.idl_path = template.idl_path
         self.restart_backoff = restart_backoff
         self.backoff_cap = backoff_cap
         self.stable_after = stable_after
         self.ready_timeout = ready_timeout
-        self.profile_path = profile_path
         self._report = report or (lambda line: print(line, flush=True))
         self._force_inherited = force_inherited_listener
         self.host = template.host
@@ -185,6 +200,7 @@ class Supervisor:
         self._listen_fd = None
         self._workdir = None
         self._profile_dir = None
+        self._spawned = 0
         self._current_text = None
         self._generation_path = None
         self.registry = MetricsRegistry()
@@ -207,13 +223,20 @@ class Supervisor:
 
     def start(self):
         """Resolve the address, validate the schema, spawn the fleet."""
-        self._workdir = tempfile.mkdtemp(prefix="flick-supervisor-")
-        if self.profile_path is not None:
-            self._profile_dir = os.path.join(self._workdir, "profiles")
-            os.makedirs(self._profile_dir, exist_ok=True)
         with open(self.idl_path) as handle:
             self._current_text = handle.read()
-        self._resolve_schema()
+        # Fail here, once, on what would fail in every worker: the
+        # schema (the one parent-side compile) and the policy file.
+        if self.handles is None:
+            self.handles = compile_handles(self.template)
+        resolve_policy(self.template.tiering)
+        stubs = self.handles[0].stubs
+        self.backend_name = stubs.backend_name
+        self.interface_name = stubs.interface_name
+        self._workdir = tempfile.mkdtemp(prefix="flick-supervisor-")
+        if self.template.profile_path:
+            self._profile_dir = os.path.join(self._workdir, "profiles")
+            os.makedirs(self._profile_dir, exist_ok=True)
         self._generation_path = self._write_generation(
             self._current_text)
         self._setup_listen()
@@ -229,24 +252,6 @@ class Supervisor:
             target=self._monitor, name="flick-supervisor", daemon=True)
         self._monitor_thread.start()
         return self
-
-    def _resolve_schema(self):
-        """Compile once in-parent: fail fast and learn the protocol."""
-        from repro.runtime.supervisor.worker import _compile_one
-
-        template = self.template
-        if template.kind == "gateway":
-            result = _compile_one(
-                self.idl_path, template.lang,
-                interface=template.interface, pgen=None,
-                backend=template.backend)
-        else:
-            result = _compile_one(
-                self.idl_path, template.lang,
-                interface=template.interface, pgen=template.pgen,
-                backend=template.backend)
-        self.backend_name = result.stubs.backend_name
-        self.interface_name = result.stubs.interface_name
 
     def _write_generation(self, text):
         """A content-hashed side-by-side copy of one schema version."""
@@ -289,13 +294,20 @@ class Supervisor:
         sys_paths = list(self.template.sys_paths)
         if not sys_paths:
             sys_paths = [os.getcwd()]
+        profile_path = None
+        if self._profile_dir is not None:
+            # One file per spawn, not per slot: a slot's successive
+            # workers each leave a snapshot and all of them merge.
+            self._spawned += 1
+            profile_path = os.path.join(
+                self._profile_dir, "profile.%d.json" % self._spawned)
         config = self.template.but(
             slot=handle.slot, generation=generation,
             idl_path=generation_path or self._generation_path,
-            host=self.host,
-            port=self.port, listen_fd=self._listen_fd,
-            control_fd=child_sock.fileno(),
-            profile_dir=self._profile_dir, sys_paths=sys_paths)
+            host=self.host, port=self.port, listen_fd=self._listen_fd,
+            control_fd=child_sock.fileno(), sys_paths=sys_paths,
+            aio=True, stats=True, metrics_port=None,
+            profile_path=profile_path)
         config_path = os.path.join(
             self._workdir, "worker-%d.json" % handle.slot)
         config.save(config_path)
@@ -532,11 +544,11 @@ class Supervisor:
         for _slot, control in self._live_controls():
             try:
                 data = control.profile_json(timeout=2.0)
-            except TransportError:
+                if data is None:
+                    continue
+                snapshot = ProfileSnapshot.from_json(data)
+            except (TransportError, ValueError):
                 continue
-            if data is None:
-                continue
-            snapshot = ProfileSnapshot.from_json(data)
             if merged is None:
                 merged = snapshot
             else:
@@ -617,8 +629,8 @@ class Supervisor:
         return merged_profile
 
     def _merge_profiles(self):
-        """Fold every worker's ``profile.<pid>.json`` into one file."""
-        if self._profile_dir is None or self.profile_path is None:
+        """Fold every worker's ``profile.<n>.json`` into one file."""
+        if self._profile_dir is None:
             return None
         from repro.obs.profile import ProfileSnapshot
 
@@ -635,7 +647,7 @@ class Supervisor:
             else:
                 merged.merge(snapshot)
         if merged is not None:
-            merged.save(self.profile_path)
+            merged.save(self.template.profile_path)
         return merged
 
     def __enter__(self):

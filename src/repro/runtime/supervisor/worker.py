@@ -1,15 +1,19 @@
 """The supervised worker process: ``python -m
 repro.runtime.supervisor.worker CONFIG.json``.
 
-A worker compiles its generation's IDL, binds its share of the listen
-address (its own ``SO_REUSEPORT`` socket, or the listener inherited
-from the parent), and serves it with the asyncio runtime while
-answering the parent's control channel (status / metrics / profile /
-drain).  ``SIGTERM`` and a ``drain`` command mean the same thing:
-refuse new accepts, finish in-flight replies within the drain timeout,
-write the profile snapshot (when profiling), exit 0.  EOF on the
-control channel means the parent died; the worker drains and exits so
-a half-killed fleet never lingers.
+A worker is the asyncio driver of one :class:`repro.runtime.service
+.Service`: it loads the :class:`~repro.runtime.service.ServiceConfig`
+its parent saved, binds its share of the listen address (its own
+``SO_REUSEPORT`` socket, or the listener inherited from the parent),
+has :func:`~repro.runtime.service.build` assemble the service on it —
+the same assembly a single-process ``flick serve`` runs — and serves
+while answering the parent's control channel (status / metrics /
+profile / drain) out of the service's own ``metrics_text()`` /
+``profile_json()``.  ``SIGTERM`` and a ``drain`` command mean the same
+thing: refuse new accepts, finish in-flight replies within the drain
+timeout, write the profile snapshot (when profiling), exit 0.  EOF on
+the control channel means the parent died; the worker drains and exits
+so a half-killed fleet never lingers.
 """
 
 from __future__ import annotations
@@ -22,21 +26,7 @@ import socket
 import sys
 
 from repro.errors import FlickError
-from repro.runtime.supervisor.config import WorkerConfig
-
-
-def _compile_one(path, lang, *, interface, pgen, backend):
-    """Compile the one interface a worker serves from the file *path*."""
-    from repro import api
-    from repro.runtime.server import compile_interface
-
-    with open(path) as handle:
-        text = handle.read()
-    if lang is None:
-        lang = api.detect_lang(text, name=path)
-    return compile_interface(
-        text, lang, name=path, interface=interface, presentation=pgen,
-        backend=backend)
+from repro.runtime.service import ServiceConfig, build
 
 
 def open_listen_socket(config):
@@ -60,84 +50,9 @@ def open_listen_socket(config):
     return sock
 
 
-def _make_tiering(config, handle, stats):
-    """The worker's tiering engine for *handle*, or None when off.
-
-    The slot number becomes the ``worker`` metric label, so the
-    supervisor's merged /metrics keeps every worker's
-    ``flick_tier_current`` series distinct instead of summing them
-    into nonsense.
-    """
-    from repro.runtime.tiering import TieringEngine, resolve_policy
-
-    policy = resolve_policy(getattr(config, "tiering", "off"))
-    if policy is None:
-        return None
-    if getattr(handle.stubs, "backend_instance", None) is None:
-        return None
-    return TieringEngine(
-        handle, policy=policy, registry=stats.registry,
-        worker=str(config.slot))
-
-
-def build_server(config, listen_sock, stats):
-    """The configured :class:`AioTcpServer` (serve) or gateway server."""
-    from repro import obs
-
-    if config.kind == "gateway":
-        from repro.gateway import AioGatewayServer, build_plan
-
-        ingress = _compile_one(
-            config.idl_path, config.lang, interface=config.interface,
-            pgen=None, backend=config.backend)
-        egress = _compile_one(
-            config.upstream_idl_path or config.idl_path, config.lang,
-            interface=config.interface, pgen=None,
-            backend=config.upstream_backend)
-        plan = build_plan(ingress, egress, fuse=config.fuse)
-        if config.profile_dir:
-            obs.profile.configure(
-                sample=config.profile_sample, registry=stats.registry)
-        engine = _make_tiering(config, ingress, stats)
-        return AioGatewayServer(
-            plan, config.upstream_host, config.upstream_port,
-            pool_size=config.pool_size, host=config.host,
-            port=config.port, stats=stats,
-            max_concurrency=config.max_concurrency,
-            max_pending=config.max_pending,
-            drain_timeout=config.drain_timeout,
-            listen_sock=listen_sock,
-            tiering=engine,
-        )
-    from repro.runtime import StubServer
-    from repro.runtime.server import load_servant
-
-    result = _compile_one(
-        config.idl_path, config.lang, interface=config.interface,
-        pgen=config.pgen, backend=config.backend)
-    stub_module = result.module
-    impl = load_servant(config.impl, stub_module)
-    if config.profile_dir:
-        obs.profile.configure(
-            sample=config.profile_sample, registry=stats.registry)
-        obs.profile.instrument_stub_module(stub_module)
-    engine = _make_tiering(config, result, stats)
-    return StubServer(stub_module, impl).aio_server(
-        config.host, config.port,
-        max_concurrency=config.max_concurrency,
-        dispatch_mode=config.dispatch_mode,
-        max_pending=config.max_pending,
-        drain_timeout=config.drain_timeout,
-        stats=stats, listen_sock=listen_sock,
-        tiering=engine,
-    )
-
-
-async def _control_loop(reader, writer, server, config, stats, state,
-                        stop):
+async def _control_loop(reader, writer, service, stop):
     """Answer parent commands until EOF (parent death) or drain."""
-    from repro.obs import profile as obs_profile
-
+    config, server = service.config, service.server
     while True:
         try:
             line = await reader.readline()
@@ -150,6 +65,8 @@ async def _control_loop(reader, writer, server, config, stats, state,
             message = json.loads(line)
         except ValueError:
             continue
+        if not isinstance(message, dict):
+            continue
         cmd = message.get("cmd")
         if cmd == "status":
             reply = {
@@ -159,25 +76,19 @@ async def _control_loop(reader, writer, server, config, stats, state,
                 "generation": config.generation,
                 "accepting": server.accepting,
                 "in_flight": server.in_flight,
-                "draining": state["draining"],
+                "draining": service.draining,
             }
-            if server.tiering:
+            if service.engines:
                 tiers = {}
-                for engine in server.tiering:
+                for engine in service.engines:
                     tiers.update(engine.tier_summary())
                 reply["tiers"] = tiers
         elif cmd == "metrics":
-            reply = {"ok": True,
-                     "text": stats.registry.render_prometheus()}
+            reply = {"ok": True, "text": service.metrics_text()}
         elif cmd == "profile":
-            profiler = obs_profile.active()
-            reply = {
-                "ok": True,
-                "snapshot": (profiler.snapshot().to_json()
-                             if profiler is not None else None),
-            }
+            reply = {"ok": True, "snapshot": service.profile_json()}
         elif cmd == "drain":
-            state["draining"] = True
+            service.draining = True
             await server.drain_async()
             reply = {"ok": True, "pid": os.getpid()}
         else:
@@ -196,34 +107,24 @@ async def _control_loop(reader, writer, server, config, stats, state,
 
 
 async def amain(config):
-    from repro.obs import profile as obs_profile
-    from repro.runtime import ServerStats
-
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(signum, stop.set)
-    stats = ServerStats()
-    listen_sock = open_listen_socket(config)
-    server = build_server(config, listen_sock, stats)
-    state = {"draining": False}
+    service = build(config, open_listen_socket(config))
+    server = service.server
     await server.start_async()
     control_sock = socket.socket(fileno=config.control_fd)
     reader, writer = await asyncio.open_connection(sock=control_sock)
     control_task = loop.create_task(
-        _control_loop(reader, writer, server, config, stats, state,
-                      stop))
+        _control_loop(reader, writer, service, stop))
     print("flick worker slot=%d pid=%d gen=%d serving %s:%d"
           % (config.slot, os.getpid(), config.generation,
              config.host, config.port), flush=True)
     await stop.wait()
-    state["draining"] = True
+    service.draining = True
     await server.aclose(drain=True)
-    if config.profile_dir:
-        snapshot = obs_profile.shutdown()
-        if snapshot is not None:
-            snapshot.save(os.path.join(
-                config.profile_dir, "profile.%d.json" % os.getpid()))
+    service.close()
     control_task.cancel()
     try:
         writer.close()
@@ -238,12 +139,8 @@ def main(argv=None):
         print("usage: python -m repro.runtime.supervisor.worker"
               " CONFIG.json", file=sys.stderr)
         return 2
-    config = WorkerConfig.load(argv[0])
-    for path in reversed(config.sys_paths):
-        if path and path not in sys.path:
-            sys.path.insert(0, path)
     try:
-        return asyncio.run(amain(config))
+        return asyncio.run(amain(ServiceConfig.load(argv[0])))
     except KeyboardInterrupt:
         return 0
     except FlickError as error:

@@ -1,10 +1,13 @@
 """Profile-guided tiered execution: recompile hot ops at runtime.
 
 ``BENCH_renderer.json`` proves no single renderer wins everywhere — the
-closures renderer beats rendered source on struct arrays but loses
-~2.5x on string-heavy payloads.  Instead of asking the operator to
-guess, every operation starts on the cheap-to-compile tier-0 renderer
-and the :class:`TieringEngine` closes the loop at runtime:
+closures renderer is at parity with rendered source on fixed-layout
+payloads (integer and struct arrays are single region ops in the
+marshal IR, which every renderer executes the same way) but ~25 %
+behind on small messages and ~2.5x behind on string-heavy payloads.
+Instead of asking the operator to guess, every operation starts on the
+cheap-to-compile tier-0 renderer and the :class:`TieringEngine` closes
+the loop at runtime:
 
 * an always-on hotness counter (:class:`repro.obs.profile
   .HotnessCounter` — calls plus payload bytes, two integer adds per

@@ -159,8 +159,9 @@ def build_parser():
     inspect_parser.add_argument("--backend", default=None)
     inspect_parser.add_argument("--interface", default=None)
 
+    serving = _serving_flags()
     serve_parser = sub.add_parser(
-        "serve",
+        "serve", parents=[serving],
         help="compile an IDL interface and serve it over TCP",
     )
     serve_parser.add_argument("input", help="IDL source file")
@@ -184,78 +185,12 @@ def build_parser():
         "--aio", action="store_true",
         help="serve with the concurrent asyncio runtime (pipelining,"
              " backpressure, graceful drain) instead of the blocking"
-             " thread-per-connection server",
-    )
-    serve_parser.add_argument(
-        "--stats", action="store_true",
-        help="collect per-operation call counts, errors, and latency"
-             " histograms; printed at shutdown",
-    )
-    serve_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="enable tracing and append finished spans to PATH as JSON"
-             " lines (one object per span)",
-    )
-    serve_parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve Prometheus metrics at http://HOST:PORT/metrics"
-             " (0 picks a free port; implies --stats)",
-    )
-    serve_parser.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="enable the payload-shape profiler and save its snapshot"
-             " to PATH at shutdown (inspect with `flick profile PATH`)",
-    )
-    serve_parser.add_argument(
-        "--profile-sample", type=int, default=64, metavar="N",
-        help="profile every N-th codec call (default: 64; 1 profiles"
-             " everything)",
-    )
-    serve_parser.add_argument(
-        "--max-concurrency", type=int, default=64,
-        help="in-flight request cap for the asyncio runtime",
+             " thread-per-connection server; --workers fleets always do",
     )
     serve_parser.add_argument(
         "--dispatch-mode", choices=("thread", "inline"), default="thread",
         help="run each dispatch on a worker thread (safe for blocking"
              " servants) or inline on the event loop (fastest)",
-    )
-    serve_parser.add_argument(
-        "--max-pending", type=int, default=None, metavar="N",
-        help="overload bound for the asyncio runtime: when all"
-             " --max-concurrency slots are busy, at most N further"
-             " requests wait; beyond that requests are shed with a"
-             " protocol error reply (default: queue unboundedly)",
-    )
-    serve_parser.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="inject faults into inbound requests per a FaultPlan JSON"
-             " file (chaos testing: drop/delay/duplicate/reorder/"
-             "truncate/corrupt/reset probabilities and a seed)",
-    )
-    serve_parser.add_argument(
-        "--duration", type=float, default=None,
-        help="serve for this many seconds, then exit (default: forever)",
-    )
-    serve_parser.add_argument(
-        "--tiering", default="off", metavar="auto|off|FILE",
-        help="profile-guided tiered execution: every op starts on the"
-             " compile-time renderer; a hotness counter promotes hot"
-             " ops to the renderer the cost model scores best for their"
-             " observed payloads, recompiled in the background,"
-             " byte-identity-verified on a shadow call, and reverted"
-             " when the recompile turns out slower; FILE loads a"
-             " TierPolicy JSON (threshold, hysteresis, revert_ratio,"
-             " ...)",
-    )
-    serve_parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="supervised multi-process mode: N worker processes share"
-             " the listen address (SO_REUSEPORT accept sharding);"
-             " crashed workers restart with backoff, SIGHUP re-reads"
-             " the IDL and rolls a compatible schema worker-by-worker,"
-             " and --metrics-port serves the aggregated /metrics,"
-             " /profile, /healthz, and /readyz endpoints",
     )
 
     diff_parser = sub.add_parser(
@@ -343,7 +278,7 @@ def build_parser():
     )
 
     gateway_parser = sub.add_parser(
-        "gateway",
+        "gateway", parents=[serving],
         help="serve one protocol, forward to an upstream on another",
     )
     gateway_parser.add_argument("input", help="IDL source file")
@@ -381,59 +316,8 @@ def build_parser():
         help="multiplexed upstream connections (default: 4)",
     )
     gateway_parser.add_argument(
-        "--max-concurrency", type=int, default=64,
-        help="in-flight request cap on the ingress side",
-    )
-    gateway_parser.add_argument(
-        "--max-pending", type=int, default=None, metavar="N",
-        help="overload bound: beyond N queued requests, shed with a"
-             " protocol error reply (default: queue unboundedly)",
-    )
-    gateway_parser.add_argument(
-        "--stats", action="store_true",
-        help="collect per-operation and per-bridge counters; printed"
-             " at shutdown",
-    )
-    gateway_parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve Prometheus metrics at /metrics (implies --stats)",
-    )
-    gateway_parser.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="enable the payload-shape profiler (fused/re-encode path"
-             " ratios, transcoded sizes) and save its snapshot to PATH"
-             " at shutdown",
-    )
-    gateway_parser.add_argument(
-        "--profile-sample", type=int, default=64, metavar="N",
-        help="profile every N-th transcoded message (default: 64)",
-    )
-    gateway_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="append finished spans to PATH as JSON lines; client,"
-             " gateway, and upstream spans share one trace id",
-    )
-    gateway_parser.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="inject faults into ingress requests per a FaultPlan JSON",
-    )
-    gateway_parser.add_argument(
         "--upstream-fault-plan", default=None, metavar="FILE",
         help="inject faults on the egress leg instead",
-    )
-    gateway_parser.add_argument(
-        "--duration", type=float, default=None,
-        help="serve for this many seconds, then exit (default: forever)",
-    )
-    gateway_parser.add_argument(
-        "--tiering", default="off", metavar="auto|off|FILE",
-        help="profile-guided tiered execution for the ingress-side"
-             " codecs (decode requests / encode replies); see flick"
-             " serve --tiering",
-    )
-    gateway_parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="supervised multi-process mode (see flick serve --workers)",
     )
 
     profile_parser = sub.add_parser(
@@ -474,6 +358,82 @@ def build_parser():
 
     sub.add_parser("list", help="list front ends, presentations, back ends")
     return parser
+
+
+def _serving_flags():
+    """The flags ``flick serve`` and ``flick gateway`` share, once."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--stats", action="store_true",
+        help="collect per-operation call counts, errors, and latency"
+             " histograms (a gateway: per-bridge counters too); printed"
+             " at shutdown",
+    )
+    flags.add_argument(
+        "--metrics-port", type=int, default=None, metavar="PORT",
+        help="serve /metrics (Prometheus), /profile, /healthz and"
+             " /readyz at http://HOST:PORT (0 picks a free port; implies"
+             " --stats); with --workers they answer for the whole fleet",
+    )
+    flags.add_argument(
+        "--profile", default=None, metavar="PATH",
+        help="enable the payload-shape profiler (a gateway: fused/"
+             "re-encode path ratios, transcoded sizes) and save its"
+             " snapshot to PATH at shutdown (inspect with `flick"
+             " profile PATH`)",
+    )
+    flags.add_argument(
+        "--profile-sample", type=int, default=64, metavar="N",
+        help="profile every N-th codec call or transcoded message"
+             " (default: 64; 1 profiles everything)",
+    )
+    flags.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="enable tracing and append finished spans to PATH as JSON"
+             " lines (one object per span); client, gateway, and"
+             " upstream spans share one trace id",
+    )
+    flags.add_argument(
+        "--fault-plan", default=None, metavar="FILE",
+        help="inject faults into inbound requests per a FaultPlan JSON"
+             " file (chaos testing: drop/delay/duplicate/reorder/"
+             "truncate/corrupt/reset probabilities and a seed)",
+    )
+    flags.add_argument(
+        "--max-concurrency", type=int, default=64,
+        help="in-flight request cap for the asyncio runtime",
+    )
+    flags.add_argument(
+        "--max-pending", type=int, default=None, metavar="N",
+        help="overload bound for the asyncio runtime: when all"
+             " --max-concurrency slots are busy, at most N further"
+             " requests wait; beyond that requests are shed with a"
+             " protocol error reply (default: queue unboundedly)",
+    )
+    flags.add_argument(
+        "--duration", type=float, default=None,
+        help="serve for this many seconds, then exit (default: forever)",
+    )
+    flags.add_argument(
+        "--tiering", default="off", metavar="auto|off|FILE",
+        help="profile-guided tiered execution: every op starts on the"
+             " compile-time renderer; a hotness counter promotes hot"
+             " ops to the renderer the cost model scores best for their"
+             " observed payloads, recompiled in the background,"
+             " byte-identity-verified on a shadow call, and reverted"
+             " when the recompile turns out slower (a gateway tiers its"
+             " ingress-side codecs); FILE loads a TierPolicy JSON"
+             " (threshold, hysteresis, revert_ratio, ...)",
+    )
+    flags.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="supervised multi-process mode: N worker processes share"
+             " the listen address (SO_REUSEPORT accept sharding);"
+             " crashed workers restart with backoff, SIGHUP re-reads"
+             " the IDL and rolls a compatible schema worker-by-worker,"
+             " and --metrics-port serves the fleet's merged endpoints",
+    )
+    return flags
 
 
 #: Accepted protocol spellings for ``flick bridge`` / ``flick gateway``.
@@ -738,256 +698,161 @@ def command_inspect(args):
     return 0
 
 
-#: Back ends whose messages the socket servers can carry.
-_SERVABLE_BACKENDS = ("iiop", "oncrpc-xdr")
+def _service_config(args):
+    """The ServiceConfig a ``flick serve`` / ``flick gateway`` line says."""
+    from repro.runtime.service import ServiceConfig
 
-
-def _compile_for_serving(args, text):
-    from repro import frontends
-    from repro.runtime.server import compile_interface
-
-    lang = _guess_frontend(args.input, text, args.frontend)
-    if not frontends.get(lang).servable:
-        raise FlickError(
-            "serve carries TCP protocols only (iiop, oncrpc-xdr);"
-            " %s interfaces target kernel IPC" % lang.upper()
-        )
-    result = compile_interface(
-        text, lang, name=args.input, interface=args.interface,
-        presentation=args.pgen, backend=args.backend,
+    shared = dict(
+        idl_path=args.input, interface=args.interface, stats=args.stats,
+        metrics_port=args.metrics_port, profile_path=args.profile,
+        profile_sample=args.profile_sample, trace_path=args.trace,
+        fault_plan=args.fault_plan, max_concurrency=args.max_concurrency,
+        max_pending=args.max_pending, tiering=args.tiering,
+        sys_paths=[os.getcwd()],  # --impl resolves from the cwd
     )
-    if result.stubs.backend_name not in _SERVABLE_BACKENDS:
-        raise FlickError(
-            "serve supports the %s back ends, not %r"
-            % (" and ".join(_SERVABLE_BACKENDS), result.stubs.backend_name)
-        )
-    return result
+    if args.command == "serve":
+        return ServiceConfig(
+            kind="serve", lang=args.frontend, pgen=args.pgen,
+            backend=args.backend, impl=args.impl, host=args.host,
+            port=args.port, aio=args.aio,
+            dispatch_mode=args.dispatch_mode, **shared)
+    backend, host, port = _parse_endpoint(args.listen, "--listen")
+    upstream_backend, upstream_host, upstream_port = _parse_endpoint(
+        args.upstream, "--upstream")
+    return ServiceConfig(
+        kind="gateway", lang=args.lang, backend=backend, host=host,
+        port=port, upstream_backend=upstream_backend,
+        upstream_host=upstream_host, upstream_port=upstream_port,
+        upstream_idl_path=args.upstream_idl, pool_size=args.pool_size,
+        fuse=not args.no_fuse,
+        upstream_fault_plan=args.upstream_fault_plan, **shared)
 
 
-def _resolve_tiering(args):
-    """The serve/gateway ``--tiering`` value as a TierPolicy (or None)."""
-    from repro.runtime.tiering import resolve_policy
-
-    return resolve_policy(getattr(args, "tiering", "off"))
-
-
-def _run_supervised(args, template, *, what, profile):
-    """Run a worker fleet under the supervisor until shutdown."""
-    from repro.runtime.signals import SignalDriver
-    from repro.runtime.supervisor import Supervisor, SupervisorHttpServer
-
-    supervisor = Supervisor(
-        template, args.workers, idl_path=args.input,
-        profile_path=profile,
-    )
-    driver = SignalDriver(on_hup=supervisor.request_rollout).install()
-    endpoint = None
-    try:
-        supervisor.start()
-        print(
-            "supervising %d worker(s) serving %s (%s back end) on"
-            " %s:%d; SIGHUP re-reads %s and rolls a compatible schema"
-            % (args.workers, what or supervisor.interface_name,
-               supervisor.backend_name, supervisor.host,
-               supervisor.port, args.input),
-            flush=True,
-        )
-        if profile:
-            print("profiling payload shapes to %s (merged across"
-                  " workers at shutdown)" % profile, flush=True)
-        if args.metrics_port is not None:
-            from repro import obs  # noqa: F401 (endpoint idiom parity)
-
-            endpoint = SupervisorHttpServer(
-                supervisor, template.host, args.metrics_port
-            ).start()
-            print(
-                "fleet endpoints on http://%s:%d"
-                " (/metrics /profile /healthz /readyz)"
-                % endpoint.address[:2],
-                flush=True,
-            )
-        try:
-            driver.wait(args.duration)
-        except KeyboardInterrupt:
-            pass
-        print("shutting down (draining %d worker(s))" % args.workers,
-              flush=True)
-    finally:
-        if endpoint is not None:
-            endpoint.stop()
-        merged = supervisor.stop()
-        if profile and merged is not None:
-            print("merged profile snapshot saved to %s" % profile,
-                  flush=True)
-        driver.uninstall()
-    return 0
-
-
-def _command_serve_supervised(args):
-    from repro.runtime.supervisor import WorkerConfig
-
-    for flag, name in ((args.trace, "--trace"),
-                       (args.fault_plan, "--fault-plan")):
-        if flag:
-            raise FlickError(
-                "%s is per-process; it is not supported with --workers"
-                % name)
-    with open(args.input) as handle:
-        text = handle.read()
-    result = _compile_for_serving(args, text)  # fail fast, same checks
-    _resolve_tiering(args)  # fail fast on a bad --tiering FILE
-    template = WorkerConfig(
-        kind="serve", lang=args.frontend, pgen=args.pgen,
-        backend=args.backend, interface=args.interface, impl=args.impl,
-        host=args.host, port=args.port,
-        max_concurrency=args.max_concurrency,
-        dispatch_mode=args.dispatch_mode, max_pending=args.max_pending,
-        profile_sample=args.profile_sample, tiering=args.tiering,
-        sys_paths=[os.getcwd()],
-    )
-    return _run_supervised(
-        args, template, what=result.stubs.interface_name,
-        profile=args.profile,
+def _bridge_refused(config, handles):
+    """``flick gateway --check``: report the verdict; True on BREAKING."""
+    from repro.gateway import (
+        bridge_exit_code,
+        bridge_report_text,
+        check_bridge,
     )
 
+    diff = check_bridge(*handles)
+    if bridge_exit_code(diff) < 2:
+        print("bridge check: %s" % diff.verdict.name, flush=True)
+        return False
+    upstream_path = config.upstream_idl_path or config.idl_path
+    print(bridge_report_text(diff, config.idl_path, upstream_path),
+          file=sys.stderr)
+    print("flick gateway: refusing to serve a BREAKING bridge (%s -> %s)"
+          % (config.idl_path, upstream_path), file=sys.stderr)
+    return True
 
-def command_serve(args):
-    """Compile an interface, bind a servant, and serve it over TCP."""
-    from repro import obs
-    from repro.runtime import ServerStats, StubServer
-    from repro.runtime.aio import ServeOptions
-    from repro.runtime.server import load_servant
-    from repro.runtime.signals import SignalDriver
 
-    if args.workers is not None:
-        return _command_serve_supervised(args)
-    options = ServeOptions(
-        host=args.host, port=args.port, aio=args.aio,
-        max_concurrency=args.max_concurrency,
-        dispatch_mode=args.dispatch_mode, stats=args.stats,
-        trace_path=args.trace, metrics_port=args.metrics_port,
-        max_pending=args.max_pending, fault_plan=args.fault_plan,
-    )
-    with open(args.input) as handle:
-        text = handle.read()
-    result = _compile_for_serving(args, text)
-    stub_module = result.module
-    if os.getcwd() not in sys.path:  # --impl resolves from the cwd
-        sys.path.insert(0, os.getcwd())
-    impl = load_servant(args.impl, stub_module)
-    stub_server = StubServer(stub_module, impl)
-    want_stats = options.stats or options.metrics_port is not None
-    stats = ServerStats() if want_stats else None
-    if options.trace_path:
-        obs.configure(obs.JsonlExporter(options.trace_path))
-        obs.instrument_stub_module(stub_module)
-    if args.profile:
-        obs.profile.configure(
-            sample=args.profile_sample,
-            registry=stats.registry if stats is not None else None,
-        )
-        obs.profile.instrument_stub_module(stub_module)
-    fault_plan = None
-    if options.fault_plan:
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan.load(options.fault_plan)
-    tiering_engine = None
-    tier_policy = _resolve_tiering(args)
-    if tier_policy is not None:
-        from repro.runtime.tiering import TieringEngine
-
-        tiering_engine = TieringEngine(
-            result, policy=tier_policy,
-            registry=stats.registry if stats is not None else None,
-        )
-    server_kwargs = {"stats": stats}
-    if tiering_engine is not None:
-        server_kwargs["tiering"] = tiering_engine
-    if fault_plan is not None:
-        server_kwargs["fault_plan"] = fault_plan
-    if options.aio:
-        server = stub_server.aio_server(
-            options.host, options.port,
-            max_concurrency=options.max_concurrency,
-            dispatch_mode=options.dispatch_mode,
-            drain_timeout=options.drain_timeout,
-            max_pending=options.max_pending,
-            **server_kwargs,
-        )
-        runtime_name = "asyncio runtime, %s dispatch" % options.dispatch_mode
+def _banner(config, running, workers, endpoint):
+    """What the foreground runner says once *running* has started."""
+    gateway = config.kind == "gateway"
+    routes = "metrics on http://%s:%d/metrics (and /profile /healthz" \
+             " /readyz)"
+    if workers is not None:
+        what = running.interface_name
+        if gateway:
+            what = "%s->%s gateway" % (config.backend,
+                                       config.upstream_backend)
+        yield ("supervising %d worker(s) serving %s (%s back end) on"
+               " %s:%d; SIGHUP re-reads %s and rolls a compatible schema"
+               % (workers, what, running.backend_name, running.host,
+                  running.port, config.idl_path))
+        if config.profile_path:
+            yield ("profiling payload shapes to %s (merged across workers"
+                   " at shutdown)" % config.profile_path)
+        routes = "fleet endpoints on http://%s:%d" \
+                 " (/metrics /profile /healthz /readyz)"
     else:
-        if options.max_pending is not None:
-            raise FlickError(
-                "--max-pending applies to the asyncio runtime; add --aio"
-            )
-        server = stub_server.tcp_server(
-            options.host, options.port, **server_kwargs
-        )
-        runtime_name = "blocking thread-per-connection"
-    metrics_server = None
-    driver = SignalDriver().install()
-    try:
-        with server:
-            host, port = server.address
-            print(
-                "serving %s (%s back end; %s) on %s:%d"
-                % (result.stubs.interface_name, result.stubs.backend_name,
-                   runtime_name, host, port),
-                flush=True,
-            )
-            if options.trace_path:
-                print("tracing spans to %s" % options.trace_path,
-                      flush=True)
-            if args.profile:
-                print("profiling payload shapes to %s (1/%d sampling)"
-                      % (args.profile, max(1, args.profile_sample)),
-                      flush=True)
-            if tiering_engine is not None:
-                print(
-                    "tiered execution on (%s): hot ops recompile at"
-                    " score >= %d"
-                    % (args.tiering, tiering_engine.policy.threshold),
-                    flush=True,
-                )
-            if fault_plan is not None:
-                print("fault plan active: %s" % options.fault_plan,
-                      flush=True)
-            if options.metrics_port is not None:
-                metrics_server = obs.MetricsHttpServer(
-                    stats.registry, options.host, options.metrics_port
+        server = running.server
+        host, port = server.address[:2]
+        if gateway:
+            plan = server.plan
+            yield ("gateway %s: listening %s on %s:%d, forwarding %s to"
+                   " %s:%d (%d/%d requests fused)"
+                   % (plan.interface_name, config.backend, host, port,
+                      config.upstream_backend, config.upstream_host,
+                      config.upstream_port, len(plan.fused_request_ops),
+                      len(plan.ops)))
+        else:
+            stubs = running.handles[0].stubs
+            runtime = ("asyncio runtime, %s dispatch"
+                       % config.dispatch_mode if config.aio
+                       else "blocking thread-per-connection")
+            yield ("serving %s (%s back end; %s) on %s:%d"
+                   % (stubs.interface_name, stubs.backend_name, runtime,
+                      host, port))
+        if config.trace_path:
+            yield "tracing spans to %s" % config.trace_path
+        if config.profile_path:
+            yield ("profiling payload shapes to %s (1/%d sampling)"
+                   % (config.profile_path, max(1, config.profile_sample)))
+        for engine in running.engines:
+            yield ("tiered execution on (%s): hot ops recompile at score"
+                   " >= %d" % (config.tiering, engine.policy.threshold))
+        for path in (config.fault_plan, config.upstream_fault_plan):
+            if path:
+                yield "fault plan active: %s" % path
+    if endpoint is not None:
+        yield routes % endpoint.address[:2]
+
+
+def command_service(args):
+    """``flick serve`` / ``flick gateway``: run one service in the
+    foreground — signals, banner, ``--duration``, drain, stats table —
+    as one process or, with ``--workers``, as a supervised fleet."""
+    from repro.obs.http import MetricsHttpServer, routes_of
+    from repro.runtime import service
+    from repro.runtime.signals import SignalDriver
+
+    config = _service_config(args)
+    workers = args.workers
+    config.validate(workers)
+    # The one compile on this side of a fork: the fail-fast check, the
+    # --check verdict and what a single process then serves.
+    handles = service.compile_handles(config)
+    if getattr(args, "check", False) and _bridge_refused(config, handles):
+        return 2
+    if workers is None:
+        running = service.build(config, handles=handles)
+        driver = SignalDriver()
+    else:
+        from repro.runtime.supervisor import Supervisor
+
+        running = Supervisor(config, workers, handles=handles)
+        driver = SignalDriver(on_hup=running.request_rollout)
+    endpoint = None
+    with driver:
+        try:
+            running.start()
+            if config.metrics_port is not None:
+                endpoint = MetricsHttpServer(
+                    routes_of(running), config.host, config.metrics_port
                 ).start()
-                print(
-                    "metrics on http://%s:%d/metrics"
-                    % metrics_server.address[:2],
-                    flush=True,
-                )
+            for line in _banner(config, running, workers, endpoint):
+                print(line, flush=True)
             try:
                 driver.wait(args.duration)
             except KeyboardInterrupt:
-                driver.request_shutdown()
-            if driver.shutdown_requested:
-                # SIGTERM/SIGINT: bounded graceful drain — finish
-                # in-flight replies, refuse new work, then exit 0.
-                print("shutting down (draining in-flight requests)",
-                      flush=True)
-                server.drain(options.drain_timeout)
-    finally:
-        driver.uninstall()
-        if metrics_server is not None:
-            metrics_server.stop()
-        if args.profile:
-            # Profile wrappers wrap trace wrappers; unwind in reverse.
-            snapshot = obs.profile.shutdown()
-            if snapshot is not None:
-                snapshot.save(args.profile)
-                print("profile snapshot saved to %s" % args.profile,
-                      flush=True)
-        if options.trace_path:
-            obs.shutdown()  # flush and close the span file
-    if stats is not None:
-        print(stats.format_table(), flush=True)
+                pass
+            # SIGTERM/SIGINT or --duration: a bounded graceful drain —
+            # finish in-flight replies, refuse new work, then exit 0.
+            print("shutting down (draining %s)"
+                  % ("in-flight requests" if workers is None
+                     else "%d worker(s)" % workers), flush=True)
+        finally:
+            if endpoint is not None:
+                endpoint.stop()
+            if running.stop() is not None:
+                print("%sprofile snapshot saved to %s"
+                      % ("" if workers is None else "merged ",
+                         config.profile_path), flush=True)
+    if workers is None and running.stats is not None:
+        print(running.stats.format_table(), flush=True)
     return 0
 
 
@@ -1155,181 +1020,6 @@ def _fused_prediction_text(predictions):
             "  overall: %d/%d channels take the fused path"
             % (fused_channels, total))
     return "\n".join(lines)
-
-
-def _command_gateway_supervised(args, ingress_backend, listen_host,
-                                listen_port, egress_backend,
-                                upstream_host, upstream_port,
-                                upstream_path):
-    from repro.runtime.supervisor import WorkerConfig
-
-    for flag, name in ((args.trace, "--trace"),
-                       (args.fault_plan, "--fault-plan"),
-                       (args.upstream_fault_plan,
-                        "--upstream-fault-plan")):
-        if flag:
-            raise FlickError(
-                "%s is per-process; it is not supported with --workers"
-                % name)
-    _resolve_tiering(args)  # fail fast on a bad --tiering FILE
-    template = WorkerConfig(
-        kind="gateway", lang=args.lang, backend=ingress_backend,
-        interface=args.interface, host=listen_host, port=listen_port,
-        max_concurrency=args.max_concurrency,
-        max_pending=args.max_pending, dispatch_mode="inline",
-        profile_sample=args.profile_sample,
-        upstream_host=upstream_host, upstream_port=upstream_port,
-        upstream_backend=egress_backend,
-        upstream_idl_path=(
-            upstream_path if upstream_path != args.input else None),
-        pool_size=args.pool_size, fuse=not args.no_fuse,
-        tiering=args.tiering, sys_paths=[os.getcwd()],
-    )
-    return _run_supervised(
-        args, template,
-        what="%s->%s gateway" % (ingress_backend, egress_backend),
-        profile=args.profile,
-    )
-
-
-def command_gateway(args):
-    """Serve a bridge: ingress protocol in, egress protocol out."""
-    from repro import obs
-    from repro.gateway import (
-        AioGatewayServer,
-        bridge_exit_code,
-        bridge_report_text,
-        build_plan,
-        check_bridge,
-    )
-    from repro.runtime import ServerStats
-    from repro.runtime.signals import SignalDriver
-
-    ingress_backend, listen_host, listen_port = _parse_endpoint(
-        args.listen, "--listen")
-    egress_backend, upstream_host, upstream_port = _parse_endpoint(
-        args.upstream, "--upstream")
-    if ingress_backend == egress_backend and args.upstream_idl is None:
-        raise FlickError(
-            "both endpoints speak %s; a gateway bridges two protocols"
-            " (or two schemas: add --upstream-idl)" % ingress_backend
-        )
-    ingress, egress, upstream_path = _compile_bridge_sides(
-        args.input, args.upstream_idl, ingress_backend, egress_backend,
-        args.lang, args.interface,
-    )
-    if args.check:
-        diff = check_bridge(ingress, egress)
-        if bridge_exit_code(diff) >= 2:
-            print(bridge_report_text(diff, args.input, upstream_path),
-                  file=sys.stderr)
-            print(
-                "flick gateway: refusing to serve a BREAKING bridge"
-                " (%s -> %s)" % (args.input, upstream_path),
-                file=sys.stderr,
-            )
-            return 2
-        print("bridge check: %s" % diff.verdict.name, flush=True)
-    if args.workers is not None:
-        return _command_gateway_supervised(
-            args, ingress_backend, listen_host, listen_port,
-            egress_backend, upstream_host, upstream_port, upstream_path)
-    plan = build_plan(ingress, egress, fuse=not args.no_fuse)
-    want_stats = args.stats or args.metrics_port is not None
-    stats = ServerStats() if want_stats else None
-    if args.trace:
-        obs.configure(obs.JsonlExporter(args.trace))
-    if args.profile:
-        obs.profile.configure(
-            sample=args.profile_sample,
-            registry=stats.registry if stats is not None else None,
-        )
-    fault_plan = upstream_fault_plan = None
-    if args.fault_plan or args.upstream_fault_plan:
-        from repro.faults import FaultPlan
-
-        if args.fault_plan:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        if args.upstream_fault_plan:
-            upstream_fault_plan = FaultPlan.load(args.upstream_fault_plan)
-    tiering = _gateway_tiering(args, ingress, stats)
-    server = AioGatewayServer(
-        plan, upstream_host, upstream_port,
-        pool_size=args.pool_size,
-        upstream_fault_plan=upstream_fault_plan,
-        host=listen_host, port=listen_port, stats=stats,
-        max_concurrency=args.max_concurrency,
-        max_pending=args.max_pending, fault_plan=fault_plan,
-        tiering=tiering,
-    )
-    metrics_server = None
-    driver = SignalDriver().install()
-    try:
-        with server:
-            host, port = server.address
-            print(
-                "gateway %s: listening %s on %s:%d, forwarding %s to"
-                " %s:%d (%d/%d requests fused)"
-                % (plan.interface_name, ingress_backend, host, port,
-                   egress_backend, upstream_host, upstream_port,
-                   len(plan.fused_request_ops), len(plan.ops)),
-                flush=True,
-            )
-            if args.trace:
-                print("tracing spans to %s" % args.trace, flush=True)
-            if args.metrics_port is not None:
-                metrics_server = obs.MetricsHttpServer(
-                    stats.registry, listen_host, args.metrics_port
-                ).start()
-                print(
-                    "metrics on http://%s:%d/metrics"
-                    % metrics_server.address[:2],
-                    flush=True,
-                )
-            try:
-                driver.wait(args.duration)
-            except KeyboardInterrupt:
-                driver.request_shutdown()
-            if driver.shutdown_requested:
-                print("shutting down (draining in-flight requests)",
-                      flush=True)
-                server.drain()
-    finally:
-        driver.uninstall()
-        if metrics_server is not None:
-            metrics_server.stop()
-        if args.profile:
-            snapshot = obs.profile.shutdown()
-            if snapshot is not None:
-                snapshot.save(args.profile)
-                print("profile snapshot saved to %s" % args.profile,
-                      flush=True)
-        if args.trace:
-            obs.shutdown()
-    if stats is not None:
-        print(stats.format_table(), flush=True)
-    return 0
-
-
-def _gateway_tiering(args, ingress, stats):
-    """Tiering engines for a gateway: the ingress side only.
-
-    The gateway's hot ingress-side codecs (``_u_req_*`` request
-    decode, ``_m_rep_ok_*`` reply encode) are the ones the hotness
-    counter covers; the egress-side encode/decode pair stays on its
-    compile-time renderer.
-    """
-    policy = _resolve_tiering(args)
-    if policy is None:
-        return ()
-    if getattr(ingress.stubs, "backend_instance", None) is None:
-        return ()
-    from repro.runtime.tiering import TieringEngine
-
-    return (TieringEngine(
-        ingress, policy=policy,
-        registry=stats.registry if stats is not None else None,
-    ),)
 
 
 def _profile_summary(profile):
@@ -1659,16 +1349,14 @@ def main(argv=None):
             return command_ir(args)
         if args.command == "inspect":
             return command_inspect(args)
-        if args.command == "serve":
-            return command_serve(args)
+        if args.command in ("serve", "gateway"):
+            return command_service(args)
         if args.command == "diff":
             return command_diff(args)
         if args.command == "lint":
             return command_lint(args)
         if args.command == "bridge":
             return command_bridge(args)
-        if args.command == "gateway":
-            return command_gateway(args)
         if args.command == "profile":
             return command_profile(args)
         if args.command == "top":

@@ -30,7 +30,6 @@ from repro.runtime.aio import (
     ClientStats,
     ConnectionPool,
     RetryPolicy,
-    ServeOptions,
     ServerStats,
     probe,
 )
@@ -758,12 +757,6 @@ class TestOptionPlumbing:
         assert policy.delay(0) == pytest.approx(0.1)
         assert policy.delay(1) == pytest.approx(0.5)
         assert policy.delay(5) == pytest.approx(0.5)
-
-    def test_serve_options_defaults(self):
-        options = ServeOptions(host="127.0.0.1", port=0)
-        assert options.max_concurrency == 64
-        assert options.dispatch_mode == "thread"
-        assert options.aio is False
 
     def test_transport_options_view_shares_pool(self, onc_module):
         impl = MailImpl(onc_module)

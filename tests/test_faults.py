@@ -30,7 +30,7 @@ from repro.faults import (
     FaultyAioTransport,
     FaultyTransport,
 )
-from repro.obs import MetricsHttpServer, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.runtime.aio import (
     AioClientTransport,
     CallOptions,
@@ -44,6 +44,7 @@ from repro.runtime.framing import RecordDecoder, encode_record
 from repro.runtime.server import StubServer
 
 from tests.conftest import compile_db
+from tests.endpoint import registry_endpoint
 from tests.test_fuzz_wire import DbImpl, _capture_requests
 
 
@@ -551,7 +552,7 @@ class TestFaultRecoveryEndToEnd:
             if name.endswith("Client")
         )
         failures = []
-        with server, MetricsHttpServer(registry) as metrics:
+        with server, registry_endpoint(registry) as metrics:
             transport = AioClientTransport(
                 *server.address, pool_size=4,
                 stats=client_stats, breaker=breaker,

@@ -39,6 +39,7 @@ from repro.runtime.aio import ServerStats
 from repro.runtime.aio.correlation import reply_error
 
 from tests.conftest import MailImpl, compile_mail
+from tests.endpoint import registry_endpoint
 
 
 @pytest.fixture(scope="module")
@@ -406,7 +407,7 @@ class TestObservability:
             with _client(module, gateway.address) as (client, _):
                 client.avg([1, 2, 3])
                 client.reverse(b"zz")
-            with obs.MetricsHttpServer(stats.registry) as endpoint:
+            with registry_endpoint(stats.registry) as endpoint:
                 url = "http://%s:%d/metrics" % endpoint.address[:2]
                 with urllib.request.urlopen(url) as response:
                     text = response.read().decode()

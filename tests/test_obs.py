@@ -12,8 +12,10 @@ share a single trace id in the exported JSONL.
 
 import contextlib
 import json
+import socket
 import struct
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -22,6 +24,7 @@ from repro import Flick, obs
 from repro.encoding import MarshalBuffer
 from repro.encoding.buffer import buffer_counters, reset_buffer_counters
 from repro.errors import DeadlineError
+from repro.obs import http as obs_http
 from repro.obs import metrics, propagation, trace
 from repro.runtime import (
     LoopbackTransport,
@@ -32,6 +35,8 @@ from repro.runtime import (
 )
 from repro.runtime.aio import AioClientTransport, CallOptions, ClientStats
 from repro.runtime.socket_transport import _inject_current_trace
+
+from tests.endpoint import registry_endpoint
 
 CALC_IDL = """
 interface Calc {
@@ -232,7 +237,7 @@ class TestMetricsRegistry:
             worker.start()
         seen = {}
         try:
-            with obs.MetricsHttpServer(registry) as endpoint:
+            with registry_endpoint(registry) as endpoint:
                 url = "http://%s:%d/metrics" % endpoint.address[:2]
                 for _scrape in range(10):
                     with _request.urlopen(url) as response:
@@ -675,7 +680,7 @@ class TestMetricsEndpoint:
     def test_serves_registry_and_404s_everything_else(self):
         registry = metrics.MetricsRegistry()
         registry.counter("up_total", "liveness").inc()
-        with obs.MetricsHttpServer(registry) as endpoint:
+        with registry_endpoint(registry) as endpoint:
             host, port = endpoint.address[:2]
             base = "http://%s:%d" % (host, port)
             with urllib.request.urlopen(base + "/metrics") as response:
@@ -686,6 +691,85 @@ class TestMetricsEndpoint:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(base + "/other")
             assert excinfo.value.code == 404
+
+    # Raw sockets from here on: what a client that is not a scraper
+    # gets from the one HTTP server.
+
+    @staticmethod
+    def _raw(endpoint, payload, timeout=5.0):
+        """Send *payload*, return everything up to the server's close."""
+        with socket.create_connection(
+                endpoint.address[:2], timeout=timeout) as sock:
+            sock.sendall(payload)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
+
+    def test_silent_client_is_timed_out(self, monkeypatch):
+        """A client that never finishes its head used to hold a task
+        and an fd for ever, and stop() then destroyed the pending
+        task."""
+        monkeypatch.setattr(obs_http, "HEAD_TIMEOUT", 0.2)
+        with obs_http.MetricsHttpServer({}) as endpoint:
+            started = time.monotonic()
+            assert self._raw(endpoint, b"GET /metrics HTTP/1.0\r\n") \
+                == b""
+            assert time.monotonic() - started < 3.0
+
+    def test_stop_cancels_a_client_inside_its_head_timeout(self, caplog):
+        endpoint = obs_http.MetricsHttpServer({}).start()
+        sock = socket.create_connection(endpoint.address[:2], timeout=5.0)
+        try:
+            sock.sendall(b"GET /met")
+            time.sleep(0.1)  # the handler is now waiting for the rest
+            with caplog.at_level("ERROR", logger="asyncio"):
+                endpoint.stop()
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+        assert "Task was destroyed" not in caplog.text
+
+    def test_raising_route_answers_500_with_one_line(self, caplog):
+        def broken():
+            raise RuntimeError("worker 3\nwent away")
+
+        routes = {"/broken": broken,
+                  "/fine": lambda: (200, obs_http.PLAIN, "fine\n")}
+        with obs_http.MetricsHttpServer(routes) as endpoint:
+            with caplog.at_level("ERROR"):
+                reply = self._raw(
+                    endpoint, b"GET /broken HTTP/1.0\r\n\r\n")
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.0 500 Internal Server Error")
+            assert body == b"RuntimeError: worker 3 went away\n"
+            assert "route /broken failed" in caplog.text
+            assert "client_connected_cb" not in caplog.text
+            # ... and the endpoint keeps serving.
+            assert self._raw(
+                endpoint, b"GET /fine?x=1 HTTP/1.0\r\n\r\n"
+            ).endswith(b"\r\n\r\nfine\n")
+
+    def test_over_long_head_is_dropped_unanswered(self):
+        with obs_http.MetricsHttpServer({}) as endpoint:
+            junk = b"GET /metrics HTTP/1.0\r\nX-Pad: " \
+                + b"a" * (2 * obs_http.MAX_REQUEST_BYTES)
+            try:
+                assert self._raw(endpoint, junk) == b""
+            except ConnectionError:
+                pass  # reset while still sending: dropped all the same
+
+    def test_only_get_is_served(self):
+        routes = {"/metrics": lambda: (200, obs_http.PLAIN, "x 1\n")}
+        with obs_http.MetricsHttpServer(routes) as endpoint:
+            reply = self._raw(
+                endpoint, b"POST /metrics HTTP/1.0\r\n\r\n")
+            assert reply.startswith(b"HTTP/1.0 404 Not Found")
+            assert reply.endswith(b"GET only\n")
+            assert self._raw(endpoint, b"\r\n\r\n") \
+                .startswith(b"HTTP/1.0 404")
 
 
 class TestBufferCounters:

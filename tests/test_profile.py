@@ -42,6 +42,7 @@ from repro.runtime.aio import ServerStats
 from repro.tools import cli
 
 from tests.conftest import MailImpl, compile_mail
+from tests.endpoint import registry_endpoint
 
 #: The acceptance schema: directory listings with bimodal lengths and
 #: a union whose arms the workload hits lopsidedly.
@@ -375,7 +376,7 @@ class TestEndToEnd:
         profile.instrument_stub_module(module)
         buffer = MarshalBuffer()
         module._m_req_list(buffer, 5, 12)
-        with obs.MetricsHttpServer(stats.registry) as endpoint:
+        with registry_endpoint(stats.registry) as endpoint:
             url = "http://%s:%d/profile" % endpoint.address[:2]
             with urllib.request.urlopen(url) as response:
                 assert response.headers["Content-Type"] \
@@ -386,7 +387,7 @@ class TestEndToEnd:
 
     def test_profile_endpoint_404s_while_off(self, fs_result):
         stats = ServerStats()
-        with obs.MetricsHttpServer(stats.registry) as endpoint:
+        with registry_endpoint(stats.registry) as endpoint:
             url = "http://%s:%d/profile" % endpoint.address[:2]
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(url)
@@ -406,7 +407,7 @@ class TestEndToEnd:
                     client.list(3)
             finally:
                 transport.close()
-            with obs.MetricsHttpServer(stats.registry) as endpoint:
+            with registry_endpoint(stats.registry) as endpoint:
                 target = "%s:%d" % endpoint.address[:2]
                 assert cli.main(["top", target, "--once"]) == 0
         out = capsys.readouterr().out

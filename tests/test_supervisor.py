@@ -7,6 +7,7 @@ graceful ``SIGTERM`` drain and pooled-connection failover.
 """
 
 import asyncio
+import json
 import os
 import random
 import signal
@@ -31,8 +32,12 @@ from repro.runtime.aio import (
     ConnectionPool,
     RetryPolicy,
 )
-from repro.runtime.supervisor import Supervisor, WorkerConfig, \
-    merge_prometheus
+from repro.runtime.service import ServiceConfig
+from repro.runtime.supervisor import (
+    ControlClient,
+    Supervisor,
+    merge_prometheus,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(REPO_ROOT, "examples")
@@ -100,24 +105,25 @@ def _pid_request(module, xid):
 
 
 def _calc_template(tmp_path, **overrides):
-    """Write the calc schema + servant; return (idl_path, template)."""
+    """Write the calc schema + servant; return the fleet template."""
     idl_path = tmp_path / "calc.idl"
     idl_path.write_text(CALC_IDL)
     (tmp_path / "calc_servant.py").write_text(CALC_SERVANT)
     settings = dict(
-        kind="serve", lang="corba", backend="oncrpc-xdr",
-        impl="calc_servant:CalcImpl", host="127.0.0.1", port=0,
-        drain_timeout=2.0, sys_paths=[str(tmp_path)])
+        kind="serve", idl_path=str(idl_path), lang="corba",
+        backend="oncrpc-xdr", impl="calc_servant:CalcImpl",
+        host="127.0.0.1", port=0, drain_timeout=2.0,
+        sys_paths=[str(tmp_path)])
     settings.update(overrides)
-    return str(idl_path), WorkerConfig(**settings)
+    return ServiceConfig(**settings)
 
 
-def _supervisor(template, workers, idl_path, **kwargs):
+def _supervisor(template, workers, **kwargs):
     kwargs.setdefault("restart_backoff", 0.05)
     kwargs.setdefault("backoff_cap", 1.0)
     kwargs.setdefault("stable_after", 60.0)
     kwargs.setdefault("report", lambda line: None)
-    return Supervisor(template, workers, idl_path=idl_path, **kwargs)
+    return Supervisor(template, workers, **kwargs)
 
 
 def _call_avg(module, address, values, options=None):
@@ -203,14 +209,184 @@ class TestMergePrometheus:
 
 
 # ----------------------------------------------------------------------
+# The control channel, with a fake worker on the other end
+# ----------------------------------------------------------------------
+
+GOOD_METRICS = ('# TYPE flick_server_requests_total counter\n'
+                'flick_server_requests_total{op="avg"} 3\n')
+
+
+def _fake_worker(answer):
+    """A ControlClient whose worker end replies ``answer(message)``
+    (bytes: sent raw, anything else: sent as JSON with the seq)."""
+    parent_sock, child_sock = socket.socketpair()
+
+    def serve():
+        with child_sock, child_sock.makefile("rb") as lines:
+            for line in lines:
+                message = json.loads(line)
+                reply = answer(message)
+                if not isinstance(reply, bytes):
+                    reply = json.dumps(
+                        dict(reply, seq=message["seq"])).encode()
+                try:
+                    child_sock.sendall(reply + b"\n")
+                except OSError:
+                    return
+
+    threading.Thread(target=serve, daemon=True).start()
+    return ControlClient(parent_sock)
+
+
+def _well_behaved(message):
+    return {
+        "status": {"ok": True, "accepting": True, "draining": False},
+        "metrics": {"ok": True, "text": GOOD_METRICS},
+        "profile": {"ok": True, "snapshot": None},
+    }[message["cmd"]]
+
+
+class _Running:
+    """A worker process that is, as far as poll() can tell, alive."""
+
+    pid = 0
+
+    def poll(self):
+        return None
+
+
+def _supervisor_over(tmp_path, controls):
+    """An unstarted supervisor whose slots are the given channels."""
+    from repro.runtime.supervisor.supervisor import _WorkerHandle
+
+    sup = _supervisor(_calc_template(tmp_path), len(controls))
+    for slot, control in enumerate(controls):
+        handle = _WorkerHandle(slot)
+        handle.process, handle.control = _Running(), control
+        sup._handles.append(handle)
+    return sup
+
+
+class TestControlChannel:
+    @pytest.mark.parametrize("reply", [b"[]", b"5", b"null", b"{oops"])
+    def test_reply_that_is_no_object_is_a_transport_error(self, reply):
+        """``[]`` and ``5`` used to leak AttributeError out of
+        request(); like unparseable JSON they now end the channel."""
+        control = _fake_worker(lambda message: reply)
+        with pytest.raises(TransportError, match="malformed"):
+            control.status(timeout=2.0)
+        assert control.closed
+
+    @pytest.mark.parametrize("command, reply", [
+        ("metrics_text", {"ok": True, "text": 5}),
+        ("metrics_text", {"ok": False, "error": "unknown command"}),
+        ("profile_json", {"ok": True, "snapshot": [1, 2]}),
+    ])
+    def test_mistyped_field_is_a_transport_error(self, command, reply):
+        control = _fake_worker(lambda message: reply)
+        with pytest.raises(TransportError, match="malformed"):
+            getattr(control, command)(timeout=2.0)
+        assert not control.closed  # the worker still speaks the protocol
+        control.close()
+
+    @pytest.mark.parametrize("bad", [
+        lambda message: b"[]",
+        lambda message: b"5",
+        lambda message: {"ok": True, "text": 5, "snapshot": 5},
+        lambda message: {"ok": True, "text": 'x{le="', "snapshot":
+                         {"kind": "not-a-profile"}},
+    ])
+    def test_one_bad_worker_does_not_take_the_fleet_views_down(
+            self, tmp_path, bad):
+        """merge_prometheus raised on ``{"text": 5}``, so one worker
+        took /metrics, /readyz and status() down for all of them."""
+        controls = [_fake_worker(bad), _fake_worker(_well_behaved)]
+        sup = _supervisor_over(tmp_path, controls)
+        try:
+            merged = parse_prometheus(sup.metrics_text())
+            assert merged["flick_server_requests_total"][
+                (("op", "avg"),)] == 3
+            assert sup.profile_json() is None
+            rows = sup.status()
+            assert rows[1]["alive"] and rows[1]["accepting"]
+            assert sup.ready() in (True, False)  # answers, never raises
+        finally:
+            for control in controls:
+                control.close()
+
+    def test_two_threads_never_share_a_seq(self):
+        """``_seq += 1`` ran outside the lock the two callers (monitor
+        thread, HTTP endpoint) share: a duplicated seq made one of them
+        wait for a reply that had already been consumed."""
+        control = _fake_worker(lambda message: {"echo": message["seq"]})
+        seen, errors = [], []
+
+        def hammer():
+            try:
+                for _ in range(300):
+                    seen.append(control.request("status", timeout=2.0)
+                                ["echo"])
+            except TransportError as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            control.close()
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert sorted(seen) == list(range(1, 1201))
+
+
+class TestWorkerControlLoop:
+    def test_non_object_commands_are_ignored_not_fatal(self):
+        """``[]`` on the channel used to raise out of the loop and
+        leave the worker serving headless."""
+        from types import SimpleNamespace
+
+        from repro.runtime.supervisor.worker import _control_loop
+
+        service = SimpleNamespace(
+            config=SimpleNamespace(slot=0, generation=0),
+            server=SimpleNamespace(accepting=True, in_flight=0),
+            engines=(), draining=False,
+            metrics_text=lambda: GOOD_METRICS)
+
+        async def main():
+            parent_sock, child_sock = socket.socketpair()
+            reader, writer = await asyncio.open_connection(
+                sock=child_sock)
+            stop = asyncio.Event()
+            loop_task = asyncio.ensure_future(
+                _control_loop(reader, writer, service, stop))
+            control = ControlClient(parent_sock)
+            parent_sock.sendall(b'[]\n5\n"drain"\n{oops\n')
+            text = await asyncio.get_running_loop().run_in_executor(
+                None, control.metrics_text)
+            assert not stop.is_set() and not loop_task.done()
+            control.close()
+            await asyncio.wait_for(loop_task, 5.0)
+            writer.close()
+            return text, stop.is_set()
+
+        assert asyncio.run(main()) == (GOOD_METRICS, True)
+
+
+# ----------------------------------------------------------------------
 # The fleet: accept sharding, restart supervision
 # ----------------------------------------------------------------------
 
 class TestFleet:
     def test_two_workers_share_the_port_and_metrics(
             self, tmp_path, calc_module):
-        idl_path, template = _calc_template(tmp_path)
-        with _supervisor(template, 2, idl_path) as sup:
+        template = _calc_template(tmp_path)
+        with _supervisor(template, 2) as sup:
             address = (sup.host, sup.port)
             assert sup.ready()
             for n in range(6):
@@ -234,8 +410,8 @@ class TestFleet:
     def test_inherited_listener_fallback(self, tmp_path, calc_module):
         """Without SO_REUSEPORT sharding, every worker accepts from
         the single parent-bound listener it inherited."""
-        idl_path, template = _calc_template(tmp_path)
-        with _supervisor(template, 2, idl_path,
+        template = _calc_template(tmp_path)
+        with _supervisor(template, 2,
                          force_inherited_listener=True) as sup:
             address = (sup.host, sup.port)
             assert sup.ready()
@@ -245,8 +421,8 @@ class TestFleet:
             assert _call_avg(calc_module, address, [8, 10]) == 9.0
 
     def test_sigkill_restart_with_backoff(self, tmp_path, calc_module):
-        idl_path, template = _calc_template(tmp_path)
-        with _supervisor(template, 1, idl_path) as sup:
+        template = _calc_template(tmp_path)
+        with _supervisor(template, 1) as sup:
             address = (sup.host, sup.port)
             first_pid = sup.status()[0]["pid"]
             os.kill(first_pid, signal.SIGKILL)
@@ -264,8 +440,8 @@ class TestFleet:
 
     def test_backoff_doubles_per_consecutive_failure(
             self, tmp_path, calc_module):
-        idl_path, template = _calc_template(tmp_path)
-        with _supervisor(template, 1, idl_path) as sup:
+        template = _calc_template(tmp_path)
+        with _supervisor(template, 1) as sup:
             for expected_failures in (1, 2, 3):
                 pid = sup.status()[0]["pid"]
                 os.kill(pid, signal.SIGKILL)
@@ -286,9 +462,9 @@ class TestChaos:
         idempotent call completes (client failover + supervisor
         restart), restart counters match the kill count, and each
         slot's restart delays follow the deterministic backoff."""
-        idl_path, template = _calc_template(tmp_path)
+        template = _calc_template(tmp_path)
         clients, calls_each, kill_count = 64, 6, 3
-        with _supervisor(template, 3, idl_path) as sup:
+        with _supervisor(template, 3) as sup:
             address = (sup.host, sup.port)
             kills = []
             rng = random.Random(0xF11C)
@@ -362,10 +538,10 @@ def _mail_template(tmp_path):
     v1_text = open(os.path.join(EXAMPLES, "idl", "mail.idl")).read()
     idl_path = tmp_path / "mail.idl"
     idl_path.write_text(v1_text)
-    template = WorkerConfig(
-        kind="serve", lang="corba", impl="mail_servant:MailServant",
-        host="127.0.0.1", port=0, drain_timeout=2.0,
-        sys_paths=[EXAMPLES])
+    template = ServiceConfig(
+        kind="serve", idl_path=str(idl_path), lang="corba",
+        impl="mail_servant:MailServant", host="127.0.0.1", port=0,
+        drain_timeout=2.0, sys_paths=[EXAMPLES])
     return str(idl_path), template
 
 
@@ -383,7 +559,7 @@ class TestRollout:
         idl_path, template = _mail_template(tmp_path)
         v1 = Flick(frontend="corba").compile(
             open(idl_path).read()).load_module()
-        with _supervisor(template, 2, idl_path) as sup:
+        with _supervisor(template, 2) as sup:
             transport = AioClientTransport(
                 sup.host, sup.port, pool_size=2, options=ROBUST)
             client = v1.MailClient(transport)
@@ -439,7 +615,7 @@ class TestRollout:
         idl_path, template = _mail_template(tmp_path)
         v1 = Flick(frontend="corba").compile(
             open(idl_path).read()).load_module()
-        with _supervisor(template, 1, idl_path) as sup:
+        with _supervisor(template, 1) as sup:
             pid = sup.status()[0]["pid"]
             open(idl_path, "w").write(MAIL_BREAKING)
             result = sup.rollout()
@@ -469,12 +645,11 @@ class TestRollout:
 class TestProfileAggregation:
     def test_live_and_shutdown_profile_merge(
             self, tmp_path, calc_module):
-        idl_path, template = _calc_template(
-            tmp_path, profile_sample=1)
         profile_path = str(tmp_path / "merged.json")
+        template = _calc_template(
+            tmp_path, profile_sample=1, profile_path=profile_path)
         calls = 5
-        with _supervisor(template, 2, idl_path,
-                         profile_path=profile_path) as sup:
+        with _supervisor(template, 2) as sup:
             address = (sup.host, sup.port)
             for n in range(calls):
                 _call_avg(calc_module, address, [n, n + 2])
