@@ -83,9 +83,10 @@ def compile(text, lang=None, *, interface=None, flags=None, name="<idl>",
     object's type).  ``interface`` selects one interface when the input
     defines several.  ``presentation``/``backend``/``flags`` override
     the language defaults, exactly as :class:`repro.core.Flick` does.
-    ``renderer`` selects how the optimized marshal IR becomes codecs:
-    ``"py"`` (rendered Python source, the default) or ``"closures"``
-    (closure codecs compiled straight from the IR at load time) — or a
+    ``renderer`` selects when the rendered codec text is compiled:
+    ``"py"`` (with the module, the default) or ``"closures"`` (the
+    module loads without its codec section and each codec function is
+    compiled by its first call; same text, same code) — or a
     :class:`repro.core.options.RendererPolicy` carrying the renderer,
     disabled passes, and backend options in one value.
 

@@ -110,8 +110,8 @@ class GeneratedStubs:
         The ``py`` renderer's codecs are the module text itself.  Under
         ``closures`` only the scaffold is compiled (the codec section is
         blanked line for line, so line numbers still match
-        ``__source__``) and the codecs are closures built straight from
-        the optimized marshal IR — no source round-trip.
+        ``__source__``) and every codec is a deferred entry: the same
+        text, rendered and compiled per function by its first call.
         """
         if self._module is None:
             from repro.core.loader import load_stub_module
@@ -248,13 +248,13 @@ class OptimizingBackEnd:
     def generate(self, presc, flags=None, renderer="py"):
         """Generate stubs for *presc*; returns :class:`GeneratedStubs`.
 
-        *renderer* selects how the optimized marshal IR becomes
-        executable codecs: ``"py"`` renders Python source (the default),
-        ``"closures"`` compiles the IR straight to closure-based codecs
-        at load time (the rendered codec text is then never compiled),
-        and ``"c"`` is implied — ``stubs.c_source``/``c_header`` print
-        the C artifact when first read, and a presentation the C printer
-        cannot express raises :class:`BackEndError` there, not here.  A
+        *renderer* selects when the rendered codec text is compiled:
+        ``"py"`` with the module (the default), ``"closures"`` function
+        by function, each at its first call (the module loads without
+        its codec section), and ``"c"`` is implied —
+        ``stubs.c_source``/``c_header`` print the C artifact when first
+        read, and a presentation the C printer cannot express raises
+        :class:`BackEndError` there, not here.  A
         :class:`repro.core.options.RendererPolicy` is accepted in place
         of the name; its ``disable_passes`` fold into *flags*.
         """
@@ -303,7 +303,7 @@ class OptimizingBackEnd:
         # one interface (say, an old and a new schema under diff) load
         # side by side under distinguishable names.  The
         # closure renderer shares py_source with the source renderer but
-        # installs different codec objects, so it gets its own suffix.
+        # loads it differently, so it gets its own suffix.
         module_name = "flick_%s_%s_%s" % (
             mangle(presc.interface_name).lower(),
             self.name.replace("-", "_"),

@@ -83,8 +83,10 @@ class Slot:
 
 
 def _renderer_of(function):
-    module = getattr(function, "__module__", None)
-    return "closures" if module == "repro.mir.render_closures" else "py"
+    """The renderer name a base function was built under: the tag its
+    builder set (``repro.mir.render_closures.bind_codecs``), else py —
+    module text, baseline-compiler and hand-written codecs carry none."""
+    return getattr(function, "__renderer__", "py")
 
 
 class CodecSlots:
@@ -133,7 +135,7 @@ class CodecSlots:
             for op, (renderers, layers) in sorted(found.items())
         }
 
-    # -- the three mutations --------------------------------------------
+    # -- the mutations --------------------------------------------------
 
     def set_base(self, functions):
         """Replace base functions: ``{entry name: function}``; a name
@@ -142,6 +144,16 @@ class CodecSlots:
             for slot in [self._slots[name] for name in functions]:
                 slot.base = functions[slot.name]
             self._recompose(functions)
+
+    def replace_base(self, entry, old, new):
+        """Make *new* the base of *entry* if *old* still is: how a
+        deferred codec hands over to what it compiled without undoing a
+        base somebody set in the meantime.  The unlocked test first, so
+        a caller that is no longer the base pays no lock."""
+        if self._slots[entry].base is old:
+            with self._lock:
+                if self._slots[entry].base is old:
+                    self.set_base({entry: new})
 
     def set_layer(self, layer, factory, entries=None):
         """Turn *layer* on (``factory(slot, inner) -> callable``) or off

@@ -22,8 +22,6 @@ surface over the loaded module:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.errors import FlickError
 from repro.core import codecs
 from repro.core.codecs import codec_form
@@ -111,10 +109,11 @@ class CompiledInterface(CompileResult):
                 False the functions are only returned (how the tiering
                 engine shadow-verifies before committing).
 
-        Returns ``{entry name: function}`` for the rebuilt codecs.
-        Out-of-line helper functions the new codecs need are installed
-        into the module when absent regardless of *install* (no
-        existing code references a name that was never bound).
+        Returns ``{entry name: function}`` for the rebuilt codecs.  Only
+        the selected entries and the out-of-line helpers they may call
+        are built, each through the one per-function source compile
+        (:func:`repro.mir.render_closures.compile_function`): now under
+        ``py``, by its first call under ``closures``.
         """
         stubs = self.stubs
         backend = getattr(stubs, "backend_instance", None)
@@ -137,13 +136,15 @@ class CompiledInterface(CompileResult):
             )
         if flags is None:
             flags = stubs.flags or OptFlags()
+        from repro.mir.render_closures import bind_codecs
+
         program = self._build_program(backend, flags)
-        functions = self._select_functions(program, op)
-        module = self.module
-        if renderer == "closures":
-            new = self._compile_closures(program, functions, module)
-        else:
-            new = self._compile_py(program, functions, module)
+        # Built over a *copy* of the module globals: the new functions
+        # carry their own consts and helpers in their ``__globals__``
+        # while still seeing the module's record classes and imports, so
+        # a per-op swap under other flags never perturbs sibling ops.
+        new = bind_codecs(program, dict(vars(self.module)), self.module,
+                          renderer, self._select_entries(program, op))
         if install:
             self.codecs.set_base(new)
         return new
@@ -155,12 +156,12 @@ class CompiledInterface(CompileResult):
         program = build_program(backend, self.presc, flags)
         return PassManager(flags).run(program)
 
-    def _select_functions(self, program, op):
-        """The op's entry functions (or all entries when *op* is None)."""
+    def _select_entries(self, program, op):
+        """The names of *op*'s entry functions (None, meaning every
+        entry, when *op* is None)."""
         if op is None:
-            return {fn.name: fn for fn in program.functions
-                    if not fn.kind.endswith("_helper")}
-        selected = {fn.name: fn for fn in program.functions
+            return None
+        selected = {fn.name for fn in program.functions
                     if fn.operation == op}
         if not selected:
             raise FlickError(
@@ -169,46 +170,3 @@ class CompiledInterface(CompileResult):
                    ", ".join(self.operations()))
             )
         return selected
-
-    def _compile_closures(self, program, functions, module):
-        """IR -> step closures over the live module globals.
-
-        Helper functions (``_m_<T>``/``_u_<T>``) resolve lazily through
-        the module dict at call time, so entries compiled here can call
-        helpers from either renderer — both implement the same IR-level
-        signature.  Helpers the module has never bound (a different
-        pass configuration can name new ones) are installed eagerly.
-        """
-        from repro.mir.render_closures import _compile_function
-
-        G = module.__dict__
-        for fn in program.functions:
-            if fn.kind.endswith("_helper") and fn.name not in G:
-                G[fn.name] = _compile_function(fn, G)
-        return {name: _compile_function(fn, G)
-                for name, fn in functions.items()}
-
-    def _compile_py(self, program, functions, module):
-        """IR -> rendered source, exec'd into a *copy* of the module
-        globals.
-
-        Only *functions* and the out-of-line helpers they may call are
-        rendered (with their consts and runtime imports), so promoting
-        one op compiles one op.  The copy keeps the live module clean:
-        the new functions carry their own consts and helpers in their
-        ``__globals__`` while still seeing the module's record classes
-        and imports, so a per-op swap never perturbs sibling operations.
-        """
-        from repro.backend.pywriter import PyWriter
-        from repro.mir import render_py
-
-        helpers = [fn for fn in program.functions
-                   if fn.kind.endswith("_helper")]
-        w = PyWriter()
-        render_py.render_program(
-            w, replace(program, functions=helpers + list(functions.values())))
-        namespace = dict(module.__dict__)
-        code = compile(w.getvalue(),
-                       "<recompile %s>" % module.__name__, "exec")
-        exec(code, namespace)
-        return {name: namespace[name] for name in functions}

@@ -20,6 +20,17 @@ import weakref
 _counter = itertools.count(1)
 
 
+def register_source(owner, name, source):
+    """Make *source* what tracebacks show for code compiled under the
+    returned filename — a fresh ``<name_N>`` — for as long as *owner*
+    lives."""
+    filename = "<%s_%d>" % (name, next(_counter))
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename)
+    weakref.finalize(owner, linecache.cache.pop, filename, None)
+    return filename
+
+
 def load_stub_module(source, name="flick_generated", skip_lines=None):
     """Compile and exec generated *source*; return the module object.
 
@@ -27,13 +38,10 @@ def load_stub_module(source, name="flick_generated", skip_lines=None):
     uncompiled: they are blanked, not cut, so line numbers — and what
     ``__source__`` and tracebacks show — stay those of *source*.
     """
-    unique = "%s_%d" % (name, next(_counter))
-    module = types.ModuleType(unique)
-    module.__file__ = "<%s>" % unique
+    module = types.ModuleType(name)
+    module.__file__ = register_source(module, name, source)
+    module.__name__ = module.__file__[1:-1]
     module.__source__ = source
-    linecache.cache[module.__file__] = (
-        len(source), None, source.splitlines(True), module.__file__)
-    weakref.finalize(module, linecache.cache.pop, module.__file__, None)
     text = source
     if skip_lines is not None:
         start, end = skip_lines

@@ -121,8 +121,9 @@ class RendererPolicy:
     today (the bare string still works — :meth:`coerce` upgrades it).
 
     Attributes:
-        renderer: how the optimized marshal IR becomes codecs (``"py"``,
-            ``"closures"``, or ``"c"``).
+        renderer: ``"py"`` (the rendered codec text is compiled with
+            the module), ``"closures"`` (the same text, each function
+            compiled by its first call), or ``"c"``.
         disable_passes: MIR pass names (see
             :data:`repro.mir.passes.PASS_NAMES`) to turn off on top of
             whatever base :class:`OptFlags` the caller supplies.

@@ -20,7 +20,7 @@ doubles in alignment) sends the whole channel to the fallback.
 
 **Decode/re-encode fallback.**  The ingress module's generated
 ``_u_req_*`` / ``_u_rep_*`` decoders feed the egress module's
-``_m_req_*`` / ``_m_rep_*`` encoders (closures renderer), preserving
+``_m_req_*`` / ``_m_rep_*`` encoders, preserving
 full hardening on the decode side and exact egress bytes on the encode
 side.
 
@@ -242,7 +242,7 @@ class OpPlan:
     #: reply discriminator word -> copy segments (0 = success arm,
     #: n = the nth user exception); absent arms fall back.
     reply_segments: Dict[int, List] = field(default_factory=dict)
-    u_req: object = None          # ingress request decode (closures)
+    u_req: object = None          # ingress request decode
     m_req: object = None          # egress request encode
     check_reply: object = None    # egress reply-header validator
     u_rep: object = None          # egress reply decode
@@ -341,8 +341,9 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
 
     Both are :class:`repro.api.CompileResult`-likes for the same (or
     compatible) schema, compiled for servable backends.  Modules are
-    loaded here; compile with ``renderer="closures"`` for the fast
-    fallback codecs.
+    loaded here.  The fallback codecs run the same rendered code under
+    either renderer name; ``renderer="closures"`` only defers each
+    codec's compile to the first message that needs it.
     """
     ingress_backend = make_backend(ingress_result.stubs.backend_name)
     egress_backend = make_backend(egress_result.stubs.backend_name)

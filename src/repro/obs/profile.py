@@ -1056,18 +1056,16 @@ class HotnessCounter:
 # Renderer hint: the cost model
 # ----------------------------------------------------------------------
 
-#: Relative cost coefficients, calibrated against BENCH_renderer.json.
-#: Fixed-layout bytes cost the same under both renderers: atom arrays
-#: and array regions are one bulk ``struct`` call in the marshal IR, so
-#: neither renderer adds per-element work (closures/py marshal MB/s over
-#: three pinned runs: ints 64 KB 0.98-1.00, ints 1 MB 0.99-1.04, rects
-#: 64 KB 0.96-1.01).  A tie goes to closures (scores compare as
-#: ``(score, name)``), which keeps tier placement of all-fixed ops where
-#: it was.  Variable-length fields are where the renderers differ: each
-#: costs closures a Python-level step dispatch, and the py renderer's
-#: inlined source wins ~2.5x there (dirents: 43 vs 109 MB/s).  Same
-#: structural facts the MIR chunk-coalescing pass exploits: fixed runs
-#: batch, variable fields break the run.
+#: Relative cost coefficients per renderer name.  They were calibrated
+#: against a ``closures`` renderer that interpreted the marshal IR and
+#: paid a Python-level step per variable-length field; that renderer is
+#: gone.  Both names now run the same rendered code (steady state within
+#: noise of each other on every row of ``scripts/renderer_table.py``,
+#: EXPERIMENTS.md), so the coefficients no longer describe a measured
+#: difference: they are kept so that the tiering engine places ops where
+#: it did (a tie goes to closures — scores compare as ``(score,
+#: name)``), and ROADMAP asks the next re-anchor to give the model a
+#: native tier to choose or retire it.
 COST = {
     "py": {"fixed_byte": 1.0, "var_field": 50.0, "var_byte": 1.0},
     "closures": {"fixed_byte": 1.0, "var_field": 1000.0, "var_byte": 1.0},
@@ -1134,13 +1132,13 @@ def renderer_hint(profiles):
     if winner == "closures":
         reason = (
             "fixed-layout bytes dominate (%.0f fixed vs %.0f"
-            " string/bytes per message); bulk struct packing wins"
+            " string/bytes per message)"
             % (fixed_bytes, per_message_var_bytes)
         )
     else:
         reason = (
             "variable-length fields dominate (%.1f per message,"
-            " %.0f bytes); inlined source beats closure dispatch"
+            " %.0f bytes)"
             % (per_message_var_fields, per_message_var_bytes)
         )
     if empty_fields:

@@ -1,13 +1,12 @@
 """Profile-guided tiered execution: recompile hot ops at runtime.
 
-``BENCH_renderer.json`` proves no single renderer wins everywhere — the
-closures renderer is at parity with rendered source on fixed-layout
-payloads (integer and struct arrays are single region ops in the
-marshal IR, which every renderer executes the same way) but ~25 %
-behind on small messages and ~2.5x behind on string-heavy payloads.
-Instead of asking the operator to guess, every operation starts on the
-cheap-to-compile tier-0 renderer and the :class:`TieringEngine` closes
-the loop at runtime:
+The two executable renderer names run the same rendered code and differ
+in when a codec function is compiled (``py`` with the module,
+``closures`` at its first call — :mod:`repro.mir.render_closures`), so a
+promotion between them changes when an op was compiled, not what runs.
+The machinery below is the part that does not depend on what the tiers
+are: every operation starts on the compile-time renderer and the
+:class:`TieringEngine` closes the loop at runtime:
 
 * an always-on hotness counter (:class:`repro.obs.profile
   .HotnessCounter` — calls plus payload bytes, two integer adds per
@@ -454,9 +453,8 @@ class TieringEngine:
     def _structural_hint(self, op):
         """py/closures from the naive type IR alone.
 
-        The same structural facts the cost model's coefficients encode:
-        string/bytes channels favour inlined source, all-fixed layouts
-        favour bulk struct packing.
+        The same structural fact the cost model's coefficients
+        encode: whether any channel carries variable-length text.
         """
         thunk = getattr(self.module, "_flick_shapes", None)
         if thunk is None:
@@ -478,10 +476,8 @@ class TieringEngine:
             for channel in channels if channel is not None
             for _name, node in channel.items)
         if variable:
-            return ("py", "structural: string/bytes channels; inlined"
-                          " source beats closure dispatch")
-        return ("closures", "structural: fixed-layout channels; bulk"
-                            " struct packing wins")
+            return ("py", "structural: string/bytes channels")
+        return ("closures", "structural: fixed-layout channels")
 
     # -- bookkeeping ----------------------------------------------------
 

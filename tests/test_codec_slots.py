@@ -47,6 +47,8 @@ def _observability_off():
 
 
 def innermost(function):
+    """Under every layer — and, for a ``closures`` entry its first call
+    has compiled, under the deferred entry that hands over to it."""
     while hasattr(function, "__wrapped__"):
         function = function.__wrapped__
     return function
@@ -57,7 +59,8 @@ def assert_tier1_is_live(rig, tier1):
     hotness counters still see every call."""
     module = rig.handle.module
     for name in HOT:
-        assert innermost(getattr(module, name)) is tier1[name], name
+        assert innermost(getattr(module, name)) \
+            is innermost(tier1[name]), name
     row = rig.engine.tier_summary()["rev"]
     assert (row["tier"], row["renderer"]) == (1, "closures")
     hot = rig.engine.hotness.hotness("rev")
@@ -201,6 +204,27 @@ class TestSlotContract:
         assert described["echo"]["renderer"] == "py"
         assert sorted(described) == handle.operations()
 
+    def test_replace_base_only_over_the_base_it_names(self):
+        """How a deferred ``closures`` entry hands over: compare and
+        set, so a base somebody set in the meantime is not undone."""
+        handle = fresh_db()
+        slots = handle.codecs
+        old = slots.base("_u_req_rev")
+        heard = []
+        slots.subscribe(lambda op, names: heard.append(names))
+
+        def newer(d, o):
+            return old(d, o)
+
+        def stale(d, o):
+            return old(d, o)
+
+        slots.replace_base("_u_req_rev", old, newer)
+        assert slots.base("_u_req_rev") is handle.module._u_req_rev is newer
+        slots.replace_base("_u_req_rev", old, stale)  # old is not the base
+        assert slots.base("_u_req_rev") is handle.module._u_req_rev is newer
+        assert heard == [("_u_req_rev",)]
+
     def test_non_codec_names_are_refused(self):
         handle = fresh_db()
         before = handle.module._u_req_rev
@@ -297,5 +321,7 @@ class TestAtomicUnderThreads:
         base = state.pending if state.tier else tier0
         assert row["renderer"] == ("closures" if state.tier else "py")
         for name in HOT:
-            assert handle.codecs.base(name) is base[name]
-            assert innermost(getattr(handle.module, name)) is base[name]
+            assert innermost(handle.codecs.base(name)) \
+                is innermost(base[name])
+            assert innermost(getattr(handle.module, name)) \
+                is innermost(base[name])

@@ -3,12 +3,18 @@
 Pins the three mechanisms that keep ``api.compile`` + load from paying
 for what nobody reads: the C artifact is printed on first read of
 ``c_source``/``c_header``; a ``closures`` module compiles only the
-scaffold of its (unchanged) text; MINT recursion answers are remembered
-per registry.  Each laziness claim sits next to the equality it must not
-disturb.
+scaffold of its (unchanged) text and each codec function at its first
+call; MINT recursion answers are remembered per registry.  Each laziness
+claim sits next to the equality it must not disturb.
 """
 
+import gc
 import itertools
+import linecache
+import sys
+import threading
+import time
+import traceback
 import types
 
 import pytest
@@ -23,9 +29,11 @@ from repro.aoi import (
     Direction,
     validate,
 )
+from repro import obs
 from repro.backend import cemit
 from repro.core import loader
-from repro.errors import BackEndError
+from repro.encoding import MarshalBuffer
+from repro.errors import BackEndError, MarshalError
 from repro.mint.analysis import _recurses, is_recursive
 from repro.mint.types import (
     MintInteger,
@@ -34,12 +42,15 @@ from repro.mint.types import (
     MintStruct,
     MintTypeRef,
 )
+from repro.mir import render_closures
 from repro.mir.render_c import render_c
+from repro.obs import profile
 from repro.pgen import make_presentation
 from repro.runtime import LoopbackTransport
 from repro.tools.cli import main
 
 from tests.conftest import DB_IDL, MAIL_IDL, MailImpl
+from tests.test_codec_slots import innermost
 from tests.test_mir_renderers import CASES, _compile_pair
 from tests.test_property_fuzz_types import _uniquify, type_value_pairs
 
@@ -117,6 +128,22 @@ class TestCIsPrintedOnlyWhenRead:
         assert calls == [1]
 
 
+@pytest.fixture
+def codec_compiles(monkeypatch):
+    """Names of the codec functions compiled after module load, in
+    order: a spy on the one per-function source compile."""
+    names = []
+
+    def spy(source, filename, mode):
+        code = compile(source, filename, mode)
+        names.extend(const.co_name for const in code.co_consts
+                     if isinstance(const, types.CodeType))
+        return code
+
+    monkeypatch.setattr(render_closures, "compile", spy, raising=False)
+    return names
+
+
 def _code_objects(code):
     yield code
     for const in code.co_consts:
@@ -127,7 +154,8 @@ def _code_objects(code):
 class TestClosureModulesLoadTheScaffoldOnly:
     @pytest.mark.parametrize("schema,backend", CASES)
     def test_same_text_same_name_no_codec_compiled(self, schema, backend,
-                                                   monkeypatch):
+                                                   monkeypatch,
+                                                   codec_compiles):
         compiled = []
 
         def spy(source, filename, mode):
@@ -146,10 +174,12 @@ class TestClosureModulesLoadTheScaffoldOnly:
         codec_names = {fn.name for fn in clo.mir.functions}
         assert codec_names and not codec_names & names
         assert "dispatch" in names and "_check_reply" in names
-        # Every codec entry and helper is a closure driver.
+        # Every codec entry and helper is a deferred entry, and loading
+        # compiled none of them.
         for name in codec_names:
             assert vars(module)[name].__module__ == \
                 "repro.mir.render_closures", name
+        assert codec_compiles == []
         assert all(entry["renderer"] == "closures"
                    for entry in clo.codecs.describe().values())
         assert set(clo.codecs.describe()) == set(clo.operations())
@@ -177,46 +207,235 @@ class TestClosureModulesLoadTheScaffoldOnly:
         shown = result.stubs.py_source.split("\n")[code.co_firstlineno - 1]
         assert shown == "def dispatch(d, impl, b):"
 
+    def test_traceback_through_a_codec_shows_its_generated_line(self):
+        """The innermost frame is the function's own registered text
+        (the parent raised from ``render_closures.py ... in step``), and
+        that text goes when the module goes."""
+        result = api.compile(open("examples/idl/mail.idl").read(), "corba",
+                             renderer="closures")
+        module = result.module
+        with pytest.raises(MarshalError) as caught:
+            module._m_req_send(MarshalBuffer(), 1, "x" * 2000, 1)
+        frame = traceback.extract_tb(caught.value.__traceback__)[-1]
+        assert frame.name == "_m_req_send"
+        assert frame.filename.startswith(
+            "<%s._m_req_send_" % module.__name__)
+        raised = "raise MarshalError('string exceeds bound 1024')"
+        assert linecache.getline(frame.filename, frame.lineno).strip() \
+            == raised
+        assert raised in "".join(
+            traceback.format_exception(caught.value))
+        linecache.checkcache()  # must not evict a live module's text
+        assert frame.filename in linecache.cache
+        filename = frame.filename
+        del caught, frame, module, result
+        gc.collect()
+        assert filename not in linecache.cache
+
+
+def _frames(table, xs=(3, 1, 2)):
+    """Request and reply bytes of DB ``rev`` from a codec table."""
+    request, reply = MarshalBuffer(), MarshalBuffer()
+    table["_m_req_rev"](request, 9, list(xs))
+    table["_m_rep_ok_rev"](reply, 9, list(xs)[::-1])
+    return request.getvalue(), reply.getvalue()
+
+
+class TestCodecsCompileAtFirstCall:
+    """The one decision the two renderer names differ in: when a codec
+    function's text is compiled."""
+
+    def test_first_call_compiles_that_function_and_nothing_else(
+            self, codec_compiles):
+        result = api.compile(DB_IDL, "oncrpc", renderer="closures")
+        module, slots = result.module, result.codecs
+        assert codec_compiles == []
+        deferred = module._m_req_rev
+        assert slots.base("_m_req_rev") is deferred
+        first = MarshalBuffer()
+        module._m_req_rev(first, 9, [3, 1, 2])
+        assert codec_compiles == ["_m_req_rev"]
+        # It handed over: the slot's base is the compiled function, and
+        # what the module binds is that function itself.
+        compiled = slots.base("_m_req_rev")
+        assert compiled is module._m_req_rev is deferred.__wrapped__
+        assert compiled.__globals__ is vars(module)
+        assert compiled.__code__.co_filename.startswith(
+            "<%s._m_req_rev_" % module.__name__)
+        second = MarshalBuffer()
+        module._m_req_rev(second, 9, [3, 1, 2])
+        deferred(second, 9, [3, 1, 2])  # a caller that kept it: forwards
+        assert codec_compiles == ["_m_req_rev"]
+        assert second.getvalue() == first.getvalue() * 2
+        assert first.getvalue() == _frames(
+            vars(api.compile(DB_IDL, "oncrpc").module))[0]
+
+    def test_a_helper_compiles_when_first_reached_and_once(
+            self, codec_compiles):
+        module = api.compile(DB_IDL, "oncrpc", renderer="closures").module
+        chain = module.entry("a", 1, module.entry("b", 2, None))
+        module._m_req_rev(MarshalBuffer(), 9, [1])
+        assert codec_compiles == ["_m_req_rev"]  # reaches no helper
+        deferred = module._m_entry
+        b = MarshalBuffer()
+        module._m_req_store(b, 9, chain)
+        assert codec_compiles == ["_m_req_rev", "_m_req_store", "_m_entry"]
+        assert module._m_entry is deferred.__wrapped__
+        again = MarshalBuffer()
+        module._m_req_store(again, 9, chain)
+        assert again.getvalue() == b.getvalue()
+        assert len(codec_compiles) == 3
+
+    def test_describe_is_stable_across_the_first_call(self):
+        result = api.compile(DB_IDL, "oncrpc", renderer="closures")
+        before = result.codecs.describe()
+        assert {row["renderer"] for row in before.values()} == {"closures"}
+        _frames(vars(result.module))
+        assert result.codecs.describe() == before
+        assert not hasattr(result.codecs.base("_m_req_rev"), "__wrapped__")
+
+    def test_reinstalling_over_a_loaded_module_keeps_its_layers(
+            self, codec_compiles):
+        """What the benchmark's ``compile_replica`` does: the new
+        deferred entries go through ``set_base``, under live layers."""
+        result = api.compile(DB_IDL, "oncrpc", renderer="closures")
+        module, slots = result.module, result.codecs
+        try:
+            obs.configure(obs.CollectingExporter())
+            obs.instrument_stub_module(module)
+            want = _frames(vars(module))
+            heard = []
+            slots.subscribe(lambda op, names: heard.extend(names))
+            render_closures.install_closures(module, result.mir)
+            assert sorted(heard) == sorted(
+                slot.name for slot in slots.entries())
+            assert slots.describe()["rev"] \
+                == {"renderer": "closures", "layers": ["trace"]}
+            del codec_compiles[:]
+            assert _frames(vars(module)) == want
+            assert codec_compiles == ["_m_req_rev", "_m_rep_ok_rev"]
+            layered = module._m_req_rev
+            assert layered is not slots.base("_m_req_rev")
+            assert innermost(layered) is slots.base("_m_req_rev")
+        finally:
+            obs.shutdown()
+
+    def test_recompile_to_closures_returns_deferred_entries(
+            self, codec_compiles):
+        result = api.compile(DB_IDL, "oncrpc")
+        slots = result.codecs
+        before = {slot.name: slot.base for slot in slots.entries()}
+        new = result.recompile("rev", renderer="closures", install=False)
+        assert codec_compiles == []
+        # Calling one that is not installed compiles it and installs
+        # nothing (how tiering shadow-verifies a candidate).
+        want = _frames(before)
+        assert _frames(new) == want
+        assert codec_compiles == ["_m_req_rev", "_m_rep_ok_rev"]
+        assert {slot.name: slot.base for slot in slots.entries()} == before
+        assert slots.describe()["rev"]["renderer"] == "py"
+        # Installed afterwards (tiering's commit), it reads closures
+        # before and after the call on which it hands over.
+        slots.set_base(new)
+        assert slots.describe()["rev"]["renderer"] == "closures"
+        assert slots.base("_m_req_rev") is new["_m_req_rev"]
+        assert _frames(vars(result.module)) == want
+        assert slots.base("_m_req_rev") is new["_m_req_rev"].__wrapped__
+        assert slots.describe()["rev"]["renderer"] == "closures"
+        assert slots.describe()["echo"]["renderer"] == "py"
+        assert len(codec_compiles) == 2
+
+    def test_first_calls_racing_on_threads_compile_once(
+            self, codec_compiles, monkeypatch):
+        """Eight threads make the first call of every entry of one fresh
+        module at once, under a 0.01 ms switch interval, with the trace
+        and profile layers on.  Each compile is held open long enough
+        for every other thread to arrive while it runs."""
+        threads = 8
+        spy = render_closures.compile
+        monkeypatch.setattr(
+            render_closures, "compile",
+            lambda *args: time.sleep(0.005) or spy(*args))
+        result = api.compile(DB_IDL, "oncrpc", renderer="closures")
+        module, slots = result.module, result.codecs
+        want = _frames(vars(api.compile(DB_IDL, "oncrpc").module))
+        deferred = {slot.name: slot.base for slot in slots.entries("rev")}
+        barrier = threading.Barrier(threads)
+        got, errors = [], []
+
+        def first_call():
+            try:
+                barrier.wait(timeout=30)
+                request, reply = _frames(vars(module))
+                at = len(request) - 16  # count word + three ints
+                got.append((request, reply,
+                            module._u_req_rev(request, at),
+                            module._u_rep_rev(
+                                reply, module._check_reply(reply, 9))))
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            obs.configure(obs.CollectingExporter())
+            obs.instrument_stub_module(module)
+            profile.configure(sample=1)
+            profile.instrument_stub_module(module)
+            workers = [threading.Thread(target=first_call)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+            assert errors == []
+            values = (([3, 1, 2],), len(want[0])), [2, 1, 3]
+            assert got == [want + values] * threads
+            # One compile and one compiled function per entry; every
+            # deferred entry handed over to it, under the same layers.
+            assert sorted(codec_compiles) == sorted(deferred)
+            assert slots.describe()["rev"] == {
+                "renderer": "closures", "layers": ["trace", "profile"]}
+            for name, entry in deferred.items():
+                assert slots.base(name) is entry.__wrapped__, name
+                bound = vars(module)[name]
+                assert bound is not slots.base(name)
+                assert innermost(bound) is slots.base(name)
+        finally:
+            sys.setswitchinterval(interval)
+            profile.shutdown()
+            obs.shutdown()
+
 
 class TestRecompileRendersOneOp:
     def test_py_promotion_compiles_only_the_selected_entries(
-            self, monkeypatch):
-        from repro.core import handle as handle_module
-        from repro.encoding import MarshalBuffer
-
-        texts = []
-        monkeypatch.setattr(
-            handle_module, "compile",
-            lambda source, *rest: texts.append(source)
-            or compile(source, *rest), raising=False)
+            self, codec_compiles):
         result = api.compile(DB_IDL, "oncrpc", renderer="closures")
         new = result.recompile("rev", renderer="py", install=False)
         assert sorted(new) == ["_m_rep_ok_rev", "_m_req_rev",
                                "_u_rep_rev", "_u_req_rev"]
-        (text,) = texts
-        for fn in result.mir.functions:
-            wanted = fn.operation in ("rev", "")  # "": shared helpers
-            assert ("def %s(" % fn.name in text) is wanted, fn.name
-        assert "def _m_entry(" in text
+        # Under ``py`` now, not at first call: the op's entries and the
+        # out-of-line helpers they may call ("": shared), each once.
+        assert sorted(codec_compiles) == sorted(
+            fn.name for fn in result.mir.functions
+            if fn.operation in ("rev", ""))
+        assert "_m_entry" in codec_compiles
+        selected = len(codec_compiles)
         # The same bytes, and the same values back, as the entries of a
         # whole-program recompile.
         whole = result.recompile(renderer="py", install=False)
-        assert len(texts[1]) > len(text)
-
-        def frames(table):
-            request, reply = MarshalBuffer(), MarshalBuffer()
-            table["_m_req_rev"](request, 9, [3, 1, 2])
-            table["_m_rep_ok_rev"](reply, 9, [2, 1, 3])
-            return request.getvalue(), reply.getvalue()
-
-        request, reply = frames(new)
-        assert (request, reply) == frames(whole)
+        assert sorted(codec_compiles[selected:]) == sorted(
+            fn.name for fn in result.mir.functions)
+        request, reply = _frames(new)
+        assert (request, reply) == _frames(whole)
         body = len(request) - 16  # count word + three ints
         assert new["_u_req_rev"](request, body) == \
             whole["_u_req_rev"](request, body) == (([3, 1, 2],), len(request))
         at = result.module._check_reply(reply, 9)
         assert new["_u_rep_rev"](reply, at) == \
             whole["_u_rep_rev"](reply, at) == [2, 1, 3]
+        assert len(codec_compiles) == selected + len(result.mir.functions)
 
 
 def _presc_for(aoi_type):

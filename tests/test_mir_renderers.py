@@ -1,13 +1,15 @@
 """Renderer equivalence: one marshal IR, byte-identical codecs.
 
-The optimizing back end renders the optimized MIR two ways: as Python
-source (the ``py`` renderer) and as closure codecs compiled directly
-from the IR at load time (the ``closures`` renderer).  These tests
-drive full loopback RPC sessions — requests, replies, user exceptions,
-oneways, recursive lists — through both renderers for every front end
-and wire protocol, recording the raw wire traffic, and assert the two
-renderers produce *identical bytes in both directions* and identical
-decoded results.
+The optimizing back end loads the rendered codec text two ways:
+compiled with the module (the ``py`` renderer) and function by function
+at first call, over a module loaded without its codec section (the
+``closures`` renderer).  These tests drive full loopback RPC sessions —
+requests, replies, user exceptions, oneways, recursive lists — through
+both for every front end and wire protocol, recording the raw wire
+traffic, and assert *identical bytes in both directions* and identical
+decoded results: every first call on the ``closures`` side goes through
+a deferred entry, so this is the proof that deferred loading binds what
+the module text binds, for every schema × back end × pass toggle.
 """
 
 import pytest
