@@ -93,7 +93,7 @@ def compile(text, lang=None, *, interface=None, flags=None, name="<idl>",
     The returned :class:`repro.core.handle.CompiledInterface` is a
     :class:`repro.core.compiler.CompileResult` subclass: everything the
     old facade returned is still there, plus the handle surface
-    (``.module``, ``.codec_table``, ``.recompile(op, renderer=...)``).
+    (``.module``, ``.codec_table``, ``.codecs``).
     """
     from repro.core.compiler import Flick
 

@@ -87,9 +87,8 @@ class GeneratedStubs:
     #: compiles pay nothing.
     shapes_factory: object = field(default=None, repr=False)
     #: The back-end instance that generated these stubs and the flags it
-    #: ran with — what :meth:`repro.core.handle.CompiledInterface
-    #: .recompile` needs to rebuild codecs for one op under a different
-    #: renderer or pass configuration.
+    #: ran with — what rebuilding their marshal IR needs (the e2e
+    #: benchmark's compile replica times each stage from them).
     backend_instance: object = field(default=None, repr=False)
     flags: object = field(default=None, repr=False)
     #: ``(start, end)`` line indices of the rendered codec section

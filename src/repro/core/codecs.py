@@ -12,11 +12,9 @@ or the new one, never half of one.
 
 The layer order is fixed here and is nobody else's business: tracing
 innermost (its spans time the codec alone), then the sampled profiler
-(so sampled calls see span context), then the always-on hotness
-counters (so they count every call), then tiering's one-shot shadow
-verifier outermost (it compares the whole serving stack's bytes with a
-candidate base).  With no layer active the module binds the base
-function itself — disabled observability costs nothing by identity.
+(so sampled calls see span context).  With no layer active the module
+binds the base function itself — disabled observability costs nothing
+by identity.
 
 This is also the single parse of the entry-name convention
 (:func:`codec_form`).
@@ -30,7 +28,7 @@ import threading
 __all__ = ["LAYER_ORDER", "CodecSlots", "Slot", "codec_form", "of"]
 
 #: Layer names, innermost -> outermost.
-LAYER_ORDER = ("trace", "profile", "hotness", "shadow")
+LAYER_ORDER = ("trace", "profile")
 
 _ENTRY = re.compile(r"_(?:(m_req|u_req|u_rep)|m_rep_(ok|x\d+))_(.+)")
 
@@ -82,13 +80,6 @@ class Slot:
         return "request" if self.form.endswith("req") else "reply"
 
 
-def _renderer_of(function):
-    """The renderer name a base function was built under: the tag its
-    builder set (``repro.mir.render_closures.bind_codecs``), else py —
-    module text, baseline-compiler and hand-written codecs carry none."""
-    return getattr(function, "__renderer__", "py")
-
-
 class CodecSlots:
     """The codec entries of one loaded stub module (generated,
     baseline-compiler or hand-written: anything following the naming
@@ -116,25 +107,6 @@ class CodecSlots:
         return [slot for slot in self._slots.values()
                 if op is None or slot.op == op]
 
-    def describe(self):
-        """``{op: {"renderer": ..., "layers": [...]}}``: which renderer
-        produced each op's base codecs and which layers are live over
-        them, innermost first."""
-        with self._lock:
-            found = {}
-            for slot in self._slots.values():
-                renderers, layers = found.setdefault(
-                    slot.op, (set(), set()))
-                renderers.add(_renderer_of(slot.base))
-                layers.update(layer for layer in LAYER_ORDER
-                              if slot.name in self._layers[layer])
-        return {
-            op: {"renderer": "/".join(sorted(renderers)),
-                 "layers": [layer for layer in LAYER_ORDER
-                            if layer in layers]}
-            for op, (renderers, layers) in sorted(found.items())
-        }
-
     # -- the mutations --------------------------------------------------
 
     def set_base(self, functions):
@@ -155,13 +127,12 @@ class CodecSlots:
                 if self._slots[entry].base is old:
                     self.set_base({entry: new})
 
-    def set_layer(self, layer, factory, entries=None):
+    def set_layer(self, layer, factory):
         """Turn *layer* on (``factory(slot, inner) -> callable``) or off
-        (None) over *entries* (default: every entry of the module)."""
+        (None) over every entry of the module."""
         table = self._layers[layer]
         with self._lock:
-            names = self._slots if entries is None else entries
-            changed = [self._slots[name].name for name in names
+            changed = [name for name in self._slots
                        if table.get(name) is not factory]
             for name in changed:
                 if factory is None:
@@ -194,9 +165,10 @@ class CodecSlots:
                 try:
                     callback(op, tuple(op_names))
                 except Exception:
-                    # A mutation may run on a serving thread (tiering's
-                    # shadow commit); a subscriber's bug must not fail
-                    # that call.  The stores above are already done.
+                    # A mutation may run on a serving thread (a deferred
+                    # entry's first-call hand-over); a subscriber's bug
+                    # must not fail that call.  The stores above are
+                    # already done.
                     pass
 
 

@@ -286,7 +286,7 @@ class BridgePlan:
 
         The proxy binds each operation's codecs once so serving never
         pays per-request attribute loads — which means a change to the
-        module's entries (a tier swap, a layer going on or off) would
+        module's entries (a base swap, a layer going on or off) would
         otherwise be invisible here.  :func:`build_plan` subscribes
         this to both modules' codec slots; *op* limits the refresh to
         one operation (None refreshes every plan).

@@ -14,9 +14,8 @@ slightly more in total than one compile of the whole section
 (INTERNALS section 10 has the numbers).
 
 :func:`compile_function` is the one place codec text becomes code after
-a module is loaded; :func:`install_closures` (``stubs.load()``) and
-:meth:`repro.core.handle.CompiledInterface.recompile` (under either
-name) both reach it through :func:`bind_codecs`.
+a module is loaded; :func:`install_closures` (``stubs.load()``) binds
+the deferred entries that reach it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,18 @@ def install_closures(module, program):
             "requires the MIR pipeline)"
         )
     G = module.__dict__
-    entries = bind_codecs(program, G, module, "closures")
+    # What the codec section of the module text binds beside its
+    # entries: the bulk-array runtime names, every header const, every
+    # out-of-line ``_m_<T>``/``_u_<T>`` helper.
+    G["_iter_unpack"] = iter_unpack
+    G["_atom_list"] = atom_list
+    entries = {}
+    for fn in program.functions:
+        G.update(fn.consts)
+        if fn.kind.endswith("_helper"):
+            G[fn.name] = _deferred(fn, G, module)
+        else:
+            entries[fn.name] = _deferred(fn, G, module)
     for name, entry in entries.items():
         # A scaffold-only module has no entry yet: bind it so the slots
         # (built on first use, from the names bound) find it.
@@ -48,32 +58,6 @@ def install_closures(module, program):
     codecs.of(module).set_base(entries)
     G["__renderer__"] = "closures"
     return module
-
-
-def bind_codecs(program, G, module, renderer, names=None):
-    """Build *program*'s codecs over the globals *G* under *renderer*.
-
-    Binds in *G* what the codec section of the module text binds beside
-    its entries — the bulk-array runtime names, every header const,
-    every out-of-line ``_m_<T>``/``_u_<T>`` helper — and returns
-    ``{entry name: function}`` for *names* (default: every entry); where
-    those go is the caller's business (``CodecSlots.set_base``).  Under
-    ``py`` each function is compiled now, under ``closures`` by its
-    first call.  *module* is the stub module the codecs serve: its
-    lifetime bounds the registered texts, its slots are where a deferred
-    entry hands over.
-    """
-    G["_iter_unpack"] = iter_unpack
-    G["_atom_list"] = atom_list
-    build = _deferred if renderer == "closures" else compile_function
-    entries = {}
-    for fn in program.functions:
-        G.update(fn.consts)
-        if fn.kind.endswith("_helper"):
-            G[fn.name] = build(fn, G, module)
-        elif names is None or fn.name in names:
-            entries[fn.name] = build(fn, G, module)
-    return entries
 
 
 def compile_function(fn, G, module):
@@ -97,35 +81,30 @@ def compile_function(fn, G, module):
 def _deferred(fn, G, module):
     """*fn* as a codec that its first call compiles.
 
-    The first caller compiles under the entry's lock; one that races it
-    waits and compiles nothing.  From then on a helper is what *G*
-    binds and an entry is the base of its slot (live layers stay on top
-    and subscribers hear of it), so steady-state calls never come here
-    and take no lock; a caller that kept the deferred function itself
-    pays one forward per call.
+    The first caller compiles under the entry's lock and hands over —
+    a helper becomes what *G* binds, an entry the base of its slot if
+    the deferred function still is (live layers stay on top and
+    subscribers hear of it); one that races it waits and compiles
+    nothing.  Steady-state calls therefore never come here and take no
+    lock; a caller that kept the deferred function itself pays one
+    forward per call.
     """
     compiled = []
     lock = threading.Lock()
-    helper = fn.kind.endswith("_helper")
 
     def entry(*args):
         if not compiled:
             with lock:
                 if not compiled:
                     function = compile_function(fn, G, module)
-                    function.__renderer__ = "closures"
                     entry.__wrapped__ = function
-                    if helper:
+                    if fn.kind.endswith("_helper"):
                         G[fn.name] = function
+                    else:
+                        codecs.of(module).replace_base(
+                            fn.name, entry, function)
                     compiled.append(function)
-        function = compiled[0]
-        if not helper:
-            # Not only on the compiling call: an entry built with
-            # ``recompile(install=False)`` becomes the base later, after
-            # the shadow verifier has already called (and compiled) it.
-            codecs.of(module).replace_base(fn.name, entry, function)
-        return function(*args)
+        return compiled[0](*args)
 
     entry.__name__ = entry.__qualname__ = fn.name
-    entry.__renderer__ = "closures"
     return entry

@@ -1,9 +1,8 @@
 """The payload-shape profiler: what do the messages actually look like?
 
-Flick specializes marshal code to the *schema*; the adaptive items on
-the roadmap (tiered execution, gateway fusion planning) need to
-specialize to the observed *workload*.  This module records, per
-operation and direction (``request``/``reply``):
+Flick specializes marshal code to the *schema*; adaptive work (gateway
+fusion planning) needs to specialize to the observed *workload*.  This
+module records, per operation and direction (``request``/``reply``):
 
 * message-size histograms (bytes on the wire per codec call),
 * per-channel sequence/string/bytes length histograms, keyed by dotted
@@ -132,6 +131,43 @@ def record_transcode(bridge, op, direction, fused, nbytes=None,
 
 
 # ----------------------------------------------------------------------
+# Reading a snapshot: every wrong shape is a ValueError naming the field
+# ----------------------------------------------------------------------
+
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer",
+               float: "a number", str: "a string"}
+
+
+def _expect(value, kind, field, optional=False):
+    """*value* if it is a JSON *kind* (``float`` takes any number), else
+    a :class:`ValueError` naming *field*: snapshots come from worker
+    processes and operators' files, and every reader of one catches
+    exactly that."""
+    if optional and value is None:
+        return value
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise ValueError("profile snapshot: %s must be %s, not %r"
+                         % (field, _JSON_KINDS[kind], value))
+    return value
+
+
+def _counts(data, field, integer_keys=False):
+    """A ``{key: count}`` table out of the JSON object *data*."""
+    out = {}
+    for key, count in _expect(data, dict, field).items():
+        if integer_keys:
+            try:
+                key = int(key)
+            except ValueError:
+                raise ValueError(
+                    "profile snapshot: %s has the non-integer key %r"
+                    % (field, key)) from None
+        out[key] = _expect(count, int, "%s[%s]" % (field, key))
+    return out
+
+
+# ----------------------------------------------------------------------
 # Shape histogram: exact modes + bounded tail
 # ----------------------------------------------------------------------
 
@@ -235,16 +271,16 @@ class ShapeHistogram:
         }
 
     @classmethod
-    def from_json(cls, data):
-        out = cls(kind=data.get("kind", ""))
-        out.exact = {int(v): c for v, c in data.get("exact", {}).items()}
-        out.overflow = {
-            int(b): c for b, c in data.get("overflow", {}).items()
-        }
-        out.total = data.get("total", 0)
-        out.sum = data.get("sum", 0)
-        out.min = data.get("min")
-        out.max = data.get("max", 0)
+    def from_json(cls, data, field="histogram"):
+        get = _expect(data, dict, field).get
+        out = cls(kind=_expect(get("kind", ""), str, field + ".kind"))
+        out.exact = _counts(get("exact", {}), field + ".exact", True)
+        out.overflow = _counts(get("overflow", {}), field + ".overflow",
+                               True)
+        out.total = _expect(get("total", 0), int, field + ".total")
+        out.sum = _expect(get("sum", 0), int, field + ".sum")
+        out.min = _expect(get("min"), int, field + ".min", optional=True)
+        out.max = _expect(get("max", 0), int, field + ".max")
         return out
 
 
@@ -282,9 +318,9 @@ class ArmCounter:
         return dict(sorted(self.counts.items()))
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, field="arms"):
         out = cls()
-        out.counts = dict(data)
+        out.counts = _counts(data, field)
         return out
 
 
@@ -306,13 +342,23 @@ def _hist_to_json(hist):
     }
 
 
-def _hist_from_json(data):
-    hist = LatencyHistogram(tuple(data["bounds"]))
-    hist.counts = list(data["counts"])
-    hist.total = data["total"]
-    hist.sum_seconds = data["sum"]
-    hist.min_seconds = data.get("min")
-    hist.max_seconds = data.get("max", 0.0)
+def _hist_from_json(data, field):
+    get = _expect(data, dict, field).get
+    hist = LatencyHistogram(tuple(
+        _expect(bound, float, field + ".bounds[]")
+        for bound in _expect(get("bounds"), list, field + ".bounds")))
+    counts = [_expect(count, int, field + ".counts[]")
+              for count in _expect(get("counts"), list, field + ".counts")]
+    if len(counts) != len(hist.counts):
+        raise ValueError(
+            "profile snapshot: %s.counts must hold one count per bucket"
+            " (%d), not %d" % (field, len(hist.counts), len(counts)))
+    hist.counts = counts
+    hist.total = _expect(get("total"), int, field + ".total")
+    hist.sum_seconds = _expect(get("sum"), float, field + ".sum")
+    hist.min_seconds = _expect(get("min"), float, field + ".min",
+                               optional=True)
+    hist.max_seconds = _expect(get("max", 0.0), float, field + ".max")
     return hist
 
 
@@ -450,27 +496,40 @@ class OpProfile:
         }
 
     @classmethod
-    def from_json(cls, data):
-        out = cls(data["op"], data["direction"],
-                  exemplar_cap=data.get("exemplar_cap",
-                                        DEFAULT_EXEMPLARS))
-        out.calls = data.get("calls", 0)
-        out.sampled = data.get("sampled", 0)
-        out.size = ShapeHistogram.from_json(data.get("size", {}))
-        out.codec = {
-            kind: _hist_from_json(hist)
-            for kind, hist in data.get("codec", {}).items()
-        }
-        out.channels = {
-            path: ShapeHistogram.from_json(hist)
-            for path, hist in data.get("channels", {}).items()
-        }
-        out.arms = {
-            path: ArmCounter.from_json(counts)
-            for path, counts in data.get("arms", {}).items()
-        }
-        out.paths = ArmCounter.from_json(data.get("paths", {}))
-        out.exemplars = list(data.get("exemplars", []))
+    def from_json(cls, data, field="op"):
+        get = _expect(data, dict, field).get
+
+        def table(key, read):
+            where = "%s.%s" % (field, key)
+            return {name: read(value, "%s[%s]" % (where, name))
+                    for name, value
+                    in _expect(get(key, {}), dict, where).items()}
+
+        out = cls(_expect(get("op"), str, field + ".op"),
+                  _expect(get("direction"), str, field + ".direction"),
+                  exemplar_cap=_expect(
+                      get("exemplar_cap", DEFAULT_EXEMPLARS), int,
+                      field + ".exemplar_cap"))
+        out.calls = _expect(get("calls", 0), int, field + ".calls")
+        out.sampled = _expect(get("sampled", 0), int, field + ".sampled")
+        out.size = ShapeHistogram.from_json(get("size", {}),
+                                            field + ".size")
+        out.codec = table("codec", _hist_from_json)
+        out.channels = table("channels", ShapeHistogram.from_json)
+        out.arms = table("arms", ArmCounter.from_json)
+        out.paths = ArmCounter.from_json(get("paths", {}),
+                                         field + ".paths")
+        out.exemplars = list(
+            _expect(get("exemplars", []), list, field + ".exemplars"))
+        for index, exemplar in enumerate(out.exemplars):
+            # What the top-K merge sorts by (_exemplar_key).
+            where = "%s.exemplars[%d]" % (field, index)
+            read = _expect(exemplar, dict, where).get
+            for key, kind, default in (("duration_s", float, None),
+                                       ("trace_id", str, ""),
+                                       ("span_id", str, ""),
+                                       ("bytes", int, 0)):
+                _expect(read(key, default), kind, "%s.%s" % (where, key))
         return out
 
 
@@ -522,19 +581,21 @@ class ProfileSnapshot:
 
     @classmethod
     def from_json(cls, data):
-        if data.get("kind") != SNAPSHOT_KIND:
+        get = _expect(data, dict, "the document").get
+        if get("kind") != SNAPSHOT_KIND:
             raise ValueError(
-                "not a flick profile snapshot (kind=%r)"
-                % (data.get("kind"),)
+                "not a flick profile snapshot (kind=%r)" % (get("kind"),)
             )
-        if data.get("version") != SNAPSHOT_VERSION:
+        if get("version") != SNAPSHOT_VERSION:
             raise ValueError(
                 "unsupported profile snapshot version %r"
-                % (data.get("version"),)
+                % (get("version"),)
             )
-        snapshot = cls(sample=data.get("sample", DEFAULT_SAMPLE))
-        for op_data in data.get("ops", []):
-            profile = OpProfile.from_json(op_data)
+        snapshot = cls(
+            sample=_expect(get("sample", DEFAULT_SAMPLE), int, "sample"))
+        for index, op_data in enumerate(
+                _expect(get("ops", []), list, "ops")):
+            profile = OpProfile.from_json(op_data, "ops[%d]" % index)
             snapshot.ops[(profile.op, profile.direction)] = profile
         return snapshot
 
@@ -869,8 +930,7 @@ class _ProfiledModule:
         self.slots.set_layer(
             "profile",
             lambda slot, inner: profiler._make_wrapper(
-                self.entries[slot.name], inner),
-            self.entries)
+                self.entries[slot.name], inner))
 
     def deactivate(self):
         self.slots.set_layer("profile", None)
@@ -920,231 +980,3 @@ def instrument_stub_module(module):
             record.activate(_profiler)
     return module
 
-
-# ----------------------------------------------------------------------
-# Hotness: always-on cheap per-op counters for tiered execution
-# ----------------------------------------------------------------------
-
-#: Every N-th hotness-counted call is also timed, feeding the per-tier
-#: throughput window the tiering engine's regression guard compares.
-TIER_TIMED_EVERY = 16
-
-#: The codec forms hotness wraps — the server-side hot path.  An op
-#: whose module has neither (a no-argument oneway) never accrues
-#: hotness and therefore never tiers; there is nothing to win there.
-HOT_FORMS = ("u_req", "m_rep_ok")
-
-
-class TierWindow:
-    """Seconds/bytes accumulated on one tier since the last reset."""
-
-    __slots__ = ("seconds", "bytes", "samples")
-
-    def __init__(self):
-        self.seconds = 0.0
-        self.bytes = 0
-        self.samples = 0
-
-    def seconds_per_byte(self):
-        """Observed marshal cost, or None before any timed bytes."""
-        if not self.bytes:
-            return None
-        return self.seconds / self.bytes
-
-
-class OpHotness:
-    """Always-on counters for one operation.
-
-    Distinct from the sampled :class:`OpProfile` histograms: hotness
-    pays two integer adds and one modulo on *every* call (no sampling
-    gate, no histograms, no probing), so it can stay on in production
-    servers that never enable the profiler.  ``score`` is the
-    calls-times-bytes hotness the tiering threshold trips on:
-    accumulated payload bytes plus one per call, so byte-heavy ops get
-    hot fast and chatty zero-payload ops still register.
-    """
-
-    __slots__ = ("op", "calls", "bytes", "window")
-
-    def __init__(self, op):
-        self.op = op
-        self.calls = 0
-        self.bytes = 0
-        self.window = TierWindow()
-
-    @property
-    def score(self):
-        return self.calls + self.bytes
-
-    def reset_window(self):
-        """Start a fresh timing window (called at each tier change)."""
-        self.window = TierWindow()
-
-
-class HotnessCounter:
-    """Per-op hotness counters, and the ``hotness`` layer that feeds
-    them: wrappers over ``_u_req_<op>`` (request decode) and
-    ``_m_rep_ok_<op>`` (success-reply encode) — the two codecs every
-    served request runs.  The counters outlive the wrappers, so they
-    keep running across base swaps and layer changes."""
-
-    def __init__(self):
-        self.ops = {}
-
-    def hotness(self, op):
-        found = self.ops.get(op)
-        if found is None:
-            found = self.ops[op] = OpHotness(op)
-        return found
-
-    def layer(self, slot, inner):
-        """The ``hotness`` layer factory for the codec slots."""
-        wrapper = self._make_wrapper(self.hotness(slot.op), slot.form,
-                                     inner)
-        wrapper.__wrapped__ = inner
-        wrapper.__name__ = getattr(inner, "__name__", slot.name)
-        return wrapper
-
-    @staticmethod
-    def _make_wrapper(hot, form, inner):
-        perf_counter = time.perf_counter
-        timed_every = TIER_TIMED_EVERY
-
-        if form == "m_rep_ok":
-
-            def wrapper(b, _ctx, *args):
-                hot.calls += 1
-                before = b.length
-                if hot.calls % timed_every:
-                    result = inner(b, _ctx, *args)
-                    hot.bytes += b.length - before
-                    return result
-                start = perf_counter()
-                result = inner(b, _ctx, *args)
-                elapsed = perf_counter() - start
-                grew = b.length - before
-                hot.bytes += grew
-                window = hot.window
-                window.seconds += elapsed
-                window.bytes += grew
-                window.samples += 1
-                return result
-
-        else:  # u_req
-
-            def wrapper(d, o):
-                hot.calls += 1
-                if hot.calls % timed_every:
-                    args, end = inner(d, o)
-                    hot.bytes += end - o
-                    return args, end
-                start = perf_counter()
-                args, end = inner(d, o)
-                elapsed = perf_counter() - start
-                grew = end - o
-                hot.bytes += grew
-                window = hot.window
-                window.seconds += elapsed
-                window.bytes += grew
-                window.samples += 1
-                return args, end
-
-        return wrapper
-
-
-# ----------------------------------------------------------------------
-# Renderer hint: the cost model
-# ----------------------------------------------------------------------
-
-#: Relative cost coefficients per renderer name.  They were calibrated
-#: against a ``closures`` renderer that interpreted the marshal IR and
-#: paid a Python-level step per variable-length field; that renderer is
-#: gone.  Both names now run the same rendered code (steady state within
-#: noise of each other on every row of ``scripts/renderer_table.py``,
-#: EXPERIMENTS.md), so the coefficients no longer describe a measured
-#: difference: they are kept so that the tiering engine places ops where
-#: it did (a tie goes to closures — scores compare as ``(score,
-#: name)``), and ROADMAP asks the next re-anchor to give the model a
-#: native tier to choose or retire it.
-COST = {
-    "py": {"fixed_byte": 1.0, "var_field": 50.0, "var_byte": 1.0},
-    "closures": {"fixed_byte": 1.0, "var_field": 1000.0, "var_byte": 1.0},
-}
-
-
-def renderer_hint(profiles):
-    """Which renderer fits this op's observed payloads?
-
-    *profiles* is an iterable of :class:`OpProfile` (typically the
-    request and reply profiles of one op).  Returns ``(renderer,
-    reason, scores)`` where *scores* maps renderer name to modeled
-    relative cost per message.
-
-    When a snapshot field the model reads is empty — no message-size
-    histogram, or no channel-length histograms (shape probing off, or
-    an operator-supplied snapshot missing them) — the reason says so
-    explicitly instead of silently scoring on defaults, so ``flick
-    top``/``flick profile`` never present a default-driven hint as a
-    measured one.
-    """
-    profiles = list(profiles)
-    sampled = 0
-    total_bytes = 0
-    var_fields = 0.0
-    var_bytes = 0
-    have_sizes = False
-    have_channels = False
-    for profile in profiles:
-        if not profile.sampled:
-            continue
-        sampled += profile.sampled
-        total_bytes += profile.size.sum
-        if profile.size.total:
-            have_sizes = True
-        if profile.channels:
-            have_channels = True
-        for hist in profile.channels.values():
-            if hist.kind in ("str", "bytes"):
-                var_fields += hist.total
-                var_bytes += hist.sum
-    if not sampled:
-        return "py", "no samples observed; keeping the default", {}
-    empty_fields = []
-    if not have_sizes:
-        empty_fields.append("message-size histogram")
-    if not have_channels:
-        empty_fields.append("channel-length histograms")
-    per_message_bytes = total_bytes / sampled
-    per_message_var_fields = var_fields / sampled
-    per_message_var_bytes = var_bytes / sampled
-    fixed_bytes = max(
-        0.0, per_message_bytes - per_message_var_bytes
-        - 4.0 * per_message_var_fields  # length prefixes
-    )
-    scores = {}
-    for renderer, coeff in COST.items():
-        scores[renderer] = (
-            coeff["fixed_byte"] * fixed_bytes
-            + coeff["var_field"] * per_message_var_fields
-            + coeff["var_byte"] * per_message_var_bytes
-        )
-    winner = min(scores, key=lambda r: (scores[r], r))
-    if winner == "closures":
-        reason = (
-            "fixed-layout bytes dominate (%.0f fixed vs %.0f"
-            " string/bytes per message)"
-            % (fixed_bytes, per_message_var_bytes)
-        )
-    else:
-        reason = (
-            "variable-length fields dominate (%.1f per message,"
-            " %.0f bytes)"
-            % (per_message_var_fields, per_message_var_bytes)
-        )
-    if empty_fields:
-        reason += (
-            " — caution: this snapshot has no %s, so those model"
-            " inputs are zero, not measured"
-            % " and no ".join(empty_fields)
-        )
-    return winner, reason, scores

@@ -5,8 +5,8 @@ type definitions instead of a separate IDL file — the move the
 reflective-distribution line of work makes (PAPERS.md), grafted onto
 Flick's pipeline: the *types* come from ``dataclasses`` and ``typing``
 annotations, but the output is an ordinary validated
-:class:`repro.aoi.AoiRoot`, so every presentation generator, back end,
-renderer, and the tiering machinery consume it unchanged.
+:class:`repro.aoi.AoiRoot`, so every presentation generator, back end and
+renderer consumes it unchanged.
 
 Type mapping (see docs/INTERNALS.md section 15 for the full table)::
 

@@ -33,8 +33,6 @@ from repro.runtime.aio import (
     RetryPolicy,
     ServerStats,
 )
-from repro.runtime.tiering import TieringEngine, TierPolicy, \
-    resolve_policy
 
 __all__ = [
     "AioClientTransport",
@@ -59,10 +57,7 @@ __all__ = [
     "StubServer",
     "TcpClientTransport",
     "TcpServer",
-    "TierPolicy",
-    "TieringEngine",
     "Transport",
     "UdpClientTransport",
     "UdpServer",
-    "resolve_policy",
 ]

@@ -41,7 +41,6 @@ from repro.errors import OverloadError
 from repro.obs import trace
 from repro.runtime.framing import MAX_RECORD_SIZE
 from repro.runtime.request import RequestCore
-from repro.runtime.tiering import engines
 from repro.runtime.aio.framed import FramedConnection
 
 #: Marshal buffers retained per pool for reuse across requests.
@@ -177,18 +176,13 @@ class AioTcpServer:
             instead of binding *host*/*port* — how supervised workers
             share one address (their own ``SO_REUSEPORT`` socket, or a
             listener inherited from the parent process).
-        tiering: a :class:`~repro.runtime.tiering.TieringEngine` (or an
-            iterable of them — the gateway runs one per side) whose
-            background poll thread is started and stopped with the
-            server's own lifecycle.
     """
 
     def __init__(self, dispatch, impl, host="127.0.0.1", port=0, *,
                  max_concurrency=64, dispatch_mode="thread", stats=None,
                  op_names=None, drain_timeout=5.0,
                  max_record_size=MAX_RECORD_SIZE, error_encoder=None,
-                 max_pending=None, fault_plan=None, listen_sock=None,
-                 tiering=None):
+                 max_pending=None, fault_plan=None, listen_sock=None):
         if dispatch_mode not in ("thread", "inline"):
             raise ValueError(
                 "dispatch_mode must be 'thread' or 'inline', not %r"
@@ -207,7 +201,6 @@ class AioTcpServer:
         self.max_pending = max_pending
         self.fault_plan = fault_plan
         self.listen_sock = listen_sock
-        self.tiering = engines(tiering)
         self._injector = None
         self.address = None
         # Async state (valid between start_async and aclose).
@@ -252,8 +245,6 @@ class AioTcpServer:
             lambda: _Connection(self), **where
         )
         self.address = self._server.sockets[0].getsockname()
-        for engine in self.tiering:
-            engine.start()
         return self
 
     @property
@@ -309,8 +300,6 @@ class AioTcpServer:
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
-        for engine in self.tiering:
-            engine.stop()
 
     async def __aenter__(self):
         return await self.start_async()

@@ -2,8 +2,7 @@
 
 Everything a serving process is made of — the compiled interface(s),
 the servant, ``ServerStats``, the trace and profile layers, fault
-plans, the tiering engine, the server — is put together here and
-nowhere else.  A :class:`ServiceConfig` says *what* to serve;
+plans, the server — is put together here and nowhere else.  A :class:`ServiceConfig` says *what* to serve;
 :func:`build` assembles it into a :class:`Service` holding the
 **unstarted** server; how the service is run is a driver's business,
 and there are three, as PR 15's I/O drivers sit on ``RequestCore``:
@@ -24,8 +23,8 @@ four questions the supervisor answers for a fleet — so
 :func:`repro.obs.http.routes_of` serves either, and a worker's
 ``metrics`` control reply is the function behind its own ``/metrics``.
 
-Not imported by ``repro.runtime``'s package init: the gateway, the
-fault plans and the tiering engine are imported here on use.
+Not imported by ``repro.runtime``'s package init: the gateway and the
+fault plans are imported here on use.
 """
 
 from __future__ import annotations
@@ -77,15 +76,13 @@ class ServiceConfig:
             egress leg.
         metrics_port: where the foreground runner serves ``/metrics
             /profile /healthz /readyz`` (None: nowhere).
-        tiering: ``"off"``, ``"auto"`` or a TierPolicy JSON path.
         sys_paths: extra ``sys.path`` entries, so ``impl`` resolves in
             a worker as it does in its parent.
         upstream_host, upstream_port, upstream_backend,
         upstream_idl_path, pool_size, fuse: the gateway's egress side.
         slot, generation, listen_fd, control_fd: filled by a supervisor
-            for each worker — stable worker index (its tier metrics
-            carry it as the ``worker`` label, so summed /metrics keeps
-            workers distinct), schema generation, inherited listener
+            for each worker — stable worker index, schema generation,
+            inherited listener
             (None: bind an own ``SO_REUSEPORT`` socket) and the
             control-channel socketpair end.
     """
@@ -111,7 +108,6 @@ class ServiceConfig:
     fault_plan: Optional[str] = None
     upstream_fault_plan: Optional[str] = None
     metrics_port: Optional[int] = None
-    tiering: str = "off"
     sys_paths: list = field(default_factory=list)
     upstream_host: Optional[str] = None
     upstream_port: Optional[int] = None
@@ -245,17 +241,14 @@ class Service:
             server itself, sets :attr:`draining` and calls
             :meth:`close`.
         stats: the ``ServerStats``, or None when none were asked for.
-        engines: the tiering engines (started and stopped by the
-            server).
         draining: set once the service refuses new work.
     """
 
-    def __init__(self, config, handles, server, stats, engines):
+    def __init__(self, config, handles, server, stats):
         self.config = config
         self.handles = handles
         self.server = server
         self.stats = stats
-        self.engines = engines
         self.draining = False
 
     # -- the four questions (a Supervisor answers the same for a fleet) --
@@ -329,22 +322,20 @@ def build(config, listen_sock=None, handles=None):
     accept on (a worker's share of the fleet's address); *handles* what
     :func:`compile_handles` returned, when the caller already has it.
     Everything that can fail — the compile, the servant import, the
-    plan and policy files, the bind of the blocking server — happens
+    plan files, the bind of the blocking server — happens
     before the trace and profile layers go in, so a failed build leaves
     no tracer, profiler or output file behind.
     """
     from repro import obs
     from repro.runtime.aio import ServerStats
     from repro.runtime.server import StubServer, load_servant
-    from repro.runtime.tiering import TieringEngine, resolve_policy
 
     config.validate()
     for path in reversed(config.sys_paths):  # impl resolves from these
         if path and path not in sys.path:
             sys.path.insert(0, path)
     handles = handles or compile_handles(config)
-    ingress = handles[0]
-    module = ingress.module
+    module = handles[0].module
     gateway = config.kind == "gateway"
     impl = None if gateway else load_servant(config.impl, module)
     fault_plan = upstream_fault_plan = None
@@ -355,21 +346,11 @@ def build(config, listen_sock=None, handles=None):
             fault_plan = FaultPlan.load(config.fault_plan)
         if config.upstream_fault_plan:
             upstream_fault_plan = FaultPlan.load(config.upstream_fault_plan)
-    policy = resolve_policy(config.tiering)
     stats = None
     if config.stats or config.metrics_port is not None:
         stats = ServerStats()
     registry = stats.registry if stats is not None else None
-    engines = ()
-    # Only the ingress side tiers: a gateway's hot codecs (request
-    # decode, reply encode) are on it; baseline stubs, which carry no
-    # back-end instance to recompile with, never tier.
-    if policy is not None \
-            and getattr(ingress.stubs, "backend_instance", None) is not None:
-        engines = (TieringEngine(
-            ingress, policy=policy, registry=registry,
-            worker="" if config.slot is None else str(config.slot)),)
-    shared = dict(stats=stats, fault_plan=fault_plan, tiering=engines)
+    shared = dict(stats=stats, fault_plan=fault_plan)
     concurrent = dict(
         shared, max_concurrency=config.max_concurrency,
         max_pending=config.max_pending,
@@ -399,4 +380,4 @@ def build(config, listen_sock=None, handles=None):
             sample=config.profile_sample, registry=registry)
         if not gateway:
             obs.profile.instrument_stub_module(module)
-    return Service(config, handles, server, stats, engines)
+    return Service(config, handles, server, stats)

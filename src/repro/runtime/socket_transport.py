@@ -31,7 +31,6 @@ from repro.runtime.framing import (
     encode_record,
 )
 from repro.runtime.request import RequestCore
-from repro.runtime.tiering import engines
 from repro.runtime.transport import Transport
 
 MAX_UDP_SIZE = 65000
@@ -219,22 +218,18 @@ class TcpServer:
     malformed requests and servant crashes into protocol error replies;
     without it both drop the connection (the historical behaviour).
     *fault_plan* (a :class:`repro.faults.FaultPlan`) injects faults into
-    inbound requests for chaos testing.  *tiering* (a
-    :class:`~repro.runtime.tiering.TieringEngine`, or an iterable of
-    them) is started and stopped with the server.
+    inbound requests for chaos testing.
     """
 
     def __init__(self, dispatch, impl, host="127.0.0.1", port=0, *,
                  stats=None, op_names=None, error_encoder=None,
-                 fault_plan=None, max_record_size=MAX_RECORD_SIZE,
-                 tiering=None):
+                 fault_plan=None, max_record_size=MAX_RECORD_SIZE):
         self._core = RequestCore(dispatch, impl, stats=stats,
                                  op_names=op_names,
                                  error_encoder=error_encoder)
         self.stats = stats
         self._fault_plan = fault_plan
         self._max_record_size = max_record_size
-        self.tiering = engines(tiering)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -250,8 +245,6 @@ class TcpServer:
 
     def start(self):
         self._running = True
-        for engine in self.tiering:
-            engine.start()
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._thread.start()
         return self
@@ -399,8 +392,6 @@ class TcpServer:
             worker.join(timeout=timeout)
         with self._lock:
             self._workers = []
-        for engine in self.tiering:
-            engine.stop()
 
     def __enter__(self):
         return self.start()

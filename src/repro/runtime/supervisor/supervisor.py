@@ -42,7 +42,6 @@ import time
 from repro.errors import FlickError, TransportError
 from repro.obs.metrics import MetricsRegistry, parse_prometheus
 from repro.runtime.service import compile_handles
-from repro.runtime.tiering import resolve_policy
 from repro.runtime.supervisor.control import ControlClient
 
 #: Map diff exit codes onto verdict names for rollout outcomes.
@@ -226,10 +225,9 @@ class Supervisor:
         with open(self.idl_path) as handle:
             self._current_text = handle.read()
         # Fail here, once, on what would fail in every worker: the
-        # schema (the one parent-side compile) and the policy file.
+        # schema (the one parent-side compile).
         if self.handles is None:
             self.handles = compile_handles(self.template)
-        resolve_policy(self.template.tiering)
         stubs = self.handles[0].stubs
         self.backend_name = stubs.backend_name
         self.interface_name = stubs.interface_name

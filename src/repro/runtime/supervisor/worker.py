@@ -78,11 +78,6 @@ async def _control_loop(reader, writer, service, stop):
                 "in_flight": server.in_flight,
                 "draining": service.draining,
             }
-            if service.engines:
-                tiers = {}
-                for engine in service.engines:
-                    tiers.update(engine.tier_summary())
-                reply["tiers"] = tiers
         elif cmd == "metrics":
             reply = {"ok": True, "text": service.metrics_text()}
         elif cmd == "profile":

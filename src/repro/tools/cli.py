@@ -415,17 +415,6 @@ def _serving_flags():
         help="serve for this many seconds, then exit (default: forever)",
     )
     flags.add_argument(
-        "--tiering", default="off", metavar="auto|off|FILE",
-        help="profile-guided tiered execution: every op starts on the"
-             " compile-time renderer; a hotness counter promotes hot"
-             " ops to the renderer the cost model scores best for their"
-             " observed payloads, recompiled in the background,"
-             " byte-identity-verified on a shadow call, and reverted"
-             " when the recompile turns out slower (a gateway tiers its"
-             " ingress-side codecs); FILE loads a TierPolicy JSON"
-             " (threshold, hysteresis, revert_ratio, ...)",
-    )
-    flags.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="supervised multi-process mode: N worker processes share"
              " the listen address (SO_REUSEPORT accept sharding);"
@@ -707,7 +696,7 @@ def _service_config(args):
         metrics_port=args.metrics_port, profile_path=args.profile,
         profile_sample=args.profile_sample, trace_path=args.trace,
         fault_plan=args.fault_plan, max_concurrency=args.max_concurrency,
-        max_pending=args.max_pending, tiering=args.tiering,
+        max_pending=args.max_pending,
         sys_paths=[os.getcwd()],  # --impl resolves from the cwd
     )
     if args.command == "serve":
@@ -791,9 +780,6 @@ def _banner(config, running, workers, endpoint):
         if config.profile_path:
             yield ("profiling payload shapes to %s (1/%d sampling)"
                    % (config.profile_path, max(1, config.profile_sample)))
-        for engine in running.engines:
-            yield ("tiered execution on (%s): hot ops recompile at score"
-                   " >= %d" % (config.tiering, engine.policy.threshold))
         for path in (config.fault_plan, config.upstream_fault_plan):
             if path:
                 yield "fault plan active: %s" % path
@@ -1064,7 +1050,7 @@ def _profile_summary(profile):
     return summary
 
 
-def _profile_text(op, profiles, hint):
+def _profile_text(op, profiles):
     lines = ["%s:" % op]
     for profile in profiles:
         summary = _profile_summary(profile)
@@ -1094,19 +1080,13 @@ def _profile_text(op, profiles, hint):
                 "    slow exemplar: %.3f ms, %d bytes, trace=%s"
                 % (1e3 * exemplar["duration_s"], exemplar.get("bytes", 0),
                    exemplar.get("trace_id")))
-    renderer, reason, _scores = hint
-    lines.append("  renderer hint: %s (%s)" % (renderer, reason))
     return "\n".join(lines)
 
 
 def command_profile(args):
     import json
 
-    from repro.obs.profile import (
-        ProfileSnapshot,
-        SNAPSHOT_VERSION,
-        renderer_hint,
-    )
+    from repro.obs.profile import ProfileSnapshot, SNAPSHOT_VERSION
 
     try:
         snapshot = ProfileSnapshot.load(args.snapshots[0])
@@ -1129,7 +1109,6 @@ def command_profile(args):
         }
         for op in names:
             profiles = snapshot.for_op(op)
-            renderer, reason, scores = renderer_hint(profiles)
             document["ops"][op] = {
                 "directions": {
                     profile.direction: profile.to_json()
@@ -1139,12 +1118,6 @@ def command_profile(args):
                     profile.direction: _profile_summary(profile)
                     for profile in profiles
                 },
-                "renderer_hint": {
-                    "renderer": renderer,
-                    "reason": reason,
-                    "scores": {name: round(score, 2)
-                               for name, score in scores.items()},
-                },
             }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -1152,8 +1125,7 @@ def command_profile(args):
           % (snapshot.sample, len(args.snapshots),
              "" if len(args.snapshots) == 1 else "s"))
     for op in names:
-        profiles = snapshot.for_op(op)
-        print(_profile_text(op, profiles, renderer_hint(profiles)))
+        print(_profile_text(op, snapshot.for_op(op)))
     return 0
 
 
@@ -1189,7 +1161,6 @@ def _top_rows(samples):
         return rows.setdefault(op, {
             "requests": 0.0, "errors": 0.0, "bytes": 0.0,
             "buckets": [], "fused": 0.0, "transcoded": 0.0,
-            "tier_hot": 0, "tier_series": 0,
         })
 
     for labels, value in samples.get(
@@ -1222,24 +1193,14 @@ def _top_rows(samples):
         entry["transcoded"] += value
         if labeldict.get("path") == "fused":
             entry["fused"] += value
-    # flick_tier_current is one gauge series per (op, worker): count
-    # how many of the op's workers run the recompiled tier.
-    for labels, value in samples.get(
-            "flick_tier_current", {}).items():
-        labeldict = dict(labels)
-        entry = row(labeldict.get("op", "?"))
-        entry["tier_series"] += 1
-        if value >= 1:
-            entry["tier_hot"] += 1
     return rows
 
 
 def _top_table(rows, previous=None, interval=None):
-    header = ("%-20s %10s %8s %9s %9s %10s %7s %6s"
+    header = ("%-20s %10s %8s %9s %9s %10s %7s"
               % ("op", "requests" if previous is None else "req/s",
                  "errors", "p50 ms", "p99 ms",
-                 "bytes" if previous is None else "bytes/s", "fused",
-                 "tier"))
+                 "bytes" if previous is None else "bytes/s", "fused"))
     lines = [header, "-" * len(header)]
     ranked = sorted(rows.items(),
                     key=lambda item: -item[1]["requests"])
@@ -1252,19 +1213,12 @@ def _top_table(rows, previous=None, interval=None):
             nbytes = (nbytes - before["bytes"]) / interval
         fused = ("%.0f%%" % (100.0 * stats["fused"] / stats["transcoded"])
                  if stats["transcoded"] else "-")
-        series = stats.get("tier_series", 0)
-        if not series:
-            tier = "-"
-        elif series == 1:
-            tier = str(stats["tier_hot"])
-        else:  # several workers: how many run the recompiled tier
-            tier = "%d/%d" % (stats["tier_hot"], series)
         lines.append(
-            "%-20s %10.1f %8d %9.2f %9.2f %10s %7s %6s"
+            "%-20s %10.1f %8d %9.2f %9.2f %10s %7s"
             % (op, requests, stats["errors"],
                1e3 * _bucket_percentile(stats["buckets"], 50),
                1e3 * _bucket_percentile(stats["buckets"], 99),
-               _human_bytes(nbytes), fused, tier))
+               _human_bytes(nbytes), fused))
     return "\n".join(lines)
 
 

@@ -180,9 +180,8 @@ class TestClosureModulesLoadTheScaffoldOnly:
             assert vars(module)[name].__module__ == \
                 "repro.mir.render_closures", name
         assert codec_compiles == []
-        assert all(entry["renderer"] == "closures"
-                   for entry in clo.codecs.describe().values())
-        assert set(clo.codecs.describe()) == set(clo.operations())
+        assert {slot.op for slot in clo.codecs.entries()} \
+            == set(clo.operations())
         # Header consts sit where the rendered text would have put them.
         py_module = py.module
         for fn in clo.mir.functions:
@@ -259,6 +258,7 @@ class TestCodecsCompileAtFirstCall:
         # what the module binds is that function itself.
         compiled = slots.base("_m_req_rev")
         assert compiled is module._m_req_rev is deferred.__wrapped__
+        assert not hasattr(compiled, "__wrapped__")
         assert compiled.__globals__ is vars(module)
         assert compiled.__code__.co_filename.startswith(
             "<%s._m_req_rev_" % module.__name__)
@@ -286,14 +286,6 @@ class TestCodecsCompileAtFirstCall:
         assert again.getvalue() == b.getvalue()
         assert len(codec_compiles) == 3
 
-    def test_describe_is_stable_across_the_first_call(self):
-        result = api.compile(DB_IDL, "oncrpc", renderer="closures")
-        before = result.codecs.describe()
-        assert {row["renderer"] for row in before.values()} == {"closures"}
-        _frames(vars(result.module))
-        assert result.codecs.describe() == before
-        assert not hasattr(result.codecs.base("_m_req_rev"), "__wrapped__")
-
     def test_reinstalling_over_a_loaded_module_keeps_its_layers(
             self, codec_compiles):
         """What the benchmark's ``compile_replica`` does: the new
@@ -309,8 +301,6 @@ class TestCodecsCompileAtFirstCall:
             render_closures.install_closures(module, result.mir)
             assert sorted(heard) == sorted(
                 slot.name for slot in slots.entries())
-            assert slots.describe()["rev"] \
-                == {"renderer": "closures", "layers": ["trace"]}
             del codec_compiles[:]
             assert _frames(vars(module)) == want
             assert codec_compiles == ["_m_req_rev", "_m_rep_ok_rev"]
@@ -320,29 +310,28 @@ class TestCodecsCompileAtFirstCall:
         finally:
             obs.shutdown()
 
-    def test_recompile_to_closures_returns_deferred_entries(
+    def test_installing_over_a_py_module_compiles_only_what_is_called(
             self, codec_compiles):
+        """A deferred entry compiles nothing until called, and then
+        only itself — also over a module that loaded under ``py``."""
         result = api.compile(DB_IDL, "oncrpc")
-        slots = result.codecs
+        module, slots = result.module, result.codecs
         before = {slot.name: slot.base for slot in slots.entries()}
-        new = result.recompile("rev", renderer="closures", install=False)
-        assert codec_compiles == []
-        # Calling one that is not installed compiles it and installs
-        # nothing (how tiering shadow-verifies a candidate).
         want = _frames(before)
-        assert _frames(new) == want
+        render_closures.install_closures(module, result.mir)
+        assert codec_compiles == []
+        deferred = {slot.name: slot.base for slot in slots.entries()}
+        assert not set(deferred.values()) & set(before.values())
+        assert _frames(vars(module)) == want
         assert codec_compiles == ["_m_req_rev", "_m_rep_ok_rev"]
-        assert {slot.name: slot.base for slot in slots.entries()} == before
-        assert slots.describe()["rev"]["renderer"] == "py"
-        # Installed afterwards (tiering's commit), it reads closures
-        # before and after the call on which it hands over.
-        slots.set_base(new)
-        assert slots.describe()["rev"]["renderer"] == "closures"
-        assert slots.base("_m_req_rev") is new["_m_req_rev"]
-        assert _frames(vars(result.module)) == want
-        assert slots.base("_m_req_rev") is new["_m_req_rev"].__wrapped__
-        assert slots.describe()["rev"]["renderer"] == "closures"
-        assert slots.describe()["echo"]["renderer"] == "py"
+        for name, entry in deferred.items():
+            if name in codec_compiles:  # handed over, and is new text
+                assert slots.base(name) is entry.__wrapped__
+                assert slots.base(name) is not before[name]
+            else:  # still waiting for its first call
+                assert slots.base(name) is entry
+                assert not hasattr(entry, "__wrapped__")
+        assert _frames(vars(module)) == want
         assert len(codec_compiles) == 2
 
     def test_first_calls_racing_on_threads_compile_once(
@@ -395,47 +384,14 @@ class TestCodecsCompileAtFirstCall:
             # One compile and one compiled function per entry; every
             # deferred entry handed over to it, under the same layers.
             assert sorted(codec_compiles) == sorted(deferred)
-            assert slots.describe()["rev"] == {
-                "renderer": "closures", "layers": ["trace", "profile"]}
             for name, entry in deferred.items():
                 assert slots.base(name) is entry.__wrapped__, name
-                bound = vars(module)[name]
-                assert bound is not slots.base(name)
-                assert innermost(bound) is slots.base(name)
+                bound = vars(module)[name]  # profile over trace over it
+                assert bound.__wrapped__.__wrapped__ is slots.base(name)
         finally:
             sys.setswitchinterval(interval)
             profile.shutdown()
             obs.shutdown()
-
-
-class TestRecompileRendersOneOp:
-    def test_py_promotion_compiles_only_the_selected_entries(
-            self, codec_compiles):
-        result = api.compile(DB_IDL, "oncrpc", renderer="closures")
-        new = result.recompile("rev", renderer="py", install=False)
-        assert sorted(new) == ["_m_rep_ok_rev", "_m_req_rev",
-                               "_u_rep_rev", "_u_req_rev"]
-        # Under ``py`` now, not at first call: the op's entries and the
-        # out-of-line helpers they may call ("": shared), each once.
-        assert sorted(codec_compiles) == sorted(
-            fn.name for fn in result.mir.functions
-            if fn.operation in ("rev", ""))
-        assert "_m_entry" in codec_compiles
-        selected = len(codec_compiles)
-        # The same bytes, and the same values back, as the entries of a
-        # whole-program recompile.
-        whole = result.recompile(renderer="py", install=False)
-        assert sorted(codec_compiles[selected:]) == sorted(
-            fn.name for fn in result.mir.functions)
-        request, reply = _frames(new)
-        assert (request, reply) == _frames(whole)
-        body = len(request) - 16  # count word + three ints
-        assert new["_u_req_rev"](request, body) == \
-            whole["_u_req_rev"](request, body) == (([3, 1, 2],), len(request))
-        at = result.module._check_reply(reply, 9)
-        assert new["_u_rep_rev"](reply, at) == \
-            whole["_u_rep_rev"](reply, at) == [2, 1, 3]
-        assert len(codec_compiles) == selected + len(result.mir.functions)
 
 
 def _presc_for(aoi_type):

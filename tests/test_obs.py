@@ -809,3 +809,112 @@ class TestCompilerTiming:
         names = {span.name for span in exporter.spans}
         assert {"compile.parse", "compile.aoi", "compile.present",
                 "compile.emit"} <= names
+
+
+# ----------------------------------------------------------------------
+# The metric catalogue: names, types and label names are an interface
+# ----------------------------------------------------------------------
+
+CATALOGUE = "tests/golden/metric_families.json"
+
+CATALOGUE_IDL = """
+interface Calc {
+  double avg(in sequence<long> xs);
+  oneway void ping(in long x);
+};
+"""
+
+CATALOGUE_IMPL = """
+class CalcImpl:
+    def avg(self, xs):
+        return sum(xs) / len(xs)
+
+    def ping(self, x):
+        pass
+"""
+
+
+def _catalogue(registry, text):
+    """Sorted ``[family, type, label names]`` of *registry*, checked
+    against the ``# TYPE`` lines of the exposition *text* it rendered."""
+    import re
+
+    rows = [[family.name, family.kind, list(family.labelnames)]
+            for family in registry.families()]
+    rows += [[name, "gauge", []] for name in registry._callbacks]
+    assert sorted((name, kind) for name, kind, _labels in rows) \
+        == sorted(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.M))
+    return sorted(rows)
+
+
+def _one_call_per_op(address, backend):
+    module = Flick(frontend="corba", backend=backend) \
+        .compile(CATALOGUE_IDL).load_module()
+    transport = TcpClientTransport(*address[:2])
+    try:
+        client = module.CalcClient(transport)
+        client.ping(1)
+        assert client.avg([1, 2, 3]) == 2.0  # also: the oneway landed
+    finally:
+        transport.close()
+
+
+def _build_catalogue(directory):
+    """``{"serve" | "gateway" | "supervisor": catalogue}``: a blocking
+    ``serve``, an asyncio gateway in front of it (stats and the profiler
+    on, one call per op through both), and the supervisor's own."""
+    from repro.runtime.service import ServiceConfig, build
+    from repro.runtime.supervisor import Supervisor
+
+    (directory / "calc.idl").write_text(CATALOGUE_IDL)
+    (directory / "catalogue_impl.py").write_text(CATALOGUE_IMPL)
+    base = ServiceConfig(
+        idl_path=str(directory / "calc.idl"), lang="corba", stats=True,
+        profile_sample=1, drain_timeout=2.0, sys_paths=[str(directory)])
+    serve = base.but(
+        kind="serve", impl="catalogue_impl:CalcImpl",
+        backend="oncrpc-xdr", profile_path=str(directory / "serve.json"))
+    found = {}
+    with build(serve) as upstream:
+        host, port = upstream.server.address[:2]
+        _one_call_per_op((host, port), "oncrpc-xdr")
+        found["serve"] = _catalogue(
+            upstream.stats.registry, upstream.metrics_text())
+        gateway = base.but(
+            kind="gateway", backend="iiop", upstream_backend="oncrpc-xdr",
+            upstream_host=host, upstream_port=port,
+            profile_path=str(directory / "gateway.json"))
+        with build(gateway) as bridge:
+            _one_call_per_op(bridge.server.address, "iiop")
+            found["gateway"] = _catalogue(
+                bridge.stats.registry, bridge.metrics_text())
+    fleet = Supervisor(serve.but(stats=False), 1, report=lambda line: None)
+    found["supervisor"] = _catalogue(
+        fleet.registry, fleet.registry.render_prometheus())
+    return found
+
+
+def _catalogue_lines(catalogue):
+    return ["%s: %s %s {%s}" % (service, name, kind, ",".join(labels))
+            for service, rows in sorted(catalogue.items())
+            for name, kind, labels in rows]
+
+
+def test_metric_catalogue_is_pinned(tmp_path, monkeypatch):
+    """Every family ``/metrics`` can show, compared with the golden
+    file.  A family added, dropped, retyped or relabelled is an
+    interface change: update the golden file and say so."""
+    import difflib
+
+    monkeypatch.syspath_prepend(str(tmp_path))  # undone at teardown
+    found = _build_catalogue(tmp_path)
+    with open(CATALOGUE) as handle:
+        golden = json.load(handle)
+    diff = "\n".join(difflib.unified_diff(
+        _catalogue_lines(golden), _catalogue_lines(found),
+        CATALOGUE, "this tree", lineterm=""))
+    assert found == golden, diff
+    names = {row[0] for rows in found.values() for row in rows}
+    assert not [name for name in names if name.startswith("flick_tier_")]
+    assert all(name.startswith("flick_supervisor_")
+               for name, _kind, _labels in found["supervisor"])

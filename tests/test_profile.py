@@ -242,6 +242,115 @@ class TestMergeLaws:
 
 
 # ----------------------------------------------------------------------
+# A snapshot is outside input: every wrong shape is a ValueError
+# ----------------------------------------------------------------------
+
+def _snapshot(ops=None, **changes):
+    """A healthy one-op snapshot document, with *changes* applied to
+    the op (or *ops* replacing the list)."""
+    snapshot = ProfileSnapshot(sample=1)
+    prof = snapshot.profile("send", "request")
+    prof.calls = prof.sampled = 2
+    prof.size.observe(100)
+    prof.codec_hist("encode").observe(0.001)
+    prof.length("msg", "str", 5)
+    prof.arm("v", "0")
+    prof.note_exemplar(0.001, "t1", "s1", 100)
+    document = snapshot.to_json()
+    document["ops"][0].update(changes)
+    if ops is not None:
+        document["ops"] = ops
+    return document
+
+
+def _without(key):
+    document = _snapshot()
+    del document["ops"][0][key]
+    return document
+
+
+_HIST = _snapshot()["ops"][0]["codec"]["encode"]
+
+#: ``(field the error must name, document)``.
+MALFORMED = [
+    ("the document", []),
+    ("the document", 5),
+    ("sample", dict(_snapshot(), sample="often")),
+    ("ops", _snapshot(ops={"send": 1})),
+    (r"ops\[0\]", _snapshot(ops=[3])),
+    (r"ops\[0\]\.op", _without("op")),
+    (r"ops\[0\]\.direction", _without("direction")),
+    (r"ops\[0\]\.calls", _snapshot(calls="many")),
+    (r"ops\[0\]\.sampled", _snapshot(sampled=1.5)),
+    (r"ops\[0\]\.exemplar_cap", _snapshot(exemplar_cap=None)),
+    (r"ops\[0\]\.size", _snapshot(size=[1])),
+    (r"ops\[0\]\.size\.exact", _snapshot(size={"exact": {"abc": 1}})),
+    (r"ops\[0\]\.size\.exact\[3\]", _snapshot(size={"exact": {"3": "x"}})),
+    (r"ops\[0\]\.size\.overflow", _snapshot(size={"overflow": [1]})),
+    (r"ops\[0\]\.size\.total", _snapshot(size={"total": True})),
+    (r"ops\[0\]\.codec", _snapshot(codec=[])),
+    (r"ops\[0\]\.codec\[encode\]", _snapshot(codec={"encode": 5})),
+    (r"ops\[0\]\.codec\[encode\]\.bounds",
+     _snapshot(codec={"encode": {}})),
+    (r"ops\[0\]\.codec\[encode\]\.counts",
+     _snapshot(codec={"encode": dict(_HIST, counts=[1, 2])})),
+    (r"ops\[0\]\.codec\[encode\]\.sum",
+     _snapshot(codec={"encode": dict(_HIST, sum="1")})),
+    (r"ops\[0\]\.channels", _snapshot(channels=7)),
+    (r"ops\[0\]\.channels\[msg\]", _snapshot(channels={"msg": "x"})),
+    (r"ops\[0\]\.arms", _snapshot(arms=[])),
+    (r"ops\[0\]\.arms\[v\]", _snapshot(arms={"v": [1]})),
+    (r"ops\[0\]\.arms\[v\]\[0\]", _snapshot(arms={"v": {"0": "x"}})),
+    (r"ops\[0\]\.paths", _snapshot(paths=3)),
+    (r"ops\[0\]\.exemplars", _snapshot(exemplars={})),
+    (r"ops\[0\]\.exemplars\[0\]", _snapshot(exemplars=[1])),
+    (r"ops\[0\]\.exemplars\[0\]\.duration_s",
+     _snapshot(exemplars=[{"trace_id": "t"}])),
+    (r"ops\[0\]\.exemplars\[0\]\.trace_id",
+     _snapshot(exemplars=[{"duration_s": 1.0, "trace_id": None}])),
+]
+
+
+class TestMalformedSnapshots:
+    def test_the_healthy_document_loads(self):
+        document = _snapshot()
+        assert ProfileSnapshot.from_json(document).to_json() == document
+
+    @pytest.mark.parametrize(
+        "field, document", MALFORMED,
+        ids=[str(index) for index in range(len(MALFORMED))])
+    def test_wrong_shape_is_a_value_error_everywhere(
+            self, field, document, tmp_path, capsys):
+        """``from_json`` names the field; ``flick profile`` reports it
+        in one line; a worker answering with it is skipped, and the
+        fleet's ``/profile`` still serves the healthy worker."""
+        from tests.test_supervisor import _fake_worker, _supervisor_over
+
+        with pytest.raises(ValueError, match="profile snapshot: " + field):
+            ProfileSnapshot.from_json(document)
+
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(document))
+        assert cli.main(["profile", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("flick: error: profile snapshot: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+        def worker(snapshot):
+            return _fake_worker(lambda message: {
+                "ok": True, "snapshot": snapshot})
+
+        controls = [worker(document), worker(_snapshot())]
+        sup = _supervisor_over(tmp_path, controls)
+        try:
+            assert sup.profile_json() == _snapshot()
+        finally:
+            for control in controls:
+                control.close()
+
+
+# ----------------------------------------------------------------------
 # Zero cost when off; sampling when on
 # ----------------------------------------------------------------------
 
@@ -519,38 +628,3 @@ class TestGatewayProfile:
             in text
         assert 'direction="reply"' in text
         assert 'flick_gateway_requests_total' not in text
-
-
-# ----------------------------------------------------------------------
-# The renderer hint
-# ----------------------------------------------------------------------
-
-class TestRendererHint:
-    def _profile_with(self, nbytes, var_fields, var_bytes_each):
-        prof = OpProfile("op", "request")
-        prof.calls = prof.sampled = 10
-        for _ in range(10):
-            prof.size.observe(nbytes)
-            for index in range(var_fields):
-                prof.length("f%d" % index, "str", var_bytes_each)
-        return prof
-
-    def test_fixed_heavy_payloads_pick_closures(self):
-        prof = self._profile_with(4096, 0, 0)
-        renderer, reason, scores = profile.renderer_hint([prof])
-        assert renderer == "closures"
-        # Fixed-layout bytes are at parity since array regions; the tie
-        # resolves to closures.
-        assert scores["closures"] <= scores["py"]
-        assert "fixed" in reason
-
-    def test_string_heavy_payloads_pick_py(self):
-        prof = self._profile_with(200, 8, 16)
-        renderer, _reason, scores = profile.renderer_hint([prof])
-        assert renderer == "py"
-        assert scores["py"] < scores["closures"]
-
-    def test_no_samples_keeps_the_default(self):
-        renderer, reason, scores = profile.renderer_hint([])
-        assert renderer == "py"
-        assert scores == {}

@@ -26,11 +26,7 @@ from repro.encoding import MarshalBuffer
 from repro.errors import FlickError
 from repro.obs.http import MetricsHttpServer, routes_of
 from repro.runtime.framing import encode_record
-from repro.runtime.service import (
-    ServiceConfig,
-    build,
-    compile_handles,
-)
+from repro.runtime.service import ServiceConfig, build
 from repro.runtime.supervisor import Supervisor
 from repro.tools.cli import _service_config, build_parser, main
 
@@ -56,7 +52,7 @@ class CalcImpl:
 SHARED_FLAGS = (
     "--stats", "--metrics-port", "--profile", "--profile-sample",
     "--trace", "--fault-plan", "--max-concurrency", "--max-pending",
-    "--duration", "--tiering", "--workers",
+    "--duration", "--workers",
 )
 
 #: Fields no flag sets: a supervisor fills these per worker ...
@@ -114,7 +110,7 @@ class TestServiceConfig:
             kind="gateway", idl_path="a.idl", backend="iiop", aio=True,
             stats=True, trace_path="t.jsonl", profile_path="p.json",
             fault_plan="f.json", upstream_fault_plan="u.json",
-            metrics_port=9464, tiering="auto", sys_paths=["/x"],
+            metrics_port=9464, sys_paths=["/x"],
             upstream_host="h", upstream_port=7,
             upstream_backend="oncrpc-xdr", slot=3, generation=2,
             listen_fd=5, control_fd=6)
@@ -129,6 +125,11 @@ class TestServiceConfig:
     def test_unknown_field_is_refused(self):
         document = dict(ServiceConfig().to_json(), profile_dir="/tmp")
         with pytest.raises(FlickError, match="profile_dir"):
+            ServiceConfig.from_json(document)
+
+    def test_a_worker_config_written_before_tiering_went_is_refused(self):
+        document = dict(ServiceConfig().to_json(), tiering="off")
+        with pytest.raises(FlickError, match="tiering"):
             ServiceConfig.from_json(document)
 
 
@@ -336,41 +337,11 @@ class TestOneAssembly:
         for name in ("aio", "fleet"):
             assert seen[name] == seen["blocking"], name
 
-    def test_fleet_fails_on_a_bad_policy_file_before_any_worker(
-            self, calc, tmp_path):
-        fleet = Supervisor(
-            calc.but(tiering=str(tmp_path / "missing.json")), 2,
-            report=lambda line: None)
-        with pytest.raises(OSError, match="missing.json"):
-            fleet.start()
-        assert fleet.status() == []
-        fleet.stop()
-
     def test_service_stops_ready_when_draining(self, calc):
         with build(calc) as service:
             assert service.ready()
             service.draining = True
             assert not service.ready() and service.healthy()
-
-    @pytest.mark.parametrize("kind", ["serve", "gateway"])
-    def test_tiering_engine_guard_is_the_same_for_both_kinds(
-            self, calc, kind):
-        """Stubs that carry no back-end instance (a baseline's) cannot
-        be recompiled, so they get no engine — on the parent only the
-        serve path and the workers checked."""
-        config = calc.but(tiering="auto")
-        if kind == "gateway":
-            config = _gateway_config(config)
-        handles = compile_handles(config)
-        service = build(config, handles=handles)
-        (engine,) = service.engines
-        assert engine.handle is handles[0]
-        assert service.server.tiering == service.engines
-        service.stop()
-        handles[0].stubs.backend_instance = None
-        service = build(config, handles=handles)
-        assert service.engines == ()
-        service.stop()
 
     def test_failed_build_leaves_no_layer_behind(self, calc, tmp_path):
         config = calc.but(
