@@ -12,7 +12,7 @@ Design constraints, in order:
 * **explicit cross-thread parentage** — the current span rides a
   ``contextvars.ContextVar``, which follows ``async``/``await`` and
   plain calls for free; code that hops threads or event loops (the
-  client transport's sync facade, the aio server's dispatch executor)
+  client transport's sync facade, the aio server's dispatch workers)
   captures :func:`current_span` / ``contextvars.copy_context()`` and
   re-establishes it on the far side.
 

@@ -13,9 +13,10 @@ and the *same* record-marked wire traffic as the blocking
   request_id, echoed by the generated dispatch), so they may legally
   complete out of order and blocking clients still interoperate because a
   serial client only ever has one id outstanding;
-* each dispatch runs either on a worker thread pool (safe for blocking
-  servants) or inline on the loop (fastest for CPU-light servants); an
-  admitted record costs no Task either way;
+* each dispatch runs either on a worker thread (safe for blocking
+  servants; see :class:`_Workers` for the hand-off) or inline on the
+  loop (fastest for CPU-light servants); an admitted record costs no
+  Task either way;
 * *max_concurrency* caps in-flight requests: records beyond it wait in
   their connection's backlog and that connection is not read, so TCP
   flow control pushes back on aggressive clients; a peer that does not
@@ -34,7 +35,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from queue import SimpleQueue
 
 from repro.encoding.buffer import MarshalBuffer
 from repro.errors import OverloadError
@@ -72,6 +73,72 @@ class BufferPool:
     @property
     def retained_bytes(self):
         return sum(len(buffer.data) for buffer in self._free)
+
+
+class _Workers:
+    """The loop -> worker direction of ``thread`` mode's hand-off.
+
+    A job is the argument tuple of *work* (``AioTcpServer._work``), put
+    on one :class:`~queue.SimpleQueue`; a worker gets it and calls
+    *work* with it, and *work* itself hands the result back to the loop
+    through the server's completions deque.  Nothing is built per job:
+    :meth:`submit` is one C-level ``put`` plus, under one raw lock that
+    only a worker between two jobs contends for, the claim of an idle
+    worker.  What a thread pool would give is kept:
+
+    * threads start lazily — only when a job is queued and no worker is
+      idle — and never more than *limit* (the server's
+      ``max_concurrency``), so while fewer than *limit* workers are
+      busy a servant that blocks delays no other admitted record;
+    * the queue is first-in first-out and :meth:`close` queues its stop
+      marks behind every job, so a job queued before shutdown is still
+      served;
+    * threads are named ``flick-aio_<n>``.
+
+    Workers are daemon threads, like the loop thread and the blocking
+    server's connection threads: :meth:`close` wakes every parked one,
+    so none outlives the server unless it is inside a servant, and one
+    that is cannot keep the process alive.
+    """
+
+    __slots__ = ("_work", "_limit", "_jobs", "_lock", "_idle", "_threads")
+
+    def __init__(self, work, limit):
+        self._work = work
+        self._limit = limit
+        self._jobs = SimpleQueue()
+        self._lock = threading.Lock()
+        self._idle = 0      # workers done with a job and not yet claimed
+        self._threads = []
+
+    def submit(self, job):
+        """Queue *job*; called on the loop thread only."""
+        self._jobs.put(job)
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+                return
+        if len(self._threads) < self._limit:
+            thread = threading.Thread(
+                target=self._run, daemon=True,
+                name="flick-aio_%d" % len(self._threads))
+            self._threads.append(thread)
+            thread.start()
+
+    def _run(self):
+        get, work, lock = self._jobs.get, self._work, self._lock
+        while True:
+            job = get()
+            if job is None:
+                return
+            work(*job)
+            with lock:
+                self._idle += 1
+
+    def close(self):
+        """Stop every worker once the jobs queued so far are served."""
+        for _ in self._threads:
+            self._jobs.put(None)
 
 
 class _Connection(FramedConnection):
@@ -152,10 +219,11 @@ class AioTcpServer:
         host, port: bind address; port 0 picks a free port.
         max_concurrency: cap on server-wide in-flight requests; reading
             stops while the cap is reached (backpressure).
-        dispatch_mode: ``"thread"`` (default) runs each dispatch on a
-            thread pool sized *max_concurrency* so blocking servants
-            still interleave; ``"inline"`` runs dispatch directly on the
-            event loop — fastest when servants never block.
+        dispatch_mode: ``"thread"`` (default) runs each dispatch on one
+            of up to *max_concurrency* worker threads so blocking
+            servants still interleave; ``"inline"`` runs dispatch
+            directly on the event loop — fastest when servants never
+            block.
         stats: an optional :class:`~repro.runtime.aio.stats.ServerStats`.
         op_names: optional mapping from demux keys to display names for
             stats (see :func:`repro.runtime.server.operation_names`).
@@ -206,7 +274,7 @@ class AioTcpServer:
         # Async state (valid between start_async and aclose).
         self._server = None
         self._loop = None
-        self._executor = None
+        self._workers = None       # thread mode, while serving
         self._connections = set()
         self._active = 0           # records started and not yet finished
         self._pending = 0          # records waiting in some backlog
@@ -232,10 +300,7 @@ class AioTcpServer:
         if self.fault_plan is not None:
             self._injector = self.fault_plan.injector()
         if self.dispatch_mode == "thread":
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.max_concurrency,
-                thread_name_prefix="flick-aio",
-            )
+            self._workers = _Workers(self._work, self.max_concurrency)
         self._closing = False
         if self.listen_sock is not None:
             where = {"sock": self.listen_sock}
@@ -297,9 +362,9 @@ class AioTcpServer:
         await asyncio.sleep(0)
         for connection in list(self._connections):
             connection.transport.abort()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
+        if self._workers is not None:
+            self._workers.close()
+            self._workers = None
 
     async def __aenter__(self):
         return await self.start_async()
@@ -433,15 +498,19 @@ class AioTcpServer:
                 self._await_invoke(connection, record, buffer, ticket))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
-        elif self._executor is not None:
-            self._executor.submit(self._work, connection, record, buffer,
-                                  ticket)
+        elif self._workers is not None:
+            self._workers.submit((connection, record, buffer, ticket))
         else:
             self._finish(connection, buffer,
                          core.serve(record, buffer, ticket), ticket)
 
     def _work(self, connection, record, buffer, ticket):
-        """One executor job: serve, then hand the result to the loop.
+        """One worker job: serve, then hand the result to the loop.
+
+        Whatever the core does not settle itself (a ``BaseException``
+        that is neither ``Exception`` nor ``SystemExit``) is handed over
+        too, as a record that has no reply and closes its connection:
+        the slot is freed and the worker lives on.
 
         No lock: ``deque.append`` is atomic, and the flag is read *after*
         the append while :meth:`_drain_completions` clears it *before*
@@ -450,9 +519,11 @@ class AioTcpServer:
         sees it clear posts a wake-up of its own (two workers may both
         do so; a drain that finds nothing is harmless).
         """
-        self._completions.append(
-            (connection, buffer, self._core.serve(record, buffer, ticket),
-             ticket))
+        try:
+            served = self._core.serve(record, buffer, ticket)
+        except BaseException as error:
+            served = False, False, error
+        self._completions.append((connection, buffer, served, ticket))
         if not self._wake_posted:
             self._wake_posted = True
             try:

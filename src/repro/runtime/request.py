@@ -14,7 +14,11 @@ decided here and nowhere else:
   record framing delivered a whole record, so the stream is still in
   sync: answer in-protocol and **keep** the connection.  Any other
   exception is the servant itself crashing: answer with a system error
-  and **close** — the connection's state is suspect;
+  and **close** — the connection's state is suspect.  ``SystemExit``
+  is such a crash too (a servant calling ``sys.exit()`` must neither
+  end the thread that serves it nor go unanswered); ``KeyboardInterrupt``
+  and a coroutine's ``CancelledError`` are not the servant's and
+  propagate;
 * the error reply comes from the stub module's ``encode_error_reply``;
   when it cannot build one (no encoder, a oneway, an unparseable header,
   or the encoder itself failing) nothing is sent and the connection
@@ -114,7 +118,7 @@ class RequestCore:
         holds a reply to write, whether the connection may go on
         serving, and the exception dispatch raised (None if none) for
         the driver that has no connection to close.  Thread-safe: the
-        aio server calls it on executor threads.
+        aio server calls it on its worker threads.
         """
         buffer.reset()
         try:
@@ -123,7 +127,7 @@ class RequestCore:
             else:
                 with trace.span("dispatch", parent=ticket.span):
                     has_reply = self.dispatch(record, self.impl, buffer)
-        except Exception as error:
+        except (Exception, SystemExit) as error:
             return self._failed(record, buffer, error, ticket)
         if ticket is not None:
             self._observe(ticket, False)
@@ -135,7 +139,7 @@ class RequestCore:
         try:
             with trace.span("dispatch", parent=ticket and ticket.span):
                 has_reply = await invoke
-        except Exception as error:
+        except (Exception, SystemExit) as error:
             return self._failed(record, buffer, error, ticket)
         if ticket is not None:
             self._observe(ticket, False)

@@ -10,12 +10,14 @@ import asyncio
 import random
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+from repro import api
 from repro.encoding import MarshalBuffer
 from repro.errors import DeadlineError, TransportError
 from repro.runtime import (
@@ -579,6 +581,250 @@ class TestGracefulShutdown:
                      MarshalBuffer(), None)
         assert len(server._completions) == 1
         assert not server._wake_posted  # a restarted server still drains
+
+
+class ExitingImpl(MailImpl):
+    """Servant whose reverse() calls sys.exit()."""
+
+    def reverse(self, data):
+        sys.exit(3)
+
+
+class TestServantExit:
+    @pytest.mark.parametrize("factory, options", [
+        pytest.param("tcp_server", {}, id="blocking"),
+        pytest.param("aio_server", {"dispatch_mode": "thread"},
+                     id="aio-thread"),
+        pytest.param("aio_server", {"dispatch_mode": "inline"},
+                     id="aio-inline"),
+    ])
+    def test_sys_exit_in_a_servant_is_a_servant_crash(
+            self, factory, options, onc_module):
+        """SystemExit out of a servant is answered like any other crash
+        (error reply, then close) and costs the server nothing: no
+        thread ended, no slot leaked, no drain waited out."""
+        stats = ServerStats()
+        stub_server = StubServer(onc_module, ExitingImpl(onc_module))
+        server = getattr(stub_server, factory)(stats=stats, **options)
+        with server:
+            transport = TcpClientTransport(*server.address, deadline=3.0)
+            try:
+                started = time.perf_counter()
+                with pytest.raises(TransportError) as raised:
+                    onc_module.Test_MailClient(transport).reverse(b"abc")
+                assert time.perf_counter() - started < 1.0
+                assert not isinstance(raised.value, DeadlineError)
+            finally:
+                transport.close()
+            fresh = TcpClientTransport(*server.address, deadline=3.0)
+            try:
+                assert onc_module.Test_MailClient(fresh).avg([3, 5]) == 4.0
+            finally:
+                fresh.close()
+            if factory == "tcp_server":
+                # Its connection thread marks itself idle after the
+                # write the client has just read.
+                deadline = time.monotonic() + 1.0
+                while server._busy and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not server._busy
+            else:
+                assert server.in_flight == 0
+            started = time.perf_counter()
+        assert time.perf_counter() - started < 1.0  # drain_timeout is 5
+        assert stats.servant_errors.value == 1
+
+
+# ----------------------------------------------------------------------
+# The loop <-> worker hand-off of thread mode
+# ----------------------------------------------------------------------
+
+def _workers_alive():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("flick-aio_")]
+
+
+def _wait_for_no_workers(timeout=1.0):
+    deadline = time.monotonic() + timeout
+    while _workers_alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _workers_alive()
+
+
+HUNG_SERVANT = """
+import sys, threading, time
+sys.path[:0] = %r
+from repro.runtime import StubServer, TcpClientTransport
+from tests.conftest import MailImpl, compile_mail
+
+module = compile_mail("oncrpc-xdr").load_module()
+
+class Hung(MailImpl):
+    def avg(self, xs):
+        threading.Event().wait()
+
+server = StubServer(module, Hung(module)).aio_server(
+    dispatch_mode="thread", drain_timeout=0.2).start()
+transport = TcpClientTransport(*server.address)
+threading.Thread(
+    target=module.Test_MailClient(transport).avg, args=([1],),
+    daemon=True).start()
+while server.in_flight != 1:
+    time.sleep(0.01)
+server.stop()
+"""
+
+
+class TestWorkerHandoff:
+    def test_serial_traffic_does_not_start_a_worker_per_call(
+            self, onc_module):
+        """One call in flight: the worker that served the last call
+        serves the next.  (Two, not one: the next request can be
+        admitted before the first worker has counted itself idle.)"""
+        server = StubServer(onc_module, MailImpl(onc_module)).aio_server(
+            dispatch_mode="thread")
+        with server:
+            transport = TcpClientTransport(*server.address)
+            try:
+                client = onc_module.Test_MailClient(transport)
+                for n in range(1000):
+                    assert client.avg([n]) == n
+            finally:
+                transport.close()
+            assert 1 <= len(_workers_alive()) <= 2
+
+    @pytest.mark.parametrize("max_concurrency, at_least, under",
+                             [(32, 0.02, 0.25), (4, 0.16, 1.0)])
+    def test_blocking_servants_overlap_up_to_max_concurrency(
+            self, onc_module, max_concurrency, at_least, under):
+        """32 calls into a servant that sleeps 20 ms: all at once on 32
+        workers, eight rounds on 4 — and never a fifth worker."""
+        server = StubServer(onc_module, SlowImpl(onc_module, delay=0.02)) \
+            .aio_server(dispatch_mode="thread",
+                        max_concurrency=max_concurrency)
+        with server:
+            async def main():
+                connection = await AioConnection.open(*server.address)
+                started = time.perf_counter()
+                replies = await asyncio.gather(*[
+                    connection.acall(_avg_request(onc_module, 1, [n]))
+                    for n in range(32)])
+                elapsed = time.perf_counter() - started
+                await connection.aclose()
+                return replies, elapsed
+
+            replies, elapsed = asyncio.run(main())
+            workers = len(_workers_alive())
+        assert [onc_module._u_rep_avg(reply, 24) for reply in replies] \
+            == [float(n) for n in range(32)]
+        assert at_least <= elapsed < under, elapsed
+        assert workers == max_concurrency
+
+    def test_thread_mode_loses_no_job_under_preemption(self, onc_module):
+        """The submit-direction twin of TestBatchedIO's completion test:
+        the loop queues jobs and claims idle workers while workers count
+        themselves idle, preempted every 0.01 ms — 20k calls at depth 16
+        must each get their own answer and leave nothing queued."""
+        calls, depth = 20000, 16
+        server = StubServer(onc_module, MailImpl(onc_module)).aio_server(
+            dispatch_mode="thread")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                async def main():
+                    pool = ConnectionPool(*server.address, pool_size=1)
+                    positions = iter(range(calls))
+                    answered = []
+
+                    async def caller():
+                        for position in positions:
+                            reply = await pool.acall(_avg_request(
+                                onc_module, 1, [position]))
+                            if onc_module._u_rep_avg(reply, 24) == position:
+                                answered.append(position)
+
+                    try:
+                        await asyncio.wait_for(
+                            asyncio.gather(
+                                *[caller() for _ in range(depth)]),
+                            timeout=120)
+                    finally:
+                        await pool.aclose()
+                    return answered
+
+                assert sorted(asyncio.run(main())) == list(range(calls))
+                assert server.in_flight == 0
+                assert server._workers._jobs.empty()
+                assert len(_workers_alive()) <= server.max_concurrency
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_wire_bytes_do_not_depend_on_dispatch_mode(self):
+        """Every op of the benchmark's ledger contract, both protocols:
+        the request a client sends and the reply it gets are the same
+        bytes whether a worker or the loop ran the dispatch."""
+        from benchmarks.e2e import contract
+
+        class Recording:
+            def __init__(self, transport, seen):
+                self.transport, self.seen = transport, seen
+
+            def call(self, request):
+                reply = self.transport.call(request)
+                self.seen.append((bytes(request), bytes(reply)))
+                return reply
+
+        seen = {"thread": [], "inline": []}
+        for protocol, (backend, family) in contract.PROTOCOLS.items():
+            result = api.compile(contract.schema_text("ledger.idl"),
+                                 name="ledger.idl", backend=backend)
+            servant = contract.Servant()
+            kinds = [contract.make_kind(
+                protocol, method, 1024, 7, (result, family),
+                (result, family), servant) for method in contract.METHODS]
+            for mode, wire in seen.items():
+                server = StubServer(result.module, servant).aio_server(
+                    dispatch_mode=mode)
+                with server:
+                    transport = TcpClientTransport(*server.address)
+                    try:
+                        client = getattr(
+                            result.module, contract.PREFIX + "LedgerClient")(
+                                Recording(transport, wire))
+                        for kind in kinds:
+                            outcome = getattr(client, kind.method)(kind.arg)
+                            assert kind.verify(outcome, contract.Wire(
+                                *wire[-1])), (mode, kind.name)
+                    finally:
+                        transport.close()
+        assert len(seen["thread"]) == 2 * len(contract.METHODS)
+        assert seen["thread"] == seen["inline"]
+
+    def test_restart_serves_again_with_fresh_workers(self, onc_module):
+        server = StubServer(onc_module, MailImpl(onc_module)).aio_server(
+            dispatch_mode="thread")
+        runs = []
+        for _ in range(2):
+            with server:
+                transport = TcpClientTransport(*server.address)
+                try:
+                    assert onc_module.Test_MailClient(transport) \
+                        .avg([2, 4]) == 3.0
+                finally:
+                    transport.close()
+                runs.append(_workers_alive())
+                assert runs[-1]
+            assert not _wait_for_no_workers()
+        assert not set(runs[0]) & set(runs[1])
+
+    def test_hung_servant_does_not_keep_the_process_alive(self):
+        """stop() gives up on a servant that never returns after
+        drain_timeout; the interpreter must then be free to exit."""
+        done = subprocess.run(
+            [sys.executable, "-c", HUNG_SERVANT % (sys.path,)],
+            timeout=5, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------

@@ -220,6 +220,15 @@ def no_tiering(tree):
         python_only=False, flags=re.IGNORECASE))
 
 
+def one_handoff_between_the_loop_and_its_workers(tree):
+    """The aio server's thread mode moves a record to a worker as a
+    tuple on one queue and back as a tuple on one deque
+    (runtime/aio/server.py): no executor, and so no Future, work item
+    or Condition per record, under runtime/aio."""
+    _no(tree.grep(r"concurrent\.futures|ThreadPoolExecutor",
+                  "src/repro/runtime/aio"))
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -259,6 +268,12 @@ PINS = {
         ("src/repro/mir/lower.py", "packer = struct.Struct(fmt)"),
         ("src/repro/core/handle.py",
          "from repro.mir.render_closures import compile_function"),
+    ],
+    one_handoff_between_the_loop_and_its_workers: [
+        ("src/repro/runtime/aio/server.py",
+         "from concurrent.futures import ThreadPoolExecutor"),
+        ("src/repro/runtime/aio/client.py",
+         "import concurrent.futures"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),
