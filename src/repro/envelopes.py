@@ -131,7 +131,7 @@ def _onc_call(e):
 def _onc_reply(e):
     return (
         ("read", 0, "_xid _mt"),
-        ("want", "at", ("do", "_id = _xid", "_at = 0")),
+        ("want", "at", ("do", "_cid = _xid", "_at = 0")),
         ("mark", "id"),
         ("ident", 0, "_xid", "TransportError('reply xid mismatch')"),
         ("refuse", "_mt != 1", "TransportError('not an ONC RPC reply')"),
@@ -262,7 +262,7 @@ def _giop_reply(e):
         ("read", 12, "_nsc"),
     ) + _giop_contexts() + (
         ("read", "o", "_rid"),
-        ("want", "at", ("do", "_id = _rid", "_at = o")),
+        ("want", "at", ("do", "_cid = _rid", "_at = o")),
         ("mark", "id"),
         ("ident", 0, "_rid",
          "TransportError('reply request id mismatch')"),
@@ -412,20 +412,25 @@ def _emit(out, steps, pad, e, ident, wants, upto, remote):
 # The module-level readers
 # ----------------------------------------------------------------------
 
-#: (direction, whole walk?) -> (parameters, defaults, result, wants,
-#: upto).  A whole request walk compares *ident* when given one; a
+#: (direction, which walk) -> (parameters, defaults, result, wants, upto,
+#: remote).  A whole request walk compares *ident* when given one; a
 #: locator stops at the "key" / "id" mark and checks no more than it
-#: passes on the way.
+#: passes on the way; the routed reply walk is the whole one with the id
+#: kept and the peer's error answer returned beside it, not raised.
 _SHAPES = {
     ("request", True): (
         "d, ident=None", "_at = None; _two = True; _tr = -1; _ex = 0",
         "(_ctx, _key, o, _two, _at, _tr, _ex)",
-        ("strict", "two", "at", "trace"), None),
+        ("strict", "two", "at", "trace"), None, "raise %s"),
     ("request", False): (
         "d", "_at = None; _two = True", "(_ctx, _at, _key, _two)",
-        ("two", "at"), "key"),
-    ("reply", True): ("d", "pass", "o", (), None),
-    ("reply", False): ("d", "_id = _at = None", "(_id, _at)", ("at",), "id"),
+        ("two", "at"), "key", "raise %s"),
+    ("reply", True): ("d", "pass", "o", (), None, "raise %s"),
+    ("reply", False): (
+        "d", "_cid = _at = None", "(_cid, _at)", ("at",), "id", "raise %s"),
+    ("reply", "routed"): (
+        "d", "_cid = _at = None", "(_cid, _at, None)", ("at",), None,
+        "return (_cid, _at, %s)"),
 }
 
 _NAMESPACE = {
@@ -435,12 +440,13 @@ _NAMESPACE = {
 }
 
 
-def _walker(protocol, direction, e, whole):
-    parameters, defaults, result, wants, upto = _SHAPES[direction, whole]
+def _walker(protocol, direction, e, which):
+    parameters, defaults, result, wants, upto, remote = \
+        _SHAPES[direction, which]
     body = render(
-        protocol, direction, e, wants=wants, upto=upto,
+        protocol, direction, e, wants=wants, upto=upto, remote=remote,
         ident=("ident and %s != ident[0]", "ident and %s != ident[1]")
-        if whole and direction == "request" else None)
+        if (direction, which) == ("request", True) else None)
     source = "\n".join(
         ["def walk(%s):" % parameters, "    " + defaults, "    try:"]
         + ["        " + line for line in body]
@@ -476,6 +482,15 @@ def locator(protocol, direction, e):
     key) is known: ``(ctx, ctx offset, key, expects reply)`` for a
     request, ``(id, id offset)`` for a reply."""
     return _walker(protocol, direction, e, False)
+
+
+@functools.lru_cache(maxsize=None)
+def router(protocol, e):
+    """The whole reply walk as the one pass a multiplexing client makes
+    over a reply: ``(id, id offset, the RemoteCallError the reply
+    carries or None)`` — every check of ``reader(p, "reply", e)``, the
+    answer of ``locator(p, "reply", e)`` kept on the way."""
+    return _walker(protocol, "reply", e, "routed")
 
 
 _GIOP_DIRECTIONS = {0: "request", 1: "reply", 6: "reply"}  # 6: MessageError

@@ -38,9 +38,10 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.obs import propagation, trace
-from repro.runtime.framing import MAX_RECORD_SIZE
+from repro.obs.trace import NOOP
+from repro.runtime.framing import HEADER_SIZE, MAX_RECORD_SIZE, open_record
 from repro.runtime.transport import Transport
-from repro.runtime.aio.correlation import probe, reply_error, rewrite_id
+from repro.runtime.aio.correlation import locate, route
 from repro.runtime.aio.framed import FramedConnection
 from repro.runtime.aio.options import CallOptions
 
@@ -54,13 +55,21 @@ class AioConnection(FramedConnection):
     buffer is over its high-water mark) new sends wait; replies are
     still read, or a server waiting for us to read would never catch up
     with our requests.
+
+    A call costs one header walk and one payload copy per direction: the
+    request is framed and stamped in one buffer, the reply is routed and
+    classified in one pass (:func:`~repro.runtime.aio.correlation
+    .route`) and copied once more to get the caller's id back.  Wire ids
+    come from this connection's counter, never from the caller: two
+    proxies sharing a pool both count from 1, and a late reply to an
+    expired call must not reach the next call that carries its id.
     """
 
     def __init__(self, max_record_size=MAX_RECORD_SIZE, stats=None):
         super().__init__(max_record_size, stats)
         self._pending = {}  # wire id -> (future, original id)
         self._next_id = 0
-        self._closed = False
+        self.closed = False
         self._close_reason = None
         self._completed = 0  # calls answered over this connection
         self._writable = asyncio.Event()  # set on resume_writing
@@ -92,10 +101,6 @@ class AioConnection(FramedConnection):
     def in_flight(self):
         return len(self._pending)
 
-    @property
-    def closed(self):
-        return self._closed
-
     def _allocate_id(self):
         # Connection-unique: skip ids still pending (the counter wraps at
         # 2^32, the width of both XID and GIOP request_id).
@@ -109,11 +114,11 @@ class AioConnection(FramedConnection):
     def records_received(self, records):
         for record in records:
             try:
-                info = probe(record)
+                wire_id, offset, error, stamp = route(record)
             except TransportError:
                 self._count_orphan()
                 continue
-            entry = self._pending.pop(info.correlation_id, None)
+            entry = self._pending.pop(wire_id, None)
             if entry is None:
                 # Deadline expired or the call was cancelled; drop the
                 # late reply (counted so tests and diagnostics can see
@@ -121,8 +126,15 @@ class AioConnection(FramedConnection):
                 self._count_orphan()
                 continue
             future, original_id = entry
-            if not future.done():
-                future.set_result(rewrite_id(record, info, original_id))
+            if future.done():
+                continue
+            self._completed += 1
+            if error is not None:
+                future.set_exception(error)
+            else:
+                reply = bytearray(record)
+                stamp(reply, offset, original_id)
+                future.set_result(bytes(reply))
 
     def framing_lost(self, error):
         # The reply stream itself is garbage; surface the structured
@@ -151,9 +163,9 @@ class AioConnection(FramedConnection):
             self.stats.orphan_replies.inc()
 
     def _fail_pending(self, reason, wire_error=None):
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
+        self.closed = True
         self._close_reason = reason
         self._writable.set()  # held senders wake up to the closed state
         pending, self._pending = self._pending, {}
@@ -169,9 +181,9 @@ class AioConnection(FramedConnection):
 
     async def _hold_send(self):
         """Hold the caller while write-paused; raise once closed."""
-        while self.write_paused and not self._closed:
+        while self.write_paused and not self.closed:
             await self._writable.wait()
-        if not self._closed:
+        if not self.closed:
             return
         if self._completed:
             # The peer went away while this connection sat pooled and
@@ -183,36 +195,36 @@ class AioConnection(FramedConnection):
         raise TransportError(self._close_reason or "connection is closed")
 
     async def acall(self, payload, deadline=None):
-        """Send a two-way request; await and return its reply bytes."""
-        if self._closed or self.write_paused:
+        """Send a two-way request; await and return its reply bytes, or
+        raise the :class:`RemoteCallError` an error reply carries."""
+        if self.closed or self.write_paused:
             await self._hold_send()
         tracer = trace.active()
         if tracer is not None:
             parent = trace.current_span()
             if parent is not None:
                 payload = propagation.inject(payload, parent)
-        info = probe(payload)
+        original_id, offset, stamp = locate(payload)
         wire_id = self._allocate_id()
-        data = rewrite_id(payload, info, wire_id)
+        record = open_record(payload)
+        stamp(record, HEADER_SIZE + offset, wire_id)
         future = self._loop.create_future()
-        self._pending[wire_id] = (future, info.correlation_id)
+        self._pending[wire_id] = (future, original_id)
         try:
-            with trace.span("send", bytes=len(data)):
-                self.send_record(data)
-            with trace.span("await.reply"):
+            with NOOP if tracer is None else tracer.span(
+                    "send", bytes=len(record) - HEADER_SIZE):
+                self.send_framed(record)
+            with NOOP if tracer is None else tracer.span("await.reply"):
                 if deadline is None:
-                    result = await future
-                else:
-                    try:
-                        result = await asyncio.wait_for(future, deadline)
-                    except asyncio.TimeoutError:
-                        if self.stats is not None:
-                            self.stats.deadline_expiries.inc()
-                        raise DeadlineError(
-                            "call exceeded its %.3fs deadline" % deadline
-                        ) from None
-            self._completed += 1
-            return result
+                    return await future
+                try:
+                    return await asyncio.wait_for(future, deadline)
+                except asyncio.TimeoutError:
+                    if self.stats is not None:
+                        self.stats.deadline_expiries.inc()
+                    raise DeadlineError(
+                        "call exceeded its %.3fs deadline" % deadline
+                    ) from None
         finally:
             self._pending.pop(wire_id, None)
 
@@ -222,7 +234,7 @@ class AioConnection(FramedConnection):
 
     async def asend(self, payload):
         """Send a oneway request (no reply expected)."""
-        if self._closed or self.write_paused:
+        if self.closed or self.write_paused:
             await self._hold_send()
         if trace.active() is not None:
             parent = trace.current_span()
@@ -263,8 +275,10 @@ class ConnectionPool:
         self._closed = False
         self.stats = stats
         self.breaker = breaker
-        if breaker is not None and stats is not None:
-            breaker.bind_stats(stats)
+        if stats is not None:
+            stats.pools.add(self)  # its occupancy gauges read us when scraped
+            if breaker is not None:
+                breaker.bind_stats(stats)
 
     @property
     def pool_size(self):
@@ -277,39 +291,35 @@ class ConnectionPool:
             max_record_size=self._max_record_size, stats=self.stats,
         )
 
-    def _update_gauges(self):
-        stats = self.stats
-        if stats is None:
-            return
-        live = [c for c in self._connections if not c.closed]
-        stats.open_connections.set(len(live))
-        stats.in_flight.set(sum(c.in_flight for c in live))
-
-    async def _get_connection(self):
+    def _live(self):
+        """The least-loaded live connection — or None when dialing could
+        do better: none is live, or the pool is not full and none is
+        idle.  Synchronous and allocation-free; a call in the steady
+        state pays this and no coroutine."""
         if self._closed:
             raise TransportError("connection pool is closed")
-        self._connections = [
-            connection for connection in self._connections
-            if not connection.closed
-        ]
-        if self._connections and len(self._connections) >= self.size:
-            return min(self._connections, key=lambda c: c.in_flight)
-        # Prefer an idle existing connection over dialing a new one.
+        best, live = None, 0
         for connection in self._connections:
-            if connection.in_flight == 0:
+            if not connection.closed:
+                live += 1
+                if best is None or connection.in_flight < best.in_flight:
+                    best = connection
+        if live >= self.size or best is not None and not best.in_flight:
+            return best
+        return None
+
+    async def _dial(self):
+        """Wait for the dial in progress, or dial (span ``pool.acquire``)."""
+        with trace.span("pool.acquire"):
+            async with self._connect_lock:
+                connection = self._live()  # one may have been dialed since
+                if connection is None:
+                    self._connections = [
+                        live for live in self._connections if not live.closed
+                    ]
+                    connection = await self._connector()
+                    self._connections.append(connection)
                 return connection
-        async with self._connect_lock:
-            if self._closed:
-                raise TransportError("connection pool is closed")
-            self._connections = [
-                connection for connection in self._connections
-                if not connection.closed
-            ]
-            if len(self._connections) < self.size:
-                connection = await self._connector()
-                self._connections.append(connection)
-                return connection
-        return min(self._connections, key=lambda c: c.in_flight)
 
     # ------------------------------------------------------------------
 
@@ -328,108 +338,100 @@ class ConnectionPool:
         ``run_coroutine_threadsafe``).
         """
         tracer = trace.active()
-        if tracer is None:
-            return await self._acall_attempts(payload, options)
-        with tracer.span("transport.call", parent=parent):
-            return await self._acall_attempts(payload, options)
-
-    async def _acall_attempts(self, payload, options):
-        options = options or self.options
-        attempts = self._attempts(options)
-        stats = self.stats
-        breaker = self.breaker
-        last_error = None
-        for attempt in range(attempts):
-            if attempt:
-                if stats is not None:
-                    stats.retries.inc()
-                await asyncio.sleep(options.retry.delay(attempt - 1))
-            if breaker is not None and not breaker.allow():
-                if stats is not None:
-                    stats.breaker_rejections.inc()
-                last_error = CircuitOpenError(
-                    "circuit breaker is open; failing fast"
-                )
-                continue  # backoff, then probe again
-            wrote_request = False
-            try:
-                # A connection that died while pooled fails instantly at
-                # send time (StaleConnectionError: the request was never
-                # delivered).  Idempotent calls get a free immediate
-                # retry on a fresh connection — no backoff sleep, no
-                # attempt consumed, and a full per-attempt deadline —
-                # bounded by the pool size (every pooled connection
-                # could be stale after a server restart).
-                stale_budget = max(1, self.size)
-                while True:
-                    with trace.span("pool.acquire"):
-                        connection = await self._get_connection()
-                    self._update_gauges()
-                    wrote_request = True  # past here the server may run it
-                    try:
-                        result = await connection.acall(
-                            payload, deadline=options.deadline
-                        )
-                    except StaleConnectionError:
-                        wrote_request = False  # the send never landed
-                        if options.idempotent and stale_budget > 0:
-                            if stats is not None:
-                                stats.transport_errors.inc()
-                            stale_budget -= 1
-                            continue
-                        raise  # the outer handler counts and classifies
-                    break
-                # A protocol error reply (GARBAGE_ARGS, MARSHAL, ...)
-                # means the request never reached the servant; surface
-                # it here so idempotent calls retry through transient
-                # request corruption instead of failing in the stub.
-                error = reply_error(result)
-                if error is not None:
-                    raise error
-                if breaker is not None:
-                    breaker.record_success()
-                return result
-            except DeadlineError as error:
-                if breaker is not None:
-                    breaker.record_failure()
-                # By default an expired deadline spends the whole call's
-                # budget; retry_deadlines opts idempotent calls into
-                # per-attempt deadlines (lossy-network tolerance).
-                if not (options.retry_deadlines and options.idempotent):
+        with NOOP if tracer is None else tracer.span(
+                "transport.call", parent=parent):
+            options = options or self.options
+            attempts = self._attempts(options)
+            stats = self.stats
+            breaker = self.breaker
+            last_error = None
+            for attempt in range(attempts):
+                if attempt:
+                    if stats is not None:
+                        stats.retries.inc()
+                    await asyncio.sleep(options.retry.delay(attempt - 1))
+                if breaker is not None and not breaker.allow():
+                    if stats is not None:
+                        stats.breaker_rejections.inc()
+                    last_error = CircuitOpenError(
+                        "circuit breaker is open; failing fast"
+                    )
+                    continue  # backoff, then probe again
+                wrote_request = False
+                try:
+                    # A connection that died while pooled fails instantly at
+                    # send time (StaleConnectionError: the request was never
+                    # delivered).  Idempotent calls get a free immediate
+                    # retry on a fresh connection — no backoff sleep, no
+                    # attempt consumed, and a full per-attempt deadline —
+                    # bounded by the pool size (every pooled connection
+                    # could be stale after a server restart).
+                    stale_budget = self.size
+                    while True:
+                        connection = self._live()
+                        if connection is None:
+                            connection = await self._dial()
+                        wrote_request = True  # past here the server may run it
+                        try:
+                            result = await connection.acall(
+                                payload, deadline=options.deadline
+                            )
+                        except StaleConnectionError:
+                            wrote_request = False  # the send never landed
+                            if options.idempotent and stale_budget > 0:
+                                if stats is not None:
+                                    stats.transport_errors.inc()
+                                stale_budget -= 1
+                                continue
+                            raise  # the outer handler counts and classifies
+                        break
+                    if breaker is not None:
+                        breaker.record_success()
+                    return result
+                except DeadlineError as error:
+                    if breaker is not None:
+                        breaker.record_failure()
+                    # By default an expired deadline spends the whole call's
+                    # budget; retry_deadlines opts idempotent calls into
+                    # per-attempt deadlines (lossy-network tolerance).
+                    if not (options.retry_deadlines and options.idempotent):
+                        raise
+                    last_error = error
+                except WireFormatError:
+                    # The peer answered with bytes that violate the
+                    # protocol; the same request fails the same way, so
+                    # retrying buys nothing — surface it immediately.
+                    if breaker is not None:
+                        breaker.record_failure()
+                    if stats is not None:
+                        stats.wire_format_errors.inc()
                     raise
-                last_error = error
-            except WireFormatError:
-                # The peer answered with bytes that violate the
-                # protocol; the same request fails the same way, so
-                # retrying buys nothing — surface it immediately.
-                if breaker is not None:
-                    breaker.record_failure()
-                if stats is not None:
-                    stats.wire_format_errors.inc()
-                raise
-            except RemoteCallError as error:
-                # A protocol-level error *reply*: the peer is healthy
-                # (it parsed and answered), so the breaker sees success;
-                # idempotent calls may retry (the request bytes may have
-                # been damaged in transit).
-                if breaker is not None:
-                    breaker.record_success()
-                if stats is not None:
-                    stats.remote_errors.inc()
-                last_error = error
-                if not options.idempotent:
-                    raise
-            except TransportError as error:
-                if breaker is not None:
-                    breaker.record_failure()
-                last_error = error
-                if stats is not None:
-                    stats.transport_errors.inc()
-                # Connect failures are always retryable (nothing was
-                # sent); post-send failures only for idempotent calls.
-                if wrote_request and not options.idempotent:
-                    raise
-        raise last_error
+                except RemoteCallError as error:
+                    # A protocol-level error *reply* (GARBAGE_ARGS, MARSHAL,
+                    # ...), classified by the connection as it routed it:
+                    # the request never reached the servant and the peer is
+                    # healthy (it parsed and answered), so the breaker sees
+                    # success and idempotent calls may retry (the request
+                    # bytes may have been damaged in transit) instead of
+                    # failing in the stub.
+                    if breaker is not None:
+                        breaker.record_success()
+                    if stats is not None:
+                        stats.remote_errors.inc()
+                    last_error = error
+                    if not options.idempotent:
+                        raise
+                except TransportError as error:
+                    if breaker is not None:
+                        breaker.record_failure()
+                    last_error = error
+                    if stats is not None:
+                        stats.transport_errors.inc()
+                    # Connect failures are always retryable (nothing was
+                    # sent); post-send failures only for idempotent calls.
+                    if wrote_request and not options.idempotent:
+                        raise
+            raise last_error
 
     async def asend(self, payload, options=None):
         """Oneway send; always retryable (the issue's oneway semantics)."""
@@ -441,7 +443,9 @@ class ConnectionPool:
             if attempt:
                 await asyncio.sleep(options.retry.delay(attempt - 1))
             try:
-                connection = await self._get_connection()
+                connection = self._live()
+                if connection is None:
+                    connection = await self._dial()
                 await connection.asend(payload)
                 return
             except TransportError as error:
@@ -458,6 +462,14 @@ class ConnectionPool:
     def open_connections(self):
         return sum(
             1 for connection in self._connections if not connection.closed
+        )
+
+    @property
+    def in_flight(self):
+        """Requests awaiting replies on the pool's live connections."""
+        return sum(
+            connection.in_flight for connection in self._connections
+            if not connection.closed
         )
 
 

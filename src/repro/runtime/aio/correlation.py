@@ -17,7 +17,10 @@ oblivious to multiplexing, and blocking peers interoperate unchanged.
 Where the id and (for stats) the operation key sit in a header is not
 known here: every read goes through the walks :mod:`repro.envelopes`
 derives from its one description of each protocol; bodies are never
-touched.
+touched.  A message costs its sender or receiver one such walk:
+:func:`locate` on the way out, :func:`route` — id and classification
+in the same pass — on the way back; :func:`probe` and
+:func:`reply_error` are those two for callers that want a record.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import struct
 from typing import NamedTuple, Optional, Union
 
 from repro import envelopes
-from repro.errors import DispatchError, RemoteCallError, TransportError
+from repro.errors import DispatchError, TransportError
 
 
 class MessageInfo(NamedTuple):
@@ -54,20 +57,62 @@ class MessageInfo(NamedTuple):
     expects_reply: bool = True
 
 
-def probe(payload):
-    """Classify *payload* and locate its correlation id.
+#: byte order -> ``stamp(buffer, offset, id)``, the id field's writer.
+_STAMP = {endian: struct.Struct(endian + "I").pack_into for endian in "<>"}
+
+
+def _located(payload):
+    """``((protocol, direction, byte order), what the locator found)``;
+    *payload* is any bytes-like and is not copied."""
+    kind = envelopes.sniff(payload)
+    try:
+        return kind, envelopes.locator(*kind)(payload)
+    except DispatchError as error:
+        raise TransportError(str(error))
+
+
+def locate(payload):
+    """``(id, id offset, stamp)`` of an ONC RPC or GIOP message:
+    ``stamp(buffer, offset, new_id)`` writes the field in place.
 
     Raises :class:`TransportError` for messages that are neither ONC RPC
     nor GIOP — such traffic cannot be multiplexed (there is no id field
     to correlate on) and callers should fall back to a serial transport.
     """
-    data = bytes(payload) if not isinstance(payload, (bytes, bytearray)) \
-        else payload
-    protocol, direction, endian = envelopes.sniff(data)
-    try:
-        found = envelopes.locator(protocol, direction, endian)(data)
-    except DispatchError as error:
-        raise TransportError(str(error))
+    kind, found = _located(payload)
+    return found[0], found[1], _STAMP[kind[2]]
+
+
+def route(record):
+    """One pass over a reply: ``(id, id offset, the protocol-level error
+    it carries or None, stamp)``.
+
+    A protocol error reply (ONC MSG_DENIED or a non-zero accept_stat; a
+    GIOP MessageError or system exception) means the request never
+    reached the servant's normal path, so the caller is told before the
+    generated stub sees the bytes and idempotent calls may retry it.
+    User exceptions are NOT errors at this layer — they are successful
+    replies the stub must decode.  A reply that is sound up to its id
+    and garbled after it is routed unclassified; the stub's hardened
+    decode rejects it with the richer
+    :class:`~repro.errors.WireFormatError`.  Raises
+    :class:`TransportError` when no id can be found.
+    """
+    protocol, direction, endian = envelopes.sniff(record)
+    if direction == "reply":
+        try:
+            return envelopes.router(protocol, endian)(record) \
+                + (_STAMP[endian],)
+        except TransportError:
+            pass
+    wire_id, offset, stamp = locate(record)
+    return wire_id, offset, None, stamp
+
+
+def probe(payload):
+    """Classify *payload* and locate its correlation id, as a record
+    (:func:`locate` is the same walk without one)."""
+    (protocol, direction, endian), found = _located(payload)
     if direction == "request":
         correlation_id, offset, op_key, expects_reply = found
         return MessageInfo(protocol, "call", correlation_id, offset,
@@ -76,29 +121,13 @@ def probe(payload):
 
 
 def reply_error(payload):
-    """The protocol-level error a reply carries, or None.
-
-    Lets the retry loop in :class:`~repro.runtime.aio.client
-    .ConnectionPool` classify replies *before* handing them to the
-    generated stub: a protocol error reply (ONC MSG_DENIED or a non-zero
-    accept_stat; a GIOP MessageError or system exception) means the
-    request never reached the servant's normal path, so idempotent calls
-    may retry it.  User exceptions are NOT errors at this layer — they
-    are successful replies the stub must decode.  Replies too garbled to
-    classify also return None; the stub's hardened decode rejects them
-    with the richer :class:`~repro.errors.WireFormatError`.
-    """
-    data = bytes(payload) if not isinstance(payload, (bytes, bytearray)) \
-        else payload
+    """The protocol-level error a reply carries, or None — the third
+    item of :func:`route`, for callers that hold a reply and no call.
+    Replies too garbled to classify also return None."""
     try:
-        protocol, direction, endian = envelopes.sniff(data)
-        if direction == "reply":
-            envelopes.reader(protocol, direction, endian)(data)
-    except RemoteCallError as error:
-        return error
+        return route(payload)[2]
     except TransportError:
-        pass
-    return None
+        return None
 
 
 def rewrite_id(payload, info, new_id):

@@ -21,6 +21,8 @@ shutdown.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.obs.metrics import (  # re-exported for backward compatibility
     BUCKET_BOUNDS,
     LatencyHistogram,
@@ -156,16 +158,32 @@ class ServerStats:
         return "\n".join(lines)
 
 
+class _Sampled:
+    """A gauge with no stored value: ``read`` is called when it is
+    scraped (or its ``value`` asked for), so it cannot be stale."""
+
+    def __init__(self, registry, name, help_text, read):
+        self._read = read
+        registry.gauge_callback(name, help_text, read)
+
+    @property
+    def value(self):
+        return self._read()
+
+
 class ClientStats:
     """Client-runtime counters: the failure paths and pool occupancy.
 
     Handed to :class:`~repro.runtime.aio.client.ConnectionPool` /
     :class:`~repro.runtime.aio.client.AioClientTransport`; recording is
-    skipped entirely when no stats object is attached.
+    skipped entirely when no stats object is attached.  Occupancy is
+    not recorded at all: the two pool gauges read the pools bound to
+    these stats (:attr:`pools`) at scrape time.
     """
 
     def __init__(self, registry=None):
         self.registry = registry or MetricsRegistry()
+        self.pools = weakref.WeakSet()  # each ConnectionPool adds itself
         self.retries = self.registry.counter(
             "flick_client_retries_total",
             "Call attempts beyond the first",
@@ -182,13 +200,15 @@ class ClientStats:
             "flick_client_transport_errors_total",
             "Connection-level failures observed by calls",
         )
-        self.open_connections = self.registry.gauge(
-            "flick_client_pool_connections",
+        self.open_connections = _Sampled(
+            self.registry, "flick_client_pool_connections",
             "Open connections in the pool",
+            lambda: sum(pool.open_connections for pool in list(self.pools)),
         )
-        self.in_flight = self.registry.gauge(
-            "flick_client_in_flight_requests",
+        self.in_flight = _Sampled(
+            self.registry, "flick_client_in_flight_requests",
             "Requests awaiting replies across the pool",
+            lambda: sum(pool.in_flight for pool in list(self.pools)),
         )
         self.wire_format_errors = self.registry.counter(
             "flick_client_wire_format_errors_total",

@@ -10,15 +10,17 @@ entry points:
 
 * :func:`encode_record` frames a payload (optionally splitting it into
   several fragments, which peers must accept); every stream transport
-  sends through it.
+  sends through it, or through :func:`open_record` when it has a header
+  field to patch in the framed copy before it leaves.
 * :class:`RecordDecoder` is an incremental push parser: ``feed()`` it byte
   chunks as they arrive and it yields complete records, independent of how
   the payload was fragmented by the sender or the network.  Every stream
-  reader is a driver of it: the asyncio runtime pushes each
-  ``data_received`` chunk in, and the blocking TCP transport pulls — it
-  asks the socket for :attr:`RecordDecoder.read_hint` bytes at a time, so
-  a small record costs one ``recv`` and a large one is read to its exact
-  end (``socket_transport._RecordStream``).
+  reader is a driver of it: the asyncio runtime pushes in a view of what
+  each read left in its read buffer (nothing of it is kept), and the
+  blocking TCP transport pulls — it asks the socket for
+  :attr:`RecordDecoder.read_hint` bytes at a time, so a small record
+  costs one ``recv`` and a large one is read to its exact end
+  (``socket_transport._RecordStream``).
 * :func:`limit_error` builds the error for a record that breaks one of the
   two caps below; :meth:`RecordDecoder.waiting_for` says where in a record
   the stream stands, for the driver that has to report a connection cut
@@ -46,7 +48,8 @@ MAX_RECORD_SIZE = 64 * 1024 * 1024
 #: connection forever without ever completing a record).
 MAX_FRAGMENTS_PER_RECORD = 4096
 
-#: The most a pull driver asks its socket for in one ``recv``.  CPython
+#: The most a pull driver asks its socket for in one ``recv``, and the
+#: size of the read buffer the asyncio runtime reads into.  CPython
 #: allocates the size requested before a byte arrives, so asking for what
 #: a header merely *announces* would let a peer that trickles a 64 MiB
 #: record buy a 64 MiB allocation with every byte.
@@ -104,6 +107,16 @@ def encode_record(payload, max_fragment=None):
     return b"".join(parts)
 
 
+def open_record(payload):
+    """Frame *payload* (bytes-like) as one single-fragment record the
+    caller may still write into: a ``bytearray`` whose byte
+    ``HEADER_SIZE + n`` is byte *n* of the payload — its one copy."""
+    record = bytearray(HEADER_SIZE)
+    record += payload
+    _MARK.pack_into(record, 0, LAST_FRAGMENT | len(record) - HEADER_SIZE)
+    return record
+
+
 class RecordDecoder:
     """Incremental record-marking parser.
 
@@ -131,13 +144,14 @@ class RecordDecoder:
         self.read_hint = MAX_RECV_SIZE
 
     def feed(self, data):
-        """Consume *data*; return the list of completed records.
+        """Consume *data* (bytes-like); return the list of completed
+        records, each its own ``bytes``.
 
-        With nothing buffered, records are sliced straight out of *data*
-        and only an incomplete tail is kept.
+        With nothing buffered, records are copied straight out of *data*
+        and only an incomplete tail is kept — nothing returned or kept
+        aliases *data*, so a driver may hand in a view of a read buffer
+        it overwrites with the next read.
         """
-        if type(data) is not bytes:
-            data = bytes(data)
         buffer = self._buffer
         if buffer:
             missing = self._missing
@@ -152,6 +166,9 @@ class RecordDecoder:
             del buffer[:]
             self._missing = 0
             self.read_hint = MAX_RECV_SIZE
+        borrowed = type(data) is not bytes  # a slice of it is no copy
+        if borrowed and type(data) is not memoryview:
+            data = memoryview(data)
         records = []
         fragments = self._fragments
         position = 0
@@ -169,19 +186,22 @@ class RecordDecoder:
                 self.read_hint = min(missing, MAX_RECV_SIZE)
                 break
             position = stop
+            piece = data[start:stop]
+            if borrowed:
+                piece = piece.tobytes()
             if not word & LAST_FRAGMENT:
-                fragments.append(data[start:stop])
+                fragments.append(piece)
                 self._record_size = size
                 if len(fragments) >= MAX_FRAGMENTS_PER_RECORD:
                     raise limit_error("fragment_count", len(fragments),
                                       MAX_FRAGMENTS_PER_RECORD)
             elif fragments:
-                fragments.append(data[start:stop])
+                fragments.append(piece)
                 records.append(b"".join(fragments))
                 del fragments[:]
                 self._record_size = 0
             else:
-                records.append(data[start:stop])
+                records.append(piece)
         if position < end:
             buffer += data[position:]
         return records

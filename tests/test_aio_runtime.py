@@ -928,6 +928,157 @@ class TestBatchedIO:
         assert stats.total_errors == 0
 
 
+# ----------------------------------------------------------------------
+# What one call costs, as counts; and the id rule
+# ----------------------------------------------------------------------
+
+class _CannedPeer:
+    """A raw TCP peer that answers every record with *reply* under the
+    request's own xid, reading into one buffer and allocating nothing
+    per message — so a tracemalloc peak over a call is the client's."""
+
+    def __init__(self, reply):
+        self._reply = bytearray(encode_record(reply))
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        peer, _address = self._listener.accept()
+        inbox = memoryview(bytearray(1 << 20))
+        held = 0
+        with peer:
+            while True:
+                got = peer.recv_into(inbox[held:])
+                if not got:
+                    return
+                held += got
+                while held >= 4:
+                    size = 4 + (struct.unpack_from(">I", inbox)[0]
+                                & 0x7FFFFFFF)
+                    if held < size:
+                        break
+                    self._reply[4:8] = inbox[4:8]  # the ONC xid
+                    peer.sendall(self._reply)
+                    inbox[:held - size] = inbox[size:held]
+                    held -= size
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=5)
+
+
+class TestCallBudget:
+    def test_one_walk_per_message_and_no_more_sniffs(
+            self, onc_module, iiop_module, monkeypatch):
+        """Tracing and stats off: one pool.acall walks the request's
+        header once and the reply's once."""
+        from repro import envelopes
+
+        counts = {"request": 0, "reply": 0, "sniff": 0}
+
+        def counting(factory, direction_of):
+            def counted(*key):
+                walk = factory(*key)
+
+                def run(data):
+                    counts[direction_of(key)] += 1
+                    return walk(data)
+
+                return run
+
+            return counted
+
+        def sniff(data, sniff=envelopes.sniff):
+            counts["sniff"] += 1
+            return sniff(data)
+
+        monkeypatch.setattr(envelopes, "locator", counting(
+            envelopes.locator, lambda key: key[1]))
+        monkeypatch.setattr(envelopes, "reader", counting(
+            envelopes.reader, lambda key: key[1]))
+        monkeypatch.setattr(envelopes, "router", counting(
+            envelopes.router, lambda key: "reply"))
+        monkeypatch.setattr(envelopes, "sniff", sniff)
+        for module in (onc_module, iiop_module):
+            server = StubServer(module, MailImpl(module)).aio_server(
+                dispatch_mode="inline")
+            with server:
+                async def main():
+                    pool = ConnectionPool(*server.address, pool_size=1)
+                    try:
+                        await pool.acall(_avg_request(module, 1, [1]))
+                        counts.update(request=0, reply=0, sniff=0)
+                        return await pool.acall(
+                            _avg_request(module, 2, [4, 6]))
+                    finally:
+                        await pool.aclose()
+
+                reply = asyncio.run(main())
+            assert module._u_rep_avg(
+                reply, module._check_reply(reply, 2)) == 5.0
+            assert counts == {"request": 1, "reply": 1, "sniff": 2}
+
+    def test_a_64k_request_is_copied_once(self, onc_module):
+        """The request is framed and stamped in one buffer: the call's
+        peak allocation stays under three payloads (the parent's three
+        copies plus the transport's own spill did not)."""
+        import tracemalloc
+
+        values = list(range(16384))
+        request = bytes(_avg_request(onc_module, 1, values))
+        assert len(request) > 64 * 1024
+        reply = StubServer(onc_module, MailImpl(onc_module)).serve_bytes(
+            request)
+        peer = _CannedPeer(reply)
+        loop = asyncio.new_event_loop()
+        pool = ConnectionPool(*peer.address, pool_size=1)
+        try:
+            loop.run_until_complete(pool.acall(request))  # dial, warm up
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                answered = loop.run_until_complete(pool.acall(request))
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        finally:
+            loop.run_until_complete(pool.aclose())
+            loop.close()
+            peer.close()
+        assert onc_module._u_rep_avg(answered, 24) == sum(values) / 16384
+        assert peak < 3 * len(request), peak
+
+    def test_late_reply_to_an_expired_call_never_reaches_the_next_one(
+            self, onc_module):
+        """Two proxies share a pool and both count their request ids
+        from 1.  The first call's deadline expires; its reply arrives
+        while the second proxy's call — the same caller id — is in
+        flight.  Wire ids are the connection's own, so the late reply
+        is an orphan and the second call gets its own answer."""
+        impl = SlowImpl(onc_module, delay=0.3)
+        server = StubServer(onc_module, impl).aio_server(
+            dispatch_mode="thread")
+        with server:
+            transport = AioClientTransport(*server.address, pool_size=1)
+            try:
+                hasty = onc_module.Test_MailClient(
+                    transport.options(deadline=0.05))
+                patient = onc_module.Test_MailClient(transport)
+                with pytest.raises(DeadlineError):
+                    hasty.avg([1, 2])
+                # In flight from ~0.05 s to ~0.35 s; the late reply to
+                # avg([1, 2]) arrives at ~0.3 s.
+                assert patient.avg([4, 6]) == 5.0
+                (connection,) = transport.pool._connections
+                assert connection.orphan_replies == 1
+                assert connection.in_flight == 0
+            finally:
+                transport.close()
+
+
 class TestBufferPool:
     def test_oversized_buffers_are_not_retained(self):
         pool = BufferPool()
@@ -981,6 +1132,48 @@ class TestStats:
         assert snapshot["avg"]["p50_s"] > 0
         table = stats.format_table()
         assert "avg" in table and "p95" in table
+
+    def test_pool_gauges_read_the_pool_when_scraped(self, onc_module):
+        """In flight is 0 once traffic stops, at least 1 while a call
+        is parked on a slow servant, and the pool reads 0 connections
+        after aclose() — the gauges hold no value of their own."""
+        impl = SlowImpl(onc_module, delay=0.0)
+        stats = ClientStats()
+
+        def scrape(name):
+            return stats.registry.snapshot()[name][()]
+
+        server = StubServer(onc_module, impl).aio_server(
+            dispatch_mode="thread")
+        with server:
+            async def main():
+                pool = ConnectionPool(*server.address, pool_size=1,
+                                      stats=stats)
+                try:
+                    await asyncio.gather(*[
+                        pool.acall(_avg_request(onc_module, 1, [n]))
+                        for n in range(16)
+                    ])
+                    idle = (scrape("flick_client_in_flight_requests"),
+                            scrape("flick_client_pool_connections"))
+                    impl.delay = 0.2
+                    parked = asyncio.ensure_future(
+                        pool.acall(_avg_request(onc_module, 1, [3])))
+                    await asyncio.sleep(0.05)
+                    busy = scrape("flick_client_in_flight_requests")
+                    await parked
+                finally:
+                    await pool.aclose()
+                return idle, busy
+
+            idle, busy = asyncio.run(main())
+        assert idle == (0, 1)
+        assert busy == 1
+        assert scrape("flick_client_in_flight_requests") == 0
+        assert scrape("flick_client_pool_connections") == 0
+        text = stats.registry.render_prometheus()
+        assert "# TYPE flick_client_pool_connections gauge" in text
+        assert "flick_client_in_flight_requests 0" in text
 
     def test_operation_names_resolved_from_module(self, onc_module):
         names = operation_names(onc_module)

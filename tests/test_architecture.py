@@ -229,6 +229,21 @@ def one_handoff_between_the_loop_and_its_workers(tree):
                   "src/repro/runtime/aio"))
 
 
+def one_header_walk_per_message_on_the_client(tree):
+    """The multiplexing client reads a message's header once: the
+    request through ``correlation.locate``, the reply through
+    ``correlation.route`` (id and classification in one pass), so
+    runtime/aio/client.py calls neither ``probe`` nor ``reply_error``
+    and correlation.py still unpacks nothing itself; and the aio runtime
+    reads sockets into the buffer it owns — no ``data_received`` (which
+    costs a ``recv(256 KiB)`` allocation per read) and no ``recv`` of
+    its own under runtime/aio."""
+    _no(tree.grep(r"\bprobe\(|\breply_error\(",
+                  "src/repro/runtime/aio/client.py"))
+    _no(tree.grep(r"unpack", "src/repro/runtime/aio/correlation.py"))
+    _no(tree.grep(r"def data_received|\.recv\(", "src/repro/runtime/aio"))
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -274,6 +289,15 @@ PINS = {
          "from concurrent.futures import ThreadPoolExecutor"),
         ("src/repro/runtime/aio/client.py",
          "import concurrent.futures"),
+    ],
+    one_header_walk_per_message_on_the_client: [
+        ("src/repro/runtime/aio/client.py", "error = reply_error(result)"),
+        ("src/repro/runtime/aio/client.py", "info = probe(record)"),
+        ("src/repro/runtime/aio/correlation.py",
+         "xid, = struct.unpack_from('>I', payload)"),
+        ("src/repro/runtime/aio/framed.py",
+         "def data_received(self, data):"),
+        ("src/repro/runtime/aio/server.py", "data = sock.recv(262144)"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

@@ -19,13 +19,14 @@ import pytest
 
 from repro import Flick, envelopes, errors, obs
 from repro.encoding import MarshalBuffer
-from repro.errors import DispatchError, RemoteCallError, WireFormatError
+from repro.errors import (
+    DispatchError, RemoteCallError, TransportError, WireFormatError)
 from repro.gateway import errmap
 from repro.gateway.envelope import IngressSpec, parse_request
 from repro.obs import propagation
 from repro.runtime import (
     ServerStats, StubServer, TcpClientTransport, operation_names)
-from repro.runtime.aio.correlation import probe, reply_error
+from repro.runtime.aio.correlation import probe, reply_error, route
 from repro.runtime.request import RequestCore
 
 from tests import envelope_verdicts
@@ -381,6 +382,160 @@ def test_reply_error_and_the_stub_word_an_error_reply_alike(protocol):
             "IDL:omg.org/CORBA/%s:1.0" % name for name in (
                 "MARSHAL", "BAD_OPERATION", "OBJECT_NOT_EXIST", "TRANSIENT",
                 "COMM_FAILURE")}
+
+
+# ---------------------------------------------------------------------------
+# The one-walk router says what the two walks said
+# ---------------------------------------------------------------------------
+
+def _giop_reply(endian, contexts=0, status=0, message_type=1):
+    """A GIOP Reply to request 7 with *contexts* empty service contexts."""
+    body = struct.pack(endian + "I", contexts)
+    body += struct.pack(endian + "II", 0x1234, 0) * contexts
+    body += struct.pack(endian + "II", 7, status)
+    return b"GIOP" + bytes((1, 0, endian == "<", message_type)) \
+        + struct.pack(endian + "I", len(body)) + body
+
+
+def _constructed_replies():
+    """Replies the corpus (requests, mostly) has no file for."""
+    frames = []
+    for protocol in ("onc", "giop"):
+        frames += envelope_verdicts.Subject(protocol).reply_seeds()
+    onc = struct.Struct(">IIIIII")
+    frames += [onc.pack(7, 1, 0, 0, 0, stat) for stat in range(8)]
+    frames += [
+        onc.pack(7, 1, 1, 0, 2, 2),                    # RPC_MISMATCH 2..2
+        onc.pack(7, 1, 1, 1, 1, 0)[:20],               # AUTH_ERROR
+        onc.pack(7, 1, 2, 0, 0, 0),                    # bad reply_stat
+        struct.pack(">IIIII", 7, 1, 0, 0, 5000) + bytes(5004),  # verifier
+        struct.pack(">IIIII", 7, 1, 0, 0, 8) + bytes(8) + bytes(4),
+        struct.pack(">IIIIIIII", 7, 1, 0, 0, 0, 2, 3, 9),  # PROG_MISMATCH
+    ]
+    for endian in "<>":
+        frames += [_giop_reply(endian), _giop_reply(endian, contexts=3),
+                   _giop_reply(endian, contexts=64),
+                   _giop_reply(endian, contexts=65),
+                   _giop_reply(endian, message_type=6),
+                   _giop_reply(endian, status=3)]
+        for minor, completed in ((0, 0), (7, 2)):
+            buffer = MarshalBuffer()
+            errmap.encode_error(buffer, 7, errmap.GiopErrorReply(
+                "IDL:omg.org/CORBA/TRANSIENT:1.0", minor, completed),
+                little_endian=endian == "<")
+            frames.append(buffer.getvalue())
+    return [bytes(frame) for frame in frames]
+
+
+def _same_error(one, other):
+    if one is None or other is None:
+        return one is other
+    return (type(one), one.protocol, one.code, getattr(one, "minor", None),
+            getattr(one, "completed", None), str(one)) == (
+        type(other), other.protocol, other.code,
+        getattr(other, "minor", None), getattr(other, "completed", None),
+        str(other))
+
+
+def _two_walks(frame):
+    """What the parent's client made of a reply in two walks:
+    ``(id, offset)`` from the locator or None, and the error the whole
+    raising walk carries or None."""
+    protocol, direction, endian = envelopes.sniff(frame)
+    assert direction == "reply"
+    try:
+        located = envelopes.locator(protocol, "reply", endian)(frame)
+    except TransportError:
+        located = None
+    try:
+        envelopes.reader(protocol, "reply", endian)(frame)
+        carried = None
+    except RemoteCallError as error:
+        carried = error
+    except TransportError:
+        carried = None
+    return located, carried
+
+
+class TestRoutedReplyWalk:
+    """``envelopes.router`` / ``correlation.route`` yield, in one pass,
+    the id and offset ``probe`` finds and the error ``reply_error``
+    classifies — on every reply, whole or cut anywhere."""
+
+    def frames(self):
+        frames = []
+        for _name, frame in _load_corpus(""):
+            try:
+                if envelopes.sniff(frame)[1] == "reply":
+                    frames.append(frame)
+            except TransportError:
+                pass
+        assert frames  # the corpus holds at least the GIOP MessageError
+        return frames + _constructed_replies()
+
+    def test_one_walk_equals_two(self):
+        refused_after_id = classified = 0
+        for whole in self.frames():
+            for cut in range(8, len(whole) + 1):
+                frame = whole[:cut]
+                try:
+                    protocol, direction, endian = envelopes.sniff(frame)
+                except TransportError:
+                    continue
+                if direction != "reply":
+                    continue  # cut inside a GIOP header: reads as type 0
+                located, carried = _two_walks(frame)
+                try:
+                    wire_id, offset, error = envelopes.router(
+                        protocol, endian)(frame)
+                except TransportError:
+                    # Garbled: no classification either way, and the id
+                    # (if the locator has one) still routes the reply.
+                    assert carried is None, frame.hex()
+                    assert reply_error(frame) is None
+                    if located is None:
+                        with pytest.raises(TransportError):
+                            route(frame)
+                    else:
+                        refused_after_id += 1
+                        assert route(frame)[:3] == located + (None,)
+                        info = probe(frame)
+                        assert (info.correlation_id, info.id_offset) \
+                            == located
+                    continue
+                assert _same_error(error, carried), frame.hex()
+                assert _same_error(reply_error(frame), carried)
+                assert route(frame)[:2] == (wire_id, offset)
+                assert _same_error(route(frame)[2], carried)
+                if located is not None:
+                    assert (wire_id, offset) == located, frame.hex()
+                    info = probe(frame)
+                    assert (info.correlation_id, info.id_offset) == located
+                else:
+                    # Only an id-less error answer gets here.
+                    assert wire_id is None and error.code \
+                        == "GIOP::MessageError"
+                classified += error is not None
+        assert refused_after_id > 50 and classified > 50
+
+    def test_the_id_is_stamped_where_it_was_read(self):
+        for endian in "<>":
+            frame = _giop_reply(endian, contexts=2)
+            wire_id, offset, error, stamp = route(frame)
+            assert (wire_id, error) == (7, None)
+            restored = bytearray(frame)
+            stamp(restored, offset, 0xDEADBEEF)
+            assert route(bytes(restored))[:2] == (0xDEADBEEF, offset)
+            assert restored[:offset] + restored[offset + 4:] \
+                == frame[:offset] + frame[offset + 4:]
+
+    def test_a_view_is_walked_in_place(self):
+        """No reader copies a memoryview to look at its header."""
+        for frame in _constructed_replies()[:6]:
+            view = memoryview(bytearray(frame))
+            assert route(view)[:2] == route(frame)[:2]
+            assert _same_error(reply_error(view), reply_error(frame))
+            assert probe(view) == probe(frame)
 
 
 def test_reply_error_reads_versions_and_leaves_garble_to_the_stub():

@@ -29,6 +29,25 @@ from repro.runtime.socket_transport import _RecordStream
 from tests.rawsock import recv_record
 
 
+def fed_from_a_read_buffer(chunks, decoder=None, size=256):
+    """Feed *chunks* the way the aio runtime does: each lands in one
+    reused read buffer, the decoder is handed a view of what landed,
+    and the buffer is scribbled over before the next read — so a record
+    that aliases the buffer comes out as garbage."""
+    decoder = decoder or RecordDecoder()
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    records = []
+    for chunk in chunks:
+        for start in range(0, len(chunk), size):
+            piece = chunk[start:start + size]
+            buffer[:len(piece)] = piece
+            records.extend(decoder.feed(view[:len(piece)]))
+            buffer[:] = b"\xaa" * size
+    assert all(type(record) is bytes for record in records)
+    return records
+
+
 def chunked(data, cuts):
     """Split *data* at pseudo-random points derived from *cuts*."""
     chunks = []
@@ -67,6 +86,7 @@ class TestRoundTrip:
         assert records == [payload]
         assert decoder.at_record_boundary()
         assert decoder.pending_bytes == 0
+        assert fed_from_a_read_buffer(chunked(wire, cuts)) == [payload]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -89,6 +109,8 @@ class TestRoundTrip:
             records.extend(decoder.feed(chunk))
         assert records == payloads
         assert decoder.at_record_boundary()
+        assert fed_from_a_read_buffer(chunked(wire, cuts)) == payloads
+        assert fed_from_a_read_buffer([wire]) == payloads  # one read
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -118,6 +140,47 @@ class TestRoundTrip:
 
     def test_empty_record(self):
         assert RecordDecoder().feed(encode_record(b"")) == [b""]
+
+    def test_a_1_mib_record_through_a_64_kib_read_buffer(self):
+        payload = bytes(range(256)) * 4096
+        decoder = RecordDecoder()
+        wire = encode_record(b"before") + encode_record(payload) \
+            + encode_record(b"after", max_fragment=2)
+        assert fed_from_a_read_buffer(
+            [wire], decoder, size=MAX_RECV_SIZE) \
+            == [b"before", payload, b"after"]
+        assert decoder.at_record_boundary()
+        assert decoder.pending_bytes == 0
+
+    def test_many_records_in_one_read(self):
+        payloads = [bytes([n]) * n for n in range(200)]
+        wire = b"".join(map(encode_record, payloads))
+        assert fed_from_a_read_buffer([wire], size=MAX_RECV_SIZE) \
+            == payloads
+
+    def test_idle_connections_share_one_read_buffer(self):
+        """The read buffer belongs to the event loop: 200 connections
+        made on it hold the same object and no read memory of their
+        own, and another loop has another buffer."""
+        import asyncio
+
+        from repro.runtime.aio.framed import FramedConnection
+
+        def connect(count):
+            async def main():
+                connections = [FramedConnection(1 << 20)
+                               for _ in range(count)]
+                for connection in connections:
+                    connection.connection_made(None)
+                return connections
+
+            return asyncio.run(main())
+
+        connections = connect(200)
+        (buffer,) = {id(connection.get_buffer(-1))
+                     for connection in connections}
+        assert len(connections[0].get_buffer(-1)) == MAX_RECV_SIZE
+        assert id(connect(1)[0].get_buffer(-1)) != buffer
 
     @pytest.mark.parametrize("max_fragment", [None, 3])
     def test_encode_accepts_any_bytes_like(self, max_fragment):

@@ -444,6 +444,67 @@ class TestClientReplyHardening:
         assert "length" in text and "400" in text and "5000" in text
 
 
+class TestGarbledPastTheId:
+    """A reply that is sound up to its id and garbled after it still
+    reaches its caller: the routed walk refuses to classify it, the
+    locator's id routes it, and the stub's own check names the damage —
+    not an orphan count and a deadline expiry."""
+
+    @pytest.mark.parametrize("protocol", ["onc", "giop"])
+    def test_the_stub_refuses_it_within_the_deadline(
+            self, protocol, onc_module, iiop_module):
+        from repro.runtime.aio import (
+            AioClientTransport, AioTcpServer, ClientStats)
+
+        if protocol == "onc":
+            module, impl = onc_module, DbImpl()
+            # reply_stat is 0 (accepted) or 1 (denied); 7 is neither.
+            damage = (">I", 8, 7)
+        else:
+            module, impl = iiop_module, MailImpl(iiop_module)
+            # A system-exception status whose id length runs off the end.
+            damage = (">II", 20, 0x7FFFFFFF, 1 << 20)
+        garbling = []
+
+        def dispatch(request, servant, buffer):
+            has_reply = module.dispatch(request, servant, buffer)
+            if garbling:
+                buffer.reserve(8)
+                struct.pack_into(damage[0], buffer.data, *damage[1:])
+            return has_reply
+
+        stats = ClientStats()
+        server = AioTcpServer(dispatch, impl,
+                              error_encoder=module.encode_error_reply)
+        with server:
+            transport = AioClientTransport(
+                *server.address[:2], deadline=5.0, stats=stats)
+            try:
+                if protocol == "onc":
+                    client = module.DB_DBVClient(transport)
+                    call, expected = (lambda: client.echo(b"hi")), b"hi"
+                else:
+                    client = module.Test_MailClient(transport)
+                    call, expected = (lambda: client.avg([2, 4])), 3.0
+                assert call() == expected
+                (connection,) = transport.pool._connections
+                garbling.append(True)
+                started = time.monotonic()
+                with pytest.raises(WireFormatError):
+                    call()
+                assert time.monotonic() - started < 2.0
+                del garbling[:]
+                assert call() == expected
+                assert transport.pool._connections == [connection]
+                assert not connection.closed
+                assert connection.orphan_replies == 0
+            finally:
+                transport.close()
+        assert stats.orphan_replies.value == 0
+        assert stats.deadline_expiries.value == 0
+        assert stats.wire_format_errors.value == 0  # the stub's, not ours
+
+
 class TestPoolRetrySemantics:
     """Retry classification in ConnectionPool (unit-level, fake conns)."""
 

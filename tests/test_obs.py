@@ -631,12 +631,20 @@ class TestClientStats:
         stats = ClientStats()
         stats.retries.inc()
         stats.deadline_expiries.inc(2)
-        stats.open_connections.set(3)
-        stats.in_flight.set(1)
+        # The occupancy gauges hold nothing: they sum, when read, over
+        # the pools bound to these stats.
+        class Pool:
+            def __init__(self, open_connections, in_flight):
+                self.open_connections = open_connections
+                self.in_flight = in_flight
+
+        pools = [Pool(2, 1), Pool(1, 0)]
+        stats.pools.update(pools)
         snapshot = stats.registry.snapshot()
         assert snapshot["flick_client_retries_total"][()] == 1
         assert snapshot["flick_client_deadline_expiries_total"][()] == 2
         assert snapshot["flick_client_pool_connections"][()] == 3
+        assert snapshot["flick_client_in_flight_requests"][()] == 1
 
     def test_deadline_expiry_is_counted(self):
         module = _compile("oncrpc-xdr")
