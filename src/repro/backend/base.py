@@ -23,9 +23,10 @@ maximizes chunking.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import InitVar, dataclass, field
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro import envelopes
 from repro.errors import BackEndError
@@ -60,6 +61,26 @@ class HeaderSpec:
     size_patch: Optional[Tuple[int, str, int]] = None
 
 
+class Section(NamedTuple):
+    """One row of :attr:`GeneratedStubs.sections`: a role's share of
+    the module text."""
+
+    name: str
+    #: ``(start, end)`` line indices into *py_source*, in print order.
+    spans: Tuple[Tuple[int, int], ...]
+    #: The top-level names the lines bind, for a section that loads at
+    #: the first use of one of them; empty for one that loads with the
+    #: module.
+    names: Tuple[str, ...] = ()
+
+
+#: The sections no code of another section names, so each can load when
+#: an attribute access first asks for it.
+DEFERRED_SECTIONS = ("client", "server", "errors")
+
+_BINDS = re.compile(r"(?:def |class )(\w+)|(\w+) = ")
+
+
 @dataclass
 class GeneratedStubs:
     """The output of one back-end run."""
@@ -91,10 +112,13 @@ class GeneratedStubs:
     #: benchmark's compile replica times each stage from them).
     backend_instance: object = field(default=None, repr=False)
     flags: object = field(default=None, repr=False)
-    #: ``(start, end)`` line indices of the rendered codec section
-    #: (runtime imports, header consts, ``_m_*``/``_u_*`` defs) within
-    #: *py_source*; everything outside it is the scaffold.
-    codec_span: Optional[Tuple[int, int]] = None
+    #: The section table of *py_source*, in role order: ``shared``
+    #: (preamble, records, exceptions, what codecs call on an error
+    #: reply), ``codecs`` (runtime imports, header consts,
+    #: ``_m_*``/``_u_*`` defs), then ``client``, ``server`` and
+    #: ``errors``.  Empty when the text is one piece (baseline
+    #: compilers).
+    sections: Tuple[Section, ...] = ()
 
     _module = None
 
@@ -107,10 +131,11 @@ class GeneratedStubs:
         """Exec the generated Python module (cached) and return it.
 
         The ``py`` renderer's codecs are the module text itself.  Under
-        ``closures`` only the scaffold is compiled (the codec section is
-        blanked line for line, so line numbers still match
-        ``__source__``) and every codec is a deferred entry: the same
-        text, rendered and compiled per function by its first call.
+        ``closures`` the codec section is left out and every codec is a
+        deferred entry: the same text, rendered and compiled per
+        function by its first call.  Either way the ``client``,
+        ``server`` and ``errors`` sections compile when first used
+        (:func:`repro.core.loader.load_stub_module`).
         """
         if self._module is None:
             from repro.core.loader import load_stub_module
@@ -118,7 +143,7 @@ class GeneratedStubs:
             closures = self.renderer == "closures"
             module = load_stub_module(
                 self.py_source, self.module_name or "flick_generated",
-                skip_lines=self.codec_span if closures else None,
+                self.sections, without=("codecs",) if closures else (),
             )
             if closures:
                 from repro.mir.render_closures import install_closures
@@ -164,6 +189,9 @@ class OptimizingBackEnd:
     #: Kernels that DMA from fixed staging areas (Mach-style) marshal
     #: byte runs through a staging variable; see MarshalLower.
     staged_copies = False
+    #: Whether :meth:`generate` records the section table; the baseline
+    #: compilers' modules are one piece and load whole.
+    sectioned = True
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -200,6 +228,12 @@ class OptimizingBackEnd:
                 self.envelope, "reply", self.wire_format.endian,
                 ident=("%s != _ctx",), upto="body"))
             w.line("return o")
+
+    def emit_reply_error_decoder(self, w, presc):
+        """Emit what :meth:`reply_error_tail_ops` calls.  It is printed
+        between ``_check_reply`` and the proxy class but belongs to the
+        ``shared`` section: the ``_u_rep_*`` codecs name it, and a
+        global lookup never loads a section."""
 
     def reply_error_tail_ops(self, presc):
         """IR ops for the ``_u_rep_*`` fallthrough on unknown statuses.
@@ -277,25 +311,38 @@ class OptimizingBackEnd:
             "exceptions": [],
             "demux": "hash" if flags.hash_demux else "linear",
         }
+        opened = []
+
+        def section(name):
+            """Open *name* at the line the writer is on: a section's
+            lines are those printed while it is the open one."""
+            opened.append((name, len(w.lines)))
+
+        section("shared")
         self._emit_preamble(w, presc)
         records, exceptions = collect_python_types(presc)
         metadata["records"] = sorted(records)
         metadata["exceptions"] = sorted(exceptions)
         self._emit_records(w, records)
         self._emit_exceptions(w, exceptions)
-        codec_start = len(w.lines)
+        section("codecs")
         program = self._emit_codec_functions(w, presc, flags, metadata)
-        codec_span = (codec_start, len(w.lines))
         if renderer == "closures" and program is None:
             raise BackEndError(
                 "renderer 'closures' needs the marshal-IR pipeline; "
                 "the %s back end emits codec text directly" % self.name
             )
+        section("client")
         self.emit_check_reply(w, presc)
+        section("shared")
+        self.emit_reply_error_decoder(w, presc)
+        section("client")
         w.blank()
         self._emit_client(w, presc, flags)
+        section("server")
         self._emit_servant(w, presc)
         self._emit_dispatch(w, presc, flags)
+        section("errors")
         self.emit_error_reply(w, presc)
         py_source = w.getvalue()
         # Key the module name on the generated source so two versions of
@@ -323,7 +370,8 @@ class OptimizingBackEnd:
             shapes_factory=self._shapes_factory(presc, flags),
             backend_instance=self,
             flags=flags,
-            codec_span=codec_span,
+            sections=_section_table(w.lines, opened)
+            if self.sectioned else (),
         )
 
     def _shapes_factory(self, presc, flags):
@@ -711,6 +759,27 @@ class OptimizingBackEnd:
         w.line("return _h(d, o, impl, b, _ctx)")
         w.dedent()
         w.blank()
+
+
+def _section_table(lines, opened):
+    """*opened* — ``(section name, first line)`` in print order, each
+    closed by the next — as :class:`Section` rows."""
+    spans = {}
+    ends = [start for _name, start in opened[1:]] + [len(lines)]
+    for (name, start), end in zip(opened, ends):
+        if end > start:
+            spans.setdefault(name, []).append((start, end))
+    table = []
+    for name, own in spans.items():
+        names = []
+        if name in DEFERRED_SECTIONS:
+            for start, end in own:
+                for line in lines[start:end]:
+                    match = _BINDS.match(line)
+                    if match:
+                        names.append(match[1] or match[2])
+        table.append(Section(name, tuple(own), tuple(names)))
+    return tuple(table)
 
 
 def _tuple_literal(names):

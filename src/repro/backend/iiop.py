@@ -106,8 +106,7 @@ class IiopBackEnd(OptimizingBackEnd):
 
     unknown_op_code = "bad_operation"
 
-    def emit_check_reply(self, w, presc):
-        super().emit_check_reply(w, presc)
+    def emit_reply_error_decoder(self, w, presc):
         w.blank()
         with w.block("def _u_system_exception(d, o):"):
             w.line('"""Decode a system-exception reply body; returns the')

@@ -74,6 +74,7 @@ class MigStyleCompiler(Mach3BackEnd):
     name = "mig"
     origin = "CMU"
     baseline_flags = BASELINE_FLAGS
+    sectioned = False  # the module is one piece and loads whole
     #: Mach typed-message assembly built out-of-line data in a staging
     #: area before the kernel copied the message; the MIR lowering
     #: stages array and byte runs through a temporary when this is set.

@@ -305,6 +305,7 @@ class OrbelineStyleCompiler(IiopBackEnd):
     name = "orbeline"
     origin = "Visigenic"
     baseline_flags = BASELINE_FLAGS
+    sectioned = False  # the module is one piece and loads whole
 
     def generate(self, presc, flags=None, renderer="py"):
         return super().generate(presc, self.baseline_flags, renderer)

@@ -315,6 +315,7 @@ class RpcgenStyleCompiler(OncXdrBackEnd):
     name = "rpcgen"
     origin = "Sun"
     baseline_flags = BASELINE_FLAGS
+    sectioned = False  # the module is one piece and loads whole
 
     def generate(self, presc, flags=None, renderer="py"):
         # Baselines have a fixed code style; optimization flags are not

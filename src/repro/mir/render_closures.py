@@ -4,7 +4,7 @@ Both renderer names run the same code — what :mod:`repro.mir.render_py`
 prints for a :class:`~repro.mir.ops.MirFunction`.  They differ in one
 decision: *when* a codec function's text is compiled.  ``py`` compiles
 the codec section with the module, which a long-lived server wants.
-``closures`` loads the scaffold only (records, client proxy, dispatch)
+``closures`` loads the module without its codec section
 and binds every codec as a **deferred entry**: a closure over its
 ``MirFunction`` that renders, compiles and execs that one function the
 first time it is called, hands over to the result and forwards the call
@@ -52,8 +52,9 @@ def install_closures(module, program):
         else:
             entries[fn.name] = _deferred(fn, G, module)
     for name, entry in entries.items():
-        # A scaffold-only module has no entry yet: bind it so the slots
-        # (built on first use, from the names bound) find it.
+        # A module loaded without its codec section has no entry yet:
+        # bind it so the slots (built on first use, from the names
+        # bound) find it.
         G.setdefault(name, entry)
     codecs.of(module).set_base(entries)
     G["__renderer__"] = "closures"

@@ -33,6 +33,7 @@ import threading
 import time
 
 from repro.core import codecs
+from repro.core.loader import on_bound
 
 _tracer = None
 
@@ -300,15 +301,20 @@ class _InstrumentedModule:
 
     def add_method(self, cls, op):
         original = getattr(cls, op)
-        self.methods.append((cls, op, original, _wrap_call(original, op)))
+        wrapped = _wrap_call(original, op)
+        self.methods.append((cls, op, original, wrapped))
+        if self.active:
+            setattr(cls, op, wrapped)
 
     def activate(self):
         if self.active:
             return
+        # First, so a proxy class whose section loads meanwhile is
+        # wrapped by add_method if this loop has passed.
+        self.active = True
         self.slots.set_layer("trace", _trace_layer)
         for cls, op, _original, wrapped in self.methods:
             setattr(cls, op, wrapped)
-        self.active = True
 
     def deactivate(self):
         if not self.active:
@@ -337,11 +343,18 @@ def instrument_stub_module(module):
     record = _InstrumentedModule(module)
     operations = {slot.op for slot in record.slots.entries()
                   if slot.form == "m_req"}
-    for name, value in list(vars(module).items()):
-        if isinstance(value, type) and name.endswith("Client"):
-            for op in operations:
-                if callable(getattr(value, op, None)):
-                    record.add_method(value, op)
+
+    def add_proxies(bound):
+        for name, value in bound.items():
+            if isinstance(value, type) and name.endswith("Client"):
+                for op in operations:
+                    if callable(getattr(value, op, None)):
+                        record.add_method(value, op)
+
+    # The proxy class of a module that has not made a call yet is not
+    # compiled: it is wrapped when its section loads, not loaded to be
+    # wrapped.
+    on_bound(module, add_proxies)
     _instrumented[module] = record
     if _tracer is not None:
         record.activate()

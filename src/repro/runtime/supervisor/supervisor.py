@@ -545,12 +545,15 @@ class Supervisor:
                 if data is None:
                     continue
                 snapshot = ProfileSnapshot.from_json(data)
+                if merged is not None:
+                    # Into a copy: merge() works in place, and a worker
+                    # on another build (other bucket bounds) must leave
+                    # no half of its snapshot behind when it is skipped.
+                    snapshot = ProfileSnapshot.from_json(
+                        merged.to_json()).merge(snapshot)
             except (TransportError, ValueError):
                 continue
-            if merged is None:
-                merged = snapshot
-            else:
-                merged.merge(snapshot)
+            merged = snapshot
         return None if merged is None else merged.to_json()
 
     def status(self):

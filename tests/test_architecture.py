@@ -244,6 +244,26 @@ def one_header_walk_per_message_on_the_client(tree):
     _no(tree.grep(r"def data_received|\.recv\(", "src/repro/runtime/aio"))
 
 
+def one_place_stub_text_becomes_code(tree):
+    """Generated stub text is handed to ``compile()`` in
+    repro/core/loader.py (the module, a section at a time) and in
+    repro/mir/render_closures.py (one codec function at its first call)
+    and nowhere else — the two other ``compile()`` calls of the package
+    are of a user's ``.py`` schema and of the envelope readers, not of
+    stub text.  The one-off pair the section table replaced has not
+    come back under its names."""
+    hits = [hit for hit in tree.grep(
+        r"(^|[^\w.])compile\(", "src/repro")
+        if not hit.startswith(("src/repro/pyschema/to_aoi.py:",
+                               "src/repro/envelopes.py:"))]
+    assert tree.files_of(_not_a_definition(hits)) == [
+        "src/repro/core/loader.py", "src/repro/mir/render_closures.py"], \
+        "\n".join(hits)
+    _no([hit for hit in tree.grep(
+        r"skip_lines|codec_span", *SEARCHED, python_only=False)
+        if not hit.startswith(THIS + ":")])
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -298,6 +318,14 @@ PINS = {
         ("src/repro/runtime/aio/framed.py",
          "def data_received(self, data):"),
         ("src/repro/runtime/aio/server.py", "data = sock.recv(262144)"),
+    ],
+    one_place_stub_text_becomes_code: [
+        ("src/repro/backend/base.py",
+         "exec(compile(self.py_source, name, 'exec'), namespace)"),
+        ("src/repro/core/handle.py", "code = compile(text, '<stub>', 'exec')"),
+        ("src/repro/core/loader.py",
+         "def load_stub_module(source, name, skip_lines=None):"),
+        ("docs/INTERNALS.md", "its line span as stubs.codec_span"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

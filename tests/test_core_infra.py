@@ -9,6 +9,7 @@ import pytest
 
 from repro import Flick, OptFlags
 from repro.core.loader import load_stub_module
+from repro.backend.base import Section
 from repro.backend.pywriter import PyWriter
 from repro.runtime import StubServer
 
@@ -47,7 +48,10 @@ class TestLoader:
 
     def test_skipped_lines_are_shown_but_not_compiled(self):
         source = "A = 1\nB = 2\ndef boom():\n    raise KeyError(A)\n"
-        module = load_stub_module(source, "demo", skip_lines=(1, 2))
+        sections = (Section("shared", ((0, 1), (2, 5))),
+                    Section("codecs", ((1, 2),)))
+        module = load_stub_module(source, "demo", sections,
+                                  without=("codecs",))
         assert not hasattr(module, "B")
         assert module.__source__ == source
         with pytest.raises(KeyError) as caught:

@@ -2,9 +2,10 @@
 
 Pins the three mechanisms that keep ``api.compile`` + load from paying
 for what nobody reads: the C artifact is printed on first read of
-``c_source``/``c_header``; a ``closures`` module compiles only the
-scaffold of its (unchanged) text and each codec function at its first
-call; MINT recursion answers are remembered per registry.  Each laziness
+``c_source``/``c_header``; a ``closures`` module loads its (unchanged)
+text without the codec section and compiles each codec function at its
+first call (and, since PR 24, each role's section at its first use —
+``tests/test_lazy_sections.py``); MINT recursion answers are remembered per registry.  Each laziness
 claim sits next to the equality it must not disturb.
 """
 
@@ -173,7 +174,10 @@ class TestClosureModulesLoadTheScaffoldOnly:
         names = {code.co_name for code in _code_objects(compiled[0])}
         codec_names = {fn.name for fn in clo.mir.functions}
         assert codec_names and not codec_names & names
-        assert "dispatch" in names and "_check_reply" in names
+        # Since PR 24 the load compiles neither role: the client and
+        # server sections compile at first use (drive() below).
+        assert "_chk_end" in names
+        assert "dispatch" not in names and "_check_reply" not in names
         # Every codec entry and helper is a deferred entry, and loading
         # compiled none of them.
         for name in codec_names:
@@ -188,16 +192,37 @@ class TestClosureModulesLoadTheScaffoldOnly:
             for const in fn.consts:
                 assert vars(module)[const] == vars(py_module)[const]
         drive(module)
+        names = {code.co_name for loaded in compiled
+                 if loaded.co_filename == module.__file__
+                 for code in _code_objects(loaded)}
+        assert "dispatch" in names and "_check_reply" in names
+        assert not codec_names & names
 
-    def test_py_renderer_compiles_the_whole_text(self, monkeypatch):
+    def test_py_renderer_compiles_the_text_a_section_at_a_time(
+            self, monkeypatch):
+        """Was ``..._compiles_the_whole_text``: the load compiles the
+        shared and codec sections, each role's section compiles at its
+        first use, and the pieces are the text — every line in exactly
+        one of them, at its own line number."""
         compiled = []
         monkeypatch.setattr(
             loader, "compile",
             lambda source, *rest: compiled.append(source)
             or compile(source, *rest), raising=False)
         result = api.compile(DB_IDL, "oncrpc")
-        result.module
-        assert compiled == [result.stubs.py_source]
+        module = result.module
+        assert len(compiled) == 1
+        assert "def _m_req_rev(" in compiled[0]
+        assert "def dispatch(" not in compiled[0]
+        assert "def _check_reply(" not in compiled[0]
+        module.DB_DBVClient, module.dispatch, module.encode_error_reply
+        assert len(compiled) == 4
+        lines = result.stubs.py_source.split("\n")
+        pieces = [text.split("\n") for text in compiled]
+        for number, line in enumerate(lines):
+            found = [piece[number] for piece in pieces
+                     if number < len(piece) and piece[number]]
+            assert found == ([line] if line else []), number
 
     def test_traceback_lines_match_the_unblanked_source(self):
         result = api.compile(MAIL_IDL, "corba", renderer="closures")

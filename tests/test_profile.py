@@ -349,6 +349,36 @@ class TestMalformedSnapshots:
             for control in controls:
                 control.close()
 
+    def test_a_worker_on_other_bucket_bounds_is_skipped_whole(
+            self, tmp_path):
+        """Well-formed but unmergeable (another build's latency
+        buckets): ``merge`` raises half way through an op, after its
+        counts were added — the fleet's ``/profile`` must neither fail
+        nor keep that half."""
+        from tests.test_supervisor import _fake_worker, _supervisor_over
+
+        foreign = _snapshot()
+        bounds = foreign["ops"][0]["codec"]["encode"]["bounds"]
+        foreign["ops"][0]["codec"]["encode"]["bounds"] = [
+            bound * 2 for bound in bounds]
+        ProfileSnapshot.from_json(foreign)  # malformed it is not
+        with pytest.raises(ValueError, match="bucket bounds"):
+            ProfileSnapshot.from_json(_snapshot()).merge(
+                ProfileSnapshot.from_json(foreign))
+
+        controls = [
+            _fake_worker(lambda message, document=document: {
+                "ok": True, "snapshot": document})
+            for document in (_snapshot(), foreign, _snapshot())]
+        sup = _supervisor_over(tmp_path, controls)
+        try:
+            both = ProfileSnapshot.from_json(_snapshot()).merge(
+                ProfileSnapshot.from_json(_snapshot()))
+            assert sup.profile_json() == both.to_json()
+        finally:
+            for control in controls:
+                control.close()
+
 
 # ----------------------------------------------------------------------
 # Zero cost when off; sampling when on
