@@ -35,9 +35,12 @@ LAYOUT = [
     ("Pres. Gen.", "Fluke Pres.", False, ["pgen/fluke.py"]),
     ("Pres. Gen.", "ONC RPC rpcgen Pres.", False, ["pgen/rpcgen.py"]),
     ("Back End", "Base Library", True,
-     ["backend/base.py", "backend/pywriter.py",
-      "backend/cemit.py", "encoding/base.py", "encoding/buffer.py",
-      "cast/nodes.py", "cast/emit.py"]),
+     ["backend/base.py", "backend/pywriter.py", "encoding/base.py",
+      "encoding/buffer.py", "cast/nodes.py", "cast/emit.py",
+      # The marshal IR every back end lowers through and prints from.
+      "mir/ops.py", "mir/build.py", "mir/lower.py", "mir/passes.py",
+      "mir/shape.py", "mir/dump.py", "mir/render_py.py",
+      "mir/render_closures.py", "mir/render_c.py"]),
     ("Back End", "CORBA IIOP", False,
      ["backend/iiop.py", "encoding/cdr.py"]),
     ("Back End", "ONC RPC XDR", False,

@@ -106,12 +106,6 @@ class AoiEnum(AoiType):
                 return value
         raise KeyError(member_name)
 
-    def name_of(self, value):
-        for name, member_value in self.members:
-            if member_value == value:
-                return name
-        raise KeyError(value)
-
 
 @dataclass(frozen=True)
 class AoiArray(AoiType):

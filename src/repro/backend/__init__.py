@@ -31,6 +31,13 @@ def runtime_header_path():
     return os.path.join(os.path.dirname(__file__), "flick-runtime.h")
 
 
+def interface_file_stem(interface_name, backend_name):
+    """The stem of an interface's generated files (``mail_iiop``), shared
+    by ``flick compile`` and the C artifact's ``#include`` line."""
+    return "%s_%s" % (interface_name.replace("::", "_").lower(),
+                      backend_name.replace("-", "_"))
+
+
 def make_backend(name, **kwargs):
     """Instantiate a back end by registry name."""
     try:

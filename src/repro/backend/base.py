@@ -35,7 +35,6 @@ from repro.pres import nodes as p
 from repro.backend.pywriter import PyWriter
 from repro.mir import ops as mir_ops
 from repro.mir.lower import OutOfLineSet
-from repro.mir.render_c import render_c
 
 mangle = mir_ops.mangle
 
@@ -159,6 +158,13 @@ GeneratedStubs.c_source = property(
     lambda self: self._c()[0], doc="C stub source, printed on first read.")
 GeneratedStubs.c_header = property(
     lambda self: self._c()[1], doc="C header, printed on first read.")
+
+
+def _print_c(backend, presc, flags):
+    """The C artifact; its printer is imported when C is first read."""
+    from repro.mir import render_c
+
+    return render_c.render_c(backend, presc, flags)
 
 
 def _memoized(thunk):
@@ -362,7 +368,7 @@ class OptimizingBackEnd:
             backend_name=self.name,
             presentation_style=presc.presentation_style,
             py_source=py_source,
-            c_artifact=partial(render_c, self, presc, flags),
+            c_artifact=partial(_print_c, self, presc, flags),
             metadata=metadata,
             module_name=module_name,
             renderer=renderer,

@@ -72,10 +72,6 @@ class IluStyleCompiler:
         return stubs
 
 
-def _interface_key(presc):
-    return presc.interface_name.encode("latin-1")
-
-
 def _build_module(compiler, presc):
     codec = InterpretiveCodec(
         compiler.wire_format, presc.pres_registry, presc.mint_registry

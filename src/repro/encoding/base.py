@@ -17,15 +17,7 @@ import abc
 import struct
 from dataclasses import dataclass
 
-from repro.errors import BackEndError
-from repro.mint.types import (
-    MintArray,
-    MintBoolean,
-    MintChar,
-    MintFloat,
-    MintInteger,
-    is_atom,
-)
+from repro.mint.types import MintChar, MintInteger
 
 
 @dataclass(frozen=True)
@@ -138,12 +130,6 @@ class WireFormat(abc.ABC):
             and not element.signed
         )
 
-    def packed_struct_format(self, atoms):
-        """Build one struct format string for a run of atoms (a *chunk*)."""
-        return self.endian + "".join(
-            self.atom_codec(atom).format for atom in atoms
-        )
-
     def pack_atom(self, buffer, atom, value):
         """Reference (unoptimized) single-atom encode, used by baselines."""
         codec = self.atom_codec(atom)
@@ -170,13 +156,3 @@ class WireFormat(abc.ABC):
 
     def __repr__(self):
         return "<WireFormat %s>" % self.name
-
-
-def require_atom(mint_type, context):
-    """Raise BackEndError unless *mint_type* is atomic."""
-    if not is_atom(mint_type):
-        raise BackEndError(
-            "%s requires an atomic type, got %r"
-            % (context, type(mint_type).__name__)
-        )
-    return mint_type

@@ -276,11 +276,6 @@ class BridgePlan:
         return sorted(p.name for p in self.ops.values()
                       if p.request_segments is not None)
 
-    @property
-    def fused_reply_ops(self):
-        return sorted(p.name for p in self.ops.values()
-                      if 0 in p.reply_segments)
-
     def rebind(self, op=None):
         """Refresh early-bound codec references from the live modules.
 

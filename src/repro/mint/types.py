@@ -101,12 +101,6 @@ class MintStruct(MintType):
 
     slots: Tuple[MintSlot, ...]
 
-    def slot_named(self, name):
-        for slot in self.slots:
-            if slot.name == name:
-                return slot
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class MintUnionCase(MintType):

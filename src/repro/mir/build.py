@@ -10,6 +10,10 @@ Functions appear in the program in module emission order — for each
 stub: request marshal, request unmarshal, then (unless oneway) the reply
 marshals and the reply unmarshal — followed by the out-of-line helpers
 in first-reference order.
+
+Every function is lowered through one spelling table: the Python one
+unless *spelling* says otherwise (the C artifact passes
+:data:`repro.mir.render_c.SPELLING`).
 """
 
 from __future__ import annotations
@@ -19,41 +23,43 @@ from repro.pres import nodes as p
 
 from repro.mir import lower
 from repro.mir import ops as m
+from repro.mir import render_py
 
 
-def build_program(backend, presc, flags):
+def build_program(backend, presc, flags, spelling=None):
     """Lower every codec function for *presc* into a MirProgram."""
     out_of_line = lower.OutOfLineSet()
+    spell = spelling or render_py.SPELLING
     program = m.MirProgram(
         interface_name=presc.interface_name,
         wire_name=backend.name,
     )
     for stub in presc.stubs:
-        program.functions.append(
-            _build_request_marshal(backend, presc, stub, flags, out_of_line)
-        )
-        program.functions.append(
-            _build_request_unmarshal(backend, presc, stub, flags,
-                                     out_of_line)
-        )
+        args = (backend, presc, stub, flags, out_of_line, spell)
+        program.functions.append(_build_request_marshal(*args))
+        program.functions.append(_build_request_unmarshal(*args))
         if not stub.oneway:
-            program.functions.extend(
-                _build_reply_marshals(backend, presc, stub, flags,
-                                      out_of_line)
-            )
-            program.functions.append(
-                _build_reply_unmarshal(backend, presc, stub, flags,
-                                       out_of_line)
-            )
-    _drain_out_of_line(backend, presc, flags, out_of_line, program)
+            program.functions.extend(_build_reply_marshals(*args))
+            program.functions.append(_build_reply_unmarshal(*args))
+    _drain_out_of_line(backend, presc, flags, out_of_line, program, spell)
     return program
 
 
-def _marshal_lower(backend, presc, flags, out_of_line):
+def _marshal_lower(backend, presc, flags, out_of_line, spell):
     low = lower.MarshalLower(
         backend.wire_format, flags, presc, out_of_line
     )
     low.staged_copies = getattr(backend, "staged_copies", False)
+    low.spell = spell
+    return low
+
+
+def _unmarshal_lower(backend, presc, flags, out_of_line, spell,
+                     zero_copy=False):
+    low = lower.UnmarshalLower(
+        backend.wire_format, flags, presc, out_of_line, zero_copy=zero_copy
+    )
+    low.spell = spell
     return low
 
 
@@ -63,18 +69,24 @@ def _size_patch(low, spec):
         low.add(m.HeaderPatch(offset=offset, fmt=fmt_text, delta=delta))
 
 
-def _build_request_marshal(backend, presc, stub, flags, out_of_line):
+def _build_request_marshal(backend, presc, stub, flags, out_of_line,
+                           spell):
     spec = backend.request_header(presc, stub)
     const = "_H_req_%s" % stub.operation_name
     in_parameters = stub.in_parameters()
     # Internal argument names avoid any collision with generated locals
     # (IDL identifiers cannot begin with an underscore).
     arg_names = ["_a%d" % index for index in range(len(in_parameters))]
-    low = _marshal_lower(backend, presc, flags, out_of_line)
+    low = _marshal_lower(backend, presc, flags, out_of_line, spell)
     low.add(m.PutHeader(const, spec.template, tuple(spec.patches)))
     low.reset(static_offset=len(spec.template))
-    for parameter, arg_name in zip(in_parameters, arg_names):
-        low.emit(parameter.pres, arg_name)
+    for index, parameter in enumerate(in_parameters):
+        presented = presc.pres_registry.resolve(parameter.pres)
+        low.emit(parameter.pres, spell.arg(
+            index, parameter.name, parameter.direction,
+            presc.presentation_style,
+            getattr(presented, "length", None)
+            or getattr(presented, "fixed_length", None)))
     low.flush()
     _size_patch(low, spec)
     return m.MirFunction(
@@ -89,16 +101,16 @@ def _build_request_marshal(backend, presc, stub, flags, out_of_line):
     )
 
 
-def _build_request_unmarshal(backend, presc, stub, flags, out_of_line):
-    low = lower.UnmarshalLower(
-        backend.wire_format, flags, presc, out_of_line,
-        zero_copy=flags.zero_copy_server,
-    )
+def _build_request_unmarshal(backend, presc, stub, flags, out_of_line,
+                             spell):
+    low = _unmarshal_lower(backend, presc, flags, out_of_line, spell,
+                           zero_copy=flags.zero_copy_server)
     low.reset(static_offset=None)
     low.static_offset = backend._request_body_offset(presc, stub)
     low.align_guarantee = backend.wire_format.universal_alignment
     exprs = [
-        low.emit(parameter.pres) for parameter in stub.in_parameters()
+        low.emit(parameter.pres, spell.dest_param(parameter.name))
+        for parameter in stub.in_parameters()
     ]
     low.flush()
     low.add(m.Return(kind="args", exprs=tuple(exprs)))
@@ -113,7 +125,7 @@ def _build_request_unmarshal(backend, presc, stub, flags, out_of_line):
     )
 
 
-def _build_reply_marshals(backend, presc, stub, flags, out_of_line):
+def _build_reply_marshals(backend, presc, stub, flags, out_of_line, spell):
     spec = backend.reply_header(presc, stub)
     const = "_H_rep_%s" % stub.operation_name
     disc_codec = backend.wire_format.atom_codec(
@@ -124,14 +136,13 @@ def _build_reply_marshals(backend, presc, stub, flags, out_of_line):
     success_arm = stub.reply_pres.arms[0]
     result_fields = success_arm.pres.fields
     arg_names = ["_r_%s" % f.name.lstrip("_") for f in result_fields]
-    low = _marshal_lower(backend, presc, flags, out_of_line)
+    low = _marshal_lower(backend, presc, flags, out_of_line, spell)
     low.add(m.PutHeader(const, spec.template, tuple(spec.patches)))
     low.reset(static_offset=len(spec.template))
     low.add_atom(disc_codec, "0")
     for struct_field in result_fields:
-        low.emit(
-            struct_field.pres, "_r_%s" % struct_field.name.lstrip("_")
-        )
+        low.emit(struct_field.pres, spell.reply_value(
+            struct_field.name, presc.presentation_style))
     low.flush()
     _size_patch(low, spec)
     functions.append(m.MirFunction(
@@ -147,11 +158,11 @@ def _build_reply_marshals(backend, presc, stub, flags, out_of_line):
     # One marshal function per exception arm.
     for arm in stub.reply_pres.arms[1:]:
         label = arm.labels[0]
-        low = _marshal_lower(backend, presc, flags, out_of_line)
+        low = _marshal_lower(backend, presc, flags, out_of_line, spell)
         low.add(m.PutHeader(const, spec.template, tuple(spec.patches)))
         low.reset(static_offset=len(spec.template))
         low.add_atom(disc_codec, str(label))
-        low.emit(arm.pres, "_exc")
+        low.emit(arm.pres, spell.exception_value(arm.pres.class_name))
         low.flush()
         _size_patch(low, spec)
         functions.append(m.MirFunction(
@@ -166,11 +177,10 @@ def _build_reply_marshals(backend, presc, stub, flags, out_of_line):
     return functions
 
 
-def _build_reply_unmarshal(backend, presc, stub, flags, out_of_line):
+def _build_reply_unmarshal(backend, presc, stub, flags, out_of_line,
+                           spell):
     """Decode the reply body: return results or raise the exception."""
-    low = lower.UnmarshalLower(
-        backend.wire_format, flags, presc, out_of_line
-    )
+    low = _unmarshal_lower(backend, presc, flags, out_of_line, spell)
     low.reset(static_offset=None)
     low.static_offset = backend._reply_body_offset(presc, stub)
     low.align_guarantee = backend.wire_format.universal_alignment
@@ -184,30 +194,25 @@ def _build_reply_unmarshal(backend, presc, stub, flags, out_of_line):
     low.push_body()
     low.enter_unknown()
     exprs = [
-        low.emit(struct_field.pres)
+        low.emit(struct_field.pres, spell.dest_result(
+            struct_field.name, presc.presentation_style))
         for struct_field in success_arm.pres.fields
     ]
     low.flush()
     # Materialize the result, then reject trailing garbage: a reply that
     # decodes but leaves bytes behind is a framing bug or an attack.
-    if not exprs:
-        low.add(m.CheckEnd())
-        low.add(m.Return(kind="plain", exprs=()))
-    elif len(exprs) == 1:
-        low.add(m.Bind("_rv", exprs[0]))
-        low.add(m.CheckEnd())
-        low.add(m.Return(kind="plain", exprs=("_rv",)))
-    else:
-        low.add(m.Bind("_rv", "(%s)" % ", ".join(exprs)))
-        low.add(m.CheckEnd())
-        low.add(m.Return(kind="plain", exprs=("_rv",)))
+    if exprs:
+        low.add(m.Bind(*spell.hold("_rv", exprs[0] if len(exprs) == 1
+                                   else spell.tuple(exprs))))
+    low.add(m.CheckEnd())
+    low.add(m.Return(kind="plain", exprs=("_rv",) if exprs else ()))
     arms = [m.BranchArm("_d == 0", low.pop_body())]
     for arm in stub.reply_pres.arms[1:]:
         low.push_body()
         low.enter_unknown()
-        value = low.emit(arm.pres)
+        value = low.emit(arm.pres, spell.dest_exception(arm.pres.class_name))
         low.flush()
-        low.add(m.Bind("_rx", value))
+        low.add(m.Bind(*spell.hold("_rx", value)))
         low.add(m.CheckEnd())
         low.add(m.Raise(value_expr="_rx"))
         arms.append(m.BranchArm("_d == %d" % arm.labels[0],
@@ -225,7 +230,7 @@ def _build_reply_unmarshal(backend, presc, stub, flags, out_of_line):
     )
 
 
-def _drain_out_of_line(backend, presc, flags, out_of_line, program):
+def _drain_out_of_line(backend, presc, flags, out_of_line, program, spell):
     """Lower queued out-of-line marshal/unmarshal helper functions."""
     while out_of_line.pending:
         kind, name = out_of_line.pending.pop(0)
@@ -235,13 +240,13 @@ def _drain_out_of_line(backend, presc, flags, out_of_line, program):
         if flags.iterative_lists:
             list_shape = tail_recursive_list(pres, presc, name)
         if kind == "m":
-            low = _marshal_lower(backend, presc, flags, out_of_line)
+            low = _marshal_lower(backend, presc, flags, out_of_line, spell)
             low.enter_unknown()
             if list_shape is not None:
                 _lower_iterative_list_marshal(low, list_shape)
             else:
                 # The body must not immediately outline itself.
-                low.emit(_inline_target(pres, presc), "v")
+                low.emit(_inline_target(pres, presc), spell.helper_value)
                 low.flush()
             fn = m.MirFunction(
                 name=function, kind="m_helper", params=("b", "v"),
@@ -249,14 +254,13 @@ def _drain_out_of_line(backend, presc, flags, out_of_line, program):
                 atoms=low.atoms_emitted, type_name=name,
             )
         else:
-            low = lower.UnmarshalLower(
-                backend.wire_format, flags, presc, out_of_line
-            )
+            low = _unmarshal_lower(backend, presc, flags, out_of_line, spell)
             low.enter_unknown()
             if list_shape is not None:
                 _lower_iterative_list_unmarshal(low, list_shape)
             else:
-                value = low.emit_value(_inline_target(pres, presc))
+                value = low.emit_value(_inline_target(pres, presc),
+                                       spell.dest_deref("v"))
                 low.add(m.Return(kind="value", exprs=(value,)))
             fn = m.MirFunction(
                 name=function, kind="u_helper", params=("d", "o"),
@@ -276,7 +280,8 @@ def _lower_iterative_list_marshal(low, list_shape):
     low.push_body()
     low.enter_unknown()
     for struct_field in struct_pres.fields[:-1]:
-        low.emit(struct_field.pres, "v.%s" % struct_field.name)
+        low.emit(struct_field.pres, "%s.%s" % (
+            low.spell.helper_value, struct_field.name), named=False)
     low.flush()
     node_ops = low.pop_body()
     low.push_body()
@@ -296,13 +301,21 @@ def _lower_iterative_list_marshal(low, list_shape):
 
 
 def _lower_iterative_list_unmarshal(low, list_shape):
+    """The decode twin: the first node into the helper's value, every
+    later one into the node the loop has just linked on."""
     struct_pres, tail_name, tail_pres = list_shape
     record = m.mangle(struct_pres.record_name)
+    spell = low.spell
+
+    def fields_into(node):
+        return [
+            low.emit(struct_field.pres, spell.dest_field(
+                spell.dest_deref(node), struct_field.name))
+            for struct_field in struct_pres.fields[:-1]
+        ]
+
     low.push_body()
-    head_exprs = [
-        low.emit(struct_field.pres)
-        for struct_field in struct_pres.fields[:-1]
-    ]
+    head_exprs = fields_into("v")
     low.flush()
     head_ops = low.pop_body()
     low.push_body()
@@ -311,10 +324,7 @@ def _lower_iterative_list_unmarshal(low, list_shape):
     flag_ops = low.pop_body()
     low.push_body()
     low.enter_unknown()
-    field_exprs = [
-        low.emit(struct_field.pres)
-        for struct_field in struct_pres.fields[:-1]
-    ]
+    field_exprs = fields_into("_node")
     low.flush()
     node_ops = low.pop_body()
     low.add(m.ListLoop(

@@ -18,8 +18,16 @@ by the pass configuration:
 * ``inline_marshal`` — aggregate code is expanded in place; only
   recursive types produce :class:`~repro.mir.ops.CallOutOfLine`.
 
-Value positions are Python expression strings; renderers either paste
-them (source renderer) or compile them once (closure renderer).
+Value positions are text in the target language, and the lowering never
+writes any: every spelling — how a parameter, a field, an element, a
+length or a decoded record reads — comes from the spelling table the
+program is built with (``self.spell``; the Python one lives beside
+:mod:`repro.mir.render_py`, the C one beside :mod:`repro.mir.render_c`).
+The decisions above depend only on the presentation and the layout, so
+both tables yield the same ops with the same offsets, formats and plans.
+On the decode side the C table also needs to know where a value goes:
+each ``emit`` takes the *dest* it is stored to (an lvalue; the Python
+table builds values instead and spells every dest as ``""``).
 """
 
 from __future__ import annotations
@@ -37,6 +45,11 @@ UNROLL_LIMIT = m.UNROLL_LIMIT
 
 #: No atom of any wire format aligns beyond this.
 MAX_ALIGNMENT = 8
+
+
+class _Var(str):
+    """A decoded value the lowering left in a variable (or stored in
+    place): :meth:`UnmarshalLower.emit_value` binds nothing for it."""
 
 
 class NamePool:
@@ -86,6 +99,10 @@ class OutOfLineSet:
 class _LowerBase:
     """State shared by the marshal and unmarshal lowerers."""
 
+    #: The target's spelling table (set by :func:`repro.mir.build.
+    #: build_program`).
+    spell = None
+
     def __init__(self, wire_format, flags, presc, out_of_line,
                  names=None):
         self.fmt = wire_format
@@ -106,6 +123,9 @@ class _LowerBase:
         self.atoms_emitted = 0
         # Structured bodies: ops append to the innermost open body.
         self._stack = [[]]
+        # Loops open around the op being lowered; a loop's index is
+        # named after its depth, the way the C printer names it.
+        self.depth = 0
 
     # -- op plumbing ----------------------------------------------------
 
@@ -127,6 +147,10 @@ class _LowerBase:
 
     def temp(self, prefix="_t"):
         return self.names.temp(prefix)
+
+    def index(self):
+        """The index of the loop lowered next (at ``depth + 1``)."""
+        return "_i%d" % (self.depth + 1)
 
     # -- layout state (identical to the former text emitters) -----------
 
@@ -238,27 +262,15 @@ class _LowerBase:
         return is_recursive(pres_ref.mint, self.mint_registry)
 
     def entry(self, codec, count=1, expr="", out_index=0, star=False):
-        return m.AtomEntry(
-            fmt=codec.format, size=codec.size, align=codec.alignment,
-            count=count, star=star, expr=expr, out_index=out_index,
-        )
+        # Positional: this runs once per atom of every lowered function.
+        return m.AtomEntry(codec.format, codec.size, codec.alignment,
+                           count, star, expr, out_index)
 
     # -- conversions ----------------------------------------------------
 
-    @staticmethod
-    def pack_expr(codec, expr):
-        """Wrap *expr* for packing (bool is an int subclass; only chars
-        need conversion)."""
-        if codec.conversion == "char":
-            return "ord(%s)" % expr
-        return expr
-
-    @staticmethod
-    def unpack_expr(codec, expr):
-        if codec.conversion == "char":
-            return "chr(%s)" % expr
-        if codec.conversion == "bool":
-            return "bool(%s)" % expr
+    def unpack_expr(self, codec, expr):
+        if codec.conversion in ("char", "bool"):
+            return str(self.spell.unpack(codec.conversion, expr))
         return expr
 
 
@@ -276,9 +288,9 @@ class MarshalLower(_LowerBase):
 
     def add_atom(self, codec, expr, count=1):
         self._admit_atom(codec)
-        self.chunk.append(
-            self.entry(codec, count, self.pack_expr(codec, expr))
-        )
+        if codec.conversion in ("char", "bool"):
+            expr = self.spell.pack(codec.conversion, expr)
+        self.chunk.append(self.entry(codec, count, expr))
         if not self.flags.chunk_atoms or not self.flags.batch_buffer_checks:
             self.flush()
 
@@ -362,37 +374,21 @@ class MarshalLower(_LowerBase):
     # PRES dispatch
     # ------------------------------------------------------------------
 
-    def emit(self, pres, expr):
+    def emit(self, pres, expr, named=True):
         """Lower marshal ops for *pres* reading the presented value from
-        the Python expression *expr*."""
-        if isinstance(pres, p.PresVoid):
-            return
-        if isinstance(pres, p.PresRef):
-            self._emit_ref(pres, expr)
-        elif isinstance(pres, (p.PresDirect, p.PresEnum)):
-            self.add_atom(self.fmt.atom_codec(pres.mint), expr)
-        elif isinstance(pres, p.PresString):
-            self._emit_string(pres, expr)
-        elif isinstance(pres, p.PresBytes):
-            self._emit_bytes(pres, expr)
-        elif isinstance(pres, p.PresFixedArray):
-            self._emit_fixed_array(pres, expr)
-        elif isinstance(pres, p.PresCountedArray):
-            self._emit_counted_array(pres, expr)
-        elif isinstance(pres, p.PresOptPtr):
-            self._emit_optional(pres, expr)
-        elif isinstance(pres, p.PresStruct):
-            self._emit_struct(pres, expr)
-        elif isinstance(pres, p.PresUnion):
-            self._emit_union(pres, expr)
-        elif isinstance(pres, p.PresException):
-            self._emit_exception(pres, expr)
-        else:
+        the expression *expr*; *named* is False when *expr* is a field
+        path rather than a parameter, temporary or element."""
+        handler = self._EMIT.get(type(pres))
+        if handler is None:
             raise BackEndError(
                 "cannot marshal PRES node %r" % type(pres).__name__
             )
+        handler(self, pres, expr, named)
 
-    def _emit_ref(self, pres, expr):
+    def _emit_atom(self, pres, expr, named=True):
+        self.add_atom(self.fmt.atom_codec(pres.mint), expr)
+
+    def _emit_ref(self, pres, expr, named):
         if self.should_outline(pres):
             function = self.out_of_line.request("m", pres.name)
             self.flush()
@@ -401,25 +397,19 @@ class MarshalLower(_LowerBase):
             ))
             self.enter_unknown()
         else:
-            self.emit(self.resolve(pres), expr)
+            self.emit(self.resolve(pres), expr, named)
 
-    def _emit_struct(self, pres, expr):
-        if len(pres.fields) > 1 and not expr.isidentifier():
-            # Hoist the base object: the Python analog of the paper's
-            # chunk pointer (one base, constant "offsets" = attributes).
+    def _emit_fields(self, pres, expr, named):
+        """A struct's or an exception's members, in order."""
+        if len(pres.fields) > 1 and not named:
+            # Hoist the base object: the analog of the paper's chunk
+            # pointer (one base, constant "offsets" = member names).
             base = self.temp("_s")
             self.add(m.Bind(base, expr))
             expr = base
         for struct_field in pres.fields:
-            self.emit(struct_field.pres, "%s.%s" % (expr, struct_field.name))
-
-    def _emit_exception(self, pres, expr):
-        if len(pres.fields) > 1 and not expr.isidentifier():
-            base = self.temp("_s")
-            self.add(m.Bind(base, expr))
-            expr = base
-        for struct_field in pres.fields:
-            self.emit(struct_field.pres, "%s.%s" % (expr, struct_field.name))
+            self.emit(struct_field.pres,
+                      "%s.%s" % (expr, struct_field.name), named=False)
 
     # -- arrays ---------------------------------------------------------
 
@@ -452,30 +442,31 @@ class MarshalLower(_LowerBase):
             if not self.flags.chunk_atoms or not self.flags.batch_buffer_checks:
                 self.flush()
 
-    def _emit_string(self, pres, expr):
+    def _emit_string(self, pres, expr, named=True):
         self.flush()
         data = self.temp("_s")
-        if pres.carries_length:
-            # The length-carrying presentation (paper section 2.2): the
-            # application hands over encoded bytes; no count, no encode.
-            self.add(m.Bind(data, expr))
-        else:
-            self.add(m.Bind(data, "%s.encode('latin-1')" % expr))
+        # The length-carrying presentation (paper section 2.2) hands
+        # over encoded bytes: no count, no encode.
+        self.add(m.Bind(data, self.spell.text_bytes(
+            expr, pres.carries_length)))
+        length = self.spell.length(data, "text")
         if pres.bound is not None:
             self.add(m.BoundsCheck(
-                "len(%s) > %d" % (data, pres.bound), "MarshalError",
+                "%s > %d" % (length, pres.bound), "MarshalError",
                 "string exceeds bound %d" % pres.bound,
             ))
         n = self.temp("_n")
         nul = 1 if self.fmt.string_nul_terminated else 0
-        self.add(m.Bind(n, "len(%s)%s" % (data, " + 1" if nul else "")))
+        self.add(m.Bind(n, length + (" + 1" if nul else "")))
         self._emit_byte_run(pres.mint, data, n, nul=nul)
 
-    def _emit_bytes(self, pres, expr):
+    def _emit_bytes(self, pres, expr, named=True):
         self.flush()
         if pres.fixed_length is not None:
             self.add(m.BoundsCheck(
-                "len(%s) != %d" % (expr, pres.fixed_length), "MarshalError",
+                "%s != %d" % (self.spell.length(
+                    expr, "array", pres.fixed_length), pres.fixed_length),
+                "MarshalError",
                 "opaque must be exactly %d bytes" % pres.fixed_length,
             ))
             self._emit_byte_run(
@@ -483,14 +474,15 @@ class MarshalLower(_LowerBase):
                 static_count=pres.fixed_length,
             )
             return
+        length = self.spell.length(expr, "seq")
         if pres.bound is not None:
             self.add(m.BoundsCheck(
-                "len(%s) > %d" % (expr, pres.bound), "MarshalError",
+                "%s > %d" % (length, pres.bound), "MarshalError",
                 "opaque exceeds bound %d" % pres.bound,
             ))
         n = self.temp("_n")
-        self.add(m.Bind(n, "len(%s)" % expr))
-        self._emit_byte_run(pres.mint, expr, n)
+        self.add(m.Bind(n, length))
+        self._emit_byte_run(pres.mint, self.spell.elements(expr, True), n)
 
     def _emit_byte_run(self, mint_array, data_expr, n_expr, nul=0,
                        static_count=None):
@@ -502,7 +494,7 @@ class MarshalLower(_LowerBase):
         if self.staged_copies:
             # MIG typed-message staging: byte data passes through a copy.
             stage = self.temp("_stage")
-            self.add(m.Bind(stage, "bytes(%s)" % data_expr))
+            self.add(m.Bind(stage, self.spell.stage(data_expr)))
             data_expr = stage
         header = self.fmt.array_header_size(mint_array)
         pad_to4 = self.fmt.pads_byte_runs(mint_array)
@@ -560,10 +552,13 @@ class MarshalLower(_LowerBase):
         self.push_body()
         offset = self.temp("_o")
         self.add(m.ReserveOne(offset))
-        self.add(m.StoreByte(offset, element))
+        self.add(m.StoreByte(offset, self.spell.element(
+            data_expr, self.index(), element)))
         body = self.pop_body()
-        self.add(m.Loop(kind="bytes", body=body, var=element,
-                        iterable=data_expr))
+        self.add(m.Loop(
+            kind="bytes", body=body, var=element, iterable=data_expr,
+            count_expr="%s - %d" % (n_expr, nul) if nul else n_expr,
+        ))
         if nul:
             offset = self.temp("_o")
             self.add(m.ReserveOne(offset))
@@ -579,9 +574,10 @@ class MarshalLower(_LowerBase):
             return self.fmt.atom_codec(element.mint)
         return None
 
-    def _emit_fixed_array(self, pres, expr):
+    def _emit_fixed_array(self, pres, expr, named=True):
         self.add(m.BoundsCheck(
-            "len(%s) != %d" % (expr, pres.length), "MarshalError",
+            "%s != %d" % (self.spell.length(expr, "array", pres.length),
+                          pres.length), "MarshalError",
             "fixed array needs %d elements" % pres.length,
         ))
         codec = self._atom_element_codec(pres.element)
@@ -590,12 +586,12 @@ class MarshalLower(_LowerBase):
             # Statically-sized atomic array: join the current chunk as one
             # star entry (a single batched pack).
             self._emit_array_header(pres.mint, str(pres.length))
-            if codec.conversion == "char":
-                expr = "map(ord, %s)" % expr
             self._admit_atom(codec)
-            self.chunk.append(
-                self.entry(codec, pres.length, expr, star=True)
-            )
+            self.chunk.append(self.entry(
+                codec, pres.length,
+                self.spell.atoms(expr, codec.conversion, counted=False),
+                star=True,
+            ))
             if not self.flags.chunk_atoms or not self.flags.batch_buffer_checks:
                 self.flush()
             return
@@ -604,12 +600,13 @@ class MarshalLower(_LowerBase):
                 self.add_atom(codec, "%s[%d]" % (expr, index))
             return
         self._emit_array_header(pres.mint, str(pres.length))
-        self._emit_elements(pres.element, expr, str(pres.length))
+        self._emit_elements(pres.element, self.spell.elements(expr, False),
+                            str(pres.length), fixed=True)
 
-    def _emit_counted_array(self, pres, expr):
+    def _emit_counted_array(self, pres, expr, named=True):
         self.flush()
         n = self.temp("_n")
-        self.add(m.Bind(n, "len(%s)" % expr))
+        self.add(m.Bind(n, self.spell.length(expr, "seq")))
         if pres.bound is not None:
             self.add(m.BoundsCheck(
                 "%s > %d" % (n, pres.bound), "MarshalError",
@@ -620,14 +617,14 @@ class MarshalLower(_LowerBase):
             self._emit_batched_array(pres.mint, codec, expr, n)
             return
         self._emit_array_header(pres.mint, n)
-        self._emit_elements(pres.element, expr, n)
+        self._emit_elements(pres.element, self.spell.elements(expr, True),
+                            n, fixed=False)
 
     def _emit_batched_array(self, mint_array, codec, expr, n_expr):
         """Variable atomic array as one header + one array-wide pack."""
         header = self.fmt.array_header_size(mint_array)
         header_align = self.fmt.array_header_alignment(mint_array)
-        if codec.conversion == "char":
-            expr = "map(ord, %s)" % expr
+        expr = self.spell.atoms(expr, codec.conversion, counted=True)
         header_pack = self._header_pack(mint_array, n_expr)
         if self.staged_copies:
             # MIG typed-message staging: pack into a staging buffer, then
@@ -676,38 +673,47 @@ class MarshalLower(_LowerBase):
             self.fmt.universal_alignment,
         )
 
-    def _emit_elements(self, element_pres, expr, n_expr):
+    def _emit_elements(self, element_pres, iterable, n_expr, fixed):
         """The elements of an array whose header is already queued: one
-        region when the analysis allows it, else a loop."""
-        fixed = (self.element_storage(element_pres).storage_class
-                 is StorageClass.FIXED)
-        if not (fixed and self.region_enabled()
-                and self._emit_element_region(element_pres, expr, n_expr)):
-            self._emit_element_loop(element_pres, expr)
+        region when the analysis allows it, else a loop.  *fixed*: the
+        array's length is the constant *n_expr*."""
+        fixed_size = (self.element_storage(element_pres).storage_class
+                      is StorageClass.FIXED)
+        if not (fixed_size and self.region_enabled()
+                and self._emit_element_region(element_pres, iterable,
+                                              n_expr, fixed)):
+            self._emit_element_loop(element_pres, iterable, n_expr)
 
-    def _emit_element_region(self, element_pres, expr, n_expr):
+    def _emit_element(self, element_pres, iterable):
+        """One element of *iterable*, inside the loop at ``depth + 1``."""
+        element = self.temp("_e")
+        value = self.spell.element(iterable, self.index(), element)
+        self.depth += 1
+        self.emit(element_pres, value)
+        self.depth -= 1
+        return element
+
+    def _emit_element_region(self, element_pres, iterable, n_expr, fixed):
         """Lower FIXED elements as one :class:`~repro.mir.ops.
         PutArrayRegion`; False (nothing emitted) when an element is not
         a single chunk or its stride carries padding."""
-        def emit_element():
-            element = self.temp("_e")
-            self.emit(element_pres, element)
-            return element
-
-        trial = self.region_element(emit_element, m.PutAtoms, m.Bind)
+        trial = self.region_element(
+            lambda: self._emit_element(element_pres, iterable),
+            m.PutAtoms, m.Bind)
         if trial is None:
             return False
         element, body, align = trial
         chunk = body[-1]
         region = m.PutArrayRegion(
             endian=self.fmt.endian, fmt=chunk.fmt, stride=chunk.total,
-            n_expr=n_expr, var=element, iterable=expr, binds=tuple(body[:-1]),
+            n_expr=n_expr, var=element, iterable=iterable,
+            binds=tuple(body[:-1]),
             entries=chunk.entries, offsets=chunk.offsets,
             reserve=self.reserve_dynamic(
                 "%s * %d" % (n_expr, chunk.total), align, chunk.reserve.var
             ),
         )
-        if region.reserve.kind == "plain" or n_expr.isdigit():
+        if region.reserve.kind == "plain" or fixed:
             self.add(region)
         else:
             # An empty array writes no alignment padding (its loop form
@@ -716,23 +722,22 @@ class MarshalLower(_LowerBase):
         self.enter_unknown()
         return True
 
-    def _emit_element_loop(self, element_pres, expr):
+    def _emit_element_loop(self, element_pres, iterable, n_expr):
         self.flush()
-        element = self.temp("_e")
         self.push_body()
         self.enter_unknown()
-        self.emit(element_pres, element)
+        element = self._emit_element(element_pres, iterable)
         self.flush()
         body = self.pop_body()
         self.add(m.Loop(kind="elements", body=body, var=element,
-                        iterable=expr))
+                        iterable=iterable, count_expr=n_expr))
         self.enter_unknown()
 
     # -- optional / union ------------------------------------------------
 
-    def _emit_optional(self, pres, expr):
+    def _emit_optional(self, pres, expr, named):
         self.flush()
-        if not expr.isidentifier():
+        if not named:
             temp = self.temp("_v")
             self.add(m.Bind(temp, expr))
             expr = temp
@@ -744,20 +749,20 @@ class MarshalLower(_LowerBase):
         self.push_body()
         self.enter_unknown()
         self._emit_array_header(pres.mint, "1")
-        self.emit(pres.element, expr)
+        self.emit(pres.element, self.spell.deref(expr))
         self.flush()
         present = self.pop_body()
         self.add(m.Branch(arms=[
-            m.BranchArm("%s is None" % expr, absent),
+            m.BranchArm(self.spell.is_null(expr), absent),
             m.BranchArm(None, present),
         ]))
         self.enter_unknown()
 
-    def _emit_union(self, pres, expr):
+    def _emit_union(self, pres, expr, named=True):
         self.flush()
         disc = self.temp("_d")
         payload = self.temp("_u")
-        self.add(m.Bind("%s, %s" % (disc, payload), expr))
+        self.add(m.Bind(*self.spell.union_split(disc, payload, expr)))
         codec = self.fmt.atom_codec(pres.mint.discriminator)
         arms = []
         default_arm = None
@@ -768,40 +773,44 @@ class MarshalLower(_LowerBase):
             self.push_body()
             self.enter_unknown()
             self.add_atom(codec, disc)
-            self.emit(arm.pres, payload)
+            self.emit(arm.pres, self.spell.union_arm(payload, expr, arm.name))
             self.flush()
             arms.append(m.BranchArm(
-                _labels_condition(disc, arm.labels), self.pop_body()
+                self.spell.labels(disc, arm.labels), self.pop_body()
             ))
         self.push_body()
         self.enter_unknown()
         if default_arm is not None:
             self.add_atom(codec, disc)
-            self.emit(default_arm.pres, payload)
+            self.emit(default_arm.pres,
+                      self.spell.union_arm(payload, expr, default_arm.name))
             self.flush()
         else:
-            self.add(m.Raise(
-                error="MarshalError",
-                message_expr="'no union arm for discriminator '"
-                             " + repr(%s)" % disc,
-                literal=False,
-            ))
-        tail = self.pop_body()
-        if arms:
-            arms.append(m.BranchArm(None, tail))
-        else:
-            arms.append(m.BranchArm("True", tail))
-        self.add(m.Branch(arms=arms))
+            self.add(_no_arm(self.spell, "MarshalError", disc))
+        self.add(m.Branch(arms=_close_arms(self.spell, arms,
+                                           self.pop_body())))
         self.enter_unknown()
+
+    #: PRES node type -> the method lowering it.
+    _EMIT = {
+        p.PresVoid: lambda self, pres, expr, named: None,
+        p.PresRef: _emit_ref, p.PresDirect: _emit_atom,
+        p.PresEnum: _emit_atom, p.PresString: _emit_string,
+        p.PresBytes: _emit_bytes, p.PresFixedArray: _emit_fixed_array,
+        p.PresCountedArray: _emit_counted_array,
+        p.PresOptPtr: _emit_optional, p.PresStruct: _emit_fields,
+        p.PresException: _emit_fields, p.PresUnion: _emit_union,
+    }
 
 
 class UnmarshalLower(_LowerBase):
     """Lowers unmarshal code: ops reading ``d`` at offset ``o``.
 
-    :meth:`emit` returns a Python *expression* for the decoded value; the
-    expression is valid once :meth:`flush` has been called.  Aggregates
-    compose their field expressions inline, so one chunk decodes a whole
-    fixed-layout region with a single ``unpack_from``.
+    :meth:`emit` returns an *expression* for the decoded value (in C: one
+    that stores it to the dest); the expression is valid once
+    :meth:`flush` has been called.  Aggregates compose their field
+    expressions inline, so one chunk decodes a whole fixed-layout region
+    with a single ``unpack_from``.
     """
 
     def __init__(self, wire_format, flags, presc, out_of_line,
@@ -815,12 +824,12 @@ class UnmarshalLower(_LowerBase):
     # Chunk machinery
     # ------------------------------------------------------------------
 
-    def read_atom(self, codec, count=1, star=False):
-        """Queue an atom read; returns the (post-flush) element expression
-        (or tuple-slice expression for starred entries)."""
+    def read_atom(self, codec, count=1, star=False, dest=""):
+        """Queue an atom read into *dest*; returns the (post-flush)
+        element expression (a tuple slice for starred entries)."""
         starred = star or count > 1
         if not self.flags.chunk_atoms:
-            return self._read_atom_now(codec, count, starred)
+            return self._read_atom_now(codec, count, starred, dest)
         self._admit_atom(codec)
         if self._tuple_var is None or not self.chunk:
             self._tuple_var = self.temp("_t")
@@ -829,15 +838,11 @@ class UnmarshalLower(_LowerBase):
                            star=starred)
         self.chunk.append(entry)
         self._out_count += count
-        if starred:
-            return "%s[%d:%d]" % (
-                self._tuple_var, entry.out_index, entry.out_index + count
-            )
-        return "%s[%d]" % (self._tuple_var, entry.out_index)
+        return self.spell.item(self._tuple_var, entry.out_index,
+                               count if starred else None, dest)
 
-    def _read_atom_now(self, codec, count, starred=False):
+    def _read_atom_now(self, codec, count, starred, dest):
         """Unchunked per-atom read (baseline-shaped code)."""
-        starred = starred or count > 1
         self._align_for(codec.alignment)
         var = self.temp("_v")
         fmt = (
@@ -851,7 +856,8 @@ class UnmarshalLower(_LowerBase):
             single=True, subscript=None if starred else 0,
         ))
         self._advance(codec.size * count)
-        return var
+        return _Var(self.spell.item(var, 0, count if starred else None,
+                                    dest, whole=True))
 
     def _align_for(self, align):
         if self.static_offset is not None:
@@ -892,71 +898,59 @@ class UnmarshalLower(_LowerBase):
     # PRES dispatch — returns value expressions
     # ------------------------------------------------------------------
 
-    def emit(self, pres):
-        if isinstance(pres, p.PresVoid):
-            return "None"
-        if isinstance(pres, p.PresRef):
-            return self._emit_ref(pres)
-        if isinstance(pres, (p.PresDirect, p.PresEnum)):
-            codec = self.fmt.atom_codec(pres.mint)
-            return self.unpack_expr(codec, self.read_atom(codec))
-        if isinstance(pres, p.PresString):
-            return self._emit_string(pres)
-        if isinstance(pres, p.PresBytes):
-            return self._emit_bytes(pres)
-        if isinstance(pres, p.PresFixedArray):
-            return self._emit_fixed_array(pres)
-        if isinstance(pres, p.PresCountedArray):
-            return self._emit_counted_array(pres)
-        if isinstance(pres, p.PresOptPtr):
-            return self._emit_optional(pres)
-        if isinstance(pres, p.PresStruct):
-            return self._emit_struct(pres)
-        if isinstance(pres, p.PresUnion):
-            return self._emit_union(pres)
-        if isinstance(pres, p.PresException):
-            return self._emit_exception(pres)
-        raise BackEndError(
-            "cannot unmarshal PRES node %r" % type(pres).__name__
-        )
+    def emit(self, pres, dest=""):
+        """The decoded value of *pres*, stored to *dest* in C."""
+        handler = self._EMIT.get(type(pres))
+        if handler is None:
+            raise BackEndError(
+                "cannot unmarshal PRES node %r" % type(pres).__name__
+            )
+        return handler(self, pres, dest)
 
-    def emit_value(self, pres):
+    def _emit_void(self, pres, dest):
+        return _Var(self.spell.none)
+
+    def _emit_atom(self, pres, dest):
+        codec = self.fmt.atom_codec(pres.mint)
+        return self.unpack_expr(codec, self.read_atom(codec, dest=dest))
+
+    def _emit_record(self, pres, dest):
+        name = (pres.record_name if isinstance(pres, p.PresStruct)
+                else pres.class_name)
+        return self.spell.record(m.mangle(name), [
+            self.emit(struct_field.pres,
+                      self.spell.dest_field(dest, struct_field.name))
+            for struct_field in pres.fields])
+
+    def emit_value(self, pres, dest=""):
         """Like :meth:`emit` but flushed and materialized in a variable."""
-        expr = self.emit(pres)
+        expr = self.emit(pres, dest)
         self.flush()
-        if expr.isidentifier() or expr == "None":
+        if isinstance(expr, _Var):
             return expr
-        var = self.temp("_v")
-        self.add(m.Bind(var, expr))
-        return var
+        return self._hold(self.temp("_v"), expr)
 
-    def _emit_ref(self, pres):
+    def _hold(self, var, expr):
+        """Bind *expr* to *var* (in C: evaluate it, storing the value);
+        returns the variable as the table spells it."""
+        self.add(m.Bind(*self.spell.hold(var, expr)))
+        return self._produced(var)
+
+    def _produced(self, var):
+        return _Var(self.spell.produced(var))
+
+    def _emit_ref(self, pres, dest):
         if self.should_outline(pres):
             function = self.out_of_line.request("u", pres.name)
             self.flush()
             var = self.temp("_v")
             self.add(m.CallOutOfLine(
-                kind="u", name=pres.name, function=function, var=var,
+                kind="u", name=pres.name, function=function,
+                var=self.spell.target(var, dest),
             ))
             self.enter_unknown()
-            return var
-        return self.emit(self.resolve(pres))
-
-    def _emit_struct(self, pres):
-        field_exprs = [
-            self.emit(struct_field.pres) for struct_field in pres.fields
-        ]
-        return "%s(%s)" % (
-            m.mangle(pres.record_name), ", ".join(field_exprs)
-        )
-
-    def _emit_exception(self, pres):
-        field_exprs = [
-            self.emit(struct_field.pres) for struct_field in pres.fields
-        ]
-        return "%s(%s)" % (
-            m.mangle(pres.class_name), ", ".join(field_exprs)
-        )
+            return self._produced(var)
+        return self.emit(self.resolve(pres), dest)
 
     # -- arrays ----------------------------------------------------------
 
@@ -990,7 +984,7 @@ class UnmarshalLower(_LowerBase):
     def _check_remaining(self, size_expr):
         self.add(m.CheckRemaining(str(size_expr)))
 
-    def _emit_string(self, pres):
+    def _emit_string(self, pres, dest):
         self.flush()
         count = self._read_array_header(pres.mint)
         if count is None:
@@ -1011,14 +1005,15 @@ class UnmarshalLower(_LowerBase):
         else:
             mode = "decode"
         self.add(m.GetRun(
-            var=var, kind="string", count_expr=count, nul=nul, mode=mode,
+            var=self.spell.target(var, dest), kind="string",
+            count_expr=count, nul=nul, mode=mode,
             pad_to4=self.fmt.pads_byte_runs(pres.mint),
         ))
         self.static_offset = None
         self.align_guarantee = self.fmt.universal_alignment
-        return var
+        return self._produced(var)
 
-    def _emit_bytes(self, pres):
+    def _emit_bytes(self, pres, dest):
         self.flush()
         count = self._read_array_header(pres.mint)
         if pres.fixed_length is not None:
@@ -1038,13 +1033,13 @@ class UnmarshalLower(_LowerBase):
         self._check_remaining(count)
         var = self.temp("_v")
         self.add(m.GetRun(
-            var=var, kind="bytes", count_expr=count,
-            mode="view" if self.zero_copy else "copy",
+            var=self.spell.target(var, dest), kind="bytes",
+            count_expr=count, mode="view" if self.zero_copy else "copy",
             pad_to4=self.fmt.pads_byte_runs(pres.mint),
         ))
         self.static_offset = None
         self.align_guarantee = self.fmt.universal_alignment
-        return var
+        return self._produced(var)
 
     def _atom_element_codec(self, element_pres):
         element = self.resolve(element_pres)
@@ -1052,7 +1047,7 @@ class UnmarshalLower(_LowerBase):
             return self.fmt.atom_codec(element.mint), element
         return None, element
 
-    def _emit_fixed_array(self, pres):
+    def _emit_fixed_array(self, pres, dest):
         codec, _element = self._atom_element_codec(pres.element)
         count = self._read_array_header(pres.mint)
         if count is not None:
@@ -1061,24 +1056,19 @@ class UnmarshalLower(_LowerBase):
                 "fixed array length mismatch",
             ))
         if codec is not None and self.flags.memcpy_arrays:
-            slice_expr = self.read_atom(codec, count=pres.length, star=True)
-            return self._convert_atom_slice(codec, slice_expr)
+            slice_expr = self.read_atom(codec, count=pres.length, star=True,
+                                        dest=dest)
+            return self.spell.atom_list(codec.conversion, slice_expr)
         if codec is not None and pres.length <= UNROLL_LIMIT and count is None:
-            elements = [
-                self.unpack_expr(codec, self.read_atom(codec))
-                for _ in range(pres.length)
-            ]
-            return "[%s]" % ", ".join(elements)
-        return self._emit_elements(pres.element, str(pres.length))
+            return self.spell.list_of([
+                self.unpack_expr(codec, self.read_atom(
+                    codec, dest=self.spell.dest_index(dest, index)))
+                for index in range(pres.length)
+            ])
+        return self._emit_elements(pres.element, str(pres.length), dest,
+                                   counted=False)
 
-    def _convert_atom_slice(self, codec, slice_expr):
-        if codec.conversion == "char":
-            return "[chr(_c) for _c in %s]" % slice_expr
-        if codec.conversion == "bool":
-            return "[bool(_c) for _c in %s]" % slice_expr
-        return "list(%s)" % slice_expr
-
-    def _emit_counted_array(self, pres):
+    def _emit_counted_array(self, pres, dest):
         count = self._read_array_header(pres.mint)
         if count is None:
             raise BackEndError("counted array without a length header")
@@ -1093,8 +1083,8 @@ class UnmarshalLower(_LowerBase):
             self._check_remaining("%s * %d" % (count, codec.size))
             var = self.temp("_v")
             self.add(m.GetAtomArray(
-                var=var, endian=self.fmt.endian, fmt=codec.format,
-                size=codec.size, count_expr=count,
+                var=self.spell.target(var, dest), endian=self.fmt.endian,
+                fmt=codec.format, size=codec.size, count_expr=count,
                 conversion=codec.conversion or "int",
             ))
             self.static_offset = None
@@ -1102,21 +1092,22 @@ class UnmarshalLower(_LowerBase):
                 m.largest_pow2_divisor(codec.size, 8),
                 self.fmt.universal_alignment,
             )
-            return var
-        return self._emit_elements(pres.element, count, forgeable=True)
+            return self._produced(var)
+        return self._emit_elements(pres.element, count, dest, counted=True)
 
-    def _emit_elements(self, element_pres, count_expr, forgeable=False):
+    def _emit_elements(self, element_pres, count_expr, dest, counted):
         """Decode the elements of an array whose header has been read:
         one region when the analysis allows it, else a loop.  A count
-        that came off the wire (*forgeable*) is checked before looping.
+        that came off the wire (*counted*) is checked before looping.
         """
         storage = self.element_storage(element_pres)
         if (storage.storage_class is StorageClass.FIXED
                 and self.region_enabled()):
-            var = self._emit_element_region(element_pres, count_expr)
+            var = self._emit_element_region(element_pres, count_expr, dest,
+                                            counted)
             if var is not None:
                 return var
-        if forgeable:
+        if counted:
             # Every element consumes at least its minimum wire size, so
             # a declared count the remaining bytes cannot hold can never
             # decode: reject it before building a single element (a
@@ -1124,14 +1115,24 @@ class UnmarshalLower(_LowerBase):
             self._check_remaining(
                 "%s * %d" % (count_expr, max(storage.min_size, 1))
             )
-        return self._emit_element_loop(element_pres, count_expr)
+        return self._emit_element_loop(element_pres, count_expr, dest,
+                                       counted)
 
-    def _emit_element_region(self, element_pres, count_expr):
+    def _emit_element(self, element_pres, dest, counted):
+        """One element of *dest*, inside the loop at ``depth + 1``."""
+        element = self.spell.dest_element(dest, self.index(), counted)
+        self.depth += 1
+        expr = self.emit(element_pres, element)
+        self.depth -= 1
+        return expr
+
+    def _emit_element_region(self, element_pres, count_expr, dest, counted):
         """Lower FIXED elements as one :class:`~repro.mir.ops.
         GetArrayRegion`; None (nothing emitted) when an element is not
         a single chunk or its stride carries padding."""
         trial = self.region_element(
-            lambda: self.emit(element_pres), m.GetAtoms
+            lambda: self._emit_element(element_pres, dest, counted),
+            m.GetAtoms,
         )
         if trial is None:
             return None
@@ -1142,54 +1143,55 @@ class UnmarshalLower(_LowerBase):
         padded = bool(region)
         self._check_remaining("%s * %d" % (count_expr, chunk.total))
         self.add(m.GetArrayRegion(
-            var=var, endian=self.fmt.endian, fmt=chunk.fmt,
-            stride=chunk.total, count_expr=count_expr, tuple_var=chunk.var,
-            element_expr=element_expr,
+            var=self.spell.target(var, dest), endian=self.fmt.endian,
+            fmt=chunk.fmt, stride=chunk.total, count_expr=count_expr,
+            tuple_var=chunk.var, element_expr=element_expr,
         ))
         self.pop_body()
-        if padded and not count_expr.isdigit():
+        if padded and counted:
             # An empty array carries no alignment padding.
             self.add(m.Branch(arms=[
                 m.BranchArm(count_expr, region),
-                m.BranchArm(None, [m.Bind(var, "[]")]),
+                m.BranchArm(None, [m.Bind(*self.spell.empty(var, dest))]),
             ]))
         else:
             for op in region:
                 self.add(op)
         self.enter_unknown()
-        return var
+        return self._produced(var)
 
-    def _emit_element_loop(self, element_pres, count_expr):
+    def _emit_element_loop(self, element_pres, count_expr, dest, counted):
         self.flush()
         var = self.temp("_v")
-        self.add(m.Bind(var, "[]"))
         append = self.temp("_a")
-        self.add(m.Bind(append, "%s.append" % var))
+        for bind in self.spell.list_init(var, append, dest, count_expr,
+                                         counted):
+            self.add(m.Bind(*bind))
         self.push_body()
         self.enter_unknown()
-        element_expr = self.emit(element_pres)
+        element_expr = self._emit_element(element_pres, dest, counted)
         self.flush()
-        self.add(m.ExprStmt("%s(%s)" % (append, element_expr)))
+        self.add(m.ExprStmt(self.spell.append(append, element_expr)))
         body = self.pop_body()
         self.add(m.Loop(kind="range", body=body, count_expr=count_expr))
         self.enter_unknown()
-        return var
+        return self._produced(var)
 
     # -- optional / union -------------------------------------------------
 
-    def _emit_optional(self, pres):
+    def _emit_optional(self, pres, dest):
         count = self._read_array_header(pres.mint)
         if count is None:
             raise BackEndError("optional data without a header")
         var = self.temp("_v")
         self.push_body()
-        self.add(m.Bind(var, "None"))
+        self.add(m.Bind(*self.spell.absent(var, dest)))
         absent = self.pop_body()
         self.push_body()
         self.enter_unknown()
-        element_expr = self.emit(pres.element)
+        element_expr = self.emit(pres.element, self.spell.dest_deref(dest))
         self.flush()
-        self.add(m.Bind(var, element_expr))
+        self._hold(var, element_expr)
         present = self.pop_body()
         self.push_body()
         self.add(m.Raise(error="UnmarshalError",
@@ -1197,16 +1199,17 @@ class UnmarshalLower(_LowerBase):
         bad = self.pop_body()
         self.add(m.Branch(arms=[
             m.BranchArm("%s == 0" % count, absent),
-            m.BranchArm("%s == 1" % count, present),
+            m.BranchArm(self.spell.present(count, dest), present),
             m.BranchArm(None, bad),
         ]))
         self.enter_unknown()
-        return var
+        return self._produced(var)
 
-    def _emit_union(self, pres):
+    def _emit_union(self, pres, dest):
         self.flush()
         codec = self.fmt.atom_codec(pres.mint.discriminator)
-        disc = self.unpack_expr(codec, self.read_atom(codec))
+        disc = self.unpack_expr(codec, self.read_atom(
+            codec, dest=self.spell.dest_field(dest, "_d")))
         self.flush()
         disc_var = self.temp("_d")
         self.add(m.Bind(disc_var, disc))
@@ -1219,33 +1222,36 @@ class UnmarshalLower(_LowerBase):
                 continue
             self.push_body()
             self.enter_unknown()
-            payload = self.emit(arm.pres)
-            self.flush()
-            self.add(m.Bind(var, "(%s, %s)" % (disc_var, payload)))
+            self._emit_union_arm(arm, var, disc_var, dest)
             arms.append(m.BranchArm(
-                _labels_condition(disc_var, arm.labels), self.pop_body()
+                self.spell.labels(disc_var, arm.labels), self.pop_body()
             ))
         self.push_body()
         self.enter_unknown()
         if default_arm is not None:
-            payload = self.emit(default_arm.pres)
-            self.flush()
-            self.add(m.Bind(var, "(%s, %s)" % (disc_var, payload)))
+            self._emit_union_arm(default_arm, var, disc_var, dest)
         else:
-            self.add(m.Raise(
-                error="UnmarshalError",
-                message_expr="'no union arm for discriminator '"
-                             " + repr(%s)" % disc_var,
-                literal=False,
-            ))
-        tail = self.pop_body()
-        if arms:
-            arms.append(m.BranchArm(None, tail))
-        else:
-            arms.append(m.BranchArm("True", tail))
-        self.add(m.Branch(arms=arms))
+            self.add(_no_arm(self.spell, "UnmarshalError", disc_var))
+        self.add(m.Branch(arms=_close_arms(self.spell, arms,
+                                           self.pop_body())))
         self.enter_unknown()
-        return var
+        return self._produced(var)
+
+    def _emit_union_arm(self, arm, var, disc_var, dest):
+        payload = self.emit(arm.pres, self.spell.dest_arm(dest, arm.name))
+        self.flush()
+        self.add(m.Bind(*self.spell.union_value(var, disc_var, payload)))
+
+    #: PRES node type -> the method lowering it.
+    _EMIT = {
+        p.PresVoid: _emit_void, p.PresRef: _emit_ref,
+        p.PresDirect: _emit_atom, p.PresEnum: _emit_atom,
+        p.PresString: _emit_string, p.PresBytes: _emit_bytes,
+        p.PresFixedArray: _emit_fixed_array,
+        p.PresCountedArray: _emit_counted_array,
+        p.PresOptPtr: _emit_optional, p.PresStruct: _emit_record,
+        p.PresException: _emit_record, p.PresUnion: _emit_union,
+    }
 
 
 def layout_entries(entries, start):
@@ -1272,10 +1278,15 @@ def layout_entries(entries, start):
     return "".join(parts), offset - start, offsets
 
 
-def _labels_condition(disc, labels):
-    if len(labels) == 1:
-        return "%s == %r" % (disc, labels[0])
-    return "%s in %r" % (disc, tuple(labels))
+def _no_arm(spell, error, disc):
+    """The raise of a discriminator no arm of the union takes."""
+    message, literal = spell.no_arm(disc)
+    return m.Raise(error=error, message_expr=message, literal=literal)
+
+
+def _close_arms(spell, arms, tail):
+    """*arms* of a union switch and the *tail* every other value takes."""
+    return arms + [m.BranchArm(None if arms else spell.true, tail)]
 
 
 def _entry_codec(entry):

@@ -12,10 +12,12 @@ A stub's marshal/unmarshal behaviour is described twice:
   the Python-source renderer, the closure renderer, and the C renderer
   consume without re-running any optimization logic.
 
-Value positions in lowered ops are Python expression strings whose free
-names are the function's parameters plus variables bound by earlier ops
-(the renderer contract, INTERNALS section 10).  The closure renderer
-compiles these expressions once per op; the source renderer pastes them.
+Value positions in lowered ops are expression strings in the target
+language, spelled by the table the program was lowered with (Python:
+:data:`repro.mir.render_py.SPELLING`; C:
+:data:`repro.mir.render_c.SPELLING`).  Their free names are the
+function's parameters plus variables bound by earlier ops (the renderer
+contract, INTERNALS section 10); the renderers paste them.
 """
 
 from __future__ import annotations
@@ -372,30 +374,6 @@ class PutArrayRegion(Op):
     entries: Tuple[AtomEntry, ...]
     offsets: Tuple[int, ...]      # of the entries within one element
     reserve: ReservePlan
-
-    def leaves_expr(self):
-        """One expression yielding every element's leaves in wire order
-        (both renderers evaluate this same text)."""
-        clauses = ["for %s in %s" % (self.var, self.iterable)]
-        clauses.extend(
-            "for %s in (%s,)" % (bind.var, bind.expr) for bind in self.binds
-        )
-        leaves = ", ".join(
-            ("*" if entry.star or entry.count > 1 else "") + entry.expr
-            for entry in self.entries
-        )
-        return "[_f %s for _f in (%s,)]" % (" ".join(clauses), leaves)
-
-    def format_expr(self):
-        """The expression for the array-wide struct format: a counted
-        format when every leaf shares one format character (its compile
-        cost does not grow with n), else the element format repeated."""
-        if len({entry.fmt for entry in self.entries}) == 1:
-            leaves = sum(entry.count for entry in self.entries)
-            return "'%s%%d%s' %% (%s * %d)" % (
-                self.endian, self.entries[0].fmt, self.n_expr, leaves
-            )
-        return "'%s' + '%s' * %s" % (self.endian, self.fmt, self.n_expr)
 
 
 @dataclass

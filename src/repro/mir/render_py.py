@@ -3,15 +3,152 @@
 This renderer is a *thin* consumer: every optimization decision (chunk
 formats, constant offsets, reserve plans, loop shapes) was made during
 lowering and the pass pipeline; here each op maps to a fixed line
-pattern.  Value positions are pasted verbatim — they are already valid
-Python expressions over the function's parameters and earlier-bound
-variables (the renderer contract, INTERNALS section 10).
+pattern.  Value positions are pasted verbatim — the lowering spelled
+them with :data:`SPELLING`, so they are valid Python expressions over
+the function's parameters and earlier-bound variables (the renderer
+contract, INTERNALS section 10).
 """
 
 from __future__ import annotations
 
 from repro.errors import BackEndError
 from repro.mir import ops as m
+
+
+def _nowhere(*_args):
+    return ""
+
+
+class PySpelling:
+    """How a value reads in the Python presentation: the spelling table
+    :func:`repro.mir.build.build_program` lowers with by default, and the
+    contract every table meets (:class:`repro.mir.render_c.CSpelling` is
+    the other one).
+
+    Marshal side, each method returns the text that reads a presented
+    value: a parameter (``_a0``), an element, a length (``len(x)``), a
+    null test, the halves of a union.  Decode side, ``emit`` is handed a
+    *dest* (the ``dest_*`` methods) and returns the text that yields the
+    value: Python builds it as an expression (``item`` gives ``_t3[0]``,
+    ``record`` gives ``Rect(Coord(..), ..)``) bound where the lowering
+    says, so every dest is ``""``.  A method returning a pair gives the
+    ``(var, expr)`` of a :class:`~repro.mir.ops.Bind`.
+    """
+
+    # -- marshal: reading the presented value --------------------------
+    helper_value = "v"
+    true = "True"
+
+    def arg(self, index, name, direction, style, length):
+        return "_a%d" % index
+
+    def reply_value(self, name, style):
+        return "_r_%s" % name.lstrip("_")
+
+    def exception_value(self, class_name):
+        return "_exc"
+
+    def text_bytes(self, expr, carries_length):
+        return expr if carries_length else "%s.encode('latin-1')" % expr
+
+    def length(self, expr, kind, fixed=None):
+        return "len(%s)" % expr
+
+    def stage(self, expr):
+        return "bytes(%s)" % expr
+
+    def pack(self, conversion, expr):
+        return "ord(%s)" % expr if conversion == "char" else expr
+
+    def atoms(self, expr, conversion, counted):
+        return "map(ord, %s)" % expr if conversion == "char" else expr
+
+    def elements(self, expr, counted):
+        return expr
+
+    def element(self, seq, index, var):
+        return var
+
+    def is_null(self, expr):
+        return "%s is None" % expr
+
+    def deref(self, expr):
+        return expr
+
+    def union_split(self, disc, payload, expr):
+        return "%s, %s" % (disc, payload), expr
+
+    def union_arm(self, payload, expr, name):
+        return payload
+
+    def labels(self, disc, labels):
+        if len(labels) == 1:
+            return "%s == %r" % (disc, labels[0])
+        return "%s in %r" % (disc, tuple(labels))
+
+    def no_arm(self, disc):
+        return ("'no union arm for discriminator ' + repr(%s)" % disc,
+                False)
+
+    # -- unmarshal: building the decoded value -------------------------
+    none = "None"
+    dest_param = dest_result = dest_exception = dest_field = _nowhere
+    dest_deref = dest_index = dest_element = dest_arm = _nowhere
+
+    def item(self, var, index, count, dest, whole=False):
+        if whole:
+            return var
+        if count is None:
+            return "%s[%d]" % (var, index)
+        return "%s[%d:%d]" % (var, index, index + count)
+
+    def unpack(self, conversion, expr):
+        return "%s(%s)" % ("chr" if conversion == "char" else "bool", expr)
+
+    def target(self, var, dest):
+        return var
+
+    def produced(self, var):
+        return var
+
+    def record(self, name, exprs):
+        return "%s(%s)" % (name, ", ".join(exprs))
+
+    def list_of(self, exprs):
+        return "[%s]" % ", ".join(exprs)
+
+    def tuple(self, exprs):
+        return "(%s)" % ", ".join(exprs)
+
+    def atom_list(self, conversion, expr):
+        if conversion in ("char", "bool"):
+            return "[%s(_c) for _c in %s]" % (
+                "chr" if conversion == "char" else "bool", expr)
+        return "list(%s)" % expr
+
+    def hold(self, var, expr):
+        return var, expr
+
+    def list_init(self, var, append, dest, count, counted):
+        return [(var, "[]"), (append, "%s.append" % var)]
+
+    def append(self, append, expr):
+        return "%s(%s)" % (append, expr)
+
+    def empty(self, var, dest):
+        return var, "[]"
+
+    def present(self, count, dest):
+        return "%s == 1" % count
+
+    def absent(self, var, dest):
+        return var, "None"
+
+    def union_value(self, var, disc, payload):
+        return var, "(%s, %s)" % (disc, payload)
+
+
+SPELLING = PySpelling()
 
 
 def render_program(w, program):
@@ -247,7 +384,29 @@ def _render_get_atom_array(w, op):
 def _render_put_array_region(w, op):
     _render_reserve(w, op.reserve)
     w.line("_pack_into(%s, b.data, %s, *%s)"
-           % (op.format_expr(), op.reserve.var, op.leaves_expr()))
+           % (_region_format(op), op.reserve.var, _region_leaves(op)))
+
+
+def _region_leaves(op):
+    """One expression yielding every element's leaves in wire order."""
+    clauses = ["for %s in %s" % (op.var, op.iterable)]
+    clauses.extend(
+        "for %s in (%s,)" % (bind.var, bind.expr) for bind in op.binds
+    )
+    leaves = ", ".join(_pack_arg(entry) for entry in op.entries)
+    return "[_f %s for _f in (%s,)]" % (" ".join(clauses), leaves)
+
+
+def _region_format(op):
+    """The array-wide struct format: a counted format when every leaf
+    shares one format character (its compile cost does not grow with
+    n), else the element format repeated."""
+    if len({entry.fmt for entry in op.entries}) == 1:
+        leaves = sum(entry.count for entry in op.entries)
+        return "'%s%%d%s' %% (%s * %d)" % (
+            op.endian, op.entries[0].fmt, op.n_expr, leaves
+        )
+    return "'%s' + '%s' * %s" % (op.endian, op.fmt, op.n_expr)
 
 
 def _render_get_array_region(w, op):

@@ -53,26 +53,6 @@ def probe_args(channel, types, values, sink):
         _probe(node, types, value, name, sink)
 
 
-def probe_reply_value(channel, types, result, sink):
-    """Probe a decoded reply: the ``_u_rep_`` return-value convention.
-
-    Generated reply unmarshal returns ``None`` for void replies, the
-    bare value when the ok arm carries one item, and a tuple otherwise.
-    """
-    items = [
-        (name, node) for name, node in channel.items
-        if not isinstance(node, m.TVoid)
-    ]
-    if not items:
-        return
-    if len(items) == 1:
-        values = (result,)
-    else:
-        values = result
-    for (name, node), value in zip(items, values):
-        _probe(node, types, value, name, sink)
-
-
 def _probe(node, types, value, path, sink):
     if isinstance(node, (m.TAtom, m.TVoid)):
         return
@@ -141,46 +121,3 @@ def _match_arm(union, discriminator):
         elif discriminator in arm.labels:
             return arm
     return default
-
-
-def channel_paths(channel, types):
-    """Every variable-shape path a channel can produce, with its kind.
-
-    Returns ``[(path, kind)]`` where kind is ``seq``/``str``/``bytes``
-    for length channels and ``arm`` for union/optional discriminators.
-    Used by reporting code to show "this op *could* carry these shapes"
-    next to what was actually observed.
-    """
-    found = []
-
-    def walk(node, path, seen):
-        if isinstance(node, m.TRef):
-            if node.recursive or node.name in seen:
-                return
-            resolved = types.get(node.name)
-            if resolved is not None:
-                walk(resolved, path, seen | {node.name})
-            return
-        if isinstance(node, m.TString):
-            found.append((path, "str"))
-        elif isinstance(node, m.TBytes):
-            found.append((path, "bytes"))
-        elif isinstance(node, m.TCountedArray):
-            found.append((path, "seq"))
-            walk(node.element, path + "[]", seen)
-        elif isinstance(node, m.TFixedArray):
-            walk(node.element, path + "[]", seen)
-        elif isinstance(node, m.TOptional):
-            found.append((path, "arm"))
-            walk(node.element, path, seen)
-        elif isinstance(node, m.TUnion):
-            found.append((path, "arm"))
-            for arm in node.arms:
-                walk(arm.node, path + ".<arm>", seen)
-        elif isinstance(node, (m.TStruct, m.TException)):
-            for field in node.fields:
-                walk(field.node, "%s.%s" % (path, field.name), seen)
-
-    for name, node in channel.items:
-        walk(node, name, frozenset())
-    return found

@@ -199,6 +199,8 @@ class _Context:
         self.builder = builder
         self.pres_registry = pres_registry
         self.exception_classes = {}
+        # Exception class name -> member PRES fields, for the C records.
+        self._exception_fields = {}
         # C declarations for named types, in definition order.
         self._c_type_decls = []
         self._c_declared = set()
@@ -391,6 +393,7 @@ class _Context:
                 p.PresStructField(field.name, self.pres_for(field.type))
                 for field in exception.fields
             )
+            self._exception_fields[class_name] = fields
             arms.append(
                 p.PresUnionArm(
                     (index,),
@@ -421,6 +424,11 @@ class _Context:
         declarations = list(self.policy.c_prelude_decls(interface))
         for name in self.pres_registry.names():
             self._declare_named_type(name, declarations)
+        for class_name, fields in sorted(self._exception_fields.items()):
+            for struct_field in fields:
+                self._declare_value_dependencies(
+                    struct_field.pres, declarations)
+            declarations.extend(self._c_record(class_name, fields))
         for stub in stubs:
             for parameter in stub.parameters:
                 self._declare_param_support(parameter.pres, declarations)
@@ -484,17 +492,7 @@ class _Context:
         # preserves XDR names verbatim; the CORBA mapping flattens).
         mangled = policy.record_name(name)
         if isinstance(pres, p.PresStruct):
-            fields = tuple(
-                c.FieldDecl(self._c_type(field.pres), field.name)
-                for field in pres.fields
-            )
-            return (
-                c.StructDef(pres.record_name, fields),
-                c.Typedef(
-                    c.TypeName("struct %s" % pres.record_name),
-                    pres.record_name,
-                ),
-            )
+            return self._c_record(pres.record_name, pres.fields)
         if isinstance(pres, p.PresUnion):
             union_fields = tuple(
                 c.FieldDecl(self._c_type(arm.pres), arm.name)
@@ -543,6 +541,16 @@ class _Context:
             return (c.Typedef(c.TypeName("flick_octet_seq"), mangled),)
         # Typedef of a non-constructed type.
         return (c.Typedef(self._c_type(pres), mangled),)
+
+    def _c_record(self, name, fields):
+        """``struct name { ... }; typedef struct name name;``"""
+        return (
+            c.StructDef(name, tuple(
+                c.FieldDecl(self._c_type(field.pres), field.name)
+                for field in fields
+            )),
+            c.Typedef(c.TypeName("struct %s" % name), name),
+        )
 
     def _c_type(self, pres):
         if isinstance(pres, p.PresRef):

@@ -71,13 +71,15 @@ class RpcgenPresentation(PresentationGenerator):
         raise TypeError("not a scalar AOI type: %r" % (aoi_type,))
 
     def c_stub_decl(self, interface, operation, stub_name, parameters):
-        # rpcgen: result pointer, argument pointers, CLIENT handle.
+        # rpcgen: result pointer, argument pointers, CLIENT handle.  An
+        # out parameter (CORBA IDL under this presentation) is a pointer
+        # argument too: its storage is the caller's.
         return_param = None
         argument_types = []
         for parameter in parameters:
             if parameter.direction == "return":
                 return_param = parameter
-            elif parameter.is_in:
+            else:
                 argument_types.append(parameter)
         if return_param is None:
             return_type = c.Pointer(c.TypeName("void"))

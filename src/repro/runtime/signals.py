@@ -74,13 +74,6 @@ class SignalDriver:
 
     # -- caller API ----------------------------------------------------
 
-    def request_shutdown(self):
-        self._shutdown.set()
-
-    @property
-    def shutdown_requested(self):
-        return self._shutdown.is_set()
-
     def wait(self, timeout=None):
         """Block until shutdown is requested (or *timeout* elapses).
 

@@ -545,14 +545,11 @@ def command_compile(args):
             runtime_header_path(),
             os.path.join(args.output, "flick-runtime.h"),
         )
+    from repro.backend import interface_file_stem
+
     for stubs in all_stubs:
-        base = os.path.join(
-            args.output,
-            "%s_%s" % (
-                stubs.interface_name.replace("::", "_").lower(),
-                stubs.backend_name.replace("-", "_"),
-            ),
-        )
+        base = os.path.join(args.output, interface_file_stem(
+            stubs.interface_name, stubs.backend_name))
         written = []
         if "py" in emit:
             _write(base + ".py", stubs.py_source, written)

@@ -264,6 +264,24 @@ def one_place_stub_text_becomes_code(tree):
         if not hit.startswith(THIS + ":")])
 
 
+def one_lowering_feeds_every_printer(tree):
+    """The C artifact is printed from the marshal IR
+    (repro/mir/render_c.py) lowered through the same
+    repro/mir/lower.py as the Python stubs: the private re-lowering of
+    PRES_C is gone under its names, neither printer reads PRES or MINT,
+    the lowering spells no Python (every spelling is a table's), and the
+    back end imports the C printer only when C is read."""
+    _no(tree.grep(r"cemit|CStubEmitter|emit_c_stubs", "src",
+                  python_only=False))
+    _no(tree.grep(r"^\s*(from|import) +repro\.(pres|mint)\b",
+                  "src/repro/mir/render_c.py", "src/repro/mir/render_py.py"))
+    _no(tree.grep(r"encode\('latin-1'\)|map\(ord"
+                  r"|\"[^\"\n]*( is None\b|\blen\()[^\"\n]*\"",
+                  "src/repro/mir/lower.py"))
+    _no(tree.grep(r"^(from|import) +repro\.mir(\.render_c| import.*render_c)",
+                  "src/repro/backend/base.py"))
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -326,6 +344,18 @@ PINS = {
         ("src/repro/core/loader.py",
          "def load_stub_module(source, name, skip_lines=None):"),
         ("docs/INTERNALS.md", "its line span as stubs.codec_span"),
+    ],
+    one_lowering_feeds_every_printer: [
+        ("src/repro/backend/cemit.py", "class CStubEmitter:"),
+        ("src/repro/mir/render_c.py", "from repro.pres import nodes as p"),
+        ("src/repro/mir/render_py.py",
+         "from repro.mint.types import MintInteger"),
+        ("src/repro/mir/lower.py", "data = \"%s.encode('latin-1')\" % expr"),
+        ("src/repro/mir/lower.py", "expr = \"map(ord, %s)\" % expr"),
+        ("src/repro/mir/lower.py", "cond = \"%s is None\" % expr"),
+        ("src/repro/mir/lower.py", "n = \"len(%s)\" % expr"),
+        ("src/repro/backend/base.py",
+         "from repro.mir.render_c import render_c"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

@@ -244,7 +244,7 @@ class TestGeneratedModuleSurface:
 
     def test_c_artifacts_nonempty(self):
         stubs = compile_mail("iiop").stubs
-        assert "flick_check_room" in stubs.c_source
+        assert "flick_reserve(_buf, " in stubs.c_source
         assert "#ifndef" in stubs.c_header
 
 

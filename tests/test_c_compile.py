@@ -13,7 +13,7 @@ import pytest
 
 from repro import Flick
 from repro.backend import make_backend, runtime_header_path
-from repro.backend.cemit import interface_file_stem
+from repro.backend import interface_file_stem
 
 from tests.conftest import DB_IDL, MAIL_IDL, MIG_IDL
 
@@ -24,7 +24,8 @@ pytestmark = pytest.mark.skipif(GCC is None, reason="no C compiler")
 
 def compile_c(tmp_path, presc_result, backend_name):
     backend = make_backend(backend_name)
-    stem = interface_file_stem(presc_result.presc, backend)
+    stem = interface_file_stem(presc_result.presc.interface_name,
+                               backend.name)
     shutil.copy(runtime_header_path(), tmp_path / "flick-runtime.h")
     (tmp_path / ("%s.h" % stem)).write_text(presc_result.stubs.c_header)
     source = tmp_path / ("%s.c" % stem)

@@ -31,7 +31,6 @@ from repro.aoi import (
     validate,
 )
 from repro import obs
-from repro.backend import cemit
 from repro.core import loader
 from repro.encoding import MarshalBuffer
 from repro.errors import BackEndError, MarshalError
@@ -44,7 +43,7 @@ from repro.mint.types import (
     MintTypeRef,
 )
 from repro.mir import render_closures
-from repro.mir.render_c import render_c
+from repro.mir import render_c
 from repro.obs import profile
 from repro.pgen import make_presentation
 from repro.runtime import LoopbackTransport
@@ -64,7 +63,7 @@ def no_c_printer(monkeypatch):
     def refuse(backend, presc, flags):
         raise BackEndError("the C printer cannot marshal presentation"
                            " node PresSynthetic (at msg)")
-    monkeypatch.setattr(cemit, "emit_c_stubs", refuse)
+    monkeypatch.setattr(render_c, "render_c", refuse)
 
 
 class TestCIsPrintedOnlyWhenRead:
@@ -102,7 +101,7 @@ class TestCIsPrintedOnlyWhenRead:
 
     def test_printer_refusals_are_backend_errors(self):
         with pytest.raises(BackEndError, match="case label"):
-            cemit._c_label(2.5)
+            render_c._c_label(2.5)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_memoised_and_equal_to_the_renderer(self, backend):
@@ -110,8 +109,8 @@ class TestCIsPrintedOnlyWhenRead:
         stubs = result.stubs
         assert stubs.c_source is stubs.c_source
         assert stubs.c_header is stubs.c_header
-        source, header = render_c(stubs.backend_instance, result.presc,
-                                  stubs.flags)
+        source, header = render_c.render_c(stubs.backend_instance,
+                                           result.presc, stubs.flags)
         assert stubs.c_source == source
         assert stubs.c_header == header
         with pytest.raises(AttributeError):
@@ -119,9 +118,9 @@ class TestCIsPrintedOnlyWhenRead:
 
     def test_printed_once(self, monkeypatch):
         calls = []
-        real = cemit.emit_c_stubs
+        real = render_c.render_c
         monkeypatch.setattr(
-            cemit, "emit_c_stubs",
+            render_c, "render_c",
             lambda *args: calls.append(1) or real(*args))
         stubs = api.compile(DB_IDL, "oncrpc").stubs
         assert not calls
