@@ -26,7 +26,6 @@ from repro.aoi.types import (
     AoiUnion,
     AoiUnionCase,
     AoiVoid,
-    named,
 )
 from repro.aoi.interfaces import (
     AoiAttribute,
@@ -66,6 +65,5 @@ __all__ = [
     "AoiUnionCase",
     "AoiVoid",
     "Direction",
-    "named",
     "validate",
 ]

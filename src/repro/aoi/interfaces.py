@@ -100,12 +100,6 @@ class AoiInterface:
     parents: Tuple[str, ...] = ()
     code: object = None
 
-    def operation_named(self, name):
-        for operation in self.operations:
-            if operation.name == name:
-                return operation
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class AoiConstant:

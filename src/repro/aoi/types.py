@@ -23,22 +23,6 @@ class AoiType:
     many operations.
     """
 
-    def accept(self, visitor):
-        """Double-dispatch to ``visitor.visit_<snake_case_name>(self)``."""
-        name = _visit_name(type(self).__name__)
-        method = getattr(visitor, name)
-        return method(self)
-
-
-def _visit_name(class_name):
-    # AoiStructField -> visit_struct_field
-    out = []
-    for char in class_name[len("Aoi"):]:
-        if char.isupper() and out:
-            out.append("_")
-        out.append(char.lower())
-    return "visit_" + "".join(out)
-
 
 @dataclass(frozen=True)
 class AoiVoid(AoiType):
@@ -149,12 +133,6 @@ class AoiStruct(AoiType):
     name: str
     fields: Tuple[AoiStructField, ...]
 
-    def field_named(self, name):
-        for struct_field in self.fields:
-            if struct_field.name == name:
-                return struct_field
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class AoiUnionCase(AoiType):
@@ -182,26 +160,9 @@ class AoiUnion(AoiType):
     discriminator: AoiType
     cases: Tuple[AoiUnionCase, ...]
 
-    def case_for(self, value):
-        """Return the case selected by the discriminator *value*."""
-        default = None
-        for case in self.cases:
-            if case.is_default:
-                default = case
-            elif value in case.labels:
-                return case
-        if default is None:
-            raise KeyError(value)
-        return default
-
 
 @dataclass(frozen=True)
 class AoiNamedRef(AoiType):
     """A reference to a named type definition in the AOI root scope."""
 
     name: str
-
-
-def named(name):
-    """Shorthand constructor for :class:`AoiNamedRef`."""
-    return AoiNamedRef(name)

@@ -60,7 +60,7 @@ def diff_interfaces(old_presc, new_presc, backend, old_metadata=None,
                 findings=(Finding(
                     Verdict.BREAKING, name,
                     "operation removed: deployed callers' requests are "
-                    "answered %s" % _unknown_op_text(backend),
+                    "answered %s" % unknown_op_text(backend),
                 ),),
             ))
             continue
@@ -94,7 +94,8 @@ def diff_interfaces(old_presc, new_presc, backend, old_metadata=None,
     )
 
 
-def _unknown_op_text(backend):
+def unknown_op_text(backend):
+    """How a *backend*'s servers answer an operation they do not have."""
     code = getattr(backend, "unknown_op_code", None)
     if code == "proc_unavail":
         return "PROC_UNAVAIL"
@@ -117,7 +118,7 @@ def _diff_operation(old_presc, new_presc, old_stub, new_stub, backend,
             Verdict.BREAKING, name,
             "demux key changed %r -> %r: old-schema requests dispatch %s "
             "on a new-schema server" % (
-                old_key, new_key, _unknown_op_text(backend),
+                old_key, new_key, unknown_op_text(backend),
             ),
         ))
 

@@ -139,12 +139,6 @@ class InterfaceDiff:
     operations: Tuple[OperationDiff, ...] = ()
     findings: Tuple[Finding, ...] = ()
 
-    def operation_named(self, name):
-        for operation in self.operations:
-            if operation.operation == name:
-                return operation
-        raise KeyError(name)
-
     def to_json(self):
         return {
             "protocol": self.protocol,

@@ -1,10 +1,11 @@
 """Fault plans: seeded, composable wire-fault specifications.
 
 A :class:`FaultPlan` is a value object — probabilities only, no state —
-so it can live in a JSON file next to a test, be passed to ``flick serve
---fault-plan``, and be compared in assertions.  A :class:`FaultInjector`
-executes a plan over a message stream with its own seeded RNG, making
-every fault sequence reproducible from ``(plan, message order)`` alone.
+so it can live in a JSON file next to a test (:mod:`repro.documents`
+reads and writes it), be passed to ``flick serve --fault-plan``, and be
+compared in assertions.  A :class:`FaultInjector` executes a plan over
+a message stream with its own seeded RNG, making every fault sequence
+reproducible from ``(plan, message order)`` alone.
 
 Faults compose per message in a fixed order: reset > drop > truncate >
 corrupt > delay > duplicate > reorder.  Each is rolled independently, so
@@ -13,9 +14,8 @@ corrupt > delay > duplicate > reorder.  Each is rolled independently, so
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 
 from repro.errors import FlickError
 
@@ -68,41 +68,6 @@ class FaultPlan:
             raise FlickError("corrupt_bits must be at least 1")
         if self.delay_s < 0:
             raise FlickError("delay_s must be non-negative")
-
-    # -- (de)serialization ------------------------------------------------
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise FlickError(
-                "unknown fault-plan keys: %s"
-                % ", ".join(sorted(unknown))
-            )
-        return cls(**data)
-
-    @classmethod
-    def load(cls, path):
-        """Load a plan from a JSON file (the --fault-plan format)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except ValueError as error:
-                raise FlickError(
-                    "%s is not valid fault-plan JSON: %s" % (path, error)
-                ) from error
-        if not isinstance(data, dict):
-            raise FlickError("%s: fault plan must be a JSON object" % path)
-        return cls.from_dict(data)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
     def injector(self):
         """A fresh stateful executor for this plan."""

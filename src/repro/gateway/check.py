@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.backend import make_backend
+from repro.compat.ifacediff import unknown_op_text
 from repro.compat.mintdiff import diff_message
 from repro.compat.report import diff_exit_code, diff_report_json, \
     diff_report_text
@@ -40,12 +41,6 @@ from repro.compat.verdict import (
 
 __all__ = ["bridge_exit_code", "bridge_report_json",
            "bridge_report_text", "check_bridge"]
-
-
-def _unknown_op_text(backend):
-    if getattr(backend, "unknown_op_code", None) == "proc_unavail":
-        return "PROC_UNAVAIL"
-    return "CORBA::BAD_OPERATION"
 
 
 def check_bridge(ingress_result, egress_result):
@@ -73,7 +68,7 @@ def check_bridge(ingress_result, egress_result):
                 findings=(Finding(
                     Verdict.BREAKING, name,
                     "operation absent upstream: ingress callers are "
-                    "answered %s" % _unknown_op_text(ingress_backend),
+                    "answered %s" % unknown_op_text(ingress_backend),
                 ),),
             ))
             continue

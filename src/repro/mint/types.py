@@ -122,17 +122,6 @@ class MintUnion(MintType):
     discriminator: MintType
     cases: Tuple[MintUnionCase, ...]
 
-    def case_for(self, value):
-        default = None
-        for case in self.cases:
-            if case.is_default:
-                default = case
-            elif value in case.labels:
-                return case
-        if default is None:
-            raise KeyError(value)
-        return default
-
 
 @dataclass(frozen=True)
 class MintConst(MintType):

@@ -585,12 +585,6 @@ class MirProgram:
     #: Pass pipeline report: pass name -> enabled?
     passes: Dict[str, bool] = field(default_factory=dict)
 
-    def function(self, name):
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        raise KeyError(name)
-
 
 def walk_ops(ops):
     """Yield every op in *ops*, descending into structured bodies."""

@@ -45,7 +45,6 @@ from repro.obs.metrics import (
     parse_prometheus,
 )
 from repro.obs.profile import (
-    ArmCounter,
     OpProfile,
     ProfileSnapshot,
     ShapeHistogram,
@@ -67,7 +66,6 @@ from repro.obs.trace import (
 from repro.obs.http import MetricsHttpServer
 
 __all__ = [
-    "ArmCounter",
     "BUCKET_BOUNDS",
     "CollectingExporter",
     "JsonlExporter",

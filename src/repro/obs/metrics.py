@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from dataclasses import dataclass, field
+from typing import Optional
 
 #: Histogram bucket upper bounds, seconds (log-spaced, 1-3-10 ladder).
 BUCKET_BOUNDS = (
@@ -30,28 +32,36 @@ BUCKET_BOUNDS = (
 )
 
 
+@dataclass(slots=True)
 class LatencyHistogram:
-    """Fixed-bucket histogram with interpolated percentile estimates."""
+    """Fixed-bucket histogram with interpolated percentile estimates.
 
-    __slots__ = ("bounds", "counts", "total", "sum_seconds", "max_seconds",
-                 "min_seconds")
+    Its fields, in seconds, are its profile-snapshot JSON
+    (:mod:`repro.documents`); ``counts`` starts all zero.
+    """
 
-    def __init__(self, bounds=BUCKET_BOUNDS):
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)
-        self.total = 0
-        self.sum_seconds = 0.0
-        self.max_seconds = 0.0
-        self.min_seconds = None
+    bounds: list[float]
+    counts: list[int] = field(default_factory=list)
+    total: int = 0
+    sum: float = 0.0
+    max: float = 0.0
+    min: Optional[float] = None
+
+    def __post_init__(self):
+        self.counts = self.counts or [0] * (len(self.bounds) + 1)
+        if len(self.counts) != len(self.bounds) + 1:
+            raise ValueError("counts must hold one count per bucket (%d),"
+                             " not %d" % (len(self.bounds) + 1,
+                                          len(self.counts)))
 
     def observe(self, seconds):
         self.counts[bisect_left(self.bounds, seconds)] += 1
         self.total += 1
-        self.sum_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-        if self.min_seconds is None or seconds < self.min_seconds:
-            self.min_seconds = seconds
+        self.sum += seconds
+        if seconds > self.max:
+            self.max = seconds
+        if self.min is None or seconds < self.min:
+            self.min = seconds
 
     def percentile(self, q):
         """Linear-interpolated *q*-th percentile estimate.
@@ -76,21 +86,20 @@ class LatencyHistogram:
                     upper = self.bounds[index]
                 else:  # overflow bucket: beyond the last bound
                     lower = self.bounds[-1]
-                    upper = self.max_seconds
-                if self.min_seconds is not None:
-                    lower = max(lower, self.min_seconds)
-                upper = min(upper, self.max_seconds) if self.max_seconds \
-                    else upper
+                    upper = self.max
+                if self.min is not None:
+                    lower = max(lower, self.min)
+                upper = min(upper, self.max) if self.max else upper
                 if upper < lower:
                     upper = lower
                 fraction = (rank - seen) / count
                 return lower + fraction * (upper - lower)
             seen += count
-        return self.max_seconds
+        return self.max
 
     @property
     def mean(self):
-        return self.sum_seconds / self.total if self.total else 0.0
+        return self.sum / self.total if self.total else 0.0
 
     def merge(self, other):
         """Fold *other*'s observations into this histogram (in place).
@@ -105,13 +114,12 @@ class LatencyHistogram:
         for index, count in enumerate(other.counts):
             self.counts[index] += count
         self.total += other.total
-        self.sum_seconds += other.sum_seconds
-        if other.max_seconds > self.max_seconds:
-            self.max_seconds = other.max_seconds
-        if other.min_seconds is not None and (
-                self.min_seconds is None
-                or other.min_seconds < self.min_seconds):
-            self.min_seconds = other.min_seconds
+        self.sum += other.sum
+        if other.max > self.max:
+            self.max = other.max
+        if other.min is not None and (self.min is None
+                                      or other.min < self.min):
+            self.min = other.min
         return self
 
 
@@ -182,7 +190,7 @@ class Histogram:
 
     @property
     def sum(self):
-        return self._histogram.sum_seconds
+        return self._histogram.sum
 
     @property
     def mean(self):
@@ -190,7 +198,7 @@ class Histogram:
 
     @property
     def max(self):
-        return self._histogram.max_seconds
+        return self._histogram.max
 
     @property
     def bounds(self):

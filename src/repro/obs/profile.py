@@ -39,13 +39,16 @@ context for exemplars.
 
 from __future__ import annotations
 
-import json
+import bisect
+import copy
 import threading
 import time
+from dataclasses import dataclass, field
+from typing import Literal, Optional
 
 from repro.core import codecs
 from repro.obs import trace as _trace
-from repro.obs.metrics import LatencyHistogram
+from repro.obs.metrics import BUCKET_BOUNDS, LatencyHistogram
 
 #: Snapshot schema version; bump on incompatible change.
 SNAPSHOT_VERSION = 1
@@ -131,47 +134,28 @@ def record_transcode(bridge, op, direction, fused, nbytes=None,
 
 
 # ----------------------------------------------------------------------
-# Reading a snapshot: every wrong shape is a ValueError naming the field
-# ----------------------------------------------------------------------
-
-_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer",
-               float: "a number", str: "a string"}
-
-
-def _expect(value, kind, field, optional=False):
-    """*value* if it is a JSON *kind* (``float`` takes any number), else
-    a :class:`ValueError` naming *field*: snapshots come from worker
-    processes and operators' files, and every reader of one catches
-    exactly that."""
-    if optional and value is None:
-        return value
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or isinstance(value, bool):
-        raise ValueError("profile snapshot: %s must be %s, not %r"
-                         % (field, _JSON_KINDS[kind], value))
-    return value
-
-
-def _counts(data, field, integer_keys=False):
-    """A ``{key: count}`` table out of the JSON object *data*."""
-    out = {}
-    for key, count in _expect(data, dict, field).items():
-        if integer_keys:
-            try:
-                key = int(key)
-            except ValueError:
-                raise ValueError(
-                    "profile snapshot: %s has the non-integer key %r"
-                    % (field, key)) from None
-        out[key] = _expect(count, int, "%s[%s]" % (field, key))
-    return out
-
-
-# ----------------------------------------------------------------------
-# Shape histogram: exact modes + bounded tail
+# The snapshot records: their fields are the snapshot file's JSON, read
+# and written by repro.documents (every wrong shape names its field)
 # ----------------------------------------------------------------------
 
 
+def _add(counts, more):
+    """Sum the ``{label: count}`` table *more* into *counts*."""
+    for label, count in more.items():
+        counts[label] = counts.get(label, 0) + count
+
+
+def skew(counts):
+    """``(top_label, top_fraction)`` of a ``{label: count}`` table: how
+    lopsided union arms, optional presence or gateway paths are."""
+    total = sum(counts.values())
+    if not total:
+        return None, 0.0
+    label, count = max(counts.items(), key=lambda item: (item[1], item[0]))
+    return label, count / total
+
+
+@dataclass(slots=True)
 class ShapeHistogram:
     """Non-negative integer histogram with exact workload modes.
 
@@ -186,17 +170,13 @@ class ShapeHistogram:
     it is exactly associative and commutative.
     """
 
-    __slots__ = ("kind", "exact", "overflow", "total", "sum",
-                 "min", "max")
-
-    def __init__(self, kind=""):
-        self.kind = kind
-        self.exact = {}
-        self.overflow = {}
-        self.total = 0
-        self.sum = 0
-        self.min = None
-        self.max = 0
+    kind: str = ""
+    exact: dict[int, int] = field(default_factory=dict)
+    overflow: dict[int, int] = field(default_factory=dict)
+    total: int = 0
+    sum: int = 0
+    min: Optional[int] = None
+    max: int = 0
 
     def observe(self, n):
         exact = self.exact
@@ -243,10 +223,8 @@ class ShapeHistogram:
         return points[-1][0]
 
     def merge(self, other):
-        for value, count in other.exact.items():
-            self.exact[value] = self.exact.get(value, 0) + count
-        for bucket, count in other.overflow.items():
-            self.overflow[bucket] = self.overflow.get(bucket, 0) + count
+        _add(self.exact, other.exact)
+        _add(self.overflow, other.overflow)
         self.total += other.total
         self.sum += other.sum
         if other.max > self.max:
@@ -258,108 +236,16 @@ class ShapeHistogram:
             self.kind = other.kind
         return self
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "exact": {str(v): c for v, c in sorted(self.exact.items())},
-            "overflow": {str(b): c
-                         for b, c in sorted(self.overflow.items())},
-            "total": self.total,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-        }
 
-    @classmethod
-    def from_json(cls, data, field="histogram"):
-        get = _expect(data, dict, field).get
-        out = cls(kind=_expect(get("kind", ""), str, field + ".kind"))
-        out.exact = _counts(get("exact", {}), field + ".exact", True)
-        out.overflow = _counts(get("overflow", {}), field + ".overflow",
-                               True)
-        out.total = _expect(get("total", 0), int, field + ".total")
-        out.sum = _expect(get("sum", 0), int, field + ".sum")
-        out.min = _expect(get("min"), int, field + ".min", optional=True)
-        out.max = _expect(get("max", 0), int, field + ".max")
-        return out
+@dataclass(slots=True, order=True)
+class Exemplar:
+    """One slow sampled call and the trace it belongs to.  Ordered by
+    duration, ids breaking ties, so the top-K merge is associative."""
 
-
-class ArmCounter:
-    """Label -> count; union arms, optional presence, reply arms,
-    gateway paths."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self):
-        self.counts = {}
-
-    def inc(self, label, amount=1):
-        self.counts[label] = self.counts.get(label, 0) + amount
-
-    @property
-    def total(self):
-        return sum(self.counts.values())
-
-    def skew(self):
-        """``(top_label, top_fraction)`` — how lopsided the arms are."""
-        total = self.total
-        if not total:
-            return None, 0.0
-        label, count = max(self.counts.items(),
-                           key=lambda item: (item[1], item[0]))
-        return label, count / total
-
-    def merge(self, other):
-        for label, count in other.counts.items():
-            self.inc(label, count)
-        return self
-
-    def to_json(self):
-        return dict(sorted(self.counts.items()))
-
-    @classmethod
-    def from_json(cls, data, field="arms"):
-        out = cls()
-        out.counts = _counts(data, field)
-        return out
-
-
-def _exemplar_key(exemplar):
-    # Total order so top-K merge is associative regardless of tie
-    # ordering: duration first, ids break ties deterministically.
-    return (exemplar["duration_s"], exemplar.get("trace_id", ""),
-            exemplar.get("span_id", ""), exemplar.get("bytes", 0))
-
-
-def _hist_to_json(hist):
-    return {
-        "bounds": list(hist.bounds),
-        "counts": list(hist.counts),
-        "total": hist.total,
-        "sum": hist.sum_seconds,
-        "min": hist.min_seconds,
-        "max": hist.max_seconds,
-    }
-
-
-def _hist_from_json(data, field):
-    get = _expect(data, dict, field).get
-    hist = LatencyHistogram(tuple(
-        _expect(bound, float, field + ".bounds[]")
-        for bound in _expect(get("bounds"), list, field + ".bounds")))
-    counts = [_expect(count, int, field + ".counts[]")
-              for count in _expect(get("counts"), list, field + ".counts")]
-    if len(counts) != len(hist.counts):
-        raise ValueError(
-            "profile snapshot: %s.counts must hold one count per bucket"
-            " (%d), not %d" % (field, len(hist.counts), len(counts)))
-    hist.counts = counts
-    hist.total = _expect(get("total"), int, field + ".total")
-    hist.sum_seconds = _expect(get("sum"), float, field + ".sum")
-    hist.min_seconds = _expect(get("min"), float, field + ".min",
-                               optional=True)
-    hist.max_seconds = _expect(get("max", 0.0), float, field + ".max")
-    return hist
+    duration_s: float
+    trace_id: str = ""
+    span_id: str = ""
+    bytes: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +258,7 @@ def _hist_from_json(data, field):
 REPLY_ARM = "<reply>"
 
 
+@dataclass(slots=True)
 class OpProfile:
     """Everything observed for one ``(operation, direction)`` pair.
 
@@ -379,26 +266,30 @@ class OpProfile:
     ``length``/``arm`` methods).  ``calls`` counts *every* codec call
     (the cheap unsampled increment); everything else describes only the
     ``sampled`` subset — scale by ``calls / sampled`` for absolute
-    rates.
+    rates.  ``codec`` maps ``encode``/``decode``/``transcode`` to
+    latency, ``channels`` a path to its lengths, ``arms`` a path to
+    ``{arm: count}``, ``paths`` a gateway's ``fused``/``re-encode``
+    to counts; ``exemplars`` are the slowest sampled calls, slowest
+    first.
     """
 
-    __slots__ = ("op", "direction", "calls", "sampled", "flushed",
-                 "size", "codec", "channels", "arms", "paths",
-                 "exemplars", "exemplar_cap")
+    op: str
+    direction: str
+    calls: int = 0
+    sampled: int = 0
+    size: ShapeHistogram = field(
+        default_factory=lambda: ShapeHistogram(kind="bytes"))
+    codec: dict[str, LatencyHistogram] = field(default_factory=dict)
+    channels: dict[str, ShapeHistogram] = field(default_factory=dict)
+    arms: dict[str, dict[str, int]] = field(default_factory=dict)
+    paths: dict[str, int] = field(default_factory=dict)
+    exemplars: list[Exemplar] = field(default_factory=list)
+    exemplar_cap: int = DEFAULT_EXEMPLARS
+    #: ``calls`` already added to the registry's counter.
+    flushed: int = field(default=0, init=False)
 
-    def __init__(self, op, direction, exemplar_cap=DEFAULT_EXEMPLARS):
-        self.op = op
-        self.direction = direction
-        self.calls = 0
-        self.sampled = 0
-        self.flushed = 0
-        self.size = ShapeHistogram(kind="bytes")
-        self.codec = {}       # "encode"/"decode" -> LatencyHistogram
-        self.channels = {}    # path -> ShapeHistogram
-        self.arms = {}        # path -> ArmCounter
-        self.paths = ArmCounter()   # gateway: fused / re-encode
-        self.exemplars = []   # slowest sampled calls, sorted desc
-        self.exemplar_cap = exemplar_cap
+    def __post_init__(self):
+        self.exemplars.sort(reverse=True)
 
     # -- sink protocol (repro.mir.shape) --------------------------------
 
@@ -409,41 +300,31 @@ class OpProfile:
         hist.observe(n)
 
     def arm(self, path, label):
-        counter = self.arms.get(path)
-        if counter is None:
-            counter = self.arms[path] = ArmCounter()
-        counter.inc(label)
+        counts = self.arms.setdefault(path, {})
+        counts[label] = counts.get(label, 0) + 1
 
     # -- recording -------------------------------------------------------
 
     def codec_hist(self, kind):
         hist = self.codec.get(kind)
         if hist is None:
-            hist = self.codec[kind] = LatencyHistogram()
+            hist = self.codec[kind] = LatencyHistogram(BUCKET_BOUNDS)
         return hist
 
     def note_exemplar(self, duration_s, trace_id, span_id, nbytes):
-        exemplar = {
-            "duration_s": duration_s,
-            "trace_id": trace_id,
-            "span_id": span_id,
-            "bytes": nbytes,
-        }
-        self.exemplars.append(exemplar)
-        if len(self.exemplars) > self.exemplar_cap:
-            self.exemplars.sort(key=_exemplar_key, reverse=True)
-            del self.exemplars[self.exemplar_cap:]
+        self.exemplars.append(Exemplar(duration_s, trace_id, span_id,
+                                       nbytes))
+        self.exemplars.sort(reverse=True)
+        del self.exemplars[self.exemplar_cap:]
 
     @property
     def fused_fraction(self):
         """Fraction of gateway messages that took the fused copy path
         (None when this profile never saw a gateway)."""
-        total = self.paths.total
+        total = sum(self.paths.values())
         if not total:
             return None
-        return self.paths.counts.get("fused", 0) / total
-
-    # -- merge / serialization ------------------------------------------
+        return self.paths.get("fused", 0) / total
 
     def merge(self, other):
         if (other.op, other.direction) != (self.op, self.direction):
@@ -463,151 +344,64 @@ class OpProfile:
                     kind=hist.kind
                 )
             mine.merge(hist)
-        for path, counter in other.arms.items():
-            mine = self.arms.get(path)
-            if mine is None:
-                mine = self.arms[path] = ArmCounter()
-            mine.merge(counter)
-        self.paths.merge(other.paths)
-        merged = self.exemplars + other.exemplars
-        merged.sort(key=_exemplar_key, reverse=True)
-        cap = max(self.exemplar_cap, other.exemplar_cap)
-        self.exemplars = merged[:cap]
-        self.exemplar_cap = cap
+        for path, counts in other.arms.items():
+            _add(self.arms.setdefault(path, {}), counts)
+        _add(self.paths, other.paths)
+        self.exemplar_cap = max(self.exemplar_cap, other.exemplar_cap)
+        self.exemplars = sorted(self.exemplars + other.exemplars,
+                                reverse=True)[:self.exemplar_cap]
         return self
 
-    def to_json(self):
-        return {
-            "op": self.op,
-            "direction": self.direction,
-            "calls": self.calls,
-            "sampled": self.sampled,
-            "size": self.size.to_json(),
-            "codec": {kind: _hist_to_json(hist)
-                      for kind, hist in sorted(self.codec.items())},
-            "channels": {path: hist.to_json()
-                         for path, hist in sorted(self.channels.items())},
-            "arms": {path: counter.to_json()
-                     for path, counter in sorted(self.arms.items())},
-            "paths": self.paths.to_json(),
-            "exemplars": sorted(self.exemplars, key=_exemplar_key,
-                                reverse=True),
-            "exemplar_cap": self.exemplar_cap,
-        }
 
-    @classmethod
-    def from_json(cls, data, field="op"):
-        get = _expect(data, dict, field).get
-
-        def table(key, read):
-            where = "%s.%s" % (field, key)
-            return {name: read(value, "%s[%s]" % (where, name))
-                    for name, value
-                    in _expect(get(key, {}), dict, where).items()}
-
-        out = cls(_expect(get("op"), str, field + ".op"),
-                  _expect(get("direction"), str, field + ".direction"),
-                  exemplar_cap=_expect(
-                      get("exemplar_cap", DEFAULT_EXEMPLARS), int,
-                      field + ".exemplar_cap"))
-        out.calls = _expect(get("calls", 0), int, field + ".calls")
-        out.sampled = _expect(get("sampled", 0), int, field + ".sampled")
-        out.size = ShapeHistogram.from_json(get("size", {}),
-                                            field + ".size")
-        out.codec = table("codec", _hist_from_json)
-        out.channels = table("channels", ShapeHistogram.from_json)
-        out.arms = table("arms", ArmCounter.from_json)
-        out.paths = ArmCounter.from_json(get("paths", {}),
-                                         field + ".paths")
-        out.exemplars = list(
-            _expect(get("exemplars", []), list, field + ".exemplars"))
-        for index, exemplar in enumerate(out.exemplars):
-            # What the top-K merge sorts by (_exemplar_key).
-            where = "%s.exemplars[%d]" % (field, index)
-            read = _expect(exemplar, dict, where).get
-            for key, kind, default in (("duration_s", float, None),
-                                       ("trace_id", str, ""),
-                                       ("span_id", str, ""),
-                                       ("bytes", int, 0)):
-                _expect(read(key, default), kind, "%s.%s" % (where, key))
-        return out
+def _op_key(profile):
+    return profile.op, profile.direction
 
 
+@dataclass
 class ProfileSnapshot:
-    """A versioned, mergeable, JSON-serializable set of op profiles."""
+    """A versioned, mergeable set of op profiles, ``ops`` sorted by
+    ``(op, direction)``; its fields are the snapshot file's JSON."""
 
-    def __init__(self, sample=DEFAULT_SAMPLE, ops=None):
-        self.sample = sample
-        #: ``(op, direction)`` -> :class:`OpProfile`.
-        self.ops = ops if ops is not None else {}
+    kind: Literal[SNAPSHOT_KIND] = SNAPSHOT_KIND
+    version: Literal[SNAPSHOT_VERSION] = SNAPSHOT_VERSION
+    sample: int = DEFAULT_SAMPLE
+    ops: list[OpProfile] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.ops.sort(key=_op_key)
+
+    def _find(self, key):
+        return next((found for found in self.ops if _op_key(found) == key),
+                    None)
 
     def profile(self, op, direction):
-        key = (op, direction)
-        found = self.ops.get(key)
+        found = self._find((op, direction))
         if found is None:
-            found = self.ops[key] = OpProfile(op, direction)
+            found = OpProfile(op, direction)
+            bisect.insort(self.ops, found, key=_op_key)
         return found
 
     def for_op(self, op):
         """This op's profiles in direction order: request then reply."""
-        return [self.ops[(op, direction)]
-                for direction in ("request", "reply")
-                if (op, direction) in self.ops]
+        return [profile for direction in ("request", "reply")
+                for profile in self.ops
+                if _op_key(profile) == (op, direction)]
 
     def op_names(self):
-        return sorted({op for op, _direction in self.ops})
+        return sorted({profile.op for profile in self.ops})
 
     def merge(self, other):
-        for key, profile in other.ops.items():
-            mine = self.ops.get(key)
+        for theirs in other.ops:
+            mine = self._find(_op_key(theirs))
             if mine is None:
-                self.ops[key] = OpProfile.from_json(profile.to_json())
+                bisect.insort(self.ops, copy.deepcopy(theirs), key=_op_key)
             else:
-                mine.merge(profile)
+                mine.merge(theirs)
         if other.sample != self.sample:
             # Counts stay correct; scaled-rate estimates become
             # per-snapshot.  Keep the coarser rate as the honest bound.
             self.sample = max(self.sample, other.sample)
         return self
-
-    def to_json(self):
-        return {
-            "version": SNAPSHOT_VERSION,
-            "kind": SNAPSHOT_KIND,
-            "sample": self.sample,
-            "ops": [self.ops[key].to_json()
-                    for key in sorted(self.ops)],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        get = _expect(data, dict, "the document").get
-        if get("kind") != SNAPSHOT_KIND:
-            raise ValueError(
-                "not a flick profile snapshot (kind=%r)" % (get("kind"),)
-            )
-        if get("version") != SNAPSHOT_VERSION:
-            raise ValueError(
-                "unsupported profile snapshot version %r"
-                % (get("version"),)
-            )
-        snapshot = cls(
-            sample=_expect(get("sample", DEFAULT_SAMPLE), int, "sample"))
-        for index, op_data in enumerate(
-                _expect(get("ops", []), list, "ops")):
-            profile = OpProfile.from_json(op_data, "ops[%d]" % index)
-            snapshot.ops[(profile.op, profile.direction)] = profile
-        return snapshot
-
-    def save(self, path):
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as handle:
-            return cls.from_json(json.load(handle))
 
 
 # ----------------------------------------------------------------------
@@ -686,13 +480,10 @@ class Profiler:
 
     def snapshot(self):
         """A detached, serializable copy of everything collected."""
-        snapshot = ProfileSnapshot(sample=self.sample)
         with self._lock:
             profiles = list(self._profiles.values())
-        for profile in profiles:
-            snapshot.ops[(profile.op, profile.direction)] = \
-                OpProfile.from_json(profile.to_json())
-        return snapshot
+        return ProfileSnapshot(sample=self.sample, ops=[
+            copy.deepcopy(profile) for profile in profiles])
 
     # -- recording -------------------------------------------------------
 
@@ -744,7 +535,7 @@ class Profiler:
         path = "fused" if fused else "re-encode"
         profile = self.profile(op, direction)
         profile.calls += 1
-        profile.paths.inc(path)
+        profile.paths[path] = profile.paths.get(path, 0) + 1
         if profile.calls % self.sample:
             return
         try:

@@ -30,7 +30,6 @@ from repro.runtime.aio.correlation import (
     MessageInfo,
     probe,
     reply_error,
-    rewrite_id,
 )
 from repro.runtime.aio.options import CallOptions, RetryPolicy
 from repro.runtime.aio.server import AioTcpServer
@@ -51,5 +50,4 @@ __all__ = [
     "ServerStats",
     "probe",
     "reply_error",
-    "rewrite_id",
 ]

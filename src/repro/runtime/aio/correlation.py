@@ -128,10 +128,3 @@ def reply_error(payload):
         return route(payload)[2]
     except TransportError:
         return None
-
-
-def rewrite_id(payload, info, new_id):
-    """Return *payload* with the correlation id replaced by *new_id*."""
-    data = bytearray(payload)
-    struct.pack_into(info.id_format, data, info.id_offset, new_id)
-    return bytes(data)

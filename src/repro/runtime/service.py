@@ -29,11 +29,11 @@ fault plans are imported here on use.
 
 from __future__ import annotations
 
-import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro import documents
 from repro.errors import FlickError
 
 #: Back ends whose messages the socket servers can carry.
@@ -42,7 +42,8 @@ SERVABLE_BACKENDS = ("iiop", "oncrpc-xdr")
 
 @dataclass
 class ServiceConfig:
-    """Everything one serving process needs, as one JSON-able record.
+    """Everything one serving process needs, as one JSON record
+    (:mod:`repro.documents` reads and writes it).
 
     The CLI fills it from ``flick serve`` / ``flick gateway`` flags; a
     supervisor saves one per spawned worker (``python -m
@@ -108,7 +109,7 @@ class ServiceConfig:
     fault_plan: Optional[str] = None
     upstream_fault_plan: Optional[str] = None
     metrics_port: Optional[int] = None
-    sys_paths: list = field(default_factory=list)
+    sys_paths: list[str] = field(default_factory=list)
     upstream_host: Optional[str] = None
     upstream_port: Optional[int] = None
     upstream_backend: Optional[str] = None
@@ -164,27 +165,6 @@ class ServiceConfig:
     def but(self, **changes):
         """A copy with *changes* applied (the template-to-slot step)."""
         return replace(self, **changes)
-
-    def to_json(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data):
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise FlickError(
-                "unknown service-config fields: %s"
-                % ", ".join(sorted(unknown)))
-        return cls(**data)
-
-    def save(self, path):
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as handle:
-            return cls.from_json(json.load(handle))
 
 
 def _compile(path, lang, *, interface, pgen, backend):
@@ -264,7 +244,8 @@ class Service:
         from repro.obs import profile
 
         profiler = profile.active()
-        return None if profiler is None else profiler.snapshot().to_json()
+        return None if profiler is None \
+            else documents.write(profiler.snapshot())
 
     def healthy(self):
         """Liveness: a process that can answer this is alive."""
@@ -302,7 +283,7 @@ class Service:
             # Profile wrappers wrap trace wrappers; unwind in reverse.
             snapshot = obs.profile.shutdown()
             if snapshot is not None:
-                snapshot.save(config.profile_path)
+                documents.save(snapshot, config.profile_path)
         if config.trace_path:
             obs.shutdown()  # flush and close the span file
         return snapshot
@@ -342,10 +323,9 @@ def build(config, listen_sock=None, handles=None):
     if config.fault_plan or config.upstream_fault_plan:
         from repro.faults import FaultPlan
 
-        if config.fault_plan:
-            fault_plan = FaultPlan.load(config.fault_plan)
-        if config.upstream_fault_plan:
-            upstream_fault_plan = FaultPlan.load(config.upstream_fault_plan)
+        fault_plan, upstream_fault_plan = (
+            documents.load(FaultPlan, path, "fault plan") if path else None
+            for path in (config.fault_plan, config.upstream_fault_plan))
     stats = None
     if config.stats or config.metrics_port is not None:
         stats = ServerStats()

@@ -12,7 +12,10 @@ channel down — a worker may simply be busy (cold start, a long drain) —
 so the client leaves the socket open and uses ``seq`` to discard the
 stale reply when it eventually lands.
 
-Commands the worker answers (see
+A command is a :class:`Command` and a reply a :class:`Reply`; both
+sides read them with :mod:`repro.documents`, so a line of the wrong
+shape is refused naming its field.  A worker answers such a line with
+``{"ok": false, "error": ...}``.  Commands the worker answers (see
 :mod:`repro.runtime.supervisor.worker`):
 
 ``status``
@@ -31,14 +34,48 @@ Commands the worker answers (see
 from __future__ import annotations
 
 import json
-import socket
 import threading
 import time
+from dataclasses import dataclass
+from typing import Literal, Optional
 
+from repro import documents
 from repro.errors import TransportError
+from repro.obs.profile import ProfileSnapshot
 
 #: Cap on a single control line; anything longer is a protocol bug.
 MAX_LINE = 8 * 1024 * 1024
+
+
+@dataclass
+class Command:
+    """One parent -> worker line."""
+
+    cmd: Literal["status", "metrics", "profile", "drain"]
+    seq: Optional[int] = None
+
+
+@dataclass
+class Reply:
+    """One worker -> parent line: ``ok``, the command's ``seq``, and the
+    fields its command answers (see the module docstring)."""
+
+    ok: bool
+    seq: Optional[int] = None
+    error: Optional[str] = None
+    pid: Optional[int] = None
+    slot: Optional[int] = None
+    generation: Optional[int] = None
+    accepting: Optional[bool] = None
+    in_flight: Optional[int] = None
+    draining: Optional[bool] = None
+    text: Optional[str] = None
+    snapshot: Optional[ProfileSnapshot] = None
+
+
+def to_line(record):
+    """*record* as one channel line."""
+    return json.dumps(documents.write(record)).encode("utf-8") + b"\n"
 
 
 class ControlClient:
@@ -56,15 +93,15 @@ class ControlClient:
         self._seq = 0
         self.closed = False
 
-    def request(self, cmd, timeout=5.0, **fields):
-        """Send one command, return its decoded reply (a dict).
+    def request(self, cmd, timeout=5.0):
+        """Send one command, return its :class:`Reply`.
 
-        Raises :class:`TransportError` when the worker is unreachable.
-        Only EOF, torn-channel errors and a reply that is not a JSON
-        object close the channel; a timed-out reply leaves it open (the
-        worker is busy, not dead — closing would read as parent death
-        and make it exit) and the late reply is discarded by its
-        ``seq`` on the next request.
+        Raises :class:`TransportError` when the worker is unreachable or
+        its reply does not read.  Only EOF, torn-channel errors and a
+        reply that is not a JSON object close the channel; a timed-out
+        reply leaves it open (the worker is busy, not dead — closing
+        would read as parent death and make it exit) and the late reply
+        is discarded by its ``seq`` on the next request.
         """
         deadline = time.monotonic() + timeout
         with self._lock:
@@ -72,11 +109,9 @@ class ControlClient:
                 raise TransportError("control channel is closed")
             self._seq += 1
             seq = self._seq
-            message = dict(fields, cmd=cmd, seq=seq)
-            payload = json.dumps(message).encode("utf-8") + b"\n"
             try:
                 self._sock.settimeout(timeout)
-                self._sock.sendall(payload)
+                self._sock.sendall(to_line(Command(cmd, seq)))
             except OSError as error:
                 self.close()
                 raise TransportError(
@@ -93,26 +128,16 @@ class ControlClient:
                     raise TransportError(
                         "control channel failed: %s" % error) from error
                 try:
-                    reply = json.loads(line)
-                    if not isinstance(reply, dict):
-                        raise ValueError(
-                            "not an object: %.40r" % (reply,))
-                except ValueError as error:
-                    self.close()
+                    reply = documents.parse(Reply, line, "control reply")
+                except documents.DocumentError as error:
+                    if not error.path:  # not JSON, an object, a reply
+                        self.close()
                     raise TransportError(
-                        "malformed control reply: %s" % error) from error
-                if reply.get("seq") in (None, seq):
+                        "malformed %s" % error) from None
+                if reply.seq == seq:
                     return reply
-                # A late reply to an earlier, timed-out request.
-
-    def _field(self, cmd, name, types, timeout):
-        """One reply field of *cmd*, refused unless it is a *types*."""
-        value = self.request(cmd, timeout=timeout).get(name)
-        if not isinstance(value, types):
-            raise TransportError(
-                "malformed control reply: %s %r is a %s"
-                % (cmd, name, type(value).__name__))
-        return value
+                # A late reply to an earlier, timed-out request, or the
+                # error answering a line this side did not send.
 
     def _read_line(self, deadline):
         while b"\n" not in self._buffer:
@@ -136,11 +161,15 @@ class ControlClient:
         return self.request("status", timeout=timeout)
 
     def metrics_text(self, timeout=5.0):
-        return self._field("metrics", "text", str, timeout)
+        text = self.request("metrics", timeout=timeout).text
+        if text is None:
+            raise TransportError("malformed control reply: no metrics text")
+        return text
 
-    def profile_json(self, timeout=5.0):
-        return self._field("profile", "snapshot", (dict, type(None)),
-                           timeout)
+    def profile_snapshot(self, timeout=5.0):
+        """The worker's live :class:`ProfileSnapshot`, or None when it
+        does not profile."""
+        return self.request("profile", timeout=timeout).snapshot
 
     def drain(self, timeout=5.0):
         return self.request("drain", timeout=timeout)

@@ -27,6 +27,7 @@ See the package docstring for the model.  The supervisor owns:
 
 from __future__ import annotations
 
+import copy
 import glob
 import hashlib
 import os
@@ -39,8 +40,10 @@ import tempfile
 import threading
 import time
 
+from repro import documents
 from repro.errors import FlickError, TransportError
 from repro.obs.metrics import MetricsRegistry, parse_prometheus
+from repro.obs.profile import ProfileSnapshot
 from repro.runtime.service import compile_handles
 from repro.runtime.supervisor.control import ControlClient
 
@@ -308,7 +311,7 @@ class Supervisor:
             profile_path=profile_path)
         config_path = os.path.join(
             self._workdir, "worker-%d.json" % handle.slot)
-        config.save(config_path)
+        documents.save(config, config_path)
         src_path = os.path.dirname(os.path.dirname(os.path.abspath(
             __import__("repro").__file__)))
         env = dict(os.environ)
@@ -344,7 +347,7 @@ class Supervisor:
             except TransportError:
                 time.sleep(0.05)
                 continue
-            if status.get("accepting"):
+            if status.accepting:
                 return
             time.sleep(0.05)
         raise FlickError(
@@ -536,25 +539,21 @@ class Supervisor:
 
     def profile_json(self):
         """Workers' live profile snapshots merged, or None."""
-        from repro.obs.profile import ProfileSnapshot
-
         merged = None
         for _slot, control in self._live_controls():
             try:
-                data = control.profile_json(timeout=2.0)
-                if data is None:
+                snapshot = control.profile_snapshot(timeout=2.0)
+                if snapshot is None:
                     continue
-                snapshot = ProfileSnapshot.from_json(data)
                 if merged is not None:
                     # Into a copy: merge() works in place, and a worker
                     # on another build (other bucket bounds) must leave
                     # no half of its snapshot behind when it is skipped.
-                    snapshot = ProfileSnapshot.from_json(
-                        merged.to_json()).merge(snapshot)
+                    snapshot = copy.deepcopy(merged).merge(snapshot)
             except (TransportError, ValueError):
                 continue
             merged = snapshot
-        return None if merged is None else merged.to_json()
+        return None if merged is None else documents.write(merged)
 
     def status(self):
         """Per-slot status dicts (unreachable slots report alive=False)."""
@@ -568,7 +567,8 @@ class Supervisor:
                    and handle.process.poll() is None}
             if row["alive"] and not handle.control.closed:
                 try:
-                    row.update(handle.control.status(timeout=1.0))
+                    row.update(documents.write(
+                        handle.control.status(timeout=1.0)))
                 except TransportError:
                     row["alive"] = False
             rows.append(row)
@@ -633,14 +633,13 @@ class Supervisor:
         """Fold every worker's ``profile.<n>.json`` into one file."""
         if self._profile_dir is None:
             return None
-        from repro.obs.profile import ProfileSnapshot
-
         merged = None
         paths = sorted(glob.glob(
             os.path.join(self._profile_dir, "profile.*.json")))
         for path in paths:
             try:
-                snapshot = ProfileSnapshot.load(path)
+                snapshot = documents.load(
+                    ProfileSnapshot, path, "profile snapshot")
             except (OSError, ValueError):
                 continue
             if merged is None:
@@ -648,7 +647,7 @@ class Supervisor:
             else:
                 merged.merge(snapshot)
         if merged is not None:
-            merged.save(self.template.profile_path)
+            documents.save(merged, self.template.profile_path)
         return merged
 
     def __enter__(self):

@@ -8,25 +8,28 @@ its parent saved, binds its share of the listen address (its own
 has :func:`~repro.runtime.service.build` assemble the service on it —
 the same assembly a single-process ``flick serve`` runs — and serves
 while answering the parent's control channel (status / metrics /
-profile / drain) out of the service's own ``metrics_text()`` /
-``profile_json()``.  ``SIGTERM`` and a ``drain`` command mean the same
-thing: refuse new accepts, finish in-flight replies within the drain
-timeout, write the profile snapshot (when profiling), exit 0.  EOF on
-the control channel means the parent died; the worker drains and exits
-so a half-killed fleet never lingers.
+profile / drain) out of the service's own ``metrics_text()`` and the
+process profiler's snapshot; a line that is not a command is answered
+with an error.  ``SIGTERM`` and a ``drain`` command mean the same thing:
+refuse new accepts, finish in-flight replies within the drain timeout,
+write the profile snapshot (when profiling), exit 0.  EOF on the
+control channel means the parent died; the worker drains and exits so
+a half-killed fleet never lingers.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import socket
 import sys
 
+from repro import documents
 from repro.errors import FlickError
+from repro.obs import profile
 from repro.runtime.service import ServiceConfig, build
+from repro.runtime.supervisor.control import Command, Reply, to_line
 
 
 def open_listen_socket(config):
@@ -51,54 +54,51 @@ def open_listen_socket(config):
 
 
 async def _control_loop(reader, writer, service, stop):
-    """Answer parent commands until EOF (parent death) or drain."""
-    config, server = service.config, service.server
+    """Answer parent commands until EOF (parent death) or drain.  Every
+    line gets one reply; one that is not a command gets an error."""
     while True:
         try:
             line = await reader.readline()
+            if not line:
+                break  # the parent is gone; do not serve headless
+            command = documents.parse(Command, line, "control command")
         except (ConnectionError, OSError):
-            line = b""
-        if not line:
-            stop.set()  # the parent is gone; do not serve headless
-            return
-        try:
-            message = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(message, dict):
-            continue
-        cmd = message.get("cmd")
-        if cmd == "status":
-            reply = {
-                "ok": True,
-                "pid": os.getpid(),
-                "slot": config.slot,
-                "generation": config.generation,
-                "accepting": server.accepting,
-                "in_flight": server.in_flight,
-                "draining": service.draining,
-            }
-        elif cmd == "metrics":
-            reply = {"ok": True, "text": service.metrics_text()}
-        elif cmd == "profile":
-            reply = {"ok": True, "snapshot": service.profile_json()}
-        elif cmd == "drain":
-            service.draining = True
-            await server.drain_async()
-            reply = {"ok": True, "pid": os.getpid()}
+            break
+        except ValueError as error:  # not a command, or over the limit
+            command, reply = None, Reply(False, error=str(error))
         else:
-            reply = {"ok": False, "error": "unknown command %r" % (cmd,)}
-        if message.get("seq") is not None:
-            reply["seq"] = message["seq"]
+            reply = await _answer(command, service)
         try:
-            writer.write(json.dumps(reply).encode("utf-8") + b"\n")
+            writer.write(to_line(reply))
             await writer.drain()
         except (ConnectionError, OSError):
-            stop.set()
-            return
-        if cmd == "drain":
-            stop.set()
-            return
+            break
+        if command is not None and command.cmd == "drain":
+            break
+    stop.set()
+
+
+async def _answer(command, service):
+    """The :class:`Reply` to one well-formed *command*."""
+    config, server = service.config, service.server
+    if command.cmd == "status":
+        reply = Reply(True, pid=os.getpid(), slot=config.slot,
+                      generation=config.generation,
+                      accepting=server.accepting,
+                      in_flight=server.in_flight,
+                      draining=service.draining)
+    elif command.cmd == "metrics":
+        reply = Reply(True, text=service.metrics_text())
+    elif command.cmd == "profile":
+        profiler = profile.active()
+        reply = Reply(True, snapshot=None if profiler is None
+                      else profiler.snapshot())
+    else:  # drain
+        service.draining = True
+        await server.drain_async()
+        reply = Reply(True, pid=os.getpid())
+    reply.seq = command.seq
+    return reply
 
 
 async def amain(config):
@@ -135,7 +135,8 @@ def main(argv=None):
               " CONFIG.json", file=sys.stderr)
         return 2
     try:
-        return asyncio.run(amain(ServiceConfig.load(argv[0])))
+        config = documents.load(ServiceConfig, argv[0], "service config")
+        return asyncio.run(amain(config))
     except KeyboardInterrupt:
         return 0
     except FlickError as error:

@@ -38,6 +38,7 @@ import argparse
 import os
 import sys
 
+from repro import documents
 from repro.errors import FlickError
 
 
@@ -1007,6 +1008,8 @@ def _fused_prediction_text(predictions):
 
 def _profile_summary(profile):
     """Derived, report-ready numbers for one OpProfile."""
+    from repro.obs.profile import skew
+
     size = profile.size
     summary = {
         "calls": profile.calls,
@@ -1027,10 +1030,10 @@ def _profile_summary(profile):
             "p50": hist.percentile(50),
             "p99": hist.percentile(99),
         }
-    for path, counter in sorted(profile.arms.items()):
-        top, fraction = counter.skew()
+    for path, counts in sorted(profile.arms.items()):
+        top, fraction = skew(counts)
         summary["arms"][path] = {
-            "counts": counter.to_json(),
+            "counts": dict(sorted(counts.items())),
             "top": top,
             "skew": round(fraction, 4),
         }
@@ -1043,7 +1046,7 @@ def _profile_summary(profile):
             "p99_us": round(hist.percentile(99) * 1e6, 1),
         }
     if profile.exemplars:
-        summary["exemplars"] = list(profile.exemplars)
+        summary["exemplars"] = documents.write(profile.exemplars)
     return summary
 
 
@@ -1075,8 +1078,8 @@ def _profile_text(op, profiles):
         for exemplar in profile.exemplars[:3]:
             lines.append(
                 "    slow exemplar: %.3f ms, %d bytes, trace=%s"
-                % (1e3 * exemplar["duration_s"], exemplar.get("bytes", 0),
-                   exemplar.get("trace_id")))
+                % (1e3 * exemplar.duration_s, exemplar.bytes,
+                   exemplar.trace_id))
     return "\n".join(lines)
 
 
@@ -1085,11 +1088,13 @@ def command_profile(args):
 
     from repro.obs.profile import ProfileSnapshot, SNAPSHOT_VERSION
 
+    snapshots = [documents.load(ProfileSnapshot, path, "profile snapshot")
+                 for path in args.snapshots]
+    snapshot = snapshots[0]
     try:
-        snapshot = ProfileSnapshot.load(args.snapshots[0])
-        for path in args.snapshots[1:]:
-            snapshot.merge(ProfileSnapshot.load(path))
-    except ValueError as error:
+        for other in snapshots[1:]:
+            snapshot.merge(other)
+    except ValueError as error:  # another build's latency buckets
         raise FlickError(str(error)) from None
     names = snapshot.op_names()
     if args.op is not None:
@@ -1108,7 +1113,7 @@ def command_profile(args):
             profiles = snapshot.for_op(op)
             document["ops"][op] = {
                 "directions": {
-                    profile.direction: profile.to_json()
+                    profile.direction: documents.write(profile)
                     for profile in profiles
                 },
                 "summary": {

@@ -5,6 +5,7 @@ questions a ``Service`` or a ``Supervisor`` answers; this is the
 smallest such thing: one registry, the process's live profiler.
 """
 
+from repro import documents
 from repro.obs import profile
 from repro.obs.http import MetricsHttpServer, routes_of
 
@@ -18,7 +19,8 @@ class RegistrySource:
 
     def profile_json(self):
         profiler = profile.active()
-        return None if profiler is None else profiler.snapshot().to_json()
+        return None if profiler is None \
+            else documents.write(profiler.snapshot())
 
     def healthy(self):
         return True

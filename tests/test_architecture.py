@@ -179,7 +179,7 @@ def one_service_assembly(tree):
     name."""
     for pattern, home in (
             (r"profile\.configure\(", "src/repro/runtime/service.py"),
-            (r"FaultPlan\.load\(", "src/repro/runtime/service.py"),
+            (r"documents\.load\(FaultPlan", "src/repro/runtime/service.py"),
             (r"load_servant\(", "src/repro/runtime/service.py"),
             (r"start_server\(", "src/repro/obs/http.py")):
         hits = _not_a_definition(tree.grep(pattern, "src/repro"))
@@ -282,6 +282,19 @@ def one_lowering_feeds_every_printer(tree):
                   "src/repro/backend/base.py"))
 
 
+def one_reader_of_outside_documents(tree):
+    """Every JSON document read from outside the process (a service
+    config, a fault plan, a profile snapshot, a control line) is parsed
+    in repro/documents.py and checked against its dataclass there: no
+    other module parses JSON, and the four hand-written validators are
+    gone under their names."""
+    hits = tree.grep(r"json\.loads?\(", "src/repro")
+    assert tree.files_of(hits) == ["src/repro/documents.py"], \
+        "\n".join(hits)
+    _no(tree.grep(r"(?<!\w)(_expect|_counts|_field)\(|\bfrom_dict\(",
+                  "src"))
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -311,7 +324,8 @@ PINS = {
         ("src/repro/obs/propagation.py", "def _parse_giop(frame):"),
     ],
     one_service_assembly: [
-        ("src/repro/tools/cli.py", "plan = FaultPlan.load(path)"),
+        ("src/repro/tools/cli.py",
+         "plan = documents.load(FaultPlan, path, 'fault plan')"),
         ("src/repro/runtime/supervisor/worker.py",
          "impl = load_servant(spec, module)"),
         ("docs/INTERNALS.md", "see WorkerConfig"),
@@ -356,6 +370,18 @@ PINS = {
         ("src/repro/mir/lower.py", "n = \"len(%s)\" % expr"),
         ("src/repro/backend/base.py",
          "from repro.mir.render_c import render_c"),
+    ],
+    one_reader_of_outside_documents: [
+        ("src/repro/runtime/service.py", "data = json.load(handle)"),
+        ("src/repro/runtime/supervisor/control.py",
+         "reply = json.loads(line)"),
+        ("src/repro/obs/profile.py",
+         "sample = _expect(get('sample', 64), int, 'sample')"),
+        ("src/repro/obs/profile.py",
+         "out.exact = _counts(get('exact', {}), field + '.exact', True)"),
+        ("src/repro/faults/plan.py", "return cls.from_dict(data)"),
+        ("src/repro/runtime/supervisor/control.py",
+         "return self._field('metrics', 'text', str, timeout)"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

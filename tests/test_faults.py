@@ -18,6 +18,7 @@ import urllib.request
 
 import pytest
 
+from repro import documents
 from repro.errors import (
     CircuitOpenError,
     FlickError,
@@ -77,29 +78,47 @@ class TestFaultPlan:
 
     def test_dict_roundtrip(self):
         plan = FaultPlan(seed=3, drop=0.1, corrupt=0.05, corrupt_bits=4)
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert _read(documents.write(plan)) == plan
 
-    def test_from_dict_rejects_unknown_keys(self):
+    def test_unknown_keys_are_refused(self):
         with pytest.raises(FlickError, match="jitter"):
-            FaultPlan.from_dict({"seed": 1, "jitter": 0.5})
+            _read({"seed": 1, "jitter": 0.5})
+
+    @pytest.mark.parametrize("document, message", [
+        ({"seed": [1]}, "seed must be an integer, not \\[1\\]"),
+        ({"drop": "0.5"}, "drop must be a number, not '0.5'"),
+        ({"drop": True}, "drop must be a number, not True"),
+        ({"delay_s": None}, "delay_s must be a number, not None"),
+        ({"drop": 1.5}, r"fault probability drop=1.5 is not in \[0, 1\]"),
+    ])
+    def test_a_wrong_shape_is_refused_naming_the_field(
+            self, document, message):
+        """The parent's reader loaded the first and the third, and the
+        second and fourth ended in a TypeError from the range check."""
+        with pytest.raises(FlickError, match="^fault plan: " + message):
+            _read(document)
 
     def test_file_roundtrip(self, tmp_path):
         plan = FaultPlan(seed=11, drop=0.2, delay=0.1, delay_s=0.05)
         path = tmp_path / "plan.json"
-        plan.save(path)
-        assert FaultPlan.load(path) == plan
+        documents.save(plan, path)
+        assert documents.load(FaultPlan, path, "fault plan") == plan
         # The on-disk form is plain JSON anyone can hand-write.
         assert json.loads(path.read_text())["drop"] == 0.2
 
     def test_load_rejects_bad_json_and_non_objects(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(FlickError, match="not valid fault-plan JSON"):
-            FaultPlan.load(bad)
+        with pytest.raises(FlickError, match="fault plan: .* not JSON"):
+            documents.load(FaultPlan, bad, "fault plan")
         listy = tmp_path / "list.json"
         listy.write_text("[1, 2]")
-        with pytest.raises(FlickError, match="JSON object"):
-            FaultPlan.load(listy)
+        with pytest.raises(FlickError, match="must be an object"):
+            documents.load(FaultPlan, listy, "fault plan")
+
+
+def _read(document):
+    return documents.read(FaultPlan, document, "fault plan")
 
 
 # ----------------------------------------------------------------------

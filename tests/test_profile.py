@@ -26,13 +26,12 @@ import urllib.request
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import obs
+from repro import documents, obs
 from repro.core.compiler import Flick
 from repro.encoding import MarshalBuffer
 from repro.gateway import AioGatewayServer, build_plan, predict_fused
 from repro.obs import profile
 from repro.obs.profile import (
-    ArmCounter,
     OpProfile,
     ProfileSnapshot,
     ShapeHistogram,
@@ -123,20 +122,16 @@ class TestShapeHistogram:
         hist = ShapeHistogram(kind="str")
         for n in (1, 1, 2, 700):
             hist.observe(n)
-        back = ShapeHistogram.from_json(hist.to_json())
-        assert back.to_json() == hist.to_json()
+        back = documents.read(ShapeHistogram, documents.write(hist), "h")
+        assert documents.write(back) == documents.write(hist)
 
 
-class TestArmCounter:
+class TestSkew:
     def test_skew_reports_the_dominant_arm(self):
-        counter = ArmCounter()
-        for _ in range(9):
-            counter.inc("0")
-        counter.inc("2")
-        assert counter.skew() == ("0", 0.9)
+        assert profile.skew({"0": 9, "2": 1}) == ("0", 0.9)
 
     def test_empty_skew(self):
-        assert ArmCounter().skew() == (None, 0.0)
+        assert profile.skew({}) == (None, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +142,7 @@ _PATHS = ("xs", "name", "v.<arm>")
 _KINDS = {"xs": "seq", "name": "str", "v.<arm>": "str"}
 
 # Dyadic durations: float sums of n/1024 are exact, so the latency
-# histogram's sum_seconds obeys the same exact merge laws as the
+# histogram's sum obeys the same exact merge laws as the
 # integer tables.
 _durations = st.integers(min_value=0, max_value=10**6).map(
     lambda n: n / 1024.0)
@@ -182,7 +177,8 @@ def _profile_from(events):
         elif event[0] == "arm":
             out.arm(event[1], event[2])
         elif event[0] == "path":
-            out.paths.inc("fused" if event[1] else "re-encode")
+            path = "fused" if event[1] else "re-encode"
+            out.paths[path] = out.paths.get(path, 0) + 1
         elif event[0] == "codec":
             out.codec_hist(event[1]).observe(event[2])
         else:
@@ -191,7 +187,11 @@ def _profile_from(events):
 
 
 def _copy(op_profile):
-    return OpProfile.from_json(op_profile.to_json())
+    return documents.read(OpProfile, documents.write(op_profile), "op")
+
+
+def _read(document):
+    return documents.read(ProfileSnapshot, document, "profile snapshot")
 
 
 class TestMergeLaws:
@@ -201,7 +201,7 @@ class TestMergeLaws:
         a, b, c = map(_profile_from, (ea, eb, ec))
         left = _copy(a).merge(_copy(b).merge(_copy(c)))
         right = _copy(a).merge(_copy(b)).merge(_copy(c))
-        assert left.to_json() == right.to_json()
+        assert documents.write(left) == documents.write(right)
 
     @settings(max_examples=60, deadline=None)
     @given(_events, _events)
@@ -209,7 +209,7 @@ class TestMergeLaws:
         a, b = map(_profile_from, (ea, eb))
         ab = _copy(a).merge(_copy(b))
         ba = _copy(b).merge(_copy(a))
-        assert ab.to_json() == ba.to_json()
+        assert documents.write(ab) == documents.write(ba)
 
     def test_merge_rejects_mismatched_ops(self):
         with pytest.raises(ValueError):
@@ -230,15 +230,15 @@ class TestMergeLaws:
         prof.calls = 16
         prof.size.observe(120)
         path = tmp_path / "snap.json"
-        snapshot.save(path)
-        back = ProfileSnapshot.load(path)
-        assert back.to_json() == snapshot.to_json()
+        documents.save(snapshot, path)
+        back = documents.load(ProfileSnapshot, path, "profile snapshot")
+        assert documents.write(back) == documents.write(snapshot)
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"kind": "something-else"}')
         with pytest.raises(ValueError):
-            ProfileSnapshot.load(path)
+            documents.load(ProfileSnapshot, path, "profile snapshot")
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +256,7 @@ def _snapshot(ops=None, **changes):
     prof.length("msg", "str", 5)
     prof.arm("v", "0")
     prof.note_exemplar(0.001, "t1", "s1", 100)
-    document = snapshot.to_json()
+    document = documents.write(snapshot)
     document["ops"][0].update(changes)
     if ops is not None:
         document["ops"] = ops
@@ -314,20 +314,20 @@ MALFORMED = [
 class TestMalformedSnapshots:
     def test_the_healthy_document_loads(self):
         document = _snapshot()
-        assert ProfileSnapshot.from_json(document).to_json() == document
+        assert documents.write(_read(document)) == document
 
     @pytest.mark.parametrize(
         "field, document", MALFORMED,
         ids=[str(index) for index in range(len(MALFORMED))])
     def test_wrong_shape_is_a_value_error_everywhere(
             self, field, document, tmp_path, capsys):
-        """``from_json`` names the field; ``flick profile`` reports it
+        """The reader names the field; ``flick profile`` reports it
         in one line; a worker answering with it is skipped, and the
         fleet's ``/profile`` still serves the healthy worker."""
         from tests.test_supervisor import _fake_worker, _supervisor_over
 
         with pytest.raises(ValueError, match="profile snapshot: " + field):
-            ProfileSnapshot.from_json(document)
+            _read(document)
 
         path = tmp_path / "snap.json"
         path.write_text(json.dumps(document))
@@ -361,10 +361,9 @@ class TestMalformedSnapshots:
         bounds = foreign["ops"][0]["codec"]["encode"]["bounds"]
         foreign["ops"][0]["codec"]["encode"]["bounds"] = [
             bound * 2 for bound in bounds]
-        ProfileSnapshot.from_json(foreign)  # malformed it is not
+        _read(foreign)  # malformed it is not
         with pytest.raises(ValueError, match="bucket bounds"):
-            ProfileSnapshot.from_json(_snapshot()).merge(
-                ProfileSnapshot.from_json(foreign))
+            _read(_snapshot()).merge(_read(foreign))
 
         controls = [
             _fake_worker(lambda message, document=document: {
@@ -372,9 +371,8 @@ class TestMalformedSnapshots:
             for document in (_snapshot(), foreign, _snapshot())]
         sup = _supervisor_over(tmp_path, controls)
         try:
-            both = ProfileSnapshot.from_json(_snapshot()).merge(
-                ProfileSnapshot.from_json(_snapshot()))
-            assert sup.profile_json() == both.to_json()
+            both = _read(_snapshot()).merge(_read(_snapshot()))
+            assert sup.profile_json() == documents.write(both)
         finally:
             for control in controls:
                 control.close()
@@ -471,7 +469,7 @@ class TestEndToEnd:
                 finally:
                     transport.close()
             snapshot = profile.shutdown()
-            snapshot.save(snap_path)
+            documents.save(snapshot, snap_path)
         finally:
             profile.shutdown()
             obs.shutdown()
@@ -521,7 +519,7 @@ class TestEndToEnd:
                 assert response.headers["Content-Type"] \
                     .startswith("application/json")
                 live = json.loads(response.read().decode())
-        snapshot = ProfileSnapshot.from_json(live)
+        snapshot = _read(live)
         assert snapshot.profile("list", "request").calls == 1
 
     def test_profile_endpoint_404s_while_off(self, fs_result):
@@ -557,7 +555,7 @@ class TestEndToEnd:
         snapshot = ProfileSnapshot()
         snapshot.profile("send", "request").calls = 1
         path = tmp_path / "snap.json"
-        snapshot.save(path)
+        documents.save(snapshot, path)
         assert cli.main(["profile", str(path), "--op", "nope"]) == 1
         assert "nope" in capsys.readouterr().err
 
@@ -569,7 +567,7 @@ class TestEndToEnd:
             prof.calls = prof.sampled = 10 * index
             prof.size.observe(100)
             path = tmp_path / ("worker%d.json" % index)
-            snapshot.save(path)
+            documents.save(snapshot, path)
             paths.append(str(path))
         assert cli.main(["profile", "--json"] + paths) == 0
         document = json.loads(capsys.readouterr().out)
@@ -622,7 +620,7 @@ class TestGatewayProfile:
         for op in ("avg", "reverse"):
             for direction in ("request", "reply"):
                 prof = snapshot.profile(op, direction)
-                assert prof.paths.total == 10
+                assert sum(prof.paths.values()) == 10
                 dynamic = prof.fused_fraction
                 static = 1.0 if predicted[op][direction].fused else 0.0
                 assert abs(dynamic - static) <= 0.05, (op, direction)

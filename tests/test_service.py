@@ -20,7 +20,7 @@ import urllib.request
 
 import pytest
 
-from repro import Flick, obs
+from repro import Flick, documents, obs
 from repro.core.compiler import Flick as FlickCompiler
 from repro.encoding import MarshalBuffer
 from repro.errors import FlickError
@@ -73,6 +73,10 @@ def calc(tmp_path, monkeypatch):
         sys_paths=[str(tmp_path)])
 
 
+def _read(document):
+    return documents.read(ServiceConfig, document, "service config")
+
+
 def _gateway_config(calc):
     return calc.but(
         kind="gateway", impl=None, backend="iiop",
@@ -114,23 +118,39 @@ class TestServiceConfig:
             upstream_host="h", upstream_port=7,
             upstream_backend="oncrpc-xdr", slot=3, generation=2,
             listen_fd=5, control_fd=6)
-        document = config.to_json()
+        document = documents.write(config)
         assert set(document) == {
             f.name for f in dataclasses.fields(ServiceConfig)}
-        assert ServiceConfig.from_json(document) == config
+        assert _read(document) == config
         path = tmp_path / "worker-3.json"
-        config.save(path)
-        assert ServiceConfig.load(path) == config
+        documents.save(config, path)
+        assert documents.load(ServiceConfig, path, "service config") \
+            == config
 
     def test_unknown_field_is_refused(self):
-        document = dict(ServiceConfig().to_json(), profile_dir="/tmp")
+        document = dict(documents.write(ServiceConfig()), profile_dir="/tmp")
         with pytest.raises(FlickError, match="profile_dir"):
-            ServiceConfig.from_json(document)
+            _read(document)
 
     def test_a_worker_config_written_before_tiering_went_is_refused(self):
-        document = dict(ServiceConfig().to_json(), tiering="off")
+        document = dict(documents.write(ServiceConfig()), tiering="off")
         with pytest.raises(FlickError, match="tiering"):
-            ServiceConfig.from_json(document)
+            _read(document)
+
+    @pytest.mark.parametrize("document, message", [
+        ({"port": "x"}, "port must be an integer, not 'x'"),
+        ({"aio": "no"}, "aio must be a boolean, not 'no'"),
+        ({"sys_paths": "abc"}, "sys_paths must be a list, not 'abc'"),
+        ({"max_pending": [1]}, "max_pending must be an integer, not"),
+        ([1], "the document must be an object, not"),
+    ])
+    def test_a_wrong_shape_is_refused_naming_the_field(
+            self, document, message):
+        """The parent's reader loaded the first four (``"no"`` is
+        truthy, so it served aio; each character of ``"abc"`` went onto
+        sys.path) and raised TypeError on the last."""
+        with pytest.raises(FlickError, match="^service config: " + message):
+            _read(document)
 
 
 class TestValidate:
@@ -182,6 +202,17 @@ class TestValidate:
         assert obs.trace._tracer is None
         assert obs.profile.active() is None
         assert not trace_path.exists() and not profile_path.exists()
+
+    def test_a_mistyped_fault_plan_is_one_error_line(
+            self, calc, tmp_path, capsys):
+        """The parent ended in a TypeError traceback from the plan's
+        range check."""
+        plan = tmp_path / "bad.json"
+        plan.write_text('{"drop": "0.5"}')
+        assert main(["serve", calc.idl_path, "--impl", calc.impl,
+                     "--fault-plan", str(plan)]) == 1
+        assert capsys.readouterr().err == (
+            "flick: error: fault plan: drop must be a number, not '0.5'\n")
 
     @pytest.mark.parametrize("flag", ["--stats", "--trace"])
     def test_fleet_refusal_names_the_flag(self, calc, flag, capsys):
@@ -246,7 +277,7 @@ class TestSharedFlags:
                 argv = [flag, samples[action.type]]
             config = _service_config(
                 parser.parse_args([verb] + required + argv))
-            for name in base.to_json():
+            for name in documents.write(base):
                 if getattr(config, name) != getattr(base, name):
                     moved_by.setdefault(name, []).append(flag)
         # The required endpoint flags, set to other values.
@@ -254,12 +285,12 @@ class TestSharedFlags:
                  "gateway": ["y.idl", "--listen", "onc:0.0.0.0:9",
                              "--upstream", "iiop:10.0.0.7:111"]}[verb]
         config = _service_config(parser.parse_args([verb] + other))
-        for name in base.to_json():
+        for name in documents.write(base):
             if getattr(config, name) != getattr(base, name):
                 moved_by.setdefault(name, []).append("required")
         assert all(len(flags) == 1 for flags in moved_by.values()), \
             moved_by
-        unreachable = set(base.to_json()) - set(moved_by) \
+        unreachable = set(documents.write(base)) - set(moved_by) \
             - SUPERVISOR_FILLED - NOT_FLAGS
         # A verb leaves the other verb's fields alone.
         other_kind = {

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro import Flick
+from repro import Flick, documents
 from repro.encoding import MarshalBuffer
 from repro.errors import StaleConnectionError, TransportError
 from repro.obs.metrics import parse_prometheus
@@ -280,7 +280,7 @@ class TestControlChannel:
     @pytest.mark.parametrize("command, reply", [
         ("metrics_text", {"ok": True, "text": 5}),
         ("metrics_text", {"ok": False, "error": "unknown command"}),
-        ("profile_json", {"ok": True, "snapshot": [1, 2]}),
+        ("profile_snapshot", {"ok": True, "snapshot": [1, 2]}),
     ])
     def test_mistyped_field_is_a_transport_error(self, command, reply):
         control = _fake_worker(lambda message: reply)
@@ -318,14 +318,15 @@ class TestControlChannel:
         """``_seq += 1`` ran outside the lock the two callers (monitor
         thread, HTTP endpoint) share: a duplicated seq made one of them
         wait for a reply that had already been consumed."""
-        control = _fake_worker(lambda message: {"echo": message["seq"]})
+        control = _fake_worker(
+            lambda message: {"ok": True, "pid": message["seq"]})
         seen, errors = [], []
 
         def hammer():
             try:
                 for _ in range(300):
-                    seen.append(control.request("status", timeout=2.0)
-                                ["echo"])
+                    seen.append(
+                        control.request("status", timeout=2.0).pid)
             except TransportError as error:
                 errors.append(error)
 
@@ -345,9 +346,11 @@ class TestControlChannel:
 
 
 class TestWorkerControlLoop:
-    def test_non_object_commands_are_ignored_not_fatal(self):
+    def test_non_commands_are_answered_not_fatal(self):
         """``[]`` on the channel used to raise out of the loop and
-        leave the worker serving headless."""
+        leave the worker serving headless; then such lines went
+        unanswered.  Each now gets an error naming what is wrong, and
+        the channel goes on answering commands."""
         from types import SimpleNamespace
 
         from repro.runtime.supervisor.worker import _control_loop
@@ -357,25 +360,47 @@ class TestWorkerControlLoop:
             server=SimpleNamespace(accepting=True, in_flight=0),
             engines=(), draining=False,
             metrics_text=lambda: GOOD_METRICS)
+        garbage = [b"[]", b"5", b'"drain"', b"{oops", b'{"cmd": "halt"}']
 
         async def main():
+            loop = asyncio.get_running_loop()
             parent_sock, child_sock = socket.socketpair()
             reader, writer = await asyncio.open_connection(
                 sock=child_sock)
             stop = asyncio.Event()
             loop_task = asyncio.ensure_future(
                 _control_loop(reader, writer, service, stop))
+            parent_sock.sendall(b"\n".join(garbage) + b"\n")
+            with parent_sock.makefile("rb") as lines:
+                errors = [json.loads(await loop.run_in_executor(
+                    None, lines.readline)) for _ in garbage]
             control = ControlClient(parent_sock)
-            parent_sock.sendall(b'[]\n5\n"drain"\n{oops\n')
-            text = await asyncio.get_running_loop().run_in_executor(
-                None, control.metrics_text)
+            text = await loop.run_in_executor(None, control.metrics_text)
             assert not stop.is_set() and not loop_task.done()
             control.close()
             await asyncio.wait_for(loop_task, 5.0)
             writer.close()
-            return text, stop.is_set()
+            return errors, text, stop.is_set()
 
-        assert asyncio.run(main()) == (GOOD_METRICS, True)
+        errors, text, stopped = asyncio.run(main())
+        assert (text, stopped) == (GOOD_METRICS, True)
+        assert [error["ok"] for error in errors] == [False] * len(garbage)
+        assert all(error["error"].startswith("control command: ")
+                   for error in errors)
+        assert "cmd must be 'status' or" in errors[-1]["error"]
+
+
+class TestWorkerMain:
+    def test_a_mistyped_config_exits_1_naming_the_field(
+            self, tmp_path, capsys):
+        from repro.runtime.supervisor import worker
+
+        path = tmp_path / "worker-0.json"
+        path.write_text('{"port": "x"}')
+        assert worker.main([str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "flick worker: error: service config: port must be an"
+            " integer, not 'x'\n")
 
 
 # ----------------------------------------------------------------------
@@ -655,13 +680,13 @@ class TestProfileAggregation:
                 _call_avg(calc_module, address, [n, n + 2])
             live = sup.profile_json()
             assert live is not None
-            snapshot = ProfileSnapshot.from_json(live)
-            assert snapshot.ops[("avg", "request")].calls == calls
+            snapshot = documents.read(ProfileSnapshot, live, "snapshot")
+            assert snapshot.profile("avg", "request").calls == calls
         merged = sup.stop()  # idempotent second stop
         del merged
-        saved = ProfileSnapshot.load(profile_path)
-        assert saved.ops[("avg", "request")].calls == calls
-        assert saved.ops[("avg", "reply")].calls == calls
+        saved = documents.load(ProfileSnapshot, profile_path, "snapshot")
+        assert saved.profile("avg", "request").calls == calls
+        assert saved.profile("avg", "reply").calls == calls
 
 
 # ----------------------------------------------------------------------
