@@ -1,18 +1,17 @@
 """Which functions under src/repro run, and who calls them.
 
-    PYTHONPATH=src python scripts/reachability.py [--quick]
+    PYTHONPATH=src python scripts/reachability.py
 
 Records every (caller, callee) edge into src/repro with ``sys.setprofile``
-/ ``threading.setprofile`` while tier-1 (skipped by ``--quick``), the
-examples, the scripts, ``python -m benchmarks.e2e --smoke`` and the CLI
-lines CI runs execute, subprocesses included (a temporary
-``sitecustomize`` on ``PYTHONPATH`` arms the recorder in every Python
-process).  Then prints, per file, the functions that never ran and those
-whose only direct callers are under tests/.  "Never ran" is not "dead":
-a caller on a path no driver takes keeps a function alive.
+/ ``threading.setprofile`` while tier-1, the examples, the scripts,
+``python -m benchmarks.e2e --smoke`` and the CLI lines CI runs execute,
+subprocesses included (a temporary ``sitecustomize`` on ``PYTHONPATH``
+arms the recorder in every Python process).  Then prints, per file, the
+functions that never ran and those whose only direct callers are under
+tests/.  "Never ran" is not "dead": a caller on a path no driver takes
+keeps a function alive.
 """
 
-import argparse
 import ast
 import glob
 import json
@@ -44,41 +43,39 @@ atexit.register(_dump)
 '''
 PLUGIN = ("import sitecustomize\n"
           "def pytest_runtest_setup(item):\n    sitecustomize.arm()\n")
+#: The CLI lines ci.yml runs besides the lint / identity-diff loops.
+CLI_LINES = """diff examples/idl/mail.idl examples/idl/mail_v2.idl
+diff examples/idl/mail.idl examples/pyschema_mail.py
+compile examples/pyschema_mail.py -o {out}/stubs
+bridge examples/idl/sensor.idl
+bridge examples/idl/sensor_v2.idl examples/idl/sensor.idl
+gateway examples/idl/sensor_v2.idl --upstream-idl examples/idl/sensor.idl \
+--listen iiop:127.0.0.1:0 --upstream onc:127.0.0.1:9999 --check
+ir examples/idl/ledger.idl --op put_rects
+ir examples/idl/mail.idl --op send --disable-pass inline_marshal
+serve examples/idl/mail.idl --impl mail_servant:MailServant \
+--metrics-port 0 --duration 3"""
 
 
-def drivers(quick, out):
+def drivers(out):
     py, cli = sys.executable, [sys.executable, "-m", "repro.tools.cli"]
-    idl = sorted(glob.glob("examples/idl/*"))
-    runs = [] if quick else [[py, "-m", "pytest", "-x", "-q", "-p",
-                              "reachability_plugin"]]
+    runs = [[py, "-m", "pytest", "-x", "-q", "-p", "reachability_plugin"]]
     runs += [[py, path] for path in sorted(glob.glob("examples/*.py"))]
     for path in sorted(glob.glob("scripts/*.py")):
-        if path != "scripts/reachability.py":
-            with open(path) as handle:
-                text = handle.read()
-            runs.append([py, path] + (["--rounds", "1"] if "--rounds" in text
-                                      else []))
-            if "--check" in text:
-                runs.append([py, path, "--check"])
+        if path == "scripts/reachability.py":
+            continue
+        with open(path) as handle:
+            text = handle.read()
+        runs.append([py, path] + (["--rounds", "1"] if "--rounds" in text
+                                  else []))
+        if "--check" in text:
+            runs.append([py, path, "--check"])
     runs += [[py, "-m", "benchmarks.e2e", "--smoke"],
              [py, "tests/gateway_smoke.py"]]
-    runs += [cli + ["lint", path] for path in idl]
-    runs += [cli + ["diff", path, path] for path in idl]
-    runs += [cli + args for args in (
-        ["diff", "examples/idl/mail.idl", "examples/idl/mail_v2.idl"],
-        ["diff", "examples/idl/mail.idl", "examples/pyschema_mail.py"],
-        ["compile", "examples/pyschema_mail.py", "-o", out + "/stubs"],
-        ["bridge", "examples/idl/sensor.idl"],
-        ["bridge", "examples/idl/sensor_v2.idl", "examples/idl/sensor.idl"],
-        ["gateway", "examples/idl/sensor_v2.idl", "--upstream-idl",
-         "examples/idl/sensor.idl", "--listen", "iiop:127.0.0.1:0",
-         "--upstream", "onc:127.0.0.1:9999", "--check"],
-        ["ir", "examples/idl/ledger.idl", "--op", "put_rects"],
-        ["ir", "examples/idl/mail.idl", "--op", "send", "--disable-pass",
-         "inline_marshal"],
-        ["serve", "examples/idl/mail.idl", "--impl",
-         "mail_servant:MailServant", "--metrics-port", "0",
-         "--duration", "3"])]
+    for path in sorted(glob.glob("examples/idl/*")):
+        runs += [cli + ["lint", path], cli + ["diff", path, path]]
+    runs += [cli + line.format(out=out).split()
+             for line in CLI_LINES.splitlines()]
     return runs
 
 
@@ -96,7 +93,7 @@ def functions(node, prefix=""):
         yield from functions(child, scope)
 
 
-def record(quick, out):
+def record(out):
     """Run every driver under the recorder; ``{(file, line): callers}``."""
     with open(os.path.join(out, "sitecustomize.py"), "w") as handle:
         handle.write(HOOK % {"src": SRC + os.sep, "out": out})
@@ -104,7 +101,7 @@ def record(quick, out):
         handle.write(PLUGIN)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [out, os.path.join(ROOT, "src"), os.path.join(ROOT, "examples")]))
-    for argv in drivers(quick, out):
+    for argv in drivers(out):
         code = subprocess.call(argv, cwd=ROOT, env=env,
                                stdout=subprocess.DEVNULL)
         print("ran (exit %d): %s" % (code, " ".join(argv[1:])),
@@ -118,12 +115,9 @@ def record(quick, out):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="skip tier-1; run the drivers only")
     os.chdir(ROOT)  # the drivers name their files from the root
     with tempfile.TemporaryDirectory(prefix="flick-reachability-") as out:
-        callers = record(parser.parse_args().quick, out)
+        callers = record(out)
     totals = {"never ran": [0, 0], "tests only": [0, 0]}
     for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"),
                                  recursive=True)):

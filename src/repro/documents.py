@@ -139,13 +139,17 @@ def write(value):
     return value
 
 
-def parse(cls, text, what):
-    """One JSON text (``str`` or ``bytes``) as a *cls*."""
+def decode(text, what):
+    """One JSON text (``str`` or ``bytes``) as plain, unchecked data."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as error:
         raise _wrong(what, "", "is not JSON: %s" % error) from None
-    return read(cls, data, what)
+
+
+def parse(cls, text, what):
+    """One JSON text (``str`` or ``bytes``) as a *cls*."""
+    return read(cls, decode(text, what), what)
 
 
 def load(cls, path, what):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 #: Histogram bucket upper bounds, seconds (log-spaced, 1-3-10 ladder).
@@ -37,18 +37,22 @@ class LatencyHistogram:
     """Fixed-bucket histogram with interpolated percentile estimates.
 
     Its fields, in seconds, are its profile-snapshot JSON
-    (:mod:`repro.documents`); ``counts`` starts all zero.
+    (:mod:`repro.documents`); :meth:`empty` makes one with no
+    observations.
     """
 
     bounds: list[float]
-    counts: list[int] = field(default_factory=list)
-    total: int = 0
-    sum: float = 0.0
+    counts: list[int]
+    total: int
+    sum: float
     max: float = 0.0
     min: Optional[float] = None
 
+    @classmethod
+    def empty(cls, bounds=BUCKET_BOUNDS):
+        return cls(bounds, [0] * (len(bounds) + 1), 0, 0.0)
+
     def __post_init__(self):
-        self.counts = self.counts or [0] * (len(self.bounds) + 1)
         if len(self.counts) != len(self.bounds) + 1:
             raise ValueError("counts must hold one count per bucket (%d),"
                              " not %d" % (len(self.bounds) + 1,
@@ -173,7 +177,7 @@ class Histogram:
     __slots__ = ("_histogram", "_lock")
 
     def __init__(self, lock, bounds=BUCKET_BOUNDS):
-        self._histogram = LatencyHistogram(bounds)
+        self._histogram = LatencyHistogram.empty(bounds)
         self._lock = lock
 
     def observe(self, value):

@@ -39,7 +39,6 @@ context for exemplars.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import threading
 import time
@@ -48,7 +47,7 @@ from typing import Literal, Optional
 
 from repro.core import codecs
 from repro.obs import trace as _trace
-from repro.obs.metrics import BUCKET_BOUNDS, LatencyHistogram
+from repro.obs.metrics import LatencyHistogram
 
 #: Snapshot schema version; bump on incompatible change.
 SNAPSHOT_VERSION = 1
@@ -308,7 +307,7 @@ class OpProfile:
     def codec_hist(self, kind):
         hist = self.codec.get(kind)
         if hist is None:
-            hist = self.codec[kind] = LatencyHistogram(BUCKET_BOUNDS)
+            hist = self.codec[kind] = LatencyHistogram.empty()
         return hist
 
     def note_exemplar(self, duration_s, trace_id, span_id, nbytes):
@@ -370,33 +369,36 @@ class ProfileSnapshot:
     def __post_init__(self):
         self.ops.sort(key=_op_key)
 
-    def _find(self, key):
-        return next((found for found in self.ops if _op_key(found) == key),
-                    None)
+    def _by_key(self):
+        return {_op_key(profile): profile for profile in self.ops}
 
     def profile(self, op, direction):
-        found = self._find((op, direction))
+        found = self._by_key().get((op, direction))
         if found is None:
             found = OpProfile(op, direction)
-            bisect.insort(self.ops, found, key=_op_key)
+            self.ops.append(found)
+            self.__post_init__()
         return found
 
     def for_op(self, op):
         """This op's profiles in direction order: request then reply."""
-        return [profile for direction in ("request", "reply")
-                for profile in self.ops
-                if _op_key(profile) == (op, direction)]
+        found = self._by_key()
+        return [found[(op, direction)] for direction in ("request", "reply")
+                if (op, direction) in found]
 
     def op_names(self):
         return sorted({profile.op for profile in self.ops})
 
     def merge(self, other):
+        mine = self._by_key()
         for theirs in other.ops:
-            mine = self._find(_op_key(theirs))
-            if mine is None:
-                bisect.insort(self.ops, copy.deepcopy(theirs), key=_op_key)
+            found = mine.get(_op_key(theirs))
+            if found is None:
+                found = mine[_op_key(theirs)] = copy.deepcopy(theirs)
+                self.ops.append(found)
             else:
-                mine.merge(theirs)
+                found.merge(theirs)
+        self.__post_init__()
         if other.sample != self.sample:
             # Counts stay correct; scaled-rate estimates become
             # per-snapshot.  Keep the coarser rate as the honest bound.

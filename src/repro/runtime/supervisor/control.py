@@ -15,7 +15,8 @@ stale reply when it eventually lands.
 A command is a :class:`Command` and a reply a :class:`Reply`; both
 sides read them with :mod:`repro.documents`, so a line of the wrong
 shape is refused naming its field.  A worker answers such a line with
-``{"ok": false, "error": ...}``.  Commands the worker answers (see
+``{"ok": false, "error": ...}`` and the line's ``seq`` when it has an
+integer one.  Commands the worker answers (see
 :mod:`repro.runtime.supervisor.worker`):
 
 ``status``
@@ -101,7 +102,9 @@ class ControlClient:
         reply that is not a JSON object close the channel; a timed-out
         reply leaves it open (the worker is busy, not dead — closing
         would read as parent death and make it exit) and the late reply
-        is discarded by its ``seq`` on the next request.
+        is discarded by its ``seq`` on the next request, before its
+        fields are checked.  A refused command is a :class:`Reply` with
+        ``ok`` false.
         """
         deadline = time.monotonic() + timeout
         with self._lock:
@@ -128,16 +131,23 @@ class ControlClient:
                     raise TransportError(
                         "control channel failed: %s" % error) from error
                 try:
-                    reply = documents.parse(Reply, line, "control reply")
+                    data = documents.decode(line, "control reply")
                 except documents.DocumentError as error:
-                    if not error.path:  # not JSON, an object, a reply
-                        self.close()
+                    self.close()
+                    raise TransportError("malformed %s" % error) from None
+                if not isinstance(data, dict):
+                    self.close()
                     raise TransportError(
-                        "malformed %s" % error) from None
-                if reply.seq == seq:
-                    return reply
-                # A late reply to an earlier, timed-out request, or the
-                # error answering a line this side did not send.
+                        "malformed control reply: not an object: %.40r"
+                        % (data,))
+                if data.get("seq") != seq:
+                    # A late reply to an earlier, timed-out request, or
+                    # the error answering a line this side did not send.
+                    continue
+                try:
+                    return documents.read(Reply, data, "control reply")
+                except documents.DocumentError as error:
+                    raise TransportError("malformed %s" % error) from None
 
     def _read_line(self, deadline):
         while b"\n" not in self._buffer:

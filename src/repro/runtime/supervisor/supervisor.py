@@ -567,8 +567,10 @@ class Supervisor:
                    and handle.process.poll() is None}
             if row["alive"] and not handle.control.closed:
                 try:
-                    row.update(documents.write(
-                        handle.control.status(timeout=1.0)))
+                    reply = documents.write(
+                        handle.control.status(timeout=1.0))
+                    row.update((key, value) for key, value in reply.items()
+                               if value is not None)
                 except TransportError:
                     row["alive"] = False
             rows.append(row)

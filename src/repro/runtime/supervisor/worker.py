@@ -59,15 +59,16 @@ async def _control_loop(reader, writer, service, stop):
     while True:
         try:
             line = await reader.readline()
-            if not line:
-                break  # the parent is gone; do not serve headless
-            command = documents.parse(Command, line, "control command")
         except (ConnectionError, OSError):
             break
-        except ValueError as error:  # not a command, or over the limit
+        except ValueError as error:  # over the stream limit
             command, reply = None, Reply(False, error=str(error))
         else:
-            reply = await _answer(command, service)
+            if not line:
+                break  # the parent is gone; do not serve headless
+            command, reply = _command(line)
+            if command is not None:
+                reply = await _answer(command, service)
         try:
             writer.write(to_line(reply))
             await writer.drain()
@@ -76,6 +77,20 @@ async def _control_loop(reader, writer, service, stop):
         if command is not None and command.cmd == "drain":
             break
     stop.set()
+
+
+def _command(line):
+    """``(Command, None)`` for a command *line*, else ``(None, the error
+    Reply)``, which carries the line's integer ``seq`` so the parent
+    need not wait out its timeout."""
+    data = None
+    try:
+        data = documents.decode(line, "control command")
+        return documents.read(Command, data, "control command"), None
+    except documents.DocumentError as error:
+        seq = data.get("seq") if isinstance(data, dict) else None
+        return None, Reply(False, seq=seq if type(seq) is int else None,
+                           error=str(error))
 
 
 async def _answer(command, service):

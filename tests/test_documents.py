@@ -234,6 +234,16 @@ _lines = st.one_of(
     _commands.map(lambda value: json.dumps(value).encode()))
 
 
+def _seq_of(line):
+    """The integer ``seq`` a reply to *line* must echo, else None."""
+    try:
+        data = json.loads(line)
+    except ValueError:
+        return None
+    seq = data.get("seq") if isinstance(data, dict) else None
+    return seq if type(seq) is int else None
+
+
 class TestControlLoop:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_lines, max_size=6))
@@ -249,9 +259,10 @@ class TestControlLoop:
                 break
         replies = _converse(lines)
         assert len(replies) == len(answered)
-        for reply in replies:
+        for line, reply in zip(answered, replies):
             documents.read(Reply, reply, "control reply")
             assert reply["ok"] is (reply["error"] is None)
+            assert reply["seq"] == _seq_of(line)
 
     def test_a_line_over_the_stream_limit_is_not_fatal(self):
         status = json.dumps({"cmd": "status", "seq": 7}).encode()

@@ -77,7 +77,7 @@ def _compile(backend):
 
 class TestLatencyHistogram:
     def test_empty_percentiles_are_zero(self):
-        histogram = metrics.LatencyHistogram(metrics.BUCKET_BOUNDS)
+        histogram = metrics.LatencyHistogram.empty()
         assert histogram.percentile(50) == 0.0
         assert histogram.percentile(99) == 0.0
         assert histogram.mean == 0.0
@@ -86,7 +86,7 @@ class TestLatencyHistogram:
         # All samples at 1 ms land in the (0.3 ms, 1 ms] bucket; naive
         # bucket-bound reporting says 1 ms is the *upper* bound while
         # clamped interpolation reports ~1 ms exactly.
-        histogram = metrics.LatencyHistogram(metrics.BUCKET_BOUNDS)
+        histogram = metrics.LatencyHistogram.empty()
         for _ in range(1000):
             histogram.observe(0.001)
         assert histogram.percentile(50) == pytest.approx(0.001)
@@ -95,7 +95,7 @@ class TestLatencyHistogram:
     def test_interpolates_within_winning_bucket(self):
         # 100 samples in (1 ms, 3 ms]: p50 must land strictly inside
         # the bucket, between the observed min and max.
-        histogram = metrics.LatencyHistogram(metrics.BUCKET_BOUNDS)
+        histogram = metrics.LatencyHistogram.empty()
         for index in range(100):
             histogram.observe(0.0011 + index * 0.00001)
         p50 = histogram.percentile(50)
@@ -103,14 +103,14 @@ class TestLatencyHistogram:
         assert p50 < histogram.percentile(95)
 
     def test_overflow_bucket_uses_observed_max(self):
-        histogram = metrics.LatencyHistogram(metrics.BUCKET_BOUNDS)
+        histogram = metrics.LatencyHistogram.empty()
         histogram.observe(25.0)  # beyond the last bound (10 s)
         assert histogram.percentile(50) <= 25.0
         assert histogram.percentile(99) <= 25.0
         assert histogram.percentile(99) >= metrics.BUCKET_BOUNDS[-1]
 
     def test_percentiles_are_monotone_and_bounded(self):
-        histogram = metrics.LatencyHistogram(metrics.BUCKET_BOUNDS)
+        histogram = metrics.LatencyHistogram.empty()
         values = [1e-6, 5e-5, 2e-4, 9e-4, 4e-3, 0.02, 0.7, 12.0]
         for value in values:
             histogram.observe(value)

@@ -308,6 +308,11 @@ MALFORMED = [
      _snapshot(exemplars=[{"trace_id": "t"}])),
     (r"ops\[0\]\.exemplars\[0\]\.trace_id",
      _snapshot(exemplars=[{"duration_s": 1.0, "trace_id": None}])),
+    (r"ops\[0\]\.codec\[encode\]\.counts",
+     _snapshot(codec={"encode": dict(_HIST, counts=[])})),
+    (r"ops\[0\]\.codec\[encode\]\.total",
+     _snapshot(codec={"encode": {key: value for key, value in _HIST.items()
+                                 if key != "total"}})),
 ]
 
 

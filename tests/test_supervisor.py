@@ -281,12 +281,27 @@ class TestControlChannel:
         ("metrics_text", {"ok": True, "text": 5}),
         ("metrics_text", {"ok": False, "error": "unknown command"}),
         ("profile_snapshot", {"ok": True, "snapshot": [1, 2]}),
+        ("status", {"ok": True, "echo": 1}),
     ])
     def test_mistyped_field_is_a_transport_error(self, command, reply):
         control = _fake_worker(lambda message: reply)
         with pytest.raises(TransportError, match="malformed"):
             getattr(control, command)(timeout=2.0)
         assert not control.closed  # the worker still speaks the protocol
+        control.close()
+
+    def test_a_stale_malformed_reply_is_discarded_by_its_seq(self):
+        """A late reply to an earlier, timed-out request is dropped
+        before its fields are read: it fails nothing."""
+        def answer(message):
+            stale = {"ok": "late", "seq": message["seq"] - 1}
+            good = {"ok": True, "text": GOOD_METRICS, "seq": message["seq"]}
+            return b"%s\n%s" % (json.dumps(stale).encode(),
+                                json.dumps(good).encode())
+
+        control = _fake_worker(answer)
+        assert control.metrics_text(timeout=2.0) == GOOD_METRICS
+        assert not control.closed
         control.close()
 
     @pytest.mark.parametrize("bad", [
@@ -309,6 +324,7 @@ class TestControlChannel:
             assert sup.profile_json() is None
             rows = sup.status()
             assert rows[1]["alive"] and rows[1]["accepting"]
+            assert "text" not in rows[1] and "snapshot" not in rows[1]
             assert sup.ready() in (True, False)  # answers, never raises
         finally:
             for control in controls:
@@ -376,18 +392,22 @@ class TestWorkerControlLoop:
                     None, lines.readline)) for _ in garbage]
             control = ControlClient(parent_sock)
             text = await loop.run_in_executor(None, control.metrics_text)
+            refused = await loop.run_in_executor(
+                None, lambda: control.request("halt", timeout=2.0))
             assert not stop.is_set() and not loop_task.done()
             control.close()
             await asyncio.wait_for(loop_task, 5.0)
             writer.close()
-            return errors, text, stop.is_set()
+            return errors, text, refused, stop.is_set()
 
-        errors, text, stopped = asyncio.run(main())
+        errors, text, refused, stopped = asyncio.run(main())
         assert (text, stopped) == (GOOD_METRICS, True)
         assert [error["ok"] for error in errors] == [False] * len(garbage)
         assert all(error["error"].startswith("control command: ")
                    for error in errors)
         assert "cmd must be 'status' or" in errors[-1]["error"]
+        # A refused command is answered at once, under its own seq.
+        assert not refused.ok and "cmd must be 'status' or" in refused.error
 
 
 class TestWorkerMain:
