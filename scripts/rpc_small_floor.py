@@ -19,9 +19,23 @@ printed, in microseconds per call:
 
 ``tcp - pingpong/1 - in-process`` is what ``repro.runtime``'s blocking
 transport itself still adds to a call.
+
+The last three columns split that out per suspect: the real call again
+with one per-call cost taken away, and the share printed is ``tcp``
+minus that call:
+
+* ``timeout``: the client socket's Python-level timeout, with which
+  CPython polls before every ``send`` and ``recv`` (taken away by
+  ``settimeout(None)``);
+* ``lock``: the server lock taken twice per request to keep ``_busy``
+  for ``drain()`` (taken away by a serve loop that keeps no ``_busy``);
+* ``frames``: ``_serve`` → ``begin`` → ``serve`` → ``end`` per
+  unobserved request (taken away by one function that dispatches and
+  writes, as one core entry would).
 """
 
 import argparse
+import contextlib
 import os
 import pathlib
 import socket
@@ -35,7 +49,10 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from benchmarks.e2e import contract  # noqa: E402
 from repro import api  # noqa: E402
+from repro.encoding.buffer import MarshalBuffer  # noqa: E402
+from repro.errors import TransportError  # noqa: E402
 from repro.runtime import StubServer, TcpClientTransport, Transport  # noqa: E402
+from repro.runtime import socket_transport  # noqa: E402
 
 CALLS = 4000
 
@@ -105,11 +122,55 @@ class Sizing(InProcess):
         return reply
 
 
-def timed(call):
-    started = perf_counter()
-    for _ in range(CALLS):
-        call()
-    return (perf_counter() - started) / CALLS * 1e6
+class Unlocked(socket_transport.TcpServer):
+    """``TcpServer`` whose serve loop keeps no ``_busy`` set, and so
+    takes no lock per request (no fault plan, no stats)."""
+
+    def _serve_connection(self, connection):
+        stream = socket_transport._RecordStream(connection)
+        core, buffer, write = self._core, MarshalBuffer(), stream.write
+        try:
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while not self._draining:
+                try:
+                    request = stream.read()
+                except TransportError:
+                    return
+                if not socket_transport._serve(core, request, buffer, write):
+                    return
+        except OSError:
+            pass
+        finally:
+            with self._lock:
+                self._connections.discard(connection)
+            connection.close()
+
+
+def _serve_in_one_frame(core, record, buffer, write):
+    """``_serve`` for an unobserved request that never fails, with
+    ``begin``/``serve``/``end`` folded in: one frame beyond dispatch."""
+    buffer.reset()
+    if core.dispatch(record, core.impl, buffer):
+        write(buffer.view())
+    return True
+
+
+@contextlib.contextmanager
+def one_frame_serve():
+    original = socket_transport._serve
+    socket_transport._serve = _serve_in_one_frame
+    try:
+        yield
+    finally:
+        socket_transport._serve = original
+
+
+def timed(call, around=contextlib.nullcontext):
+    with around():
+        started = perf_counter()
+        for _ in range(CALLS):
+            call()
+        return (perf_counter() - started) / CALLS * 1e6
 
 
 def main():
@@ -126,7 +187,12 @@ def main():
         stub_server = StubServer(module, contract.Servant())
         server = stub_server.tcp_server().start()
         transport = TcpClientTransport(*server.address)
-        closers += [transport.close, server.stop]
+        unlocked = Unlocked(module.dispatch, stub_server.impl).start()
+        to_unlocked = TcpClientTransport(*unlocked.address)
+        untimed = TcpClientTransport(*server.address)
+        untimed._sock.settimeout(None)
+        closers += [transport.close, untimed.close, to_unlocked.close,
+                    server.stop, unlocked.stop]
         client_class = getattr(module, contract.PREFIX + "LedgerClient")
         sizing = Sizing(stub_server)
         client_class(sizing).ping(7)
@@ -136,30 +202,41 @@ def main():
             for recvs in (1, 2):
                 pingpong = PingPong(request_size, reply_size, recvs)
                 closers.append(pingpong.close)
-                subjects[protocol, op, "pingpong/%d" % recvs] = pingpong.call
-            for name, via in (("in-process", InProcess(stub_server)),
-                              ("tcp", transport)):
+                subjects[protocol, op, "pingpong/%d" % recvs] = \
+                    (pingpong.call, contextlib.nullcontext)
+            for name, via, around in (
+                    ("in-process", InProcess(stub_server),
+                     contextlib.nullcontext),
+                    ("tcp", transport, contextlib.nullcontext),
+                    ("-timeout", untimed, contextlib.nullcontext),
+                    ("-lock", to_unlocked, contextlib.nullcontext),
+                    ("-frames", transport, one_frame_serve)):
                 method = getattr(client_class(via), op)
-                subjects[protocol, op, name] = \
-                    lambda method=method, args=args: method(*args)
+                subjects[protocol, op, name] = (
+                    lambda method=method, args=args: method(*args), around)
     best = dict.fromkeys(subjects, float("inf"))
-    for call in subjects.values():
-        for _ in range(500):
-            call()
+    for call, around in subjects.values():
+        with around():
+            for _ in range(500):
+                call()
     for _ in range(rounds):
-        for key, call in subjects.items():
-            best[key] = min(best[key], timed(call))
+        for key, (call, around) in subjects.items():
+            best[key] = min(best[key], timed(call, around))
     for close in closers:
         close()
     columns = ("pingpong/2", "pingpong/1", "in-process", "tcp")
+    suspects = ("timeout", "lock", "frames")
     print("%-16s" % "us per call" + "".join("%12s" % c for c in columns)
-          + "%12s" % "transport")
+          + "%12s" % "transport" + "".join("%9s" % s for s in suspects))
     for protocol in ("onc", "iiop"):
         for op in ("ping", "put_ints"):
             row = [best[protocol, op, column] for column in columns]
+            shares = [row[3] - best[protocol, op, "-" + suspect]
+                      for suspect in suspects]
             print("%-16s" % ("%s %s" % (protocol, op))
                   + "".join("%12.2f" % value for value in row)
-                  + "%12.2f" % (row[3] - row[1] - row[2]))
+                  + "%12.2f" % (row[3] - row[1] - row[2])
+                  + "".join("%9.2f" % share for share in shares))
 
 
 if __name__ == "__main__":
