@@ -33,8 +33,11 @@ decided here and nowhere else:
   the same root.  Parents are explicit, never the ambient context, so
   the steps may run on different threads.
 
-With stats and tracer both off :meth:`RequestCore.begin` returns None
-after two reads: no header probe, no clock, no span object.
+A driver that serves and writes on one thread (the blocking servers and
+:meth:`StubServer.serve_bytes`) makes one call per record,
+:meth:`RequestCore.handle`; with stats and tracer both off that is the
+only frame between the driver and ``dispatch`` — no ticket, no header
+probe, no clock, no span object.
 """
 
 from __future__ import annotations
@@ -42,8 +45,12 @@ from __future__ import annotations
 import time
 
 from repro import envelopes
-from repro.errors import RuntimeFlickError
+from repro.errors import RuntimeFlickError, TransportError
 from repro.obs import propagation, trace
+
+#: What a servant may raise that the core answers as a failed request.
+#: ``SystemExit`` is in: a servant calling ``sys.exit()`` has crashed.
+_SETTLED = (Exception, SystemExit)
 
 
 class _Ticket:
@@ -60,7 +67,10 @@ class _Ticket:
 class RequestCore:
     """One servant behind one generated ``dispatch``; see the module doc.
 
-    A driver calls, per record: ``ticket = begin(record)``, then
+    A driver that writes on the thread it serves on calls
+    ``has_reply, keep_open, error = handle(record, buffer, write)`` per
+    record and closes if told to.  One that serves elsewhere (the aio
+    server's workers) calls ``ticket = begin(record)``, then
     ``has_reply, keep_open, error = serve(record, buffer, ticket)`` (or
     ``await aserve(...)``), writes ``buffer.view()`` if told to, closes
     if told to, and ``end(ticket)``.
@@ -95,6 +105,42 @@ class RequestCore:
             return "?"
         return self.op_names.get(key, key)
 
+    def handle(self, record, buffer, write=None):
+        """Serve *record* start to finish on the calling thread.
+
+        Dispatches and settles as :meth:`serve` does, calls
+        ``write(buffer.view())`` when there is a reply (with *write*
+        None the reply is left in *buffer*), and returns what
+        :meth:`serve` returns — ``keep_open`` False as well when *write*
+        raised :class:`OSError` or :class:`TransportError`.  Observed
+        requests go through :meth:`begin`, :meth:`serve` and :meth:`end`
+        with the ``write`` span between; an unobserved one costs this
+        frame and ``dispatch``.
+        """
+        ticket = None
+        if self.stats is None and trace.active() is None:
+            buffer.reset()
+            try:
+                served = (self.dispatch(record, self.impl, buffer),
+                          True, None)
+            except _SETTLED as error:
+                served = self._failed(record, buffer, error, None)
+        else:
+            ticket = self.begin(record)
+            served = self.serve(record, buffer, ticket)
+        if served[0] and write is not None:
+            try:
+                if ticket is None or ticket.span is None:
+                    write(buffer.view())
+                else:
+                    with trace.span("write", parent=ticket.span):
+                        write(buffer.view())
+            except (OSError, TransportError):
+                served = True, False, served[2]
+        if ticket is not None:
+            self.end(ticket)
+        return served
+
     def begin(self, record):
         """Start observing one request; None when nothing observes."""
         tracer = trace.active()
@@ -127,7 +173,7 @@ class RequestCore:
             else:
                 with trace.span("dispatch", parent=ticket.span):
                     has_reply = self.dispatch(record, self.impl, buffer)
-        except (Exception, SystemExit) as error:
+        except _SETTLED as error:
             return self._failed(record, buffer, error, ticket)
         if ticket is not None:
             self._observe(ticket, False)
@@ -139,7 +185,7 @@ class RequestCore:
         try:
             with trace.span("dispatch", parent=ticket and ticket.span):
                 has_reply = await invoke
-        except (Exception, SystemExit) as error:
+        except _SETTLED as error:
             return self._failed(record, buffer, error, ticket)
         if ticket is not None:
             self._observe(ticket, False)

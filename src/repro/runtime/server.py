@@ -116,12 +116,10 @@ class StubServer:
         oneway request, an unparseable header) the dispatch error is
         re-raised instead.
         """
-        core, buffer = self._core, self._buffer
-        ticket = core.begin(request)
-        has_reply, _keep_open, error = core.serve(request, buffer, ticket)
-        core.end(ticket)
+        has_reply, _keep_open, error = self._core.handle(
+            request, self._buffer)
         if has_reply:
-            return buffer.getvalue()
+            return self._buffer.getvalue()
         if error is not None:
             raise error
         return None

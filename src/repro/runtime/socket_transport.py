@@ -7,8 +7,9 @@ marking convention (RFC 1831 section 10) via the shared codec in
 
 The two servers are blocking I/O drivers of one
 :class:`~repro.runtime.request.RequestCore`: they read a record, apply
-the fault plan if there is one, and write or close as the core says —
-what a failed request means is not decided here.
+the fault plan if there is one, hand each record and their ``write`` to
+:meth:`~repro.runtime.request.RequestCore.handle`, and close when it
+says so — what a failed request means is not decided here.
 
 Both servers shut down gracefully: ``stop()`` closes the listening socket
 (refusing new work), unblocks every worker, and joins all threads with a
@@ -31,7 +32,7 @@ from repro.runtime.framing import (
     encode_record,
 )
 from repro.runtime.request import RequestCore
-from repro.runtime.transport import Transport
+from repro.runtime.transport import Transport, deadline_timeval, set_deadline
 
 MAX_UDP_SIZE = 65000
 
@@ -54,11 +55,12 @@ class _RecordStream:
     inside a large one exactly what it still lacks), and keeps the records
     a read completed beyond the first for the calls that follow.
 
-    The first read that fails — an error, a deadline, a peer that hangs
-    up or breaks framing — closes the socket, and every later
+    The first read or write that fails — an error, a deadline, a peer
+    that hangs up or breaks framing — closes the socket, and every later
     :meth:`read` or :meth:`write` raises a :class:`TransportError` naming
-    that first cause: what arrives after it belongs to no call still
-    waiting.
+    that first cause: what arrives after a failed read belongs to no
+    call still waiting, and a record written after a failed write would
+    follow part of another.
     """
 
     __slots__ = ("_sock", "_decoder", "_ready", "error")
@@ -74,9 +76,9 @@ class _RecordStream:
         try:
             self._sock.sendall(encode_record(payload))
         except OSError as error:
-            if self.error is None:
-                raise
-            raise self._fail(error) from error
+            raise self._fail(TransportError(
+                "connection error while writing record: %s"
+                % _cause(error))) from error
 
     def read(self):
         """The next record, blocking until it is complete."""
@@ -90,7 +92,7 @@ class _RecordStream:
             except OSError as error:
                 raise self._fail(TransportError(
                     "connection error while reading %s: %s"
-                    % (decoder.waiting_for()[0], error))) from error
+                    % (decoder.waiting_for()[0], _cause(error)))) from error
             if not chunk:
                 what, received, wanted = decoder.waiting_for()
                 raise self._fail(TransportError(
@@ -117,6 +119,13 @@ class _RecordStream:
             "connection closed after an earlier failure: %s" % self.error)
 
 
+def _cause(error):
+    """How a failed ``send``/``recv`` reads in a :class:`TransportError`:
+    an expired ``SO_SNDTIMEO``/``SO_RCVTIMEO`` (``EAGAIN`` on a blocking
+    socket) is "timed out", as a Python-level timeout would say."""
+    return "timed out" if isinstance(error, BlockingIOError) else error
+
+
 def _check_udp_size(payload):
     if len(payload) > MAX_UDP_SIZE:
         raise TransportError(
@@ -140,43 +149,27 @@ def _faulted(injector, record):
         yield delivery.payload
 
 
-def _serve(core, record, buffer, write):
-    """Drive one *record* through *core* on the calling thread.
-
-    *write* puts ``buffer.view()`` on the wire.  Returns False when the
-    connection must close: the core said so, or the write failed.
-    """
-    ticket = core.begin(record)
-    has_reply, keep_open, _error = core.serve(record, buffer, ticket)
-    if has_reply:
-        try:
-            if ticket is None:
-                write(buffer.view())
-            else:
-                with trace.span("write", parent=ticket.span):
-                    write(buffer.view())
-        except OSError:
-            keep_open = False
-    core.end(ticket)
-    return keep_open
-
-
 class TcpClientTransport(Transport):
     """A framed TCP connection to a :class:`TcpServer`.
 
-    *deadline* bounds each blocking receive (and, unless
+    *deadline* bounds each blocking send and receive (and, unless
     *connect_timeout* is given, the connect), in seconds — the same
-    vocabulary as :class:`~repro.runtime.aio.client.AioClientTransport`.
+    vocabulary as :class:`~repro.runtime.aio.client.AioClientTransport`;
+    None waits for ever.  The kernel enforces it (``SO_RCVTIMEO`` /
+    ``SO_SNDTIMEO``), so a call does not ``poll()`` before each
+    syscall; an expiry fails the call, and the connection, with
+    "timed out".
     """
 
     def __init__(self, host, port, *, deadline=10.0,
                  connect_timeout=None):
+        timeval = deadline_timeval(deadline)
         if connect_timeout is None:
             connect_timeout = deadline
         self._sock = socket.create_connection(
             (host, port), timeout=connect_timeout
         )
-        self._sock.settimeout(deadline)
+        set_deadline(self._sock, timeval)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = _RecordStream(self._sock)
 
@@ -238,10 +231,9 @@ class TcpServer:
         self._running = False
         self._draining = False
         self._thread = None
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # taken at accept and at exit only
         self._workers = []
         self._connections = set()
-        self._busy = set()  # connections currently serving a request
 
     def start(self):
         self._running = True
@@ -281,9 +273,10 @@ class TcpServer:
         write = stream.write
         try:
             connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while True:
-                if self._draining:
-                    return
+            # drain() shuts the read side of every connection, in flight
+            # or not: a worker in recv() wakes with EOF, one serving a
+            # request still writes its reply and stops here after it.
+            while not self._draining:
                 try:
                     request = stream.read()
                 except WireFormatError:
@@ -294,29 +287,18 @@ class TcpServer:
                     return
                 except TransportError:
                     return
-                # From here until the reply is written this connection is
-                # in flight: drain() leaves it alone (its reply must be
-                # delivered) and the loop exits before the *next* recv.
-                with self._lock:
-                    self._busy.add(connection)
-                try:
-                    if injector is None:
-                        keep_open = _serve(core, request, buffer, write)
-                    else:
-                        keep_open = all(
-                            _serve(core, record, buffer, write)
-                            for record in _faulted(injector, request))
-                    if not keep_open:
+                if injector is None:
+                    if not core.handle(request, buffer, write)[1]:
                         return
-                finally:
-                    with self._lock:
-                        self._busy.discard(connection)
+                else:
+                    for record in _faulted(injector, request):
+                        if not core.handle(record, buffer, write)[1]:
+                            return
         except OSError:  # an injected connection reset included
             pass
         finally:
             with self._lock:
                 self._connections.discard(connection)
-                self._busy.discard(connection)
             connection.close()
 
     def drain(self, timeout=5.0):
@@ -324,9 +306,10 @@ class TcpServer:
         replies, then close.
 
         The SIGTERM path (``flick serve`` wires it up): the listener
-        closes immediately (new connects are refused), idle connections
-        are shut down, and connections mid-request get up to *timeout*
-        seconds to finish — their replies are written before the close.
+        closes immediately (new connects are refused), every connection
+        stops reading, and connections mid-request get up to *timeout*
+        seconds to finish — their replies are written before the close;
+        requests read but not started are dropped with the connection.
         Always leaves the server fully stopped.
         """
         deadline = time.monotonic() + timeout
@@ -341,13 +324,11 @@ class TcpServer:
         except OSError:
             pass
         with self._lock:
-            idle = [connection for connection in self._connections
-                    if connection not in self._busy]
+            connections = list(self._connections)
             workers = list(self._workers)
-        for connection in idle:
-            # Wake the worker blocked in recv() with EOF; its write side
-            # stays open in case a request just landed (the reply must
-            # still go out).
+        for connection in connections:
+            # Wake a worker blocked in recv() with EOF.  The write side
+            # stays open: a worker mid-request still sends its reply.
             try:
                 connection.shutdown(socket.SHUT_RD)
             except OSError:
@@ -404,18 +385,24 @@ class TcpServer:
 class UdpClientTransport(Transport):
     """Datagram transport; one message per datagram, like ONC over UDP.
 
-    *deadline* bounds each blocking receive, in seconds.
+    *deadline* bounds each blocking receive, in seconds, as on
+    :class:`TcpClientTransport`; an expiry raises :class:`TimeoutError`
+    (``socket.timeout``) and leaves the transport usable.
     """
 
     def __init__(self, host, port, *, deadline=10.0):
+        timeval = deadline_timeval(deadline)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.settimeout(deadline)
+        set_deadline(self._sock, timeval)
         self._address = (host, port)
 
     def call(self, request):
         self.send(request)
         with trace.span("await.reply"):
-            reply, _peer = self._sock.recvfrom(65536)
+            try:
+                reply, _peer = self._sock.recvfrom(65536)
+            except BlockingIOError:  # SO_RCVTIMEO expired
+                raise socket.timeout("timed out") from None
         return reply
 
     def send(self, request):
@@ -490,7 +477,7 @@ class UdpServer:
             try:
                 for record in ((request,) if injector is None
                                else _faulted(injector, request)):
-                    _serve(core, record, buffer, write)
+                    core.handle(record, buffer, write)
             except ConnectionResetError:
                 pass
 

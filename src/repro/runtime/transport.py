@@ -1,11 +1,46 @@
-"""Transport base class and the in-process loopback transport."""
+"""Transport base class, the in-process loopback transport, and the
+socket deadline the blocking client transports share."""
 
 from __future__ import annotations
 
 import abc
+import socket
+import struct
 
 from repro.errors import TransportError
 from repro.encoding.buffer import MarshalBuffer
+
+
+def deadline_timeval(deadline):
+    """*deadline* (seconds; None for none) as the native ``struct
+    timeval`` that ``SO_RCVTIMEO``/``SO_SNDTIMEO`` take, or None.
+
+    Raises :class:`ValueError` unless the deadline is positive.  A zero
+    timeval means "wait forever", so a positive deadline shorter than
+    half a microsecond becomes one microsecond, not that.
+    """
+    if deadline is None:
+        return None
+    if not deadline > 0:
+        raise ValueError(
+            "a deadline is a positive number of seconds or None, not %r"
+            % (deadline,))
+    micros = max(1, round(deadline * 1e6))
+    return struct.pack("@ll", *divmod(micros, 1000000))
+
+
+def set_deadline(sock, timeval):
+    """Leave *sock* blocking, each ``send`` and ``recv`` bounded by
+    *timeval* (from :func:`deadline_timeval`; None: unbounded).
+
+    The kernel enforces the bound and fails the call with ``EAGAIN``
+    (:class:`BlockingIOError`).  A Python-level ``settimeout()`` would
+    enforce the same bound by a ``poll()`` before every call instead.
+    """
+    sock.settimeout(None)
+    if timeval is not None:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
 
 
 class Transport(abc.ABC):

@@ -72,6 +72,30 @@ class Tree:
     def files_of(self, hits):
         return sorted({hit.split(":", 1)[0] for hit in hits})
 
+    def blocks(self, path, *headers):
+        """``[["path:line: text", ...], ...]``: every block of *path*
+        reached through *headers* in turn — a line matching the first,
+        then inside that line's block one matching the next, and so on.
+        A block is its header line and the lines indented deeper."""
+        found = [list(enumerate(self.files.get(path, "").splitlines(), 1))]
+        for header in headers:
+            regex, nested = re.compile(header), []
+            for block in found:
+                for index, (_number, line) in enumerate(block):
+                    if not regex.search(line):
+                        continue
+                    indent = len(line) - len(line.lstrip())
+                    end = index + 1
+                    while end < len(block) and (
+                            not block[end][1].strip()
+                            or len(block[end][1])
+                            - len(block[end][1].lstrip()) > indent):
+                        end += 1
+                    nested.append(block[index:end])
+            found = nested
+        return [["%s:%d: %s" % (path, number, line.strip())
+                 for number, line in block] for block in found]
+
 
 def _no(hits):
     assert not hits, "\n".join(hits)
@@ -295,6 +319,23 @@ def one_reader_of_outside_documents(tree):
                   "src"))
 
 
+def no_poll_or_lock_per_blocking_call(tree):
+    """A blocking call pays for no Python-level socket timeout, no lock
+    and one request-core frame: the client transports keep their
+    deadline in socket options (a ``settimeout(deadline)`` makes CPython
+    ``poll()`` before every send and recv), TcpServer's serve loop keeps
+    no ``_busy`` set and takes its lock only outside the loop, and the
+    synchronous drivers enter the core once, through ``handle`` — the
+    begin/serve/end helper ``socket_transport._serve`` is gone."""
+    path = "src/repro/runtime/socket_transport.py"
+    _no(tree.grep(r"settimeout\((self\.)?_?deadline", "src/repro/runtime"))
+    _no(tree.grep(r"\b_busy\b", path))
+    _no(tree.grep(r"(^|[^.\w])_serve\(", path))
+    _no(tree.grep(r"\.(begin|end)\(", path, "src/repro/runtime/server.py"))
+    for loop in tree.blocks(path, r"def _serve_connection\(", r"^\s*while "):
+        _no([line for line in loop if "_lock" in line])
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -382,6 +423,21 @@ PINS = {
         ("src/repro/faults/plan.py", "return cls.from_dict(data)"),
         ("src/repro/runtime/supervisor/control.py",
          "return self._field('metrics', 'text', str, timeout)"),
+    ],
+    no_poll_or_lock_per_blocking_call: [
+        ("src/repro/runtime/socket_transport.py",
+         "        self._sock.settimeout(deadline)"),
+        ("src/repro/runtime/socket_transport.py",
+         "        self._busy = set()"),
+        ("src/repro/runtime/socket_transport.py",
+         "    def _serve_connection(self, connection):\n"
+         "        while True:\n"
+         "            with self._lock:\n"
+         "                pass"),
+        ("src/repro/runtime/socket_transport.py",
+         "def _serve(core, record, buffer, write):"),
+        ("src/repro/runtime/server.py",
+         "        ticket = core.begin(request)"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

@@ -14,6 +14,7 @@ from repro.obs import propagation
 from repro.runtime import StubServer, TcpClientTransport, UdpClientTransport
 from repro.runtime.framing import RecordDecoder, encode_record
 from repro.runtime.socket_transport import MAX_UDP_SIZE
+from repro.runtime.transport import deadline_timeval
 
 from tests.conftest import MailImpl, compile_mail
 from tests.rawsock import recv_record
@@ -294,6 +295,131 @@ class TestFailedReadPoisonsTheConnection:
                 assert onc_module.Test_MailClient(transport).avg([4]) == 4.0
             finally:
                 transport.close()
+
+
+class TestFailedWritePoisonsTheConnection:
+    def test_send_deadline_expiry_closes_the_connection(self):
+        """A request the peer never reads stops part-way out when the
+        deadline expires.  The next call must not put a fresh record
+        behind that partial one (the peer's framing would desync): the
+        expiry closes the connection, and later calls say why."""
+        listener = socket.socket()
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)  # completes the handshake; nothing reads
+        try:
+            transport = TcpClientTransport(
+                *listener.getsockname(), deadline=0.2)
+            try:
+                started = time.monotonic()
+                with pytest.raises(TransportError, match="connection error"
+                                   " while writing record: timed out$"):
+                    transport.call(b"x" * (8 << 20))
+                assert time.monotonic() - started < 5.0
+                for request in (b"y", b"z" * 100):
+                    with pytest.raises(
+                            TransportError,
+                            match="earlier failure.*writing record: timed"):
+                        transport.call(request)
+                with pytest.raises(TransportError, match="earlier failure"):
+                    transport.send(b"oneway")
+            finally:
+                transport.close()
+        finally:
+            listener.close()
+
+
+class TestDeadlines:
+    """The blocking clients' deadline is a socket option on a blocking
+    socket, so no call polls; the edges of that encoding."""
+
+    @staticmethod
+    def _option(sock, name):
+        size = len(deadline_timeval(1.0))
+        return sock.getsockopt(socket.SOL_SOCKET, name, size)
+
+    def test_deadline_is_a_socket_option_not_a_python_timeout(
+            self, onc_module):
+        server = StubServer(onc_module, MailImpl(onc_module)).tcp_server()
+        with server:
+            transport = TcpClientTransport(*server.address, deadline=2.0)
+            try:
+                sock = transport._sock
+                assert sock.gettimeout() is None
+                for name in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                    assert self._option(sock, name) == deadline_timeval(2.0)
+                assert onc_module.Test_MailClient(transport).avg([6]) == 6.0
+            finally:
+                transport.close()
+
+    def test_no_deadline_waits_for_ever(self, onc_module):
+        server = StubServer(onc_module, MailImpl(onc_module)).tcp_server()
+        with server:
+            transport = TcpClientTransport(*server.address, deadline=None)
+            try:
+                sock = transport._sock
+                assert sock.gettimeout() is None
+                assert self._option(sock, socket.SO_RCVTIMEO) \
+                    == bytes(len(deadline_timeval(1.0)))
+                assert onc_module.Test_MailClient(transport).avg([8]) == 8.0
+            finally:
+                transport.close()
+        assert deadline_timeval(None) is None
+
+    def test_a_tiny_deadline_is_one_microsecond_not_for_ever(self):
+        """A zero timeval means "no timeout": a positive deadline that
+        rounds to 0 us must round up instead."""
+        one_us = struct.pack("@ll", 0, 1)
+        assert deadline_timeval(1e-7) == one_us
+        assert deadline_timeval(4.9e-7) == one_us
+        assert deadline_timeval(1e-6) == one_us
+        assert deadline_timeval(2.5) == struct.pack("@ll", 2, 500000)
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)  # accepts nothing, answers nothing
+        try:
+            transport = TcpClientTransport(
+                *listener.getsockname(), deadline=1e-7, connect_timeout=5.0)
+            try:
+                assert self._option(transport._sock, socket.SO_RCVTIMEO) \
+                    != bytes(len(one_us))
+                with pytest.raises(TransportError, match="timed out$"):
+                    transport.call(b"request")
+            finally:
+                transport.close()
+        finally:
+            listener.close()
+
+    @pytest.mark.parametrize("deadline", [0, 0.0, -1, float("nan")])
+    def test_a_non_positive_deadline_is_refused_before_connecting(
+            self, deadline):
+        """``settimeout(0)`` made the socket non-blocking, so every
+        ``recv`` failed at once; now the constructor refuses it.  Port 9
+        has no listener: a ValueError, not a refused connect, shows the
+        check comes first."""
+        with pytest.raises(ValueError, match="positive number of seconds"):
+            TcpClientTransport("127.0.0.1", 9, deadline=deadline)
+        with pytest.raises(ValueError, match="positive number of seconds"):
+            UdpClientTransport("127.0.0.1", 9, deadline=deadline)
+
+    def test_udp_deadline_expiry_is_a_timeout(self):
+        """The UDP client keeps its vocabulary: an expiry is
+        ``socket.timeout`` (``TimeoutError``), and the transport goes on
+        working."""
+        silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        silent.bind(("127.0.0.1", 0))
+        try:
+            transport = UdpClientTransport(
+                *silent.getsockname(), deadline=0.05)
+            try:
+                assert transport._sock.gettimeout() is None
+                for _ in range(2):
+                    with pytest.raises(socket.timeout, match="^timed out$"):
+                        transport.call(b"anyone?")
+            finally:
+                transport.close()
+        finally:
+            silent.close()
 
 
 class TestTracedClient:
