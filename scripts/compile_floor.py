@@ -10,27 +10,31 @@ section table (``stubs.sections``) the way ``repro.core.loader`` cuts it
 and ``compile()`` of each piece is timed on one pinned CPU, rounds in
 alternation, the lowest printed, in milliseconds:
 
-* ``whole``: the text in one piece — what loading a module cost before
-  PR 24, and what a module written to disk and imported still costs;
+* ``whole``: the text in one piece — what a module written to disk and
+  imported costs;
 * ``shared`` ``codecs`` ``client`` ``server`` ``errors``: each section
   alone (their sum exceeds ``whole`` by the per-``compile()`` overhead);
-* ``py at load``: what ``stubs.load()`` compiles under ``renderer="py"``
-  — ``whole`` before, ``shared`` + ``codecs`` after; the rest compiles
-  at the first ``module.<name>`` of the role that needs it;
-* ``closures at load``: the same under ``renderer="closures"`` —
-  everything but ``codecs`` before, ``shared`` alone after.
+* ``eager``: ``shared`` + ``codecs`` in one piece — what ``stubs.load()``
+  compiled while a module's codecs compiled with it;
+* ``at load``: what ``stubs.load()`` compiles under either renderer
+  name — ``shared`` alone.  Each codec function compiles at its first
+  call, and the rest at the first ``module.<name>`` of the role that
+  needs it.
 
-``--check`` times nothing.  For every cell x renderer it runs the cell's
-reference call from a proxy of one module object to the ``dispatch`` of
-another and exits non-zero if the serving module compiled its client
-section, the calling module its server section, or the answer is wrong.
-Which sections a role loads does not depend on the host.
+``--check`` times nothing.  For every cell under both renderer names it
+runs the cell's reference call from a proxy of one module object to the
+``dispatch`` of another, and exits non-zero if the serving module
+compiled its client section or the calling module its server section,
+if either load compiled a codec function, if the call compiled a codec
+function it did not run or ran one it did not compile, or if the answer
+is wrong.  What a process compiles does not depend on the host.
 """
 
 import argparse
 import os
 import pathlib
 import sys
+import types
 from time import perf_counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -38,16 +42,14 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from benchmarks.e2e.workloads import Cell, _Capture  # noqa: E402
 from repro import api  # noqa: E402
+from repro.core import loader  # noqa: E402
 from repro.core.loader import excerpt, pending_sections  # noqa: E402
+from repro.mir import render_closures  # noqa: E402
 from repro.runtime import LoopbackTransport  # noqa: E402
 
 SECTIONS = ("shared", "codecs", "client", "server", "errors")
 #: column -> the sections compiled in one piece.
-LOADS = (
-    ("py before", SECTIONS), ("py after", ("shared", "codecs")),
-    ("clo before", ("shared", "client", "server", "errors")),
-    ("clo after", ("shared",)),
-)
+LOADS = (("eager", ("shared", "codecs")), ("at load", ("shared",)))
 
 
 def cells(renderers=("py",)):
@@ -106,17 +108,80 @@ def measure(rounds):
                     for column in columns))
 
 
+class Compiles:
+    """Every ``compile()`` of stub text — the loader's pieces and the
+    codec functions' first calls — as ``(file name, functions)``."""
+
+    def __init__(self):
+        self.seen = []
+        for module in (loader, render_closures):
+            module.compile = self.spy
+
+    def spy(self, source, filename, mode):
+        code = compile(source, filename, mode)
+        self.seen.append((filename, {
+            const.co_name for const in code.co_consts
+            if isinstance(const, types.CodeType)}))
+        return code
+
+    def functions(self, modules, names):
+        """``{(module, function)}`` among *names* compiled for one of
+        *modules*."""
+        return {(owner, name) for filename, defined in self.seen
+                for owner in [owner_of(filename, modules)] if owner
+                for name in defined & names}
+
+
+def owner_of(filename, modules):
+    """The name of the module of *modules* that code compiled under
+    *filename* belongs to: its own text, or a text registered for it
+    (``<module.function_N>``); else None."""
+    for module in modules:
+        if filename == module.__file__ \
+                or filename.startswith("<%s." % module.__name__):
+            return module.__name__
+    return None
+
+
+def ran(modules, names, call):
+    """``{(module, function)}`` among *names* that ``call()`` entered."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in names:
+            owner = owner_of(code.co_filename, modules)
+            if owner:
+                entered.add((owner, code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
 def check():
+    compiles = Compiles()
     failures = 0
     for cell in cells(("py", "closures")):
-        serving = compile_cell(cell).module
+        del compiles.seen[:]
+        result = compile_cell(cell)
+        serving = result.module
         calling = compile_cell(cell).module
+        modules = (serving, calling)
+        codecs = {fn.name for fn in result.mir.functions}
+        at_load = compiles.functions(modules, codecs)
+        del compiles.seen[:]
         servant = _Capture()
         proxy = next(name for name in dir(calling)
                      if name.endswith("Client"))
         client = getattr(calling, proxy)(
             LoopbackTransport(serving.dispatch, servant))
-        getattr(client, cell.method)(*cell.present(calling))
+        reached = ran(modules, codecs, lambda: getattr(client, cell.method)(
+            *cell.present(calling)))
+        by_call = compiles.functions(modules, codecs)
         problems = []
         if servant.got != cell.present(serving):
             problems.append("servant got %r" % (servant.got,))
@@ -124,11 +189,20 @@ def check():
             problems.append("the serving module compiled its client half")
         if "server" not in pending_sections(calling):
             problems.append("the calling module compiled its server half")
+        if at_load:
+            problems.append("the loads compiled %s" % sorted(
+                name for _file, name in at_load))
+        if by_call != reached:
+            problems.append("the call compiled %s and ran %s" % (
+                sorted(name for _file, name in by_call),
+                sorted(name for _file, name in reached)))
         failures += bool(problems)
-        print("%-36s serving left %-18s calling left %-18s %s" % (
-            cell.name, ",".join(pending_sections(serving)),
-            ",".join(pending_sections(calling)),
-            "; ".join(problems) or "ok"))
+        print("%-36s serving left %-13s calling left %-13s codecs at load"
+              " %d, by the call %d of %d  %s" % (
+                  cell.name, ",".join(pending_sections(serving)),
+                  ",".join(pending_sections(calling)), len(at_load),
+                  len(by_call), 2 * len(codecs),
+                  "; ".join(problems) or "ok"))
     return 1 if failures else 0
 
 
@@ -137,7 +211,8 @@ def main():
     parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--check", action="store_true",
                         help="only verify that a role compiles its own"
-                             " half; exit 1 otherwise")
+                             " half and a call the codecs it runs; exit 1"
+                             " otherwise")
     args = parser.parse_args()
     if args.check:
         return check()

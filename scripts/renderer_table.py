@@ -1,25 +1,27 @@
-"""The two renderer names side by side: start-up cost and steady state.
+"""What deferring every codec to its first call costs and saves.
 
     PYTHONPATH=src python scripts/renderer_table.py [--rounds 5]
 
-``py`` and ``closures`` run the same rendered text and differ in when a
-codec function is compiled (INTERNALS section 10).  On
-``examples/idl/ledger.idl`` over IIOP, pinned to one CPU like the e2e
-benchmark, lowest of ``--rounds``, this prints per renderer:
+``stubs.load()`` compiles no codec function: each compiles at its first
+call, under either renderer name (INTERNALS section 10).  This script
+sets that against the eager load it replaced — the codec section
+compiled with the module, rebuilt here with
+``repro.core.loader.load_stub_module`` over the same text and section
+table — on ``examples/idl/ledger.idl`` over IIOP (28 codec functions),
+pinned to one CPU like the e2e benchmark, lowest of ``--rounds``, in ms:
 
-* ``load``: ``stubs.load()`` of a fresh compile, in ms;
-* ``install``: ``install_closures`` over the loaded module (the e2e
-  row ``mir.closures_install_us``), in ms;
+* ``load``: the module load of a fresh compile;
+* ``first call``: ``load`` plus the first call of one codec;
 * ``all first calls``: ``load`` plus one call of every codec function —
-  what a process that goes on to use the whole interface pays, in ms;
-* steady state, after the first call, in microseconds per call:
-  ``encode`` is ``_m_req_<op>`` into a reused buffer, ``dispatch`` is
-  the generated ``dispatch`` on that request (decode, a servant that
-  does nothing, reply encode), for ``ping`` and the three 64 KiB Fig. 3
-  shapes.
+  what a process that goes on to use the whole interface pays;
 
-EXPERIMENTS.md records the table for the commit that made ``closures``
-first-call compilation and for its parent (the script runs on both).
+then the break-even: how many of the 28 functions a process must call
+before the per-function compiles cost what the eager load did.  Last,
+the steady state after the first call, in microseconds per call, to show
+both loads end up running the same code: ``encode`` is ``_m_req_<op>``
+into a reused buffer, ``dispatch`` the generated ``dispatch`` on that
+request (decode, a servant that does nothing, reply encode), for
+``ping`` and the three 64 KiB Fig. 3 shapes.
 """
 
 import argparse
@@ -34,12 +36,14 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from benchmarks.e2e import values  # noqa: E402
 from repro import api  # noqa: E402
+from repro.core.loader import load_stub_module  # noqa: E402
 from repro.encoding import MarshalBuffer  # noqa: E402
-from repro.mir.render_closures import install_closures  # noqa: E402
 
 SCHEMA = (ROOT / "examples" / "idl" / "ledger.idl").read_text()
 PAYLOAD = 64 * 1024
 SHAPES = ("ints", "rects", "dirents")
+#: The codec a ``first call`` calls.
+FIRST = "_m_req_put_rects"
 
 
 class Servant:
@@ -52,8 +56,22 @@ class Servant:
     put_rects = put_dirents = put_ints
 
 
-def compiled(renderer):
-    return api.compile(SCHEMA, "corba", backend="iiop", renderer=renderer)
+def compiled():
+    return api.compile(SCHEMA, "corba", backend="iiop")
+
+
+def eager(result):
+    """The module as loaded while its codec section compiled with it."""
+    stubs = result.stubs
+    return load_stub_module(stubs.py_source, stubs.module_name,
+                            stubs.sections)
+
+
+def deferred(result):
+    return result.stubs.load()
+
+
+LOADS = {"eager": eager, "deferred": deferred}
 
 
 def lowest(rounds, measure):
@@ -66,27 +84,27 @@ def timed(call, *args):
     return perf_counter() - started
 
 
-def call_every_codec(result):
-    """Load, then call each codec function once.  No arguments: the
-    call fails in the function's own prologue, after whatever the
-    renderer does at a first call has been done."""
-    module = result.module
-    for fn in result.mir.functions:
+def call_codecs(load, result, names):
+    """Load, then call each of *names* once.  No arguments: the call
+    fails in the function's own prologue, after whatever a first call
+    does has been done."""
+    module = load(result)
+    for name in names:
         try:
-            vars(module)[fn.name]()
+            vars(module)[name]()
         except TypeError:
             pass
 
 
-def start_up(renderer, rounds):
-    row = {"load": lowest(
-        rounds, lambda: timed(compiled(renderer).stubs.load))}
-    result = compiled(renderer)
-    row["install"] = lowest(rounds, lambda: timed(
-        install_closures, result.module, result.mir))
-    row["all first calls"] = lowest(
-        rounds, lambda: timed(call_every_codec, compiled(renderer)))
-    return row
+def start_up(load, rounds):
+    every = [fn.name for fn in compiled().mir.functions]
+    return {
+        "load": lowest(rounds, lambda: timed(load, compiled())),
+        "first call": lowest(rounds, lambda: timed(
+            call_codecs, load, compiled(), [FIRST])),
+        "all first calls": lowest(rounds, lambda: timed(
+            call_codecs, load, compiled(), every)),
+    }, len(every)
 
 
 def per_call(call, *args):
@@ -106,9 +124,9 @@ def per_call(call, *args):
 
 
 def steady_state(rounds):
-    """``{(op, what): {renderer: us}}``, the renderers measured in
+    """``{(op, what): {load: us}}``, the two loads measured in
     alternation so that drift of the host lands on both."""
-    modules = {name: compiled(name).module for name in ("py", "closures")}
+    modules = {name: load(compiled()) for name, load in LOADS.items()}
     rng = values.seeded(1, "renderer_table")
     cases = [("ping", lambda module: 7)]
     for shape in SHAPES:
@@ -148,16 +166,26 @@ def main():
     rounds = parser.parse_args().rounds
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    start = {name: start_up(name, rounds) for name in ("py", "closures")}
+    start = {}
+    for name, load in LOADS.items():
+        start[name], functions = start_up(load, rounds)
+    columns = ("load", "first call", "all first calls")
+    print("%-10s" % "ms" + "".join("%17s" % key for key in columns))
+    for name, row in start.items():
+        print("%-10s" % name
+              + "".join("%17.2f" % (row[key] * 1e3) for key in columns))
+    saved = start["eager"]["load"] - start["deferred"]["load"]
+    each = (start["deferred"]["all first calls"]
+            - start["deferred"]["load"]) / functions
+    print("break-even: %.0f of %d codec functions first-called"
+          % (saved / each, functions))
     steady = steady_state(rounds)
-    print("%-24s %10s %10s %8s" % ("", "py", "closures", "clo/py"))
-    for key in ("load", "install", "all first calls"):
-        py, clo = start["py"][key] * 1e3, start["closures"][key] * 1e3
-        print("%-24s %8.2fms %8.2fms %8.2f" % (key, py, clo, clo / py))
+    print("%-24s %10s %10s %8s" % ("us per call", "eager", "deferred",
+                                   "ratio"))
     for key, row in steady.items():
-        py, clo = row["py"], row["closures"]
-        print("%-24s %8.2fus %8.2fus %8.2f"
-              % ("%s %s" % key, py, clo, clo / py))
+        print("%-24s %10.2f %10.2f %8.2f" % (
+            "%s %s" % key, row["eager"], row["deferred"],
+            row["deferred"] / row["eager"]))
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 This module assembles complete, executable Python stub modules from a
 PRES_C presentation: record and exception classes, the codec functions
-(lowered to marshal IR by :mod:`repro.mir` and rendered by the selected
-renderer), a client proxy class, a servant base class, and the server
-dispatch function with its demultiplexing table.
+(lowered to marshal IR by :mod:`repro.mir` and printed by
+:mod:`repro.mir.render_py`), a client proxy class, a servant base
+class, and the server dispatch function with its demultiplexing
+table.
 
 Concrete back ends (ONC/XDR, IIOP, Mach 3, Fluke) subclass
 :class:`OptimizingBackEnd` and provide only protocol policy: header
@@ -71,6 +72,10 @@ class Section(NamedTuple):
     #: the first use of one of them; empty for one that loads with the
     #: module.
     names: Tuple[str, ...] = ()
+    #: ``(name, first line, text)`` of every function of the section
+    #: whose functions compile one at a time, each at its first call
+    #: (``codecs``); empty for the others.
+    functions: Tuple[Tuple[str, int, str], ...] = ()
 
 
 #: The sections no code of another section names, so each can load when
@@ -116,7 +121,7 @@ class GeneratedStubs:
     #: reply), ``codecs`` (runtime imports, header consts,
     #: ``_m_*``/``_u_*`` defs), then ``client``, ``server`` and
     #: ``errors``.  Empty when the text is one piece (baseline
-    #: compilers).
+    #: compilers, which load whole).
     sections: Tuple[Section, ...] = ()
 
     _module = None
@@ -129,25 +134,27 @@ class GeneratedStubs:
     def load(self):
         """Exec the generated Python module (cached) and return it.
 
-        The ``py`` renderer's codecs are the module text itself.  Under
-        ``closures`` the codec section is left out and every codec is a
-        deferred entry: the same text, rendered and compiled per
-        function by its first call.  Either way the ``client``,
-        ``server`` and ``errors`` sections compile when first used
-        (:func:`repro.core.loader.load_stub_module`).
+        Under either renderer name the module loads its ``shared``
+        section and no codec: every codec function is a deferred entry
+        that compiles its own lines of the text at its first call
+        (:func:`repro.mir.render_closures.defer_codecs`), and the
+        ``client``, ``server`` and ``errors`` sections compile when
+        first used (:func:`repro.core.loader.load_stub_module`).  A
+        text with no section table (baseline compilers) loads whole.
         """
         if self._module is None:
             from repro.core.loader import load_stub_module
 
-            closures = self.renderer == "closures"
+            codecs = {section.name: section
+                      for section in self.sections}.get("codecs")
             module = load_stub_module(
                 self.py_source, self.module_name or "flick_generated",
-                self.sections, without=("codecs",) if closures else (),
+                self.sections, without=("codecs",),
             )
-            if closures:
-                from repro.mir.render_closures import install_closures
+            if codecs is not None:
+                from repro.mir.render_closures import defer_codecs
 
-                install_closures(module, self.mir)
+                defer_codecs(module, self.mir, codecs)
             if self.shapes_factory is not None:
                 module._flick_shapes = _memoized(self.shapes_factory)
             self._module = module
@@ -287,10 +294,10 @@ class OptimizingBackEnd:
     def generate(self, presc, flags=None, renderer="py"):
         """Generate stubs for *presc*; returns :class:`GeneratedStubs`.
 
-        *renderer* selects when the rendered codec text is compiled:
-        ``"py"`` with the module (the default), ``"closures"`` function
-        by function, each at its first call (the module loads without
-        its codec section), and ``"c"`` is implied —
+        *renderer* is recorded as ``stubs.renderer`` and selects nothing
+        at load: under ``"py"`` (the default) and ``"closures"`` alike
+        the module loads without its codec section and each codec
+        function compiles at its first call.  ``"c"`` is implied —
         ``stubs.c_source``/``c_header`` print the C artifact when first
         read, and a presentation the C printer cannot express raises
         :class:`BackEndError` there, not here.  A
@@ -332,12 +339,8 @@ class OptimizingBackEnd:
         self._emit_records(w, records)
         self._emit_exceptions(w, exceptions)
         section("codecs")
-        program = self._emit_codec_functions(w, presc, flags, metadata)
-        if renderer == "closures" and program is None:
-            raise BackEndError(
-                "renderer 'closures' needs the marshal-IR pipeline; "
-                "the %s back end emits codec text directly" % self.name
-            )
+        program, placed = self._emit_codec_functions(
+            w, presc, flags, metadata)
         section("client")
         self.emit_check_reply(w, presc)
         section("shared")
@@ -353,16 +356,12 @@ class OptimizingBackEnd:
         py_source = w.getvalue()
         # Key the module name on the generated source so two versions of
         # one interface (say, an old and a new schema under diff) load
-        # side by side under distinguishable names.  The
-        # closure renderer shares py_source with the source renderer but
-        # loads it differently, so it gets its own suffix.
+        # side by side under distinguishable names.
         module_name = "flick_%s_%s_%s" % (
             mangle(presc.interface_name).lower(),
             self.name.replace("-", "_"),
             hashlib.sha256(py_source.encode("utf-8")).hexdigest()[:10],
         )
-        if renderer == "closures":
-            module_name += "_clo"
         return GeneratedStubs(
             interface_name=presc.interface_name,
             backend_name=self.name,
@@ -376,7 +375,7 @@ class OptimizingBackEnd:
             shapes_factory=self._shapes_factory(presc, flags),
             backend_instance=self,
             flags=flags,
-            sections=_section_table(w.lines, opened)
+            sections=_section_table(w.lines, opened, placed)
             if self.sectioned else (),
         )
 
@@ -396,9 +395,10 @@ class OptimizingBackEnd:
     def _emit_codec_functions(self, w, presc, flags, metadata):
         """Lower PRES_C to marshal IR, run the pass pipeline, render.
 
-        Returns the optimized :class:`repro.mir.ops.MirProgram`.
-        Baseline compilers that reproduce rival code styles override
-        this with :meth:`_emit_codec_functions_writer` and return None.
+        Returns the optimized :class:`repro.mir.ops.MirProgram` and the
+        lines of *w* each of its functions took.  Baseline compilers
+        that reproduce rival code styles override this with
+        :meth:`_emit_codec_functions_writer`: no program, no lines.
         """
         from repro.mir.build import build_program
         from repro.mir.passes import PassManager
@@ -406,12 +406,12 @@ class OptimizingBackEnd:
 
         program = build_program(self, presc, flags)
         program = PassManager(flags).run(program)
-        render_py.render_program(w, program)
+        placed = render_py.render_program(w, program)
         for fn in program.functions:
             if fn.kind == "m_req":
                 op_meta = metadata["operations"][fn.operation]
                 op_meta["request_chunks"] = fn.chunks
-        return program
+        return program, placed
 
     def _emit_codec_functions_writer(self, w, presc, flags, metadata):
         """Per-stub writer loop for compilers that emit codec text
@@ -429,7 +429,7 @@ class OptimizingBackEnd:
                 self._emit_reply_unmarshal(w, presc, stub, flags,
                                            out_of_line)
         self._drain_out_of_line(w, presc, flags, out_of_line)
-        return None
+        return None, {}
 
     # ------------------------------------------------------------------
     # Module sections
@@ -767,9 +767,10 @@ class OptimizingBackEnd:
         w.blank()
 
 
-def _section_table(lines, opened):
+def _section_table(lines, opened, placed):
     """*opened* — ``(section name, first line)`` in print order, each
-    closed by the next — as :class:`Section` rows."""
+    closed by the next — as :class:`Section` rows; *placed* — ``{name:
+    (start, end)}`` — are the lines of the codec functions."""
     spans = {}
     ends = [start for _name, start in opened[1:]] + [len(lines)]
     for (name, start), end in zip(opened, ends):
@@ -784,7 +785,12 @@ def _section_table(lines, opened):
                     match = _BINDS.match(line)
                     if match:
                         names.append(match[1] or match[2])
-        table.append(Section(name, tuple(own), tuple(names)))
+        functions = ()
+        if name == "codecs":
+            functions = tuple(
+                (function, first, "\n".join(lines[first:after]))
+                for function, (first, after) in placed.items())
+        table.append(Section(name, tuple(own), tuple(names), functions))
     return tuple(table)
 
 

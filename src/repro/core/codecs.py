@@ -25,7 +25,8 @@ from __future__ import annotations
 import re
 import threading
 
-__all__ = ["LAYER_ORDER", "CodecSlots", "Slot", "codec_form", "of"]
+__all__ = ["LAYER_ORDER", "CodecSlots", "Slot", "codec_form", "of",
+           "replace_base"]
 
 #: Layer names, innermost -> outermost.
 LAYER_ORDER = ("trace", "profile")
@@ -172,11 +173,35 @@ class CodecSlots:
                     pass
 
 
+#: Held while a module's slots are built, and by a hand-over to a module
+#: that has none, so a hand-over lands either before the build reads
+#: the module or in the built slots.
+_building = threading.Lock()
+
+
 def of(module):
     """The module's :class:`CodecSlots`, built on first use."""
-    slots = module.__dict__.get(_ATTR)
+    G = module.__dict__
+    slots = G.get(_ATTR)
     if slots is None:
-        # Building one only reads the module, so the loser of a race
-        # is dropped unused.
-        slots = module.__dict__.setdefault(_ATTR, CodecSlots(module))
+        with _building:
+            slots = G.get(_ATTR)
+            if slots is None:
+                slots = G[_ATTR] = CodecSlots(module)
     return slots
+
+
+def replace_base(G, entry, old, new):
+    """:meth:`CodecSlots.replace_base` for the stub module whose globals
+    are *G*: how a deferred codec hands over to what it compiled.  A
+    module nobody has built slots for binds its bases itself, so the
+    common case builds none (slots refer to the module, and a module
+    that refers to itself outlives its users until the cyclic
+    collector runs)."""
+    with _building:
+        slots = G.get(_ATTR)
+        if slots is None:
+            if G.get(entry) is old:
+                G[entry] = new
+            return
+    slots.replace_base(entry, old, new)

@@ -121,9 +121,10 @@ class RendererPolicy:
     today (the bare string still works — :meth:`coerce` upgrades it).
 
     Attributes:
-        renderer: ``"py"`` (the rendered codec text is compiled with
-            the module), ``"closures"`` (the same text, each function
-            compiled by its first call), or ``"c"``.
+        renderer: ``"py"``, ``"closures"`` or ``"c"``.  The first two
+            name the same load — each codec function compiled at its
+            first call — and are both accepted; the name is recorded as
+            ``stubs.renderer``.
         disable_passes: MIR pass names (see
             :data:`repro.mir.passes.PASS_NAMES`) to turn off on top of
             whatever base :class:`OptFlags` the caller supplies.

@@ -336,9 +336,11 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
 
     Both are :class:`repro.api.CompileResult`-likes for the same (or
     compatible) schema, compiled for servable backends.  Modules are
-    loaded here.  The fallback codecs run the same rendered code under
-    either renderer name; ``renderer="closures"`` only defers each
-    codec's compile to the first message that needs it.
+    loaded here, and the plan binds their codec entries as they are:
+    deferred until the first message that needs each one.  That first
+    call hands over in the module's codec slots, which tell
+    :meth:`BridgePlan.rebind`, so the plan then holds the compiled
+    function.
     """
     ingress_backend = make_backend(ingress_result.stubs.backend_name)
     egress_backend = make_backend(egress_result.stubs.backend_name)

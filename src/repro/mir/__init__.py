@@ -9,9 +9,9 @@ Pipeline::
 walks PRES_C once to produce a :class:`~repro.mir.ops.MirProgram`,
 :mod:`repro.mir.passes` runs the section-3 optimizations, and the
 renderer modules consume the optimized IR.  :mod:`repro.mir.render_py`
-is the one place an op becomes executable behaviour; the ``closures``
-renderer name (:mod:`repro.mir.render_closures`) is that same text
-compiled per function at first call instead of with the module.
+is the one place an op becomes executable behaviour, and
+:mod:`repro.mir.render_closures` decides when its text becomes code:
+each codec function at its first call, under either renderer name.
 """
 
 from repro.mir.ops import MirFunction, MirProgram, mangle  # noqa: F401

@@ -63,13 +63,18 @@ class _RecordStream:
     follow part of another.
     """
 
-    __slots__ = ("_sock", "_decoder", "_ready", "error")
+    __slots__ = ("_sock", "_decoder", "_ready", "failure")
 
     def __init__(self, sock, max_record_size=MAX_RECORD_SIZE):
         self._sock = sock
         self._decoder = RecordDecoder(max_record_size)
         self._ready = collections.deque()
-        self.error = None
+        #: What the first failure said.  Its text, not the error: the
+        #: error's traceback holds the frames that hold this stream, and
+        #: that cycle would keep a server thread's frame — its request
+        #: core, servant and buffers — alive until the cyclic collector
+        #: next runs.
+        self.failure = None
 
     def write(self, payload):
         """Send *payload* (bytes-like) as one record."""
@@ -111,12 +116,12 @@ class _RecordStream:
     def _fail(self, error):
         """Close on the first failure and return *error*; afterwards
         return the error that names that first one instead."""
-        if self.error is None:
-            self.error = error
+        if self.failure is None:
+            self.failure = str(error)
             self._sock.close()
             return error
         return TransportError(
-            "connection closed after an earlier failure: %s" % self.error)
+            "connection closed after an earlier failure: %s" % self.failure)
 
 
 def _cause(error):

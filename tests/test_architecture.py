@@ -288,6 +288,16 @@ def one_place_stub_text_becomes_code(tree):
         if not hit.startswith(THIS + ":")])
 
 
+def one_load_path_under_both_renderer_names(tree):
+    """``py`` and ``closures`` load a module the same way — the codec
+    section deferred function by function — so nothing under src/
+    branches on the name being ``closures``, and the module-name suffix
+    and the module marker that told the two load paths apart are
+    gone."""
+    _no(tree.grep(r"renderer *[!=]= *[\"']closures|_clo\b|__renderer__",
+                  "src", python_only=False))
+
+
 def one_lowering_feeds_every_printer(tree):
     """The C artifact is printed from the marshal IR
     (repro/mir/render_c.py) lowered through the same
@@ -399,6 +409,13 @@ PINS = {
         ("src/repro/core/loader.py",
          "def load_stub_module(source, name, skip_lines=None):"),
         ("docs/INTERNALS.md", "its line span as stubs.codec_span"),
+    ],
+    one_load_path_under_both_renderer_names: [
+        ("src/repro/backend/base.py",
+         "            closures = self.renderer == 'closures'"),
+        ("src/repro/backend/base.py", '            module_name += "_clo"'),
+        ("src/repro/mir/render_closures.py",
+         '    G["__renderer__"] = "closures"'),
     ],
     one_lowering_feeds_every_printer: [
         ("src/repro/backend/cemit.py", "class CStubEmitter:"),

@@ -379,7 +379,6 @@ class TestSwapUnderLoad:
 
     def _assert_swapped(self, handle, originals):
         module = handle.module
-        assert module.__renderer__ == "closures"
         for name in ("_u_req_rev", "_m_rep_ok_rev", "_u_req_echo",
                      "_m_rep_ok_echo"):
             base = handle.codecs.base(name)

@@ -2,11 +2,12 @@
 
 Pins the three mechanisms that keep ``api.compile`` + load from paying
 for what nobody reads: the C artifact is printed on first read of
-``c_source``/``c_header``; a ``closures`` module loads its (unchanged)
-text without the codec section and compiles each codec function at its
-first call (and, since PR 24, each role's section at its first use —
-``tests/test_lazy_sections.py``); MINT recursion answers are remembered per registry.  Each laziness
-claim sits next to the equality it must not disturb.
+``c_source``/``c_header``; a module loads its (unchanged) text without
+the codec section and compiles each codec function at its first call,
+under either renderer name (and each role's section at its first use —
+``tests/test_lazy_sections.py``); MINT recursion answers are remembered
+per registry.  Each laziness claim sits next to the equality it must not
+disturb.
 """
 
 import gc
@@ -32,6 +33,7 @@ from repro.aoi import (
 )
 from repro import obs
 from repro.core import loader
+from repro.core.codecs import codec_form
 from repro.encoding import MarshalBuffer
 from repro.errors import BackEndError, MarshalError
 from repro.mint.analysis import _recurses, is_recursive
@@ -152,6 +154,8 @@ def _code_objects(code):
 
 
 class TestClosureModulesLoadTheScaffoldOnly:
+    """Under either renderer name: both load a module the same way."""
+
     @pytest.mark.parametrize("schema,backend", CASES)
     def test_same_text_same_name_no_codec_compiled(self, schema, backend,
                                                    monkeypatch,
@@ -166,62 +170,107 @@ class TestClosureModulesLoadTheScaffoldOnly:
         monkeypatch.setattr(loader, "compile", spy, raising=False)
         py, clo, drive = _compile_pair(schema, backend)
         assert py.stubs.py_source == clo.stubs.py_source
-        assert clo.stubs.module_name == py.stubs.module_name + "_clo"
-        module = clo.module
-        assert module.__source__ == clo.stubs.py_source
-        assert [code.co_filename for code in compiled] == [module.__file__]
-        names = {code.co_name for code in _code_objects(compiled[0])}
+        assert clo.stubs.module_name == py.stubs.module_name
+        eager = {}
+        exec(py.stubs.py_source, eager)
         codec_names = {fn.name for fn in clo.mir.functions}
-        assert codec_names and not codec_names & names
-        # Since PR 24 the load compiles neither role: the client and
-        # server sections compile at first use (drive() below).
-        assert "_chk_end" in names
-        assert "dispatch" not in names and "_check_reply" not in names
-        # Every codec entry and helper is a deferred entry, and loading
-        # compiled none of them.
-        for name in codec_names:
-            assert vars(module)[name].__module__ == \
-                "repro.mir.render_closures", name
-        assert codec_compiles == []
-        assert {slot.op for slot in clo.codecs.entries()} \
-            == set(clo.operations())
-        # Header consts sit where the rendered text would have put them.
-        py_module = py.module
-        for fn in clo.mir.functions:
-            for const in fn.consts:
-                assert vars(module)[const] == vars(py_module)[const]
-        drive(module)
-        names = {code.co_name for loaded in compiled
-                 if loaded.co_filename == module.__file__
-                 for code in _code_objects(loaded)}
-        assert "dispatch" in names and "_check_reply" in names
-        assert not codec_names & names
+        assert codec_names
+        for result in (py, clo):
+            del compiled[:]
+            module = result.module
+            assert module.__source__ == result.stubs.py_source
+            assert [code.co_filename for code in compiled] \
+                == [module.__file__]
+            names = {code.co_name for code in _code_objects(compiled[0])}
+            assert not codec_names & names
+            # Nor either role: the client and server sections compile
+            # at first use (drive() below).
+            assert "_chk_end" in names
+            assert "dispatch" not in names and "_check_reply" not in names
+            # Every codec entry and helper is a deferred entry, and
+            # loading compiled none of them.
+            for name in codec_names:
+                assert vars(module)[name].__module__ == \
+                    "repro.mir.render_closures", name
+            assert codec_compiles == []
+            assert {slot.op for slot in result.codecs.entries()} \
+                == set(result.operations())
+            # Header consts are what the text binds.
+            for fn in result.mir.functions:
+                for const in fn.consts:
+                    assert vars(module)[const] == eager[const]
+            drive(module)
+            names = {code.co_name for loaded in compiled
+                     if loaded.co_filename == module.__file__
+                     for code in _code_objects(loaded)}
+            assert "dispatch" in names and "_check_reply" in names
+            assert not codec_names & names
+            assert codec_compiles
+            del codec_compiles[:]
 
-    def test_py_renderer_compiles_the_text_a_section_at_a_time(
-            self, monkeypatch):
-        """Was ``..._compiles_the_whole_text``: the load compiles the
-        shared and codec sections, each role's section compiles at its
-        first use, and the pieces are the text — every line in exactly
-        one of them, at its own line number."""
-        compiled = []
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_load_compiles_no_codec_and_a_first_call_exactly_one(
+            self, renderer, monkeypatch, codec_compiles):
+        """Folds three pins that said ``py`` compiles its codec section at
+        load (``test_py_renderer_compiles_the_text_a_section_at_a_time``
+        and the first-call pins).  Under either name: the load compiles
+        the shared section and no codec, a first call compiles its own
+        function and nothing else, and nothing compiles after that.  The
+        pieces handed to ``compile()`` are the text — every line in
+        exactly one of them, at its own line number — but for the codec
+        section's header consts and runtime imports, which are bound
+        from the IR."""
+        pieces = []
+        spy = render_closures.compile
         monkeypatch.setattr(
             loader, "compile",
-            lambda source, *rest: compiled.append(source)
+            lambda source, *rest: pieces.append(source)
             or compile(source, *rest), raising=False)
-        result = api.compile(DB_IDL, "oncrpc")
+        monkeypatch.setattr(
+            render_closures, "compile",
+            lambda source, *rest: pieces.append(source)
+            or spy(source, *rest))
+        result = api.compile(DB_IDL, "oncrpc", renderer=renderer)
         module = result.module
-        assert len(compiled) == 1
-        assert "def _m_req_rev(" in compiled[0]
-        assert "def dispatch(" not in compiled[0]
-        assert "def _check_reply(" not in compiled[0]
+        assert len(pieces) == 1 and codec_compiles == []
+        assert "def _m_req_rev(" not in pieces[0]
+        assert "def dispatch(" not in pieces[0]
+        first = MarshalBuffer()
+        module._m_req_rev(first, 9, [3, 1, 2])
+        assert codec_compiles == ["_m_req_rev"]
+        # It handed over: the module binds what the call compiled, from
+        # the module's own text and file.
+        compiled = vars(module)["_m_req_rev"]
+        assert compiled.__module__ == module.__name__
+        assert compiled.__code__.co_filename == module.__file__
+        again = MarshalBuffer()
+        module._m_req_rev(again, 9, [3, 1, 2])
+        assert again.getvalue() == first.getvalue()
+        assert codec_compiles == ["_m_req_rev"]
         module.DB_DBVClient, module.dispatch, module.encode_error_reply
-        assert len(compiled) == 4
+        assert len(pieces) == 5
+        for fn in result.mir.functions:
+            try:  # no arguments: fails in the function's own prologue
+                vars(module)[fn.name]()
+            except TypeError:
+                pass
+        assert sorted(codec_compiles) == sorted(
+            fn.name for fn in result.mir.functions)
+        assert len(pieces) == 4 + len(codec_compiles)
         lines = result.stubs.py_source.split("\n")
-        pieces = [text.split("\n") for text in compiled]
+        (codecs_section,) = [section for section in result.stubs.sections
+                             if section.name == "codecs"]
+        from_ir = {number for start, end in codecs_section.spans
+                   for number in range(start, end)
+                   if lines[number][:1] not in ("", " ")
+                   and not lines[number].startswith("def ")}
+        assert from_ir
+        split = [text.split("\n") for text in pieces]
         for number, line in enumerate(lines):
-            found = [piece[number] for piece in pieces
+            found = [piece[number] for piece in split
                      if number < len(piece) and piece[number]]
-            assert found == ([line] if line else []), number
+            assert found == ([line] if line and number not in from_ir
+                             else []), number
 
     def test_traceback_lines_match_the_unblanked_source(self):
         result = api.compile(MAIL_IDL, "corba", renderer="closures")
@@ -231,21 +280,23 @@ class TestClosureModulesLoadTheScaffoldOnly:
         assert shown == "def dispatch(d, impl, b):"
 
     def test_traceback_through_a_codec_shows_its_generated_line(self):
-        """The innermost frame is the function's own registered text
-        (the parent raised from ``render_closures.py ... in step``), and
-        that text goes when the module goes."""
-        result = api.compile(open("examples/idl/mail.idl").read(), "corba",
-                             renderer="closures")
+        """The innermost frame is the function's own line of the module
+        text, under the module's file name (before the codec section was
+        deferred under ``py`` too, a ``closures`` codec showed a text of
+        its own, ``<module.function_N>``), and that text goes when the
+        module goes."""
+        result = api.compile(open("examples/idl/mail.idl").read(), "corba")
         module = result.module
         with pytest.raises(MarshalError) as caught:
             module._m_req_send(MarshalBuffer(), 1, "x" * 2000, 1)
         frame = traceback.extract_tb(caught.value.__traceback__)[-1]
         assert frame.name == "_m_req_send"
-        assert frame.filename.startswith(
-            "<%s._m_req_send_" % module.__name__)
+        assert frame.filename == module.__file__
         raised = "raise MarshalError('string exceeds bound 1024')"
         assert linecache.getline(frame.filename, frame.lineno).strip() \
             == raised
+        assert result.stubs.py_source.split("\n")[frame.lineno - 1] \
+            .strip() == raised
         assert raised in "".join(
             traceback.format_exception(caught.value))
         linecache.checkcache()  # must not evict a live module's text
@@ -265,8 +316,9 @@ def _frames(table, xs=(3, 1, 2)):
 
 
 class TestCodecsCompileAtFirstCall:
-    """The one decision the two renderer names differ in: when a codec
-    function's text is compiled."""
+    """When a codec function's text is compiled: at its first call,
+    under either renderer name (until the names stopped selecting a load
+    path, this was the one decision they differed in)."""
 
     def test_first_call_compiles_that_function_and_nothing_else(
             self, codec_compiles):
@@ -284,8 +336,7 @@ class TestCodecsCompileAtFirstCall:
         assert compiled is module._m_req_rev is deferred.__wrapped__
         assert not hasattr(compiled, "__wrapped__")
         assert compiled.__globals__ is vars(module)
-        assert compiled.__code__.co_filename.startswith(
-            "<%s._m_req_rev_" % module.__name__)
+        assert compiled.__code__.co_filename == module.__file__
         second = MarshalBuffer()
         module._m_req_rev(second, 9, [3, 1, 2])
         deferred(second, 9, [3, 1, 2])  # a caller that kept it: forwards
@@ -337,11 +388,14 @@ class TestCodecsCompileAtFirstCall:
     def test_installing_over_a_py_module_compiles_only_what_is_called(
             self, codec_compiles):
         """A deferred entry compiles nothing until called, and then
-        only itself — also over a module that loaded under ``py``."""
+        only itself — also over a loaded module whose codecs have run
+        (the ``py`` module this pin was written for compiled them at
+        load)."""
         result = api.compile(DB_IDL, "oncrpc")
         module, slots = result.module, result.codecs
+        want = _frames(vars(module))
         before = {slot.name: slot.base for slot in slots.entries()}
-        want = _frames(before)
+        del codec_compiles[:]
         render_closures.install_closures(module, result.mir)
         assert codec_compiles == []
         deferred = {slot.name: slot.base for slot in slots.entries()}
@@ -358,21 +412,28 @@ class TestCodecsCompileAtFirstCall:
         assert _frames(vars(module)) == want
         assert len(codec_compiles) == 2
 
+    @pytest.mark.parametrize("layered", (True, False),
+                             ids=("layers", "no-slots"))
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
     def test_first_calls_racing_on_threads_compile_once(
-            self, codec_compiles, monkeypatch):
+            self, codec_compiles, monkeypatch, renderer, layered):
         """Eight threads make the first call of every entry of one fresh
         module at once, under a 0.01 ms switch interval, with the trace
-        and profile layers on.  Each compile is held open long enough
-        for every other thread to arrive while it runs."""
+        and profile layers on — or with no codec slots built, so the
+        hand-over binds the module's globals itself.  Each compile is
+        held open long enough for every other thread to arrive while it
+        runs."""
         threads = 8
+        want = _frames(vars(api.compile(DB_IDL, "oncrpc").module))
+        del codec_compiles[:]
         spy = render_closures.compile
         monkeypatch.setattr(
             render_closures, "compile",
             lambda *args: time.sleep(0.005) or spy(*args))
-        result = api.compile(DB_IDL, "oncrpc", renderer="closures")
-        module, slots = result.module, result.codecs
-        want = _frames(vars(api.compile(DB_IDL, "oncrpc").module))
-        deferred = {slot.name: slot.base for slot in slots.entries("rev")}
+        result = api.compile(DB_IDL, "oncrpc", renderer=renderer)
+        module = result.module
+        deferred = {name: entry for name, entry in vars(module).items()
+                    if codec_form(name)[1] == "rev"}
         barrier = threading.Barrier(threads)
         got, errors = [], []
 
@@ -391,10 +452,11 @@ class TestCodecsCompileAtFirstCall:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            obs.configure(obs.CollectingExporter())
-            obs.instrument_stub_module(module)
-            profile.configure(sample=1)
-            profile.instrument_stub_module(module)
+            if layered:
+                obs.configure(obs.CollectingExporter())
+                obs.instrument_stub_module(module)
+                profile.configure(sample=1)
+                profile.instrument_stub_module(module)
             workers = [threading.Thread(target=first_call)
                        for _ in range(threads)]
             for worker in workers:
@@ -409,9 +471,11 @@ class TestCodecsCompileAtFirstCall:
             # deferred entry handed over to it, under the same layers.
             assert sorted(codec_compiles) == sorted(deferred)
             for name, entry in deferred.items():
-                assert slots.base(name) is entry.__wrapped__, name
-                bound = vars(module)[name]  # profile over trace over it
-                assert bound.__wrapped__.__wrapped__ is slots.base(name)
+                bound = vars(module)[name]
+                if layered:  # profile over trace over the base
+                    assert result.codecs.base(name) is entry.__wrapped__
+                    bound = bound.__wrapped__.__wrapped__
+                assert bound is entry.__wrapped__, name
         finally:
             sys.setswitchinterval(interval)
             profile.shutdown()

@@ -14,7 +14,7 @@ import urllib.request
 
 import pytest
 
-from repro import obs
+from repro import Flick, obs
 from repro.encoding import MarshalBuffer
 from repro.errors import (
     DeadlineError,
@@ -38,7 +38,7 @@ from repro.runtime import StubServer, TcpClientTransport
 from repro.runtime.aio import ServerStats
 from repro.runtime.aio.correlation import reply_error
 
-from tests.conftest import MailImpl, compile_mail
+from tests.conftest import MAIL_IDL, MailImpl, compile_mail
 from tests.endpoint import registry_endpoint
 
 
@@ -236,6 +236,61 @@ class TestEndToEnd:
         # Local egress-leg failures surface as COMM_FAILURE/TRANSIENT.
         assert ("COMM_FAILURE" in error.code
                 or "TRANSIENT" in error.code)
+
+
+def _plan_codecs(plan):
+    """``{(op, OpPlan field or exception class): function}``."""
+    held = {}
+    for op in plan.ops.values():
+        for form in ("u_req", "m_req", "u_rep", "m_rep_ok"):
+            if getattr(op, form) is not None:
+                held[op.name, form] = getattr(op, form)
+        for name, function in op.exceptions.items():
+            held[op.name, name] = function
+    return held
+
+
+class TestAPlanBuiltBeforeAnyCall:
+    """The e2e ``gateway_bridge`` builds its plan at set-up, before any
+    codec has run, so under either renderer name the plan binds deferred
+    entries; the first bridged call of each operation must leave it
+    holding what that call compiled, so no later call forwards through a
+    deferred entry."""
+
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_first_bridged_calls_leave_compiled_codecs(self, renderer):
+        ingress, egress = (
+            Flick(frontend="corba", backend=backend,
+                  renderer=renderer).compile(MAIL_IDL)
+            for backend in ("iiop", "oncrpc-xdr"))
+        module = ingress.module
+        with _bridge(ingress, egress) as (gateway, impl):
+            before = _plan_codecs(gateway.plan)
+            assert before and all(
+                function.__module__ == "repro.mir.render_closures"
+                for function in before.values())
+            with _client(module, gateway.address) as (client, _):
+                rect = _rect(module)
+                for _ in range(2):
+                    assert client.avg([4, 6, 8]) == 6.0
+                    assert client.reverse(b"abc") == b"cba"
+                    assert client.send("hey", rect, (1, 1.5)) \
+                        == (8, (1, 1.5), 2)
+                    with pytest.raises(module.Test_Bad):
+                        client.send("fail", rect, (0, 1))
+                    client.tri([module.Test_Point(0, 0)] * 3)
+                    assert client._get_counter() == 42
+            after = _plan_codecs(gateway.plan)
+        # A deferred entry that has compiled carries ``__wrapped__``: the
+        # plan holds none, only compiled codecs and entries never called.
+        assert [key for key, function in after.items()
+                if hasattr(function, "__wrapped__")] == []
+        compiled = {key for key, function in after.items()
+                    if function.__module__ != "repro.mir.render_closures"}
+        # The fallback (re-encode) paths ran, so they are compiled.
+        assert {("send", "u_req"), ("send", "m_req"), ("send", "u_rep"),
+                ("send", "m_rep_ok"), ("reverse", "u_req"),
+                ("send", "Test_Bad")} <= compiled
 
 
 # ----------------------------------------------------------------------

@@ -172,8 +172,6 @@ def _compile_pair(schema, backend, flags=None):
 def _assert_identical(py, clo, drive):
     module_py = py.load_module()
     module_clo = clo.load_module()
-    assert getattr(module_py, "__renderer__", "py") != "closures"
-    assert module_clo.__renderer__ == "closures"
     results_py, log_py = drive(module_py)
     results_clo, log_clo = drive(module_clo)
     assert results_py == results_clo
@@ -227,23 +225,26 @@ class TestRendererSelection:
 
     def test_flick_facade_threads_renderer(self):
         flick = Flick(frontend="corba", renderer="closures")
-        module = flick.compile(MAIL_IDL).load_module()
-        assert module.__renderer__ == "closures"
+        result = flick.compile(MAIL_IDL)
+        assert result.renderer == result.stubs.renderer == "closures"
 
     def test_compile_all_threads_renderer(self):
         results = api.compile_all(MAIL_IDL, "corba", renderer="closures")
         for result in results.values():
-            module = result.load_module()
-            assert module.__renderer__ == "closures"
+            assert result.stubs.renderer == "closures"
 
-    def test_baselines_reject_closures(self):
-        """Rival code styles bypass the IR; closures need the IR."""
+    def test_baselines_take_either_name_and_load_whole(self):
+        """Rival code styles bypass the IR and carry no section table, so
+        no name defers anything for them (until the names stopped
+        selecting a load path, ``closures`` was refused here)."""
         from repro.compilers import make_baseline
-        from repro.errors import BackEndError
 
         presc = api.compile(DB_IDL, "oncrpc").presc
-        with pytest.raises(BackEndError):
-            make_baseline("rpcgen").generate(presc, renderer="closures")
+        for renderer in ("py", "closures"):
+            stubs = make_baseline("rpcgen").generate(presc,
+                                                     renderer=renderer)
+            assert stubs.renderer == renderer and stubs.sections == ()
+            assert "_m_req_rev" in vars(stubs.load())
 
 
 class TestRendererPolicy:

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import documents, obs
+from repro.core import codecs
 from repro.core.compiler import Flick
 from repro.encoding import MarshalBuffer
 from repro.gateway import AioGatewayServer, build_plan, predict_fused
@@ -401,13 +402,16 @@ class TestSwap:
     def test_configure_wraps_and_shutdown_restores(self):
         module = _compile_fs().load_module()
         profile.instrument_stub_module(module)
-        original = module._m_req_list
+        deferred = module._m_req_list
         profile.configure(sample=1)
-        assert module._m_req_list is not original
+        assert module._m_req_list is not deferred
         buffer = MarshalBuffer()
         module._m_req_list(buffer, 3, 4)
         snapshot = profile.shutdown()
-        assert module._m_req_list is original
+        # The first call handed the deferred entry over to what it
+        # compiled, under the layer: shutdown restores the current base.
+        assert module._m_req_list is deferred.__wrapped__
+        assert module._m_req_list is codecs.of(module).base("_m_req_list")
         assert snapshot.profile("list", "request").calls == 1
 
     def test_wrapped_wire_bytes_are_identical(self):

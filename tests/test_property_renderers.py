@@ -81,7 +81,6 @@ def _assert_renderers_agree(pair, backend_name, flags=None):
     presc_clo, module_clo = _build(
         aoi_type, backend_name, flags, "closures"
     )
-    assert module_clo.__renderer__ == "closures"
     result_py, log_py = _echo(presc_py, module_py, value)
     result_clo, log_clo = _echo(presc_clo, module_clo, value)
     assert result_py == _cmp(normalize(value))

@@ -1,9 +1,11 @@
 """Transport robustness: record fragmentation, concurrency, big loads."""
 
+import gc
 import socket
 import struct
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -13,7 +15,7 @@ from repro.errors import TransportError
 from repro.obs import propagation
 from repro.runtime import StubServer, TcpClientTransport, UdpClientTransport
 from repro.runtime.framing import RecordDecoder, encode_record
-from repro.runtime.socket_transport import MAX_UDP_SIZE
+from repro.runtime.socket_transport import MAX_UDP_SIZE, _RecordStream
 from repro.runtime.transport import deadline_timeval
 
 from tests.conftest import MailImpl, compile_mail
@@ -295,6 +297,39 @@ class TestFailedReadPoisonsTheConnection:
                 assert onc_module.Test_MailClient(transport).avg([4]) == 4.0
             finally:
                 transport.close()
+
+    def test_the_failure_kept_holds_no_frame(self):
+        """What a poisoned connection keeps of its first failure is the
+        text: the error itself would hold, through its traceback, the
+        frame that read — a server thread's frame holds its request
+        core, servant and buffers — in a cycle through the stream, alive
+        until the cyclic collector next ran."""
+
+        class Canary:
+            pass
+
+        canary = Canary()
+        alive = weakref.ref(canary)
+        near, far = socket.socketpair()
+        stream = _RecordStream(near)
+
+        def reading(canary):
+            try:
+                stream.read()
+            except TransportError as error:
+                return str(error)
+
+        far.close()
+        gc.disable()
+        try:
+            assert reading(canary) == "connection closed mid-record header"
+            del canary
+            assert alive() is None
+        finally:
+            gc.enable()
+        with pytest.raises(TransportError, match="earlier failure:"
+                           " connection closed mid-record header$"):
+            stream.read()
 
 
 class TestFailedWritePoisonsTheConnection:
