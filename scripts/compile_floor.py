@@ -13,7 +13,11 @@ alternation, the lowest printed, in milliseconds:
 * ``whole``: the text in one piece — what a module written to disk and
   imported costs;
 * ``shared`` ``codecs`` ``client`` ``server`` ``errors``: each section
-  alone (their sum exceeds ``whole`` by the per-``compile()`` overhead);
+  alone, ``server`` as its load compiles it — without the ``_h_*``
+  handlers, which compile one at a time at their first call;
+* ``handlers``: the ``_h_*`` defs in one piece — what the ``server``
+  section compiled with it before they were deferred (the columns' sum
+  exceeds ``whole`` by the per-``compile()`` overhead);
 * ``eager``: ``shared`` + ``codecs`` in one piece — what ``stubs.load()``
   compiled while a module's codecs compiled with it;
 * ``at load``: what ``stubs.load()`` compiles under either renderer
@@ -25,9 +29,11 @@ alternation, the lowest printed, in milliseconds:
 runs the cell's reference call from a proxy of one module object to the
 ``dispatch`` of another, and exits non-zero if the serving module
 compiled its client section or the calling module its server section,
-if either load compiled a codec function, if the call compiled a codec
-function it did not run or ran one it did not compile, or if the answer
-is wrong.  What a process compiles does not depend on the host.
+if either load compiled a codec function or a handler, if the server
+section's own load compiled a handler, if the call compiled a codec
+function or handler it did not run or ran one it did not compile, or if
+the answer is wrong.  What a process compiles does not depend on the
+host.
 """
 
 import argparse
@@ -42,6 +48,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from benchmarks.e2e.workloads import Cell, _Capture  # noqa: E402
 from repro import api  # noqa: E402
+from repro.backend.base import Section  # noqa: E402
 from repro.core import loader  # noqa: E402
 from repro.core.loader import excerpt, pending_sections  # noqa: E402
 from repro.mir import render_closures  # noqa: E402
@@ -70,7 +77,10 @@ def pieces(stubs):
     assert tuple(table) == SECTIONS, tuple(table)
     texts = {"whole": stubs.py_source}
     for name in SECTIONS:
-        texts[name] = excerpt(lines, (table[name],))
+        texts[name] = excerpt(lines, (table[name],), name == "codecs")
+    texts["handlers"] = excerpt(lines, [Section("handlers", tuple(
+        (first, first + text.count("\n") + 1)
+        for _name, first, text in table["server"].functions))])
     for column, names in LOADS:
         texts[column] = excerpt(lines, [table[name] for name in names])
     return texts
@@ -83,7 +93,8 @@ def measure(rounds):
         stubs = compile_cell(cell).stubs
         texts = pieces(stubs)
         subjects[cell.schema, cell.backend] = (stubs, texts)
-    columns = ("whole",) + SECTIONS + tuple(column for column, _ in LOADS)
+    columns = ("whole",) + SECTIONS + ("handlers",) + tuple(
+        column for column, _ in LOADS)
     best = {(key, column): float("inf")
             for key in subjects for column in columns}
     for _ in range(rounds):
@@ -110,7 +121,8 @@ def measure(rounds):
 
 class Compiles:
     """Every ``compile()`` of stub text — the loader's pieces and the
-    codec functions' first calls — as ``(file name, functions)``."""
+    first calls of codec functions and handlers — as ``(file name,
+    functions)``."""
 
     def __init__(self):
         self.seen = []
@@ -172,16 +184,24 @@ def check():
         calling = compile_cell(cell).module
         modules = (serving, calling)
         codecs = {fn.name for fn in result.mir.functions}
-        at_load = compiles.functions(modules, codecs)
+        (server,) = [section for section in result.stubs.sections
+                     if section.name == "server"]
+        # Read off the names the section binds, not its ``functions``:
+        # a tree whose handlers compile with the section lists none.
+        handlers = {name for name in server.names if name.startswith("_h_")}
+        names = codecs | handlers
+        at_load = compiles.functions(modules, names)
         del compiles.seen[:]
+        dispatch = serving.dispatch  # loads the server section
+        with_section = compiles.functions(modules, handlers)
         servant = _Capture()
         proxy = next(name for name in dir(calling)
                      if name.endswith("Client"))
-        client = getattr(calling, proxy)(
-            LoopbackTransport(serving.dispatch, servant))
-        reached = ran(modules, codecs, lambda: getattr(client, cell.method)(
+        client = getattr(calling, proxy)(LoopbackTransport(dispatch, servant))
+        del compiles.seen[:]
+        reached = ran(modules, names, lambda: getattr(client, cell.method)(
             *cell.present(calling)))
-        by_call = compiles.functions(modules, codecs)
+        by_call = compiles.functions(modules, names)
         problems = []
         if servant.got != cell.present(serving):
             problems.append("servant got %r" % (servant.got,))
@@ -192,16 +212,20 @@ def check():
         if at_load:
             problems.append("the loads compiled %s" % sorted(
                 name for _file, name in at_load))
+        if with_section:
+            problems.append("the server section compiled %s" % sorted(
+                name for _file, name in with_section))
         if by_call != reached:
             problems.append("the call compiled %s and ran %s" % (
                 sorted(name for _file, name in by_call),
                 sorted(name for _file, name in reached)))
         failures += bool(problems)
-        print("%-36s serving left %-13s calling left %-13s codecs at load"
-              " %d, by the call %d of %d  %s" % (
+        print("%-36s serving left %-13s calling left %-13s compiled at load"
+              " %d, with the server section %d, by the call %d of %d  %s" % (
                   cell.name, ",".join(pending_sections(serving)),
                   ",".join(pending_sections(calling)), len(at_load),
-                  len(by_call), 2 * len(codecs),
+                  len(with_section), len(by_call),
+                  2 * len(codecs) + len(handlers),
                   "; ".join(problems) or "ok"))
     return 1 if failures else 0
 
@@ -211,8 +235,8 @@ def main():
     parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--check", action="store_true",
                         help="only verify that a role compiles its own"
-                             " half and a call the codecs it runs; exit 1"
-                             " otherwise")
+                             " half and a call the codecs and the handler"
+                             " it runs; exit 1 otherwise")
     args = parser.parse_args()
     if args.check:
         return check()

@@ -7,7 +7,8 @@ call, under either renderer name (INTERNALS section 10).  This script
 sets that against the eager load it replaced — the codec section
 compiled with the module, rebuilt here with
 ``repro.core.loader.load_stub_module`` over the same text and section
-table — on ``examples/idl/ledger.idl`` over IIOP (28 codec functions),
+table, which then also compiles the ``_h_*`` handlers with the server
+section — on ``examples/idl/ledger.idl`` over IIOP (28 codec functions),
 pinned to one CPU like the e2e benchmark, lowest of ``--rounds``, in ms:
 
 * ``load``: the module load of a fresh compile;

@@ -73,8 +73,9 @@ class Section(NamedTuple):
     #: module.
     names: Tuple[str, ...] = ()
     #: ``(name, first line, text)`` of every function of the section
-    #: whose functions compile one at a time, each at its first call
-    #: (``codecs``); empty for the others.
+    #: that compiles on its own at its first call, not with the section:
+    #: the ``codecs`` functions and the ``server`` section's ``_h_*``
+    #: handlers; empty for the others.
     functions: Tuple[Tuple[str, int, str], ...] = ()
 
 
@@ -139,22 +140,28 @@ class GeneratedStubs:
         that compiles its own lines of the text at its first call
         (:func:`repro.mir.render_closures.defer_codecs`), and the
         ``client``, ``server`` and ``errors`` sections compile when
-        first used (:func:`repro.core.loader.load_stub_module`).  A
-        text with no section table (baseline compilers) loads whole.
+        first used (:func:`repro.core.loader.load_stub_module`) — the
+        ``server`` section without its handlers, which are deferred
+        entries of the same table.  A text with no section table
+        (baseline compilers) loads whole.
         """
         if self._module is None:
             from repro.core.loader import load_stub_module
+            from repro.mir import render_closures
 
             codecs = {section.name: section
                       for section in self.sections}.get("codecs")
             module = load_stub_module(
                 self.py_source, self.module_name or "flick_generated",
                 self.sections, without=("codecs",),
+                # Called when the server section loads: after *pending*,
+                # the codecs' table, is bound below.
+                defer=lambda functions: render_closures.defer_handlers(
+                    pending, functions),
             )
             if codecs is not None:
-                from repro.mir.render_closures import defer_codecs
-
-                defer_codecs(module, self.mir, codecs)
+                pending = render_closures.defer_codecs(
+                    module, self.mir, codecs)
             if self.shapes_factory is not None:
                 module._flick_shapes = _memoized(self.shapes_factory)
             self._module = module
@@ -350,7 +357,7 @@ class OptimizingBackEnd:
         self._emit_client(w, presc, flags)
         section("server")
         self._emit_servant(w, presc)
-        self._emit_dispatch(w, presc, flags)
+        placed.update(self._emit_dispatch(w, presc, flags))
         section("errors")
         self.emit_error_reply(w, presc)
         py_source = w.getvalue()
@@ -652,68 +659,76 @@ class OptimizingBackEnd:
                " + str(_e))" % stub.operation_name)
         w.dedent()
 
-    def _emit_dispatch(self, w, presc, flags):
-        # Per-operation handlers, with unmarshal and reply marshal
+    def _emit_handler(self, w, stub):
+        # One operation's handler, with unmarshal and reply marshal
         # inlined.  Failures are classified: argument-decode errors become
         # WireFormatError (the *client* sent garbage), reply-marshal
         # errors become MarshalError (the *servant* returned garbage),
         # and servant exceptions propagate untouched.
-        for stub in presc.stubs:
-            w.line("def _h_%s(d, o, impl, b, _ctx):" % stub.operation_name)
+        w.line("def _h_%s(d, o, impl, b, _ctx):" % stub.operation_name)
+        w.indent()
+        in_parameters = stub.in_parameters()
+        arg_names = [
+            "_a%d" % index for index in range(len(in_parameters))
+        ]
+        if in_parameters:
+            w.line("try:")
             w.indent()
-            in_parameters = stub.in_parameters()
-            arg_names = [
-                "_a%d" % index for index in range(len(in_parameters))
-            ]
-            if in_parameters:
-                w.line("try:")
-                w.indent()
-                w.line("(%s,), o = _u_req_%s(d, o)"
-                       % (", ".join(arg_names), stub.operation_name))
-                w.dedent()
-                w.line("except _DEC_ERRORS as _e:")
-                w.indent()
-                w.line("raise WireFormatError('malformed %s request: '"
-                       " + str(_e))" % stub.operation_name)
-                w.dedent()
-            call = "impl.%s(%s)" % (
-                stub.operation_name, ", ".join(arg_names)
-            )
-            if stub.oneway:
-                w.line(call)
-                w.line("return False")
-                w.dedent()
-                w.blank()
-                continue
-            exception_arms = stub.reply_pres.arms[1:]
-            if exception_arms:
-                w.line("try:")
-                w.indent()
-                w.line("_res = %s" % call)
-                w.dedent()
-                for arm in exception_arms:
-                    class_name = mangle(arm.pres.class_name)
-                    w.line("except %s as _exc:" % class_name)
-                    w.indent()
-                    self._emit_reply_marshal_guard(
-                        w, stub,
-                        "_m_rep_x%d_%s(b, _ctx, _exc)"
-                        % (arm.labels[0], stub.operation_name),
-                    )
-                    w.line("return True")
-                    w.dedent()
-            else:
-                w.line("_res = %s" % call)
-            names = self._result_unpack(w, stub)
-            self._emit_reply_marshal_guard(
-                w, stub,
-                "_m_rep_ok_%s(b, _ctx%s)"
-                % (stub.operation_name,
-                   ", " + ", ".join(names) if names else ""),
-            )
-            w.line("return True")
+            w.line("(%s,), o = _u_req_%s(d, o)"
+                   % (", ".join(arg_names), stub.operation_name))
+            w.dedent()
+            w.line("except _DEC_ERRORS as _e:")
+            w.indent()
+            w.line("raise WireFormatError('malformed %s request: '"
+                   " + str(_e))" % stub.operation_name)
+            w.dedent()
+        call = "impl.%s(%s)" % (
+            stub.operation_name, ", ".join(arg_names)
+        )
+        if stub.oneway:
+            w.line(call)
+            w.line("return False")
             w.dedent()
             w.blank()
+            return
+        exception_arms = stub.reply_pres.arms[1:]
+        if exception_arms:
+            w.line("try:")
+            w.indent()
+            w.line("_res = %s" % call)
+            w.dedent()
+            for arm in exception_arms:
+                class_name = mangle(arm.pres.class_name)
+                w.line("except %s as _exc:" % class_name)
+                w.indent()
+                self._emit_reply_marshal_guard(
+                    w, stub,
+                    "_m_rep_x%d_%s(b, _ctx, _exc)"
+                    % (arm.labels[0], stub.operation_name),
+                )
+                w.line("return True")
+                w.dedent()
+        else:
+            w.line("_res = %s" % call)
+        names = self._result_unpack(w, stub)
+        self._emit_reply_marshal_guard(
+            w, stub,
+            "_m_rep_ok_%s(b, _ctx%s)"
+            % (stub.operation_name,
+               ", " + ", ".join(names) if names else ""),
+        )
+        w.line("return True")
+        w.dedent()
+        w.blank()
+
+    def _emit_dispatch(self, w, presc, flags):
+        """Emit the handlers and ``dispatch``; return ``{name: (start,
+        end)}``, the lines of *w* each ``_h_*`` handler took."""
+        placed = {}
+        for stub in presc.stubs:
+            start = len(w.lines)
+            self._emit_handler(w, stub)
+            placed["_h_%s" % stub.operation_name] = (start, len(w.lines))
         # The demux table / chain (section 3.3).
         if flags.hash_demux:
             w.line("_HANDLERS = {")
@@ -765,12 +780,14 @@ class OptimizingBackEnd:
         w.line("return _h(d, o, impl, b, _ctx)")
         w.dedent()
         w.blank()
+        return placed
 
 
 def _section_table(lines, opened, placed):
     """*opened* — ``(section name, first line)`` in print order, each
     closed by the next — as :class:`Section` rows; *placed* — ``{name:
-    (start, end)}`` — are the lines of the codec functions."""
+    (start, end)}`` — are the lines of the functions that compile on
+    their own, each a row of the section it was printed in."""
     spans = {}
     ends = [start for _name, start in opened[1:]] + [len(lines)]
     for (name, start), end in zip(opened, ends):
@@ -785,11 +802,10 @@ def _section_table(lines, opened, placed):
                     match = _BINDS.match(line)
                     if match:
                         names.append(match[1] or match[2])
-        functions = ()
-        if name == "codecs":
-            functions = tuple(
-                (function, first, "\n".join(lines[first:after]))
-                for function, (first, after) in placed.items())
+        functions = tuple(
+            (function, first, "\n".join(lines[first:after]))
+            for function, (first, after) in placed.items()
+            if any(start <= first < end for start, end in own))
         table.append(Section(name, tuple(own), tuple(names), functions))
     return tuple(table)
 

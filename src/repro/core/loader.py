@@ -16,7 +16,9 @@ at a time: what every role shares with the module, and the ``client``,
 that asks for one of its names (PEP 562 ``__getattr__``), so a process
 compiles the half it runs.  Such a module is complete by attribute —
 ``getattr``, ``hasattr`` and ``dir`` answer as for an eager one — and
-lazy by ``vars()``; :func:`on_bound` is for readers of the dict.
+lazy by ``vars()``; :func:`on_bound` is for readers of the dict.  The
+functions a deferred section lists in ``functions`` can be left out of
+it, for whoever loads the module to bind a deferred entry for each.
 """
 
 from __future__ import annotations
@@ -45,16 +47,18 @@ def register_source(owner, name, source):
 
 
 def load_stub_module(source, name="flick_generated", sections=(),
-                     without=()):
+                     without=(), defer=None):
     """Compile and exec generated *source*; return the module object.
 
     *sections* is the text's section table, empty for a text that is
     one piece.  A section that lists the names it binds is compiled and
     exec'd into the module at the first attribute access of one of
     them; the sections named in *without* never are (the caller binds
-    what they would have).  Lines left out are blanked, not cut, so
-    line numbers — and what ``__source__`` and tracebacks show — stay
-    those of *source*.
+    what they would have).  Given *defer*, a deferred section that
+    lists ``functions`` is exec'd without their lines, after
+    ``defer(functions)`` has bound what stands in for them.  Lines left
+    out are blanked, not cut, so line numbers — and what ``__source__``
+    and tracebacks show — stay those of *source*.
     """
     module = types.ModuleType(name)
     module.__file__ = filename = register_source(module, name, source)
@@ -68,18 +72,23 @@ def load_stub_module(source, name="flick_generated", sections=(),
         text = excerpt(lines, eager)
         deferred = [section for section in kept if section.names]
         if deferred:
-            _Deferred(module.__dict__, filename, lines, deferred)
+            _Deferred(module.__dict__, filename, lines, deferred, defer)
     exec(compile(text, filename, "exec"), module.__dict__)
     return module
 
 
-def excerpt(lines, sections):
+def excerpt(lines, sections, functions=True):
     """The text of *sections* at their own line numbers: *lines* with
-    every line of another section blank."""
+    every line of another section blank — and, unless *functions*, every
+    line of the functions a section lists in ``functions``."""
     kept = [""] * len(lines)
     for section in sections:
         for start, end in section.spans:
             kept[start:end] = lines[start:end]
+        if not functions:
+            for _name, first, text in section.functions:
+                count = text.count("\n") + 1
+                kept[first:first + count] = [""] * count
     return "\n".join(kept)
 
 
@@ -88,10 +97,11 @@ class _Deferred:
     for yet.  It is the module's ``__getattr__`` and ``__dir__`` until
     the last of them loads; then the module is an ordinary one."""
 
-    def __init__(self, G, filename, lines, sections):
+    def __init__(self, G, filename, lines, sections, defer):
         self.G = G
         self.filename = filename
         self.lines = lines
+        self.defer = defer
         self.pending = {name: section for section in sections
                         for name in section.names}
         self.callbacks = []
@@ -108,7 +118,10 @@ class _Deferred:
         with self.lock:
             section = self.pending.get(name)
             if section is not None:
-                exec(compile(excerpt(self.lines, (section,)),
+                if self.defer is not None and section.functions:
+                    self.defer(section.functions)
+                exec(compile(excerpt(self.lines, (section,),
+                                     self.defer is None),
                              self.filename, "exec"), G)
                 for bound in section.names:
                     del self.pending[bound]

@@ -7,16 +7,23 @@ lexical details (e.g. MIG treats ``@`` specially), so each front end builds a
 :class:`Lexer` from its own :class:`LexerSpec` instead of writing a scanner
 from scratch.  This mirrors Flick's shared front-end base library (Table 1 of
 the paper).
+
+A spec compiles into one regular expression that skips whitespace and
+comments and names the token after them: words and punctuators are read
+off the match, numbers, strings and character literals are decoded by the
+``_scan_*`` routines from where it starts.  Identifiers and digits are
+ASCII, as CORBA 2.0 section 3.2.3 and RFC 4506 section 6 define them.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import IdlSyntaxError
-from repro.idl.source import SourceFile, SourceLocation
+from repro.idl.source import SourceFile
 
 
 class TokenKind(enum.Enum):
@@ -32,19 +39,30 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
 class Token:
     """One lexical token.
 
     ``value`` holds the decoded payload: an ``int`` for INT tokens, ``float``
     for FLOAT, the unescaped text for CHAR/STRING, and the spelling for
-    everything else.
+    everything else.  ``location`` is computed from ``offset`` into
+    ``source`` when first read: most tokens are never located.
     """
 
-    kind: TokenKind
-    text: str
-    value: object
-    location: SourceLocation
+    __slots__ = ("kind", "text", "value", "source", "offset", "_location")
+
+    def __init__(self, kind, text, value, source, offset):
+        self.kind = kind
+        self.text = text
+        self.value = value
+        self.source = source
+        self.offset = offset
+        self._location = None
+
+    @property
+    def location(self):
+        if self._location is None:
+            self._location = self.source.location(self.offset)
+        return self._location
 
     def is_punct(self, spelling):
         return self.kind is TokenKind.PUNCT and self.text == spelling
@@ -66,20 +84,12 @@ DEFAULT_PUNCTUATORS = (
     "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "?", "@", "#",
 )
 
-_ESCAPES = {
-    "n": "\n",
-    "t": "\t",
-    "v": "\v",
-    "b": "\b",
-    "r": "\r",
-    "f": "\f",
-    "a": "\a",
-    "\\": "\\",
-    "?": "?",
-    "'": "'",
-    '"': '"',
-    "0": "\0",
-}
+#: The character each one-character escape sequence stands for.
+_ESCAPES = dict(zip("ntvbrfa\\?'\"0", "\n\t\v\b\r\f\a\\?'\"\0"))
+
+_DIGITS = "0123456789"
+_OCTAL = "01234567"
+_HEX = "0123456789abcdefABCDEF"
 
 
 @dataclass
@@ -100,6 +110,10 @@ class LexerSpec:
     punctuators: Sequence[str] = DEFAULT_PUNCTUATORS
     case_insensitive_keywords: bool = False
     allow_hash_comments: bool = False
+    #: What :meth:`Lexer.tokenize` matches at each position: any run of
+    #: whitespace and comments, then exactly one named group.  The last
+    #: two alternatives match anywhere, so the skip never backtracks.
+    pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.keywords = frozenset(self.keywords)
@@ -107,6 +121,15 @@ class LexerSpec:
         self.punctuators = tuple(
             sorted(self.punctuators, key=len, reverse=True)
         )
+        skip = r"[ \t\r\n\f\v]+|//[^\n]*\n?|/\*.*?\*/"
+        if self.allow_hash_comments:
+            skip += r"|#[^\n]*\n?"
+        self.pattern = re.compile(
+            r"(?:%s)*(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+            r"|(?P<number>\.?[0-9])|(?P<string>\")|(?P<char>')"
+            r"|(?P<open_comment>/\*)|(?P<punct>%s)|(?P<end>\Z)|(?P<bad>.))"
+            % (skip, "|".join(map(re.escape, self.punctuators))),
+            re.DOTALL)
 
 
 class Lexer:
@@ -131,180 +154,140 @@ class Lexer:
 
     def tokenize(self):
         """Scan the whole input and return the token list (ending in EOF)."""
+        source, spec = self.source, self.spec
+        text, scan, keywords = source.text, spec.pattern.match, spec.keywords
+        fold = spec.case_insensitive_keywords
         tokens = []
-        text = self.source.text
-        length = len(text)
+        append = tokens.append
         pos = 0
-        while pos < length:
-            char = text[pos]
-            if char in " \t\r\n\f\v":
-                pos += 1
-                continue
-            if char == "/" and text.startswith("//", pos):
-                pos = self._skip_line(text, pos)
-                continue
-            if char == "/" and text.startswith("/*", pos):
-                pos = self._skip_block_comment(text, pos)
-                continue
-            if char == "#" and self.spec.allow_hash_comments:
-                pos = self._skip_line(text, pos)
-                continue
-            if char.isalpha() or char == "_":
-                pos = self._scan_word(text, pos, tokens)
-                continue
-            if char.isdigit() or (
-                char == "." and pos + 1 < length and text[pos + 1].isdigit()
-            ):
-                pos = self._scan_number(text, pos, tokens)
-                continue
-            if char == '"':
-                pos = self._scan_string(text, pos, tokens)
-                continue
-            if char == "'":
-                pos = self._scan_char(text, pos, tokens)
-                continue
-            pos = self._scan_punct(text, pos, tokens)
-        tokens.append(
-            Token(TokenKind.EOF, "", None, self.source.location(length and length - 1 or 0))
-        )
-        return tokens
+        while True:
+            match = scan(text, pos)
+            group = match.lastgroup
+            start, pos = match.span(group)
+            if group == "word":
+                word = match[group]
+                keyword = word.lower() if fold else word
+                if keyword in keywords:
+                    append(Token(TokenKind.KEYWORD, keyword, keyword, source,
+                                 start))
+                else:
+                    append(Token(TokenKind.IDENT, word, word, source, start))
+            elif group == "punct":
+                punct = match[group]
+                append(Token(TokenKind.PUNCT, punct, punct, source, start))
+            elif group == "end":
+                append(Token(TokenKind.EOF, "", None, source,
+                             max(start - 1, 0)))
+                return tokens
+            elif group == "bad":
+                self._fail("unexpected character %r" % match[group], start)
+            elif group == "open_comment":
+                self._fail("unterminated block comment", start)
+            else:  # a number, string or character literal
+                kind, value, pos = getattr(self, "_scan_" + group)(
+                    text, start)
+                append(Token(kind, text[start:pos], value, source, start))
 
-    def _skip_line(self, text, pos):
-        end = text.find("\n", pos)
-        return len(text) if end == -1 else end + 1
+    def _fail(self, message, offset):
+        raise IdlSyntaxError(message, self.source.location(offset))
 
-    def _skip_block_comment(self, text, pos):
-        end = text.find("*/", pos + 2)
-        if end == -1:
-            raise IdlSyntaxError(
-                "unterminated block comment", self.source.location(pos)
-            )
-        return end + 2
+    # The literal routines: each decodes the literal at *pos* and returns
+    # ``(kind, value, end)``.
 
-    def _scan_word(self, text, pos, tokens):
+    def _scan_number(self, text, pos):
         start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        word = text[start:pos]
-        location = self.source.location(start)
-        keyword = word.lower() if self.spec.case_insensitive_keywords else word
-        if keyword in self.spec.keywords:
-            tokens.append(Token(TokenKind.KEYWORD, keyword, keyword, location))
-        else:
-            tokens.append(Token(TokenKind.IDENT, word, word, location))
-        return pos
-
-    def _scan_number(self, text, pos, tokens):
-        start = pos
-        location = self.source.location(start)
         if text.startswith(("0x", "0X"), pos):
             pos += 2
-            while pos < len(text) and text[pos] in "0123456789abcdefABCDEF":
+            while pos < len(text) and text[pos] in _HEX:
                 pos += 1
-            spelling = text[start:pos]
             if pos == start + 2:
-                raise IdlSyntaxError("malformed hex literal", location)
-            tokens.append(Token(TokenKind.INT, spelling, int(spelling, 16), location))
-            return pos
-        while pos < len(text) and text[pos].isdigit():
+                self._fail("malformed hex literal", start)
+            return TokenKind.INT, int(text[start:pos], 16), pos
+        while pos < len(text) and text[pos] in _DIGITS:
             pos += 1
         is_float = False
         if pos < len(text) and text[pos] == ".":
             is_float = True
             pos += 1
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos] in _DIGITS:
                 pos += 1
         if pos < len(text) and text[pos] in "eE":
             lookahead = pos + 1
             if lookahead < len(text) and text[lookahead] in "+-":
                 lookahead += 1
-            if lookahead < len(text) and text[lookahead].isdigit():
+            if lookahead < len(text) and text[lookahead] in _DIGITS:
                 is_float = True
                 pos = lookahead
-                while pos < len(text) and text[pos].isdigit():
+                while pos < len(text) and text[pos] in _DIGITS:
                     pos += 1
         spelling = text[start:pos]
         if is_float:
-            tokens.append(Token(TokenKind.FLOAT, spelling, float(spelling), location))
-        elif spelling.startswith("0") and len(spelling) > 1 and spelling.isdigit():
-            tokens.append(Token(TokenKind.INT, spelling, int(spelling, 8), location))
-        else:
-            tokens.append(Token(TokenKind.INT, spelling, int(spelling, 10), location))
-        return pos
+            return TokenKind.FLOAT, float(spelling), pos
+        if spelling.startswith("0") and len(spelling) > 1:
+            if spelling.strip(_OCTAL):
+                self._fail("malformed octal literal", start)
+            return TokenKind.INT, int(spelling, 8), pos
+        return TokenKind.INT, int(spelling, 10), pos
 
-    def _scan_escape(self, text, pos, location):
-        """Decode the escape sequence after a backslash; return (char, pos)."""
+    def _scan_escape(self, text, pos, start):
+        """Decode the escape sequence after a backslash; return (char, pos).
+        Errors are reported at *start*, the literal's first character."""
         if pos >= len(text):
-            raise IdlSyntaxError("unterminated escape sequence", location)
+            self._fail("unterminated escape sequence", start)
         char = text[pos]
         if char in _ESCAPES:
             return _ESCAPES[char], pos + 1
         if char == "x":
             digits = ""
             pos += 1
-            while pos < len(text) and text[pos] in "0123456789abcdefABCDEF":
+            while pos < len(text) and text[pos] in _HEX:
                 digits += text[pos]
                 pos += 1
             if not digits:
-                raise IdlSyntaxError("malformed \\x escape", location)
+                self._fail("malformed \\x escape", start)
             return chr(int(digits, 16)), pos
-        if char.isdigit():
+        if char in _OCTAL:
             digits = ""
-            while pos < len(text) and text[pos].isdigit() and len(digits) < 3:
+            while pos < len(text) and text[pos] in _OCTAL and len(digits) < 3:
                 digits += text[pos]
                 pos += 1
             return chr(int(digits, 8)), pos
-        raise IdlSyntaxError("unknown escape sequence \\%s" % char, location)
+        self._fail("unknown escape sequence \\%s" % char, start)
 
-    def _scan_string(self, text, pos, tokens):
+    def _scan_string(self, text, pos):
         start = pos
-        location = self.source.location(start)
         pos += 1
         chars = []
         while True:
             if pos >= len(text):
-                raise IdlSyntaxError("unterminated string literal", location)
+                self._fail("unterminated string literal", start)
             char = text[pos]
             if char == '"':
                 pos += 1
                 break
             if char == "\n":
-                raise IdlSyntaxError("newline in string literal", location)
+                self._fail("newline in string literal", start)
             if char == "\\":
-                decoded, pos = self._scan_escape(text, pos + 1, location)
+                decoded, pos = self._scan_escape(text, pos + 1, start)
                 chars.append(decoded)
                 continue
             chars.append(char)
             pos += 1
-        tokens.append(
-            Token(TokenKind.STRING, text[start:pos], "".join(chars), location)
-        )
-        return pos
+        return TokenKind.STRING, "".join(chars), pos
 
-    def _scan_char(self, text, pos, tokens):
+    def _scan_char(self, text, pos):
         start = pos
-        location = self.source.location(start)
         pos += 1
         if pos >= len(text):
-            raise IdlSyntaxError("unterminated character literal", location)
+            self._fail("unterminated character literal", start)
         if text[pos] == "\\":
-            decoded, pos = self._scan_escape(text, pos + 1, location)
+            decoded, pos = self._scan_escape(text, pos + 1, start)
         else:
             decoded = text[pos]
             pos += 1
         if pos >= len(text) or text[pos] != "'":
-            raise IdlSyntaxError("unterminated character literal", location)
-        pos += 1
-        tokens.append(Token(TokenKind.CHAR, text[start:pos], decoded, location))
-        return pos
-
-    def _scan_punct(self, text, pos, tokens):
-        location = self.source.location(pos)
-        for punct in self.spec.punctuators:
-            if text.startswith(punct, pos):
-                tokens.append(Token(TokenKind.PUNCT, punct, punct, location))
-                return pos + len(punct)
-        raise IdlSyntaxError("unexpected character %r" % text[pos], location)
+            self._fail("unterminated character literal", start)
+        return TokenKind.CHAR, decoded, pos + 1
 
     # ------------------------------------------------------------------
     # Stream interface

@@ -8,7 +8,10 @@ a file that renders as ``name:line:column`` in diagnostics.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass
+
+_NEWLINE = re.compile("\n")
 
 
 class SourceFile:
@@ -24,10 +27,8 @@ class SourceFile:
         self.name = name
         # Offsets of the first character of each line, for offset->line
         # translation via binary search.
-        self._line_starts = [0]
-        for index, char in enumerate(text):
-            if char == "\n":
-                self._line_starts.append(index + 1)
+        self._line_starts = [0] + [
+            match.end() for match in _NEWLINE.finditer(text)]
 
     def location(self, offset):
         """Return the :class:`SourceLocation` for a character *offset*."""

@@ -1,4 +1,5 @@
-"""Deferred codec entries: each codec function compiles at its first call.
+"""Deferred entries: each codec function and each handler compiles at
+its first call.
 
 A loaded stub module carries no compiled codec.  ``stubs.load()`` leaves
 the codec section of the text out (:func:`defer_codecs`) and binds every
@@ -11,7 +12,10 @@ compiles the codecs it calls and no others, under either renderer name
 (``py`` and ``closures`` no longer differ in anything a load does).  The
 price is paid by a process that goes on to call all of them:
 per-function compiles cost more in total than one compile of the whole
-section (INTERNALS section 10 has the numbers).
+section (INTERNALS section 10 has the numbers).  The ``server`` section
+loads without its ``_h_*`` handlers the same way: :func:`defer_handlers`
+binds an entry for each from the same table just before the rest of the
+section is exec'd, so a server compiles the handlers it dispatches to.
 
 :func:`install_closures` binds the same entries over a loaded module
 from a :class:`~repro.mir.ops.MirProgram` — a base swap — and each of
@@ -35,9 +39,30 @@ from repro.mir import render_py
 def defer_codecs(module, program, section):
     """Bind *program*'s codecs over *module*, loaded without the codec
     *section* of its text; each compiles its own lines
-    (``section.functions``) at its first call."""
-    _Pending(module.__dict__, program, {
-        name: (first, text) for name, first, text in section.functions})
+    (``section.functions``) at its first call.  Returns the table, for
+    :func:`defer_handlers`."""
+    pending, _codec_entries = _defer_program(
+        module.__dict__, program, _own_lines(section.functions))
+    return pending
+
+
+def defer_handlers(pending, functions):
+    """Bind a deferred entry for each ``_h_*`` handler of *functions* —
+    ``(name, first line, text)`` rows of the ``server`` section, which
+    loads without those lines — into the globals of *pending*.  A first
+    call rebinds the handler's global and its ``_HANDLERS`` value, so
+    steady-state dispatch calls the compiled handler directly."""
+    G = pending.G
+
+    def bind(name, entry, function):
+        G[name] = function
+        handlers = G.get("_HANDLERS", {})
+        for key, value in handlers.items():
+            if value is entry:
+                handlers[key] = function
+                break
+
+    G.update(pending.defer(_own_lines(functions), bind))
 
 
 def install_closures(module, program):
@@ -49,13 +74,46 @@ def install_closures(module, program):
             "requires the MIR pipeline)"
         )
     G = module.__dict__
-    pending = _Pending(G, program, {
+    _pending, codec_entries = _defer_program(G, program, {
         fn.name: partial(compile_function, fn, G, module)
         for fn in program.functions})
-    codecs.of(module).set_base({
-        name: entry for name, entry in pending.entries.items()
-        if name not in pending.helpers})
+    codecs.of(module).set_base(codec_entries)
     return module
+
+
+def _own_lines(functions):
+    return {name: (first, text) for name, first, text in functions}
+
+
+def _defer_program(G, program, sources):
+    """Bind into *G* what the codec section of *program*'s text binds
+    beside its functions — the bulk-array runtime names and every header
+    const — and a deferred entry per function, compiling *sources*.
+    Returns the table and the codec entries (the out-of-line
+    ``_m_<T>``/``_u_<T>`` helpers are not codec entries, so not in the
+    module's codec slots)."""
+    G["_iter_unpack"] = iter_unpack
+    G["_atom_list"] = atom_list
+    helpers = {fn.name for fn in program.functions
+               if fn.kind.endswith("_helper")}
+
+    def bind(name, entry, function):
+        if name in helpers:
+            G[name] = function
+        else:
+            codecs.replace_base(G, name, entry, function)
+
+    pending = _Pending(G)
+    entries = pending.defer(sources, bind)
+    for fn in program.functions:
+        G.update(fn.consts)
+        if fn.name in helpers:
+            G[fn.name] = entries.pop(fn.name)
+        else:
+            # A codec entry already bound keeps its layers:
+            # install_closures makes the new one its slot's base.
+            G.setdefault(fn.name, entries[fn.name])
+    return pending, entries
 
 
 def compile_function(fn, G, module):
@@ -81,48 +139,43 @@ def _define(name, code, G):
 
 
 class _Pending:
-    """The codec functions of one load (or one install) that have not
-    been called yet, and the deferred entry of each.
+    """The functions of one load (or one install) that have not been
+    called yet, and the deferred entry of each.
 
     The first caller of an entry compiles under the one lock and hands
-    over — a helper becomes what the module binds, a codec entry the
-    base of its slot if the deferred function still is (live layers stay
-    on top and subscribers hear of it); one that races it waits and
-    compiles nothing.  Steady-state calls therefore never come here and
-    take no lock; a caller that kept the deferred function itself pays
-    one forward per call, and its ``__wrapped__`` names what it
-    compiled.  An entry holds only its name and this table; the table
-    holds the module's globals, not the module, and drops each entry and
-    its source at the hand-over — so a module its users drop leaves
-    behind what an eagerly loaded one would.
+    over through the ``bind`` its rows were deferred with — a helper or
+    a handler becomes what the module binds, a codec entry the base of
+    its slot if the deferred function still is (live layers stay on top
+    and subscribers hear of it); one that races it waits and compiles
+    nothing.  Steady-state calls therefore never come here and take no
+    lock; a caller that kept the deferred function itself pays one
+    forward per call, and its ``__wrapped__`` names what it compiled.
+    An entry holds only its name and this table; the table holds the
+    module's globals, not the module, and drops each entry and its
+    source at the hand-over — so a module its users drop leaves behind
+    what an eagerly loaded one would.
     """
 
-    def __init__(self, G, program, sources):
+    def __init__(self, G):
         self.G = G
         #: name -> ``(first line, text)`` of the module's own text, or a
         #: thunk compiling a rendered function.
-        self.sources = sources
+        self.sources = {}
+        #: name -> ``bind(name, entry, function)``, its hand-over.
+        self.binds = {}
+        self.entries = {}
         self.compiled = {}
         # Re-entrant: a slot subscriber may call another entry.
         self.lock = threading.RLock()
-        # What the codec section of the text binds beside its functions:
-        # the bulk-array runtime names and every header const.
-        G["_iter_unpack"] = iter_unpack
-        G["_atom_list"] = atom_list
-        self.entries = {}
-        #: The out-of-line ``_m_<T>``/``_u_<T>`` helpers: not codec
-        #: entries, so not in the module's codec slots.
-        self.helpers = set()
-        for fn in program.functions:
-            G.update(fn.consts)
-            entry = self.entries[fn.name] = _entry(self, fn.name)
-            if fn.kind.endswith("_helper"):
-                self.helpers.add(fn.name)
-                G[fn.name] = entry
-            else:
-                # A codec entry already bound keeps its layers:
-                # install_closures makes the new one its slot's base.
-                G.setdefault(fn.name, entry)
+
+    def defer(self, sources, bind):
+        """A deferred entry for each name of *sources*, handed over by
+        *bind*; returns ``{name: entry}``."""
+        entries = {name: _entry(self, name) for name in sources}
+        self.sources.update(sources)
+        self.binds.update(dict.fromkeys(sources, bind))
+        self.entries.update(entries)
+        return entries
 
     def call(self, name, args):
         function = self.compiled.get(name)
@@ -144,10 +197,7 @@ class _Pending:
         del self.sources[name]
         entry = self.entries.pop(name)
         entry.__wrapped__ = function
-        if name in self.helpers:
-            G[name] = function
-        else:
-            codecs.replace_base(G, name, entry, function)
+        self.binds.pop(name)(name, entry, function)
         self.compiled[name] = function
         return function
 

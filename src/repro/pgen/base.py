@@ -18,6 +18,8 @@ and prototype construction.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.errors import PresentationError
 from repro.aoi import (
     AoiArray,
@@ -126,19 +128,19 @@ class PresentationGenerator:
         builder = MintBuilder(root)
         pres_registry = p.PresRegistry()
         context = _Context(self, root, builder, pres_registry)
-        stubs = []
-        for operation in self._all_operations(root, interface):
-            stubs.append(context.build_stub(interface, operation))
-        c_decls = context.collect_c_decls(stubs, interface)
+        stubs = tuple(
+            context.build_stub(interface, operation)
+            for operation in self._all_operations(root, interface))
         return PresC(
             interface_name=interface.name,
             interface_code=interface.code,
             side=side,
             presentation_style=self.style,
-            stubs=tuple(stubs),
+            stubs=stubs,
             mint_registry=builder.registry,
             pres_registry=pres_registry,
-            c_decls=tuple(c_decls),
+            c_decls_factory=partial(context.collect_c_decls, stubs,
+                                    interface),
             exception_classes=dict(context.exception_classes),
         )
 
@@ -343,9 +345,6 @@ class _Context:
         )
         reply_pres = self._build_reply_pres(operation, parameters)
         stub_name = policy.stub_name(interface, operation)
-        c_decl = policy.c_stub_decl(
-            interface, operation, stub_name, tuple(parameters)
-        )
         return PresCStub(
             operation_name=operation.name,
             stub_name=stub_name,
@@ -354,7 +353,8 @@ class _Context:
             parameters=tuple(parameters),
             request_pres=request_pres,
             reply_pres=reply_pres,
-            c_decl=c_decl,
+            c_decl_factory=partial(policy.c_stub_decl, interface,
+                                   operation, stub_name, tuple(parameters)),
         )
 
     def _build_reply_pres(self, operation, parameters):
@@ -417,7 +417,7 @@ class _Context:
         )
 
     # ------------------------------------------------------------------
-    # C declarations (fidelity artifact)
+    # C declarations (fidelity artifact), built when C is first read
     # ------------------------------------------------------------------
 
     def collect_c_decls(self, stubs, interface):

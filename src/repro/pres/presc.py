@@ -11,9 +11,9 @@ transport.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.cast.nodes import FuncDecl
 from repro.mint.types import MintRegistry, MintType
 from repro.pres.nodes import PresNode, PresRegistry, PresStruct, PresUnion
 
@@ -47,6 +47,7 @@ class PresCStub:
             fields are the in-flowing parameters.
         reply_pres: a :class:`PresUnion` over the reply MINT (success arm
             plus one arm per exception), or ``None`` for oneway operations.
+        c_decl_factory: builds :attr:`c_decl`, when it is first read.
     """
 
     operation_name: str
@@ -56,7 +57,13 @@ class PresCStub:
     parameters: Tuple[PresParam, ...]
     request_pres: PresStruct
     reply_pres: Optional[PresUnion]
-    c_decl: FuncDecl
+    c_decl_factory: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def c_decl(self):
+        """The stub's CAST prototype (a ``FuncDecl``): only C reads it,
+        so a compile that prints no C builds none."""
+        return self.c_decl_factory()
 
     def in_parameters(self):
         return tuple(p for p in self.parameters if p.is_in)
@@ -92,10 +99,17 @@ class PresC:
     stubs: Tuple[PresCStub, ...]
     mint_registry: MintRegistry
     pres_registry: PresRegistry
-    #: Top-level CAST declarations (typedefs, structs, prototypes).
-    c_decls: Tuple[object, ...] = ()
+    #: Builds :attr:`c_decls` when first read.
+    c_decls_factory: Callable = field(default=tuple, repr=False,
+                                      compare=False)
     #: Exception presentation: AOI exception name -> generated class name.
     exception_classes: Dict[str, str] = field(default_factory=dict)
+
+    @cached_property
+    def c_decls(self):
+        """Top-level CAST declarations (typedefs, structs, prototypes),
+        built on first read, as :attr:`PresCStub.c_decl` is."""
+        return tuple(self.c_decls_factory())
 
     def stub_named(self, operation_name):
         for stub in self.stubs:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.errors import IdlSyntaxError
 from repro.corba import ast
 from repro.corba.parser import parse_corba_idl
@@ -196,3 +197,28 @@ class TestConstants:
         spec = parse_corba_idl("const long A = 1; const long B = A;")
         value = spec.definitions[1].value
         assert isinstance(value, ast.AstConstRef)
+
+
+class TestAsciiIdentifiersAndDigits:
+    """CORBA 2.0 section 3.2.3 allows ASCII identifiers only.  Before, the
+    first two schemas parsed and compiled: loading the struct's module
+    raised a raw ``SyntaxError`` from ``def __init__(self, x²=None)`` and
+    the interface's C stub was named ``M_Lédger_ping``; ``²`` was a raw
+    ``ValueError`` and ``٣`` read as 3."""
+
+    @pytest.mark.parametrize("text,where,char", [
+        ("struct Pöint { long x²; };", "1:9", "ö"),
+        ("struct Point { long x²; };", "1:22", "²"),
+        ("module M {\n  interface Lédger { void ping(); };\n};", "2:14", "é"),
+        ("const long N = ²;", "1:16", "²"),
+        ("const long N = ٣;", "1:16", "٣"),
+    ])
+    def test_non_ascii_is_a_syntax_error_at_its_place(self, text, where,
+                                                      char):
+        with pytest.raises(IdlSyntaxError) as caught:
+            parse_corba_idl(text, "u.idl")
+        assert str(caught.value) == "u.idl:%s: unexpected character %r" % (
+            where, char)
+        with pytest.raises(IdlSyntaxError, match="u.idl:%s:" % where):
+            api.compile("%s interface I { void f(); };" % text, "corba",
+                        name="u.idl", interface="I")

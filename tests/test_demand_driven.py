@@ -1,13 +1,15 @@
 """Compile artifacts are derived when first read, and never twice.
 
 Pins the three mechanisms that keep ``api.compile`` + load from paying
-for what nobody reads: the C artifact is printed on first read of
-``c_source``/``c_header``; a module loads its (unchanged) text without
-the codec section and compiles each codec function at its first call,
-under either renderer name (and each role's section at its first use —
-``tests/test_lazy_sections.py``); MINT recursion answers are remembered
-per registry.  Each laziness claim sits next to the equality it must not
-disturb.
+for what nobody reads: the C artifact (and the PRES_C declarations it is
+printed from) is built on first read of ``c_source``/``c_header``; a
+module loads its (unchanged) text without the codec section and
+compiles each codec function at its first call, under either renderer
+name (and each role's section at its first use —
+``tests/test_lazy_sections.py`` — the server's without its handlers,
+which compile at their first dispatch); MINT recursion answers are
+remembered per registry.  Each laziness claim sits next to the equality
+it must not disturb.
 """
 
 import gc
@@ -34,8 +36,9 @@ from repro.aoi import (
 from repro import obs
 from repro.core import loader
 from repro.core.codecs import codec_form
+from repro.core.options import OptFlags
 from repro.encoding import MarshalBuffer
-from repro.errors import BackEndError, MarshalError
+from repro.errors import BackEndError, MarshalError, TransportError
 from repro.mint.analysis import _recurses, is_recursive
 from repro.mint.types import (
     MintInteger,
@@ -49,6 +52,7 @@ from repro.mir import render_c
 from repro.obs import profile
 from repro.pgen import make_presentation
 from repro.runtime import LoopbackTransport
+from repro.runtime.server import operation_names
 from repro.tools.cli import main
 
 from tests.conftest import DB_IDL, MAIL_IDL, MailImpl
@@ -129,11 +133,32 @@ class TestCIsPrintedOnlyWhenRead:
         assert stubs.c_header and stubs.c_source and stubs.c_source
         assert calls == [1]
 
+    def test_c_declarations_are_built_when_c_is_read(self):
+        """``pgen`` builds PRES_C's CAST declarations — the prototype of
+        each stub and the interface's typedefs — when C is first read:
+        only the C printer reads them."""
+        result = api.compile(MAIL_IDL, "corba")
+        module = result.module
+        client = module.Test_MailClient(
+            LoopbackTransport(module.dispatch, MailImpl(module)))
+        assert client.avg([1, 2]) == 1.5
+        presc = result.presc
+        assert "c_decls" not in vars(presc)
+        assert not any("c_decl" in vars(stub) for stub in presc.stubs)
+        assert result.stubs.c_source
+        assert presc.c_decls is vars(presc)["c_decls"]
+        assert all(stub.c_decl is vars(stub)["c_decl"]
+                   for stub in presc.stubs)
+        assert [stub.c_decl for stub in presc.stubs] == [
+            decl for decl in presc.c_decls
+            if type(decl).__name__ == "FuncDecl"]
+
 
 @pytest.fixture
 def codec_compiles(monkeypatch):
-    """Names of the codec functions compiled after module load, in
-    order: a spy on the one per-function source compile."""
+    """Names of the functions — codecs and handlers — compiled after
+    module load, in order: a spy on the one per-function source
+    compile."""
     names = []
 
     def spy(source, filename, mode):
@@ -214,7 +239,8 @@ class TestClosureModulesLoadTheScaffoldOnly:
         """Folds three pins that said ``py`` compiles its codec section at
         load (``test_py_renderer_compiles_the_text_a_section_at_a_time``
         and the first-call pins).  Under either name: the load compiles
-        the shared section and no codec, a first call compiles its own
+        the shared section and no codec, the server section loads without
+        its handlers, a first call of a codec or handler compiles its own
         function and nothing else, and nothing compiles after that.  The
         pieces handed to ``compile()`` are the text — every line in
         exactly one of them, at its own line number — but for the codec
@@ -248,14 +274,18 @@ class TestClosureModulesLoadTheScaffoldOnly:
         assert again.getvalue() == first.getvalue()
         assert codec_compiles == ["_m_req_rev"]
         module.DB_DBVClient, module.dispatch, module.encode_error_reply
-        assert len(pieces) == 5
-        for fn in result.mir.functions:
+        assert len(pieces) == 5 and codec_compiles == ["_m_req_rev"]
+        (server,) = [section for section in result.stubs.sections
+                     if section.name == "server"]
+        deferred = [fn.name for fn in result.mir.functions] + [
+            name for name, _first, _text in server.functions]
+        assert len(server.functions) == len(result.operations())
+        for name in deferred:
             try:  # no arguments: fails in the function's own prologue
-                vars(module)[fn.name]()
+                vars(module)[name]()
             except TypeError:
                 pass
-        assert sorted(codec_compiles) == sorted(
-            fn.name for fn in result.mir.functions)
+        assert sorted(codec_compiles) == sorted(deferred)
         assert len(pieces) == 4 + len(codec_compiles)
         lines = result.stubs.py_source.split("\n")
         (codecs_section,) = [section for section in result.stubs.sections
@@ -480,6 +510,133 @@ class TestCodecsCompileAtFirstCall:
             sys.setswitchinterval(interval)
             profile.shutdown()
             obs.shutdown()
+
+
+def _requests(module, calls):
+    """The request bytes each ``(op, args)`` of *calls* puts on the wire
+    from *module*'s Mail proxy."""
+
+    class Capture:
+        def call(self, request):
+            sent.append(bytes(request))
+            raise TransportError("captured")
+
+        def send(self, request):
+            sent.append(bytes(request))
+
+    sent = []
+    client = module.Test_MailClient(Capture())
+    for op, args in calls:
+        try:
+            getattr(client, op)(*args)
+        except TransportError:
+            pass
+    return sent
+
+
+class TestHandlersCompileAtFirstDispatch:
+    """The ``server`` section loads without its ``_h_*`` handlers: each is
+    a deferred entry of the table the codecs are deferred in, and its
+    first call hands over in the module's globals and in ``_HANDLERS``."""
+
+    NAMES = ["_get_counter", "avg", "ping", "reverse", "send", "tri"]
+
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_first_dispatch_hands_over_its_handler_only(
+            self, renderer, codec_compiles):
+        result = api.compile(MAIL_IDL, "corba", backend="oncrpc-xdr",
+                             renderer=renderer)
+        module = result.module
+        names = operation_names(module)  # loads the section, no handler
+        assert sorted(names.values()) == self.NAMES
+        assert codec_compiles == []
+        handlers = vars(module)["_HANDLERS"]
+        entries = dict(handlers)
+        for entry in entries.values():
+            assert entry.__module__ == "repro.mir.render_closures"
+            assert vars(module)[entry.__name__] is entry
+        avg = {name: key for key, name in names.items()}["avg"]
+        client = module.Test_MailClient(
+            LoopbackTransport(module.dispatch, MailImpl(module)))
+        assert client.avg([1, 2, 3, 6]) == 3.0
+        assert [name for name in codec_compiles
+                if name.startswith("_h_")] == ["_h_avg"]
+        compiled = handlers[avg]
+        assert compiled is module._h_avg is entries[avg].__wrapped__
+        assert compiled is not entries[avg]
+        assert compiled.__code__.co_filename == module.__file__
+        for key, entry in entries.items():
+            if key != avg:
+                assert handlers[key] is entry
+                assert vars(module)[entry.__name__] is entry
+                assert not hasattr(entry, "__wrapped__")
+        assert client.avg([2, 4]) == 3.0
+        assert [name for name in codec_compiles
+                if name.startswith("_h_")] == ["_h_avg"]
+        assert operation_names(module) == names
+
+    def test_the_if_chain_hands_over_through_the_global(self,
+                                                        codec_compiles):
+        result = api.compile(MAIL_IDL, "corba", backend="iiop",
+                             flags=OptFlags(hash_demux=False))
+        module = result.module
+        assert "_HANDLERS" not in dir(module)
+        deferred = module._h_avg  # loads the section
+        assert deferred.__module__ == "repro.mir.render_closures"
+        client = module.Test_MailClient(
+            LoopbackTransport(module.dispatch, MailImpl(module)))
+        assert client.avg([1, 2, 3, 6]) == 3.0
+        assert module._h_avg is deferred.__wrapped__
+        assert module._h_ping.__module__ == "repro.mir.render_closures"
+        assert [name for name in codec_compiles
+                if name.startswith("_h_")] == ["_h_avg"]
+
+    def test_first_dispatches_racing_on_threads_compile_once(
+            self, codec_compiles, monkeypatch):
+        """Eight threads make the first dispatch of ``avg`` on one fresh
+        module at once — the server section's load, the handler's and
+        the codecs' first calls — each compile held open long enough for
+        the others to arrive."""
+        threads = 8
+        module = api.compile(MAIL_IDL, "corba", backend="iiop").module
+        (request,) = _requests(module, [("avg", ([1, 2, 3, 6],))])
+        want = MarshalBuffer()
+        api.compile(MAIL_IDL, "corba", backend="iiop").module.dispatch(
+            request, MailImpl(module), want)
+        del codec_compiles[:]
+        spy = render_closures.compile
+        monkeypatch.setattr(
+            render_closures, "compile",
+            lambda *args: time.sleep(0.005) or spy(*args))
+        barrier = threading.Barrier(threads)
+        got, errors = [], []
+
+        def first_dispatch():
+            try:
+                barrier.wait(timeout=30)
+                reply = MarshalBuffer()
+                module.dispatch(request, MailImpl(module), reply)
+                got.append(reply.getvalue())
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=first_dispatch)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert got == [want.getvalue()] * threads
+        assert sorted(codec_compiles) == [
+            "_h_avg", "_m_rep_ok_avg", "_u_req_avg"]
+        assert vars(module)["_h_avg"].__module__ == module.__name__
 
 
 def _presc_for(aoi_type):

@@ -1,9 +1,10 @@
 """Unit tests for the shared front-end lexer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import IdlSyntaxError
-from repro.idl.lexer import Lexer, LexerSpec, TokenKind
+from repro.idl.lexer import DEFAULT_PUNCTUATORS, Lexer, LexerSpec, TokenKind
 from repro.idl.source import SourceFile
 
 SPEC = LexerSpec(
@@ -106,6 +107,11 @@ class TestNumbers:
         with pytest.raises(IdlSyntaxError):
             tokens_of("0x")
 
+    def test_malformed_octal_raises(self):
+        with pytest.raises(IdlSyntaxError,
+                           match="<test>:1:3: malformed octal literal"):
+            tokens_of("  09")
+
 
 class TestStringsAndChars:
     def test_simple_string(self):
@@ -149,6 +155,13 @@ class TestStringsAndChars:
     def test_unknown_escape_raises(self):
         with pytest.raises(IdlSyntaxError):
             tokens_of(r'"\q"')
+
+    def test_octal_escapes_take_octal_digits_only(self):
+        (token,) = tokens_of(r'"\18"')
+        assert token.value == "\x018"
+        with pytest.raises(IdlSyntaxError,
+                           match=r"unknown escape sequence \\9"):
+            tokens_of(r'"\9"')
 
 
 class TestComments:
@@ -220,3 +233,104 @@ class TestStreamInterface:
     def test_unexpected_character_raises(self):
         with pytest.raises(IdlSyntaxError):
             tokens_of("`")
+
+    def test_location_is_computed_from_the_offset(self):
+        source = SourceFile("a\n\n  /* x\n */ bc", "<test>")
+        token = Lexer(source, SPEC).peek(1)
+        assert (token.text, token.offset) == ("bc", 14)
+        assert token.location is token.location
+        assert token.location == source.location(14)
+        assert str(token.location) == "<test>:4:5"
+
+    def test_eof_sits_on_the_last_character(self):
+        lexer = Lexer(SourceFile("a\nb\n", "<test>"), SPEC)
+        lexer.next(), lexer.next()
+        assert str(lexer.next().location) == "<test>:2:2"
+        assert str(Lexer("", SPEC).next().location) == "<string>:1:1"
+
+    def test_unterminated_block_comment_is_reported_where_it_opens(self):
+        with pytest.raises(IdlSyntaxError,
+                           match="<test>:2:3: unterminated block comment"):
+            tokens_of("a /* closed */\n  /* open")
+
+
+class TestAsciiOnly:
+    """CORBA 2.0 section 3.2.3 and RFC 4506 section 6: an identifier is an
+    ASCII letter followed by ASCII letters, digits and underscores, and a
+    digit is an ASCII digit.  Classifying with ``str.isalnum`` and
+    ``str.isdigit`` let ``Pöint`` and ``x²`` through as identifiers
+    (whose generated Python did not compile), made ``²`` a raw
+    ``ValueError`` from ``int()`` and read ``٣`` as 3."""
+
+    @pytest.mark.parametrize("text,column,char", [
+        ("struct Pöint", 9, "ö"),
+        ("long x²;", 7, "²"),
+        ("Lédger", 2, "é"),
+        ("= ²;", 3, "²"),
+        ("= ٣;", 3, "٣"),
+        ("_ﬁx", 2, "ﬁ"),
+        ("x\u00a0y", 2, "\u00a0"),
+    ])
+    def test_a_non_ascii_character_is_a_syntax_error_where_it_is(
+            self, text, column, char):
+        with pytest.raises(IdlSyntaxError) as caught:
+            tokens_of("\n" + text)
+        assert str(caught.value) == "<test>:2:%d: unexpected character %r" \
+            % (column, char)
+
+    def test_ascii_identifiers_and_digits_still_lex(self):
+        tokens = tokens_of("_Az09 z9_ 0755 9.5e+1")
+        assert [t.value for t in tokens] == ["_Az09", "z9_", 0o755, 95.0]
+
+
+KEYWORDS = sorted(SPEC.keywords)
+_identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,11}", fullmatch=True) \
+    .filter(lambda word: word not in SPEC.keywords)
+_ints = st.integers(0, 2 ** 40).flatmap(lambda n: st.sampled_from([
+    (str(n), n), (hex(n), n), ("0%o" % n, n)]))
+_string_chars = st.sampled_from(
+    list("abc XYZ019_;{}/*#'") + ['\\', '"', "\t", "\n"])
+_ESCAPED = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n"}
+_tokens = st.one_of(
+    _identifiers.map(lambda word: (TokenKind.IDENT, word, word)),
+    st.sampled_from(KEYWORDS).map(lambda word: (TokenKind.KEYWORD, word, word)),
+    _ints.map(lambda pair: (TokenKind.INT, pair[0], pair[1])),
+    st.lists(_string_chars, max_size=8).map(lambda chars: (
+        TokenKind.STRING,
+        '"%s"' % "".join(_ESCAPED.get(char, char) for char in chars),
+        "".join(chars))),
+    st.sampled_from([punct for punct in DEFAULT_PUNCTUATORS if punct != "#"])
+    .map(lambda punct: (TokenKind.PUNCT, punct, punct)),
+)
+_comment_text = st.text(st.sampled_from(list("ab */#\"'\t")), max_size=10)
+_whitespace = st.text(st.sampled_from(list(" \t\r\n\f\v")), min_size=1,
+                      max_size=4)
+#: A separator starts with whitespace, so no punctuator before it can
+#: merge with it (``/`` then ``//``), and each comment ends in some.
+_separators = st.tuples(_whitespace, st.lists(st.tuples(st.one_of(
+    _comment_text.map(lambda text: "//%s\n" % text),
+    _comment_text.filter(lambda text: "*/" not in text)
+    .map(lambda text: "/*%s*/" % text),
+    _comment_text.map(lambda text: "#%s\n" % text),
+), _whitespace), max_size=2)).map(
+    lambda parts: parts[0] + "".join(a + b for a, b in parts[1]))
+
+
+class TestGeneratedStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_separators, _tokens), max_size=25),
+           _separators)
+    def test_lexes_back_what_was_generated_at_its_place(self, stream, tail):
+        text = "".join(gap + spelling for gap, (_k, spelling, _v) in stream)
+        source = SourceFile(text + tail, "<gen>")
+        lexer = Lexer(source, SPEC)
+        got = []
+        while not lexer.at_end():
+            got.append(lexer.next())
+        assert [(t.kind, t.text, t.value) for t in got] \
+            == [token for _gap, token in stream]
+        for token in got:
+            location = token.location
+            line = source.line_text(location.line)
+            assert line[location.column - 1:][:len(token.text)] \
+                == token.text
