@@ -83,10 +83,8 @@ def compile(text, lang=None, *, interface=None, flags=None, name="<idl>",
     object's type).  ``interface`` selects one interface when the input
     defines several.  ``presentation``/``backend``/``flags`` override
     the language defaults, exactly as :class:`repro.core.Flick` does.
-    ``renderer`` is ``"py"`` (the default) or ``"closures"`` — or a
-    :class:`repro.core.options.RendererPolicy` carrying the renderer,
-    disabled passes, and backend options in one value.  The name is
-    recorded (``result.renderer``) and selects nothing at load: under
+    ``renderer`` is ``"py"`` (the default) or ``"closures"``.  The name
+    is recorded (``result.renderer``) and selects nothing at load: under
     both, the module loads without its codec section and each codec
     function compiles at its first call.
 

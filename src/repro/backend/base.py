@@ -35,7 +35,6 @@ from repro.core.options import OptFlags
 from repro.pres import nodes as p
 from repro.backend.pywriter import PyWriter
 from repro.mir import ops as mir_ops
-from repro.mir.lower import OutOfLineSet
 
 mangle = mir_ops.mangle
 
@@ -307,16 +306,8 @@ class OptimizingBackEnd:
         function compiles at its first call.  ``"c"`` is implied —
         ``stubs.c_source``/``c_header`` print the C artifact when first
         read, and a presentation the C printer cannot express raises
-        :class:`BackEndError` there, not here.  A
-        :class:`repro.core.options.RendererPolicy` is accepted in place
-        of the name; its ``disable_passes`` fold into *flags*.
+        :class:`BackEndError` there, not here.
         """
-        if not isinstance(renderer, str):
-            from repro.core.options import RendererPolicy
-
-            policy = RendererPolicy.coerce(renderer)
-            flags = policy.resolve_flags(flags)
-            renderer = policy.renderer
         flags = flags or OptFlags()
         if renderer not in RENDERERS:
             raise BackEndError(
@@ -403,9 +394,9 @@ class OptimizingBackEnd:
         """Lower PRES_C to marshal IR, run the pass pipeline, render.
 
         Returns the optimized :class:`repro.mir.ops.MirProgram` and the
-        lines of *w* each of its functions took.  Baseline compilers
-        that reproduce rival code styles override this with
-        :meth:`_emit_codec_functions_writer`: no program, no lines.
+        lines of *w* each of its functions took.  The per-datum
+        comparators (:mod:`repro.compilers.per_datum`) print their codec
+        text without marshal IR: no program, no lines.
         """
         from repro.mir.build import build_program
         from repro.mir.passes import PassManager
@@ -419,24 +410,6 @@ class OptimizingBackEnd:
                 op_meta = metadata["operations"][fn.operation]
                 op_meta["request_chunks"] = fn.chunks
         return program, placed
-
-    def _emit_codec_functions_writer(self, w, presc, flags, metadata):
-        """Per-stub writer loop for compilers that emit codec text
-        directly through their own emitters instead of marshal IR."""
-        out_of_line = OutOfLineSet()
-        for stub in presc.stubs:
-            op_meta = metadata["operations"][stub.operation_name]
-            self._emit_request_marshal(w, presc, stub, flags, out_of_line,
-                                       op_meta)
-            self._emit_request_unmarshal(w, presc, stub, flags,
-                                         out_of_line)
-            if not stub.oneway:
-                self._emit_reply_marshals(w, presc, stub, flags,
-                                          out_of_line)
-                self._emit_reply_unmarshal(w, presc, stub, flags,
-                                           out_of_line)
-        self._drain_out_of_line(w, presc, flags, out_of_line)
-        return None, {}
 
     # ------------------------------------------------------------------
     # Module sections

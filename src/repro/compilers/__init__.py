@@ -10,9 +10,8 @@ Compiler    Origin          IDL        Encoding   Code style reproduced
 rpcgen      Sun             ONC RPC    XDR        one marshal-function
                                                   call and one buffer
                                                   check per datum
-PowerRPC    Netbula         CORBA-like XDR        rpcgen-derived, plus a
-                                                  per-datum conversion
-                                                  layer
+PowerRPC    Netbula         CORBA-like XDR        rpcgen's generator
+                                                  under another name
 ORBeline    Visigenic       CORBA      IIOP/CDR   compiled stubs that
                                                   stream each primitive
                                                   through a CDR stream
@@ -30,8 +29,10 @@ MIG         OSF/CMU         MIG        Mach 3     highly specialized and
 The baselines share Flick's front half (parsers, AOI, MINT, PRES) and the
 module scaffolding (client class shape, transports) so that measurements
 isolate marshal/unmarshal code quality; they do NOT use the optimizing
-back-end library (:mod:`repro.mir`) — each brings its own
-marshal code generator or interpreter, as the real compilers did.
+back-end library (:mod:`repro.mir`).  rpcgen and ORBeline print from one
+per-datum walker (:mod:`repro.compilers.per_datum`) in two spellings,
+each over its own runtime library; ILU interprets at run time and MIG
+is a restricted specialized emitter, as the real compilers were.
 """
 
 from repro.compilers.rpcgen_style import (

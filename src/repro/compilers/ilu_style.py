@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 import types
 
+from repro import envelopes
 from repro.errors import (
     DispatchError,
     FlickUserException,
@@ -101,48 +102,23 @@ def _build_module(compiler, presc):
             exception_classes, handlers,
         )
 
+    read_reply = envelopes.reader("giop", "reply", endian)
+    locate_reply = envelopes.locator("giop", "reply", endian)
+    read_request = envelopes.reader("giop", "request", endian)
+
     def _check_reply(data, ctx):
-        if bytes(data[0:4]) != b"GIOP" or data[7] != 1:
-            raise TransportError("not a GIOP Reply")
-        cursor = ReadCursor(data, 12)
-        (context_count,) = struct.unpack_from(endian + "I", data, 12)
-        offset = 16
-        for _ in range(context_count):
-            (length,) = struct.unpack_from(endian + "I", data, offset + 4)
-            offset += 8 + length
-            offset += -offset % 4
-        (request_id,) = struct.unpack_from(endian + "I", data, offset)
-        if request_id != ctx:
+        # The id first, as Flick's stubs check it: a reply to another
+        # request is refused even when it carries a system exception.
+        if locate_reply(data)[0] != ctx:
             raise TransportError("reply request id mismatch")
-        return offset + 4
+        return read_reply(data)
 
     module._check_reply = _check_reply
 
     def dispatch(data, impl, buffer):
         """Serve one request; linear operation lookup, interpretive
         unmarshal — the ILU way."""
-        if bytes(data[0:4]) != b"GIOP":
-            raise DispatchError("not a GIOP message")
-        if data[7] != 0:
-            raise DispatchError("not a GIOP Request")
-        (context_count,) = struct.unpack_from(endian + "I", data, 12)
-        offset = 16
-        for _ in range(context_count):
-            (length,) = struct.unpack_from(endian + "I", data, offset + 4)
-            offset += 8 + length
-            offset += -offset % 4
-        (request_id,) = struct.unpack_from(endian + "I", data, offset)
-        offset += 5
-        offset += -offset % 4
-        (key_length,) = struct.unpack_from(endian + "I", data, offset)
-        offset += 4 + key_length
-        offset += -offset % 4
-        (op_length,) = struct.unpack_from(endian + "I", data, offset)
-        operation = bytes(data[offset + 4 : offset + 3 + op_length])
-        offset += 4 + op_length
-        offset += -offset % 4
-        (principal_length,) = struct.unpack_from(endian + "I", data, offset)
-        offset += 4 + principal_length
+        request_id, operation, offset = read_request(data)[:3]
         # Linear scan: interpretive systems compare operation names one
         # at a time.
         for name, handler in handlers:

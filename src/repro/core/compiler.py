@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import FlickError
 from repro import frontends as frontend_registry
-from repro.core.options import OptFlags, RendererPolicy
+from repro.core.options import OptFlags
 from repro.obs import trace
 
 #: Default back end per presentation style.
@@ -89,12 +89,9 @@ class Flick:
             # Conjoined front ends carry their own presentation.
             self.presentation = presentation
             self.backend = backend or self.fe.backend
-        # renderer accepts a name or a RendererPolicy; explicit
-        # backend_options merge over the policy's own.
-        self.policy = RendererPolicy.coerce(renderer, **backend_options)
-        self.flags = self.policy.resolve_flags(flags or OptFlags())
-        self.renderer = self.policy.renderer
-        self.backend_options = self.policy.options()
+        self.flags = flags or OptFlags()
+        self.renderer = renderer
+        self.backend_options = backend_options
 
     # ------------------------------------------------------------------
 

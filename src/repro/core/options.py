@@ -11,7 +11,6 @@ corresponding unoptimized idiom.)
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -108,85 +107,3 @@ class OptFlags:
             fold_header_constants=False,
             dedup_out_of_line=False,
         )
-
-
-@dataclass(frozen=True)
-class RendererPolicy:
-    """One value carrying every codec-generation choice.
-
-    Historically the choice was scattered: ``renderer=`` strings on
-    ``api.compile``/``Flick``/``generate``, ``--disable-pass`` on the
-    CLI, and loose ``**backend_options``.  A policy folds all three into
-    one immutable object accepted everywhere a ``renderer=`` string is
-    today (the bare string still works — :meth:`coerce` upgrades it).
-
-    Attributes:
-        renderer: ``"py"``, ``"closures"`` or ``"c"``.  The first two
-            name the same load — each codec function compiled at its
-            first call — and are both accepted; the name is recorded as
-            ``stubs.renderer``.
-        disable_passes: MIR pass names (see
-            :data:`repro.mir.passes.PASS_NAMES`) to turn off on top of
-            whatever base :class:`OptFlags` the caller supplies.
-        backend_options: extra keyword options for the back-end factory,
-            stored as a sorted ``(name, value)`` tuple so the policy
-            stays hashable; :meth:`options` returns them as a dict.
-    """
-
-    renderer: str = "py"
-    disable_passes: Tuple[str, ...] = ()
-    backend_options: Tuple[Tuple[str, object], ...] = ()
-
-    def __post_init__(self):
-        if isinstance(self.disable_passes, str):
-            object.__setattr__(
-                self, "disable_passes", (self.disable_passes,))
-        else:
-            object.__setattr__(
-                self, "disable_passes", tuple(self.disable_passes))
-        options = self.backend_options
-        if isinstance(options, dict):
-            options = tuple(sorted(options.items()))
-        else:
-            options = tuple(sorted(tuple(pair) for pair in options))
-        object.__setattr__(self, "backend_options", options)
-
-    @classmethod
-    def coerce(cls, value, **backend_options):
-        """Upgrade *value* to a policy.
-
-        ``None`` means the default policy, a string is a bare renderer
-        name, and an existing policy passes through.  Explicit
-        *backend_options* merge over (and win against) the policy's own.
-        """
-        if value is None:
-            policy = cls()
-        elif isinstance(value, cls):
-            policy = value
-        elif isinstance(value, str):
-            policy = cls(renderer=value)
-        else:
-            raise TypeError(
-                "renderer must be a renderer name or a RendererPolicy,"
-                " not %r" % (value,))
-        if backend_options:
-            merged = dict(policy.backend_options)
-            merged.update(backend_options)
-            policy = replace(policy, backend_options=merged)
-        return policy
-
-    def options(self):
-        """The backend factory options as a plain dict."""
-        return dict(self.backend_options)
-
-    def resolve_flags(self, base=None):
-        """*base* (or the default :class:`OptFlags`) with this policy's
-        ``disable_passes`` applied; unknown names raise ValueError."""
-        flags = base if base is not None else OptFlags()
-        for name in self.disable_passes:
-            flags = flags.disable_pass(name)
-        return flags
-
-    def but(self, **changes):
-        """Return a copy with *changes* applied."""
-        return replace(self, **changes)

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import TransportError
-from repro.encoding.buffer import MarshalBuffer
 from repro.encoding.fluke import REGISTER_WORDS
-from repro.runtime.transport import Transport
+from repro.runtime.transport import LoopbackTransport
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ FLUKE_IPC = FlukeIpcModel(
 )
 
 
-class FlukeIpcTransport(Transport):
+class FlukeIpcTransport(LoopbackTransport):
     """Dispatch behind a simulated Fluke IPC hop.
 
     The register window is simulated concretely as well: the first words of
@@ -51,40 +49,13 @@ class FlukeIpcTransport(Transport):
     """
 
     def __init__(self, dispatch, impl, model=FLUKE_IPC):
-        self._dispatch = dispatch
-        self._impl = impl
+        super().__init__(dispatch, impl)
         self.model = model
-        self._reply_buf = MarshalBuffer()
-        self.simulated_seconds = 0.0
-        self.bytes_carried = 0
 
-    def reset_clock(self):
-        self.simulated_seconds = 0.0
-        self.bytes_carried = 0
-
-    def _transfer(self, message):
+    def _carry(self, message):
         """Split into (registers, buffer) and reassemble — the simulated
         kernel path."""
         window = self.model.register_bytes
-        registers = bytes(message[:window])
-        remainder = bytes(message[window:])
         self.simulated_seconds += self.model.transfer_time(len(message))
-        self.bytes_carried += len(message)
-        return registers + remainder
-
-    def call(self, request):
-        delivered = self._transfer(request)
-        buffer = self._reply_buf
-        buffer.reset()
-        has_reply = self._dispatch(delivered, self._impl, buffer)
-        if not has_reply:
-            raise TransportError(
-                "two-way call reached a oneway-only dispatch path"
-            )
-        return self._transfer(buffer.getvalue())
-
-    def send(self, request):
-        delivered = self._transfer(request)
-        buffer = self._reply_buf
-        buffer.reset()
-        self._dispatch(delivered, self._impl, buffer)
+        return super()._carry(
+            bytes(message[:window]) + bytes(message[window:]))

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import TransportError
-from repro.encoding.buffer import MarshalBuffer
-from repro.runtime.transport import Transport
+from repro.runtime.transport import LoopbackTransport
 
 
 @dataclass(frozen=True)
@@ -65,39 +63,13 @@ MACH_IPC_COMBINED = MachIpcModel(
 )
 
 
-class MachIpcTransport(Transport):
+class MachIpcTransport(LoopbackTransport):
     """Dispatch behind a simulated Mach IPC hop (one per direction)."""
 
     def __init__(self, dispatch, impl, model=MACH_IPC):
-        self._dispatch = dispatch
-        self._impl = impl
+        super().__init__(dispatch, impl)
         self.model = model
-        self._reply_buf = MarshalBuffer()
-        self.simulated_seconds = 0.0
-        self.bytes_carried = 0
 
-    def reset_clock(self):
-        self.simulated_seconds = 0.0
-        self.bytes_carried = 0
-
-    def call(self, request):
-        self.simulated_seconds += self.model.transfer_time(len(request))
-        self.bytes_carried += len(request)
-        buffer = self._reply_buf
-        buffer.reset()
-        has_reply = self._dispatch(request, self._impl, buffer)
-        if not has_reply:
-            raise TransportError(
-                "two-way call reached a oneway-only dispatch path"
-            )
-        reply = buffer.getvalue()
-        self.simulated_seconds += self.model.transfer_time(len(reply))
-        self.bytes_carried += len(reply)
-        return reply
-
-    def send(self, request):
-        self.simulated_seconds += self.model.transfer_time(len(request))
-        self.bytes_carried += len(request)
-        buffer = self._reply_buf
-        buffer.reset()
-        self._dispatch(request, self._impl, buffer)
+    def _carry(self, message):
+        self.simulated_seconds += self.model.transfer_time(len(message))
+        return super()._carry(message)

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import TransportError
-from repro.encoding.buffer import MarshalBuffer
-from repro.runtime.transport import Transport
+from repro.runtime.transport import LoopbackTransport
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ MYRINET_640 = LinkModel(
 )
 
 
-class SimulatedNetworkTransport(Transport):
+class SimulatedNetworkTransport(LoopbackTransport):
     """A loopback dispatch behind a simulated link.
 
     CPU time (marshaling, dispatch, unmarshaling) passes through and is
@@ -86,37 +84,9 @@ class SimulatedNetworkTransport(Transport):
     """
 
     def __init__(self, dispatch, impl, link):
-        self._dispatch = dispatch
-        self._impl = impl
+        super().__init__(dispatch, impl)
         self.link = link
-        self._reply_buf = MarshalBuffer()
-        self.simulated_seconds = 0.0
-        self.bytes_carried = 0
 
-    def reset_clock(self):
-        self.simulated_seconds = 0.0
-        self.bytes_carried = 0
-
-    def call(self, request):
-        size = len(request)
-        self.simulated_seconds += self.link.transfer_time(size)
-        self.bytes_carried += size
-        buffer = self._reply_buf
-        buffer.reset()
-        has_reply = self._dispatch(request, self._impl, buffer)
-        if not has_reply:
-            raise TransportError(
-                "two-way call reached a oneway-only dispatch path"
-            )
-        reply = buffer.getvalue()
-        self.simulated_seconds += self.link.transfer_time(len(reply))
-        self.bytes_carried += len(reply)
-        return reply
-
-    def send(self, request):
-        size = len(request)
-        self.simulated_seconds += self.link.transfer_time(size)
-        self.bytes_carried += size
-        buffer = self._reply_buf
-        buffer.reset()
-        self._dispatch(request, self._impl, buffer)
+    def _carry(self, message):
+        self.simulated_seconds += self.link.transfer_time(len(message))
+        return super()._carry(message)

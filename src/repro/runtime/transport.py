@@ -65,6 +65,11 @@ class LoopbackTransport(Transport):
     server side is a generated ``dispatch`` function plus an implementation
     object; the reply marshal buffer is reused across calls, as a real
     single-threaded server loop would.
+
+    The simulated links (:mod:`repro.runtime.simnet`, ``machipc``,
+    ``flukeipc``) are this loop with a cost per hop: each overrides
+    :meth:`_carry` to add to :attr:`simulated_seconds`, which a loopback
+    hop leaves at zero.
     """
 
     def __init__(self, dispatch, impl):
@@ -73,24 +78,29 @@ class LoopbackTransport(Transport):
         self._reply_buf = MarshalBuffer()
         self.requests_handled = 0
         self.bytes_carried = 0
+        self.simulated_seconds = 0.0
 
-    def call(self, request):
+    def reset_clock(self):
+        self.simulated_seconds = 0.0
+        self.bytes_carried = 0
+
+    def _carry(self, message):
+        """Move *message* one hop; returns what arrives."""
+        self.bytes_carried += len(message)
+        return message
+
+    def _deliver(self, request):
         self.requests_handled += 1
-        self.bytes_carried += len(request)
         buffer = self._reply_buf
         buffer.reset()
-        has_reply = self._dispatch(request, self._impl, buffer)
-        if not has_reply:
+        return self._dispatch(self._carry(request), self._impl, buffer)
+
+    def call(self, request):
+        if not self._deliver(request):
             raise TransportError(
                 "two-way call reached a oneway-only dispatch path"
             )
-        reply = buffer.getvalue()
-        self.bytes_carried += len(reply)
-        return reply
+        return self._carry(self._reply_buf.getvalue())
 
     def send(self, request):
-        self.requests_handled += 1
-        self.bytes_carried += len(request)
-        buffer = self._reply_buf
-        buffer.reset()
-        self._dispatch(request, self._impl, buffer)
+        self._deliver(request)

@@ -66,6 +66,53 @@ simpleroutine poke(server : mach_port_t; value : int);
 routine greet(server : mach_port_t; who : name_t; out msg : name_t);
 """
 
+#: A CORBA interface carrying every atom and aggregate the comparators
+#: spell: each operation is one shape, so a test can drive them one by one.
+ATOMS_IDL = """
+module Atoms {
+  enum Mood { CALM, ODD, LOUD };
+  struct Pt { short x; unsigned short y; };
+  typedef Pt Pair[2];
+  typedef sequence<Pt> Pts;
+  typedef sequence<octet> Bytes;
+  union Num switch (long) {
+    case 1: long long big;
+    case 2: case 3: float f;
+    default: char c;
+  };
+  union Pick switch (Mood) {
+    case CALM: octet o;
+    case LOUD: boolean b;
+  };
+  exception Empty {};
+  exception Full { unsigned short code; string<16> why; };
+  interface Kit {
+    short shorts(in short a, in unsigned short b, in long long c)
+        raises (Empty, Full);
+    octet bytes(in octet a, in char b, in boolean c, in Bytes d);
+    Mood moods(in Mood a, inout Pick p, out double d);
+    float floats(in float a, in double b, in string<16> s);
+    Pair pairs(in Pair a, in Pts b);
+    Num nums(in Num a, in Pick b);
+    oneway void tell(in Pts a, in Mood m);
+  };
+};
+"""
+
+#: An ONC RPC program with the XDR atoms CORBA IDL cannot spell.
+ATOMS_X = """
+struct node { hyper key; node *next; };
+typedef node *list;
+struct box { unsigned hyper u; opaque tag[6]; opaque body<32>; int *maybe; };
+program ATOMS {
+  version ATOMSV {
+    box boxes(box) = 1;
+    list chain(list) = 2;
+    hyper keys(unsigned hyper) = 3;
+  } = 1;
+} = 0x20000123;
+"""
+
 ALL_BACKENDS = ("iiop", "oncrpc-xdr", "mach3", "fluke")
 
 

@@ -170,7 +170,9 @@ def one_record_marking_parser(tree):
 def envelope_bytes_are_read_in_one_module(tree):
     """repro/envelopes.py holds the one description of each protocol's
     header and is the only place that reads one: the four readers
-    outside the stubs unpack nothing themselves, the bounds and tables
+    outside the stubs and the ILU baseline unpack nothing themselves
+    (ILU decodes body atoms through its codec's ``unpack_atom``, so its
+    pattern is the unpack call), the bounds and tables
     of the description are defined once, the back ends share one
     emit_dispatch_prelude, and the hand-written walkers have not come
     back under their names."""
@@ -179,6 +181,7 @@ def envelope_bytes_are_read_in_one_module(tree):
                   "src/repro/gateway/envelope.py",
                   "src/repro/obs/propagation.py",
                   "src/repro/runtime/request.py"))
+    _no(tree.grep(r"unpack(_from)?\(", "src/repro/compilers/ilu_style.py"))
     for name in ("MAX_AUTH_BYTES", "MAX_SERVICE_CONTEXTS",
                  "SYSTEM_EXCEPTION_STATUS", "ACCEPT_STAT_NAMES"):
         defined = tree.grep(r"^_?%s = " % name, "src")
@@ -346,6 +349,20 @@ def no_poll_or_lock_per_blocking_call(tree):
         _no([line for line in loop if "_lock" in line])
 
 
+def one_per_datum_walker(tree):
+    """The rival code styles print their codecs from one walk,
+    repro/compilers/per_datum.py, in one spelling each: ``emit_put`` and
+    ``emit_get`` are defined in that file alone, and the two private
+    emitters and the base class's writer loop they plugged into have not
+    come back."""
+    defined = tree.grep(r"def emit_(put|get)\(", "src")
+    assert tree.files_of(defined) == [
+        "src/repro/compilers/per_datum.py"], "\n".join(defined)
+    _no([hit for hit in tree.grep(
+        r"_NaiveXdrEmitter|_CdrStreamEmitter|_emit_codec_functions_writer",
+        *SEARCHED, python_only=False) if not hit.startswith(THIS + ":")])
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -373,6 +390,16 @@ PINS = {
         ("src/repro/gateway/envelope.py", "MAX_AUTH_BYTES = 400"),
         ("src/repro/backend/iiop.py", "def emit_dispatch_prelude(w):"),
         ("src/repro/obs/propagation.py", "def _parse_giop(frame):"),
+        ("src/repro/compilers/ilu_style.py",
+         "(request_id,) = struct.unpack_from(endian + 'I', data, offset)"),
+    ],
+    one_per_datum_walker: [
+        ("src/repro/compilers/orbeline_style.py",
+         "    def emit_put(self, pres, expr):"),
+        ("src/repro/compilers/rpcgen_style.py", "class _NaiveXdrEmitter:"),
+        ("src/repro/backend/base.py",
+         "    def _emit_codec_functions_writer(self, w, presc, flags,"
+         " metadata):"),
     ],
     one_service_assembly: [
         ("src/repro/tools/cli.py",

@@ -3,7 +3,13 @@
 import pytest
 
 from repro import Flick
-from repro.errors import BackEndError, MarshalError
+from repro.errors import (
+    BackEndError,
+    MarshalError,
+    RemoteCallError,
+    TransportError,
+    WireFormatError,
+)
 from repro.compilers import (
     BASELINES,
     COMPILER_ATTRIBUTES,
@@ -132,6 +138,49 @@ class TestIluStyle:
         module.dispatch(buffer.getvalue(), Impl(), reply)
         assert captured["t"][0] == {"x": 1, "y": 2}
 
+    def test_truncated_frames_are_wire_format_errors(self, mail_presc_iiop):
+        """A short request or reply is refused as a WireFormatError, as
+        every Flick stub refuses it (a server then answers MARSHAL and
+        keeps the connection), never as a raw struct.error (which a
+        server takes for a servant crash)."""
+        from repro.encoding import MarshalBuffer
+
+        module = make_baseline("ilu").generate(mail_presc_iiop).load()
+        request = MarshalBuffer()
+        module._m_req_avg(request, 1, [1, 2])
+        request = request.getvalue()
+        reply = MarshalBuffer()
+        assert module.dispatch(request, MailImpl(module), reply)
+        with pytest.raises(WireFormatError):
+            module.dispatch(request[:14], MailImpl(module), MarshalBuffer())
+        with pytest.raises(WireFormatError):
+            module._check_reply(reply.getvalue()[:14], 1)
+
+    def test_reply_envelope_verdicts_match_flick(self, mail_presc_iiop):
+        """A system-exception reply raises the RemoteCallError it carries
+        and a reply to another request is a TransportError, as in the
+        stubs Flick generates."""
+        from repro.encoding import MarshalBuffer
+
+        flick = compile_mail("iiop").load_module()
+        module = make_baseline("ilu").generate(mail_presc_iiop).load()
+        request = MarshalBuffer()
+        flick._m_req_avg(request, 1, [1, 2])
+        refusal = MarshalBuffer()
+        assert flick.encode_error_reply(
+            request.getvalue(), WireFormatError("bad frame"), refusal)
+
+        class Canned:
+            def call(self, _request):
+                return refusal.getvalue()
+
+        client = module.Test_MailClient(Canned())
+        with pytest.raises(RemoteCallError) as raised:
+            client.avg([1, 2])
+        assert raised.value.code == "IDL:omg.org/CORBA/MARSHAL:1.0"
+        with pytest.raises(TransportError):
+            client.avg([1, 2])  # the second call's id is 2
+
 
 class TestMigStyle:
     def test_rejects_structs(self, mail_presc_xdr):
@@ -181,6 +230,22 @@ class TestMigStyle:
         stubs = make_baseline("mig").generate(
             api.compile(MIG_IDL, "mig").presc)
         assert "bytearray(" in stubs.py_source  # the typed-message staging
+
+
+class TestPinnedText:
+    def test_every_cell_matches_golden(self):
+        """Every comparator's text (or refusal) for every schema and
+        presentation is the one tests/golden/baselines.json pins."""
+        import json
+
+        from tests import baseline_cells
+
+        with open(baseline_cells.GOLDEN) as handle:
+            golden = json.load(handle)
+        actual = baseline_cells.cells()
+        assert sorted(actual) == sorted(golden)
+        changed = [key for key in golden if actual[key] != golden[key]]
+        assert not changed, changed
 
 
 class TestRegistry:

@@ -15,7 +15,6 @@ the module text binds, for every schema × back end × pass toggle.
 import pytest
 
 from repro import Flick, OptFlags, api
-from repro.core.options import RendererPolicy
 from repro.mir.passes import PASS_NAMES
 from repro.runtime import LoopbackTransport
 
@@ -245,26 +244,6 @@ class TestRendererSelection:
                                                      renderer=renderer)
             assert stubs.renderer == renderer and stubs.sections == ()
             assert "_m_req_rev" in vars(stubs.load())
-
-
-class TestRendererPolicy:
-    def test_coerce(self):
-        assert RendererPolicy.coerce(None) == RendererPolicy()
-        assert RendererPolicy.coerce("closures").renderer == "closures"
-        policy = RendererPolicy(renderer="py")
-        assert RendererPolicy.coerce(policy) is policy
-        with pytest.raises(TypeError):
-            RendererPolicy.coerce(42)
-
-    def test_backend_options_normalize_hashable(self):
-        policy = RendererPolicy(backend_options={"b": 2, "a": 1})
-        assert policy.backend_options == (("a", 1), ("b", 2))
-        assert policy.options() == {"a": 1, "b": 2}
-        hash(policy)  # must stay usable as a cache key
-
-    def test_resolve_flags_rejects_unknown_pass(self):
-        with pytest.raises(ValueError):
-            RendererPolicy(disable_passes=("bogus",)).resolve_flags()
 
 
 # ----------------------------------------------------------------------

@@ -9,14 +9,16 @@ import itertools
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import Flick, OptFlags, api
 from repro.compilers import make_baseline
 from repro.encoding import FORMATS, MarshalBuffer
+from repro.errors import FlickUserException
 from repro.pres import InterpretiveCodec
 from repro.pres.values import normalize
 from repro.runtime import LoopbackTransport
 
-from tests.conftest import ALL_BACKENDS, MAIL_IDL, MailImpl, compile_mail
+from tests.conftest import (
+    ALL_BACKENDS, ATOMS_IDL, ATOMS_X, MAIL_IDL, MailImpl, compile_mail)
 
 _FORMAT_FOR = {
     "iiop": "cdr-be",
@@ -119,6 +121,109 @@ class TestInterpAgreement:
         assert decoded["v"] == (1, 2.5)
 
 
+#: The Flick back end whose wire each rival speaks.
+RIVAL_WIRE = {"rpcgen": "oncrpc-xdr", "powerrpc": "oncrpc-xdr",
+              "orbeline": "iiop", "ilu": "iiop"}
+
+
+class AtomsImpl:
+    """A servant for ATOMS_IDL and ATOMS_X over any stub module."""
+
+    def __init__(self, module):
+        self.module = module
+
+    def shorts(self, a, b, c):
+        if a == -1:
+            raise self.module.Atoms_Full(7, "full")
+        if a == -2:
+            raise self.module.Atoms_Empty()
+        return -a
+
+    def bytes(self, a, b, c, d):
+        return (a + len(d) + c) % 256
+
+    def moods(self, a, p):
+        return a, p, 2.5
+
+    def floats(self, a, b, s):
+        return a + len(s)
+
+    def pairs(self, a, b):
+        return [a[1], b[0]]
+
+    def nums(self, a, b):
+        return a
+
+    def tell(self, a, m):
+        pass
+
+    def boxes(self, box):
+        return box
+
+    def chain(self, head):
+        return head
+
+    def keys(self, key):
+        return 1 - key
+
+
+def _pts(module, *pairs):
+    return [module.Atoms_Pt(x, y) for x, y in pairs]
+
+
+#: schema -> (text, front end, [(operation, module -> arguments)]).
+ATOM_CALLS = {
+    "ATOMS_IDL": (ATOMS_IDL, "corba", [
+        ("shorts", lambda m: (-32767, 65535, -2 ** 63)),
+        ("shorts", lambda m: (-1, 0, 0)),
+        ("shorts", lambda m: (-2, 0, 0)),
+        ("bytes", lambda m: (255, "q", True, b"\x00\xff")),
+        ("moods", lambda m: (2, (0, 9))),
+        ("moods", lambda m: (0, (2, False))),
+        ("floats", lambda m: (1.5, -2.25, "hello")),
+        ("pairs", lambda m: (_pts(m, (-1, 65535), (2, 3)), _pts(m, (4, 5)))),
+        ("nums", lambda m: ((1, -2 ** 40), (2, True))),
+        ("nums", lambda m: ((3, 2.5), (0, 255))),
+        ("nums", lambda m: ((7, "z"), (0, 0))),
+        ("tell", lambda m: (_pts(m, (1, 1)), 1)),
+    ]),
+    "ATOMS_X": (ATOMS_X, "oncrpc", [
+        ("boxes", lambda m: (m.box(2 ** 64 - 1, b"abcdef", b"xyz", 7),)),
+        ("boxes", lambda m: (m.box(0, bytes(6), b"", None),)),
+        ("chain", lambda m: (m.node(1, m.node(-2 ** 63, None)),)),
+        ("chain", lambda m: (None,)),
+        ("keys", lambda m: (2 ** 40,)),
+    ]),
+}
+
+
+def _request(module, operation, args):
+    buffer = MarshalBuffer()
+    getattr(module, "_m_req_" + operation)(buffer, 7, *args)
+    return buffer.getvalue()
+
+
+def _reply(module, request):
+    buffer = MarshalBuffer()
+    if module.dispatch(request, AtomsImpl(module), buffer):
+        return buffer.getvalue()
+    return None
+
+
+def _outcome(client_module, server_module, operation, make_args):
+    """What a call returns (or raises), as plain data."""
+    client_class = next(getattr(client_module, name)
+                        for name in dir(client_module)
+                        if name.endswith("Client"))
+    client = client_class(LoopbackTransport(
+        server_module.dispatch, AtomsImpl(server_module)))
+    try:
+        return normalize(
+            getattr(client, operation)(*make_args(client_module)))
+    except FlickUserException as error:
+        return normalize(error)
+
+
 class TestCrossCompiler:
     def test_xdr_compilers_wire_identical(self):
         result = compile_mail("oncrpc-xdr")
@@ -192,6 +297,27 @@ class TestCrossCompiler:
         with pytest.raises(orbeline_module.Test_Bad) as exc_info:
             client.send("fail", rect, (0, 1))
         assert exc_info.value.code == -3
+
+    @pytest.mark.parametrize("schema", sorted(ATOM_CALLS))
+    @pytest.mark.parametrize("baseline", sorted(RIVAL_WIRE))
+    def test_every_atom_both_directions(self, schema, baseline):
+        """Each operation of the all-atom schemas: the rival marshals
+        Flick's request bytes, its server answers a request with Flick's
+        reply bytes, and every client against every server returns the
+        same values (or raises the same exception)."""
+        text, lang, calls = ATOM_CALLS[schema]
+        result = api.compile(text, lang, backend=RIVAL_WIRE[baseline])
+        modules = (result.load_module(),
+                   make_baseline(baseline).generate(result.presc).load())
+        for operation, make_args in calls:
+            requests = [_request(module, operation, make_args(module))
+                        for module in modules]
+            assert requests[0] == requests[1], operation
+            replies = [_reply(module, requests[0]) for module in modules]
+            assert replies[0] == replies[1], operation
+            outcomes = [_outcome(client, server, operation, make_args)
+                        for client in modules for server in modules]
+            assert outcomes[1:] == outcomes[:1] * 3, (operation, outcomes)
 
     def test_little_endian_iiop_roundtrip(self):
         flick = Flick(frontend="corba", backend="iiop", little_endian=True)
