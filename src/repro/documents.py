@@ -16,6 +16,12 @@ without one; unknown keys are refused; ``init=False`` fields are not
 part of the document.  Every wrong shape is one :class:`DocumentError`
 naming the field path.  Descriptions resolve at the first read or
 write of a class, never at import.
+
+The same description is a command line: a field whose metadata is
+:func:`flag` is an option of the verbs it names (:func:`add_flags`),
+and the parsed namespace is read back through the document checks
+(:func:`read_flags`), so ``--port 70000`` and ``{"port": 70000}`` are
+refused by the same code.
 """
 
 from __future__ import annotations
@@ -137,6 +143,49 @@ def write(value):
     if isinstance(value, (list, tuple)):
         return [write(item) for item in value]
     return value
+
+
+def flag(help, *verbs, spelling=None, **options):
+    """Field metadata making the field the option *spelling* (default
+    ``--field-name``) of *verbs* (default: every verb that asks);
+    *options* go to ``add_argument`` as they are."""
+    return {"flag": (spelling, verbs, dict(options, help=help))}
+
+
+def add_flags(parser, cls, verb):
+    """Add to *parser* the option of each :func:`flag` field of *cls*
+    that *verb* has.  The dest is the field's name, the default its
+    default; ``bool`` is a switch (``store_false`` when it defaults to
+    True), ``Literal[...]`` gives the choices, ``Optional[T]`` is a
+    ``T``."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if "flag" not in f.metadata:
+            continue
+        spelling, verbs, options = f.metadata["flag"]
+        if verbs and verb not in verbs:
+            continue
+        shape = hints[f.name]
+        if typing.get_origin(shape) is typing.Union:
+            shape = typing.get_args(shape)[0]
+        if shape is bool:
+            options = dict(options, action="store_false" if f.default
+                           else "store_true")
+        elif typing.get_origin(shape) is typing.Literal:
+            options = dict(options, choices=typing.get_args(shape))
+        elif shape is not str:
+            options = dict(options, type=shape)
+        parser.add_argument(spelling or "--" + f.name.replace("_", "-"),
+                            dest=f.name, default=f.default, **options)
+
+
+def read_flags(cls, namespace, what, **values):
+    """The *cls* a parsed argparse *namespace* says — its attributes
+    named like fields, then *values* — through :func:`read`'s checks."""
+    names = {name for name, _shape, _required in _fields(cls)}
+    data = {name: value for name, value in vars(namespace).items()
+            if name in names}
+    return read(cls, dict(data, **values), what)
 
 
 def decode(text, what):

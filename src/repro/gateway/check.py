@@ -134,16 +134,39 @@ def check_bridge(ingress_result, egress_result):
     )
 
 
-def bridge_report_text(diff, ingress_name, egress_name):
-    """Human-readable bridge report (compat renderer, pair label)."""
-    return diff_report_text({diff.protocol: diff}, ingress_name,
+def bridge_report_text(diff, ingress_name, egress_name, predictions=None):
+    """Human-readable bridge report (compat renderer, pair label), and
+    the per-channel cost of :func:`~repro.gateway.predict_fused`'s
+    *predictions* when given."""
+    text = diff_report_text({diff.protocol: diff}, ingress_name,
                             egress_name)
+    if predictions is None:
+        return text
+    lines = [text, "predicted gateway cost (fused copy plans):"]
+    channels = [prediction for directions in predictions.values()
+                for prediction in directions.values()]
+    for op in sorted(predictions):
+        parts = ["%s %s (%.0f%% of bytes coverable)"
+                 % (direction, "fused" if prediction.fused else "re-encode",
+                    100.0 * prediction.byte_fraction)
+                 for direction, prediction in sorted(
+                     predictions[op].items(), reverse=True)]
+        lines.append("  %-20s %s" % (op, "; ".join(parts) or "oneway"))
+    if channels:
+        lines.append("  overall: %d/%d channels take the fused path"
+                     % (sum(p.fused for p in channels), len(channels)))
+    return "\n".join(lines)
 
 
-def bridge_report_json(diff, ingress_name, egress_name):
+def bridge_report_json(diff, ingress_name, egress_name, predictions=None):
     document = diff_report_json({diff.protocol: diff}, ingress_name,
                                 egress_name)
     document["tool"] = "flick-bridge"
+    if predictions is not None:
+        document["fused"] = {
+            op: {direction: prediction.to_json()
+                 for direction, prediction in directions.items()}
+            for op, directions in predictions.items()}
     return document
 
 

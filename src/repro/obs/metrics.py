@@ -30,6 +30,7 @@ BUCKET_BOUNDS = (
     1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0,
     10.0,
 )
+INF = float("inf")
 
 
 @dataclass(slots=True)
@@ -509,6 +510,82 @@ def parse_prometheus(text):
         value = float(rest.split()[0])
         samples.setdefault(name, {})[labels] = value
     return samples
+
+
+#: ``flick top``'s columns: the family each sums per ``op`` label.
+TOP_FAMILIES = (
+    ("requests", "flick_server_requests_total"),
+    ("errors", "flick_server_errors_total"),
+    ("bytes", "flick_profile_message_bytes_sum"),
+    ("transcoded", "flick_profile_transcode_total"),
+    ("buckets", "flick_server_latency_seconds_bucket"),
+)
+
+
+def top_rows(samples):
+    """Per-op cumulative totals out of one :func:`parse_prometheus`
+    scrape: the :data:`TOP_FAMILIES` columns, ``fused`` (transcodes on
+    the fused path) and ``latency``, a :class:`LatencyHistogram` of the
+    de-cumulated ``le`` buckets.  Sampled byte totals are scaled back
+    up by ``flick_profile_sample_rate``."""
+    rate = max(samples.get("flick_profile_sample_rate", {}).values(),
+               default=1.0) or 1.0
+    rows = {}
+    for column, family in TOP_FAMILIES:
+        for labels, value in samples.get(family, {}).items():
+            labels = dict(labels)
+            row = rows.setdefault(labels.get("op", "?"), dict(
+                dict.fromkeys(("requests", "errors", "bytes", "transcoded",
+                               "fused"), 0.0), buckets={}))
+            if column == "buckets":
+                bound = float(labels.get("le", "+Inf"))
+                row["buckets"][bound] = row["buckets"].get(bound, 0) + value
+                continue
+            row[column] += value * (rate if column == "bytes" else 1)
+            if column == "transcoded" and labels.get("path") == "fused":
+                row["fused"] += value
+    for row in rows.values():
+        cumulative = row.pop("buckets")
+        bounds = sorted(bound for bound in cumulative if bound != INF)
+        counts, below = [], 0
+        for bound in bounds + [INF]:
+            counts.append(cumulative.get(bound, below) - below)
+            below = cumulative.get(bound, below)
+        row["latency"] = LatencyHistogram(bounds, counts, int(below), 0.0)
+    return rows
+
+
+def top_table(rows, previous=None, interval=None):
+    """``flick top``'s table: cumulative totals, or per-second rates
+    against the *previous* rows *interval* seconds earlier."""
+    header = ("%-20s %10s %8s %9s %9s %10s %7s"
+              % ("op", "requests" if previous is None else "req/s",
+                 "errors", "p50 ms", "p99 ms",
+                 "bytes" if previous is None else "bytes/s", "fused"))
+    lines = [header, "-" * len(header)]
+    for op, stats in sorted(rows.items(),
+                            key=lambda item: -item[1]["requests"]):
+        requests, nbytes = stats["requests"], stats["bytes"]
+        if previous is not None:
+            before = previous.get(op, {"requests": 0.0, "bytes": 0.0})
+            requests = (requests - before["requests"]) / interval
+            nbytes = (nbytes - before["bytes"]) / interval
+        fused = ("%.0f%%" % (100.0 * stats["fused"] / stats["transcoded"])
+                 if stats["transcoded"] else "-")
+        lines.append("%-20s %10.1f %8d %9.2f %9.2f %10s %7s" % (
+            op, requests, stats["errors"],
+            1e3 * stats["latency"].percentile(50),
+            1e3 * stats["latency"].percentile(99), _human_bytes(nbytes),
+            fused))
+    return "\n".join(lines)
+
+
+def _human_bytes(n):
+    for unit in ("B", "KiB", "MiB", "GiB"):
+        if abs(n) < 1024.0:
+            return "%.1f%s" % (n, unit)
+        n /= 1024.0
+    return "%.1fTiB" % n
 
 
 #: The process-default registry; runtime pieces that are not handed an

@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
+from repro import documents
 from repro.core import codecs
 from repro.obs import trace as _trace
 from repro.obs.metrics import LatencyHistogram
@@ -351,6 +352,65 @@ class OpProfile:
                                 reverse=True)[:self.exemplar_cap]
         return self
 
+    # -- the flick profile report ---------------------------------------
+
+    def summary(self):
+        """Derived, report-ready numbers for this profile."""
+        size = self.size
+        summary = {
+            "calls": self.calls,
+            "sampled": self.sampled,
+            "size": {"mean": round(size.mean, 1), "p50": size.percentile(50),
+                     "p99": size.percentile(99), "max": size.max},
+            "channels": {
+                path: {"kind": hist.kind,
+                       "modes": [list(mode) for mode in hist.modes()],
+                       "p50": hist.percentile(50), "p99": hist.percentile(99)}
+                for path, hist in sorted(self.channels.items())},
+            "arms": {},
+        }
+        for path, counts in sorted(self.arms.items()):
+            top, fraction = skew(counts)
+            summary["arms"][path] = {"counts": dict(sorted(counts.items())),
+                                     "top": top, "skew": round(fraction, 4)}
+        if self.fused_fraction is not None:
+            summary["fused_fraction"] = round(self.fused_fraction, 4)
+        for kind, hist in sorted(self.codec.items()):
+            summary.setdefault("codec", {})[kind] = {
+                "p50_us": round(hist.percentile(50) * 1e6, 1),
+                "p99_us": round(hist.percentile(99) * 1e6, 1),
+            }
+        if self.exemplars:
+            summary["exemplars"] = documents.write(self.exemplars)
+        return summary
+
+    def report_lines(self):
+        """This direction's lines of the ``flick profile`` text report."""
+        summary = self.summary()
+        size = summary["size"]
+        lines = ["  %-8s calls=%d sampled=%d  bytes p50=%d p99=%d max=%d"
+                 % (self.direction, self.calls, self.sampled, size["p50"],
+                    size["p99"], size["max"])]
+        for path, channel in summary["channels"].items():
+            modes = ", ".join("%dx%d" % (value, count)
+                              for value, count in channel["modes"])
+            lines.append("    %-24s %-5s p50=%-6d p99=%-6d modes: %s"
+                         % (path, channel["kind"], channel["p50"],
+                            channel["p99"], modes))
+        for path, arm in summary["arms"].items():
+            lines.append("    %-24s arm   top=%s (%.0f%%)  %s"
+                         % (path, arm["top"], 100.0 * arm["skew"],
+                            " ".join("%s:%d" % item
+                                     for item in arm["counts"].items())))
+        if "fused_fraction" in summary:
+            lines.append("    %-24s %.1f%% of messages fused"
+                         % ("gateway", 100.0 * summary["fused_fraction"]))
+        for exemplar in self.exemplars[:3]:
+            lines.append("    slow exemplar: %.3f ms, %d bytes, trace=%s"
+                         % (1e3 * exemplar.duration_s, exemplar.bytes,
+                            exemplar.trace_id))
+        return lines
+
 
 def _op_key(profile):
     return profile.op, profile.direction
@@ -404,6 +464,25 @@ class ProfileSnapshot:
             # per-snapshot.  Keep the coarser rate as the honest bound.
             self.sample = max(self.sample, other.sample)
         return self
+
+    def report_json(self, names):
+        """``flick profile --json``: each of the ops *names*, every
+        direction's record and its :meth:`OpProfile.summary`."""
+        return {"version": SNAPSHOT_VERSION, "sample": self.sample, "ops": {
+            op: {"directions": {profile.direction: documents.write(profile)
+                                for profile in self.for_op(op)},
+                 "summary": {profile.direction: profile.summary()
+                             for profile in self.for_op(op)}}
+            for op in names}}
+
+    def report_text(self, names):
+        """``flick profile``'s text for the ops *names*."""
+        lines = []
+        for op in names:
+            lines.append("%s:" % op)
+            for profile in self.for_op(op):
+                lines += profile.report_lines()
+        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

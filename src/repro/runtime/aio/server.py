@@ -256,6 +256,9 @@ class AioTcpServer:
                 "dispatch_mode must be 'thread' or 'inline', not %r"
                 % (dispatch_mode,)
             )
+        if max_concurrency < 1:
+            raise ValueError("max_concurrency must be at least 1, not %r"
+                             % (max_concurrency,))
         self._core = RequestCore(dispatch, impl, stats=stats,
                                  op_names=op_names,
                                  error_encoder=error_encoder)

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Literal, Optional
 
 from repro import documents
+from repro.documents import flag
 from repro.errors import FlickError
 
 #: Back ends whose messages the socket servers can carry.
@@ -45,10 +46,16 @@ class ServiceConfig:
     """Everything one serving process needs, as one JSON record
     (:mod:`repro.documents` reads and writes it).
 
-    The CLI fills it from ``flick serve`` / ``flick gateway`` flags; a
-    supervisor saves one per spawned worker (``python -m
-    repro.runtime.supervisor.worker CONFIG.json`` reproduces any worker
-    standalone: copy the file, run the module).
+    Its fields *are* the ``flick serve`` / ``flick gateway`` flags: a
+    field's :func:`~repro.documents.flag` metadata holds the option's
+    help (and its spelling, where that is not ``--field-name``), the
+    annotation and default its type, choices and default, and the
+    parsed command line is read back through the same checks as a
+    worker's JSON.  A supervisor saves one record per spawned worker
+    (``python -m repro.runtime.supervisor.worker CONFIG.json``
+    reproduces any worker standalone: copy the file, run the module).
+    A port outside 0-65535 or a ``max_concurrency`` below 1 is refused
+    on construction, naming the flag.
 
     Attributes:
         kind: ``"serve"`` (stub server) or ``"gateway"`` (protocol
@@ -88,38 +95,94 @@ class ServiceConfig:
             control-channel socketpair end.
     """
 
-    kind: str = "serve"
+    kind: Literal["serve", "gateway"] = "serve"
     idl_path: str = ""
     lang: Optional[str] = None
     pgen: Optional[str] = None
     backend: Optional[str] = None
     interface: Optional[str] = None
-    impl: Optional[str] = None
-    host: str = "127.0.0.1"
-    port: int = 0
-    aio: bool = False
-    stats: bool = False
-    max_concurrency: int = 64
-    dispatch_mode: str = "thread"
-    max_pending: Optional[int] = None
+    impl: Optional[str] = field(default=None, metadata=flag(
+        "servant implementation as module:Class; the class is"
+        " instantiated with the stub module (or with no arguments)",
+        "serve", required=True))
+    host: str = field(default="127.0.0.1", metadata=flag(
+        "address to listen on", "serve"))
+    port: int = field(default=0, metadata=flag(
+        "TCP port (0 picks a free port)", "serve"))
+    aio: bool = field(default=False, metadata=flag(
+        "serve with the concurrent asyncio runtime (pipelining,"
+        " backpressure, graceful drain) instead of the blocking"
+        " thread-per-connection server; --workers fleets always do",
+        "serve"))
+    stats: bool = field(default=False, metadata=flag(
+        "collect per-operation call counts, errors, and latency"
+        " histograms (a gateway: per-bridge counters too); printed at"
+        " shutdown"))
+    max_concurrency: int = field(default=64, metadata=flag(
+        "in-flight request cap for the asyncio runtime"))
+    dispatch_mode: Literal["thread", "inline"] = field(
+        default="thread", metadata=flag(
+            "run each dispatch on a worker thread (safe for blocking"
+            " servants) or inline on the event loop (fastest)", "serve"))
+    max_pending: Optional[int] = field(default=None, metadata=flag(
+        "overload bound for the asyncio runtime: when all"
+        " --max-concurrency slots are busy, at most N further requests"
+        " wait; beyond that requests are shed with a protocol error"
+        " reply (default: queue unboundedly)", metavar="N"))
     drain_timeout: float = 5.0
-    trace_path: Optional[str] = None
-    profile_path: Optional[str] = None
-    profile_sample: int = 64
-    fault_plan: Optional[str] = None
-    upstream_fault_plan: Optional[str] = None
-    metrics_port: Optional[int] = None
+    trace_path: Optional[str] = field(default=None, metadata=flag(
+        "enable tracing and append finished spans to PATH as JSON lines"
+        " (one object per span); client, gateway, and upstream spans"
+        " share one trace id", spelling="--trace", metavar="PATH"))
+    profile_path: Optional[str] = field(default=None, metadata=flag(
+        "enable the payload-shape profiler (a gateway: fused/re-encode"
+        " path ratios, transcoded sizes) and save its snapshot to PATH"
+        " at shutdown (inspect with `flick profile PATH`)",
+        spelling="--profile", metavar="PATH"))
+    profile_sample: int = field(default=64, metadata=flag(
+        "profile every N-th codec call or transcoded message"
+        " (default: 64; 1 profiles everything)", metavar="N"))
+    fault_plan: Optional[str] = field(default=None, metadata=flag(
+        "inject faults into inbound requests per a FaultPlan JSON file"
+        " (chaos testing: drop/delay/duplicate/reorder/truncate/corrupt/"
+        "reset probabilities and a seed)", metavar="FILE"))
+    upstream_fault_plan: Optional[str] = field(default=None, metadata=flag(
+        "inject faults on the egress leg instead", "gateway",
+        metavar="FILE"))
+    metrics_port: Optional[int] = field(default=None, metadata=flag(
+        "serve /metrics (Prometheus), /profile, /healthz and /readyz at"
+        " http://HOST:PORT (0 picks a free port; implies --stats); with"
+        " --workers they answer for the whole fleet", metavar="PORT"))
     sys_paths: list[str] = field(default_factory=list)
     upstream_host: Optional[str] = None
     upstream_port: Optional[int] = None
     upstream_backend: Optional[str] = None
-    upstream_idl_path: Optional[str] = None
-    pool_size: int = 4
-    fuse: bool = True
+    upstream_idl_path: Optional[str] = field(default=None, metadata=flag(
+        "IDL file the upstream was built against (default: the ingress"
+        " file; set during migrations)", "gateway",
+        spelling="--upstream-idl", metavar="FILE"))
+    pool_size: int = field(default=4, metadata=flag(
+        "multiplexed upstream connections (default: 4)", "gateway"))
+    fuse: bool = field(default=True, metadata=flag(
+        "disable the fused byte-copy plans (always decode and re-encode;"
+        " for debugging and benchmarking)", "gateway",
+        spelling="--no-fuse"))
     slot: Optional[int] = None
     generation: int = 0
     listen_fd: Optional[int] = None
     control_fd: Optional[int] = None
+
+    def __post_init__(self):
+        listen = "--port" if self.kind == "serve" else "--listen port"
+        for port, option in ((self.port, listen),
+                             (self.metrics_port, "--metrics-port"),
+                             (self.upstream_port, "--upstream port")):
+            if port is not None and not 0 <= port <= 65535:
+                raise FlickError("%s must be in 0-65535, not %d"
+                                 % (option, port))
+        if self.max_concurrency < 1:
+            raise FlickError("--max-concurrency must be at least 1, not %d"
+                             % self.max_concurrency)
 
     def validate(self, workers=None):
         """Refuse, naming the flag, what this mode cannot honour.
@@ -136,8 +199,6 @@ class ServiceConfig:
                     "both endpoints speak %s; a gateway bridges two"
                     " protocols (or two schemas: add --upstream-idl)"
                     % self.backend)
-        elif self.kind != "serve":
-            raise FlickError("unknown service kind %r" % (self.kind,))
         elif not self.impl:
             raise FlickError("serve needs a servant: --impl module:Class")
         if workers is None:

@@ -42,24 +42,25 @@ from repro import documents
 from repro.errors import FlickError
 
 
-def _lang_choices():
-    """Registered front-end names (the registry is the only source)."""
+def _flags(*parents):
+    """A parent parser: options that several verbs declare once."""
+    return argparse.ArgumentParser(add_help=False, parents=parents)
+
+
+def _lang_flag(parser, spelling):
+    """The IDL language option; either spelling lands in ``args.lang``."""
     from repro import frontends
 
-    return frontends.names()
-
-
-def _aoi_lang_choices():
-    """Front ends with an AOI (diffable/bridgeable over TCP protocols)."""
-    from repro import frontends
-
-    return tuple(
-        fe.name for fe in frontends.all_frontends()
-        if fe.has_aoi and fe.servable
+    parser.add_argument(
+        spelling, dest="lang", choices=frontends.names(), default=None,
+        help="IDL language (default: detected from the file; diff and"
+             " bridge detect each file on its own)",
     )
 
 
 def build_parser():
+    from repro.runtime.service import ServiceConfig
+
     parser = argparse.ArgumentParser(
         prog="flick",
         description="Flick: a flexible, optimizing IDL compiler"
@@ -67,363 +68,163 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compile_parser = sub.add_parser(
-        "compile", help="compile an IDL file to stubs"
+    def verb(name, run, help, *parents):
+        verb_parser = sub.add_parser(name, help=help, parents=parents)
+        verb_parser.set_defaults(run=run)
+        return verb_parser.add_argument
+
+    source = _flags()
+    source.add_argument("input", help="IDL source file")
+    interface = _flags()
+    interface.add_argument(
+        "--interface", default=None,
+        help="interface to use (required if the file defines several)",
     )
-    compile_parser.add_argument("input", help="IDL source file")
-    compile_parser.add_argument(
-        "--frontend", choices=_lang_choices(), default=None,
-        help="IDL front end (default: guessed from the file suffix)",
-    )
-    compile_parser.add_argument(
+    selection = _flags(source, interface)
+    _lang_flag(selection, "--frontend")
+    selection.add_argument(
         "--pgen", default=None,
         help="presentation style (corba-c, rpcgen, fluke)",
     )
-    compile_parser.add_argument(
+    selection.add_argument(
         "--backend", default=None,
-        help="back end (iiop, oncrpc-xdr, mach3, fluke)",
+        help="back end: iiop, oncrpc-xdr, mach3, fluke (serve: iiop or"
+             " oncrpc-xdr; default: the front end's default)",
     )
-    compile_parser.add_argument(
-        "--interface", default=None,
-        help="interface to compile (required if the file defines several)",
-    )
-    compile_parser.add_argument(
-        "-o", "--output", default=".", help="output directory"
-    )
-    compile_parser.add_argument(
-        "--emit", default="py,c,h",
-        help="comma-separated outputs: py, c, h (default: all)",
-    )
-    compile_parser.add_argument(
+    optimization = _flags()
+    optimization.add_argument(
         "--no-opt", action="store_true",
-        help="disable all back-end optimizations",
+        help="turn every back-end optimization off",
     )
-    compile_parser.add_argument(
-        "--disable", default="",
-        help="comma-separated OptFlags fields to turn off"
-             " (e.g. chunk_atoms,memcpy_arrays)",
-    )
-    compile_parser.add_argument(
+    optimization.add_argument(
         "--disable-pass", action="append", default=[], metavar="NAME",
-        dest="disable_pass",
         help="turn off one MIR optimization pass by name (repeatable;"
              " an unknown name lists the available passes)",
     )
-    compile_parser.add_argument(
-        "--little-endian", action="store_true",
-        help="generate little-endian CDR stubs (IIOP back end only)",
+    language = _flags(interface)
+    _lang_flag(language, "--lang")
+    as_json = _flags()
+    as_json.add_argument(
+        "--json", action="store_true",
+        help="emit the machine-readable report instead of text",
     )
-    compile_parser.add_argument(
-        "--baseline", default=None,
+
+    def serving(name):
+        flags = _flags()
+        documents.add_flags(flags, ServiceConfig, name)
+        flags.add_argument(
+            "--duration", type=float, default=None,
+            help="serve for this many seconds, then exit (default:"
+                 " forever)",
+        )
+        flags.add_argument(
+            "--workers", type=int, default=None, metavar="N",
+            help="supervised multi-process mode: N worker processes share"
+                 " the listen address (SO_REUSEPORT accept sharding);"
+                 " crashed workers restart with backoff, SIGHUP re-reads"
+                 " the IDL and rolls a compatible schema worker-by-worker,"
+                 " and --metrics-port serves the fleet's merged endpoints",
+        )
+        return flags
+
+    add = verb("compile", command_compile, "compile an IDL file to stubs",
+               selection, optimization)
+    add("-o", "--output", default=".", help="output directory")
+    add("--emit", default="py,c,h",
+        help="comma-separated outputs: py, c, h (default: all)")
+    add("--disable", default="",
+        help="comma-separated OptFlags fields to turn off"
+             " (e.g. chunk_atoms,memcpy_arrays)")
+    add("--little-endian", action="store_true",
+        help="generate little-endian CDR stubs (IIOP back end only)")
+    add("--baseline", default=None,
         help="generate stubs with a comparator compiler instead of Flick"
-             " (rpcgen, powerrpc, orbeline, ilu, mig)",
-    )
-    compile_parser.add_argument(
-        "--timing", action="store_true",
+             " (rpcgen, powerrpc, orbeline, ilu, mig)")
+    add("--timing", action="store_true",
         help="report per-phase compile times (parse, AOI lowering,"
-             " presentation, back-end emit) and generated-stub sizes",
-    )
+             " presentation, back-end emit) and generated-stub sizes")
 
-    ir_parser = sub.add_parser(
-        "ir",
-        help="dump the marshal IR the optimizing back end compiles",
-    )
-    ir_parser.add_argument("input", help="IDL source file")
-    ir_parser.add_argument(
-        "--frontend", choices=_lang_choices(), default=None,
-        help="IDL front end (default: guessed from the file suffix)",
-    )
-    ir_parser.add_argument("--pgen", default=None)
-    ir_parser.add_argument("--backend", default=None)
-    ir_parser.add_argument("--interface", default=None)
-    ir_parser.add_argument(
-        "--op", default=None, metavar="NAME",
-        help="dump only the functions of this operation",
-    )
-    ir_parser.add_argument(
-        "--no-opt", action="store_true",
-        help="dump the unoptimized IR (every pass off)",
-    )
-    ir_parser.add_argument(
-        "--disable-pass", action="append", default=[], metavar="NAME",
-        dest="disable_pass",
-        help="turn off one MIR pass by name (repeatable)",
-    )
+    add = verb("ir", command_ir,
+               "dump the marshal IR the optimizing back end compiles",
+               selection, optimization)
+    add("--op", default=None, metavar="NAME",
+        help="dump only the functions of this operation")
 
-    inspect_parser = sub.add_parser(
-        "inspect",
-        help="explain what the compiler would generate for an IDL file",
-    )
-    inspect_parser.add_argument("input", help="IDL source file")
-    inspect_parser.add_argument("--frontend", default=None)
-    inspect_parser.add_argument("--pgen", default=None)
-    inspect_parser.add_argument("--backend", default=None)
-    inspect_parser.add_argument("--interface", default=None)
+    verb("inspect", command_inspect,
+         "explain what the compiler would generate for an IDL file",
+         selection)
 
-    serving = _serving_flags()
-    serve_parser = sub.add_parser(
-        "serve", parents=[serving],
-        help="compile an IDL interface and serve it over TCP",
-    )
-    serve_parser.add_argument("input", help="IDL source file")
-    serve_parser.add_argument(
-        "--impl", required=True,
-        help="servant implementation as module:Class; the class is"
-             " instantiated with the stub module (or with no arguments)",
-    )
-    serve_parser.add_argument("--frontend", default=None)
-    serve_parser.add_argument("--pgen", default=None)
-    serve_parser.add_argument(
-        "--backend", default=None,
-        help="wire protocol: iiop or oncrpc-xdr"
-             " (default: the front end's default)",
-    )
-    serve_parser.add_argument("--interface", default=None)
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=0,
-                              help="TCP port (0 picks a free port)")
-    serve_parser.add_argument(
-        "--aio", action="store_true",
-        help="serve with the concurrent asyncio runtime (pipelining,"
-             " backpressure, graceful drain) instead of the blocking"
-             " thread-per-connection server; --workers fleets always do",
-    )
-    serve_parser.add_argument(
-        "--dispatch-mode", choices=("thread", "inline"), default="thread",
-        help="run each dispatch on a worker thread (safe for blocking"
-             " servants) or inline on the event loop (fastest)",
-    )
+    verb("serve", command_service,
+         "compile an IDL interface and serve it over TCP",
+         selection, serving("serve"))
 
-    diff_parser = sub.add_parser(
-        "diff",
-        help="classify the wire compatibility of two IDL versions",
-    )
-    diff_parser.add_argument("old", help="the currently deployed IDL file")
-    diff_parser.add_argument("new", help="the proposed IDL file")
-    diff_parser.add_argument(
-        "--lang", choices=_lang_choices(), default=None,
-        help="IDL language (default: detected per file; the two files"
-             " may use different languages, e.g. diff an IDL file"
-             " against the pyschema .py replacing it)",
-    )
-    diff_parser.add_argument(
-        "--interface", default=None,
-        help="interface to diff (required if a file defines several)",
-    )
-    diff_parser.add_argument(
-        "--protocol", action="append", default=None,
-        metavar="BACKEND",
+    add = verb("diff", command_diff,
+               "classify the wire compatibility of two IDL versions",
+               language, as_json)
+    add("old", help="the currently deployed IDL file")
+    add("new", help="the proposed IDL file (may be in another language,"
+                    " e.g. the pyschema .py replacing an IDL file)")
+    add("--protocol", action="append", default=None, metavar="BACKEND",
         help="wire protocol to diff under (repeatable; default:"
-             " oncrpc-xdr and iiop, or mach3 for MIG)",
-    )
-    diff_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of text",
-    )
+             " oncrpc-xdr and iiop, or mach3 for MIG)")
 
-    lint_parser = sub.add_parser(
-        "lint",
-        help="flag schema-evolution hazards in an IDL file",
-    )
-    lint_parser.add_argument("input", help="IDL source file")
-    lint_parser.add_argument(
-        "--lang", choices=_lang_choices(), default=None,
-        help="IDL language (default: detected)",
-    )
-    lint_parser.add_argument("--interface", default=None)
-    lint_parser.add_argument(
-        "--protocol", default=None, metavar="BACKEND",
-        help="wire protocol to lint under (default: the language's own)",
-    )
-    lint_parser.add_argument(
-        "--fail-on", choices=("info", "warning", "error"),
+    add = verb("lint", command_lint,
+               "flag schema-evolution hazards in an IDL file",
+               source, language, as_json)
+    add("--protocol", default=None, metavar="BACKEND",
+        help="wire protocol to lint under (default: the language's own)")
+    add("--fail-on", choices=("info", "warning", "error"),
         default="warning",
-        help="lowest severity that makes the exit code nonzero",
-    )
-    lint_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of text",
-    )
+        help="lowest severity that makes the exit code nonzero")
 
-    bridge_parser = sub.add_parser(
-        "bridge",
-        help="statically verify a cross-protocol bridge is lossless",
-    )
-    bridge_parser.add_argument(
-        "ingress", help="IDL file the gateway serves on the ingress side"
-    )
-    bridge_parser.add_argument(
-        "egress", nargs="?", default=None,
+    add = verb("bridge", command_bridge,
+               "statically verify a cross-protocol bridge is lossless",
+               language, as_json)
+    add("ingress", help="IDL file the gateway serves on the ingress side")
+    add("egress", nargs="?", default=None,
         help="IDL file the upstream server was built against"
-             " (default: the ingress file — same schema, two protocols)",
-    )
-    bridge_parser.add_argument(
-        "--ingress", dest="ingress_protocol", default="iiop",
+             " (default: the ingress file — same schema, two protocols)")
+    add("--ingress", dest="ingress_protocol", default="iiop",
         metavar="PROTO",
         help="ingress wire protocol: iiop or onc/oncrpc-xdr"
-             " (default: iiop)",
-    )
-    bridge_parser.add_argument(
-        "--egress", dest="egress_protocol", default="oncrpc-xdr",
+             " (default: iiop)")
+    add("--egress", dest="egress_protocol", default="oncrpc-xdr",
         metavar="PROTO",
-        help="egress wire protocol (default: oncrpc-xdr)",
-    )
-    bridge_parser.add_argument(
-        "--lang", choices=_aoi_lang_choices(), default=None,
-        help="IDL language (default: detected per file)",
-    )
-    bridge_parser.add_argument("--interface", default=None)
-    bridge_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of text",
-    )
+        help="egress wire protocol (default: oncrpc-xdr)")
 
-    gateway_parser = sub.add_parser(
-        "gateway", parents=[serving],
-        help="serve one protocol, forward to an upstream on another",
-    )
-    gateway_parser.add_argument("input", help="IDL source file")
-    gateway_parser.add_argument(
-        "--listen", required=True, metavar="PROTO:HOST:PORT",
+    add = verb("gateway", command_service,
+               "serve one protocol, forward to an upstream on another",
+               source, language, serving("gateway"))
+    add("--listen", required=True, metavar="PROTO:HOST:PORT",
         help="ingress endpoint, e.g. iiop:0.0.0.0:9090"
-             " (port 0 picks a free port)",
-    )
-    gateway_parser.add_argument(
-        "--upstream", required=True, metavar="PROTO:HOST:PORT",
-        help="egress endpoint of the real server, e.g. onc:10.0.0.7:111",
-    )
-    gateway_parser.add_argument(
-        "--upstream-idl", default=None, metavar="FILE",
-        help="IDL file the upstream was built against (default: the"
-             " ingress file; set during migrations)",
-    )
-    gateway_parser.add_argument(
-        "--lang", choices=_aoi_lang_choices(), default=None,
-        help="IDL language (default: detected)",
-    )
-    gateway_parser.add_argument("--interface", default=None)
-    gateway_parser.add_argument(
-        "--check", action="store_true",
+             " (port 0 picks a free port)")
+    add("--upstream", required=True, metavar="PROTO:HOST:PORT",
+        help="egress endpoint of the real server, e.g. onc:10.0.0.7:111")
+    add("--check", action="store_true",
         help="verify the bridge statically before serving; refuse a"
-             " BREAKING bridge with exit 2",
-    )
-    gateway_parser.add_argument(
-        "--no-fuse", action="store_true",
-        help="disable the fused byte-copy plans (always decode and"
-             " re-encode; for debugging and benchmarking)",
-    )
-    gateway_parser.add_argument(
-        "--pool-size", type=int, default=4,
-        help="multiplexed upstream connections (default: 4)",
-    )
-    gateway_parser.add_argument(
-        "--upstream-fault-plan", default=None, metavar="FILE",
-        help="inject faults on the egress leg instead",
-    )
+             " BREAKING bridge with exit 2")
 
-    profile_parser = sub.add_parser(
-        "profile",
-        help="report a payload-shape profile snapshot"
-             " (from `flick serve --profile`)",
-    )
-    profile_parser.add_argument(
-        "snapshots", nargs="+", metavar="SNAPSHOT",
+    add = verb("profile", command_profile,
+               "report a payload-shape profile snapshot"
+               " (from `flick serve --profile`)", as_json)
+    add("snapshots", nargs="+", metavar="SNAPSHOT",
         help="profile snapshot JSON file(s); several are merged"
-             " (profiles from different workers combine losslessly)",
-    )
-    profile_parser.add_argument(
-        "--op", default=None, metavar="NAME",
-        help="report only this operation",
-    )
-    profile_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of text",
-    )
+             " (profiles from different workers combine losslessly)")
+    add("--op", default=None, metavar="NAME",
+        help="report only this operation")
 
-    top_parser = sub.add_parser(
-        "top",
-        help="live per-operation view of a serving endpoint's /metrics",
-    )
-    top_parser.add_argument(
-        "target", metavar="HOST:PORT",
-        help="a --metrics-port endpoint, e.g. 127.0.0.1:9464",
-    )
-    top_parser.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="poll interval (default: 2s)",
-    )
-    top_parser.add_argument(
-        "--once", action="store_true",
-        help="print one snapshot (cumulative totals, no rates) and exit",
-    )
+    add = verb("top", command_top,
+               "live per-operation view of a serving endpoint's /metrics")
+    add("target", metavar="HOST:PORT",
+        help="a --metrics-port endpoint, e.g. 127.0.0.1:9464")
+    add("--interval", type=float, default=2.0, metavar="SECONDS",
+        help="poll interval (default: 2s)")
+    add("--once", action="store_true",
+        help="print one snapshot (cumulative totals, no rates) and exit")
 
-    sub.add_parser("list", help="list front ends, presentations, back ends")
+    verb("list", command_list,
+         "list front ends, presentations, back ends")
     return parser
-
-
-def _serving_flags():
-    """The flags ``flick serve`` and ``flick gateway`` share, once."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument(
-        "--stats", action="store_true",
-        help="collect per-operation call counts, errors, and latency"
-             " histograms (a gateway: per-bridge counters too); printed"
-             " at shutdown",
-    )
-    flags.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve /metrics (Prometheus), /profile, /healthz and"
-             " /readyz at http://HOST:PORT (0 picks a free port; implies"
-             " --stats); with --workers they answer for the whole fleet",
-    )
-    flags.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="enable the payload-shape profiler (a gateway: fused/"
-             "re-encode path ratios, transcoded sizes) and save its"
-             " snapshot to PATH at shutdown (inspect with `flick"
-             " profile PATH`)",
-    )
-    flags.add_argument(
-        "--profile-sample", type=int, default=64, metavar="N",
-        help="profile every N-th codec call or transcoded message"
-             " (default: 64; 1 profiles everything)",
-    )
-    flags.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="enable tracing and append finished spans to PATH as JSON"
-             " lines (one object per span); client, gateway, and"
-             " upstream spans share one trace id",
-    )
-    flags.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="inject faults into inbound requests per a FaultPlan JSON"
-             " file (chaos testing: drop/delay/duplicate/reorder/"
-             "truncate/corrupt/reset probabilities and a seed)",
-    )
-    flags.add_argument(
-        "--max-concurrency", type=int, default=64,
-        help="in-flight request cap for the asyncio runtime",
-    )
-    flags.add_argument(
-        "--max-pending", type=int, default=None, metavar="N",
-        help="overload bound for the asyncio runtime: when all"
-             " --max-concurrency slots are busy, at most N further"
-             " requests wait; beyond that requests are shed with a"
-             " protocol error reply (default: queue unboundedly)",
-    )
-    flags.add_argument(
-        "--duration", type=float, default=None,
-        help="serve for this many seconds, then exit (default: forever)",
-    )
-    flags.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="supervised multi-process mode: N worker processes share"
-             " the listen address (SO_REUSEPORT accept sharding);"
-             " crashed workers restart with backoff, SIGHUP re-reads"
-             " the IDL and rolls a compatible schema worker-by-worker,"
-             " and --metrics-port serves the fleet's merged endpoints",
-    )
-    return flags
 
 
 #: Accepted protocol spellings for ``flick bridge`` / ``flick gateway``.
@@ -461,114 +262,99 @@ def _parse_endpoint(spec, flag):
     return _backend_for_protocol(proto), host, port
 
 
-def _guess_frontend(path, text="", explicit=None):
-    """The IDL language for *path*: the explicit flag, then detection."""
-    if explicit:
-        return explicit
-    from repro import api
-
-    try:
-        return api.detect_lang(text, name=path)
-    except FlickError:
-        return "corba"
-
-
-def _build_flags(args):
-    from repro.core import OptFlags
-
-    flags = OptFlags.all_off() if args.no_opt else OptFlags()
-    disabled = [
-        name for name in getattr(args, "disable", "").split(",") if name
-    ]
-    if disabled:
-        flags = flags.but(**{name: False for name in disabled})
-    for name in getattr(args, "disable_pass", ()):
-        try:
-            flags = flags.disable_pass(name)
-        except ValueError as error:
-            raise FlickError(str(error))
-    return flags
-
-
-def _apply_baseline(args, all_prescs):
-    from repro.compilers import make_baseline
-
-    compiler = make_baseline(args.baseline)
-    return [compiler.generate(presc) for presc in all_prescs]
-
-
-def command_compile(args):
+def _compile_input(args, one=False, **options):
+    """Read ``args.input``, detect its language unless ``--frontend``
+    names it, and compile the ``--interface`` it names or, unless
+    *one*, every interface of the file."""
     from repro import api
 
     with open(args.input) as handle:
         text = handle.read()
-    lang = _guess_frontend(args.input, text, args.frontend)
-    backend_options = {}
-    if getattr(args, "little_endian", False):
+    lang = args.lang
+    if lang is None:
+        try:
+            lang = api.detect_lang(text, name=args.input)
+        except FlickError:
+            lang = "corba"
+    options.update(name=args.input, presentation=args.pgen,
+                   backend=args.backend)
+    if args.interface or one:
+        return [api.compile(text, lang, interface=args.interface,
+                            **options)]
+    results = list(api.compile_all(text, lang, **options).values())
+    if not results:
+        raise FlickError("the input defines no interfaces")
+    return results
+
+
+def _opt_flags(args):
+    """The OptFlags ``--no-opt``, ``--disable`` and ``--disable-pass``
+    say."""
+    import dataclasses
+
+    from repro.core import OptFlags
+    from repro.mir.passes import PASS_NAMES
+
+    flags = OptFlags.all_off() if args.no_opt else OptFlags()
+    flags = _turned_off(flags, getattr(args, "disable", "").split(","),
+                        "OptFlags field",
+                        [field.name for field in dataclasses.fields(flags)])
+    return _turned_off(flags, args.disable_pass, "pass", PASS_NAMES)
+
+
+def _turned_off(flags, names, what, accepted):
+    """*flags* with each of *names* off; an unknown name is refused with
+    the *accepted* ones."""
+    for name in filter(None, names):
+        if name not in accepted:
+            raise FlickError("unknown %s %r; use one of: %s"
+                             % (what, name, ", ".join(sorted(accepted))))
+        flags = flags.but(**{name: False})
+    return flags
+
+
+def command_compile(args):
+    from repro.backend import interface_file_stem, runtime_header_path
+
+    options = {}
+    if args.little_endian:
         if args.backend not in (None, "iiop"):
             raise FlickError(
                 "--little-endian applies only to the iiop back end"
             )
-        backend_options["little_endian"] = True
-    flags = _build_flags(args)
-    if args.interface:
-        results = [api.compile(
-            text, lang, interface=args.interface, flags=flags,
-            name=args.input, presentation=args.pgen, backend=args.backend,
-            **backend_options,
-        )]
-    else:
-        by_name = api.compile_all(
-            text, lang, flags=flags, name=args.input,
-            presentation=args.pgen, backend=args.backend,
-            **backend_options,
-        )
-        if not by_name:
-            raise FlickError("the input defines no interfaces")
-        results = list(by_name.values())
-    timed_results = results
+        options["little_endian"] = True
+    results = _compile_input(args, flags=_opt_flags(args), **options)
     if args.baseline:
-        all_stubs = _apply_baseline(
-            args, [result.presc for result in results]
-        )
+        from repro.compilers import make_baseline
+
+        compiler = make_baseline(args.baseline)
+        all_stubs = [compiler.generate(result.presc) for result in results]
     else:
         all_stubs = [result.stubs for result in results]
-    emit = {kind.strip() for kind in args.emit.split(",") if kind.strip()}
+    emit = {kind.strip() for kind in args.emit.split(",")}
     os.makedirs(args.output, exist_ok=True)
-    if "c" in emit or "h" in emit:
+    if emit & {"c", "h"}:
         # Ship the support header alongside the generated C so it
         # compiles out of the box.
         import shutil
 
-        from repro.backend import runtime_header_path
-
-        shutil.copy(
-            runtime_header_path(),
-            os.path.join(args.output, "flick-runtime.h"),
-        )
-    from repro.backend import interface_file_stem
-
+        shutil.copy(runtime_header_path(),
+                    os.path.join(args.output, "flick-runtime.h"))
     for stubs in all_stubs:
         base = os.path.join(args.output, interface_file_stem(
             stubs.interface_name, stubs.backend_name))
         written = []
-        if "py" in emit:
-            _write(base + ".py", stubs.py_source, written)
-        if "c" in emit:
-            _write(base + ".c", stubs.c_source, written)
-        if "h" in emit:
-            _write(base + ".h", stubs.c_header, written)
-        print(
-            "compiled %s (%s presentation, %s back end): %s"
-            % (
-                stubs.interface_name,
-                stubs.presentation_style,
-                stubs.backend_name,
-                ", ".join(written),
-            )
-        )
-    if getattr(args, "timing", False):
-        for result in timed_results:
+        for kind, attribute in (("py", "py_source"), ("c", "c_source"),
+                                ("h", "c_header")):
+            if kind in emit:
+                with open(base + "." + kind, "w") as handle:
+                    handle.write(getattr(stubs, attribute))
+                written.append(base + "." + kind)
+        print("compiled %s (%s presentation, %s back end): %s"
+              % (stubs.interface_name, stubs.presentation_style,
+                 stubs.backend_name, ", ".join(written)))
+    if args.timing:
+        for result in results:
             _print_timing(result)
     return 0
 
@@ -590,25 +376,11 @@ def _print_timing(result):
              summary["stub_lines"], summary["request_chunks"]))
 
 
-def _write(path, content, written):
-    with open(path, "w") as handle:
-        handle.write(content)
-    written.append(path)
-
-
 def command_ir(args):
     """Dump the (optimized) marshal IR for one interface."""
-    from repro import api
     from repro.mir.dump import dump_program
 
-    with open(args.input) as handle:
-        text = handle.read()
-    lang = _guess_frontend(args.input, text, args.frontend)
-    flags = _build_flags(args)
-    result = api.compile(
-        text, lang, interface=args.interface, flags=flags,
-        name=args.input, presentation=args.pgen, backend=args.backend,
-    )
+    (result,) = _compile_input(args, one=True, flags=_opt_flags(args))
     program = result.stubs.mir
     if program is None:
         raise FlickError(
@@ -630,24 +402,10 @@ def command_ir(args):
 
 def command_inspect(args):
     """Explain the compiler's analyses for each operation."""
-    from repro import api
     from repro.mint.analysis import analyze_storage
     from repro.backend import make_backend
 
-    with open(args.input) as handle:
-        text = handle.read()
-    lang = _guess_frontend(args.input, text, args.frontend)
-    if args.interface:
-        results = [api.compile(
-            text, lang, interface=args.interface, name=args.input,
-            presentation=args.pgen, backend=args.backend,
-        )]
-    else:
-        results = list(api.compile_all(
-            text, lang, name=args.input, presentation=args.pgen,
-            backend=args.backend,
-        ).values())
-    for result in results:
+    for result in _compile_input(args):
         presc = result.presc
         stubs = result.stubs
         backend_name = stubs.backend_name
@@ -685,34 +443,27 @@ def command_inspect(args):
     return 0
 
 
-def _service_config(args):
-    """The ServiceConfig a ``flick serve`` / ``flick gateway`` line says."""
+def service_config(args):
+    """The ServiceConfig a ``flick serve`` / ``flick gateway`` line says.
+
+    The record's flagged fields are the options (same dest), and the
+    namespace is read through the checks a worker's JSON goes through;
+    what no single option sets is filled in here: the verb, the input
+    file, the cwd (``--impl`` resolves from it) and the two
+    ``PROTO:HOST:PORT`` endpoints.
+    """
     from repro.runtime.service import ServiceConfig
 
-    shared = dict(
-        idl_path=args.input, interface=args.interface, stats=args.stats,
-        metrics_port=args.metrics_port, profile_path=args.profile,
-        profile_sample=args.profile_sample, trace_path=args.trace,
-        fault_plan=args.fault_plan, max_concurrency=args.max_concurrency,
-        max_pending=args.max_pending,
-        sys_paths=[os.getcwd()],  # --impl resolves from the cwd
-    )
-    if args.command == "serve":
-        return ServiceConfig(
-            kind="serve", lang=args.frontend, pgen=args.pgen,
-            backend=args.backend, impl=args.impl, host=args.host,
-            port=args.port, aio=args.aio,
-            dispatch_mode=args.dispatch_mode, **shared)
-    backend, host, port = _parse_endpoint(args.listen, "--listen")
-    upstream_backend, upstream_host, upstream_port = _parse_endpoint(
-        args.upstream, "--upstream")
-    return ServiceConfig(
-        kind="gateway", lang=args.lang, backend=backend, host=host,
-        port=port, upstream_backend=upstream_backend,
-        upstream_host=upstream_host, upstream_port=upstream_port,
-        upstream_idl_path=args.upstream_idl, pool_size=args.pool_size,
-        fuse=not args.no_fuse,
-        upstream_fault_plan=args.upstream_fault_plan, **shared)
+    values = dict(kind=args.command, idl_path=args.input,
+                  sys_paths=[os.getcwd()])
+    if args.command == "gateway":
+        for prefix, spec, option in (("", args.listen, "--listen"),
+                                     ("upstream_", args.upstream,
+                                      "--upstream")):
+            values.update(zip(
+                (prefix + "backend", prefix + "host", prefix + "port"),
+                _parse_endpoint(spec, option)))
+    return documents.read_flags(ServiceConfig, args, args.command, **values)
 
 
 def _bridge_refused(config, handles):
@@ -793,7 +544,7 @@ def command_service(args):
     from repro.runtime import service
     from repro.runtime.signals import SignalDriver
 
-    config = _service_config(args)
+    config = service_config(args)
     workers = args.workers
     config.validate(workers)
     # The one compile on this side of a fork: the fail-fast check, the
@@ -923,32 +674,11 @@ def command_lint(args):
     return lint_exit_code(findings, fail_on=args.fail_on)
 
 
-def _compile_bridge_sides(ingress_path, egress_path, ingress_backend,
-                          egress_backend, lang, interface):
-    from repro import api
-
-    with open(ingress_path) as handle:
-        ingress_text = handle.read()
-    if egress_path is None or egress_path == ingress_path:
-        egress_path, egress_text = ingress_path, ingress_text
-    else:
-        with open(egress_path) as handle:
-            egress_text = handle.read()
-    ingress = api.compile(
-        ingress_text, lang, interface=interface, name=ingress_path,
-        backend=ingress_backend,
-    )
-    egress = api.compile(
-        egress_text, lang, interface=interface, name=egress_path,
-        backend=egress_backend,
-    )
-    return ingress, egress, egress_path
-
-
 def command_bridge(args):
     """Statically verify a protocol bridge (pair diff; exit 0/1/2)."""
     import json
 
+    from repro import api
     from repro.gateway import (
         bridge_exit_code,
         bridge_report_json,
@@ -957,136 +687,31 @@ def command_bridge(args):
         predict_fused,
     )
 
-    ingress_backend = _backend_for_protocol(args.ingress_protocol)
-    egress_backend = _backend_for_protocol(args.egress_protocol)
-    ingress, egress, egress_path = _compile_bridge_sides(
-        args.ingress, args.egress, ingress_backend, egress_backend,
-        args.lang, args.interface,
-    )
-    diff = check_bridge(ingress, egress)
-    predictions = predict_fused(ingress, egress)
+    egress_path = args.egress or args.ingress
+    backends = [_backend_for_protocol(protocol) for protocol
+                in (args.ingress_protocol, args.egress_protocol)]
+    sides = []
+    for path, backend in zip((args.ingress, egress_path), backends):
+        with open(path) as handle:
+            sides.append(api.compile(
+                handle.read(), args.lang, interface=args.interface,
+                name=path, backend=backend))
+    diff = check_bridge(*sides)
+    predictions = predict_fused(*sides)
     if args.json:
-        document = bridge_report_json(diff, args.ingress, egress_path)
-        document["fused"] = {
-            op: {direction: prediction.to_json()
-                 for direction, prediction in directions.items()}
-            for op, directions in predictions.items()
-        }
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(json.dumps(
+            bridge_report_json(diff, args.ingress, egress_path, predictions),
+            indent=2, sort_keys=True))
     else:
-        print(bridge_report_text(diff, args.ingress, egress_path))
-        print(_fused_prediction_text(predictions))
+        print(bridge_report_text(diff, args.ingress, egress_path,
+                                 predictions))
     return bridge_exit_code(diff)
-
-
-def _fused_prediction_text(predictions):
-    """Render per-op fused-fraction predictions for ``flick bridge``."""
-    lines = ["predicted gateway cost (fused copy plans):"]
-    total = 0
-    fused_channels = 0
-    for op in sorted(predictions):
-        parts = []
-        for direction in ("request", "reply"):
-            prediction = predictions[op].get(direction)
-            if prediction is None:
-                continue
-            total += 1
-            fused_channels += prediction.fused
-            parts.append(
-                "%s %s (%.0f%% of bytes coverable)"
-                % (direction,
-                   "fused" if prediction.fused else "re-encode",
-                   100.0 * prediction.byte_fraction)
-            )
-        lines.append("  %-20s %s" % (op, "; ".join(parts) or "oneway"))
-    if total:
-        lines.append(
-            "  overall: %d/%d channels take the fused path"
-            % (fused_channels, total))
-    return "\n".join(lines)
-
-
-def _profile_summary(profile):
-    """Derived, report-ready numbers for one OpProfile."""
-    from repro.obs.profile import skew
-
-    size = profile.size
-    summary = {
-        "calls": profile.calls,
-        "sampled": profile.sampled,
-        "size": {
-            "mean": round(size.mean, 1),
-            "p50": size.percentile(50),
-            "p99": size.percentile(99),
-            "max": size.max,
-        },
-        "channels": {},
-        "arms": {},
-    }
-    for path, hist in sorted(profile.channels.items()):
-        summary["channels"][path] = {
-            "kind": hist.kind,
-            "modes": [list(mode) for mode in hist.modes()],
-            "p50": hist.percentile(50),
-            "p99": hist.percentile(99),
-        }
-    for path, counts in sorted(profile.arms.items()):
-        top, fraction = skew(counts)
-        summary["arms"][path] = {
-            "counts": dict(sorted(counts.items())),
-            "top": top,
-            "skew": round(fraction, 4),
-        }
-    fused = profile.fused_fraction
-    if fused is not None:
-        summary["fused_fraction"] = round(fused, 4)
-    for kind, hist in sorted(profile.codec.items()):
-        summary.setdefault("codec", {})[kind] = {
-            "p50_us": round(hist.percentile(50) * 1e6, 1),
-            "p99_us": round(hist.percentile(99) * 1e6, 1),
-        }
-    if profile.exemplars:
-        summary["exemplars"] = documents.write(profile.exemplars)
-    return summary
-
-
-def _profile_text(op, profiles):
-    lines = ["%s:" % op]
-    for profile in profiles:
-        summary = _profile_summary(profile)
-        size = summary["size"]
-        lines.append(
-            "  %-8s calls=%d sampled=%d  bytes p50=%d p99=%d max=%d"
-            % (profile.direction, profile.calls, profile.sampled,
-               size["p50"], size["p99"], size["max"]))
-        for path, channel in summary["channels"].items():
-            modes = ", ".join("%dx%d" % (value, count)
-                              for value, count in channel["modes"])
-            lines.append(
-                "    %-24s %-5s p50=%-6d p99=%-6d modes: %s"
-                % (path, channel["kind"], channel["p50"],
-                   channel["p99"], modes))
-        for path, arm in summary["arms"].items():
-            lines.append(
-                "    %-24s arm   top=%s (%.0f%%)  %s"
-                % (path, arm["top"], 100.0 * arm["skew"],
-                   " ".join("%s:%d" % item
-                            for item in sorted(arm["counts"].items()))))
-        if "fused_fraction" in summary:
-            lines.append("    %-24s %.1f%% of messages fused"
-                         % ("gateway", 100.0 * summary["fused_fraction"]))
-        for exemplar in profile.exemplars[:3]:
-            lines.append(
-                "    slow exemplar: %.3f ms, %d bytes, trace=%s"
-                % (1e3 * exemplar.duration_s, exemplar.bytes,
-                   exemplar.trace_id))
-    return "\n".join(lines)
 
 
 def command_profile(args):
     import json
 
-    from repro.obs.profile import ProfileSnapshot, SNAPSHOT_VERSION
+    from repro.obs.profile import ProfileSnapshot
 
     snapshots = [documents.load(ProfileSnapshot, path, "profile snapshot")
                  for path in args.snapshots]
@@ -1104,132 +729,15 @@ def command_profile(args):
                 % (args.op, ", ".join(names) or "none"))
         names = [args.op]
     if args.json:
-        document = {
-            "version": SNAPSHOT_VERSION,
-            "sample": snapshot.sample,
-            "ops": {},
-        }
-        for op in names:
-            profiles = snapshot.for_op(op)
-            document["ops"][op] = {
-                "directions": {
-                    profile.direction: documents.write(profile)
-                    for profile in profiles
-                },
-                "summary": {
-                    profile.direction: _profile_summary(profile)
-                    for profile in profiles
-                },
-            }
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(json.dumps(snapshot.report_json(names), indent=2,
+                         sort_keys=True))
         return 0
     print("payload-shape profile (1/%d sampling, %d snapshot%s)"
           % (snapshot.sample, len(args.snapshots),
              "" if len(args.snapshots) == 1 else "s"))
-    for op in names:
-        print(_profile_text(op, snapshot.for_op(op)))
+    if names:
+        print(snapshot.report_text(names))
     return 0
-
-
-def _bucket_percentile(buckets, q):
-    """Interpolated percentile from cumulative ``[(le, count)]``."""
-    if not buckets:
-        return 0.0
-    buckets = sorted(buckets)
-    total = buckets[-1][1]
-    if not total:
-        return 0.0
-    rank = max(1, total * q / 100.0)
-    previous = 0.0
-    previous_count = 0
-    for bound, cumulative in buckets:
-        if cumulative >= rank:
-            if bound == float("inf"):
-                return previous
-            span = cumulative - previous_count
-            if not span:
-                return bound
-            return previous + (bound - previous) * (
-                (rank - previous_count) / span)
-        previous, previous_count = bound, cumulative
-    return previous
-
-
-def _top_rows(samples):
-    """Per-op cumulative stats out of one parsed /metrics scrape."""
-    rows = {}
-
-    def row(op):
-        return rows.setdefault(op, {
-            "requests": 0.0, "errors": 0.0, "bytes": 0.0,
-            "buckets": [], "fused": 0.0, "transcoded": 0.0,
-        })
-
-    for labels, value in samples.get(
-            "flick_server_requests_total", {}).items():
-        labeldict = dict(labels)
-        row(labeldict.get("op", "?"))["requests"] += value
-    for labels, value in samples.get(
-            "flick_server_errors_total", {}).items():
-        labeldict = dict(labels)
-        row(labeldict.get("op", "?"))["errors"] += value
-    for labels, value in samples.get(
-            "flick_server_latency_seconds_bucket", {}).items():
-        labeldict = dict(labels)
-        bound = labeldict.get("le", "+Inf")
-        bound = float("inf") if bound == "+Inf" else float(bound)
-        row(labeldict.get("op", "?"))["buckets"].append((bound, value))
-    sample_rate = 1.0
-    for _labels, value in samples.get(
-            "flick_profile_sample_rate", {}).items():
-        sample_rate = value or 1.0
-    for labels, value in samples.get(
-            "flick_profile_message_bytes_sum", {}).items():
-        labeldict = dict(labels)
-        # Sampled byte totals scale back up by the sampling rate.
-        row(labeldict.get("op", "?"))["bytes"] += value * sample_rate
-    for labels, value in samples.get(
-            "flick_profile_transcode_total", {}).items():
-        labeldict = dict(labels)
-        entry = row(labeldict.get("op", "?"))
-        entry["transcoded"] += value
-        if labeldict.get("path") == "fused":
-            entry["fused"] += value
-    return rows
-
-
-def _top_table(rows, previous=None, interval=None):
-    header = ("%-20s %10s %8s %9s %9s %10s %7s"
-              % ("op", "requests" if previous is None else "req/s",
-                 "errors", "p50 ms", "p99 ms",
-                 "bytes" if previous is None else "bytes/s", "fused"))
-    lines = [header, "-" * len(header)]
-    ranked = sorted(rows.items(),
-                    key=lambda item: -item[1]["requests"])
-    for op, stats in ranked:
-        requests = stats["requests"]
-        nbytes = stats["bytes"]
-        if previous is not None:
-            before = previous.get(op, {"requests": 0.0, "bytes": 0.0})
-            requests = (requests - before["requests"]) / interval
-            nbytes = (nbytes - before["bytes"]) / interval
-        fused = ("%.0f%%" % (100.0 * stats["fused"] / stats["transcoded"])
-                 if stats["transcoded"] else "-")
-        lines.append(
-            "%-20s %10.1f %8d %9.2f %9.2f %10s %7s"
-            % (op, requests, stats["errors"],
-               1e3 * _bucket_percentile(stats["buckets"], 50),
-               1e3 * _bucket_percentile(stats["buckets"], 99),
-               _human_bytes(nbytes), fused))
-    return "\n".join(lines)
-
-
-def _human_bytes(n):
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(n) < 1024.0:
-            return "%.1f%s" % (n, unit)
-        n /= 1024.0
-    return "%.1fTiB" % n
 
 
 def command_top(args):
@@ -1237,7 +745,7 @@ def command_top(args):
     import urllib.error
     import urllib.request
 
-    from repro.obs.metrics import parse_prometheus
+    from repro.obs.metrics import parse_prometheus, top_rows, top_table
 
     host, _sep, port = args.target.rpartition(":")
     if not host or not port.isdigit():
@@ -1253,7 +761,7 @@ def command_top(args):
             raise FlickError("cannot scrape %s: %s" % (url, error)) \
                 from None
         try:
-            return _top_rows(parse_prometheus(text))
+            return top_rows(parse_prometheus(text))
         except ValueError as error:
             raise FlickError("bad exposition from %s: %s" % (url, error)) \
                 from None
@@ -1261,7 +769,7 @@ def command_top(args):
     if args.once:
         rows = scrape()
         print("flick top %s (cumulative totals)" % args.target)
-        print(_top_table(rows))
+        print(top_table(rows))
         return 0
     previous = scrape()
     try:
@@ -1271,7 +779,7 @@ def command_top(args):
             sys.stdout.write("\x1b[2J\x1b[H")
             print("flick top %s  every %.1fs  (ctrl-c to quit)"
                   % (args.target, args.interval))
-            print(_top_table(rows, previous, args.interval))
+            print(top_table(rows, previous, args.interval))
             sys.stdout.flush()
             previous = rows
     except KeyboardInterrupt:
@@ -1296,34 +804,13 @@ def command_list(_args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "compile":
-            return command_compile(args)
-        if args.command == "ir":
-            return command_ir(args)
-        if args.command == "inspect":
-            return command_inspect(args)
-        if args.command in ("serve", "gateway"):
-            return command_service(args)
-        if args.command == "diff":
-            return command_diff(args)
-        if args.command == "lint":
-            return command_lint(args)
-        if args.command == "bridge":
-            return command_bridge(args)
-        if args.command == "profile":
-            return command_profile(args)
-        if args.command == "top":
-            return command_top(args)
-        if args.command == "list":
-            return command_list(args)
+        return args.run(args)
     except (FlickError, OSError) as error:
         print("flick: error: %s" % error, file=sys.stderr)
         # diff/lint/bridge reserve 1 and 2 for verdicts; 3 = did not run.
         return 3 if args.command in ("diff", "lint", "bridge") else 1
-    return 0
 
 
 if __name__ == "__main__":

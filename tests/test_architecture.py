@@ -363,6 +363,27 @@ def one_per_datum_walker(tree):
         *SEARCHED, python_only=False) if not hit.startswith(THIS + ":")])
 
 
+def one_description_per_setting(tree):
+    """A serving setting is described once, by its ServiceConfig field
+    (help, spelling, type, default): cli.py constructs no ServiceConfig
+    and spells none of the flags the record's fields describe, and the
+    option groups several verbs share are declared once, as parent
+    parsers — ``--interface`` among them."""
+    import dataclasses
+
+    from repro.runtime.service import ServiceConfig
+
+    cli = "src/repro/tools/cli.py"
+    _no(tree.grep(r"ServiceConfig\(", cli))
+    spellings = [f.metadata["flag"][0] or "--" + f.name.replace("_", "-")
+                 for f in dataclasses.fields(ServiceConfig)
+                 if "flag" in f.metadata]
+    _no(tree.grep(r"[\"'](%s)[\"']" % "|".join(spellings), cli))
+    declared = re.findall(r"add_argument\(\s*[\"']--interface[\"']",
+                          tree.files[cli])
+    assert len(declared) == 1, declared
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -482,6 +503,14 @@ PINS = {
          "def _serve(core, record, buffer, write):"),
         ("src/repro/runtime/server.py",
          "        ticket = core.begin(request)"),
+    ],
+    one_description_per_setting: [
+        ("src/repro/tools/cli.py",
+         "    return ServiceConfig(kind='serve', port=args.port)"),
+        ("src/repro/tools/cli.py",
+         "    flags.add_argument('--max-concurrency', type=int, default=64)"),
+        ("src/repro/tools/cli.py",
+         "    ir_parser.add_argument(\"--interface\", default=None)"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

@@ -1,10 +1,40 @@
 """Tests for the flick command-line interface."""
 
+import json
 import os
 
 import pytest
 
+from repro.obs.metrics import parse_prometheus, top_rows, top_table
 from repro.tools.cli import main
+
+from tests import cli_argv
+
+with open(cli_argv.GOLDEN) as _handle:
+    GOLDEN = json.load(_handle)
+
+#: The one change a pinned namespace may show: compile, ir, inspect and
+#: serve put ``--frontend`` where diff, lint, bridge and gateway put
+#: ``--lang``.
+DEST_RENAMES = {"frontend": "lang"}
+
+
+class TestDocumentedLines:
+    """Every ``flick`` line of the docs, CI and examples parses to the
+    ServiceConfig or namespace pinned before the serving flags came from
+    the record's fields; every verb lists the same options."""
+
+    @pytest.mark.parametrize("line", sorted(GOLDEN["lines"]))
+    def test_line_parses_as_pinned(self, line):
+        expected = GOLDEN["lines"][line]
+        if "namespace" in expected:
+            expected = {"namespace": {
+                DEST_RENAMES.get(dest, dest): value
+                for dest, value in expected["namespace"].items()}}
+        assert cli_argv.parsed(line) == expected
+
+    def test_every_verb_lists_the_pinned_options(self):
+        assert cli_argv.option_strings() == GOLDEN["help"]
 
 MAIL = "interface Mail { void send(in string msg); };\n"
 ONC = "program P { version V { int f(int) = 1; } = 1; } = 9;\n"
@@ -68,6 +98,20 @@ class TestCompile:
         ) == 0
         text = open(os.path.join(outdir, "mail_iiop.py")).read()
         assert "_HANDLERS" not in text
+
+    @pytest.mark.parametrize("argv, accepted", [
+        (["--disable", "chunk_atoms,bogus"], "hash_demux"),
+        (["--disable-pass", "bogus"], "dedup_out_of_line"),
+    ])
+    def test_unknown_optimization_name_is_one_error_line(
+            self, tmp_path, outdir, capsys, argv, accepted):
+        """The parent ended ``--disable bogus`` in a TypeError from
+        ``OptFlags.__init__``."""
+        source = write(tmp_path, "mail.idl", MAIL)
+        assert main(["compile", source, "-o", outdir] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("flick: error: unknown ") and "'bogus'" in err
+        assert accepted in err and err.count("\n") == 1
 
     def test_timing_flag(self, tmp_path, outdir, capsys):
         source = write(tmp_path, "mail.idl", MAIL)
@@ -165,6 +209,39 @@ class TestBaselineAndInspect:
         assert main(["inspect", source]) == 0
         out = capsys.readouterr().out
         assert "interface s" in out
+
+
+EXPOSITION = """\
+# TYPE flick_server_requests_total counter
+flick_server_requests_total{op="list"} 10
+flick_server_requests_total{op="put"} 2
+flick_server_errors_total{op="list"} 1
+flick_profile_sample_rate 4
+flick_profile_message_bytes_sum{direction="request",op="list"} 100
+flick_profile_message_bytes_sum{direction="reply",op="list"} 156
+flick_profile_transcode_total{direction="request",op="list",path="fused"} 3
+flick_profile_transcode_total{direction="request",op="list",path="re-encode"} 1
+flick_server_latency_seconds_bucket{le="0.001",op="list"} 4
+flick_server_latency_seconds_bucket{le="0.003",op="list"} 10
+flick_server_latency_seconds_bucket{le="+Inf",op="list"} 10
+"""
+
+
+class TestTop:
+    """``flick top``'s rows from a canned scrape, no server."""
+
+    def test_one_row(self):
+        rows = top_rows(parse_prometheus(EXPOSITION))
+        row = rows["list"]
+        assert (row["requests"], row["errors"]) == (10, 1)
+        assert row["bytes"] == (100 + 156) * 4  # 1/4 sampling
+        assert (row["fused"], row["transcoded"]) == (3, 4)
+        # rank 5 of 10 is the first of the six in (1 ms, 3 ms].
+        assert row["latency"].percentile(50) == pytest.approx(0.001 + 0.002 / 6)
+        assert rows["put"]["latency"].percentile(99) == 0.0
+        line = top_table(rows).splitlines()[2]
+        assert line.split() == ["list", "10.0", "1", "1.33", "3.00",
+                                "1.0KiB", "75%"]
 
 
 class TestList:

@@ -58,6 +58,10 @@ _FIELDS = {
                     "corrupt", "reset")},
     (FaultPlan, "delay_s"): st.floats(0.0, 10.0),
     (FaultPlan, "corrupt_bits"): st.integers(1, 64),
+    (ServiceConfig, "port"): st.integers(0, 65535),
+    (ServiceConfig, "metrics_port"): st.none() | st.integers(0, 65535),
+    (ServiceConfig, "upstream_port"): st.none() | st.integers(0, 65535),
+    (ServiceConfig, "max_concurrency"): st.integers(1, 1000),
 }
 
 

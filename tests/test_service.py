@@ -28,7 +28,7 @@ from repro.obs.http import MetricsHttpServer, routes_of
 from repro.runtime.framing import encode_record
 from repro.runtime.service import ServiceConfig, build
 from repro.runtime.supervisor import Supervisor
-from repro.tools.cli import _service_config, build_parser, main
+from repro.tools.cli import build_parser, main, service_config
 
 from tests.rawsock import recv_record
 
@@ -224,6 +224,63 @@ class TestValidate:
         assert "%s is per-process" % flag in capsys.readouterr().err
 
 
+class TestRanges:
+    """A port outside 0-65535 and a zero concurrency cap are refused by
+    the record, so argv and a worker's JSON get the same one line.  The
+    parent ended each port case in an ``OverflowError: bind(): port
+    must be 0-65535`` traceback and served ``--max-concurrency 0``
+    without ever answering."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--port", "99999"], "--port must be in 0-65535, not 99999"),
+        (["--port", "-5"], "--port must be in 0-65535, not -5"),
+        (["--metrics-port", "70000"],
+         "--metrics-port must be in 0-65535, not 70000"),
+        (["--workers", "1", "--port", "70000"],
+         "--port must be in 0-65535, not 70000"),
+        (["--aio", "--max-concurrency", "0"],
+         "--max-concurrency must be at least 1, not 0"),
+    ])
+    def test_serve_refuses_with_one_line(self, calc, argv, message, capsys):
+        assert main(["serve", calc.idl_path, "--impl", calc.impl,
+                     "--duration", "1"] + argv) == 1
+        assert capsys.readouterr().err == \
+            "flick: error: serve: %s\n" % message
+
+    @pytest.mark.parametrize("endpoints, message", [
+        (["--listen", "iiop:127.0.0.1:99999", "--upstream", "onc:h:1"],
+         "--listen port must be in 0-65535, not 99999"),
+        (["--listen", "iiop:127.0.0.1:0", "--upstream", "onc:h:65536"],
+         "--upstream port must be in 0-65535, not 65536"),
+    ])
+    def test_gateway_refuses_with_one_line(self, calc, endpoints, message,
+                                           capsys):
+        assert main(["gateway", calc.idl_path, "--duration", "1"]
+                    + endpoints) == 1
+        assert capsys.readouterr().err == \
+            "flick: error: gateway: %s\n" % message
+
+    @pytest.mark.parametrize("document, message", [
+        ({"port": 70000}, "--port must be in 0-65535, not 70000"),
+        ({"metrics_port": -1}, "--metrics-port must be in 0-65535, not -1"),
+        ({"kind": "gateway", "upstream_port": 65536},
+         "--upstream port must be in 0-65535, not 65536"),
+        ({"max_concurrency": 0},
+         "--max-concurrency must be at least 1, not 0"),
+    ])
+    def test_a_worker_config_is_refused_the_same_way(self, document,
+                                                     message):
+        with pytest.raises(FlickError) as refusal:
+            _read(document)
+        assert str(refusal.value) == "service config: " + message
+
+    def test_the_aio_server_refuses_a_zero_cap_itself(self):
+        from repro.runtime.aio import AioTcpServer
+
+        with pytest.raises(ValueError, match="max_concurrency"):
+            AioTcpServer(lambda *args: None, None, max_concurrency=0)
+
+
 # ----------------------------------------------------------------------
 # Flags -> record
 # ----------------------------------------------------------------------
@@ -260,7 +317,7 @@ class TestSharedFlags:
         fields of the record move: every field moves for exactly one
         flag, or is supervisor-filled, or has no flag by design."""
         parser = build_parser()
-        base = _service_config(parser.parse_args([verb] + required))
+        base = service_config(parser.parse_args([verb] + required))
         samples = {
             int: "7", float: "7.5", None: "other",
         }
@@ -275,7 +332,7 @@ class TestSharedFlags:
                                if choice != action.default][0]]
             else:
                 argv = [flag, samples[action.type]]
-            config = _service_config(
+            config = service_config(
                 parser.parse_args([verb] + required + argv))
             for name in documents.write(base):
                 if getattr(config, name) != getattr(base, name):
@@ -284,7 +341,7 @@ class TestSharedFlags:
         other = {"serve": ["y.idl", "--impl", "n:D"],
                  "gateway": ["y.idl", "--listen", "onc:0.0.0.0:9",
                              "--upstream", "iiop:10.0.0.7:111"]}[verb]
-        config = _service_config(parser.parse_args([verb] + other))
+        config = service_config(parser.parse_args([verb] + other))
         for name in documents.write(base):
             if getattr(config, name) != getattr(base, name):
                 moved_by.setdefault(name, []).append("required")
