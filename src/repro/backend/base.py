@@ -27,6 +27,7 @@ import hashlib
 import re
 from dataclasses import InitVar, dataclass, field
 from functools import partial
+from struct import pack_into
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro import envelopes
@@ -58,6 +59,23 @@ class HeaderSpec:
     template: bytes
     patches: Tuple[Tuple[int, str, str], ...] = ()
     size_patch: Optional[Tuple[int, str, int]] = None
+
+    def write(self, buffer, ctx):
+        """Append the template with *ctx* patched in; returns its offset
+        in *buffer*, for :meth:`finish`."""
+        offset = buffer.reserve(len(self.template))
+        buffer.data[offset:offset + len(self.template)] = self.template
+        for patch_offset, patch_format, _expr in self.patches:
+            pack_into(patch_format, buffer.data, offset + patch_offset, ctx)
+        return offset
+
+    def finish(self, buffer, offset):
+        """Patch the size of the message whose header :meth:`write`
+        put at *offset*, once its body is in *buffer*."""
+        if self.size_patch is not None:
+            size_offset, size_format, delta = self.size_patch
+            pack_into(size_format, buffer.data, offset + size_offset,
+                      buffer.length - delta)
 
 
 class Section(NamedTuple):
@@ -273,11 +291,14 @@ class OptimizingBackEnd:
         """Emit ``def encode_error_reply(d, error, b):``.
 
         The function inspects the failed request *d* and the exception
-        *error* raised by ``dispatch`` and marshals the protocol's error
-        reply into *b*, returning True; it returns False when no reply
-        can or should be sent (unparseable header, oneway request) — the
-        server then closes or drops instead.  Protocols without a wire
-        error format inherit this always-False default.
+        *error* raised by ``dispatch`` and appends the protocol's error
+        reply to *b* — the id from the request walk, the reply from
+        :func:`repro.envelopes.write_error` as
+        :func:`repro.envelopes.refusal` classifies *error* — returning
+        True; it returns False when no reply can or should be sent
+        (unparseable header, oneway request) — the server then closes
+        or drops instead.  Protocols without a wire error format inherit
+        this always-False default.
         """
         w.line("def encode_error_reply(d, error, b):")
         w.indent()

@@ -25,7 +25,6 @@ from repro.encoding import CDR_BE, CDR_LE
 
 GIOP_REQUEST = 0
 GIOP_REPLY = 1
-GIOP_MESSAGE_ERROR = 6
 
 
 def _pad4(length):
@@ -132,85 +131,26 @@ class IiopBackEnd(OptimizingBackEnd):
 
     def emit_error_reply(self, w, presc):
         endian = self.wire_format.endian
-        w.line("_H_MSGERR = %r" % self._giop_header(GIOP_MESSAGE_ERROR))
-        w.line("_H_ERRREP = %r" % self._giop_header(GIOP_REPLY))
-        w.blank()
-        w.line("def encode_error_reply(d, error, b):")
-        w.indent()
-        w.line('"""GIOP error reply for a request dispatch refused.')
-        w.line('')
-        w.line('A parseable two-way Request gets a system-exception')
-        w.line('Reply (CORBA::MARSHAL / BAD_OPERATION / TRANSIENT /')
-        w.line('UNKNOWN); anything else that still looks like GIOP-bound')
-        w.line('traffic gets a MessageError.  Returns False only for')
-        w.line('oneway requests (no reply may be sent)."""')
-        w.line("_rid = None")
-        w.line("_two = True")
-        with w.block("try:"):
-            w.paste(envelopes.render("giop", "request", endian,
-                                     wants=("two",), upto="id"))
-            w.line("_rid = _ctx")
-        with w.block("except _HDR_ERRORS:"):
-            w.line("pass")
-        w.line("if _rid is None:")
-        w.indent()
-        w.line("# Header unusable: answer with GIOP MessageError.")
-        w.line("_o0 = b.reserve(12)")
-        w.line("b.data[_o0:_o0 + 12] = _H_MSGERR")
-        w.line("return True")
-        w.dedent()
-        w.line("if not _two:")
-        w.indent()
-        w.line("return False")
-        w.dedent()
-        w.line("if isinstance(error, OverloadError):")
-        w.indent()
-        w.line("_id = b'IDL:omg.org/CORBA/TRANSIENT:1.0\\x00'")
-        w.line("_cmp = 1  # COMPLETED_NO")
-        w.dedent()
-        w.line("elif getattr(error, 'code', None) == 'bad_operation':")
-        w.indent()
-        w.line("_id = b'IDL:omg.org/CORBA/BAD_OPERATION:1.0\\x00'")
-        w.line("_cmp = 1")
-        w.dedent()
-        w.line("elif getattr(error, 'code', None) == 'object_not_exist':")
-        w.indent()
-        w.line("_id = b'IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0\\x00'")
-        w.line("_cmp = 1")
-        w.dedent()
-        w.line("elif getattr(error, 'code', None) == 'no_permission':")
-        w.indent()
-        w.line("_id = b'IDL:omg.org/CORBA/NO_PERMISSION:1.0\\x00'")
-        w.line("_cmp = 1")
-        w.dedent()
-        w.line("elif isinstance(error, (WireFormatError, UnmarshalError,"
-               " DispatchError)):")
-        w.indent()
-        w.line("_id = b'IDL:omg.org/CORBA/MARSHAL:1.0\\x00'")
-        w.line("_cmp = 1")
-        w.dedent()
-        w.line("else:")
-        w.indent()
-        w.line("_id = b'IDL:omg.org/CORBA/UNKNOWN:1.0\\x00'")
-        w.line("_cmp = 2  # COMPLETED_MAYBE")
-        w.dedent()
-        w.line("_o0 = b.reserve(24)")
-        w.line("b.data[_o0:_o0 + 12] = _H_ERRREP")
-        w.line("_pack_into('%sIII', b.data, _o0 + 12, 0, _rid, %d)"
-               % (endian, envelopes.SYSTEM_EXCEPTION_STATUS))
-        w.line("_n = len(_id)")
-        w.line("_p = -_n % 4")
-        w.line("_o1 = b.reserve(4 + _n + _p + 8)")
-        w.line("_pack_into('%sI', b.data, _o1, _n)" % endian)
-        w.line("b.data[_o1 + 4:_o1 + 4 + _n] = _id")
-        w.line("if _p:")
-        w.indent()
-        w.line("b.data[_o1 + 4 + _n:_o1 + 4 + _n + _p] = _Z[:_p]")
-        w.dedent()
-        w.line("_pack_into('%sII', b.data, _o1 + 4 + _n + _p, 0, _cmp)"
-               % endian)
-        w.line("_pack_into('%sI', b.data, _o0 + 8, b.length - 12)"
-               % endian)
-        w.line("return True")
-        w.dedent()
+        with w.block("def encode_error_reply(d, error, b):"):
+            w.line('"""GIOP error reply for a request dispatch refused.')
+            w.line('')
+            w.line('A parseable two-way Request gets a system-exception')
+            w.line('Reply (CORBA::MARSHAL / BAD_OPERATION / TRANSIENT /')
+            w.line('UNKNOWN); anything else that still looks like GIOP-bound')
+            w.line('traffic gets a MessageError.  Returns False only for')
+            w.line('oneway requests (no reply may be sent)."""')
+            w.line("_rid = None")
+            w.line("_two = True")
+            with w.block("try:"):
+                w.paste(envelopes.render("giop", "request", endian,
+                                         wants=("two",), upto="id"))
+                w.line("_rid = _ctx")
+            with w.block("except _HDR_ERRORS:"):
+                w.line("pass")
+            with w.block("if not _two:"):
+                w.line("return False")
+            w.line("from repro.envelopes import refusal, write_error")
+            w.line("write_error(b, 'giop', _rid, *refusal(error, 'giop'),"
+                   " e=%r)" % endian)
+            w.line("return True")
         w.blank()

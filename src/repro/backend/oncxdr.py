@@ -87,55 +87,21 @@ class OncXdrBackEnd(OptimizingBackEnd):
     unknown_op_code = "proc_unavail"
 
     def emit_error_reply(self, w, presc):
-        program, version = interface_program(presc)
-        w.line("def encode_error_reply(d, error, b):")
-        w.indent()
-        w.line('"""RFC 1831 error reply for a request dispatch refused.')
-        w.line('')
-        w.line('Returns True when b holds a reply to send, False when')
-        w.line('the request cannot be answered (not a call, or too')
-        w.line('short to carry an xid)."""')
-        w.line("_code = getattr(error, 'code', None)")
-        with w.block("try:"):
-            w.paste(envelopes.render("oncrpc", "request", ">", upto="id"))
-        with w.block("except _HDR_ERRORS:"):
-            w.line("return False")
-        w.line("if _code == 'rpc_mismatch':")
-        w.indent()
-        w.line("# MSG_DENIED / RPC_MISMATCH with supported versions.")
-        w.line("_o0 = b.reserve(24)")
-        w.line("_pack_into('>IIIIII', b.data, _o0,"
-               " _ctx, 1, 1, 0, %d, %d)" % (RPC_VERSION, RPC_VERSION))
-        w.line("return True")
-        w.dedent()
-        w.line("if _code == 'prog_mismatch':")
-        w.indent()
-        w.line("# MSG_ACCEPTED / PROG_MISMATCH with supported versions.")
-        w.line("_o0 = b.reserve(32)")
-        w.line("_pack_into('>IIIIIIII', b.data, _o0,"
-               " _ctx, 1, 0, 0, 0, 2, %d, %d)" % (version, version))
-        w.line("return True")
-        w.dedent()
-        w.line("if _code == 'prog_unavail':")
-        w.indent()
-        w.line("_stat = 1")
-        w.dedent()
-        w.line("elif _code == 'proc_unavail':")
-        w.indent()
-        w.line("_stat = 3")
-        w.dedent()
-        w.line("elif isinstance(error, (WireFormatError, UnmarshalError,"
-               " DispatchError)):")
-        w.indent()
-        w.line("_stat = 4  # GARBAGE_ARGS")
-        w.dedent()
-        w.line("else:")
-        w.indent()
-        w.line("_stat = 5  # SYSTEM_ERR (includes overload shedding)")
-        w.dedent()
-        w.line("_o0 = b.reserve(24)")
-        w.line("_pack_into('>IIIIII', b.data, _o0,"
-               " _ctx, 1, 0, 0, 0, _stat)")
-        w.line("return True")
-        w.dedent()
+        version = interface_program(presc)[1]
+        with w.block("def encode_error_reply(d, error, b):"):
+            w.line('"""RFC 1831 error reply for a request dispatch refused.')
+            w.line('')
+            w.line('Returns True when b holds a reply to send, False when')
+            w.line('the request cannot be answered (not a call, or too')
+            w.line('short to carry an xid)."""')
+            with w.block("try:"):
+                w.paste(envelopes.render("oncrpc", "request", ">",
+                                         upto="id"))
+            with w.block("except _HDR_ERRORS:"):
+                w.line("return False")
+            w.line("from repro.envelopes import refusal, write_error")
+            w.line("write_error(b, 'oncrpc', _ctx,"
+                   " *refusal(error, 'oncrpc'), versions=(%d, %d))"
+                   % (version, version))
+            w.line("return True")
         w.blank()

@@ -18,7 +18,6 @@ GIOP/CDR, so the benchmark harness drives it uniformly.
 
 from __future__ import annotations
 
-import struct
 import types
 
 from repro import envelopes
@@ -183,21 +182,11 @@ def _install_operation(module, compiler, presc, stub, codec, endian,
     operation_key = stub.operation_name.encode("latin-1")
 
     def marshal_request(buffer, ctx, *args):
-        offset = buffer.reserve(len(header.template))
-        buffer.data[offset : offset + len(header.template)] = header.template
-        for patch_offset, fmt_text, _expr in header.patches:
-            struct.pack_into(
-                fmt_text, buffer.data, offset + patch_offset, ctx
-            )
+        offset = header.write(buffer, ctx)
         # Interpretive walk, one call per datum.
         for parameter, argument in zip(request_pres.fields, args):
             codec._encode(parameter.pres, _ilu_call_layer(argument), buffer)
-        if header.size_patch is not None:
-            patch_offset, fmt_text, delta = header.size_patch
-            struct.pack_into(
-                fmt_text, buffer.data, offset + patch_offset,
-                buffer.length - delta,
-            )
+        header.finish(buffer, offset)
 
     def unmarshal_request(data, offset):
         cursor = ReadCursor(data, offset)
@@ -224,25 +213,13 @@ def _install_operation(module, compiler, presc, stub, codec, endian,
     exception_arms = reply_pres.arms[1:]
 
     def marshal_reply(buffer, ctx, disc, payload_fields):
-        offset = buffer.reserve(len(reply_header.template))
-        buffer.data[offset : offset + len(reply_header.template)] = (
-            reply_header.template
-        )
-        for patch_offset, fmt_text, _expr in reply_header.patches:
-            struct.pack_into(
-                fmt_text, buffer.data, offset + patch_offset, ctx
-            )
+        offset = reply_header.write(buffer, ctx)
         codec.format.pack_atom(
             buffer, reply_pres.mint.discriminator, disc
         )
         arm = reply_pres.arm_for(disc)
         codec._encode(arm.pres, payload_fields, buffer)
-        if reply_header.size_patch is not None:
-            patch_offset, fmt_text, delta = reply_header.size_patch
-            struct.pack_into(
-                fmt_text, buffer.data, offset + patch_offset,
-                buffer.length - delta,
-            )
+        reply_header.finish(buffer, offset)
 
     result_names = [f.name for f in success_arm.pres.fields]
 

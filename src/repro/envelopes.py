@@ -48,8 +48,10 @@ import struct
 
 from repro.errors import (
     DispatchError,
+    OverloadError,
     RemoteCallError,
     TransportError,
+    UnmarshalError,
     WireFormatError,
 )
 
@@ -319,6 +321,96 @@ WALKS = {
     ("mach3", "request"): _mach3_request, ("mach3", "reply"): _mach3_reply,
     ("fluke", "request"): _fluke_request, ("fluke", "reply"): _fluke_reply,
 }
+
+
+# ----------------------------------------------------------------------
+# The error replies the ``remote`` steps read
+# ----------------------------------------------------------------------
+
+#: reject_stat AUTH_ERROR carries an auth_stat; AUTH_FAILED is the
+#: catch-all RFC 1831 provides for "rejected for unspecified reasons".
+AUTH_FAILED = 7
+
+#: The accept_stat of every accepted ONC error reply, by name.
+_ERROR_STATS = {name: stat for stat, name in ACCEPT_STAT_NAMES.items()
+                if stat}
+#: The rejected ONC replies: reject_stat, then RPC_MISMATCH's version
+#: range (this end speaks RPC version 2 only) or AUTH_ERROR's auth_stat.
+_DENIALS = {"RPC_MISMATCH": (0, 2, 2), "AUTH_ERROR": (1, AUTH_FAILED)}
+
+
+def write_error(buffer, protocol, ctx, code, minor=0, completed=1, *,
+                versions=(2, 2), e=">"):
+    """Append the error reply that the reply walk of *protocol* reads
+    back as ``RemoteCallError(code=code, minor=minor,
+    completed=completed)``.
+
+    *ctx* is the id answered (ONC xid, GIOP request id).  ONC RPC: the
+    denied ``RPC_MISMATCH`` and ``AUTH_ERROR`` and each accepted error
+    ``accept_stat`` by name, *versions* the ``PROG_MISMATCH`` range; a
+    code RFC 1831 does not name goes out as ``SYSTEM_ERR``, and *minor*
+    and *completed* are not on that wire.  GIOP: a system-exception
+    Reply in byte order *e* for any repository id, or a
+    ``GIOP::MessageError`` when there is no request id to answer
+    (*ctx* None).  The generated ``encode_error_reply`` and the
+    gateway's error mapping both write through here.
+    """
+    if protocol == "oncrpc":
+        if code in _DENIALS:
+            words = (1, 1) + _DENIALS[code]
+        else:
+            stat = _ERROR_STATS.get(code, 5)  # SYSTEM_ERR
+            words = (1, 0, 0, 0, stat) + (tuple(versions) if stat == 2
+                                          else ())
+        message = struct.pack(">%dI" % (1 + len(words)), ctx, *words)
+    elif ctx is None:
+        message = b"GIOP" + bytes((1, 0, e == "<", 6)) + bytes(4)
+    else:
+        exc_id = code.encode("latin-1") + b"\0"
+        body = struct.pack(e + "IIII", 0, ctx, SYSTEM_EXCEPTION_STATUS,
+                           len(exc_id)) + exc_id \
+            + bytes(-len(exc_id) % 4) + struct.pack(e + "II", minor,
+                                                    completed)
+        message = b"GIOP" + bytes((1, 0, e == "<", 1)) \
+            + struct.pack(e + "I", len(body)) + body
+    offset = buffer.reserve(len(message))
+    buffer.data[offset:offset + len(message)] = message
+
+
+_CORBA = "IDL:omg.org/CORBA/%s:1.0"
+
+#: How a server answers a request it refused, per protocol: the
+#: :func:`write_error` arguments after *ctx* of the first row whose
+#: DispatchError code (the walks above raise most of them) is the
+#: error's, or whose exception classes the error is an instance of.
+REFUSALS = {
+    "oncrpc": (
+        ("rpc_mismatch", ("RPC_MISMATCH",)),
+        ("prog_mismatch", ("PROG_MISMATCH",)),
+        ("prog_unavail", ("PROG_UNAVAIL",)),
+        ("proc_unavail", ("PROC_UNAVAIL",)),
+        ((UnmarshalError, DispatchError), ("GARBAGE_ARGS",)),
+        (BaseException, ("SYSTEM_ERR",)),  # overload shedding included
+    ),
+    "giop": (
+        (OverloadError, (_CORBA % "TRANSIENT",)),
+        ("bad_operation", (_CORBA % "BAD_OPERATION",)),
+        ("object_not_exist", (_CORBA % "OBJECT_NOT_EXIST",)),
+        ("no_permission", (_CORBA % "NO_PERMISSION",)),
+        ((UnmarshalError, DispatchError), (_CORBA % "MARSHAL",)),
+        (BaseException, (_CORBA % "UNKNOWN", 0, 2)),  # COMPLETED_MAYBE
+    ),
+}
+
+
+def refusal(error, protocol):
+    """The :func:`write_error` arguments after *ctx* that answer a
+    request of *protocol* refused with *error* (:data:`REFUSALS`)."""
+    code = getattr(error, "code", None)
+    for match, arguments in REFUSALS[protocol]:
+        if match == code if isinstance(match, str) \
+                else isinstance(error, match):
+            return arguments
 
 
 # ----------------------------------------------------------------------

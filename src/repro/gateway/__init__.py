@@ -11,7 +11,10 @@ The pieces (see ``docs/INTERNALS.md`` section 11):
   the compat subsystem's transcoded MINT walks (``flick bridge``);
 * :mod:`repro.gateway.envelope` — hardened ingress envelope parsing;
 * :mod:`repro.gateway.errmap` — the total GIOP system exception <->
-  ONC RPC status mapping;
+  ONC RPC status mapping (the bytes are
+  :func:`repro.envelopes.write_error`'s);
+* :mod:`repro.gateway.fraction` — ``flick bridge``'s fused-path
+  prediction, read off the plan;
 * :mod:`repro.gateway.proxy` — the asyncio proxy server
   (``flick gateway``).
 """

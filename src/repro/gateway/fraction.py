@@ -7,11 +7,11 @@ of its bytes could copy plans cover?
 
 Two numbers per channel, deliberately distinct:
 
-* ``fused`` — whether the whole channel compiles to a copy plan
-  (:func:`repro.gateway.plan.fuse_channel` succeeds).  This is exactly
-  the path the proxy will take, so it matches the dynamic
-  ``flick_profile_transcode_total`` ratio the payload-shape profiler
-  records — the cross-check the tests run.
+* ``fused`` — whether the :class:`~repro.gateway.plan.BridgePlan`
+  that ``flick gateway`` serves holds copy segments for the whole
+  channel.  This is exactly the path the proxy will take, so it matches
+  the dynamic ``flick_profile_transcode_total`` ratio the payload-shape
+  profiler records — the cross-check the tests run.
 * ``byte_fraction`` — bytes coverable by per-item copy segments over
   total channel bytes.  Fusion today is all-or-nothing per channel, so
   this is the headroom number: an op at ``fused=False,
@@ -19,23 +19,23 @@ Two numbers per channel, deliberately distinct:
   would rescue (copy the long array, re-encode the one string next to
   it).
 
-Byte estimates come from :func:`repro.mint.analysis.analyze_storage` on
-each item's MINT under the ingress wire format — the bounded maximum
-when there is one, the fixed minimum otherwise (unbounded sequences
-contribute their headers; their payload scales both numerator and
-denominator identically when fusible, so the fraction stays honest).
+A prediction exists for exactly the plan's operations.  Only the byte
+accounting is computed here, item by item over the naive channels the
+plan paired (the modules' ``_flick_shapes``).  Byte estimates come from
+:func:`repro.mint.analysis.analyze_storage` on each item's MINT under
+the ingress wire format — the bounded maximum when there is one, the
+fixed minimum otherwise (unbounded sequences contribute their headers;
+their payload scales both numerator and denominator identically when
+fusible, so the fraction stays honest).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
-from repro.backend import make_backend
 from repro.mint.analysis import analyze_storage
-from repro.mir.build import build_naive
 
-from repro.gateway.plan import _fuse_node, fuse_channel
+from repro.gateway.plan import _fuse_node
 
 __all__ = ["ChannelPrediction", "predict_fused"]
 
@@ -66,96 +66,55 @@ class ChannelPrediction:
 
 def _item_bytes(node, layout, registry):
     """Storage bytes of one channel item under *layout*."""
-    pres = getattr(node, "pres", None)
-    mint = getattr(pres, "mint", None)
+    mint = getattr(getattr(node, "pres", None), "mint", None)
     if mint is None:
         return 0
     info = analyze_storage(mint, layout, registry)
-    if info.max_size is not None:
-        return info.max_size
-    return info.min_size
+    return info.min_size if info.max_size is None else info.max_size
 
 
-def _predict_channel(op, direction, src_channel, dst_channel,
-                     types_src, types_dst, layout, registry):
-    fused = fuse_channel(src_channel, dst_channel,
-                         types_src, types_dst) is not None
-    fusible = 0
-    total = 0
-    if len(src_channel.items) == len(dst_channel.items):
-        pairs = zip(src_channel.items, dst_channel.items)
-        for (_sn, src), (_dn, dst) in pairs:
-            nbytes = _item_bytes(src, layout, registry)
-            total += nbytes
-            segments = []
-            if _fuse_node(src, dst, types_src, types_dst, segments):
-                fusible += nbytes
-    else:
-        for _name, src in src_channel.items:
-            total += _item_bytes(src, layout, registry)
+def _predict_channel(op, direction, fused, src, dst, layout, registry):
+    """*src* and *dst* are ``(channel, types)`` of the two sides."""
+    (src_channel, types_src), (dst_channel, types_dst) = src, dst
+    paired = len(src_channel.items) == len(dst_channel.items)
+    fusible = total = 0
+    for index, (_name, node) in enumerate(src_channel.items):
+        nbytes = _item_bytes(node, layout, registry)
+        total += nbytes
+        if paired and _fuse_node(node, dst_channel.items[index][1],
+                                 types_src, types_dst, []):
+            fusible += nbytes
     fraction = fusible / total if total else (1.0 if fused else 0.0)
     return ChannelPrediction(
-        op=op, direction=direction, fused=fused,
-        byte_fraction=fraction, fusible_bytes=fusible,
-        total_bytes=total,
-    )
+        op=op, direction=direction, fused=fused, byte_fraction=fraction,
+        fusible_bytes=fusible, total_bytes=total)
 
 
-def predict_fused(ingress_result, egress_result):
-    """Per-op fusion predictions for a bridge.
+def predict_fused(plan, ingress_result):
+    """Per-op fusion predictions for the bridge *plan* serves.
 
-    Returns ``{op: {"request": ChannelPrediction,
-    "reply": ChannelPrediction}}`` (reply absent for oneway ops).
-    Mirrors :func:`repro.gateway.plan.build_plan`'s preconditions: when
-    either format is little-endian nothing fuses.
+    *ingress_result* is the compile *plan* was built from on the
+    ingress side (its wire format and MINT registry size the items).
+    Returns ``{op: {"request": ChannelPrediction, "reply":
+    ChannelPrediction}}`` (reply absent for oneway ops).
     """
-    ingress_backend = make_backend(ingress_result.stubs.backend_name)
-    egress_backend = make_backend(egress_result.stubs.backend_name)
-    ingress_presc = ingress_result.presc
-    egress_presc = egress_result.presc
-    fusable_pair = (ingress_backend.wire_format.endian == ">"
-                    and egress_backend.wire_format.endian == ">")
-    naive_in = build_naive(ingress_backend, ingress_presc)
-    naive_eg = build_naive(egress_backend, egress_presc)
-    layout = ingress_backend.wire_format
-    registry = ingress_presc.mint_registry
-    egress_ops = naive_eg.operations
-
-    predictions: Dict[str, Dict[str, ChannelPrediction]] = {}
-    for stub in ingress_presc.stubs:
-        name = stub.operation_name
-        op_eg: Optional[dict] = egress_ops.get(name)
-        if op_eg is None:
-            continue
-        op_in = naive_in.operations[name]
-        if not fusable_pair:
-            # Endianness disagreement: the proxy re-encodes everything.
-            request = _predict_channel(
-                name, "request", op_in["request"], op_in["request"],
-                naive_in.types, naive_in.types, layout, registry)
-            request.fused = False
-            request.byte_fraction = 0.0
-            request.fusible_bytes = 0
-            predictions[name] = {"request": request}
-            if op_in["reply_arms"]:
-                reply = _predict_channel(
-                    name, "reply", op_in["reply_arms"][0][1],
-                    op_in["reply_arms"][0][1], naive_in.types,
-                    naive_in.types, layout, registry)
-                reply.fused = False
-                reply.byte_fraction = 0.0
-                reply.fusible_bytes = 0
-                predictions[name]["reply"] = reply
-            continue
-        predictions[name] = {
-            "request": _predict_channel(
-                name, "request", op_in["request"], op_eg["request"],
-                naive_in.types, naive_eg.types, layout, registry),
-        }
-        if op_in["reply_arms"] and op_eg["reply_arms"]:
+    layout = ingress_result.stubs.backend_instance.wire_format
+    registry = ingress_result.presc.mint_registry
+    ingress = plan.ingress_module._flick_shapes()
+    egress = plan.egress_module._flick_shapes()
+    predictions = {}
+    for op in plan.ops.values():
+        op_in, op_eg = (ingress.operations[op.name],
+                        egress.operations[op.name])
+        predictions[op.name] = {"request": _predict_channel(
+            op.name, "request", op.request_segments is not None,
+            (op_in["request"], ingress.types),
+            (op_eg["request"], egress.types), layout, registry)}
+        if not op.oneway:
             # The reply crosses egress -> ingress; predict that way.
-            predictions[name]["reply"] = _predict_channel(
-                name, "reply", op_eg["reply_arms"][0][1],
-                op_in["reply_arms"][0][1], naive_eg.types,
-                naive_in.types, layout, registry)
+            predictions[op.name]["reply"] = _predict_channel(
+                op.name, "reply", 0 in op.reply_segments,
+                (op_eg["reply_arms"][0][1], egress.types),
+                (op_in["reply_arms"][0][1], ingress.types),
+                layout, registry)
     return predictions

@@ -40,7 +40,6 @@ from repro.backend.oncxdr import interface_program
 from repro.core import codecs
 from repro.errors import WireFormatError
 from repro.mir import ops as m
-from repro.mir.build import build_naive
 
 from repro.gateway.envelope import IngressSpec
 
@@ -359,8 +358,9 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
     fuse = (fuse
             and ingress_backend.wire_format.endian == ">"
             and egress_backend.wire_format.endian == ">")
-    naive_in = build_naive(ingress_backend, ingress_presc)
-    naive_eg = build_naive(egress_backend, egress_presc)
+    # The naive IR each module's profiler and ``predict_fused`` read.
+    naive_in = ingress_module._flick_shapes()
+    naive_eg = egress_module._flick_shapes()
     egress_stubs = {s.operation_name: s for s in egress_presc.stubs}
 
     ops = {}

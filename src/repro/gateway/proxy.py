@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 import time
 
+from repro.envelopes import write_error
 from repro.obs import profile as _profile
 from repro.errors import (
     CircuitOpenError,
@@ -50,22 +51,6 @@ _DECODE_ERRORS = (struct.error, IndexError, ValueError, TypeError,
                   OverflowError, UnicodeError)
 
 
-def _write_header(buffer, header, ctx):
-    template = header.template
-    offset = buffer.reserve(len(template))
-    buffer.data[offset:offset + len(template)] = template
-    for patch_offset, patch_format, _expr in header.patches:
-        _pack_into(patch_format, buffer.data, offset + patch_offset, ctx)
-    return offset
-
-
-def _patch_size(buffer, header, offset):
-    if header.size_patch is not None:
-        size_offset, size_format, delta = header.size_patch
-        _pack_into(size_format, buffer.data, offset + size_offset,
-                   buffer.length - delta)
-
-
 def transcode_request(op, data, env, buffer):
     """Write the egress request for ingress request *data* to *buffer*.
 
@@ -74,9 +59,9 @@ def transcode_request(op, data, env, buffer):
     unrepresentable body) like a same-protocol dispatch would.
     """
     if op.request_segments is not None and env.body_offset % 4 == 0:
-        offset = _write_header(buffer, op.egress_request, env.ctx)
+        offset = op.egress_request.write(buffer, env.ctx)
         run_segments(op.request_segments, data, env.body_offset, buffer)
-        _patch_size(buffer, op.egress_request, offset)
+        op.egress_request.finish(buffer, offset)
         return True
     if op.in_arity:
         try:
@@ -111,7 +96,7 @@ def translate_reply(op, reply, ctx, buffer):
         disc = _unpack_from(">I", reply, body)[0]
         segments = op.reply_segments.get(disc)
         if segments is not None:
-            offset = _write_header(buffer, op.ingress_reply, ctx)
+            offset = op.ingress_reply.write(buffer, ctx)
             word = buffer.reserve(4)
             _pack_into(">I", buffer.data, word, disc)
             end = run_segments(segments, reply, body + 4, buffer)
@@ -121,7 +106,7 @@ def translate_reply(op, reply, ctx, buffer):
                     % (op.name, len(reply) - end),
                     offset=end, field="reply", limit=end,
                     actual=len(reply))
-            _patch_size(buffer, op.ingress_reply, offset)
+            op.ingress_reply.finish(buffer, offset)
             return True
     try:
         result = op.u_rep(reply, body)
@@ -209,11 +194,9 @@ class AioGatewayServer(AioTcpServer):
 
     def _encode_mapped(self, buffer, ctx, mapped):
         buffer.reset()
-        errmap.encode_error(
-            buffer, ctx, mapped,
-            versions=self.plan.ingress_versions,
-            little_endian=self.plan.ingress_spec.little_endian,
-        )
+        write_error(buffer, self.plan.ingress_protocol, ctx, *mapped,
+                    versions=self.plan.ingress_versions,
+                    e="<" if self.plan.ingress_spec.little_endian else ">")
 
     async def _invoke(self, record, buffer, span):
         plan = self.plan

@@ -683,6 +683,7 @@ def command_bridge(args):
         bridge_exit_code,
         bridge_report_json,
         bridge_report_text,
+        build_plan,
         check_bridge,
         predict_fused,
     )
@@ -697,7 +698,7 @@ def command_bridge(args):
                 handle.read(), args.lang, interface=args.interface,
                 name=path, backend=backend))
     diff = check_bridge(*sides)
-    predictions = predict_fused(*sides)
+    predictions = predict_fused(build_plan(*sides), sides[0])
     if args.json:
         print(json.dumps(
             bridge_report_json(diff, args.ingress, egress_path, predictions),

@@ -32,7 +32,7 @@ import sys
 
 from repro.errors import (
     DispatchError, OverloadError, RemoteCallError, WireFormatError)
-from repro.gateway import errmap
+from repro.envelopes import write_error
 from repro.gateway.envelope import IngressSpec, parse_request
 from repro.encoding import MarshalBuffer
 from repro.obs import propagation
@@ -48,6 +48,14 @@ CONTEXT = propagation.WireTraceContext("0123456789abcdef" * 2, "f0" * 8)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "envelope_verdicts.json")
+
+
+#: Every refusal the stubs' ``encode_error_reply`` words differently.
+REFUSALS = [DispatchError("refused", code=code) for code in (
+    "rpc_mismatch", "prog_mismatch", "prog_unavail", "proc_unavail",
+    "bad_operation", "object_not_exist", "no_permission")] + [
+    WireFormatError("bad frame"), OverloadError("shed"),
+    RuntimeError("servant crashed")]
 
 
 class _Counting:
@@ -110,30 +118,22 @@ class Subject:
         requests = self.seeds()[:len(self.calls)]
         replies = [reply for reply in map(self.server.serve_bytes, requests)
                    if reply is not None]
-        refusals = [DispatchError("refused", code=code) for code in (
-            "rpc_mismatch", "prog_mismatch", "prog_unavail", "proc_unavail",
-            "bad_operation", "object_not_exist", "no_permission")]
-        refusals += [WireFormatError("bad frame"), OverloadError("shed"),
-                     RuntimeError("servant crashed")]
-        for request, error in [(requests[0], error) for error in refusals] \
-                + [(requests[0][:12], refusals[-1])]:  # header unusable
+        for request, error in [(requests[0], error) for error in REFUSALS] \
+                + [(requests[0][:12], REFUSALS[-1])]:  # header unusable
             buffer = MarshalBuffer()
             if self.module.encode_error_reply(request, error, buffer):
                 replies.append(buffer.getvalue())
         if self.protocol == "onc":
-            mapped = [errmap.OncErrorReply("deny", "RPC_MISMATCH"),
-                      errmap.OncErrorReply("deny", "AUTH_ERROR")] + [
-                errmap.OncErrorReply("accept", status)
-                for status in ("PROG_UNAVAIL", "PROG_MISMATCH",
-                               "PROC_UNAVAIL", "GARBAGE_ARGS",
-                               "SYSTEM_ERR")]
+            mapped = [("oncrpc", code) for code in (
+                "RPC_MISMATCH", "AUTH_ERROR", "PROG_UNAVAIL",
+                "PROG_MISMATCH", "PROC_UNAVAIL", "GARBAGE_ARGS",
+                "SYSTEM_ERR")]
         else:
-            mapped = [errmap.GiopErrorReply(
-                "IDL:omg.org/CORBA/%s:1.0" % name, minor=3, completed=2)
-                for name in ("MARSHAL", "TRANSIENT", "COMM_FAILURE")]
-        for entry in mapped:
+            mapped = [("giop", "IDL:omg.org/CORBA/%s:1.0" % name, 3, 2)
+                      for name in ("MARSHAL", "TRANSIENT", "COMM_FAILURE")]
+        for protocol, *arguments in mapped:
             buffer = MarshalBuffer()
-            errmap.encode_error(buffer, 1, entry, versions=(2, 5))
+            write_error(buffer, protocol, 1, *arguments, versions=(2, 5))
             replies.append(buffer.getvalue())
         return replies
 

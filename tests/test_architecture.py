@@ -384,6 +384,27 @@ def one_description_per_setting(tree):
     assert len(declared) == 1, declared
 
 
+def one_writer_per_error_reply(tree):
+    """Protocol error replies are written by repro.envelopes.write_error
+    alone, and the gateway pairs no operation of its own: errmap packs
+    no bytes, neither back end's emit_error_reply prints a pack, only
+    plan.py under the gateway pairs channels or builds naive IR, and
+    outside the back ends and the marshal IR only ``HeaderSpec`` copies
+    a header template into a buffer."""
+    errmap = "src/repro/gateway/errmap.py"
+    _no(tree.grep(r"^\s*(import struct|from struct )|pack_into", errmap))
+    for path in ("src/repro/backend/oncxdr.py", "src/repro/backend/iiop.py"):
+        for block in tree.blocks(path, r"def emit_error_reply\("):
+            _no([line for line in block if "_pack_into" in line])
+    calls = _not_a_definition(tree.grep(r"\b(fuse_channel|build_naive)\(",
+                                        "src/repro/gateway"))
+    assert tree.files_of(calls) in ([], ["src/repro/gateway/plan.py"]), \
+        "\n".join(calls)
+    _no([hit for hit in tree.grep(
+        r"reserve\(len\([\w.]*template\)|\] = \(?[\w.]*template\b", "src")
+        if not hit.startswith(("src/repro/backend/", "src/repro/mir/"))])
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -511,6 +532,25 @@ PINS = {
          "    flags.add_argument('--max-concurrency', type=int, default=64)"),
         ("src/repro/tools/cli.py",
          "    ir_parser.add_argument(\"--interface\", default=None)"),
+    ],
+    one_writer_per_error_reply: [
+        ("src/repro/gateway/errmap.py", "import struct"),
+        ("src/repro/gateway/errmap.py",
+         "    _pack_into('>IIIIII', buffer.data, offset, xid, 1, 1, 0, 2, 2)"),
+        ("src/repro/backend/oncxdr.py",
+         "    def emit_error_reply(self, w, presc):\n"
+         "        w.line(\"_pack_into('>II', b.data, _o0, _ctx, 1)\")"),
+        ("src/repro/backend/iiop.py",
+         "    def emit_error_reply(self, w, presc):\n"
+         "        w.line(\"_pack_into('>I', b.data, _o0 + 8, b.length)\")"),
+        ("src/repro/gateway/fraction.py",
+         "    naive_in = build_naive(ingress_backend, ingress_presc)"),
+        ("src/repro/gateway/proxy.py",
+         "    segments = fuse_channel(src, dst, types_in, types_eg)"),
+        ("src/repro/gateway/proxy.py",
+         "    offset = buffer.reserve(len(header.template))"),
+        ("src/repro/compilers/ilu_style.py",
+         "        buffer.data[offset:end] = reply_header.template"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

@@ -12,10 +12,12 @@ reader makes of every corpus frame.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Flick, envelopes, errors, obs
 from repro.encoding import MarshalBuffer
@@ -30,10 +32,11 @@ from repro.runtime.aio.correlation import probe, reply_error, route
 from repro.runtime.request import RequestCore
 
 from tests import envelope_verdicts
-from tests.conftest import ALL_BACKENDS, MAIL_IDL, MailImpl, compile_mail
+from tests.conftest import (
+    ALL_BACKENDS, MAIL_IDL, MailImpl, compile_db, compile_mail)
 from tests.test_fuzz_wire import (
-    _LIVE_DRIVERS, _TcpProbe, _UdpProbe, _capture_requests, _exchange,
-    _gateway_pair, _load_corpus)
+    FUZZ_FRAMES, _LIVE_DRIVERS, _TcpProbe, _UdpProbe, _capture_requests,
+    _exchange, _gateway_pair, _load_corpus)
 
 CONTEXT = envelope_verdicts.CONTEXT
 
@@ -375,7 +378,8 @@ def test_reply_error_and_the_stub_word_an_error_reply_alike(protocol):
         assert verdicts["reply_error"] == verdicts["client"][1:]
         seen.add(verdicts["reply_error"][0])
     if protocol == "onc":
-        assert seen == set(errmap._ACCEPT_NUMBERS) - {"SUCCESS"} | {
+        assert seen == set(envelopes.ACCEPT_STAT_NAMES.values()) - {
+            "SUCCESS"} | {
             "RPC_MISMATCH", "AUTH_ERROR"}
     else:
         assert seen >= {"GIOP::MessageError"} | {
@@ -420,9 +424,9 @@ def _constructed_replies():
                    _giop_reply(endian, status=3)]
         for minor, completed in ((0, 0), (7, 2)):
             buffer = MarshalBuffer()
-            errmap.encode_error(buffer, 7, errmap.GiopErrorReply(
-                "IDL:omg.org/CORBA/TRANSIENT:1.0", minor, completed),
-                little_endian=endian == "<")
+            envelopes.write_error(
+                buffer, "giop", 7, "IDL:omg.org/CORBA/TRANSIENT:1.0",
+                minor, completed, e=endian)
             frames.append(buffer.getvalue())
     return [bytes(frame) for frame in frames]
 
@@ -540,8 +544,8 @@ class TestRoutedReplyWalk:
 
 def test_reply_error_reads_versions_and_leaves_garble_to_the_stub():
     buffer = MarshalBuffer()
-    errmap.encode_error(buffer, 9, errmap.OncErrorReply(
-        "accept", "PROG_MISMATCH"), versions=(2, 5))
+    envelopes.write_error(buffer, "oncrpc", 9, "PROG_MISMATCH",
+                          versions=(2, 5))
     error = reply_error(buffer.getvalue())
     assert isinstance(error, RemoteCallError)
     assert "server speaks 2..5" in str(error)
@@ -549,8 +553,7 @@ def test_reply_error_reads_versions_and_leaves_garble_to_the_stub():
     # not classifiable, so the stub's decode gets to refuse it.
     assert reply_error(buffer.getvalue()[:-2]) is None
     buffer = MarshalBuffer()
-    errmap.encode_error(buffer, 9, errmap.GiopErrorReply(
-        "IDL:omg.org/CORBA/MARSHAL:1.0"))
+    envelopes.write_error(buffer, "giop", 9, "IDL:omg.org/CORBA/MARSHAL:1.0")
     assert reply_error(buffer.getvalue()).code.endswith("MARSHAL:1.0")
     assert reply_error(buffer.getvalue()[:40]) is None
 
@@ -588,3 +591,174 @@ def test_refusals_are_flick_errors_on_every_reader():
                         assert issubclass(
                             getattr(errors, verdict[1], type(None)),
                             errors.RuntimeFlickError), (reader, verdict, cut)
+
+
+# ---------------------------------------------------------------------------
+# Error replies: one writer beside the walks that read them
+# ---------------------------------------------------------------------------
+
+#: The bytes every error reply had before ``envelopes.write_error``
+#: wrote them all: what the stubs' ``encode_error_reply`` and the
+#: gateway's table (then ``errmap.encode_error``) put on the wire.
+ERROR_REPLIES = os.path.join(os.path.dirname(__file__), "golden",
+                             "error_replies.json")
+
+#: The id the pinned gateway replies answer, and their PROG_MISMATCH
+#: version range.
+_CTX, _VERSIONS = 0x01020304, (2, 5)
+
+_LOCAL_FAILURES = {cls.__name__: cls for cls in (
+    errors.OverloadError, errors.CircuitOpenError, errors.DeadlineError,
+    errors.TransportError)}
+
+
+def _pinned_error_replies():
+    with open(ERROR_REPLIES) as handle:
+        return json.load(handle)
+
+
+def _stub_error_replies():
+    """``{"<protocol><byte order> <refusal>": hex, or False for no
+    reply}`` from compiled ONC stubs and GIOP stubs in both byte orders:
+    every refusal of ``envelope_verdicts.REFUSALS`` on a two-way
+    request, a crash on a header cut to 12 and to 2 bytes, and every
+    refusal of a oneway GIOP request."""
+    mail_calls = [("avg", ([1, 2, 3],)), ("ping", (7,))]
+    modules = {
+        "oncrpc": (compile_db().load_module(),
+                   [("echo", (b"hello world",))]),
+        "giop>": (compile_mail("iiop").load_module(), mail_calls),
+        "giop<": (Flick(frontend="corba", backend="iiop",
+                        little_endian=True).compile(MAIL_IDL).load_module(),
+                  mail_calls),
+    }
+    refusals = [(getattr(error, "code", None) or type(error).__name__,
+                 error) for error in envelope_verdicts.REFUSALS]
+    crash = refusals[-1][1]
+    replies = {}
+    for label, (module, calls) in modules.items():
+        requests = _capture_requests(module, calls)
+        cases = [(name, requests[0], error) for name, error in refusals]
+        cases += [("header-12", requests[0][:12], crash),
+                  ("header-2", requests[0][:2], crash)]
+        if len(requests) > 1:  # ping, a oneway operation
+            cases += [("oneway " + name, requests[1], error)
+                      for name, error in refusals]
+        for name, request, error in cases:
+            buffer = MarshalBuffer()
+            replies["%s %s" % (label, name)] = module.encode_error_reply(
+                request, error, buffer) and buffer.getvalue().hex()
+    return replies
+
+
+def _write(protocol, code, minor=0, completed=1, ctx=_CTX, e=">"):
+    buffer = MarshalBuffer()
+    envelopes.write_error(buffer, protocol, ctx, code, minor, completed,
+                          versions=_VERSIONS, e=e)
+    return buffer.getvalue()
+
+
+class TestErrorRepliesKeepTheirBytes:
+    """``tests/golden/error_replies.json`` was written by the two
+    writers this one replaced; every reply comes back byte for byte."""
+
+    def test_what_the_stubs_write(self):
+        assert _stub_error_replies() == _pinned_error_replies()["stub"]
+
+    def test_what_the_gateway_table_writes(self):
+        pinned = _pinned_error_replies()["errmap"]
+        for key, hex_bytes in pinned.items():
+            label, rest = key.split(" ", 1)
+            if label == "oncrpc":
+                wire = _write("oncrpc", rest.split()[1])  # "<kind> <code>"
+            else:
+                code, minor, completed = rest.rsplit(" ", 2)
+                wire = _write("giop", code, int(minor), int(completed),
+                              e=label[-1])
+            assert wire.hex() == hex_bytes, key
+        # The pins cover every status and id of today's tables.
+        assert {key.split()[-1] for key in pinned
+                if key.startswith("oncrpc")} == set(
+            errmap.GIOP_TO_ONC.values())
+        for e in "<>":
+            assert {key.split(" ", 1)[1].rsplit(" ", 2)[0] for key in pinned
+                    if key.startswith("giop" + e)} == set(errmap.GIOP_TO_ONC)
+
+    def test_what_local_failures_map_to(self):
+        pinned = _pinned_error_replies()["translate_local"]
+        assert len(pinned) == 3 * len(_LOCAL_FAILURES)
+        for key, hex_bytes in pinned.items():
+            label, name = key.split()
+            protocol = label.rstrip("<>")
+            mapped = errmap.translate_local(_LOCAL_FAILURES[name]("x"),
+                                            protocol)
+            wire = _write(protocol, *mapped, e=label[len(protocol):] or ">")
+            assert wire.hex() == hex_bytes, key
+
+
+#: Every status an ONC error reply can carry (accept_stat names but
+#: SUCCESS, and the two denials).
+_ONC_ERROR_CODES = sorted(
+    set(envelopes.ACCEPT_STAT_NAMES.values()) - {"SUCCESS"}
+    | {"RPC_MISMATCH", "AUTH_ERROR"})
+
+_WORDS = st.integers(0, 0xFFFFFFFF)
+
+
+@settings(max_examples=max(50, FUZZ_FRAMES // 100), deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("oncrpc"), st.sampled_from(_ONC_ERROR_CODES),
+              st.just(0), st.just(None), st.just(">"), _WORDS),
+    st.tuples(st.just("giop"),
+              st.text(st.characters(min_codepoint=1, max_codepoint=255),
+                      max_size=80),
+              _WORDS, _WORDS, st.sampled_from("<>"),
+              st.one_of(st.none(), _WORDS))),
+    st.tuples(_WORDS, _WORDS))
+def test_every_written_error_reply_reads_back(case, versions):
+    """What write_error writes, the reply walk classifies as the code,
+    minor and completion it was given (a GIOP reply with no id to
+    answer is a MessageError), for the id it answers."""
+    protocol, code, minor, completed, e, ctx = case
+    buffer = MarshalBuffer()
+    envelopes.write_error(buffer, protocol, ctx, code, minor,
+                          1 if completed is None else completed,
+                          versions=versions, e=e)
+    frame = buffer.getvalue()
+    error = reply_error(frame)
+    if ctx is None:
+        code, minor, completed = "GIOP::MessageError", 0, None
+    else:
+        assert probe(frame).correlation_id == ctx
+    assert (error.protocol, error.code, error.minor, error.completed) == (
+        protocol, code, minor, completed)
+    if code == "PROG_MISMATCH":
+        assert "server speaks %d..%d" % versions in str(error)
+
+
+def test_every_remote_error_translates_and_writes_on_both_ingresses():
+    """The error mapping is total: every RemoteCallError the reply
+    walks make of the corpus and of constructed replies — ONC statuses
+    RFC 1831 does not name among them — goes out on either ingress
+    protocol, an unnamed ONC status as SYSTEM_ERR."""
+    frames = _constructed_replies() + [
+        frame for protocol in ("onc", "giop")
+        for frame in envelope_verdicts.Subject(protocol).corpus()]
+    remote = []
+    for frame in frames:
+        try:
+            error = reply_error(frame)
+        except errors.RuntimeFlickError:
+            continue
+        if error is not None:
+            remote.append(error)
+    assert {"accept_stat 6", "accept_stat 7"} <= {e.code for e in remote}
+    for error in remote:
+        for ingress in ("oncrpc", "giop"):
+            mapped = errmap.translate_remote(error, ingress)
+            written = reply_error(_write(ingress, *mapped))
+            assert written.protocol == ingress
+            if error.code.startswith("accept_stat "):
+                assert written.code == (
+                    "SYSTEM_ERR" if ingress == "oncrpc"
+                    else "IDL:omg.org/CORBA/UNKNOWN:1.0")

@@ -9,7 +9,9 @@ gateway, and upstream spans join into one trace.
 """
 
 import contextlib
+import socket
 import struct
+import threading
 import urllib.request
 
 import pytest
@@ -29,9 +31,11 @@ from repro.gateway import (
     bridge_exit_code,
     build_plan,
     check_bridge,
+    predict_fused,
     transcode_request,
     translate_reply,
 )
+from repro.envelopes import write_error
 from repro.gateway import errmap
 from repro.gateway.envelope import parse_request
 from repro.runtime import StubServer, TcpClientTransport
@@ -40,6 +44,7 @@ from repro.runtime.aio.correlation import reply_error
 
 from tests.conftest import MAIL_IDL, MailImpl, compile_mail
 from tests.endpoint import registry_endpoint
+from tests.rawsock import recv_record
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +82,40 @@ def _client(module, address):
         yield module.Test_MailClient(transport), transport
     finally:
         transport.close()
+
+
+@contextlib.contextmanager
+def _canned_onc_upstream(stat):
+    """A TCP upstream answering every ONC call with *stat*, an
+    accept_stat, whatever was asked."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer(connection):
+        with connection:
+            while True:
+                try:
+                    request = recv_record(connection)
+                except TransportError:
+                    return
+                reply = struct.pack(">IIIIII", struct.unpack_from(
+                    ">I", request)[0], 1, 0, 0, 0, stat)
+                connection.sendall(
+                    struct.pack(">I", 0x80000000 | len(reply)) + reply)
+
+    def accept():
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=answer, args=(connection,),
+                             daemon=True).start()
+
+    threading.Thread(target=accept, daemon=True).start()
+    try:
+        yield listener.getsockname()
+    finally:
+        listener.close()
 
 
 def _rect(module):
@@ -337,6 +376,24 @@ class TestBridgeCheck:
         assert breaking, "the offending channel must be named"
         assert any("reply" in c.channel for c in breaking)
 
+    def test_prediction_covers_exactly_the_served_operations(self):
+        """An op that is oneway on one side only is not bridged, so
+        flick bridge predicts no path for it."""
+        from repro import api
+
+        ingress = api.compile(
+            "interface S { oneway void note(in long x);"
+            " long get(in long x); };", "corba", backend="iiop")
+        egress = api.compile(
+            "interface S { void note(in long x); long get(in long x); };",
+            "corba", backend="oncrpc-xdr")
+        plan = build_plan(ingress, egress)
+        predictions = predict_fused(plan, ingress)
+        assert sorted(predictions) == sorted(
+            op.name for op in plan.ops.values()) == ["get"]
+        assert predictions["get"]["request"].fused
+        assert bridge_exit_code(check_bridge(ingress, egress)) == 2
+
     def test_static_breaking_verdict_has_a_runtime_witness(self):
         """The value the static walk flags really fails at runtime."""
         from repro import api
@@ -377,8 +434,8 @@ class TestBridgeCheck:
 
 class TestErrorMapping:
     def test_canonical_core_round_trips(self):
-        for repo_id, (_kind, status) in errmap._CANONICAL:
-            assert errmap.GIOP_TO_ONC[repo_id][1] == status
+        for repo_id, status in errmap._CANONICAL:
+            assert errmap.GIOP_TO_ONC[repo_id] == status
             assert errmap.ONC_TO_GIOP[status] == repo_id
 
     def test_mapping_is_total_over_stub_emitted_codes(self):
@@ -387,13 +444,15 @@ class TestErrorMapping:
                        "GARBAGE_ARGS", "SYSTEM_ERR", "RPC_MISMATCH",
                        "AUTH_ERROR"):
             error = RemoteCallError("x", protocol="oncrpc", code=status)
-            mapped = errmap.translate_remote(error, "giop")
-            assert mapped.exception_id.startswith("IDL:omg.org/CORBA/")
+            code, _minor, _completed = errmap.translate_remote(
+                error, "giop")
+            assert code.startswith("IDL:omg.org/CORBA/")
         # Every repository id the generated IIOP stubs can answer.
         for repo_id in list(errmap.GIOP_TO_ONC) + ["IDL:vendor/X:1.0"]:
             error = RemoteCallError("x", protocol="giop", code=repo_id)
-            mapped = errmap.translate_remote(error, "oncrpc")
-            assert mapped.kind in ("accept", "deny")
+            code, _minor, _completed = errmap.translate_remote(
+                error, "oncrpc")
+            assert code in set(errmap.GIOP_TO_ONC.values())
 
     @pytest.mark.parametrize("repo_id", [r for r, _ in errmap._CANONICAL])
     def test_wire_round_trip_property(self, repo_id):
@@ -401,25 +460,52 @@ class TestErrorMapping:
         giop_error = RemoteCallError("x", protocol="giop", code=repo_id)
         onc_reply = errmap.translate_remote(giop_error, "oncrpc")
         buffer = MarshalBuffer()
-        errmap.encode_error(buffer, 11, onc_reply, versions=(2, 2))
+        write_error(buffer, "oncrpc", 11, *onc_reply, versions=(2, 2))
         classified = reply_error(buffer.getvalue())
         assert classified is not None
         assert classified.protocol == "oncrpc"
         back = errmap.translate_remote(classified, "giop")
         wire = MarshalBuffer()
-        errmap.encode_error(wire, 11, back)
+        write_error(wire, "giop", 11, *back)
         final = reply_error(wire.getvalue())
         assert final is not None
         assert final.code == repo_id
 
+    def test_a_giop_relay_keeps_minor_and_completion(self):
+        """COMPLETED_YES (0) stays 0: a caller told NO would retry a
+        call that ran."""
+        repo_id = "IDL:omg.org/CORBA/NO_MEMORY:1.0"
+        for completed in (0, 1, 2):
+            error = RemoteCallError("x", protocol="giop", code=repo_id,
+                                    minor=3, completed=completed)
+            assert errmap.translate_remote(error, "giop") == (
+                repo_id, 3, completed)
+
+    def test_an_unnamed_onc_status_is_relayed_as_system_err(
+            self, onc_result):
+        """An upstream answering accept_stat 9 gets each caller a
+        SYSTEM_ERR reply on a connection that stays open."""
+        with _canned_onc_upstream(stat=9) as address:
+            plan = build_plan(onc_result, onc_result)
+            stats = ServerStats()
+            with AioGatewayServer(plan, *address, stats=stats) as gateway:
+                with _client(onc_result.load_module(),
+                             gateway.address) as (client, _):
+                    for _ in range(2):
+                        with pytest.raises(RemoteCallError) as caught:
+                            client.avg([1, 2])
+                        assert caught.value.code == "SYSTEM_ERR"
+            assert (stats.malformed.value, stats.servant_errors.value) == (
+                0, 0)
+
     def test_local_failures_map_per_ingress_protocol(self):
         assert errmap.translate_local(
-            DeadlineError("t"), "oncrpc").status == "SYSTEM_ERR"
+            DeadlineError("t"), "oncrpc")[0] == "SYSTEM_ERR"
         transient = errmap.translate_local(DeadlineError("t"), "giop")
-        assert "TRANSIENT" in transient.exception_id
-        assert transient.completed == 2  # COMPLETED_MAYBE
+        assert "TRANSIENT" in transient[0]
+        assert transient[2] == 2  # COMPLETED_MAYBE
         comm = errmap.translate_local(TransportError("t"), "giop")
-        assert "COMM_FAILURE" in comm.exception_id
+        assert "COMM_FAILURE" in comm[0]
 
 
 # ----------------------------------------------------------------------

@@ -625,7 +625,8 @@ class TestGatewayProfile:
             finally:
                 transport.close()
         snapshot = profile.shutdown()
-        predicted = predict_fused(iiop_result, onc_result)
+        predicted = predict_fused(
+            build_plan(iiop_result, onc_result), iiop_result)
         for op in ("avg", "reverse"):
             for direction in ("request", "reply"):
                 prof = snapshot.profile(op, direction)
