@@ -10,7 +10,7 @@ reproducible test fixture:
   every run with the same seed perturbs the same messages the same way.
 * :class:`FaultyTransport` / :class:`FaultyAioTransport` — wrappers
   applying a plan to any blocking :class:`~repro.runtime.transport
-  .Transport` or any async pool-like transport (``acall``/``asend``).
+  .Transport` or to the protocol gateway's upstream leg.
 
 Servers accept a plan directly (``fault_plan=`` on
 :class:`~repro.runtime.socket_transport.TcpServer` and

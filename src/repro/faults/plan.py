@@ -112,6 +112,12 @@ class FaultInjector:
             for name in _PROBABILITY_FIELDS + ("messages", "delivered")
         }
 
+    @property
+    def holding(self):
+        """Whether a message is held for reordering: the next message
+        delivered releases it, as its last delivery."""
+        return self._held is not None
+
     def _roll(self, probability):
         return probability > 0.0 and self._rng.random() < probability
 

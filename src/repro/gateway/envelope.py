@@ -19,7 +19,7 @@ same-protocol server would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from repro import envelopes
 
@@ -37,8 +37,7 @@ class IngressSpec:
     little_endian: bool = False
 
 
-@dataclass(frozen=True)
-class RequestEnvelope:
+class RequestEnvelope(NamedTuple):
     """One validated ingress request, body untouched."""
 
     ctx: int  # correlation id (ONC xid / GIOP request id)

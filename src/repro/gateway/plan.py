@@ -120,7 +120,11 @@ class CopyCounted:
 
 
 def run_segments(segments, data, src, buffer):
-    """Apply *segments* to ``data[src:]``; returns the end offset."""
+    """Apply *segments* to ``data[src:]``; returns the end offset.
+
+    The segments slice a view of *data*, so each copied region is
+    copied once, into *buffer*."""
+    data = memoryview(data)
     for segment in segments:
         src = segment.copy(data, src, buffer)
     return src

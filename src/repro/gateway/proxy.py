@@ -1,19 +1,28 @@
 """The gateway runtime: an asyncio proxy serving a bridge plan.
 
-:class:`AioGatewayServer` subclasses the hardened asyncio server and
-defines exactly one seam — :attr:`~repro.runtime.aio.server
-.AioTcpServer._invoke` — so the full ingress machinery (record framing,
+:class:`AioGatewayServer` is an ``inline`` :class:`~repro.runtime.aio
+.server.AioTcpServer`, so the full ingress machinery (record framing,
 backpressure, overload shedding, fault injection, and the request
 core's error replies via the ingress module's ``encode_error_reply``,
-counters and span tree) is inherited unchanged.  Instead of dispatching to a servant, the
-gateway transcodes each request onto the egress protocol, forwards it
-over a multiplexed :class:`~repro.runtime.aio.client.ConnectionPool`
-(circuit breaker, deadlines, optional upstream fault injection), and
-translates the reply back.
+counters and span tree) is inherited unchanged.  Instead of dispatching
+to a servant it answers each record in two halves, neither of them a
+coroutine:
 
-The pure transcode steps, :func:`transcode_request` and
-:func:`translate_reply`, are module-level functions so benchmarks and
-tests can drive them without sockets.
+* the **request half** runs in the ingress read callback: parse the
+  envelope, pick the operation's plan, write the egress request with
+  the upstream connection's wire id (the fused copy plan or the
+  decode/re-encode fallback) and hand it to the upstream leg, a
+  multiplexed :class:`~repro.runtime.aio.client.ConnectionPool`
+  (optionally behind a :class:`~repro.faults.FaultyAioTransport`).
+  Only a record that finds no connection ready waits, for a dial;
+* the **reply half** runs in the upstream connection's read callback:
+  translate the reply onto the ingress protocol, or map the upstream
+  error (:mod:`repro.gateway.errmap`), and finish the record.
+
+Whatever either half raises is settled by the request core's rule for a
+dispatch error.  The pure transcode steps, :func:`transcode_request`
+and :func:`translate_reply`, are module-level functions so benchmarks
+and tests can drive them without sockets.
 """
 
 from __future__ import annotations
@@ -23,12 +32,11 @@ import time
 
 from repro.envelopes import write_error
 from repro.obs import profile as _profile
+from repro.obs import propagation, trace
+from repro.obs.trace import NOOP
 from repro.errors import (
-    CircuitOpenError,
-    DeadlineError,
     DispatchError,
     FlickUserException,
-    OverloadError,
     RemoteCallError,
     TransportError,
     UnmarshalError,
@@ -36,6 +44,7 @@ from repro.errors import (
 )
 from repro.runtime.aio.client import ConnectionPool
 from repro.runtime.aio.server import AioTcpServer, BufferPool
+from repro.runtime.request import SETTLED
 from repro.runtime.server import operation_names
 
 from repro.gateway import errmap
@@ -51,15 +60,17 @@ _DECODE_ERRORS = (struct.error, IndexError, ValueError, TypeError,
                   OverflowError, UnicodeError)
 
 
-def transcode_request(op, data, env, buffer):
-    """Write the egress request for ingress request *data* to *buffer*.
+def transcode_request(op, data, env, buffer, ctx=None):
+    """Write the egress request for ingress request *data* to *buffer*,
+    with id *ctx* (the ingress request's own by default).
 
     Returns True when the fused copy plan ran, False for the
     decode/re-encode fallback.  Raises ``WireFormatError`` (hostile or
     unrepresentable body) like a same-protocol dispatch would.
     """
+    ctx = env.ctx if ctx is None else ctx
     if op.request_segments is not None and env.body_offset % 4 == 0:
-        offset = op.egress_request.write(buffer, env.ctx)
+        offset = op.egress_request.write(buffer, ctx)
         run_segments(op.request_segments, data, env.body_offset, buffer)
         op.egress_request.finish(buffer, offset)
         return True
@@ -75,7 +86,7 @@ def transcode_request(op, data, env, buffer):
     try:
         # The generated encoder writes the whole egress message —
         # header, ctx patch, body, and size patch.
-        op.m_req(buffer, env.ctx, *args)
+        op.m_req(buffer, ctx, *args)
     except _DECODE_ERRORS as error:
         raise WireFormatError(
             "cannot re-encode %s request on the egress protocol: %s"
@@ -84,14 +95,15 @@ def transcode_request(op, data, env, buffer):
     return False
 
 
-def translate_reply(op, reply, ctx, buffer):
-    """Write the ingress reply for egress reply *reply* to *buffer*.
+def translate_reply(op, reply, ctx, buffer, wire_id=None):
+    """Write the ingress reply, with id *ctx*, for egress reply *reply*
+    (which carries *wire_id*, *ctx* by default) to *buffer*.
 
     Returns True when the fused plan ran.  Protocol-level error replies
-    never reach here — the connection pool classifies and raises them —
-    so *reply* is a success or user-exception reply.
+    never reach here — the upstream connection classifies them — so
+    *reply* is a success or user-exception reply.
     """
-    body = op.check_reply(reply, ctx)
+    body = op.check_reply(reply, ctx if wire_id is None else wire_id)
     if op.reply_segments and body % 4 == 0 and body + 4 <= len(reply):
         disc = _unpack_from(">I", reply, body)[0]
         segments = op.reply_segments.get(disc)
@@ -134,37 +146,30 @@ class AioGatewayServer(AioTcpServer):
         plan: the bridge plan (see :func:`repro.gateway.plan.build_plan`).
         upstream_host, upstream_port: the egress-protocol server.
         pool_size: upstream connections (multiplexed, least-loaded).
-        options: upstream :class:`~repro.runtime.aio.options.CallOptions`.
-        breaker: optional circuit breaker for the upstream leg.
         upstream_fault_plan: optional :class:`repro.faults.FaultPlan`
             injected on the egress leg (the ingress leg reuses the base
             server's ``fault_plan``).
-        client_stats: optional ClientStats for the upstream pool.
         Remaining keyword arguments go to :class:`AioTcpServer`
         (``host``, ``port``, ``stats``, ``max_pending``,
-        ``fault_plan``, ...).
+        ``fault_plan``, ...); the dispatch mode is always ``inline``.
     """
 
     def __init__(self, plan, upstream_host, upstream_port, *,
-                 pool_size=4, options=None, breaker=None,
-                 upstream_fault_plan=None, client_stats=None, **kwargs):
-        kwargs.setdefault("dispatch_mode", "inline")
+                 pool_size=4, upstream_fault_plan=None, **kwargs):
+        kwargs["dispatch_mode"] = "inline"
         kwargs.setdefault("error_encoder",
                           plan.ingress_module.encode_error_reply)
         kwargs.setdefault("op_names",
                           operation_names(plan.ingress_module))
         super().__init__(None, None, **kwargs)
         self.plan = plan
-        self._pool = ConnectionPool(
-            upstream_host, upstream_port, pool_size=pool_size,
-            options=options, breaker=breaker, stats=client_stats,
-        )
-        self._upstream = self._pool
+        self._upstream = ConnectionPool(upstream_host, upstream_port,
+                                        pool_size=pool_size)
         if upstream_fault_plan is not None:
             from repro.faults import FaultyAioTransport
 
             self._upstream = FaultyAioTransport(
-                self._pool, upstream_fault_plan)
+                self._upstream, upstream_fault_plan)
         self._egress_buffers = BufferPool()
         registry = self.stats.registry if self.stats is not None else None
         self.bridge_label = "%s->%s" % (plan.ingress_protocol,
@@ -182,90 +187,130 @@ class AioGatewayServer(AioTcpServer):
                 ("bridge", "code"),
             )
 
-    def _count(self, op_name, direction, fused):
-        path = "fused" if fused else "re-encode"
+    def _count(self, op_name, direction, fused, started, nbytes):
+        """One transcode: the path counter, and the profile's sample
+        when *started* (profiling on)."""
+        if started is not None:
+            _profile.record_transcode(
+                self.bridge_label, op_name, direction, fused, nbytes=nbytes,
+                seconds=time.perf_counter() - started)
         if self._metric_transcode is not None:
             self._metric_transcode.labels(
-                self.bridge_label, op_name, direction, path).inc()
+                self.bridge_label, op_name, direction,
+                "fused" if fused else "re-encode").inc()
 
-    def _count_error(self, code):
-        if self._metric_errors is not None:
-            self._metric_errors.labels(self.bridge_label, str(code)).inc()
+    def _inline(self, connection, record, buffer, ticket):
+        """Answer one started record in two halves: ``forward`` (the
+        request half) runs in this ingress read callback unless no
+        upstream connection is ready, ``reply`` (the reply half) in the
+        upstream connection's read callback.  Whatever either raises is
+        settled by the request core's rule for a dispatch error."""
+        plan, core, upstream = self.plan, self._core, self._upstream
+        span = None if ticket is None else ticket.span
+        # The upstream round trip, under the request's root span:
+        # ``dispatch`` > ``transport.call`` (two-way) > ``send``,
+        # ``await.reply``.  Each parent is explicit, and the egress
+        # request carries the innermost, as no contextvar reaches a read
+        # callback; ``finish`` ends whatever is still open.
+        opened = () if span is None \
+            else [trace.span("dispatch", parent=span)]
+        wire_id = None
 
-    def _encode_mapped(self, buffer, ctx, mapped):
-        buffer.reset()
-        write_error(buffer, self.plan.ingress_protocol, ctx, *mapped,
-                    versions=self.plan.ingress_versions,
-                    e="<" if self.plan.ingress_spec.little_endian else ">")
+        def finish(served):
+            while opened:
+                opened.pop().end()
+            self._finish(connection, buffer, served, ticket)
 
-    async def _invoke(self, record, buffer, span):
-        plan = self.plan
-        envelope = parse_request(record, plan.ingress_spec)
-        op = plan.ops.get(envelope.op_key)
-        if op is None:
-            raise DispatchError(
-                "operation is not bridged",
-                code="bad_operation" if plan.ingress_protocol == "giop"
-                else "proc_unavail")
-        egress = self._egress_buffers.take()
+        def forward(leg, error):
+            nonlocal wire_id
+            if error is not None:
+                return failed(error)
+            egress = self._egress_buffers.take()
+            try:
+                try:
+                    wire_id = envelope.ctx if op.oneway else leg.next_id()
+                    started = time.perf_counter() if _profile.enabled() \
+                        else None
+                    fused = transcode_request(op, record, envelope, egress,
+                                              wire_id)
+                    self._count(op.name, "request", fused, started,
+                                egress.length)
+                    payload = egress.view()
+                    if opened:
+                        span.set(bridge=self.bridge_label, fused=fused)
+                        payload = propagation.inject(payload, opened[-1])
+                except SETTLED as error:
+                    return finish(core.settle(record, buffer, error, ticket))
+                with NOOP if not opened else trace.span(
+                        "send", parent=opened[-1], bytes=len(payload)):
+                    if not op.oneway:
+                        if opened:
+                            opened.append(trace.span("await.reply",
+                                                     parent=opened[-1]))
+                        return upstream.submit(leg, wire_id, payload, reply)
+                    try:
+                        upstream.send(leg, payload)
+                    except TransportError as error:  # a fault plan's reset
+                        return failed(error)
+            finally:
+                self._egress_buffers.give(egress)
+            finish(core.answered(ticket, False))
+
+        def reply(data, _offset, error, _stamp):
+            if error is not None:
+                return failed(error)
+            try:
+                started = time.perf_counter() if _profile.enabled() else None
+                fused = translate_reply(op, data, envelope.ctx, buffer,
+                                        wire_id)
+                self._count(op.name, "reply", fused, started, buffer.length)
+                if span is not None:
+                    span.set(reply_fused=fused)
+                served = core.answered(ticket)
+            except SETTLED as error:
+                served = core.settle(record, buffer, error, ticket)
+            finish(served)
+
+        def failed(error):
+            """The upstream leg failed or answered with a protocol
+            error: relay it through the cross-protocol table."""
+            remote = isinstance(error, RemoteCallError)
+            code = error.code if remote else type(error).__name__
+            if self._metric_errors is not None:
+                self._metric_errors.labels(self.bridge_label, code).inc()
+            if span is not None and not remote:
+                span.set(error=code)
+            has_reply = envelope.expects_reply and not op.oneway
+            if has_reply:
+                translate = errmap.translate_remote if remote \
+                    else errmap.translate_local
+                buffer.reset()
+                write_error(buffer, plan.ingress_protocol, envelope.ctx,
+                            *translate(error, plan.ingress_protocol),
+                            versions=plan.ingress_versions,
+                            e="<" if plan.ingress_spec.little_endian
+                            else ">")
+            finish(core.answered(ticket, has_reply))
+
         try:
-            start = time.perf_counter() if _profile.enabled() else None
-            fused = transcode_request(op, record, envelope, egress)
-            if start is not None:
-                _profile.record_transcode(
-                    self.bridge_label, op.name, "request", fused,
-                    nbytes=egress.length,
-                    seconds=time.perf_counter() - start)
-            payload = bytes(egress.view())
-        finally:
-            self._egress_buffers.give(egress)
-        self._count(op.name, "request", fused)
-        if span is not None:
-            span.set(bridge="%s->%s" % (plan.ingress_protocol,
-                                        plan.egress_protocol),
-                     fused=fused)
-        if op.oneway:
-            await self._upstream.asend(payload)
-            return False
-        try:
-            reply = await self._upstream.acall(payload)
-        except RemoteCallError as error:
-            # The upstream answered with a protocol error: relay it
-            # through the cross-protocol table.
-            self._count_error(error.code)
-            if not envelope.expects_reply:
-                return False
-            self._encode_mapped(
-                buffer, envelope.ctx,
-                errmap.translate_remote(error, plan.ingress_protocol))
-            return True
-        except (CircuitOpenError, OverloadError, DeadlineError,
-                TransportError) as error:
-            # The upstream leg itself failed; no reply to relay.
-            self._count_error(type(error).__name__)
-            if span is not None:
-                span.set(error=type(error).__name__)
-            if not envelope.expects_reply:
-                return False
-            self._encode_mapped(
-                buffer, envelope.ctx,
-                errmap.translate_local(error, plan.ingress_protocol))
-            return True
-        start = time.perf_counter() if _profile.enabled() else None
-        reply_fused = translate_reply(op, reply, envelope.ctx, buffer)
-        if start is not None:
-            _profile.record_transcode(
-                self.bridge_label, op.name, "reply", reply_fused,
-                nbytes=buffer.length,
-                seconds=time.perf_counter() - start)
-        self._count(op.name, "reply", reply_fused)
-        if span is not None:
-            span.set(reply_fused=reply_fused)
-        return True
+            envelope = parse_request(record, plan.ingress_spec)
+            op = plan.ops.get(envelope.op_key)
+            if op is None:
+                raise DispatchError(
+                    "operation is not bridged",
+                    code="bad_operation" if plan.ingress_protocol == "giop"
+                    else "proc_unavail")
+        except SETTLED as error:
+            return finish(core.settle(record, buffer, error, ticket))
+        if opened and not op.oneway:
+            opened.append(trace.span("transport.call", parent=opened[-1]))
+        upstream.acquire(forward, opened[-1] if opened else None)
 
     async def aclose(self, drain=True):
         await super().aclose(drain=drain)
         try:
+            # A record still waiting upstream is finished here, once,
+            # with the error that closing its connection hands it.
             await self._upstream.aclose()
         except Exception:
             pass

@@ -13,11 +13,22 @@ Three layers, outermost first:
   retry with exponential backoff for idempotent work).
 * :class:`AioConnection` — one framed TCP connection carrying many
   in-flight requests.  Correlation rides in the protocol's own id field
-  (ONC XID / GIOP request_id): the connection stamps a connection-unique
-  id into each outgoing request and restores the caller's original id on
-  the reply, so generated stubs — which verify ids themselves — never
-  observe the remapping, and the wire stays byte-compatible with blocking
-  peers.
+  (ONC XID / GIOP request_id): every request goes out through
+  :meth:`AioConnection.submit` under a connection-unique id, and its
+  pending entry is a callback the reply (or the failure) is handed to in
+  the connection's own read callback.  :meth:`AioConnection.acall`
+  stamps that id into the caller's request and restores the caller's
+  original id on the reply, so generated stubs — which verify ids
+  themselves — never observe the remapping, and the wire stays
+  byte-compatible with blocking peers.
+
+The pool is also the protocol gateway's upstream leg, which takes no
+coroutine on its way: :meth:`ConnectionPool.acquire` hands over a
+connection that can take a request (at once, unless one must be dialed
+first), the gateway writes its egress header with that connection's
+:meth:`~AioConnection.next_id` and hands the request to
+:meth:`ConnectionPool.submit` (two-way) or :meth:`ConnectionPool.send`
+(oneway).
 
 Cancellation: cancelling a task blocked in :meth:`AioConnection.acall`
 (or a deadline expiring) unregisters the pending entry; a late reply for
@@ -39,7 +50,8 @@ from repro.errors import (
 )
 from repro.obs import propagation, trace
 from repro.obs.trace import NOOP
-from repro.runtime.framing import HEADER_SIZE, MAX_RECORD_SIZE, open_record
+from repro.runtime.framing import HEADER_SIZE, MAX_RECORD_SIZE, \
+    encode_record, open_record
 from repro.runtime.transport import Transport
 from repro.runtime.aio.correlation import locate, route
 from repro.runtime.aio.framed import FramedConnection
@@ -56,18 +68,19 @@ class AioConnection(FramedConnection):
     still read, or a server waiting for us to read would never catch up
     with our requests.
 
-    A call costs one header walk and one payload copy per direction: the
-    request is framed and stamped in one buffer, the reply is routed and
-    classified in one pass (:func:`~repro.runtime.aio.correlation
-    .route`) and copied once more to get the caller's id back.  Wire ids
-    come from this connection's counter, never from the caller: two
-    proxies sharing a pool both count from 1, and a late reply to an
-    expired call must not reach the next call that carries its id.
+    An :meth:`acall` costs one header walk and one payload copy per
+    direction: the request is framed and stamped in one buffer, the
+    reply is routed and classified in one pass (:func:`~repro.runtime
+    .aio.correlation.route`) and copied once more to get the caller's id
+    back.  Wire ids come from this connection's counter, never from the
+    caller: two proxies sharing a pool both count from 1, and a late
+    reply to an expired call must not reach the next call that carries
+    its id.
     """
 
     def __init__(self, max_record_size=MAX_RECORD_SIZE, stats=None):
         super().__init__(max_record_size, stats)
-        self._pending = {}  # wire id -> (future, original id)
+        self._pending = {}  # wire id -> on_reply(reply, offset, error, stamp)
         self._next_id = 0
         self.closed = False
         self._close_reason = None
@@ -101,9 +114,12 @@ class AioConnection(FramedConnection):
     def in_flight(self):
         return len(self._pending)
 
-    def _allocate_id(self):
-        # Connection-unique: skip ids still pending (the counter wraps at
-        # 2^32, the width of both XID and GIOP request_id).
+    def next_id(self):
+        """A wire id no pending request of this connection carries.
+
+        The counter wraps at 2^32, the width of both XID and GIOP
+        request_id; the id is taken by the :meth:`submit` that follows.
+        """
         while True:
             self._next_id = (self._next_id + 1) & 0xFFFFFFFF
             if self._next_id not in self._pending:
@@ -118,23 +134,15 @@ class AioConnection(FramedConnection):
             except TransportError:
                 self._count_orphan()
                 continue
-            entry = self._pending.pop(wire_id, None)
-            if entry is None:
+            on_reply = self._pending.pop(wire_id, None)
+            if on_reply is None:
                 # Deadline expired or the call was cancelled; drop the
                 # late reply (counted so tests and diagnostics can see
                 # it).
                 self._count_orphan()
                 continue
-            future, original_id = entry
-            if future.done():
-                continue
             self._completed += 1
-            if error is not None:
-                future.set_exception(error)
-            else:
-                reply = bytearray(record)
-                stamp(reply, offset, original_id)
-                future.set_result(bytes(reply))
+            on_reply(record, offset, error, stamp)
 
     def framing_lost(self, error):
         # The reply stream itself is garbage; surface the structured
@@ -169,12 +177,9 @@ class AioConnection(FramedConnection):
         self._close_reason = reason
         self._writable.set()  # held senders wake up to the closed state
         pending, self._pending = self._pending, {}
-        for future, _original in pending.values():
-            if not future.done():
-                future.set_exception(
-                    wire_error if wire_error is not None
-                    else TransportError(reason)
-                )
+        for on_reply in pending.values():
+            on_reply(None, 0, wire_error if wire_error is not None
+                     else TransportError(reason), None)
         self.close()
 
     # ------------------------------------------------------------------
@@ -194,9 +199,30 @@ class AioConnection(FramedConnection):
             )
         raise TransportError(self._close_reason or "connection is closed")
 
+    def submit(self, wire_id, record, on_reply):
+        """Queue *record* — one framed request carrying *wire_id* (from
+        :meth:`next_id`) — and hand what comes back to *on_reply*.
+
+        ``on_reply(reply, offset, error, stamp)`` runs once, in this
+        connection's read callback: with the reply record, the offset of
+        its id and the id field's writer when the reply was routed, and
+        with the :class:`RemoteCallError` it was classified as (a
+        protocol error reply) or the :class:`TransportError` that ended
+        the connection in *error* otherwise.  On a connection that is
+        already closed it runs at once, with that error.
+        """
+        if self.closed:
+            return on_reply(None, 0, TransportError(
+                self._close_reason or "connection is closed"), None)
+        self._pending[wire_id] = on_reply
+        self.send_framed(record)
+
     async def acall(self, payload, deadline=None):
         """Send a two-way request; await and return its reply bytes, or
-        raise the :class:`RemoteCallError` an error reply carries."""
+        raise the :class:`RemoteCallError` an error reply carries.
+
+        :meth:`submit` plus a future: the reply gets the caller's own id
+        back before the future is resolved."""
         if self.closed or self.write_paused:
             await self._hold_send()
         tracer = trace.active()
@@ -205,15 +231,25 @@ class AioConnection(FramedConnection):
             if parent is not None:
                 payload = propagation.inject(payload, parent)
         original_id, offset, stamp = locate(payload)
-        wire_id = self._allocate_id()
+        wire_id = self.next_id()
         record = open_record(payload)
         stamp(record, HEADER_SIZE + offset, wire_id)
         future = self._loop.create_future()
-        self._pending[wire_id] = (future, original_id)
+
+        def settle(reply, reply_offset, error, reply_stamp):
+            if future.done():
+                return
+            if error is not None:
+                future.set_exception(error)
+                return
+            reply = bytearray(reply)
+            reply_stamp(reply, reply_offset, original_id)
+            future.set_result(bytes(reply))
+
         try:
             with NOOP if tracer is None else tracer.span(
                     "send", bytes=len(record) - HEADER_SIZE):
-                self.send_framed(record)
+                self.submit(wire_id, record, settle)
             with NOOP if tracer is None else tracer.span("await.reply"):
                 if deadline is None:
                     return await future
@@ -231,17 +267,6 @@ class AioConnection(FramedConnection):
     def _peer_name(self):
         peer = self.transport.get_extra_info("peername")
         return "%s:%s" % peer[:2] if peer else "peer"
-
-    async def asend(self, payload):
-        """Send a oneway request (no reply expected)."""
-        if self.closed or self.write_paused:
-            await self._hold_send()
-        if trace.active() is not None:
-            parent = trace.current_span()
-            if parent is not None:
-                payload = propagation.inject(payload, parent)
-        with trace.span("send", bytes=len(payload)):
-            self.send_record(payload)
 
     async def aclose(self):
         self._fail_pending("connection closed")
@@ -272,6 +297,7 @@ class ConnectionPool:
         self._max_record_size = max_record_size
         self._connections = []
         self._connect_lock = asyncio.Lock()
+        self._waiters = set()  # acquire's dials
         self._closed = False
         self.stats = stats
         self.breaker = breaker
@@ -279,11 +305,6 @@ class ConnectionPool:
             stats.pools.add(self)  # its occupancy gauges read us when scraped
             if breaker is not None:
                 breaker.bind_stats(stats)
-
-    @property
-    def pool_size(self):
-        """The connection cap (the canonical name for :attr:`size`)."""
-        return self.size
 
     async def _default_connector(self):
         return await AioConnection.open(
@@ -308,9 +329,10 @@ class ConnectionPool:
             return best
         return None
 
-    async def _dial(self):
-        """Wait for the dial in progress, or dial (span ``pool.acquire``)."""
-        with trace.span("pool.acquire"):
+    async def _dial(self, parent=None):
+        """Wait for the dial in progress, or dial (span ``pool.acquire``,
+        under *parent* or the current span)."""
+        with trace.span("pool.acquire", parent=parent):
             async with self._connect_lock:
                 connection = self._live()  # one may have been dialed since
                 if connection is None:
@@ -320,6 +342,59 @@ class ConnectionPool:
                     connection = await self._connector()
                     self._connections.append(connection)
                 return connection
+
+    # -- the gateway's upstream leg ---------------------------------------
+
+    def acquire(self, callback, parent=None):
+        """Call ``callback(connection, None)`` with a connection that can
+        take a request: at once when one can, else once one is dialed
+        (with the options' connect retries; the dial's span goes under
+        *parent*) or stops being write-paused.  ``callback(None, error)``
+        gets the :class:`TransportError` that ended the wait instead;
+        closing the pool ends every wait."""
+        try:
+            connection = self._live()
+        except TransportError as error:  # the pool is closed
+            return callback(None, error)
+        if connection is not None and not connection.write_paused:
+            return callback(connection, None)
+        waiter = asyncio.get_running_loop().create_task(
+            self._ready(self.options, parent))
+        self._waiters.add(waiter)
+
+        def done(waiter):
+            self._waiters.discard(waiter)
+            error = TransportError("connection pool is closed") \
+                if waiter.cancelled() else waiter.exception()
+            callback(None if error else waiter.result(), error)
+
+        waiter.add_done_callback(done)
+
+    async def _ready(self, options, parent=None):
+        """A connection that can take a request now: a live one or a
+        dial, retried per *options* like a connect failure in
+        :meth:`acall`, then held while its peer is not reading."""
+        last_error = None
+        for attempt in range(self._attempts(options)):
+            if attempt:
+                await asyncio.sleep(options.retry.delay(attempt - 1))
+            try:
+                connection = self._live() or await self._dial(parent)
+                await connection._hold_send()
+                return connection
+            except TransportError as error:
+                last_error = error
+        raise last_error
+
+    @staticmethod
+    def submit(connection, wire_id, payload, on_reply):
+        """Send the two-way request *payload*, written with *wire_id*
+        (``connection.next_id()``), on *connection*; see
+        :meth:`AioConnection.submit` for *on_reply*."""
+        connection.submit(wire_id, encode_record(payload), on_reply)
+
+    #: ``send(connection, payload)``: the oneway request *payload*.
+    send = staticmethod(FramedConnection.send_record)
 
     # ------------------------------------------------------------------
 
@@ -435,25 +510,19 @@ class ConnectionPool:
 
     async def asend(self, payload, options=None):
         """Oneway send; always retryable (the issue's oneway semantics)."""
-        options = options or self.options
-        attempts = self._attempts(options)
-        last_error = None
-        payload = bytes(payload)
-        for attempt in range(attempts):
-            if attempt:
-                await asyncio.sleep(options.retry.delay(attempt - 1))
-            try:
-                connection = self._live()
-                if connection is None:
-                    connection = await self._dial()
-                await connection.asend(payload)
-                return
-            except TransportError as error:
-                last_error = error
-        raise last_error
+        connection = await self._ready(options or self.options)
+        parent = trace.current_span()
+        if parent is not None:
+            payload = propagation.inject(payload, parent)
+        with trace.span("send", bytes=len(payload)):
+            connection.send_record(payload)
 
     async def aclose(self):
         self._closed = True
+        if self._waiters:
+            for waiter in self._waiters:
+                waiter.cancel()
+            await asyncio.wait(self._waiters)
         connections, self._connections = self._connections, []
         for connection in connections:
             await connection.aclose()

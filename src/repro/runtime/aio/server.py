@@ -16,7 +16,9 @@ and the *same* record-marked wire traffic as the blocking
 * each dispatch runs either on a worker thread (safe for blocking
   servants; see :class:`_Workers` for the hand-off) or inline on the
   loop (fastest for CPU-light servants); an admitted record costs no
-  Task either way;
+  Task either way.  The protocol gateway is an inline server whose
+  :meth:`AioTcpServer._inline` forwards the record upstream instead and
+  finishes it from the upstream connection's read callback;
 * *max_concurrency* caps in-flight requests: records beyond it wait in
   their connection's backlog and that connection is not read, so TCP
   flow control pushes back on aggressive clients; a peer that does not
@@ -285,7 +287,6 @@ class AioTcpServer:
         self._starting = False     # _start_backlog is on the stack
         self._completions = deque()  # finished jobs, worker -> loop
         self._wake_posted = False
-        self._tasks = set()        # coroutine-served records
         self._idle = None          # aclose's drain waiter
         self._closing = False
         # Sync-facade state.
@@ -355,8 +356,6 @@ class AioTcpServer:
                 self._idle = self._loop.create_future()
                 await asyncio.wait([self._idle], timeout=self.drain_timeout)
                 self._idle = None
-        for task in list(self._tasks):
-            task.cancel()
         for connection in list(self._connections):
             connection.close()
         # Closing takes a turn of the loop; a transport whose peer does
@@ -482,30 +481,20 @@ class AioTcpServer:
     # Serving one admitted record
     # ------------------------------------------------------------------
 
-    #: The one seam for subclasses that answer a record some other way
-    #: than dispatching it: ``async def _invoke(record, buffer, span)``
-    #: leaves the reply in *buffer* and returns has_reply (*span* is the
-    #: request's root span, None untraced).  The protocol gateway
-    #: forwards the record upstream there and inherits all of the
-    #: connection, shedding, fault, error reply and tracing machinery.
-    _invoke = None
-
     def _start(self, connection, record):
         self._active += 1
         connection.active += 1
-        core = self._core
-        ticket = core.begin(record)
+        ticket = self._core.begin(record)
         buffer = connection.buffers.take()
-        if self._invoke is not None:
-            task = self._loop.create_task(
-                self._await_invoke(connection, record, buffer, ticket))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-        elif self._workers is not None:
+        if self._workers is not None:
             self._workers.submit((connection, record, buffer, ticket))
         else:
-            self._finish(connection, buffer,
-                         core.serve(record, buffer, ticket), ticket)
+            self._inline(connection, record, buffer, ticket)
+
+    def _inline(self, connection, record, buffer, ticket):
+        """Serve one started record on the loop, now."""
+        self._finish(connection, buffer,
+                     self._core.serve(record, buffer, ticket), ticket)
 
     def _work(self, connection, record, buffer, ticket):
         """One worker job: serve, then hand the result to the loop.
@@ -544,15 +533,6 @@ class AioTcpServer:
         # and writes) are due a turn of the loop first.
         for _ in range(len(completions)):
             self._finish(*completions.popleft())
-
-    async def _await_invoke(self, connection, record, buffer, ticket):
-        served = False, True, None  # what a cancelled record leaves behind
-        try:
-            served = await self._core.aserve(
-                self._invoke(record, buffer, ticket and ticket.span),
-                record, buffer, ticket)
-        finally:
-            self._finish(connection, buffer, served, ticket)
 
     def _finish(self, connection, buffer, served, ticket):
         """The one end of every admitted record, whatever served it.

@@ -2,8 +2,8 @@
 
 Every server — the blocking :class:`~repro.runtime.socket_transport
 .TcpServer` and :class:`~repro.runtime.socket_transport.UdpServer`, the
-asyncio :class:`~repro.runtime.aio.server.AioTcpServer` (and through it
-the gateway), and the in-process :meth:`StubServer.serve_bytes
+asyncio :class:`~repro.runtime.aio.server.AioTcpServer`, the protocol
+gateway, and the in-process :meth:`StubServer.serve_bytes
 <repro.runtime.server.StubServer.serve_bytes>` — is an I/O driver of one
 :class:`RequestCore`: it reads a record, hands it over, writes the
 buffer if told to and closes if told to.  What happens in between is
@@ -37,7 +37,11 @@ A driver that serves and writes on one thread (the blocking servers and
 :meth:`StubServer.serve_bytes`) makes one call per record,
 :meth:`RequestCore.handle`; with stats and tracer both off that is the
 only frame between the driver and ``dispatch`` — no ticket, no header
-probe, no clock, no span object.
+probe, no clock, no span object.  The gateway answers a record without
+``dispatch``, in two callbacks (the ingress read forwards it, the
+upstream read answers it): it settles whatever either half raised with
+:meth:`RequestCore.settle`, the rule a dispatch error gets, and an
+answered record with :meth:`RequestCore.answered`.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from repro.obs import propagation, trace
 
 #: What a servant may raise that the core answers as a failed request.
 #: ``SystemExit`` is in: a servant calling ``sys.exit()`` has crashed.
-_SETTLED = (Exception, SystemExit)
+SETTLED = (Exception, SystemExit)
 
 
 class _Ticket:
@@ -71,9 +75,9 @@ class RequestCore:
     ``has_reply, keep_open, error = handle(record, buffer, write)`` per
     record and closes if told to.  One that serves elsewhere (the aio
     server's workers) calls ``ticket = begin(record)``, then
-    ``has_reply, keep_open, error = serve(record, buffer, ticket)`` (or
-    ``await aserve(...)``), writes ``buffer.view()`` if told to, closes
-    if told to, and ``end(ticket)``.
+    ``has_reply, keep_open, error = serve(record, buffer, ticket)`` (the
+    gateway: :meth:`answered` or :meth:`settle`), writes
+    ``buffer.view()`` if told to, closes if told to, and ``end(ticket)``.
     """
 
     __slots__ = ("dispatch", "impl", "stats", "op_names", "error_encoder")
@@ -123,8 +127,8 @@ class RequestCore:
             try:
                 served = (self.dispatch(record, self.impl, buffer),
                           True, None)
-            except _SETTLED as error:
-                served = self._failed(record, buffer, error, None)
+            except SETTLED as error:
+                served = self.settle(record, buffer, error, None)
         else:
             ticket = self.begin(record)
             served = self.serve(record, buffer, ticket)
@@ -173,25 +177,22 @@ class RequestCore:
             else:
                 with trace.span("dispatch", parent=ticket.span):
                     has_reply = self.dispatch(record, self.impl, buffer)
-        except _SETTLED as error:
-            return self._failed(record, buffer, error, ticket)
+        except SETTLED as error:
+            return self.settle(record, buffer, error, ticket)
+        return self.answered(ticket, has_reply)
+
+    def answered(self, ticket, has_reply=True):
+        """What :meth:`serve` returns for an answered request (for the
+        gateway, one whose upstream reply is translated into the
+        buffer): observed, with the connection kept."""
         if ticket is not None:
             self._observe(ticket, False)
         return has_reply, True, None
 
-    async def aserve(self, invoke, record, buffer, ticket=None):
-        """:meth:`serve` for a driver that answers *record* by awaiting
-        *invoke* instead of dispatching (the gateway's upstream call)."""
-        try:
-            with trace.span("dispatch", parent=ticket and ticket.span):
-                has_reply = await invoke
-        except _SETTLED as error:
-            return self._failed(record, buffer, error, ticket)
-        if ticket is not None:
-            self._observe(ticket, False)
-        return has_reply, True, None
-
-    def _failed(self, record, buffer, error, ticket):
+    def settle(self, record, buffer, error, ticket=None):
+        """What :meth:`serve` returns when dispatch raised *error*: the
+        error reply in *buffer*, and the connection kept only for a
+        :class:`~repro.errors.RuntimeFlickError` that got one."""
         crashed = not isinstance(error, RuntimeFlickError)
         if self.stats is not None:
             (self.stats.servant_errors if crashed

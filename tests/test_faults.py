@@ -212,15 +212,27 @@ class _EchoInner:
     def close(self):
         self.closed = True
 
-    async def acall(self, payload, options=None, parent=None):
-        self.calls.append(bytes(payload))
-        return b"reply:" + bytes(payload)
-
-    async def asend(self, payload, options=None):
-        self.calls.append(bytes(payload))
-
     async def aclose(self):
         self.closed = True
+
+
+class _EchoUpstream(_EchoInner):
+    """A fake gateway upstream leg (what FaultyAioTransport wraps),
+    answering each two-way request at once."""
+
+    def acquire(self, callback, parent=None):
+        callback(None, None)
+
+    def submit(self, connection, wire_id, payload, on_reply):
+        on_reply(self.call(payload), 0, None, None)
+
+    def send(self, connection, payload):
+        self.calls.append(bytes(payload))
+
+
+def _onc_call(xid):
+    """An ONC RPC call header (no credentials, no body) with *xid*."""
+    return struct.pack(">10I", xid, 0, 2, 0x20000001, 1, 1, 0, 0, 0, 0)
 
 
 class TestFaultyTransports:
@@ -260,19 +272,67 @@ class TestFaultyTransports:
         assert len(noisy.call(b"0123456789")) < len(reply)
 
     def test_aio_wrapper_mirrors_blocking_semantics(self):
-        inner = _EchoInner()
+        inner = _EchoUpstream()
+        request = _onc_call(2)
+
+        def answer(reply, _offset, error, _stamp):
+            if error is not None:
+                raise error
+            return reply
 
         async def main():
             dropper = FaultyAioTransport(inner, FaultPlan(drop=1.0))
             with pytest.raises(TransportError, match="dropped"):
-                await dropper.acall(b"req")
+                dropper.submit(None, 1, request, answer)
             doubler = FaultyAioTransport(inner, FaultPlan(duplicate=1.0))
-            assert await doubler.acall(b"req") == b"reply:req"
+            replies = []
+            doubler.submit(None, 2, request, lambda *reply: replies.append(
+                answer(*reply)))
+            for _ in range(10):  # each copy goes out on a turn of its own
+                await asyncio.sleep(0)
+            assert replies == [b"reply:" + request]
             await doubler.aclose()
 
         asyncio.run(main())
-        assert inner.calls == [b"req", b"req"]
+        assert inner.calls == [request, request]
         assert inner.closed
+
+    def test_aio_wrapper_routes_every_delivery_to_the_submitted_id(self):
+        """A copy whose id was corrupted goes out under the submitted
+        wire id again; one whose header no longer parses fails its
+        call; a message held for reordering follows the next one out as
+        a oneway, its own call already failed as dropped."""
+        inner = _EchoUpstream()
+        outcomes = []
+
+        def collect(reply, _offset, error, _stamp):
+            outcomes.append(error if error is not None else reply)
+
+        async def settle():
+            for _ in range(10):
+                await asyncio.sleep(0)
+
+        async def main():
+            corrupted = bytearray(_onc_call(7))
+            corrupted[0] ^= 0x80  # the xid's top bit
+            FaultyAioTransport(inner, FaultPlan()).submit(
+                None, 7, bytes(corrupted), collect)
+            FaultyAioTransport(inner, FaultPlan()).submit(
+                None, 8, b"not a header", collect)
+            await settle()
+            assert outcomes[0] == b"reply:" + _onc_call(7)
+            assert isinstance(outcomes[1], TransportError)
+            del outcomes[:], inner.calls[:]
+            swapper = FaultyAioTransport(inner, FaultPlan(reorder=1.0))
+            swapper.submit(None, 1, _onc_call(1), collect)
+            swapper.submit(None, 2, _onc_call(2), collect)
+            await settle()
+
+        asyncio.run(main())
+        assert isinstance(outcomes[0], TransportError)
+        assert "dropped" in str(outcomes[0])
+        assert outcomes[1:] == [b"reply:" + _onc_call(2)]
+        assert inner.calls == [_onc_call(2), _onc_call(1)]
 
 
 # ----------------------------------------------------------------------

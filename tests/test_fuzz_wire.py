@@ -567,16 +567,17 @@ class _ValidatingUpstreamTransport:
         self._inner = inner
         self._validate = validate
         self.forwarded = 0
+        self.acquire = inner.acquire
 
-    async def acall(self, payload, *args, **kwargs):
+    def submit(self, connection, wire_id, payload, on_reply):
         self._validate(payload)
         self.forwarded += 1
-        return await self._inner.acall(payload, *args, **kwargs)
+        self._inner.submit(connection, wire_id, payload, on_reply)
 
-    async def asend(self, payload):
+    def send(self, connection, payload):
         self._validate(payload)
         self.forwarded += 1
-        return await self._inner.asend(payload)
+        self._inner.send(connection, payload)
 
     async def aclose(self):
         await self._inner.aclose()

@@ -40,7 +40,7 @@ from repro.gateway import errmap
 from repro.gateway.envelope import parse_request
 from repro.runtime import StubServer, TcpClientTransport
 from repro.runtime.aio import ServerStats
-from repro.runtime.aio.correlation import reply_error
+from repro.runtime.aio.correlation import reply_error, route
 
 from tests.conftest import MAIL_IDL, MailImpl, compile_mail
 from tests.endpoint import registry_endpoint
@@ -275,6 +275,207 @@ class TestEndToEnd:
         # Local egress-leg failures surface as COMM_FAILURE/TRANSIENT.
         assert ("COMM_FAILURE" in error.code
                 or "TRANSIENT" in error.code)
+
+
+def _dead_port():
+    """A local port with nothing listening on it."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+def _framed(payload):
+    return struct.pack(">I", 0x80000000 | len(payload)) + payload
+
+
+class TestUpstreamLeg:
+    """The request half runs in the ingress read, the reply half in the
+    upstream read: what that must keep of the old coroutine path."""
+
+    def test_failed_oneway_is_an_upstream_error_not_a_bad_frame(
+            self, iiop_result, onc_result):
+        """A oneway whose upstream leg fails is counted under the
+        gateway's upstream errors, and the caller keeps its
+        connection (the next two-way call gets the mapped reply)."""
+        plan = build_plan(iiop_result, onc_result)
+        stats = ServerStats()
+        module = iiop_result.load_module()
+        with AioGatewayServer(plan, "127.0.0.1", _dead_port(),
+                              stats=stats) as gateway:
+            with _client(module, gateway.address) as (client, _):
+                client.ping(5)
+                with pytest.raises(RemoteCallError) as caught:
+                    client.avg([1, 2, 3])
+        assert "COMM_FAILURE" in caught.value.code
+        assert stats.malformed.value == 0
+        errors = stats.registry.snapshot()[
+            "flick_gateway_upstream_errors_total"]
+        assert errors == {("giop->oncrpc", "TransportError"): 2}
+
+    def test_64_in_flight_answered_out_of_order(self, iiop_result,
+                                                onc_result):
+        """64 requests pipelined on one ingress connection, an upstream
+        that answers them in another order: each reply carries its own
+        request id and its own value."""
+        import time
+
+        class Scrambled(MailImpl):
+            def avg(self, xs):
+                time.sleep(0.001 * (xs[0] * 37 % 16))
+                return super().avg(xs)
+
+        module = iiop_result.load_module()
+        egress_module = onc_result.load_module()
+        upstream = StubServer(egress_module, Scrambled(egress_module)) \
+            .aio_server()
+        requests = b""
+        for index in range(64):
+            buffer = MarshalBuffer()
+            module._m_req_avg(buffer, 1000 + index, [index, index + 2])
+            requests += _framed(bytes(buffer.getvalue()))
+        with upstream, AioGatewayServer(
+                build_plan(iiop_result, onc_result),
+                *upstream.address[:2]) as gateway:
+            with socket.create_connection(gateway.address[:2]) as sock:
+                sock.sendall(requests)
+                replies = [recv_record(sock) for _ in range(64)]
+        answered = {}
+        for reply in replies:
+            request_id = route(reply)[0]
+            answered[request_id] = module._u_rep_avg(
+                reply, module._check_reply(reply, request_id))
+        assert answered == {1000 + index: index + 1.0
+                            for index in range(64)}
+
+    def test_stop_while_upstream_blocks_finishes_every_record(
+            self, iiop_result, onc_result):
+        """stop() with calls parked in a servant that blocks: the drain
+        gives up, every record is finished once when the pool closes,
+        and each caller gets a reply or a clean close."""
+        entered = threading.Semaphore(0)
+        release = threading.Event()
+
+        class Blocking(MailImpl):
+            def avg(self, xs):
+                entered.release()
+                release.wait(10)
+                return super().avg(xs)
+
+        module = iiop_result.load_module()
+        egress_module = onc_result.load_module()
+        upstream = StubServer(egress_module, Blocking(egress_module)) \
+            .aio_server()
+        callers = []
+        with upstream:
+            gateway = AioGatewayServer(
+                build_plan(iiop_result, onc_result),
+                *upstream.address[:2], drain_timeout=0.2).start()
+            try:
+                for index in range(4):
+                    sock = socket.create_connection(gateway.address[:2])
+                    callers.append(sock)
+                    buffer = MarshalBuffer()
+                    module._m_req_avg(buffer, index + 1, [index])
+                    sock.sendall(_framed(bytes(buffer.getvalue())))
+                for _ in callers:
+                    assert entered.acquire(timeout=5)
+                assert gateway.in_flight == 4
+            finally:
+                gateway.stop()
+                release.set()
+            assert gateway.in_flight == 0
+            for sock in callers:
+                with sock:
+                    sock.settimeout(5)
+                    try:
+                        reply = recv_record(sock)
+                    except TransportError as closed:
+                        assert "connection closed mid-record header" \
+                            in str(closed)
+                    else:
+                        assert reply_error(reply) is not None
+
+    def test_upstream_fault_plan_drop_and_delay(self, iiop_result,
+                                                onc_result):
+        """A dropped egress request is a mapped local failure on a
+        connection that stays open; a delayed one is answered no
+        sooner than its delay."""
+        import time
+
+        from repro.faults import FaultPlan
+
+        module = iiop_result.load_module()
+        with _bridge(iiop_result, onc_result,
+                     upstream_fault_plan=FaultPlan(drop=1.0)) \
+                as (gateway, _):
+            with _client(module, gateway.address) as (client, _):
+                for _ in range(2):
+                    with pytest.raises(RemoteCallError) as caught:
+                        client.avg([1, 2])
+                    assert "COMM_FAILURE" in caught.value.code
+        with _bridge(iiop_result, onc_result,
+                     upstream_fault_plan=FaultPlan(delay=1.0,
+                                                   delay_s=0.2)) \
+                as (gateway, _):
+            with _client(module, gateway.address) as (client, _):
+                started = time.perf_counter()
+                assert client.avg([2, 4]) == 3.0
+                assert time.perf_counter() - started >= 0.2
+
+    def test_upstream_fault_plan_reorder_ends_every_call(
+            self, iiop_result, onc_result):
+        """Reordering holds every other egress request: that call is a
+        mapped local failure, the next one gets its own reply (the held
+        request follows it out, its reply an orphan upstream)."""
+        from repro.faults import FaultPlan
+
+        module = iiop_result.load_module()
+        with _bridge(iiop_result, onc_result,
+                     upstream_fault_plan=FaultPlan(reorder=1.0)) \
+                as (gateway, _):
+            transport = TcpClientTransport(*gateway.address[:2],
+                                           deadline=5)
+            client = module.Test_MailClient(transport)
+            try:
+                for index in range(6):
+                    if index % 2:
+                        assert client.avg([index, index + 2]) == index + 1
+                        continue
+                    with pytest.raises(RemoteCallError) as caught:
+                        client.avg([index, index + 2])
+                    assert "COMM_FAILURE" in caught.value.code
+            finally:
+                transport.close()
+            assert gateway.in_flight == 0
+
+    def test_upstream_fault_plan_corrupt_ends_every_call(
+            self, iiop_result, onc_result):
+        """A bit flipped anywhere in an egress request, its id
+        included: every call ends in a reply or a mapped error reply,
+        on a connection that stays open."""
+        from repro.faults import FaultPlan
+
+        module = iiop_result.load_module()
+        with _bridge(iiop_result, onc_result,
+                     upstream_fault_plan=FaultPlan(corrupt=1.0, seed=5)) \
+                as (gateway, _):
+            transport = TcpClientTransport(*gateway.address[:2],
+                                           deadline=5)
+            client = module.Test_MailClient(transport)
+            answered = 0
+            try:
+                for index in range(24):
+                    try:
+                        client.avg([index, index + 2])
+                    except RemoteCallError:
+                        continue
+                    answered += 1
+            finally:
+                transport.close()
+            assert answered
+            assert gateway.in_flight == 0
 
 
 def _plan_codecs(plan):
@@ -538,6 +739,32 @@ class TestObservability:
         # Gateway ingress + upstream server both opened one.
         assert len(server_requests) >= 2
         assert {s.trace_id for s in spans} == {call.trace_id}
+
+    def test_upstream_round_trip_spans_nest_under_dispatch(
+            self, iiop_result, onc_result, _tracing_off_after):
+        """``dispatch`` > ``transport.call`` > ``pool.acquire`` (the
+        first call dials), ``send``, ``await.reply``; the upstream's
+        ``server.request`` hangs off ``transport.call``."""
+        exporter = obs.CollectingExporter()
+        obs.configure(exporter)
+        module = iiop_result.load_module()
+        with _bridge(iiop_result, onc_result, servant_aio=True) \
+                as (gateway, _):
+            with _client(module, gateway.address) as (client, _):
+                assert client.avg([3, 9]) == 6.0
+        obs.shutdown()
+
+        def children(parent):
+            return {s.name: s for s in exporter.spans
+                    if s.parent_id == parent.span_id}
+
+        (root,) = [s for s in exporter.by_name("server.request")
+                   if s.attrs.get("bridge") is not None]
+        call = children(children(root)["dispatch"])["transport.call"]
+        legs = children(call)
+        assert set(legs) == {"pool.acquire", "send", "await.reply",
+                             "server.request"}
+        assert legs["send"].attrs["bytes"] > 0
 
     def test_metrics_count_fused_and_reencode_paths_per_bridge(
             self, iiop_result, onc_result):
