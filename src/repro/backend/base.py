@@ -123,12 +123,10 @@ class GeneratedStubs:
     module_name: str = ""
     renderer: str = "py"
     mir: object = field(default=None, repr=False)
-    #: Zero-argument callable returning the naive type IR
-    #: (:class:`repro.mir.ops.NaiveProgram`) for this interface.  The
-    #: payload-shape profiler uses it to know which channels each codec
-    #: carries; it is evaluated lazily (and only once) so uninstrumented
-    #: compiles pay nothing.
-    shapes_factory: object = field(default=None, repr=False)
+    #: The PRES_C these stubs were generated from.  A loaded module
+    #: carries it as ``_flick_presc``: the payload-shape profiler reads
+    #: each codec's channels from it.
+    presc: object = field(default=None, repr=False)
     #: The back-end instance that generated these stubs and the flags it
     #: ran with — what rebuilding their marshal IR needs (the e2e
     #: benchmark's compile replica times each stage from them).
@@ -179,8 +177,8 @@ class GeneratedStubs:
             if codecs is not None:
                 pending = render_closures.defer_codecs(
                     module, self.mir, codecs)
-            if self.shapes_factory is not None:
-                module._flick_shapes = _memoized(self.shapes_factory)
+            if self.presc is not None:
+                module._flick_presc = self.presc
             self._module = module
         return self._module
 
@@ -391,21 +389,12 @@ class OptimizingBackEnd:
             module_name=module_name,
             renderer=renderer,
             mir=program,
-            shapes_factory=self._shapes_factory(presc, flags),
+            presc=presc,
             backend_instance=self,
             flags=flags,
             sections=_section_table(w.lines, opened, placed)
             if self.sectioned else (),
         )
-
-    def _shapes_factory(self, presc, flags):
-        """A lazy thunk building the naive type IR for the profiler."""
-        def build():
-            from repro.mir.build import build_naive
-
-            return build_naive(self, presc, flags)
-
-        return build
 
     # ------------------------------------------------------------------
     # Codec emission (renderer seam)

@@ -197,7 +197,7 @@ class _Linter:
 
     def _discriminator_covered(self, pres):
         labels = {label for arm in pres.arms for label in arm.labels}
-        discriminator = pres.discriminator
+        discriminator = self.presc.pres_registry.resolve(pres.discriminator)
         if isinstance(discriminator, p.PresEnum):
             members = {value for _, value in discriminator.members}
             return members <= labels

@@ -20,8 +20,9 @@ Two numbers per channel, deliberately distinct:
   it).
 
 A prediction exists for exactly the plan's operations.  Only the byte
-accounting is computed here, item by item over the naive channels the
-plan paired (the modules' ``_flick_shapes``).  Byte estimates come from
+accounting is computed here, item by item over the PRES_C channels the
+plan paired (:meth:`repro.pres.presc.PresCStub.channels`, read through
+the plan's two sides).  Byte estimates come from
 :func:`repro.mint.analysis.analyze_storage` on each item's MINT under
 the ingress wire format — the bounded maximum when there is one, the
 fixed minimum otherwise (unbounded sequences contribute their headers;
@@ -64,25 +65,20 @@ class ChannelPrediction:
         }
 
 
-def _item_bytes(node, layout, registry):
+def _item_bytes(pres, layout, registry):
     """Storage bytes of one channel item under *layout*."""
-    mint = getattr(getattr(node, "pres", None), "mint", None)
-    if mint is None:
-        return 0
-    info = analyze_storage(mint, layout, registry)
+    info = analyze_storage(pres.mint, layout, registry)
     return info.min_size if info.max_size is None else info.max_size
 
 
-def _predict_channel(op, direction, fused, src, dst, layout, registry):
-    """*src* and *dst* are ``(channel, types)`` of the two sides."""
-    (src_channel, types_src), (dst_channel, types_dst) = src, dst
-    paired = len(src_channel.items) == len(dst_channel.items)
+def _predict_channel(op, direction, fused, src_items, dst_items, sides,
+                     layout, registry):
+    paired = len(src_items) == len(dst_items)
     fusible = total = 0
-    for index, (_name, node) in enumerate(src_channel.items):
-        nbytes = _item_bytes(node, layout, registry)
+    for index, (_name, pres) in enumerate(src_items):
+        nbytes = _item_bytes(pres, layout, registry)
         total += nbytes
-        if paired and _fuse_node(node, dst_channel.items[index][1],
-                                 types_src, types_dst, []):
+        if paired and _fuse_node(pres, dst_items[index][1], sides, []):
             fusible += nbytes
     fraction = fusible / total if total else (1.0 if fused else 0.0)
     return ChannelPrediction(
@@ -100,21 +96,19 @@ def predict_fused(plan, ingress_result):
     """
     layout = ingress_result.stubs.backend_instance.wire_format
     registry = ingress_result.presc.mint_registry
-    ingress = plan.ingress_module._flick_shapes()
-    egress = plan.egress_module._flick_shapes()
+    ingress, egress = plan.sides
     predictions = {}
     for op in plan.ops.values():
-        op_in, op_eg = (ingress.operations[op.name],
-                        egress.operations[op.name])
+        channels_in = ingress.presc.stub_named(op.name).channels()
+        channels_eg = egress.presc.stub_named(op.name).channels()
         predictions[op.name] = {"request": _predict_channel(
             op.name, "request", op.request_segments is not None,
-            (op_in["request"], ingress.types),
-            (op_eg["request"], egress.types), layout, registry)}
+            channels_in["request"], channels_eg["request"], plan.sides,
+            layout, registry)}
         if not op.oneway:
             # The reply crosses egress -> ingress; predict that way.
             predictions[op.name]["reply"] = _predict_channel(
                 op.name, "reply", 0 in op.reply_segments,
-                (op_eg["reply_arms"][0][1], egress.types),
-                (op_in["reply_arms"][0][1], ingress.types),
+                channels_eg["ok"], channels_in["ok"], plan.sides[::-1],
                 layout, registry)
     return predictions

@@ -2,9 +2,10 @@
 
 A bridge serves one AOI interface on an *ingress* protocol and forwards
 it to an *egress* protocol.  For every operation this module pairs the
-ingress backend's decode layout with the egress backend's encode layout
-(both taken from the naive marshal IR, :func:`repro.mir.build
-.build_naive`) and decides, per value channel, between two strategies:
+ingress side's PRES_C with the egress side's, channel by channel
+(:meth:`repro.pres.presc.PresCStub.channels`), reads each atom's layout
+from the side's wire format, and decides, per value channel, between
+two strategies:
 
 **Fused copy.**  Where the two wire formats lay a region out
 byte-identically — XDR and big-endian CDR agree exactly on 32-bit
@@ -33,13 +34,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.backend import make_backend
 from repro.backend.oncxdr import interface_program
 from repro.core import codecs
 from repro.errors import WireFormatError
+from repro.mint.analysis import is_recursive
 from repro.mir import ops as m
+from repro.pres import nodes as p
 
 from repro.gateway.envelope import IngressSpec
 
@@ -143,34 +146,66 @@ def _same_word_codec(a, b):
             and a.alignment == b.alignment == 4)
 
 
-def _fuse_node(src, dst, types_src, types_dst, segments):
-    """Append copy segments covering (src -> dst); False if infusible."""
-    if isinstance(src, m.TRef) and isinstance(dst, m.TRef):
-        if src.recursive or dst.recursive:
+class Side(NamedTuple):
+    """One end of a bridge as the fusion walk reads it."""
+
+    presc: object
+    fmt: object                   # the side's wire format
+
+    def atom_codec(self, pres):
+        """The codec of an atom (``PresDirect`` and ``PresEnum`` are
+        one kind) or of a named type that is one, else None."""
+        if isinstance(pres, p.PresRef):
+            pres = self.presc.pres_registry[pres.name]
+        if isinstance(pres, _ATOMS):
+            return self.fmt.atom_codec(pres.mint)
+        return None
+
+
+_ATOMS = (p.PresDirect, p.PresEnum)
+
+
+def _kind(pres):
+    return p.PresDirect if isinstance(pres, p.PresEnum) else type(pres)
+
+
+def _fuse_node(src, dst, sides, segments):
+    """Append copy segments covering (src -> dst); False if infusible.
+
+    *sides* is the ``(source, destination)`` :class:`Side` pair.  Two
+    named types fuse as their definitions unless either recurses; a
+    named type against an inline one never fuses."""
+    side_src, side_dst = sides
+    if isinstance(src, p.PresRef) and isinstance(dst, p.PresRef):
+        if (is_recursive(src.mint, side_src.presc.mint_registry)
+                or is_recursive(dst.mint, side_dst.presc.mint_registry)):
             return False
-        return _fuse_node(types_src[src.name], types_dst[dst.name],
-                          types_src, types_dst, segments)
-    if type(src) is not type(dst):
+        return _fuse_node(side_src.presc.pres_registry[src.name],
+                          side_dst.presc.pres_registry[dst.name],
+                          sides, segments)
+    if _kind(src) is not _kind(dst):
         return False
-    if isinstance(src, m.TVoid):
+    if isinstance(src, p.PresVoid):
         return True
-    if isinstance(src, m.TAtom):
-        if not _same_word_codec(src.codec, dst.codec):
+    if isinstance(src, _ATOMS):
+        if not _same_word_codec(side_src.atom_codec(src),
+                                side_dst.atom_codec(dst)):
             return False
         segments.append(CopyFixed(4))
         return True
-    if isinstance(src, m.TFixedArray):
+    if isinstance(src, p.PresFixedArray):
         # Neither XDR nor CDR prefixes fixed arrays with a header.
         if src.length != dst.length:
             return False
-        if _same_word_codec(src.element_codec, dst.element_codec):
+        if _same_word_codec(side_src.atom_codec(src.element),
+                            side_dst.atom_codec(dst.element)):
             segments.append(CopyFixed(4 * src.length))
             return True
         # Structured elements fuse too when every field does and the
         # element is fixed-size (one stride covers the whole array).
         element_segments = []
-        if not _fuse_node(src.element, dst.element, types_src,
-                          types_dst, element_segments):
+        if not _fuse_node(src.element, dst.element, sides,
+                          element_segments):
             return False
         if not all(isinstance(s, CopyFixed) for s in element_segments):
             return False
@@ -178,10 +213,11 @@ def _fuse_node(src, dst, types_src, types_dst, segments):
         if stride:
             segments.append(CopyFixed(stride * src.length))
         return True
-    if isinstance(src, m.TCountedArray):
+    if isinstance(src, p.PresCountedArray):
         # Both formats prefix a 4-byte count (big-endian here, by the
         # plan-level endianness precondition).
-        if not _same_word_codec(src.element_codec, dst.element_codec):
+        if not _same_word_codec(side_src.atom_codec(src.element),
+                                side_dst.atom_codec(dst.element)):
             return False
         if src.bound is not None and dst.bound is not None:
             bound = min(src.bound, dst.bound)
@@ -189,11 +225,11 @@ def _fuse_node(src, dst, types_src, types_dst, segments):
             bound = src.bound if src.bound is not None else dst.bound
         segments.append(CopyCounted(bound, 4))
         return True
-    if isinstance(src, m.TStruct):
+    if isinstance(src, p.PresStruct):
         if len(src.fields) != len(dst.fields):
             return False
         return all(
-            _fuse_node(sf.node, df.node, types_src, types_dst, segments)
+            _fuse_node(sf.pres, df.pres, sides, segments)
             for sf, df in zip(src.fields, dst.fields)
         )
     # Strings (NUL termination differs), bytes (padding differs),
@@ -212,14 +248,14 @@ def _coalesce(segments):
     return out
 
 
-def fuse_channel(src_channel, dst_channel, types_src, types_dst):
-    """Copy segments bridging two naive channels, or None."""
-    if len(src_channel.items) != len(dst_channel.items):
+def fuse_channel(src_items, dst_items, sides):
+    """Copy segments bridging two channels (:meth:`PresCStub.channels
+    <repro.pres.presc.PresCStub.channels>` values), or None."""
+    if len(src_items) != len(dst_items):
         return None
     segments = []
-    for (_sn, src), (_dn, dst) in zip(src_channel.items,
-                                      dst_channel.items):
-        if not _fuse_node(src, dst, types_src, types_dst, segments):
+    for (_sn, src), (_dn, dst) in zip(src_items, dst_items):
+        if not _fuse_node(src, dst, sides, segments):
             return None
     return _coalesce(segments)
 
@@ -273,6 +309,8 @@ class BridgePlan:
     ingress_versions: tuple
     ops: Dict[object, OpPlan]
     interface_name: str = ""
+    #: The ingress and egress :class:`Side` the plan was fused from.
+    sides: tuple = field(default=(), init=False, repr=False)
 
     @property
     def fused_request_ops(self):
@@ -362,9 +400,8 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
     fuse = (fuse
             and ingress_backend.wire_format.endian == ">"
             and egress_backend.wire_format.endian == ">")
-    # The naive IR each module's profiler and ``predict_fused`` read.
-    naive_in = ingress_module._flick_shapes()
-    naive_eg = egress_module._flick_shapes()
+    sides = (Side(ingress_presc, ingress_backend.wire_format),
+             Side(egress_presc, egress_backend.wire_format))
     egress_stubs = {s.operation_name: s for s in egress_presc.stubs}
 
     ops = {}
@@ -374,26 +411,21 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
             continue  # unknown-operation error at runtime (check_bridge
             #           reports these as BREAKING before serving)
         name = stub.operation_name
-        op_in = naive_in.operations[name]
-        op_eg = naive_eg.operations[name]
         request_segments = None
         reply_segments = {}
         if fuse:
+            channels_in, channels_eg = stub.channels(), other.channels()
             request_segments = fuse_channel(
-                op_in["request"], op_eg["request"],
-                naive_in.types, naive_eg.types)
-            if not stub.oneway:
-                arms_in = dict(op_in["reply_arms"])
-                for index, (label, channel) in \
-                        enumerate(op_eg["reply_arms"]):
-                    if label not in arms_in:
-                        continue
-                    disc = 0 if index == 0 else int(label[1:])
-                    segments = fuse_channel(
-                        channel, arms_in[label],
-                        naive_eg.types, naive_in.types)
-                    if segments is not None:
-                        reply_segments[disc] = segments
+                channels_in.pop("request"), channels_eg.pop("request"),
+                sides)
+            for label, items in channels_eg.items():
+                if label not in channels_in:
+                    continue
+                segments = fuse_channel(items, channels_in[label],
+                                        sides[::-1])
+                if segments is not None:
+                    reply_segments[0 if label == "ok"
+                                   else int(label[1:])] = segments
         exception_arms = {}
         if not stub.oneway:
             ingress_by_label = {
@@ -435,6 +467,7 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
         ops=ops,
         interface_name=ingress_presc.interface_name,
     )
+    plan.sides = sides
     plan.rebind()
     for module in (ingress_module, egress_module):
         codecs.of(module).subscribe(lambda op, _names: plan.rebind(op))

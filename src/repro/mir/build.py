@@ -365,147 +365,3 @@ def tail_recursive_list(pres, presc, name):
         if mint is not None and is_recursive(mint, presc.mint_registry):
             return None
     return target, tail.name, tail_pres
-
-
-# ----------------------------------------------------------------------
-# Naive type IR (flag-independent; one PRES_C walk)
-# ----------------------------------------------------------------------
-
-
-def build_naive(backend, presc, flags=None):
-    """Build the direction-neutral naive type IR for *presc*.
-
-    This is the pre-optimization view ``flick ir`` shows: what travels
-    on the wire per operation, before lowering decides chunk layouts.
-    """
-    fmt = backend.wire_format
-    program = m.NaiveProgram(
-        interface_name=presc.interface_name,
-        wire_name=backend.name,
-    )
-
-    def node(pres):
-        pres_node = pres
-        if isinstance(pres_node, p.PresVoid):
-            return m.TVoid(pres=pres_node)
-        if isinstance(pres_node, p.PresRef):
-            ref = m.TRef(
-                pres=pres_node, name=pres_node.name,
-                recursive=is_recursive(
-                    pres_node.mint, presc.mint_registry
-                ),
-            )
-            if pres_node.name not in program.types:
-                program.types[pres_node.name] = None  # cycle guard
-                program.types[pres_node.name] = node(
-                    presc.pres_registry[pres_node.name]
-                )
-            return ref
-        if isinstance(pres_node, (p.PresDirect, p.PresEnum)):
-            return m.TAtom(
-                pres=pres_node, codec=fmt.atom_codec(pres_node.mint),
-                mint=pres_node.mint,
-            )
-        if isinstance(pres_node, p.PresString):
-            return m.TString(
-                pres=pres_node, mint=pres_node.mint,
-                bound=pres_node.bound,
-                carries_length=pres_node.carries_length,
-            )
-        if isinstance(pres_node, p.PresBytes):
-            return m.TBytes(
-                pres=pres_node, mint=pres_node.mint,
-                bound=pres_node.bound,
-                fixed_length=pres_node.fixed_length,
-            )
-        if isinstance(pres_node, p.PresFixedArray):
-            return m.TFixedArray(
-                pres=pres_node, mint=pres_node.mint,
-                length=pres_node.length,
-                element=node(pres_node.element),
-                element_codec=_element_codec(fmt, presc, pres_node.element),
-            )
-        if isinstance(pres_node, p.PresCountedArray):
-            return m.TCountedArray(
-                pres=pres_node, mint=pres_node.mint,
-                bound=pres_node.bound,
-                element=node(pres_node.element),
-                element_codec=_element_codec(fmt, presc, pres_node.element),
-            )
-        if isinstance(pres_node, p.PresOptPtr):
-            return m.TOptional(
-                pres=pres_node, mint=pres_node.mint,
-                element=node(pres_node.element),
-            )
-        if isinstance(pres_node, p.PresStruct):
-            return m.TStruct(
-                pres=pres_node, record_name=pres_node.record_name,
-                fields=[
-                    m.TStructField(f.name, node(f.pres))
-                    for f in pres_node.fields
-                ],
-            )
-        if isinstance(pres_node, p.PresException):
-            return m.TException(
-                pres=pres_node, class_name=pres_node.class_name,
-                fields=[
-                    m.TStructField(f.name, node(f.pres))
-                    for f in pres_node.fields
-                ],
-            )
-        if isinstance(pres_node, p.PresUnion):
-            return m.TUnion(
-                pres=pres_node,
-                disc_codec=fmt.atom_codec(pres_node.mint.discriminator),
-                arms=[
-                    m.TUnionArm(tuple(arm.labels), arm.is_default,
-                                node(arm.pres))
-                    for arm in pres_node.arms
-                ],
-            )
-        return m.TypeNode(pres=pres_node)
-
-    for stub in presc.stubs:
-        request = m.TypeChannel(items=[
-            (parameter.name, node(parameter.pres))
-            for parameter in stub.in_parameters()
-        ])
-        reply_arms = None
-        if stub.reply_pres is not None:
-            reply_arms = []
-            for index, arm in enumerate(stub.reply_pres.arms):
-                label = "ok" if index == 0 else "x%d" % arm.labels[0]
-                if isinstance(arm.pres, p.PresStruct):
-                    channel = m.TypeChannel(items=[
-                        (f.name, node(f.pres)) for f in arm.pres.fields
-                    ])
-                else:
-                    channel = m.TypeChannel(
-                        items=[("value", node(arm.pres))]
-                    )
-                reply_arms.append((label, channel))
-        program.operations[stub.operation_name] = {
-            "request": request,
-            "reply_arms": reply_arms,
-            "oneway": stub.oneway,
-        }
-    if flags is None or flags.iterative_lists:
-        for name, pres in presc.pres_registry.items():
-            shape = tail_recursive_list(pres, presc, name)
-            if shape is not None:
-                struct_pres, tail_name, tail_pres = shape
-                struct_node = node(struct_pres)
-                program.list_shapes[name] = m.ListShape(
-                    struct=struct_node, tail_name=tail_name,
-                    tail=struct_node.fields[-1].node,
-                )
-    return program
-
-
-def _element_codec(fmt, presc, element_pres):
-    element = element_pres
-    if isinstance(element, p.PresRef):
-        element = presc.pres_registry[element.name]
-    if isinstance(element, (p.PresDirect, p.PresEnum)):
-        return fmt.atom_codec(element.mint)
-    return None

@@ -1,16 +1,13 @@
 """MIR: the explicit marshal intermediate representation.
 
 This module defines the typed op vocabulary shared by every renderer.
-A stub's marshal/unmarshal behaviour is described twice:
-
-* as **naive type IR** (:class:`TypeNode` trees built by
-  :mod:`repro.mir.build` from one PRES_C walk) — a flag-independent,
-  direction-neutral description of what travels on the wire, and
-* as **lowered op sequences** (:class:`MirFunction` bodies produced by
-  the pass pipeline in :mod:`repro.mir.passes`) — straight-line typed
-  ops with struct formats and constant offsets already decided, which
-  the Python-source renderer, the closure renderer, and the C renderer
-  consume without re-running any optimization logic.
+What travels on the wire is described once, by PRES_C; this IR is what
+one walk of it lowers a stub's marshal/unmarshal behaviour to:
+**lowered op sequences** (:class:`MirFunction` bodies produced by the
+pass pipeline in :mod:`repro.mir.passes`) — straight-line typed ops with
+struct formats and constant offsets already decided, which the
+Python-source renderer, the closure renderer, and the C renderer consume
+without re-running any optimization logic.
 
 Value positions in lowered ops are expression strings in the target
 language, spelled by the table the program was lowered with (Python:
@@ -40,140 +37,6 @@ def largest_pow2_divisor(value, limit):
 
 def mangle(name):
     return name.replace("::", "__").replace(" ", "_")
-
-
-# ----------------------------------------------------------------------
-# Naive type IR (direction-neutral; built once from PRES_C)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class TypeNode:
-    """Base class for naive marshal-IR type nodes."""
-
-    #: The PRES node this was built from (renderers that need
-    #: presentation detail — the C renderer — reach through this).
-    pres: object = field(default=None, repr=False)
-
-
-@dataclass
-class TVoid(TypeNode):
-    pass
-
-
-@dataclass
-class TAtom(TypeNode):
-    codec: object = None          # AtomCodec
-    mint: object = None
-
-
-@dataclass
-class TString(TypeNode):
-    mint: object = None           # the MINT array
-    bound: Optional[int] = None
-    carries_length: bool = False
-
-
-@dataclass
-class TBytes(TypeNode):
-    mint: object = None
-    bound: Optional[int] = None
-    fixed_length: Optional[int] = None
-
-
-@dataclass
-class TFixedArray(TypeNode):
-    mint: object = None
-    length: int = 0
-    element: TypeNode = None
-    element_codec: object = None  # AtomCodec when the element is atomic
-
-
-@dataclass
-class TCountedArray(TypeNode):
-    mint: object = None
-    bound: Optional[int] = None
-    element: TypeNode = None
-    element_codec: object = None
-
-
-@dataclass
-class TOptional(TypeNode):
-    mint: object = None
-    element: TypeNode = None
-
-
-@dataclass
-class TStructField:
-    name: str
-    node: TypeNode
-
-
-@dataclass
-class TStruct(TypeNode):
-    record_name: str = ""
-    fields: List[TStructField] = field(default_factory=list)
-
-
-@dataclass
-class TException(TypeNode):
-    class_name: str = ""
-    fields: List[TStructField] = field(default_factory=list)
-
-
-@dataclass
-class TUnionArm:
-    labels: Tuple[int, ...]
-    is_default: bool
-    node: TypeNode
-
-
-@dataclass
-class TUnion(TypeNode):
-    disc_codec: object = None
-    arms: List[TUnionArm] = field(default_factory=list)
-
-
-@dataclass
-class TRef(TypeNode):
-    """A named type reference; ``recursive`` marks cycle participants."""
-
-    name: str = ""
-    recursive: bool = False
-
-
-@dataclass
-class ListShape:
-    """A helper type shaped like the classic tail-recursive list
-    (a struct whose last field optionally points back to itself) —
-    annotated by the ``iterative_lists`` pass."""
-
-    struct: TStruct
-    tail_name: str
-    tail: TOptional
-
-
-@dataclass
-class TypeChannel:
-    """One marshaled value stream: an ordered list of (name, node)."""
-
-    items: List[Tuple[str, TypeNode]] = field(default_factory=list)
-
-
-@dataclass
-class NaiveProgram:
-    """The naive marshal IR for one interface: per-operation channels
-    plus the registry of named helper types, built from one PRES_C
-    walk (:func:`repro.mir.build.build_naive`)."""
-
-    interface_name: str
-    wire_name: str
-    #: op name -> {"request": TypeChannel, "reply_arms": [...]}.
-    operations: Dict[str, dict] = field(default_factory=dict)
-    #: named type -> TypeNode (resolved, cycle-safe via TRef).
-    types: Dict[str, TypeNode] = field(default_factory=dict)
-    #: named type -> ListShape (set by the iterative_lists pass).
-    list_shapes: Dict[str, ListShape] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------

@@ -199,5 +199,10 @@ def dedup_out_of_line(program):
 def _canonical(fn):
     # Function names appear quoted inside the op repr (CallOutOfLine
     # targets); quoting keeps the substitution exact even when one
-    # helper's name prefixes another's.
-    return repr(fn.ops).replace("'%s'" % fn.name, "'@self@'")
+    # helper's name prefixes another's.  A marshal helper's call to
+    # itself also names its type, which no printer reads.
+    text = repr(fn.ops).replace("'%s'" % fn.name, "'@self@'")
+    if fn.kind == "m_helper":
+        text = text.replace("name=%r, function='@self@'" % fn.type_name,
+                            "name='@self@', function='@self@'")
+    return text

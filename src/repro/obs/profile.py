@@ -6,7 +6,8 @@ module records, per operation and direction (``request``/``reply``):
 
 * message-size histograms (bytes on the wire per codec call),
 * per-channel sequence/string/bytes length histograms, keyed by dotted
-  channel paths (``entries[].name``) derived from the naive type IR,
+  channel paths (``entries[].name``) derived from the operation's PRES
+  trees,
 * union-arm and optional-presence skew, plus reply-arm (ok vs each
   exception) skew,
 * encode/decode codec latency,
@@ -583,7 +584,7 @@ class Profiler:
                 if self._families is not None:
                     sink = _MetricsSink(profile, self._families,
                                         entry.op, entry.direction)
-                shape.probe_args(entry.channel, entry.types, values,
+                shape.probe_args(entry.channel, entry.presc, values,
                                  sink)
             ids = _trace.current_ids()
             if ids is not None:
@@ -704,8 +705,9 @@ class Profiler:
                     result = inner(d, o)
                 except Exception as exc:
                     duration = perf_counter() - start
+                    name = type(exc).__name__
                     owner._record(entry, profile, duration, len(d) - o,
-                                  None, type(exc).__name__)
+                                  None, entry.raises.get(name, name))
                     raise
                 duration = perf_counter() - start
                 values = _reply_values(entry.channel, result)
@@ -726,12 +728,10 @@ def _reply_values(channel, result):
     """
     if channel is None:
         return None
-    from repro.mir import ops as m
+    from repro.pres import nodes as p
 
-    items = [
-        (name, node) for name, node in channel.items
-        if not isinstance(node, m.TVoid)
-    ]
+    items = [pres for _name, pres in channel
+             if not isinstance(pres, p.PresVoid)]
     if not items:
         return ()
     if len(items) == 1:
@@ -770,11 +770,12 @@ class _MetricsSink:
 
 
 class _Entry:
-    """One codec entry's probing context: its slot's parsed name plus
-    the naive channel its values are probed against."""
+    """One codec entry's probing context: its slot's parsed name, the
+    PRES_C channel its values are probed against, and (a reply decoder)
+    the reply arm of each user exception it can raise."""
 
     __slots__ = ("name", "op", "direction", "kind", "form", "arm",
-                 "channel", "types")
+                 "channel", "presc", "raises")
 
     def __init__(self, slot):
         self.name = slot.name
@@ -784,7 +785,8 @@ class _Entry:
         self.form = slot.form
         self.arm = slot.arm
         self.channel = None
-        self.types = {}
+        self.presc = None
+        self.raises = {}
 
 
 class _ProfiledModule:
@@ -808,32 +810,27 @@ class _ProfiledModule:
         self.slots.set_layer("profile", None)
 
     def _resolve_shapes(self):
-        """Attach naive channels to entries from the module's lazy
-        ``_flick_shapes`` thunk (absent on hand-written modules —
-        size/latency still profile, shape probing is skipped)."""
-        thunk = getattr(self.slots.module, "_flick_shapes", None)
-        if thunk is None:
+        """Attach channels to entries from the PRES_C the module's stubs
+        were generated from (none on hand-written modules — size and
+        latency still profile, shape probing is skipped)."""
+        presc = getattr(self.slots.module, "_flick_presc", None)
+        if presc is None:
             return
-        try:
-            program = thunk()
-        except Exception:
-            return
+        from repro.mir.ops import mangle
+
+        stubs = {stub.operation_name: stub for stub in presc.stubs}
         for entry in self.entries.values():
-            info = program.operations.get(entry.op)
-            if info is None:
+            stub = stubs.get(entry.op)
+            if stub is None:
                 continue
-            entry.types = program.types
-            reply_arms = info.get("reply_arms") or []
-            if entry.direction == "request":
-                entry.channel = info["request"]
-            elif entry.form != "m_rep_exc":
-                if reply_arms:
-                    entry.channel = reply_arms[0][1]
-            else:  # the matching exception arm's channel
-                for label, channel in reply_arms:
-                    if label == entry.arm:
-                        entry.channel = channel
-                        break
+            channels = stub.channels()
+            entry.presc = presc
+            entry.channel = channels.get(
+                "request" if entry.direction == "request"
+                else entry.arm or "ok")
+            entry.raises = {mangle(items[0][1].class_name): label
+                            for label, items in channels.items()
+                            if label[0] == "x"}
 
 
 def instrument_stub_module(module):

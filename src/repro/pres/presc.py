@@ -74,6 +74,25 @@ class PresCStub:
             if p.direction in ("out", "inout")
         )
 
+    def channels(self):
+        """The value streams this operation carries, each a tuple of
+        ``(name, PresNode)``, labelled as its codec entries are:
+        ``request`` (the in-parameters), then, unless oneway, ``ok``
+        (the success arm's fields) and ``x<n>`` (exception arm *n*, as
+        one ``value``).  The gateway planner, ``flick bridge``'s byte
+        accounting and the payload-shape profiler all read this."""
+        channels = {"request": tuple(
+            (parameter.name, parameter.pres)
+            for parameter in self.in_parameters())}
+        for index, arm in enumerate(self.reply_pres.arms
+                                    if self.reply_pres else ()):
+            label = "ok" if index == 0 else "x%d" % arm.labels[0]
+            channels[label] = (
+                tuple((f.name, f.pres) for f in arm.pres.fields)
+                if isinstance(arm.pres, PresStruct)
+                else (("value", arm.pres),))
+        return channels
+
     @property
     def return_param(self):
         for parameter in self.parameters:

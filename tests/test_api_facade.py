@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import api
+from repro.compat.lint import lint_text
 from repro.faults import FaultPlan
 from repro.runtime.aio.client import ConnectionPool
 from repro.runtime.socket_transport import (
@@ -138,6 +139,23 @@ class TestSideBySideVersions:
         assert first.stubs.load() is not second.stubs.load()
 
 
+#: A union switched on a named enum whose arms cover every enumerator.
+ONC_ENUM_UNION = """
+enum color { RED = 0, GREEN = 1 };
+union byc switch (color c) { case RED: int r; case GREEN: float g; };
+program P { version V { int f(byc) = 1; } = 1; } = 0x20000046;
+"""
+
+#: The CORBA twin; ``%s`` adds enumerators no arm covers.
+CORBA_ENUM_UNION = """
+module M {
+  enum Color { RED, GREEN%s };
+  union ByColor switch (Color) { case RED: long r; case GREEN: float g; };
+  interface I { void f(in ByColor u); };
+};
+"""
+
+
 class TestCliExitCodes:
     def _write(self, tmp_path, name, text):
         path = tmp_path / name
@@ -203,6 +221,27 @@ class TestCliExitCodes:
     def test_lint_bad_input_exits_three(self, tmp_path):
         path = self._write(tmp_path, "a.idl", "interface {{{ nope")
         assert main(["lint", path]) == 3
+
+    def test_lint_enum_union_fully_covered_exits_zero(self, tmp_path,
+                                                      capsys):
+        path = self._write(tmp_path, "byc.x", ONC_ENUM_UNION)
+        assert main(["lint", path]) == 0
+        assert "union-discriminator-gap" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, gaps", [
+        (ONC_ENUM_UNION, []),
+        (CORBA_ENUM_UNION % "", []),
+        (CORBA_ENUM_UNION % ", BLUE", ["M_ByColor"]),
+        ("module M { union B switch (boolean) {"
+         " case TRUE: long t; case FALSE: float f; };"
+         " interface I { void f(in B b); }; };", []),
+    ], ids=["onc-enum", "corba-enum", "corba-enum-gap", "boolean"])
+    def test_union_discriminator_gap_resolves_named_enums(self, text,
+                                                          gaps):
+        findings, _protocol = lint_text(text, name="u.idl" if "module"
+                                        in text else "u.x")
+        assert [f.reason.split()[1] for f in findings
+                if f.code == "union-discriminator-gap"] == gaps
 
     def test_lint_json_schema(self, tmp_path, capsys):
         path = self._write(tmp_path, "a.idl", CORBA)

@@ -396,13 +396,22 @@ def one_writer_per_error_reply(tree):
     for path in ("src/repro/backend/oncxdr.py", "src/repro/backend/iiop.py"):
         for block in tree.blocks(path, r"def emit_error_reply\("):
             _no([line for line in block if "_pack_into" in line])
-    calls = _not_a_definition(tree.grep(r"\b(fuse_channel|build_naive)\(",
+    calls = _not_a_definition(tree.grep(r"\bfuse_channel\(",
                                         "src/repro/gateway"))
     assert tree.files_of(calls) in ([], ["src/repro/gateway/plan.py"]), \
         "\n".join(calls)
     _no([hit for hit in tree.grep(
         r"reserve\(len\([\w.]*template\)|\] = \(?[\w.]*template\b", "src")
         if not hit.startswith(("src/repro/backend/", "src/repro/mir/"))])
+
+
+def no_naive_type_ir(tree):
+    """A message's shape is described once, in PRES_C: the planner,
+    ``flick bridge`` and the profiler read its channels directly, so no
+    second type IR is built, carried on the stubs or planted on a
+    loaded module."""
+    _no(tree.grep(r"\b(build_naive|NaiveProgram|TypeChannel|_flick_shapes"
+                  r"|shapes_factory)\b", "src"))
 
 
 #: pin -> (file, line) pairs, each of which must make it fail.
@@ -544,13 +553,20 @@ PINS = {
          "    def emit_error_reply(self, w, presc):\n"
          "        w.line(\"_pack_into('>I', b.data, _o0 + 8, b.length)\")"),
         ("src/repro/gateway/fraction.py",
-         "    naive_in = build_naive(ingress_backend, ingress_presc)"),
+         "    segments = fuse_channel(src_items, dst_items, sides)"),
         ("src/repro/gateway/proxy.py",
          "    segments = fuse_channel(src, dst, types_in, types_eg)"),
         ("src/repro/gateway/proxy.py",
          "    offset = buffer.reserve(len(header.template))"),
         ("src/repro/compilers/ilu_style.py",
          "        buffer.data[offset:end] = reply_header.template"),
+    ],
+    no_naive_type_ir: [
+        ("src/repro/mir/build.py",
+         "def build_naive(backend, presc, flags=None):"),
+        ("src/repro/mir/ops.py", "class NaiveProgram:"),
+        ("src/repro/backend/base.py",
+         "    shapes_factory: object = field(default=None, repr=False)"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

@@ -9,6 +9,7 @@ gateway, and upstream spans join into one trace.
 """
 
 import contextlib
+import json
 import socket
 import struct
 import threading
@@ -42,6 +43,7 @@ from repro.runtime import StubServer, TcpClientTransport
 from repro.runtime.aio import ServerStats
 from repro.runtime.aio.correlation import reply_error, route
 
+from tests import bridge_plans
 from tests.conftest import MAIL_IDL, MailImpl, compile_mail
 from tests.endpoint import registry_endpoint
 from tests.rawsock import recv_record
@@ -147,6 +149,13 @@ class TestPlan:
         summary = plan.summary()
         for op in ("send", "ping", "avg", "reverse", "tri"):
             assert op in summary
+
+    def test_plans_and_profiled_paths_match_the_golden_file(self):
+        """Every example pair's plan, segments and prediction, and the
+        profiler's channel paths (regenerate: ``python -m
+        tests.bridge_plans golden``)."""
+        with open(bridge_plans.GOLDEN) as handle:
+            assert bridge_plans.document() == json.load(handle)
 
     def test_no_fuse_plan_has_no_segments(self, iiop_result, onc_result):
         plan = build_plan(iiop_result, onc_result, fuse=False)

@@ -25,6 +25,9 @@ import os
 
 import pytest
 
+from repro import api
+from repro.core.options import OptFlags
+from repro.encoding import MarshalBuffer
 from repro.tools.cli import main
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "idl")
@@ -126,3 +129,37 @@ class TestDisablePassFlag:
         assert main(["compile", _idl("mail.idl"), "-o", str(tmp_path),
                      "--disable-pass", "warp_drive"]) == 1
         assert "unknown pass 'warp_drive'" in capsys.readouterr().err
+
+
+#: Two binary trees of the same shape under different names.
+TREES_X = """
+struct T { int v; T *l; T *r; };
+struct U { int v; U *l; U *r; };
+program P { version V { int f(T) = 1; int g(U) = 2; } = 1; } = 0x20000047;
+"""
+
+
+class TestDedupOutOfLine:
+    def _request(self, result, op, record):
+        module = result.load_module()
+        tree = getattr(module, record)
+        leaf = tree(2, None, None)
+        buffer = MarshalBuffer()
+        getattr(module, "_m_req_" + op)(
+            buffer, 7, tree(1, leaf, tree(3, leaf, None)))
+        return buffer.getvalue()
+
+    def test_same_shaped_self_recursive_helpers_merge(self, tmp_path,
+                                                      capsys):
+        merged = api.compile(TREES_X, name="trees.x")
+        apart = api.compile(TREES_X, name="trees.x",
+                            flags=OptFlags(dedup_out_of_line=False))
+        assert merged.stubs.mir.aliases == {"_m_U": "_m_T"}
+        assert apart.stubs.mir.aliases == {}
+        for op, record in (("f", "T"), ("g", "U")):
+            assert self._request(merged, op, record) == \
+                self._request(apart, op, record)
+        source = tmp_path / "trees.x"
+        source.write_text(TREES_X)
+        assert main(["ir", str(source)]) == 0
+        assert "alias _m_U -> _m_T" in capsys.readouterr().out

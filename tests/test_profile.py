@@ -37,7 +37,7 @@ from repro.obs.profile import (
     ProfileSnapshot,
     ShapeHistogram,
 )
-from repro.runtime import StubServer, TcpClientTransport
+from repro.runtime import LoopbackTransport, StubServer, TcpClientTransport
 from repro.runtime.aio import ServerStats
 from repro.tools import cli
 
@@ -443,6 +443,45 @@ class TestSwap:
         profile.configure(sample=1)
         with pytest.raises(Exception):
             module._u_req_list(b"\x00", 0)
+
+
+#: One operation with a user exception, for the reply-arm labels.
+BANK_IDL = """
+module Bank {
+  struct Rec { long id; string<16> memo; };
+  exception Overdrawn { long short_by; string<16> note; };
+  interface Account {
+    long withdraw(in long amount, in Rec r) raises (Overdrawn);
+  };
+};
+"""
+
+
+class TestReplyArms:
+    def test_an_exception_counts_under_its_arm_on_both_sides(self):
+        """The server's ``_m_rep_x1_`` and the client's ``_u_rep_``
+        count one exception arm under one label, ``x1``."""
+        result = Flick(frontend="corba", backend="iiop").compile(BANK_IDL)
+        module = profile.instrument_stub_module(result.load_module())
+
+        class Account:
+            def withdraw(self, amount, r):
+                if amount > 100:
+                    raise module.Bank_Overdrawn(amount - 100, "rent")
+                return 100 - amount
+
+        profile.configure(sample=1)
+        client = module.Bank_AccountClient(
+            LoopbackTransport(module.dispatch, Account()))
+        record = module.Bank_Rec(1, "rent")
+        assert client.withdraw(40, record) == 60
+        with pytest.raises(module.Bank_Overdrawn):
+            client.withdraw(140, record)
+        snapshot = profile.shutdown()
+        reply = snapshot.profile("withdraw", "reply")
+        assert reply.arms[profile.REPLY_ARM] == {"ok": 2, "x1": 2}
+        # The encoder probed the raised value along the arm's channel.
+        assert sorted(reply.channels) == ["value.note"]
 
 
 # ----------------------------------------------------------------------
