@@ -22,16 +22,18 @@ per call, for each of the workload's kinds (``ping``, ``put_ints`` and
   inline server's) event-loop thread per call, read from its own
   thread clock while ``bridged`` (``inline``) ran;
 * ``transcode`` / ``translate``: ``transcode_request`` and
-  ``translate_reply`` on the kind's bytes, in-process (the fused copy
-  plans for the ints, the decode/re-encode fallback for the dirents).
+  ``translate_reply`` on the kind's bytes, in-process (fused copy plans
+  for every kind: word runs for the ints, a per-element copy of each
+  entry's name and fixed fields for the dirents).
 
 ``--check`` times nothing.  With tracing and stats off it counts, per
 steady-state bridged two-way call, the ``asyncio`` Tasks created on the
-gateway's loop, the coroutines entered on its thread and the envelope
+gateway's loop, the coroutines entered on its thread, the envelope
 walks it makes on the egress leg (``envelopes.locator`` / ``reader`` /
-``router`` results called for the egress protocol), and exits non-zero
-unless Tasks and coroutines are both 0.  Counts do not depend on the
-host.
+``router`` results called for the egress protocol) and the transcodes,
+request and reply, that took the decode/re-encode fallback instead of
+a fused copy plan, and exits non-zero unless Tasks, coroutines and
+fallback transcodes are all 0.  Counts do not depend on the host.
 """
 
 import argparse
@@ -50,7 +52,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from benchmarks.e2e import contract  # noqa: E402
 from repro import api, envelopes  # noqa: E402
 from repro.encoding import MarshalBuffer  # noqa: E402
-from repro.gateway import AioGatewayServer, build_plan, \
+from repro.gateway import AioGatewayServer, build_plan, proxy, \
     transcode_request, translate_reply  # noqa: E402
 from repro.gateway.envelope import parse_request  # noqa: E402
 from repro.runtime import StubServer, TcpClientTransport  # noqa: E402
@@ -186,16 +188,17 @@ def timed(rounds, calls):
 
 
 class Counter:
-    """Tasks, coroutine entries and egress walks on one loop thread."""
+    """Tasks, coroutine entries, egress walks and fallback transcodes on
+    one loop thread."""
 
     def __init__(self, egress_protocol):
         self.egress = egress_protocol
         self.thread = None  # the loop thread, once installed
-        self.tasks = self.coroutines = self.walks = 0
+        self.tasks = self.coroutines = self.walks = self.fallbacks = 0
         self._frames = {}  # id -> frame: a coroutine counted once
 
     def reset(self):
-        self.tasks = self.coroutines = self.walks = 0
+        self.tasks = self.coroutines = self.walks = self.fallbacks = 0
         self._frames.clear()
 
     def profile(self, frame, event, _arg):
@@ -250,15 +253,29 @@ class Counter:
 
         return counted
 
+    def transcoding(self, step):
+        """*step* (``transcode_request`` or ``translate_reply``), whose
+        calls count when they fall back on the loop thread."""
+
+        def counted(*args):
+            fused = step(*args)
+            if not fused and threading.current_thread() is self.thread:
+                self.fallbacks += 1
+            return fused
+
+        return counted
+
 
 def check():
-    """Tasks, coroutines and egress walks per bridged call; 0 when no
-    Task and no coroutine ran."""
+    """Tasks, coroutines, egress walks and fallback transcodes per
+    bridged call; 0 when no Task, no coroutine and no fallback ran."""
     counter = Counter("oncrpc")
     for name in ("locator", "reader", "router"):
         if hasattr(envelopes, name):
             setattr(envelopes, name, counter.walking(getattr(envelopes,
                                                              name)))
+    for name in ("transcode_request", "translate_reply"):
+        setattr(proxy, name, counter.transcoding(getattr(proxy, name)))
     bridge = Bridge()
     try:
         client = bridge.clients["bridged"]
@@ -273,11 +290,14 @@ def check():
         counter.uninstall(loop)
     finally:
         bridge.close()
-    tasks, coroutines, walks = (count / CHECK_CALLS for count in (
-        counter.tasks, counter.coroutines, counter.walks))
+    tasks, coroutines, walks, fallbacks = (
+        count / CHECK_CALLS for count in (
+            counter.tasks, counter.coroutines, counter.walks,
+            counter.fallbacks))
     print("per bridged two-way call: %g Tasks, %g coroutines, "
-          "%g egress envelope walks" % (tasks, coroutines, walks))
-    return 0 if tasks == 0 and coroutines == 0 else 1
+          "%g egress envelope walks, %g fallback transcodes"
+          % (tasks, coroutines, walks, fallbacks))
+    return 0 if tasks == coroutines == fallbacks == 0 else 1
 
 
 def main():
@@ -286,8 +306,8 @@ def main():
     parser.add_argument("--calls", type=int, default=CALLS,
                         help="calls per kind and column in one round")
     parser.add_argument("--check", action="store_true",
-                        help="count Tasks, coroutines and egress walks "
-                        "per call; time nothing")
+                        help="count Tasks, coroutines, egress walks and "
+                        "fallback transcodes per call; time nothing")
     options = parser.parse_args()
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     if options.check:

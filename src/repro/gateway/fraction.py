@@ -13,11 +13,13 @@ Two numbers per channel, deliberately distinct:
   the dynamic ``flick_profile_transcode_total`` ratio the payload-shape
   profiler records — the cross-check the tests run.
 * ``byte_fraction`` — bytes coverable by per-item copy segments over
-  total channel bytes.  Fusion today is all-or-nothing per channel, so
-  this is the headroom number: an op at ``fused=False,
-  byte_fraction=0.9`` is the case the roadmap's mixed-plan fusion item
-  would rescue (copy the long array, re-encode the one string next to
-  it).
+  total channel bytes.  A channel fuses whole or not at all, so every
+  fused channel reads 1.0; below that it is the headroom number: an op
+  at ``fused=False, byte_fraction=0.9`` carries one item no copy
+  segment covers (a union, an optional, a double, a recursive type)
+  beside a long array that would copy.  An item that fuses alone may
+  still break its channel's alignment rule (a string followed by an
+  octet array), so a fraction of 1.0 does not promise ``fused``.
 
 A prediction exists for exactly the plan's operations.  Only the byte
 accounting is computed here, item by item over the PRES_C channels the

@@ -7,17 +7,29 @@ ingress side's PRES_C with the egress side's, channel by channel
 from the side's wire format, and decides, per value channel, between
 two strategies:
 
-**Fused copy.**  Where the two wire formats lay a region out
-byte-identically — XDR and big-endian CDR agree exactly on 32-bit
-integers and floats, on fixed arrays of them (neither format prefixes a
-header), and on counted arrays of them (both prefix a 4-byte big-endian
-count) — the plan compiles the region into copy segments that splice
-ingress body bytes straight into the egress message.  No presentation
-Python value is ever materialized; a 64 KiB integer array crosses the
-gateway as one ``memcpy`` plus a bound check.  Adjacent fixed-size
-segments coalesce.  Fusion is all-or-nothing per channel: one
-mismatched field (strings differ in NUL termination, chars in width,
-doubles in alignment) sends the whole channel to the fallback.
+**Fused copy.**  Where the two wire formats agree on a region, or
+differ only in ways a copy can rewrite, the plan compiles the region
+into copy segments that splice ingress body bytes straight into the
+egress message; no presentation Python value is ever materialized.  XDR
+and big-endian CDR agree exactly on 32-bit integers and floats and on
+fixed and counted arrays of fixed-size elements (neither format
+prefixes a fixed array, both prefix a counted one with a 4-byte
+count): :class:`CopyFixed` and :class:`CopyCounted` copy those whole,
+so a 64 KiB integer array crosses the gateway as one ``memcpy`` plus a
+bound check.  A string or an octet sequence is a :class:`CopyRun`,
+which rewrites CDR's NUL-counting count and NUL against XDR's padding;
+a counted array of variable-size elements is a :class:`CopyEach`,
+which runs its element's segments once per element.  Adjacent
+fixed-size segments coalesce.
+
+The alignment rule: XDR pads every byte run to 4 bytes, CDR aligns the
+item after one instead, so a run fuses only where what follows it
+starts on a 4-byte boundary in both formats (an :class:`Align` or the
+run's own padding realigns both sides) or where it ends the message.
+A channel fuses whole or not at all: a run followed by an octet or an
+octet array, a union, an optional, a double (CDR aligns it to 8) or a
+recursive type sends the whole channel to the fallback.  Every segment
+refuses exactly the frames the ingress decoder refuses.
 
 **Decode/re-encode fallback.**  The ingress module's generated
 ``_u_req_*`` / ``_u_rep_*`` decoders feed the egress module's
@@ -40,16 +52,18 @@ from repro.backend import make_backend
 from repro.backend.oncxdr import interface_program
 from repro.core import codecs
 from repro.errors import WireFormatError
-from repro.mint.analysis import is_recursive
+from repro.mint.analysis import analyze_storage, is_recursive
 from repro.mir import ops as m
 from repro.pres import nodes as p
 
 from repro.gateway.envelope import IngressSpec
 
-__all__ = ["BridgePlan", "CopyCounted", "CopyFixed", "OpPlan",
-           "build_plan", "protocol_of", "run_segments"]
+__all__ = ["Align", "BridgePlan", "CopyCounted", "CopyEach", "CopyFixed",
+           "CopyRun", "OpPlan", "build_plan", "protocol_of", "run_segments"]
 
 _unpack_from = struct.unpack_from
+_pack_into = struct.pack_into
+_ZEROS = bytes(4)
 
 #: backend name -> wire protocol family (the names correlation.probe
 #: and RemoteCallError use).
@@ -66,13 +80,15 @@ def protocol_of(backend_name):
 # ----------------------------------------------------------------------
 
 
-class CopyFixed:
-    """Copy *nbytes* verbatim from the source body to the buffer."""
+class CopyFixed(NamedTuple):
+    """Copy *nbytes* verbatim from the source body to the buffer.
 
-    __slots__ = ("nbytes",)
+    *aligned* is False when the region starts with bytes (a fixed octet
+    array), which CDR does not align: such a region may not follow a
+    byte run."""
 
-    def __init__(self, nbytes):
-        self.nbytes = nbytes
+    nbytes: int
+    aligned: bool = True
 
     def __repr__(self):
         return "CopyFixed(%d)" % self.nbytes
@@ -88,30 +104,34 @@ class CopyFixed:
         return end
 
 
-class CopyCounted:
+def _read_count(data, src, limit):
+    """The 4-byte big-endian count at *src*, at most *limit* (None: no
+    bound)."""
+    if src + 4 > len(data):
+        raise WireFormatError(
+            "array count truncated", offset=src, field="count",
+            limit=4, actual=len(data) - src)
+    count = _unpack_from(">I", data, src)[0]
+    if limit is not None and count > limit:
+        raise WireFormatError(
+            "array count exceeds bound", offset=src, field="count",
+            limit=limit, actual=count)
+    return count
+
+
+class CopyCounted(NamedTuple):
     """Copy a counted array: 4-byte big-endian count, then
     ``count * elem_size`` element bytes, bound-checked before copying."""
 
-    __slots__ = ("bound", "elem_size")
-
-    def __init__(self, bound, elem_size):
-        self.bound = bound
-        self.elem_size = elem_size
+    bound: Optional[int]
+    elem_size: int
 
     def __repr__(self):
         return "CopyCounted(bound=%r, elem=%d)" % (
             self.bound, self.elem_size)
 
     def copy(self, data, src, buffer):
-        if src + 4 > len(data):
-            raise WireFormatError(
-                "array count truncated", offset=src, field="count",
-                limit=4, actual=len(data) - src)
-        count = _unpack_from(">I", data, src)[0]
-        if self.bound is not None and count > self.bound:
-            raise WireFormatError(
-                "array count exceeds bound", offset=src, field="count",
-                limit=self.bound, actual=count)
+        count = _read_count(data, src, self.bound)
         nbytes = 4 + count * self.elem_size
         if src + nbytes > len(data):
             raise WireFormatError(
@@ -120,6 +140,96 @@ class CopyCounted:
         offset = buffer.reserve(nbytes)
         buffer.data[offset:offset + nbytes] = data[src:src + nbytes]
         return src + nbytes
+
+
+class CopyRun(NamedTuple):
+    """Copy a count-prefixed byte run, a string or an octet sequence,
+    rewriting what the two formats disagree on: a CDR string's count
+    includes its NUL (*nul* 1), and a side's run ends on a 4-byte
+    boundary (*pad* 1) where XDR pads every run and CDR aligns the item
+    after one.  Both are ``(source, destination)`` pairs.
+
+    It refuses what the ingress decoder refuses: a truncated count or
+    run, a NUL-counting count of 0, a length over *bound*."""
+
+    bound: Optional[int]
+    nul: tuple
+    pad: tuple
+
+    def __repr__(self):
+        return "CopyRun(bound=%r, nul=%d->%d, pad=%d->%d)" % (
+            (self.bound,) + self.nul + self.pad)
+
+    def copy(self, data, src, buffer):
+        bound, (nul_in, nul_out), (pad_in, pad_out) = self
+        count = _read_count(data, src,
+                            None if bound is None else bound + nul_in)
+        if count < nul_in:
+            raise WireFormatError(
+                "string length 0 too short", offset=src, field="count")
+        start = src + 4
+        end = start + count
+        if end > len(data):
+            raise WireFormatError(
+                "byte run truncated", offset=start, field="run",
+                limit=count, actual=len(data) - start)
+        n = count - nul_in
+        out = n + nul_out
+        tail = nul_out + (-out % 4 if pad_out else 0)
+        offset = buffer.reserve(4 + n + tail)
+        buf = buffer.data
+        _pack_into(">I", buf, offset, out)
+        offset += 4
+        buf[offset:offset + n] = data[start:start + n]
+        if tail:
+            buf[offset + n:offset + n + tail] = _ZEROS[:tail]
+        return end + (-count % 4 if pad_in else 0)
+
+
+class Align(NamedTuple):
+    """Realign both sides to 4 bytes after a byte run, for an item CDR
+    aligns: skip the source's padding, zero-pad the destination (an XDR
+    side is aligned already)."""
+
+    def __repr__(self):
+        return "Align()"
+
+    def copy(self, data, src, buffer):
+        pad = -buffer.length % 4
+        if pad:
+            offset = buffer.reserve(pad)
+            buffer.data[offset:offset + pad] = _ZEROS[:pad]
+        return src + (-src % 4)
+
+
+class CopyEach(NamedTuple):
+    """Copy a counted array of variable-size elements: the count,
+    checked against *bound* and, at *min_size* bytes an element, against
+    what is left (as the generated decoder checks it), then *segments*
+    once per element."""
+
+    bound: Optional[int]
+    min_size: int
+    segments: list
+
+    def __repr__(self):
+        return "CopyEach(bound=%r, min=%d, %r)" % (
+            self.bound, self.min_size, self.segments)
+
+    def copy(self, data, src, buffer):
+        count = _read_count(data, src, self.bound)
+        src += 4
+        if src + count * self.min_size > len(data):
+            raise WireFormatError(
+                "array elements truncated", offset=src, field="elements",
+                limit=count * self.min_size, actual=len(data) - src)
+        offset = buffer.reserve(4)
+        _pack_into(">I", buffer.data, offset, count)
+        segments = self.segments
+        for _ in range(count):
+            for segment in segments:
+                src = segment.copy(data, src, buffer)
+        return src
 
 
 def run_segments(segments, data, src, buffer):
@@ -138,11 +248,11 @@ def run_segments(segments, data, src, buffer):
 # ----------------------------------------------------------------------
 
 
-def _same_word_codec(a, b):
-    """Both codecs lay the value out as the same 4-byte 4-aligned word."""
-    return (a is not None and b is not None
-            and a.format == b.format
-            and a.size == b.size == 4
+def _same_word(side_src, side_dst, src, dst):
+    """Both atoms are the same 4-byte 4-aligned word on the wire."""
+    a = side_src.fmt.atom_codec(src.mint)
+    b = side_dst.fmt.atom_codec(dst.mint)
+    return (a.format == b.format and a.size == b.size == 4
             and a.alignment == b.alignment == 4)
 
 
@@ -152,21 +262,38 @@ class Side(NamedTuple):
     presc: object
     fmt: object                   # the side's wire format
 
-    def atom_codec(self, pres):
-        """The codec of an atom (``PresDirect`` and ``PresEnum`` are
-        one kind) or of a named type that is one, else None."""
-        if isinstance(pres, p.PresRef):
-            pres = self.presc.pres_registry[pres.name]
-        if isinstance(pres, _ATOMS):
-            return self.fmt.atom_codec(pres.mint)
-        return None
-
 
 _ATOMS = (p.PresDirect, p.PresEnum)
 
 
 def _kind(pres):
     return p.PresDirect if isinstance(pres, p.PresEnum) else type(pres)
+
+
+def _bound(src, dst):
+    """The smaller of two bounds, None meaning unbounded."""
+    return min((b for b in (src.bound, dst.bound) if b is not None),
+               default=None)
+
+
+def _unaligned(segments):
+    """Whether *segments* end after a byte run: CDR leaves its end where
+    the run ends and aligns the item that follows."""
+    last = segments[-1] if segments else None
+    return (isinstance(last, CopyRun) and last.pad != (1, 1)) or (
+        isinstance(last, CopyEach) and _unaligned(last.segments))
+
+
+def _append(segments, segment):
+    """Append *segment*, realigning after a byte run; False where the
+    alignment rule forbids it: after a run comes an item both formats
+    align to 4 bytes (not a fixed octet array)."""
+    if _unaligned(segments):
+        if isinstance(segment, CopyFixed) and not segment.aligned:
+            return False
+        segments.append(Align())
+    segments.append(segment)
+    return True
 
 
 def _fuse_node(src, dst, sides, segments):
@@ -188,43 +315,52 @@ def _fuse_node(src, dst, sides, segments):
     if isinstance(src, p.PresVoid):
         return True
     if isinstance(src, _ATOMS):
-        if not _same_word_codec(side_src.atom_codec(src),
-                                side_dst.atom_codec(dst)):
+        return (_same_word(side_src, side_dst, src, dst)
+                and _append(segments, CopyFixed(4)))
+    if isinstance(src, (p.PresString, p.PresBytes)):
+        text = isinstance(src, p.PresString)
+        if not text and (src.fixed_length is not None
+                         or dst.fixed_length is not None):
+            # A fixed octet array: neither format prefixes it, nor (at
+            # a multiple of 4) pads it.
+            fixed = src.fixed_length
+            return (fixed == dst.fixed_length and fixed % 4 == 0
+                    and _append(segments, CopyFixed(fixed, aligned=False)))
+        return _append(segments, CopyRun(
+            _bound(src, dst),
+            tuple(int(text and side.fmt.string_nul_terminated)
+                  for side in sides),
+            (side_src.fmt.pads_byte_runs(src.mint),
+             side_dst.fmt.pads_byte_runs(dst.mint))))
+    if isinstance(src, (p.PresFixedArray, p.PresCountedArray)):
+        # Neither format prefixes a fixed array with a header; both
+        # prefix a counted one with a 4-byte count (big-endian here, by
+        # the plan-level endianness precondition).
+        counted = isinstance(src, p.PresCountedArray)
+        if not counted and src.length != dst.length:
             return False
-        segments.append(CopyFixed(4))
-        return True
-    if isinstance(src, p.PresFixedArray):
-        # Neither XDR nor CDR prefixes fixed arrays with a header.
-        if src.length != dst.length:
+        element = []
+        if not _fuse_node(src.element, dst.element, sides, element):
             return False
-        if _same_word_codec(side_src.atom_codec(src.element),
-                            side_dst.atom_codec(dst.element)):
-            segments.append(CopyFixed(4 * src.length))
-            return True
-        # Structured elements fuse too when every field does and the
-        # element is fixed-size (one stride covers the whole array).
-        element_segments = []
-        if not _fuse_node(src.element, dst.element, sides,
-                          element_segments):
+        element = _coalesce(element)
+        if all(isinstance(s, CopyFixed) for s in element):
+            # Fixed-size elements: one stride covers the whole array.
+            stride = sum(s.nbytes for s in element)
+            if counted:
+                return stride > 0 and _append(
+                    segments, CopyCounted(_bound(src, dst), stride))
+            return not stride or _append(segments, CopyFixed(
+                stride * src.length, aligned=element[0].aligned))
+        if not counted:
             return False
-        if not all(isinstance(s, CopyFixed) for s in element_segments):
-            return False
-        stride = sum(s.nbytes for s in element_segments)
-        if stride:
-            segments.append(CopyFixed(stride * src.length))
-        return True
-    if isinstance(src, p.PresCountedArray):
-        # Both formats prefix a 4-byte count (big-endian here, by the
-        # plan-level endianness precondition).
-        if not _same_word_codec(side_src.atom_codec(src.element),
-                                side_dst.atom_codec(dst.element)):
-            return False
-        if src.bound is not None and dst.bound is not None:
-            bound = min(src.bound, dst.bound)
-        else:
-            bound = src.bound if src.bound is not None else dst.bound
-        segments.append(CopyCounted(bound, 4))
-        return True
+        if _unaligned(element):  # the next element follows a run
+            if not _append(element[-1:], element[0]):
+                return False
+            element.insert(0, Align())
+        min_size = analyze_storage(src.element.mint, side_src.fmt,
+                                   side_src.presc.mint_registry).min_size
+        return _append(segments, CopyEach(_bound(src, dst),
+                                          max(min_size, 1), element))
     if isinstance(src, p.PresStruct):
         if len(src.fields) != len(dst.fields):
             return False
@@ -232,17 +368,20 @@ def _fuse_node(src, dst, sides, segments):
             _fuse_node(sf.pres, df.pres, sides, segments)
             for sf, df in zip(src.fields, dst.fields)
         )
-    # Strings (NUL termination differs), bytes (padding differs),
-    # optionals, unions, exceptions: decode/re-encode.
+    # Optionals, unions, exceptions: decode/re-encode.
     return False
 
 
 def _coalesce(segments):
+    """Merge adjacent fixed copies, and fold an Align into the byte run
+    before it: a run followed by an aligned item ends aligned."""
     out = []
     for segment in segments:
-        if (out and isinstance(segment, CopyFixed)
-                and isinstance(out[-1], CopyFixed)):
-            out[-1] = CopyFixed(out[-1].nbytes + segment.nbytes)
+        last = out[-1] if out else None
+        if isinstance(segment, CopyFixed) and isinstance(last, CopyFixed):
+            out[-1] = CopyFixed(last.nbytes + segment.nbytes, last.aligned)
+        elif isinstance(segment, Align) and isinstance(last, CopyRun):
+            out[-1] = CopyRun(last.bound, last.nul, (1, 1))
         else:
             out.append(segment)
     return out

@@ -130,6 +130,9 @@ def translate_reply(op, reply, ctx, buffer, wire_id=None):
                 % type(exc).__name__)
         encoder(buffer, ctx, exc)
         return False
+    except _DECODE_ERRORS as error:
+        raise WireFormatError(
+            "malformed %s reply: %s" % (op.name, error)) from None
     if op.ok_arity == 0:
         op.m_rep_ok(buffer, ctx)
     elif op.ok_arity == 1:

@@ -990,6 +990,13 @@ class UnmarshalLower(_LowerBase):
         if count is None:
             raise BackEndError("string without a length header")
         nul = 1 if self.fmt.string_nul_terminated else 0
+        if nul:
+            # The count includes the NUL (CORBA 2.0 ch. 12), so 0 is
+            # not a string.
+            self.add(m.BoundsCheck(
+                "%s < 1" % count, "UnmarshalError",
+                "string length 0 too short",
+            ))
         if pres.bound is not None:
             self.add(m.BoundsCheck(
                 "%s > %d" % (count, pres.bound + nul), "UnmarshalError",

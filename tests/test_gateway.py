@@ -130,16 +130,16 @@ def _rect(module):
 # ----------------------------------------------------------------------
 
 class TestPlan:
-    def test_word_channels_fuse_and_byte_channels_fall_back(
+    def test_word_and_byte_channels_fuse_and_union_channels_fall_back(
             self, iiop_result, onc_result):
         plan = build_plan(iiop_result, onc_result)
-        # sequence<long> and long[6]-shaped channels splice wire to
-        # wire; strings, blobs, unions, and doubles re-encode.
+        # sequence<long>, long[6]-shaped and sequence<octet> channels
+        # splice wire to wire; unions and doubles re-encode.
         assert "avg" in plan.fused_request_ops
         assert "tri" in plan.fused_request_ops
         assert "ping" in plan.fused_request_ops
-        assert "send" not in plan.fused_request_ops
-        assert "reverse" not in plan.fused_request_ops
+        assert "reverse" in plan.fused_request_ops
+        assert "send" not in plan.fused_request_ops  # inout Value
         by_name = {p.name: p for p in plan.ops.values()}
         assert 0 not in by_name["send"].reply_segments  # union arm
         assert by_name["send"].exceptions  # Bad arm is paired
@@ -156,6 +156,19 @@ class TestPlan:
         tests.bridge_plans golden``)."""
         with open(bridge_plans.GOLDEN) as handle:
             assert bridge_plans.document() == json.load(handle)
+
+    def test_every_fused_channel_predicts_a_whole_copy(self):
+        """Across the golden pairs, ``flick bridge`` reports
+        ``byte_fraction == 1.0`` for every channel the plan fuses."""
+        with open(bridge_plans.GOLDEN) as handle:
+            plans = json.load(handle)["plans"]
+        fused = [(pair, op, direction, prediction["byte_fraction"])
+                 for pair, record in plans.items()
+                 for op, entry in record["ops"].items()
+                 for direction, prediction in entry["predicted"].items()
+                 if prediction["fused"]]
+        assert len(fused) > 100
+        assert [entry for entry in fused if entry[3] != 1.0] == []
 
     def test_no_fuse_plan_has_no_segments(self, iiop_result, onc_result):
         plan = build_plan(iiop_result, onc_result, fuse=False)
@@ -538,8 +551,7 @@ class TestAPlanBuiltBeforeAnyCall:
                     if function.__module__ != "repro.mir.render_closures"}
         # The fallback (re-encode) paths ran, so they are compiled.
         assert {("send", "u_req"), ("send", "m_req"), ("send", "u_rep"),
-                ("send", "m_rep_ok"), ("reverse", "u_req"),
-                ("send", "Test_Bad")} <= compiled
+                ("send", "m_rep_ok"), ("send", "Test_Bad")} <= compiled
 
 
 # ----------------------------------------------------------------------
@@ -783,7 +795,7 @@ class TestObservability:
                 as (gateway, _):
             with _client(module, gateway.address) as (client, _):
                 client.avg([1, 2, 3])
-                client.reverse(b"zz")
+                client.send("hey", _rect(module), (1, 1.5))
             with registry_endpoint(stats.registry) as endpoint:
                 url = "http://%s:%d/metrics" % endpoint.address[:2]
                 with urllib.request.urlopen(url) as response:

@@ -169,3 +169,31 @@ class TestArrayRegionErrors:
             assert "truncated" in str(info.value)
             assert getattr(info.value, "offset", None) is None
         assert impl.calls == before
+
+
+class TestEmptyCdrString:
+    """A CDR string's count includes its NUL (CORBA 2.0 ch. 12), so a
+    count of 0 is refused by every renderer, as the interpretive oracle
+    refuses it."""
+
+    IDL = "interface Echo { void say(in string s, in long n); };"
+
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_count_zero_is_refused(self, renderer):
+        from repro import api
+
+        module = api.compile(self.IDL, name="echo.idl", backend="iiop",
+                             renderer=renderer).load_module()
+        body = struct.pack(">II", 0, 7)
+        with pytest.raises(UnmarshalError, match="length 0 too short"):
+            module._u_req_say(body, 0)
+        # A count of 1 is the empty string.
+        assert module._u_req_say(struct.pack(">IBxxxI", 1, 0, 7), 0) \
+            == (("", 7), 12)
+
+    def test_c_stubs_carry_the_same_check(self):
+        from repro import api
+
+        source = api.compile(self.IDL, name="echo.idl",
+                             backend="iiop").stubs.c_source
+        assert 'flick_error("string length 0 too short")' in source

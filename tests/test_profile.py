@@ -658,15 +658,18 @@ class TestGatewayProfile:
             transport = TcpClientTransport(*gateway.address)
             try:
                 client = module.Test_MailClient(transport)
+                rect = module.Test_Rect(module.Test_Point(1, 2),
+                                        module.Test_Point(3, 4))
                 for _ in range(10):
                     client.avg([1, 2, 3, 4])   # fuses both ways
-                    client.reverse(b"ab")      # re-encodes both ways
+                    # A union each way: re-encodes both ways.
+                    client.send("hey", rect, (1, 1.5))
             finally:
                 transport.close()
         snapshot = profile.shutdown()
         predicted = predict_fused(
             build_plan(iiop_result, onc_result), iiop_result)
-        for op in ("avg", "reverse"):
+        for op in ("avg", "send"):
             for direction in ("request", "reply"):
                 prof = snapshot.profile(op, direction)
                 assert sum(prof.paths.values()) == 10
