@@ -7,7 +7,8 @@ bridges — each schema IIOP→ONC and ONC→IIOP, and the evolved pairs
 inline :data:`SHAPES_IDL` pairs for the pairing rules the examples do
 not reach — it records the plan's summary, the ``repr`` of every
 operation's request segments and of its reply segments per
-discriminator, and every :func:`repro.gateway.predict_fused` channel.
+discriminator, every :func:`repro.gateway.predict_fused` channel and
+:func:`repro.gateway.check_bridge`'s full report.
 For ``ledger.idl``, ``mail.idl`` and the inline schemas, profiled at
 ``sample=1`` through a loopback client, it records the channel paths
 and arm counts per ``(op, direction)``.
@@ -17,6 +18,10 @@ and arm counts per ``(op, direction)``.
 intended change with::
 
     PYTHONPATH=src python -m tests.bridge_plans golden
+
+:func:`diff_report` is ``flick diff --json`` over the same schemas;
+``tests/test_compat.py`` pins the pairs ``tests/golden/compat/`` names
+(regenerate: ``PYTHONPATH=src python -m tests.bridge_plans diffs``).
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import os
 import sys
 
 from repro import api
-from repro.gateway import build_plan, predict_fused
+from repro.compat import diff_report_json, diff_texts
+from repro.gateway import build_plan, check_bridge, predict_fused
 from repro.mint import types as mt
 from repro.obs import profile
 from repro.pres import nodes as p
@@ -97,12 +103,17 @@ INLINE = {"shapes.idl": SHAPES_IDL, "shapes_long.idl": SHAPES_IDL_LONG,
           "shapes.x": SHAPES_X}
 
 
-def _compile(name, backend):
+def source(name):
+    """The text of an example schema or of an inline one."""
     text = INLINE.get(name)
     if text is None:
         with open(os.path.join(EXAMPLES, name)) as handle:
             text = handle.read()
-    return api.compile(text, name=name, backend=backend)
+    return text
+
+
+def _compile(name, backend):
+    return api.compile(source(name), name=name, backend=backend)
 
 
 def _pairs():
@@ -116,7 +127,8 @@ def _pairs():
 
 
 def plan_record(ingress_result, egress_result):
-    """The plan, its segments and its prediction as JSON values."""
+    """The plan, its segments, its prediction and ``check_bridge``'s
+    report as JSON values."""
     plan = build_plan(ingress_result, egress_result)
     predictions = predict_fused(plan, ingress_result)
     ops = {}
@@ -129,7 +141,8 @@ def plan_record(ingress_result, egress_result):
                           for direction, prediction
                           in sorted(predictions[op.name].items())},
         }
-    return {"summary": plan.summary(), "ops": ops}
+    return {"summary": plan.summary(), "ops": ops,
+            "check": check_bridge(ingress_result, egress_result).to_json()}
 
 
 def plans():
@@ -248,14 +261,31 @@ def document():
     return {"plans": plans(), "profiles": profiles()}
 
 
+def diff_report(old, new):
+    """``flick diff --json``'s document for two example or inline
+    schemas, on both protocols."""
+    return diff_report_json(diff_texts(source(old), source(new), "corba"),
+                            old, new, lang="corba")
+
+
 def main(argv):
-    if argv[1:] != ["golden"]:
-        print("usage: python -m tests.bridge_plans golden", file=sys.stderr)
-        return 2
-    with open(GOLDEN, "w") as handle:
-        json.dump(document(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return 0
+    if argv[1:] == ["golden"]:
+        with open(GOLDEN, "w") as handle:
+            json.dump(document(), handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        return 0
+    if argv[1:] == ["diffs"]:
+        from tests.test_compat import TestGoldenReports
+
+        for name, (old, new) in TestGoldenReports.PAIRS.items():
+            with open(os.path.join(HERE, "golden", "compat", name),
+                      "w") as handle:
+                json.dump(diff_report(old, new), handle, indent=2,
+                          sort_keys=True)
+                handle.write("\n")
+        return 0
+    print("usage: python -m tests.bridge_plans golden|diffs", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -642,6 +642,25 @@ class TestGoldenReports:
         assert report == self._golden("narrow_string.json")
         assert diff_exit_code(diffs) == 2
 
+    #: golden file -> (old schema, new schema), example or inline
+    #: (``tests.bridge_plans.source``), diffed on both protocols.
+    PAIRS = {
+        "sensor_v1_v2.json": ("sensor.idl", "sensor_v2.idl"),
+        "sensor_v2_v1.json": ("sensor_v2.idl", "sensor.idl"),
+        "shapes_long.json": ("shapes.idl", "shapes_long.idl"),
+        "shapes_long_back.json": ("shapes_long.idl", "shapes.idl"),
+    }
+
+    @pytest.mark.parametrize("golden", sorted(PAIRS))
+    def test_bridged_pairs_json(self, golden):
+        """The schema pairs the bridge goldens bridge, diffed as plain
+        schema evolutions (regenerate: ``python -m tests.bridge_plans
+        diffs``)."""
+        from tests import bridge_plans
+
+        old, new = self.PAIRS[golden]
+        assert bridge_plans.diff_report(old, new) == self._golden(golden)
+
     def test_cli_diff_json_matches_library(self, tmp_path, capsys):
         from repro.tools.cli import main
         old = tmp_path / "mail.idl"
