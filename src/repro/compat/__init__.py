@@ -9,8 +9,10 @@ This package exploits that: given two compiled versions of an interface it
 
 per protocol and per direction (old encoder -> new decoder and the
 reverse), with each finding carrying the MINT path, the static byte
-offset, and a human-readable reason.  ``lint`` reuses the same walkers to
-flag portability hazards visible at compile time.
+offset, and a human-readable reason.  One walk over a node pair,
+:mod:`repro.compat.pairwalk`, gives those findings and, for a protocol
+bridge, the gateway's copy segments or the reason a channel has none.
+``lint`` flags portability hazards visible at compile time.
 
 The verdicts are cross-validated dynamically in ``tests/test_compat.py``:
 for a curated IDL-edit matrix the old stubs encode and the new stubs
@@ -25,7 +27,7 @@ from repro.compat.verdict import (
     OperationDiff,
     InterfaceDiff,
 )
-from repro.compat.mintdiff import diff_message
+from repro.compat.pairwalk import pair_bridge, pair_message
 from repro.compat.ifacediff import (
     DEFAULT_PROTOCOLS,
     diff_compiled,
@@ -49,7 +51,8 @@ __all__ = [
     "OperationDiff",
     "InterfaceDiff",
     "DEFAULT_PROTOCOLS",
-    "diff_message",
+    "pair_bridge",
+    "pair_message",
     "diff_interfaces",
     "diff_compiled",
     "diff_texts",

@@ -13,8 +13,8 @@ Combines three layers per protocol:
   envelope; the demux key is compared separately because a changed key
   means the receiver dispatches the request to nothing (or to the wrong
   handler) before body decode is even reached.
-* **MINT/wire layout** — the directional body diffs of
-  :func:`repro.compat.mintdiff.diff_message`, one channel per message
+* **MINT/wire layout** — the directional body walks of
+  :func:`repro.compat.pairwalk.pair_message`, one channel per message
   per sender schema.
 
 Every channel judged WIRE_IDENTICAL is additionally *proven* by two
@@ -27,10 +27,11 @@ the verdict — the structural walker is never trusted alone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.mint.analysis import analyze_storage
-from repro.compat.mintdiff import diff_message
+from repro.compat.pairwalk import pair_message, pair_stubs, \
+    unknown_op_text
 from repro.compat.verdict import (
     ChannelDiff,
     Finding,
@@ -48,12 +49,9 @@ DEFAULT_PROTOCOLS = ("oncrpc-xdr", "iiop")
 def diff_interfaces(old_presc, new_presc, backend, old_metadata=None,
                     new_metadata=None):
     """Diff two PRES_C values under *backend*; returns InterfaceDiff."""
-    interface_findings: List[Finding] = []
     operations: List[OperationDiff] = []
-    old_ops = {stub.operation_name: stub for stub in old_presc.stubs}
-    new_ops = {stub.operation_name: stub for stub in new_presc.stubs}
-    for name, old_stub in old_ops.items():
-        if name not in new_ops:
+    for name, old_stub, new_stub in pair_stubs(old_presc, new_presc):
+        if new_stub is None:
             operations.append(OperationDiff(
                 operation=name,
                 verdict=Verdict.BREAKING,
@@ -63,13 +61,7 @@ def diff_interfaces(old_presc, new_presc, backend, old_metadata=None,
                     "answered %s" % unknown_op_text(backend),
                 ),),
             ))
-            continue
-        operations.append(_diff_operation(
-            old_presc, new_presc, old_stub, new_ops[name], backend,
-            old_metadata, new_metadata,
-        ))
-    for name in new_ops:
-        if name not in old_ops:
+        elif old_stub is None:
             operations.append(OperationDiff(
                 operation=name,
                 verdict=Verdict.DECODE_COMPATIBLE,
@@ -79,29 +71,19 @@ def diff_interfaces(old_presc, new_presc, backend, old_metadata=None,
                     "old-schema servers for this operation",
                 ),),
             ))
+        else:
+            operations.append(_diff_operation(
+                old_presc, new_presc, old_stub, new_stub, backend,
+                old_metadata, new_metadata,
+            ))
     operations.sort(key=lambda operation: operation.operation)
-    verdict = worst(
-        [operation.verdict for operation in operations]
-        + [finding.verdict for finding in interface_findings]
-    )
     return InterfaceDiff(
         protocol=backend.name,
         old_interface=old_presc.interface_name,
         new_interface=new_presc.interface_name,
-        verdict=verdict,
+        verdict=worst(operation.verdict for operation in operations),
         operations=tuple(operations),
-        findings=tuple(interface_findings),
     )
-
-
-def unknown_op_text(backend):
-    """How a *backend*'s servers answer an operation they do not have."""
-    code = getattr(backend, "unknown_op_code", None)
-    if code == "proc_unavail":
-        return "PROC_UNAVAIL"
-    if code == "bad_operation":
-        return "CORBA::BAD_OPERATION"
-    return "as unknown-operation errors"
 
 
 def _diff_operation(old_presc, new_presc, old_stub, new_stub, backend,
@@ -125,14 +107,14 @@ def _diff_operation(old_presc, new_presc, old_stub, new_stub, backend,
     old_req = backend.request_header(old_presc, old_stub)
     new_req = backend.request_header(new_presc, new_stub)
     if old_req.template != new_req.template:
+        at = _first_difference(old_req.template, new_req.template)
         findings.append(Finding(
             Verdict.BREAKING, name,
             "request header template changed at offset %d (%d vs %d "
             "bytes): the protocol envelope no longer matches" % (
-                _first_difference(old_req.template, new_req.template),
-                len(old_req.template), len(new_req.template),
+                at, len(old_req.template), len(new_req.template),
             ),
-            offset=_first_difference(old_req.template, new_req.template),
+            offset=at,
         ))
 
     if old_stub.oneway != new_stub.oneway:
@@ -142,39 +124,34 @@ def _diff_operation(old_presc, new_presc, old_stub, new_stub, backend,
             "never reads" % (old_stub.oneway, new_stub.oneway),
         ))
 
-    req_offset = len(old_req.template)
-    channels.append(_channel(
-        "request:old->new", old_stub.request_pres, new_stub.request_pres,
-        old_presc, new_presc, fmt, "request", req_offset,
-        tolerate_trailing=True,
-    ))
-    channels.append(_channel(
-        "request:new->old", new_stub.request_pres, old_stub.request_pres,
-        new_presc, old_presc, fmt, "request", len(new_req.template),
-        tolerate_trailing=True,
-    ))
-
+    headers = {"request": (old_req, new_req)}
     if not old_stub.oneway and not new_stub.oneway:
         old_rep = backend.reply_header(old_presc, old_stub)
         new_rep = backend.reply_header(new_presc, new_stub)
         if old_rep.template != new_rep.template:
+            at = _first_difference(old_rep.template, new_rep.template)
             findings.append(Finding(
                 Verdict.BREAKING, name,
-                "reply header template changed at offset %d" %
-                _first_difference(old_rep.template, new_rep.template),
-                offset=_first_difference(
-                    old_rep.template, new_rep.template),
+                "reply header template changed at offset %d" % at,
+                offset=at,
             ))
-        channels.append(_channel(
-            "reply:old->new", old_stub.reply_pres, new_stub.reply_pres,
-            old_presc, new_presc, fmt, "reply", len(old_rep.template),
-            tolerate_trailing=False,
-        ))
-        channels.append(_channel(
-            "reply:new->old", new_stub.reply_pres, old_stub.reply_pres,
-            new_presc, old_presc, fmt, "reply", len(new_rep.template),
-            tolerate_trailing=False,
-        ))
+        headers["reply"] = (old_rep, new_rep)
+
+    ends = {"old": (old_presc, old_stub), "new": (new_presc, new_stub)}
+    for message, (old_header, new_header) in headers.items():
+        for sender, receiver, header in (("old", "new", old_header),
+                                         ("new", "old", new_header)):
+            (s_presc, s_stub), (r_presc, r_stub) = ends[sender], \
+                ends[receiver]
+            pair = pair_message(
+                getattr(s_stub, message + "_pres"),
+                getattr(r_stub, message + "_pres"), s_presc, r_presc, fmt,
+                path=message, offset=len(header.template),
+                tolerate_trailing=message == "request",
+            )
+            channels.append(ChannelDiff(
+                channel="%s:%s->%s" % (message, sender, receiver),
+                verdict=pair.verdict, findings=pair.findings))
 
     channels = [
         _prove_identical(
@@ -213,16 +190,6 @@ def _deploy_verdict(channel):
     if channel.verdict is Verdict.WIRE_IDENTICAL:
         return Verdict.WIRE_IDENTICAL
     return Verdict.DECODE_COMPATIBLE
-
-
-def _channel(label, sender_pres, receiver_pres, sender_presc,
-             receiver_presc, fmt, root_path, offset, tolerate_trailing):
-    verdict, findings = diff_message(
-        sender_pres, receiver_pres, sender_presc, receiver_presc, fmt,
-        path=root_path, offset=offset,
-        tolerate_trailing=tolerate_trailing,
-    )
-    return ChannelDiff(channel=label, verdict=verdict, findings=findings)
 
 
 def _prove_identical(channel, old_presc, new_presc, old_stub, new_stub,

@@ -4,17 +4,17 @@ round-tripping through presentation where the wire layouts agree.
 
 The pieces (see ``docs/INTERNALS.md`` section 11):
 
-* :mod:`repro.gateway.plan` — pairs the two backends' marshal programs
-  per operation and compiles fused copy plans with decode/re-encode
-  fallbacks;
-* :mod:`repro.gateway.check` — static losslessness verification via
-  the compat subsystem's transcoded MINT walks (``flick bridge``);
+* :mod:`repro.gateway.plan` — binds the two backends' codecs per
+  operation and serves the copy segments of the one pairwise walk
+  (:mod:`repro.compat.pairwalk`), with decode/re-encode fallbacks;
+* :mod:`repro.gateway.check` — static losslessness verification, read
+  off the same walk in transcoded mode (``flick bridge``);
 * :mod:`repro.gateway.envelope` — hardened ingress envelope parsing;
 * :mod:`repro.gateway.errmap` — the total GIOP system exception <->
   ONC RPC status mapping (the bytes are
   :func:`repro.envelopes.write_error`'s);
 * :mod:`repro.gateway.fraction` — ``flick bridge``'s fused-path
-  prediction, read off the plan;
+  prediction and each fallback's blocker, read off the plan;
 * :mod:`repro.gateway.proxy` — the asyncio proxy server
   (``flick gateway``).
 """

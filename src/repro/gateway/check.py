@@ -1,10 +1,13 @@
 """Static bridge verification: prove a protocol pair lossless.
 
-Before a gateway serves a bridge, every operation is walked in both
-directions with :func:`repro.compat.mintdiff.diff_message` in
-*transcoded* mode: requests as ingress-schema values re-encoded onto
+Before a gateway serves a bridge, every operation is paired by name and
+walked in both directions by :func:`repro.compat.pairwalk.pair_bridge`
+in *transcoded* mode: requests as ingress-schema values re-encoded onto
 the egress protocol, replies as egress-schema values re-encoded onto
-the ingress protocol.  The verdict lattice is the compat subsystem's:
+the ingress protocol.  The same pairing gives
+:func:`~repro.gateway.build_plan` its copy segments, so a plan's
+pairing can stand in for a second walk.  The verdict lattice is the
+compat subsystem's:
 
 * ``WIRE_IDENTICAL`` — every value a client can send crosses the
   bridge byte-losslessly;
@@ -23,19 +26,13 @@ report renderers and exit-code policy apply unchanged.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.backend import make_backend
-from repro.compat.ifacediff import unknown_op_text
-from repro.compat.mintdiff import diff_message
+from repro.compat.pairwalk import pair_bridge
 from repro.compat.report import diff_exit_code, diff_report_json, \
     diff_report_text
 from repro.compat.verdict import (
     ChannelDiff,
-    Finding,
     InterfaceDiff,
     OperationDiff,
-    Verdict,
     worst,
 )
 
@@ -43,92 +40,40 @@ __all__ = ["bridge_exit_code", "bridge_report_json",
            "bridge_report_text", "check_bridge"]
 
 
-def check_bridge(ingress_result, egress_result):
+def check_bridge(ingress_result, egress_result, plan=None):
     """Diff a protocol bridge; returns an InterfaceDiff for the pair.
 
     *ingress_result* / *egress_result* are compiled results (see
     :func:`repro.api.compile`) for the schema each side of the gateway
     was built against — usually the same schema, two backends; during a
-    migration, two schema versions.
+    migration, two schema versions.  A :class:`~repro.gateway.BridgePlan`
+    built from the same two results lends its pairing as *plan*, so the
+    walk is not run twice.
     """
-    ingress_backend = make_backend(ingress_result.stubs.backend_name)
-    egress_backend = make_backend(egress_result.stubs.backend_name)
-    ingress_presc = ingress_result.presc
-    egress_presc = egress_result.presc
-    label = "%s->%s" % (ingress_backend.name, egress_backend.name)
-    egress_stubs = {s.operation_name: s for s in egress_presc.stubs}
-
-    operations: List[OperationDiff] = []
-    for stub in ingress_presc.stubs:
-        name = stub.operation_name
-        other = egress_stubs.get(name)
-        if other is None:
-            operations.append(OperationDiff(
-                operation=name, verdict=Verdict.BREAKING,
-                findings=(Finding(
-                    Verdict.BREAKING, name,
-                    "operation absent upstream: ingress callers are "
-                    "answered %s" % unknown_op_text(ingress_backend),
-                ),),
-            ))
-            continue
-        findings = []
-        channels = []
-        if stub.oneway != other.oneway:
-            findings.append(Finding(
-                Verdict.BREAKING, name,
-                "oneway on %s side only: the gateway cannot invent or "
-                "swallow a reply"
-                % ("the ingress" if stub.oneway else "the egress"),
-            ))
-        verdict, request_findings = diff_message(
-            stub.request_pres, other.request_pres,
-            ingress_presc, egress_presc,
-            ingress_backend.wire_format,
-            receiver_format=egress_backend.wire_format,
-            path="request",
-            offset=len(ingress_backend.request_header(
-                ingress_presc, stub).template),
-        )
-        channels.append(ChannelDiff(
-            channel="request:%s" % label, verdict=verdict,
-            findings=tuple(request_findings)))
-        if not stub.oneway and not other.oneway:
-            verdict, reply_findings = diff_message(
-                other.reply_pres, stub.reply_pres,
-                egress_presc, ingress_presc,
-                egress_backend.wire_format,
-                receiver_format=ingress_backend.wire_format,
-                path="reply",
-                offset=len(egress_backend.reply_header(
-                    egress_presc, other).template),
-            )
-            channels.append(ChannelDiff(
-                channel="reply:%s->%s" % (egress_backend.name,
-                                          ingress_backend.name),
-                verdict=verdict, findings=tuple(reply_findings)))
+    pairing = plan.pairing if plan is not None \
+        else pair_bridge(ingress_result, egress_result)
+    ingress, egress = pairing.ingress.name, pairing.egress.name
+    operations = []
+    for op in pairing.ops.values():
+        channels = tuple(
+            ChannelDiff(channel=label, verdict=pair.verdict,
+                        findings=pair.findings)
+            for label, pair in (
+                ("request:%s->%s" % (ingress, egress), op.request),
+                ("reply:%s->%s" % (egress, ingress), op.reply))
+            if pair is not None)
         operations.append(OperationDiff(
-            operation=name,
+            operation=op.name,
             verdict=worst([c.verdict for c in channels]
-                          + [f.verdict for f in findings]),
-            channels=tuple(channels),
-            findings=tuple(findings),
+                          + [f.verdict for f in op.findings]),
+            channels=channels,
+            findings=op.findings,
         ))
-    for name in egress_stubs:
-        if not any(op.operation == name for op in operations):
-            operations.append(OperationDiff(
-                operation=name, verdict=Verdict.DECODE_COMPATIBLE,
-                findings=(Finding(
-                    Verdict.DECODE_COMPATIBLE, name,
-                    "operation exists only upstream: unreachable "
-                    "through this bridge",
-                ),),
-            ))
     operations.sort(key=lambda operation: operation.operation)
     return InterfaceDiff(
-        protocol=label,
-        old_interface=ingress_presc.interface_name,
-        new_interface=egress_presc.interface_name,
+        protocol="%s->%s" % (ingress, egress),
+        old_interface=pairing.ingress_presc.interface_name,
+        new_interface=pairing.egress_presc.interface_name,
         verdict=worst(op.verdict for op in operations),
         operations=tuple(operations),
     )
@@ -138,20 +83,24 @@ def bridge_report_text(diff, ingress_name, egress_name, predictions=None):
     """Human-readable bridge report (compat renderer, pair label), and
     the per-channel cost of :func:`~repro.gateway.predict_fused`'s
     *predictions* when given."""
-    text = diff_report_text({diff.protocol: diff}, ingress_name,
-                            egress_name)
+    text = "flick bridge" + diff_report_text(
+        {diff.protocol: diff}, ingress_name, egress_name)[len("flick diff"):]
     if predictions is None:
         return text
     lines = [text, "predicted gateway cost (fused copy plans):"]
     channels = [prediction for directions in predictions.values()
                 for prediction in directions.values()]
     for op in sorted(predictions):
+        directions = sorted(predictions[op].items(), reverse=True)
         parts = ["%s %s (%.0f%% of bytes coverable)"
                  % (direction, "fused" if prediction.fused else "re-encode",
                     100.0 * prediction.byte_fraction)
-                 for direction, prediction in sorted(
-                     predictions[op].items(), reverse=True)]
+                 for direction, prediction in directions]
         lines.append("  %-20s %s" % (op, "; ".join(parts) or "oneway"))
+        lines.extend("    %s falls back at %s"
+                     % (direction, prediction.blocker)
+                     for direction, prediction in directions
+                     if prediction.blocker)
     if channels:
         lines.append("  overall: %d/%d channels take the fused path"
                      % (sum(p.fused for p in channels), len(channels)))

@@ -2,10 +2,10 @@
 
 ``flick bridge`` verifies losslessness *before* deploying a gateway;
 this module predicts gateway *cost* at the same point: per operation
-and direction, will the message take the fused copy path, and how much
-of its bytes could copy plans cover?
+and direction, will the message take the fused copy path, how much of
+its bytes could copy plans cover, and what keeps the rest from them?
 
-Two numbers per channel, deliberately distinct:
+Three answers per channel:
 
 * ``fused`` — whether the :class:`~repro.gateway.plan.BridgePlan`
   that ``flick gateway`` serves holds copy segments for the whole
@@ -20,25 +20,29 @@ Two numbers per channel, deliberately distinct:
   beside a long array that would copy.  An item that fuses alone may
   still break its channel's alignment rule (a string followed by an
   octet array), so a fraction of 1.0 does not promise ``fused``.
+* ``blocker`` — for a channel that falls back, the first node that
+  keeps it from a copy and why (``request.u: union``).
 
-A prediction exists for exactly the plan's operations.  Only the byte
-accounting is computed here, item by item over the PRES_C channels the
-plan paired (:meth:`repro.pres.presc.PresCStub.channels`, read through
-the plan's two sides).  Byte estimates come from
+Nothing here walks a schema: the plan's pairing
+(:func:`repro.compat.pairwalk.pair_bridge`) already holds every
+channel's items, each with its own segments or blocker.  A prediction
+exists for exactly the plan's operations.  Byte estimates come from
 :func:`repro.mint.analysis.analyze_storage` on each item's MINT under
 the ingress wire format — the bounded maximum when there is one, the
 fixed minimum otherwise (unbounded sequences contribute their headers;
 their payload scales both numerator and denominator identically when
-fusible, so the fraction stays honest).
+fusible, so the fraction stays honest).  The walk saw whether each char
+array is a string or a run of char atoms, so strings are sized at one
+byte a char and XDR's padding exactly (``string<256>`` is at most 260
+bytes, not the 4-byte-per-char 1031 MINT alone must allow).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 from repro.mint.analysis import analyze_storage
-
-from repro.gateway.plan import _fuse_node
 
 __all__ = ["ChannelPrediction", "predict_fused"]
 
@@ -55,37 +59,39 @@ class ChannelPrediction:
     byte_fraction: float
     fusible_bytes: int
     total_bytes: int
+    #: Why the channel falls back (None when it is fused).
+    blocker: Optional[str] = None
 
     def to_json(self):
-        return {
-            "op": self.op,
-            "direction": self.direction,
-            "fused": self.fused,
-            "byte_fraction": round(self.byte_fraction, 4),
-            "fusible_bytes": self.fusible_bytes,
-            "total_bytes": self.total_bytes,
-        }
+        return dict(asdict(self), byte_fraction=round(self.byte_fraction, 4))
 
 
-def _item_bytes(pres, layout, registry):
-    """Storage bytes of one channel item under *layout*."""
-    info = analyze_storage(pres.mint, layout, registry)
-    return info.min_size if info.max_size is None else info.max_size
+class _Runs:
+    """A wire format whose char arrays are all strings: one byte a
+    char, padded as the format pads a run."""
+
+    chars_are_runs = True
+
+    def __init__(self, fmt):
+        self._fmt = fmt
+
+    def __getattr__(self, name):
+        return getattr(self._fmt, name)
 
 
-def _predict_channel(op, direction, fused, src_items, dst_items, sides,
-                     layout, registry):
-    paired = len(src_items) == len(dst_items)
+def _predict(op, direction, fused, channel, layouts, registry):
     fusible = total = 0
-    for index, (_name, pres) in enumerate(src_items):
-        nbytes = _item_bytes(pres, layout, registry)
+    for item in channel.items:
+        info = analyze_storage(item.pres.mint, layouts[item.chars], registry)
+        nbytes = info.min_size if info.max_size is None else info.max_size
         total += nbytes
-        if paired and _fuse_node(pres, dst_items[index][1], sides, []):
+        if item.segments is not None:
             fusible += nbytes
-    fraction = fusible / total if total else (1.0 if fused else 0.0)
     return ChannelPrediction(
-        op=op, direction=direction, fused=fused, byte_fraction=fraction,
-        fusible_bytes=fusible, total_bytes=total)
+        op=op, direction=direction, fused=fused,
+        byte_fraction=fusible / total if total else float(fused),
+        fusible_bytes=fusible, total_bytes=total,
+        blocker=None if fused else channel.blocker or "fusion turned off")
 
 
 def predict_fused(plan, ingress_result):
@@ -96,21 +102,18 @@ def predict_fused(plan, ingress_result):
     Returns ``{op: {"request": ChannelPrediction, "reply":
     ChannelPrediction}}`` (reply absent for oneway ops).
     """
-    layout = ingress_result.stubs.backend_instance.wire_format
+    fmt = ingress_result.stubs.backend_instance.wire_format
+    layouts = (_Runs(fmt), fmt)   # by Item.chars
     registry = ingress_result.presc.mint_registry
-    ingress, egress = plan.sides
     predictions = {}
     for op in plan.ops.values():
-        channels_in = ingress.presc.stub_named(op.name).channels()
-        channels_eg = egress.presc.stub_named(op.name).channels()
-        predictions[op.name] = {"request": _predict_channel(
+        pair = plan.pairing.ops[op.name]
+        predictions[op.name] = {"request": _predict(
             op.name, "request", op.request_segments is not None,
-            channels_in["request"], channels_eg["request"], plan.sides,
-            layout, registry)}
+            pair.request.channels["request"], layouts, registry)}
         if not op.oneway:
-            # The reply crosses egress -> ingress; predict that way.
-            predictions[op.name]["reply"] = _predict_channel(
+            # The reply crosses egress -> ingress, success arm 0.
+            predictions[op.name]["reply"] = _predict(
                 op.name, "reply", 0 in op.reply_segments,
-                channels_eg["ok"], channels_in["ok"], plan.sides[::-1],
-                layout, registry)
+                pair.reply.channels[0], layouts, registry)
     return predictions

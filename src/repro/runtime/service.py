@@ -87,7 +87,7 @@ class ServiceConfig:
         sys_paths: extra ``sys.path`` entries, so ``impl`` resolves in
             a worker as it does in its parent.
         upstream_host, upstream_port, upstream_backend,
-        upstream_idl_path, pool_size, fuse: the gateway's egress side.
+        upstream_idl_path, pool_size: the gateway's egress side.
         slot, generation, listen_fd, control_fd: filled by a supervisor
             for each worker — stable worker index, schema generation,
             inherited listener
@@ -163,10 +163,6 @@ class ServiceConfig:
         spelling="--upstream-idl", metavar="FILE"))
     pool_size: int = field(default=4, metadata=flag(
         "multiplexed upstream connections (default: 4)", "gateway"))
-    fuse: bool = field(default=True, metadata=flag(
-        "disable the fused byte-copy plans (always decode and re-encode;"
-        " for debugging and benchmarking)", "gateway",
-        spelling="--no-fuse"))
     slot: Optional[int] = None
     generation: int = 0
     listen_fd: Optional[int] = None
@@ -400,7 +396,7 @@ def build(config, listen_sock=None, handles=None):
         from repro.gateway import AioGatewayServer, build_plan
 
         server = AioGatewayServer(
-            build_plan(*handles, fuse=config.fuse),
+            build_plan(*handles),
             config.upstream_host, config.upstream_port,
             pool_size=config.pool_size,
             upstream_fault_plan=upstream_fault_plan,

@@ -697,8 +697,9 @@ def command_bridge(args):
             sides.append(api.compile(
                 handle.read(), args.lang, interface=args.interface,
                 name=path, backend=backend))
-    diff = check_bridge(*sides)
-    predictions = predict_fused(build_plan(*sides), sides[0])
+    plan = build_plan(*sides)
+    diff = check_bridge(*sides, plan=plan)
+    predictions = predict_fused(plan, sides[0])
     if args.json:
         print(json.dumps(
             bridge_report_json(diff, args.ingress, egress_path, predictions),

@@ -387,19 +387,18 @@ def one_description_per_setting(tree):
 def one_writer_per_error_reply(tree):
     """Protocol error replies are written by repro.envelopes.write_error
     alone, and the gateway pairs no operation of its own: errmap packs
-    no bytes, neither back end's emit_error_reply prints a pack, only
-    plan.py under the gateway pairs channels or builds naive IR, and
-    outside the back ends and the marshal IR only ``HeaderSpec`` copies
-    a header template into a buffer."""
+    no bytes, neither back end's emit_error_reply prints a pack, nothing
+    under the gateway pairs channels (repro/compat/pairwalk.py does),
+    and outside the back ends and the marshal IR only ``HeaderSpec``
+    copies a header template into a buffer."""
     errmap = "src/repro/gateway/errmap.py"
     _no(tree.grep(r"^\s*(import struct|from struct )|pack_into", errmap))
     for path in ("src/repro/backend/oncxdr.py", "src/repro/backend/iiop.py"):
         for block in tree.blocks(path, r"def emit_error_reply\("):
             _no([line for line in block if "_pack_into" in line])
-    calls = _not_a_definition(tree.grep(r"\bfuse_channel\(",
-                                        "src/repro/gateway"))
-    assert tree.files_of(calls) in ([], ["src/repro/gateway/plan.py"]), \
-        "\n".join(calls)
+    _no(_not_a_definition(tree.grep(
+        r"\b(fuse_channel|pair_message)\(|\.channels\(\)",
+        "src/repro/gateway")))
     _no([hit for hit in tree.grep(
         r"reserve\(len\([\w.]*template\)|\] = \(?[\w.]*template\b", "src")
         if not hit.startswith(("src/repro/backend/", "src/repro/mir/"))])
@@ -412,6 +411,27 @@ def no_naive_type_ir(tree):
     loaded module."""
     _no(tree.grep(r"\b(build_naive|NaiveProgram|TypeChannel|_flick_shapes"
                   r"|shapes_factory)\b", "src"))
+
+
+def one_pairwise_walk(tree):
+    """Two PRES_C trees are paired node by node in one module,
+    repro/compat/pairwalk.py, which gives the findings, the copy
+    segments and the blockers: no ``_MessageDiffer`` or ``_fuse_node``
+    comes back, nothing else under compat/ or gateway/ resolves a named
+    type or guards a recursion (lint.py walks one tree, for hazards of
+    its own), fraction.py reads the walk's items instead of walking, and
+    check_bridge and build_plan read one per-operation pairing instead
+    of matching stubs by name."""
+    walker = "src/repro/compat/pairwalk.py"
+    _no(tree.grep(r"\b(_MessageDiffer|_fuse_node)\b", "src"))
+    _no([hit for hit in tree.grep(
+        r"pres_registry\b|\bis_recursive\(|\b_walking\b|\b_resolve\(",
+        "src/repro/compat", "src/repro/gateway")
+        if not hit.startswith((walker + ":", "src/repro/compat/lint.py:"))])
+    _no(tree.grep(r"\.channels\(\)|stub_named\(|\bp\.Pres|\bpair_"
+                  r"(message|bridge)\(", "src/repro/gateway/fraction.py"))
+    _no(tree.grep(r"operation_name|presc\.stubs\b|\.oneway\s*!=",
+                  "src/repro/gateway/check.py", "src/repro/gateway/plan.py"))
 
 
 #: pin -> (file, line) pairs, each of which must make it fail.
@@ -560,6 +580,23 @@ PINS = {
          "    offset = buffer.reserve(len(header.template))"),
         ("src/repro/compilers/ilu_style.py",
          "        buffer.data[offset:end] = reply_header.template"),
+    ],
+    one_pairwise_walk: [
+        ("src/repro/compat/mintdiff.py", "class _MessageDiffer:"),
+        ("src/repro/gateway/plan.py",
+         "def _fuse_node(src, dst, sides, segments):"),
+        ("src/repro/compat/ifacediff.py",
+         "        pres = presc.pres_registry[pres.name]"),
+        ("src/repro/gateway/plan.py",
+         "    if is_recursive(src.mint, side.presc.mint_registry):"),
+        ("src/repro/gateway/fraction.py",
+         "    channels_in = ingress.presc.stub_named(op.name).channels()"),
+        ("src/repro/gateway/fraction.py",
+         "    pair = pair_message(src, dst, presc_in, presc_eg, fmt)"),
+        ("src/repro/gateway/check.py",
+         "    egress_stubs = {s.operation_name: s for s in presc.stubs}"),
+        ("src/repro/gateway/plan.py",
+         "        if other is None or stub.oneway != other.oneway:"),
     ],
     no_naive_type_ir: [
         ("src/repro/mir/build.py",

@@ -840,6 +840,140 @@ class TestCli:
         document = json.loads(capsys.readouterr().out)
         assert document["tool"] == "flick-bridge"
 
+    def test_bridge_text_report_is_titled_flick_bridge(self, tmp_path,
+                                                       capsys):
+        from repro.tools.cli import main
+
+        source = tmp_path / "mail.idl"
+        source.write_text(NARROW_V1)
+        assert main(["bridge", str(source)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "flick bridge: %s -> %s" % (source, source)
+
+    def test_bridge_prints_the_blocker_of_each_fallback(self, tmp_path,
+                                                        capsys):
+        """``flick bridge`` names what keeps each re-encoded channel
+        from a copy, in text and in every JSON prediction."""
+        from repro.tools.cli import main
+
+        source = tmp_path / "shapes.idl"
+        source.write_text(bridge_plans.SHAPES_IDL)
+        main(["bridge", str(source)])
+        text = capsys.readouterr().out
+        assert "    request falls back at request.u: union" in text
+        assert "    reply falls back at reply[case 0]._return: union" in text
+        assert text.count("falls back at") == 2
+        main(["bridge", str(source), "--json"])
+        fused = json.loads(capsys.readouterr().out)["fused"]
+        assert fused["pick"]["request"]["blocker"] == "request.u: union"
+        assert fused["words"]["request"]["blocker"] is None
+
+    def test_bridge_walks_each_message_pair_once(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """``flick bridge`` verdict, plan and prediction read one walk:
+        each operation's request and reply are paired exactly once."""
+        from repro.compat import pairwalk
+        from repro.tools.cli import main
+
+        walked = []
+        walk = pairwalk.pair_message
+
+        def spy(sender, receiver, *args, **kwargs):
+            walked.append(kwargs["path"])
+            return walk(sender, receiver, *args, **kwargs)
+
+        monkeypatch.setattr(pairwalk, "pair_message", spy)
+        source = tmp_path / "shapes.idl"
+        source.write_text(bridge_plans.SHAPES_IDL)
+        main(["bridge", str(source)])
+        capsys.readouterr()
+        # paint, words and pick reply; mixed returns void, but replies.
+        assert sorted(walked) == ["reply"] * 4 + ["request"] * 4
+
+
+class TestBlockers:
+    def test_only_unions_and_named_against_inline_block_a_golden_pair(
+            self):
+        """Across the golden bridge pairs, a predicted channel carries a
+        blocker exactly when the plan holds no segments for it, and only
+        ``shapes.idl``'s ``pick`` (both ways) and ``shapes_long.idl``'s
+        ``paint`` request fall back."""
+        with open(bridge_plans.GOLDEN) as handle:
+            plans = json.load(handle)["plans"]
+        blocked = set()
+        for pair, record in plans.items():
+            for op, entry in record["ops"].items():
+                for direction, prediction in entry["predicted"].items():
+                    assert bool(prediction["blocker"]) \
+                        != prediction["fused"], (pair, op, direction)
+                    if prediction["blocker"]:
+                        blocked.add((pair.split(" -> ")[1].split(":")[0],
+                                     op, direction,
+                                     prediction["blocker"]))
+        assert blocked == {
+            ("shapes.idl", "pick", "request", "request.u: union"),
+            ("shapes.idl", "pick", "reply", "reply[case 0]._return: union"),
+            ("shapes_long.idl", "pick", "request", "request.u: union"),
+            ("shapes_long.idl", "pick", "reply",
+             "reply[case 0]._return: union"),
+            ("shapes_long.idl", "paint", "request",
+             "request.c: named type against an inline one"),
+        }
+
+    def test_a_reference_plan_blocks_every_channel(self, iiop_result,
+                                                   onc_result):
+        """``build_plan(fuse=False)`` holds no segments: a channel the
+        fused plan copies says fusion was turned off, the others keep
+        the walk's blocker."""
+        def blockers(**kwargs):
+            predictions = predict_fused(
+                build_plan(iiop_result, onc_result, **kwargs), iiop_result)
+            return {(op, direction): prediction.blocker
+                    for op, directions in predictions.items()
+                    for direction, prediction in directions.items()}
+
+        fused, reference = blockers(), blockers(fuse=False)
+        assert reference == {key: blocker or "fusion turned off"
+                             for key, blocker in fused.items()}
+        assert None in fused.values()
+
+    def test_xdr_strings_are_sized_at_one_byte_a_char(self):
+        """Under an XDR ingress a ``string<256>`` is at most 4 + 256
+        bytes, while a char array presented element-wise still takes a
+        4-byte word a char."""
+        from repro import api
+
+        idl = ("typedef char Chars[8];"
+               " interface T { string<256> s(in string<64> a,"
+               " in Chars c); };")
+        ingress = api.compile(idl, "corba", backend="oncrpc-xdr")
+        egress = api.compile(idl, "corba", backend="iiop")
+        prediction = predict_fused(build_plan(ingress, egress), ingress)["s"]
+        assert prediction["reply"].total_bytes == 260
+        assert prediction["request"].total_bytes == 68 + 8 * 4
+        assert prediction["request"].fusible_bytes == 68
+
+    @pytest.mark.parametrize("idl, blocker", [
+        ("interface T { void f(in sequence<long> a, in double d); };",
+         "request.d: atom is not one 4-byte word on both sides"),
+        ("struct N { long v; sequence<N, 4> next; };"
+         " interface T { void f(in N n); };", "request.n: recursive type"),
+        ("interface T { void f(in string<8> s, in octet o); };",
+         "request.o: atom is not one 4-byte word on both sides"),
+        ("typedef octet Tag[4];"
+         " interface T { void f(in string<8> s, in Tag t); };",
+         "request.t: octets after a byte run"),
+    ])
+    def test_each_rule_names_its_node(self, idl, blocker):
+        from repro import api
+
+        ingress = api.compile(idl, "corba", backend="iiop")
+        egress = api.compile(idl, "corba", backend="oncrpc-xdr")
+        prediction = predict_fused(build_plan(ingress, egress),
+                                   ingress)["f"]["request"]
+        assert not prediction.fused
+        assert prediction.blocker == blocker
+
     def test_gateway_same_protocol_endpoints_rejected(self, tmp_path,
                                                       capsys):
         from repro.tools.cli import main

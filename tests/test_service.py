@@ -353,7 +353,7 @@ class TestSharedFlags:
         other_kind = {
             "serve": {"upstream_host", "upstream_port",
                       "upstream_backend", "upstream_idl_path",
-                      "pool_size", "fuse", "upstream_fault_plan"},
+                      "pool_size", "upstream_fault_plan"},
             "gateway": {"pgen", "impl", "aio", "dispatch_mode"},
         }[verb]
         assert unreachable == other_kind
