@@ -22,6 +22,7 @@ Run with: PYTHONPATH=src python examples/run_gateway.py
 import os
 
 from repro import api
+from repro.compat import pair_bridge
 from repro.gateway import (
     AioGatewayServer,
     bridge_exit_code,
@@ -97,7 +98,7 @@ def main():
     iiop, onc = compile_sides(v1)
 
     print("Static verification (flick bridge): both directions")
-    report = check_bridge(iiop, onc)
+    report = check_bridge(pair_bridge(iiop, onc))
     print("  iiop<->oncrpc-xdr verdict: %s (exit %d)"
           % (report.verdict.name, bridge_exit_code(report)))
     assert bridge_exit_code(report) == 0
@@ -112,7 +113,7 @@ def main():
 
     print("\nVerdict gating: narrowed ingress against wide egress")
     narrow_iiop, _ = compile_sides(read_schema("sensor_v2.idl"))
-    breaking = check_bridge(narrow_iiop, onc)
+    breaking = check_bridge(pair_bridge(narrow_iiop, onc))
     print("  sensor_v2 -> sensor verdict: %s (exit %d)"
           % (breaking.verdict.name, bridge_exit_code(breaking)))
     assert bridge_exit_code(breaking) == 2

@@ -75,7 +75,7 @@ from typing import NamedTuple, Optional
 from repro.backend import make_backend
 from repro.errors import WireFormatError
 from repro.mint.analysis import StorageClass, analyze_storage, is_recursive
-from repro.mint.types import MintChar, MintFloat, MintInteger
+from repro.mint.types import MintFloat, MintInteger
 from repro.pres import nodes as p
 from repro.compat.verdict import Finding, Verdict, worst
 
@@ -290,14 +290,14 @@ def _coalesce(segments):
 class Item(NamedTuple):
     """One value of a channel (an argument, a result) as the walk left
     it: *segments* copy it on its own, or *blocker* says why none do.
-    *chars* is set when it holds an element-wise char array, which a
-    byte count cannot tell from a string."""
+    *nbytes* is its sender-side size: the bounded maximum, or the fixed
+    minimum when it is unbounded."""
 
     path: str
     pres: object
     segments: Optional[list]
     blocker: Optional[str]
-    chars: bool = False
+    nbytes: int
 
 
 class Channel(NamedTuple):
@@ -321,7 +321,8 @@ class MessagePair(NamedTuple):
 
 def pair_message(sender_pres, receiver_pres, sender_presc, receiver_presc,
                  wire_format, *, path="message", offset=0,
-                 tolerate_trailing=False, receiver_format=None):
+                 tolerate_trailing=False, receiver_format=None,
+                 size_format=None):
     """Walk one message pair; returns a :class:`MessagePair`.
 
     ``sender_pres``/``receiver_pres`` are the message roots (a request
@@ -336,9 +337,12 @@ def pair_message(sender_pres, receiver_pres, sender_presc, receiver_presc,
     byte layout and compiles each channel's copy segments.
     ``tolerate_trailing`` is ignored in transcoded mode — a gateway
     re-encode is positional, so extra sender fields have nowhere to go.
+    Each channel item is sized under ``size_format`` (default: the
+    sender's wire format).
     """
     walk = _Walk(sender_presc, receiver_presc, wire_format,
-                 receiver_format, tolerate_trailing)
+                 receiver_format, tolerate_trailing,
+                 size_format or wire_format)
     walk.diff(sender_pres, receiver_pres, path, offset, root=True)
     findings = tuple(walk.findings)
     return MessagePair(worst(f.verdict for f in findings), findings,
@@ -347,11 +351,12 @@ def pair_message(sender_pres, receiver_pres, sender_presc, receiver_presc,
 
 class _Walk:
     def __init__(self, sender_presc, receiver_presc, wire_format,
-                 receiver_format, tolerate_trailing):
+                 receiver_format, tolerate_trailing, size_format):
         self.s_presc = sender_presc
         self.r_presc = receiver_presc
         self.fmt = wire_format
         self.r_fmt = receiver_format or wire_format
+        self.size_fmt = size_format
         self.transcoded = receiver_format is not None
         self.tolerate_trailing = tolerate_trailing and not self.transcoded
         self.findings = []
@@ -361,7 +366,12 @@ class _Walk:
         #: item, and once *blocker* says why it cannot be copied.
         self.segments = None
         self.blocker = None
-        self.chars = False
+        #: The sender bytes the open node spans under *size_fmt*:
+        #: ``[fewest, most]``, most None when unbounded.  Sized as
+        #: :func:`~repro.mint.analysis.analyze_storage` sizes MINT, but
+        #: the walk knows a byte run from an element-wise char array, so
+        #: a run costs one byte a char.
+        self.size = [0, 0]
 
     # -- plumbing ------------------------------------------------------
 
@@ -372,6 +382,28 @@ class _Walk:
         """No copy covers the open item: *cause* at *path*."""
         if self.segments is not None:
             self.segments, self.blocker = None, "%s: %s" % (path, cause)
+
+    def grow(self, lo, hi):
+        """The open node spans *lo* to *hi* (None: unbounded) more
+        sender bytes."""
+        size = self.size
+        size[0] += lo
+        size[1] = None if hi is None or size[1] is None else size[1] + hi
+
+    def sized(self, walk, *args):
+        """Run ``walk(*args)`` on a size of its own; returns that
+        ``[fewest, most]``."""
+        outer, self.size = self.size, [0, 0]
+        walk(*args)
+        size, self.size = self.size, outer
+        return size
+
+    def unpaired(self, sender):
+        """Size a sender node the walk does not pair with one of the
+        receiver's (a breaking change) from its MINT."""
+        info = analyze_storage(sender.mint, self.size_fmt,
+                               self.s_presc.mint_registry)
+        self.grow(info.min_size, info.max_size)
 
     def emit(self, segment, path):
         if self.segments is not None \
@@ -387,6 +419,7 @@ class _Walk:
             if key in self._walking:
                 # A reference cycle revisited: the pair already diffed on
                 # first expansion; recursing again cannot add information.
+                self.grow(0, None)
                 return None
             if s_name is None or r_name is None:
                 self.block(path, "named type against an inline one")
@@ -408,6 +441,7 @@ class _Walk:
                 self._walking.discard(key)
         handler = self._handler(sender, receiver)
         if handler is None:
+            self.unpaired(sender)
             self.block(path, "%s against %s"
                        % (_kind(sender), _kind(receiver)))
             self.note(Verdict.BREAKING, path, offset,
@@ -438,11 +472,14 @@ class _Walk:
     def item(self, sender, receiver, path, offset):
         """Walk one channel item on a segment list of its own; returns
         ``(offset after it, Item)``."""
-        self.segments, self.blocker, self.chars = [], None, False
+        self.segments, self.blocker = [], None
         if not self.fmt.endian == self.r_fmt.endian == ">":
             self.segments, self.blocker = None, "byte order"
+        outer, self.size = self.size, [0, 0]
         offset = self.diff(sender, receiver, path, offset)
-        item = Item(path, sender, self.segments, self.blocker, self.chars)
+        size, self.size = self.size, outer
+        item = Item(path, sender, self.segments, self.blocker,
+                    _nbytes(size))
         self.segments = None
         return offset, item
 
@@ -482,6 +519,11 @@ class _Walk:
         if offset is not None:
             offset += -offset % s_codec.alignment
         after = None if offset is None else offset + s_codec.size
+        # Worst-case alignment padding, as analyze_storage counts it.
+        sized = self.size_fmt.atom_codec(sender.mint)
+        self.grow(sized.size, sized.size + (
+            sized.alignment - 1
+            if sized.alignment > self.size_fmt.universal_alignment else 0))
         layout = (s_codec.format, s_codec.size, s_codec.alignment)
         same = layout == (r_codec.format, r_codec.size, r_codec.alignment)
         if same and layout[1:] == (4, 4):
@@ -557,6 +599,7 @@ class _Walk:
         r_kind, r_fixed, r_bound, r_nul = _byte_run_shape(
             receiver, self.r_fmt)
         after = self._advance_past(sender.mint, offset)
+        self.grow(*_run_size(sender.mint, self.size_fmt))
         if s_kind != r_kind:
             self.block(path, "%s against %s" % (s_kind, r_kind))
         elif s_fixed is not None or r_fixed is not None:
@@ -641,6 +684,7 @@ class _Walk:
     def fixed_array(self, sender, receiver, path, offset, root):
         after = self._advance_past(sender.mint, offset)
         if sender.length != receiver.length:
+            self.unpaired(sender)
             self.block(path, "array length %d against %d"
                        % (sender.length, receiver.length))
             self.note(Verdict.BREAKING, path, offset,
@@ -665,8 +709,8 @@ class _Walk:
 
     def optional(self, sender, receiver, path, offset, root):
         self.block(path, "optional")
-        self.diff(sender.element, receiver.element, path + "*",
-                  self._element_offset(sender, offset))
+        self._array_of(sender, receiver, path + "*",
+                       self._element_offset(sender, offset))
         return self._advance_past(sender.mint, offset)
 
     def _element_offset(self, sender, offset):
@@ -675,16 +719,24 @@ class _Walk:
         offset += -offset % self.fmt.array_header_alignment(sender.mint)
         return offset + self.fmt.array_header_size(sender.mint)
 
+    def _array_of(self, sender, receiver, path, offset):
+        """Walk an array's element pair; the open node grows by the
+        sender's array of them (an element-wise array has no trailer)."""
+        lo, hi = self.sized(self.diff, sender.element, receiver.element,
+                            path, offset)
+        mint = sender.mint
+        header = self.size_fmt.array_header_size(mint)
+        self.grow(header + mint.min_length * lo,
+                  None if hi is None or mint.max_length is None
+                  else header + mint.max_length * hi)
+
     def _elements(self, sender, receiver, path, offset, counted):
         """Walk an array's element pair on a segment list of its own,
         then copy the array as one stride or element by element."""
-        if isinstance(sender.element, p.PresDirect) \
-                and isinstance(sender.element.mint, MintChar):
-            self.chars = True
         outer = self.segments
         if outer is not None:
             self.segments = []
-        self.diff(sender.element, receiver.element, path + "[*]", offset)
+        self._array_of(sender, receiver, path + "[*]", offset)
         element, self.segments = self.segments, outer
         if element is None:
             self.segments = None
@@ -756,11 +808,15 @@ class _Walk:
         if channel is not None:
             if count:  # an unpaired channel copies none of its items
                 items = [item._replace(segments=None) for item in items] + [
-                    Item("%s.%s" % (path, f.name), f.pres, None, count)
+                    Item("%s.%s" % (path, f.name), f.pres, None, count,
+                         _nbytes(self.sized(self.unpaired, f.pres)))
                     for f in extra]
             self.channel(channel, items, count and "%s: %s" % (path, count))
         if not extra:
             return offset
+        if channel is None:
+            for s_field in extra:
+                self.unpaired(s_field.pres)
         names = [s_field.name for s_field in extra]
         where = "%s.%s" % (path, names[0])
         if root and self.tolerate_trailing:
@@ -780,7 +836,8 @@ class _Walk:
 
     def union(self, sender, receiver, path, offset, root):
         """At the root of a transcoded reply, each arm the two sides
-        share is one channel."""
+        share is one channel.  The union spans its discriminator and the
+        fewest to the most bytes of any sender arm."""
         self.block(path, "union")
         after = self._advance_past(sender.mint, offset)
         disc = self.diff(sender.discriminator, receiver.discriminator,
@@ -790,33 +847,40 @@ class _Walk:
         r_by_label = {label: arm for arm in receiver.arms
                       for label in arm.labels}
         s_labels = set()
+        sizes = []
         for arm in sender.arms:
             s_labels.update(arm.labels)
             for label in arm.labels:
                 arm_path = "%s[case %r]" % (path, label)
                 r_arm = r_by_label.get(label)
                 if r_arm is not None and root and self.transcoded:
-                    self.arm(label, arm.pres, r_arm.pres, arm_path, disc)
+                    sizes.append(self.sized(self.arm, label, arm.pres,
+                                            r_arm.pres, arm_path, disc))
                 elif r_arm is not None:
-                    self.diff(arm.pres, r_arm.pres, arm_path, disc)
+                    sizes.append(self.sized(self.diff, arm.pres, r_arm.pres,
+                                            arm_path, disc))
                 elif r_default is not None:
                     self.note(Verdict.DECODE_COMPATIBLE, arm_path, disc,
                               "receiver routes discriminator %r through "
                               "its default arm" % (label,))
-                    self.diff(arm.pres, r_default.pres, arm_path, disc)
+                    sizes.append(self.sized(self.diff, arm.pres,
+                                            r_default.pres, arm_path, disc))
                 else:
                     self.note(Verdict.BREAKING, arm_path, disc,
                               "receiver union has no arm and no default for "
                               "discriminator %r; its decoder raises "
                               "UnmarshalError" % (label,))
+                    sizes.append(self.sized(self.unpaired, arm.pres))
         if s_default is not None and r_default is None:
             self.note(Verdict.BREAKING, path + "[default]", disc,
                       "sender keeps a default arm but the receiver union "
                       "has none: any unlisted discriminator the sender "
                       "emits is rejected (discriminator gap)")
+            sizes.append(self.sized(self.unpaired, s_default.pres))
         elif s_default is not None:
-            self.diff(s_default.pres, r_default.pres, path + "[default]",
-                      disc)
+            sizes.append(self.sized(self.diff, s_default.pres,
+                                    r_default.pres, path + "[default]",
+                                    disc))
             # Labels the receiver names explicitly but the sender routes
             # through its default: the payload must match the receiver's
             # explicit arm, not its default.
@@ -826,7 +890,8 @@ class _Walk:
                     continue
                 arm_path = "%s[case %r]" % (path, label)
                 marker = len(self.findings)
-                self.diff(s_default.pres, r_arm.pres, arm_path, disc)
+                self.sized(self.diff, s_default.pres, r_arm.pres, arm_path,
+                           disc)
                 if len(self.findings) == marker:
                     self.note(Verdict.DECODE_COMPATIBLE, arm_path, disc,
                               "receiver adds an explicit arm for %r (the "
@@ -839,6 +904,10 @@ class _Walk:
                 self.note(Verdict.DECODE_COMPATIBLE, path, disc,
                           "receiver adds union arm(s) for %s the sender "
                           "never produces" % added)
+        if sizes:
+            self.grow(min(lo for lo, _ in sizes),
+                      None if any(hi is None for _, hi in sizes)
+                      else max(hi for _, hi in sizes))
         return after
 
 
@@ -858,6 +927,23 @@ def _byte_run_shape(pres, fmt):
         return ("str", None, pres.bound,
                 1 if fmt.string_nul_terminated else 0)
     return ("bytes", pres.fixed_length, pres.bound, 0)
+
+
+def _run_size(mint, fmt):
+    """``(fewest, most)`` bytes of a byte run under *fmt*: its header
+    and one byte a char, then at its bound the format's exact padding
+    (XDR) or its NUL (CDR)."""
+    header = fmt.array_header_size(mint)
+    if mint.max_length is None:
+        return header + mint.min_length, None
+    data = mint.max_length
+    return header + mint.min_length, header + data + (
+        -data % 4 if fmt.pads_byte_runs(mint) else fmt.array_padding(mint))
+
+
+def _nbytes(size):
+    """An item's size: its most bytes, or its fewest when unbounded."""
+    return size[0] if size[1] is None else size[1]
 
 
 def _default_arm(union):
@@ -933,7 +1019,8 @@ class BridgePairing(NamedTuple):
 def pair_bridge(ingress_result, egress_result):
     """Pair the operations of a bridge from *ingress_result* to
     *egress_result* (compile results, see :func:`repro.api.compile`)
-    and walk each one's messages; returns a :class:`BridgePairing`."""
+    and walk each one's messages; returns a :class:`BridgePairing`.
+    Both directions size their items under the ingress wire format."""
     ingress = make_backend(ingress_result.stubs.backend_name)
     egress = make_backend(egress_result.stubs.backend_name)
     in_presc, eg_presc = ingress_result.presc, egress_result.presc
@@ -968,7 +1055,7 @@ def pair_bridge(ingress_result, egress_result):
             reply = pair_message(
                 other.reply_pres, stub.reply_pres, eg_presc, in_presc,
                 egress.wire_format, receiver_format=ingress.wire_format,
-                path="reply",
+                size_format=ingress.wire_format, path="reply",
                 offset=len(egress.reply_header(eg_presc, other).template))
         ops[name] = OpPair(name, stub, other, findings, request, reply)
     return BridgePairing(ingress, egress, in_presc, eg_presc, ops)

@@ -5,9 +5,9 @@ walked in both directions by :func:`repro.compat.pairwalk.pair_bridge`
 in *transcoded* mode: requests as ingress-schema values re-encoded onto
 the egress protocol, replies as egress-schema values re-encoded onto
 the ingress protocol.  The same pairing gives
-:func:`~repro.gateway.build_plan` its copy segments, so a plan's
-pairing can stand in for a second walk.  The verdict lattice is the
-compat subsystem's:
+:func:`~repro.gateway.build_plan` its copy segments, so
+:func:`check_bridge` reads a served plan's pairing rather than walk
+again.  The verdict lattice is the compat subsystem's:
 
 * ``WIRE_IDENTICAL`` — every value a client can send crosses the
   bridge byte-losslessly;
@@ -26,7 +26,6 @@ report renderers and exit-code policy apply unchanged.
 
 from __future__ import annotations
 
-from repro.compat.pairwalk import pair_bridge
 from repro.compat.report import diff_exit_code, diff_report_json, \
     diff_report_text
 from repro.compat.verdict import (
@@ -40,18 +39,16 @@ __all__ = ["bridge_exit_code", "bridge_report_json",
            "bridge_report_text", "check_bridge"]
 
 
-def check_bridge(ingress_result, egress_result, plan=None):
+def check_bridge(pairing):
     """Diff a protocol bridge; returns an InterfaceDiff for the pair.
 
-    *ingress_result* / *egress_result* are compiled results (see
-    :func:`repro.api.compile`) for the schema each side of the gateway
-    was built against — usually the same schema, two backends; during a
-    migration, two schema versions.  A :class:`~repro.gateway.BridgePlan`
-    built from the same two results lends its pairing as *plan*, so the
-    walk is not run twice.
+    *pairing* is :func:`~repro.compat.pairwalk.pair_bridge`'s walk of
+    the two compiled results (see :func:`repro.api.compile`) each side
+    of the gateway was built against — usually the same schema, two
+    backends; during a migration, two schema versions.  A
+    :class:`~repro.gateway.BridgePlan` holds the one it serves as
+    ``plan.pairing``.
     """
-    pairing = plan.pairing if plan is not None \
-        else pair_bridge(ingress_result, egress_result)
     ingress, egress = pairing.ingress.name, pairing.egress.name
     operations = []
     for op in pairing.ops.values():

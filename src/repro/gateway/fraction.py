@@ -25,24 +25,20 @@ Three answers per channel:
 
 Nothing here walks a schema: the plan's pairing
 (:func:`repro.compat.pairwalk.pair_bridge`) already holds every
-channel's items, each with its own segments or blocker.  A prediction
-exists for exactly the plan's operations.  Byte estimates come from
-:func:`repro.mint.analysis.analyze_storage` on each item's MINT under
-the ingress wire format — the bounded maximum when there is one, the
-fixed minimum otherwise (unbounded sequences contribute their headers;
-their payload scales both numerator and denominator identically when
-fusible, so the fraction stays honest).  The walk saw whether each char
-array is a string or a run of char atoms, so strings are sized at one
-byte a char and XDR's padding exactly (``string<256>`` is at most 260
-bytes, not the 4-byte-per-char 1031 MINT alone must allow).
+channel's items, each with its own segments or blocker and its size
+under the ingress wire format — the bounded maximum when there is one,
+the fixed minimum otherwise (unbounded sequences contribute their
+headers; their payload scales both numerator and denominator
+identically when fusible, so the fraction stays honest).  A prediction
+exists for exactly the plan's operations.  The walk sizes a string at
+one byte a char and XDR's padding exactly (``string<256>`` is at most
+260 bytes), and an element-wise char array at the format's char atom.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from typing import Optional
-
-from repro.mint.analysis import analyze_storage
 
 __all__ = ["ChannelPrediction", "predict_fused"]
 
@@ -66,27 +62,10 @@ class ChannelPrediction:
         return dict(asdict(self), byte_fraction=round(self.byte_fraction, 4))
 
 
-class _Runs:
-    """A wire format whose char arrays are all strings: one byte a
-    char, padded as the format pads a run."""
-
-    chars_are_runs = True
-
-    def __init__(self, fmt):
-        self._fmt = fmt
-
-    def __getattr__(self, name):
-        return getattr(self._fmt, name)
-
-
-def _predict(op, direction, fused, channel, layouts, registry):
-    fusible = total = 0
-    for item in channel.items:
-        info = analyze_storage(item.pres.mint, layouts[item.chars], registry)
-        nbytes = info.min_size if info.max_size is None else info.max_size
-        total += nbytes
-        if item.segments is not None:
-            fusible += nbytes
+def _predict(op, direction, fused, channel):
+    total = sum(item.nbytes for item in channel.items)
+    fusible = sum(item.nbytes for item in channel.items
+                  if item.segments is not None)
     return ChannelPrediction(
         op=op, direction=direction, fused=fused,
         byte_fraction=fusible / total if total else float(fused),
@@ -94,26 +73,21 @@ def _predict(op, direction, fused, channel, layouts, registry):
         blocker=None if fused else channel.blocker or "fusion turned off")
 
 
-def predict_fused(plan, ingress_result):
+def predict_fused(plan):
     """Per-op fusion predictions for the bridge *plan* serves.
 
-    *ingress_result* is the compile *plan* was built from on the
-    ingress side (its wire format and MINT registry size the items).
     Returns ``{op: {"request": ChannelPrediction, "reply":
     ChannelPrediction}}`` (reply absent for oneway ops).
     """
-    fmt = ingress_result.stubs.backend_instance.wire_format
-    layouts = (_Runs(fmt), fmt)   # by Item.chars
-    registry = ingress_result.presc.mint_registry
     predictions = {}
     for op in plan.ops.values():
         pair = plan.pairing.ops[op.name]
         predictions[op.name] = {"request": _predict(
             op.name, "request", op.request_segments is not None,
-            pair.request.channels["request"], layouts, registry)}
+            pair.request.channels["request"])}
         if not op.oneway:
             # The reply crosses egress -> ingress, success arm 0.
             predictions[op.name]["reply"] = _predict(
                 op.name, "reply", 0 in op.reply_segments,
-                pair.reply.channels[0], layouts, registry)
+                pair.reply.channels[0])
     return predictions

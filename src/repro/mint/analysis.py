@@ -182,30 +182,26 @@ def _analyze_array(array, layout, registry, walking):
     header = layout.array_header_size(array)
     element = _analyze(array.element, layout, registry, walking)
     packed = layout.packed_element_size(array.element)
-    runs = getattr(layout, "chars_are_runs", False)
     if packed is not None:
         per_element_max = packed
         per_element_min = packed
         if isinstance(array.element, MintChar) \
-                and element.max_size is not None and not runs:
+                and element.max_size is not None:
             # A char array packs one byte per char when presented as a
             # string, but occupies the standalone char atom (4 bytes in
             # XDR) when presented element-wise.  MINT cannot tell which
-            # presentation will be used, so the bounds cover both —
-            # unless the layout says every char array is a string.
+            # presentation will be used, so the bounds cover both.
             per_element_max = max(packed, element.max_size)
     else:
         per_element_max = element.max_size
         per_element_min = element.min_size
     trailer = layout.array_padding(array)
-    if packed is not None and trailer and array.is_bounded \
-            and (array.is_fixed or runs):
-        # The data size is static, or a run's padded size is largest at
-        # its bound, so the trailing pad is exact.
-        trailer = -(array.max_length * packed) % 4
     if array.is_fixed:
         if per_element_max is None:
             return StorageInfo(StorageClass.UNBOUNDED, header, None)
+        if packed is not None and trailer:
+            # The data size is static, so the trailing pad is exact.
+            trailer = -(array.max_length * packed) % 4
         max_size = header + array.max_length * per_element_max + trailer
         min_size = header + array.min_length * per_element_min
         storage_class = (

@@ -467,14 +467,19 @@ def service_config(args):
 
 
 def _bridge_refused(config, handles):
-    """``flick gateway --check``: report the verdict; True on BREAKING."""
+    """``flick gateway --check``: report the verdict; True on BREAKING.
+
+    It walks the bridge before anything is built, so a refusal leaves no
+    server, tracer or profiler behind (the served plan walks it again).
+    """
+    from repro.compat import pair_bridge
     from repro.gateway import (
         bridge_exit_code,
         bridge_report_text,
         check_bridge,
     )
 
-    diff = check_bridge(*handles)
+    diff = check_bridge(pair_bridge(*handles))
     if bridge_exit_code(diff) < 2:
         print("bridge check: %s" % diff.verdict.name, flush=True)
         return False
@@ -698,8 +703,8 @@ def command_bridge(args):
                 handle.read(), args.lang, interface=args.interface,
                 name=path, backend=backend))
     plan = build_plan(*sides)
-    diff = check_bridge(*sides, plan=plan)
-    predictions = predict_fused(plan, sides[0])
+    diff = check_bridge(plan.pairing)
+    predictions = predict_fused(plan)
     if args.json:
         print(json.dumps(
             bridge_report_json(diff, args.ingress, egress_path, predictions),

@@ -130,7 +130,7 @@ def plan_record(ingress_result, egress_result):
     """The plan, its segments, its prediction and ``check_bridge``'s
     report as JSON values."""
     plan = build_plan(ingress_result, egress_result)
-    predictions = predict_fused(plan, ingress_result)
+    predictions = predict_fused(plan)
     ops = {}
     for op in plan.ops.values():
         ops[op.name] = {
@@ -142,7 +142,7 @@ def plan_record(ingress_result, egress_result):
                           in sorted(predictions[op.name].items())},
         }
     return {"summary": plan.summary(), "ops": ops,
-            "check": check_bridge(ingress_result, egress_result).to_json()}
+            "check": check_bridge(plan.pairing).to_json()}
 
 
 def plans():

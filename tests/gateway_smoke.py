@@ -18,6 +18,7 @@ import os
 import sys
 
 from repro import api
+from repro.compat import pair_bridge
 from repro.encoding import MarshalBuffer
 from repro.gateway import AioGatewayServer, build_plan, check_bridge, \
     bridge_exit_code
@@ -91,7 +92,7 @@ def main():
     onc = api.compile(text, "corba", interface="Demo::Sensor",
                       backend="oncrpc-xdr")
 
-    report = check_bridge(iiop, onc)
+    report = check_bridge(pair_bridge(iiop, onc))
     code = bridge_exit_code(report)
     print("bridge check: %s (exit %d)" % (report.verdict.name, code))
     assert code == 0, report.verdict

@@ -419,7 +419,8 @@ def one_pairwise_walk(tree):
     segments and the blockers: no ``_MessageDiffer`` or ``_fuse_node``
     comes back, nothing else under compat/ or gateway/ resolves a named
     type or guards a recursion (lint.py walks one tree, for hazards of
-    its own), fraction.py reads the walk's items instead of walking, and
+    its own), fraction.py reads the walk's items, sizes included,
+    instead of walking a schema or sizing its MINT, and
     check_bridge and build_plan read one per-operation pairing instead
     of matching stubs by name."""
     walker = "src/repro/compat/pairwalk.py"
@@ -429,7 +430,8 @@ def one_pairwise_walk(tree):
         "src/repro/compat", "src/repro/gateway")
         if not hit.startswith((walker + ":", "src/repro/compat/lint.py:"))])
     _no(tree.grep(r"\.channels\(\)|stub_named\(|\bp\.Pres|\bpair_"
-                  r"(message|bridge)\(", "src/repro/gateway/fraction.py"))
+                  r"(message|bridge)\(|\banalyze_storage\b",
+                  "src/repro/gateway/fraction.py"))
     _no(tree.grep(r"operation_name|presc\.stubs\b|\.oneway\s*!=",
                   "src/repro/gateway/check.py", "src/repro/gateway/plan.py"))
 
@@ -593,6 +595,8 @@ PINS = {
          "    channels_in = ingress.presc.stub_named(op.name).channels()"),
         ("src/repro/gateway/fraction.py",
          "    pair = pair_message(src, dst, presc_in, presc_eg, fmt)"),
+        ("src/repro/gateway/fraction.py",
+         "    info = analyze_storage(item.pres.mint, fmt, registry)"),
         ("src/repro/gateway/check.py",
          "    egress_stubs = {s.operation_name: s for s in presc.stubs}"),
         ("src/repro/gateway/plan.py",

@@ -18,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro import Flick, obs
+from repro.compat import pair_bridge
 from repro.encoding import MarshalBuffer
 from repro.errors import (
     DeadlineError,
@@ -577,7 +578,7 @@ module Test {
 
 class TestBridgeCheck:
     def test_same_schema_pair_is_lossless(self, iiop_result, onc_result):
-        diff = check_bridge(iiop_result, onc_result)
+        diff = check_bridge(pair_bridge(iiop_result, onc_result))
         assert diff.verdict.name == "WIRE_IDENTICAL"
         assert bridge_exit_code(diff) == 0
 
@@ -588,7 +589,7 @@ class TestBridgeCheck:
 
         v1 = api.compile(NARROW_V2, "corba", backend="iiop")
         v2 = api.compile(NARROW_V1, "corba", backend="oncrpc-xdr")
-        diff = check_bridge(v1, v2)
+        diff = check_bridge(pair_bridge(v1, v2))
         assert diff.verdict.name == "BREAKING"
         assert bridge_exit_code(diff) == 2
         (operation,) = [op for op in diff.operations
@@ -610,11 +611,11 @@ class TestBridgeCheck:
             "interface S { void note(in long x); long get(in long x); };",
             "corba", backend="oncrpc-xdr")
         plan = build_plan(ingress, egress)
-        predictions = predict_fused(plan, ingress)
+        predictions = predict_fused(plan)
         assert sorted(predictions) == sorted(
             op.name for op in plan.ops.values()) == ["get"]
         assert predictions["get"]["request"].fused
-        assert bridge_exit_code(check_bridge(ingress, egress)) == 2
+        assert bridge_exit_code(check_bridge(plan.pairing)) == 2
 
     def test_static_breaking_verdict_has_a_runtime_witness(self):
         """The value the static walk flags really fails at runtime."""
@@ -627,7 +628,7 @@ class TestBridgeCheck:
         narrow_ingress = api.compile(NARROW_V2, "corba", backend="iiop")
         wide_egress = api.compile(NARROW_V1, "corba",
                                   backend="oncrpc-xdr")
-        diff = check_bridge(narrow_ingress, wide_egress)
+        diff = check_bridge(pair_bridge(narrow_ingress, wide_egress))
         assert diff.verdict.name == "BREAKING"
 
         class BigImpl:
@@ -891,6 +892,36 @@ class TestCli:
         assert sorted(walked) == ["reply"] * 4 + ["request"] * 4
 
 
+    def test_gateway_same_protocol_endpoints_rejected(self, tmp_path,
+                                                      capsys):
+        from repro.tools.cli import main
+
+        source = tmp_path / "mail.idl"
+        source.write_text(NARROW_V1)
+        assert main([
+            "gateway", str(source),
+            "--listen", "iiop:127.0.0.1:0",
+            "--upstream", "iiop:127.0.0.1:1",
+        ]) == 1
+        assert "two protocols" in capsys.readouterr().err
+
+    def test_gateway_check_refuses_breaking_bridge(self, tmp_path,
+                                                   capsys):
+        from repro.tools.cli import main
+
+        narrow = tmp_path / "narrow.idl"
+        wide = tmp_path / "wide.idl"
+        narrow.write_text(NARROW_V2)
+        wide.write_text(NARROW_V1)
+        assert main([
+            "gateway", str(narrow),
+            "--listen", "oncrpc:127.0.0.1:0",
+            "--upstream", "iiop:127.0.0.1:1",
+            "--upstream-idl", str(wide), "--check",
+        ]) == 2
+        assert "refusing" in capsys.readouterr().err
+
+
 class TestBlockers:
     def test_only_unions_and_named_against_inline_block_a_golden_pair(
             self):
@@ -927,7 +958,7 @@ class TestBlockers:
         the walk's blocker."""
         def blockers(**kwargs):
             predictions = predict_fused(
-                build_plan(iiop_result, onc_result, **kwargs), iiop_result)
+                build_plan(iiop_result, onc_result, **kwargs))
             return {(op, direction): prediction.blocker
                     for op, directions in predictions.items()
                     for direction, prediction in directions.items()}
@@ -948,10 +979,22 @@ class TestBlockers:
                " in Chars c); };")
         ingress = api.compile(idl, "corba", backend="oncrpc-xdr")
         egress = api.compile(idl, "corba", backend="iiop")
-        prediction = predict_fused(build_plan(ingress, egress), ingress)["s"]
+        prediction = predict_fused(build_plan(ingress, egress))["s"]
         assert prediction["reply"].total_bytes == 260
         assert prediction["request"].total_bytes == 68 + 8 * 4
         assert prediction["request"].fusible_bytes == 68
+
+    def test_a_struct_sizes_its_string_and_its_char_array_apart(self):
+        """One argument holding both a string and an element-wise char
+        array: the string still costs a byte a char, the array a word."""
+        from repro import api
+
+        idl = ("struct M { string<64> s; char c[8]; };"
+               " interface T { void f(in M m); };")
+        ingress = api.compile(idl, "corba", backend="oncrpc-xdr")
+        egress = api.compile(idl, "corba", backend="iiop")
+        request = predict_fused(build_plan(ingress, egress))["f"]["request"]
+        assert request.total_bytes == 68 + 8 * 4
 
     @pytest.mark.parametrize("idl, blocker", [
         ("interface T { void f(in sequence<long> a, in double d); };",
@@ -969,36 +1012,7 @@ class TestBlockers:
 
         ingress = api.compile(idl, "corba", backend="iiop")
         egress = api.compile(idl, "corba", backend="oncrpc-xdr")
-        prediction = predict_fused(build_plan(ingress, egress),
-                                   ingress)["f"]["request"]
+        prediction = predict_fused(
+            build_plan(ingress, egress))["f"]["request"]
         assert not prediction.fused
         assert prediction.blocker == blocker
-
-    def test_gateway_same_protocol_endpoints_rejected(self, tmp_path,
-                                                      capsys):
-        from repro.tools.cli import main
-
-        source = tmp_path / "mail.idl"
-        source.write_text(NARROW_V1)
-        assert main([
-            "gateway", str(source),
-            "--listen", "iiop:127.0.0.1:0",
-            "--upstream", "iiop:127.0.0.1:1",
-        ]) == 1
-        assert "two protocols" in capsys.readouterr().err
-
-    def test_gateway_check_refuses_breaking_bridge(self, tmp_path,
-                                                   capsys):
-        from repro.tools.cli import main
-
-        narrow = tmp_path / "narrow.idl"
-        wide = tmp_path / "wide.idl"
-        narrow.write_text(NARROW_V2)
-        wide.write_text(NARROW_V1)
-        assert main([
-            "gateway", str(narrow),
-            "--listen", "oncrpc:127.0.0.1:0",
-            "--upstream", "iiop:127.0.0.1:1",
-            "--upstream-idl", str(wide), "--check",
-        ]) == 2
-        assert "refusing" in capsys.readouterr().err

@@ -667,8 +667,7 @@ class TestGatewayProfile:
             finally:
                 transport.close()
         snapshot = profile.shutdown()
-        predicted = predict_fused(
-            build_plan(iiop_result, onc_result), iiop_result)
+        predicted = predict_fused(build_plan(iiop_result, onc_result))
         for op in ("avg", "send"):
             for direction in ("request", "reply"):
                 prof = snapshot.profile(op, direction)
