@@ -839,7 +839,9 @@ class _Walk:
         share is one channel.  The union spans its discriminator and the
         fewest to the most bytes of any sender arm."""
         self.block(path, "union")
-        after = self._advance_past(sender.mint, offset)
+        # Nothing follows a message root, so only a nested union sizes
+        # the offset after it.
+        after = None if root else self._advance_past(sender.mint, offset)
         disc = self.diff(sender.discriminator, receiver.discriminator,
                          path + ".disc", offset)
         s_default = _default_arm(sender)
