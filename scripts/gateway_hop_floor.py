@@ -22,22 +22,28 @@ per call, for each of the workload's kinds (``ping``, ``put_ints`` and
   inline server's) event-loop thread per call, read from its own
   thread clock while ``bridged`` (``inline``) ran;
 * ``transcode`` / ``translate``: ``transcode_request`` and
-  ``translate_reply`` on the kind's bytes, in-process (fused copy plans
-  for every kind: word runs for the ints, a per-element copy of each
-  entry's name and fixed fields for the dirents).
+  ``translate_reply`` on the kind's bytes, in-process (every kind's
+  channels are fused, each run by the one function its copy plan was
+  printed as: a single slice of the ingress body for the ints, a loop
+  over the entries, with each name's count rewritten, for the dirents).
 
 ``--check`` times nothing.  With tracing and stats off it counts, per
 steady-state bridged two-way call, the ``asyncio`` Tasks created on the
 gateway's loop, the coroutines entered on its thread, the envelope
 walks it makes on the egress leg (``envelopes.locator`` / ``reader`` /
-``router`` results called for the egress protocol) and the transcodes,
+``router`` results called for the egress protocol), the transcodes,
 request and reply, that took the decode/re-encode fallback instead of
-a fused copy plan, and exits non-zero unless Tasks, coroutines and
-fallback transcodes are all 0.  Counts do not depend on the host.
+a fused copy plan, and the copy plans compiled (``plan.compile_copy``)
+on the loop thread.  Over the whole run, warm-up included, it also
+counts the compiles of each fused channel.  It exits non-zero unless
+Tasks, coroutines, fallback transcodes and steady-state compiles are
+all 0 and no channel compiled twice.  Counts do not depend on the
+host.
 """
 
 import argparse
 import asyncio
+import collections
 import inspect
 import os
 import pathlib
@@ -52,7 +58,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from benchmarks.e2e import contract  # noqa: E402
 from repro import api, envelopes  # noqa: E402
 from repro.encoding import MarshalBuffer  # noqa: E402
-from repro.gateway import AioGatewayServer, build_plan, proxy, \
+from repro.gateway import AioGatewayServer, build_plan, plan, proxy, \
     transcode_request, translate_reply  # noqa: E402
 from repro.gateway.envelope import parse_request  # noqa: E402
 from repro.runtime import StubServer, TcpClientTransport  # noqa: E402
@@ -188,17 +194,20 @@ def timed(rounds, calls):
 
 
 class Counter:
-    """Tasks, coroutine entries, egress walks and fallback transcodes on
-    one loop thread."""
+    """Tasks, coroutine entries, egress walks, fallback transcodes and
+    copy-plan compiles on one loop thread, and every channel's compiles
+    wherever they ran."""
 
     def __init__(self, egress_protocol):
         self.egress = egress_protocol
         self.thread = None  # the loop thread, once installed
-        self.tasks = self.coroutines = self.walks = self.fallbacks = 0
         self._frames = {}  # id -> frame: a coroutine counted once
+        self.channels = collections.Counter()  # name -> compiles
+        self.reset()
 
     def reset(self):
         self.tasks = self.coroutines = self.walks = self.fallbacks = 0
+        self.compiles = 0
         self._frames.clear()
 
     def profile(self, frame, event, _arg):
@@ -253,6 +262,18 @@ class Counter:
 
         return counted
 
+    def compiling(self, compile_copy):
+        """*compile_copy*, whose compiles count by channel, and as
+        steady-state compiles on the loop thread."""
+
+        def counted(segments, name):
+            self.channels[name] += 1
+            if threading.current_thread() is self.thread:
+                self.compiles += 1
+            return compile_copy(segments, name)
+
+        return counted
+
     def transcoding(self, step):
         """*step* (``transcode_request`` or ``translate_reply``), whose
         calls count when they fall back on the loop thread."""
@@ -276,6 +297,7 @@ def check():
                                                              name)))
     for name in ("transcode_request", "translate_reply"):
         setattr(proxy, name, counter.transcoding(getattr(proxy, name)))
+    plan.compile_copy = counter.compiling(plan.compile_copy)
     bridge = Bridge()
     try:
         client = bridge.clients["bridged"]
@@ -290,14 +312,20 @@ def check():
         counter.uninstall(loop)
     finally:
         bridge.close()
-    tasks, coroutines, walks, fallbacks = (
+    tasks, coroutines, walks, fallbacks, compiles = (
         count / CHECK_CALLS for count in (
             counter.tasks, counter.coroutines, counter.walks,
-            counter.fallbacks))
+            counter.fallbacks, counter.compiles))
     print("per bridged two-way call: %g Tasks, %g coroutines, "
-          "%g egress envelope walks, %g fallback transcodes"
-          % (tasks, coroutines, walks, fallbacks))
-    return 0 if tasks == coroutines == fallbacks == 0 else 1
+          "%g egress envelope walks, %g fallback transcodes, "
+          "%g copy-plan compiles"
+          % (tasks, coroutines, walks, fallbacks, compiles))
+    most = max(counter.channels.values(), default=0)
+    print("over the run: %d fused channels compiled, at most %d times each "
+          "(%s)" % (len(counter.channels), most,
+                    ", ".join(sorted(counter.channels))))
+    return 0 if tasks == coroutines == fallbacks == compiles == 0 \
+        and most <= 1 else 1
 
 
 def main():
@@ -306,8 +334,9 @@ def main():
     parser.add_argument("--calls", type=int, default=CALLS,
                         help="calls per kind and column in one round")
     parser.add_argument("--check", action="store_true",
-                        help="count Tasks, coroutines, egress walks and "
-                        "fallback transcodes per call; time nothing")
+                        help="count Tasks, coroutines, egress walks, "
+                        "fallback transcodes and copy-plan compiles per "
+                        "call; time nothing")
     options = parser.parse_args()
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     if options.check:

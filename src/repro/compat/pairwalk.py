@@ -59,8 +59,10 @@ follows it starts on a 4-byte boundary in both formats (an
 :class:`Align` realigns both sides).  Two named types fuse as their
 definitions unless either recurses; a named type against an inline one,
 a union, an optional, an exception, or an atom that is not one 4-byte
-word on both sides blocks the channel.  Every segment refuses exactly
-the frames the ingress decoder refuses.
+word on both sides blocks the channel.  The segments are data: each
+states what it copies and what it refuses (exactly the frames the
+ingress decoder refuses), and :func:`repro.gateway.plan.compile_copy`
+prints a channel's segments as the one function that does it.
 
 :func:`pair_bridge` pairs a bridge's operations by name and walks each
 request ingress->egress and each reply egress->ingress; the bridge
@@ -69,23 +71,18 @@ verdict and the copy plan both read that one pairing.
 
 from __future__ import annotations
 
-import struct
 from typing import NamedTuple, Optional
 
 from repro.backend import make_backend
-from repro.errors import WireFormatError
 from repro.mint.analysis import StorageClass, analyze_storage, is_recursive
 from repro.mint.types import MintFloat, MintInteger
 from repro.pres import nodes as p
 from repro.compat.verdict import Finding, Verdict, worst
 
-_unpack_from = struct.unpack_from
-_pack_into = struct.pack_into
-_ZEROS = bytes(4)
-
 
 # ----------------------------------------------------------------------
-# Copy segments (the fused plan's instruction set)
+# Copy segments (the fused plan's instruction set: pure data, which
+# repro.gateway.plan prints as one function per channel)
 # ----------------------------------------------------------------------
 
 
@@ -102,31 +99,6 @@ class CopyFixed(NamedTuple):
     def __repr__(self):
         return "CopyFixed(%d)" % self.nbytes
 
-    def copy(self, data, src, buffer):
-        end = src + self.nbytes
-        if end > len(data):
-            raise WireFormatError(
-                "fused region truncated", offset=src, field="body",
-                limit=self.nbytes, actual=len(data) - src)
-        offset = buffer.reserve(self.nbytes)
-        buffer.data[offset:offset + self.nbytes] = data[src:end]
-        return end
-
-
-def _read_count(data, src, limit):
-    """The 4-byte big-endian count at *src*, at most *limit* (None: no
-    bound)."""
-    if src + 4 > len(data):
-        raise WireFormatError(
-            "array count truncated", offset=src, field="count",
-            limit=4, actual=len(data) - src)
-    count = _unpack_from(">I", data, src)[0]
-    if limit is not None and count > limit:
-        raise WireFormatError(
-            "array count exceeds bound", offset=src, field="count",
-            limit=limit, actual=count)
-    return count
-
 
 class CopyCounted(NamedTuple):
     """Copy a counted array: 4-byte big-endian count, then
@@ -138,17 +110,6 @@ class CopyCounted(NamedTuple):
     def __repr__(self):
         return "CopyCounted(bound=%r, elem=%d)" % (
             self.bound, self.elem_size)
-
-    def copy(self, data, src, buffer):
-        count = _read_count(data, src, self.bound)
-        nbytes = 4 + count * self.elem_size
-        if src + nbytes > len(data):
-            raise WireFormatError(
-                "array elements truncated", offset=src, field="elements",
-                limit=nbytes, actual=len(data) - src)
-        offset = buffer.reserve(nbytes)
-        buffer.data[offset:offset + nbytes] = data[src:src + nbytes]
-        return src + nbytes
 
 
 class CopyRun(NamedTuple):
@@ -169,31 +130,6 @@ class CopyRun(NamedTuple):
         return "CopyRun(bound=%r, nul=%d->%d, pad=%d->%d)" % (
             (self.bound,) + self.nul + self.pad)
 
-    def copy(self, data, src, buffer):
-        bound, (nul_in, nul_out), (pad_in, pad_out) = self
-        count = _read_count(data, src,
-                            None if bound is None else bound + nul_in)
-        if count < nul_in:
-            raise WireFormatError(
-                "string length 0 too short", offset=src, field="count")
-        start = src + 4
-        end = start + count
-        if end > len(data):
-            raise WireFormatError(
-                "byte run truncated", offset=start, field="run",
-                limit=count, actual=len(data) - start)
-        n = count - nul_in
-        out = n + nul_out
-        tail = nul_out + (-out % 4 if pad_out else 0)
-        offset = buffer.reserve(4 + n + tail)
-        buf = buffer.data
-        _pack_into(">I", buf, offset, out)
-        offset += 4
-        buf[offset:offset + n] = data[start:start + n]
-        if tail:
-            buf[offset + n:offset + n + tail] = _ZEROS[:tail]
-        return end + (-count % 4 if pad_in else 0)
-
 
 class Align(NamedTuple):
     """Realign both sides to 4 bytes after a byte run, for an item CDR
@@ -202,13 +138,6 @@ class Align(NamedTuple):
 
     def __repr__(self):
         return "Align()"
-
-    def copy(self, data, src, buffer):
-        pad = -buffer.length % 4
-        if pad:
-            offset = buffer.reserve(pad)
-            buffer.data[offset:offset + pad] = _ZEROS[:pad]
-        return src + (-src % 4)
 
 
 class CopyEach(NamedTuple):
@@ -224,21 +153,6 @@ class CopyEach(NamedTuple):
     def __repr__(self):
         return "CopyEach(bound=%r, min=%d, %r)" % (
             self.bound, self.min_size, self.segments)
-
-    def copy(self, data, src, buffer):
-        count = _read_count(data, src, self.bound)
-        src += 4
-        if src + count * self.min_size > len(data):
-            raise WireFormatError(
-                "array elements truncated", offset=src, field="elements",
-                limit=count * self.min_size, actual=len(data) - src)
-        offset = buffer.reserve(4)
-        _pack_into(">I", buffer.data, offset, count)
-        segments = self.segments
-        for _ in range(count):
-            for segment in segments:
-                src = segment.copy(data, src, buffer)
-        return src
 
 
 def _bound(src, dst):

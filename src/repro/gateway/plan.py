@@ -27,10 +27,17 @@ run's own padding realigns both sides) or where it ends the message.
 A channel fuses whole or not at all: a run followed by an octet or an
 octet array, a union, an optional, a double (CDR aligns it to 8) or a
 recursive type sends the whole channel to the fallback, and the walk
-names that node as the channel's blocker.  Every segment refuses exactly
-the frames the ingress decoder refuses.  The segment classes and the
-rules that compile them live beside the walk, in
-:mod:`repro.compat.pairwalk`; :func:`run_segments` interprets them.
+names that node as the channel's blocker.  The segment classes and the
+rules that build them live beside the walk, in
+:mod:`repro.compat.pairwalk`, as pure data: ``flick bridge`` and the
+goldens read them.  What runs is :func:`compile_copy`'s printout of a
+channel's segments (the request, or a reply arm with its discriminator
+word) as one Python function, compiled at the channel's first call and
+kept in ``OpPlan.copies``: the element loop is a ``for``, each check a
+line, and the egress pieces go into the buffer with one reserve after
+the last check passed.  It refuses exactly the frames the ingress
+decoder refuses, with the ``WireFormatError`` each segment's rule
+states.
 
 **Decode/re-encode fallback.**  The ingress module's generated
 ``_u_req_*`` / ``_u_rep_*`` decoders feed the egress module's
@@ -58,12 +65,13 @@ from repro.compat.pairwalk import (
     pair_bridge,
 )
 from repro.core import codecs
+from repro.core.loader import load_stub_module
 from repro.mir import ops as m
 
 from repro.gateway.envelope import IngressSpec
 
 __all__ = ["Align", "BridgePlan", "CopyCounted", "CopyEach", "CopyFixed",
-           "CopyRun", "OpPlan", "build_plan", "protocol_of", "run_segments"]
+           "CopyRun", "OpPlan", "build_plan", "compile_copy", "protocol_of"]
 
 #: backend name -> wire protocol family (the names correlation.probe
 #: and RemoteCallError use).
@@ -75,15 +83,117 @@ def protocol_of(backend_name):
     return _PROTOCOLS.get(backend_name)
 
 
-def run_segments(segments, data, src, buffer):
-    """Apply *segments* to ``data[src:]``; returns the end offset.
+# ----------------------------------------------------------------------
+# Copy functions: each fused channel's segments printed as one function
+# ----------------------------------------------------------------------
 
-    The segments slice a view of *data*, so each copied region is
-    copied once, into *buffer*."""
-    data = memoryview(data)
+#: A copy function's names and entry: it reads *data* through a view
+#: and collects the egress pieces in a list (a bytearray where an Align
+#: needs the output length) ...
+_PROLOGUE = """\
+from struct import Struct
+from repro.errors import WireFormatError as _Error
+_unpack, _pack, _Z = Struct(">I").unpack_from, Struct(">I").pack, bytes(4)
+def copy(data, src, buffer):
+    data, start = memoryview(data), src
+    size = data.nbytes%s"""
+_COLLECT = "\n    out = %s\n    put = out.%s"
+
+#: ... which go into *buffer* with one reserve, once every check passed.
+#: A channel with nothing to rewrite is one slice of *data* instead.
+_EPILOGUE = """\
+    body = %s
+    offset = buffer.reserve(%s)
+    buffer.data[offset:buffer.length] = body
+    return src"""
+
+
+def _check(failed, message, offset, field, limit=None, actual=None):
+    """The lines that refuse with WireFormatError when *failed* holds."""
+    return ("if %s:" % failed, "    raise _Error(%r, offset=%s, field=%r, "
+            "limit=%s, actual=%s)" % (message, offset, field, limit, actual))
+
+
+def _print(segments, say, copied="put(data[src:end])"):
+    """Hand *say* the lines that copy *segments*: each segment's checks
+    in its rule's order, then its bytes (*copied* for a region copied
+    as it is)."""
     for segment in segments:
-        src = segment.copy(data, src, buffer)
-    return src
+        kind = type(segment)
+        if kind is Align:
+            say("put(bytes(-(buffer.length + len(out)) % 4))",
+                "src += -src % 4")
+        elif kind is CopyFixed:
+            say("end = src + %d" % segment.nbytes, *_check(
+                "end > size", "fused region truncated", "src", "body",
+                segment.nbytes, "size - src"), copied, "src = end")
+        else:
+            nul_in = segment.nul[0] if kind is CopyRun else 0
+            say(*_check("src + 4 > size", "array count truncated", "src",
+                        "count", 4, "size - src"),
+                "c = _unpack(data, src)[0]")
+            if segment.bound is not None:
+                say(*_check("c > %d" % (segment.bound + nul_in),
+                            "array count exceeds bound", "src", "count",
+                            segment.bound + nul_in, "c"))
+        if kind is CopyCounted:
+            nbytes = "4 + c * %d" % segment.elem_size
+            say("end = src + " + nbytes, *_check(
+                "end > size", "array elements truncated", "src", "elements",
+                nbytes, "size - src"), copied, "src = end")
+        elif kind is CopyRun:
+            (_, nul_out), (pad_in, pad_out) = segment.nul, segment.pad
+            if nul_in:
+                say(*_check("c < 1", "string length 0 too short", "src",
+                            "count"))
+            say("end = src + 4 + c", *_check(
+                "end > size", "byte run truncated", "src + 4", "run", "c",
+                "size - src - 4"),
+                "put(_pack(c + %d))" % (nul_out - nul_in),
+                "put(data[src + 4:end - %d])" % nul_in,
+                "t = %d" % nul_out + (" + -(c + %d) %% 4" % (
+                    nul_out - nul_in) if pad_out else ""),
+                "if t:", "    put(_Z[:t])",
+                "src = end" + (" + -c % 4" if pad_in else ""))
+        elif kind is CopyEach:
+            say("src += 4", *_check(
+                "src + c * %d > size" % segment.min_size,
+                "array elements truncated", "src", "elements",
+                "c * %d" % segment.min_size, "size - src"),
+                "put(_pack(c))", "for _ in range(c):")
+            _print(segment.segments, lambda *texts: say(
+                *("    " + text for text in texts)))
+
+
+def compile_copy(segments, name):
+    """Print *segments* as ``copy(data, src, buffer)`` and compile it.
+
+    The function copies ``data[src:]`` into *buffer* and returns the end
+    offset, refusing with the ``WireFormatError`` (message, offset,
+    field, limit, actual) each segment's rule states, in segment order;
+    nothing is written to *buffer* before the last check passed."""
+    track = "Align()" in repr(segments)  # an Align reads len(out)
+    verbatim = all(type(s) in (CopyFixed, CopyCounted) for s in segments)
+    lines = [_PROLOGUE % ("" if verbatim else _COLLECT % (
+        ("bytearray()", "extend") if track else ("[]", "append")))]
+    _print(segments, lambda *texts: lines.extend(
+        "    " + text for text in texts), "pass" if verbatim else
+        "put(data[src:end])")
+    lines.append(_EPILOGUE % (
+        ("data[start:src]", "src - start") if verbatim
+        else ("out" if track else 'b"".join(out)', "len(body)")))
+    return load_stub_module("\n".join(lines), "copy_" + name).copy
+
+
+def _deferred(segments, copies, key, name):
+    """What stands in for channel *key*'s copy function in *copies*
+    until its first call compiles it there."""
+
+    def first(data, src, buffer):
+        copies[key] = copy = compile_copy(segments, name)
+        return copy(data, src, buffer)
+
+    return first
 
 
 # ----------------------------------------------------------------------
@@ -116,6 +226,9 @@ class OpPlan:
     exceptions: Dict[str, object] = field(default_factory=dict)
     #: ingress reply arm (``x<n>``) -> egress exception class name.
     exception_arms: Dict[str, str] = field(default_factory=dict)
+    #: ``"request"`` or a reply discriminator -> the fused channel's
+    #: copy function (compiled at its first call).
+    copies: Dict[object, object] = field(default_factory=dict, init=False)
 
 
 #: The OpPlan fields each side's codec entries bind, named by form.
@@ -241,10 +354,11 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
         exception_arms = {
             "x%d" % label: m.mangle(channel.items[0].pres.class_name)
             for label, channel in arms.items() if label}
-        ops[ingress_backend.demux_key(ingress_presc, stub)] = OpPlan(
+        key = ingress_backend.demux_key(ingress_presc, stub)
+        op = ops[key] = OpPlan(
             name=name,
             oneway=stub.oneway,
-            ingress_key=ingress_backend.demux_key(ingress_presc, stub),
+            ingress_key=key,
             egress_key=egress_backend.demux_key(egress_presc, other),
             egress_request=egress_backend.request_header(
                 egress_presc, other),
@@ -259,6 +373,13 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
             else getattr(egress_module, "_check_reply"),
             exception_arms=exception_arms,
         )
+        # A reply arm's function copies its discriminator word too.
+        for channel, segments in [("request", request_segments), *(
+                (arm, [CopyFixed(4), *arm_segments])
+                for arm, arm_segments in reply_segments.items())]:
+            if segments is not None:
+                op.copies[channel] = _deferred(
+                    segments, op.copies, channel, "%s_%s" % (name, channel))
     _program, version = interface_program(ingress_presc)
     plan = BridgePlan(
         ingress_protocol=ingress_protocol,

@@ -49,12 +49,10 @@ from repro.runtime.server import operation_names
 
 from repro.gateway import errmap
 from repro.gateway.envelope import parse_request
-from repro.gateway.plan import run_segments
 
 __all__ = ["AioGatewayServer", "transcode_request", "translate_reply"]
 
 _unpack_from = struct.unpack_from
-_pack_into = struct.pack_into
 
 _DECODE_ERRORS = (struct.error, IndexError, ValueError, TypeError,
                   OverflowError, UnicodeError)
@@ -69,9 +67,10 @@ def transcode_request(op, data, env, buffer, ctx=None):
     unrepresentable body) like a same-protocol dispatch would.
     """
     ctx = env.ctx if ctx is None else ctx
-    if op.request_segments is not None and env.body_offset % 4 == 0:
+    copy = op.copies.get("request")
+    if copy is not None and env.body_offset % 4 == 0:
         offset = op.egress_request.write(buffer, ctx)
-        run_segments(op.request_segments, data, env.body_offset, buffer)
+        copy(data, env.body_offset, buffer)
         op.egress_request.finish(buffer, offset)
         return True
     if op.in_arity:
@@ -105,13 +104,10 @@ def translate_reply(op, reply, ctx, buffer, wire_id=None):
     """
     body = op.check_reply(reply, ctx if wire_id is None else wire_id)
     if op.reply_segments and body % 4 == 0 and body + 4 <= len(reply):
-        disc = _unpack_from(">I", reply, body)[0]
-        segments = op.reply_segments.get(disc)
-        if segments is not None:
+        copy = op.copies.get(_unpack_from(">I", reply, body)[0])
+        if copy is not None:
             offset = op.ingress_reply.write(buffer, ctx)
-            word = buffer.reserve(4)
-            _pack_into(">I", buffer.data, word, disc)
-            end = run_segments(segments, reply, body + 4, buffer)
+            end = copy(reply, body, buffer)
             if end != len(reply):
                 raise WireFormatError(
                     "%s reply carries %d trailing bytes"

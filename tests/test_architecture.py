@@ -436,6 +436,16 @@ def one_pairwise_walk(tree):
                   "src/repro/gateway/check.py", "src/repro/gateway/plan.py"))
 
 
+def no_segment_interpreter(tree):
+    """The gateway prints each fused channel's copy segments as one
+    function (repro/gateway/plan.py's printer) instead of interpreting
+    them: no segment class has a ``copy`` method and no
+    ``run_segments`` walks a list of them."""
+    _no(tree.grep(r"^\s+def copy\(", "src/repro/compat",
+                  "src/repro/gateway"))
+    _no(tree.grep(r"\brun_segments\b", "src"))
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -608,6 +618,15 @@ PINS = {
         ("src/repro/mir/ops.py", "class NaiveProgram:"),
         ("src/repro/backend/base.py",
          "    shapes_factory: object = field(default=None, repr=False)"),
+    ],
+    no_segment_interpreter: [
+        ("src/repro/compat/pairwalk.py",
+         "class CopyFixed(NamedTuple):\n"
+         "    def copy(self, data, src, buffer):"),
+        ("src/repro/gateway/plan.py",
+         "def run_segments(segments, data, src, buffer):"),
+        ("src/repro/gateway/proxy.py",
+         "        end = run_segments(segments, reply, body + 4, buffer)"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

@@ -23,7 +23,7 @@ from repro.encoding import MarshalBuffer
 from repro.errors import WireFormatError
 from repro.gateway import build_plan, transcode_request, translate_reply
 from repro.gateway.envelope import parse_request
-from repro.gateway.plan import CopyCounted, CopyEach, CopyRun, run_segments
+from repro.gateway.plan import Align, CopyCounted, CopyEach, CopyFixed, CopyRun
 
 SCHEMA = """
 module D {
@@ -130,35 +130,32 @@ def _reply_outcome(plan, request, reply):
 # ----------------------------------------------------------------------
 
 
-class _Spy:
-    """A segment that records where it starts reading."""
-
-    def __init__(self, segment, seen):
-        self.segment = segment
-        self.seen = seen
-
-    def copy(self, data, src, buffer):
-        self.seen.append((src, self.segment))
-        return self.segment.copy(data, src, buffer)
-
-
-def _spied(segments, seen):
-    out = []
-    for segment in segments:
-        if isinstance(segment, CopyEach):
-            segment = CopyEach(segment.bound, segment.min_size,
-                               _spied(segment.segments, seen))
-        out.append(_Spy(segment, seen))
-    return out
-
-
 def _count_words(segments, frame, start):
     """``(offset, bound)`` of every count word *segments* read running
     over *frame* from *start*."""
-    seen = []
-    run_segments(_spied(segments, seen), frame, start, MarshalBuffer())
-    return [(offset, segment.bound) for offset, segment in seen
-            if isinstance(segment, (CopyRun, CopyCounted, CopyEach))]
+    words = []
+
+    def walk(segments, src):
+        for segment in segments:
+            if isinstance(segment, CopyFixed):
+                src += segment.nbytes
+            elif isinstance(segment, Align):
+                src += -src % 4
+            else:
+                words.append((src, segment.bound))
+                count = struct.unpack_from(">I", frame, src)[0]
+                src += 4
+                if isinstance(segment, CopyCounted):
+                    src += count * segment.elem_size
+                elif isinstance(segment, CopyRun):
+                    src += count + (-count % 4 if segment.pad[0] else 0)
+                else:
+                    for _ in range(count):
+                        src = walk(segment.segments, src)
+        return src
+
+    walk(segments, start)
+    return words
 
 
 def _mutations(frame, start, words, giop):

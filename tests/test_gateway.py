@@ -44,7 +44,7 @@ from repro.runtime import StubServer, TcpClientTransport
 from repro.runtime.aio import ServerStats
 from repro.runtime.aio.correlation import reply_error, route
 
-from tests import bridge_plans
+from tests import bridge_plans, copy_refusals
 from tests.conftest import MAIL_IDL, MailImpl, compile_mail
 from tests.endpoint import registry_endpoint
 from tests.rawsock import recv_record
@@ -157,6 +157,14 @@ class TestPlan:
         tests.bridge_plans golden``)."""
         with open(bridge_plans.GOLDEN) as handle:
             assert bridge_plans.document() == json.load(handle)
+
+    def test_fused_refusals_match_the_golden_file(self):
+        """Every cut and forged frame of the pinned fused channels sends
+        the same egress bytes or refuses with the same message, offset,
+        field, limit and actual (regenerate: ``python -m
+        tests.copy_refusals golden``)."""
+        with open(copy_refusals.GOLDEN) as handle:
+            assert copy_refusals.document() == json.load(handle)
 
     def test_every_fused_channel_predicts_a_whole_copy(self):
         """Across the golden pairs, ``flick bridge`` reports
