@@ -35,7 +35,7 @@ See DESIGN.md for the architecture and EXPERIMENTS.md for the reproduction
 of the paper's tables and figures.
 """
 
-from repro.api import compile, compile_all, detect_lang, langs
+from repro.api import compile, compile_all, detect_lang
 from repro.core import CompileResult, Flick, OptFlags
 from repro.errors import (
     AoiValidationError,
@@ -69,7 +69,6 @@ __all__ = [
     "FlickUserException",
     "IdlSemanticError",
     "IdlSyntaxError",
-    "langs",
     "MarshalError",
     "OptFlags",
     "PresentationError",

@@ -26,12 +26,6 @@ identically across languages.
 from __future__ import annotations
 
 from repro import frontends
-from repro.errors import FlickError
-
-
-def langs():
-    """Registered language names, in content-detection order."""
-    return frontends.names()
 
 
 def detect_lang(text, name=None):
@@ -56,26 +50,10 @@ def _resolve(source, lang, name):
     return frontends.detect(source, name)
 
 
-def parse(text, lang=None, name="<idl>"):
-    """Front end only: return the validated AoiRoot for *text*.
-
-    Conjoined front ends (MIG) have no AOI; parsing them through this
-    function raises :class:`FlickError`.
-    """
-    fe = _resolve(text, lang, name)
-    if not fe.has_aoi:
-        raise FlickError(
-            "%s bypasses AOI (conjoined front end); use "
-            "api.compile(text, %r) for the full pipeline"
-            % (fe.name.upper(), fe.name)
-        )
-    return fe.compile_frontend(text, name)
-
-
 def compile(text, lang=None, *, interface=None, flags=None, name="<idl>",
             presentation=None, backend=None, renderer="py",
             **backend_options):
-    """Compile IDL *text* end to end; returns a CompiledInterface.
+    """Compile IDL *text* end to end; returns a CompileResult.
 
     ``text`` may be IDL source, ``.py`` pyschema source, a dataclass, an
     ``@interface`` class, or a module object.  ``lang`` may be omitted
@@ -84,14 +62,13 @@ def compile(text, lang=None, *, interface=None, flags=None, name="<idl>",
     defines several.  ``presentation``/``backend``/``flags`` override
     the language defaults, exactly as :class:`repro.core.Flick` does.
     ``renderer`` is ``"py"`` (the default) or ``"closures"``.  The name
-    is recorded (``result.renderer``) and selects nothing at load: under
+    is recorded (``result.stubs.renderer``) and selects nothing at load: under
     both, the module loads without its codec section and each codec
     function compiles at its first call.
 
-    The returned :class:`repro.core.handle.CompiledInterface` is a
-    :class:`repro.core.compiler.CompileResult` subclass: everything the
-    old facade returned is still there, plus the handle surface
-    (``.module``, ``.codec_table``, ``.codecs``).
+    The returned :class:`repro.core.compiler.CompileResult` carries the
+    IRs (``aoi``, ``presc``, ``mir``), the generated ``stubs``, the
+    ``timings`` and the loaded ``module`` with its live ``codec_table``.
     """
     from repro.core.compiler import Flick
 

@@ -99,10 +99,6 @@ class CodecSlots:
 
     # -- reads ----------------------------------------------------------
 
-    def base(self, entry):
-        """The function underneath *entry*'s layers."""
-        return self._slots[entry].base
-
     def entries(self, op=None):
         """The module's :class:`Slot` records (one op's when given)."""
         return [slot for slot in self._slots.values()

@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import FlickError
 from repro import frontends as frontend_registry
+from repro.core.codecs import codec_form
 from repro.core.options import OptFlags
 from repro.obs import trace
 
@@ -45,6 +46,30 @@ class CompileResult:
 
     def load_module(self):
         return self.stubs.load()
+
+    @property
+    def module(self):
+        """The loaded stub module (cached; same object every time)."""
+        return self.stubs.load()
+
+    @property
+    def mir(self):
+        """The optimized marshal IR (None for writer-driven baselines)."""
+        return self.stubs.mir
+
+    @property
+    def codec_table(self):
+        """Live codec bindings: op -> {entry name: current function}.
+
+        Read from the loaded module's dict on every access, so the table
+        reflects base swaps and layer changes the moment they land.
+        """
+        table = {}
+        for name, value in vars(self.module).items():
+            form, op = codec_form(name)
+            if form is not None:
+                table.setdefault(op, {})[name] = value
+        return table
 
     def emit_summary(self):
         """Size/shape facts about the generated stubs (for --timing)."""
@@ -105,17 +130,8 @@ class Flick:
             )
         return self.fe.compile_frontend(idl_text, name)
 
-    def present(self, aoi_root, interface_name=None, side="client"):
-        """Run presentation generation for one interface."""
-        from repro.pgen import make_presentation
-
-        interface = self._pick_interface(aoi_root, interface_name)
-        generator = make_presentation(self.presentation)
-        return generator.generate(aoi_root, interface, side=side)
-
     def compile(self, idl_text, interface=None, name="<idl>"):
-        """Full pipeline; returns a :class:`repro.core.handle
-        .CompiledInterface` (a :class:`CompileResult` subclass).
+        """Full pipeline; returns a :class:`CompileResult`.
 
         The result's ``timings`` dict always carries per-phase wall-clock
         seconds (parse, aoi, present, emit, total) — the cost of a few
@@ -149,9 +165,7 @@ class Flick:
                                      renderer=self.renderer)
         timings["emit_s"] = perf_counter() - phase_started
         timings["total_s"] = perf_counter() - total_started
-        from repro.core.handle import CompiledInterface
-
-        return CompiledInterface(
+        return CompileResult(
             aoi=aoi_root, interface=picked, presc=presc, stubs=stubs,
             timings=timings, frontend=self.frontend,
         )
@@ -159,7 +173,6 @@ class Flick:
     def _compile_conjoined(self, idl_text, interface, name):
         """Conjoined path: ``lower`` yields PRES_C, no AOI phase."""
         from repro.backend import make_backend
-        from repro.core.handle import CompiledInterface
 
         timings = {}
         total_started = perf_counter()
@@ -183,7 +196,7 @@ class Flick:
                                      renderer=self.renderer)
         timings["emit_s"] = perf_counter() - phase_started
         timings["total_s"] = perf_counter() - total_started
-        return CompiledInterface(
+        return CompileResult(
             aoi=None, interface=None, presc=presc, stubs=stubs,
             timings=timings, frontend=self.frontend,
         )

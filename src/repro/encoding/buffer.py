@@ -38,11 +38,6 @@ def buffer_counters():
     }
 
 
-def reset_buffer_counters():
-    global _allocations, _grows, _grown_bytes
-    _allocations = _grows = _grown_bytes = 0
-
-
 class MarshalBuffer:
     """A growable, reusable byte buffer for message encoding.
 
@@ -145,9 +140,6 @@ class ReadCursor:
         # Accept bytes, bytearray, or memoryview.
         self.data = data
         self.offset = offset
-
-    def remaining(self):
-        return len(self.data) - self.offset
 
     def need(self, size):
         """Check that *size* bytes remain; raise UnmarshalError if not."""

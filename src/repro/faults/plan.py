@@ -171,11 +171,3 @@ class FaultInjector:
             return Outcome()
         self.counts["delivered"] += len(deliveries)
         return Outcome(deliveries=tuple(deliveries))
-
-    def drain(self):
-        """Deliveries still held for reordering (call at stream end)."""
-        if self._held is None:
-            return ()
-        held, self._held = self._held, None
-        self.counts["delivered"] += 1
-        return (held,)

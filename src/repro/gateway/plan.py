@@ -73,7 +73,7 @@ from repro.gateway.envelope import IngressSpec
 __all__ = ["Align", "BridgePlan", "CopyCounted", "CopyEach", "CopyFixed",
            "CopyRun", "OpPlan", "build_plan", "compile_copy", "protocol_of"]
 
-#: backend name -> wire protocol family (the names correlation.probe
+#: backend name -> wire protocol family (the names repro.envelopes
 #: and RemoteCallError use).
 _PROTOCOLS = {"iiop": "giop", "oncrpc-xdr": "oncrpc"}
 

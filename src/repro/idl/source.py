@@ -38,16 +38,6 @@ class SourceFile:
         column = offset - self._line_starts[line_index] + 1
         return SourceLocation(self.name, line_index + 1, column)
 
-    def line_text(self, line):
-        """Return the text of 1-based *line* (without the newline)."""
-        if not 1 <= line <= len(self._line_starts):
-            raise ValueError("line %d out of range" % line)
-        start = self._line_starts[line - 1]
-        end = self.text.find("\n", start)
-        if end == -1:
-            end = len(self.text)
-        return self.text[start:end]
-
     def __repr__(self):
         return "SourceFile(name=%r, %d chars)" % (self.name, len(self.text))
 

@@ -25,12 +25,11 @@ from repro.mint.types import (
     MintUnionCase,
     MintVoid,
 )
-from repro.mint.builder import MintBuilder, build_message_mints
+from repro.mint.builder import MintBuilder
 from repro.mint.analysis import (
     StorageClass,
     StorageInfo,
     analyze_storage,
-    count_atoms,
     is_recursive,
 )
 
@@ -54,7 +53,5 @@ __all__ = [
     "StorageClass",
     "StorageInfo",
     "analyze_storage",
-    "build_message_mints",
-    "count_atoms",
     "is_recursive",
 ]

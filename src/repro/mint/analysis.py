@@ -235,58 +235,6 @@ def _analyze_array(array, layout, registry, walking):
 # ----------------------------------------------------------------------
 
 
-def count_atoms(mint_type, registry=None, for_length=1):
-    """Count atomic data in one instance of *mint_type*.
-
-    Variable arrays are counted at *for_length* elements; unions at their
-    widest arm.  Recursive references count as zero (one unrolling).
-    """
-    registry = registry or MintRegistry()
-    return _count(mint_type, registry, for_length, walking=())
-
-
-def _count(mint_type, registry, for_length, walking):
-    if isinstance(mint_type, MintTypeRef):
-        if mint_type.name in walking:
-            return 0
-        return _count(
-            registry[mint_type.name], registry, for_length,
-            walking + (mint_type.name,),
-        )
-    if isinstance(mint_type, (MintVoid, MintSystemException)):
-        return 0
-    if isinstance(mint_type, MintConst):
-        return _count(mint_type.type, registry, for_length, walking)
-    if is_atom(mint_type):
-        return 1
-    if isinstance(mint_type, MintStruct):
-        return sum(
-            _count(slot.type, registry, for_length, walking)
-            for slot in mint_type.slots
-        )
-    if isinstance(mint_type, MintArray):
-        length = array_count_length(mint_type, for_length)
-        return length * _count(mint_type.element, registry, for_length, walking)
-    if isinstance(mint_type, MintUnion):
-        widest = max(
-            (
-                _count(case.type, registry, for_length, walking)
-                for case in mint_type.cases
-            ),
-            default=0,
-        )
-        return 1 + widest
-    raise FlickError("cannot count MINT node %r" % type(mint_type).__name__)
-
-
-def array_count_length(array, for_length):
-    if array.is_fixed:
-        return array.max_length
-    if array.is_bounded:
-        return min(array.max_length, for_length)
-    return for_length
-
-
 def is_recursive(mint_type, registry=None):
     """True if *mint_type* reaches a MintTypeRef cycle.
 

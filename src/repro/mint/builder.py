@@ -11,9 +11,6 @@ exception members.  Oneway operations have no reply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
 from repro.aoi import (
     AoiArray,
     AoiBoolean,
@@ -40,7 +37,6 @@ from repro.mint.types import (
     MintRegistry,
     MintSlot,
     MintStruct,
-    MintType,
     MintTypeRef,
     MintUnion,
     MintUnionCase,
@@ -51,21 +47,6 @@ from repro.mint.types import (
 #: index, matching both the ONC RPC accept-stat idea and the GIOP reply
 #: status (NO_EXCEPTION / USER_EXCEPTION).
 REPLY_SUCCESS = 0
-
-
-@dataclass(frozen=True)
-class MessageMints:
-    """The MINT views of one operation's messages.
-
-    ``request`` is the struct of in-flowing parameters; ``reply`` is the
-    union of the success arm and exception arms (``None`` for oneway
-    operations).  ``registry`` resolves any MintTypeRef inside them.
-    """
-
-    operation_name: str
-    request: MintType
-    reply: Optional[MintType]
-    registry: MintRegistry
 
 
 class MintBuilder:
@@ -202,21 +183,3 @@ class MintBuilder:
                 MintUnionCase((index,), exception_name, exception_struct)
             )
         return MintUnion(MintInteger(32, False), tuple(cases))
-
-
-def build_message_mints(root, interface):
-    """Build :class:`MessageMints` for every operation of *interface*.
-
-    Returns ``(registry, {operation_name: MessageMints})``; the registry is
-    shared by all messages of the interface.
-    """
-    builder = MintBuilder(root)
-    messages = {}
-    for operation in interface.operations:
-        messages[operation.name] = MessageMints(
-            operation.name,
-            builder.request_mint(operation),
-            builder.reply_mint(operation),
-            builder.registry,
-        )
-    return builder.registry, messages

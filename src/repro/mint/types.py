@@ -110,10 +110,6 @@ class MintUnionCase(MintType):
     name: str
     type: MintType
 
-    @property
-    def is_default(self):
-        return not self.labels
-
 
 @dataclass(frozen=True)
 class MintUnion(MintType):
@@ -165,9 +161,6 @@ class MintRegistry:
 
     def __getitem__(self, name):
         return self._definitions[name]
-
-    def names(self):
-        return sorted(self._definitions)
 
     def resolve(self, mint_type):
         """Chase MintTypeRef links one step at a time to a concrete node."""

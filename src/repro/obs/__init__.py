@@ -58,7 +58,6 @@ from repro.obs.trace import (
     configure,
     current_ids,
     current_span,
-    enabled,
     instrument_stub_module,
     shutdown,
     span,
@@ -82,7 +81,6 @@ __all__ = [
     "configure",
     "current_ids",
     "current_span",
-    "enabled",
     "extract",
     "inject",
     "instrument_stub_module",

@@ -6,8 +6,7 @@ Prometheus data model).  Children are plain objects with ``__slots__``
 and one lock per family, so the hot path — ``counter.inc()``,
 ``histogram.observe()`` — is an attribute bump under a lock the GIL makes
 cheap.  The registry renders the whole collection in Prometheus text
-exposition format for the ``--metrics-port`` endpoint and as a plain dict
-for tests and tables.
+exposition format for the ``--metrics-port`` endpoint.
 
 :class:`LatencyHistogram` is the log-bucketed histogram the aio server's
 ``ServerStats`` introduced; it lives here now so the blocking servers and
@@ -159,14 +158,6 @@ class Gauge:
         with self._lock:
             self._value = value
 
-    def inc(self, amount=1):
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount=1):
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self):
         return self._value
@@ -257,14 +248,8 @@ class MetricFamily:
     def inc(self, amount=1):
         self.labels().inc(amount)
 
-    def dec(self, amount=1):
-        self.labels().dec(amount)
-
     def set(self, value):
         self.labels().set(value)
-
-    def observe(self, value):
-        self.labels().observe(value)
 
     @property
     def value(self):
@@ -322,33 +307,6 @@ class MetricsRegistry:
     def families(self):
         with self._lock:
             return list(self._families.values())
-
-    # -- views ----------------------------------------------------------
-
-    def snapshot(self):
-        """``{family: {label-values tuple: value-or-histogram-dict}}``."""
-        result = {}
-        for family in self.families():
-            data = {}
-            for key, child in family.collect():
-                if family.kind == "histogram":
-                    data[key] = {
-                        "count": child.total,
-                        "sum": child.sum,
-                        "mean": child.mean,
-                        "p50": child.percentile(50),
-                        "p95": child.percentile(95),
-                        "p99": child.percentile(99),
-                        "max": child.max,
-                    }
-                else:
-                    data[key] = child.value
-            result[family.name] = data
-        with self._lock:
-            callbacks = list(self._callbacks.items())
-        for name, (_help, callback) in callbacks:
-            result[name] = {(): callback()}
-        return result
 
     def render_prometheus(self):
         """The registry in Prometheus text exposition format (0.0.4).

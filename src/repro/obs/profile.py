@@ -433,14 +433,6 @@ class ProfileSnapshot:
     def _by_key(self):
         return {_op_key(profile): profile for profile in self.ops}
 
-    def profile(self, op, direction):
-        found = self._by_key().get((op, direction))
-        if found is None:
-            found = OpProfile(op, direction)
-            self.ops.append(found)
-            self.__post_init__()
-        return found
-
     def for_op(self, op):
         """This op's profiles in direction order: request then reply."""
         found = self._by_key()

@@ -53,10 +53,6 @@ def active():
     return _tracer
 
 
-def enabled():
-    return _tracer is not None
-
-
 def current_span():
     """The span enclosing the caller, or None."""
     return _current.get()

@@ -142,12 +142,6 @@ class PresStruct(PresNode):
     fields: Tuple[PresStructField, ...]
     c_type_name: str = ""
 
-    def field_named(self, name):
-        for struct_field in self.fields:
-            if struct_field.name == name:
-                return struct_field
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class PresUnionArm(PresNode):
@@ -225,9 +219,6 @@ class PresRegistry:
 
     def names(self):
         return sorted(self._definitions)
-
-    def items(self):
-        return [(name, self._definitions[name]) for name in self.names()]
 
     def resolve(self, pres_node):
         seen = set()

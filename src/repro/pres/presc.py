@@ -33,10 +33,6 @@ class PresParam:
     def is_in(self):
         return self.direction in ("in", "inout")
 
-    @property
-    def is_out(self):
-        return self.direction in ("out", "inout", "return")
-
 
 @dataclass(frozen=True)
 class PresCStub:
@@ -67,12 +63,6 @@ class PresCStub:
 
     def in_parameters(self):
         return tuple(p for p in self.parameters if p.is_in)
-
-    def out_parameters(self):
-        return tuple(
-            p for p in self.parameters
-            if p.direction in ("out", "inout")
-        )
 
     def channels(self):
         """The value streams this operation carries, each a tuple of

@@ -26,11 +26,6 @@ from repro.runtime.aio.client import (
     AioConnection,
     ConnectionPool,
 )
-from repro.runtime.aio.correlation import (
-    MessageInfo,
-    probe,
-    reply_error,
-)
 from repro.runtime.aio.options import CallOptions, RetryPolicy
 from repro.runtime.aio.server import AioTcpServer
 from repro.runtime.aio.stats import ClientStats, LatencyHistogram, \
@@ -45,9 +40,6 @@ __all__ = [
     "ClientStats",
     "ConnectionPool",
     "LatencyHistogram",
-    "MessageInfo",
     "RetryPolicy",
     "ServerStats",
-    "probe",
-    "reply_error",
 ]

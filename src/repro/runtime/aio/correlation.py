@@ -19,42 +19,15 @@ known here: every read goes through the walks :mod:`repro.envelopes`
 derives from its one description of each protocol; bodies are never
 touched.  A message costs its sender or receiver one such walk:
 :func:`locate` on the way out, :func:`route` — id and classification
-in the same pass — on the way back; :func:`probe` and
-:func:`reply_error` are those two for callers that want a record.
+in the same pass — on the way back.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple, Optional, Union
 
 from repro import envelopes
 from repro.errors import DispatchError, TransportError
-
-
-class MessageInfo(NamedTuple):
-    """Where a message's correlation id lives, and what the message is.
-
-    Attributes:
-        protocol: ``"oncrpc"`` or ``"giop"``.
-        kind: ``"call"`` or ``"reply"``.
-        correlation_id: the id currently stored in the header.
-        id_offset: byte offset of the 4-byte id field.
-        id_format: the struct format for the id (endianness-aware).
-        op_key: the demux key for calls (ONC procedure number or GIOP
-            operation name bytes); ``None`` for replies.
-        expects_reply: for GIOP requests, the ``response_expected`` flag;
-            ONC calls always expect one at this layer (oneway ONC
-            operations simply never read it).
-    """
-
-    protocol: str
-    kind: str
-    correlation_id: int
-    id_offset: int
-    id_format: str
-    op_key: Optional[Union[int, bytes]] = None
-    expects_reply: bool = True
 
 
 #: byte order -> ``stamp(buffer, offset, id)``, the id field's writer.
@@ -107,24 +80,3 @@ def route(record):
             pass
     wire_id, offset, stamp = locate(record)
     return wire_id, offset, None, stamp
-
-
-def probe(payload):
-    """Classify *payload* and locate its correlation id, as a record
-    (:func:`locate` is the same walk without one)."""
-    (protocol, direction, endian), found = _located(payload)
-    if direction == "request":
-        correlation_id, offset, op_key, expects_reply = found
-        return MessageInfo(protocol, "call", correlation_id, offset,
-                           endian + "I", op_key, expects_reply)
-    return MessageInfo(protocol, "reply", found[0], found[1], endian + "I")
-
-
-def reply_error(payload):
-    """The protocol-level error a reply carries, or None — the third
-    item of :func:`route`, for callers that hold a reply and no call.
-    Replies too garbled to classify also return None."""
-    try:
-        return route(payload)[2]
-    except TransportError:
-        return None

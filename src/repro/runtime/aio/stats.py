@@ -115,16 +115,6 @@ class ServerStats:
             }
         return result
 
-    @property
-    def total_calls(self):
-        return sum(
-            child.value for _key, child in self._requests.collect()
-        )
-
-    @property
-    def total_errors(self):
-        return sum(child.value for _key, child in self._errors.collect())
-
     def format_table(self):
         """A printable table of the snapshot."""
         snapshot = self.snapshot()
@@ -158,19 +148,6 @@ class ServerStats:
         return "\n".join(lines)
 
 
-class _Sampled:
-    """A gauge with no stored value: ``read`` is called when it is
-    scraped (or its ``value`` asked for), so it cannot be stale."""
-
-    def __init__(self, registry, name, help_text, read):
-        self._read = read
-        registry.gauge_callback(name, help_text, read)
-
-    @property
-    def value(self):
-        return self._read()
-
-
 class ClientStats:
     """Client-runtime counters: the failure paths and pool occupancy.
 
@@ -200,13 +177,14 @@ class ClientStats:
             "flick_client_transport_errors_total",
             "Connection-level failures observed by calls",
         )
-        self.open_connections = _Sampled(
-            self.registry, "flick_client_pool_connections",
-            "Open connections in the pool",
+        # Gauges with no stored value: each is read when it is scraped,
+        # so it cannot be stale.
+        self.registry.gauge_callback(
+            "flick_client_pool_connections", "Open connections in the pool",
             lambda: sum(pool.open_connections for pool in list(self.pools)),
         )
-        self.in_flight = _Sampled(
-            self.registry, "flick_client_in_flight_requests",
+        self.registry.gauge_callback(
+            "flick_client_in_flight_requests",
             "Requests awaiting replies across the pool",
             lambda: sum(pool.in_flight for pool in list(self.pools)),
         )

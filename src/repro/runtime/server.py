@@ -7,7 +7,6 @@ import importlib
 from repro.encoding.buffer import MarshalBuffer
 from repro.errors import FlickError
 from repro.runtime.request import RequestCore
-from repro.runtime.transport import LoopbackTransport
 from repro.runtime.socket_transport import TcpServer, UdpServer
 
 
@@ -123,10 +122,6 @@ class StubServer:
         if error is not None:
             raise error
         return None
-
-    def loopback_transport(self):
-        """An in-process transport bound to this servant."""
-        return LoopbackTransport(self.module.dispatch, self.impl)
 
     def tcp_server(self, host="127.0.0.1", port=0, **kwargs):
         """A blocking threaded TCP server for this servant.

@@ -42,7 +42,7 @@ import time
 
 from repro import documents
 from repro.errors import FlickError, TransportError
-from repro.obs.metrics import MetricsRegistry, parse_prometheus
+from repro.obs.metrics import MetricsRegistry, _label_text, parse_prometheus
 from repro.obs.profile import ProfileSnapshot
 from repro.runtime.service import compile_handles
 from repro.runtime.supervisor.control import ControlClient
@@ -104,12 +104,8 @@ def merge_prometheus(texts):
             value = values[name][labels]
             text_value = ("%d" % value if value == int(value)
                           else repr(value))
-            if labels:
-                label_text = "{%s}" % ",".join(
-                    '%s="%s"' % (key, _escape_label(val))
-                    for key, val in labels)
-            else:
-                label_text = ""
+            label_text = _label_text([key for key, _val in labels],
+                                     [val for _key, val in labels])
             lines.append("%s%s %s" % (name, label_text, text_value))
     for family, kinds in meta.items():
         if family not in emitted_meta:  # declared, no series yet: a
@@ -117,11 +113,6 @@ def merge_prometheus(texts):
             lines.extend(kinds[kind] for kind in ("HELP", "TYPE")
                          if kind in kinds)
     return "\n".join(lines) + "\n"
-
-
-def _escape_label(value):
-    return value.replace("\\", "\\\\").replace('"', '\\"') \
-        .replace("\n", "\\n")
 
 
 class _WorkerHandle:

@@ -70,7 +70,7 @@ def prescs(text, file_name, presentation):
     if not fe.has_aoi:
         return [flick.compile(text, name=file_name).presc]
     root = flick.parse(text, file_name)
-    return [flick.present(root, interface.name)
+    return [conftest.present(root, interface.name, flick.presentation)
             for interface in root.interfaces]
 
 

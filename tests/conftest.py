@@ -5,6 +5,25 @@ from __future__ import annotations
 import pytest
 
 from repro import Flick, OptFlags
+from repro.pgen import make_presentation
+
+
+def base_of(slots, entry):
+    """The function under *entry*'s layers in a module's codec slots."""
+    return next(slot.base for slot in slots.entries() if slot.name == entry)
+
+
+def profile_of(snapshot, op, direction):
+    """The one profile of *op* in *direction* a ProfileSnapshot holds."""
+    (found,) = [profile for profile in snapshot.ops
+                if (profile.op, profile.direction) == (op, direction)]
+    return found
+
+
+def present(root, interface, presentation="corba-c", side="client"):
+    """The PRES_C of the interface of *root* named *interface*."""
+    return make_presentation(presentation).generate(
+        root, root.interface_named(interface), side=side)
 
 
 #: A CORBA interface exercising every presentable construct.
@@ -123,7 +142,7 @@ def mail_aoi():
 
 @pytest.fixture(scope="session")
 def mail_presc(mail_aoi):
-    return Flick(frontend="corba").present(mail_aoi, "Test::Mail")
+    return present(mail_aoi, "Test::Mail")
 
 
 @pytest.fixture(scope="session")
@@ -133,7 +152,7 @@ def db_aoi():
 
 @pytest.fixture(scope="session")
 def db_presc(db_aoi):
-    return Flick(frontend="oncrpc").present(db_aoi, "DB::DBV")
+    return present(db_aoi, "DB::DBV", "rpcgen")
 
 
 _COMPILED_CACHE = {}

@@ -3,7 +3,7 @@
 One frame goes through every reader of its direction — the generated
 stubs (``dispatch`` + ``encode_error_reply`` by way of ``StubServer``,
 ``_check_reply`` and the reply decode by way of the client class) and
-the module-level readers (``correlation.probe`` / ``reply_error``,
+the module-level readers (``correlation.locate`` / ``route``,
 ``gateway.envelope.parse_request``, ``propagation.extract``,
 ``RequestCore.op_key``) — and comes back as a dict of verdicts.
 
@@ -30,14 +30,16 @@ import os
 import random
 import sys
 
+from repro import envelopes
 from repro.errors import (
-    DispatchError, OverloadError, RemoteCallError, WireFormatError)
+    DispatchError, OverloadError, RemoteCallError, TransportError,
+    WireFormatError)
 from repro.envelopes import write_error
 from repro.gateway.envelope import IngressSpec, parse_request
 from repro.encoding import MarshalBuffer
 from repro.obs import propagation
 from repro.runtime import StubServer, operation_names
-from repro.runtime.aio.correlation import probe, reply_error
+from repro.runtime.aio.correlation import locate, route
 from repro.runtime.request import RequestCore
 
 from tests.conftest import MailImpl, compile_db, compile_mail
@@ -169,10 +171,11 @@ def request_verdicts(subject, frame):
     if subject.spec is None:
         return verdicts
     try:
-        info = probe(frame)
-        verdicts["probe"] = [
-            "ok", info.protocol, info.kind, info.correlation_id,
-            info.id_offset, _plain(info.op_key), info.expects_reply]
+        kind, found = probe(frame)
+        op_key, expects_reply = found[2:] if kind[1] == "request" \
+            else (None, True)
+        verdicts["probe"] = ["ok", kind[0], _KINDS[kind[1]], found[0],
+                             found[1], _plain(op_key), expects_reply]
     except Exception as error:
         verdicts["probe"] = ["refuse", type(error).__name__]
     try:
@@ -191,6 +194,27 @@ def request_verdicts(subject, frame):
     return verdicts
 
 
+_KINDS = {"request": "call", "reply": "reply"}
+
+
+def probe(frame):
+    """``((protocol, direction, byte order), what the locator found)``
+    for a frame ``correlation.locate`` finds an id in; refuses what it
+    refuses, as it does."""
+    locate(frame)
+    kind = envelopes.sniff(frame)
+    return kind, envelopes.locator(*kind)(frame)
+
+
+def reply_error(frame):
+    """The protocol-level error a reply carries (the third item of
+    ``correlation.route``), or None, also for a frame with no id."""
+    try:
+        return route(frame)[2]
+    except TransportError:
+        return None
+
+
 def _remote(error):
     return [error.code, error.minor, error.completed, str(error)]
 
@@ -207,10 +231,10 @@ def reply_verdicts(subject, frame):
     """Every reply reader's verdict on *frame*."""
     verdicts = {}
     try:
-        info = probe(frame)
-        verdicts["probe"] = ["ok", info.protocol, info.kind,
-                             info.correlation_id, info.id_offset]
-        expected = info.correlation_id
+        kind, found = probe(frame)
+        verdicts["probe"] = ["ok", kind[0], _KINDS[kind[1]], found[0],
+                             found[1]]
+        expected = found[0]
     except Exception as error:
         verdicts["probe"] = ["refuse", type(error).__name__]
         expected = 1

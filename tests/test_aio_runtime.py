@@ -19,7 +19,8 @@ import pytest
 
 from repro import api
 from repro.encoding import MarshalBuffer
-from repro.errors import DeadlineError, TransportError
+from repro.obs import metrics
+from repro.errors import DeadlineError, TransportError, WireFormatError
 from repro.runtime import (
     StubServer,
     TcpClientTransport,
@@ -33,10 +34,10 @@ from repro.runtime.aio import (
     ConnectionPool,
     RetryPolicy,
     ServerStats,
-    probe,
 )
+from repro.runtime.aio.correlation import locate
 from repro.runtime.aio.server import POOLED_BUFFER_MAX, BufferPool
-from repro.runtime.framing import RecordDecoder, encode_record
+from repro.runtime.framing import MAX_RECORD_SIZE, RecordDecoder, encode_record
 from tests.rawsock import recv_record
 
 from tests.conftest import MailImpl, compile_mail
@@ -524,7 +525,7 @@ class TestCrossCompat:
                 sock.close()
         answers = {}
         for reply in replies:
-            xid = probe(reply).correlation_id
+            xid = locate(reply)[0]
             answers[xid] = module._u_rep_avg(
                 reply, module._check_reply(reply, xid))
         assert answers == {xid: xid + 1.0 for xid in range(1, 9)}
@@ -840,7 +841,7 @@ class TestBatchedIO:
                 replies = [recv_record(sock) for _ in range(16)]
             finally:
                 sock.close()
-        assert [probe(reply).correlation_id for reply in replies] \
+        assert [locate(reply)[0] for reply in replies] \
             == list(range(1, 17))
         assert [onc_module._u_rep_avg(reply, 24) for reply in replies] \
             == [float(xid) for xid in range(1, 17)]
@@ -917,8 +918,9 @@ class TestBatchedIO:
                 assert server.in_flight == 0
         finally:
             sys.setswitchinterval(interval)
-        assert stats.total_calls == calls
-        assert stats.total_errors == 0
+        rows = stats.snapshot().values()
+        assert sum(row["calls"] for row in rows) == calls
+        assert sum(row["errors"] for row in rows) == 0
 
 
 # ----------------------------------------------------------------------
@@ -1072,6 +1074,193 @@ class TestCallBudget:
                 transport.close()
 
 
+# ----------------------------------------------------------------------
+# Safety paths: framing lost on either side, a peer that stops reading
+# ----------------------------------------------------------------------
+
+class _GarbagePeer:
+    """Answers the first *after* records on each connection with a
+    record mark no reader accepts, then reads until the client closes;
+    counts connections and records."""
+
+    def __init__(self, after):
+        self.after = after
+        self.accepted = self.received = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                peer, _address = self._listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            threading.Thread(target=self._answer, args=(peer,),
+                             daemon=True).start()
+
+    def _answer(self, peer):
+        decoder, answered = RecordDecoder(), False
+        with peer:
+            while True:
+                data = peer.recv(65536)
+                if not data:
+                    return
+                self.received += len(decoder.feed(data))
+                if self.received >= self.after and not answered:
+                    answered = True
+                    peer.sendall(b"\xff\xff\xff\xff")
+
+    def close(self):
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+        self._listener.close()
+        self._thread.join(timeout=5)
+
+
+class _StalledPeer:
+    """Accepts one connection on a 4 KiB receive buffer and reads
+    nothing until :attr:`released` is set; then answers every record
+    with *reply* under the request's own xid."""
+
+    def __init__(self, reply):
+        self._reply = bytearray(encode_record(reply))
+        self.released = threading.Event()
+        self.received = 0
+        self._listener = socket.socket()
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen()
+        self.address = self._listener.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        peer, _address = self._listener.accept()
+        self.released.wait(10)
+        decoder = RecordDecoder()
+        with peer:
+            while True:
+                data = peer.recv(65536)
+                if not data:
+                    return
+                for record in decoder.feed(data):
+                    self.received += 1
+                    self._reply[4:8] = record[:4]  # the ONC xid
+                    peer.sendall(self._reply)
+
+    def close(self):
+        self.released.set()
+        self._listener.close()
+        self._thread.join(timeout=5)
+
+
+class TestSafetyPaths:
+    def test_an_over_limit_record_mark_closes_that_connection_only(
+            self, onc_module):
+        """A record mark past the framing limit: ``malformed`` +1, that
+        connection is closed, and the server goes on serving the
+        others."""
+        stats = ServerStats()
+        server = StubServer(onc_module, MailImpl(onc_module)) \
+            .aio_server(stats=stats)
+        with server:
+            good = socket.create_connection(server.address, timeout=5)
+            bad = socket.create_connection(server.address, timeout=5)
+            try:
+                good.sendall(encode_record(_avg_request(onc_module, 1,
+                                                        [1, 3])))
+                assert locate(recv_record(good))[0] == 1
+                bad.sendall(struct.pack(
+                    ">I", 0x80000000 | (MAX_RECORD_SIZE + 1)))
+                assert bad.recv(1) == b""  # closed by the server
+                good.sendall(encode_record(_avg_request(onc_module, 2,
+                                                        [2, 6])))
+                reply = recv_record(good)
+                assert onc_module._u_rep_avg(
+                    reply, onc_module._check_reply(reply, 2)) == 4.0
+            finally:
+                good.close()
+                bad.close()
+            client = onc_module.Test_MailClient(
+                TcpClientTransport(*server.address))
+            assert client.avg([5, 7]) == 6.0
+        assert stats.malformed.value == 1
+        assert sum(row["calls"] for row in stats.snapshot().values()) == 3
+
+    def test_a_garbage_reply_stream_fails_pending_calls_unretried(
+            self, onc_module):
+        """The reply stream loses its framing with two calls pending on
+        one pooled connection: both fail with the WireFormatError, and
+        neither is retried although both are idempotent."""
+        peer = _GarbagePeer(after=2)
+        stats = ClientStats()
+
+        async def main():
+            pool = ConnectionPool(*peer.address, pool_size=1, stats=stats,
+                                  options=CallOptions(idempotent=True))
+            try:
+                return await asyncio.gather(*[
+                    pool.acall(_avg_request(onc_module, n, [n]))
+                    for n in (1, 2)], return_exceptions=True)
+            finally:
+                await pool.aclose()
+
+        try:
+            errors = asyncio.run(main())
+        finally:
+            peer.close()
+        assert [type(error) for error in errors] == [WireFormatError] * 2
+        assert (errors[0].field, errors[0].limit) \
+            == ("record_size", MAX_RECORD_SIZE)
+        assert (peer.accepted, peer.received) == (1, 2)
+        assert stats.wire_format_errors.value == 2
+        assert stats.retries.value == 0
+
+    def test_a_peer_that_stops_reading_pauses_then_resumes_senders(
+            self, onc_module):
+        """A 1 MiB request into a peer that reads nothing fills the
+        buffers: the connection is write-paused and the next call waits
+        unsent; once the peer reads again both calls are answered."""
+        reply = StubServer(onc_module, MailImpl(onc_module)).serve_bytes(
+            _avg_request(onc_module, 1, [1, 3]))
+        peer = _StalledPeer(reply)
+
+        async def main():
+            connection = await AioConnection.open(*peer.address)
+            connection.transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            buffer = MarshalBuffer()
+            onc_module._m_req_reverse(buffer, 1, bytes(1 << 20))
+            first = asyncio.ensure_future(
+                connection.acall(buffer.getvalue()))
+            for _ in range(100):
+                if connection.write_paused:
+                    break
+                await asyncio.sleep(0.01)
+            assert connection.write_paused
+            second = asyncio.ensure_future(
+                connection.acall(_avg_request(onc_module, 2, [2, 4])))
+            await asyncio.sleep(0.1)
+            assert not second.done()
+            assert connection.in_flight == 1  # the second is held unsent
+            peer.released.set()
+            replies = await asyncio.wait_for(
+                asyncio.gather(first, second), timeout=10)
+            paused = connection.write_paused
+            await connection.aclose()
+            return replies, paused
+
+        try:
+            replies, paused = asyncio.run(main())
+        finally:
+            peer.close()
+        assert [locate(reply)[0] for reply in replies] == [1, 2]
+        assert not paused
+        assert peer.received == 2
+
+
 class TestBufferPool:
     def test_oversized_buffers_are_not_retained(self):
         pool = BufferPool()
@@ -1120,8 +1309,8 @@ class TestStats:
         assert snapshot["avg"]["calls"] == 6
         assert snapshot["reverse"]["calls"] == 1
         assert snapshot["ping"]["calls"] == 1
-        assert stats.total_errors == 0
-        assert stats.total_calls == 8
+        assert sum(row["errors"] for row in snapshot.values()) == 0
+        assert sum(row["calls"] for row in snapshot.values()) == 8
         assert snapshot["avg"]["p50_s"] > 0
         table = stats.format_table()
         assert "avg" in table and "p95" in table
@@ -1134,7 +1323,8 @@ class TestStats:
         stats = ClientStats()
 
         def scrape(name):
-            return stats.registry.snapshot()[name][()]
+            return metrics.parse_prometheus(
+                stats.registry.render_prometheus())[name][()]
 
         server = StubServer(onc_module, impl).aio_server(
             dispatch_mode="thread")

@@ -249,3 +249,29 @@ class TestCliExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] == []
         assert payload["file"].endswith("a.idl")
+
+    def test_lint_json_findings(self, tmp_path, capsys):
+        """Each finding is one object of four fields, worst first."""
+        path = self._write(tmp_path, "gap.x", (
+            "typedef int ints<>;\n"
+            "union res switch (int status) {\n"
+            "case 0: int value;\ncase 1: void;\n};\n"
+            "program LINTP { version LINTV {"
+            " res put(ints) = 1; } = 1; } = 0x20000124;\n"))
+        assert main(["lint", path, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["worst"] == "error"
+        assert payload["protocol"] == "oncrpc-xdr"
+        assert payload["findings"] == [
+            {"severity": "error", "code": "union-discriminator-gap",
+             "path": "put.reply._return",
+             "reason": "union res has no default arm and its arms [0, 1]"
+                       " do not cover the discriminator: the generated"
+                       " decoder raises UnmarshalError on any other label"
+                       " a peer sends"},
+            {"severity": "warning", "code": "unbounded-on-datagram",
+             "path": "put.request",
+             "reason": "unbounded request on a UDP-capable program: a"
+                       " datagram caps the message at 65000 bytes but the"
+                       " schema imposes no bound"},
+        ]

@@ -118,7 +118,7 @@ def one_writer_of_codec_entries(tree):
     _no(tree.grep(
         r"__dict__\[|setattr\((self\.)?module|\bG\[[a-z_]+\] =",
         "src/repro/obs", "src/repro/runtime", "src/repro/gateway",
-        "src/repro/core/handle.py"))
+        "src/repro/core/compiler.py"))
     _no(tree.grep(
         r"__flick_hotness__|_flick_obs_instrumented"
         r"|_flick_profile_instrumented", "src", python_only=False))
@@ -446,6 +446,14 @@ def no_segment_interpreter(tree):
     _no(tree.grep(r"\brun_segments\b", "src"))
 
 
+def one_compile_result(tree):
+    """Every compile returns a ``CompileResult`` (repro/core/compiler.py)
+    itself: no handle module and no subclass layered over the result."""
+    _no([path for path in tree.files if path == "src/repro/core/handle.py"])
+    _no(tree.grep(r"\bCompiledInterface\b|class \w+\((\w+\.)*CompileResult\)",
+                  "src", "scripts", "examples"))
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -494,7 +502,7 @@ PINS = {
     one_executor_of_marshal_ops: [
         ("src/repro/mir/render_closures.py", "_COMPILERS = {}"),
         ("src/repro/mir/lower.py", "packer = struct.Struct(fmt)"),
-        ("src/repro/core/handle.py",
+        ("src/repro/core/compiler.py",
          "from repro.mir.render_closures import compile_function"),
     ],
     one_handoff_between_the_loop_and_its_workers: [
@@ -515,7 +523,8 @@ PINS = {
     one_place_stub_text_becomes_code: [
         ("src/repro/backend/base.py",
          "exec(compile(self.py_source, name, 'exec'), namespace)"),
-        ("src/repro/core/handle.py", "code = compile(text, '<stub>', 'exec')"),
+        ("src/repro/core/compiler.py",
+         "code = compile(text, '<stub>', 'exec')"),
         ("src/repro/core/loader.py",
          "def load_stub_module(source, name, skip_lines=None):"),
         ("docs/INTERNALS.md", "its line span as stubs.codec_span"),
@@ -628,6 +637,11 @@ PINS = {
         ("src/repro/gateway/proxy.py",
          "        end = run_segments(segments, reply, body + 4, buffer)"),
     ],
+    one_compile_result: [
+        ("src/repro/core/handle.py", '"""The compiled-interface handle."""'),
+        ("src/repro/core/compiler.py",
+         "class CompiledInterface(CompileResult):"),
+    ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),
         ("src/repro/obs/profile.py", "class HotnessCounter:"),
@@ -657,6 +671,17 @@ class TestPinsBite:
             self, pin, path, line, tree):
         with pytest.raises(AssertionError):
             pin(tree.with_(path, line))
+
+
+def test_compile_returns_the_one_result_class():
+    """``repro.core.handle`` does not import, and the facade's result is
+    a ``CompileResult`` itself, not a subclass."""
+    from repro import CompileResult, api
+    from tests.conftest import MAIL_IDL
+
+    with pytest.raises(ImportError):
+        import repro.core.handle  # noqa: F401
+    assert type(api.compile(MAIL_IDL, "corba")) is CompileResult
 
 
 def test_the_retired_tiering_interface_is_gone(capsys):

@@ -18,7 +18,7 @@ from repro.compilers import (
 from repro.runtime import LoopbackTransport
 from repro.pres.values import normalize
 
-from tests.conftest import MAIL_IDL, MIG_IDL, MailImpl, compile_mail
+from tests.conftest import MAIL_IDL, MIG_IDL, MailImpl, compile_mail, present
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,16 @@ class TestIluStyle:
 
 
 class TestMigStyle:
+    def test_staged_byte_copy_in_c(self):
+        """MIG stages byte data through a copy; its C binds the data
+        pointer once and copies the run from there."""
+        root = Flick(frontend="corba").parse(
+            "typedef sequence<octet, 64> Blob;"
+            " interface I { void put(in Blob b); };")
+        text = make_baseline("mig").generate(present(root, "I")).c_source
+        assert "    __auto_type _stage2 = b._buffer;\n" in text
+        assert "memcpy(_buf->data + _o3 + 8, _stage2, _n1);" in text
+
     def test_rejects_structs(self, mail_presc_xdr):
         with pytest.raises(BackEndError) as exc_info:
             make_baseline("mig").generate(mail_presc_xdr)
@@ -194,7 +204,7 @@ class TestMigStyle:
             "exception E { long c; };"
             "interface I { void f(in long x) raises (E); };"
         )
-        presc = flick.present(root, "I")
+        presc = present(root, "I")
         with pytest.raises(BackEndError):
             make_baseline("mig").generate(presc)
 

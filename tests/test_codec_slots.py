@@ -26,15 +26,15 @@ import threading
 import pytest
 
 from repro import Flick, obs
-from repro.core.codecs import LAYER_ORDER, codec_form
-from repro.core.handle import CompiledInterface
+from repro.core.codecs import LAYER_ORDER, codec_form, of as slots_of
+from repro.core.compiler import CompileResult
 from repro.mir.render_closures import compile_function, install_closures
 from repro.obs import profile
 from repro.runtime import StubServer, TcpClientTransport
 from repro.runtime.aio import ConnectionPool
 from repro.runtime.framing import RecordDecoder, encode_record
 
-from tests.conftest import DB_IDL, MAIL_IDL, MailImpl
+from tests.conftest import DB_IDL, MAIL_IDL, MailImpl, base_of
 from tests.test_fuzz_wire import DbImpl, _capture_requests
 
 REV = ("_m_rep_ok_rev", "_m_req_rev", "_u_rep_rev", "_u_req_rev")
@@ -97,30 +97,31 @@ class _Rig:
 
     def swap(self, op="rev"):
         new = rebuilt(self.handle, op)
-        self.handle.codecs.set_base(new)
+        slots_of(self.handle.module).set_base(new)
         return new
 
     def assert_live(self, new):
         """The module binds *new* under whatever layers are on, and the
         slots agree."""
         for name, function in new.items():
-            assert self.handle.codecs.base(name) is function, name
+            assert base_of(slots_of(self.handle.module), name) \
+                is function, name
             assert innermost(getattr(self.handle.module, name)) \
                 is function, name
         self.serve_all()
 
 
-class TestCompiledInterface:
-    def test_compile_returns_handle(self):
+class TestCompileResult:
+    def test_compile_returns_result(self):
         handle = fresh_db()
-        assert isinstance(handle, CompiledInterface)
+        assert type(handle) is CompileResult
         assert handle.module is handle.stubs.load()
         assert handle.module is handle.module  # cached, same object
-        assert handle.renderer == handle.stubs.renderer
+        assert handle.mir is handle.stubs.mir
 
     def test_operations_sorted(self):
-        assert fresh_db().operations() == ["count", "echo", "lookup",
-                                           "rev", "store"]
+        assert sorted(fresh_db().stubs.metadata["operations"]) \
+            == ["count", "echo", "lookup", "rev", "store"]
 
     def test_codec_form(self):
         assert codec_form("_u_req_rev") == ("u_req", "rev")
@@ -191,11 +192,11 @@ class TestSlotContract:
         """Any seeded walk of layer on/off and base swaps that ends
         with every layer off leaves each entry bound to its base."""
         handle = fresh_db()
-        slots = handle.codecs
+        slots = slots_of(handle.module)
         module = handle.module
         names = [slot.name for slot in slots.entries()]
         originals = {name: getattr(module, name) for name in names}
-        assert all(slots.base(name) is originals[name] for name in names)
+        assert all(base_of(slots, name) is originals[name] for name in names)
 
         def layer(slot, inner):
             def wrapper(*args):
@@ -214,17 +215,17 @@ class TestSlotContract:
                 slots.set_base(rebuilt(handle, rng.choice(("rev", "store"))))
             for name in names:
                 assert innermost(getattr(module, name)) \
-                    is slots.base(name)
+                    is base_of(slots, name)
         for name in LAYER_ORDER:
             slots.set_layer(name, None)
         for name in names:
-            assert getattr(module, name) is slots.base(name), name
+            assert getattr(module, name) is base_of(slots, name), name
         # Entries no base swap touched are the compiled originals.
         assert module._u_req_echo is originals["_u_req_echo"]
         assert module._u_req_rev is not originals["_u_req_rev"]
 
     def test_order_is_the_constant_not_the_call_order(self):
-        slots = fresh_db().codecs
+        slots = slots_of(fresh_db().module)
 
         def tagging(tag):
             def factory(slot, inner):
@@ -242,11 +243,11 @@ class TestSlotContract:
             seen.append(function.tag)
             function = function.__wrapped__
         assert seen == list(reversed(LAYER_ORDER))  # outermost first
-        assert function is slots.base("_u_req_rev")
+        assert function is base_of(slots, "_u_req_rev")
 
     def test_one_store_per_entry_and_subscribers_hear_each_op(self):
         handle = fresh_db()
-        slots = handle.codecs
+        slots = slots_of(handle.module)
         heard = []
         slots.subscribe(lambda op, names: heard.append((op, set(names))))
         new = rebuilt(handle, "rev")
@@ -262,8 +263,8 @@ class TestSlotContract:
         """How a deferred ``closures`` entry hands over: compare and
         set, so a base somebody set in the meantime is not undone."""
         handle = fresh_db()
-        slots = handle.codecs
-        old = slots.base("_u_req_rev")
+        slots = slots_of(handle.module)
+        old = base_of(slots, "_u_req_rev")
         heard = []
         slots.subscribe(lambda op, names: heard.append(names))
 
@@ -274,17 +275,20 @@ class TestSlotContract:
             return old(d, o)
 
         slots.replace_base("_u_req_rev", old, newer)
-        assert slots.base("_u_req_rev") is handle.module._u_req_rev is newer
+        assert base_of(slots, "_u_req_rev") \
+            is handle.module._u_req_rev is newer
         slots.replace_base("_u_req_rev", old, stale)  # old is not the base
-        assert slots.base("_u_req_rev") is handle.module._u_req_rev is newer
+        assert base_of(slots, "_u_req_rev") \
+            is handle.module._u_req_rev is newer
         assert heard == [("_u_req_rev",)]
 
     def test_non_codec_names_are_refused(self):
         handle = fresh_db()
         before = handle.module._u_req_rev
         with pytest.raises(KeyError):
-            handle.codecs.set_base({"_u_req_rev": lambda d, o: ((), o),
-                                    "dispatch": lambda *a: None})
+            slots_of(handle.module).set_base({
+                "_u_req_rev": lambda d, o: ((), o),
+                "dispatch": lambda *a: None})
         assert handle.module._u_req_rev is before  # nothing applied
 
 
@@ -303,9 +307,9 @@ class TestAtomicUnderThreads:
         ])
         ref_server = StubServer(fresh_db().module, DbImpl())
         expected = [ref_server.serve_bytes(frame) for frame in frames]
-        slots = handle.codecs
+        slots = slots_of(handle.module)
         profile.instrument_stub_module(handle.module)
-        bases = [{name: slots.base(name) for name in REV},
+        bases = [{name: base_of(slots, name) for name in REV},
                  rebuilt(handle, "rev")]
         server = StubServer(handle.module, DbImpl()).aio_server(
             dispatch_mode="thread", max_concurrency=8)
@@ -358,7 +362,7 @@ class TestAtomicUnderThreads:
         # no layer on, so the module binds the last base set, itself.
         assert not profile.enabled()
         for name, function in bases[cycles[-1]].items():
-            assert slots.base(name) is function
+            assert base_of(slots, name) is function
             assert getattr(handle.module, name) is function
 
 
@@ -381,7 +385,7 @@ class TestSwapUnderLoad:
         module = handle.module
         for name in ("_u_req_rev", "_m_rep_ok_rev", "_u_req_echo",
                      "_m_rep_ok_echo"):
-            base = handle.codecs.base(name)
+            base = base_of(slots_of(handle.module), name)
             assert base is getattr(module, name), name  # no layer on
             assert base is not originals[name], name
             assert is_compiled_text(base, module), name
@@ -516,12 +520,12 @@ class TestGatewayRebind:
         # Without rebind the plan would still hold the old wrapper and
         # gateway traffic would never make the deferred first call.
         assert avg.u_req is module._u_req_avg
-        deferred = ingress.codecs.base("_u_req_avg")
+        deferred = base_of(slots_of(ingress.module), "_u_req_avg")
         assert avg.u_req.__wrapped__ is deferred is not original
         frame, = _capture_requests(module, [("avg", ([1, 2, 3],))])
         StubServer(module, MailImpl(module)).serve_bytes(frame)
         # The first call compiled and handed over; the plan heard.
-        compiled = ingress.codecs.base("_u_req_avg")
+        compiled = base_of(slots_of(ingress.module), "_u_req_avg")
         assert compiled is deferred.__wrapped__
         assert avg.u_req is module._u_req_avg
         assert avg.u_req.__wrapped__ is compiled
@@ -537,7 +541,7 @@ class TestGatewayRebind:
         # A direct store is invisible to the plan until a slot
         # notification for that op arrives.
         ingress.module.__dict__["_u_req_tri"] = sentinel
-        ingress.codecs.set_base({"_u_req_avg": sentinel})
+        slots_of(ingress.module).set_base({"_u_req_avg": sentinel})
         assert avg.u_req is sentinel
         assert tri.u_req is stale_tri
         plan.rebind()

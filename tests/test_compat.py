@@ -681,6 +681,87 @@ class TestGoldenReports:
 
 
 # ---------------------------------------------------------------------
+# Optional pointers and void arms through flick diff and flick bridge.
+# ---------------------------------------------------------------------
+
+#: An ONC program with an optional field in its request and a void
+#: default arm in its reply union.
+OPTIONAL_ONC = """
+struct rec {
+    int id;
+    %s *extra;
+};
+union res switch (int status) {
+case 0:
+    int value;
+default:
+    void;
+};
+program OPT {
+    version OPTV {
+        res put(rec) = 1;
+    } = 1;
+} = 0x20000123;
+"""
+
+
+class TestOptionalAndVoidArms:
+    def _write(self, tmp_path, name, element="int"):
+        path = tmp_path / name
+        path.write_text(OPTIONAL_ONC % element)
+        return str(path)
+
+    def test_diff_identity_walks_optional_and_void(self, tmp_path, capsys):
+        from repro.tools.cli import main
+
+        path = self._write(tmp_path, "opt.x")
+        assert main(["diff", path, path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "WIRE_IDENTICAL"
+        for protocol in ("iiop", "oncrpc-xdr"):
+            channels = report["protocols"][protocol]["operations"]["put"][
+                "channels"]
+            assert sorted(channels) == ["reply:new->old", "reply:old->new",
+                                        "request:new->old",
+                                        "request:old->new"]
+            assert all(channel == {"findings": [],
+                                   "verdict": "WIRE_IDENTICAL"}
+                       for channel in channels.values())
+
+    def test_diff_recoded_optional_element_breaks(self, tmp_path, capsys):
+        from repro.tools.cli import main
+
+        old = self._write(tmp_path, "opt.x")
+        new = self._write(tmp_path, "opt_hyper.x", "hyper")
+        assert main(["diff", old, new]) == 2
+        out = capsys.readouterr().out
+        assert "request.arg1.extra* @48: atom recoded: sender i (4 bytes," \
+            " align 4) vs receiver q (8 bytes, align 4) under xdr" in out
+        assert "request.arg1.extra* @60: atom recoded: sender i (4 bytes," \
+            " align 4) vs receiver q (8 bytes, align 8) under cdr-be" in out
+        assert out.rstrip().endswith("verdict: BREAKING")
+
+    def test_bridge_names_the_optional_blocker(self, tmp_path, capsys):
+        from repro.tools.cli import main
+
+        path = self._write(tmp_path, "opt.x")
+        assert main(["bridge", path]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: WIRE_IDENTICAL" in out
+        assert "    request falls back at request.arg1.extra: optional\n" \
+            in out
+        assert "    reply falls back at reply[case 0]._return: union\n" \
+            in out
+        assert "overall: 0/2 channels take the fused path" in out
+        assert main(["bridge", path, "--json"]) == 0
+        fused = json.loads(capsys.readouterr().out)["fused"]["put"]
+        assert {direction: (prediction["fused"], prediction["blocker"])
+                for direction, prediction in fused.items()} == {
+            "request": (False, "request.arg1.extra: optional"),
+            "reply": (False, "reply[case 0]._return: union")}
+
+
+# ---------------------------------------------------------------------
 # Property: diffing any schema against itself is WIRE_IDENTICAL, for
 # every frontend and protocol.
 # ---------------------------------------------------------------------

@@ -14,11 +14,11 @@ from repro.aoi import (
     AoiUnion,
     Direction,
 )
-from repro import api
+from repro import Flick
 
 
 def corba_aoi(text):
-    return api.parse(text, "corba")
+    return Flick(frontend="corba").parse(text)
 
 
 class TestScoping:

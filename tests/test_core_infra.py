@@ -11,7 +11,7 @@ from repro import Flick, OptFlags
 from repro.core.loader import load_stub_module
 from repro.backend.base import Section
 from repro.backend.pywriter import PyWriter
-from repro.runtime import StubServer
+from repro.runtime import LoopbackTransport, StubServer
 
 from tests.conftest import MailImpl, compile_mail
 
@@ -168,8 +168,8 @@ class TestStubServer:
         assert server.serve_bytes(request.getvalue()) is None
         assert impl.last_ping == 31
 
-    def test_loopback_transport_helper(self):
+    def test_loopback_transport_serves_the_servant(self):
         module = compile_mail("oncrpc-xdr").load_module()
-        server = StubServer(module, MailImpl(module))
-        client = module.Test_MailClient(server.loopback_transport())
+        client = module.Test_MailClient(
+            LoopbackTransport(module.dispatch, MailImpl(module)))
         assert client.avg([9]) == 9.0

@@ -35,7 +35,7 @@ from repro.aoi import (
 )
 from repro import obs
 from repro.core import loader
-from repro.core.codecs import codec_form
+from repro.core.codecs import codec_form, of as slots_of
 from repro.core.options import OptFlags
 from repro.encoding import MarshalBuffer
 from repro.errors import BackEndError, MarshalError, TransportError
@@ -55,7 +55,7 @@ from repro.runtime import LoopbackTransport
 from repro.runtime.server import operation_names
 from repro.tools.cli import main
 
-from tests.conftest import DB_IDL, MAIL_IDL, MailImpl
+from tests.conftest import DB_IDL, MAIL_IDL, MailImpl, base_of
 from tests.test_codec_slots import innermost
 from tests.test_mir_renderers import CASES, _compile_pair
 from tests.test_property_fuzz_types import _uniquify, type_value_pairs
@@ -218,8 +218,8 @@ class TestClosureModulesLoadTheScaffoldOnly:
                 assert vars(module)[name].__module__ == \
                     "repro.mir.render_closures", name
             assert codec_compiles == []
-            assert {slot.op for slot in result.codecs.entries()} \
-                == set(result.operations())
+            assert {slot.op for slot in slots_of(result.module).entries()} \
+                == set(result.stubs.metadata["operations"])
             # Header consts are what the text binds.
             for fn in result.mir.functions:
                 for const in fn.consts:
@@ -279,7 +279,8 @@ class TestClosureModulesLoadTheScaffoldOnly:
                      if section.name == "server"]
         deferred = [fn.name for fn in result.mir.functions] + [
             name for name, _first, _text in server.functions]
-        assert len(server.functions) == len(result.operations())
+        assert len(server.functions) \
+            == len(result.stubs.metadata["operations"])
         for name in deferred:
             try:  # no arguments: fails in the function's own prologue
                 vars(module)[name]()
@@ -353,16 +354,16 @@ class TestCodecsCompileAtFirstCall:
     def test_first_call_compiles_that_function_and_nothing_else(
             self, codec_compiles):
         result = api.compile(DB_IDL, "oncrpc", renderer="closures")
-        module, slots = result.module, result.codecs
+        module, slots = result.module, slots_of(result.module)
         assert codec_compiles == []
         deferred = module._m_req_rev
-        assert slots.base("_m_req_rev") is deferred
+        assert base_of(slots, "_m_req_rev") is deferred
         first = MarshalBuffer()
         module._m_req_rev(first, 9, [3, 1, 2])
         assert codec_compiles == ["_m_req_rev"]
         # It handed over: the slot's base is the compiled function, and
         # what the module binds is that function itself.
-        compiled = slots.base("_m_req_rev")
+        compiled = base_of(slots, "_m_req_rev")
         assert compiled is module._m_req_rev is deferred.__wrapped__
         assert not hasattr(compiled, "__wrapped__")
         assert compiled.__globals__ is vars(module)
@@ -396,7 +397,7 @@ class TestCodecsCompileAtFirstCall:
         """What the benchmark's ``compile_replica`` does: the new
         deferred entries go through ``set_base``, under live layers."""
         result = api.compile(DB_IDL, "oncrpc", renderer="closures")
-        module, slots = result.module, result.codecs
+        module, slots = result.module, slots_of(result.module)
         try:
             obs.configure(obs.CollectingExporter())
             obs.instrument_stub_module(module)
@@ -410,8 +411,8 @@ class TestCodecsCompileAtFirstCall:
             assert _frames(vars(module)) == want
             assert codec_compiles == ["_m_req_rev", "_m_rep_ok_rev"]
             layered = module._m_req_rev
-            assert layered is not slots.base("_m_req_rev")
-            assert innermost(layered) is slots.base("_m_req_rev")
+            assert layered is not base_of(slots, "_m_req_rev")
+            assert innermost(layered) is base_of(slots, "_m_req_rev")
         finally:
             obs.shutdown()
 
@@ -422,7 +423,7 @@ class TestCodecsCompileAtFirstCall:
         (the ``py`` module this pin was written for compiled them at
         load)."""
         result = api.compile(DB_IDL, "oncrpc")
-        module, slots = result.module, result.codecs
+        module, slots = result.module, slots_of(result.module)
         want = _frames(vars(module))
         before = {slot.name: slot.base for slot in slots.entries()}
         del codec_compiles[:]
@@ -434,10 +435,10 @@ class TestCodecsCompileAtFirstCall:
         assert codec_compiles == ["_m_req_rev", "_m_rep_ok_rev"]
         for name, entry in deferred.items():
             if name in codec_compiles:  # handed over, and is new text
-                assert slots.base(name) is entry.__wrapped__
-                assert slots.base(name) is not before[name]
+                assert base_of(slots, name) is entry.__wrapped__
+                assert base_of(slots, name) is not before[name]
             else:  # still waiting for its first call
-                assert slots.base(name) is entry
+                assert base_of(slots, name) is entry
                 assert not hasattr(entry, "__wrapped__")
         assert _frames(vars(module)) == want
         assert len(codec_compiles) == 2
@@ -503,7 +504,8 @@ class TestCodecsCompileAtFirstCall:
             for name, entry in deferred.items():
                 bound = vars(module)[name]
                 if layered:  # profile over trace over the base
-                    assert result.codecs.base(name) is entry.__wrapped__
+                    assert base_of(slots_of(result.module), name) \
+                        is entry.__wrapped__
                     bound = bound.__wrapped__.__wrapped__
                 assert bound is entry.__wrapped__, name
         finally:
@@ -650,8 +652,10 @@ def _presc_for(aoi_type):
     return make_presentation("corba-c").generate(root, interface)
 
 
-def _assert_memo_agrees(registry):
-    for name in registry.names():
+def _assert_memo_agrees(presc):
+    """Over the named types (PRES names each one MINT defines)."""
+    registry = presc.mint_registry
+    for name in presc.pres_registry.names():
         ref = MintTypeRef(name)
         want = _recurses(ref, registry, walking=())
         assert is_recursive(ref, registry) is want
@@ -661,9 +665,9 @@ def _assert_memo_agrees(registry):
 
 class TestRecursionMemo:
     def test_recursive_and_flat_named_types(self):
-        registry = api.compile(DB_IDL, "oncrpc").presc.mint_registry
-        _assert_memo_agrees(registry)
-        assert is_recursive(MintTypeRef("entry"), registry)
+        presc = api.compile(DB_IDL, "oncrpc").presc
+        _assert_memo_agrees(presc)
+        assert is_recursive(MintTypeRef("entry"), presc.mint_registry)
 
     def test_a_later_define_is_seen(self):
         """Definitions are write-once, so a completed answer cannot go
@@ -697,5 +701,5 @@ class TestRecursionMemo:
     @given(pair=type_value_pairs)
     def test_agrees_with_the_unmemoised_walk(self, pair):
         aoi_type = _uniquify(pair[0], itertools.count())
-        _assert_memo_agrees(_presc_for(aoi_type).mint_registry)
+        _assert_memo_agrees(_presc_for(aoi_type))
 

@@ -86,10 +86,6 @@ class TestReadCursor:
         cursor.align(4)
         assert cursor.offset == 4
 
-    def test_remaining(self):
-        cursor = ReadCursor(b"abcd", offset=1)
-        assert cursor.remaining() == 3
-
 
 class TestXdrLayout:
     def test_everything_is_four_aligned(self):

@@ -2,7 +2,7 @@
 
 ``repro.envelopes`` states each protocol's request and reply envelope
 once; the generated stubs inline the printed walk and the module-level
-readers (``probe``, ``reply_error``, ``parse_request``, ``extract``,
+readers (``locate``, ``route``, ``parse_request``, ``extract``,
 ``RequestCore.op_key``) are the same text exec'd.  These tests pin that
 derivation, the three defects the hand-written copies had drifted into,
 and — through ``tests/golden/envelope_verdicts.json`` — what every
@@ -28,10 +28,11 @@ from repro.gateway.envelope import IngressSpec, parse_request
 from repro.obs import propagation
 from repro.runtime import (
     ServerStats, StubServer, TcpClientTransport, operation_names)
-from repro.runtime.aio.correlation import probe, reply_error, route
+from repro.runtime.aio.correlation import locate, route
 from repro.runtime.request import RequestCore
 
 from tests import envelope_verdicts
+from tests.envelope_verdicts import reply_error
 from tests.conftest import (
     ALL_BACKENDS, MAIL_IDL, MailImpl, compile_db, compile_mail)
 from tests.test_fuzz_wire import (
@@ -122,7 +123,7 @@ class TestDerivedFromOneDescription:
 
     def test_one_bound_moves_every_reader_together(self, monkeypatch):
         """Lower MAX_SERVICE_CONTEXTS in the description and dispatch,
-        probe, parse_request and extract all refuse the frame they all
+        locate, parse_request and extract all refuse the frame they all
         accepted — there is no second place to lower it in."""
         spec = IngressSpec("giop", object_key=b"Test::Mail")
 
@@ -139,7 +140,7 @@ class TestDerivedFromOneDescription:
             for name, read in (
                     ("dispatch", lambda: module.dispatch(
                         frame, MailImpl(module), MarshalBuffer())),
-                    ("probe", lambda: probe(frame)),
+                    ("locate", lambda: locate(frame)),
                     ("parse_request", lambda: parse_request(frame, spec))):
                 try:
                     read()
@@ -151,12 +152,12 @@ class TestDerivedFromOneDescription:
 
         try:
             assert verdicts() == {
-                "dispatch": None, "probe": None, "parse_request": None,
+                "dispatch": None, "locate": None, "parse_request": None,
                 "extract": CONTEXT}
             monkeypatch.setattr(envelopes, "MAX_SERVICE_CONTEXTS", 2)
             too_many = ("service_contexts", 2, 3)
             assert verdicts() == {
-                "dispatch": too_many, "probe": too_many,
+                "dispatch": too_many, "locate": too_many,
                 "parse_request": too_many, "extract": None}
         finally:
             monkeypatch.undo()
@@ -170,8 +171,9 @@ class TestDerivedFromOneDescription:
                        little_endian=True).compile(MAIL_IDL).load_module()
         assert module._ENVELOPE == ("giop", "<")
         frame = propagation.inject(_avg_request(module), CONTEXT)
-        info = probe(frame)
-        assert (info.op_key, info.id_format) == (b"avg", "<I")
+        (_protocol, _direction, endian), found = \
+            envelope_verdicts.probe(frame)
+        assert (found[2], endian) == (b"avg", "<")
         assert propagation.extract(frame) == CONTEXT
         envelope = parse_request(frame, IngressSpec(
             "giop", object_key=b"Test::Mail", little_endian=True))
@@ -183,7 +185,7 @@ class TestDerivedFromOneDescription:
 
 
 # ---------------------------------------------------------------------------
-# Defect 1: probe and extract carry the service-context bound
+# Defect 1: locate and extract carry the service-context bound
 # ---------------------------------------------------------------------------
 
 class TestForgedContextCount:
@@ -201,7 +203,7 @@ class TestForgedContextCount:
         frame = self._forged(module)
         count = (len(frame) - 16) // 8
         spec = IngressSpec("giop", object_key=b"Test::Mail")
-        for read in (probe, lambda d: parse_request(d, spec),
+        for read in (locate, lambda d: parse_request(d, spec),
                      lambda d: module.dispatch(d, None, MarshalBuffer()),
                      envelopes.reader("giop", "request", ">")):
             with pytest.raises(WireFormatError) as refusal:
@@ -366,7 +368,7 @@ class TestOperationNamesOnEveryBackEnd:
 def test_reply_error_and_the_stub_word_an_error_reply_alike(protocol):
     """Every reply encode_error_reply (and the gateway's table) can put
     on the wire decodes to the same RemoteCallError — code, message,
-    minor, completed — whether correlation.reply_error classifies it or
+    minor, completed — whether correlation.route classifies it or
     the generated client raises it."""
     subject = envelope_verdicts.Subject(protocol)
     seen = set()
@@ -463,8 +465,8 @@ def _two_walks(frame):
 
 class TestRoutedReplyWalk:
     """``envelopes.router`` / ``correlation.route`` yield, in one pass,
-    the id and offset ``probe`` finds and the error ``reply_error``
-    classifies — on every reply, whole or cut anywhere."""
+    the id and offset ``locate`` finds and the error the reply
+    carries — on every reply, whole or cut anywhere."""
 
     def frames(self):
         frames = []
@@ -503,9 +505,7 @@ class TestRoutedReplyWalk:
                     else:
                         refused_after_id += 1
                         assert route(frame)[:3] == located + (None,)
-                        info = probe(frame)
-                        assert (info.correlation_id, info.id_offset) \
-                            == located
+                        assert locate(frame)[:2] == located
                     continue
                 assert _same_error(error, carried), frame.hex()
                 assert _same_error(reply_error(frame), carried)
@@ -513,8 +513,7 @@ class TestRoutedReplyWalk:
                 assert _same_error(route(frame)[2], carried)
                 if located is not None:
                     assert (wire_id, offset) == located, frame.hex()
-                    info = probe(frame)
-                    assert (info.correlation_id, info.id_offset) == located
+                    assert locate(frame)[:2] == located
                 else:
                     # Only an id-less error answer gets here.
                     assert wire_id is None and error.code \
@@ -539,7 +538,8 @@ class TestRoutedReplyWalk:
             view = memoryview(bytearray(frame))
             assert route(view)[:2] == route(frame)[:2]
             assert _same_error(reply_error(view), reply_error(frame))
-            assert probe(view) == probe(frame)
+            assert envelope_verdicts.probe(view) \
+                == envelope_verdicts.probe(frame)
 
 
 def test_reply_error_reads_versions_and_leaves_garble_to_the_stub():
@@ -729,7 +729,7 @@ def test_every_written_error_reply_reads_back(case, versions):
     if ctx is None:
         code, minor, completed = "GIOP::MessageError", 0, None
     else:
-        assert probe(frame).correlation_id == ctx
+        assert locate(frame)[0] == ctx
     assert (error.protocol, error.code, error.minor, error.completed) == (
         protocol, code, minor, completed)
     if code == "PROG_MISMATCH":

@@ -139,7 +139,6 @@ class TestFaultInjector:
                     (outcome.reset,
                      tuple(d.payload for d in outcome.deliveries))
                 )
-            trace.append(tuple(d.payload for d in injector.drain()))
             return trace, dict(injector.counts)
 
         assert run() == run()
@@ -183,12 +182,6 @@ class TestFaultInjector:
         assert first.deliveries == ()  # held
         second = injector.on_message(b"b")
         assert [d.payload for d in second.deliveries] == [b"b", b"a"]
-
-    def test_drain_releases_a_trailing_held_message(self):
-        injector = FaultPlan(reorder=1.0).injector()
-        assert injector.on_message(b"tail").deliveries == ()
-        assert [d.payload for d in injector.drain()] == [b"tail"]
-        assert injector.drain() == ()
 
 
 # ----------------------------------------------------------------------

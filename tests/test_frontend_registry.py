@@ -11,7 +11,7 @@ tested without touching any dispatch site.
 
 import pytest
 
-from repro import api, frontends
+from repro import Flick, api, frontends
 from repro.core.compiler import DEFAULT_BACKEND
 from repro.errors import FlickError
 
@@ -39,9 +39,6 @@ class TestRegistryInvariants:
         assert frontends.suffix_map() == {
             s: fe.name for fe in FRONTENDS for s in fe.suffixes
         }
-
-    def test_api_langs_mirrors_registry(self):
-        assert api.langs() == tuple(NAMES)
 
     def test_unknown_language_error_lists_names(self):
         with pytest.raises(FlickError, match="unknown IDL language"):
@@ -103,11 +100,11 @@ class TestFrontEndConformance:
     @pytest.mark.parametrize("fe", FRONTENDS, ids=NAMES)
     def test_parse_contract(self, fe):
         if fe.has_aoi:
-            root = api.parse(fe.sample, fe.name)
+            root = Flick(frontend=fe.name).parse(fe.sample)
             assert root.interfaces
         else:
             with pytest.raises(FlickError, match="conjoined"):
-                api.parse(fe.sample, fe.name)
+                Flick(frontend=fe.name).parse(fe.sample)
 
     @pytest.mark.parametrize("fe", FRONTENDS, ids=NAMES)
     def test_compile_frontend_phases(self, fe):
@@ -169,7 +166,7 @@ class TestThirdPartyRegistration:
             assert result.interface.name == "toylang"
         finally:
             del frontends._REGISTRY["toy"]
-        assert "toy" not in api.langs()
+        assert "toy" not in frontends.names()
 
 
 # ----------------------------------------------------------------------

@@ -40,13 +40,15 @@ from repro.gateway import (
 from repro.envelopes import write_error
 from repro.gateway import errmap
 from repro.gateway.envelope import parse_request
+from repro.obs import metrics
 from repro.runtime import StubServer, TcpClientTransport
 from repro.runtime.aio import ServerStats
-from repro.runtime.aio.correlation import reply_error, route
+from repro.runtime.aio.correlation import route
 
 from tests import bridge_plans, copy_refusals
 from tests.conftest import MAIL_IDL, MailImpl, compile_mail
 from tests.endpoint import registry_endpoint
+from tests.envelope_verdicts import reply_error
 from tests.rawsock import recv_record
 
 
@@ -341,9 +343,10 @@ class TestUpstreamLeg:
                     client.avg([1, 2, 3])
         assert "COMM_FAILURE" in caught.value.code
         assert stats.malformed.value == 0
-        errors = stats.registry.snapshot()[
-            "flick_gateway_upstream_errors_total"]
-        assert errors == {("giop->oncrpc", "TransportError"): 2}
+        samples = metrics.parse_prometheus(stats.registry.render_prometheus())
+        errors = samples["flick_gateway_upstream_errors_total"]
+        assert errors == {(("bridge", "giop->oncrpc"),
+                           ("code", "TransportError")): 2}
 
     def test_64_in_flight_answered_out_of_order(self, iiop_result,
                                                 onc_result):
@@ -454,6 +457,52 @@ class TestUpstreamLeg:
                 started = time.perf_counter()
                 assert client.avg([2, 4]) == 3.0
                 assert time.perf_counter() - started >= 0.2
+
+    def test_upstream_fault_plan_delays_a_oneway(self, iiop_result,
+                                                 onc_result):
+        """A oneway through the gateway goes out after the plan's delay;
+        the caller is not held for it."""
+        import time
+
+        from repro.faults import FaultPlan
+
+        module = iiop_result.load_module()
+        with _bridge(iiop_result, onc_result,
+                     upstream_fault_plan=FaultPlan(delay=1.0,
+                                                   delay_s=0.3)) \
+                as (gateway, impl):
+            with _client(module, gateway.address) as (client, _):
+                started = time.perf_counter()
+                client.ping(7)
+                assert impl.last_ping is None
+                while impl.last_ping is None \
+                        and time.perf_counter() - started < 5:
+                    time.sleep(0.01)
+                assert impl.last_ping == 7
+                assert time.perf_counter() - started >= 0.3
+
+    def test_upstream_fault_plan_reset_of_a_oneway(self, iiop_result,
+                                                   onc_result):
+        """A oneway the plan resets never reaches the servant; it is an
+        upstream error, not a bad frame, and the caller keeps its
+        connection (the next call gets the mapped reply)."""
+        from repro.faults import FaultPlan
+
+        stats = ServerStats()
+        module = iiop_result.load_module()
+        with _bridge(iiop_result, onc_result, stats=stats,
+                     upstream_fault_plan=FaultPlan(reset=1.0)) \
+                as (gateway, impl):
+            with _client(module, gateway.address) as (client, _):
+                client.ping(5)
+                with pytest.raises(RemoteCallError) as caught:
+                    client.avg([1, 2, 3])
+            assert impl.last_ping is None
+        assert "COMM_FAILURE" in caught.value.code
+        assert stats.malformed.value == 0
+        samples = metrics.parse_prometheus(stats.registry.render_prometheus())
+        assert samples["flick_gateway_upstream_errors_total"] == {
+            (("bridge", "giop->oncrpc"), ("code", "TransportError")): 2}
 
     def test_upstream_fault_plan_reorder_ends_every_call(
             self, iiop_result, onc_result):

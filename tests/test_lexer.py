@@ -331,6 +331,6 @@ class TestGeneratedStreams:
             == [token for _gap, token in stream]
         for token in got:
             location = token.location
-            line = source.line_text(location.line)
+            line = source.text.split("\n")[location.line - 1]
             assert line[location.column - 1:][:len(token.text)] \
                 == token.text

@@ -14,8 +14,6 @@ from repro.mint import (
     MintVoid,
     StorageClass,
     analyze_storage,
-    build_message_mints,
-    count_atoms,
     is_recursive,
 )
 from repro.encoding import CDR_BE, FLUKE, MACH, XDR
@@ -93,13 +91,53 @@ class TestMintConstruction:
         ) == MintInteger(32, True)
 
 
+class TestEnumLabelSpellings:
+    """A CORBA case label may name an enum member as a string literal
+    (``case "B":``); the MINT label, and so the wire, carry the member's
+    value, exactly as for the scoped name (``case B:``)."""
+
+    IDL = ("enum C { A, B };"
+           " union U switch (C) { case %s: long x; default: short y; };"
+           " interface I { void f(in U u); };")
+    WIRE = {
+        "iiop": "47494f500100000000000028000000000000000101000000000000"
+                "014900000000000002660000000000000000000001" "00000007",
+        "oncrpc-xdr": "0000000100000000000000022000000000000001000000010000"
+                      "00000000000000000000000000000000000100000007",
+    }
+
+    @pytest.mark.parametrize("label", ['"B"', "B"])
+    def test_string_label_is_the_member_value(self, label):
+        root = Flick(frontend="corba").parse(self.IDL % label)
+        builder = MintBuilder(root)
+        from repro.aoi import AoiNamedRef
+
+        union = builder.registry.resolve(builder.mint_for(AoiNamedRef("U")))
+        assert [case.labels for case in union.cases] == [(1,), ()]
+
+    @pytest.mark.parametrize("backend", ["iiop", "oncrpc-xdr"])
+    @pytest.mark.parametrize("label", ['"B"', "B"])
+    def test_string_label_wire_bytes(self, label, backend):
+        from repro import api
+        from tests.test_fuzz_wire import _capture_requests
+
+        module = api.compile(self.IDL % label, "corba",
+                             backend=backend).module
+        (request,) = _capture_requests(module, [("f", ((1, 7),))])
+        assert request.hex() == self.WIRE[backend]
+
+
+def _operation(root, interface, name):
+    (found,) = [operation for operation
+                in root.interface_named(interface).operations
+                if operation.name == name]
+    return found
+
+
 class TestMessageMints:
     def test_request_struct_fields(self):
         root = Flick(frontend="corba").parse(IDL)
-        registry, messages = build_message_mints(
-            root, root.interface_named("T::I")
-        )
-        request = messages["f"].request
+        request = MintBuilder(root).request_mint(_operation(root, "T::I", "f"))
         assert [s.name for s in request.slots] == ["r", "s"]
 
     def test_reply_union_success_and_exceptions(self):
@@ -107,10 +145,7 @@ class TestMessageMints:
             "exception E { long c; };"
             "interface I { long f(out long y) raises (E); };"
         )
-        _registry, messages = build_message_mints(
-            root, root.interface_named("I")
-        )
-        reply = messages["f"].reply
+        reply = MintBuilder(root).reply_mint(_operation(root, "I", "f"))
         assert isinstance(reply, MintUnion)
         assert len(reply.cases) == 2
         success = reply.cases[0].type
@@ -118,10 +153,8 @@ class TestMessageMints:
 
     def test_oneway_has_no_reply(self):
         root = Flick(frontend="corba").parse(IDL)
-        _registry, messages = build_message_mints(
-            root, root.interface_named("T::I")
-        )
-        assert messages["g"].reply is None
+        assert MintBuilder(root).reply_mint(_operation(root, "T::I", "g")) \
+            is None
 
 
 class TestStorageAnalysis:
@@ -189,23 +222,7 @@ class TestStorageAnalysis:
         assert info.storage_class is StorageClass.UNBOUNDED
 
 
-class TestCountAndRecursion:
-    def test_count_atoms_fixed(self):
-        root = Flick(frontend="corba").parse(IDL)
-        builder = MintBuilder(root)
-        from repro.aoi import AoiNamedRef
-
-        mint = builder.mint_for(AoiNamedRef("T::Rect"))
-        assert count_atoms(mint, builder.registry) == 4
-
-    def test_count_atoms_array_scaled(self):
-        root = Flick(frontend="corba").parse(IDL)
-        builder = MintBuilder(root)
-        from repro.aoi import AoiNamedRef
-
-        mint = builder.mint_for(AoiNamedRef("T::Ints"))
-        assert count_atoms(mint, builder.registry, for_length=7) == 7
-
+class TestRecursion:
     def test_is_recursive_detects_lists(self):
         root = Flick(frontend="oncrpc").parse(
             "struct n { int v; n *next; };"

@@ -225,7 +225,7 @@ class TestRendererSelection:
     def test_flick_facade_threads_renderer(self):
         flick = Flick(frontend="corba", renderer="closures")
         result = flick.compile(MAIL_IDL)
-        assert result.renderer == result.stubs.renderer == "closures"
+        assert result.stubs.renderer == "closures"
 
     def test_compile_all_threads_renderer(self):
         results = api.compile_all(MAIL_IDL, "corba", renderer="closures")

@@ -22,7 +22,7 @@ import pytest
 
 from repro import Flick, obs
 from repro.encoding import MarshalBuffer
-from repro.encoding.buffer import buffer_counters, reset_buffer_counters
+from repro.encoding.buffer import buffer_counters
 from repro.errors import DeadlineError
 from repro.obs import http as obs_http
 from repro.obs import metrics, propagation, trace
@@ -74,6 +74,12 @@ def _compile(backend):
 # ----------------------------------------------------------------------
 # Histogram percentiles
 # ----------------------------------------------------------------------
+
+def _scrape(stats, name):
+    """The unlabelled sample *name* in *stats*' exposition."""
+    return metrics.parse_prometheus(stats.registry.render_prometheus())[
+        name][()]
+
 
 class TestLatencyHistogram:
     def test_empty_percentiles_are_zero(self):
@@ -137,7 +143,6 @@ class TestLatencyHistogram:
         snapshot = stats.snapshot()["add"]
         assert snapshot["calls"] == threads_n * per_thread
         assert snapshot["errors"] == threads_n * (per_thread // 100)
-        assert stats.total_calls == threads_n * per_thread
 
 
 # ----------------------------------------------------------------------
@@ -154,10 +159,10 @@ class TestMetricsRegistry:
         occupancy.set(3)
         latency = registry.histogram("latency_seconds", "rtt", ("op",))
         latency.labels("add").observe(0.002)
-        snapshot = registry.snapshot()
-        assert snapshot["requests_total"][("add",)] == 3
-        assert snapshot["pool_open"][()] == 3
-        assert snapshot["latency_seconds"][("add",)]["count"] == 1
+        assert requests.labels("add").value == 3
+        assert occupancy.value == 3
+        assert latency.labels("add").total == 1
+        assert [key for key, _child in latency.collect()] == [("add",)]
 
     def test_family_is_idempotent_but_kind_conflicts_raise(self):
         registry = metrics.MetricsRegistry()
@@ -171,7 +176,7 @@ class TestMetricsRegistry:
     def test_prometheus_exposition(self):
         registry = metrics.MetricsRegistry()
         registry.counter("errs_total", "oops", ("op",)).labels("f").inc()
-        registry.histogram("lat_seconds", "rtt").observe(0.004)
+        registry.histogram("lat_seconds", "rtt").labels().observe(0.004)
         registry.gauge_callback("buf_allocs", "buffers", lambda: 7)
         text = registry.render_prometheus()
         assert '# TYPE errs_total counter' in text
@@ -263,7 +268,7 @@ class TestMetricsRegistry:
 
 class TestSpans:
     def test_disabled_tracing_returns_shared_noop(self):
-        assert not trace.enabled()
+        assert trace.active() is None
         assert trace.span("anything") is trace.NOOP
         with trace.span("anything") as span:
             span.set(op="x")
@@ -306,9 +311,9 @@ class TestSpans:
 
     def test_shutdown_disables_and_closes(self):
         obs.configure(obs.CollectingExporter())
-        assert trace.enabled()
+        assert trace.active() is not None
         obs.shutdown()
-        assert not trace.enabled()
+        assert trace.active() is None
         assert trace.span("x") is trace.NOOP
 
 
@@ -640,11 +645,11 @@ class TestClientStats:
 
         pools = [Pool(2, 1), Pool(1, 0)]
         stats.pools.update(pools)
-        snapshot = stats.registry.snapshot()
-        assert snapshot["flick_client_retries_total"][()] == 1
-        assert snapshot["flick_client_deadline_expiries_total"][()] == 2
-        assert snapshot["flick_client_pool_connections"][()] == 3
-        assert snapshot["flick_client_in_flight_requests"][()] == 1
+        samples = metrics.parse_prometheus(stats.registry.render_prometheus())
+        assert samples["flick_client_retries_total"][()] == 1
+        assert samples["flick_client_deadline_expiries_total"][()] == 2
+        assert samples["flick_client_pool_connections"][()] == 3
+        assert samples["flick_client_in_flight_requests"][()] == 1
 
     def test_deadline_expiry_is_counted(self):
         module = _compile("oncrpc-xdr")
@@ -662,7 +667,7 @@ class TestClientStats:
             finally:
                 transport.close()
         assert stats.deadline_expiries.value == 1
-        assert stats.in_flight.value == 0
+        assert _scrape(stats, "flick_client_in_flight_requests") == 0
 
     def test_pool_occupancy_gauges(self):
         module = _compile("oncrpc-xdr")
@@ -673,8 +678,8 @@ class TestClientStats:
             try:
                 client = module.CalcClient(transport)
                 assert client.add(4, 5) == 9
-                assert stats.open_connections.value == 1
-                assert stats.in_flight.value == 0
+                assert _scrape(stats, "flick_client_pool_connections") == 1
+                assert _scrape(stats, "flick_client_in_flight_requests") == 0
                 assert stats.retries.value == 0
             finally:
                 transport.close()
@@ -782,15 +787,14 @@ class TestMetricsEndpoint:
 
 class TestBufferCounters:
     def test_allocation_and_growth_are_counted(self):
-        reset_buffer_counters()
+        before = buffer_counters()
         buffer = MarshalBuffer(capacity=16)
         buffer.reserve(1 << 16)
-        counters = buffer_counters()
+        counters = {key: value - before[key]
+                    for key, value in buffer_counters().items()}
         assert counters["allocations"] == 1
         assert counters["grows"] == 1
         assert counters["grown_bytes"] >= (1 << 16) - 16
-        reset_buffer_counters()
-        assert buffer_counters()["allocations"] == 0
 
 
 class TestCompilerTiming:

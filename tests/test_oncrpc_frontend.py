@@ -14,13 +14,13 @@ from repro.aoi import (
     AoiStruct,
     AoiUnion,
 )
-from repro import api
+from repro import Flick
 from repro.oncrpc import parse_oncrpc_idl
 from repro.oncrpc import ast
 
 
 def oncrpc_aoi(text):
-    return api.parse(text, "oncrpc")
+    return Flick(frontend="oncrpc").parse(text)
 
 
 class TestParser:

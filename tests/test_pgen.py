@@ -8,21 +8,21 @@ from repro.cast import emit_c
 from repro.pgen import make_presentation
 from repro.pres import nodes as p
 
-from tests.conftest import MAIL_IDL, DB_IDL
+from tests.conftest import MAIL_IDL, DB_IDL, present
 
 
 @pytest.fixture(scope="module")
 def mail_presc():
     flick = Flick(frontend="corba")
     root = flick.parse(MAIL_IDL)
-    return flick.present(root, "Test::Mail")
+    return present(root, "Test::Mail")
 
 
 @pytest.fixture(scope="module")
 def db_presc():
     flick = Flick(frontend="oncrpc")
     root = flick.parse(DB_IDL)
-    return flick.present(root, "DB::DBV")
+    return present(root, "DB::DBV", "rpcgen")
 
 
 class TestCorbaPresentation:
@@ -117,7 +117,8 @@ class TestRpcgenPresentation:
     def test_recursive_type_registered(self, db_presc):
         assert "entry" in db_presc.pres_registry
         entry = db_presc.pres_registry["entry"]
-        next_field = entry.field_named("next")
+        (next_field,) = [struct_field for struct_field in entry.fields
+                         if struct_field.name == "next"]
         assert isinstance(next_field.pres, p.PresOptPtr)
         assert isinstance(next_field.pres.element, p.PresRef)
 
@@ -126,7 +127,7 @@ class TestFlukePresentation:
     def test_derived_from_corba(self):
         flick = Flick(frontend="corba", presentation="fluke")
         root = flick.parse(MAIL_IDL)
-        presc = flick.present(root, "Test::Mail")
+        presc = present(root, "Test::Mail", "fluke")
         stub = presc.stub_named("send")
         assert stub.stub_name == "fluke_Test_Mail_send"
         text = emit_c([stub.c_decl])
@@ -135,7 +136,7 @@ class TestFlukePresentation:
     def test_void_ops_return_int_code(self):
         flick = Flick(frontend="corba", presentation="fluke")
         root = flick.parse("interface I { void f(); };")
-        presc = flick.present(root, "I")
+        presc = present(root, "I", "fluke")
         text = emit_c([presc.stub_named("f").c_decl])
         assert text.strip().startswith("int fluke_I_f(")
 
@@ -147,7 +148,7 @@ class TestInheritance:
             "interface A { void base(); };"
             "interface B : A { void extra(); };"
         )
-        presc = flick.present(root, "B")
+        presc = present(root, "B")
         names = [stub.operation_name for stub in presc.stubs]
         assert names == ["base", "extra"]
 
@@ -159,7 +160,7 @@ class TestInheritance:
             "interface B : R {};"
             "interface C : A, B { void c(); };"
         )
-        presc = flick.present(root, "C")
+        presc = present(root, "C")
         names = [stub.operation_name for stub in presc.stubs]
         assert names.count("r") == 1
 
@@ -168,7 +169,7 @@ class TestSides:
     def test_separate_client_server_prescs(self, mail_presc):
         flick = Flick(frontend="corba")
         root = flick.parse(MAIL_IDL)
-        server = flick.present(root, "Test::Mail", side="server")
+        server = present(root, "Test::Mail", side="server")
         assert server.side == "server"
         assert mail_presc.side == "client"
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Flick
+from tests.conftest import present
 from repro.errors import MarshalError, UnmarshalError
 from repro.encoding import XDR, MarshalBuffer
 from repro.pres import InterpretiveCodec
@@ -94,7 +95,7 @@ class TestInterpCodecErrors:
             "interface I { void f(in string<4> s,"
             " in sequence<long, 2> xs); };"
         )
-        return flick.present(root, "I")
+        return present(root, "I")
 
     def codec(self, presc):
         return InterpretiveCodec(

@@ -41,7 +41,7 @@ from repro.runtime import LoopbackTransport, StubServer, TcpClientTransport
 from repro.runtime.aio import ServerStats
 from repro.tools import cli
 
-from tests.conftest import MailImpl, compile_mail
+from tests.conftest import MailImpl, base_of, compile_mail, profile_of
 from tests.endpoint import registry_endpoint
 
 #: The acceptance schema: directory listings with bimodal lengths and
@@ -217,18 +217,17 @@ class TestMergeLaws:
             OpProfile("a", "request").merge(OpProfile("b", "request"))
 
     def test_snapshot_merge_unions_ops_and_keeps_coarser_rate(self):
-        a = ProfileSnapshot(sample=1)
-        a.profile("send", "request").calls = 5
-        b = ProfileSnapshot(sample=64)
-        b.profile("list", "reply").calls = 3
+        a = ProfileSnapshot(sample=1,
+                            ops=[OpProfile("send", "request", calls=5)])
+        b = ProfileSnapshot(sample=64,
+                            ops=[OpProfile("list", "reply", calls=3)])
         a.merge(b)
         assert a.sample == 64
         assert a.op_names() == ["list", "send"]
 
     def test_snapshot_file_round_trip(self, tmp_path):
-        snapshot = ProfileSnapshot(sample=8)
-        prof = snapshot.profile("send", "request")
-        prof.calls = 16
+        prof = OpProfile("send", "request", calls=16)
+        snapshot = ProfileSnapshot(sample=8, ops=[prof])
         prof.size.observe(120)
         path = tmp_path / "snap.json"
         documents.save(snapshot, path)
@@ -249,9 +248,8 @@ class TestMergeLaws:
 def _snapshot(ops=None, **changes):
     """A healthy one-op snapshot document, with *changes* applied to
     the op (or *ops* replacing the list)."""
-    snapshot = ProfileSnapshot(sample=1)
-    prof = snapshot.profile("send", "request")
-    prof.calls = prof.sampled = 2
+    prof = OpProfile("send", "request", calls=2, sampled=2)
+    snapshot = ProfileSnapshot(sample=1, ops=[prof])
     prof.size.observe(100)
     prof.codec_hist("encode").observe(0.001)
     prof.length("msg", "str", 5)
@@ -411,8 +409,8 @@ class TestSwap:
         # The first call handed the deferred entry over to what it
         # compiled, under the layer: shutdown restores the current base.
         assert module._m_req_list is deferred.__wrapped__
-        assert module._m_req_list is codecs.of(module).base("_m_req_list")
-        assert snapshot.profile("list", "request").calls == 1
+        assert module._m_req_list is base_of(codecs.of(module), "_m_req_list")
+        assert profile_of(snapshot, "list", "request").calls == 1
 
     def test_wrapped_wire_bytes_are_identical(self):
         plain = _compile_fs().load_module()
@@ -434,7 +432,7 @@ class TestSwap:
             buffer.reset()
             module._m_req_list(buffer, 1, 2)
         snapshot = profile.shutdown()
-        prof = snapshot.profile("list", "request")
+        prof = profile_of(snapshot, "list", "request")
         assert prof.calls == 64
         assert prof.sampled == 8
 
@@ -478,7 +476,7 @@ class TestReplyArms:
         with pytest.raises(module.Bank_Overdrawn):
             client.withdraw(140, record)
         snapshot = profile.shutdown()
-        reply = snapshot.profile("withdraw", "reply")
+        reply = profile_of(snapshot, "withdraw", "reply")
         assert reply.arms[profile.REPLY_ARM] == {"ok": 2, "x1": 2}
         # The encoder probed the raised value along the arm's channel.
         assert sorted(reply.channels) == ["value.note"]
@@ -568,7 +566,7 @@ class TestEndToEnd:
                     .startswith("application/json")
                 live = json.loads(response.read().decode())
         snapshot = _read(live)
-        assert snapshot.profile("list", "request").calls == 1
+        assert profile_of(snapshot, "list", "request").calls == 1
 
     def test_profile_endpoint_404s_while_off(self, fs_result):
         stats = ServerStats()
@@ -600,8 +598,8 @@ class TestEndToEnd:
         assert "p99 ms" in out
 
     def test_cli_profile_rejects_unknown_op(self, tmp_path, capsys):
-        snapshot = ProfileSnapshot()
-        snapshot.profile("send", "request").calls = 1
+        snapshot = ProfileSnapshot(ops=[OpProfile("send", "request",
+                                                  calls=1)])
         path = tmp_path / "snap.json"
         documents.save(snapshot, path)
         assert cli.main(["profile", str(path), "--op", "nope"]) == 1
@@ -610,9 +608,9 @@ class TestEndToEnd:
     def test_cli_profile_merges_worker_snapshots(self, tmp_path, capsys):
         paths = []
         for index in (1, 2):
-            snapshot = ProfileSnapshot(sample=1)
-            prof = snapshot.profile("send", "request")
-            prof.calls = prof.sampled = 10 * index
+            prof = OpProfile("send", "request", calls=10 * index,
+                             sampled=10 * index)
+            snapshot = ProfileSnapshot(sample=1, ops=[prof])
             prof.size.observe(100)
             path = tmp_path / ("worker%d.json" % index)
             documents.save(snapshot, path)
@@ -670,7 +668,7 @@ class TestGatewayProfile:
         predicted = predict_fused(build_plan(iiop_result, onc_result))
         for op in ("avg", "send"):
             for direction in ("request", "reply"):
-                prof = snapshot.profile(op, direction)
+                prof = profile_of(snapshot, op, direction)
                 assert sum(prof.paths.values()) == 10
                 dynamic = prof.fused_fraction
                 static = 1.0 if predicted[op][direction].fused else 0.0
@@ -687,7 +685,7 @@ class TestGatewayProfile:
             finally:
                 transport.close()
         snapshot = profile.shutdown()
-        prof = snapshot.profile("avg", "request")
+        prof = profile_of(snapshot, "avg", "request")
         assert prof.size.total == 1
         assert prof.size.sum > 0
         assert prof.codec_hist("transcode").total == 1

@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from repro import api
+from repro import Flick, api
 from repro.errors import FlickError
 from repro.runtime import LoopbackTransport
 
@@ -411,7 +411,7 @@ def _single_field_aoi(annotation_source):
         class Holder:
             value: %s
     """) % annotation_source
-    root = api.parse(source, "pyschema")
+    root = Flick(frontend="pyschema").parse(source)
     holder = root.types["Holder"]
     return holder.fields[0].type
 
@@ -511,18 +511,18 @@ class TestSchemaErrors:
                 value: Mode
         """)
         with pytest.raises(FlickError, match="int"):
-            api.parse(source, "pyschema")
+            Flick(frontend="pyschema").parse(source)
 
     def test_invalid_python_source(self):
         with pytest.raises(FlickError, match="invalid Python schema"):
-            api.parse("def broken(:\n", "pyschema")
+            Flick(frontend="pyschema").parse("def broken(:\n")
 
     def test_future_annotations_supported(self):
         source = (
             "from __future__ import annotations\n"
             + PYSCHEMA_EQ.replace("from dataclasses", "from dataclasses", 1)
         )
-        root = api.parse(source, "pyschema")
+        root = Flick(frontend="pyschema").parse(source)
         assert root.interface_named("Mail") is not None
 
 

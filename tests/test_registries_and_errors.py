@@ -80,12 +80,6 @@ class TestMintRegistry:
         with pytest.raises(FlickError):
             registry.resolve(MintTypeRef("a"))
 
-    def test_names_sorted(self):
-        registry = MintRegistry()
-        registry.define("zeta", MintVoid())
-        registry.define("alpha", MintVoid())
-        assert registry.names() == ["alpha", "zeta"]
-
     def test_contains(self):
         registry = MintRegistry()
         registry.define("a", MintVoid())
@@ -93,6 +87,12 @@ class TestMintRegistry:
 
 
 class TestPresRegistry:
+    def test_names_sorted(self):
+        registry = p.PresRegistry()
+        registry.define("zeta", p.PresVoid(MintVoid()))
+        registry.define("alpha", p.PresVoid(MintVoid()))
+        assert registry.names() == ["alpha", "zeta"]
+
     def test_resolve_non_ref_passthrough(self):
         registry = p.PresRegistry()
         node = p.PresVoid(MintVoid())
@@ -149,13 +149,3 @@ class TestPresUnionHelpers:
         with pytest.raises(PresentationError):
             no_default.arm_for(99)
 
-    def test_struct_field_lookup(self):
-        from repro.mint.types import MintStruct
-
-        struct = p.PresStruct(
-            MintStruct(()), "S",
-            (p.PresStructField("a", p.PresVoid(MintVoid())),),
-        )
-        assert struct.field_named("a").name == "a"
-        with pytest.raises(KeyError):
-            struct.field_named("zzz")

@@ -24,17 +24,6 @@ class TestSourceFile:
         with pytest.raises(ValueError):
             source.location(-1)
 
-    def test_line_text(self):
-        source = SourceFile("first\nsecond\nthird")
-        assert source.line_text(1) == "first"
-        assert source.line_text(2) == "second"
-        assert source.line_text(3) == "third"
-
-    def test_line_text_out_of_range(self):
-        source = SourceFile("only")
-        with pytest.raises(ValueError):
-            source.line_text(2)
-
     def test_empty_file(self):
         source = SourceFile("")
         assert source.location(0).line == 1

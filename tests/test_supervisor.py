@@ -39,6 +39,8 @@ from repro.runtime.supervisor import (
     merge_prometheus,
 )
 
+from tests.conftest import profile_of
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(REPO_ROOT, "examples")
 SRC = os.path.join(REPO_ROOT, "src")
@@ -701,12 +703,12 @@ class TestProfileAggregation:
             live = sup.profile_json()
             assert live is not None
             snapshot = documents.read(ProfileSnapshot, live, "snapshot")
-            assert snapshot.profile("avg", "request").calls == calls
+            assert profile_of(snapshot, "avg", "request").calls == calls
         merged = sup.stop()  # idempotent second stop
         del merged
         saved = documents.load(ProfileSnapshot, profile_path, "snapshot")
-        assert saved.profile("avg", "request").calls == calls
-        assert saved.profile("avg", "reply").calls == calls
+        assert profile_of(saved, "avg", "request").calls == calls
+        assert profile_of(saved, "avg", "reply").calls == calls
 
 
 # ----------------------------------------------------------------------
