@@ -14,7 +14,8 @@ under benchmarks/ (and tests/) only.  "Never ran" is not "dead": a
 caller on a path no driver takes keeps a function alive.
 
 ``--check`` exits 1 when a function that never ran or has only test
-callers is not in :data:`KEEP`, the list of what stays and why.  Run it
+callers is not in :data:`KEEP`, the list of what stays and why, or when
+an entry of :data:`KEEP` names no such function any more.  Run it
 on a copy of the tree or restore ``BENCH_calls.json`` after: one driver
 is ``scripts/call_counts.py``, which rewrites that file.
 """
@@ -88,7 +89,8 @@ _AIO_CLIENT = "AioClientTransport and its options() view, the blocking " \
 _TRANSPORT = "UDP/Fluke transport kept for callers outside this repository"
 _PROTOCOL = "protocol method (repr, str, context manager, null object)"
 #: ``"path qualname"`` -> why it stays although no driver but tests (or
-#: none) calls it.  ``--check`` fails on any other such function.
+#: none) calls it.  ``--check`` fails on any other such function and on
+#: an entry that names no such function.
 KEEP = {
     "aoi/interfaces.py AoiRoot.__repr__": _PROTOCOL,
     "backend/base.py OptimizingBackEnd.request_header": _HOOK,
@@ -237,7 +239,7 @@ def main(argv):
         callers = record(out)
     totals = {kind: [0, 0] for kind in ("never ran", "tests only",
                                         "bench only")}
-    unexplained = []
+    unexplained, listed = [], set()
     for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"),
                                  recursive=True)):
         found = {kind: [] for kind in totals}
@@ -251,19 +253,24 @@ def main(argv):
                 totals[kind][0] += 1
                 totals[kind][1] += last - first + 1
                 key = "%s %s" % (relative, name)
-                if kind != "bench only" and key not in KEEP:
-                    unexplained.append("%s (%s)" % (key, kind))
+                if kind != "bench only":
+                    listed.add(key)
+                    if key not in KEEP:
+                        unexplained.append("%s (%s)" % (key, kind))
         for kind, names in found.items():
             if names:
                 print("%s  %s: %s" % (os.path.relpath(path, ROOT), kind,
                                       ", ".join(names)))
     for kind, (count, lines) in totals.items():
         print("%s: %d functions, %d lines" % (kind, count, lines))
-    if check and unexplained:
+    stale = sorted(set(KEEP) - listed)
+    if unexplained:
         print("not in reachability.KEEP (delete, drive from a test, or "
               "keep with a reason):\n  " + "\n  ".join(unexplained))
-        return 1
-    return 0
+    if stale:
+        print("in reachability.KEEP but neither never ran nor tests only "
+              "(drop the entry):\n  " + "\n  ".join(stale))
+    return 1 if check and (unexplained or stale) else 0
 
 
 if __name__ == "__main__":

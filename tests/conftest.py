@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Flick, OptFlags
+from repro.obs import metrics
 from repro.pgen import make_presentation
 
 
@@ -18,6 +19,14 @@ def profile_of(snapshot, op, direction):
     (found,) = [profile for profile in snapshot.ops
                 if (profile.op, profile.direction) == (op, direction)]
     return found
+
+
+def counter_total(stats, name):
+    """The counter *name* as *stats* exports it, summed over its labels
+    (a family with no children yet exports nothing and reads 0)."""
+    assert name in [family.name for family in stats.registry.families()]
+    samples = metrics.parse_prometheus(stats.registry.render_prometheus())
+    return sum(samples.get(name, {}).values())
 
 
 def present(root, interface, presentation="corba-c", side="client"):

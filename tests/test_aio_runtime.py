@@ -40,7 +40,7 @@ from repro.runtime.aio.server import POOLED_BUFFER_MAX, BufferPool
 from repro.runtime.framing import MAX_RECORD_SIZE, RecordDecoder, encode_record
 from tests.rawsock import recv_record
 
-from tests.conftest import MailImpl, compile_mail
+from tests.conftest import MailImpl, compile_mail, counter_total
 
 
 @pytest.fixture(scope="module")
@@ -921,6 +921,8 @@ class TestBatchedIO:
         rows = stats.snapshot().values()
         assert sum(row["calls"] for row in rows) == calls
         assert sum(row["errors"] for row in rows) == 0
+        assert counter_total(stats, "flick_server_requests_total") == calls
+        assert counter_total(stats, "flick_server_errors_total") == 0
 
 
 # ----------------------------------------------------------------------
@@ -1187,7 +1189,7 @@ class TestSafetyPaths:
                 TcpClientTransport(*server.address))
             assert client.avg([5, 7]) == 6.0
         assert stats.malformed.value == 1
-        assert sum(row["calls"] for row in stats.snapshot().values()) == 3
+        assert counter_total(stats, "flick_server_requests_total") == 3
 
     def test_a_garbage_reply_stream_fails_pending_calls_unretried(
             self, onc_module):
@@ -1311,6 +1313,8 @@ class TestStats:
         assert snapshot["ping"]["calls"] == 1
         assert sum(row["errors"] for row in snapshot.values()) == 0
         assert sum(row["calls"] for row in snapshot.values()) == 8
+        assert counter_total(stats, "flick_server_requests_total") == 8
+        assert counter_total(stats, "flick_server_errors_total") == 0
         assert snapshot["avg"]["p50_s"] > 0
         table = stats.format_table()
         assert "avg" in table and "p95" in table

@@ -36,6 +36,7 @@ from repro.runtime import (
 from repro.runtime.aio import AioClientTransport, CallOptions, ClientStats
 from repro.runtime.socket_transport import _inject_current_trace
 
+from tests.conftest import counter_total
 from tests.endpoint import registry_endpoint
 
 CALC_IDL = """
@@ -143,6 +144,10 @@ class TestLatencyHistogram:
         snapshot = stats.snapshot()["add"]
         assert snapshot["calls"] == threads_n * per_thread
         assert snapshot["errors"] == threads_n * (per_thread // 100)
+        assert counter_total(stats, "flick_server_requests_total") \
+            == threads_n * per_thread
+        assert counter_total(stats, "flick_server_errors_total") \
+            == threads_n * (per_thread // 100)
 
 
 # ----------------------------------------------------------------------
