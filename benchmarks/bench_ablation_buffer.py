@@ -13,7 +13,7 @@ records the on/off ratio of the region form.
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api
 from repro.workloads import (
     BENCH_IDL_ONC,
     make_dir_entries,
@@ -32,11 +32,9 @@ def run(budget=0.05):
     data = {}
     for label, flags in (
         ("on", OptFlags()),
-        ("off", OptFlags().disable_pass("batch_buffer_checks")),
+        ("off", OptFlags().but(batch_buffer_checks=False)),
     ):
-        module = Flick(
-            frontend="oncrpc", flags=flags
-        ).compile(BENCH_IDL_ONC).load_module()
+        module = api.compile(BENCH_IDL_ONC, "oncrpc", flags=flags).module
         for size in (4096, 65536, 262144):
             args = (make_dir_entries(module, size, record_prefix=""),)
             mbps, _message = measure_marshal(

@@ -14,7 +14,7 @@ direction (``GetArrayRegion`` against the per-atom element loop).
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api
 from repro.workloads import BENCH_IDL_ONC, make_rect_array
 
 from benchmarks.harness import (
@@ -32,11 +32,9 @@ def run(budget=0.05):
     data = {}
     for label, flags in (
         ("on", OptFlags()),
-        ("off", OptFlags().disable_pass("chunk_atoms")),
+        ("off", OptFlags().but(chunk_atoms=False)),
     ):
-        module = Flick(
-            frontend="oncrpc", flags=flags
-        ).compile(BENCH_IDL_ONC).load_module()
+        module = api.compile(BENCH_IDL_ONC, "oncrpc", flags=flags).module
         for size in (1024, 65536):
             args = (make_rect_array(module, size, record_prefix=""),)
             data[(label, size)], _m = measure_marshal(

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api
 from repro.encoding import MarshalBuffer
 
 from benchmarks.harness import fmt, print_table
@@ -56,9 +56,7 @@ def run(budget=0.05):
         ("hash", OptFlags()),
         ("linear", OptFlags(hash_demux=False)),
     ):
-        module = Flick(
-            frontend="corba", backend="iiop", flags=flags
-        ).compile(IDL).load_module()
+        module = api.compile(IDL, "corba", backend="iiop", flags=flags).module
         data[(label, "first")] = measure_dispatch(
             module, "op_00", budget
         )

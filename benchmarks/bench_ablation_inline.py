@@ -13,7 +13,7 @@ structures where cross-boundary chunking matters).
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api
 from repro.workloads import BENCH_IDL_ONC, make_dir_entries, make_rect_array
 
 from benchmarks.harness import fmt, measure_marshal, print_table
@@ -24,11 +24,10 @@ def run(budget=0.05):
     modules = {}
     for label, flags in (
         ("on", OptFlags()),
-        ("off", OptFlags().disable_pass("inline_marshal")),
+        ("off", OptFlags().but(inline_marshal=False)),
     ):
-        modules[label] = Flick(
-            frontend="oncrpc", flags=flags
-        ).compile(BENCH_IDL_ONC).load_module()
+        modules[label] = api.compile(
+            BENCH_IDL_ONC, "oncrpc", flags=flags).module
         for size in (1024, 65536):
             args = (make_rect_array(modules[label], size,
                                     record_prefix=""),)

@@ -10,7 +10,7 @@ entries (the paper's string case) and integer arrays (batched packs).
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api
 from repro.workloads import BENCH_IDL_ONC, make_dir_entries, make_int_array
 
 from benchmarks.harness import fmt, measure_marshal, print_table
@@ -20,11 +20,9 @@ def run(budget=0.05):
     data = {}
     for label, flags in (
         ("on", OptFlags()),
-        ("off", OptFlags().disable_pass("memcpy_arrays")),
+        ("off", OptFlags().but(memcpy_arrays=False)),
     ):
-        module = Flick(
-            frontend="oncrpc", flags=flags
-        ).compile(BENCH_IDL_ONC).load_module()
+        module = api.compile(BENCH_IDL_ONC, "oncrpc", flags=flags).module
         data[("dirents", label)], _size = measure_marshal(
             module, "dirents",
             (make_dir_entries(module, 65536, record_prefix=""),),

@@ -11,7 +11,7 @@ Toggled flag: ``zero_copy_server``.  Workload: opaque blobs.
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api
 
 from benchmarks.harness import fmt, measure_unmarshal, print_table
 
@@ -31,9 +31,7 @@ def run(budget=0.05):
         ("view", OptFlags(zero_copy_server=True)),
         ("copy", OptFlags()),
     ):
-        module = Flick(
-            frontend="oncrpc", flags=flags
-        ).compile(IDL).load_module()
+        module = api.compile(IDL, "oncrpc", flags=flags).module
         for size in (1024, 65536, 1048576):
             payload = bytes(size)
             mbps, _m = measure_unmarshal(

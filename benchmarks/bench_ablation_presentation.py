@@ -14,7 +14,7 @@ are identical; only the programmer's contract differs.
 
 import pytest
 
-from repro import Flick
+from repro import api
 
 from benchmarks.harness import fmt, measure_marshal, print_table
 
@@ -31,9 +31,8 @@ def run(budget=0.05):
     data = {}
     modules = {}
     for style in ("corba-c", "corba-c-len"):
-        modules[style] = Flick(
-            frontend="corba", presentation=style, backend="iiop"
-        ).compile(LOG_IDL).load_module()
+        modules[style] = api.compile(
+            LOG_IDL, "corba", presentation=style, backend="iiop").module
     for size in SIZES:
         text = "x" * size
         encoded = text.encode("latin-1")

@@ -43,7 +43,7 @@ import time
 import pytest
 
 from benchmarks.harness import compiled, fmt, print_table, save_json
-from repro import Flick
+from repro import api
 from repro.encoding import MarshalBuffer
 from repro.runtime import StubServer
 from repro.runtime.aio import ConnectionPool
@@ -275,8 +275,7 @@ def _measure_workers(tmp_dir):
         handle.write(MULTIPROC_IDL)
     with open(os.path.join(tmp_dir, "bench_servant.py"), "w") as handle:
         handle.write(MULTIPROC_SERVANT)
-    module = Flick(frontend="corba", backend="oncrpc-xdr") \
-        .compile(MULTIPROC_IDL).load_module()
+    module = api.compile(MULTIPROC_IDL, "corba", backend="oncrpc-xdr").module
     request = _churn_request(module)
     template = ServiceConfig(
         kind="serve", idl_path=idl_path, lang="corba",

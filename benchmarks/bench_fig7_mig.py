@@ -108,13 +108,13 @@ class TestFigure7:
 
     def test_mig_rigidity_documented(self, benchmark):
         """MIG could not express the rect/directory workloads at all."""
-        from repro import Flick
+        from repro import api
         from repro.compilers import make_baseline
         from repro.errors import BackEndError
         from repro.workloads import BENCH_IDL_ONC
 
         def run():
-            base = Flick(frontend="oncrpc").compile(BENCH_IDL_ONC)
+            base = api.compile(BENCH_IDL_ONC, "oncrpc")
             try:
                 make_baseline("mig").generate(base.presc)
             except BackEndError as error:

@@ -76,7 +76,7 @@ def _measure(plan, data, env, budget=BUDGET):
 
 def _series(workload, sizes, budget=BUDGET):
     ingress, fused_plan, plain_plan = _bridge()
-    module = ingress.load_module()
+    module = ingress.module
     rows = []
     data = {}
     for size in sizes:
@@ -140,7 +140,7 @@ class TestGatewayTranscode:
         the gateway analogue of the paper's memcpy-vs-loop gap."""
         def run():
             ingress, fused_plan, plain_plan = _bridge()
-            module = ingress.load_module()
+            module = ingress.module
             request = _ingress_request(module, "ints", 262144)
             env = parse_request(request, fused_plan.ingress_spec)
             return (_measure(fused_plan, request, env, 0.05),

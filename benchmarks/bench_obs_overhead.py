@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.harness import fmt, print_table, save_json
-from repro import Flick, obs
+from repro import api, obs
 from repro.runtime import LoopbackTransport, StubServer, TcpClientTransport
 from repro.workloads import BENCH_IDL_ONC, make_int_array
 
@@ -56,7 +56,7 @@ class EchoServant:
 def _fresh_module():
     """A private stub module (instrumentation rebinds module globals,
     so the harness's shared cached module must stay untouched)."""
-    return Flick(frontend="oncrpc").compile(BENCH_IDL_ONC).load_module()
+    return api.compile(BENCH_IDL_ONC, "oncrpc").module
 
 
 def _mean_call_seconds(call, calls):

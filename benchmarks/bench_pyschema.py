@@ -139,7 +139,7 @@ def _plain_module():
 def run(budget=0.04, rounds=3):
     compiled = api.compile(
         BENCH_PYSCHEMA, "pyschema", backend="oncrpc-xdr"
-    ).load_module()
+    ).module
     plain = _plain_module()
     from repro.encoding import MarshalBuffer
 

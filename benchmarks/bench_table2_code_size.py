@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro import Flick
+from repro import api
 from repro.compilers import make_baseline
 from repro.errors import BackEndError
 from repro.workloads import BENCH_IDL_CORBA, BENCH_IDL_ONC
@@ -47,8 +47,8 @@ def module_file_size(module_name):
 
 
 def compute_table():
-    onc = Flick(frontend="oncrpc").compile(BENCH_IDL_ONC)
-    corba = Flick(frontend="corba", backend="iiop").compile(BENCH_IDL_CORBA)
+    onc = api.compile(BENCH_IDL_ONC, "oncrpc")
+    corba = api.compile(BENCH_IDL_CORBA, "corba", backend="iiop")
     rows = []
     data = {}
 

@@ -43,7 +43,7 @@ def build_all():
         "BENCH_BENCHVClient",
     )
     statuses[("Flick", "ONC")] = check(
-        onc.load_module(), "BENCH_BENCHVClient"
+        onc.module, "BENCH_BENCHVClient"
     )
     statuses[("ORBeline", "CORBA")] = check(
         make_baseline("orbeline").generate(corba.presc).load(),
@@ -54,13 +54,13 @@ def build_all():
         "Bench_BenchClient",
     )
     statuses[("Flick", "CORBA")] = check(
-        corba.load_module(), "Bench_BenchClient"
+        corba.module, "Bench_BenchClient"
     )
     statuses[("MIG", "MIG")] = check(
         make_baseline("mig").generate(mig_presc).load(), "benchClient"
     )
     statuses[("Flick", "ONC", "mach")] = check(
-        onc_mach.load_module(), "BENCH_BENCHVClient"
+        onc_mach.module, "BENCH_BENCHVClient"
     )
     return statuses
 

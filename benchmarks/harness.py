@@ -79,13 +79,13 @@ def compiled(name):
         return _cache[name]
     if name == "flick-xdr":
         result = api.compile(BENCH_IDL_ONC, "oncrpc")
-        module = result.load_module()
+        module = result.module
     elif name == "flick-iiop":
         result = api.compile(BENCH_IDL_CORBA, "corba", backend="iiop")
-        module = result.load_module()
+        module = result.module
     elif name == "flick-mach":
         result = api.compile(BENCH_IDL_ONC, "oncrpc", backend="mach3")
-        module = result.load_module()
+        module = result.module
     elif name in ("rpcgen", "powerrpc"):
         base = api.compile(BENCH_IDL_ONC, "oncrpc")
         stubs = make_baseline(name).generate(base.presc)

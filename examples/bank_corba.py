@@ -7,7 +7,7 @@ raised across the wire, a discriminated union for mixed query results,
 account extends the base account).
 """
 
-from repro import Flick
+from repro import api
 from repro.runtime import LoopbackTransport
 
 BANK_IDL = """
@@ -49,9 +49,8 @@ BALANCE, OWNER, HISTORY_SIZE = 0, 1, 2
 
 
 def main():
-    result = Flick(frontend="corba", backend="iiop").compile(
-        BANK_IDL, interface="Bank::AuditedAccount"
-    )
+    result = api.compile(
+        BANK_IDL, "corba", interface="Bank::AuditedAccount", backend="iiop")
     module = result.module
     print("operations:", [s.operation_name for s in result.presc.stubs])
 

@@ -10,7 +10,7 @@ compiles every combination, shows that all three produce byte-identical
 XDR messages, and runs the service over all four message formats.
 """
 
-from repro import Flick
+from repro import api
 from repro.encoding import MarshalBuffer
 from repro.runtime import LoopbackTransport
 
@@ -92,7 +92,7 @@ def main():
 
     # CORBA IDL through all four back ends.
     for backend in ("iiop", "oncrpc-xdr", "mach3", "fluke"):
-        result = Flick(frontend="corba", backend=backend).compile(CORBA_IDL)
+        result = api.compile(CORBA_IDL, "corba", backend=backend)
         module = result.module
         run_service(
             module,
@@ -104,7 +104,7 @@ def main():
 
     # ONC RPC IDL through its natural and foreign back ends.
     for backend in ("oncrpc-xdr", "fluke"):
-        result = Flick(frontend="oncrpc", backend=backend).compile(ONC_IDL)
+        result = api.compile(ONC_IDL, "oncrpc", backend=backend)
         module = result.module
         run_service(
             module,
@@ -116,8 +116,7 @@ def main():
 
     # No IDL file at all: the same contract as annotated dataclasses.
     for backend in ("oncrpc-xdr", "iiop"):
-        result = Flick(frontend="pyschema", backend=backend).compile(
-            PY_SCHEMA)
+        result = api.compile(PY_SCHEMA, "pyschema", backend=backend)
         module = result.module
         run_service(
             module,
@@ -130,9 +129,9 @@ def main():
     # The wire bytes are identical across schema languages: the
     # presentation differs (names, records), the network contract does
     # not.
-    corba = Flick(frontend="corba", backend="oncrpc-xdr").compile(CORBA_IDL)
-    onc = Flick(frontend="oncrpc").compile(ONC_IDL)
-    pys = Flick(frontend="pyschema", backend="oncrpc-xdr").compile(PY_SCHEMA)
+    corba = api.compile(CORBA_IDL, "corba", backend="oncrpc-xdr")
+    onc = api.compile(ONC_IDL, "oncrpc")
+    pys = api.compile(PY_SCHEMA, "pyschema", backend="oncrpc-xdr")
     corba_module, onc_module, pys_module = corba.module, onc.module, pys.module
     corba_buffer, onc_buffer, pys_buffer = (
         MarshalBuffer(), MarshalBuffer(), MarshalBuffer())

@@ -12,7 +12,7 @@ rpcgen serves, generated here by Flick's ONC/XDR back end.
 
 import threading
 
-from repro import Flick
+from repro import api
 from repro.errors import FlickUserException
 from repro.runtime import StubServer, TcpClientTransport
 
@@ -112,7 +112,7 @@ def entries_to_list(head):
 
 
 def main():
-    result = Flick(frontend="oncrpc").compile(FS_IDL)
+    result = api.compile(FS_IDL, "oncrpc")
     module = result.module
     print("compiled %s -> %s stubs"
           % (result.interface.name, result.stubs.backend_name))

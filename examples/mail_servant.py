@@ -43,13 +43,13 @@ def main():
 
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-    from repro import Flick
+    from repro import api
     from repro.runtime import StubServer, TcpClientTransport
 
     idl = open(os.path.join(
         os.path.dirname(os.path.abspath(__file__)),
         "idl", "mail_v2.idl")).read()
-    module = Flick(frontend="corba").compile(idl).module
+    module = api.compile(idl, "corba").module
     with StubServer(module, MailServant()).tcp_server() as server:
         client = module.MailClient(
             TcpClientTransport(*server.address))

@@ -12,7 +12,7 @@ proves the wire bytes identical, and measures the marshal-rate difference.
 
 import time
 
-from repro import Flick
+from repro import api
 from repro.cast import emit_c
 from repro.encoding import MarshalBuffer
 from repro.runtime import LoopbackTransport
@@ -47,9 +47,8 @@ def marshal_rate(module, value, seconds=0.2):
 def main():
     presentations = {}
     for style in ("corba-c", "corba-c-len", "fluke"):
-        presentations[style] = Flick(
-            frontend="corba", presentation=style, backend="iiop"
-        ).compile(IDL)
+        presentations[style] = api.compile(
+            IDL, "corba", presentation=style, backend="iiop")
 
     print("Three programmer's contracts for one network contract:\n")
     for style, result in presentations.items():

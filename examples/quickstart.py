@@ -10,10 +10,10 @@ The paper opens with this CORBA IDL::
 Here we compile it with Flick, load the generated stubs, implement a
 servant, and invoke it through the generated client proxy over an
 in-process transport.  Everything the paper's Figure 1 shows — front end,
-presentation generator, back end — runs inside ``Flick.compile``.
+presentation generator, back end — runs inside ``api.compile``.
 """
 
-from repro import Flick
+from repro import api
 from repro.runtime import LoopbackTransport
 
 MAIL_IDL = """
@@ -26,8 +26,7 @@ interface Mail {
 
 def main():
     # Compile: CORBA IDL -> AOI -> PRES_C -> IIOP/CDR stubs.
-    flick = Flick(frontend="corba", backend="iiop")
-    result = flick.compile(MAIL_IDL)
+    result = api.compile(MAIL_IDL, "corba", backend="iiop")
 
     print("compiled interface:", result.interface.name)
     print("presentation style:", result.presc.presentation_style)

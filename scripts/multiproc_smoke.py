@@ -28,7 +28,7 @@ WORKERS = 4
 
 sys.path.insert(0, SRC)
 
-from repro import Flick  # noqa: E402
+from repro import api  # noqa: E402
 from repro.obs.metrics import parse_prometheus  # noqa: E402
 from repro.runtime import TcpClientTransport  # noqa: E402
 
@@ -112,7 +112,7 @@ def main():
         if scrape(http_port, "/healthz")[0] != 200:
             fail("/healthz not 200 on a running fleet")
 
-        v1 = Flick(frontend="corba").compile(v1_text).module
+        v1 = api.compile(v1_text, "corba").module
         transport = TcpClientTransport("127.0.0.1", serve_port)
         client = v1.MailClient(transport)
         calls = 10
@@ -149,7 +149,7 @@ def main():
             if time.monotonic() > deadline:
                 fail("/readyz never recovered after the rollout")
             time.sleep(0.2)
-        v2 = Flick(frontend="corba").compile(v2_text).module
+        v2 = api.compile(v2_text, "corba").module
         transport = TcpClientTransport("127.0.0.1", serve_port)
         client2 = v2.MailClient(transport)
         client2.send("post-rollout", 1)

@@ -109,6 +109,9 @@ KEEP = {
     "faults/transport.py FaultyTransport.call": _FAKE,
     "faults/transport.py FaultyTransport.send": _FAKE,
     "faults/transport.py FaultyTransport.close": _FAKE,
+    "frontends/__init__.py FrontEnd.compile_frontend": "the front end "
+    "alone (parse, then lower), the public way to an AoiRoot; api.compile "
+    "runs the two phases apart to time each",
     "gateway/plan.py BridgePlan.fused_request_ops": "flick gateway's "
     "listening banner; no driver serves a gateway from the CLI",
     "idl/source.py SourceFile.__repr__": _PROTOCOL,

@@ -11,7 +11,7 @@ faster than traditional IDL compilers.  Front ends self-register with
 
 Quick start::
 
-    from repro import Flick
+    import repro
     from repro.runtime import LoopbackTransport
 
     IDL = '''
@@ -20,8 +20,7 @@ Quick start::
     };
     '''
 
-    result = Flick(frontend="corba", backend="iiop").compile(IDL)
-    module = result.load_module()
+    module = repro.compile(IDL, "corba", backend="iiop").module
 
     class MailImpl(module.MailServant):
         def send(self, msg):
@@ -36,7 +35,7 @@ of the paper's tables and figures.
 """
 
 from repro.api import compile, compile_all, detect_lang
-from repro.core import CompileResult, Flick, OptFlags
+from repro.core import CompileResult, OptFlags
 from repro.errors import (
     AoiValidationError,
     BackEndError,
@@ -64,7 +63,6 @@ __all__ = [
     "compile_all",
     "detect_lang",
     "DispatchError",
-    "Flick",
     "FlickError",
     "FlickUserException",
     "IdlSemanticError",

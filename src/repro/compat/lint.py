@@ -80,18 +80,18 @@ def lint_compiled(result, backend=None):
 
 def lint_text(text, lang=None, *, name="<idl>", interface=None,
               backend=None, flags=None):
-    """Compile *text* and lint every interface it defines.
+    """Compile *text* and lint every interface it defines, or the one
+    *interface* names.
 
     Returns ``(findings, protocol_name)``; *backend* defaults to the
     language's natural protocol (ONC -> oncrpc-xdr and so on).
     """
     from repro import api
 
-    results = api.compile_all(
-        text, lang, flags=flags, name=name, backend=backend,
-    )
-    if interface is not None:
-        results = {interface: results[interface]}
+    options = dict(flags=flags, name=name, backend=backend)
+    results = api.compile_all(text, lang, **options) if interface is None \
+        else {interface: api.compile(text, lang, interface=interface,
+                                     **options)}
     findings: List[LintFinding] = []
     protocol = None
     for _interface_name, result in sorted(results.items()):

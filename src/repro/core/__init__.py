@@ -1,7 +1,7 @@
-"""The Flick compiler core: pipeline driver and optimization options."""
+"""The Flick compiler core: the compile result and optimization options."""
 
 from repro.core.options import OptFlags
 from repro.core.loader import load_stub_module
-from repro.core.compiler import Flick, CompileResult
+from repro.core.compiler import CompileResult
 
-__all__ = ["CompileResult", "Flick", "OptFlags", "load_stub_module"]
+__all__ = ["CompileResult", "OptFlags", "load_stub_module"]

@@ -59,8 +59,9 @@ class OptFlags:
             helper functions and alias their call sites (an IR→IR pass).
 
     Flag names ending up in generated-code shape are 1:1 with the MIR
-    pass names (:data:`repro.mir.passes.PASS_NAMES`), so the same names
-    toggle passes from the CLI (``--disable-pass``) and benchmarks.
+    pass names (:data:`repro.mir.passes.PASS_NAMES`).  Any field turns
+    off by name: ``--disable-pass NAME`` on the CLI, ``but(NAME=False)``
+    from Python.
     """
 
     inline_marshal: bool = True
@@ -77,20 +78,6 @@ class OptFlags:
     def but(self, **changes):
         """Return a copy with *changes* applied (ablation helper)."""
         return replace(self, **changes)
-
-    def disable_pass(self, name):
-        """Return a copy with the MIR pass *name* turned off.
-
-        Unknown names raise ValueError listing the available passes.
-        """
-        from repro.mir.passes import PASS_NAMES
-
-        if name not in PASS_NAMES:
-            raise ValueError(
-                "unknown pass %r; available passes: %s"
-                % (name, ", ".join(sorted(PASS_NAMES)))
-            )
-        return replace(self, **{name: False})
 
     @classmethod
     def all_off(cls):

@@ -12,7 +12,7 @@ A front end describes itself with a :class:`FrontEnd` record — name,
 file suffixes, content-sniff patterns, the parse→lower phase pair, and
 capabilities (``has_aoi``, ``servable``, object acceptance) — and calls
 :func:`register` at import time.  Every dispatch site (``api.compile``,
-``detect_lang``, the CLI's ``--frontend``/``--lang`` choices,
+``detect_lang``, the CLI's ``--lang`` choices,
 ``flick diff``'s protocol defaults, the supervisor's SIGHUP reload)
 asks the registry instead of enumerating languages, so adding a fourth
 front end (``repro.pyschema``) touches no dispatch site at all.

@@ -334,8 +334,8 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
     ingress_backend, egress_backend = pairing.ingress, pairing.egress
     ingress_presc = ingress_result.presc
     egress_presc = egress_result.presc
-    ingress_module = ingress_result.load_module()
-    egress_module = egress_result.load_module()
+    ingress_module = ingress_result.module
+    egress_module = egress_result.module
 
     ops = {}
     for pair in pairing.ops.values():

@@ -101,10 +101,6 @@ class LatencyHistogram:
             seen += count
         return self.max
 
-    @property
-    def mean(self):
-        return self.sum / self.total if self.total else 0.0
-
     def merge(self, other):
         """Fold *other*'s observations into this histogram (in place).
 
@@ -176,10 +172,6 @@ class Histogram:
         with self._lock:
             self._histogram.observe(value)
 
-    def percentile(self, q):
-        with self._lock:
-            return self._histogram.percentile(q)
-
     @property
     def total(self):
         return self._histogram.total
@@ -187,14 +179,6 @@ class Histogram:
     @property
     def sum(self):
         return self._histogram.sum
-
-    @property
-    def mean(self):
-        return self._histogram.mean
-
-    @property
-    def max(self):
-        return self._histogram.max
 
     @property
     def bounds(self):
@@ -449,7 +433,7 @@ def parse_prometheus(text):
     is exactly what the concurrent-scrape test wants to detect.
     """
     samples = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,11 +1,9 @@
 """Runtime metrics: per-operation server stats, client-runtime stats.
 
-Both are thin, stable facades over :class:`repro.obs.metrics
-.MetricsRegistry` — the generalized registry grew out of the original
-``ServerStats`` here, and this module keeps the ergonomic server-side
-API (``record``/``snapshot``/``format_table``) while exposing the
-registry itself for Prometheus scraping (``flick serve
---metrics-port``).
+Both are thin facades over :class:`repro.obs.metrics.MetricsRegistry`:
+the server side records through ``record`` and the counters, and
+everything reads the registry back (Prometheus scraping with ``flick
+serve --metrics-port``, ``flick top``, the ``--stats`` shutdown table).
 
 ``ServerStats`` is recorded by *both* server runtimes now — the asyncio
 :class:`~repro.runtime.aio.server.AioTcpServer` and the blocking
@@ -15,8 +13,8 @@ dispatched request.  ``ClientStats`` counts the client runtime's
 failure-path events (retries, deadline expiries, orphan replies) and
 tracks pool occupancy.
 
-``flick serve --stats`` prints :meth:`ServerStats.format_table` on
-shutdown.
+``flick serve --stats`` prints ``flick top``'s table of this registry
+(:func:`repro.obs.metrics.top_table`) on shutdown.
 """
 
 from __future__ import annotations
@@ -96,57 +94,6 @@ class ServerStats:
             self._errors.labels(op).inc()
         self._latency.labels(op).observe(seconds)
 
-    def snapshot(self):
-        """A plain-dict view: op -> calls/errors/mean/p50/p95/p99/max."""
-        errors = {
-            key[0]: child.value for key, child in self._errors.collect()
-        }
-        result = {}
-        for key, histogram in self._latency.collect():
-            op = key[0]
-            result[op] = {
-                "calls": histogram.total,
-                "errors": errors.get(op, 0),
-                "mean_s": histogram.mean,
-                "p50_s": histogram.percentile(50),
-                "p95_s": histogram.percentile(95),
-                "p99_s": histogram.percentile(99),
-                "max_s": histogram.max,
-            }
-        return result
-
-    def format_table(self):
-        """A printable table of the snapshot."""
-        snapshot = self.snapshot()
-        header = ("operation", "calls", "errors", "mean", "p50", "p95",
-                  "p99", "max")
-        rows = [header]
-        for op_key in sorted(snapshot, key=str):
-            data = snapshot[op_key]
-            rows.append((
-                str(op_key),
-                str(data["calls"]),
-                str(data["errors"]),
-                _fmt_seconds(data["mean_s"]),
-                _fmt_seconds(data["p50_s"]),
-                _fmt_seconds(data["p95_s"]),
-                _fmt_seconds(data["p99_s"]),
-                _fmt_seconds(data["max_s"]),
-            ))
-        widths = [
-            max(len(row[column]) for row in rows)
-            for column in range(len(header))
-        ]
-        lines = []
-        for index, row in enumerate(rows):
-            lines.append("  ".join(
-                cell.ljust(width) if column == 0 else cell.rjust(width)
-                for column, (cell, width) in enumerate(zip(row, widths))
-            ))
-            if index == 0:
-                lines.append("  ".join("-" * width for width in widths))
-        return "\n".join(lines)
-
 
 class ClientStats:
     """Client-runtime counters: the failure paths and pool occupancy.
@@ -216,11 +163,3 @@ class ClientStats:
             "flick_client_socket_writes_total",
             "Socket writes issued, each carrying one or more requests",
         )
-
-
-def _fmt_seconds(seconds):
-    if seconds >= 1.0:
-        return "%.2fs" % seconds
-    if seconds >= 1e-3:
-        return "%.2fms" % (seconds * 1e3)
-    return "%.0fus" % (seconds * 1e6)

@@ -34,31 +34,6 @@ def operation_names(module):
     return names
 
 
-def compile_interface(text, lang, *, name, interface=None,
-                      presentation=None, backend=None):
-    """Compile the one interface a server will serve from IDL *text*.
-
-    With *interface* None the input must define exactly one.  What
-    ``flick serve``, ``flick gateway`` workers and the supervisor's
-    fail-fast check all select with.
-    """
-    from repro import api
-
-    if interface:
-        return api.compile(
-            text, lang, interface=interface, name=name,
-            presentation=presentation, backend=backend)
-    by_name = api.compile_all(
-        text, lang, name=name, presentation=presentation, backend=backend)
-    if not by_name:
-        raise FlickError("%s defines no interfaces" % name)
-    if len(by_name) > 1:
-        raise FlickError(
-            "%s defines several interfaces (%s); pick one with --interface"
-            % (name, ", ".join(sorted(by_name))))
-    return next(iter(by_name.values()))
-
-
 def load_servant(spec, stub_module):
     """Instantiate the servant named by a ``module:Class`` spec.
 

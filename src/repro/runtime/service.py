@@ -227,7 +227,6 @@ class ServiceConfig:
 def _compile(path, lang, *, interface, pgen, backend):
     """Compile the one interface a service serves from the file *path*."""
     from repro import api, frontends
-    from repro.runtime.server import compile_interface
 
     with open(path) as handle:
         text = handle.read()
@@ -237,7 +236,7 @@ def _compile(path, lang, *, interface, pgen, backend):
             "serve carries TCP protocols only (%s); %s interfaces"
             " target kernel IPC"
             % (", ".join(SERVABLE_BACKENDS), lang.upper()))
-    handle = compile_interface(
+    handle = api.compile(
         text, lang, name=path, interface=interface, presentation=pgen,
         backend=backend)
     if handle.stubs.backend_name not in SERVABLE_BACKENDS:

@@ -3,11 +3,11 @@
 Mirrors the compiler-kit usage of the paper: pick a front end, a
 presentation generator, and a back end, and get stubs out::
 
-    flick compile mail.idl --frontend corba --backend iiop -o out/
-    flick compile db.x --frontend oncrpc --backend oncrpc-xdr --emit c,py
-    flick compile arith.defs --frontend mig -o out/
+    flick compile mail.idl --lang corba --backend iiop -o out/
+    flick compile db.x --lang oncrpc --backend oncrpc-xdr --emit c,py
+    flick compile arith.defs --lang mig -o out/
     flick compile mail.idl --baseline rpcgen      # a comparator's stubs
-    flick compile db.x --disable-pass chunk_atoms # ablate one MIR pass
+    flick compile db.x --disable-pass chunk_atoms # one optimization off
     flick inspect mail.idl                        # storage/demux analyses
     flick ir mail.idl --op send                   # dump the marshal IR
     flick diff old.idl new.idl --json             # wire-compatibility diff
@@ -47,18 +47,8 @@ def _flags(*parents):
     return argparse.ArgumentParser(add_help=False, parents=parents)
 
 
-def _lang_flag(parser, spelling):
-    """The IDL language option; either spelling lands in ``args.lang``."""
-    from repro import frontends
-
-    parser.add_argument(
-        spelling, dest="lang", choices=frontends.names(), default=None,
-        help="IDL language (default: detected from the file; diff and"
-             " bridge detect each file on its own)",
-    )
-
-
 def build_parser():
+    from repro import frontends
     from repro.runtime.service import ServiceConfig
 
     parser = argparse.ArgumentParser(
@@ -75,13 +65,17 @@ def build_parser():
 
     source = _flags()
     source.add_argument("input", help="IDL source file")
-    interface = _flags()
-    interface.add_argument(
+    language = _flags()
+    language.add_argument(
         "--interface", default=None,
         help="interface to use (required if the file defines several)",
     )
-    selection = _flags(source, interface)
-    _lang_flag(selection, "--frontend")
+    language.add_argument(
+        "--lang", choices=frontends.names(), default=None,
+        help="IDL language (default: detected from the file; diff and"
+             " bridge detect each file on its own)",
+    )
+    selection = _flags(source, language)
     selection.add_argument(
         "--pgen", default=None,
         help="presentation style (corba-c, rpcgen, fluke)",
@@ -98,11 +92,10 @@ def build_parser():
     )
     optimization.add_argument(
         "--disable-pass", action="append", default=[], metavar="NAME",
-        help="turn off one MIR optimization pass by name (repeatable;"
-             " an unknown name lists the available passes)",
+        help="turn off one optimization (an OptFlags field, e.g."
+             " chunk_atoms) by name (repeatable; an unknown name lists"
+             " the available ones)",
     )
-    language = _flags(interface)
-    _lang_flag(language, "--lang")
     as_json = _flags()
     as_json.add_argument(
         "--json", action="store_true",
@@ -132,9 +125,6 @@ def build_parser():
     add("-o", "--output", default=".", help="output directory")
     add("--emit", default="py,c,h",
         help="comma-separated outputs: py, c, h (default: all)")
-    add("--disable", default="",
-        help="comma-separated OptFlags fields to turn off"
-             " (e.g. chunk_atoms,memcpy_arrays)")
     add("--little-endian", action="store_true",
         help="generate little-endian CDR stubs (IIOP back end only)")
     add("--baseline", default=None,
@@ -263,7 +253,7 @@ def _parse_endpoint(spec, flag):
 
 
 def _compile_input(args, one=False, **options):
-    """Read ``args.input``, detect its language unless ``--frontend``
+    """Read ``args.input``, detect its language unless ``--lang``
     names it, and compile the ``--interface`` it names or, unless
     *one*, every interface of the file."""
     from repro import api
@@ -288,27 +278,18 @@ def _compile_input(args, one=False, **options):
 
 
 def _opt_flags(args):
-    """The OptFlags ``--no-opt``, ``--disable`` and ``--disable-pass``
-    say."""
+    """The OptFlags ``--no-opt`` and ``--disable-pass`` say; an unknown
+    name is refused with the accepted ones."""
     import dataclasses
 
     from repro.core import OptFlags
-    from repro.mir.passes import PASS_NAMES
 
     flags = OptFlags.all_off() if args.no_opt else OptFlags()
-    flags = _turned_off(flags, getattr(args, "disable", "").split(","),
-                        "OptFlags field",
-                        [field.name for field in dataclasses.fields(flags)])
-    return _turned_off(flags, args.disable_pass, "pass", PASS_NAMES)
-
-
-def _turned_off(flags, names, what, accepted):
-    """*flags* with each of *names* off; an unknown name is refused with
-    the *accepted* ones."""
-    for name in filter(None, names):
+    accepted = sorted(field.name for field in dataclasses.fields(flags))
+    for name in args.disable_pass:
         if name not in accepted:
-            raise FlickError("unknown %s %r; use one of: %s"
-                             % (what, name, ", ".join(sorted(accepted))))
+            raise FlickError("unknown pass %r; use one of: %s"
+                             % (name, ", ".join(accepted)))
         flags = flags.but(**{name: False})
     return flags
 
@@ -360,7 +341,7 @@ def command_compile(args):
 
 
 def _print_timing(result):
-    timings = result.timings or {}
+    timings = result.timings
     phases = "  ".join(
         "%s %.2fms" % (key[:-2], seconds * 1e3)
         for key, seconds in timings.items()
@@ -368,7 +349,7 @@ def _print_timing(result):
     )
     print("timing %s: %s  (total %.2fms)"
           % (result.stubs.interface_name, phases,
-             timings.get("total_s", 0.0) * 1e3))
+             timings["total_s"] * 1e3))
     summary = result.emit_summary()
     print("  emitted: %d operation(s), %d bytes (%d lines),"
           " %d marshal chunk(s)"
@@ -592,7 +573,10 @@ def command_service(args):
                       % ("" if workers is None else "merged ",
                          config.profile_path), flush=True)
     if workers is None and running.stats is not None:
-        print(running.stats.format_table(), flush=True)
+        from repro.obs.metrics import parse_prometheus, top_rows, top_table
+
+        print(top_table(top_rows(parse_prometheus(running.metrics_text()))),
+              flush=True)
     return 0
 
 

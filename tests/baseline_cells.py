@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from repro import Flick, frontends
+from repro import api, frontends
 from repro.compilers import make_baseline
 from repro.errors import FlickError
 
@@ -66,11 +66,11 @@ def schemas():
 def prescs(text, file_name, presentation):
     """The client-side PRES_C of every interface *text* defines."""
     fe = frontends.detect(text, file_name)
-    flick = Flick(frontend=fe.name, presentation=presentation)
     if not fe.has_aoi:
-        return [flick.compile(text, name=file_name).presc]
-    root = flick.parse(text, file_name)
-    return [conftest.present(root, interface.name, flick.presentation)
+        return [api.compile(text, fe.name, name=file_name).presc]
+    root = fe.compile_frontend(text, file_name)
+    return [conftest.present(root, interface.name,
+                             presentation or fe.presentation)
             for interface in root.interfaces]
 
 

@@ -222,7 +222,7 @@ class _Servant:
 def profile_record(result):
     """Channel paths and arm counts per ``op direction``, one sampled
     call of every operation through a loopback client."""
-    module = result.load_module()
+    module = result.module
     presc = result.presc
     profile.instrument_stub_module(module)
     profile.configure(sample=1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api, frontends
 from repro.obs import metrics
 from repro.pgen import make_presentation
 
@@ -27,6 +27,12 @@ def counter_total(stats, name):
     assert name in [family.name for family in stats.registry.families()]
     samples = metrics.parse_prometheus(stats.registry.render_prometheus())
     return sum(samples.get(name, {}).values())
+
+
+def top_rows(stats):
+    """``flick top``'s per-operation rows of what *stats* exports."""
+    return metrics.top_rows(
+        metrics.parse_prometheus(stats.registry.render_prometheus()))
 
 
 def present(root, interface, presentation="corba-c", side="client"):
@@ -146,7 +152,7 @@ ALL_BACKENDS = ("iiop", "oncrpc-xdr", "mach3", "fluke")
 
 @pytest.fixture(scope="session")
 def mail_aoi():
-    return Flick(frontend="corba").parse(MAIL_IDL)
+    return frontends.get("corba").compile_frontend(MAIL_IDL)
 
 
 @pytest.fixture(scope="session")
@@ -156,7 +162,7 @@ def mail_presc(mail_aoi):
 
 @pytest.fixture(scope="session")
 def db_aoi():
-    return Flick(frontend="oncrpc").parse(DB_IDL)
+    return frontends.get("oncrpc").compile_frontend(DB_IDL)
 
 
 @pytest.fixture(scope="session")
@@ -171,18 +177,16 @@ def compile_mail(backend, flags=None):
     """Compile MAIL_IDL for *backend* with *flags*, with caching."""
     key = (backend, flags)
     if key not in _COMPILED_CACHE:
-        flick = Flick(frontend="corba", backend=backend,
-                      flags=flags or OptFlags())
-        _COMPILED_CACHE[key] = flick.compile(MAIL_IDL)
+        _COMPILED_CACHE[key] = api.compile(
+            MAIL_IDL, "corba", backend=backend, flags=flags or OptFlags())
     return _COMPILED_CACHE[key]
 
 
 def compile_db(backend="oncrpc-xdr", flags=None):
     key = ("db", backend, flags)
     if key not in _COMPILED_CACHE:
-        flick = Flick(frontend="oncrpc", backend=backend,
-                      flags=flags or OptFlags())
-        _COMPILED_CACHE[key] = flick.compile(DB_IDL)
+        _COMPILED_CACHE[key] = api.compile(
+            DB_IDL, "oncrpc", backend=backend, flags=flags or OptFlags())
     return _COMPILED_CACHE[key]
 
 

@@ -130,7 +130,7 @@ def _ledger(ingress, egress):
                              servant)
     get = contract.make_kind("iiop", "get_dirents", 512, 1, *sides,
                              servant)
-    near_module, far_module = near.load_module(), far.load_module()
+    near_module, far_module = near.module, far.module
     records = {}
     for name, args, result in (("put_dirents", (put.arg,), None),
                                ("get_dirents", (get.arg,),

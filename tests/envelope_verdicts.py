@@ -83,7 +83,7 @@ class Subject:
     def __init__(self, protocol):
         self.protocol = protocol
         if protocol == "onc":
-            self.module = compile_db().load_module()
+            self.module = compile_db().module
             impl = DbImpl()
             self.spec = IngressSpec("oncrpc", program=0x20000099, version=2)
             self.calls = [("echo", (b"hello world",)),
@@ -93,7 +93,7 @@ class Subject:
             # giop, and the two protocols no frame announces itself as:
             # nothing can sniff them, the gateway does not bridge them.
             self.module = compile_mail(
-                "iiop" if protocol == "giop" else protocol).load_module()
+                "iiop" if protocol == "giop" else protocol).module
             impl = MailImpl(self.module)
             self.spec = IngressSpec("giop", object_key=b"Test::Mail") \
                 if protocol == "giop" else None

@@ -55,8 +55,8 @@ async def aio_call(address, payload):
 
 
 def smoke_direction(ingress, egress, label):
-    ingress_module = ingress.load_module()
-    egress_module = egress.load_module()
+    ingress_module = ingress.module
+    egress_module = egress.module
     plan = build_plan(ingress, egress)
 
     batch = list(range(500))

@@ -40,17 +40,17 @@ from repro.runtime.aio.server import POOLED_BUFFER_MAX, BufferPool
 from repro.runtime.framing import MAX_RECORD_SIZE, RecordDecoder, encode_record
 from tests.rawsock import recv_record
 
-from tests.conftest import MailImpl, compile_mail, counter_total
+from tests.conftest import MailImpl, compile_mail, counter_total, top_rows
 
 
 @pytest.fixture(scope="module")
 def onc_module():
-    return compile_mail("oncrpc-xdr").load_module()
+    return compile_mail("oncrpc-xdr").module
 
 
 @pytest.fixture(scope="module")
 def iiop_module():
-    return compile_mail("iiop").load_module()
+    return compile_mail("iiop").module
 
 
 class SlowImpl(MailImpl):
@@ -505,7 +505,7 @@ class TestCrossCompat:
     def test_half_closed_peer_gets_all_replies(self, backend):
         """A peer that shuts down its write side after its last request
         still receives every in-flight reply before the server closes."""
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         server = StubServer(module, SlowImpl(module, delay=0.05)) \
             .aio_server(dispatch_mode="thread")
         with server:
@@ -651,7 +651,7 @@ sys.path[:0] = %r
 from repro.runtime import StubServer, TcpClientTransport
 from tests.conftest import MailImpl, compile_mail
 
-module = compile_mail("oncrpc-xdr").load_module()
+module = compile_mail("oncrpc-xdr").module
 
 class Hung(MailImpl):
     def avg(self, xs):
@@ -918,8 +918,8 @@ class TestBatchedIO:
                 assert server.in_flight == 0
         finally:
             sys.setswitchinterval(interval)
-        rows = stats.snapshot().values()
-        assert sum(row["calls"] for row in rows) == calls
+        rows = top_rows(stats).values()
+        assert sum(row["requests"] for row in rows) == calls
         assert sum(row["errors"] for row in rows) == 0
         assert counter_total(stats, "flick_server_requests_total") == calls
         assert counter_total(stats, "flick_server_errors_total") == 0
@@ -1307,17 +1307,17 @@ class TestStats:
                 client.avg([0])  # orders the oneway
             finally:
                 transport.close()
-        snapshot = stats.snapshot()
-        assert snapshot["avg"]["calls"] == 6
-        assert snapshot["reverse"]["calls"] == 1
-        assert snapshot["ping"]["calls"] == 1
-        assert sum(row["errors"] for row in snapshot.values()) == 0
-        assert sum(row["calls"] for row in snapshot.values()) == 8
+        rows = top_rows(stats)
+        assert rows["avg"]["requests"] == 6
+        assert rows["reverse"]["requests"] == 1
+        assert rows["ping"]["requests"] == 1
+        assert sum(row["errors"] for row in rows.values()) == 0
+        assert sum(row["requests"] for row in rows.values()) == 8
         assert counter_total(stats, "flick_server_requests_total") == 8
         assert counter_total(stats, "flick_server_errors_total") == 0
-        assert snapshot["avg"]["p50_s"] > 0
-        table = stats.format_table()
-        assert "avg" in table and "p95" in table
+        assert rows["avg"]["latency"].percentile(50) > 0
+        table = metrics.top_table(rows)
+        assert "avg" in table and "p99" in table
 
     def test_pool_gauges_read_the_pool_when_scraped(self, onc_module):
         """In flight is 0 once traffic stops, at least 1 while a call

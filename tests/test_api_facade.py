@@ -6,14 +6,17 @@ content-hashed stub module names that let two versions of one interface
 load side by side, and the ``flick diff`` / ``flick lint`` exit codes.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro import api
+from repro import api, frontends
+from repro.errors import FlickError
 from repro.compat.lint import lint_text
 from repro.faults import FaultPlan
 from repro.runtime.aio.client import ConnectionPool
+from repro.runtime.service import ServiceConfig, compile_handles
 from repro.runtime.socket_transport import (
     TcpServer,
     UdpClientTransport,
@@ -48,6 +51,92 @@ class TestDetectLang:
         assert result.aoi is None
         assert result.presc is not None
         assert result.timings["total_s"] >= 0
+
+
+TWO = "interface A { void f(); };\ninterface B { void g(); };\n"
+
+
+@pytest.fixture
+def parses():
+    """The names the CORBA front end's ``parse`` is called with."""
+    corba = frontends.get("corba")
+    calls = []
+
+    def counting(text, name):
+        calls.append(name)
+        return corba.parse(text, name)
+
+    frontends.register(dataclasses.replace(corba, parse=counting))
+    yield calls
+    frontends.register(corba)
+
+
+class TestOneParse:
+    """The front end runs once per compile, however many interfaces the
+    pipeline then presents and emits."""
+
+    def test_compile_all_parses_once(self, parses):
+        results = api.compile_all(TWO, "corba", name="two.idl")
+        assert sorted(results) == ["A", "B"] and parses == ["two.idl"]
+        first, second = (result.timings for result in results.values())
+        assert first["parse_s"] == second["parse_s"]
+        assert first["aoi_s"] == second["aoi_s"]
+        assert first["present_s"] != second["present_s"]
+
+    def test_serve_compile_parses_once(self, parses, tmp_path):
+        path = str(tmp_path / "calc.idl")
+        with open(path, "w") as handle:
+            handle.write(CORBA)
+        (result,) = compile_handles(ServiceConfig(
+            kind="serve", idl_path=path, impl="calc_impl:CalcImpl"))
+        assert result.stubs.interface_name == "Mail" and parses == [path]
+
+    def test_cli_compile_of_every_interface_parses_once(
+            self, parses, tmp_path):
+        path = str(tmp_path / "two.idl")
+        with open(path, "w") as handle:
+            handle.write(TWO)
+        assert main(["compile", path, "-o", str(tmp_path)]) == 0
+        assert parses == [path]
+
+
+class TestExactlyOneInterface:
+    """One refusal, for every front end, names the file and what it
+    defines."""
+
+    def test_several(self):
+        with pytest.raises(FlickError) as error:
+            api.compile(TWO, "corba", name="two.idl")
+        assert str(error.value) == (
+            "two.idl defines 2 interfaces (A, B); pick one with"
+            " interface= (--interface)")
+
+    def test_none(self):
+        with pytest.raises(FlickError, match="^s.idl defines no interfaces$"):
+            api.compile("struct S { long v; };", "corba", name="s.idl")
+
+    @pytest.mark.parametrize("text, lang, have", [
+        (TWO, "corba", "A, B"), (MIG, "mig", "s")])
+    def test_an_unknown_name(self, text, lang, have):
+        with pytest.raises(FlickError) as error:
+            api.compile(text, lang, name="f", interface="Z")
+        assert str(error.value) == \
+            "f defines no interface 'Z' (have: %s)" % have
+
+    def test_lint_of_an_unknown_name_is_one_error_line(
+            self, tmp_path, capsys):
+        path = str(tmp_path / "two.idl")
+        with open(path, "w") as handle:
+            handle.write(TWO)
+        assert main(["lint", path, "--interface", "Z"]) == 3
+        assert capsys.readouterr().err == (
+            "flick: error: %s defines no interface 'Z' (have: A, B)\n"
+            % path)
+
+    def test_a_named_one_of_several(self):
+        result = api.compile(TWO, "corba", interface="B")
+        assert result.interface.name == "B"
+        assert result.stubs.interface_name == "B"
 
 
 class TestRenamedConstructorKwargs:

@@ -454,6 +454,20 @@ def one_compile_result(tree):
                   "src", "scripts", "examples"))
 
 
+def one_compile_entry(tree):
+    """``repro.api.compile``/``compile_all`` are the one way into the
+    compiler: no ``Flick`` facade or second interface picker under
+    src/, ``.module`` the one way to the stubs, ``--lang`` the one
+    spelling of the language and ``but(NAME=False)`` of turning an
+    optimization off — and nothing the repository ships still calls
+    the deleted spellings."""
+    _no(tree.grep(r"\bclass Flick\b|\bdef load_module\b|\bcompile_interface\b"
+                  r"|[\"']--frontend[\"']|\bdef disable_pass\b", "src"))
+    _no([hit for hit in tree.grep(
+        r"\bFlick\(|\.load_module\(|--frontend\b|\.disable_pass\(",
+        *SEARCHED, python_only=False) if not hit.startswith(THIS + ":")])
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -641,6 +655,21 @@ PINS = {
         ("src/repro/core/handle.py", '"""The compiled-interface handle."""'),
         ("src/repro/core/compiler.py",
          "class CompiledInterface(CompileResult):"),
+    ],
+    one_compile_entry: [
+        ("src/repro/core/compiler.py", "class Flick:"),
+        ("src/repro/core/compiler.py", "    def load_module(self):"),
+        ("src/repro/runtime/server.py",
+         "def compile_interface(text, lang, *, name, interface=None):"),
+        ("src/repro/tools/cli.py", '    _lang_flag(selection, "--frontend")'),
+        ("src/repro/core/options.py", "    def disable_pass(self, name):"),
+        ("examples/quickstart.py",
+         "result = Flick(frontend='corba').compile(MAIL_IDL)"),
+        ("README.md", "    module = result.load_module()"),
+        (".github/workflows/ci.yml",
+         "python -m repro.tools.cli compile x.idl --frontend corba"),
+        ("benchmarks/bench_ablation_chunk.py",
+         "flags = OptFlags().disable_pass('chunk_atoms')"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

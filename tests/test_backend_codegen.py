@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api
 from repro.mint.analysis import StorageClass, analyze_storage
 
 from tests.conftest import MAIL_IDL, compile_mail
@@ -21,24 +21,19 @@ def source_of(backend, flags=None):
 
 class TestChunking:
     def test_rect_marshals_as_one_chunk(self):
-        flick = Flick(frontend="corba", backend="oncrpc-xdr")
-        result = flick.compile(
+        result = api.compile(
             "struct P { long x, y; }; struct R { P a; P b; };"
-            "interface I { void f(in R r); };"
-        )
+            "interface I { void f(in R r); };",
+            "corba", backend="oncrpc-xdr")
         source = result.stubs.py_source
         # Four longs in one pack with one format string.
         assert re.search(r"_pack_into\('>iiii'", source)
 
     def test_chunking_off_packs_per_atom(self):
-        flick = Flick(
-            frontend="corba", backend="oncrpc-xdr",
-            flags=OptFlags(chunk_atoms=False),
-        )
-        result = flick.compile(
+        result = api.compile(
             "struct P { long x, y; }; struct R { P a; P b; };"
-            "interface I { void f(in R r); };"
-        )
+            "interface I { void f(in R r); };",
+            "corba", backend="oncrpc-xdr", flags=OptFlags(chunk_atoms=False))
         source = result.stubs.py_source
         assert not re.search(r"_pack_into\('>iiii'", source)
         assert len(re.findall(r"_pack_into\('>i'", source)) >= 4
@@ -51,8 +46,9 @@ class TestChunking:
         assert operations["tri"]["request_chunks"] >= 1
 
     def test_header_and_first_atoms_batch(self):
-        flick = Flick(frontend="corba", backend="oncrpc-xdr")
-        result = flick.compile("interface I { void f(in long a, in long b); };")
+        result = api.compile(
+            "interface I { void f(in long a, in long b); };", "corba",
+            backend="oncrpc-xdr")
         source = result.stubs.py_source
         # After the 40-byte template, a and b pack together.
         assert re.search(r"_pack_into\('>ii'", source)
@@ -60,23 +56,19 @@ class TestChunking:
 
 class TestBufferChecks:
     def test_one_reserve_for_fixed_region(self):
-        flick = Flick(frontend="corba", backend="oncrpc-xdr")
-        result = flick.compile(
+        result = api.compile(
             "struct P { long x, y; };"
-            "interface I { void f(in P p, in P q); };"
-        )
+            "interface I { void f(in P p, in P q); };",
+            "corba", backend="oncrpc-xdr")
         body = _function_body(result.stubs.py_source, "_m_req_f")
         assert body.count(".reserve(") == 2  # header template + one chunk
 
     def test_per_atom_reserves_when_disabled(self):
-        flick = Flick(
-            frontend="corba", backend="oncrpc-xdr",
-            flags=OptFlags(batch_buffer_checks=False, chunk_atoms=False),
-        )
-        result = flick.compile(
+        result = api.compile(
             "struct P { long x, y; };"
-            "interface I { void f(in P p, in P q); };"
-        )
+            "interface I { void f(in P p, in P q); };",
+            "corba", backend="oncrpc-xdr",
+            flags=OptFlags(batch_buffer_checks=False, chunk_atoms=False))
         body = _function_body(result.stubs.py_source, "_m_req_f")
         assert body.count(".reserve(") >= 5
 
@@ -98,30 +90,25 @@ class TestMemcpy:
 
 class TestInlining:
     def test_inline_by_default(self):
-        flick = Flick(frontend="corba", backend="oncrpc-xdr")
-        result = flick.compile(
-            "struct P { long x, y; }; interface I { void f(in P p); };"
-        )
+        result = api.compile(
+            "struct P { long x, y; }; interface I { void f(in P p); };",
+            "corba", backend="oncrpc-xdr")
         assert "def _m_P(" not in result.stubs.py_source
 
     def test_out_of_line_when_disabled(self):
-        flick = Flick(
-            frontend="corba", backend="oncrpc-xdr",
-            flags=OptFlags(inline_marshal=False),
-        )
-        result = flick.compile(
-            "struct P { long x, y; }; interface I { void f(in P p); };"
-        )
+        result = api.compile(
+            "struct P { long x, y; }; interface I { void f(in P p); };",
+            "corba", backend="oncrpc-xdr",
+            flags=OptFlags(inline_marshal=False))
         source = result.stubs.py_source
         assert "def _m_P(" in source
         assert "def _u_P(" in source
 
     def test_recursive_types_always_out_of_line(self):
-        flick = Flick(frontend="oncrpc")
-        result = flick.compile(
+        result = api.compile(
             "struct n { int v; n *next; };"
-            "program P { version V { int f(n) = 1; } = 1; } = 9;"
-        )
+            "program P { version V { int f(n) = 1; } = 1; } = 9;",
+            "oncrpc")
         source = result.stubs.py_source
         assert "def _m_n(" in source
         assert "_m_n(b, " in source
@@ -149,7 +136,7 @@ class TestDemux:
 class TestHeaders:
     def test_onc_call_header_template(self):
         result = compile_mail("oncrpc-xdr")
-        module = result.load_module()
+        module = result.module
         template = module._H_req_send
         assert len(template) == 40
         import struct
@@ -160,7 +147,7 @@ class TestHeaders:
 
     def test_giop_magic_and_patches(self):
         result = compile_mail("iiop")
-        module = result.load_module()
+        module = result.module
         template = module._H_req_send
         assert template[:4] == b"GIOP"
         assert b"send\x00" in template
@@ -168,19 +155,19 @@ class TestHeaders:
 
     def test_mach_header(self):
         result = compile_mail("mach3")
-        module = result.load_module()
+        module = result.module
         assert len(module._H_req_send) == 20
 
     def test_fluke_header_is_one_word(self):
         result = compile_mail("fluke")
-        module = result.load_module()
+        module = result.module
         assert len(module._H_req_send) == 4
 
     def test_giop_message_size_patched(self):
         import struct
 
         result = compile_mail("iiop")
-        module = result.load_module()
+        module = result.module
         from repro.encoding import MarshalBuffer
 
         buffer = MarshalBuffer()
@@ -219,13 +206,13 @@ class TestStorageMetadata:
 
 class TestGeneratedModuleSurface:
     def test_module_contents(self):
-        module = compile_mail("iiop").load_module()
+        module = compile_mail("iiop").module
         for name in ("Test_MailClient", "Test_MailServant", "dispatch",
                      "Test_Rect", "Test_Point", "Test_Bad"):
             assert hasattr(module, name), name
 
     def test_record_equality_and_repr(self):
-        module = compile_mail("iiop").load_module()
+        module = compile_mail("iiop").module
         a = module.Test_Point(1, 2)
         b = module.Test_Point(1, 2)
         assert a == b
@@ -233,13 +220,13 @@ class TestGeneratedModuleSurface:
         assert "Test_Point(x=1, y=2)" == repr(a)
 
     def test_records_have_slots(self):
-        module = compile_mail("iiop").load_module()
+        module = compile_mail("iiop").module
         point = module.Test_Point(1, 2)
         with pytest.raises(AttributeError):
             point.z = 3
 
     def test_source_attached_to_module(self):
-        module = compile_mail("iiop").load_module()
+        module = compile_mail("iiop").module
         assert "Flick-generated" in module.__source__
 
     def test_c_artifacts_nonempty(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Flick
+from repro import frontends
 from repro.errors import (
     BackEndError,
     MarshalError,
@@ -162,7 +162,7 @@ class TestIluStyle:
         stubs Flick generates."""
         from repro.encoding import MarshalBuffer
 
-        flick = compile_mail("iiop").load_module()
+        flick = compile_mail("iiop").module
         module = make_baseline("ilu").generate(mail_presc_iiop).load()
         request = MarshalBuffer()
         flick._m_req_avg(request, 1, [1, 2])
@@ -186,7 +186,7 @@ class TestMigStyle:
     def test_staged_byte_copy_in_c(self):
         """MIG stages byte data through a copy; its C binds the data
         pointer once and copies the run from there."""
-        root = Flick(frontend="corba").parse(
+        root = frontends.get("corba").compile_frontend(
             "typedef sequence<octet, 64> Blob;"
             " interface I { void put(in Blob b); };")
         text = make_baseline("mig").generate(present(root, "I")).c_source
@@ -199,11 +199,9 @@ class TestMigStyle:
         assert "MIG cannot express" in str(exc_info.value)
 
     def test_rejects_exceptions(self):
-        flick = Flick(frontend="corba")
-        root = flick.parse(
+        root = frontends.get("corba").compile_frontend(
             "exception E { long c; };"
-            "interface I { void f(in long x) raises (E); };"
-        )
+            "interface I { void f(in long x) raises (E); };")
         presc = present(root, "I")
         with pytest.raises(BackEndError):
             make_baseline("mig").generate(presc)

@@ -83,7 +83,7 @@ def _bridge(operation, ingress, egress):
                                          backend=backend)
         results.append(_COMPILED[key])
     return (build_plan(*results), build_plan(*results, fuse=False),
-            results[0].load_module(), results[1].load_module())
+            results[0].module, results[1].module)
 
 
 def _op(plan):

@@ -11,7 +11,7 @@ import subprocess
 
 import pytest
 
-from repro import Flick
+from repro import api
 from repro.backend import make_backend, runtime_header_path
 from repro.backend import interface_file_stem
 
@@ -41,26 +41,24 @@ def compile_c(tmp_path, presc_result, backend_name):
 
 @pytest.mark.parametrize("backend", ["iiop", "oncrpc-xdr", "mach3", "fluke"])
 def test_corba_interface_compiles(tmp_path, backend):
-    result = Flick(frontend="corba", backend=backend).compile(
-        MAIL_IDL, interface="Test::Mail"
-    )
+    result = api.compile(
+        MAIL_IDL, "corba", interface="Test::Mail", backend=backend)
     compile_c(tmp_path, result, backend)
 
 
 def test_recursive_onc_interface_compiles(tmp_path):
-    result = Flick(frontend="oncrpc").compile(DB_IDL, interface="DB::DBV")
+    result = api.compile(DB_IDL, "oncrpc", interface="DB::DBV")
     compile_c(tmp_path, result, "oncrpc-xdr")
 
 
 def test_rpcgen_presentation_compiles(tmp_path):
-    result = Flick(
-        frontend="corba", presentation="rpcgen", backend="oncrpc-xdr"
-    ).compile(MAIL_IDL, interface="Test::Mail")
+    result = api.compile(
+        MAIL_IDL, "corba", interface="Test::Mail", presentation="rpcgen",
+        backend="oncrpc-xdr")
     compile_c(tmp_path, result, "oncrpc-xdr")
 
 
 def test_mig_subsystem_compiles(tmp_path):
-    from repro import api
     from repro.backend.base import GeneratedStubs
 
     presc = api.compile(MIG_IDL, "mig").presc
@@ -77,9 +75,9 @@ def test_mig_subsystem_compiles(tmp_path):
 
 
 def test_length_presentation_compiles(tmp_path):
-    result = Flick(
-        frontend="corba", presentation="corba-c-len", backend="iiop"
-    ).compile("interface Mail { long send(in string msg); };")
+    result = api.compile(
+        "interface Mail { long send(in string msg); };", "corba",
+        presentation="corba-c-len", backend="iiop")
     completed = compile_c(tmp_path, result, "iiop")
     assert completed.returncode == 0
 

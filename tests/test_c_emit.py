@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro import Flick
+from repro import api
 
 from tests.conftest import compile_mail, compile_db
 
@@ -70,10 +70,10 @@ class TestStubFile:
         assert "default: return FLICK_NO_SUCH_OPERATION;" in c_source
 
     def test_operation_names_switch_a_word_at_a_time(self):
-        source = Flick(frontend="corba", backend="iiop").compile(
+        source = api.compile(
             "interface L { void put_ints(in long a);"
-            " void put_rects(in long a); void get(in long a); };"
-        ).stubs.c_source
+            " void put_rects(in long a); void get(in long a); };",
+            "corba", backend="iiop").stubs.c_source
         assert "case 0x7075745fu: {" in source  # "put_", then a word more
         assert "switch (flick_demux_word(_in, 1))" in source
 
@@ -137,10 +137,10 @@ class TestServerSkeletons:
         assert "_H_rep_ok_send" in serve
 
     def test_decoded_sequences_take_runtime_storage(self):
-        result = Flick(frontend="corba", backend="oncrpc-xdr").compile(
+        result = api.compile(
             "struct P { long a, b; };"
-            "interface I { void f(in sequence<P> ps); };"
-        )
+            "interface I { void f(in sequence<P> ps); };",
+            "corba", backend="oncrpc-xdr")
         assert "flick_alloc_seq(ps, _n" in result.stubs.c_source
 
     def test_oneway_serve_returns_zero(self, c_source):

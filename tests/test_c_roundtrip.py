@@ -88,11 +88,11 @@ CASES = [
     for schema in SCHEMAS for backend in BACKENDS
     for label, flags in (("default", None), ("all_off", OptFlags.all_off()))
 ] + [
-    pytest.param("idl/mail.idl", "iiop", OptFlags().disable_pass(name),
+    pytest.param("idl/mail.idl", "iiop", OptFlags().but(**{name: False}),
                  id="idl/mail.idl-iiop-no_%s" % name)
     for name in sorted(PASS_NAMES)
-] + [pytest.param("idl/db.x", "oncrpc-xdr", OptFlags().disable_pass(
-    "chunk_atoms"), id="idl/db.x-oncrpc-xdr-no_chunk_atoms")]
+] + [pytest.param("idl/db.x", "oncrpc-xdr", OptFlags().but(
+    chunk_atoms=False), id="idl/db.x-oncrpc-xdr-no_chunk_atoms")]
 
 #: Op fields holding target-language text; the rest are what lowering
 #: decided (offsets, formats, reserve kinds and sizes, header patches,
@@ -240,7 +240,7 @@ def sample(pres, presc, module, depth=0):
 
 def python_traffic(result):
     """``[(stub, request, reply or None)]`` of one call per operation."""
-    presc, module = result.presc, result.load_module()
+    presc, module = result.presc, result.module
 
     class Servant:
         def __getattr__(self, name):

@@ -13,12 +13,6 @@ from tests import cli_argv
 with open(cli_argv.GOLDEN) as _handle:
     GOLDEN = json.load(_handle)
 
-#: The one change a pinned namespace may show: compile, ir, inspect and
-#: serve put ``--frontend`` where diff, lint, bridge and gateway put
-#: ``--lang``.
-DEST_RENAMES = {"frontend": "lang"}
-
-
 class TestDocumentedLines:
     """Every ``flick`` line of the docs, CI and examples parses to the
     ServiceConfig or namespace pinned before the serving flags came from
@@ -26,12 +20,10 @@ class TestDocumentedLines:
 
     @pytest.mark.parametrize("line", sorted(GOLDEN["lines"]))
     def test_line_parses_as_pinned(self, line):
-        expected = GOLDEN["lines"][line]
-        if "namespace" in expected:
-            expected = {"namespace": {
-                DEST_RENAMES.get(dest, dest): value
-                for dest, value in expected["namespace"].items()}}
-        assert cli_argv.parsed(line) == expected
+        assert cli_argv.parsed(line) == GOLDEN["lines"][line]
+
+    def test_every_documented_line_is_pinned(self):
+        assert cli_argv.documented_lines() == sorted(GOLDEN["lines"])
 
     def test_every_verb_lists_the_pinned_options(self):
         assert cli_argv.option_strings() == GOLDEN["help"]
@@ -94,19 +86,20 @@ class TestCompile:
         source = write(tmp_path, "mail.idl", MAIL)
         assert main(
             ["compile", source, "-o", outdir, "--emit", "py",
-             "--disable", "hash_demux"]
+             "--disable-pass", "hash_demux"]
         ) == 0
         text = open(os.path.join(outdir, "mail_iiop.py")).read()
         assert "_HANDLERS" not in text
 
     @pytest.mark.parametrize("argv, accepted", [
-        (["--disable", "chunk_atoms,bogus"], "hash_demux"),
+        (["--disable-pass", "chunk_atoms", "--disable-pass", "bogus"],
+         "hash_demux"),
         (["--disable-pass", "bogus"], "dedup_out_of_line"),
     ])
     def test_unknown_optimization_name_is_one_error_line(
             self, tmp_path, outdir, capsys, argv, accepted):
-        """The parent ended ``--disable bogus`` in a TypeError from
-        ``OptFlags.__init__``."""
+        """An unknown name is one ``flick: error:`` line naming every
+        OptFlags field, not a TypeError from ``OptFlags.__init__``."""
         source = write(tmp_path, "mail.idl", MAIL)
         assert main(["compile", source, "-o", outdir] + argv) == 1
         err = capsys.readouterr().err
@@ -289,7 +282,7 @@ def _serve_and_call(tmp_path, monkeypatch, extra_args):
     import threading
     import time
 
-    from repro import Flick
+    from repro import api
     from repro.runtime import TcpClientTransport
 
     source = write(tmp_path, "calc.idl", SERVE_IDL)
@@ -316,9 +309,7 @@ def _serve_and_call(tmp_path, monkeypatch, extra_args):
             break
         except OSError:
             time.sleep(0.05)
-    module = Flick(
-        frontend="corba", backend="oncrpc-xdr"
-    ).compile(SERVE_IDL).load_module()
+    module = api.compile(SERVE_IDL, "corba", backend="oncrpc-xdr").module
     transport = TcpClientTransport("127.0.0.1", port)
     try:
         client = module.CalcClient(transport)
@@ -344,7 +335,7 @@ class TestServe:
         out = capsys.readouterr().out
         assert "asyncio runtime" in out
         assert "avg" in out          # the stats table names the op
-        assert "p95" in out
+        assert "p99" in out
 
     def test_serve_blocking_with_stats(self, tmp_path, monkeypatch,
                                        capsys):
@@ -352,7 +343,7 @@ class TestServe:
         out = capsys.readouterr().out
         assert "thread-per-connection" in out
         assert "avg" in out          # the stats table names the op
-        assert "p95" in out
+        assert "p99" in out
 
     def test_serve_with_trace(self, tmp_path, monkeypatch, capsys):
         import json
@@ -379,7 +370,7 @@ class TestServe:
         out = capsys.readouterr().out
         # --metrics-port implies --stats and announces the endpoint.
         assert "metrics on http://" in out
-        assert "p95" in out
+        assert "p99" in out
 
     def test_serve_with_profile_writes_a_snapshot(self, tmp_path,
                                                   monkeypatch, capsys):

@@ -25,7 +25,7 @@ import threading
 
 import pytest
 
-from repro import Flick, obs
+from repro import api, obs
 from repro.core.codecs import LAYER_ORDER, codec_form, of as slots_of
 from repro.core.compiler import CompileResult
 from repro.mir.render_closures import compile_function, install_closures
@@ -50,7 +50,7 @@ def _observability_off():
 def fresh_db():
     """A fresh compile per test: these tests mutate the module dict, so
     the cached conftest compilations must never be used here."""
-    return Flick(frontend="oncrpc").compile(DB_IDL)
+    return api.compile(DB_IDL, "oncrpc")
 
 
 def rebuilt(handle, op):
@@ -500,10 +500,8 @@ class TestGatewayRebind:
     def _plan(self):
         from repro.gateway import build_plan
 
-        ingress = Flick(frontend="corba", backend="iiop").compile(
-            MAIL_IDL)
-        egress = Flick(frontend="corba",
-                       backend="oncrpc-xdr").compile(MAIL_IDL)
+        ingress = api.compile(MAIL_IDL, "corba", backend="iiop")
+        egress = api.compile(MAIL_IDL, "corba", backend="oncrpc-xdr")
         plan = build_plan(ingress, egress)
         return ingress, plan, {p.name: p for p in plan.ops.values()}
 

@@ -14,11 +14,11 @@ from repro.aoi import (
     AoiUnion,
     Direction,
 )
-from repro import Flick
+from repro import frontends
 
 
 def corba_aoi(text):
-    return Flick(frontend="corba").parse(text)
+    return frontends.get("corba").compile_frontend(text)
 
 
 class TestScoping:

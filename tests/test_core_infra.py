@@ -7,7 +7,7 @@ import traceback
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags
 from repro.core.loader import load_stub_module
 from repro.backend.base import Section
 from repro.backend.pywriter import PyWriter
@@ -147,7 +147,7 @@ class TestPyWriter:
 
 class TestStubServer:
     def test_serve_bytes_roundtrip(self):
-        module = compile_mail("oncrpc-xdr").load_module()
+        module = compile_mail("oncrpc-xdr").module
         server = StubServer(module, MailImpl(module))
         from repro.encoding import MarshalBuffer
 
@@ -158,7 +158,7 @@ class TestStubServer:
         assert module._u_rep_avg(reply, 24) == 5.0
 
     def test_serve_bytes_oneway_returns_none(self):
-        module = compile_mail("oncrpc-xdr").load_module()
+        module = compile_mail("oncrpc-xdr").module
         impl = MailImpl(module)
         server = StubServer(module, impl)
         from repro.encoding import MarshalBuffer
@@ -169,7 +169,7 @@ class TestStubServer:
         assert impl.last_ping == 31
 
     def test_loopback_transport_serves_the_servant(self):
-        module = compile_mail("oncrpc-xdr").load_module()
+        module = compile_mail("oncrpc-xdr").module
         client = module.Test_MailClient(
             LoopbackTransport(module.dispatch, MailImpl(module)))
         assert client.avg([9]) == 9.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Flick, FlickError, OptFlags
+from repro import FlickError, OptFlags, api
 from repro.errors import DispatchError, UnmarshalError
 from repro.runtime import LoopbackTransport
 from repro.pres.values import normalize
@@ -23,7 +23,7 @@ def backend(request):
 
 @pytest.fixture
 def mail(backend):
-    return compile_mail(backend).load_module()
+    return compile_mail(backend).module
 
 
 class TestMailInterface:
@@ -108,7 +108,7 @@ class TestMailInterface:
 class TestOncSpecific:
     @pytest.fixture()
     def db(self):
-        return compile_db().load_module()
+        return compile_db().module
 
     def make_db_client(self, db):
         class Impl(db.DB_DBVServant):
@@ -220,7 +220,7 @@ class TestFlags:
     ])
     def test_each_flag_off_still_works(self, flag):
         flags = OptFlags().but(**{flag: False})
-        module = compile_mail("oncrpc-xdr", flags).load_module()
+        module = compile_mail("oncrpc-xdr", flags).module
         client, _impl = make_client(module)
         rect = module.Test_Rect(
             module.Test_Point(1, 2), module.Test_Point(3, 4)
@@ -228,35 +228,31 @@ class TestFlags:
         assert client.send("hey", rect, (1, 1.5)) == (8, (1, 1.5), 2)
 
     def test_all_off_still_works(self):
-        module = compile_mail("iiop", OptFlags.all_off()).load_module()
+        module = compile_mail("iiop", OptFlags.all_off()).module
         client, _impl = make_client(module)
         assert client.avg([2, 4]) == 3.0
 
     def test_zero_copy_server(self):
         flags = OptFlags(zero_copy_server=True)
-        module = compile_mail("oncrpc-xdr", flags).load_module()
+        module = compile_mail("oncrpc-xdr", flags).module
         client, _impl = make_client(module)
         assert client.reverse(b"abc") == b"cba"
 
 
 class TestCompilerFacade:
     def test_requires_interface_choice_when_ambiguous(self):
-        flick = Flick(frontend="corba")
         with pytest.raises(FlickError):
-            flick.compile("interface A {}; interface B {};")
+            api.compile("interface A {}; interface B {};", "corba")
 
     def test_compile_all(self):
-        flick = Flick(frontend="corba")
-        results = flick.compile_all(
-            "interface A { void f(); }; interface B { void g(); };"
-        )
+        results = api.compile_all(
+            "interface A { void f(); }; interface B { void g(); };", "corba")
         assert set(results) == {"A", "B"}
 
     def test_no_interfaces_rejected(self):
-        flick = Flick(frontend="corba")
         with pytest.raises(FlickError):
-            flick.compile("struct S { long v; };")
+            api.compile("struct S { long v; };", "corba")
 
     def test_unknown_frontend_rejected(self):
         with pytest.raises(FlickError):
-            Flick(frontend="pascal")
+            api.compile("interface A {};", "pascal")

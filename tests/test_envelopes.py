@@ -19,7 +19,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Flick, envelopes, errors, obs
+from repro import api, envelopes, errors, obs
 from repro.encoding import MarshalBuffer
 from repro.errors import (
     DispatchError, RemoteCallError, TransportError, WireFormatError)
@@ -34,7 +34,7 @@ from repro.runtime.request import RequestCore
 from tests import envelope_verdicts
 from tests.envelope_verdicts import reply_error
 from tests.conftest import (
-    ALL_BACKENDS, MAIL_IDL, MailImpl, compile_db, compile_mail)
+    ALL_BACKENDS, MAIL_IDL, MailImpl, compile_db, compile_mail, top_rows)
 from tests.test_fuzz_wire import (
     FUZZ_FRAMES, _LIVE_DRIVERS, _TcpProbe, _UdpProbe, _capture_requests,
     _exchange, _gateway_pair, _load_corpus)
@@ -73,7 +73,7 @@ class TestDerivedFromOneDescription:
         """dispatch, _check_reply and encode_error_reply hold the walk
         as inlined statements — what render() prints, nothing called."""
         result = compile_mail(backend)
-        module = result.load_module()
+        module = result.module
         generator = result.stubs.backend_instance
         protocol, endian = module._ENVELOPE
         prelude = envelopes.render(
@@ -131,8 +131,7 @@ class TestDerivedFromOneDescription:
             # A freshly printed stub module and freshly exec'd readers.
             envelopes.reader.cache_clear()
             envelopes.locator.cache_clear()
-            module = Flick(frontend="corba", backend="iiop").compile(
-                MAIL_IDL).load_module()
+            module = api.compile(MAIL_IDL, "corba", backend="iiop").module
             frame = _avg_request(module)
             for _ in range(3):  # three service contexts
                 frame = propagation.inject(frame, CONTEXT)
@@ -167,8 +166,8 @@ class TestDerivedFromOneDescription:
     def test_little_endian_giop_is_the_same_walk(self):
         """Byte order is an argument of the rendering, not a second
         description: the readers follow a little-endian stub module."""
-        module = Flick(frontend="corba", backend="iiop",
-                       little_endian=True).compile(MAIL_IDL).load_module()
+        module = api.compile(
+            MAIL_IDL, "corba", backend="iiop", little_endian=True).module
         assert module._ENVELOPE == ("giop", "<")
         frame = propagation.inject(_avg_request(module), CONTEXT)
         (_protocol, _direction, endian), found = \
@@ -199,7 +198,7 @@ class TestForgedContextCount:
         return bytes(frame)
 
     def test_every_reader_refuses_at_the_bound(self):
-        module = compile_mail("iiop").load_module()
+        module = compile_mail("iiop").module
         frame = self._forged(module)
         count = (len(frame) - 16) // 8
         spec = IngressSpec("giop", object_key=b"Test::Mail")
@@ -218,7 +217,7 @@ class TestForgedContextCount:
         dispatch refuses it: through the bounded walk, which does not
         reach the context an unbounded one would find (the corpus
         frame's 65th context is a well-formed trace context)."""
-        module = compile_mail("iiop").load_module()
+        module = compile_mail("iiop").module
         (corpus,) = [frame for name, frame in _load_corpus("giop_")
                      if name == "giop_forged_context_count.hex"]
         for frame in (self._forged(module), corpus):
@@ -309,7 +308,7 @@ class TestOverrunOnNoArgumentCall:
         it still does, with nothing forwarded upstream."""
         backend = "oncrpc-xdr" if protocol == "onc" else "iiop"
         (frame,) = _capture_requests(
-            compile_mail(backend).load_module(), [("_get_counter", ())])
+            compile_mail(backend).module, [("_get_counter", ())])
         frame = bytearray(frame)
         if protocol == "onc":
             frame[36:40] = struct.pack(">I", 400)
@@ -330,7 +329,7 @@ class TestOverrunOnNoArgumentCall:
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestOperationNamesOnEveryBackEnd:
     def test_stats_and_request_span_name_the_operation(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         names = operation_names(module)
         assert names.envelope == module._ENVELOPE
         stats = ServerStats()
@@ -348,12 +347,12 @@ class TestOperationNamesOnEveryBackEnd:
                     obs.shutdown()
             finally:
                 transport.close()
-        assert sorted(stats.snapshot()) == ["avg", "reverse"]
+        assert sorted(top_rows(stats)) == ["avg", "reverse"]
         assert [span.attrs["op"]
                 for span in exporter.by_name("server.request")] == ["reverse"]
 
     def test_an_unreadable_header_is_still_a_question_mark(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         core = RequestCore(module.dispatch, None,
                            op_names=operation_names(module))
         assert core.op_key(b"") == "?"
@@ -625,11 +624,11 @@ def _stub_error_replies():
     refusal of a oneway GIOP request."""
     mail_calls = [("avg", ([1, 2, 3],)), ("ping", (7,))]
     modules = {
-        "oncrpc": (compile_db().load_module(),
+        "oncrpc": (compile_db().module,
                    [("echo", (b"hello world",))]),
-        "giop>": (compile_mail("iiop").load_module(), mail_calls),
-        "giop<": (Flick(frontend="corba", backend="iiop",
-                        little_endian=True).compile(MAIL_IDL).load_module(),
+        "giop>": (compile_mail("iiop").module, mail_calls),
+        "giop<": (api.compile(
+            MAIL_IDL, "corba", backend="iiop", little_endian=True).module,
                   mail_calls),
     }
     refusals = [(getattr(error, "code", None) or type(error).__name__,

@@ -474,7 +474,7 @@ class TestPoolBreakerIntegration:
 
 class TestOverloadShedding:
     def test_excess_load_is_shed_with_error_replies(self):
-        db_module = compile_db().load_module()
+        db_module = compile_db().module
 
         class Sticky(DbImpl):
             def __init__(self):
@@ -549,7 +549,7 @@ class TestServerAdmissionFaults:
         """Send *count* echo requests in one write; return the xids of
         the replies in arrival order (until the server closes or goes
         quiet) and the seconds until the last one arrived."""
-        db_module = compile_db().load_module()
+        db_module = compile_db().module
         request = _capture_requests(db_module, [("echo", (b"x",))])[0]
         server = StubServer(db_module, DbImpl()).aio_server(
             dispatch_mode="inline", fault_plan=plan)
@@ -608,7 +608,7 @@ class TestFaultRecoveryEndToEnd:
         """Drop + truncate + corrupt on the server's inbound records;
         every idempotent call still completes via retry and the circuit
         breaker, and the whole episode is visible through /metrics."""
-        db_module = compile_db().load_module()
+        db_module = compile_db().module
         plan = FaultPlan(seed=6, drop=0.05, truncate=0.02, corrupt=0.02)
 
         registry = MetricsRegistry()

@@ -11,7 +11,7 @@ tested without touching any dispatch site.
 
 import pytest
 
-from repro import Flick, api, frontends
+from repro import api, frontends
 from repro.core.compiler import DEFAULT_BACKEND
 from repro.errors import FlickError
 
@@ -89,7 +89,7 @@ class TestFrontEndConformance:
         result = api.compile(fe.sample, fe.name)
         assert result.frontend == fe.name
         assert result.presc is not None
-        module = result.load_module()
+        module = result.module
         assert hasattr(module, "dispatch")
         if fe.has_aoi:
             assert result.aoi is not None
@@ -99,12 +99,14 @@ class TestFrontEndConformance:
 
     @pytest.mark.parametrize("fe", FRONTENDS, ids=NAMES)
     def test_parse_contract(self, fe):
+        """``compile_frontend`` runs the front end alone: an AoiRoot, or
+        for a conjoined front end the PRES_C the back end is handed."""
+        lowered = fe.compile_frontend(fe.sample)
         if fe.has_aoi:
-            root = Flick(frontend=fe.name).parse(fe.sample)
-            assert root.interfaces
+            assert lowered.interfaces
         else:
-            with pytest.raises(FlickError, match="conjoined"):
-                Flick(frontend=fe.name).parse(fe.sample)
+            assert lowered.interface_name == api.compile(
+                fe.sample, fe.name).presc.interface_name
 
     @pytest.mark.parametrize("fe", FRONTENDS, ids=NAMES)
     def test_compile_frontend_phases(self, fe):
@@ -223,7 +225,7 @@ class TestStructArrayTwins:
     def _bodies(compiled, n):
         from repro.encoding import MarshalBuffer
 
-        module = compiled.load_module()
+        module = compiled.module
         rects = [module.Rect(module.Coord(i, -i), module.Coord(i + 1, 7))
                  for i in range(n)]
         bodies = []

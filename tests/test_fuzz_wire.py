@@ -37,7 +37,7 @@ from repro.runtime.framing import encode_record
 from repro.runtime.request import RequestCore
 from tests.rawsock import recv_record
 
-from tests.conftest import MailImpl, compile_db, compile_mail
+from tests.conftest import MailImpl, compile_db, compile_mail, top_rows
 
 FUZZ_SEED = int(os.environ.get("FLICK_FUZZ_SEED", "20260806"))
 
@@ -75,12 +75,12 @@ class DbImpl:
 
 @pytest.fixture(scope="module")
 def onc_module():
-    return compile_db().load_module()
+    return compile_db().module
 
 
 @pytest.fixture(scope="module")
 def iiop_module():
-    return compile_mail("iiop").load_module()
+    return compile_mail("iiop").module
 
 
 def _make_server(protocol, onc_module, iiop_module):
@@ -91,7 +91,7 @@ def _make_server(protocol, onc_module, iiop_module):
     # mach3, fluke: the Mail interface again.  Neither can word a
     # servant crash on the wire, so the exception itself would come out
     # of serve_bytes: MailImpl's avg([]) must not crash here.
-    module = compile_mail(protocol).load_module()
+    module = compile_mail(protocol).module
     impl = MailImpl(module)
     impl.avg = len
     return StubServer(module, impl)
@@ -141,7 +141,7 @@ def _seed_requests(protocol, onc_module, iiop_module):
             ("count", ()),
         ])
     if protocol != "giop":
-        iiop_module = compile_mail(protocol).load_module()
+        iiop_module = compile_mail(protocol).module
     return _capture_requests(iiop_module, [
         ("avg", ([1, 2, 3],)),
         ("reverse", (b"abcdef",)),
@@ -475,7 +475,7 @@ def _counts(stats):
     classes, and the failed requests per operation."""
     return (
         stats.malformed.value, stats.servant_errors.value,
-        {op: row["errors"] for op, row in stats.snapshot().items()
+        {op: row["errors"] for op, row in top_rows(stats).items()
          if row["errors"]},
     )
 
@@ -589,7 +589,7 @@ def _gateway_pair(ingress_protocol):
     egress_protocol = "onc" if ingress_protocol == "giop" else "giop"
     ingress_result = compile_mail(_GATEWAY_BACKENDS[ingress_protocol])
     egress_result = compile_mail(_GATEWAY_BACKENDS[egress_protocol])
-    egress_module = egress_result.load_module()
+    egress_module = egress_result.module
     upstream = StubServer(egress_module,
                           MailImpl(egress_module)).tcp_server()
     malformed = []
@@ -624,7 +624,7 @@ def _gateway_pair(ingress_protocol):
 
 def _gateway_seeds(ingress_protocol):
     """Two-way ingress requests (oneways can't be probed over sockets)."""
-    module = compile_mail(_GATEWAY_BACKENDS[ingress_protocol]).load_module()
+    module = compile_mail(_GATEWAY_BACKENDS[ingress_protocol]).module
     return _capture_requests(module, [
         ("avg", ([1, 2, 3],)),
         ("reverse", (b"abcdef",)),

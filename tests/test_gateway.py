@@ -17,7 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro import Flick, obs
+from repro import api, obs
 from repro.compat import pair_bridge
 from repro.encoding import MarshalBuffer
 from repro.errors import (
@@ -66,7 +66,7 @@ def iiop_result():
 def _bridge(ingress_result, egress_result, *, servant_aio=False,
             stats=None, fuse=True, **gateway_kwargs):
     """An upstream servant plus a gateway bridging onto it."""
-    egress_module = egress_result.load_module()
+    egress_module = egress_result.module
     impl = MailImpl(egress_module)
     stub_server = StubServer(egress_module, impl)
     upstream = (stub_server.aio_server() if servant_aio
@@ -190,7 +190,7 @@ class TestPlan:
             self, iiop_result, onc_result):
         fused = build_plan(iiop_result, onc_result)
         plain = build_plan(iiop_result, onc_result, fuse=False)
-        module = iiop_result.load_module()
+        module = iiop_result.module
         request = MarshalBuffer()
         module._m_req_avg(request, 99, [5, 6, 7, 8])
         data = request.getvalue()
@@ -232,7 +232,7 @@ class TestEndToEnd:
         return impl.last_ping
 
     def test_iiop_client_to_onc_servant(self, iiop_result, onc_result):
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result) as (gateway, impl):
             with _client(module, gateway.address) as (client, _):
                 self._exercise(client, module)
@@ -241,7 +241,7 @@ class TestEndToEnd:
                 assert self._await_ping(impl, 31) == 31
 
     def test_onc_client_to_iiop_servant(self, onc_result, iiop_result):
-        module = onc_result.load_module()
+        module = onc_result.module
         with _bridge(onc_result, iiop_result, servant_aio=True) \
                 as (gateway, impl):
             with _client(module, gateway.address) as (client, _):
@@ -256,7 +256,7 @@ class TestEndToEnd:
             self, ingress, egress):
         ingress_result = compile_mail(ingress)
         egress_result = compile_mail(egress)
-        module = ingress_result.load_module()
+        module = ingress_result.module
         request = MarshalBuffer()
         module._m_req_avg(request, 4242, [10, 20, 30, 40])
         payload = request.getvalue()
@@ -272,7 +272,7 @@ class TestEndToEnd:
 
     def test_unknown_operation_is_refused_in_ingress_protocol(
             self, iiop_result, onc_result):
-        module = iiop_result.load_module()
+        module = iiop_result.module
         request = MarshalBuffer()
         module._m_req_avg(request, 7, [1])
         data = bytearray(request.getvalue())
@@ -296,7 +296,7 @@ class TestEndToEnd:
         probe_socket.bind(("127.0.0.1", 0))
         dead_port = probe_socket.getsockname()[1]
         probe_socket.close()
-        module = iiop_result.load_module()
+        module = iiop_result.module
         gateway = AioGatewayServer(plan, "127.0.0.1", dead_port)
         with gateway:
             with _client(module, gateway.address) as (_, transport):
@@ -334,7 +334,7 @@ class TestUpstreamLeg:
         connection (the next two-way call gets the mapped reply)."""
         plan = build_plan(iiop_result, onc_result)
         stats = ServerStats()
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with AioGatewayServer(plan, "127.0.0.1", _dead_port(),
                               stats=stats) as gateway:
             with _client(module, gateway.address) as (client, _):
@@ -360,8 +360,8 @@ class TestUpstreamLeg:
                 time.sleep(0.001 * (xs[0] * 37 % 16))
                 return super().avg(xs)
 
-        module = iiop_result.load_module()
-        egress_module = onc_result.load_module()
+        module = iiop_result.module
+        egress_module = onc_result.module
         upstream = StubServer(egress_module, Scrambled(egress_module)) \
             .aio_server()
         requests = b""
@@ -397,8 +397,8 @@ class TestUpstreamLeg:
                 release.wait(10)
                 return super().avg(xs)
 
-        module = iiop_result.load_module()
-        egress_module = onc_result.load_module()
+        module = iiop_result.module
+        egress_module = onc_result.module
         upstream = StubServer(egress_module, Blocking(egress_module)) \
             .aio_server()
         callers = []
@@ -440,7 +440,7 @@ class TestUpstreamLeg:
 
         from repro.faults import FaultPlan
 
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result,
                      upstream_fault_plan=FaultPlan(drop=1.0)) \
                 as (gateway, _):
@@ -466,7 +466,7 @@ class TestUpstreamLeg:
 
         from repro.faults import FaultPlan
 
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result,
                      upstream_fault_plan=FaultPlan(delay=1.0,
                                                    delay_s=0.3)) \
@@ -489,7 +489,7 @@ class TestUpstreamLeg:
         from repro.faults import FaultPlan
 
         stats = ServerStats()
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result, stats=stats,
                      upstream_fault_plan=FaultPlan(reset=1.0)) \
                 as (gateway, impl):
@@ -511,7 +511,7 @@ class TestUpstreamLeg:
         request follows it out, its reply an orphan upstream)."""
         from repro.faults import FaultPlan
 
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result,
                      upstream_fault_plan=FaultPlan(reorder=1.0)) \
                 as (gateway, _):
@@ -537,7 +537,7 @@ class TestUpstreamLeg:
         on a connection that stays open."""
         from repro.faults import FaultPlan
 
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result,
                      upstream_fault_plan=FaultPlan(corrupt=1.0, seed=5)) \
                 as (gateway, _):
@@ -580,8 +580,7 @@ class TestAPlanBuiltBeforeAnyCall:
     @pytest.mark.parametrize("renderer", ("py", "closures"))
     def test_first_bridged_calls_leave_compiled_codecs(self, renderer):
         ingress, egress = (
-            Flick(frontend="corba", backend=backend,
-                  renderer=renderer).compile(MAIL_IDL)
+            api.compile(MAIL_IDL, "corba", backend=backend, renderer=renderer)
             for backend in ("iiop", "oncrpc-xdr"))
         module = ingress.module
         with _bridge(ingress, egress) as (gateway, impl):
@@ -693,9 +692,9 @@ class TestBridgeCheck:
                 return "x" * 500  # legal upstream, over the ingress bound
 
         plan = build_plan(narrow_ingress, wide_egress)
-        upstream = StubServer(wide_egress.load_module(),
+        upstream = StubServer(wide_egress.module,
                               BigImpl()).tcp_server()
-        module = narrow_ingress.load_module()
+        module = narrow_ingress.module
         with upstream:
             gateway = AioGatewayServer(
                 plan, upstream.address[0], upstream.address[1])
@@ -769,7 +768,7 @@ class TestErrorMapping:
             plan = build_plan(onc_result, onc_result)
             stats = ServerStats()
             with AioGatewayServer(plan, *address, stats=stats) as gateway:
-                with _client(onc_result.load_module(),
+                with _client(onc_result.module,
                              gateway.address) as (client, _):
                     for _ in range(2):
                         with pytest.raises(RemoteCallError) as caught:
@@ -803,7 +802,7 @@ class TestObservability:
             self, iiop_result, onc_result, _tracing_off_after):
         exporter = obs.CollectingExporter()
         obs.configure(exporter)
-        module = obs.instrument_stub_module(iiop_result.load_module())
+        module = obs.instrument_stub_module(iiop_result.module)
         with _bridge(iiop_result, onc_result, servant_aio=True) \
                 as (gateway, _):
             with _client(module, gateway.address) as (client, _):
@@ -826,7 +825,7 @@ class TestObservability:
         ``server.request`` hangs off ``transport.call``."""
         exporter = obs.CollectingExporter()
         obs.configure(exporter)
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result, servant_aio=True) \
                 as (gateway, _):
             with _client(module, gateway.address) as (client, _):
@@ -848,7 +847,7 @@ class TestObservability:
     def test_metrics_count_fused_and_reencode_paths_per_bridge(
             self, iiop_result, onc_result):
         stats = ServerStats()
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result, stats=stats) \
                 as (gateway, _):
             with _client(module, gateway.address) as (client, _):

@@ -41,12 +41,12 @@ from tests.test_fuzz_wire import (
 
 @pytest.fixture(scope="module")
 def onc_module():
-    return compile_db().load_module()
+    return compile_db().module
 
 
 @pytest.fixture(scope="module")
 def iiop_module():
-    return compile_mail("iiop").load_module()
+    return compile_mail("iiop").module
 
 
 def _onc_request(onc_module):
@@ -615,7 +615,7 @@ class TestForgedAggregateCount:
 
         with open(LEDGER_IDL) as handle:
             module = api.compile(handle.read(), "corba", backend=backend,
-                                 renderer=renderer).load_module()
+                                 renderer=renderer).module
         built = []
         dirent = module.Ledger_DirEnt
 
@@ -675,7 +675,7 @@ class TestNonReadingPeer:
 
         with open(LEDGER_IDL) as handle:
             module = api.compile(handle.read(), "corba",
-                                 backend="oncrpc-xdr").load_module()
+                                 backend="oncrpc-xdr").module
         ints = list(range(self.REPLY_INTS))
 
         class Impl:
@@ -747,7 +747,7 @@ class TestDecodeLimitProperties:
     def test_forged_onc_sequence_count(self, forged):
         """Any forged element count is refused or answered in-protocol —
         and decoding never materializes the claimed allocation."""
-        onc_module = compile_db().load_module()
+        onc_module = compile_db().module
         server = StubServer(onc_module, DbImpl())
         request = bytearray(_capture_requests(
             onc_module, [("rev", ([1, 2, 3],))]
@@ -765,7 +765,7 @@ class TestDecodeLimitProperties:
     @given(forged=uint32)
     def test_forged_giop_string_length(self, forged):
         """Forged operation-name lengths never crash the GIOP server."""
-        iiop_module = compile_mail("iiop").load_module()
+        iiop_module = compile_mail("iiop").module
         server = StubServer(iiop_module, MailImpl(iiop_module))
         request = bytearray(_giop_request(iiop_module))
         index = bytes(request).find(b"avg") - 4  # the CDR string length
@@ -802,7 +802,7 @@ class TestDecodeLimitProperties:
     def test_onc_auth_cap(self, auth_length):
         """Credential/verifier bodies over RFC 1831's 400-byte cap are
         rejected in-protocol (GARBAGE_ARGS), not buffered."""
-        onc_module = compile_db().load_module()
+        onc_module = compile_db().module
         server = StubServer(onc_module, DbImpl())
         frame = (struct.pack(">IIIIII", 3, 0, 2, 0x20000099, 2, 3)
                  + struct.pack(">II", 0, auth_length) + b"\x00" * 8)

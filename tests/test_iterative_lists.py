@@ -7,7 +7,7 @@ to recursion limits on deep lists.
 
 import pytest
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api
 from repro.encoding import MarshalBuffer
 from repro.runtime import LoopbackTransport
 
@@ -36,14 +36,13 @@ def build_chain(module, count):
 
 @pytest.fixture(scope="module")
 def iterative():
-    return Flick(frontend="oncrpc").compile(LIST_IDL).load_module()
+    return api.compile(LIST_IDL, "oncrpc").module
 
 
 @pytest.fixture(scope="module")
 def recursive():
-    return Flick(
-        frontend="oncrpc", flags=OptFlags(iterative_lists=False)
-    ).compile(LIST_IDL).load_module()
+    return api.compile(
+        LIST_IDL, "oncrpc", flags=OptFlags(iterative_lists=False)).module
 
 
 def make_client(module):
@@ -110,16 +109,14 @@ class TestIterativeLists:
 
     @pytest.mark.parametrize("backend", ["iiop", "mach3", "fluke"])
     def test_other_backends_too(self, backend):
-        module = Flick(
-            frontend="oncrpc", backend=backend
-        ).compile(LIST_IDL).load_module()
+        module = api.compile(LIST_IDL, "oncrpc", backend=backend).module
         client = make_client(module)
         assert client.count(build_chain(module, 5000)) == 5000
 
 
 class TestNonTailRecursion:
     def test_middle_pointer_falls_back_to_recursion(self):
-        module = Flick(frontend="oncrpc").compile(MIDDLE_IDL).load_module()
+        module = api.compile(MIDDLE_IDL, "oncrpc").module
         # The loop transformation must not fire...
         assert "_m_weird(b," in module.__source__
 

@@ -19,31 +19,31 @@ from tests.test_mir_renderers import (
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestMarshalErrors:
     def test_wrong_scalar_type(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         client, _impl = make_client(module)
         with pytest.raises(MarshalError):
             client.avg(["not", "numbers"])
 
     def test_wrong_struct_type(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         client, _impl = make_client(module)
         with pytest.raises(MarshalError):
             client.send("hi", "not-a-rect", (0, 1))
 
     def test_float_for_int_rejected(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         client, _impl = make_client(module)
         with pytest.raises(MarshalError):
             client.ping(1.5)
 
     def test_out_of_range_int(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         client, _impl = make_client(module)
         with pytest.raises(MarshalError):
             client.ping(2**40)
 
     def test_bad_union_payload(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         client, _impl = make_client(module)
         rect = module.Test_Rect(
             module.Test_Point(0, 0), module.Test_Point(0, 0)
@@ -52,7 +52,7 @@ class TestMarshalErrors:
             client.send("hi", rect, (1, "double expected here"))
 
     def test_no_union_arm(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         client, _impl = make_client(module)
         rect = module.Test_Rect(
             module.Test_Point(0, 0), module.Test_Point(0, 0)
@@ -65,7 +65,7 @@ class TestMarshalErrors:
             client.send("hi", rect, "not-a-pair")
 
     def test_buffer_left_reusable_after_error(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         client, _impl = make_client(module)
         with pytest.raises(MarshalError):
             client.avg([None])
@@ -100,7 +100,7 @@ def _shapes(backend, renderer, impl=None):
     if key not in _SHAPES_CACHE:
         _SHAPES_CACHE[key] = api.compile(SHAPES_IDL, "corba",
                                          backend=backend, renderer=renderer)
-    module = _SHAPES_CACHE[key].load_module()
+    module = _SHAPES_CACHE[key].module
     impl = impl or CountingShapes()
     transport = RecordingTransport(LoopbackTransport(module.dispatch, impl))
     return module, module.ShapesClient(transport), impl, transport
@@ -183,7 +183,7 @@ class TestEmptyCdrString:
         from repro import api
 
         module = api.compile(self.IDL, name="echo.idl", backend="iiop",
-                             renderer=renderer).load_module()
+                             renderer=renderer).module
         body = struct.pack(">II", 0, 7)
         with pytest.raises(UnmarshalError, match="length 0 too short"):
             module._u_req_say(body, 0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Flick
+from repro import frontends
 from repro.mint import (
     MintArray,
     MintBuilder,
@@ -36,7 +36,7 @@ module T {
 
 @pytest.fixture(scope="module")
 def built():
-    root = Flick(frontend="corba").parse(IDL)
+    root = frontends.get("corba").compile_frontend(IDL)
     builder = MintBuilder(root)
     return root, builder
 
@@ -84,7 +84,7 @@ class TestMintConstruction:
         assert mint.cases[0].labels == (0,)
 
     def test_enum_is_i32(self):
-        root = Flick(frontend="corba").parse("enum E { A, B };")
+        root = frontends.get("corba").compile_frontend("enum E { A, B };")
         builder = MintBuilder(root)
         assert builder.registry.resolve(
             builder.mint_for(root.types["E"])
@@ -108,7 +108,7 @@ class TestEnumLabelSpellings:
 
     @pytest.mark.parametrize("label", ['"B"', "B"])
     def test_string_label_is_the_member_value(self, label):
-        root = Flick(frontend="corba").parse(self.IDL % label)
+        root = frontends.get("corba").compile_frontend(self.IDL % label)
         builder = MintBuilder(root)
         from repro.aoi import AoiNamedRef
 
@@ -136,15 +136,14 @@ def _operation(root, interface, name):
 
 class TestMessageMints:
     def test_request_struct_fields(self):
-        root = Flick(frontend="corba").parse(IDL)
+        root = frontends.get("corba").compile_frontend(IDL)
         request = MintBuilder(root).request_mint(_operation(root, "T::I", "f"))
         assert [s.name for s in request.slots] == ["r", "s"]
 
     def test_reply_union_success_and_exceptions(self):
-        root = Flick(frontend="corba").parse(
+        root = frontends.get("corba").compile_frontend(
             "exception E { long c; };"
-            "interface I { long f(out long y) raises (E); };"
-        )
+            "interface I { long f(out long y) raises (E); };")
         reply = MintBuilder(root).reply_mint(_operation(root, "I", "f"))
         assert isinstance(reply, MintUnion)
         assert len(reply.cases) == 2
@@ -152,14 +151,14 @@ class TestMessageMints:
         assert [s.name for s in success.slots] == ["_return", "y"]
 
     def test_oneway_has_no_reply(self):
-        root = Flick(frontend="corba").parse(IDL)
+        root = frontends.get("corba").compile_frontend(IDL)
         assert MintBuilder(root).reply_mint(_operation(root, "T::I", "g")) \
             is None
 
 
 class TestStorageAnalysis:
     def analyze(self, idl_type_name, layout, idl=IDL):
-        root = Flick(frontend="corba").parse(idl)
+        root = frontends.get("corba").compile_frontend(idl)
         builder = MintBuilder(root)
         from repro.aoi import AoiNamedRef
 
@@ -224,9 +223,8 @@ class TestStorageAnalysis:
 
 class TestRecursion:
     def test_is_recursive_detects_lists(self):
-        root = Flick(frontend="oncrpc").parse(
-            "struct n { int v; n *next; };"
-        )
+        root = frontends.get("oncrpc").compile_frontend(
+            "struct n { int v; n *next; };")
         builder = MintBuilder(root)
         from repro.aoi import AoiNamedRef
 
@@ -234,7 +232,7 @@ class TestRecursion:
         assert is_recursive(mint, builder.registry)
 
     def test_non_recursive(self):
-        root = Flick(frontend="corba").parse(IDL)
+        root = frontends.get("corba").compile_frontend(IDL)
         builder = MintBuilder(root)
         from repro.aoi import AoiNamedRef
 

@@ -141,7 +141,7 @@ program P { version V { int f(T) = 1; int g(U) = 2; } = 1; } = 0x20000047;
 
 class TestDedupOutOfLine:
     def _request(self, result, op, record):
-        module = result.load_module()
+        module = result.module
         tree = getattr(module, record)
         leaf = tree(2, None, None)
         buffer = MarshalBuffer()

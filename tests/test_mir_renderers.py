@@ -14,7 +14,7 @@ the module text binds, for every schema × back end × pass toggle.
 
 import pytest
 
-from repro import Flick, OptFlags, api
+from repro import OptFlags, api
 from repro.mir.passes import PASS_NAMES
 from repro.runtime import LoopbackTransport
 
@@ -169,8 +169,8 @@ def _compile_pair(schema, backend, flags=None):
 
 
 def _assert_identical(py, clo, drive):
-    module_py = py.load_module()
-    module_clo = clo.load_module()
+    module_py = py.module
+    module_clo = clo.module
     results_py, log_py = drive(module_py)
     results_clo, log_clo = drive(module_clo)
     assert results_py == results_clo
@@ -201,7 +201,7 @@ class TestRendererUnderAblation:
 
     @pytest.mark.parametrize("pass_name", sorted(PASS_NAMES))
     def test_each_pass_disabled(self, pass_name):
-        flags = OptFlags().disable_pass(pass_name)
+        flags = OptFlags().but(**{pass_name: False})
         for schema, backend in (("mail", "iiop"), ("db", "oncrpc-xdr")):
             py, clo, drive = _compile_pair(schema, backend, flags)
             assert py.stubs.mir.passes[pass_name] is False
@@ -222,9 +222,8 @@ class TestRendererSelection:
         with pytest.raises(BackEndError):
             api.compile(MAIL_IDL, "corba", renderer="fortran")
 
-    def test_flick_facade_threads_renderer(self):
-        flick = Flick(frontend="corba", renderer="closures")
-        result = flick.compile(MAIL_IDL)
+    def test_compile_threads_renderer(self):
+        result = api.compile(MAIL_IDL, "corba", renderer="closures")
         assert result.stubs.renderer == "closures"
 
     def test_compile_all_threads_renderer(self):
@@ -383,7 +382,7 @@ def _shape_traffic(backend, flags, renderer):
     """Every shape op at n = 0, 1, 5: results checked, wire recorded."""
     compiled = api.compile(SHAPES_IDL, "corba", backend=backend,
                            flags=flags, renderer=renderer)
-    module = compiled.load_module()
+    module = compiled.module
     transport = RecordingTransport(
         LoopbackTransport(module.dispatch, ShapesImpl()))
     client = module.ShapesClient(transport)
@@ -404,7 +403,7 @@ class TestStructArrayRegions:
         """Both renderers, with the region form on and with each flag
         it depends on off, put the interpreter's bytes on the wire."""
         baseline = None
-        for flags in [None] + [OptFlags().disable_pass(name)
+        for flags in [None] + [OptFlags().but(**{name: False})
                                for name in REGION_FLAGS]:
             for renderer in ("py", "closures"):
                 log, reference = _shape_traffic(backend, flags, renderer)
@@ -454,7 +453,7 @@ class TestStructArrayRegions:
         assert found["_u_req_odds"] == odd_is_region
         assert found["_m_req_odds"] == odd_is_region
         for name in REGION_FLAGS:
-            off = region_ops(OptFlags().disable_pass(name))
+            off = region_ops(OptFlags().but(**{name: False}))
             assert not any(off.values()), (backend, name)
 
     def test_iiop_rects_have_no_per_element_space_check(self):
@@ -487,7 +486,7 @@ class TestFixedOpaqueAfterString:
     @pytest.mark.parametrize("backend", sorted(_WIRE_FORMATS))
     def test_round_trips_at_an_unaligned_offset(self, backend, renderer):
         module = api.compile(self.IDL, "corba", backend=backend,
-                             renderer=renderer).load_module()
+                             renderer=renderer).module
 
         class Impl:
             def echo(self, v):

@@ -14,13 +14,13 @@ from repro.aoi import (
     AoiStruct,
     AoiUnion,
 )
-from repro import Flick
+from repro import frontends
 from repro.oncrpc import parse_oncrpc_idl
 from repro.oncrpc import ast
 
 
 def oncrpc_aoi(text):
-    return Flick(frontend="oncrpc").parse(text)
+    return frontends.get("oncrpc").compile_frontend(text)
 
 
 class TestParser:

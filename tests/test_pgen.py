@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Flick
+from repro import frontends
 from repro.errors import PresentationError
 from repro.cast import emit_c
 from repro.pgen import make_presentation
@@ -13,15 +13,13 @@ from tests.conftest import MAIL_IDL, DB_IDL, present
 
 @pytest.fixture(scope="module")
 def mail_presc():
-    flick = Flick(frontend="corba")
-    root = flick.parse(MAIL_IDL)
+    root = frontends.get("corba").compile_frontend(MAIL_IDL)
     return present(root, "Test::Mail")
 
 
 @pytest.fixture(scope="module")
 def db_presc():
-    flick = Flick(frontend="oncrpc")
-    root = flick.parse(DB_IDL)
+    root = frontends.get("oncrpc").compile_frontend(DB_IDL)
     return present(root, "DB::DBV", "rpcgen")
 
 
@@ -125,8 +123,7 @@ class TestRpcgenPresentation:
 
 class TestFlukePresentation:
     def test_derived_from_corba(self):
-        flick = Flick(frontend="corba", presentation="fluke")
-        root = flick.parse(MAIL_IDL)
+        root = frontends.get("corba").compile_frontend(MAIL_IDL)
         presc = present(root, "Test::Mail", "fluke")
         stub = presc.stub_named("send")
         assert stub.stub_name == "fluke_Test_Mail_send"
@@ -134,8 +131,8 @@ class TestFlukePresentation:
         assert "CORBA_Environment" not in text
 
     def test_void_ops_return_int_code(self):
-        flick = Flick(frontend="corba", presentation="fluke")
-        root = flick.parse("interface I { void f(); };")
+        root = frontends.get("corba").compile_frontend(
+            "interface I { void f(); };")
         presc = present(root, "I", "fluke")
         text = emit_c([presc.stub_named("f").c_decl])
         assert text.strip().startswith("int fluke_I_f(")
@@ -143,23 +140,19 @@ class TestFlukePresentation:
 
 class TestInheritance:
     def test_parent_operations_flattened(self):
-        flick = Flick(frontend="corba")
-        root = flick.parse(
+        root = frontends.get("corba").compile_frontend(
             "interface A { void base(); };"
-            "interface B : A { void extra(); };"
-        )
+            "interface B : A { void extra(); };")
         presc = present(root, "B")
         names = [stub.operation_name for stub in presc.stubs]
         assert names == ["base", "extra"]
 
     def test_diamond_inheritance_deduplicated(self):
-        flick = Flick(frontend="corba")
-        root = flick.parse(
+        root = frontends.get("corba").compile_frontend(
             "interface R { void r(); };"
             "interface A : R {};"
             "interface B : R {};"
-            "interface C : A, B { void c(); };"
-        )
+            "interface C : A, B { void c(); };")
         presc = present(root, "C")
         names = [stub.operation_name for stub in presc.stubs]
         assert names.count("r") == 1
@@ -167,15 +160,13 @@ class TestInheritance:
 
 class TestSides:
     def test_separate_client_server_prescs(self, mail_presc):
-        flick = Flick(frontend="corba")
-        root = flick.parse(MAIL_IDL)
+        root = frontends.get("corba").compile_frontend(MAIL_IDL)
         server = present(root, "Test::Mail", side="server")
         assert server.side == "server"
         assert mail_presc.side == "client"
 
     def test_invalid_side_rejected(self):
-        flick = Flick(frontend="corba")
-        root = flick.parse(MAIL_IDL)
+        root = frontends.get("corba").compile_frontend(MAIL_IDL)
         with pytest.raises(PresentationError):
             make_presentation("corba-c").generate(
                 root, root.interface_named("Test::Mail"), side="middle"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Flick
+from repro import frontends
 from tests.conftest import present
 from repro.errors import MarshalError, UnmarshalError
 from repro.encoding import XDR, MarshalBuffer
@@ -90,11 +90,9 @@ class TestHelpers:
 class TestInterpCodecErrors:
     @pytest.fixture(scope="class")
     def presc(self):
-        flick = Flick(frontend="corba")
-        root = flick.parse(
+        root = frontends.get("corba").compile_frontend(
             "interface I { void f(in string<4> s,"
-            " in sequence<long, 2> xs); };"
-        )
+            " in sequence<long, 2> xs); };")
         return present(root, "I")
 
     def codec(self, presc):

@@ -7,7 +7,7 @@ network contract between client and server."
 
 import pytest
 
-from repro import Flick
+from repro import api
 from repro.cast import emit_c
 from repro.encoding import MarshalBuffer
 from repro.errors import BackEndError
@@ -23,14 +23,13 @@ interface Mail {
 
 @pytest.fixture(scope="module")
 def standard():
-    return Flick(frontend="corba", backend="iiop").compile(MAIL_IDL)
+    return api.compile(MAIL_IDL, "corba", backend="iiop")
 
 
 @pytest.fixture(scope="module")
 def with_length():
-    return Flick(
-        frontend="corba", presentation="corba-c-len", backend="iiop"
-    ).compile(MAIL_IDL)
+    return api.compile(
+        MAIL_IDL, "corba", presentation="corba-c-len", backend="iiop")
 
 
 class TestLengthPresentation:
@@ -43,7 +42,7 @@ class TestLengthPresentation:
         assert "msg_len" not in text
 
     def test_python_side_takes_bytes(self, with_length):
-        module = with_length.load_module()
+        module = with_length.module
 
         class Impl(module.MailServant):
             def send(self, msg):
@@ -61,8 +60,8 @@ class TestLengthPresentation:
 
     def test_network_contract_unchanged(self, standard, with_length):
         """The paper's key sentence: messages are byte-identical."""
-        standard_module = standard.load_module()
-        length_module = with_length.load_module()
+        standard_module = standard.module
+        length_module = with_length.module
         buffer_a, buffer_b = MarshalBuffer(), MarshalBuffer()
         standard_module._m_req_send(buffer_a, 7, "hello")
         length_module._m_req_send(buffer_b, 7, b"hello")
@@ -71,7 +70,7 @@ class TestLengthPresentation:
     def test_cross_presentation_interop(self, standard, with_length):
         """A standard-presentation client against a length-presentation
         server: same wire, different programmer's contracts."""
-        length_module = with_length.load_module()
+        length_module = with_length.module
 
         class Impl(length_module.MailServant):
             def send(self, msg):
@@ -80,7 +79,7 @@ class TestLengthPresentation:
             def motd(self):
                 return b"hi"
 
-        standard_module = standard.load_module()
+        standard_module = standard.module
         client = standard_module.MailClient(
             LoopbackTransport(length_module.dispatch, Impl())
         )
@@ -93,10 +92,10 @@ class TestLengthPresentation:
         assert ".encode(" not in body
 
     def test_bound_still_enforced(self):
-        result = Flick(
-            frontend="corba", presentation="corba-c-len", backend="iiop"
-        ).compile("interface I { void f(in string<4> s); };")
-        module = result.load_module()
+        result = api.compile(
+            "interface I { void f(in string<4> s); };", "corba",
+            presentation="corba-c-len", backend="iiop")
+        module = result.module
         from repro.errors import MarshalError
 
         buffer = MarshalBuffer()
@@ -111,13 +110,11 @@ class TestLengthPresentation:
                 make_baseline(name).generate(with_length.presc)
 
     def test_strings_nested_in_structs(self):
-        result = Flick(
-            frontend="corba", presentation="corba-c-len", backend="iiop"
-        ).compile(
+        result = api.compile(
             "struct Msg { string subject; long prio; };"
-            "interface Q { Msg bump(in Msg m); };"
-        )
-        module = result.load_module()
+            "interface Q { Msg bump(in Msg m); };",
+            "corba", presentation="corba-c-len", backend="iiop")
+        module = result.module
 
         class Impl(module.QServant):
             def bump(self, m):
@@ -139,7 +136,7 @@ class TestLengthPresentation:
         codec = InterpretiveCodec(
             CDR_BE, presc.pres_registry, presc.mint_registry
         )
-        module = with_length.load_module()
+        module = with_length.module
         generated = MarshalBuffer()
         module._m_req_send(generated, 7, b"hello")
         header = len(module._H_req_send)
@@ -150,11 +147,9 @@ class TestLengthPresentation:
 
     def test_all_backends_support_it(self):
         for backend in ("iiop", "oncrpc-xdr", "mach3", "fluke"):
-            result = Flick(
-                frontend="corba", presentation="corba-c-len",
-                backend=backend,
-            ).compile(MAIL_IDL)
-            module = result.load_module()
+            result = api.compile(
+                MAIL_IDL, "corba", presentation="corba-c-len", backend=backend)
+            module = result.module
 
             class Impl(module.MailServant):
                 def send(self, msg):

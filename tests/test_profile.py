@@ -26,9 +26,8 @@ import urllib.request
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import documents, obs
+from repro import api, documents, obs
 from repro.core import codecs
-from repro.core.compiler import Flick
 from repro.encoding import MarshalBuffer
 from repro.gateway import AioGatewayServer, build_plan, predict_fused
 from repro.obs import profile
@@ -62,7 +61,7 @@ interface Fs {
 
 @pytest.fixture(scope="module")
 def fs_result():
-    return Flick(frontend="corba", backend="iiop").compile(FS_IDL)
+    return api.compile(FS_IDL, "corba", backend="iiop")
 
 
 @pytest.fixture(autouse=True)
@@ -387,18 +386,18 @@ class TestMalformedSnapshots:
 # ----------------------------------------------------------------------
 
 def _compile_fs():
-    return Flick(frontend="corba", backend="iiop").compile(FS_IDL)
+    return api.compile(FS_IDL, "corba", backend="iiop")
 
 
 class TestSwap:
     def test_instrumenting_while_off_leaves_codecs_untouched(self):
-        module = _compile_fs().load_module()
+        module = _compile_fs().module
         before = module._m_req_list
         profile.instrument_stub_module(module)
         assert module._m_req_list is before
 
     def test_configure_wraps_and_shutdown_restores(self):
-        module = _compile_fs().load_module()
+        module = _compile_fs().module
         profile.instrument_stub_module(module)
         deferred = module._m_req_list
         profile.configure(sample=1)
@@ -413,8 +412,8 @@ class TestSwap:
         assert profile_of(snapshot, "list", "request").calls == 1
 
     def test_wrapped_wire_bytes_are_identical(self):
-        plain = _compile_fs().load_module()
-        wrapped = profile.instrument_stub_module(_compile_fs().load_module())
+        plain = _compile_fs().module
+        wrapped = profile.instrument_stub_module(_compile_fs().module)
         profile.configure(sample=1)
         for module in (wrapped, plain):
             buffer = MarshalBuffer()
@@ -425,7 +424,7 @@ class TestSwap:
                 observed = buffer.getvalue()
 
     def test_sampling_rate_bounds_the_recorded_subset(self):
-        module = profile.instrument_stub_module(_compile_fs().load_module())
+        module = profile.instrument_stub_module(_compile_fs().module)
         profile.configure(sample=8)
         buffer = MarshalBuffer()
         for _ in range(64):
@@ -437,7 +436,7 @@ class TestSwap:
         assert prof.sampled == 8
 
     def test_decode_failures_still_raise_through_the_wrapper(self):
-        module = profile.instrument_stub_module(_compile_fs().load_module())
+        module = profile.instrument_stub_module(_compile_fs().module)
         profile.configure(sample=1)
         with pytest.raises(Exception):
             module._u_req_list(b"\x00", 0)
@@ -459,8 +458,8 @@ class TestReplyArms:
     def test_an_exception_counts_under_its_arm_on_both_sides(self):
         """The server's ``_m_rep_x1_`` and the client's ``_u_rep_``
         count one exception arm under one label, ``x1``."""
-        result = Flick(frontend="corba", backend="iiop").compile(BANK_IDL)
-        module = profile.instrument_stub_module(result.load_module())
+        result = api.compile(BANK_IDL, "corba", backend="iiop")
+        module = profile.instrument_stub_module(result.module)
 
         class Account:
             def withdraw(self, amount, r):
@@ -491,7 +490,7 @@ class TestEndToEnd:
             self, fs_result, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         snap_path = tmp_path / "snap.json"
-        module = fs_result.load_module()
+        module = fs_result.module
         obs.configure(obs.JsonlExporter(str(trace_path)))
         obs.instrument_stub_module(module)
         stats = ServerStats()
@@ -553,7 +552,7 @@ class TestEndToEnd:
         assert any(e["trace_id"] in exported for e in exemplars)
 
     def test_profile_endpoint_serves_the_live_snapshot(self, fs_result):
-        module = fs_result.load_module()
+        module = fs_result.module
         stats = ServerStats()
         profile.configure(sample=1, registry=stats.registry)
         profile.instrument_stub_module(module)
@@ -577,7 +576,7 @@ class TestEndToEnd:
             assert excinfo.value.code == 404
 
     def test_flick_top_once_renders_the_op_table(self, fs_result, capsys):
-        module = fs_result.load_module()
+        module = fs_result.module
         stats = ServerStats()
         profile.configure(sample=1, registry=stats.registry)
         profile.instrument_stub_module(module)
@@ -636,7 +635,7 @@ def iiop_result():
 
 @contextlib.contextmanager
 def _bridge(ingress_result, egress_result, stats=None):
-    egress_module = egress_result.load_module()
+    egress_module = egress_result.module
     upstream = StubServer(egress_module, MailImpl(egress_module)) \
         .tcp_server()
     with upstream:
@@ -651,7 +650,7 @@ class TestGatewayProfile:
     def test_dynamic_fused_ratio_matches_static_prediction(
             self, iiop_result, onc_result):
         profile.configure(sample=1)
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result) as gateway:
             transport = TcpClientTransport(*gateway.address)
             try:
@@ -677,7 +676,7 @@ class TestGatewayProfile:
     def test_transcode_profiles_carry_sizes_and_latency(
             self, iiop_result, onc_result):
         profile.configure(sample=1)
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result) as gateway:
             transport = TcpClientTransport(*gateway.address)
             try:
@@ -693,7 +692,7 @@ class TestGatewayProfile:
     def test_unified_family_replaces_gateway_alias(
             self, iiop_result, onc_result):
         stats = ServerStats()
-        module = iiop_result.load_module()
+        module = iiop_result.module
         with _bridge(iiop_result, onc_result, stats=stats) as gateway:
             transport = TcpClientTransport(*gateway.address)
             try:

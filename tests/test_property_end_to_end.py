@@ -9,7 +9,7 @@ the values sent, for every back end.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Flick
+from repro import api
 from repro.pres.values import normalize
 from repro.runtime import LoopbackTransport
 
@@ -38,9 +38,7 @@ _compiled = {}
 
 def client_for(backend):
     if backend not in _compiled:
-        module = Flick(frontend="corba", backend=backend).compile(
-            IDL
-        ).load_module()
+        module = api.compile(IDL, "corba", backend=backend).module
 
         class Impl(module.E_StoreServant):
             def put(self, batch, payload):

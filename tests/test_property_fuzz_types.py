@@ -17,7 +17,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Flick
 from repro.aoi import (
     AoiArray,
     AoiBoolean,

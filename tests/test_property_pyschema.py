@@ -183,7 +183,7 @@ def test_generated_pairs_wire_identical(schema):
             for renderer in ("py", "closures"):
                 module = api.compile(
                     source, lang, backend=backend, renderer=renderer,
-                ).load_module()
+                ).module
                 sessions.append((lang, renderer) + drive(module, ops))
         _lang0, _renderer0, base_results, base_log = sessions[0]
         for lang, renderer, results, log in sessions[1:]:

@@ -102,7 +102,7 @@ class TestPassSoundnessFuzz:
            backend=st.sampled_from(BACKENDS))
     def test_each_pass_preserves_semantics(self, pair, pass_name,
                                            backend):
-        flags = OptFlags().disable_pass(pass_name)
+        flags = OptFlags().but(**{pass_name: False})
         _assert_renderers_agree(pair, backend, flags)
 
     @settings(max_examples=25, deadline=None)

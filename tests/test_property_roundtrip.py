@@ -14,7 +14,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Flick, OptFlags
+from repro import OptFlags, api
 from repro.encoding import FORMATS, MarshalBuffer, ReadCursor
 from repro.pres import InterpretiveCodec
 from repro.pres.values import get_field, normalize
@@ -64,9 +64,8 @@ _modules = {}
 def module_for(backend, flags=None):
     key = (backend, flags)
     if key not in _modules:
-        flick = Flick(frontend="oncrpc", backend=backend,
-                      flags=flags or OptFlags())
-        _modules[key] = flick.compile(PROP_IDL)
+        _modules[key] = api.compile(
+            PROP_IDL, "oncrpc", backend=backend, flags=flags or OptFlags())
     return _modules[key]
 
 
@@ -125,7 +124,7 @@ def chain_to_list(chain):
 def roundtrip(backend, op, *args):
     """Marshal a request with generated stubs and unmarshal it back."""
     compiled = module_for(backend)
-    module = compiled.load_module()
+    module = compiled.module
     buffer = MarshalBuffer()
     getattr(module, "_m_req_%s" % op)(buffer, 1, *args)
     data = buffer.getvalue()
@@ -158,7 +157,7 @@ def interp_body(backend, op, value_dict):
     )
     header = _HEADERS[backend]
     if header is None:
-        header = len(compiled.load_module().__dict__["_H_req_%s" % op])
+        header = len(compiled.module.__dict__["_H_req_%s" % op])
     buffer = MarshalBuffer()
     buffer.reserve(header)
     codec.encode(stub.request_pres, value_dict, buffer)
@@ -170,7 +169,7 @@ class TestScalarRoundtrip:
     @settings(max_examples=60, deadline=None)
     @given(value=scalars_values)
     def test_scalars(self, backend, value):
-        module = module_for(backend).load_module()
+        module = module_for(backend).module
         record = module.scalars(**value)
         (got,), _data = roundtrip(backend, "p_scalars", record)
         assert normalize(got) == _expected_scalars(value)
@@ -208,7 +207,7 @@ class TestScalarRoundtrip:
     @settings(max_examples=40, deadline=None)
     @given(values=list_values)
     def test_recursive_list(self, backend, values):
-        module = module_for(backend).load_module()
+        module = module_for(backend).module
         chain = build_node_chain(module, values)
         if chain is None:
             return  # p_list takes a node, not an optional node
@@ -227,7 +226,7 @@ class TestInterpByteIdentity:
     @settings(max_examples=30, deadline=None)
     @given(value=scalars_values)
     def test_scalars_bytes_match(self, backend, value):
-        module = module_for(backend).load_module()
+        module = module_for(backend).module
         record = module.scalars(**value)
         _got, data = roundtrip(backend, "p_scalars", record)
         body, header = interp_body(backend, "p_scalars", {"arg1": value})
@@ -262,7 +261,7 @@ class TestFlagByteIdentity:
     def test_xdr_bytes_invariant_under_flags(self, value, text, xs):
         references = None
         for flags in [OptFlags()] + self.FLAGS:
-            module = module_for("oncrpc-xdr", flags).load_module()
+            module = module_for("oncrpc-xdr", flags).module
             record = module.scalars(**value)
             messages = []
             for op, argument in (
@@ -288,7 +287,7 @@ class TestCrossCompilerFuzz:
             from repro.compilers import make_baseline
 
             flick = module_for("oncrpc-xdr")
-            cls._mods["flick"] = flick.load_module()
+            cls._mods["flick"] = flick.module
             cls._mods["rpcgen"] = make_baseline("rpcgen").generate(
                 flick.presc
             ).load()

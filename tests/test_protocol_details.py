@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from repro import Flick
+from repro import api
 from repro.errors import TransportError, UnmarshalError
 from repro.encoding import MarshalBuffer
 from repro.runtime import LoopbackTransport
@@ -15,7 +15,7 @@ from tests.conftest import MailImpl, compile_mail, make_client
 class TestOncRpcHeaders:
     @pytest.fixture(scope="class")
     def module(self):
-        return compile_mail("oncrpc-xdr").load_module()
+        return compile_mail("oncrpc-xdr").module
 
     def test_call_header_fields(self, module):
         buffer = MarshalBuffer()
@@ -79,7 +79,7 @@ class TestOncRpcHeaders:
 class TestGiopHeaders:
     @pytest.fixture(scope="class")
     def module(self):
-        return compile_mail("iiop").load_module()
+        return compile_mail("iiop").module
 
     def test_request_header_layout(self, module):
         buffer = MarshalBuffer()
@@ -148,13 +148,11 @@ class TestGiopHeaders:
         assert module._u_rep_avg(bytes(rebuilt), offset) == 5.0
 
     def test_byte_order_mismatch_rejected(self, module):
-        from repro import Flick
         from repro.errors import DispatchError
         from tests.conftest import MAIL_IDL
 
-        little = Flick(
-            frontend="corba", backend="iiop", little_endian=True
-        ).compile(MAIL_IDL).load_module()
+        little = api.compile(
+            MAIL_IDL, "corba", backend="iiop", little_endian=True).module
         buffer = MarshalBuffer()
         little._m_req_ping(buffer, 1, 5)
         with pytest.raises(DispatchError) as exc_info:
@@ -172,7 +170,7 @@ class TestGiopHeaders:
 
 class TestMachHeaders:
     def test_request_and_reply_ids(self):
-        module = compile_mail("mach3").load_module()
+        module = compile_mail("mach3").module
         from repro.backend.mach3 import MSGH_ID_BASE, REPLY_ID_DELTA
 
         buffer = MarshalBuffer()
@@ -187,14 +185,14 @@ class TestMachHeaders:
         assert reply_id > MSGH_ID_BASE + REPLY_ID_DELTA - 100
 
     def test_msgh_size_patched(self):
-        module = compile_mail("mach3").load_module()
+        module = compile_mail("mach3").module
         buffer = MarshalBuffer()
         module._m_req_avg(buffer, None, list(range(10)))
         (size,) = struct.unpack_from("<I", buffer.getvalue(), 4)
         assert size == len(buffer.getvalue())
 
     def test_reply_size_mismatch_rejected(self):
-        module = compile_mail("mach3").load_module()
+        module = compile_mail("mach3").module
 
         class Corruptor:
             def call(self, request):
@@ -209,7 +207,7 @@ class TestMachHeaders:
 
 class TestFlukeHeaders:
     def test_opcode_word_only(self):
-        module = compile_mail("fluke").load_module()
+        module = compile_mail("fluke").module
         buffer = MarshalBuffer()
         module._m_req_ping(buffer, None, 5)
         (opcode,) = struct.unpack_from("<I", buffer.getvalue(), 0)
@@ -219,7 +217,7 @@ class TestFlukeHeaders:
         assert value == 5
 
     def test_reply_has_no_header(self):
-        module = compile_mail("fluke").load_module()
+        module = compile_mail("fluke").module
         reply = MarshalBuffer()
         module._m_rep_ok_avg(reply, None, 1.5)
         # Union discriminator (0) right at offset 0.
@@ -230,7 +228,7 @@ class TestFlukeHeaders:
 class TestTruncatedReplies:
     @pytest.mark.parametrize("backend", ["oncrpc-xdr", "iiop"])
     def test_truncated_reply_raises_unmarshal_error(self, backend):
-        module = compile_mail(backend).load_module()
+        module = compile_mail(backend).module
         impl = MailImpl(module)
         inner = LoopbackTransport(module.dispatch, impl)
 

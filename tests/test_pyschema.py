@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from repro import Flick, api
+from repro import api, frontends
 from repro.errors import FlickError
 from repro.runtime import LoopbackTransport
 
@@ -190,7 +190,7 @@ class TestIdlEquivalence:
                              ("pyschema", PYSCHEMA_EQ)):
             result = api.compile(source, lang, backend=backend,
                                  renderer=renderer)
-            sessions[lang] = drive_eq(result.load_module())
+            sessions[lang] = drive_eq(result.module)
         results_idl, log_idl = sessions["corba"]
         results_py, log_py = sessions["pyschema"]
         assert results_py == results_idl
@@ -327,7 +327,7 @@ class TestObjectInputs:
         assert result.interface.code == "IDL:Sample:1.0"
         [op] = result.interface.operations
         assert op.name == "echo"
-        module = result.load_module()
+        module = result.module
 
         class Impl:
             def echo(self, value):
@@ -348,7 +348,7 @@ class TestObjectInputs:
         result = api.compile(_Calculator)
         assert result.interface.name == "Calc"
         assert result.interface.code == "IDL:test/Calc:1.0"
-        module = result.load_module()
+        module = result.module
 
         class Impl:
             def add(self, a, b):
@@ -411,7 +411,7 @@ def _single_field_aoi(annotation_source):
         class Holder:
             value: %s
     """) % annotation_source
-    root = Flick(frontend="pyschema").parse(source)
+    root = frontends.get("pyschema").compile_frontend(source)
     holder = root.types["Holder"]
     return holder.fields[0].type
 
@@ -511,18 +511,18 @@ class TestSchemaErrors:
                 value: Mode
         """)
         with pytest.raises(FlickError, match="int"):
-            Flick(frontend="pyschema").parse(source)
+            frontends.get("pyschema").compile_frontend(source)
 
     def test_invalid_python_source(self):
         with pytest.raises(FlickError, match="invalid Python schema"):
-            Flick(frontend="pyschema").parse("def broken(:\n")
+            frontends.get("pyschema").compile_frontend("def broken(:\n")
 
     def test_future_annotations_supported(self):
         source = (
             "from __future__ import annotations\n"
             + PYSCHEMA_EQ.replace("from dataclasses", "from dataclasses", 1)
         )
-        root = Flick(frontend="pyschema").parse(source)
+        root = frontends.get("pyschema").compile_frontend(source)
         assert root.interface_named("Mail") is not None
 
 

@@ -20,8 +20,7 @@ import urllib.request
 
 import pytest
 
-from repro import Flick, documents, obs
-from repro.core.compiler import Flick as FlickCompiler
+from repro import api, documents, obs
 from repro.encoding import MarshalBuffer
 from repro.errors import FlickError
 from repro.obs.http import MetricsHttpServer, routes_of
@@ -388,8 +387,7 @@ class TestOneAssembly:
     @pytest.mark.parametrize("backend", ["oncrpc-xdr", "iiop"])
     def test_three_drivers_answer_alike(self, calc, backend):
         config = calc.but(backend=backend, metrics_port=0)
-        module = Flick(frontend="corba", backend=backend) \
-            .compile(CALC_IDL).load_module()
+        module = api.compile(CALC_IDL, "corba", backend=backend).module
         good, other = MarshalBuffer(), MarshalBuffer()
         module._m_req_avg(good, 7, [4, 6, 8])
         module._m_req_avg(other, 8, [1, 2])
@@ -493,13 +491,14 @@ class TestForegroundRunner:
         2N + 3 for a checked gateway."""
         monkeypatch.chdir(tmp_path)
         compiled = []
-        compile_one = FlickCompiler.compile
+        compile_one = api.compile
 
-        def counting(self, *args, **kwargs):
-            compiled.append(self.backend)
-            return compile_one(self, *args, **kwargs)
+        def counting(*args, **kwargs):
+            result = compile_one(*args, **kwargs)
+            compiled.append(result.stubs.backend_name)
+            return result
 
-        monkeypatch.setattr(FlickCompiler, "compile", counting)
+        monkeypatch.setattr(api, "compile", counting)
         assert main(["serve", calc.idl_path, "--impl", calc.impl,
                      "--workers", "2", "--duration", "0.2"]) == 0
         assert len(compiled) == 1

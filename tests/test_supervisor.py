@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro import Flick, documents
+from repro import api, documents
 from repro.encoding import MarshalBuffer
 from repro.errors import StaleConnectionError, TransportError
 from repro.obs.metrics import parse_prometheus
@@ -90,8 +90,7 @@ ROBUST = CallOptions(
 
 @pytest.fixture(scope="module")
 def calc_module():
-    flick = Flick(frontend="corba", backend="oncrpc-xdr")
-    return flick.compile(CALC_IDL).load_module()
+    return api.compile(CALC_IDL, "corba", backend="oncrpc-xdr").module
 
 
 def _avg_request(module, xid, values):
@@ -604,8 +603,7 @@ interface Mail {
 class TestRollout:
     def test_compatible_rollout_under_load(self, tmp_path):
         idl_path, template = _mail_template(tmp_path)
-        v1 = Flick(frontend="corba").compile(
-            open(idl_path).read()).load_module()
+        v1 = api.compile(open(idl_path).read(), "corba").module
         with _supervisor(template, 2) as sup:
             transport = AioClientTransport(
                 sup.host, sup.port, pool_size=2, options=ROBUST)
@@ -647,7 +645,7 @@ class TestRollout:
             assert client.check("bob") >= 0
             transport.close()
             # ...and a v2 client can reach the appended operation.
-            v2 = Flick(frontend="corba").compile(v2_text).load_module()
+            v2 = api.compile(v2_text, "corba").module
             t2 = TcpClientTransport(sup.host, sup.port)
             client2 = v2.MailClient(t2)
             client2.expunge(0)
@@ -660,8 +658,7 @@ class TestRollout:
 
     def test_breaking_and_garbage_schemas_refused(self, tmp_path):
         idl_path, template = _mail_template(tmp_path)
-        v1 = Flick(frontend="corba").compile(
-            open(idl_path).read()).load_module()
+        v1 = api.compile(open(idl_path).read(), "corba").module
         with _supervisor(template, 1) as sup:
             pid = sup.status()[0]["pid"]
             open(idl_path, "w").write(MAIL_BREAKING)

@@ -24,7 +24,7 @@ from tests.rawsock import recv_record
 
 @pytest.fixture(scope="module")
 def onc_module():
-    return compile_mail("oncrpc-xdr").load_module()
+    return compile_mail("oncrpc-xdr").module
 
 
 class TestRecordMarking:

@@ -23,17 +23,17 @@ from tests.conftest import MailImpl, compile_mail, make_client
 
 @pytest.fixture(scope="module")
 def onc_module():
-    return compile_mail("oncrpc-xdr").load_module()
+    return compile_mail("oncrpc-xdr").module
 
 
 @pytest.fixture(scope="module")
 def mach_module():
-    return compile_mail("mach3").load_module()
+    return compile_mail("mach3").module
 
 
 @pytest.fixture(scope="module")
 def fluke_module():
-    return compile_mail("fluke").load_module()
+    return compile_mail("fluke").module
 
 
 class TestLoopback:

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from repro import Flick, OptFlags, api
+from repro import OptFlags, api
 from repro.compilers import make_baseline
 from repro.encoding import FORMATS, MarshalBuffer
 from repro.errors import FlickUserException
@@ -54,7 +54,7 @@ class TestFlagInvariance:
     def test_flags_do_not_change_bytes(self, backend):
         reference = None
         for flags in FLAG_VARIANTS:
-            module = compile_mail(backend, flags).load_module()
+            module = compile_mail(backend, flags).module
             data = marshal_send(module)
             if reference is None:
                 reference = data
@@ -66,7 +66,7 @@ class TestFlagInvariance:
         for value in values:
             reference = None
             for flags in FLAG_VARIANTS:
-                module = compile_mail(backend, flags).load_module()
+                module = compile_mail(backend, flags).module
                 data = marshal_send(module, v=value)
                 if reference is None:
                     reference = data
@@ -77,7 +77,7 @@ class TestInterpAgreement:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_request_body_matches_interp(self, backend):
         result = compile_mail(backend)
-        module = result.load_module()
+        module = result.module
         presc = result.presc
         stub = presc.stub_named("send")
         codec = InterpretiveCodec(
@@ -100,7 +100,7 @@ class TestInterpAgreement:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_interp_decodes_generated_body(self, backend):
         result = compile_mail(backend)
-        module = result.load_module()
+        module = result.module
         presc = result.presc
         stub = presc.stub_named("send")
         codec = InterpretiveCodec(
@@ -227,13 +227,13 @@ def _outcome(client_module, server_module, operation, make_args):
 class TestCrossCompiler:
     def test_xdr_compilers_wire_identical(self):
         result = compile_mail("oncrpc-xdr")
-        flick_module = result.load_module()
+        flick_module = result.module
         rpcgen_module = make_baseline("rpcgen").generate(result.presc).load()
         assert marshal_send(flick_module) == marshal_send(rpcgen_module)
 
     def test_iiop_compilers_wire_identical(self):
         result = compile_mail("iiop")
-        flick_module = result.load_module()
+        flick_module = result.module
         orbeline_module = make_baseline("orbeline").generate(
             result.presc
         ).load()
@@ -244,7 +244,7 @@ class TestCrossCompiler:
 
     def test_flick_client_against_rpcgen_server(self):
         result = compile_mail("oncrpc-xdr")
-        flick_module = result.load_module()
+        flick_module = result.module
         rpcgen_module = make_baseline("rpcgen").generate(result.presc).load()
         impl = MailImpl(rpcgen_module)
         transport = LoopbackTransport(rpcgen_module.dispatch, impl)
@@ -258,7 +258,7 @@ class TestCrossCompiler:
 
     def test_rpcgen_client_against_flick_server(self):
         result = compile_mail("oncrpc-xdr")
-        flick_module = result.load_module()
+        flick_module = result.module
         rpcgen_module = make_baseline("rpcgen").generate(result.presc).load()
         impl = MailImpl(flick_module)
         transport = LoopbackTransport(flick_module.dispatch, impl)
@@ -270,7 +270,7 @@ class TestCrossCompiler:
 
     def test_ilu_client_against_flick_server(self):
         result = compile_mail("iiop")
-        flick_module = result.load_module()
+        flick_module = result.module
         ilu_module = make_baseline("ilu").generate(result.presc).load()
         impl = MailImpl(flick_module)
         transport = LoopbackTransport(flick_module.dispatch, impl)
@@ -284,7 +284,7 @@ class TestCrossCompiler:
 
     def test_exception_across_compilers(self):
         result = compile_mail("iiop")
-        flick_module = result.load_module()
+        flick_module = result.module
         orbeline_module = make_baseline("orbeline").generate(
             result.presc
         ).load()
@@ -307,7 +307,7 @@ class TestCrossCompiler:
         same values (or raises the same exception)."""
         text, lang, calls = ATOM_CALLS[schema]
         result = api.compile(text, lang, backend=RIVAL_WIRE[baseline])
-        modules = (result.load_module(),
+        modules = (result.module,
                    make_baseline(baseline).generate(result.presc).load())
         for operation, make_args in calls:
             requests = [_request(module, operation, make_args(module))
@@ -320,8 +320,8 @@ class TestCrossCompiler:
             assert outcomes[1:] == outcomes[:1] * 3, (operation, outcomes)
 
     def test_little_endian_iiop_roundtrip(self):
-        flick = Flick(frontend="corba", backend="iiop", little_endian=True)
-        module = flick.compile(MAIL_IDL).load_module()
+        module = api.compile(
+            MAIL_IDL, "corba", backend="iiop", little_endian=True).module
         impl = MailImpl(module)
         client = module.Test_MailClient(
             LoopbackTransport(module.dispatch, impl)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Flick
+from repro import api
 from repro.encoding import MarshalBuffer
 from repro.workloads import (
     BENCH_IDL_CORBA,
@@ -22,17 +22,14 @@ _cache = {}
 
 def corba_module():
     if "corba" not in _cache:
-        _cache["corba"] = Flick(
-            frontend="corba", backend="oncrpc-xdr"
-        ).compile(BENCH_IDL_CORBA).load_module()
+        _cache["corba"] = api.compile(
+            BENCH_IDL_CORBA, "corba", backend="oncrpc-xdr").module
     return _cache["corba"]
 
 
 def onc_module():
     if "onc" not in _cache:
-        _cache["onc"] = Flick(frontend="oncrpc").compile(
-            BENCH_IDL_ONC
-        ).load_module()
+        _cache["onc"] = api.compile(BENCH_IDL_ONC, "oncrpc").module
     return _cache["onc"]
 
 
