@@ -102,7 +102,6 @@ KEEP = {
     "compilers/per_datum.py PerDatumBackEnd.routine": _HOOK,
     "compilers/per_datum.py PerDatumBackEnd.open_message": _HOOK,
     "corba/ast.py AstScopedName.__str__": _PROTOCOL,
-    "encoding/base.py WireFormat.atom_codec": _HOOK,
     "encoding/base.py WireFormat.__repr__": _PROTOCOL,
     "encoding/buffer.py MarshalBuffer.__len__": _PROTOCOL,
     "faults/transport.py FaultyTransport.__init__": _FAKE,
@@ -115,12 +114,9 @@ KEEP = {
     "gateway/plan.py BridgePlan.fused_request_ops": "flick gateway's "
     "listening banner; no driver serves a gateway from the CLI",
     "idl/source.py SourceFile.__repr__": _PROTOCOL,
-    "obs/http.py MetricsHttpServer.__enter__": _PROTOCOL,
-    "obs/http.py MetricsHttpServer.__exit__": _PROTOCOL,
     "obs/trace.py _NoopSpan.set": _PROTOCOL,
     "obs/trace.py CollectingExporter.__init__": _FAKE,
     "obs/trace.py CollectingExporter.by_name": _FAKE,
-    "pgen/base.py PresentationGenerator.c_scalar_type": _HOOK,
     "pgen/base.py PresentationGenerator.c_stub_decl": _HOOK,
     "pres/interp.py InterpretiveCodec.encode": _ORACLE,
     "pres/interp.py InterpretiveCodec.decode": _ORACLE,

@@ -35,7 +35,7 @@ from time import perf_counter
 from repro import frontends
 from repro.core.compiler import DEFAULT_BACKEND, CompileResult
 from repro.core.options import OptFlags
-from repro.errors import FlickError
+from repro.errors import BackEndError, FlickError
 from repro.obs import trace
 
 
@@ -107,6 +107,9 @@ def _compile(text, lang, name, interface, every, presentation, backend,
     from repro.backend import make_backend
     from repro.pgen import make_presentation
 
+    if renderer not in ("py", "closures"):
+        raise BackEndError("unknown renderer %r; available renderers: py,"
+                           " closures" % (renderer,))
     fe = _front_end(text, lang, name)
     front = {}
     started = perf_counter()
@@ -153,7 +156,8 @@ def _compile(text, lang, name, interface, every, presentation, backend,
             phase_started = perf_counter()
         with trace.span("compile.emit"):
             stubs = make_backend(backend, **backend_options).generate(
-                presc, flags or OptFlags(), renderer=renderer)
+                presc, flags or OptFlags())
+        stubs.renderer = renderer
         timings["emit_s"] = perf_counter() - phase_started
         timings["total_s"] = front_s + perf_counter() - own_started
         results[key] = CompileResult(

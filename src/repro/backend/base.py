@@ -31,17 +31,12 @@ from struct import pack_into
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro import envelopes
-from repro.errors import BackEndError
 from repro.core.options import OptFlags
 from repro.pres import nodes as p
 from repro.backend.pywriter import PyWriter
 from repro.mir import ops as mir_ops
 
 mangle = mir_ops.mangle
-
-#: Renderers :meth:`OptimizingBackEnd.generate` accepts.
-RENDERERS = ("py", "closures", "c")
-
 
 @dataclass(frozen=True)
 class HeaderSpec:
@@ -121,6 +116,8 @@ class GeneratedStubs:
     c_artifact: object = field(default=None, repr=False)
     metadata: Dict[str, object] = field(default_factory=dict)
     module_name: str = ""
+    #: The name ``api.compile(renderer=)`` was given (``"py"`` or
+    #: ``"closures"``); it selects nothing.
     renderer: str = "py"
     mir: object = field(default=None, repr=False)
     #: The PRES_C these stubs were generated from.  A loaded module
@@ -150,9 +147,9 @@ class GeneratedStubs:
     def load(self):
         """Exec the generated Python module (cached) and return it.
 
-        Under either renderer name the module loads its ``shared``
-        section and no codec: every codec function is a deferred entry
-        that compiles its own lines of the text at its first call
+        The module loads its ``shared`` section and no codec: every
+        codec function is a deferred entry that compiles its own lines
+        of the text at its first call
         (:func:`repro.mir.render_closures.defer_codecs`), and the
         ``client``, ``server`` and ``errors`` sections compile when
         first used (:func:`repro.core.loader.load_stub_module`) — the
@@ -205,6 +202,17 @@ def _memoized(thunk):
         return cell[0]
 
     return cached
+
+
+def procedure_number(presc, stub):
+    """The number a protocol's header gives *stub*: the code the IDL
+    declared, else its 1-based position among *presc*'s stubs."""
+    if isinstance(stub.request_code, int):
+        return stub.request_code
+    for index, other in enumerate(presc.stubs, 1):
+        if other is stub:
+            return index
+    raise KeyError(stub.operation_name)
 
 
 class OptimizingBackEnd:
@@ -316,23 +324,16 @@ class OptimizingBackEnd:
     # Entry point
     # ------------------------------------------------------------------
 
-    def generate(self, presc, flags=None, renderer="py"):
+    def generate(self, presc, flags=None):
         """Generate stubs for *presc*; returns :class:`GeneratedStubs`.
 
-        *renderer* is recorded as ``stubs.renderer`` and selects nothing
-        at load: under ``"py"`` (the default) and ``"closures"`` alike
-        the module loads without its codec section and each codec
-        function compiles at its first call.  ``"c"`` is implied —
-        ``stubs.c_source``/``c_header`` print the C artifact when first
-        read, and a presentation the C printer cannot express raises
+        The module loads without its codec section and each codec
+        function compiles at its first call.  ``stubs.c_source``/
+        ``c_header`` print the C artifact when first read, and a
+        presentation the C printer cannot express raises
         :class:`BackEndError` there, not here.
         """
         flags = flags or OptFlags()
-        if renderer not in RENDERERS:
-            raise BackEndError(
-                "unknown renderer %r; available renderers: %s"
-                % (renderer, ", ".join(RENDERERS))
-            )
         self.supports(presc)
         w = PyWriter()
         metadata = {
@@ -387,7 +388,6 @@ class OptimizingBackEnd:
             c_artifact=partial(_print_c, self, presc, flags),
             metadata=metadata,
             module_name=module_name,
-            renderer=renderer,
             mir=program,
             presc=presc,
             backend_instance=self,

@@ -13,17 +13,9 @@ from __future__ import annotations
 
 import struct
 
-from repro.backend.base import HeaderSpec, OptimizingBackEnd
+from repro.backend.base import (
+    HeaderSpec, OptimizingBackEnd, procedure_number)
 from repro.encoding import FLUKE
-
-
-def operation_code(presc, stub):
-    if isinstance(stub.request_code, int):
-        return stub.request_code
-    for index, other in enumerate(presc.stubs, 1):
-        if other is stub:
-            return index
-    raise KeyError(stub.operation_name)
 
 
 class FlukeBackEnd(OptimizingBackEnd):
@@ -34,14 +26,14 @@ class FlukeBackEnd(OptimizingBackEnd):
     envelope = "fluke"
 
     def request_header(self, presc, stub):
-        template = struct.pack("<I", operation_code(presc, stub))
+        template = struct.pack("<I", procedure_number(presc, stub))
         return HeaderSpec(template)
 
     def reply_header(self, presc, stub):
         return HeaderSpec(b"")
 
     def demux_key(self, presc, stub):
-        return operation_code(presc, stub)
+        return procedure_number(presc, stub)
 
     def client_ctx_expr(self, stub):
         return "None"

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import struct
 
-from repro.backend.base import HeaderSpec, OptimizingBackEnd
+from repro.backend.base import (
+    HeaderSpec, OptimizingBackEnd, procedure_number)
 from repro.encoding import MACH
 
 #: msgh_bits: MACH_MSGH_BITS(MACH_MSG_TYPE_COPY_SEND,
@@ -37,12 +38,7 @@ def message_id(presc, stub):
         if isinstance(presc.interface_code, int)
         else MSGH_ID_BASE
     )
-    if isinstance(stub.request_code, int):
-        return base + stub.request_code
-    for index, other in enumerate(presc.stubs, 1):
-        if other is stub:
-            return base + index
-    raise KeyError(stub.operation_name)
+    return base + procedure_number(presc, stub)
 
 
 class Mach3BackEnd(OptimizingBackEnd):

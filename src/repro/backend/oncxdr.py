@@ -14,7 +14,8 @@ from __future__ import annotations
 import struct
 
 from repro import envelopes
-from repro.backend.base import HeaderSpec, OptimizingBackEnd
+from repro.backend.base import (
+    HeaderSpec, OptimizingBackEnd, procedure_number)
 from repro.encoding import XDR
 
 #: Fallback program/version when an interface has no ONC code (e.g. an
@@ -33,16 +34,6 @@ def interface_program(presc):
     if isinstance(code, tuple) and len(code) == 2:
         return code
     return (DEFAULT_PROGRAM, DEFAULT_VERSION)
-
-
-def operation_number(presc, stub):
-    """The procedure number for *stub* (declared, or position-derived)."""
-    if isinstance(stub.request_code, int):
-        return stub.request_code
-    for index, other in enumerate(presc.stubs, 1):
-        if other is stub:
-            return index
-    raise KeyError(stub.operation_name)
 
 
 class OncXdrBackEnd(OptimizingBackEnd):
@@ -64,7 +55,7 @@ class OncXdrBackEnd(OptimizingBackEnd):
             RPC_VERSION,
             program,
             version,
-            operation_number(presc, stub),
+            procedure_number(presc, stub),
             0, 0,                           # null credentials
             0, 0,                           # null verifier
         )
@@ -82,7 +73,7 @@ class OncXdrBackEnd(OptimizingBackEnd):
         return HeaderSpec(template, patches=((0, ">I", "_ctx"),))
 
     def demux_key(self, presc, stub):
-        return operation_number(presc, stub)
+        return procedure_number(presc, stub)
 
     unknown_op_code = "proc_unavail"
 

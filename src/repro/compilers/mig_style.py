@@ -80,8 +80,8 @@ class MigStyleCompiler(Mach3BackEnd):
     #: stages array and byte runs through a temporary when this is set.
     staged_copies = True
 
-    def generate(self, presc, flags=None, renderer="py"):
-        return super().generate(presc, self.baseline_flags, renderer)
+    def generate(self, presc, flags=None):
+        return super().generate(presc, self.baseline_flags)
 
     def supports(self, presc):
         for stub in presc.stubs:

@@ -83,8 +83,8 @@ class PerDatumBackEnd:
 
     # -- module assembly ---------------------------------------------------
 
-    def generate(self, presc, flags=None, renderer="py"):
-        return super().generate(presc, self.baseline_flags, renderer)
+    def generate(self, presc, flags=None):
+        return super().generate(presc, self.baseline_flags)
 
     def _emit_preamble(self, w, presc):
         super()._emit_preamble(w, presc)

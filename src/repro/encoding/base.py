@@ -13,11 +13,11 @@ types live.
 
 from __future__ import annotations
 
-import abc
 import struct
 from dataclasses import dataclass
 
-from repro.mint.types import MintChar, MintInteger
+from repro.errors import BackEndError
+from repro.mint.types import MintBoolean, MintChar, MintFloat, MintInteger
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,26 @@ class AtomCodec:
         return raw
 
 
-class WireFormat(abc.ABC):
+class WireFormat:
     """Byte-layout rules for one message encoding.
 
     Subclasses define :attr:`name`, :attr:`endian` (a :mod:`struct` byte
-    order prefix), and :meth:`atom_codec`; the array rules have defaults
+    order prefix) and their atom codecs as data — :attr:`int_codecs`,
+    :attr:`float_codecs`, :attr:`char_codec`, :attr:`bool_codec` and the
+    :attr:`label` their refusals name; the array rules have defaults
     matching the common 4-byte-count convention.
     """
 
     #: Display / registry name.
     name = "abstract"
+    #: Who refuses an atom the tables lack: "XDR cannot encode ...".
+    label = "abstract"
+    #: ``(bits, signed)`` -> :class:`AtomCodec` for integers.
+    int_codecs = {}
+    #: ``bits`` -> :class:`AtomCodec` for floats.
+    float_codecs = {}
+    char_codec = None
+    bool_codec = None
     #: struct byte-order prefix: ">" (big endian) or "<" (little endian).
     endian = ">"
     #: True if encoded strings carry a terminating NUL (CDR does).
@@ -74,9 +84,22 @@ class WireFormat(abc.ABC):
     #: string).  Code generators use this to elide dynamic alignment.
     universal_alignment = 1
 
-    @abc.abstractmethod
     def atom_codec(self, atom):
         """Return the :class:`AtomCodec` for an atomic MINT node."""
+        try:
+            if isinstance(atom, MintInteger):
+                return self.int_codecs[atom.bits, atom.signed]
+            if isinstance(atom, MintFloat):
+                return self.float_codecs[atom.bits]
+        except KeyError:
+            kind = "integer" if isinstance(atom, MintInteger) else "float"
+            raise BackEndError("%s cannot encode a %d-bit %s"
+                               % (self.label, atom.bits, kind)) from None
+        if isinstance(atom, MintChar):
+            return self.char_codec
+        if isinstance(atom, MintBoolean):
+            return self.bool_codec
+        raise BackEndError("not an atomic MINT type: %r" % (atom,))
 
     # -- sizes used by the MINT storage analysis -----------------------
 

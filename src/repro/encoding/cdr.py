@@ -11,33 +11,8 @@ endiannesses.
 
 from __future__ import annotations
 
-from repro.errors import BackEndError
 from repro.encoding.base import AtomCodec, WireFormat
-from repro.mint.types import (
-    MintBoolean,
-    MintChar,
-    MintFloat,
-    MintInteger,
-)
-
-_INT_CODECS = {
-    (8, True): AtomCodec("b", 1, 1, "int"),
-    (8, False): AtomCodec("B", 1, 1, "int"),
-    (16, True): AtomCodec("h", 2, 2, "int"),
-    (16, False): AtomCodec("H", 2, 2, "int"),
-    (32, True): AtomCodec("i", 4, 4, "int"),
-    (32, False): AtomCodec("I", 4, 4, "int"),
-    (64, True): AtomCodec("q", 8, 8, "int"),
-    (64, False): AtomCodec("Q", 8, 8, "int"),
-}
-
-_FLOAT_CODECS = {
-    32: AtomCodec("f", 4, 4, "float"),
-    64: AtomCodec("d", 8, 8, "float"),
-}
-
-_CHAR_CODEC = AtomCodec("B", 1, 1, "char")
-_BOOL_CODEC = AtomCodec("B", 1, 1, "bool")
+from repro.mint.types import MintChar
 
 
 class CdrFormat(WireFormat):
@@ -45,31 +20,28 @@ class CdrFormat(WireFormat):
 
     string_nul_terminated = True
 
+    label = "CDR"
+    int_codecs = {
+        (8, True): AtomCodec("b", 1, 1, "int"),
+        (8, False): AtomCodec("B", 1, 1, "int"),
+        (16, True): AtomCodec("h", 2, 2, "int"),
+        (16, False): AtomCodec("H", 2, 2, "int"),
+        (32, True): AtomCodec("i", 4, 4, "int"),
+        (32, False): AtomCodec("I", 4, 4, "int"),
+        (64, True): AtomCodec("q", 8, 8, "int"),
+        (64, False): AtomCodec("Q", 8, 8, "int"),
+    }
+    float_codecs = {
+        32: AtomCodec("f", 4, 4, "float"),
+        64: AtomCodec("d", 8, 8, "float"),
+    }
+    char_codec = AtomCodec("B", 1, 1, "char")
+    bool_codec = AtomCodec("B", 1, 1, "bool")
+
     def __init__(self, little_endian=False):
         self.little_endian = little_endian
         self.endian = "<" if little_endian else ">"
         self.name = "cdr-le" if little_endian else "cdr-be"
-
-    def atom_codec(self, atom):
-        if isinstance(atom, MintInteger):
-            try:
-                return _INT_CODECS[(atom.bits, atom.signed)]
-            except KeyError:
-                raise BackEndError(
-                    "CDR cannot encode a %d-bit integer" % atom.bits
-                ) from None
-        if isinstance(atom, MintFloat):
-            try:
-                return _FLOAT_CODECS[atom.bits]
-            except KeyError:
-                raise BackEndError(
-                    "CDR cannot encode a %d-bit float" % atom.bits
-                ) from None
-        if isinstance(atom, MintChar):
-            return _CHAR_CODEC
-        if isinstance(atom, MintBoolean):
-            return _BOOL_CODEC
-        raise BackEndError("not an atomic MINT type: %r" % (atom,))
 
     def array_padding(self, array):
         # CDR strings append a NUL terminator (not padding, but it is

@@ -12,36 +12,10 @@ transport (:mod:`repro.runtime.flukeipc`), which peels the first
 
 from __future__ import annotations
 
-from repro.errors import BackEndError
 from repro.encoding.base import AtomCodec, WireFormat
-from repro.mint.types import (
-    MintBoolean,
-    MintChar,
-    MintFloat,
-    MintInteger,
-)
 
 #: Words carried in registers by the simulated Fluke kernel path.
 REGISTER_WORDS = 8
-
-_INT_CODECS = {
-    (8, True): AtomCodec("b", 1, 1, "int"),
-    (8, False): AtomCodec("B", 1, 1, "int"),
-    (16, True): AtomCodec("h", 2, 1, "int"),
-    (16, False): AtomCodec("H", 2, 1, "int"),
-    (32, True): AtomCodec("i", 4, 1, "int"),
-    (32, False): AtomCodec("I", 4, 1, "int"),
-    (64, True): AtomCodec("q", 8, 1, "int"),
-    (64, False): AtomCodec("Q", 8, 1, "int"),
-}
-
-_FLOAT_CODECS = {
-    32: AtomCodec("f", 4, 1, "float"),
-    64: AtomCodec("d", 8, 1, "float"),
-}
-
-_CHAR_CODEC = AtomCodec("B", 1, 1, "char")
-_BOOL_CODEC = AtomCodec("B", 1, 1, "bool")
 
 
 class FlukeFormat(WireFormat):
@@ -49,30 +23,26 @@ class FlukeFormat(WireFormat):
 
     name = "fluke"
     endian = "<"
-    string_nul_terminated = False
-    universal_alignment = 1
+
+    label = "Fluke IPC"
+    int_codecs = {
+        (8, True): AtomCodec("b", 1, 1, "int"),
+        (8, False): AtomCodec("B", 1, 1, "int"),
+        (16, True): AtomCodec("h", 2, 1, "int"),
+        (16, False): AtomCodec("H", 2, 1, "int"),
+        (32, True): AtomCodec("i", 4, 1, "int"),
+        (32, False): AtomCodec("I", 4, 1, "int"),
+        (64, True): AtomCodec("q", 8, 1, "int"),
+        (64, False): AtomCodec("Q", 8, 1, "int"),
+    }
+    float_codecs = {
+        32: AtomCodec("f", 4, 1, "float"),
+        64: AtomCodec("d", 8, 1, "float"),
+    }
+    char_codec = AtomCodec("B", 1, 1, "char")
+    bool_codec = AtomCodec("B", 1, 1, "bool")
 
     def array_header_alignment(self, array):
         # Fluke payloads are fully packed; headers are not aligned either.
         return 1
 
-    def atom_codec(self, atom):
-        if isinstance(atom, MintInteger):
-            try:
-                return _INT_CODECS[(atom.bits, atom.signed)]
-            except KeyError:
-                raise BackEndError(
-                    "Fluke IPC cannot encode a %d-bit integer" % atom.bits
-                ) from None
-        if isinstance(atom, MintFloat):
-            try:
-                return _FLOAT_CODECS[atom.bits]
-            except KeyError:
-                raise BackEndError(
-                    "Fluke IPC cannot encode a %d-bit float" % atom.bits
-                ) from None
-        if isinstance(atom, MintChar):
-            return _CHAR_CODEC
-        if isinstance(atom, MintBoolean):
-            return _BOOL_CODEC
-        raise BackEndError("not an atomic MINT type: %r" % (atom,))

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from repro.errors import BackEndError
 from repro.encoding.base import AtomCodec, WireFormat
-from repro.mint.types import (
-    MintBoolean,
-    MintChar,
-    MintFloat,
-    MintInteger,
-)
+from repro.mint.types import MintBoolean, MintChar, MintFloat, MintInteger
 
 #: Mach type codes (subset of mach/message.h MACH_MSG_TYPE_*).
 TYPE_BYTE = 9
@@ -34,57 +29,33 @@ TYPE_BOOLEAN = 0
 TYPE_REAL_32 = 25
 TYPE_REAL_64 = 26
 
-_INT_CODECS = {
-    (8, True): AtomCodec("b", 1, 1, "int"),
-    (8, False): AtomCodec("B", 1, 1, "int"),
-    (16, True): AtomCodec("h", 2, 2, "int"),
-    (16, False): AtomCodec("H", 2, 2, "int"),
-    (32, True): AtomCodec("i", 4, 4, "int"),
-    (32, False): AtomCodec("I", 4, 4, "int"),
-    (64, True): AtomCodec("q", 8, 4, "int"),
-    (64, False): AtomCodec("Q", 8, 4, "int"),
-}
-
-_FLOAT_CODECS = {
-    32: AtomCodec("f", 4, 4, "float"),
-    64: AtomCodec("d", 8, 4, "float"),
-}
-
-_CHAR_CODEC = AtomCodec("B", 1, 1, "char")
-_BOOL_CODEC = AtomCodec("I", 4, 4, "bool")
-
 
 class MachFormat(WireFormat):
     """Simplified Mach 3 typed-message layout."""
 
     name = "mach3"
     endian = "<"
-    string_nul_terminated = False
     # Item boundaries are *usually* word aligned, but arrays of sub-word
     # scalars can end unaligned, so code generators may not assume it.
     universal_alignment = 1
 
-    def atom_codec(self, atom):
-        if isinstance(atom, MintInteger):
-            try:
-                return _INT_CODECS[(atom.bits, atom.signed)]
-            except KeyError:
-                raise BackEndError(
-                    "Mach messages cannot encode a %d-bit integer"
-                    % atom.bits
-                ) from None
-        if isinstance(atom, MintFloat):
-            try:
-                return _FLOAT_CODECS[atom.bits]
-            except KeyError:
-                raise BackEndError(
-                    "Mach messages cannot encode a %d-bit float" % atom.bits
-                ) from None
-        if isinstance(atom, MintChar):
-            return _CHAR_CODEC
-        if isinstance(atom, MintBoolean):
-            return _BOOL_CODEC
-        raise BackEndError("not an atomic MINT type: %r" % (atom,))
+    label = "Mach messages"
+    int_codecs = {
+        (8, True): AtomCodec("b", 1, 1, "int"),
+        (8, False): AtomCodec("B", 1, 1, "int"),
+        (16, True): AtomCodec("h", 2, 2, "int"),
+        (16, False): AtomCodec("H", 2, 2, "int"),
+        (32, True): AtomCodec("i", 4, 4, "int"),
+        (32, False): AtomCodec("I", 4, 4, "int"),
+        (64, True): AtomCodec("q", 8, 4, "int"),
+        (64, False): AtomCodec("Q", 8, 4, "int"),
+    }
+    float_codecs = {
+        32: AtomCodec("f", 4, 4, "float"),
+        64: AtomCodec("d", 8, 4, "float"),
+    }
+    char_codec = AtomCodec("B", 1, 1, "char")
+    bool_codec = AtomCodec("I", 4, 4, "bool")
 
     def array_header_size(self, array):
         # Typed messages carry an 8-byte descriptor before every array,

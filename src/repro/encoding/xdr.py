@@ -9,64 +9,33 @@ padded with zeros to a 4-byte boundary.
 
 from __future__ import annotations
 
-from repro.errors import BackEndError
 from repro.encoding.base import AtomCodec, WireFormat
-from repro.mint.types import (
-    MintBoolean,
-    MintChar,
-    MintFloat,
-    MintInteger,
-)
-
-_INT_CODECS = {
-    # Narrow integers widen to 4 bytes; 64-bit (hyper) uses 8.
-    (8, True): AtomCodec("i", 4, 4, "int"),
-    (8, False): AtomCodec("I", 4, 4, "int"),
-    (16, True): AtomCodec("i", 4, 4, "int"),
-    (16, False): AtomCodec("I", 4, 4, "int"),
-    (32, True): AtomCodec("i", 4, 4, "int"),
-    (32, False): AtomCodec("I", 4, 4, "int"),
-    (64, True): AtomCodec("q", 8, 4, "int"),
-    (64, False): AtomCodec("Q", 8, 4, "int"),
-}
-
-_FLOAT_CODECS = {
-    32: AtomCodec("f", 4, 4, "float"),
-    64: AtomCodec("d", 8, 4, "float"),
-}
-
-_CHAR_CODEC = AtomCodec("I", 4, 4, "char")
-_BOOL_CODEC = AtomCodec("I", 4, 4, "bool")
 
 
 class XdrFormat(WireFormat):
     """RFC 1832 XDR layout."""
 
     name = "xdr"
-    endian = ">"
-    string_nul_terminated = False
     universal_alignment = 4
 
-    def atom_codec(self, atom):
-        if isinstance(atom, MintInteger):
-            try:
-                return _INT_CODECS[(atom.bits, atom.signed)]
-            except KeyError:
-                raise BackEndError(
-                    "XDR cannot encode a %d-bit integer" % atom.bits
-                ) from None
-        if isinstance(atom, MintFloat):
-            try:
-                return _FLOAT_CODECS[atom.bits]
-            except KeyError:
-                raise BackEndError(
-                    "XDR cannot encode a %d-bit float" % atom.bits
-                ) from None
-        if isinstance(atom, MintChar):
-            return _CHAR_CODEC
-        if isinstance(atom, MintBoolean):
-            return _BOOL_CODEC
-        raise BackEndError("not an atomic MINT type: %r" % (atom,))
+    label = "XDR"
+    int_codecs = {
+        # Narrow integers widen to 4 bytes; 64-bit (hyper) uses 8.
+        (8, True): AtomCodec("i", 4, 4, "int"),
+        (8, False): AtomCodec("I", 4, 4, "int"),
+        (16, True): AtomCodec("i", 4, 4, "int"),
+        (16, False): AtomCodec("I", 4, 4, "int"),
+        (32, True): AtomCodec("i", 4, 4, "int"),
+        (32, False): AtomCodec("I", 4, 4, "int"),
+        (64, True): AtomCodec("q", 8, 4, "int"),
+        (64, False): AtomCodec("Q", 8, 4, "int"),
+    }
+    float_codecs = {
+        32: AtomCodec("f", 4, 4, "float"),
+        64: AtomCodec("d", 8, 4, "float"),
+    }
+    char_codec = AtomCodec("I", 4, 4, "char")
+    bool_codec = AtomCodec("I", 4, 4, "bool")
 
     def packed_element_size(self, element):
         # string / opaque: one byte per element inside arrays.

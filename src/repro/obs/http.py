@@ -28,7 +28,8 @@ four are the merged ones.  A new endpoint is a new entry in that table.
 
 Usable from asyncio code (``await endpoint.start_async()``) or
 synchronously (``start()`` / ``stop()`` spin a daemon event-loop
-thread), mirroring :class:`~repro.runtime.aio.server.AioTcpServer`.
+thread, :class:`repro.loopthread.LoopThread`), like
+:class:`~repro.runtime.aio.server.AioTcpServer`.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import threading
 from http import HTTPStatus
+
+from repro.loopthread import LoopThread
 
 #: Cap on request-head size; anything longer is not a scraper.
 MAX_REQUEST_BYTES = 8192
@@ -74,8 +76,10 @@ def routes_of(source):
     }
 
 
-class MetricsHttpServer:
+class MetricsHttpServer(LoopThread):
     """Serves one route table (see the module docstring)."""
+
+    thread_name = "flick-metrics-http"
 
     def __init__(self, routes, host="127.0.0.1", port=0):
         self.routes = routes
@@ -85,9 +89,6 @@ class MetricsHttpServer:
         self._server = None
         self._loop = None
         self._handlers = set()
-        self._thread = None
-        self._stop_event = None
-        self._start_error = None
 
     def _respond(self, method, path):
         """``(status, content type, body)`` for one request; off-loop."""
@@ -151,59 +152,14 @@ class MetricsHttpServer:
             self._handlers.discard(asyncio.current_task())
             writer.close()
 
-    # -- sync facade ----------------------------------------------------
-
-    def start(self):
-        """Serve on a background event-loop thread; returns self."""
-        if self._thread is not None:
-            raise RuntimeError("metrics endpoint already started")
-        started = threading.Event()
-        self._start_error = None
-
-        def run():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(self._run_on_thread(started))
-            finally:
-                started.set()
-                asyncio.set_event_loop(None)
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="flick-metrics-http", daemon=True
-        )
-        self._thread.start()
-        started.wait()
-        if self._start_error is not None:
-            error, self._start_error = self._start_error, None
-            self._thread.join()
-            self._thread = None
-            raise error
-        return self
-
-    async def _run_on_thread(self, started):
-        self._stop_event = asyncio.Event()
+    def _run_loop(self, main):
+        # A bare loop, not asyncio.run: the routes run on the default
+        # executor, and asyncio.run would join it at exit, holding stop
+        # behind a route stuck in a control-channel round trip.
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
         try:
-            await self.start_async()
-        except Exception as error:
-            self._start_error = error
-            return
+            loop.run_until_complete(main)
         finally:
-            started.set()
-        await self._stop_event.wait()
-        await self.aclose()
-
-    def stop(self, timeout=5.0):
-        if self._thread is None:
-            return
-        self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        self.stop()
-        return False
+            asyncio.set_event_loop(None)
+            loop.close()

@@ -12,8 +12,9 @@ and Fluke presentation generators derive.  It owns all the structural work:
 * flattening interface inheritance,
 * and assembling the per-stub :class:`repro.pres.presc.PresCStub` records.
 
-Subclasses override only the *policy* hooks: identifier naming and C type
-and prototype construction.
+Subclasses override only the *policy* hooks: identifier naming, the C
+spelling table (:attr:`PresentationGenerator.c_spelling`) and prototype
+construction.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ class PresentationGenerator:
 
     #: Registry name of the style; subclasses set this.
     style = "abstract"
+    #: The C spellings that differ between presentations: the scalar
+    #: names (integers keyed ``(bits, signed)``, then ``"float32"``,
+    #: ``"float64"``, ``"char"`` — also what a string points at —
+    #: ``"boolean"`` and ``"octet"``), the bytes carrier (``"bytes"``)
+    #: and the counted-array suffix (``"seq"``).
+    c_spelling = {}
 
     # ------------------------------------------------------------------
     # Policy hooks (overridden by concrete presentations)
@@ -89,7 +96,19 @@ class PresentationGenerator:
 
     def c_scalar_type(self, aoi_type):
         """C type name for an atomic AOI type."""
-        raise NotImplementedError
+        if isinstance(aoi_type, AoiInteger):
+            key = (aoi_type.bits, aoi_type.signed)
+        elif isinstance(aoi_type, AoiFloat):
+            key = "float%d" % aoi_type.bits
+        elif isinstance(aoi_type, AoiChar):
+            key = "char"
+        elif isinstance(aoi_type, AoiBoolean):
+            key = "boolean"
+        elif isinstance(aoi_type, AoiOctet):
+            key = "octet"
+        else:
+            raise TypeError("not a scalar AOI type: %r" % (aoi_type,))
+        return self.c_spelling[key]
 
     def string_pres(self, mint, bound):
         """How strings present; the default is the OPT_STR char* style."""
@@ -108,10 +127,34 @@ class PresentationGenerator:
     def c_seq_decl(self, element_pres):
         """(carrier type name, element C type) for an anonymous counted
         array appearing in a stub signature."""
-        return (
-            "%s_seq" % self._element_name(element_pres),
-            self._base_c_type(element_pres),
-        )
+        element = base = self._base_c_type(element_pres)
+        while isinstance(base, (c.Pointer, c.ArrayOf)):
+            base = base.target if isinstance(base, c.Pointer) else base.element
+        return base.name.replace(" ", "_") + self.c_spelling["seq"], element
+
+    def _base_c_type(self, pres):
+        """The C type a stub signature spells for *pres*."""
+        if isinstance(pres, p.PresString):
+            return c.Pointer(c.TypeName(self.c_spelling["char"]))
+        if isinstance(pres, p.PresRef):
+            return c.TypeName(self.record_name(pres.name))
+        if isinstance(pres, (p.PresDirect, p.PresEnum)):
+            return c.TypeName(pres.c_type_name)
+        if isinstance(pres, p.PresStruct):
+            return c.TypeName(pres.record_name)
+        if isinstance(pres, p.PresUnion):
+            return c.TypeName(pres.union_name)
+        if isinstance(pres, p.PresBytes):
+            return c.TypeName(self.c_spelling["bytes"])
+        if isinstance(pres, p.PresCountedArray):
+            return c.TypeName(self.c_seq_decl(pres.element)[0])
+        if isinstance(pres, p.PresFixedArray):
+            return c.ArrayOf(self._base_c_type(pres.element), pres.length)
+        if isinstance(pres, p.PresOptPtr):
+            return c.Pointer(self._base_c_type(pres.element))
+        if isinstance(pres, p.PresVoid):
+            return c.TypeName("void")
+        raise TypeError("no C type for %r" % type(pres).__name__)
 
     def c_stub_decl(self, interface, operation, stub_name, parameters):
         """Build the CAST prototype for one stub."""

@@ -9,49 +9,32 @@ parameters pass by pointer, and non-void results return directly.
 
 from __future__ import annotations
 
-from repro.aoi import (
-    AoiBoolean,
-    AoiChar,
-    AoiFloat,
-    AoiInteger,
-    AoiOctet,
-    AoiVoid,
-)
 from repro.cast import nodes as c
 from repro.pgen.base import PresentationGenerator
 from repro.pres import nodes as p
-
-_SCALARS = {
-    (8, True): "CORBA_char",
-    (8, False): "CORBA_octet",
-    (16, True): "CORBA_short",
-    (16, False): "CORBA_unsigned_short",
-    (32, True): "CORBA_long",
-    (32, False): "CORBA_unsigned_long",
-    (64, True): "CORBA_long_long",
-    (64, False): "CORBA_unsigned_long_long",
-}
 
 
 class CorbaCPresentation(PresentationGenerator):
     """CORBA 2.0 C-language mapping."""
 
     style = "corba-c"
-
-    def c_scalar_type(self, aoi_type):
-        if isinstance(aoi_type, AoiInteger):
-            return _SCALARS[(aoi_type.bits, aoi_type.signed)]
-        if isinstance(aoi_type, AoiFloat):
-            return "CORBA_float" if aoi_type.bits == 32 else "CORBA_double"
-        if isinstance(aoi_type, AoiChar):
-            return "CORBA_char"
-        if isinstance(aoi_type, AoiBoolean):
-            return "CORBA_boolean"
-        if isinstance(aoi_type, AoiOctet):
-            return "CORBA_octet"
-        if isinstance(aoi_type, AoiVoid):
-            return "void"
-        raise TypeError("not a scalar AOI type: %r" % (aoi_type,))
+    c_spelling = {
+        (8, True): "CORBA_char",
+        (8, False): "CORBA_octet",
+        (16, True): "CORBA_short",
+        (16, False): "CORBA_unsigned_short",
+        (32, True): "CORBA_long",
+        (32, False): "CORBA_unsigned_long",
+        (64, True): "CORBA_long_long",
+        (64, False): "CORBA_unsigned_long_long",
+        "float32": "CORBA_float",
+        "float64": "CORBA_double",
+        "char": "CORBA_char",
+        "boolean": "CORBA_boolean",
+        "octet": "CORBA_octet",
+        "bytes": "CORBA_octet_seq",
+        "seq": "_seq",
+    }
 
     def c_stub_decl(self, interface, operation, stub_name, parameters):
         object_type = c.TypeName(self.mangle(interface.name))
@@ -78,35 +61,6 @@ class CorbaCPresentation(PresentationGenerator):
         if by_ref:
             return c.Pointer(base)
         return base
-
-    def _base_c_type(self, pres):
-        if isinstance(pres, p.PresString):
-            return c.Pointer(c.TypeName("CORBA_char"))
-        if isinstance(pres, p.PresRef):
-            return c.TypeName(self.mangle(pres.name))
-        if isinstance(pres, (p.PresDirect, p.PresEnum)):
-            return c.TypeName(pres.c_type_name)
-        if isinstance(pres, p.PresStruct):
-            return c.TypeName(pres.record_name)
-        if isinstance(pres, p.PresUnion):
-            return c.TypeName(pres.union_name)
-        if isinstance(pres, p.PresBytes):
-            return c.TypeName("CORBA_octet_seq")
-        if isinstance(pres, p.PresCountedArray):
-            return c.TypeName("%s_seq" % self._element_name(pres.element))
-        if isinstance(pres, p.PresFixedArray):
-            return c.ArrayOf(self._base_c_type(pres.element), pres.length)
-        if isinstance(pres, p.PresOptPtr):
-            return c.Pointer(self._base_c_type(pres.element))
-        if isinstance(pres, p.PresVoid):
-            return c.TypeName("void")
-        raise TypeError("no C type for %r" % type(pres).__name__)
-
-    def _element_name(self, pres):
-        base = self._base_c_type(pres)
-        while isinstance(base, (c.Pointer, c.ArrayOf)):
-            base = base.target if isinstance(base, c.Pointer) else base.element
-        return base.name.replace(" ", "_")
 
 
 class CorbaCLenPresentation(CorbaCPresentation):

@@ -28,8 +28,9 @@ and the *same* record-marked wire traffic as the blocking
 
 The server is usable from asyncio code (``await server.start_async()`` /
 ``await server.aclose()``) and from synchronous code (``start()`` /
-``stop()`` / ``with server:`` run the event loop on a daemon thread),
-mirroring the blocking servers' context-manager idiom.
+``stop()`` / ``with server:`` run the event loop on a daemon thread,
+:class:`repro.loopthread.LoopThread`), mirroring the blocking servers'
+context-manager idiom.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from queue import SimpleQueue
 
 from repro.encoding.buffer import MarshalBuffer
 from repro.errors import OverloadError
+from repro.loopthread import LoopThread
 from repro.obs import trace
 from repro.runtime.framing import MAX_RECORD_SIZE
 from repro.runtime.request import RequestCore
@@ -212,7 +214,7 @@ class _Connection(FramedConnection):
             self.transport.resume_reading()
 
 
-class AioTcpServer:
+class AioTcpServer(LoopThread):
     """An asyncio server around a generated dispatch function.
 
     Args:
@@ -247,6 +249,8 @@ class AioTcpServer:
             share one address (their own ``SO_REUSEPORT`` socket, or a
             listener inherited from the parent process).
     """
+
+    thread_name = "flick-aio-server"
 
     def __init__(self, dispatch, impl, host="127.0.0.1", port=0, *,
                  max_concurrency=64, dispatch_mode="thread", stats=None,
@@ -289,10 +293,6 @@ class AioTcpServer:
         self._wake_posted = False
         self._idle = None          # aclose's drain waiter
         self._closing = False
-        # Sync-facade state.
-        self._thread = None
-        self._stop_event = None
-        self._start_error = None
 
     # ------------------------------------------------------------------
     # Async API
@@ -563,50 +563,6 @@ class AioTcpServer:
                 and not self._idle.done():
             self._idle.set_result(None)
 
-    # ------------------------------------------------------------------
-    # Sync facade (event loop on a daemon thread)
-    # ------------------------------------------------------------------
-
-    def start(self):
-        """Start serving on a background event-loop thread; returns self."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        started = threading.Event()
-        self._start_error = None
-
-        def run():
-            # asyncio.run, not a bare loop: once serving ends it sees
-            # late accepts and closing transports through before the
-            # loop is closed under them.
-            try:
-                asyncio.run(self._run_on_thread(started))
-            finally:
-                started.set()  # in case startup itself failed
-
-        self._thread = threading.Thread(
-            target=run, name="flick-aio-server", daemon=True
-        )
-        self._thread.start()
-        started.wait()
-        if self._start_error is not None:
-            error, self._start_error = self._start_error, None
-            self._thread.join()
-            self._thread = None
-            raise error
-        return self
-
-    async def _run_on_thread(self, started):
-        self._stop_event = asyncio.Event()
-        try:
-            await self.start_async()
-        except Exception as error:  # surfaced by start()
-            self._start_error = error
-            return
-        finally:
-            started.set()
-        await self._stop_event.wait()
-        await self.aclose()
-
     def drain(self, timeout=None):
         """Bounded graceful drain (the SIGTERM path).
 
@@ -615,21 +571,3 @@ class AioTcpServer:
         alias gives every server the same drain verb.
         """
         self.stop(timeout=timeout)
-
-    def stop(self, timeout=None):
-        """Gracefully stop a server started with :meth:`start`."""
-        if self._thread is None:
-            return
-        self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(
-            timeout=timeout if timeout is not None
-            else self.drain_timeout + 5.0
-        )
-        self._thread = None
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        self.stop()
-        return False

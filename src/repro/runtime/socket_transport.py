@@ -319,36 +319,24 @@ class TcpServer:
         """
         deadline = time.monotonic() + timeout
         self._draining = True
-        self._running = False
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            connections = list(self._connections)
-            workers = list(self._workers)
-        for connection in connections:
-            # Wake a worker blocked in recv() with EOF.  The write side
-            # stays open: a worker mid-request still sends its reply.
-            try:
-                connection.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-        if self._thread is not None:
-            self._thread.join(
-                timeout=max(0.0, deadline - time.monotonic()))
-            self._thread = None
-        for worker in workers:
+        # Shut only the read side: a worker mid-request still sends its
+        # reply.
+        for worker in self._shut(socket.SHUT_RD, deadline):
             worker.join(timeout=max(0.05, deadline - time.monotonic()))
         # Anything still alive overran the drain budget: hard stop.
         self.stop(timeout=0.5)
 
     def stop(self, timeout=2.0):
         """Close the listener, unblock workers, and join all threads."""
+        for worker in self._shut(socket.SHUT_RDWR,
+                                 time.monotonic() + timeout):
+            worker.join(timeout=timeout)
+        with self._lock:
+            self._workers = []
+
+    def _shut(self, how, deadline):
+        """Close the listener, shut every connection *how*, and join the
+        accept thread by *deadline*; returns the connection threads."""
         self._running = False
         try:
             # shutdown() before close(): a close alone does not wake a
@@ -368,16 +356,13 @@ class TcpServer:
             # Shut down rather than close: wakes a worker blocked in
             # recv() with EOF instead of racing its file descriptor.
             try:
-                connection.shutdown(socket.SHUT_RDWR)
+                connection.shutdown(how)
             except OSError:
                 pass
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(timeout=max(0.0, deadline - time.monotonic()))
             self._thread = None
-        for worker in workers:
-            worker.join(timeout=timeout)
-        with self._lock:
-            self._workers = []
+        return workers
 
     def __enter__(self):
         return self.start()

@@ -54,12 +54,18 @@ def iiop_module():
 
 
 class SlowImpl(MailImpl):
-    """Servant whose avg() blocks, tracking observed concurrency."""
+    """Servant whose avg() blocks, tracking observed concurrency.
 
-    def __init__(self, module, delay=0.05):
+    With *together*, each call first waits (10 s at most) until that many
+    calls are inside at once, so the peak a server allows is reached
+    whatever the host's load."""
+
+    def __init__(self, module, delay=0.05, together=None):
         super().__init__(module)
         self.delay = delay
         self._lock = threading.Lock()
+        self._together = (threading.Barrier(together, timeout=10.0)
+                          if together else None)
         self.active = 0
         self.max_active = 0
 
@@ -67,9 +73,13 @@ class SlowImpl(MailImpl):
         with self._lock:
             self.active += 1
             self.max_active = max(self.max_active, self.active)
-        time.sleep(self.delay)
-        with self._lock:
-            self.active -= 1
+        try:
+            if self._together is not None:
+                self._together.wait()
+            time.sleep(self.delay)
+        finally:
+            with self._lock:
+                self.active -= 1
         return super().avg(xs)
 
 
@@ -687,15 +697,18 @@ class TestWorkerHandoff:
                 transport.close()
             assert 1 <= len(_workers_alive()) <= 2
 
-    @pytest.mark.parametrize("max_concurrency, at_least, under",
-                             [(32, 0.02, 0.25), (4, 0.16, 1.0)])
+    @pytest.mark.parametrize("max_concurrency, at_least",
+                             [(32, 0.02), (4, 0.16)])
     def test_blocking_servants_overlap_up_to_max_concurrency(
-            self, onc_module, max_concurrency, at_least, under):
-        """32 calls into a servant that sleeps 20 ms: all at once on 32
-        workers, eight rounds on 4 — and never a fifth worker."""
-        server = StubServer(onc_module, SlowImpl(onc_module, delay=0.02)) \
-            .aio_server(dispatch_mode="thread",
-                        max_concurrency=max_concurrency)
+            self, onc_module, max_concurrency, at_least):
+        """32 calls into a servant that sleeps 20 ms once *max_concurrency*
+        calls are inside it: all at once on 32 workers, eight rounds on
+        4.  The servant's peak of concurrent calls is exactly the cap —
+        a server that serialised them never fills a round, one that let
+        a fifth in counts it — and never a fifth worker."""
+        impl = SlowImpl(onc_module, delay=0.02, together=max_concurrency)
+        server = StubServer(onc_module, impl).aio_server(
+            dispatch_mode="thread", max_concurrency=max_concurrency)
         with server:
             async def main():
                 connection = await AioConnection.open(*server.address)
@@ -711,7 +724,8 @@ class TestWorkerHandoff:
             workers = len(_workers_alive())
         assert [onc_module._u_rep_avg(reply, 24) for reply in replies] \
             == [float(n) for n in range(32)]
-        assert at_least <= elapsed < under, elapsed
+        assert impl.max_active == max_concurrency
+        assert elapsed >= at_least, elapsed
         assert workers == max_concurrency
 
     def test_thread_mode_loses_no_job_under_preemption(self, onc_module):

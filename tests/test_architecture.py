@@ -468,6 +468,54 @@ def one_compile_entry(tree):
         *SEARCHED, python_only=False) if not hit.startswith(THIS + ":")])
 
 
+def one_atom_codec_lookup(tree):
+    """A wire format declares its atom codecs as data and
+    ``WireFormat.atom_codec`` (repro/encoding/base.py) is the one
+    lookup: no format defines it again."""
+    defined = tree.grep(r"def atom_codec\(", "src")
+    assert tree.files_of(defined) == ["src/repro/encoding/base.py"], \
+        "\n".join(defined)
+
+
+def one_c_type_mapping(tree):
+    """A presentation spells its C types through its ``c_spelling``
+    table; the mapping itself (scalar names, signature types, counted
+    array carriers) is written once, in repro/pgen/base.py."""
+    defined = tree.grep(
+        r"def (c_scalar_type|_base_c_type|_element_name|c_seq_decl)\(",
+        "src")
+    assert tree.files_of(defined) == ["src/repro/pgen/base.py"], \
+        "\n".join(defined)
+
+
+def one_procedure_number(tree):
+    """"The declared code, else the 1-based position" is
+    ``procedure_number`` in repro/backend/base.py: no back end counts
+    its stubs itself, and the per-protocol copies are gone by name."""
+    hits = tree.grep(r"enumerate\([\w.]*stubs, 1\)", "src/repro/backend")
+    assert tree.files_of(hits) == ["src/repro/backend/base.py"], \
+        "\n".join(hits)
+    _no(tree.grep(r"def (operation_number|operation_code)\(", "src"))
+
+
+def one_event_loop_on_a_thread(tree):
+    """An asyncio server runs its loop on a thread through
+    repro/loopthread.py, which imports neither the runtime nor obs: no
+    server writes its own ``_run_on_thread`` or stop signal again."""
+    hits = tree.grep(
+        r"def _run_on_thread\(|call_soon_threadsafe\(self\._stop_event", "src")
+    assert tree.files_of(hits) == ["src/repro/loopthread.py"], \
+        "\n".join(hits)
+    _no(tree.grep(r"^\s*(from|import) +repro\.(runtime|obs)\b",
+                  "src/repro/loopthread.py"))
+
+
+def no_renderer_selection(tree):
+    """The renderer name selects nothing: ``api.compile`` records it on
+    the stubs, no back end takes it, and no table lists renderers."""
+    _no(tree.grep(r"\bRENDERERS\b|def generate\([^)]*renderer", "src"))
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -670,6 +718,32 @@ PINS = {
          "python -m repro.tools.cli compile x.idl --frontend corba"),
         ("benchmarks/bench_ablation_chunk.py",
          "flags = OptFlags().disable_pass('chunk_atoms')"),
+    ],
+    one_atom_codec_lookup: [
+        ("src/repro/encoding/xdr.py", "    def atom_codec(self, atom):"),
+    ],
+    one_c_type_mapping: [
+        ("src/repro/pgen/rpcgen.py", "    def c_scalar_type(self, aoi_type):"),
+        ("src/repro/pgen/corba_c.py", "    def _base_c_type(self, pres):"),
+        ("src/repro/pgen/rpcgen.py",
+         "    def c_seq_decl(self, element_pres):"),
+    ],
+    one_procedure_number: [
+        ("src/repro/backend/mach3.py",
+         "    for index, other in enumerate(presc.stubs, 1):"),
+        ("src/repro/backend/oncxdr.py", "def operation_number(presc, stub):"),
+    ],
+    one_event_loop_on_a_thread: [
+        ("src/repro/obs/http.py",
+         "    async def _run_on_thread(self, started):"),
+        ("src/repro/runtime/aio/server.py",
+         "        self._loop.call_soon_threadsafe(self._stop_event.set)"),
+        ("src/repro/loopthread.py", "from repro.obs import trace"),
+    ],
+    no_renderer_selection: [
+        ("src/repro/backend/base.py", 'RENDERERS = ("py", "closures", "c")'),
+        ("src/repro/compilers/per_datum.py",
+         '    def generate(self, presc, flags=None, renderer="py"):'),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

@@ -207,6 +207,18 @@ class TestErrors:
         with pytest.raises(BackEndError):
             XDR.atom_codec(MintArray(MintChar(), 0, None))
 
+    @pytest.mark.parametrize("fmt, label", [
+        (XDR, "XDR"), (CDR_BE, "CDR"), (CDR_LE, "CDR"),
+        (MACH, "Mach messages"), (FLUKE, "Fluke IPC")])
+    def test_refusals_name_the_format(self, fmt, label):
+        with pytest.raises(BackEndError) as refused:
+            fmt.atom_codec(MintInteger(128, True))
+        assert str(refused.value) == \
+            "%s cannot encode a 128-bit integer" % label
+        with pytest.raises(BackEndError) as refused:
+            fmt.atom_codec(MintFloat(16))
+        assert str(refused.value) == "%s cannot encode a 16-bit float" % label
+
     def test_roundtrip_unpack(self):
         buffer = MarshalBuffer()
         for fmt in (XDR, CDR_BE, CDR_LE, MACH, FLUKE):

@@ -231,18 +231,15 @@ class TestRendererSelection:
         for result in results.values():
             assert result.stubs.renderer == "closures"
 
-    def test_baselines_take_either_name_and_load_whole(self):
+    def test_baselines_load_whole(self):
         """Rival code styles bypass the IR and carry no section table, so
-        no name defers anything for them (until the names stopped
-        selecting a load path, ``closures`` was refused here)."""
+        nothing defers for them."""
         from repro.compilers import make_baseline
 
         presc = api.compile(DB_IDL, "oncrpc").presc
-        for renderer in ("py", "closures"):
-            stubs = make_baseline("rpcgen").generate(presc,
-                                                     renderer=renderer)
-            assert stubs.renderer == renderer and stubs.sections == ()
-            assert "_m_req_rev" in vars(stubs.load())
+        stubs = make_baseline("rpcgen").generate(presc)
+        assert stubs.sections == ()
+        assert "_m_req_rev" in vars(stubs.load())
 
 
 # ----------------------------------------------------------------------
@@ -378,10 +375,10 @@ def _plain(value):
 _INTERPRETER_DIFFERS = {("mach3", "odds")}
 
 
-def _shape_traffic(backend, flags, renderer):
+def _shape_traffic(backend, flags):
     """Every shape op at n = 0, 1, 5: results checked, wire recorded."""
     compiled = api.compile(SHAPES_IDL, "corba", backend=backend,
-                           flags=flags, renderer=renderer)
+                           flags=flags)
     module = compiled.module
     transport = RecordingTransport(
         LoopbackTransport(module.dispatch, ShapesImpl()))
@@ -400,23 +397,22 @@ def _shape_traffic(backend, flags, renderer):
 class TestStructArrayRegions:
     @pytest.mark.parametrize("backend", sorted(_WIRE_FORMATS))
     def test_identical_to_interpreter(self, backend):
-        """Both renderers, with the region form on and with each flag
-        it depends on off, put the interpreter's bytes on the wire."""
+        """With the region form on and with each flag it depends on
+        off, the stubs put the interpreter's bytes on the wire."""
         baseline = None
         for flags in [None] + [OptFlags().but(**{name: False})
                                for name in REGION_FLAGS]:
-            for renderer in ("py", "closures"):
-                log, reference = _shape_traffic(backend, flags, renderer)
-                if baseline is None:
-                    baseline = log
-                assert log == baseline, (backend, flags, renderer)
-                for (request, reply), (op, n, want_request,
-                                       want_reply) in zip(log, reference):
-                    if (backend, op) in _INTERPRETER_DIFFERS:
-                        continue
-                    where = (backend, flags, renderer, op, n)
-                    assert request.endswith(want_request), where
-                    assert reply.endswith(want_reply), where
+            log, reference = _shape_traffic(backend, flags)
+            if baseline is None:
+                baseline = log
+            assert log == baseline, (backend, flags)
+            for (request, reply), (op, n, want_request,
+                                   want_reply) in zip(log, reference):
+                if (backend, op) in _INTERPRETER_DIFFERS:
+                    continue
+                where = (backend, flags, op, n)
+                assert request.endswith(want_request), where
+                assert reply.endswith(want_reply), where
 
     @pytest.mark.parametrize("backend", sorted(_WIRE_FORMATS))
     def test_region_ops_chosen_by_layout(self, backend):
@@ -482,11 +478,9 @@ class TestFixedOpaqueAfterString:
     interface Fuzz { T echo(in T v); };
     """
 
-    @pytest.mark.parametrize("renderer", ("py", "closures"))
     @pytest.mark.parametrize("backend", sorted(_WIRE_FORMATS))
-    def test_round_trips_at_an_unaligned_offset(self, backend, renderer):
-        module = api.compile(self.IDL, "corba", backend=backend,
-                             renderer=renderer).module
+    def test_round_trips_at_an_unaligned_offset(self, backend):
+        module = api.compile(self.IDL, "corba", backend=backend).module
 
         class Impl:
             def echo(self, v):

@@ -3,9 +3,8 @@
 For randomly generated schemas — nested structs, bounded strings and
 sequences, fixed-width scalars — render the *same* schema twice, once
 as top-level CORBA IDL and once as annotated Python dataclasses, then
-drive identical echo sessions through every wire protocol with both
-renderers and assert the recorded traffic is byte-for-byte identical
-across all four compilations.
+drive identical echo calls through every wire protocol and assert the
+recorded traffic is byte-for-byte identical across both compilations.
 """
 
 import string
@@ -178,14 +177,11 @@ def test_generated_pairs_wire_identical(schema):
     idl_text = render_idl(structs, ops)
     py_text = render_pyschema(structs, ops)
     for backend in BACKENDS:
-        sessions = []
+        runs = []
         for lang, source in (("corba", idl_text), ("pyschema", py_text)):
-            for renderer in ("py", "closures"):
-                module = api.compile(
-                    source, lang, backend=backend, renderer=renderer,
-                ).module
-                sessions.append((lang, renderer) + drive(module, ops))
-        _lang0, _renderer0, base_results, base_log = sessions[0]
-        for lang, renderer, results, log in sessions[1:]:
-            assert results == base_results, (backend, lang, renderer)
-            assert log == base_log, (backend, lang, renderer)
+            module = api.compile(source, lang, backend=backend).module
+            runs.append((lang,) + drive(module, ops))
+        _lang0, base_results, base_log = runs[0]
+        for lang, results, log in runs[1:]:
+            assert results == base_results, (backend, lang)
+            assert log == base_log, (backend, lang)

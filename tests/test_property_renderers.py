@@ -3,8 +3,9 @@
 Two guarantees, fuzzed over random AOI type trees (shared with
 :mod:`tests.test_property_fuzz_types`):
 
-* **Renderer equivalence** — for any type, the Python-source renderer
-  and the closure renderer produce byte-identical wire traffic in both
+* **Renderer equivalence** — for any type, the codecs the module text
+  holds and the codecs rendered one by one from its marshal IR
+  (``install_closures``) produce byte-identical wire traffic in both
   directions and decode to identical results.
 * **Pass soundness** — every MIR pass is semantics-preserving: the
   round trip still holds with each pass individually disabled, and the
@@ -25,6 +26,7 @@ from repro.aoi import (
     validate,
 )
 from repro.backend import make_backend
+from repro.mir.render_closures import install_closures
 from repro.mir.passes import PASS_NAMES
 from repro.pgen import make_presentation
 from repro.pres.values import normalize
@@ -41,7 +43,7 @@ from tests.test_property_fuzz_types import (
 BACKENDS = ("oncrpc-xdr", "iiop", "mach3", "fluke")
 
 
-def _build(aoi_type, backend_name, flags, renderer):
+def _build(aoi_type, backend_name, flags, from_ir):
     root = AoiRoot("<fuzz>")
     operation = AoiOperation(
         "echo",
@@ -53,10 +55,11 @@ def _build(aoi_type, backend_name, flags, renderer):
     root.add_interface(interface)
     validate(root)
     presc = make_presentation("corba-c").generate(root, interface)
-    stubs = make_backend(backend_name).generate(
-        presc, flags, renderer=renderer
-    )
-    return presc, stubs.load()
+    stubs = make_backend(backend_name).generate(presc, flags)
+    module = stubs.load()
+    if from_ir:
+        install_closures(module, stubs.mir)
+    return presc, module
 
 
 def _echo(presc, module, value):
@@ -77,10 +80,8 @@ def _echo(presc, module, value):
 def _assert_renderers_agree(pair, backend_name, flags=None):
     aoi_type, value = pair
     aoi_type = _uniquify(aoi_type, itertools.count())
-    presc_py, module_py = _build(aoi_type, backend_name, flags, "py")
-    presc_clo, module_clo = _build(
-        aoi_type, backend_name, flags, "closures"
-    )
+    presc_py, module_py = _build(aoi_type, backend_name, flags, False)
+    presc_clo, module_clo = _build(aoi_type, backend_name, flags, True)
     result_py, log_py = _echo(presc_py, module_py, value)
     result_clo, log_clo = _echo(presc_clo, module_clo, value)
     assert result_py == _cmp(normalize(value))
