@@ -4,9 +4,10 @@ Pins the three mechanisms that keep ``api.compile`` + load from paying
 for what nobody reads: the C artifact (and the PRES_C declarations it is
 printed from) is built on first read of ``c_source``/``c_header``; a
 module loads its (unchanged) text without the codec section and
-compiles each codec function at its first call (and each role's
-section at its first use — ``tests/test_lazy_sections.py`` — the
-server's without its handlers, which compile at their first dispatch); MINT recursion answers are
+compiles each codec function at its first call, under either renderer
+name (and each role's section at its first use —
+``tests/test_lazy_sections.py`` — the server's without its handlers,
+which compile at their first dispatch); MINT recursion answers are
 remembered per registry.  Each laziness claim sits next to the equality
 it must not disturb.
 """
@@ -72,9 +73,12 @@ def no_c_printer(monkeypatch):
 
 
 class TestCIsPrintedOnlyWhenRead:
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_compile_load_call_never_print_c(self, no_c_printer, backend):
-        module = api.compile(MAIL_IDL, "corba", backend=backend).module
+    def test_compile_load_call_never_print_c(self, no_c_printer, backend,
+                                             renderer):
+        module = api.compile(MAIL_IDL, "corba", backend=backend,
+                             renderer=renderer).module
         impl = MailImpl(module)
         client = module.Test_MailClient(
             LoopbackTransport(module.dispatch, impl))
@@ -175,8 +179,7 @@ def _code_objects(code):
 
 
 class TestClosureModulesLoadTheScaffoldOnly:
-    """A load compiles the scaffold and no codec; ``renderer="closures"``
-    loads a module exactly as ``py`` does."""
+    """Under either renderer name: both load a module the same way."""
 
     @pytest.mark.parametrize("schema,backend", CASES)
     def test_same_text_same_name_no_codec_compiled(self, schema, backend,
@@ -230,11 +233,12 @@ class TestClosureModulesLoadTheScaffoldOnly:
             assert codec_compiles
             del codec_compiles[:]
 
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
     def test_load_compiles_no_codec_and_a_first_call_exactly_one(
-            self, monkeypatch, codec_compiles):
+            self, renderer, monkeypatch, codec_compiles):
         """Folds three pins that said ``py`` compiles its codec section at
         load (``test_py_renderer_compiles_the_text_a_section_at_a_time``
-        and the first-call pins).  The load compiles
+        and the first-call pins).  Under either name: the load compiles
         the shared section and no codec, the server section loads without
         its handlers, a first call of a codec or handler compiles its own
         function and nothing else, and nothing compiles after that.  The
@@ -252,7 +256,7 @@ class TestClosureModulesLoadTheScaffoldOnly:
             render_closures, "compile",
             lambda source, *rest: pieces.append(source)
             or spy(source, *rest))
-        result = api.compile(DB_IDL, "oncrpc")
+        result = api.compile(DB_IDL, "oncrpc", renderer=renderer)
         module = result.module
         assert len(pieces) == 1 and codec_compiles == []
         assert "def _m_req_rev(" not in pieces[0]
@@ -300,7 +304,7 @@ class TestClosureModulesLoadTheScaffoldOnly:
                              else []), number
 
     def test_traceback_lines_match_the_unblanked_source(self):
-        result = api.compile(MAIL_IDL, "corba")
+        result = api.compile(MAIL_IDL, "corba", renderer="closures")
         module = result.module
         code = module.dispatch.__code__
         shown = result.stubs.py_source.split("\n")[code.co_firstlineno - 1]
@@ -343,11 +347,13 @@ def _frames(table, xs=(3, 1, 2)):
 
 
 class TestCodecsCompileAtFirstCall:
-    """When a codec function's text is compiled: at its first call."""
+    """When a codec function's text is compiled: at its first call,
+    under either renderer name (until the names stopped selecting a load
+    path, this was the one decision they differed in)."""
 
     def test_first_call_compiles_that_function_and_nothing_else(
             self, codec_compiles):
-        result = api.compile(DB_IDL, "oncrpc")
+        result = api.compile(DB_IDL, "oncrpc", renderer="closures")
         module, slots = result.module, slots_of(result.module)
         assert codec_compiles == []
         deferred = module._m_req_rev
@@ -372,7 +378,7 @@ class TestCodecsCompileAtFirstCall:
 
     def test_a_helper_compiles_when_first_reached_and_once(
             self, codec_compiles):
-        module = api.compile(DB_IDL, "oncrpc").module
+        module = api.compile(DB_IDL, "oncrpc", renderer="closures").module
         chain = module.entry("a", 1, module.entry("b", 2, None))
         module._m_req_rev(MarshalBuffer(), 9, [1])
         assert codec_compiles == ["_m_req_rev"]  # reaches no helper
@@ -390,7 +396,7 @@ class TestCodecsCompileAtFirstCall:
             self, codec_compiles):
         """What the benchmark's ``compile_replica`` does: the new
         deferred entries go through ``set_base``, under live layers."""
-        result = api.compile(DB_IDL, "oncrpc")
+        result = api.compile(DB_IDL, "oncrpc", renderer="closures")
         module, slots = result.module, slots_of(result.module)
         try:
             obs.configure(obs.CollectingExporter())
@@ -439,8 +445,9 @@ class TestCodecsCompileAtFirstCall:
 
     @pytest.mark.parametrize("layered", (True, False),
                              ids=("layers", "no-slots"))
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
     def test_first_calls_racing_on_threads_compile_once(
-            self, codec_compiles, monkeypatch, layered):
+            self, codec_compiles, monkeypatch, renderer, layered):
         """Eight threads make the first call of every entry of one fresh
         module at once, under a 0.01 ms switch interval, with the trace
         and profile layers on — or with no codec slots built, so the
@@ -454,7 +461,7 @@ class TestCodecsCompileAtFirstCall:
         monkeypatch.setattr(
             render_closures, "compile",
             lambda *args: time.sleep(0.005) or spy(*args))
-        result = api.compile(DB_IDL, "oncrpc")
+        result = api.compile(DB_IDL, "oncrpc", renderer=renderer)
         module = result.module
         deferred = {name: entry for name, entry in vars(module).items()
                     if codec_form(name)[1] == "rev"}
@@ -536,9 +543,11 @@ class TestHandlersCompileAtFirstDispatch:
 
     NAMES = ["_get_counter", "avg", "ping", "reverse", "send", "tri"]
 
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
     def test_first_dispatch_hands_over_its_handler_only(
-            self, codec_compiles):
-        result = api.compile(MAIL_IDL, "corba", backend="oncrpc-xdr")
+            self, renderer, codec_compiles):
+        result = api.compile(MAIL_IDL, "corba", backend="oncrpc-xdr",
+                             renderer=renderer)
         module = result.module
         names = operation_names(module)  # loads the section, no handler
         assert sorted(names.values()) == self.NAMES

@@ -219,7 +219,7 @@ GRID_TWINS = (("corba", GRID_CORBA), ("oncrpc", GRID_ONC),
 class TestStructArrayTwins:
     """The ONC and dataclass twins of a struct-array contract lower to
     the same array region as the CORBA original and put the same body
-    bytes on the wire, on every back end."""
+    bytes on the wire, on every back end and through both renderers."""
 
     @staticmethod
     def _bodies(compiled, n):
@@ -244,13 +244,15 @@ class TestStructArrayTwins:
                     (i, -i, i + 1, 7) for i in range(n)]
         return bodies
 
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
     @pytest.mark.parametrize("backend",
                              ("iiop", "oncrpc-xdr", "mach3", "fluke"))
-    def test_twins_share_region_and_bytes(self, backend):
+    def test_twins_share_region_and_bytes(self, backend, renderer):
         from repro.mir import ops as m
 
         compiled = {
-            lang: api.compile(text, lang, backend=backend)
+            lang: api.compile(text, lang, backend=backend,
+                              renderer=renderer)
             for lang, text in GRID_TWINS
         }
         for lang, result in compiled.items():

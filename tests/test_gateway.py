@@ -572,13 +572,15 @@ def _plan_codecs(plan):
 
 class TestAPlanBuiltBeforeAnyCall:
     """The e2e ``gateway_bridge`` builds its plan at set-up, before any
-    codec has run, so the plan binds deferred entries; the first bridged
-    call of each operation must leave it holding what that call
-    compiled, so no later call forwards through a deferred entry."""
+    codec has run, so under either renderer name the plan binds deferred
+    entries; the first bridged call of each operation must leave it
+    holding what that call compiled, so no later call forwards through a
+    deferred entry."""
 
-    def test_first_bridged_calls_leave_compiled_codecs(self):
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_first_bridged_calls_leave_compiled_codecs(self, renderer):
         ingress, egress = (
-            api.compile(MAIL_IDL, "corba", backend=backend)
+            api.compile(MAIL_IDL, "corba", backend=backend, renderer=renderer)
             for backend in ("iiop", "oncrpc-xdr"))
         module = ingress.module
         with _bridge(ingress, egress) as (gateway, impl):

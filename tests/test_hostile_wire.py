@@ -608,12 +608,14 @@ class TestForgedAggregateCount:
         ("oncrpc-xdr", assert_valid_onc_reply),
         ("iiop", assert_valid_giop_reply),
     ])
-    def test_forged_dirent_count_builds_nothing(self, backend, validate):
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_forged_dirent_count_builds_nothing(self, backend, validate,
+                                                renderer):
         from repro import api
 
         with open(LEDGER_IDL) as handle:
-            module = api.compile(handle.read(), "corba",
-                                 backend=backend).module
+            module = api.compile(handle.read(), "corba", backend=backend,
+                                 renderer=renderer).module
         built = []
         dirent = module.Ledger_DirEnt
 

@@ -68,13 +68,14 @@ def _section_code(stubs, section):
 
 
 class TestReferenceClosure:
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize(
         "path", SCHEMAS, ids=lambda path: os.path.relpath(path, ROOT))
     def test_no_code_names_a_global_of_another_deferred_section(
-            self, path, backend):
+            self, path, backend, renderer):
         results = api.compile_all(open(path).read(), name=path,
-                                  backend=backend)
+                                  backend=backend, renderer=renderer)
         assert results
         for result in results.values():
             stubs = result.stubs
@@ -286,10 +287,12 @@ class TestLazyEqualsEager:
              ("check", ("flick",)), ("check", ("",)),
              ("fetch", (7,)), ("fetch", (-2,)))
 
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_replies_byte_identical_to_the_text_execd_whole(
-            self, backend):
-        result = api.compile(EXAMPLE_MAIL, "corba", backend=backend)
+            self, backend, renderer):
+        result = api.compile(EXAMPLE_MAIL, "corba", backend=backend,
+                             renderer=renderer)
         lazy = result.module
         assert pending_sections(lazy) == UNLOADED
         eager = types.ModuleType("eager")
@@ -357,8 +360,9 @@ class TestReadersOfTheModuleDict:
         assert module._m_req_avg.__code__.co_filename.startswith(
             "<%s._m_req_avg_" % module.__name__)
 
-    def test_traceback_through_lazily_compiled_code(self):
-        result = api.compile(EXAMPLE_MAIL, "corba")
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_traceback_through_lazily_compiled_code(self, renderer):
+        result = api.compile(EXAMPLE_MAIL, "corba", renderer=renderer)
         module = result.module
         lines = result.stubs.py_source.split("\n")
 

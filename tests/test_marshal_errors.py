@@ -93,42 +93,44 @@ class CountingShapes(ShapesImpl):
 _SHAPES_CACHE = {}
 
 
-def _shapes(backend, impl=None):
+def _shapes(backend, renderer, impl=None):
     from repro import api
 
-    if backend not in _SHAPES_CACHE:
-        _SHAPES_CACHE[backend] = api.compile(SHAPES_IDL, "corba",
-                                             backend=backend)
-    module = _SHAPES_CACHE[backend].module
+    key = ("shapes", backend, renderer)
+    if key not in _SHAPES_CACHE:
+        _SHAPES_CACHE[key] = api.compile(SHAPES_IDL, "corba",
+                                         backend=backend, renderer=renderer)
+    module = _SHAPES_CACHE[key].module
     impl = impl or CountingShapes()
     transport = RecordingTransport(LoopbackTransport(module.dispatch, impl))
     return module, module.ShapesClient(transport), impl, transport
 
 
+@pytest.mark.parametrize("renderer", ("py", "closures"))
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestArrayRegionErrors:
     def _rects(self, module, n=3):
         return [module.Rect(module.Coord(i, i), module.Coord(i, i))
                 for i in range(n)]
 
-    def test_wrong_typed_field(self, backend):
-        module, client, impl, _log = _shapes(backend)
+    def test_wrong_typed_field(self, backend, renderer):
+        module, client, impl, _log = _shapes(backend, renderer)
         rects = self._rects(module)
         rects[1].lr.y = "seven"
         with pytest.raises(MarshalError):
             client.rects(1, rects, "x")
         assert impl.calls == 0
 
-    def test_out_of_range_field(self, backend):
-        module, client, impl, _log = _shapes(backend)
+    def test_out_of_range_field(self, backend, renderer):
+        module, client, impl, _log = _shapes(backend, renderer)
         rects = self._rects(module)
         rects[2].ul.x = 2 ** 40
         with pytest.raises(MarshalError):
             client.rects(1, rects, "x")
         assert impl.calls == 0
 
-    def test_missing_field(self, backend):
-        module, client, impl, _log = _shapes(backend)
+    def test_missing_field(self, backend, renderer):
+        module, client, impl, _log = _shapes(backend, renderer)
         rects = self._rects(module)
         rects[0] = module.Coord(1, 2)        # has no .ul / .lr
         with pytest.raises(MarshalError):
@@ -140,17 +142,17 @@ class TestArrayRegionErrors:
         # The buffer is reusable after the failed region.
         assert len(client.rects(1, self._rects(module), "x")) == 3
 
-    def test_servant_returning_a_bad_region(self, backend):
+    def test_servant_returning_a_bad_region(self, backend, renderer):
         module, client, impl, _log = _shapes(
-            backend, CountingShapes(reply=[object()]))
+            backend, renderer, CountingShapes(reply=[object()]))
         with pytest.raises(MarshalError):
             client.rects(1, self._rects(module), "x")
 
-    def test_truncated_region(self, backend):
+    def test_truncated_region(self, backend, renderer):
         """A region cut short — mid-element or exactly between two
         elements — is refused by the one exact size check, before any
         element is built and before the servant runs."""
-        module, client, impl, transport = _shapes(backend)
+        module, client, impl, transport = _shapes(backend, renderer)
         client.rects(1, self._rects(module, 4), "x")
         request = transport.log[-1][0]
         before = impl.calls
@@ -171,16 +173,17 @@ class TestArrayRegionErrors:
 
 class TestEmptyCdrString:
     """A CDR string's count includes its NUL (CORBA 2.0 ch. 12), so a
-    count of 0 is refused by the stubs, as the interpretive oracle refuses
-    it."""
+    count of 0 is refused by every renderer, as the interpretive oracle
+    refuses it."""
 
     IDL = "interface Echo { void say(in string s, in long n); };"
 
-    def test_count_zero_is_refused(self):
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_count_zero_is_refused(self, renderer):
         from repro import api
 
-        module = api.compile(self.IDL, name="echo.idl",
-                             backend="iiop").module
+        module = api.compile(self.IDL, name="echo.idl", backend="iiop",
+                             renderer=renderer).module
         body = struct.pack(">II", 0, 7)
         with pytest.raises(UnmarshalError, match="length 0 too short"):
             module._u_req_say(body, 0)

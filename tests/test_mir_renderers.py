@@ -375,10 +375,10 @@ def _plain(value):
 _INTERPRETER_DIFFERS = {("mach3", "odds")}
 
 
-def _shape_traffic(backend, flags):
+def _shape_traffic(backend, flags, renderer):
     """Every shape op at n = 0, 1, 5: results checked, wire recorded."""
     compiled = api.compile(SHAPES_IDL, "corba", backend=backend,
-                           flags=flags)
+                           flags=flags, renderer=renderer)
     module = compiled.module
     transport = RecordingTransport(
         LoopbackTransport(module.dispatch, ShapesImpl()))
@@ -397,22 +397,23 @@ def _shape_traffic(backend, flags):
 class TestStructArrayRegions:
     @pytest.mark.parametrize("backend", sorted(_WIRE_FORMATS))
     def test_identical_to_interpreter(self, backend):
-        """With the region form on and with each flag it depends on
-        off, the stubs put the interpreter's bytes on the wire."""
+        """Both renderers, with the region form on and with each flag
+        it depends on off, put the interpreter's bytes on the wire."""
         baseline = None
         for flags in [None] + [OptFlags().but(**{name: False})
                                for name in REGION_FLAGS]:
-            log, reference = _shape_traffic(backend, flags)
-            if baseline is None:
-                baseline = log
-            assert log == baseline, (backend, flags)
-            for (request, reply), (op, n, want_request,
-                                   want_reply) in zip(log, reference):
-                if (backend, op) in _INTERPRETER_DIFFERS:
-                    continue
-                where = (backend, flags, op, n)
-                assert request.endswith(want_request), where
-                assert reply.endswith(want_reply), where
+            for renderer in ("py", "closures"):
+                log, reference = _shape_traffic(backend, flags, renderer)
+                if baseline is None:
+                    baseline = log
+                assert log == baseline, (backend, flags, renderer)
+                for (request, reply), (op, n, want_request,
+                                       want_reply) in zip(log, reference):
+                    if (backend, op) in _INTERPRETER_DIFFERS:
+                        continue
+                    where = (backend, flags, renderer, op, n)
+                    assert request.endswith(want_request), where
+                    assert reply.endswith(want_reply), where
 
     @pytest.mark.parametrize("backend", sorted(_WIRE_FORMATS))
     def test_region_ops_chosen_by_layout(self, backend):
@@ -478,9 +479,11 @@ class TestFixedOpaqueAfterString:
     interface Fuzz { T echo(in T v); };
     """
 
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
     @pytest.mark.parametrize("backend", sorted(_WIRE_FORMATS))
-    def test_round_trips_at_an_unaligned_offset(self, backend):
-        module = api.compile(self.IDL, "corba", backend=backend).module
+    def test_round_trips_at_an_unaligned_offset(self, backend, renderer):
+        module = api.compile(self.IDL, "corba", backend=backend,
+                             renderer=renderer).module
 
         class Impl:
             def echo(self, v):

@@ -2,7 +2,7 @@
 
 The headline claim: a Python dataclass schema and its hand-written
 CORBA IDL equivalent compile to *byte-identical wire traffic* on every
-protocol.  These tests prove it with the same
+protocol x renderer combination.  These tests prove it with the same
 recording-transport machinery the renderer-identity suite uses, then
 cover the type-mapping table, object inputs (dataclass / @interface
 class / module), CLI integration, and schema errors.
@@ -183,11 +183,13 @@ class TestIdlEquivalence:
     """Dataclass schema == hand-written CORBA IDL, on the wire."""
 
     @pytest.mark.parametrize("backend", PROTOCOLS)
-    def test_wire_traffic_byte_identical(self, backend):
+    @pytest.mark.parametrize("renderer", ("py", "closures"))
+    def test_wire_traffic_byte_identical(self, backend, renderer):
         sessions = {}
         for lang, source in (("corba", CORBA_EQ),
                              ("pyschema", PYSCHEMA_EQ)):
-            result = api.compile(source, lang, backend=backend)
+            result = api.compile(source, lang, backend=backend,
+                                 renderer=renderer)
             sessions[lang] = drive_eq(result.module)
         results_idl, log_idl = sessions["corba"]
         results_py, log_py = sessions["pyschema"]
