@@ -4,15 +4,18 @@
     PYTHONPATH=src python scripts/compile_floor.py --check
 
 For every schema under ``benchmarks/e2e/schemas`` x back end (the cells
-of the benchmark's ``compile_cold``) the generated text is cut along its
-section table (``stubs.sections``) the way ``repro.core.loader`` cuts it
-— other lines blanked, so each piece compiles at its own line numbers —
-and ``compile()`` of each piece is timed on one pinned CPU, rounds in
+of the benchmark's ``compile_cold``) the module text is cut the way a
+load cuts it: the scaffold (``stubs.scaffold``, the text without its
+codec functions) along its section table (``stubs.sections``), other
+lines blanked as ``repro.core.loader`` blanks them, so each piece
+compiles at its own line numbers; and the codec functions
+(``render_py.render_program`` of ``stubs.mir``) in one piece.
+``compile()`` of each piece is timed on one pinned CPU, rounds in
 alternation, the lowest printed, in milliseconds:
 
-* ``whole``: the text in one piece — what a module written to disk and
-  imported costs;
-* ``shared`` ``codecs`` ``client`` ``server`` ``errors``: each section
+* ``whole``: ``py_source`` in one piece — what a module written to disk
+  and imported costs;
+* ``shared`` ``codecs`` ``client`` ``server`` ``errors``: each piece
   alone, ``server`` as its load compiles it — without the ``_h_*``
   handlers, which compile one at a time at their first call;
 * ``handlers``: the ``_h_*`` defs in one piece — what the ``server``
@@ -32,14 +35,22 @@ compiled its client section or the calling module its server section,
 if either load compiled a codec function or a handler, if the server
 section's own load compiled a handler, if the call compiled a codec
 function or handler it did not run or ran one it did not compile, or if
-the answer is wrong.  What a process compiles does not depend on the
-host.
+the answer is wrong.  It counts lowerings too (calls of
+``repro.mir.build.build_operation``, one per operation lowered), and
+exits non-zero if a compile or a load lowered an operation, if the
+call lowered anything but its own operation once in each module, if
+eight threads making the first calls of the operation's ``_m_req`` and
+``_u_rep`` entries on a fresh module lowered it other than once, or if
+``py_source`` and ``mir`` read after the first calls differ from a
+fresh compile's.  What a process compiles and lowers does not depend
+on the host.
 """
 
 import argparse
 import os
 import pathlib
 import sys
+import threading
 import types
 from time import perf_counter
 
@@ -49,12 +60,15 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from benchmarks.e2e.workloads import Cell, _Capture  # noqa: E402
 from repro import api  # noqa: E402
 from repro.backend.base import Section  # noqa: E402
+from repro.backend.pywriter import PyWriter  # noqa: E402
 from repro.core import loader  # noqa: E402
 from repro.core.loader import excerpt, pending_sections  # noqa: E402
-from repro.mir import render_closures  # noqa: E402
+from repro.mir import build, render_closures, render_py  # noqa: E402
+from repro.mir.dump import dump_program  # noqa: E402
 from repro.runtime import LoopbackTransport  # noqa: E402
 
-SECTIONS = ("shared", "codecs", "client", "server", "errors")
+ROLES = ("client", "server", "errors")
+SECTIONS = ("shared", "codecs") + ROLES
 #: column -> the sections compiled in one piece.
 LOADS = (("eager", ("shared", "codecs")), ("at load", ("shared",)))
 
@@ -72,17 +86,19 @@ def compile_cell(cell):
 
 def pieces(stubs):
     """column -> the text ``compile()`` is handed for it."""
-    lines = stubs.py_source.split("\n")
+    lines = stubs.scaffold.split("\n")
     table = {section.name: section for section in stubs.sections}
-    assert tuple(table) == SECTIONS, tuple(table)
-    texts = {"whole": stubs.py_source}
-    for name in SECTIONS:
-        texts[name] = excerpt(lines, (table[name],), name == "codecs")
+    assert tuple(table) == ("shared",) + ROLES, tuple(table)
+    w = PyWriter()
+    render_py.render_program(w, stubs.mir)
+    texts = {"whole": stubs.py_source, "codecs": w.getvalue()}
+    for name in table:
+        texts[name] = excerpt(lines, (table[name],), False)
     texts["handlers"] = excerpt(lines, [Section("handlers", tuple(
         (first, first + text.count("\n") + 1)
         for _name, first, text in table["server"].functions))])
     for column, names in LOADS:
-        texts[column] = excerpt(lines, [table[name] for name in names])
+        texts[column] = "".join(texts[name] for name in names)
     return texts
 
 
@@ -174,16 +190,61 @@ def ran(modules, names, call):
     return entered
 
 
+class Lowerings:
+    """Every operation lowered to marshal IR, by name, in order: a spy
+    on the one per-operation lowering."""
+
+    def __init__(self):
+        self.seen = []
+        real = build.build_operation
+
+        def spy(backend, presc, stub, *rest):
+            self.seen.append(stub.operation_name)
+            return real(backend, presc, stub, *rest)
+
+        build.build_operation = spy
+
+
+def race(module, names, threads=8):
+    """*threads* threads make the first call of *names* at once, each
+    without arguments (a call fails in the function's own prologue,
+    after its entry has lowered and compiled it)."""
+    barrier = threading.Barrier(threads)
+
+    def first_call(name):
+        barrier.wait(timeout=30)
+        try:
+            vars(module)[name]()
+        except TypeError:
+            pass
+
+    workers = [threading.Thread(target=first_call,
+                                args=(names[index % len(names)],))
+               for index in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def check():
     compiles = Compiles()
+    lowerings = Lowerings()
     failures = 0
     for cell in cells(("py", "closures")):
-        del compiles.seen[:]
+        fresh = compile_cell(cell)
+        codecs = {fn.name for fn in fresh.mir.functions}
+        del compiles.seen[:], lowerings.seen[:]
         result = compile_cell(cell)
         serving = result.module
         calling = compile_cell(cell).module
+        at_compile = list(lowerings.seen)
         modules = (serving, calling)
-        codecs = {fn.name for fn in result.mir.functions}
         (server,) = [section for section in result.stubs.sections
                      if section.name == "server"]
         # Read off the names the section binds, not its ``functions``:
@@ -198,10 +259,15 @@ def check():
         proxy = next(name for name in dir(calling)
                      if name.endswith("Client"))
         client = getattr(calling, proxy)(LoopbackTransport(dispatch, servant))
-        del compiles.seen[:]
+        del compiles.seen[:], lowerings.seen[:]
         reached = ran(modules, names, lambda: getattr(client, cell.method)(
             *cell.present(calling)))
         by_call = compiles.functions(modules, names)
+        on_call = list(lowerings.seen)
+        del lowerings.seen[:]
+        race(compile_cell(cell).module, ["_m_req_" + cell.method,
+                                         "_u_rep_" + cell.method])
+        raced = list(lowerings.seen)
         problems = []
         if servant.got != cell.present(serving):
             problems.append("servant got %r" % (servant.got,))
@@ -219,14 +285,25 @@ def check():
             problems.append("the call compiled %s and ran %s" % (
                 sorted(name for _file, name in by_call),
                 sorted(name for _file, name in reached)))
+        if at_compile:
+            problems.append("the compiles and loads lowered %s" % at_compile)
+        if on_call != [cell.method] * 2:
+            problems.append("the call lowered %s" % on_call)
+        if raced != [cell.method]:
+            problems.append("the racing first calls lowered %s" % raced)
+        if (result.stubs.py_source != fresh.stubs.py_source
+                or dump_program(result.mir) != dump_program(fresh.mir)):
+            problems.append("py_source or mir differ from a fresh compile's")
         failures += bool(problems)
         print("%-36s serving left %-13s calling left %-13s compiled at load"
-              " %d, with the server section %d, by the call %d of %d  %s" % (
+              " %d, with the server section %d, by the call %d of %d;"
+              " lowered by the call %d of %d, by the race %d  %s" % (
                   cell.name, ",".join(pending_sections(serving)),
                   ",".join(pending_sections(calling)), len(at_load),
                   len(with_section), len(by_call),
-                  2 * len(codecs) + len(handlers),
-                  "; ".join(problems) or "ok"))
+                  2 * len(codecs) + len(handlers), len(on_call),
+                  2 * len(fresh.stubs.metadata["operations"]),
+                  len(raced), "; ".join(problems) or "ok"))
     return 1 if failures else 0
 
 
@@ -235,8 +312,9 @@ def main():
     parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--check", action="store_true",
                         help="only verify that a role compiles its own"
-                             " half and a call the codecs and the handler"
-                             " it runs; exit 1 otherwise")
+                             " half, a call the codecs and the handler it"
+                             " runs and a load no operation's IR; exit 1"
+                             " otherwise")
     args = parser.parse_args()
     if args.check:
         return check()

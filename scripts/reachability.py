@@ -170,6 +170,10 @@ def drivers(out):
                                   else []))
         if "--check" in text:
             runs.append([py, path, "--check"])
+    # A driver only: under the recorder a workload's measured pass
+    # overruns its time budget and the ops after the cut count as
+    # failed; CI runs the same smoke without the recorder, and that
+    # run's verdict is the smoke's.
     runs += [[py, "-m", "benchmarks.e2e", "--smoke"],
              [py, "tests/gateway_smoke.py"]]
     for path in sorted(glob.glob("examples/idl/*")):

@@ -2,22 +2,25 @@
 
     PYTHONPATH=src python scripts/renderer_table.py [--rounds 5]
 
-``stubs.load()`` compiles no codec function: each compiles at its first
-call, under either renderer name (INTERNALS section 10).  This script
-sets that against the eager load it replaced — the codec section
-compiled with the module, rebuilt here with
-``repro.core.loader.load_stub_module`` over the same text and section
-table, which then also compiles the ``_h_*`` handlers with the server
-section — on ``examples/idl/ledger.idl`` over IIOP (28 codec functions),
-pinned to one CPU like the e2e benchmark, lowest of ``--rounds``, in ms:
+A compile lowers no codec and ``stubs.load()`` compiles none: the first
+call of a codec lowers its operation and compiles that function, under
+either renderer name (INTERNALS section 10).  This script sets that
+against the eager path it replaced — every codec lowered and printed
+with the module text (``stubs.py_source``) and compiled with the module,
+rebuilt here with ``repro.core.loader.load_stub_module`` over that text
+and the scaffold's section table shifted past the codec lines, which
+then also compiles the ``_h_*`` handlers with the server section — on
+``examples/idl/ledger.idl`` over IIOP (28 codec functions), pinned to
+one CPU like the e2e benchmark, lowest of ``--rounds``, in ms:
 
-* ``load``: the module load of a fresh compile;
+* ``load``: a compile and the module load;
 * ``first call``: ``load`` plus the first call of one codec;
 * ``all first calls``: ``load`` plus one call of every codec function —
   what a process that goes on to use the whole interface pays;
 
 then the break-even: how many of the 28 functions a process must call
-before the per-function compiles cost what the eager load did.  Last,
+before the per-function lowerings and compiles cost what the eager path
+did.  Last,
 the steady state after the first call, in microseconds per call, to show
 both loads end up running the same code: ``encode`` is ``_m_req_<op>``
 into a reused buffer, ``dispatch`` the generated ``dispatch`` on that
@@ -37,6 +40,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from benchmarks.e2e import values  # noqa: E402
 from repro import api  # noqa: E402
+from repro.backend.base import Section  # noqa: E402
 from repro.core.loader import load_stub_module  # noqa: E402
 from repro.encoding import MarshalBuffer  # noqa: E402
 
@@ -62,10 +66,18 @@ def compiled():
 
 
 def eager(result):
-    """The module as loaded while its codec section compiled with it."""
+    """The module as loaded while its codecs were lowered and printed at
+    compile and compiled with it: the whole text, the scaffold's section
+    table moved past the codec lines, which load with the module."""
     stubs = result.stubs
-    return load_stub_module(stubs.py_source, stubs.module_name,
-                            stubs.sections)
+    text, at = stubs.py_source, stubs.codec_at
+    added = text.count("\n") - stubs.scaffold.count("\n")
+    sections = [Section(section.name, tuple(
+        (start + added, end + added) if start >= at else (start, end)
+        for start, end in section.spans), section.names)
+        for section in stubs.sections]
+    sections.append(Section("codecs", ((at, at + added),)))
+    return load_stub_module(text, stubs.module_name, sections)
 
 
 def deferred(result):
@@ -98,13 +110,15 @@ def call_codecs(load, result, names):
 
 
 def start_up(load, rounds):
-    every = [fn.name for fn in compiled().mir.functions]
+    every = [fn.name for fn in compiled().mir.functions
+             if not fn.kind.endswith("_helper")]
     return {
-        "load": lowest(rounds, lambda: timed(load, compiled())),
+        "load": lowest(rounds, lambda: timed(
+            lambda: load(compiled()))),
         "first call": lowest(rounds, lambda: timed(
-            call_codecs, load, compiled(), [FIRST])),
+            lambda: call_codecs(load, compiled(), [FIRST]))),
         "all first calls": lowest(rounds, lambda: timed(
-            call_codecs, load, compiled(), every)),
+            lambda: call_codecs(load, compiled(), every))),
     }, len(every)
 
 

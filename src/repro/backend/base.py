@@ -28,7 +28,7 @@ import re
 from dataclasses import InitVar, dataclass, field
 from functools import partial
 from struct import pack_into
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro import envelopes
 from repro.core.options import OptFlags
@@ -78,7 +78,7 @@ class Section(NamedTuple):
     the module text."""
 
     name: str
-    #: ``(start, end)`` line indices into *py_source*, in print order.
+    #: ``(start, end)`` line indices into the scaffold, in print order.
     spans: Tuple[Tuple[int, int], ...]
     #: The top-level names the lines bind, for a section that loads at
     #: the first use of one of them; empty for one that loads with the
@@ -86,8 +86,7 @@ class Section(NamedTuple):
     names: Tuple[str, ...] = ()
     #: ``(name, first line, text)`` of every function of the section
     #: that compiles on its own at its first call, not with the section:
-    #: the ``codecs`` functions and the ``server`` section's ``_h_*``
-    #: handlers; empty for the others.
+    #: the ``server`` section's ``_h_*`` handlers; empty for the others.
     functions: Tuple[Tuple[str, int, str], ...] = ()
 
 
@@ -105,7 +104,9 @@ class GeneratedStubs:
     interface_name: str
     backend_name: str
     presentation_style: str
-    py_source: str
+    #: The module text without its codec functions: what a module loads
+    #: (baseline compilers, which load whole, load :attr:`py_source`).
+    scaffold: str
     #: The C fidelity artifact as literal text (baseline compilers), or
     #: *c_artifact*: a zero-argument callable returning ``(c_source,
     #: c_header)``.  Either way ``stubs.c_source``/``stubs.c_header``
@@ -114,66 +115,91 @@ class GeneratedStubs:
     c_source: InitVar[Optional[str]] = None
     c_header: InitVar[Optional[str]] = None
     c_artifact: object = field(default=None, repr=False)
-    metadata: Dict[str, object] = field(default_factory=dict)
+    #: A zero-argument callable printing the codec functions: returns
+    #: the optimized marshal IR (None when printed without one) and the
+    #: lines, which go before scaffold line *codec_at* in
+    #: :attr:`py_source`.  Called on the first read of ``py_source``,
+    #: ``mir`` or ``metadata``, once; a compile that only loads and
+    #: calls never does.
+    codec_artifact: object = field(default=None, repr=False)
+    codec_at: int = 0
+    metadata: InitVar[Optional[dict]] = None
+    #: A content hash of what the codecs are generated from, computed
+    #: without printing them.
     module_name: str = ""
     #: The name ``api.compile(renderer=)`` was given (``"py"`` or
     #: ``"closures"``); it selects nothing.
     renderer: str = "py"
-    mir: object = field(default=None, repr=False)
     #: The PRES_C these stubs were generated from.  A loaded module
     #: carries it as ``_flick_presc``: the payload-shape profiler reads
     #: each codec's channels from it.
     presc: object = field(default=None, repr=False)
     #: The back-end instance that generated these stubs and the flags it
-    #: ran with — what rebuilding their marshal IR needs (the e2e
-    #: benchmark's compile replica times each stage from them).
+    #: ran with: what lowering their marshal IR needs, at a first call
+    #: or in the e2e benchmark's compile replica.
     backend_instance: object = field(default=None, repr=False)
     flags: object = field(default=None, repr=False)
-    #: The section table of *py_source*, in role order: ``shared``
+    #: The section table of the scaffold, in role order: ``shared``
     #: (preamble, records, exceptions, what codecs call on an error
-    #: reply), ``codecs`` (runtime imports, header consts,
-    #: ``_m_*``/``_u_*`` defs), then ``client``, ``server`` and
-    #: ``errors``.  Empty when the text is one piece (baseline
-    #: compilers, which load whole).
+    #: reply), then ``client``, ``server`` and ``errors``.  Empty when
+    #: the text is one piece (baseline compilers, which load whole).
     sections: Tuple[Section, ...] = ()
 
     _module = None
 
-    def __post_init__(self, c_source, c_header):
+    def __post_init__(self, c_source, c_header, metadata):
         if c_source is not None:
             self.c_artifact = lambda: (c_source, c_header or "")
-        self._c = _memoized(self.c_artifact)
+        self._c = memoized(self.c_artifact)
+        self._codecs = memoized(self.codec_artifact or (lambda: (None, [])))
+        self._meta = metadata if metadata is not None else {}
+        self._py = memoized(self._print_py)
+
+    def _print_py(self):
+        lines = self.scaffold.split("\n")
+        at = self.codec_at
+        return "\n".join(lines[:at] + self._codecs()[1] + lines[at:])
+
+    @property
+    def py_source(self):
+        """The module text, codec functions included, printed on first
+        read: what ``flick compile --emit py`` writes."""
+        return self._py()
+
+    @property
+    def mir(self):
+        """The optimized marshal IR of every codec, lowered on first
+        read (None for a baseline that prints without it)."""
+        return self._codecs()[0]
 
     def load(self):
         """Exec the generated Python module (cached) and return it.
 
-        The module loads its ``shared`` section and no codec: every
-        codec function is a deferred entry that compiles its own lines
-        of the text at its first call
-        (:func:`repro.mir.render_closures.defer_codecs`), and the
-        ``client``, ``server`` and ``errors`` sections compile when
-        first used (:func:`repro.core.loader.load_stub_module`) — the
-        ``server`` section without its handlers, which are deferred
-        entries of the same table.  A text with no section table
+        The module's own file is the scaffold, and it loads the
+        ``shared`` section of it: the ``client``, ``server`` and
+        ``errors`` sections compile when first used
+        (:func:`repro.core.loader.load_stub_module`) — the ``server``
+        section without its handlers, which are deferred entries.
+        Every codec function is a deferred entry too
+        (:func:`repro.mir.render_closures.defer_operations`): the first
+        call of any lowers its operation.  A text with no section table
         (baseline compilers) loads whole.
         """
         if self._module is None:
             from repro.core.loader import load_stub_module
             from repro.mir import render_closures
 
-            codecs = {section.name: section
-                      for section in self.sections}.get("codecs")
-            module = load_stub_module(
-                self.py_source, self.module_name or "flick_generated",
-                self.sections, without=("codecs",),
-                # Called when the server section loads: after *pending*,
-                # the codecs' table, is bound below.
-                defer=lambda functions: render_closures.defer_handlers(
-                    pending, functions),
-            )
-            if codecs is not None:
-                pending = render_closures.defer_codecs(
-                    module, self.mir, codecs)
+            name = self.module_name or "flick_generated"
+            if not self.sections:
+                module = load_stub_module(self.py_source, name)
+            else:
+                module = load_stub_module(
+                    self.scaffold, name, self.sections,
+                    # Called when the server section loads: after
+                    # *pending*, the codecs' table, is bound below.
+                    defer=lambda functions: render_closures.defer_handlers(
+                        pending, functions))
+                pending = render_closures.defer_operations(module, self)
             if self.presc is not None:
                 module._flick_presc = self.presc
             self._module = module
@@ -186,6 +212,16 @@ GeneratedStubs.c_header = property(
     lambda self: self._c()[1], doc="C header, printed on first read.")
 
 
+def _metadata(stubs):
+    """Facts about the stubs.  ``operations[op]['request_chunks']`` is
+    read off the marshal IR, so the first read prints the codecs."""
+    stubs._codecs()
+    return stubs._meta
+
+
+GeneratedStubs.metadata = property(_metadata, doc=_metadata.__doc__)
+
+
 def _print_c(backend, presc, flags):
     """The C artifact; its printer is imported when C is first read."""
     from repro.mir import render_c
@@ -193,7 +229,8 @@ def _print_c(backend, presc, flags):
     return render_c.render_c(backend, presc, flags)
 
 
-def _memoized(thunk):
+def memoized(thunk):
+    """*thunk*, called once, on the first call of what this returns."""
     cell = []
 
     def cached():
@@ -327,10 +364,13 @@ class OptimizingBackEnd:
     def generate(self, presc, flags=None):
         """Generate stubs for *presc*; returns :class:`GeneratedStubs`.
 
-        The module loads without its codec section and each codec
-        function compiles at its first call.  ``stubs.c_source``/
-        ``c_header`` print the C artifact when first read, and a
-        presentation the C printer cannot express raises
+        Prints the scaffold only — every section but the codec
+        functions — and lowers nothing: ``stubs.load()`` binds each
+        codec as a deferred entry that lowers its operation at its
+        first call, and the stubs' ``py_source``, ``mir`` and
+        ``metadata`` print every codec when first read.  Their
+        ``c_source``/``c_header`` print the C artifact when first read,
+        and a presentation the C printer cannot express raises
         :class:`BackEndError` there, not here.
         """
         flags = flags or OptFlags()
@@ -356,9 +396,7 @@ class OptimizingBackEnd:
         metadata["exceptions"] = sorted(exceptions)
         self._emit_records(w, records)
         self._emit_exceptions(w, exceptions)
-        section("codecs")
-        program, placed = self._emit_codec_functions(
-            w, presc, flags, metadata)
+        codec_at = len(w.lines)
         section("client")
         self.emit_check_reply(w, presc)
         section("shared")
@@ -368,27 +406,30 @@ class OptimizingBackEnd:
         self._emit_client(w, presc, flags)
         section("server")
         self._emit_servant(w, presc)
-        placed.update(self._emit_dispatch(w, presc, flags))
+        placed = self._emit_dispatch(w, presc, flags)
         section("errors")
         self.emit_error_reply(w, presc)
-        py_source = w.getvalue()
-        # Key the module name on the generated source so two versions of
-        # one interface (say, an old and a new schema under diff) load
-        # side by side under distinguishable names.
+        scaffold = w.getvalue()
+        # Key the module name on what the codecs are generated from, so
+        # two versions of one interface (say, an old and a new schema
+        # under diff) load side by side under distinguishable names.
+        key = "%s\n%r\n%r" % (scaffold, flags, presc.source)
         module_name = "flick_%s_%s_%s" % (
             mangle(presc.interface_name).lower(),
             self.name.replace("-", "_"),
-            hashlib.sha256(py_source.encode("utf-8")).hexdigest()[:10],
+            hashlib.sha256(key.encode("utf-8")).hexdigest()[:10],
         )
         return GeneratedStubs(
             interface_name=presc.interface_name,
             backend_name=self.name,
             presentation_style=presc.presentation_style,
-            py_source=py_source,
+            scaffold=scaffold,
             c_artifact=partial(_print_c, self, presc, flags),
+            codec_artifact=partial(self._print_codecs, presc, flags,
+                                   metadata),
+            codec_at=codec_at,
             metadata=metadata,
             module_name=module_name,
-            mir=program,
             presc=presc,
             backend_instance=self,
             flags=flags,
@@ -400,13 +441,17 @@ class OptimizingBackEnd:
     # Codec emission (renderer seam)
     # ------------------------------------------------------------------
 
+    def _print_codecs(self, presc, flags, metadata):
+        """``(program, lines)``: the codec functions, printed alone."""
+        w = PyWriter()
+        return self._emit_codec_functions(w, presc, flags, metadata), w.lines
+
     def _emit_codec_functions(self, w, presc, flags, metadata):
         """Lower PRES_C to marshal IR, run the pass pipeline, render.
 
-        Returns the optimized :class:`repro.mir.ops.MirProgram` and the
-        lines of *w* each of its functions took.  The per-datum
-        comparators (:mod:`repro.compilers.per_datum`) print their codec
-        text without marshal IR: no program, no lines.
+        Returns the optimized :class:`repro.mir.ops.MirProgram`.  The
+        per-datum comparators (:mod:`repro.compilers.per_datum`) print
+        their codec text without marshal IR and return None.
         """
         from repro.mir.build import build_program
         from repro.mir.passes import PassManager
@@ -414,12 +459,12 @@ class OptimizingBackEnd:
 
         program = build_program(self, presc, flags)
         program = PassManager(flags).run(program)
-        placed = render_py.render_program(w, program)
+        render_py.render_program(w, program)
         for fn in program.functions:
             if fn.kind == "m_req":
                 op_meta = metadata["operations"][fn.operation]
                 op_meta["request_chunks"] = fn.chunks
-        return program, placed
+        return program
 
     # ------------------------------------------------------------------
     # Module sections

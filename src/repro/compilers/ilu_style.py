@@ -62,7 +62,7 @@ class IluStyleCompiler:
             interface_name=presc.interface_name,
             backend_name=self.name,
             presentation_style=presc.presentation_style,
-            py_source=description,
+            scaffold=description,
             c_source="/* ILU-style stubs are interpreted at run time. */\n",
             c_header="",
             metadata={"style": "interpretive", "demux": "linear"},

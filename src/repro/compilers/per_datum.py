@@ -84,7 +84,11 @@ class PerDatumBackEnd:
     # -- module assembly ---------------------------------------------------
 
     def generate(self, presc, flags=None):
-        return super().generate(presc, self.baseline_flags)
+        stubs = super().generate(presc, self.baseline_flags)
+        # The compiler a comparator stands for printed its codecs at
+        # compile: a presentation it cannot express is refused here.
+        _ = stubs.py_source
+        return stubs
 
     def _emit_preamble(self, w, presc):
         super()._emit_preamble(w, presc)
@@ -110,7 +114,7 @@ class PerDatumBackEnd:
                 with w.block("def %s(%s):" % (function, self.stream[kind])):
                     w.line("return " + self.got % self.emit_get(pres))
             w.blank()
-        return None, {}
+        return None
 
     def _emit_request(self, w, presc, stub):
         name = stub.operation_name

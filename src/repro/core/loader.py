@@ -10,15 +10,18 @@ lives exactly as long as its users hold it, and its linecache entry goes
 with it.
 
 A module generated with a section table
-(:attr:`repro.backend.base.GeneratedStubs.sections`) is compiled a role
+(:attr:`repro.backend.base.GeneratedStubs.sections`) is the scaffold —
+the text without its codec functions, which the caller binds as
+deferred entries (:mod:`repro.mir.render_closures`) — compiled a role
 at a time: what every role shares with the module, and the ``client``,
 ``server`` and ``errors`` sections each at the first attribute access
 that asks for one of its names (PEP 562 ``__getattr__``), so a process
 compiles the half it runs.  Such a module is complete by attribute —
 ``getattr``, ``hasattr`` and ``dir`` answer as for an eager one — and
 lazy by ``vars()``; :func:`on_bound` is for readers of the dict.  The
-functions a deferred section lists in ``functions`` can be left out of
-it, for whoever loads the module to bind a deferred entry for each.
+functions a deferred section lists in ``functions`` (the ``_h_*``
+handlers) can be left out of it, for whoever loads the module to bind
+a deferred entry for each.
 """
 
 from __future__ import annotations
@@ -47,32 +50,29 @@ def register_source(owner, name, source):
 
 
 def load_stub_module(source, name="flick_generated", sections=(),
-                     without=(), defer=None):
+                     defer=None):
     """Compile and exec generated *source*; return the module object.
 
     *sections* is the text's section table, empty for a text that is
     one piece.  A section that lists the names it binds is compiled and
     exec'd into the module at the first attribute access of one of
-    them; the sections named in *without* never are (the caller binds
-    what they would have).  Given *defer*, a deferred section that
-    lists ``functions`` is exec'd without their lines, after
-    ``defer(functions)`` has bound what stands in for them.  Lines left
-    out are blanked, not cut, so line numbers — and what ``__source__``
-    and tracebacks show — stay those of *source*.
+    them.  Given *defer*, a deferred section that lists ``functions``
+    is exec'd without their lines, after ``defer(functions)`` has bound
+    what stands in for them.  Lines left out are blanked, not cut, so
+    line numbers — and what ``__source__`` and tracebacks show — stay
+    those of *source*.
     """
     module = types.ModuleType(name)
     module.__file__ = filename = register_source(module, name, source)
     module.__name__ = filename[1:-1]
     module.__source__ = source
     text = source
-    kept = [section for section in sections if section.name not in without]
-    eager = [section for section in kept if not section.names]
+    eager = [section for section in sections if not section.names]
     if len(eager) < len(sections):
         lines = source.split("\n")
         text = excerpt(lines, eager)
-        deferred = [section for section in kept if section.names]
-        if deferred:
-            _Deferred(module.__dict__, filename, lines, deferred, defer)
+        _Deferred(module.__dict__, filename, lines,
+                  [section for section in sections if section.names], defer)
     exec(compile(text, filename, "exec"), module.__dict__)
     return module
 

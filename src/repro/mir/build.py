@@ -6,10 +6,14 @@ inside each.  The per-type lowering lives in :mod:`repro.mir.lower`;
 protocol policy (header templates, reply-status tails) comes from the
 back end's hooks.
 
-Functions appear in the program in module emission order — for each
-stub: request marshal, request unmarshal, then (unless oneway) the reply
-marshals and the reply unmarshal — followed by the out-of-line helpers
-in first-reference order.
+:func:`build_operation` lowers one stub's functions; :func:`build_program`
+is the loop over it and the drain of the out-of-line helpers they reach,
+over every stub (what ``stubs.mir`` and the printers read) or over one
+(what a loaded module lowers at the first call of that operation's
+codecs).  Functions appear in the program in module emission order — for
+each stub: request marshal, request unmarshal, then (unless oneway) the
+reply marshals and the reply unmarshal — followed by the out-of-line
+helpers in first-reference order.
 
 Every function is lowered through one spelling table: the Python one
 unless *spelling* says otherwise (the C artifact passes
@@ -26,23 +30,45 @@ from repro.mir import ops as m
 from repro.mir import render_py
 
 
-def build_program(backend, presc, flags, spelling=None):
-    """Lower every codec function for *presc* into a MirProgram."""
+def build_program(backend, presc, flags, spelling=None, stubs=None):
+    """Lower the codec functions of *stubs* (every stub of *presc* when
+    None) into a MirProgram, with the out-of-line helpers they reach."""
     out_of_line = lower.OutOfLineSet()
     spell = spelling or render_py.SPELLING
     program = m.MirProgram(
         interface_name=presc.interface_name,
         wire_name=backend.name,
     )
-    for stub in presc.stubs:
-        args = (backend, presc, stub, flags, out_of_line, spell)
-        program.functions.append(_build_request_marshal(*args))
-        program.functions.append(_build_request_unmarshal(*args))
-        if not stub.oneway:
-            program.functions.extend(_build_reply_marshals(*args))
-            program.functions.append(_build_reply_unmarshal(*args))
+    for stub in presc.stubs if stubs is None else stubs:
+        program.functions.extend(build_operation(
+            backend, presc, stub, flags, out_of_line, spell))
     _drain_out_of_line(backend, presc, flags, out_of_line, program, spell)
     return program
+
+
+def build_operation(backend, presc, stub, flags, out_of_line, spell):
+    """Lower *stub*'s codec functions, named as :func:`codec_names`
+    names them; the helpers they call are queued on *out_of_line*."""
+    args = (backend, presc, stub, flags, out_of_line, spell)
+    functions = [_build_request_marshal(*args),
+                 _build_request_unmarshal(*args)]
+    if not stub.oneway:
+        functions.extend(_build_reply_marshals(*args))
+        functions.append(_build_reply_unmarshal(*args))
+    return functions
+
+
+def codec_names(stub):
+    """The names of *stub*'s codec functions, in :func:`build_operation`
+    order, without lowering them."""
+    op = stub.operation_name
+    names = ["_m_req_" + op, "_u_req_" + op]
+    if not stub.oneway:
+        names.append("_m_rep_ok_" + op)
+        names.extend("_m_rep_x%d_%s" % (arm.labels[0], op)
+                     for arm in stub.reply_pres.arms[1:])
+        names.append("_u_rep_" + op)
+    return names
 
 
 def _marshal_lower(backend, presc, flags, out_of_line, spell):

@@ -1,49 +1,100 @@
 """Deferred entries: each codec function and each handler compiles at
 its first call.
 
-A loaded stub module carries no compiled codec.  ``stubs.load()`` leaves
-the codec section of the text out (:func:`defer_codecs`) and binds every
-codec function as a **deferred entry**: the first time it is called it
-compiles that function's own lines of the module text — at their own
-line numbers, under the module's file name, so a traceback through it
-shows the generated line — execs them against the module's globals,
-hands over to the result and forwards the call.  A process therefore
-compiles the codecs it calls and no others, under either renderer name
-(``py`` and ``closures`` no longer differ in anything a load does).  The
-price is paid by a process that goes on to call all of them:
-per-function compiles cost more in total than one compile of the whole
-section (INTERNALS section 10 has the numbers).  The ``server`` section
-loads without its ``_h_*`` handlers the same way: :func:`defer_handlers`
-binds an entry for each from the same table just before the rest of the
-section is exec'd, so a server compiles the handlers it dispatches to.
+A loaded stub module carries no codec and no marshal IR.
+``stubs.load()`` loads the scaffold — the module text without its codec
+functions — and :func:`defer_operations` binds every codec function of
+every operation as a **deferred entry**.  The first call of any entry
+of an operation lowers that operation's functions, once
+(:func:`repro.mir.build.build_program` over that one stub), runs the
+pass pipeline over them and binds their header consts and out-of-line
+helpers (each helper a deferred entry of its own); then the called
+function is rendered and compiled alone (:func:`compile_function`),
+execs against the module's globals, hands over to the result and
+forwards the call.  Its text is registered as a file of its own,
+``<module.function_N>``, so a traceback through it shows the generated
+line.  A process therefore lowers the operations it calls and compiles
+the functions it calls, and no others, under either renderer name.
+The price is paid by a process that goes on to call all of them: per
+function lowerings and compiles cost more in total than one of the
+whole program (INTERNALS section 10 has the numbers).  The ``server``
+section loads without its ``_h_*`` handlers the same way:
+:func:`defer_handlers` binds an entry for each from the same table just
+before the rest of the section is exec'd, so a server compiles the
+handlers it dispatches to.
 
 :func:`install_closures` binds the same entries over a loaded module
-from a :class:`~repro.mir.ops.MirProgram` — a base swap — and each of
-those renders its function's text (:func:`compile_function`) first.
+from a whole :class:`~repro.mir.ops.MirProgram` — a base swap — and
+each of those renders its function's text first.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from functools import partial
 from struct import iter_unpack
 
+from repro.backend.base import memoized
 from repro.backend.pywriter import PyWriter
 from repro.core import codecs
 from repro.core.loader import register_source
 from repro.encoding.buffer import atom_list
 from repro.errors import BackEndError
 from repro.mir import render_py
+from repro.mir.build import build_program, codec_names
+from repro.mir.passes import PassManager
 
 
-def defer_codecs(module, program, section):
-    """Bind *program*'s codecs over *module*, loaded without the codec
-    *section* of its text; each compiles its own lines
-    (``section.functions``) at its first call.  Returns the table, for
-    :func:`defer_handlers`."""
-    pending, _codec_entries = _defer_program(
-        module.__dict__, program, _own_lines(section.functions))
+def defer_operations(module, stubs):
+    """Bind a deferred entry over *module* for every codec function of
+    every operation of *stubs*; the first call of any lowers its
+    operation.  Returns the table, for :func:`defer_handlers`."""
+    G = module.__dict__
+    G.update(_iter_unpack=iter_unpack, _atom_list=atom_list)
+    pending = _Pending(G)
+    # The entries hold no module and no stubs (which hold the module):
+    # a module its users drop goes at once, its linecache text with it.
+    owner = weakref.ref(module)
+    build = (stubs.backend_instance, stubs.presc, stubs.flags)
+    for stub in stubs.presc.stubs:
+        lowered = memoized(partial(_lower, pending, owner, build, stub))
+        G.update(pending.defer(
+            {name: partial(_compile_codec, lowered, name, owner)
+             for name in codec_names(stub)},
+            partial(codecs.replace_base, G)))
     return pending
+
+
+def _lower(pending, owner, build, stub):
+    """*stub*'s codec functions by name, optimized, with their header
+    consts and helpers bound (a helper an earlier operation bound
+    stays: it is the same type's code)."""
+    backend, presc, flags = build
+    program = PassManager(flags).run(
+        build_program(backend, presc, flags, stubs=(stub,)))
+    G, functions = pending.G, {}
+    for fn in program.functions:
+        G.update(fn.consts)
+        if not fn.kind.endswith("_helper"):
+            functions[fn.name] = fn
+        elif fn.name not in G:
+            G.update(pending.defer({fn.name: partial(_compile, owner, fn)},
+                                   partial(_hand_helper, G)))
+    return functions
+
+
+def _compile_codec(lowered, name, owner):
+    return _compile(owner, lowered()[name])
+
+
+def _compile(owner, fn):
+    module = owner()
+    return compile_function(fn, vars(module), module)
+
+
+def _hand_helper(G, name, _entry, function):
+    G[name] = function
 
 
 def defer_handlers(pending, functions):
@@ -62,58 +113,33 @@ def defer_handlers(pending, functions):
                 handlers[key] = function
                 break
 
-    G.update(pending.defer(_own_lines(functions), bind))
+    G.update(pending.defer(
+        {name: (first, text) for name, first, text in functions}, bind))
 
 
 def install_closures(module, program):
     """Bind *program*'s codecs over *module*, each one deferred: its
-    first call renders and compiles it."""
+    first call renders and compiles it.  A codec entry already bound
+    keeps its layers: the new entry becomes its slot's base."""
     if program is None:
         raise BackEndError(
             "these stubs carry no marshal IR (closure renderer "
             "requires the MIR pipeline)"
         )
     G = module.__dict__
-    _pending, codec_entries = _defer_program(G, program, {
-        fn.name: partial(compile_function, fn, G, module)
-        for fn in program.functions})
-    codecs.of(module).set_base(codec_entries)
-    return module
-
-
-def _own_lines(functions):
-    return {name: (first, text) for name, first, text in functions}
-
-
-def _defer_program(G, program, sources):
-    """Bind into *G* what the codec section of *program*'s text binds
-    beside its functions — the bulk-array runtime names and every header
-    const — and a deferred entry per function, compiling *sources*.
-    Returns the table and the codec entries (the out-of-line
-    ``_m_<T>``/``_u_<T>`` helpers are not codec entries, so not in the
-    module's codec slots)."""
-    G["_iter_unpack"] = iter_unpack
-    G["_atom_list"] = atom_list
-    helpers = {fn.name for fn in program.functions
-               if fn.kind.endswith("_helper")}
-
-    def bind(name, entry, function):
-        if name in helpers:
-            G[name] = function
-        else:
-            codecs.replace_base(G, name, entry, function)
-
-    pending = _Pending(G)
-    entries = pending.defer(sources, bind)
+    G.update(_iter_unpack=iter_unpack, _atom_list=atom_list)
+    pending, codec_entries = _Pending(G), {}
     for fn in program.functions:
         G.update(fn.consts)
-        if fn.name in helpers:
-            G[fn.name] = entries.pop(fn.name)
+        source = {fn.name: partial(compile_function, fn, G, module)}
+        if fn.kind.endswith("_helper"):
+            G.update(pending.defer(source, partial(_hand_helper, G)))
         else:
-            # A codec entry already bound keeps its layers:
-            # install_closures makes the new one its slot's base.
-            G.setdefault(fn.name, entries[fn.name])
-    return pending, entries
+            codec_entries.update(pending.defer(
+                source, partial(codecs.replace_base, G)))
+            G.setdefault(fn.name, codec_entries[fn.name])
+    codecs.of(module).set_base(codec_entries)
+    return module
 
 
 def compile_function(fn, G, module):

@@ -152,18 +152,13 @@ SPELLING = PySpelling()
 
 
 def render_program(w, program):
-    """Render every function (with its constants) of *program*; return
-    ``{name: (start, end)}``, the lines of *w* each function took."""
+    """Render every function (with its constants) of *program*."""
     for line in _runtime_imports(program):
         w.line(line)
-    placed = {}
     for fn in program.functions:
         for const_name, template in fn.consts.items():
             w.line("%s = %r" % (const_name, template))
-        start = len(w.lines)
         render_function(w, fn)
-        placed[fn.name] = (start, len(w.lines))
-    return placed
 
 
 def _runtime_imports(program):

@@ -171,9 +171,9 @@ class PresentationGenerator:
         builder = MintBuilder(root)
         pres_registry = p.PresRegistry()
         context = _Context(self, root, builder, pres_registry)
-        stubs = tuple(
-            context.build_stub(interface, operation)
-            for operation in self._all_operations(root, interface))
+        operations = tuple(self._all_operations(root, interface))
+        stubs = tuple(context.build_stub(interface, operation)
+                      for operation in operations)
         return PresC(
             interface_name=interface.name,
             interface_code=interface.code,
@@ -185,6 +185,8 @@ class PresentationGenerator:
             c_decls_factory=partial(context.collect_c_decls, stubs,
                                     interface),
             exception_classes=dict(context.exception_classes),
+            source=(interface.code, operations, root.types,
+                    root.exceptions, root.constants),
         )
 
     def _all_operations(self, root, interface):

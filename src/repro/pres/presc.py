@@ -113,6 +113,11 @@ class PresC:
                                       compare=False)
     #: Exception presentation: AOI exception name -> generated class name.
     exception_classes: Dict[str, str] = field(default_factory=dict)
+    #: What the generator built this from, as a value whose ``repr`` is
+    #: its content: the interface's code, its operations (inherited ones
+    #: and attribute accessors included), and the input's named types,
+    #: exceptions and constants.  Back ends key module names on it.
+    source: object = field(default=(), repr=False, compare=False)
 
     @cached_property
     def c_decls(self):

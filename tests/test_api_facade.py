@@ -219,6 +219,16 @@ class TestSideBySideVersions:
         with pytest.raises(Exception):
             old_mod._m_req_f(MarshalBuffer(), 1, wide)
 
+    def test_a_field_type_alone_renames_the_module(self):
+        """The name keys on what the codecs are generated from, the
+        types a struct's fields have included, without printing them."""
+        shape = "struct S { %s a; }; interface T { void f(in S s); };"
+        wide = api.compile(shape % "long", "corba")
+        narrow = api.compile(shape % "short", "corba")
+        assert wide.stubs.scaffold == narrow.stubs.scaffold
+        assert wide.stubs.module_name != narrow.stubs.module_name
+        assert wide.stubs.py_source != narrow.stubs.py_source
+
     def test_identical_sources_share_hash_prefix(self):
         first = api.compile(CORBA, "corba")
         second = api.compile(CORBA, "corba")

@@ -516,6 +516,29 @@ def no_renderer_selection(tree):
     _no(tree.grep(r"\bRENDERERS\b|def generate\([^)]*renderer", "src"))
 
 
+def no_lowering_at_compile(tree):
+    """A compile prints the scaffold and lowers nothing: no back end's
+    ``generate`` builds, optimizes or prints marshal IR, nor reads what
+    would (the codec text, the IR, the chunk counts), and the codec
+    section a load used to leave out is gone with ``defer_codecs`` and
+    the loader's ``without=``.  (The per-datum comparators, which load
+    whole, print their codecs at compile, as the compilers they stand
+    for did.)"""
+    lowering = re.compile(
+        r"build_(program|operation)\(|PassManager\(|render_program\("
+        r"|_emit_codec_functions\(|_print_codecs\("
+        r"|(self|stubs)\.(py_source|mir|metadata)\b")
+    for path in sorted(tree.files):
+        if path.startswith("src/repro/backend/") \
+                or path == "src/repro/compilers/mig_style.py":
+            for block in tree.blocks(path, r"def generate\("):
+                _no([hit for hit in block
+                     if lowering.search(hit.split(": ", 1)[1])])
+    _no([hit for hit in tree.grep(r"defer_codecs|without=", *SEARCHED,
+                                  python_only=False)
+         if not hit.startswith(THIS + ":")])
+
+
 #: pin -> (file, line) pairs, each of which must make it fail.
 PINS = {
     one_writer_of_codec_entries: [
@@ -744,6 +767,19 @@ PINS = {
         ("src/repro/backend/base.py", 'RENDERERS = ("py", "closures", "c")'),
         ("src/repro/compilers/per_datum.py",
          '    def generate(self, presc, flags=None, renderer="py"):'),
+    ],
+    no_lowering_at_compile: [
+        ("src/repro/backend/base.py",
+         "    def generate(self, presc, flags=None):\n"
+         "        program = build_program(self, presc, flags)"),
+        ("src/repro/compilers/mig_style.py",
+         "    def generate(self, presc, flags=None):\n"
+         "        stubs = super().generate(presc, self.baseline_flags)\n"
+         "        stubs.py_source"),
+        ("src/repro/mir/render_closures.py",
+         "def defer_codecs(module, program, section):"),
+        ("src/repro/backend/base.py",
+         "                self.sections, without=('codecs',),"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

@@ -277,14 +277,25 @@ def _free_port():
 
 
 def _serve_and_call(tmp_path, monkeypatch, extra_args):
-    """Run `flick serve` on a thread, make one stub call against it."""
+    """Run `flick serve` on a thread, make one stub call against it,
+    then stop it the way SIGTERM does: through its own signal driver,
+    captured here.  ``--duration`` is only a liveness ceiling."""
+    import signal
     import socket
     import threading
     import time
 
     from repro import api
-    from repro.runtime import TcpClientTransport
+    from repro.runtime import TcpClientTransport, signals
 
+    drivers = []
+
+    class Captured(signals.SignalDriver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            drivers.append(self)
+
+    monkeypatch.setattr(signals, "SignalDriver", Captured)
     source = write(tmp_path, "calc.idl", SERVE_IDL)
     write(tmp_path, "calc_impl.py", SERVE_IMPL)
     monkeypatch.chdir(tmp_path)
@@ -296,7 +307,7 @@ def _serve_and_call(tmp_path, monkeypatch, extra_args):
         rc["value"] = main(
             ["serve", source, "--impl", "calc_impl:CalcImpl",
              "--backend", "oncrpc-xdr", "--port", str(port),
-             "--duration", "4"] + extra_args
+             "--duration", "120"] + extra_args
         )
 
     thread = threading.Thread(target=run, daemon=True)
@@ -316,8 +327,11 @@ def _serve_and_call(tmp_path, monkeypatch, extra_args):
         assert client.avg([4, 6, 8]) == 6.0
     finally:
         transport.close()
-    thread.join(timeout=15)
+    (driver,) = drivers
+    driver._handle_shutdown(signal.SIGTERM, None)
+    thread.join(timeout=150)
     assert not thread.is_alive()
+    assert driver.last_signal == signal.SIGTERM
     return rc["value"]
 
 

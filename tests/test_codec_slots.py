@@ -374,6 +374,9 @@ class TestSwapUnderLoad:
 
     def _workload(self):
         handle = fresh_db()
+        # The IR is lowered on its first read: read it here, so that the
+        # swap under load is the install alone.
+        assert handle.mir is not None
         frames = _capture_requests(handle.module, [
             ("echo", (b"x" * 200,)),
             ("rev", (list(range(64)),)),

@@ -47,17 +47,24 @@ class TestLoader:
         assert filename not in linecache.cache
 
     def test_skipped_lines_are_shown_but_not_compiled(self):
-        source = "A = 1\nB = 2\ndef boom():\n    raise KeyError(A)\n"
-        sections = (Section("shared", ((0, 1), (2, 5))),
-                    Section("codecs", ((1, 2),)))
+        """A deferred section's ``functions`` are left out of its
+        compile, for *defer* to bind; the lines after them keep their
+        numbers."""
+        source = ("A = 1\ndef skipped():\n    return 2\n"
+                  "def boom():\n    raise KeyError(A)\n")
+        sections = (Section("shared", ((0, 1),)),
+                    Section("server", ((1, 6),), ("skipped", "boom"), (
+                        ("skipped", 1, "def skipped():\n    return 2"),)))
+        deferred = []
         module = load_stub_module(source, "demo", sections,
-                                  without=("codecs",))
-        assert not hasattr(module, "B")
+                                  defer=deferred.extend)
         assert module.__source__ == source
         with pytest.raises(KeyError) as caught:
             module.boom()
+        assert [name for name, _first, _text in deferred] == ["skipped"]
+        assert "skipped" not in vars(module)
         shown = "".join(traceback.format_exception(caught.value))
-        assert "line 4, in boom" in shown and "raise KeyError(A)" in shown
+        assert "line 5, in boom" in shown and "raise KeyError(A)" in shown
 
     def test_source_preserved(self):
         module = load_stub_module("X = 1\n", "demo")

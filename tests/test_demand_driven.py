@@ -2,14 +2,15 @@
 
 Pins the three mechanisms that keep ``api.compile`` + load from paying
 for what nobody reads: the C artifact (and the PRES_C declarations it is
-printed from) is built on first read of ``c_source``/``c_header``; a
-module loads its (unchanged) text without the codec section and
-compiles each codec function at its first call, under either renderer
-name (and each role's section at its first use —
-``tests/test_lazy_sections.py`` — the server's without its handlers,
-which compile at their first dispatch); MINT recursion answers are
-remembered per registry.  Each laziness claim sits next to the equality
-it must not disturb.
+printed from) is built on first read of ``c_source``/``c_header``, and
+the Python codecs on first read of ``py_source``/``mir``; a module loads
+the scaffold — the text without its codec functions — lowers each
+operation at the first call of one of its codecs and compiles each codec
+function at its own first call, under either renderer name (and each
+role's section at its first use — ``tests/test_lazy_sections.py`` — the
+server's without its handlers, which compile at their first dispatch);
+MINT recursion answers are remembered per registry.  Each laziness claim
+sits next to the equality it must not disturb.
 """
 
 import gc
@@ -47,7 +48,8 @@ from repro.mint.types import (
     MintStruct,
     MintTypeRef,
 )
-from repro.mir import render_closures
+from repro.backend.pywriter import PyWriter
+from repro.mir import build, render_closures, render_py
 from repro.mir import render_c
 from repro.obs import profile
 from repro.pgen import make_presentation
@@ -171,6 +173,21 @@ def codec_compiles(monkeypatch):
     return names
 
 
+@pytest.fixture
+def lowerings(monkeypatch):
+    """Names of the operations lowered to marshal IR, in order, one per
+    lowering: a spy on the one per-operation lowering."""
+    names = []
+    real = build.build_operation
+
+    def spy(backend, presc, stub, *rest):
+        names.append(stub.operation_name)
+        return real(backend, presc, stub, *rest)
+
+    monkeypatch.setattr(build, "build_operation", spy)
+    return names
+
+
 def _code_objects(code):
     yield code
     for const in code.co_consts:
@@ -184,7 +201,8 @@ class TestClosureModulesLoadTheScaffoldOnly:
     @pytest.mark.parametrize("schema,backend", CASES)
     def test_same_text_same_name_no_codec_compiled(self, schema, backend,
                                                    monkeypatch,
-                                                   codec_compiles):
+                                                   codec_compiles,
+                                                   lowerings):
         compiled = []
 
         def spy(source, filename, mode):
@@ -194,16 +212,18 @@ class TestClosureModulesLoadTheScaffoldOnly:
 
         monkeypatch.setattr(loader, "compile", spy, raising=False)
         py, clo, drive = _compile_pair(schema, backend)
-        assert py.stubs.py_source == clo.stubs.py_source
+        assert lowerings == []  # a compile lowers nothing
+        assert py.stubs.scaffold == clo.stubs.scaffold
         assert clo.stubs.module_name == py.stubs.module_name
-        eager = {}
-        exec(py.stubs.py_source, eager)
         codec_names = {fn.name for fn in clo.mir.functions}
         assert codec_names
+        eager = {}
+        exec(py.stubs.py_source, eager)
+        assert py.stubs.py_source == clo.stubs.py_source
         for result in (py, clo):
-            del compiled[:]
+            del compiled[:], lowerings[:]
             module = result.module
-            assert module.__source__ == result.stubs.py_source
+            assert module.__source__ == result.stubs.scaffold
             assert [code.co_filename for code in compiled] \
                 == [module.__file__]
             names = {code.co_name for code in _code_objects(compiled[0])}
@@ -212,18 +232,17 @@ class TestClosureModulesLoadTheScaffoldOnly:
             # at first use (drive() below).
             assert "_chk_end" in names
             assert "dispatch" not in names and "_check_reply" not in names
-            # Every codec entry and helper is a deferred entry, and
-            # loading compiled none of them.
-            for name in codec_names:
+            # Every codec entry is a deferred entry, and loading lowered
+            # and compiled none of them.
+            entries = {name for name in vars(module) if codec_form(name)[0]}
+            assert entries == {fn.name for fn in result.mir.functions
+                               if not fn.kind.endswith("_helper")}
+            for name in entries:
                 assert vars(module)[name].__module__ == \
                     "repro.mir.render_closures", name
-            assert codec_compiles == []
+            assert codec_compiles == [] and lowerings == []
             assert {slot.op for slot in slots_of(result.module).entries()} \
                 == set(result.stubs.metadata["operations"])
-            # Header consts are what the text binds.
-            for fn in result.mir.functions:
-                for const in fn.consts:
-                    assert vars(module)[const] == eager[const]
             drive(module)
             names = {code.co_name for loaded in compiled
                      if loaded.co_filename == module.__file__
@@ -231,44 +250,55 @@ class TestClosureModulesLoadTheScaffoldOnly:
             assert "dispatch" in names and "_check_reply" in names
             assert not codec_names & names
             assert codec_compiles
+            # Each operation the drive reached lowered once, and bound
+            # the header consts the text binds.
+            assert lowerings and len(lowerings) == len(set(lowerings))
+            for fn in result.mir.functions:
+                for const in fn.consts:
+                    if fn.operation in lowerings:
+                        assert vars(module)[const] == eager[const]
+                    else:
+                        assert const not in vars(module)
             del codec_compiles[:]
 
     @pytest.mark.parametrize("renderer", ("py", "closures"))
     def test_load_compiles_no_codec_and_a_first_call_exactly_one(
-            self, renderer, monkeypatch, codec_compiles):
+            self, renderer, monkeypatch, codec_compiles, lowerings):
         """Folds three pins that said ``py`` compiles its codec section at
         load (``test_py_renderer_compiles_the_text_a_section_at_a_time``
         and the first-call pins).  Under either name: the load compiles
         the shared section and no codec, the server section loads without
         its handlers, a first call of a codec or handler compiles its own
         function and nothing else, and nothing compiles after that.  The
-        pieces handed to ``compile()`` are the text — every line in
-        exactly one of them, at its own line number — but for the codec
-        section's header consts and runtime imports, which are bound
-        from the IR."""
+        pieces handed to ``compile()`` under the module's file are the
+        scaffold — every line in exactly one of them, at its own line
+        number — and the others each codec function's text as the
+        whole-program printer prints it."""
         pieces = []
         spy = render_closures.compile
         monkeypatch.setattr(
             loader, "compile",
-            lambda source, *rest: pieces.append(source)
+            lambda source, *rest: pieces.append((source, rest[0]))
             or compile(source, *rest), raising=False)
         monkeypatch.setattr(
             render_closures, "compile",
-            lambda source, *rest: pieces.append(source)
+            lambda source, *rest: pieces.append((source, rest[0]))
             or spy(source, *rest))
         result = api.compile(DB_IDL, "oncrpc", renderer=renderer)
         module = result.module
         assert len(pieces) == 1 and codec_compiles == []
-        assert "def _m_req_rev(" not in pieces[0]
-        assert "def dispatch(" not in pieces[0]
+        assert "def _m_req_rev(" not in pieces[0][0]
+        assert "def dispatch(" not in pieces[0][0]
+        assert lowerings == []
         first = MarshalBuffer()
         module._m_req_rev(first, 9, [3, 1, 2])
-        assert codec_compiles == ["_m_req_rev"]
-        # It handed over: the module binds what the call compiled, from
-        # the module's own text and file.
+        assert codec_compiles == ["_m_req_rev"] and lowerings == ["rev"]
+        # It handed over: the module binds what the call compiled, under
+        # the function's own file name.
         compiled = vars(module)["_m_req_rev"]
         assert compiled.__module__ == module.__name__
-        assert compiled.__code__.co_filename == module.__file__
+        assert compiled.__code__.co_filename.startswith(
+            "<%s._m_req_rev_" % module.__name__)
         again = MarshalBuffer()
         module._m_req_rev(again, 9, [3, 1, 2])
         assert again.getvalue() == first.getvalue()
@@ -281,53 +311,56 @@ class TestClosureModulesLoadTheScaffoldOnly:
             name for name, _first, _text in server.functions]
         assert len(server.functions) \
             == len(result.stubs.metadata["operations"])
+        del lowerings[:]  # reading mir lowered the whole program
         for name in deferred:
             try:  # no arguments: fails in the function's own prologue
                 vars(module)[name]()
             except TypeError:
                 pass
         assert sorted(codec_compiles) == sorted(deferred)
+        assert sorted(lowerings) == sorted(
+            set(result.stubs.metadata["operations"]) - {"rev"})
         assert len(pieces) == 4 + len(codec_compiles)
-        lines = result.stubs.py_source.split("\n")
-        (codecs_section,) = [section for section in result.stubs.sections
-                             if section.name == "codecs"]
-        from_ir = {number for start, end in codecs_section.spans
-                   for number in range(start, end)
-                   if lines[number][:1] not in ("", " ")
-                   and not lines[number].startswith("def ")}
-        assert from_ir
-        split = [text.split("\n") for text in pieces]
-        for number, line in enumerate(lines):
-            found = [piece[number] for piece in split
+        own = [text.split("\n") for text, filename in pieces
+               if filename == module.__file__]
+        for number, line in enumerate(result.stubs.scaffold.split("\n")):
+            found = [piece[number] for piece in own
                      if number < len(piece) and piece[number]]
-            assert found == ([line] if line and number not in from_ir
-                             else []), number
+            assert found == ([line] if line else []), number
+        printed = []
+        for fn in result.mir.functions:
+            w = PyWriter()
+            render_py.render_function(w, fn)
+            printed.append(w.getvalue())
+        assert sorted(text for text, filename in pieces
+                      if filename != module.__file__) == sorted(printed)
 
     def test_traceback_lines_match_the_unblanked_source(self):
         result = api.compile(MAIL_IDL, "corba", renderer="closures")
         module = result.module
         code = module.dispatch.__code__
-        shown = result.stubs.py_source.split("\n")[code.co_firstlineno - 1]
+        shown = result.stubs.scaffold.split("\n")[code.co_firstlineno - 1]
         assert shown == "def dispatch(d, impl, b):"
 
     def test_traceback_through_a_codec_shows_its_generated_line(self):
-        """The innermost frame is the function's own line of the module
-        text, under the module's file name (before the codec section was
-        deferred under ``py`` too, a ``closures`` codec showed a text of
-        its own, ``<module.function_N>``), and that text goes when the
-        module goes."""
+        """The innermost frame is the function's own line, under a file
+        name of its own, ``<module.function_N>``: the text its first
+        call rendered and compiled, which is what the module text
+        prints for it.  That text goes when the module goes."""
         result = api.compile(open("examples/idl/mail.idl").read(), "corba")
         module = result.module
         with pytest.raises(MarshalError) as caught:
             module._m_req_send(MarshalBuffer(), 1, "x" * 2000, 1)
         frame = traceback.extract_tb(caught.value.__traceback__)[-1]
         assert frame.name == "_m_req_send"
-        assert frame.filename == module.__file__
+        assert frame.filename.startswith(
+            "<%s._m_req_send_" % module.__name__)
         raised = "raise MarshalError('string exceeds bound 1024')"
         assert linecache.getline(frame.filename, frame.lineno).strip() \
             == raised
-        assert result.stubs.py_source.split("\n")[frame.lineno - 1] \
-            .strip() == raised
+        text = "".join(linecache.getlines(frame.filename))
+        assert text.startswith("def _m_req_send(")
+        assert "\n%s\n" % text.rstrip("\n") in result.stubs.py_source
         assert raised in "".join(
             traceback.format_exception(caught.value))
         linecache.checkcache()  # must not evict a live module's text
@@ -367,7 +400,8 @@ class TestCodecsCompileAtFirstCall:
         assert compiled is module._m_req_rev is deferred.__wrapped__
         assert not hasattr(compiled, "__wrapped__")
         assert compiled.__globals__ is vars(module)
-        assert compiled.__code__.co_filename == module.__file__
+        assert compiled.__code__.co_filename.startswith(
+            "<%s._m_req_rev_" % module.__name__)
         second = MarshalBuffer()
         module._m_req_rev(second, 9, [3, 1, 2])
         deferred(second, 9, [3, 1, 2])  # a caller that kept it: forwards
@@ -377,20 +411,32 @@ class TestCodecsCompileAtFirstCall:
             vars(api.compile(DB_IDL, "oncrpc").module))[0]
 
     def test_a_helper_compiles_when_first_reached_and_once(
-            self, codec_compiles):
+            self, codec_compiles, lowerings):
+        """A helper is bound, as a deferred entry, by the lowering of the
+        first operation that reaches it, and compiles at its first
+        call."""
         module = api.compile(DB_IDL, "oncrpc", renderer="closures").module
         chain = module.entry("a", 1, module.entry("b", 2, None))
         module._m_req_rev(MarshalBuffer(), 9, [1])
         assert codec_compiles == ["_m_req_rev"]  # reaches no helper
+        assert "_m_entry" not in vars(module)  # nor does its lowering
+        try:  # no arguments: lowers ``store``, fails in the prologue
+            module._u_req_store()
+        except TypeError:
+            pass
+        assert lowerings == ["rev", "store"]
         deferred = module._m_entry
+        assert deferred.__module__ == "repro.mir.render_closures"
         b = MarshalBuffer()
         module._m_req_store(b, 9, chain)
-        assert codec_compiles == ["_m_req_rev", "_m_req_store", "_m_entry"]
+        assert codec_compiles == [
+            "_m_req_rev", "_u_req_store", "_m_req_store", "_m_entry"]
         assert module._m_entry is deferred.__wrapped__
         again = MarshalBuffer()
         module._m_req_store(again, 9, chain)
         assert again.getvalue() == b.getvalue()
-        assert len(codec_compiles) == 3
+        assert len(codec_compiles) == 4
+        assert lowerings == ["rev", "store"]
 
     def test_reinstalling_over_a_loaded_module_keeps_its_layers(
             self, codec_compiles):
@@ -447,7 +493,8 @@ class TestCodecsCompileAtFirstCall:
                              ids=("layers", "no-slots"))
     @pytest.mark.parametrize("renderer", ("py", "closures"))
     def test_first_calls_racing_on_threads_compile_once(
-            self, codec_compiles, monkeypatch, renderer, layered):
+            self, codec_compiles, lowerings, monkeypatch, renderer,
+            layered):
         """Eight threads make the first call of every entry of one fresh
         module at once, under a 0.01 ms switch interval, with the trace
         and profile layers on — or with no codec slots built, so the
@@ -456,7 +503,7 @@ class TestCodecsCompileAtFirstCall:
         runs."""
         threads = 8
         want = _frames(vars(api.compile(DB_IDL, "oncrpc").module))
-        del codec_compiles[:]
+        del codec_compiles[:], lowerings[:]
         spy = render_closures.compile
         monkeypatch.setattr(
             render_closures, "compile",
@@ -501,6 +548,7 @@ class TestCodecsCompileAtFirstCall:
             # One compile and one compiled function per entry; every
             # deferred entry handed over to it, under the same layers.
             assert sorted(codec_compiles) == sorted(deferred)
+            assert lowerings == ["rev"]  # its first callers raced
             for name, entry in deferred.items():
                 bound = vars(module)[name]
                 if layered:  # profile over trace over the base
@@ -594,7 +642,7 @@ class TestHandlersCompileAtFirstDispatch:
                 if name.startswith("_h_")] == ["_h_avg"]
 
     def test_first_dispatches_racing_on_threads_compile_once(
-            self, codec_compiles, monkeypatch):
+            self, codec_compiles, lowerings, monkeypatch):
         """Eight threads make the first dispatch of ``avg`` on one fresh
         module at once — the server section's load, the handler's and
         the codecs' first calls — each compile held open long enough for
@@ -605,7 +653,7 @@ class TestHandlersCompileAtFirstDispatch:
         want = MarshalBuffer()
         api.compile(MAIL_IDL, "corba", backend="iiop").module.dispatch(
             request, MailImpl(module), want)
-        del codec_compiles[:]
+        del codec_compiles[:], lowerings[:]
         spy = render_closures.compile
         monkeypatch.setattr(
             render_closures, "compile",
@@ -638,6 +686,8 @@ class TestHandlersCompileAtFirstDispatch:
         assert got == [want.getvalue()] * threads
         assert sorted(codec_compiles) == [
             "_h_avg", "_m_rep_ok_avg", "_u_req_avg"]
+        # ``avg`` was lowered when its request was encoded, above.
+        assert lowerings == []
         assert vars(module)["_h_avg"].__module__ == module.__name__
 
 

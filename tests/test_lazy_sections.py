@@ -63,8 +63,19 @@ def _globals_named(code):
 
 
 def _section_code(stubs, section):
-    lines = stubs.py_source.split("\n")
+    lines = stubs.scaffold.split("\n")
     return compile(loader.excerpt(lines, (section,)), "<section>", "exec")
+
+
+def _codec_code(stubs):
+    """What runs in place of the codec functions, under either renderer
+    name: each function's own text, compiled alone."""
+    codes = []
+    for fn in stubs.mir.functions:
+        w = PyWriter()
+        render_py.render_function(w, fn)
+        codes.append(compile(w.getvalue(), "<codec>", "exec"))
+    return codes
 
 
 class TestReferenceClosure:
@@ -80,20 +91,17 @@ class TestReferenceClosure:
         for result in results.values():
             stubs = result.stubs
             table = {section.name: section for section in stubs.sections}
-            assert tuple(table) == ("shared", "codecs") + ROLES
+            assert tuple(table) == ("shared",) + ROLES
+            # The scaffold is the module text without its codec
+            # functions, which the printer puts at ``codec_at``.
+            lines = stubs.scaffold.split("\n")
+            w = PyWriter()
+            render_py.render_program(w, stubs.mir)
+            assert stubs.py_source == "\n".join(
+                lines[:stubs.codec_at] + w.lines + lines[stubs.codec_at:])
             code = {name: [_section_code(stubs, section)]
                     for name, section in table.items()}
-            # What runs in place of the codec section, under either
-            # name: each function's own text, compiled alone — the
-            # lines the section table records, which are what the
-            # printer makes of the function.
-            code["codecs"] = []
-            for fn, (name, _first, text) in zip(
-                    stubs.mir.functions, table["codecs"].functions):
-                w = PyWriter()
-                render_py.render_function(w, fn)
-                assert name == fn.name and w.getvalue() == text + "\n"
-                code["codecs"].append(compile(text, "<codec>", "exec"))
+            code["codecs"] = _codec_code(stubs)
             for name in ROLES:
                 # The table's names are what the section's text binds.
                 (section_code,) = code[name]
@@ -121,7 +129,7 @@ class TestReferenceClosure:
         the gateway does — would die of a NameError."""
         stubs = api.compile(MAIL_IDL, "corba", backend="iiop").stubs
         table = {section.name: section for section in stubs.sections}
-        codecs = _globals_named(_section_code(stubs, table["codecs"]))
+        codecs = set().union(*map(_globals_named, _codec_code(stubs)))
         assert "_u_system_exception" in codecs
         assert "_u_system_exception" not in table["client"].names
         shared = _section_code(stubs, table["shared"])
@@ -298,8 +306,12 @@ class TestLazyEqualsEager:
         eager = types.ModuleType("eager")
         exec(compile(result.stubs.py_source, "<eager>", "exec"),
              eager.__dict__)
-        # (The loaded module also carries what stubs.load() adds.)
-        assert set(dir(eager)) - {"__builtins__"} <= set(dir(lazy))
+        # What the loaded module lacks until its operations are first
+        # called: the header consts their lowering binds.
+        consts = {const for fn in result.stubs.mir.functions
+                  for const in fn.consts}
+        assert consts
+        assert set(dir(eager)) - set(dir(lazy)) == consts
         requests = _requests(eager, self.CALLS)
         assert requests == _requests(lazy, self.CALLS)
         assert len(requests) == len(self.CALLS)
@@ -320,6 +332,11 @@ class TestLazyEqualsEager:
             == [("hello", 3), ("x" * 1024, -1)]
         assert any(isinstance(answer, bytes) for answer in answers)
         assert pending_sections(lazy) == ()
+        # Every operation has been called: the module binds what the
+        # text does.  (It also carries what stubs.load() adds.)
+        assert set(dir(eager)) - {"__builtins__"} <= set(dir(lazy))
+        for const in consts:
+            assert vars(lazy)[const] == vars(eager)[const]
 
 
 class TestReadersOfTheModuleDict:
@@ -364,7 +381,9 @@ class TestReadersOfTheModuleDict:
     def test_traceback_through_lazily_compiled_code(self, renderer):
         result = api.compile(EXAMPLE_MAIL, "corba", renderer=renderer)
         module = result.module
-        lines = result.stubs.py_source.split("\n")
+        # The module's own file is the scaffold.
+        assert module.__source__ == result.stubs.scaffold
+        lines = result.stubs.scaffold.split("\n")
 
         class Crashing(_Counting):
             def check(self, user):
