@@ -257,8 +257,9 @@ class OptimizingBackEnd:
 
     Subclasses set :attr:`name`, :attr:`wire_format` and
     :attr:`envelope` and implement the protocol hooks:
-    :meth:`request_header`, :meth:`reply_header`, :meth:`demux_key`,
-    :meth:`interface_identity`, and :meth:`client_ctx_expr`.
+    :meth:`demux_key`, :meth:`interface_identity`, and
+    :meth:`client_ctx_expr`; the headers are written from the envelope's
+    walk with those values.
     """
 
     name = "abstract"
@@ -278,10 +279,18 @@ class OptimizingBackEnd:
     # ------------------------------------------------------------------
 
     def request_header(self, presc, stub):
-        raise NotImplementedError
+        """*stub*'s constant request header: the request walk of
+        :attr:`envelope`, written with this operation's values."""
+        return envelopes.header(
+            self.envelope, "request", self.wire_format.endian,
+            ident=self.interface_identity(presc),
+            key=self.demux_key(presc, stub), two=not stub.oneway)
 
     def reply_header(self, presc, stub):
-        raise NotImplementedError
+        """*stub*'s constant reply header, up to the reply union."""
+        return envelopes.header(
+            self.envelope, "reply", self.wire_format.endian, upto="body",
+            key=self.demux_key(presc, stub))
 
     def demux_key(self, presc, stub):
         """The dispatch-table key literal (int or bytes) for *stub*."""

@@ -11,10 +11,7 @@ with their requests.  The register-window transfer itself is modelled by
 
 from __future__ import annotations
 
-import struct
-
-from repro.backend.base import (
-    HeaderSpec, OptimizingBackEnd, procedure_number)
+from repro.backend.base import OptimizingBackEnd, procedure_number
 from repro.encoding import FLUKE
 
 
@@ -24,13 +21,6 @@ class FlukeBackEnd(OptimizingBackEnd):
     name = "fluke"
     wire_format = FLUKE
     envelope = "fluke"
-
-    def request_header(self, presc, stub):
-        template = struct.pack("<I", procedure_number(presc, stub))
-        return HeaderSpec(template)
-
-    def reply_header(self, presc, stub):
-        return HeaderSpec(b"")
 
     def demux_key(self, presc, stub):
         return procedure_number(presc, stub)

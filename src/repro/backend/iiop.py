@@ -10,25 +10,16 @@ bodies, wire-compatible within this implementation only and noted in
 DESIGN.md).
 
 Everything static per operation — including the object key and operation
-name — is baked into a constant header template; only the request id and
-the message size are patched at runtime, so CDR body marshaling starts at a
-statically known offset.
+name — is baked into a constant header template, written from the GIOP
+walk in :mod:`repro.envelopes` that reads it back; only the request id and
+the message size are patched at runtime.
 """
 
 from __future__ import annotations
 
-import struct
-
 from repro import envelopes
-from repro.backend.base import HeaderSpec, OptimizingBackEnd
+from repro.backend.base import OptimizingBackEnd
 from repro.encoding import CDR_BE, CDR_LE
-
-GIOP_REQUEST = 0
-GIOP_REPLY = 1
-
-
-def _pad4(length):
-    return -length % 4
 
 
 class IiopBackEnd(OptimizingBackEnd):
@@ -49,48 +40,6 @@ class IiopBackEnd(OptimizingBackEnd):
 
     def interface_identity(self, presc):
         return (self.object_key(presc),)
-
-    def _giop_header(self, message_type):
-        return b"GIOP" + bytes(
-            (1, 0, 1 if self.little_endian else 0, message_type)
-        ) + b"\0\0\0\0"  # message size, patched
-
-    def request_header(self, presc, stub):
-        endian = self.wire_format.endian
-        key = self.object_key(presc)
-        operation = stub.operation_name.encode("latin-1") + b"\0"
-        parts = [self._giop_header(GIOP_REQUEST)]
-        parts.append(struct.pack(endian + "I", 0))     # service contexts
-        request_id_offset = 16
-        parts.append(struct.pack(endian + "I", 0))     # request id (patched)
-        parts.append(bytes((0 if stub.oneway else 1,)))  # response_expected
-        parts.append(b"\0" * _pad4(21))                # align object key len
-        parts.append(struct.pack(endian + "I", len(key)))
-        parts.append(key)
-        parts.append(b"\0" * _pad4(len(key)))
-        parts.append(struct.pack(endian + "I", len(operation)))
-        parts.append(operation)
-        parts.append(b"\0" * _pad4(len(operation)))
-        parts.append(struct.pack(endian + "I", 0))     # principal (empty)
-        template = b"".join(parts)
-        return HeaderSpec(
-            template,
-            patches=((request_id_offset, endian + "I", "_ctx"),),
-            size_patch=(8, endian + "I", 12),
-        )
-
-    def reply_header(self, presc, stub):
-        endian = self.wire_format.endian
-        template = self._giop_header(GIOP_REPLY) + struct.pack(
-            endian + "II", 0, 0  # service contexts, request id (patched)
-        )
-        # The reply_status word that follows is emitted as the reply
-        # union's discriminator by the shared library.
-        return HeaderSpec(
-            template,
-            patches=((16, endian + "I", "_ctx"),),
-            size_patch=(8, endian + "I", 12),
-        )
 
     # Foreign peers may send service contexts, so body offsets are not
     # static on the receive path; alignment is recomputed dynamically.

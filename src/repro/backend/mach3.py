@@ -4,7 +4,8 @@ Messages begin with a ``mach_msg_header_t``-shaped header (bits, size,
 remote port, local port, msgh_id) and carry typed data items: each array is
 preceded by an 8-byte type descriptor, as MIG-generated stubs produce.
 Request ids are ``MSGH_ID_BASE + procedure``; replies use the Mach
-convention of ``request id + 100``.
+convention of ``request id + 100``.  The header is written from the Mach
+walk in :mod:`repro.envelopes` that reads it back, msgh_size patched.
 
 Unlike MIG (which cannot express arrays of non-atomic types — the paper's
 Figure 7 discussion), this back end inherits the full optimizing library
@@ -13,18 +14,10 @@ and ships aggregates by flattening them behind byte descriptors.
 
 from __future__ import annotations
 
-import struct
-
-from repro.backend.base import (
-    HeaderSpec, OptimizingBackEnd, procedure_number)
+from repro.backend.base import OptimizingBackEnd, procedure_number
 from repro.encoding import MACH
 
-#: msgh_bits: MACH_MSGH_BITS(MACH_MSG_TYPE_COPY_SEND,
-#:                           MACH_MSG_TYPE_MAKE_SEND_ONCE)
-MSGH_BITS_REQUEST = 0x00001513
-MSGH_BITS_REPLY = 0x00001200
 MSGH_ID_BASE = 400
-REPLY_ID_DELTA = 100
 
 
 def message_id(presc, stub):
@@ -47,26 +40,6 @@ class Mach3BackEnd(OptimizingBackEnd):
     name = "mach3"
     wire_format = MACH
     envelope = "mach3"
-
-    def request_header(self, presc, stub):
-        template = struct.pack(
-            "<IIIII",
-            MSGH_BITS_REQUEST,
-            0,                       # msgh_size (patched after the body)
-            0, 0,                    # remote/local ports (transport fills)
-            message_id(presc, stub),
-        )
-        return HeaderSpec(template, size_patch=(4, "<I", 0))
-
-    def reply_header(self, presc, stub):
-        template = struct.pack(
-            "<IIIII",
-            MSGH_BITS_REPLY,
-            0,
-            0, 0,
-            message_id(presc, stub) + REPLY_ID_DELTA,
-        )
-        return HeaderSpec(template, size_patch=(4, "<I", 0))
 
     def demux_key(self, presc, stub):
         return message_id(presc, stub)

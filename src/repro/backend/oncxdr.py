@@ -5,27 +5,21 @@ version 2, program, version, procedure, null credentials and verifier)
 followed by the XDR-encoded arguments, and a reply header (xid, REPLY,
 MSG_ACCEPTED, null verifier, SUCCESS) followed by the XDR-encoded result.
 The header is a 40-byte (24-byte for replies) constant template per
-operation with the xid patched in.  TCP record marking is the transport's
+operation, written from the RFC 1831 walk in :mod:`repro.envelopes` that
+reads it back, with the xid patched in.  TCP record marking is the transport's
 job (:mod:`repro.runtime`).
 """
 
 from __future__ import annotations
 
-import struct
-
 from repro import envelopes
-from repro.backend.base import (
-    HeaderSpec, OptimizingBackEnd, procedure_number)
+from repro.backend.base import OptimizingBackEnd, procedure_number
 from repro.encoding import XDR
 
 #: Fallback program/version when an interface has no ONC code (e.g. an
 #: interface that came from CORBA IDL but is deployed over ONC RPC).
 DEFAULT_PROGRAM = 0x20000000
 DEFAULT_VERSION = 1
-
-CALL = 0
-REPLY = 1
-RPC_VERSION = 2
 
 
 def interface_program(presc):
@@ -45,32 +39,6 @@ class OncXdrBackEnd(OptimizingBackEnd):
 
     def interface_identity(self, presc):
         return interface_program(presc)
-
-    def request_header(self, presc, stub):
-        program, version = interface_program(presc)
-        template = struct.pack(
-            ">IIIIIIIIII",
-            0,                              # xid (patched)
-            CALL,
-            RPC_VERSION,
-            program,
-            version,
-            procedure_number(presc, stub),
-            0, 0,                           # null credentials
-            0, 0,                           # null verifier
-        )
-        return HeaderSpec(template, patches=((0, ">I", "_ctx"),))
-
-    def reply_header(self, presc, stub):
-        template = struct.pack(
-            ">IIIIII",
-            0,                              # xid (patched)
-            REPLY,
-            0,                              # MSG_ACCEPTED
-            0, 0,                           # null verifier
-            0,                              # accept_stat SUCCESS
-        )
-        return HeaderSpec(template, patches=((0, ">I", "_ctx"),))
 
     def demux_key(self, presc, stub):
         return procedure_number(presc, stub)

@@ -17,13 +17,22 @@ code base consists of, and that text is used in exactly two ways:
   :mod:`repro.gateway.envelope`, :mod:`repro.obs.propagation` and
   :class:`repro.runtime.request.RequestCore`.
 
-So a bound cannot be in one parser and missing from the next.  What
-varies between the uses is a parameter of the rendering, not a second
-walk: *ident* (program/version, object key, expected reply id — a
-literal in generated text, a compared argument for the gateway,
-unchecked for a probe), *wants* (the optional outputs and the one
-``strict`` consistency check) and *upto* (stop at a mark: a probe
-needs the id and the key, an error reply the id alone).
+The same walk also *writes*: rendered with ``wants=("write", "at")``
+each read packs its words instead of unpacking them, and
+:func:`header` execs that text once into the writer of the constant
+header templates (with their ``_ctx`` and size patches) every back
+end's ``request_header`` / ``reply_header`` returns and
+:func:`write_error` writes its replies through.
+
+So a bound cannot be in one parser and missing from the next, nor a
+field written where no reader looks for it.  What varies between the
+uses is a parameter of the rendering, not a second walk: *ident*
+(program/version, object key, expected reply id — a literal in
+generated text, a compared argument for the gateway, unchecked for a
+probe), *wants* (the optional outputs, the one ``strict`` consistency
+check, and ``write``) and *upto* (stop at a mark: a probe needs the id
+and the key, an error reply the id alone, a reply template the header
+before the body).
 
 Step kinds, ``(kind, ...)``:
 
@@ -32,12 +41,17 @@ Step kinds, ``(kind, ...)``:
                     previous one ended joins its unpack
 ``do line...``      statements, verbatim
 ``refuse c error``  ``if c: raise error``
+``is x v error``    refuse *x* that is not *v*; a writer writes *v* (as
+                    a word's default, or into the byte ``d[k]``)
 ``bound n max what at field``  refuse ``n > max``, structured
 ``ident i x error`` refuse *x* that is not identity item *i*
 ``remote error``    the peer's own error answer (raised, or returned by
                     ``_u_system_exception``)
 ``if c step...`` / ``loop n step...``  nested walks
-``want tag step...`` only for renderings that want *tag*
+``want tag step...`` only for renderings that want *tag*; a writer
+                    wants ``write`` (what a reader skips: magic, flags,
+                    name bytes, the size word) and ``at`` (where the
+                    context is patched)
 ``mark name``       where an *upto* rendering stops
 """
 
@@ -94,14 +108,15 @@ _OVERRUN = (
 
 def _onc_call(e):
     return (
+        ("want", "write", ("do", "_prog, _vers = _ident")),
         ("read", 0, "_ctx _mt"),
-        ("refuse", "_mt != 0",
+        ("is", "_mt", 0,
          "DispatchError('not an ONC RPC call message', code='not_call')"),
         ("mark", "id"),
         ("read", 8, "_rv _prog _vers _key"),
         ("want", "at", ("do", "_at = 0")),
         ("mark", "key"),
-        ("refuse", "_rv != 2",
+        ("is", "_rv", 2,
          "DispatchError('RPC version %d unsupported' % _rv,"
          " code='rpc_mismatch')"),
         ("ident", 0, "_prog",
@@ -136,7 +151,7 @@ def _onc_reply(e):
         ("want", "at", ("do", "_cid = _xid", "_at = 0")),
         ("mark", "id"),
         ("ident", 0, "_xid", "TransportError('reply xid mismatch')"),
-        ("refuse", "_mt != 1", "TransportError('not an ONC RPC reply')"),
+        ("is", "_mt", 1, "TransportError('not an ONC RPC reply')"),
         ("read", 8, "_rs"),
         ("if", "_rs == 1",
          ("read", 12, "_rj"),
@@ -145,10 +160,11 @@ def _onc_reply(e):
           ("remote", "RemoteCallError('server denied the call: RPC version"
            " mismatch (server speaks %d..%d)' % (_lo, _hi),"
            " protocol='oncrpc', code='RPC_MISMATCH')")),
+         ("want", "write", ("read", 16, "_auth")),
          ("remote", "RemoteCallError('server denied the call:"
           " authentication error', protocol='oncrpc',"
           " code='AUTH_ERROR')")),
-        ("refuse", "_rs != 0",
+        ("is", "_rs", 0,
          "WireFormatError('bad reply_stat %r' % (_rs,), offset=8,"
          " field='reply_stat')"),
         # MSG_ACCEPTED: skip the verifier by its length (foreign servers
@@ -186,16 +202,25 @@ def _giop_contexts():
     )
 
 
+def _giop_magic(e):
+    """GIOP 1.0's first 12 bytes as a writer starts them: magic, version,
+    byte order, and the message size, patched at 8 once the body is in."""
+    return ("want", "write",
+            ("do", "_put(d, 0, %r)" % (b"GIOP\1\0" + bytes((e == "<",))
+                                       + bytes(5)), "_sp = 8, 12"))
+
+
 def _giop_request(e):
     return (
+        _giop_magic(e),
         ("refuse", "bytes(d[0:4]) != b'GIOP'",
          "DispatchError('not a GIOP message', code='bad_magic')"),
         ("refuse", "len(d) < 12",
          "WireFormatError('GIOP header truncated', field='header',"
          " limit=12, actual=len(d))"),
-        ("refuse", "d[7] != 0",
+        ("is", "d[7]", 0,
          "DispatchError('not a GIOP Request', code='not_request')"),
-        ("refuse", "d[6] != %d" % (e == "<"),
+        ("is", "d[6]", e == "<",
          "DispatchError('GIOP byte-order mismatch: this endpoint is"
          " %s-endian', code='byte_order')"
          % ("little" if e == "<" else "big")),
@@ -214,9 +239,12 @@ def _giop_request(e):
         ("read", "o", "_ctx"),
         ("want", "at", ("do", "_at = o")),
         ("want", "two", ("do", "_two = d[o + 4] != 0")),
+        ("want", "write", ("do", "_put(d, o + 4, bytes((_two,)))")),
         ("mark", "id"),
         ("do", "o += 5  # request id + response_expected octet",
          "o += -o % 4"),
+        ("want", "write",
+         ("do", "_kl = len(_ident[0])", "_put(d, o + 4, _ident[0])")),
         ("read", "o", "_kl"),
         # The object key names the target interface.  ONC RPC servers
         # reject a wrong program number with PROG_UNAVAIL; match that
@@ -226,6 +254,8 @@ def _giop_request(e):
         ("ident", 0, "bytes(d[o + 4:o + 4 + _kl])",
          "DispatchError('unknown object key', code='object_not_exist')"),
         ("do", "o += 4 + _kl", "o += -o % 4"),
+        ("want", "write",
+         ("do", "_ol = len(_key) + 1", "_put(d, o + 4, _key + bytes(1))")),
         ("read", "o", "_ol"),
         ("do", "_key = bytes(d[o + 4:o + 3 + _ol])"),
         ("mark", "key"),
@@ -239,6 +269,9 @@ def _giop_request(e):
 def _giop_system_exception(e):
     """The body of a system-exception reply, from offset ``o``."""
     return (
+        ("want", "write",
+         ("do", "_n = len(_id) + 1",
+          "_put(d, o + 4, _id.encode('latin-1') + bytes(1))")),
         ("read", "o", "_n"),
         ("refuse", "_n > len(d) - o - 4",
          "WireFormatError('system exception id truncated', offset=o,"
@@ -255,12 +288,13 @@ def _giop_system_exception(e):
 
 def _giop_reply(e):
     return (
+        _giop_magic(e),
         ("refuse", "bytes(d[0:4]) != b'GIOP' or len(d) < 12",
          "TransportError('not a GIOP Reply')"),
         ("if", "d[7] == 6",
          ("remote", "RemoteCallError('server answered with GIOP"
           " MessageError', protocol='giop', code='GIOP::MessageError')")),
-        ("refuse", "d[7] != 1", "TransportError('not a GIOP Reply')"),
+        ("is", "d[7]", 1, "TransportError('not a GIOP Reply')"),
         ("read", 12, "_nsc"),
     ) + _giop_contexts() + (
         ("read", "o", "_rid"),
@@ -278,11 +312,27 @@ def _giop_reply(e):
     )
 
 
+#: msgh_bits: MACH_MSGH_BITS(MACH_MSG_TYPE_COPY_SEND,
+#:                           MACH_MSG_TYPE_MAKE_SEND_ONCE)
+MSGH_BITS_REQUEST = 0x00001513
+MSGH_BITS_REPLY = 0x00001200
+#: A reply's msgh_id is its request's plus this (the Mach convention).
+MSGH_ID_REPLY_DELTA = 100
+
+
+def _mach3_bits(bits, *lines):
+    """msgh_bits, which no reader checks, and where msgh_size is."""
+    return ("want", "write",
+            ("do", "_bits = %#x" % bits, "_sp = 4, 0") + lines,
+            ("read", 0, "_bits"))
+
+
 def _mach3_request(e):
     # msgh_size is checked against the frame as the reply walk checks
     # it: Mach messages carry their own length, and a stub that trusts
     # a frame whose header lies about it decodes someone else's bytes.
     return (
+        _mach3_bits(MSGH_BITS_REQUEST),
         ("read", 4, "_size - - _key"),
         ("do", "_ctx = _key"),
         ("mark", "key"),
@@ -296,9 +346,11 @@ def _mach3_request(e):
 
 def _mach3_reply(e):
     return (
+        _mach3_bits(MSGH_BITS_REPLY, "_key += %d" % MSGH_ID_REPLY_DELTA),
         ("read", 4, "_size"),
         ("refuse", "_size != len(d)",
          "TransportError('mach message size mismatch')"),
+        ("want", "write", ("read", 16, "_key")),
         ("do", "o = 20"),
     )
 
@@ -336,7 +388,8 @@ _ERROR_STATS = {name: stat for stat, name in ACCEPT_STAT_NAMES.items()
                 if stat}
 #: The rejected ONC replies: reject_stat, then RPC_MISMATCH's version
 #: range (this end speaks RPC version 2 only) or AUTH_ERROR's auth_stat.
-_DENIALS = {"RPC_MISMATCH": (0, 2, 2), "AUTH_ERROR": (1, AUTH_FAILED)}
+_DENIALS = {"RPC_MISMATCH": {"rs": 1, "rj": 0, "lo": 2, "hi": 2},
+            "AUTH_ERROR": {"rs": 1, "rj": 1, "auth": AUTH_FAILED}}
 
 
 def write_error(buffer, protocol, ctx, code, minor=0, completed=1, *,
@@ -356,25 +409,19 @@ def write_error(buffer, protocol, ctx, code, minor=0, completed=1, *,
     gateway's error mapping both write through here.
     """
     if protocol == "oncrpc":
-        if code in _DENIALS:
-            words = (1, 1) + _DENIALS[code]
-        else:
-            stat = _ERROR_STATS.get(code, 5)  # SYSTEM_ERR
-            words = (1, 0, 0, 0, stat) + (tuple(versions) if stat == 2
-                                          else ())
-        message = struct.pack(">%dI" % (1 + len(words)), ctx, *words)
+        spec = header("oncrpc", "reply", ">", **_DENIALS.get(code) or dict(
+            ac=_ERROR_STATS.get(code, 5), lo=versions[0], hi=versions[1]))
     elif ctx is None:
+        # The walk writes a Reply's type byte; a MessageError is the
+        # other type its first test reads, and has no more than this.
         message = b"GIOP" + bytes((1, 0, e == "<", 6)) + bytes(4)
+        offset = buffer.reserve(len(message))
+        buffer.data[offset:offset + len(message)] = message
+        return
     else:
-        exc_id = code.encode("latin-1") + b"\0"
-        body = struct.pack(e + "IIII", 0, ctx, SYSTEM_EXCEPTION_STATUS,
-                           len(exc_id)) + exc_id \
-            + bytes(-len(exc_id) % 4) + struct.pack(e + "II", minor,
-                                                    completed)
-        message = b"GIOP" + bytes((1, 0, e == "<", 1)) \
-            + struct.pack(e + "I", len(body)) + body
-    offset = buffer.reserve(len(message))
-    buffer.data[offset:offset + len(message)] = message
+        spec = header("giop", "reply", e, d=SYSTEM_EXCEPTION_STATUS,
+                      id=code, minor=minor, cmp=completed)
+    spec.finish(buffer, spec.write(buffer, ctx))
 
 
 _CORBA = "IDL:omg.org/CORBA/%s:1.0"
@@ -470,12 +517,15 @@ def _emit(out, steps, pad, e, ident, wants, upto, remote):
         if kind == "read":
             names = step[2].split()
             targets = [name for name in names if name != "-"]
-            out.append("%s%s = _unpack_from('%s%s', d, %s)%s" % (
-                pad,
-                targets[0] if len(targets) == 1
-                else "(%s)" % ", ".join(targets), e,
-                "".join("4x" if name == "-" else "I" for name in names),
-                step[1], "[0]" if len(targets) == 1 else ""))
+            form = e + "".join("4x" if name == "-" else "I" for name in names)
+            if "write" in wants:
+                out.append("%s_put(d, %s, _pack('%s', %s))" % (
+                    pad, step[1], form, ", ".join(targets)))
+            else:
+                out.append("%s%s = _unpack_from('%s', d, %s)%s" % (
+                    pad, targets[0] if len(targets) == 1
+                    else "(%s)" % ", ".join(targets), form, step[1],
+                    "[0]" if len(targets) == 1 else ""))
         elif kind == "do":
             out.extend(pad + line for line in step[1:])
         elif kind == "remote":
@@ -485,6 +535,9 @@ def _emit(out, steps, pad, e, ident, wants, upto, remote):
                               else "for _ in range(%s):") % step[1])
             _emit(out, step[2:], pad + "    ", e, ident, wants, None,
                   remote)
+        elif "write" in wants:  # a writer checks nothing
+            if kind == "is" and step[1].startswith("d["):
+                out.append("%s%s = %d" % (pad, step[1], step[2]))
         elif kind != "ident" or ident is not None:
             if kind == "bound":
                 _, name, limit, what, at, field = step
@@ -494,6 +547,8 @@ def _emit(out, steps, pad, e, ident, wants, upto, remote):
                          % (what, at, field, limit, name))
             elif kind == "ident":
                 cond, error = ident[step[1]] % step[2], step[3]
+            elif kind == "is":
+                cond, error = "%s != %d" % step[1:3], step[3]
             else:
                 _, cond, error = step
             out.append("%sif %s:" % (pad, cond))
@@ -525,28 +580,69 @@ _SHAPES = {
         "return (_cid, _at, %s)"),
 }
 
+#: The writer: its parameters are :data:`_FIELDS` and :func:`_words`;
+#: it returns the template, the context's offset and ``(size offset,
+#: what the size does not count)`` — the last two None when absent —
+#: and stops where a reader would raise the peer's answer.
+_SHAPES["request", "write"] = _SHAPES["reply", "write"] = (
+    None, "d = bytearray(); o = 0; _at = _sp = None", "d, _at, _sp",
+    ("write", "at"), None, "return d, _at, _sp  # %s")
+
+#: What a writer takes beside the words it packs: the values a reader
+#: returns or compares (identity, demux key, two-way, exception id).
+_FIELDS = {"_ident": (), "_key": 0, "_two": True, "_id": ""}
+
+
+def _words(steps, wants, words):
+    """Add every word a writer packs to *words*: 0, or the value an
+    ``is`` step requires of it."""
+    for step in _wanted(steps, wants):
+        if step[0] == "read":
+            for name in step[2].split():
+                if name != "-":
+                    words.setdefault(name, 0)
+        elif step[0] == "is" and not step[1].startswith("d["):
+            words[step[1]] = step[2]
+        elif step[0] in ("if", "loop"):
+            _words(step[2:], wants, words)
+    return words
+
+
+def _put(d, at, data):
+    """Write *data* at *at* in the growing template *d*."""
+    if at > len(d):
+        d.extend(bytes(at - len(d)))
+    d[at:at + len(data)] = data
+
+
 _NAMESPACE = {
     "_unpack_from": struct.unpack_from, "_struct_error": struct.error,
+    "_pack": struct.pack, "_put": _put,
     "DispatchError": DispatchError, "RemoteCallError": RemoteCallError,
     "TransportError": TransportError, "WireFormatError": WireFormatError,
 }
 
 
-def _walker(protocol, direction, e, which):
-    parameters, defaults, result, wants, upto, remote = \
+def _walker(protocol, direction, e, which, upto=None):
+    parameters, defaults, result, wants, stop, remote = \
         _SHAPES[direction, which]
     body = render(
-        protocol, direction, e, wants=wants, upto=upto, remote=remote,
+        protocol, direction, e, wants=wants, upto=upto or stop,
+        remote=remote,
         ident=("ident and %s != ident[0]", "ident and %s != ident[1]")
         if (direction, which) == ("request", True) else None)
+    if which == "write":
+        parameters = ", ".join("%s=%r" % word for word in _words(
+            WALKS[protocol, direction](e), wants, dict(_FIELDS)).items())
+    else:
+        body = ["try:"] + ["    " + line for line in body] + [
+            "except (_struct_error, IndexError) as _e:",
+            "    raise WireFormatError('truncated %s header: %%s' %% _e,"
+            " field='header', limit=len(d), actual=len(d)) from None"
+            % direction]
     source = "\n".join(
-        ["def walk(%s):" % parameters, "    " + defaults, "    try:"]
-        + ["        " + line for line in body]
-        + ["    except (_struct_error, IndexError) as _e:",
-           "        raise WireFormatError('truncated %s header: %%s' %% _e,"
-           " field='header', limit=len(d), actual=len(d)) from None"
-           % direction,
-           "    return " + result])
+        ["def walk(%s):" % parameters, "    " + defaults]
+        + ["    " + line for line in body] + ["    return " + result])
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<%s %s envelope>" % (protocol, direction),
                  "exec"), namespace)
@@ -574,6 +670,32 @@ def locator(protocol, direction, e):
     key) is known: ``(ctx, ctx offset, key, expects reply)`` for a
     request, ``(id, id offset)`` for a reply."""
     return _walker(protocol, direction, e, False)
+
+
+@functools.lru_cache(maxsize=None)
+def _writer(protocol, direction, e, upto):
+    return _walker(protocol, direction, e, "write", upto)
+
+
+def header(protocol, direction, e, upto=None, **fields):
+    """The :class:`~repro.backend.base.HeaderSpec` whose bytes the walk
+    of *protocol* × *direction* reads back as *fields*.
+
+    A field sets the walk's name of the same spelling with a leading
+    underscore: ``ident`` (what ``reader`` compares), ``key`` (the demux
+    key it returns), ``two`` (a GIOP request expects a reply), ``id`` (a
+    system exception's repository id), or any word the walk reads.
+    Other words are 0 or what the walk's ``is`` steps require.  The id
+    word is patched with ``_ctx``, the size word (GIOP, Mach 3) once
+    the body is in; *upto* stops at a mark — a GIOP reply header ends
+    at ``body``, where the reply union begins.
+    """
+    from repro.backend.base import HeaderSpec
+
+    d, at, size = _writer(protocol, direction, e, upto)(
+        **{"_" + name: value for name, value in fields.items()})
+    return HeaderSpec(bytes(d), () if at is None else (
+        (at, e + "I", "_ctx"),), size and (size[0], e + "I", size[1]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -131,28 +131,27 @@ class TestServerConcurrency:
 
     def test_pipelining_on_one_connection(self, onc_module):
         """Many requests in flight on a *single* TCP connection run
-        concurrently server-side and each reply reaches its caller."""
-        impl = SlowImpl(onc_module, delay=0.05)
+        concurrently server-side and each reply reaches its caller: all
+        16 are inside the servant at once (a serial server would break
+        the barrier and answer with errors)."""
+        impl = SlowImpl(onc_module, delay=0, together=16)
         server = StubServer(onc_module, impl).aio_server(
             dispatch_mode="thread", max_concurrency=64
         )
         with server:
             async def main():
                 connection = await AioConnection.open(*server.address)
-                start = time.perf_counter()
                 replies = await asyncio.gather(*[
                     connection.acall(_avg_request(onc_module, 1, [n]))
                     for n in range(16)
                 ])
-                elapsed = time.perf_counter() - start
                 await connection.aclose()
-                return replies, elapsed
+                return replies
 
-            replies, elapsed = asyncio.run(main())
+            replies = asyncio.run(main())
         values = [onc_module._u_rep_avg(r, 24) for r in replies]
         assert values == [float(n) for n in range(16)]
-        assert elapsed < 0.4, elapsed  # serial would be 0.8s
-        assert impl.max_active >= 8
+        assert impl.max_active == 16
 
     def test_backpressure_cap_still_completes(self, onc_module):
         """A tiny max_concurrency serializes but never deadlocks."""
@@ -342,29 +341,28 @@ class TestRetry:
 
     def test_deadline_error_is_never_retried(self, onc_module):
         impl = SlowImpl(onc_module, delay=0.3)
+        stats = ClientStats()
         server = StubServer(onc_module, impl).aio_server(
             dispatch_mode="thread"
         )
         with server:
             async def main():
                 pool = ConnectionPool(
-                    *server.address,
+                    *server.address, stats=stats,
                     options=CallOptions(
                         deadline=0.05,
                         idempotent=True,
                         retry=RetryPolicy(max_attempts=3, base_delay=0.01),
                     ),
                 )
-                start = time.perf_counter()
                 with pytest.raises(DeadlineError):
                     await pool.acall(_avg_request(onc_module, 1, [1]))
-                elapsed = time.perf_counter() - start
                 await pool.aclose()
-                return elapsed
 
-            elapsed = asyncio.run(main())
-        # One deadline window, not three: the budget is spent.
-        assert elapsed < 0.15, elapsed
+            asyncio.run(main())
+        # One attempt, not three: the budget is spent.
+        assert stats.deadline_expiries.value == 1
+        assert stats.retries.value == 0
 
 
 # ----------------------------------------------------------------------

@@ -404,6 +404,25 @@ def one_writer_per_error_reply(tree):
         if not hit.startswith(("src/repro/backend/", "src/repro/mir/"))])
 
 
+def envelope_bytes_are_written_in_one_module(tree):
+    """Header templates and error replies are written by the walks in
+    repro/envelopes.py that read them back: the four back ends import
+    no struct and spell no GIOP magic or Mach msgh_bits, and outside
+    that module and the comparators under compilers/ nothing builds a
+    ``HeaderSpec``, spells the GIOP magic as bytes, names msgh_bits or
+    packs a header-shaped run of three or more words.  The back ends
+    share one request_header and one reply_header."""
+    defined = tree.grep(r"def (request|reply)_header\(", "src")
+    assert tree.files_of(defined) == ["src/repro/backend/base.py"], defined
+    _no(tree.grep(r"^\s*(import struct|from struct )|b[\"']GIOP|MSGH_BITS_",
+                  *("src/repro/backend/%s.py" % name for name in (
+                      "iiop", "oncxdr", "mach3", "flukeipc"))))
+    _no([hit for hit in tree.grep(
+        r"\bHeaderSpec\(|b[\"']GIOP|MSGH_BITS_|[\"'][<>]?I{3,}[\"']", "src")
+        if not hit.startswith(("src/repro/envelopes.py:",
+                               "src/repro/compilers/"))])
+
+
 def no_naive_type_ir(tree):
     """A message's shape is described once, in PRES_C: the planner,
     ``flick bridge`` and the profiler read its channels directly, so no
@@ -705,6 +724,21 @@ PINS = {
          "    egress_stubs = {s.operation_name: s for s in presc.stubs}"),
         ("src/repro/gateway/plan.py",
          "        if other is None or stub.oneway != other.oneway:"),
+    ],
+    envelope_bytes_are_written_in_one_module: [
+        ("src/repro/backend/oncxdr.py",
+         "    def request_header(self, presc, stub):\n"
+         "        template = struct.pack(\">IIIIIIIIII\", 0, CALL, 2)\n"
+         "        return HeaderSpec(template, patches=((0, \">I\", \"_ctx\"),))"),
+        ("src/repro/backend/iiop.py",
+         "    def _giop_header(self, message_type):\n"
+         "        return b\"GIOP\" + bytes((1, 0, 0, message_type))"),
+        ("src/repro/backend/mach3.py", "import struct"),
+        ("src/repro/backend/mach3.py", "MSGH_BITS_REQUEST = 0x00001513"),
+        ("src/repro/backend/flukeipc.py",
+         "        return HeaderSpec(b\"\")"),
+        ("src/repro/gateway/proxy.py",
+         "    message = struct.pack('>IIIII', xid, 1, 1, 1, 7)"),
     ],
     no_naive_type_ir: [
         ("src/repro/mir/build.py",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import textwrap
 
@@ -31,7 +32,7 @@ from repro.runtime import (
 from repro.runtime.aio.correlation import locate, route
 from repro.runtime.request import RequestCore
 
-from tests import envelope_verdicts
+from tests import envelope_verdicts, header_templates
 from tests.envelope_verdicts import reply_error
 from tests.conftest import (
     ALL_BACKENDS, MAIL_IDL, MailImpl, compile_db, compile_mail, top_rows)
@@ -761,3 +762,133 @@ def test_every_remote_error_translates_and_writes_on_both_ingresses():
                 assert written.code == (
                     "SYSTEM_ERR" if ingress == "oncrpc"
                     else "IDL:omg.org/CORBA/UNKNOWN:1.0")
+
+
+# ----------------------------------------------------------------------
+# The writer: the walks write what they read
+# ----------------------------------------------------------------------
+
+def test_header_templates_match_the_golden_table():
+    """Every per-operation header and every error reply keeps the bytes
+    the hand-packed templates and error writer it replaced put on the
+    wire (``tests/golden/header_templates.json``)."""
+    with open(header_templates.GOLDEN) as handle:
+        assert header_templates.table() == json.load(handle)
+
+
+#: (protocol, byte order) of every back end's envelope.
+_SPEAKERS = [("oncrpc", ">"), ("giop", ">"), ("giop", "<"),
+             ("mach3", "<"), ("fluke", "<")]
+
+
+def _header_fields(protocol, data):
+    """What a back end passes :func:`envelopes.header` for a request."""
+    if protocol == "giop":
+        return dict(ident=(data.draw(st.binary(max_size=12)),),
+                    key=data.draw(st.binary(max_size=12)),
+                    two=data.draw(st.booleans()))
+    return dict(ident=(data.draw(_WORDS), data.draw(_WORDS))
+                if protocol == "oncrpc" else (), key=data.draw(_WORDS))
+
+
+def _framed(spec, ctx, body):
+    buffer = MarshalBuffer()
+    offset = spec.write(buffer, ctx)
+    at = buffer.reserve(len(body))
+    buffer.data[at:at + len(body)] = body
+    spec.finish(buffer, offset)
+    return buffer.getvalue()
+
+
+def _patched_at(spec):
+    return spec.patches[0][0] if spec.patches else None
+
+
+@pytest.mark.parametrize("protocol, e", _SPEAKERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_written_request_header_reads_back(protocol, e, data):
+    """The reader and the locator accept what the writer wrote, body
+    appended, and return the written context, key, identity, two-way
+    flag, context offset and body offset."""
+    fields = _header_fields(protocol, data)
+    ctx = data.draw(_WORDS)
+    spec = envelopes.header(protocol, "request", e, **fields)
+    frame = _framed(spec, ctx, data.draw(st.binary(max_size=16)))
+    want_ctx = {"mach3": fields["key"], "fluke": None}.get(protocol, ctx)
+    two = fields.get("two", True)
+    assert envelopes.reader(protocol, "request", e)(
+        frame, ident=fields["ident"] or None) == (
+        want_ctx, fields["key"], len(spec.template), two,
+        _patched_at(spec), -1, 0)
+    assert envelopes.locator(protocol, "request", e)(frame) == (
+        want_ctx, _patched_at(spec), fields["key"], two)
+
+
+@pytest.mark.parametrize("protocol, e", _SPEAKERS)
+@settings(max_examples=30, deadline=None)
+@given(ctx=_WORDS, body=st.binary(max_size=16))
+def test_a_written_reply_header_reads_back(protocol, e, ctx, body):
+    """A reply header (as the back ends write it, up to the reply
+    union) followed by a NO_EXCEPTION body is read back as a success
+    answering *ctx*, its body where the template ends."""
+    # key: the request's demux key, which only Mach 3 writes (+ 100).
+    spec = envelopes.header(protocol, "reply", e, upto="body", key=7)
+    frame = _framed(spec, ctx, struct.pack(e + "I", 0) + body)
+    answers = None if spec.patches == () else ctx
+    assert envelopes.reader(protocol, "reply", e)(frame) == \
+        len(spec.template)
+    assert envelopes.locator(protocol, "reply", e)(frame) == (
+        answers, _patched_at(spec))
+    assert envelopes.router(protocol, e)(frame) == (
+        answers, _patched_at(spec), None)
+
+
+def _is_steps(steps):
+    for step in steps:
+        if step[0] == "is":
+            yield step
+        elif step[0] in ("if", "loop", "want"):
+            yield from _is_steps(step[2:])
+
+
+_IS_CASES = [
+    pytest.param(protocol, direction, e, step,
+                 id="%s%s-%s-%s" % (protocol, e, direction, step[1]))
+    for protocol, e in _SPEAKERS for direction in ("request", "reply")
+    for step in _is_steps(envelopes.WALKS[protocol, direction](e))]
+
+
+@pytest.mark.parametrize("protocol, direction, e, step", _IS_CASES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_written_header_with_an_is_word_changed_is_refused(
+        protocol, direction, e, step, data):
+    """Each ``is`` step refuses the written header with its word
+    changed, with the step's own error class and code.  The word is
+    changed by 2: 1 and 6 are answers the reply walks read before the
+    step is reached (ONC RPC's MSG_DENIED, GIOP's MessageError)."""
+    fields = _header_fields(protocol, data) if direction == "request" \
+        else {"upto": "body"}
+    _, target, value, error = step
+    if not target.startswith("d["):
+        fields[target[1:]] = value + 2
+    frame = bytearray(_framed(envelopes.header(
+        protocol, direction, e, **fields), data.draw(_WORDS),
+        struct.pack(e + "I", 0)))
+    if target.startswith("d["):
+        frame[int(target[2:-1])] = value + 2
+    with pytest.raises(errors.FlickError) as refused:
+        envelopes.reader(protocol, direction, e)(bytes(frame))
+    assert type(refused.value).__name__ == error.split("(")[0]
+    code = re.search(r"code='(\w+)'", error)
+    if code:
+        assert refused.value.code == code.group(1)
+
+
+def test_every_is_step_is_exercised():
+    """The cases above cover the words the walks require: ONC RPC's
+    message type, RPC version and reply_stat, GIOP's message type and
+    byte order."""
+    assert sorted({case.values[3][1] for case in _IS_CASES}) == [
+        "_mt", "_rs", "_rv", "d[6]", "d[7]"]

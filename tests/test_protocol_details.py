@@ -171,7 +171,8 @@ class TestGiopHeaders:
 class TestMachHeaders:
     def test_request_and_reply_ids(self):
         module = compile_mail("mach3").module
-        from repro.backend.mach3 import MSGH_ID_BASE, REPLY_ID_DELTA
+        from repro.backend.mach3 import MSGH_ID_BASE
+        from repro.envelopes import MSGH_ID_REPLY_DELTA
 
         buffer = MarshalBuffer()
         module._m_req_ping(buffer, None, 5)
@@ -182,7 +183,7 @@ class TestMachHeaders:
         (reply_id,) = struct.unpack_from("<I", reply.getvalue(), 16)
         # Reply ids are request id + 100 for the same op; different ops
         # differ, but every id lives above the base.
-        assert reply_id > MSGH_ID_BASE + REPLY_ID_DELTA - 100
+        assert reply_id > MSGH_ID_BASE + MSGH_ID_REPLY_DELTA - 100
 
     def test_msgh_size_patched(self):
         module = compile_mail("mach3").module
