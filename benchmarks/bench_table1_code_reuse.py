@@ -43,7 +43,8 @@ LAYOUT = [
     ("Pres. Gen.", "Fluke Pres.", False, ["pgen/fluke.py"]),
     ("Pres. Gen.", "ONC RPC rpcgen Pres.", False, ["pgen/rpcgen.py"]),
     ("Back End", "Base Library", True,
-     ["backend/base.py", "backend/pywriter.py", "encoding/base.py",
+     ["backend/base.py", "backend/pywriter.py", "backend/stubrt.py",
+      "encoding/base.py",
       "encoding/buffer.py", "cast/nodes.py", "cast/emit.py",
       # The marshal IR every back end lowers through and prints from.
       "mir/ops.py", "mir/build.py", "mir/lower.py", "mir/passes.py",

@@ -7,10 +7,15 @@ compiled" for many interfaces, and that MIG cannot express the interface
 at all.
 
 The analog here: Python bytecode size of each compiler's generated stub
-module, plus the bytecode of the runtime marshal library it requires
-(Flick stubs need none; rpcgen-style stubs call ``xdr_rt``;
+module, plus the bytecode of the runtime library it requires (Flick
+stubs need no marshal library; rpcgen-style stubs call ``xdr_rt``;
 ORBeline-style calls ``cdr_rt``; ILU-style interprets through the whole
-PRES interpreter).
+PRES interpreter).  Every printing compiler's stubs import the stub
+runtime (``repro.backend.stubrt``: the preamble they share) and build
+their records and exceptions with the class factory of
+``repro.pres.values``; the runtime, the factory and the ``__init__`` it
+builds for each class are counted in the library column of every
+compiler that uses them, ILU's included.
 """
 
 import os
@@ -39,6 +44,33 @@ def bytecode_size(source, name="<generated>"):
     return total
 
 
+def code_size(code):
+    """Bytes of *code* and of the code objects it holds."""
+    return len(code.co_code) + sum(
+        code_size(constant) for constant in code.co_consts
+        if hasattr(constant, "co_code"))
+
+
+def stub_runtime_size(module, runtime=True):
+    """What *module* needs of the stub runtime: ``repro.backend.stubrt``
+    (unless not *runtime*), the class factory, and the ``__init__`` the
+    factory built for each of the module's record and exception
+    classes."""
+    from repro.errors import FlickUserException
+    from repro.pres import values
+
+    factory = sum(code_size(function.__code__) for function in (
+        values.record_class, values.exception_class, values._make,
+        values._template, values._without_columns, values.check_names,
+        values.python_name))
+    inits = sum(
+        code_size(cls.__init__.__code__) for cls in vars(module).values()
+        if isinstance(cls, type) and "__init__" in vars(cls)
+        and issubclass(cls, (values.Record, FlickUserException)))
+    stubrt = module_file_size("repro.backend.stubrt") if runtime else 0
+    return stubrt + factory + inits
+
+
 def module_file_size(module_name):
     import importlib
 
@@ -58,28 +90,23 @@ def compute_table():
         data[name] = (stub, library, total)
         rows.append([name, str(stub), str(library), str(total)])
 
-    add("Flick (XDR)", onc.stubs.py_source, 0)
-    add("Flick (IIOP)", corba.stubs.py_source, 0)
-    add(
-        "rpcgen",
-        make_baseline("rpcgen").generate(onc.presc).py_source,
-        module_file_size("repro.compilers.xdr_rt"),
-    )
-    add(
-        "PowerRPC",
-        make_baseline("powerrpc").generate(onc.presc).py_source,
-        module_file_size("repro.compilers.xdr_rt"),
-    )
-    add(
-        "ORBeline",
-        make_baseline("orbeline").generate(corba.presc).py_source,
-        module_file_size("repro.compilers.cdr_rt"),
-    )
+    add("Flick (XDR)", onc.stubs.py_source, stub_runtime_size(onc.module))
+    add("Flick (IIOP)", corba.stubs.py_source,
+        stub_runtime_size(corba.module))
+    for name, presc, library in (("rpcgen", onc.presc, "xdr_rt"),
+                                 ("PowerRPC", onc.presc, "xdr_rt"),
+                                 ("ORBeline", corba.presc, "cdr_rt")):
+        stubs = make_baseline(name.lower()).generate(presc)
+        add(name, stubs.py_source,
+            module_file_size("repro.compilers." + library)
+            + stub_runtime_size(stubs.load()))
+    ilu = make_baseline("ilu").generate(corba.presc)
     add(
         "ILU",
         None,  # no generated marshal code at all
         module_file_size("repro.pres.interp")
-        + module_file_size("repro.compilers.ilu_style"),
+        + module_file_size("repro.compilers.ilu_style")
+        + stub_runtime_size(ilu.load(), runtime=False),
     )
     try:
         make_baseline("mig").generate(onc.presc)
@@ -104,8 +131,11 @@ class TestTable2:
         # MIG cannot express the interface (last row carries the note).
         assert rows[-1][0] == "MIG"
         assert "cannot express" in rows[-1][3]
-        # Flick's inlined stubs carry no separate marshal library.
-        assert data["Flick (XDR)"][1] == 0
+        # Flick's inlined stubs carry no separate marshal library: what
+        # they import is the stub runtime the per-datum compilers' stubs
+        # import too.
+        assert data["Flick (XDR)"][1] == data["rpcgen"][1] \
+            - module_file_size("repro.compilers.xdr_rt")
         # Even with inlining, total code (stubs + library) stays in the
         # same ballpark as the per-datum compilers (the paper's point
         # that inlining does not explode code size).

@@ -42,11 +42,16 @@ call lowered anything but its own operation once in each module, if
 eight threads making the first calls of the operation's ``_m_req`` and
 ``_u_rep`` entries on a fresh module lowered it other than once, or if
 ``py_source`` and ``mir`` read after the first calls differ from a
-fresh compile's.  What a process compiles and lowers does not depend
-on the host.
+fresh compile's.  It reads what a load's one ``compile()`` made, and
+exits non-zero if it holds a class body or an ``__init__`` (records and
+exceptions come from the class factory of ``repro.pres.values``, the
+preamble's names from ``repro.backend.stubrt``), or if the second load
+of a cell — same arities — compiled a factory template.  What a
+process compiles and lowers does not depend on the host.
 """
 
 import argparse
+import inspect
 import os
 import pathlib
 import sys
@@ -65,6 +70,7 @@ from repro.core import loader  # noqa: E402
 from repro.core.loader import excerpt, pending_sections  # noqa: E402
 from repro.mir import build, render_closures, render_py  # noqa: E402
 from repro.mir.dump import dump_program  # noqa: E402
+from repro.pres import values  # noqa: E402
 from repro.runtime import LoopbackTransport  # noqa: E402
 
 ROLES = ("client", "server", "errors")
@@ -142,15 +148,33 @@ class Compiles:
 
     def __init__(self):
         self.seen = []
+        #: ``(file name, [class bodies and __init__s])`` of every compile.
+        self.bodies = []
+        #: The class factory's template compiles, by text.
+        self.templates = []
         for module in (loader, render_closures):
             module.compile = self.spy
+        values.compile = self.spy_template
 
     def spy(self, source, filename, mode):
         code = compile(source, filename, mode)
         self.seen.append((filename, {
             const.co_name for const in code.co_consts
             if isinstance(const, types.CodeType)}))
+        self.bodies.append((filename, class_code(code)))
         return code
+
+    def spy_template(self, source, filename, mode, **options):
+        self.templates.append(source)
+        return compile(source, filename, mode, **options)
+
+    def loaded(self, modules):
+        """The class bodies and ``__init__``s the loads of *modules*
+        compiled: what the one ``compile()`` of each module's own file
+        holds."""
+        files = {module.__file__ for module in modules}
+        return sorted(name for filename, names in self.bodies
+                      if filename in files for name in names)
 
     def functions(self, modules, names):
         """``{(module, function)}`` among *names* compiled for one of
@@ -158,6 +182,20 @@ class Compiles:
         return {(owner, name) for filename, defined in self.seen
                 for owner in [owner_of(filename, modules)] if owner
                 for name in defined & names}
+
+
+def class_code(code):
+    """The names of the class bodies and ``__init__`` functions among
+    *code*'s constants, at any depth (a class body is the one nested
+    code object that is not a function's)."""
+    found = []
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if const.co_name == "__init__" \
+                    or not const.co_flags & inspect.CO_OPTIMIZED:
+                found.append(const.co_qualname)
+            found += class_code(const)
+    return found
 
 
 def owner_of(filename, modules):
@@ -239,12 +277,15 @@ def check():
     for cell in cells(("py", "closures")):
         fresh = compile_cell(cell)
         codecs = {fn.name for fn in fresh.mir.functions}
-        del compiles.seen[:], lowerings.seen[:]
+        del compiles.seen[:], compiles.bodies[:], lowerings.seen[:]
         result = compile_cell(cell)
         serving = result.module
+        mark = len(compiles.templates)
         calling = compile_cell(cell).module
+        again = compiles.templates[mark:]
         at_compile = list(lowerings.seen)
         modules = (serving, calling)
+        bodies = compiles.loaded(modules)
         (server,) = [section for section in result.stubs.sections
                      if section.name == "server"]
         # Read off the names the section binds, not its ``functions``:
@@ -278,6 +319,11 @@ def check():
         if at_load:
             problems.append("the loads compiled %s" % sorted(
                 name for _file, name in at_load))
+        if bodies:
+            problems.append("the loads compiled class code %s" % bodies)
+        if again:
+            problems.append("the second load compiled %d templates"
+                            % len(again))
         if with_section:
             problems.append("the server section compiled %s" % sorted(
                 name for _file, name in with_section))
@@ -296,14 +342,21 @@ def check():
             problems.append("py_source or mir differ from a fresh compile's")
         failures += bool(problems)
         print("%-36s serving left %-13s calling left %-13s compiled at load"
-              " %d, with the server section %d, by the call %d of %d;"
+              " %d (class code %d, templates again %d), with the server"
+              " section %d, by the call %d of %d;"
               " lowered by the call %d of %d, by the race %d  %s" % (
                   cell.name, ",".join(pending_sections(serving)),
                   ",".join(pending_sections(calling)), len(at_load),
+                  len(bodies), len(again),
                   len(with_section), len(by_call),
                   2 * len(codecs) + len(handlers), len(on_call),
                   2 * len(fresh.stubs.metadata["operations"]),
                   len(raced), "; ".join(problems) or "ok"))
+    templates = compiles.templates
+    print("class factory templates compiled over the run: %d, %d distinct"
+          % (len(templates), len(set(templates))))
+    if len(set(templates)) < len(templates):
+        failures += 1
     return 1 if failures else 0
 
 
@@ -313,8 +366,8 @@ def main():
     parser.add_argument("--check", action="store_true",
                         help="only verify that a role compiles its own"
                              " half, a call the codecs and the handler it"
-                             " runs and a load no operation's IR; exit 1"
-                             " otherwise")
+                             " runs and a load no operation's IR and no"
+                             " class code; exit 1 otherwise")
     args = parser.parse_args()
     if args.check:
         return check()

@@ -33,8 +33,10 @@ from typing import NamedTuple, Optional, Tuple
 from repro import envelopes
 from repro.core.options import OptFlags
 from repro.pres import nodes as p
+from repro.backend import stubrt
 from repro.backend.pywriter import PyWriter
 from repro.mir import ops as mir_ops
+from repro.pres.values import check_names
 
 mangle = mir_ops.mangle
 
@@ -484,78 +486,30 @@ class OptimizingBackEnd:
                % (presc.interface_name, self.name, presc.presentation_style))
         w.line('')
         w.line('Generated by the Flick reproduction; do not edit."""')
-        w.line("from struct import (pack_into as _pack_into,")
-        w.line("                    unpack_from as _unpack_from,")
-        w.line("                    error as _struct_error)")
-        w.line("from repro.encoding.buffer import MarshalBuffer")
-        w.line("from repro.pres.values import Record as _Record")
-        w.line("from repro.errors import (DispatchError, FlickUserException,")
-        w.line("                          MarshalError, OverloadError,")
-        w.line("                          RemoteCallError, TransportError,")
-        w.line("                          UnmarshalError, WireFormatError)")
-        w.blank()
-        w.line("_Z = b'\\x00' * 8")
+        w.paste(_IMPORT)
         w.line("_ENVELOPE = %r  # repro.envelopes walk, byte order"
                % ((self.envelope, self.wire_format.endian),))
-        w.blank()
-        w.line("# Exceptions a hostile byte stream can force out of the")
-        w.line("# decode helpers; the stubs convert them to WireFormatError")
-        w.line("# so no raw Python error crosses the stub boundary.")
-        w.line("_DEC_ERRORS = (_struct_error, IndexError, ValueError,")
-        w.line("               OverflowError, MemoryError, RecursionError)")
-        w.line("# Exceptions a mistyped value can force out of the marshal")
-        w.line("# helpers (servant returned the wrong shape).")
-        w.line("_ENC_ERRORS = (_struct_error, TypeError, AttributeError,")
-        w.line("               ValueError, OverflowError, RecursionError)")
-        w.line("# What the header re-parse of encode_error_reply gives up on.")
-        w.line("_HDR_ERRORS = _DEC_ERRORS + (DispatchError, WireFormatError)")
-        w.blank()
-        w.line("def _chk_end(d, o):")
-        w.indent()
-        w.line("if o != len(d):")
-        w.indent()
-        w.line("raise WireFormatError('reply carries %d trailing bytes'")
-        w.line("                      % (len(d) - o), offset=o)")
-        w.dedent()
-        w.dedent()
         w.blank()
 
     def _emit_records(self, w, records):
         for record_name in sorted(records):
             fields = records[record_name]
             class_name = mangle(record_name)
-            w.line("class %s(_Record):" % class_name)
-            w.indent()
-            w.line("__slots__ = (%s)" % _tuple_literal(fields))
-            w.line("_fields = (%s)" % _tuple_literal(fields))
-            args = ", ".join("%s=None" % name for name in fields)
-            w.line("def __init__(self%s):" % (", " + args if args else ""))
-            w.indent()
-            if fields:
-                for name in fields:
-                    w.line("self.%s = %s" % (name, name))
-            else:
-                w.line("pass")
-            w.dedent()
-            w.dedent()
+            check_names("record", class_name, fields)
+            w.line("%s = _record(%r, (%s))"
+                   % (class_name, class_name, _tuple_literal(fields)))
+        if records:
             w.blank()
 
     def _emit_exceptions(self, w, exceptions):
         for exception_name in sorted(exceptions):
             class_name, fields = exceptions[exception_name]
-            w.line("class %s(FlickUserException):" % mangle(class_name))
-            w.indent()
-            w.line("_fields = (%s)" % _tuple_literal(fields))
-            args = ", ".join("%s=None" % name for name in fields)
-            w.line("def __init__(self%s):" % (", " + args if args else ""))
-            w.indent()
-            w.line(
-                "FlickUserException.__init__(self, %r)" % exception_name
-            )
-            for name in fields:
-                w.line("self.%s = %s" % (name, name))
-            w.dedent()
-            w.dedent()
+            class_name = mangle(class_name)
+            check_names("exception", class_name, fields)
+            w.line("%s = _exception(%r, %r, (%s))"
+                   % (class_name, class_name, exception_name,
+                      _tuple_literal(fields)))
+        if exceptions:
             w.blank()
 
     # ------------------------------------------------------------------
@@ -845,6 +799,12 @@ def _section_table(lines, opened, placed):
             if any(start <= first < end for start, end in own))
         table.append(Section(name, tuple(own), tuple(names), functions))
     return tuple(table)
+
+
+#: The preamble's one import of :mod:`repro.backend.stubrt`, as lines.
+_IMPORT = ("from repro.backend.stubrt import (",) + tuple(
+    "    " + ", ".join(stubrt.NAMES[at:at + 4]) + ","
+    for at in range(0, len(stubrt.NAMES), 4)) + (")",)
 
 
 def _tuple_literal(names):

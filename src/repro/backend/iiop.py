@@ -50,7 +50,7 @@ class IiopBackEnd(OptimizingBackEnd):
         return None
 
     def demux_key(self, presc, stub):
-        return stub.operation_name.encode("latin-1")
+        return stub.wire_name.encode("latin-1")
 
     unknown_op_code = "bad_operation"
 

@@ -32,7 +32,7 @@ from repro.encoding.buffer import MarshalBuffer, ReadCursor
 from repro.backend.base import GeneratedStubs, collect_python_types
 from repro.backend.iiop import IiopBackEnd
 from repro.pres.interp import InterpretiveCodec
-from repro.pres.values import Record
+from repro.pres.values import exception_class, record_class
 
 
 class IluStyleCompiler:
@@ -85,11 +85,11 @@ def _build_module(compiler, presc):
     records, exceptions = collect_python_types(presc)
     record_classes = {}
     for record_name, fields in records.items():
-        record_classes[record_name] = _make_record_class(record_name, fields)
+        record_classes[record_name] = record_class(record_name, fields)
         setattr(module, record_name, record_classes[record_name])
     exception_classes = {}
     for exception_name, (class_name, fields) in exceptions.items():
-        cls = _make_exception_class(exception_name, class_name, fields)
+        cls = exception_class(class_name, exception_name, fields)
         exception_classes[exception_name] = cls
         setattr(module, class_name, cls)
 
@@ -139,34 +139,6 @@ def _build_module(compiler, presc):
     return module
 
 
-def _make_record_class(record_name, fields):
-    namespace = {
-        "__slots__": tuple(fields),
-        "_fields": tuple(fields),
-    }
-
-    def __init__(self, *args, **kwargs):
-        Record.__init__(self, *args, **kwargs)
-
-    namespace["__init__"] = __init__
-    return type(record_name, (Record,), namespace)
-
-
-def _make_exception_class(exception_name, class_name, fields):
-    def __init__(self, *args, **kwargs):
-        FlickUserException.__init__(self, exception_name)
-        for name, value in zip(self._fields, args):
-            setattr(self, name, value)
-        for name, value in kwargs.items():
-            setattr(self, name, value)
-
-    return type(
-        class_name,
-        (FlickUserException,),
-        {"_fields": tuple(fields), "__init__": __init__},
-    )
-
-
 def _ilu_call_layer(value):
     """The per-call runtime layer the paper's footnote describes."""
     return value
@@ -179,7 +151,7 @@ def _install_operation(module, compiler, presc, stub, codec, endian,
     request_pres = stub.request_pres
     reply_pres = stub.reply_pres
     in_parameters = stub.in_parameters()
-    operation_key = stub.operation_name.encode("latin-1")
+    operation_key = stub.wire_name.encode("latin-1")
 
     def marshal_request(buffer, ctx, *args):
         offset = header.write(buffer, ctx)

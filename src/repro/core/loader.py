@@ -38,13 +38,16 @@ _counter = itertools.count(1)
 _ATTR = "__flick_deferred__"
 
 
-def register_source(owner, name, source):
-    """Make *source* what tracebacks show for code compiled under the
-    returned filename — a fresh ``<name_N>`` — for as long as *owner*
-    lives."""
+def register_source(owner, name, lines):
+    """Make the text whose ``split("\n")`` is *lines* what tracebacks
+    show for code compiled under the returned filename — a fresh
+    ``<name_N>`` — for as long as *owner* lives."""
     filename = "<%s_%d>" % (name, next(_counter))
+    cached = [line + "\n" for line in lines]
+    if lines[-1] == "":
+        del cached[-1]
     linecache.cache[filename] = (
-        len(source), None, source.splitlines(True), filename)
+        sum(map(len, cached)), None, cached, filename)
     weakref.finalize(owner, linecache.cache.pop, filename, None)
     return filename
 
@@ -63,13 +66,13 @@ def load_stub_module(source, name="flick_generated", sections=(),
     those of *source*.
     """
     module = types.ModuleType(name)
-    module.__file__ = filename = register_source(module, name, source)
+    lines = source.split("\n")
+    module.__file__ = filename = register_source(module, name, lines)
     module.__name__ = filename[1:-1]
     module.__source__ = source
     text = source
     eager = [section for section in sections if not section.names]
     if len(eager) < len(sections):
-        lines = source.split("\n")
         text = excerpt(lines, eager)
         _Deferred(module.__dict__, filename, lines,
                   [section for section in sections if section.names], defer)

@@ -152,7 +152,7 @@ def compile_function(fn, G, module):
     render_py.render_function(w, fn)
     text = w.getvalue()
     filename = register_source(
-        module, "%s.%s" % (module.__name__, fn.name), text)
+        module, "%s.%s" % (module.__name__, fn.name), text.split("\n"))
     return _define(fn.name, compile(text, filename, "exec"), G)
 
 

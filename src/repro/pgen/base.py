@@ -14,7 +14,10 @@ and Fluke presentation generators derive.  It owns all the structural work:
 
 Subclasses override only the *policy* hooks: identifier naming, the C
 spelling table (:attr:`PresentationGenerator.c_spelling`) and prototype
-construction.
+construction.  Every name a presented type, field, parameter or
+operation is given passes :func:`repro.pres.values.python_name`, so a
+Python keyword (``from``) is presented as ``from_``; wire names are the
+IDL's.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from repro.mint.types import (
 )
 from repro.pres import nodes as p
 from repro.pres.presc import PresC, PresCStub, PresParam
+from repro.pres.values import python_name
 
 
 class PresentationGenerator:
@@ -90,6 +94,11 @@ class PresentationGenerator:
 
     def union_name(self, type_name):
         return self.mangle(type_name)
+
+    def type_name(self, type_name):
+        """The record or enum name of *type_name*, as generated code
+        spells it: :meth:`record_name` under :func:`python_name`."""
+        return python_name(self.record_name(type_name))
 
     def exception_class(self, exception_name):
         return self.mangle(exception_name)
@@ -137,7 +146,7 @@ class PresentationGenerator:
         if isinstance(pres, p.PresString):
             return c.Pointer(c.TypeName(self.c_spelling["char"]))
         if isinstance(pres, p.PresRef):
-            return c.TypeName(self.record_name(pres.name))
+            return c.TypeName(self.type_name(pres.name))
         if isinstance(pres, (p.PresDirect, p.PresEnum)):
             return c.TypeName(pres.c_type_name)
         if isinstance(pres, p.PresStruct):
@@ -296,7 +305,7 @@ class _Context:
             name = definition_name or aoi_type.name
             # Enum type naming follows the same policy as records so the
             # C declarations and every use agree.
-            enum_name = policy.record_name(name)
+            enum_name = policy.type_name(name)
             return p.PresEnum(mint, enum_name, enum_name, aoi_type.members)
         if isinstance(aoi_type, AoiString):
             return self.string_pres(mint, aoi_type.bound)
@@ -329,9 +338,10 @@ class _Context:
             )
         if isinstance(aoi_type, AoiStruct):
             name = definition_name or aoi_type.name
-            record = policy.record_name(name)
+            record = policy.type_name(name)
             fields = tuple(
-                p.PresStructField(field.name, self.pres_for(field.type))
+                p.PresStructField(python_name(field.name),
+                                  self.pres_for(field.type))
                 for field in aoi_type.fields
             )
             return p.PresStruct(mint, record, fields, c_type_name=record)
@@ -367,17 +377,17 @@ class _Context:
 
     def build_stub(self, interface, operation):
         policy = self.policy
+        name = python_name(operation.name)
         parameters = []
         request_fields = []
         for parameter in operation.parameters:
             pres = self.pres_for(parameter.type)
+            spelled = python_name(parameter.name)
             parameters.append(
-                PresParam(parameter.name, parameter.direction.value, pres)
+                PresParam(spelled, parameter.direction.value, pres)
             )
             if parameter.direction.is_in:
-                request_fields.append(
-                    p.PresStructField(parameter.name, pres)
-                )
+                request_fields.append(p.PresStructField(spelled, pres))
         return_pres = None
         if not isinstance(self.root.resolve(operation.return_type), AoiVoid):
             return_pres = self.pres_for(operation.return_type)
@@ -385,13 +395,14 @@ class _Context:
         request_mint = self.builder.request_mint(operation)
         request_pres = p.PresStruct(
             request_mint,
-            "%s_request" % operation.name,
+            "%s_request" % name,
             tuple(request_fields),
         )
-        reply_pres = self._build_reply_pres(operation, parameters)
+        reply_pres = self._build_reply_pres(operation, name, parameters)
         stub_name = policy.stub_name(interface, operation)
         return PresCStub(
-            operation_name=operation.name,
+            operation_name=name,
+            wire_name=operation.name,
             stub_name=stub_name,
             request_code=operation.request_code,
             oneway=operation.oneway,
@@ -402,7 +413,7 @@ class _Context:
                                    operation, stub_name, tuple(parameters)),
         )
 
-    def _build_reply_pres(self, operation, parameters):
+    def _build_reply_pres(self, operation, name, parameters):
         if operation.oneway:
             return None
         reply_mint = self.builder.reply_mint(operation)
@@ -425,17 +436,19 @@ class _Context:
                 "_success",
                 p.PresStruct(
                     success_mint,
-                    "%s_reply" % operation.name,
+                    "%s_reply" % name,
                     tuple(success_fields),
                 ),
             )
         ]
         for index, exception_name in enumerate(operation.raises, 1):
             exception = self.root.exception_named(exception_name)
-            class_name = self.policy.exception_class(exception_name)
+            class_name = python_name(
+                self.policy.exception_class(exception_name))
             self.exception_classes[exception_name] = class_name
             fields = tuple(
-                p.PresStructField(field.name, self.pres_for(field.type))
+                p.PresStructField(python_name(field.name),
+                                  self.pres_for(field.type))
                 for field in exception.fields
             )
             self._exception_fields[class_name] = fields
@@ -453,7 +466,7 @@ class _Context:
             )
         return p.PresUnion(
             reply_mint,
-            "%s_reply_union" % operation.name,
+            "%s_reply_union" % name,
             p.PresDirect(
                 reply_mint.discriminator,
                 self.policy.c_scalar_type(AoiInteger(32, False)),
@@ -535,7 +548,7 @@ class _Context:
         policy = self.policy
         # Named types keep their presentation-level spelling (rpcgen
         # preserves XDR names verbatim; the CORBA mapping flattens).
-        mangled = policy.record_name(name)
+        mangled = policy.type_name(name)
         if isinstance(pres, p.PresStruct):
             return self._c_record(pres.record_name, pres.fields)
         if isinstance(pres, p.PresUnion):
@@ -604,7 +617,7 @@ class _Context:
                 return c.TypeName("struct %s" % target.record_name)
             if isinstance(target, p.PresUnion):
                 return c.TypeName("struct %s" % target.union_name)
-            return c.TypeName(self.policy.record_name(pres.name))
+            return c.TypeName(self.policy.type_name(pres.name))
         if isinstance(pres, p.PresString):
             return c.Pointer(c.TypeName("char"))
         if isinstance(pres, p.PresBytes):

@@ -39,6 +39,10 @@ class PresCStub:
     """Everything a back end needs to implement one operation's stubs.
 
     Attributes:
+        operation_name: the operation's name as generated Python spells
+            it (:func:`repro.pres.values.python_name`).
+        wire_name: the name as the IDL wrote it: what a GIOP request
+            carries.
         request_pres: a :class:`PresStruct` over the request MINT whose
             fields are the in-flowing parameters.
         reply_pres: a :class:`PresUnion` over the reply MINT (success arm
@@ -47,6 +51,7 @@ class PresCStub:
     """
 
     operation_name: str
+    wire_name: str
     stub_name: str
     request_code: object
     oneway: bool

@@ -275,14 +275,16 @@ def one_place_stub_text_becomes_code(tree):
     """Generated stub text is handed to ``compile()`` in
     repro/core/loader.py (the module, a section at a time) and in
     repro/mir/render_closures.py (one codec function at its first call)
-    and nowhere else — the two other ``compile()`` calls of the package
-    are of a user's ``.py`` schema and of the envelope readers, not of
+    and nowhere else — the three other ``compile()`` calls of the
+    package are of a user's ``.py`` schema, of the envelope readers and
+    of the class factory's per-arity ``__init__`` templates, none of it
     stub text.  The one-off pair the section table replaced has not
     come back under its names."""
     hits = [hit for hit in tree.grep(
         r"(^|[^\w.])compile\(", "src/repro")
         if not hit.startswith(("src/repro/pyschema/to_aoi.py:",
-                               "src/repro/envelopes.py:"))]
+                               "src/repro/envelopes.py:",
+                               "src/repro/pres/values.py:"))]
     assert tree.files_of(_not_a_definition(hits)) == [
         "src/repro/core/loader.py", "src/repro/mir/render_closures.py"], \
         "\n".join(hits)

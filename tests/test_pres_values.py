@@ -8,17 +8,15 @@ from repro.errors import MarshalError, UnmarshalError
 from repro.encoding import XDR, MarshalBuffer
 from repro.pres import InterpretiveCodec
 from repro.pres.values import (
-    Record,
     get_field,
     make_union,
     normalize,
+    record_class,
     union_parts,
 )
 
 
-class Point(Record):
-    __slots__ = ("x", "y")
-    _fields = ("x", "y")
+Point = record_class("Point", ("x", "y"))
 
 
 class TestRecord:
@@ -34,9 +32,7 @@ class TestRecord:
             Point(z=1)
 
     def test_equality_with_other_record_type(self):
-        class Other(Record):
-            __slots__ = ("a",)
-            _fields = ("a",)
+        Other = record_class("Other", ("a",))
 
         assert Point(1, 2) != Other(1)
 
