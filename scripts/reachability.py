@@ -93,8 +93,6 @@ _PROTOCOL = "protocol method (repr, str, context manager, null object)"
 #: an entry that names no such function.
 KEEP = {
     "aoi/interfaces.py AoiRoot.__repr__": _PROTOCOL,
-    "backend/base.py OptimizingBackEnd.request_header": _HOOK,
-    "backend/base.py OptimizingBackEnd.reply_header": _HOOK,
     "backend/base.py OptimizingBackEnd.demux_key": _HOOK,
     "compilers/ilu_style.py _make_client_class.method": "the ILU "
     "comparator's oneway call; a schema with a oneway reaches it",

@@ -806,6 +806,13 @@ _IMPORT = ("from repro.backend.stubrt import (",) + tuple(
     "    " + ", ".join(stubrt.NAMES[at:at + 4]) + ","
     for at in range(0, len(stubrt.NAMES), 4)) + (")",)
 
+#: Every top-level name a stub module binds whatever its schema, which
+#: a presented class therefore cannot take (the presentation generator
+#: adds the interface's ``<I>Client`` and ``<I>Servant``).
+SCAFFOLD = frozenset(stubrt.NAMES + (
+    "_ENVELOPE", "_check_reply", "_u_system_exception", "_HANDLERS",
+    "dispatch", "encode_error_reply"))
+
 
 def _tuple_literal(names):
     if not names:

@@ -16,6 +16,12 @@ innermost (its spans time the codec alone), then the sampled profiler
 binds the base function itself — disabled observability costs nothing
 by identity.
 
+The layers are switched here too: :func:`instrument` registers a module
+for one layer and :func:`switch` turns a layer on or off over every
+module registered for it.  Registration is per layer (a module traced
+is not thereby profiled) and weak (a registered module lives exactly as
+long as its users hold it).
+
 This is also the single parse of the entry-name convention
 (:func:`codec_form`).
 """
@@ -24,9 +30,10 @@ from __future__ import annotations
 
 import re
 import threading
+import weakref
 
-__all__ = ["LAYER_ORDER", "CodecSlots", "Slot", "codec_form", "of",
-           "replace_base"]
+__all__ = ["LAYER_ORDER", "CodecSlots", "Slot", "codec_form", "instrument",
+           "of", "replace_base", "switch"]
 
 #: Layer names, innermost -> outermost.
 LAYER_ORDER = ("trace", "profile")
@@ -58,14 +65,16 @@ def codec_form(name):
 
 
 class Slot:
-    """One codec entry: its parsed name and its base function.
+    """One codec entry of *module*: its parsed name and its base
+    function.
 
     ``arm`` is ``"ok"``/``"x<n>"`` for reply encoders, else None.
     """
 
-    __slots__ = ("name", "form", "op", "arm", "base")
+    __slots__ = ("module", "name", "form", "op", "arm", "base")
 
-    def __init__(self, name, form, op, arm, base):
+    def __init__(self, module, name, form, op, arm, base):
+        self.module = module
         self.name = name
         self.form = form
         self.op = op
@@ -95,7 +104,8 @@ class CodecSlots:
         for name, value in list(vars(module).items()):
             form, op, arm = _parse(name)
             if form is not None and callable(value):
-                self._slots[name] = Slot(name, form, op, arm, value)
+                self._slots[name] = Slot(module, name, form, op, arm,
+                                         value)
 
     # -- reads ----------------------------------------------------------
 
@@ -201,3 +211,32 @@ def replace_base(G, entry, old, new):
                 G[entry] = new
             return
     slots.replace_base(entry, old, new)
+
+
+#: Per layer, every module registered for it; and the factory of each
+#: layer that is on.
+_instrumented = {layer: weakref.WeakSet() for layer in LAYER_ORDER}
+_factories = {}
+_switching = threading.Lock()
+
+
+def instrument(module, layer):
+    """Register *module* for *layer*, which it gets at once if the layer
+    is on.  False if it was registered already."""
+    with _switching:
+        if module in _instrumented[layer]:
+            return False
+        _instrumented[layer].add(module)
+        factory = _factories.get(layer)
+        if factory is not None:
+            of(module).set_layer(layer, factory)
+    return True
+
+
+def switch(layer, factory):
+    """Turn *layer* on (``factory(slot, inner) -> callable``) or off
+    (None) over every module registered for it."""
+    with _switching:
+        _factories[layer] = factory
+        for module in list(_instrumented[layer]):
+            of(module).set_layer(layer, factory)

@@ -130,6 +130,7 @@ def _onc_call(e):
         # one (a propagated trace context) shifts the body by a multiple
         # of 4, which XDR's own padding rules already require.
         ("read", 24, "_cf _cl"),
+        ("want", "weave", ("do", "_put(d, 32, _cb)"), ("mark", "weave")),
         ("bound", "_cl", MAX_AUTH_BYTES, "credential too long", "28",
          "cred_length"),
         ("want", "trace",
@@ -193,6 +194,8 @@ def _giop_contexts():
          "12", "service_contexts"),
         ("want", "trace", ("do", "_ex = _nsc")),
         ("do", "o = 16"),
+        ("want", "weave", ("read", 16, "_ci _cl"), ("do", "_put(d, 24, _cb)"),
+         ("mark", "weave")),
         ("loop", "_nsc",
          ("read", "o", "_ci _cl"),
          ("want", "trace",
@@ -588,9 +591,16 @@ _SHAPES["request", "write"] = _SHAPES["reply", "write"] = (
     None, "d = bytearray(); o = 0; _at = _sp = None", "d, _at, _sp",
     ("write", "at"), None, "return d, _at, _sp  # %s")
 
+#: The weaver: the writer of a request header up to and with the trace
+#: context a traced request carries first, and the size word GIOP's
+#: ``strict`` read checks.
+_SHAPES["request", "weave"] = _SHAPES["request", "write"][:3] + (
+    ("write", "at", "strict", "weave"), "weave", "return d, _at, _sp  # %s")
+
 #: What a writer takes beside the words it packs: the values a reader
-#: returns or compares (identity, demux key, two-way, exception id).
-_FIELDS = {"_ident": (), "_key": 0, "_two": True, "_id": ""}
+#: returns or compares (identity, demux key, two-way, exception id, the
+#: body of a woven trace context).
+_FIELDS = {"_ident": (), "_key": 0, "_two": True, "_id": "", "_cb": b""}
 
 
 def _words(steps, wants, words):
@@ -631,7 +641,7 @@ def _walker(protocol, direction, e, which, upto=None):
         remote=remote,
         ident=("ident and %s != ident[0]", "ident and %s != ident[1]")
         if (direction, which) == ("request", True) else None)
-    if which == "write":
+    if which in ("write", "weave"):
         parameters = ", ".join("%s=%r" % word for word in _words(
             WALKS[protocol, direction](e), wants, dict(_FIELDS)).items())
     else:
@@ -674,7 +684,8 @@ def locator(protocol, direction, e):
 
 @functools.lru_cache(maxsize=None)
 def _writer(protocol, direction, e, upto):
-    return _walker(protocol, direction, e, "write", upto)
+    return _walker(protocol, direction, e,
+                   "weave" if upto == "weave" else "write", upto)
 
 
 def header(protocol, direction, e, upto=None, **fields):
@@ -688,7 +699,11 @@ def header(protocol, direction, e, upto=None, **fields):
     Other words are 0 or what the walk's ``is`` steps require.  The id
     word is patched with ``_ctx``, the size word (GIOP, Mach 3) once
     the body is in; *upto* stops at a mark — a GIOP reply header ends
-    at ``body``, where the reply union begins.
+    at ``body``, where the reply union begins.  ``upto="weave"`` writes
+    a request header as far as the trace context that goes first
+    (``ci``/``cf``, ``cl`` and its body ``cb``), with the GIOP size word
+    (``msz``) written as given: what :mod:`repro.obs.propagation`
+    splices into a request.
     """
     from repro.backend.base import HeaderSpec
 

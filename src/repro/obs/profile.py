@@ -76,10 +76,6 @@ BYTE_BOUNDS = tuple(
 
 _profiler = None
 
-#: module -> :class:`_ProfiledModule` for every module handed to
-#: :func:`instrument_stub_module`.
-_instrumented = {}
-
 
 def active():
     """The installed :class:`Profiler`, or None when profiling is off."""
@@ -102,8 +98,7 @@ def configure(sample=DEFAULT_SAMPLE, registry=None,
     global _profiler
     _profiler = Profiler(sample=sample, registry=registry,
                          exemplars=exemplars)
-    for record in _instrumented.values():
-        record.activate(_profiler)
+    codecs.switch("profile", _profiler.layer)
     return _profiler
 
 
@@ -116,8 +111,7 @@ def shutdown():
     """
     global _profiler
     previous, _profiler = _profiler, None
-    for record in _instrumented.values():
-        record.deactivate()
+    codecs.switch("profile", None)
     if previous is None:
         return None
     return previous.snapshot()
@@ -561,40 +555,40 @@ class Profiler:
 
     # -- recording -------------------------------------------------------
 
-    def _record(self, entry, profile, duration_s, nbytes, values,
+    def _record(self, profile, kind, probe, duration_s, nbytes, values,
                 reply_arm):
         try:
             profile.sampled += 1
             profile.size.observe(nbytes)
-            profile.codec_hist(entry.kind).observe(duration_s)
+            profile.codec_hist(kind).observe(duration_s)
             if reply_arm is not None:
                 profile.arm(REPLY_ARM, reply_arm)
-            if values is not None and entry.channel is not None:
+            if values is not None and probe is not None:
                 from repro.mir import shape
 
                 sink = profile
                 if self._families is not None:
                     sink = _MetricsSink(profile, self._families,
-                                        entry.op, entry.direction)
-                shape.probe_args(entry.channel, entry.presc, values,
-                                 sink)
+                                        profile.op, profile.direction)
+                shape.probe_args(*probe, values, sink)
             ids = _trace.current_ids()
             if ids is not None:
                 profile.note_exemplar(duration_s, ids[0], ids[1],
                                       nbytes)
             if self._families is not None:
-                labels = (entry.op, entry.direction)
+                labels = (profile.op, profile.direction)
                 self._families["sampled"].labels(*labels).inc()
                 delta = profile.calls - profile.flushed
                 profile.flushed = profile.calls
                 self._families["calls"].labels(*labels).inc(delta)
                 self._families["bytes"].labels(*labels).observe(nbytes)
                 self._families["codec"].labels(
-                    entry.op, entry.kind
+                    profile.op, kind
                 ).observe(duration_s)
                 if reply_arm is not None:
                     self._families["arm"].labels(
-                        entry.op, entry.direction, REPLY_ARM, reply_arm
+                        profile.op, profile.direction, REPLY_ARM,
+                        reply_arm
                     ).inc()
         except Exception:
             # Profiling must never break a serving path.
@@ -635,81 +629,76 @@ class Profiler:
         except Exception:
             pass
 
-    # -- wrapper factory -------------------------------------------------
+    # -- the layer -------------------------------------------------------
 
-    def _make_wrapper(self, entry, inner):
-        profile = self.profile(entry.op, entry.direction)
+    def layer(self, slot, inner):
+        """The ``profile`` layer over one codec entry: *inner* wrapped to
+        count every call and to time, size and shape-probe every
+        ``sample``-th.  Encoders are sized by what they append to the
+        buffer, a request decoder by the end it returns, a reply decoder
+        by the rest of the frame; a reply's arm is the encoder's, or
+        what the decoder returned or raised."""
+        profile = self.profile(slot.op, slot.direction)
+        probe, raises = _channel(slot)
+        channel = probe and probe[0]
+        form, kind = slot.form, slot.kind
+        arm = "ok" if form == "u_rep" else slot.arm
+        encodes = kind == "encode"
         sample = self.sample
         owner = self
         perf_counter = time.perf_counter
 
-        if entry.form == "m_req" or entry.form == "m_rep_ok":
-            reply_arm = entry.arm
-
-            def wrapper(b, _ctx, *args):
-                profile.calls += 1
-                if _profiler is not owner or profile.calls % sample:
-                    return inner(b, _ctx, *args)
-                before = b.length
-                start = perf_counter()
-                result = inner(b, _ctx, *args)
-                duration = perf_counter() - start
-                owner._record(entry, profile, duration,
-                              b.length - before, args, reply_arm)
-                return result
-
-        elif entry.form == "m_rep_exc":
-            reply_arm = entry.arm
-
-            def wrapper(b, _ctx, _exc):
-                profile.calls += 1
-                if _profiler is not owner or profile.calls % sample:
-                    return inner(b, _ctx, _exc)
-                before = b.length
-                start = perf_counter()
-                result = inner(b, _ctx, _exc)
-                duration = perf_counter() - start
-                owner._record(entry, profile, duration,
-                              b.length - before, (_exc,), reply_arm)
-                return result
-
-        elif entry.form == "u_req":
-
-            def wrapper(d, o):
-                profile.calls += 1
-                if _profiler is not owner or profile.calls % sample:
-                    return inner(d, o)
-                start = perf_counter()
-                args, end = inner(d, o)
-                duration = perf_counter() - start
-                owner._record(entry, profile, duration, end - o, args,
-                              None)
-                return args, end
-
-        else:  # "u_rep"
-
-            def wrapper(d, o):
-                profile.calls += 1
-                if _profiler is not owner or profile.calls % sample:
-                    return inner(d, o)
-                start = perf_counter()
-                try:
-                    result = inner(d, o)
-                except Exception as exc:
-                    duration = perf_counter() - start
+        def wrapper(*args):
+            profile.calls += 1
+            if _profiler is not owner or profile.calls % sample:
+                return inner(*args)
+            before = args[0].length if encodes else args[1]
+            start = perf_counter()
+            try:
+                result = inner(*args)
+            except Exception as exc:
+                if form == "u_rep":
                     name = type(exc).__name__
-                    owner._record(entry, profile, duration, len(d) - o,
-                                  None, entry.raises.get(name, name))
-                    raise
-                duration = perf_counter() - start
-                values = _reply_values(entry.channel, result)
-                owner._record(entry, profile, duration, len(d) - o,
-                              values, "ok")
-                return result
+                    owner._record(profile, kind, probe,
+                                  perf_counter() - start,
+                                  len(args[0]) - before, None,
+                                  raises.get(name, name))
+                raise
+            duration = perf_counter() - start
+            if encodes:
+                size, values = args[0].length - before, args[2:]
+            elif form == "u_req":
+                size, values = result[1] - before, result[0]
+            else:
+                size = len(args[0]) - before
+                values = _reply_values(channel, result)
+            owner._record(profile, kind, probe, duration, size, values,
+                          arm)
+            return result
 
-        wrapper.__name__ = getattr(inner, "__name__", entry.name)
+        wrapper.__name__ = getattr(inner, "__name__", slot.name)
         wrapper.__wrapped__ = inner
         return wrapper
+
+
+def _channel(slot):
+    """``((channel, PRES_C), {exception class name: reply arm})`` for a
+    codec entry, from the PRES_C its module's stubs were generated from
+    (``(None, {})`` on a hand-written module: size and latency still
+    profile, shape probing is skipped)."""
+    presc = getattr(slot.module, "_flick_presc", None)
+    stub = presc and next((stub for stub in presc.stubs
+                           if stub.operation_name == slot.op), None)
+    if stub is None:
+        return None, {}
+    from repro.mir.ops import mangle
+
+    channels = stub.channels()
+    channel = channels.get("request" if slot.direction == "request"
+                           else slot.arm or "ok")
+    return (None if channel is None else (channel, presc)), {
+        mangle(items[0][1].class_name): label
+        for label, items in channels.items() if label[0] == "x"}
 
 
 def _reply_values(channel, result):
@@ -756,88 +745,16 @@ class _MetricsSink:
         ).inc()
 
 
-# ----------------------------------------------------------------------
-# Stub-module instrumentation (the codec slots' ``profile`` layer)
-# ----------------------------------------------------------------------
-
-
-class _Entry:
-    """One codec entry's probing context: its slot's parsed name, the
-    PRES_C channel its values are probed against, and (a reply decoder)
-    the reply arm of each user exception it can raise."""
-
-    __slots__ = ("name", "op", "direction", "kind", "form", "arm",
-                 "channel", "presc", "raises")
-
-    def __init__(self, slot):
-        self.name = slot.name
-        self.op = slot.op
-        self.direction = slot.direction
-        self.kind = slot.kind
-        self.form = slot.form
-        self.arm = slot.arm
-        self.channel = None
-        self.presc = None
-        self.raises = {}
-
-
-class _ProfiledModule:
-    """What profiling turns on and off over one stub module."""
-
-    def __init__(self, module):
-        self.slots = codecs.of(module)
-        self.entries = None
-
-    def activate(self, profiler):
-        if self.entries is None:
-            self.entries = {slot.name: _Entry(slot)
-                            for slot in self.slots.entries()}
-            self._resolve_shapes()
-        self.slots.set_layer(
-            "profile",
-            lambda slot, inner: profiler._make_wrapper(
-                self.entries[slot.name], inner))
-
-    def deactivate(self):
-        self.slots.set_layer("profile", None)
-
-    def _resolve_shapes(self):
-        """Attach channels to entries from the PRES_C the module's stubs
-        were generated from (none on hand-written modules — size and
-        latency still profile, shape probing is skipped)."""
-        presc = getattr(self.slots.module, "_flick_presc", None)
-        if presc is None:
-            return
-        from repro.mir.ops import mangle
-
-        stubs = {stub.operation_name: stub for stub in presc.stubs}
-        for entry in self.entries.values():
-            stub = stubs.get(entry.op)
-            if stub is None:
-                continue
-            channels = stub.channels()
-            entry.presc = presc
-            entry.channel = channels.get(
-                "request" if entry.direction == "request"
-                else entry.arm or "ok")
-            entry.raises = {mangle(items[0][1].class_name): label
-                            for label, items in channels.items()
-                            if label[0] == "x"}
-
-
 def instrument_stub_module(module):
     """Arrange payload-shape wrappers for a generated stub module.
 
     Covers the module's codec entries, the same set the tracer
     instruments: ``_m_req_<op>`` / ``_u_req_<op>`` (request
     encode/decode), ``_m_rep_ok_<op>`` / ``_m_rep_x<n>_<op>`` /
-    ``_u_rep_<op>`` (reply encode/decode).  Wrappers are installed only
-    while a profiler is configured; disabled cost is exactly zero.
+    ``_u_rep_<op>`` (reply encode/decode), as the ``profile`` layer of
+    its :class:`repro.core.codecs.CodecSlots`.  Wrappers are installed
+    only while a profiler is configured; disabled cost is exactly zero.
     Idempotent.
     """
-    if module not in _instrumented:
-        record = _instrumented[module] = _ProfiledModule(module)
-        if _profiler is not None:
-            record.activate(_profiler)
+    codecs.instrument(module, "profile")
     return module
-

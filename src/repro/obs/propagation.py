@@ -30,12 +30,12 @@ present.  Replies are never touched.
 Both directions find their way through the header with the request walk
 of :mod:`repro.envelopes` (which knows the marker and where a context
 sits): a context is read out of, and woven into, only an envelope the
-walk accepts, under the bounds every other reader enforces.
+walk accepts, under the bounds every other reader enforces, and the
+words woven in are written by that walk too.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,16 +97,18 @@ def inject(payload, span_context):
     if walked is None:
         return data
     protocol, endian, _trace_at, entries = walked
-    entry = struct.pack(endian + "II", TRACE_CONTEXT_ID, _BODY_SIZE) + body
     if protocol == "giop":
-        out = bytearray(data)
-        out[12:16] = struct.pack(endian + "I", entries + 1)
-        out[16:16] = entry
-        out[8:12] = struct.pack(endian + "I", len(out) - 12)
-        return bytes(out)
-    if entries:
+        # The context goes first; the count at 12 and the size at 8 grow.
+        keep, cut, fields = 8, 16, dict(
+            msz=len(data) + 8 + _BODY_SIZE - 12, nsc=entries + 1,
+            ci=TRACE_CONTEXT_ID)
+    elif entries:
         return data  # a real credential is already there; leave it
-    return data[:24] + entry + data[32:]
+    else:  # the null credential becomes the context
+        keep, cut, fields = 24, 32, dict(ident=(0, 0), cf=TRACE_CONTEXT_ID)
+    woven = envelopes.header(protocol, "request", endian, upto="weave",
+                             cl=_BODY_SIZE, cb=body, **fields).template
+    return data[:keep] + woven[keep:] + data[cut:]
 
 
 def extract(payload) -> Optional[WireTraceContext]:

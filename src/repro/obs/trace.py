@@ -31,6 +31,7 @@ import json
 import os
 import threading
 import time
+import weakref
 
 from repro.core import codecs
 from repro.core.loader import on_bound
@@ -80,8 +81,8 @@ def configure(exporter=None):
     previous, _tracer = _tracer, Tracer(exporter)
     if previous is not None:
         previous.close()
-    for record in _instrumented.values():
-        record.activate()
+    codecs.switch("trace", _trace_layer)
+    _swap(list(_proxies))
     return _tracer
 
 
@@ -93,8 +94,8 @@ def shutdown():
     """
     global _tracer
     previous, _tracer = _tracer, None
-    for record in _instrumented.values():
-        record.deactivate()
+    codecs.switch("trace", None)
+    _swap(list(_proxies))
     if previous is not None:
         previous.close()
 
@@ -272,53 +273,25 @@ def _jsonable(value):
 # Generated-stub instrumentation
 # ----------------------------------------------------------------------
 
-#: module -> :class:`_InstrumentedModule` for every module handed to
-#: :func:`instrument_stub_module`.
-_instrumented = {}
+#: Every ``*Client`` class of an instrumented module -> the operations
+#: whose methods open ``call`` spans.  Weak: a class goes with its
+#: module.
+_proxies = weakref.WeakKeyDictionary()
+_swapping = threading.Lock()
 
 
-class _InstrumentedModule:
-    """What tracing turns on and off over one stub module.
-
-    Codec entries get the ``trace`` layer of the module's
-    :class:`repro.core.codecs.CodecSlots`; with tracing disabled that
-    layer is absent and the module binds its base codecs, so an
-    instrumented module is the uninstrumented one on the hot path —
-    zero cost, not merely low cost.  ``*Client`` proxy methods are class
-    attributes, not codec entries: their ``call`` wrappers are swapped
-    on the class here.  Only references bound *before* activation (a
-    captured bound method, say) keep the untraced function.
-    """
-
-    def __init__(self, module):
-        self.slots = codecs.of(module)
-        self.methods = []    # (cls, op, original, wrapped)
-        self.active = False
-
-    def add_method(self, cls, op):
-        original = getattr(cls, op)
-        wrapped = _wrap_call(original, op)
-        self.methods.append((cls, op, original, wrapped))
-        if self.active:
-            setattr(cls, op, wrapped)
-
-    def activate(self):
-        if self.active:
-            return
-        # First, so a proxy class whose section loads meanwhile is
-        # wrapped by add_method if this loop has passed.
-        self.active = True
-        self.slots.set_layer("trace", _trace_layer)
-        for cls, op, _original, wrapped in self.methods:
-            setattr(cls, op, wrapped)
-
-    def deactivate(self):
-        if not self.active:
-            return
-        self.slots.set_layer("trace", None)
-        for cls, op, original, _wrapped in self.methods:
-            setattr(cls, op, original)
-        self.active = False
+def _swap(classes):
+    """Wrap the proxy methods of *classes* while a tracer is installed,
+    else unwrap them.  ``*Client`` proxy methods are class attributes,
+    not codec entries: only references bound before the swap (a
+    captured bound method, say) keep what they saw."""
+    with _swapping:
+        on = _tracer is not None
+        for cls in classes:
+            for op in _proxies[cls]:
+                method = getattr(cls, op)
+                method = getattr(method, "__wrapped__", method)
+                setattr(cls, op, _wrap_call(method, op) if on else method)
 
 
 def instrument_stub_module(module):
@@ -326,34 +299,34 @@ def instrument_stub_module(module):
 
     Covers every codec entry of the module — marshal entries
     (``_m_req_<op>``, ``_m_rep_*_<op>``) as ``encode`` spans, unmarshal
-    entries (``_u_req_<op>``, ``_u_rep_<op>``) as ``decode`` spans — and
-    the ``<op>`` methods of ``*Client`` proxy classes as ``call`` spans
-    with an ``op`` attribute, the client-side root span of each request.
+    entries (``_u_req_<op>``, ``_u_rep_<op>``) as ``decode`` spans — as
+    the ``trace`` layer of its :class:`repro.core.codecs.CodecSlots`,
+    and the ``<op>`` methods of ``*Client`` proxy classes as ``call``
+    spans with an ``op`` attribute, the client-side root span of each
+    request.
 
     The wrappers are installed only while a tracer is configured:
-    :func:`configure` turns them on, :func:`shutdown` off again, so
-    tracing-disabled cost is exactly zero.  Idempotent.
+    :func:`configure` turns them on, :func:`shutdown` off again, so an
+    instrumented module is the uninstrumented one on the hot path while
+    tracing is disabled.  Idempotent.
     """
-    if module in _instrumented:
+    if not codecs.instrument(module, "trace"):
         return module
-    record = _InstrumentedModule(module)
-    operations = {slot.op for slot in record.slots.entries()
+    operations = {slot.op for slot in codecs.of(module).entries()
                   if slot.form == "m_req"}
 
     def add_proxies(bound):
-        for name, value in bound.items():
-            if isinstance(value, type) and name.endswith("Client"):
-                for op in operations:
-                    if callable(getattr(value, op, None)):
-                        record.add_method(value, op)
+        classes = [value for name, value in bound.items()
+                   if isinstance(value, type) and name.endswith("Client")]
+        for cls in classes:
+            _proxies[cls] = [op for op in operations
+                             if callable(getattr(cls, op, None))]
+        _swap(classes)
 
     # The proxy class of a module that has not made a call yet is not
     # compiled: it is wrapped when its section loads, not loaded to be
     # wrapped.
     on_bound(module, add_proxies)
-    _instrumented[module] = record
-    if _tracer is not None:
-        record.activate()
     return module
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.backend.base import SCAFFOLD
 from repro.errors import PresentationError
 from repro.aoi import (
     AoiArray,
@@ -75,6 +76,10 @@ class PresentationGenerator:
     #: ``"boolean"`` and ``"octet"``), the bytes carrier (``"bytes"``)
     #: and the counted-array suffix (``"seq"``).
     c_spelling = {}
+    #: The names no presented class may take: what the stub module of
+    #: the interface being presented binds itself (set by
+    #: :meth:`generate`).
+    scaffold = frozenset()
 
     # ------------------------------------------------------------------
     # Policy hooks (overridden by concrete presentations)
@@ -98,7 +103,7 @@ class PresentationGenerator:
     def type_name(self, type_name):
         """The record or enum name of *type_name*, as generated code
         spells it: :meth:`record_name` under :func:`python_name`."""
-        return python_name(self.record_name(type_name))
+        return python_name(self.record_name(type_name), self.scaffold)
 
     def exception_class(self, exception_name):
         return self.mangle(exception_name)
@@ -177,6 +182,8 @@ class PresentationGenerator:
         """Produce the :class:`PresC` for *interface* on *side*."""
         if side not in ("client", "server"):
             raise PresentationError("side must be 'client' or 'server'")
+        proxy = interface.name.replace("::", "_")
+        self.scaffold = SCAFFOLD | {proxy + "Client", proxy + "Servant"}
         builder = MintBuilder(root)
         pres_registry = p.PresRegistry()
         context = _Context(self, root, builder, pres_registry)
@@ -444,7 +451,8 @@ class _Context:
         for index, exception_name in enumerate(operation.raises, 1):
             exception = self.root.exception_named(exception_name)
             class_name = python_name(
-                self.policy.exception_class(exception_name))
+                self.policy.exception_class(exception_name),
+                self.policy.scaffold)
             self.exception_classes[exception_name] = class_name
             fields = tuple(
                 p.PresStructField(python_name(field.name),

@@ -82,9 +82,6 @@ class Record:
         )
         return "%s(%s)" % (type(self).__name__, parts)
 
-    def to_dict(self):
-        return {name: getattr(self, name) for name in self._fields}
-
 
 def normalize(value):
     """Recursively convert presented values to plain Python data.
@@ -119,18 +116,19 @@ def normalize(value):
 #: take: the receiver of every method, and what the presented classes
 #: already use (``args`` is ``BaseException``'s, and setting it to a
 #: number raises).
-TAKEN = frozenset(("self", "_fields", "__slots__", "to_dict", "args"))
+TAKEN = frozenset(("self", "_fields", "__slots__", "args"))
 
 
 #: What :func:`python_name` spells with a trailing ``_``.
 _SPELLED = frozenset(keyword.kwlist) | TAKEN
 
 
-def python_name(name):
+def python_name(name, taken=()):
     """*name* as generated Python spells it: with a trailing ``_`` when
-    it is a Python keyword or :data:`TAKEN` (PEP 8's rule for a name
-    that clashes).  What a name is on the wire does not change."""
-    return name + "_" if name in _SPELLED else name
+    it is a Python keyword, :data:`TAKEN` or in *taken* — for a class,
+    a name its stub module binds itself (PEP 8's rule for a name that
+    clashes).  What a name is on the wire does not change."""
+    return name + "_" if name in _SPELLED or name in taken else name
 
 
 def check_names(kind, name, fields):

@@ -28,8 +28,7 @@ from repro.runtime.aio.client import (
 )
 from repro.runtime.aio.options import CallOptions, RetryPolicy
 from repro.runtime.aio.server import AioTcpServer
-from repro.runtime.aio.stats import ClientStats, LatencyHistogram, \
-    ServerStats
+from repro.runtime.aio.stats import ClientStats, ServerStats
 
 __all__ = [
     "AioClientTransport",
@@ -39,7 +38,6 @@ __all__ = [
     "CircuitBreaker",
     "ClientStats",
     "ConnectionPool",
-    "LatencyHistogram",
     "RetryPolicy",
     "ServerStats",
 ]

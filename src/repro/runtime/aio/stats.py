@@ -21,14 +21,9 @@ from __future__ import annotations
 
 import weakref
 
-from repro.obs.metrics import (  # re-exported for backward compatibility
-    BUCKET_BOUNDS,
-    LatencyHistogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["BUCKET_BOUNDS", "ClientStats", "LatencyHistogram",
-           "ServerStats"]
+__all__ = ["ClientStats", "ServerStats"]
 
 
 def _label(op_key):

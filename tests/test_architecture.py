@@ -413,7 +413,9 @@ def envelope_bytes_are_written_in_one_module(tree):
     that module and the comparators under compilers/ nothing builds a
     ``HeaderSpec``, spells the GIOP magic as bytes, names msgh_bits or
     packs a header-shaped run of three or more words.  The back ends
-    share one request_header and one reply_header."""
+    share one request_header and one reply_header.  The trace context
+    propagation weaves into a request is written by the same walk:
+    repro/obs/propagation.py imports no struct."""
     defined = tree.grep(r"def (request|reply)_header\(", "src")
     assert tree.files_of(defined) == ["src/repro/backend/base.py"], defined
     _no(tree.grep(r"^\s*(import struct|from struct )|b[\"']GIOP|MSGH_BITS_",
@@ -423,6 +425,8 @@ def envelope_bytes_are_written_in_one_module(tree):
         r"\bHeaderSpec\(|b[\"']GIOP|MSGH_BITS_|[\"'][<>]?I{3,}[\"']", "src")
         if not hit.startswith(("src/repro/envelopes.py:",
                                "src/repro/compilers/"))])
+    _no(tree.grep(r"^\s*(import struct|from struct )|\bstruct\.",
+                  "src/repro/obs/propagation.py"))
 
 
 def no_naive_type_ir(tree):
@@ -558,6 +562,17 @@ def no_lowering_at_compile(tree):
     _no([hit for hit in tree.grep(r"defer_codecs|without=", *SEARCHED,
                                   python_only=False)
          if not hit.startswith(THIS + ":")])
+
+
+def one_layer_registry(tree):
+    """Which stub modules get a codec layer, and whether the layer is
+    on, is kept once, in repro/core/codecs.py (``instrument`` /
+    ``switch``, weakly and per layer): no other module keeps an
+    ``_instrumented`` registry, and the per-layer records that each
+    kept one (``_InstrumentedModule``, ``_ProfiledModule``) stay gone."""
+    _no([hit for hit in tree.grep(r"\b_instrumented\b", "src")
+         if not hit.startswith("src/repro/core/codecs.py:")])
+    _no(tree.grep(r"\b(_InstrumentedModule|_ProfiledModule)\b", "src"))
 
 
 #: pin -> (file, line) pairs, each of which must make it fail.
@@ -741,6 +756,11 @@ PINS = {
          "        return HeaderSpec(b\"\")"),
         ("src/repro/gateway/proxy.py",
          "    message = struct.pack('>IIIII', xid, 1, 1, 1, 7)"),
+        ("src/repro/obs/propagation.py", "import struct"),
+        ("src/repro/obs/propagation.py",
+         "    entry = struct.pack(endian + \"II\", TRACE_CONTEXT_ID,"
+         " _BODY_SIZE) + body"),
+        ("src/repro/obs/propagation.py", "from struct import pack"),
     ],
     no_naive_type_ir: [
         ("src/repro/mir/build.py",
@@ -816,6 +836,13 @@ PINS = {
          "def defer_codecs(module, program, section):"),
         ("src/repro/backend/base.py",
          "                self.sections, without=('codecs',),"),
+    ],
+    one_layer_registry: [
+        ("src/repro/obs/trace.py", "_instrumented = {}"),
+        ("src/repro/obs/profile.py",
+         "    for record in _instrumented.values():"),
+        ("src/repro/obs/trace.py", "class _InstrumentedModule:"),
+        ("src/repro/obs/profile.py", "class _ProfiledModule:"),
     ],
     no_tiering: [
         ("src/repro/runtime/service.py", "tiering: str = 'off'"),

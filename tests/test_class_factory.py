@@ -116,7 +116,6 @@ class TestRecordClass:
         assert not hasattr(after, "__dict__")
         assert before == after and after == before
         assert repr(after) == repr(before)
-        assert after.to_dict() == before.to_dict()
         assert values.normalize(after) == values.normalize(before)
 
 

@@ -19,9 +19,11 @@ other producer of base functions.
 from __future__ import annotations
 
 import asyncio
+import gc
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -30,7 +32,7 @@ from repro.core.codecs import LAYER_ORDER, codec_form, of as slots_of
 from repro.core.compiler import CompileResult
 from repro.mir.render_closures import compile_function, install_closures
 from repro.obs import profile
-from repro.runtime import StubServer, TcpClientTransport
+from repro.runtime import LoopbackTransport, StubServer, TcpClientTransport
 from repro.runtime.aio import ConnectionPool
 from repro.runtime.framing import RecordDecoder, encode_record
 
@@ -290,6 +292,50 @@ class TestSlotContract:
                 "_u_req_rev": lambda d, o: ((), o),
                 "dispatch": lambda *a: None})
         assert handle.module._u_req_rev is before  # nothing applied
+
+
+LAYERS = {"trace": (obs.instrument_stub_module, obs.configure),
+          "profile": (profile.instrument_stub_module, profile.configure)}
+
+
+class TestLayerRegistry:
+    """``codecs.instrument``/``switch`` keep one registry for both
+    layers: weak, so an instrumented module lives as long as its users
+    hold it, and per layer, so a module is given only the layers it was
+    instrumented for."""
+
+    @pytest.mark.parametrize("configured", [False, True],
+                             ids=["off", "on"])
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_an_instrumented_module_is_collected_once_dropped(
+            self, layer, configured):
+        instrument, configure = LAYERS[layer]
+        if configured:
+            configure()
+        module = instrument(fresh_db().module)
+        if configured:  # load the proxy and hand every codec over
+            client = module.DB_DBVClient(
+                LoopbackTransport(module.dispatch, DbImpl()))
+            assert client.rev([1, 2]) == [2, 1]
+            del client
+        dropped = weakref.ref(module)
+        del module
+        gc.collect()
+        assert dropped() is None
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_a_module_gets_only_the_layer_it_was_instrumented_for(
+            self, layer):
+        instrument, _configure = LAYERS[layer]
+        module = instrument(fresh_db().module)
+        bases = {name: getattr(module, name) for name in REV}
+        for name, (_instrument, configure) in LAYERS.items():
+            if name != layer:
+                configure()
+        assert {name: getattr(module, name) for name in REV} == bases
+        LAYERS[layer][1]()
+        assert all(getattr(module, name) is not bases[name]
+                   for name in REV)
 
 
 class TestAtomicUnderThreads:

@@ -184,6 +184,26 @@ class TestDerivedFromOneDescription:
         assert refusal.value.code == "byte_order"
 
 
+class TestWovenContexts:
+    def test_inject_writes_the_bytes_of_the_hand_packed_splice(self):
+        """``propagation.inject`` writes through the request walk's
+        weaver (``envelopes.header(..., upto="weave")``) what it used to
+        pack itself: ``tests/golden/trace_contexts.json`` holds frames
+        and what the hand-packed splice made of them (GIOP in both byte
+        orders, a GIOP 1.1 header, a foreign and a repeated context, ONC
+        with and without a credential, a reply), and ``extract`` reads
+        the context back out of every frame it went into."""
+        with open(os.path.join(os.path.dirname(__file__), "golden",
+                               "trace_contexts.json")) as handle:
+            cases = json.load(handle)
+        for name, case in cases.items():
+            frame = bytes.fromhex(case["in"])
+            woven = propagation.inject(frame, CONTEXT)
+            assert woven.hex() == case["out"], name
+            if woven != frame:
+                assert propagation.extract(woven) == CONTEXT, name
+
+
 # ---------------------------------------------------------------------------
 # Defect 1: locate and extract carry the service-context bound
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ class TestRecord:
         assert Point(1, 2) != Other(1)
 
     def test_to_dict(self):
-        assert Point(1, 2).to_dict() == {"x": 1, "y": 2}
+        assert normalize(Point(1, 2)) == {"x": 1, "y": 2}
 
 
 class TestHelpers:

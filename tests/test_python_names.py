@@ -2,11 +2,13 @@
 
 A field, parameter, operation or exception member that is a Python
 keyword (``from``, ``pass``, ``lambda``), ``self``, or a name the
-presented classes already use (``_fields``, ``__slots__``, ``to_dict``,
-``args``) is spelled by :func:`repro.pres.values.python_name`; what goes
-on the wire is unchanged.  Each case compiles the schema, makes one call
-through the generated proxy and ``dispatch``, and compares the bytes with
-those of the same schema spelled with an ordinary name.
+presented classes already use (``_fields``, ``__slots__``, ``args``) is
+spelled by :func:`repro.pres.values.python_name`, and so is a presented
+class named like what its stub module binds itself (``dispatch``,
+``MarshalBuffer``, ``IClient``); what goes on the wire is unchanged.
+Each case compiles the schema, makes one call through the generated
+proxy and ``dispatch``, and compares the bytes with those of the same
+schema spelled with an ordinary name.
 """
 
 import inspect
@@ -91,7 +93,6 @@ class TestFields:
             assert module.S._fields == (spelled, "b")
             value = module.S(3, 4)
             assert normalize(value) == {spelled: 3, "b": 4}
-            assert value.to_dict() == {spelled: 3, "b": 4}
 
             class Servant:
                 def f(self, s):
@@ -100,7 +101,9 @@ class TestFields:
             client, transport = client_of(module, Servant())
             assert client.f(value) == 7
             wires.append(transport.carried)
-        assert python_name(name) == name + "_"
+        # No record method is named to_dict: a field keeps that name.
+        assert python_name(name) == (
+            name if name == "to_dict" else name + "_")
         assert wires[0] == wires[1]
 
 
@@ -119,6 +122,48 @@ class TestTypeNames:
 
             client, transport = client_of(module, Servant())
             assert client.f(cls(41)) == 42
+            wires.append(transport.carried)
+        assert wires[0] == wires[1]
+
+
+    @pytest.mark.parametrize("name", [
+        "dispatch", "MarshalBuffer", "_check_reply", "IClient", "IServant",
+        "_HANDLERS"])
+    def test_a_struct_named_like_what_the_module_binds(self, name):
+        """A class that took a name the stub module binds itself would
+        shadow it or be shadowed: it is spelled with a trailing ``_``."""
+        text = "struct %s { long x; }; interface I { long f(in %s d); };"
+        wires = []
+        for written, spelled in ((name, name + "_"), ("plain", "plain")):
+            module = compile_module(text % (written, written))
+            cls = getattr(module, spelled)
+            assert (cls.__name__, cls._fields) == (spelled, ("x",))
+
+            class Servant:
+                def f(self, d):
+                    return d.x + 1
+
+            transport = Recording(module.dispatch, Servant())
+            assert module.IClient(transport).f(cls(41)) == 42
+            wires.append(transport.carried)
+        assert wires[0] == wires[1]
+
+    def test_an_exception_named_like_what_the_module_binds(self):
+        text = ("exception %s { long x; };"
+                " interface I { void f(in long x) raises (%s); };")
+        wires = []
+        for written, spelled in (("dispatch", "dispatch_"), ("E", "E")):
+            module = compile_module(text % (written, written))
+            raised = getattr(module, spelled)
+
+            class Servant:
+                def f(self, x):
+                    raise raised(x)
+
+            transport = Recording(module.dispatch, Servant())
+            with pytest.raises(raised) as caught:
+                module.IClient(transport).f(5)
+            assert caught.value.x == 5
             wires.append(transport.carried)
         assert wires[0] == wires[1]
 
