@@ -53,9 +53,11 @@ def code_size(code):
 
 def stub_runtime_size(module, runtime=True):
     """What *module* needs of the stub runtime: ``repro.backend.stubrt``
-    (unless not *runtime*), the class factory, and the ``__init__`` the
+    (unless not *runtime*), the class factory, the ``__init__`` the
     factory built for each of the module's record and exception
-    classes."""
+    classes, and the GIOP system-exception decoder an IIOP module
+    imports (compiled once per byte order, not printed in the
+    module)."""
     from repro.errors import FlickUserException
     from repro.pres import values
 
@@ -68,7 +70,9 @@ def stub_runtime_size(module, runtime=True):
         if isinstance(cls, type) and "__init__" in vars(cls)
         and issubclass(cls, (values.Record, FlickUserException)))
     stubrt = module_file_size("repro.backend.stubrt") if runtime else 0
-    return stubrt + factory + inits
+    decoder = vars(module).get("_u_system_exception")
+    imported = code_size(decoder.__code__) if decoder else 0
+    return stubrt + factory + inits + imported
 
 
 def module_file_size(module_name):

@@ -35,7 +35,9 @@ compiled its client section or the calling module its server section,
 if either load compiled a codec function or a handler, if the server
 section's own load compiled a handler, if the call compiled a codec
 function or handler it did not run or ran one it did not compile, or if
-the answer is wrong.  It counts lowerings too (calls of
+the answer is wrong; a load that compiles an IIOP module's
+``_u_system_exception`` (imported from ``repro.backend.stubrt``, one
+per byte order and process) fails the same way.  It counts lowerings too (calls of
 ``repro.mir.build.build_operation``, one per operation lowered), and
 exits non-zero if a compile or a load lowered an operation, if the
 call lowered anything but its own operation once in each module, if
@@ -291,7 +293,10 @@ def check():
         # Read off the names the section binds, not its ``functions``:
         # a tree whose handlers compile with the section lists none.
         handlers = {name for name in server.names if name.startswith("_h_")}
-        names = codecs | handlers
+        # The GIOP system-exception decoder is imported, compiled once
+        # per process: a load that compiles it fails like one that
+        # compiles a codec.
+        names = codecs | handlers | {"_u_system_exception"}
         at_load = compiles.functions(modules, names)
         del compiles.seen[:]
         dispatch = serving.dispatch  # loads the server section

@@ -118,7 +118,6 @@ KEEP = {
     "pgen/base.py PresentationGenerator.c_stub_decl": _HOOK,
     "pres/interp.py InterpretiveCodec.encode": _ORACLE,
     "pres/interp.py InterpretiveCodec.decode": _ORACLE,
-    "pres/values.py Record.__repr__": _PROTOCOL,
     "runtime/aio/client.py AioConnection._peer_name": _SAFETY,
     "runtime/aio/client.py AioClientTransport.__init__": _AIO_CLIENT,
     "runtime/aio/client.py AioClientTransport.close": _AIO_CLIENT,

@@ -811,7 +811,7 @@ _IMPORT = ("from repro.backend.stubrt import (",) + tuple(
 #: adds the interface's ``<I>Client`` and ``<I>Servant``).
 SCAFFOLD = frozenset(stubrt.NAMES + (
     "_ENVELOPE", "_check_reply", "_u_system_exception", "_HANDLERS",
-    "dispatch", "encode_error_reply"))
+    "dispatch", "encode_error_reply", "_new"))
 
 
 def _tuple_literal(names):

@@ -55,13 +55,12 @@ class IiopBackEnd(OptimizingBackEnd):
     unknown_op_code = "bad_operation"
 
     def emit_reply_error_decoder(self, w, presc):
+        # Its text depends only on the byte order: compiled once per
+        # process (repro.envelopes.system_exception), not at each load.
         w.blank()
-        with w.block("def _u_system_exception(d, o):"):
-            w.line('"""Decode a system-exception reply body; returns the')
-            w.line('RemoteCallError for the caller to raise."""')
-            w.paste(envelopes.render(
-                "giop", "system_exception", self.wire_format.endian,
-                remote="return %s"))
+        w.line("from repro.backend.stubrt import _u_system_exception_%s"
+               " as _u_system_exception"
+               % ("le" if self.wire_format.endian == "<" else "be"))
 
     def reply_error_tail_ops(self, presc):
         from repro.mir import ops as m

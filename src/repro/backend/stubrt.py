@@ -41,6 +41,21 @@ def _chk_end(d, o):
                               % (len(d) - o), offset=o)
 
 
+def __getattr__(name):
+    """``_u_system_exception_be`` / ``_le``: the GIOP system-exception
+    reply decoder of each byte order (:func:`repro.envelopes.
+    system_exception`), compiled at the first IIOP load that imports
+    it, not at every load."""
+    e = {"_u_system_exception_be": ">",
+         "_u_system_exception_le": "<"}.get(name)
+    if e is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from repro import envelopes
+
+    return envelopes.system_exception(e)
+
+
 #: The names a stub module imports from here.
 NAMES = ("_pack_into", "_unpack_from", "_struct_error", "MarshalBuffer",
          "DispatchError", "FlickUserException", "MarshalError",

@@ -714,6 +714,28 @@ def header(protocol, direction, e, upto=None, **fields):
 
 
 @functools.lru_cache(maxsize=None)
+def system_exception(e):
+    """``_u_system_exception(d, o)`` of byte order *e*: the body of a
+    GIOP system-exception reply from offset *o*, decoded to the
+    :class:`~repro.errors.RemoteCallError` it carries, which it returns
+    for the caller to raise.  Compiled once per process; every IIOP
+    stub module of that byte order imports it from
+    :mod:`repro.backend.stubrt`."""
+    source = "\n".join(
+        ["def _u_system_exception(d, o):",
+         '    """Decode a system-exception reply body; returns the',
+         '    RemoteCallError for the caller to raise."""']
+        + ["    " + line for line in render(
+            "giop", "system_exception", e, remote="return %s")])
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<giop system_exception %s>" % e, "exec"),
+         namespace)
+    function = namespace["_u_system_exception"]
+    function.source = source
+    return function
+
+
+@functools.lru_cache(maxsize=None)
 def router(protocol, e):
     """The whole reply walk as the one pass a multiplexing client makes
     over a reply: ``(id, id offset, the RemoteCallError the reply

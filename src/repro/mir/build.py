@@ -332,17 +332,21 @@ def _lower_iterative_list_unmarshal(low, list_shape):
     struct_pres, tail_name, tail_pres = list_shape
     record = m.mangle(struct_pres.record_name)
     spell = low.spell
+    fields = struct_pres.fields[:-1]
 
-    def fields_into(node):
-        return [
+    def fields_into(node, var):
+        exprs = [
             low.emit(struct_field.pres, spell.dest_field(
                 spell.dest_deref(node), struct_field.name))
-            for struct_field in struct_pres.fields[:-1]
+            for struct_field in fields
         ]
+        low.flush()
+        if spell.builds_records:
+            low.record_into(var, record, [f.name for f in fields], exprs)
+        return exprs
 
     low.push_body()
-    head_exprs = fields_into("v")
-    low.flush()
+    head_exprs = fields_into("v", "_node")
     head_ops = low.pop_body()
     low.push_body()
     low.enter_unknown()
@@ -350,11 +354,10 @@ def _lower_iterative_list_unmarshal(low, list_shape):
     flag_ops = low.pop_body()
     low.push_body()
     low.enter_unknown()
-    field_exprs = fields_into("_node")
-    low.flush()
+    field_exprs = fields_into("_node", "_nxt")
     node_ops = low.pop_body()
     low.add(m.ListLoop(
-        kind="u", record=record, tail_name=tail_name,
+        kind="u", tail_name=tail_name,
         node_ops=node_ops, flag_ops=flag_ops, flag_var=flag,
         field_exprs=tuple(field_exprs), head_ops=head_ops,
         head_exprs=tuple(head_exprs),

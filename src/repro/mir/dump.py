@@ -126,6 +126,7 @@ def _dump_op(lines, op, indent):
         add("GetArrayRegion %s = '%s%s' stride=%d n=%s: %s -> %s"
             % (op.var, op.endian, op.fmt, op.stride, op.count_expr,
                op.tuple_var, op.element_expr))
+        _dump_ops(lines, op.body, indent + "  ")
     elif isinstance(op, m.GetRun):
         add("GetRun %s = %s n=%s nul=%d mode=%s pad4=%s"
             % (op.var, op.kind, op.count_expr, op.nul, op.mode,
@@ -143,6 +144,10 @@ def _dump_op(lines, op, indent):
             % (op.cond, op.error, op.message))
     elif isinstance(op, m.Bind):
         add("Bind %s = %s" % (op.var, op.expr))
+    elif isinstance(op, m.NewRecord):
+        add("NewRecord %s = %s" % (op.var, op.cls))
+    elif isinstance(op, m.SetFields):
+        add("SetFields %s = %s" % (", ".join(op.targets), op.expr))
     elif isinstance(op, m.ExprStmt):
         add("Expr %s" % op.expr)
     elif isinstance(op, m.CallOutOfLine):
@@ -158,9 +163,7 @@ def _dump_op(lines, op, indent):
             add("Loop %s %s in %s:" % (op.kind, op.var, op.iterable))
         _dump_ops(lines, op.body, indent + "  ")
     elif isinstance(op, m.ListLoop):
-        add("ListLoop %s tail=%s%s:"
-            % (op.kind, op.tail_name,
-               " record=%s" % op.record if op.record else ""))
+        add("ListLoop %s tail=%s:" % (op.kind, op.tail_name))
         for label, body in (("node", op.node_ops), ("flag", op.flag_ops),
                             ("stop", op.stop_ops), ("next", op.next_ops),
                             ("head", op.head_ops)):

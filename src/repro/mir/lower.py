@@ -54,21 +54,28 @@ class _Var(str):
 
 class NamePool:
     """Per-function temporary names; numbering starts at 1 so generated
-    temps never collide with the reserved header offset ``_o0``."""
+    temps never collide with the reserved header offset ``_o0``.  Built
+    records are numbered apart (``_r1``, ``_r2``...), so building one
+    renames no other temporary."""
 
     def __init__(self):
         self._counter = 0
+        self._records = 0
 
     def temp(self, prefix="_t"):
         self._counter += 1
         return "%s%d" % (prefix, self._counter)
 
+    def record(self):
+        self._records += 1
+        return "_r%d" % self._records
+
     def mark(self):
-        return self._counter
+        return self._counter, self._records
 
     def rewind(self, mark):
         """Give back every name handed out since :meth:`mark`."""
-        self._counter = mark
+        self._counter, self._records = mark
 
 
 class OutOfLineSet:
@@ -213,16 +220,18 @@ class _LowerBase:
         return (flags.chunk_atoms and flags.batch_buffer_checks
                 and flags.memcpy_arrays)
 
-    def region_element(self, emit_element, chunk_type, prefix=()):
+    def region_element(self, emit_element, chunk_type, prefix=(),
+                       suffix=()):
         """Lower one array element with its base assumed aligned for any
         atom, to learn whether the whole array can be one region.
 
         Returns ``(emit_element's result, body, base alignment)`` when
-        the element is a single *chunk_type* chunk (after *prefix* ops
-        only) that repeats at a padding-free stride from a base this
-        wire format would align the same way.  Otherwise returns None
-        with names and counters rewound, so the loop lowered instead is
-        exactly what it would have been.  Appends nothing either way.
+        the element is a single *chunk_type* chunk (between *prefix* ops
+        and *suffix* ops only) that repeats at a padding-free stride
+        from a base this wire format would align the same way.
+        Otherwise returns None with names and counters rewound, so the
+        loop lowered instead is exactly what it would have been.
+        Appends nothing either way.
         """
         self.flush()
         rewind = (self.names.mark(), self.chunks_emitted,
@@ -234,9 +243,11 @@ class _LowerBase:
         self.flush()
         body = self.pop_body()
         self.static_offset, self.align_guarantee = layout
-        chunk = body[-1] if body else None
+        at = next((index for index, op in enumerate(body)
+                   if not isinstance(op, prefix)), len(body))
+        chunk = body[at] if at < len(body) else None
         if (isinstance(chunk, chunk_type)
-                and all(isinstance(op, prefix) for op in body[:-1])):
+                and all(isinstance(op, suffix) for op in body[at + 1:])):
             align = max(entry.align for entry in chunk.entries)
             # Members are aligned one by one, never the element as a
             # whole: padding the base to *align* is only what the wire
@@ -809,8 +820,11 @@ class UnmarshalLower(_LowerBase):
     :meth:`emit` returns an *expression* for the decoded value (in C: one
     that stores it to the dest); the expression is valid once
     :meth:`flush` has been called.  Aggregates compose their field
-    expressions inline, so one chunk decodes a whole fixed-layout region
-    with a single ``unpack_from``.
+    expressions, so one chunk decodes a whole fixed-layout region with a
+    single ``unpack_from``: the C stores each field through its dest,
+    and a spelling that builds records (Python) builds each in the
+    decoder's frame — ``_r1 = _new(Coord)`` and the stores into its
+    fields — once the chunk that reads them is flushed.
     """
 
     def __init__(self, wire_format, flags, presc, out_of_line,
@@ -819,6 +833,14 @@ class UnmarshalLower(_LowerBase):
         self.zero_copy = zero_copy
         self._tuple_var = None
         self._out_count = 0
+        #: Records completed since the last flush: ``(var, class,
+        #: [(target, value)])``, built after the chunk their values read.
+        self._records = []
+        #: An atom's text (``_t3[0]``) -> its unpack tuple and index
+        #: there, and each tuple -> how many items it holds: what merges
+        #: a record's field stores into runs.
+        self._items = {}
+        self._widths = {}
 
     # ------------------------------------------------------------------
     # Chunk machinery
@@ -838,8 +860,11 @@ class UnmarshalLower(_LowerBase):
                            star=starred)
         self.chunk.append(entry)
         self._out_count += count
-        return self.spell.item(self._tuple_var, entry.out_index,
+        text = self.spell.item(self._tuple_var, entry.out_index,
                                count if starred else None, dest)
+        if not starred:
+            self._items[text] = self._tuple_var, entry.out_index
+        return text
 
     def _read_atom_now(self, codec, count, starred, dest):
         """Unchunked per-atom read (baseline-shaped code)."""
@@ -879,6 +904,7 @@ class UnmarshalLower(_LowerBase):
         self.chunks_emitted += 1
         self.atoms_emitted += sum(entry.count for entry in entries)
         tuple_var, self._tuple_var = self._tuple_var, None
+        self._widths[tuple_var] = self._out_count
         self._out_count = 0
         if self.static_offset is not None:
             fmt, total, _offsets = self._layout(entries, self.static_offset)
@@ -893,6 +919,7 @@ class UnmarshalLower(_LowerBase):
             entries=tuple(entries),
         ))
         self._advance(total)
+        self._build_records()
 
     # ------------------------------------------------------------------
     # PRES dispatch — returns value expressions
@@ -915,12 +942,64 @@ class UnmarshalLower(_LowerBase):
         return self.unpack_expr(codec, self.read_atom(codec, dest=dest))
 
     def _emit_record(self, pres, dest):
-        name = (pres.record_name if isinstance(pres, p.PresStruct)
-                else pres.class_name)
-        return self.spell.record(m.mangle(name), [
-            self.emit(struct_field.pres,
-                      self.spell.dest_field(dest, struct_field.name))
-            for struct_field in pres.fields])
+        exprs = [self.emit(struct_field.pres,
+                           self.spell.dest_field(dest, struct_field.name))
+                 for struct_field in pres.fields]
+        if isinstance(pres, p.PresException):
+            # Called: FlickUserException.__init__ sets the message.
+            return self.spell.record(m.mangle(pres.class_name), exprs)
+        if not self.spell.builds_records:
+            return self.spell.record(m.mangle(pres.record_name), exprs)
+        var = self.names.record()
+        self.record_into(var, m.mangle(pres.record_name),
+                         [struct_field.name for struct_field in pres.fields],
+                         exprs)
+        # Not a _Var: emit_value binds it, as it binds the C's stores.
+        return self.spell.produced(var)
+
+    def record_into(self, var, name, fields, exprs):
+        """Build the record class *name* in *var*, each of *fields* set
+        to its expression of *exprs*: at once when no chunk is pending,
+        else when the chunk the expressions read is flushed."""
+        self._records.append((var, name, [
+            ("%s.%s" % (var, field_name), expr)
+            for field_name, expr in zip(fields, exprs)]))
+        if not self.chunk:
+            self._build_records()
+
+    def _build_records(self):
+        """The records completed since the last flush: each one's
+        ``_new``, then the stores into their fields, the items of one
+        unpack tuple first, in tuple order, a run of them one store
+        (the whole tuple, or a slice of it)."""
+        records, self._records = self._records, []
+        stores = []
+        for var, name, fields in records:
+            self.add(m.NewRecord(var, name))
+            stores.extend(fields)
+        places = self._items
+        items = [(places[value], target, value) for target, value in stores
+                 if value in places]
+        order = list(dict.fromkeys(place[0] for place, _, _ in items))
+        items.sort(key=lambda item: (order.index(item[0][0]), item[0][1]))
+        runs = []
+        for (var, index), target, value in items:
+            if runs and runs[-1][0] == var and runs[-1][2] + 1 == index:
+                runs[-1][2] = index
+                runs[-1][3].append(target)
+            else:
+                runs.append([var, index, index, [target], value])
+        for var, first, last, targets, value in runs:
+            if first == last:
+                pass
+            elif first == 0 and last + 1 == self._widths[var]:
+                value = var
+            else:
+                value = "%s[%d:%d]" % (var, first, last + 1)
+            self.add(m.SetFields(tuple(targets), value))
+        for target, value in stores:
+            if value not in places:
+                self.add(m.SetFields((target,), value))
 
     def emit_value(self, pres, dest=""):
         """Like :meth:`emit` but flushed and materialized in a variable."""
@@ -1043,6 +1122,7 @@ class UnmarshalLower(_LowerBase):
             var=self.spell.target(var, dest), kind="bytes",
             count_expr=count, mode="view" if self.zero_copy else "copy",
             pad_to4=self.fmt.pads_byte_runs(pres.mint),
+            fixed=pres.fixed_length is not None,
         ))
         self.static_offset = None
         self.align_guarantee = self.fmt.universal_alignment
@@ -1139,11 +1219,11 @@ class UnmarshalLower(_LowerBase):
         a single chunk or its stride carries padding."""
         trial = self.region_element(
             lambda: self._emit_element(element_pres, dest, counted),
-            m.GetAtoms,
+            m.GetAtoms, suffix=(m.NewRecord, m.SetFields),
         )
         if trial is None:
             return None
-        element_expr, (chunk,), align = trial
+        element_expr, (chunk, *build), align = trial
         var = self.temp("_v")
         region = self.push_body()
         self._align_for(align)
@@ -1153,6 +1233,7 @@ class UnmarshalLower(_LowerBase):
             var=self.spell.target(var, dest), endian=self.fmt.endian,
             fmt=chunk.fmt, stride=chunk.total, count_expr=count_expr,
             tuple_var=chunk.var, element_expr=element_expr,
+            counted=counted, body=build,
         ))
         self.pop_body()
         if padded and counted:

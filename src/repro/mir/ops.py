@@ -243,8 +243,10 @@ class PutArrayRegion(Op):
 class GetArrayRegion(Op):
     """Decode of an array region: one ``iter_unpack`` over exactly
     ``count * stride`` bytes (the preceding :class:`CheckRemaining`
-    guards them), each element built by ``element_expr`` from its
-    unpacked tuple ``tuple_var``."""
+    guards them), each element built by ``body`` (the records the
+    Python spelling builds, empty otherwise) and ``element_expr`` from
+    its unpacked tuple ``tuple_var``.  *counted*: a sequence, whose
+    storage the decode allocates, not a fixed array."""
 
     var: str
     endian: str
@@ -253,6 +255,8 @@ class GetArrayRegion(Op):
     count_expr: str
     tuple_var: str
     element_expr: str
+    counted: bool = False
+    body: List["Op"] = field(default_factory=list)
 
 
 @dataclass
@@ -265,6 +269,7 @@ class GetRun(Op):
     nul: int = 0
     mode: str = "decode"          # decode | raw | slow | view | copy
     pad_to4: bool = False
+    fixed: bool = False           # bytes: a fixed-length opaque array
 
 
 @dataclass
@@ -325,6 +330,25 @@ class Bind(Op):
 
 
 @dataclass
+class NewRecord(Op):
+    """``var = _new(cls)`` — a record the decoder builds in its own
+    frame, its fields then set by :class:`SetFields` (the Python
+    spelling; user exceptions are still called)."""
+
+    var: str
+    cls: str
+
+
+@dataclass
+class SetFields(Op):
+    """``t0, t1, ... = expr`` — store into built records' fields: one
+    target and its value, or a run of one unpack tuple's items."""
+
+    targets: Tuple[str, ...]
+    expr: str
+
+
+@dataclass
 class ExprStmt(Op):
     """Evaluate an expression for effect (e.g. a list append)."""
 
@@ -358,10 +382,12 @@ class Loop(Op):
 @dataclass
 class ListLoop(Op):
     """The iterative-list form (paper footnote 5): a while-loop over a
-    tail-recursive list, wire-identical to the recursive helper."""
+    tail-recursive list, wire-identical to the recursive helper.  On
+    the decode side a spelling that builds records leaves each node
+    built in ``_node`` (``head_ops``) and ``_nxt`` (``node_ops``); the
+    C stores the fields through ``head_exprs``/``field_exprs``."""
 
     kind: str                     # m | u
-    record: str = ""              # mangled record constructor (u)
     tail_name: str = ""
     node_ops: List[Op] = field(default_factory=list)   # leading fields
     flag_ops: List[Op] = field(default_factory=list)   # presence word
@@ -453,7 +479,7 @@ def walk_ops(ops):
     """Yield every op in *ops*, descending into structured bodies."""
     for op in ops:
         yield op
-        if isinstance(op, Loop):
+        if isinstance(op, (Loop, GetArrayRegion)):
             for inner in walk_ops(op.body):
                 yield inner
         elif isinstance(op, Branch):

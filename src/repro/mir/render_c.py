@@ -111,7 +111,7 @@ class CSpelling:
     def no_arm(self, disc): return "no union arm for discriminator", True
 
     # -- unmarshal: storing into the presented storage -----------------
-    none = ""
+    none, builds_records = "", False
     dest_deref = deref
 
     def dest_param(self, name): return name
@@ -500,7 +500,7 @@ class _Module:
                   op.count_expr, op.size)
 
     def _GetArrayRegion(self, op):
-        if not op.count_expr.isdigit():  # a sequence, not an array
+        if op.counted:
             self.line("flick_alloc_seq(%s, %s);", op.var, op.count_expr)
         with self._loop(op.count_expr) as index:
             self._loads(op.tuple_var, op.endian, op.fmt,
@@ -510,7 +510,7 @@ class _Module:
 
     def _GetRun(self, op):
         line, n, dest = self.line, op.count_expr, op.var
-        if op.kind == "bytes" and n.isdigit():
+        if op.fixed:
             line("memcpy(%s, _m + _o, %s);", dest, n)
         elif op.kind == "bytes":
             line("%s._length = %s;\n%s._buffer = %s;", dest, n, dest,

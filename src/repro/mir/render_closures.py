@@ -51,7 +51,8 @@ def defer_operations(module, stubs):
     every operation of *stubs*; the first call of any lowers its
     operation.  Returns the table, for :func:`defer_handlers`."""
     G = module.__dict__
-    G.update(_iter_unpack=iter_unpack, _atom_list=atom_list)
+    G.update(_iter_unpack=iter_unpack, _atom_list=atom_list,
+             _new=object.__new__)
     pending = _Pending(G)
     # The entries hold no module and no stubs (which hold the module):
     # a module its users drop goes at once, its linecache text with it.
@@ -127,7 +128,8 @@ def install_closures(module, program):
             "requires the MIR pipeline)"
         )
     G = module.__dict__
-    G.update(_iter_unpack=iter_unpack, _atom_list=atom_list)
+    G.update(_iter_unpack=iter_unpack, _atom_list=atom_list,
+             _new=object.__new__)
     pending, codec_entries = _Pending(G), {}
     for fn in program.functions:
         G.update(fn.consts)

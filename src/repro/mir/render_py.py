@@ -29,10 +29,12 @@ class PySpelling:
     value: a parameter (``_a0``), an element, a length (``len(x)``), a
     null test, the halves of a union.  Decode side, ``emit`` is handed a
     *dest* (the ``dest_*`` methods) and returns the text that yields the
-    value: Python builds it as an expression (``item`` gives ``_t3[0]``,
-    ``record`` gives ``Rect(Coord(..), ..)``) bound where the lowering
-    says, so every dest is ``""``.  A method returning a pair gives the
-    ``(var, expr)`` of a :class:`~repro.mir.ops.Bind`.
+    value: Python builds it as an expression (``item`` gives ``_t3[0]``)
+    bound where the lowering says, so every dest is ``""``.  A record is
+    built in the decoder's frame (:attr:`builds_records`: ``_r1 =
+    _new(Coord)`` and stores into its fields); ``record`` gives the call
+    a user exception is built by (``Err(..)``).  A method returning a
+    pair gives the ``(var, expr)`` of a :class:`~repro.mir.ops.Bind`.
     """
 
     # -- marshal: reading the presented value --------------------------
@@ -92,6 +94,7 @@ class PySpelling:
 
     # -- unmarshal: building the decoded value -------------------------
     none = "None"
+    builds_records = True
     dest_param = dest_result = dest_exception = dest_field = _nowhere
     dest_deref = dest_index = dest_element = dest_arm = _nowhere
 
@@ -162,14 +165,16 @@ def render_program(w, program):
 
 
 def _runtime_imports(program):
-    """Imports for the names only the bulk-array line patterns use, so
-    a module without such arrays carries neither."""
+    """Imports for the names only the bulk-array line patterns and the
+    record builds use, so a module without them carries none."""
     ops = [op for fn in program.functions for op in m.walk_ops(fn.ops)]
     if any(isinstance(op, m.GetArrayRegion) for op in ops):
         yield "from struct import iter_unpack as _iter_unpack"
     if any(isinstance(op, m.GetAtomArray)
            and op.conversion in ("int", "float") for op in ops):
         yield "from repro.encoding.buffer import atom_list as _atom_list"
+    if any(isinstance(op, m.NewRecord) for op in ops):
+        yield "_new = object.__new__"
 
 
 def render_function(w, fn):
@@ -411,9 +416,18 @@ def _region_format(op):
 
 def _render_get_array_region(w, op):
     size = "%s * %d" % (op.count_expr, op.stride)
-    w.line("%s = [%s for %s in _iter_unpack(%r, memoryview(d)[o:o + %s])]"
-           % (op.var, op.element_expr, op.tuple_var, op.endian + op.fmt,
-              size))
+    rows = "_iter_unpack(%r, memoryview(d)[o:o + %s])" % (
+        op.endian + op.fmt, size)
+    if op.body:
+        w.line("%s = []" % op.var)
+        w.line("for %s in %s:" % (op.tuple_var, rows))
+        w.indent()
+        _render_ops(w, op.body)
+        w.line("%s.append(%s)" % (op.var, op.element_expr))
+        w.dedent()
+    else:
+        w.line("%s = [%s for %s in %s]"
+               % (op.var, op.element_expr, op.tuple_var, rows))
     w.line("o += %s" % size)
 
 
@@ -481,6 +495,14 @@ def _render_bind(w, op):
     w.line("%s = %s" % (op.var, op.expr))
 
 
+def _render_new_record(w, op):
+    w.line("%s = _new(%s)" % (op.var, op.cls))
+
+
+def _render_set_fields(w, op):
+    w.line("%s = %s" % (", ".join(op.targets), op.expr))
+
+
 def _render_expr_stmt(w, op):
     w.line(op.expr)
 
@@ -517,15 +539,16 @@ def _render_list_loop(w, op):
         w.line("v = _nx")
         w.dedent()
         return
+    # head_ops builds the first node in _node, node_ops each later one
+    # in _nxt; a node's tail is set once, when the next flag is read.
     _render_ops(w, op.head_ops)
-    w.line("_node = %s(%s)"
-           % (op.record, ", ".join(list(op.head_exprs) + ["None"])))
     w.line("_head = _node")
     w.line("while 1:")
     w.indent()
     _render_ops(w, op.flag_ops)
     w.line("if %s == 0:" % op.flag_var)
     w.indent()
+    w.line("_node.%s = None" % op.tail_name)
     w.line("return _head, o")
     w.dedent()
     w.line("if %s != 1:" % op.flag_var)
@@ -533,8 +556,6 @@ def _render_list_loop(w, op):
     w.line("raise UnmarshalError('bad optional count')")
     w.dedent()
     _render_ops(w, op.node_ops)
-    w.line("_nxt = %s(%s)"
-           % (op.record, ", ".join(list(op.field_exprs) + ["None"])))
     w.line("_node.%s = _nxt" % op.tail_name)
     w.line("_node = _nxt")
     w.dedent()
@@ -601,6 +622,8 @@ _RENDERERS = {
     m.PadToFour: _render_pad_to_four,
     m.BoundsCheck: _render_bounds_check,
     m.Bind: _render_bind,
+    m.NewRecord: _render_new_record,
+    m.SetFields: _render_set_fields,
     m.ExprStmt: _render_expr_stmt,
     m.CallOutOfLine: _render_call_out_of_line,
     m.Loop: _render_loop,

@@ -150,10 +150,26 @@ class RecordDecoder:
         With nothing buffered, records are copied straight out of *data*
         and only an incomplete tail is kept — nothing returned or kept
         aliases *data*, so a driver may hand in a view of a read buffer
-        it overwrites with the next read.
+        it overwrites with the next read.  A buffered fragment is
+        completed in place from *data* and its body copied out once.
         """
         buffer = self._buffer
+        records = []
         if buffer:
+            data = memoryview(data)
+            if len(buffer) < HEADER_SIZE:
+                # An incomplete mark: complete it before its body.
+                take = HEADER_SIZE - len(buffer)
+                buffer += data[:take]
+                data = data[take:]
+                if len(buffer) < HEADER_SIZE:
+                    return records
+                size = self._record_size + (
+                    _unpack_mark(buffer)[0] & _LENGTH_MASK)
+                if size > self.max_record_size:
+                    raise limit_error("record_size", size,
+                                      self.max_record_size)
+                self._missing = size - self._record_size
             missing = self._missing
             if len(data) < missing:
                 # Still short of the fragment's end: one append per
@@ -161,15 +177,18 @@ class RecordDecoder:
                 buffer += data
                 self._missing = missing = missing - len(data)
                 self.read_hint = min(missing, MAX_RECV_SIZE)
-                return []
-            data = b"".join((buffer, data))
-            del buffer[:]
+                return records
+            buffer += data[:missing]
+            data = data[missing:]
             self._missing = 0
             self.read_hint = MAX_RECV_SIZE
+            # The completed fragment, fed alone to an empty buffer.
+            self._buffer = bytearray()
+            with memoryview(buffer) as fragment:
+                records = self.feed(fragment)
         borrowed = type(data) is not bytes  # a slice of it is no copy
         if borrowed and type(data) is not memoryview:
             data = memoryview(data)
-        records = []
         fragments = self._fragments
         position = 0
         end = len(data)
@@ -203,7 +222,7 @@ class RecordDecoder:
             else:
                 records.append(piece)
         if position < end:
-            buffer += data[position:]
+            self._buffer += data[position:]
         return records
 
     @property

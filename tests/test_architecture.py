@@ -853,6 +853,76 @@ PINS = {
 }
 
 
+def record_inits_run_by_decoders(labels=None):
+    """``[qualname]`` of every record ``__init__`` (a ``sys.setprofile``
+    count) that decoding a request and a reply of every operation of
+    every golden schema (``tests.baseline_cells.schemas()``, or those
+    of *labels*) ran under every back end.  Records are built by
+    calling their classes before the count starts; a decoder builds
+    them in its own frame (``_new`` and field stores), so it runs
+    none."""
+    import sys
+
+    from repro import api, frontends
+    from repro.errors import FlickError
+    from repro.pres.values import Record
+    from repro.runtime import LoopbackTransport
+    from tests.baseline_cells import schemas
+    from tests.conftest import ALL_BACKENDS
+    from tests.test_c_roundtrip import sample
+
+    inits = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__init__" \
+                and isinstance(frame.f_locals.get("self"), Record):
+            inits.append(frame.f_code.co_qualname)
+
+    for label, (text, file_name) in sorted(schemas().items()):
+        if labels is not None and label not in labels:
+            continue
+        lang = frontends.detect(text, file_name).name
+        for backend in ALL_BACKENDS:
+            try:
+                results = api.compile_all(text, lang, name=file_name,
+                                          backend=backend).values()
+            except FlickError:
+                continue
+            for result in results:
+                presc, module = result.presc, result.module
+
+                class Servant:
+                    def __getattr__(self, name):
+                        return lambda *args: answers[name]
+
+                client = getattr(module, "%sClient" % presc.interface_name
+                                 .replace("::", "_"))(
+                    LoopbackTransport(module.dispatch, Servant()))
+                answers = {}
+                for stub in presc.stubs:
+                    fields = stub.reply_pres.arms[0].pres.fields \
+                        if stub.reply_pres else ()
+                    results = [sample(field.pres, presc, module)
+                               for field in fields]
+                    answers[stub.operation_name] = (
+                        None if not results else results[0]
+                        if len(results) == 1 else tuple(results))
+                    args = [sample(parameter.pres, presc, module)
+                            for parameter in stub.in_parameters()]
+                    call = getattr(client, stub.operation_name)
+                    call(*args)  # lowers and compiles the codecs
+                    sys.setprofile(count)
+                    try:
+                        call(*args)
+                    finally:
+                        sys.setprofile(None)
+    return inits
+
+
+def test_decoders_run_no_record_init():
+    assert record_inits_run_by_decoders() == []
+
+
 @pytest.fixture(scope="module")
 def tree():
     return Tree.load()
@@ -873,6 +943,15 @@ class TestPinsBite:
             self, pin, path, line, tree):
         with pytest.raises(AssertionError):
             pin(tree.with_(path, line))
+
+
+    def test_a_decoder_that_calls_the_record_class_fails_the_init_pin(
+            self, monkeypatch):
+        from repro.mir.render_py import PySpelling
+
+        monkeypatch.setattr(PySpelling, "builds_records", False)
+        assert "Ledger_Rect.__init__" in record_inits_run_by_decoders(
+            ["examples/idl/ledger.idl"])
 
 
 def test_compile_returns_the_one_result_class():

@@ -43,7 +43,7 @@ from repro.backend import interface_file_stem, runtime_header_path
 from repro.cast import nodes as cn
 from repro.cast.emit import CEmitter
 from repro.mint import types as mt
-from repro.mir import render_c
+from repro.mir import ops as m, render_c
 from repro.mir.build import build_program
 from repro.mir.passes import PASS_NAMES, PassManager
 from repro.pres import nodes as p
@@ -100,6 +100,11 @@ CASES = [
 SPELLED = {"expr", "var", "cond", "arg_expr", "data_expr", "element_expr",
            "iterable", "message_expr", "literal", "value_expr", "exprs",
            "field_exprs", "head_exprs"}
+
+#: Ops only a spelling that builds records adds (the Python one builds
+#: each in the decoder's frame; the C stores each field through its
+#: dest instead).
+BUILDS = (m.NewRecord, m.SetFields)
 
 #: The test runtime: what flick-runtime.h leaves to the transport.
 RUNTIME = r"""
@@ -278,9 +283,11 @@ def compile_case(schema, backend, flags):
 
 
 def layout(value):
-    """*value* (ops, functions) with every spelled field left out."""
+    """*value* (ops, functions) with every spelled field and every
+    record build left out."""
     if isinstance(value, (list, tuple)):
-        return [layout(item) for item in value]
+        return [layout(item) for item in value
+                if not isinstance(item, BUILDS)]
     if dataclasses.is_dataclass(value):
         return type(value).__name__, {
             field.name: layout(getattr(value, field.name))

@@ -96,10 +96,14 @@ class TestDerivedFromOneDescription:
                                  wants=("two",), upto="id"),
                 _function_source(module, "encode_error_reply"), depth=1)
         if protocol == "giop":
+            assert module._u_system_exception \
+                is envelopes.system_exception(endian)
+            source = module._u_system_exception.source.split("\n")
+            assert source[0] == "def _u_system_exception(d, o):"
             assert _pasted(
                 envelopes.render(protocol, "system_exception", endian,
                                  remote="return %s"),
-                _function_source(module, "_u_system_exception"))
+                textwrap.dedent("\n".join(source[1:]) + "\n"))
 
     @pytest.mark.parametrize("protocol,endian", [
         ("oncrpc", ">"), ("giop", ">"), ("giop", "<"), ("mach3", "<"),

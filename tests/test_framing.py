@@ -152,6 +152,31 @@ class TestRoundTrip:
         assert decoder.at_record_boundary()
         assert decoder.pending_bytes == 0
 
+    @pytest.mark.parametrize("max_fragment", [None, 40000])
+    @pytest.mark.parametrize("base, offset", [
+        ("mark", 1), ("mark", 2), ("mark", 3), ("body", 0), ("body", 1),
+        ("body", 37650), ("end", -1), ("end", 0), ("end", 1)])
+    def test_a_large_record_in_two_reads(self, base, offset, max_fragment):
+        """A record of more than 64 KiB cut in two reads at each class
+        of boundary — inside its mark, inside its body, exactly at its
+        end — comes out with the bytes it went in with, whether the
+        reads arrive as bytes or as views of one reused buffer."""
+        payload = bytes(range(251)) * 300  # 75 300 bytes
+        lead = encode_record(b"lead")
+        record = encode_record(payload, max_fragment=max_fragment)
+        wire = lead + record + encode_record(b"tail")
+        cut = len(lead) + offset + {
+            "mark": 0, "body": HEADER_SIZE, "end": len(record)}[base]
+        expected = [b"lead", payload, b"tail"]
+        decoder = RecordDecoder()
+        records = decoder.feed(wire[:cut]) + decoder.feed(wire[cut:])
+        assert records == expected
+        assert all(type(record) is bytes for record in records)
+        assert decoder.at_record_boundary()
+        assert decoder.pending_bytes == 0
+        assert fed_from_a_read_buffer(
+            [wire[:cut], wire[cut:]], size=len(wire)) == expected
+
     def test_many_records_in_one_read(self):
         payloads = [bytes([n]) * n for n in range(200)]
         wire = b"".join(map(encode_record, payloads))

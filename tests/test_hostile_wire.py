@@ -602,7 +602,9 @@ class TestForgedAggregateCount:
     """The pre-loop guard of a non-fixed element array is ``count *
     minimum element size`` (140 bytes for a DirEnt on XDR), not one byte
     per element: a forged count the old bound let through is refused
-    before a single element is built."""
+    before a single element is built.  A decoder builds a DirEnt in its
+    own frame (``_new`` and a store per field, no ``__init__``), so the
+    elements built are counted at their field stores."""
 
     @pytest.mark.parametrize("backend,validate", [
         ("oncrpc-xdr", assert_valid_onc_reply),
@@ -616,13 +618,18 @@ class TestForgedAggregateCount:
         with open(LEDGER_IDL) as handle:
             module = api.compile(handle.read(), "corba", backend=backend,
                                  renderer=renderer).module
-        built = []
+        stored = []
         dirent = module.Ledger_DirEnt
 
         class CountingDirEnt(dirent):
-            def __init__(self, *args):
-                built.append(1)
-                dirent.__init__(self, *args)
+            __slots__ = ()
+
+            def __setattr__(self, name, value):
+                stored.append(self)
+                dirent.__setattr__(self, name, value)
+
+        def built():
+            return len({id(element) for element in stored})
 
         module.Ledger_DirEnt = CountingDirEnt
         calls = []
@@ -634,25 +641,25 @@ class TestForgedAggregateCount:
         stat = module.Ledger_Stat(*([7] * 30 + [b"t" * 16]))
         entries = [module.Ledger_DirEnt("file%d" % i, stat)
                    for i in range(3)]
-        del built[:]
+        del stored[:]
         good = _capture_requests(module, [("put_dirents", (entries,))])[0]
         count_at = len(module._H_req_put_dirents)
         assert good[count_at:count_at + 4] == struct.pack(">I", 3)
         body = len(good) - count_at - 4
         server = StubServer(module, Impl())
         assert server.serve_bytes(good) is not None
-        assert calls == [3] and len(built) == 3
+        assert calls == [3] and built() == 3
         # One element per remaining byte fits the old bound; a tenth of
         # that still claims more DirEnts than the bytes can hold.
         for forged in (body, body // 10, 4):
             assert forged * 140 > body >= forged
             frame = bytearray(good)
             frame[count_at:count_at + 4] = struct.pack(">I", forged)
-            del built[:]
+            del stored[:]
             with pytest.raises(UnmarshalError) as info:
                 module.dispatch(bytes(frame), Impl(), MarshalBuffer())
             assert "truncated" in str(info.value)
-            assert built == []
+            assert built() == 0
             validate(bytes(frame), server.serve_bytes(bytes(frame)))
         assert calls == [3]
 

@@ -12,6 +12,9 @@ a deferred entry, so this is the proof that deferred loading binds what
 the module text binds, for every schema × back end × pass toggle.
 """
 
+import itertools
+import re
+
 import pytest
 
 from repro import OptFlags, api
@@ -454,18 +457,29 @@ class TestStructArrayRegions:
             assert not any(off.values()), (backend, name)
 
     def test_iiop_rects_have_no_per_element_space_check(self):
-        """The rendered IIOP codecs for a Rect array hold no loop
-        statement at all: no per-element reserve, no per-element
-        alignment arithmetic."""
+        """The rendered IIOP codecs for a Rect array hold no loop but
+        the decoders' one over the region's ``_iter_unpack`` rows, which
+        builds the records and reads nothing: no per-element reserve,
+        no per-element alignment arithmetic, no per-element read."""
         source = api.compile(SHAPES_IDL, "corba",
                              backend="iiop").stubs.py_source
         for name in ("_m_req_rects", "_u_req_rects",
                      "_m_rep_ok_rects", "_u_rep_rects"):
             start = source.index("def %s(" % name)
             body = source[start:source.index("\ndef ", start + 1)]
-            lines = [line.strip() for line in body.splitlines()]
-            assert not any(line.startswith(("for ", "while "))
-                           for line in lines), body
+            lines = body.splitlines()
+            loops = [at for at, line in enumerate(lines)
+                     if line.strip().startswith(("for ", "while "))]
+            assert len(loops) == name.startswith("_u_"), body
+            for at in loops:
+                assert " in _iter_unpack(" in lines[at], body
+                depth = len(lines[at]) - len(lines[at].lstrip())
+                inside = itertools.takewhile(
+                    lambda line: len(line) - len(line.lstrip()) > depth,
+                    lines[at + 1:])
+                assert not [line for line in inside
+                            if re.search(r"\bo \+=|_unpack_from|\bif ",
+                                         line)], body
             assert "-b.length %" not in body, body
 
 
